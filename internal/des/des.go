@@ -6,85 +6,86 @@
 // schedules events deterministically replays bit-identically.
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Queue is a pending-event set ordered by (time, insertion sequence). The
-// zero value is ready to use.
-type Queue struct {
-	h   eventHeap
+// Queue is a pending-event set ordered by (time, insertion sequence). Events
+// are values of the caller's type E, stored inline in a binary heap: nothing
+// is boxed and scheduling allocates only when the heap grows. The zero value
+// is ready to use.
+type Queue[E any] struct {
+	h   []entry[E]
 	seq uint64
 	now float64
 }
 
-// Now returns the virtual time of the most recently popped event (0 before
-// any event ran).
-func (q *Queue) Now() float64 { return q.now }
+type entry[E any] struct {
+	at  float64
+	seq uint64
+	ev  E
+}
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
-
-// Schedule enqueues fn to run at virtual time t. Scheduling into the past
-// (before the last popped event) panics: it would corrupt causality.
-func (q *Queue) Schedule(t float64, fn func()) {
-	if fn == nil {
-		panic("des: Schedule with nil function")
+func (a *entry[E]) before(b *entry[E]) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
+	return a.seq < b.seq
+}
+
+// Now returns the virtual time of the most recently popped event (0 before
+// any event was popped).
+func (q *Queue[E]) Now() float64 { return q.now }
+
+// Schedule enqueues ev for virtual time t. Scheduling into the past (before
+// the last popped event) panics: it would corrupt causality.
+func (q *Queue[E]) Schedule(t float64, ev E) {
 	if t < q.now {
 		panic(fmt.Sprintf("des: scheduling into the past (t=%g < now=%g)", t, q.now))
 	}
 	q.seq++
-	heap.Push(&q.h, event{at: t, seq: q.seq, fn: fn})
-}
-
-// RunNext pops and executes the earliest pending event, advancing the clock
-// to its time. It reports whether an event was available.
-func (q *Queue) RunNext() bool {
-	if len(q.h) == 0 {
-		return false
-	}
-	e := heap.Pop(&q.h).(event)
-	q.now = e.at
-	e.fn()
-	return true
-}
-
-// Drain runs events until the queue is empty or maxEvents have run; it
-// returns the number of events executed. maxEvents <= 0 means unbounded.
-func (q *Queue) Drain(maxEvents int) int {
-	n := 0
-	for q.RunNext() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
+	q.h = append(q.h, entry[E]{at: t, seq: q.seq, ev: ev})
+	// Sift the new entry up.
+	h := q.h
+	i := len(h) - 1
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
 			break
 		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return n
+	h[i] = e
 }
 
-type event struct {
-	at  float64
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Next pops the earliest pending event and advances the clock to its time.
+// It reports whether an event was available.
+func (q *Queue[E]) Next() (ev E, ok bool) {
+	h := q.h
+	if len(h) == 0 {
+		return ev, false
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = entry[E]{} // drop the payload's references
+	h = h[:n]
+	q.h = h
+	// Sift the former last entry down from the root.
+	i := 0
+	for child := 1; child < n; child = 2*i + 1 {
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = e
+	}
+	q.now = top.at
+	return top.ev, true
 }

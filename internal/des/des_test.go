@@ -1,19 +1,30 @@
 package des
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"topobarrier/internal/stats"
 )
 
+// drain runs closure events until the queue is empty and returns how many ran.
+func drain(q *Queue[func()]) int {
+	n := 0
+	for fn, ok := q.Next(); ok; fn, ok = q.Next() {
+		fn()
+		n++
+	}
+	return n
+}
+
 func TestEventsRunInTimeOrder(t *testing.T) {
-	var q Queue
+	var q Queue[func()]
 	var order []int
 	q.Schedule(3.0, func() { order = append(order, 3) })
 	q.Schedule(1.0, func() { order = append(order, 1) })
 	q.Schedule(2.0, func() { order = append(order, 2) })
-	if n := q.Drain(0); n != 3 {
+	if n := drain(&q); n != 3 {
 		t.Fatalf("Drain ran %d events", n)
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -25,13 +36,13 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestTiesBreakByInsertionOrder(t *testing.T) {
-	var q Queue
+	var q Queue[func()]
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
 		q.Schedule(1.0, func() { order = append(order, i) })
 	}
-	q.Drain(0)
+	drain(&q)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie order = %v", order)
@@ -40,7 +51,7 @@ func TestTiesBreakByInsertionOrder(t *testing.T) {
 }
 
 func TestEventsMayScheduleMoreEvents(t *testing.T) {
-	var q Queue
+	var q Queue[func()]
 	var hits []float64
 	var chain func(depth int)
 	chain = func(depth int) {
@@ -50,16 +61,16 @@ func TestEventsMayScheduleMoreEvents(t *testing.T) {
 		}
 	}
 	q.Schedule(0, func() { chain(0) })
-	q.Drain(0)
+	drain(&q)
 	if len(hits) != 6 || hits[5] != 5 {
 		t.Fatalf("chain hits = %v", hits)
 	}
 }
 
 func TestScheduleIntoPastPanics(t *testing.T) {
-	var q Queue
+	var q Queue[func()]
 	q.Schedule(2, func() {})
-	q.RunNext()
+	q.Next()
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("past scheduling did not panic")
@@ -68,66 +79,71 @@ func TestScheduleIntoPastPanics(t *testing.T) {
 	q.Schedule(1, func() {})
 }
 
-func TestScheduleNilPanics(t *testing.T) {
-	var q Queue
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("nil fn did not panic")
-		}
-	}()
-	q.Schedule(0, nil)
-}
-
-func TestDrainBound(t *testing.T) {
-	var q Queue
-	for i := 0; i < 10; i++ {
-		q.Schedule(float64(i), func() {})
-	}
-	if n := q.Drain(4); n != 4 {
-		t.Fatalf("bounded Drain ran %d", n)
-	}
-	if q.Len() != 6 {
-		t.Fatalf("Len() = %d after partial drain", q.Len())
-	}
-}
-
 func TestRunNextEmpty(t *testing.T) {
-	var q Queue
-	if q.RunNext() {
-		t.Fatalf("RunNext on empty queue returned true")
+	var q Queue[func()]
+	if _, ok := q.Next(); ok {
+		t.Fatalf("Next on empty queue returned an event")
+	}
+	if q.Now() != 0 {
+		t.Fatalf("Now() = %g on a queue that never ran", q.Now())
 	}
 }
 
-// Property: any batch of randomly-timed events is delivered in nondecreasing
-// time order.
+// Property: events pop in exactly (time, scheduling order) — the order a
+// stable sort by time gives — including ties, and with pops interleaved
+// between schedules.
 func TestQuickMonotoneDelivery(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		var q Queue
-		var times []float64
-		n := rng.Intn(50) + 1
-		for i := 0; i < n; i++ {
-			at := rng.Float64() * 100
-			q.Schedule(at, func() { times = append(times, q.Now()) })
+		var q Queue[int]
+		type ev struct {
+			at float64
+			id int
 		}
-		q.Drain(0)
-		for i := 1; i < len(times); i++ {
-			if times[i] < times[i-1] {
+		var pending, got, want []ev
+		flush := func(k int) { // pop k events, checking against the stable order
+			sort.SliceStable(pending, func(a, b int) bool { return pending[a].at < pending[b].at })
+			want = append(want, pending[:k]...)
+			pending = pending[k:]
+			for ; k > 0; k-- {
+				id, ok := q.Next()
+				if !ok {
+					return
+				}
+				got = append(got, ev{q.Now(), id})
+			}
+		}
+		n := rng.Intn(200) + 1
+		for i := 0; i < n; i++ {
+			// A coarse grid forces ties; never earlier than the clock.
+			at := q.Now() + float64(rng.Intn(8))
+			q.Schedule(at, i)
+			pending = append(pending, ev{at, i})
+			if rng.Intn(4) == 0 {
+				flush(rng.Intn(len(pending) + 1))
+			}
+		}
+		flush(len(pending))
+		if _, ok := q.Next(); ok || len(got) != n {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
 				return false
 			}
 		}
-		return len(times) == n
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func BenchmarkScheduleRun(b *testing.B) {
-	var q Queue
+	var q Queue[func()]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Schedule(q.Now()+1, func() {})
-		q.RunNext()
+		q.Next()
 	}
 }

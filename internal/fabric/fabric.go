@@ -15,6 +15,7 @@ package fabric
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"topobarrier/internal/profile"
@@ -61,14 +62,19 @@ type Params struct {
 type Fabric struct {
 	spec   topo.Spec
 	params Params
-	cores  []int // rank -> global core
+	cores  []int       // rank -> global core
+	seats  []topo.Seat // rank -> resolved position, so classifying a message divides nothing
+	// links[c] is the cost of class c as given; skewed[c] has DirectionSkew
+	// applied (messages from a higher-numbered core to a lower one).
+	links, skewed [topo.NumLinkClasses]Link
 
 	mu  sync.Mutex
 	rng *stats.RNG
 }
 
 // New places p ranks on the machine using pl and returns the cost oracle for
-// that job.
+// that job. params.Classes must cover CrossNode on a multi-node spec and
+// every link class some pair of the placed ranks is connected by.
 func New(spec topo.Spec, pl topo.Placement, p int, params Params) (*Fabric, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -77,19 +83,52 @@ func New(spec topo.Spec, pl topo.Placement, p int, params Params) (*Fabric, erro
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range []topo.LinkClass{topo.CrossNode} {
-		if spec.Nodes > 1 {
-			if _, ok := params.Classes[c]; !ok {
-				return nil, fmt.Errorf("fabric: params missing required class %v for multi-node spec %q", c, spec.Name)
-			}
-		}
+	if spec.Nodes > 1 && !hasClass(params, topo.CrossNode) {
+		return nil, fmt.Errorf("fabric: params missing required class %v for multi-node spec %q", topo.CrossNode, spec.Name)
 	}
-	return &Fabric{
+	f := &Fabric{
 		spec:   spec,
 		params: params,
 		cores:  cores,
+		seats:  make([]topo.Seat, p),
 		rng:    stats.NewRNG(params.Seed),
-	}, nil
+	}
+	for r, c := range cores {
+		f.seats[r] = spec.SeatAt(c)
+	}
+	// The machine is a tree and global core order is its depth-first order,
+	// so every class that occurs between any two ranks also occurs between
+	// two ranks adjacent in core order.
+	byCore := make([]int, p)
+	for r := range byCore {
+		byCore[r] = r
+	}
+	sort.Slice(byCore, func(a, b int) bool { return cores[byCore[a]] < cores[byCore[b]] })
+	for k := 1; k < p; k++ {
+		lo, hi := byCore[k-1], byCore[k]
+		if c := f.seats[lo].ClassTo(f.seats[hi]); !hasClass(params, c) {
+			return nil, fmt.Errorf("fabric: params missing class %v connecting ranks %d and %d on %q", c, lo, hi, spec.Name)
+		}
+	}
+	skew := 1.0
+	if params.DirectionSkew > 0 {
+		skew += params.DirectionSkew
+	}
+	for c, l := range params.Classes {
+		if c <= topo.Self || c >= topo.NumLinkClasses {
+			continue // Self entries are ignored; nothing else can be produced
+		}
+		f.links[c] = l
+		l.Alpha *= skew
+		l.Lambda *= skew
+		f.skewed[c] = l
+	}
+	return f, nil
+}
+
+func hasClass(params Params, c topo.LinkClass) bool {
+	_, ok := params.Classes[c]
+	return ok
 }
 
 // P returns the number of ranks in the job.
@@ -106,14 +145,15 @@ func (f *Fabric) CoreOf(r int) int {
 
 // NodeOf returns the node index rank r is pinned to.
 func (f *Fabric) NodeOf(r int) int {
-	return f.spec.CoreAt(f.CoreOf(r)).Node
+	f.checkRank(r)
+	return f.seats[r].Node
 }
 
 // Class returns the link class between two ranks.
 func (f *Fabric) Class(src, dst int) topo.LinkClass {
 	f.checkRank(src)
 	f.checkRank(dst)
-	return f.spec.Classify(f.cores[src], f.cores[dst])
+	return f.seats[src].ClassTo(f.seats[dst])
 }
 
 func (f *Fabric) checkRank(r int) {
@@ -122,18 +162,14 @@ func (f *Fabric) checkRank(r int) {
 	}
 }
 
-func (f *Fabric) link(src, dst int) Link {
+// link returns the cost parameters of the link from src to dst, two distinct
+// ranks; New has verified the class table covers every such pair.
+func (f *Fabric) link(src, dst int) *Link {
 	c := f.Class(src, dst)
-	l, ok := f.params.Classes[c]
-	if !ok {
-		panic(fmt.Sprintf("fabric: no parameters for link class %v (ranks %d->%d)", c, src, dst))
+	if f.cores[src] > f.cores[dst] {
+		return &f.skewed[c]
 	}
-	if f.params.DirectionSkew > 0 && f.cores[src] > f.cores[dst] {
-		skew := 1 + f.params.DirectionSkew
-		l.Alpha *= skew
-		l.Lambda *= skew
-	}
-	return l
+	return &f.links[c]
 }
 
 func (f *Fabric) noise(sigma float64) float64 {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"topobarrier/internal/stats"
@@ -276,17 +277,57 @@ func TestTrueProfileMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestMissingClassPanics(t *testing.T) {
-	p := quietParams(1)
-	delete(p.Classes, topo.CrossSocket)
-	f, err := New(topo.QuadCluster(), topo.Block{}, 8, p)
-	if err != nil {
-		t.Fatal(err) // only CrossNode is mandatory at construction
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("missing class did not panic at use")
+// A class table lacking a link class the placed ranks can produce is a
+// constructor error (it used to surface mid-simulation as "rank N panicked");
+// classes the placement cannot produce stay optional.
+func TestMissingClassRejected(t *testing.T) {
+	twoSocket := topo.SingleNode(2, 4, 2)
+	without := func(drop ...topo.LinkClass) Params {
+		p := quietParams(1)
+		for _, c := range drop {
+			delete(p.Classes, c)
 		}
-	}()
-	f.SendOverhead(0, 4, 0) // cross-socket link with no parameters
+		return p
+	}
+	_, err := New(twoSocket, topo.Block{}, 8, without(topo.CrossSocket, topo.CrossNode))
+	if err == nil || !strings.Contains(err.Error(), "cross-socket") {
+		t.Fatalf("two-socket job without CrossSocket: err = %v", err)
+	}
+	// Any pair may be the only one producing the class.
+	cores := topo.Permutation{Cores: []int{0, 2, 4}}
+	if _, err := New(twoSocket, cores, 3, without(topo.SameSocket)); err == nil {
+		t.Fatalf("missing SameSocket (ranks 0,1) accepted")
+	}
+	if _, err := New(twoSocket, cores, 3, without(topo.SharedCache, topo.CrossNode)); err != nil {
+		t.Fatalf("unproducible classes demanded: %v", err)
+	}
+	// Four ranks on one socket never cross sockets.
+	f, err := New(twoSocket, topo.Block{}, 4, without(topo.CrossSocket))
+	if err != nil {
+		t.Fatalf("unproducible CrossSocket demanded: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			f.SendOverhead(i, j, 8) // every producible link has parameters
+		}
+	}
+	// Against brute force: for random placements with one class dropped, New
+	// errs exactly when some pair of ranks is connected by that class.
+	rng := stats.NewRNG(7)
+	quad := topo.QuadCluster()
+	for trial := 0; trial < 300; trial++ {
+		p := 2 + rng.Intn(10)
+		cores := rng.Perm(quad.TotalCores())[:p]
+		drop := topo.SharedCache + topo.LinkClass(rng.Intn(3)) // CrossNode is always mandatory here
+		produced := false
+		for i := 0; i < p; i++ {
+			for j := 0; j < i; j++ {
+				produced = produced || quad.Classify(cores[i], cores[j]) == drop
+			}
+		}
+		_, err := New(quad, topo.Permutation{Cores: cores}, p, without(drop))
+		if (err != nil) != produced {
+			t.Fatalf("cores %v without %v: err = %v, class produced = %v", cores, drop, err, produced)
+		}
+	}
 }

@@ -3,7 +3,7 @@ package mpi
 import "fmt"
 
 // Comm is a rank's handle to the job, valid only inside the body passed to
-// World.Run and only on that rank's goroutine.
+// World.Run and only on that rank's coroutine.
 type Comm struct {
 	r *run
 	p *proc
@@ -36,6 +36,7 @@ type Request struct {
 	sync  bool // synchronized send (Issend)
 
 	done        bool
+	inWait      bool // counted in the owner's pending Wait
 	completedAt float64
 
 	// Matched source and tag, filled for completed receives.
@@ -82,7 +83,7 @@ func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 	fab := r.world.fab
 	now := r.q.Now()
 
-	req := &Request{kind: sendReq, owner: p.rank, peer: dst, tag: tag, bytes: bytes, sync: sync}
+	req := r.newRequest(Request{kind: sendReq, owner: p.rank, peer: dst, tag: tag, bytes: bytes, sync: sync})
 
 	// Eq. 2: when the receiver is already waiting, the per-message overhead
 	// is the software initiation cost Oii rather than the full targeting
@@ -93,7 +94,6 @@ func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 	} else {
 		base = fab.SendOverhead(p.rank, dst, bytes)
 	}
-	p.batchCount++
 	p.batchLat += fab.BatchMarginal(p.rank, dst)
 	arrival := now + base + p.batchLat
 
@@ -102,17 +102,34 @@ func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 	if r.world.congestion {
 		if occ := fab.NICOccupancy(p.rank, dst, bytes); occ > 0 {
 			node := fab.NodeOf(p.rank)
-			depart := max64(now, r.nicFree[node])
+			depart := max(now, r.nicFree[node])
 			r.nicFree[node] = depart + occ
-			arrival = max64(arrival, depart+occ+base)
+			arrival = max(arrival, depart+occ+base)
 		}
 	}
 
-	m := &inMsg{src: p.rank, tag: tag, bytes: bytes, arrival: arrival, sreq: req}
-	sentAt := now
-	r.q.Schedule(arrival, func() { r.deliver(dst, m, sentAt) })
+	m := inMsg{src: p.rank, tag: tag, bytes: bytes, sreq: req}
+	r.q.Schedule(arrival, event{kind: evDeliver, p: &r.procs[dst], m: m, sentAt: now})
 	return req
 }
+
+// newRequest returns a request initialised to v, reusing the storage of a
+// finished blocking call when there is one.
+func (r *run) newRequest(v Request) *Request {
+	var q *Request
+	if n := len(r.free); n > 0 {
+		q = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		q = new(Request)
+	}
+	*q = v
+	return q
+}
+
+// recycle takes back a completed request no caller ever saw (a blocking
+// call's): once complete, nothing in the run refers to it any more.
+func (r *run) recycle(q *Request) { r.free = append(r.free, q) }
 
 // Irecv posts a nonblocking receive matching the given source and tag
 // (AnySource / AnyTag act as wildcards). On completion the request's Src and
@@ -120,7 +137,7 @@ func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 func (c *Comm) Irecv(src, tag int) *Request {
 	c.checkPeer(src, true)
 	r, p := c.r, c.p
-	req := &Request{kind: recvReq, owner: p.rank, peer: src, tag: tag}
+	req := r.newRequest(Request{kind: recvReq, owner: p.rank, peer: src, tag: tag})
 
 	// Check messages that already arrived unmatched.
 	for i, m := range p.unexpected {
@@ -131,8 +148,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 			if m.sreq != nil && !m.sreq.done {
 				// The synchronized sender learns of the match now; complete
 				// (and possibly wake) it from scheduler context.
-				sreq := m.sreq
-				r.q.Schedule(now, func() { r.completeAndWake(sreq, now, -1, -1) })
+				r.q.Schedule(now, event{kind: evComplete, m: inMsg{sreq: m.sreq}})
 			}
 			return req
 		}
@@ -144,30 +160,33 @@ func (c *Comm) Irecv(src, tag int) *Request {
 // Wait blocks until every given request has completed. Nil requests are
 // ignored.
 func (c *Comm) Wait(reqs ...*Request) {
-	live := reqs[:0:0]
+	p := c.p
 	for _, q := range reqs {
-		if q == nil {
-			continue
+		if q != nil && q.owner != p.rank {
+			panic(fmt.Sprintf("mpi: rank %d waiting on rank %d's request", p.rank, q.owner))
 		}
-		if q.owner != c.p.rank {
-			panic(fmt.Sprintf("mpi: rank %d waiting on rank %d's request", c.p.rank, q.owner))
+	}
+	// Count the incomplete requests once; completeAndWake counts them down
+	// and wakes the rank when the last one lands.
+	for _, q := range reqs {
+		if q != nil && !q.done && !q.inWait {
+			q.inWait = true
+			p.pending++
 		}
-		live = append(live, q)
 	}
-	for !allDone(live) {
-		c.p.waiting = live
-		c.p.park(c.r)
+	for p.pending > 0 {
+		p.park()
 	}
-	c.p.waiting = nil
 	// A completed wait ends the current simultaneous send batch even when no
 	// blocking was needed.
-	c.p.batchCount = 0
-	c.p.batchLat = 0
+	p.batchLat = 0
 }
 
 // Send is a blocking synchronized send (Issend + Wait).
 func (c *Comm) Send(dst, tag, bytes int) {
-	c.Wait(c.Issend(dst, tag, bytes))
+	q := c.Issend(dst, tag, bytes)
+	c.Wait(q)
+	c.r.recycle(q)
 }
 
 // Status describes a completed receive.
@@ -179,7 +198,9 @@ type Status struct {
 func (c *Comm) Recv(src, tag int) Status {
 	q := c.Irecv(src, tag)
 	c.Wait(q)
-	return Status{Src: q.Src, Tag: q.Tag}
+	st := Status{Src: q.Src, Tag: q.Tag}
+	c.r.recycle(q)
+	return st
 }
 
 // Compute advances the calling rank's local time by seconds without
@@ -192,16 +213,9 @@ func (c *Comm) Compute(seconds float64) {
 	if seconds == 0 {
 		return
 	}
-	p, r := c.p, c.r
-	until := r.q.Now() + seconds
-	p.sleeping = true
-	r.q.Schedule(until, func() {
-		p.sleeping = false
-		r.wake(p)
-	})
-	for p.sleeping {
-		p.park(r)
-	}
+	// Only this event resumes the rank: outside Wait nothing is pending.
+	c.r.q.Schedule(c.r.q.Now()+seconds, event{kind: evWake, p: c.p})
+	c.p.park()
 }
 
 // NoopInitiate models initiating a communication request that ultimately
@@ -209,15 +223,6 @@ func (c *Comm) Compute(seconds float64) {
 // package measures it the way the paper does (§IV.A).
 func (c *Comm) NoopInitiate() {
 	c.Compute(c.r.world.fab.SelfOverhead(c.p.rank))
-}
-
-func allDone(reqs []*Request) bool {
-	for _, q := range reqs {
-		if !q.done {
-			return false
-		}
-	}
-	return true
 }
 
 func envelopeMatches(req *Request, src, tag int) bool {
@@ -246,12 +251,11 @@ func (r *run) hasPostedMatch(dst, src, tag int) bool {
 
 // deliver runs at a message's arrival time (scheduler context): match it
 // against posted receives or queue it as unexpected.
-func (r *run) deliver(dst int, m *inMsg, sentAt float64) {
+func (r *run) deliver(dp *proc, m inMsg, sentAt float64) {
 	now := r.q.Now()
 	if fn := r.world.tracer; fn != nil {
-		fn(TraceEvent{Src: m.src, Dst: dst, Tag: m.tag, Bytes: m.bytes, Sent: sentAt, Arrived: now})
+		fn(TraceEvent{Src: m.src, Dst: dp.rank, Tag: m.tag, Bytes: m.bytes, Sent: sentAt, Arrived: now})
 	}
-	dp := r.procs[dst]
 	for i, q := range dp.posted {
 		if envelopeMatches(q, m.src, m.tag) {
 			dp.posted = append(dp.posted[:i], dp.posted[i+1:]...)
@@ -260,25 +264,27 @@ func (r *run) deliver(dst int, m *inMsg, sentAt float64) {
 			return
 		}
 	}
-	dp.unexpected = append(dp.unexpected, m)
 	if !m.sreq.sync {
 		// Eager sends complete on arrival even when unmatched.
 		r.completeAndWake(m.sreq, now, -1, -1)
 		m.sreq = nil
 	}
+	dp.unexpected = append(dp.unexpected, m)
 }
 
-// completeAndWake completes a request and wakes its owner if the owner is
-// parked waiting on a now-fully-complete set. Scheduler context only.
+// completeAndWake completes a request and wakes its owner if that was the
+// last request the owner is parked waiting on. Scheduler context only.
 func (r *run) completeAndWake(q *Request, t float64, src, tag int) {
 	if q.done {
 		return
 	}
 	q.complete(t, src, tag)
-	p := r.procs[q.owner]
-	if p.waiting != nil && allDone(p.waiting) {
-		p.waiting = nil
-		r.wake(p)
+	if q.inWait {
+		q.inWait = false
+		p := &r.procs[q.owner]
+		if p.pending--; p.pending == 0 {
+			r.wake(p)
+		}
 	}
 }
 

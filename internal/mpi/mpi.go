@@ -3,10 +3,13 @@
 // semantics, simulating a heterogeneous cluster described by a fabric cost
 // model.
 //
-// Each rank of a job runs as a goroutine, but goroutines execute one at a
-// time under a cooperative discrete-event scheduler, so every run is
-// reproducible. Virtual time advances only through message costs drawn from
-// the fabric and through explicit Compute calls.
+// Each rank of a job runs as a coroutine (iter.Pull) of the goroutine that
+// called Run: the discrete-event scheduler resumes one rank at a time with a
+// direct coroutine switch and gets control back when the rank blocks, so no
+// rank switch goes through the Go scheduler. Virtual time advances only
+// through message costs drawn from the fabric and through explicit Compute
+// calls. Events run in (time, scheduling order) and the fabric's noise is
+// drawn in that order, so every run is reproducible.
 //
 // The timing model mirrors the paper's topological model (§IV):
 //
@@ -30,7 +33,7 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
+	"iter"
 
 	"topobarrier/internal/des"
 	"topobarrier/internal/fabric"
@@ -42,8 +45,8 @@ const (
 	AnyTag    = -1
 )
 
-// abortSignal is panicked into rank goroutines to unwind them when a run is
-// torn down early.
+// abortSignal is panicked into a parked rank to unwind its stack when a run
+// is torn down early.
 type abortSignal struct{}
 
 // TraceEvent records one delivered message; see WithTracer.
@@ -100,138 +103,126 @@ func (w *World) Fabric() *fabric.Fabric { return w.fab }
 func (w *World) Run(body func(*Comm)) (elapsed float64, err error) {
 	r := &run{
 		world:   w,
-		parked:  make(chan int),
+		procs:   make([]proc, w.n),
 		nicFree: make([]float64, w.fab.Spec().Nodes),
 	}
-	r.procs = make([]*proc, w.n)
-	for i := 0; i < w.n; i++ {
-		p := &proc{rank: i, resume: make(chan struct{})}
-		r.procs[i] = p
-		go func(p *proc) {
+	for i := range r.procs {
+		p := &r.procs[i]
+		p.rank = i
+		p.comm = Comm{r: r, p: p}
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
 				if rec := recover(); rec != nil {
 					if _, ok := rec.(abortSignal); !ok {
 						p.failure = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, rec)
 					}
 				}
-				p.done = true
-				r.parked <- p.rank
 			}()
-			<-p.resume
-			if r.aborting {
-				panic(abortSignal{})
-			}
-			body(&Comm{r: r, p: p})
-		}(p)
+			body(&p.comm)
+		})
+		r.q.Schedule(0, event{kind: evWake, p: p})
 	}
-	for _, p := range r.procs {
-		p := p
-		r.q.Schedule(0, func() { r.wake(p) })
-	}
+	// Tear down every rank still parked (or never started) so nothing leaks;
+	// stop is a no-op on a rank that ran to completion.
+	defer func() {
+		for i := range r.procs {
+			r.procs[i].stop()
+		}
+	}()
 
 	events := 0
-	for r.q.RunNext() {
-		events++
-		if r.err != nil {
-			break
+	for ev, ok := r.q.Next(); ok; ev, ok = r.q.Next() {
+		switch ev.kind {
+		case evWake:
+			r.wake(ev.p)
+		case evDeliver:
+			r.deliver(ev.p, ev.m, ev.sentAt)
+		case evComplete:
+			r.completeAndWake(ev.m.sreq, r.q.Now(), -1, -1)
 		}
+		events++
 		if w.maxEvents > 0 && events > w.maxEvents {
-			r.err = fmt.Errorf("mpi: run exceeded %d events", w.maxEvents)
-			break
+			return r.q.Now(), fmt.Errorf("mpi: run exceeded %d events", w.maxEvents)
 		}
 	}
 
 	// Rank panics take precedence over the secondary deadlocks they cause.
-	for _, p := range r.procs {
-		if p.failure != nil && r.err == nil {
-			r.err = p.failure
+	var blocked []int
+	for i := range r.procs {
+		if p := &r.procs[i]; p.failure != nil {
+			return r.q.Now(), p.failure
+		} else if !p.done {
+			blocked = append(blocked, p.rank)
 		}
 	}
-	if r.err == nil {
-		var blocked []int
-		for _, p := range r.procs {
-			if !p.done {
-				blocked = append(blocked, p.rank)
-			}
-		}
-		if len(blocked) > 0 {
-			sort.Ints(blocked)
-			r.err = fmt.Errorf("mpi: deadlock, ranks %v blocked at t=%g", blocked, r.q.Now())
-		}
+	if len(blocked) > 0 {
+		return r.q.Now(), fmt.Errorf("mpi: deadlock, ranks %v blocked at t=%g", blocked, r.q.Now())
 	}
-
-	// Tear down any goroutine still parked so nothing leaks.
-	r.aborting = true
-	for _, p := range r.procs {
-		if !p.done {
-			p.resume <- struct{}{}
-			<-r.parked
-		}
-	}
-	for _, p := range r.procs {
-		if p.failure != nil && r.err == nil {
-			r.err = p.failure
-		}
-	}
-	return r.q.Now(), r.err
+	return r.q.Now(), nil
 }
 
 // run holds the per-Run state.
 type run struct {
-	world    *World
-	q        des.Queue
-	procs    []*proc
-	parked   chan int
-	nicFree  []float64
-	aborting bool
-	err      error
+	world   *World
+	q       des.Queue[event]
+	procs   []proc
+	nicFree []float64
+	free    []*Request // requests of finished blocking calls, for reuse
 }
+
+// event is what the run's queue carries: the payload of one scheduler action,
+// by value.
+type event struct {
+	kind   evKind
+	p      *proc   // evWake: the rank to resume; evDeliver: the destination
+	m      inMsg   // evDeliver: the message; evComplete: m.sreq is the request
+	sentAt float64 // evDeliver: when the send was issued
+}
+
+type evKind uint8
+
+const (
+	evWake     evKind = iota // start a rank, or end its Compute
+	evDeliver                // a message arrives
+	evComplete               // a synchronized sender learns of a late match
+)
 
 type proc struct {
 	rank    int
-	resume  chan struct{}
+	comm    Comm
+	next    func() (struct{}, bool) // resume the rank until it parks or returns
+	yield   func(struct{}) bool     // park: hand control back to the scheduler
+	stop    func()                  // unwind a parked rank
 	done    bool
 	failure error
 
-	// batch state: sends issued since the proc last blocked.
-	batchCount int
-	batchLat   float64
+	batchLat float64 // summed batch-marginal cost of the sends since the proc last blocked
 
-	waiting  []*Request // wait set while parked in Wait
-	sleeping bool       // Compute wake guard
+	pending int // incomplete requests of the Wait the proc is parked in
 
 	posted     []*Request // posted, unmatched receives (post order)
-	unexpected []*inMsg   // arrived, unmatched messages (arrival order)
+	unexpected []inMsg    // arrived, unmatched messages (arrival order)
 }
 
 type inMsg struct {
 	src, tag, bytes int
-	arrival         float64
 	sreq            *Request // sender's request (nil once completed)
 }
 
-// wake resumes a parked proc and blocks until it parks again or finishes.
+// wake resumes a parked proc and returns when it parks again or finishes.
 // It must only be called from scheduler context (inside an event).
 func (r *run) wake(p *proc) {
-	p.resume <- struct{}{}
-	<-r.parked
+	if _, parked := p.next(); !parked {
+		p.done = true
+	}
 }
 
-// park blocks the calling proc, returning control to the scheduler, until the
+// park hands control from the calling proc back to the scheduler until the
 // scheduler wakes it. Called from proc context only.
-func (p *proc) park(r *run) {
-	p.batchCount = 0
+func (p *proc) park() {
 	p.batchLat = 0
-	r.parked <- p.rank
-	<-p.resume
-	if r.aborting {
-		panic(abortSignal{})
+	if !p.yield(struct{}{}) {
+		panic(abortSignal{}) // the run is over: unwind to the coroutine's root
 	}
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

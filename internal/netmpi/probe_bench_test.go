@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"topobarrier/internal/faultnet"
+	"topobarrier/internal/perftest"
 )
 
 // delayMesh builds a loopback mesh whose every link carries d of injected
@@ -116,8 +117,6 @@ func TestProbeProfileParallelSpeedup(t *testing.T) {
 	}
 	seq := best(ProbeOptions{MaxIters: 8, Sequential: true})
 	par := best(ProbeOptions{MaxIters: 8, StableK: 3})
-	if par*2 > seq {
-		t.Fatalf("parallel adaptive probe %v vs sequential %v — less than the 2× floor", par, seq)
-	}
+	perftest.Floor(t, par*2 <= seq, "parallel adaptive probe %v vs sequential %v — less than the 2× floor", par, seq)
 	t.Logf("P=%d probe: sequential %v, parallel adaptive %v (%.1f×)", p, seq, par, float64(seq)/float64(par))
 }

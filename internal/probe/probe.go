@@ -113,9 +113,11 @@ type pair struct {
 // round every rank sits in at most one pair, and the pairs — already on
 // disjoint tag spaces — now also overlap in (virtual) time, collapsing the
 // O(P²) sequential pairwise blocks into ~P concurrent rounds. Disjoint pairs
-// use disjoint links, and per-link noise streams are keyed by (seed, link,
-// call index), so the overlap changes wall/virtual clock only, never the
-// measured values.
+// use disjoint links, but the fabric has one noise stream, drawn in the
+// simulator's event order (time, then scheduling order): a given seed, rank
+// count and Config always interleave the pairs the same way and so reproduce
+// the profile bit for bit, while a different schedule of the same pairs draws
+// different noise and measures slightly different values.
 func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
 	p := w.Size()
 	if err := cfg.validate(p); err != nil {

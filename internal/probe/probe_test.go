@@ -317,3 +317,19 @@ func TestPaperProtocolRecoversParameters(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkProbeMeasureP64 is the cold-start cost the ledger's paper_sim_p64
+// workload is dominated by: the full all-pairs protocol on the §VI quad
+// cluster.
+func BenchmarkProbeMeasureP64(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 64, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Measure(mpi.NewWorld(f), Default()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

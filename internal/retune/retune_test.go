@@ -10,6 +10,7 @@ import (
 
 	"topobarrier/internal/faultnet"
 	"topobarrier/internal/netmpi"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/run"
@@ -304,10 +305,9 @@ func TestClosedLoopRecovery(t *testing.T) {
 		t.Logf("race build: skipping the 1.5× recovery pin (drift %.3gs → post-swap %.3gs)", d2.Observed, d4.Observed)
 		return
 	}
-	if recovery := d2.Observed / d4.Observed; recovery < 1.5 {
-		t.Fatalf("post-swap barrier cost %.3gs recovered only %.2f× over the stale plan's %.3gs under drift (want ≥1.5×); plan: %s",
-			d4.Observed, recovery, d2.Observed, ctl.Schedule().Name)
-	}
+	recovery := d2.Observed / d4.Observed
+	perftest.Floor(t, recovery >= 1.5, "post-swap barrier cost %.3gs recovered only %.2f× over the stale plan's %.3gs under drift (want ≥1.5×); plan: %s",
+		d4.Observed, recovery, d2.Observed, ctl.Schedule().Name)
 }
 
 // TestControllerNoDriftNoAction pins the quiet path: on a healthy mesh the

@@ -122,8 +122,8 @@ func Max(xs []float64) float64 {
 // RNG is a SplitMix64 pseudo-random generator. The zero value is a valid
 // generator seeded with 0; distinct seeds yield independent-looking streams.
 // It is deliberately tiny and allocation-free: every noisy quantity in the
-// simulated fabric draws from one of these, keyed by (seed, link, call index),
-// so whole experiments replay bit-identically.
+// simulated fabric draws from one of these — one stream per fabric, consumed
+// in simulation event order — so whole experiments replay bit-identically.
 type RNG struct {
 	state uint64
 }

@@ -117,22 +117,45 @@ func (s Spec) GlobalIndex(c Core) int {
 	return (c.Node*s.SocketsPerNode+c.Socket)*s.CoresPerSocket + c.Index
 }
 
-// Classify returns the link class connecting two global core indices.
-func (s Spec) Classify(a, b int) LinkClass {
-	if a == b {
-		return Self
+// Seat is a core's position with its cache slice resolved, so that
+// classifying a pair of seats is comparison only. Callers that classify the
+// same cores repeatedly (the fabric, once per simulated message) resolve
+// seats once and skip CoreAt's divisions.
+type Seat struct {
+	Core
+	// Slice identifies the last-level cache slice within the socket. On a
+	// machine without the SharedCache class every core is its own slice.
+	Slice int
+}
+
+// SeatAt resolves a global core index; it panics on out-of-range input.
+func (s Spec) SeatAt(global int) Seat {
+	c := s.CoreAt(global)
+	if s.CacheGroup > 1 {
+		return Seat{Core: c, Slice: c.Index / s.CacheGroup}
 	}
-	ca, cb := s.CoreAt(a), s.CoreAt(b)
+	return Seat{Core: c, Slice: c.Index}
+}
+
+// ClassTo returns the link class connecting two seats of one machine.
+func (a Seat) ClassTo(b Seat) LinkClass {
 	switch {
-	case ca.Node != cb.Node:
+	case a.Node != b.Node:
 		return CrossNode
-	case ca.Socket != cb.Socket:
+	case a.Socket != b.Socket:
 		return CrossSocket
-	case s.CacheGroup > 1 && ca.Index/s.CacheGroup == cb.Index/s.CacheGroup:
+	case a.Index == b.Index:
+		return Self
+	case a.Slice == b.Slice:
 		return SharedCache
 	default:
 		return SameSocket
 	}
+}
+
+// Classify returns the link class connecting two global core indices.
+func (s Spec) Classify(a, b int) LinkClass {
+	return s.SeatAt(a).ClassTo(s.SeatAt(b))
 }
 
 // QuadCluster returns the paper's first test system: 8 nodes of dual

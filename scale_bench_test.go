@@ -13,6 +13,7 @@ import (
 
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mat"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/sched"
@@ -165,7 +166,5 @@ func TestLargePSearchSpeedupFloor(t *testing.T) {
 	}
 	t.Logf("P=%d mutation throughput: frontier %.0f/s vs dense %.0f/s (%.1f×, floor %.0f×)",
 		p, frontierTP, denseTP, ratio, floor)
-	if ratio < floor {
-		t.Fatalf("frontier/dense throughput ratio %.2f below the %.0f× floor", ratio, floor)
-	}
+	perftest.Floor(t, ratio >= floor, "frontier/dense throughput ratio %.2f below the %.0f× floor", ratio, floor)
 }
