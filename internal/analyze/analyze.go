@@ -265,7 +265,7 @@ func Analyze(s *sched.Schedule, opts Options) *Report {
 	var fs []Finding
 	fs = append(fs, structuralLints(s, opts)...)
 
-	// Eq. 3 verdict through the frontier-aware fast path. The dense
+	// Eq. 3 verdict through the receiver-wise closure. The from-scratch
 	// per-stage knowledge matrices are materialised only for non-barriers,
 	// where the witness search reads them — for a verified P=1024 schedule
 	// they alone would dwarf the cost of the whole analysis.

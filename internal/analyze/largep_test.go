@@ -8,50 +8,90 @@ import (
 	"topobarrier/internal/stats"
 )
 
-// TestClosureCheckerTransposedMatchesDense drives both closure orientations
-// over random fault sets of a P=64 schedule (at the transposed threshold) and
-// requires identical verdicts, lateness observations, and witness pairs.
-func TestClosureCheckerTransposedMatchesDense(t *testing.T) {
-	p := transposedClosureMinP
-	s := sched.Dissemination(p)
-	// Thin the pattern so some fault sets actually break the closure.
-	s.Stages[1].Set(1, 3, false)
-	ct := newClosureChecker(s)
-	cd := newClosureChecker(s)
-	cd.transposed = false
-	if !ct.transposed {
-		t.Fatalf("P=%d checker should run transposed", p)
+// bruteForceClosure is the reference for closureChecker.closed and
+// stalledPairs: the row-wise silenced recurrence from Identity(P), run to the
+// same early exit, with the survivor pairs still unset read straight off the
+// resulting K (entry (i, j): rank j knows of rank i's arrival).
+func bruteForceClosure(s *sched.Schedule, faults []int, maxPairs int) (ok bool, lastIncomplete int, stalled []Pair) {
+	silent := make([]uint64, (s.P+63)/64)
+	dead := make([]bool, s.P)
+	for _, f := range faults {
+		silent[f/64] |= 1 << (uint(f) % 64)
+		dead[f] = true
 	}
-	rng := stats.NewRNG(31)
-	for trial := 0; trial < 200; trial++ {
-		m := 1 + rng.Intn(3)
-		faults := make([]int, 0, m)
-		seen := map[int]bool{}
-		for len(faults) < m {
-			f := rng.Intn(p)
-			if !seen[f] {
-				seen[f] = true
-				faults = append(faults, f)
-			}
-		}
-		okT, lastT := ct.closed(faults)
-		okD, lastD := cd.closed(faults)
-		if okT != okD || lastT != lastD {
-			t.Fatalf("faults %v: transposed (%v, %d) vs dense (%v, %d)", faults, okT, lastT, okD, lastD)
-		}
-		if !okT {
-			pt := ct.stalledPairs(faults, 8)
-			// Re-establish dense state (closed swaps scratch matrices).
-			cd.closed(faults)
-			pd := cd.stalledPairs(faults, 8)
-			if len(pt) != len(pd) {
-				t.Fatalf("faults %v: %d vs %d stalled pairs", faults, len(pt), len(pd))
-			}
-			for i := range pt {
-				if pt[i] != pd[i] {
-					t.Fatalf("faults %v: witness %d differs: %v vs %v", faults, i, pt[i], pd[i])
+	k, next := mat.Identity(s.P), mat.NewBool(s.P)
+	holes := func() []Pair {
+		var out []Pair
+		for i := 0; i < s.P; i++ {
+			for j := 0; j < s.P; j++ {
+				if !dead[i] && !dead[j] && !k.At(i, j) {
+					out = append(out, Pair{From: i, To: j})
 				}
 			}
+		}
+		return out
+	}
+	lastIncomplete = -1
+	for a, st := range s.Stages {
+		mat.PropagateSilencedInto(next, k, st, silent)
+		k, next = next, k
+		if len(holes()) == 0 {
+			return true, lastIncomplete, nil
+		}
+		lastIncomplete = a
+	}
+	stalled = holes()
+	if len(stalled) > maxPairs {
+		stalled = stalled[:maxPairs]
+	}
+	return false, lastIncomplete, stalled
+}
+
+// TestClosureCheckerTransposedMatchesDense drives the closure checker — which
+// runs the transposed receiver-wise kernel at every P — over random fault
+// sets of thinned dissemination schedules at one-word, word-boundary and
+// sub-word rank counts, and requires the verdict, the lateness observation
+// and the witness pairs of the dense row-wise brute force.
+func TestClosureCheckerTransposedMatchesDense(t *testing.T) {
+	rng := stats.NewRNG(31)
+	for _, p := range []int{3, 8, 33, 64} {
+		s := sched.Dissemination(p)
+		// Thin the pattern so some fault sets actually break the closure.
+		s.Stages[1].Set(1, 3%p, false)
+		c := newClosureChecker(s)
+		broken := 0
+		for trial := 0; trial < 200; trial++ {
+			m := 1 + rng.Intn(min(3, p-1))
+			faults := make([]int, 0, m)
+			seen := map[int]bool{}
+			for len(faults) < m {
+				f := rng.Intn(p)
+				if !seen[f] {
+					seen[f] = true
+					faults = append(faults, f)
+				}
+			}
+			ok, last := c.closed(faults)
+			wantOK, wantLast, wantPairs := bruteForceClosure(s, faults, 8)
+			if ok != wantOK || last != wantLast {
+				t.Fatalf("P=%d faults %v: checker (%v, %d) vs brute force (%v, %d)", p, faults, ok, last, wantOK, wantLast)
+			}
+			if ok {
+				continue
+			}
+			broken++
+			got := c.stalledPairs(faults, 8)
+			if len(got) != len(wantPairs) {
+				t.Fatalf("P=%d faults %v: %d vs %d stalled pairs", p, faults, len(got), len(wantPairs))
+			}
+			for i := range got {
+				if got[i] != wantPairs[i] {
+					t.Fatalf("P=%d faults %v: witness %d differs: %v vs %v", p, faults, i, got[i], wantPairs[i])
+				}
+			}
+		}
+		if broken == 0 {
+			t.Fatalf("P=%d: no fault set broke the closure — the witness path went untested", p)
 		}
 	}
 }

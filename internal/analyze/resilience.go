@@ -118,14 +118,13 @@ func CertifyK(s *sched.Schedule, k int, opts ResilienceOptions) *Resilience {
 	return res
 }
 
-// transposedClosureMinP selects the receiver-wise transposed propagation
-// kernel for fault-set closure checks. Above it the per-stage work drops from
-// the dense O(P³/64) row spread to O(signals·P/64) — the difference between a
-// P≥256 certification that fits its budget and one that does not.
-const transposedClosureMinP = 64
-
 // closureChecker evaluates survivor closure for fault sets of one schedule,
-// reusing its scratch knowledge matrices across checks.
+// reusing its scratch knowledge matrices across checks. It runs the
+// receiver-wise kernel, so k holds the knowledge matrix transposed (row j =
+// what rank j knows) and a stage costs O(signals·P/64) words instead of the
+// row-wise O(P³/64). The closure condition quantifies symmetrically over
+// survivor pairs, so survivorsClosed reads the transposed matrix unchanged;
+// only the witness listing has to swap indices.
 type closureChecker struct {
 	s        *sched.Schedule
 	words    int
@@ -133,12 +132,6 @@ type closureChecker struct {
 	identity *mat.Bool
 	silent   []uint64
 	checked  int
-	// transposed selects the receiver-wise kernel: k then holds the
-	// knowledge matrix transposed (row j = what rank j knows). The closure
-	// condition quantifies symmetrically over survivor pairs, so
-	// survivorsClosed reads either orientation unchanged; only the witness
-	// listing has to swap indices.
-	transposed bool
 	// lateness[f] scores how thin the closure was with only rank f silent:
 	// the number of survivor rows that were completed only by the final
 	// stage. Filled by the size-1 enumeration, consumed by pruning.
@@ -148,14 +141,13 @@ type closureChecker struct {
 func newClosureChecker(s *sched.Schedule) *closureChecker {
 	id := mat.Identity(s.P)
 	return &closureChecker{
-		s:          s,
-		words:      id.WordsPerRow(),
-		k:          mat.NewBool(s.P),
-		next:       mat.NewBool(s.P),
-		identity:   id,
-		silent:     make([]uint64, id.WordsPerRow()),
-		transposed: s.P >= transposedClosureMinP,
-		lateness:   make([]int, s.P),
+		s:        s,
+		words:    id.WordsPerRow(),
+		k:        mat.NewBool(s.P),
+		next:     mat.NewBool(s.P),
+		identity: id,
+		silent:   make([]uint64, id.WordsPerRow()),
+		lateness: make([]int, s.P),
 	}
 }
 
@@ -174,14 +166,10 @@ func (c *closureChecker) setFaults(faults []int) {
 func (c *closureChecker) closed(faults []int) (ok bool, lastIncomplete int) {
 	c.setFaults(faults)
 	c.checked++
-	c.k.CopyFrom(c.identity) // symmetric, so it also seeds the transposed run
+	c.k.CopyFrom(c.identity) // symmetric: the identity is its own transpose
 	lastIncomplete = -1
 	for a, st := range c.s.Stages {
-		if c.transposed {
-			mat.PropagateTSilencedInto(c.next, c.k, st, c.silent)
-		} else {
-			mat.PropagateSilencedInto(c.next, c.k, st, c.silent)
-		}
+		mat.PropagateTSilencedInto(c.next, c.k, st, c.silent)
 		c.k, c.next = c.next, c.k
 		// Knowledge is monotone: once the survivors close, they stay closed.
 		if c.survivorsClosed() {
@@ -214,22 +202,15 @@ func (c *closureChecker) stalledPairs(faults []int, max int) []Pair {
 			continue
 		}
 		for j := 0; j < c.s.P && len(out) < max; j++ {
-			if c.silent[j/64]&(1<<(uint(j)%64)) != 0 || c.know(i, j) {
+			// Entry (i, j) of K — rank j knows of rank i's arrival — is entry
+			// (j, i) of the transposed matrix held in k.
+			if c.silent[j/64]&(1<<(uint(j)%64)) != 0 || c.k.At(j, i) {
 				continue
 			}
 			out = append(out, Pair{From: i, To: j})
 		}
 	}
 	return out
-}
-
-// know reads knowledge entry (i, j) — rank j knows of rank i's arrival —
-// from whichever orientation the checker runs in.
-func (c *closureChecker) know(i, j int) bool {
-	if c.transposed {
-		return c.k.At(j, i)
-	}
-	return c.k.At(i, j)
 }
 
 // enumerate checks every fault set of exactly size m, filling res and

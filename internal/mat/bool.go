@@ -9,6 +9,7 @@ package mat
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -93,7 +94,7 @@ func (m *Bool) Row(i int) []int {
 	for w := 0; w < m.words; w++ {
 		word := m.rows[base+w]
 		for word != 0 {
-			b := trailingZeros(word)
+			b := bits.TrailingZeros64(word)
 			out = append(out, w*wordBits+b)
 			word &^= 1 << uint(b)
 		}
@@ -123,55 +124,6 @@ func (m *Bool) RowWords(i int) []uint64 {
 	return m.rows[i*m.words : (i+1)*m.words]
 }
 
-// OrRowInto ORs row i into dst, which must have exactly WordsPerRow words.
-// It is the inner step of the knowledge recurrence (spreading rank m's
-// knowledge along the signals it sends) without constructing index slices.
-func (m *Bool) OrRowInto(i int, dst []uint64) {
-	m.check(i, 0)
-	if len(dst) != m.words {
-		panic(fmt.Sprintf("mat: OrRowInto dst has %d words, want %d", len(dst), m.words))
-	}
-	src := m.rows[i*m.words : (i+1)*m.words]
-	for w := range dst {
-		dst[w] |= src[w]
-	}
-}
-
-// SpreadRow computes dst = src | OR_{b set in src} row b of m, where src and
-// dst are row bitsets of m's dimension (WordsPerRow words each) and dst does
-// not alias src. It is one row of the knowledge recurrence K + K·S — the
-// whole inner loop of the incremental evaluator — done with direct storage
-// access instead of per-bit accessor calls.
-func (m *Bool) SpreadRow(src, dst []uint64) {
-	if len(src) != m.words || len(dst) != m.words {
-		panic(fmt.Sprintf("mat: SpreadRow rows have %d/%d words, want %d", len(src), len(dst), m.words))
-	}
-	if m.words == 1 {
-		word := src[0]
-		acc := word
-		for word != 0 {
-			b := trailingZeros(word)
-			word &^= 1 << uint(b)
-			acc |= m.rows[b]
-		}
-		dst[0] = acc
-		return
-	}
-	copy(dst, src)
-	for w := 0; w < m.words; w++ {
-		word := src[w]
-		for word != 0 {
-			b := trailingZeros(word)
-			word &^= 1 << uint(b)
-			base := (w*wordBits + b) * m.words
-			row := m.rows[base : base+m.words]
-			for x := range dst {
-				dst[x] |= row[x]
-			}
-		}
-	}
-}
-
 // WordsPerRow returns the number of uint64 words backing each row.
 func (m *Bool) WordsPerRow() int { return m.words }
 
@@ -181,24 +133,6 @@ func (m *Bool) WordsPerRow() int { return m.words }
 // slice aliases matrix storage and writes through it must respect the padding
 // bits (kept zero) past column N-1 in each row's last word.
 func (m *Bool) Words() []uint64 { return m.rows }
-
-// OrColInto sets bit i of dst for every row i whose entry (i, j) is set; dst
-// is a bitset over row indices with at least (N+63)/64 words. It is the
-// column-scan of the incremental knowledge recurrence (which rows spread
-// along signal j) without per-entry accessor calls.
-func (m *Bool) OrColInto(j int, dst []uint64) {
-	m.check(0, j)
-	if len(dst) < (m.n+wordBits-1)/wordBits {
-		panic(fmt.Sprintf("mat: OrColInto dst has %d words for %d rows", len(dst), m.n))
-	}
-	w := j / wordBits
-	bit := uint64(1) << (uint(j) % wordBits)
-	for i := 0; i < m.n; i++ {
-		if m.rows[i*m.words+w]&bit != 0 {
-			dst[i/wordBits] |= 1 << (uint(i) % wordBits)
-		}
-	}
-}
 
 // CopyFrom overwrites m with the entries of o (same dimension required)
 // without allocating.
@@ -227,23 +161,6 @@ func (m *Bool) Equal(o *Bool) bool {
 	}
 	for k := range m.rows {
 		if m.rows[k] != o.rows[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// RowEqual reports whether row i of m equals row oi of o, word by word.
-func (m *Bool) RowEqual(i int, o *Bool, oi int) bool {
-	m.check(i, 0)
-	o.check(oi, 0)
-	if m.n != o.n {
-		return false
-	}
-	a := m.rows[i*m.words : (i+1)*m.words]
-	b := o.rows[oi*o.words : (oi+1)*o.words]
-	for w := range a {
-		if a[w] != b[w] {
 			return false
 		}
 	}
@@ -290,7 +207,7 @@ func (m *Bool) AllSet() bool {
 func (m *Bool) Count() int {
 	c := 0
 	for _, w := range m.rows {
-		c += popcount(w)
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -387,7 +304,7 @@ func PropagateInto(dst, k, s *Bool) {
 		for w := 0; w < k.words; w++ {
 			word := k.rows[base+w]
 			for word != 0 {
-				b := trailingZeros(word)
+				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
 				mrow := (w*wordBits + b) * s.words
 				src := s.rows[mrow : mrow+s.words]
@@ -402,9 +319,9 @@ func PropagateInto(dst, k, s *Bool) {
 // PropagateSilencedInto computes dst = K + K·S′, where S′ is S with the rows
 // of silenced ranks treated as zero: a silenced rank receives knowledge but
 // never forwards it. silent is a bitset over ranks with at least (N+63)/64
-// words. dst must not alias k or s. This is the inner step of the k-fault
-// resilience certifier — masking at spread time avoids cloning and zeroing a
-// stage matrix for every candidate fault set.
+// words. dst must not alias k or s. It is the row-wise reference for
+// PropagateTSilencedInto, the kernel the k-fault resilience certifier runs;
+// only tests call it.
 func PropagateSilencedInto(dst, k, s *Bool, silent []uint64) {
 	if k.n != s.n || dst.n != k.n {
 		panic(fmt.Sprintf("mat: PropagateSilencedInto dimension mismatch %d/%d/%d", dst.n, k.n, s.n))
@@ -419,7 +336,7 @@ func PropagateSilencedInto(dst, k, s *Bool, silent []uint64) {
 		for w := 0; w < k.words; w++ {
 			word := k.rows[base+w] &^ silent[w] // silenced relays spread nothing
 			for word != 0 {
-				b := trailingZeros(word)
+				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
 				mrow := (w*wordBits + b) * s.words
 				src := s.rows[mrow : mrow+s.words]
@@ -479,7 +396,7 @@ func (m *Bool) ReachableFrom(seed, silent []uint64) {
 				word &^= silent[w]
 			}
 			for word != 0 {
-				b := trailingZeros(word)
+				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
 				row := m.rows[(w*wordBits+b)*m.words : (w*wordBits+b+1)*m.words]
 				for x := range next {
@@ -520,31 +437,4 @@ func (m *Bool) String() string {
 		}
 	}
 	return b.String()
-}
-
-func popcount(x uint64) int {
-	// Hacker's Delight population count; avoids math/bits to keep the kernel
-	// self-contained (and identical on all platforms).
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
-}
-
-// deBruijn64 and its table map an isolated low bit to its index in O(1);
-// like popcount above, this keeps the kernel free of math/bits.
-const deBruijn64 = 0x03f79d71b4ca8b09
-
-var deBruijnIdx = [64]int{
-	0, 1, 56, 2, 57, 49, 28, 3, 61, 58, 42, 50, 38, 29, 17, 4,
-	62, 47, 59, 36, 45, 43, 51, 22, 53, 39, 33, 30, 24, 18, 12, 5,
-	63, 55, 48, 27, 60, 41, 37, 16, 46, 35, 44, 21, 52, 32, 23, 11,
-	54, 26, 40, 15, 34, 20, 31, 10, 25, 14, 19, 9, 13, 8, 7, 6,
-}
-
-func trailingZeros(x uint64) int {
-	if x == 0 {
-		return 64
-	}
-	return deBruijnIdx[((x&-x)*deBruijn64)>>58]
 }

@@ -292,12 +292,25 @@ func randBool(n int, seed uint64) *Bool {
 	return m
 }
 
+// TestPopcountTrailingZeros pins the two math/bits scans behind the public
+// accessors — Count (population count) and Row (trailing-zeros walk) — on the
+// empty, the full and a mixed word.
 func TestPopcountTrailingZeros(t *testing.T) {
-	if popcount(0) != 0 || popcount(^uint64(0)) != 64 || popcount(0b1011) != 3 {
-		t.Fatalf("popcount wrong")
+	m := NewBool(64)
+	if m.Count() != 0 || len(m.Row(0)) != 0 {
+		t.Fatalf("empty matrix: Count %d, Row(0) %v", m.Count(), m.Row(0))
 	}
-	if trailingZeros(0) != 64 || trailingZeros(1) != 0 || trailingZeros(0b1000) != 3 {
-		t.Fatalf("trailingZeros wrong")
+	for _, j := range []int{0, 1, 3} {
+		m.Set(1, j, true)
+	}
+	if got := m.Row(1); m.Count() != 3 || len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("word 0b1011: Count %d, Row(1) %v", m.Count(), got)
+	}
+	for j := 0; j < 64; j++ {
+		m.Set(2, j, true)
+	}
+	if m.Count() != 3+64 || len(m.Row(2)) != 64 {
+		t.Fatalf("full word: Count %d, Row(2) has %d entries", m.Count(), len(m.Row(2)))
 	}
 }
 
@@ -341,50 +354,6 @@ func TestRowWordsAliasesStorage(t *testing.T) {
 	w[0] |= 1 << 7
 	if !m.At(3, 7) {
 		t.Fatalf("write through RowWords not visible via At")
-	}
-}
-
-func TestOrRowInto(t *testing.T) {
-	m := NewBool(70)
-	m.Set(1, 0, true)
-	m.Set(1, 69, true)
-	dst := make([]uint64, m.WordsPerRow())
-	dst[0] = 1 << 5
-	m.OrRowInto(1, dst)
-	want := NewBool(70)
-	want.Set(0, 0, true)
-	want.Set(0, 5, true)
-	want.Set(0, 69, true)
-	for w := range dst {
-		if dst[w] != want.RowWords(0)[w] {
-			t.Fatalf("OrRowInto word %d = %#x, want %#x", w, dst[w], want.RowWords(0)[w])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("OrRowInto accepted a short dst")
-		}
-	}()
-	m.OrRowInto(1, dst[:1])
-}
-
-func TestRowEqual(t *testing.T) {
-	a := randBool(70, 1)
-	b := a.Clone()
-	for i := 0; i < 70; i++ {
-		if !a.RowEqual(i, b, i) {
-			t.Fatalf("clone row %d not equal", i)
-		}
-	}
-	b.Set(4, 66, !b.At(4, 66))
-	if a.RowEqual(4, b, 4) {
-		t.Fatalf("differing rows reported equal")
-	}
-	if a.RowEqual(5, b, 5) != true {
-		t.Fatalf("untouched row affected")
-	}
-	if a.RowEqual(0, NewBool(3), 0) {
-		t.Fatalf("dimension mismatch reported equal")
 	}
 }
 
@@ -443,13 +412,19 @@ func TestPropagateIntoMatchesPropagate(t *testing.T) {
 	}
 }
 
+// TestTrailingZerosExhaustive walks the set-bit scan over every bit position
+// of both words of a two-word row, with the top bit set as a decoy.
 func TestTrailingZerosExhaustive(t *testing.T) {
-	for b := 0; b < 64; b++ {
-		if got := trailingZeros(1 << uint(b)); got != b {
-			t.Fatalf("trailingZeros(1<<%d) = %d", b, got)
+	const n = 128
+	for b := 0; b < n-1; b++ {
+		m := NewBool(n)
+		m.Set(5, b, true)
+		m.Set(5, n-1, true)
+		if got := m.Row(5); len(got) != 2 || got[0] != b || got[1] != n-1 {
+			t.Fatalf("Row with bits {%d, %d} set = %v", b, n-1, got)
 		}
-		if got := trailingZeros((1 << uint(b)) | (1 << 63)); got != b {
-			t.Fatalf("trailingZeros with high bit, bit %d: %d", b, got)
+		if m.Count() != 2 {
+			t.Fatalf("Count with bits {%d, %d} set = %d", b, n-1, m.Count())
 		}
 	}
 }

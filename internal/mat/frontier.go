@@ -1,11 +1,15 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// This file holds the large-P fast path for the Eq. 3 knowledge recurrence.
+// This file holds the receiver-wise form of the Eq. 3 knowledge recurrence —
+// the one every verdict in the repo goes through, at every rank count.
 //
-// The dense kernels in bool.go walk knowledge row-wise: spreading row i of K
-// costs one row union per set bit, so a closure over a saturating schedule is
+// Propagate in bool.go walks knowledge row-wise: spreading row i of K costs
+// one row union per set bit, so a closure over a saturating schedule is
 // O(P³/64) words per stage. Working column-wise ("receiver-wise") turns the
 // same recurrence into
 //
@@ -13,11 +17,11 @@ import "fmt"
 //
 // where know[j] — column j of K — is the set of arrivals rank j has heard
 // about. Each stage then costs one row union per *signal*, O((P + signals)
-// × P/64) words, because boolean OR is order-independent the result is
-// bit-identical to the dense path. Early in a closure the know sets are tiny,
-// so they are held in HybridRow sparse form until they pass a fill threshold;
-// late in a closure most rows are full, so full receivers are skipped
-// entirely (knowledge is monotone — a full row stays full).
+// × P/64) words; because boolean OR is order-independent the result is
+// bit-identical to the row-wise reference. Early in a closure the know sets
+// are tiny, so they are held in HybridRow sparse form until they pass a fill
+// threshold; late in a closure most rows are full, so full receivers are
+// skipped entirely (knowledge is monotone — a full row stays full).
 
 // hybridDenseThreshold returns the set-bit count past which a HybridRow
 // switches from the sorted-index representation to a dense bitset. The
@@ -165,7 +169,7 @@ func (r *HybridRow) SubsetOf(o *HybridRow) bool {
 		// fall back to the per-column test.
 		for w, v := range r.bits {
 			for v != 0 {
-				b := trailingZeros(v)
+				b := bits.TrailingZeros64(v)
 				v &^= 1 << uint(b)
 				if !o.Contains(w*wordBits + b) {
 					return false
@@ -228,7 +232,7 @@ func (r *HybridRow) OrRow(o *HybridRow) bool {
 		ones := 0
 		for w, v := range o.bits {
 			r.bits[w] |= v
-			ones += popcount(r.bits[w])
+			ones += bits.OnesCount64(r.bits[w])
 		}
 		r.ones = ones
 	} else {
@@ -256,7 +260,7 @@ func (r *HybridRow) OrWords(src []uint64) bool {
 	ones := 0
 	for w := 0; w < words; w++ {
 		r.bits[w] |= src[w]
-		ones += popcount(r.bits[w])
+		ones += bits.OnesCount64(r.bits[w])
 	}
 	r.ones = ones
 	return r.ones > before
@@ -267,7 +271,7 @@ func (r *HybridRow) Indices(dst []int) []int {
 	if r.bits != nil {
 		for w, v := range r.bits {
 			for v != 0 {
-				b := trailingZeros(v)
+				b := bits.TrailingZeros64(v)
 				v &^= 1 << uint(b)
 				dst = append(dst, w*wordBits+b)
 			}
@@ -326,7 +330,7 @@ func FrontierClosure(p int, stages []*Bool) bool {
 			for w := 0; w < s.words; w++ {
 				word := s.rows[base+w]
 				for word != 0 {
-					b := trailingZeros(word)
+					b := bits.TrailingZeros64(word)
 					word &^= 1 << uint(b)
 					j := w*wordBits + b
 					if next[j].Full() {
@@ -358,8 +362,8 @@ func FrontierClosure(p int, stages []*Bool) bool {
 // of K, the set of arrivals rank j knows — and dst receives the transpose of
 // K + K·S: dst[j] = kt[j] | OR over senders m with S[m][j] of kt[m]. The
 // result is bit-identical to transposing Propagate's output, at a cost of
-// one row union per signal instead of one per set knowledge bit — the fast
-// form of the recurrence at large P. dst must not alias kt.
+// one row union per signal instead of one per set knowledge bit. dst must
+// not alias kt.
 func PropagateTInto(dst, kt, s *Bool) {
 	if kt.n != s.n || dst.n != kt.n {
 		panic(fmt.Sprintf("mat: PropagateTInto dimension mismatch %d/%d/%d", dst.n, kt.n, s.n))
@@ -393,7 +397,7 @@ func propagateTSpread(dst, kt, s *Bool, silent []uint64) {
 		for w := 0; w < s.words; w++ {
 			word := s.rows[base+w]
 			for word != 0 {
-				b := trailingZeros(word)
+				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
 				j := w*wordBits + b
 				out := dst.rows[j*dst.words : (j+1)*dst.words]

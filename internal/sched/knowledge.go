@@ -7,64 +7,77 @@ import (
 	"topobarrier/internal/mat"
 )
 
-// DenseKnowledgeCache is the row-major implementation of KnowledgeCache: it
-// keeps the knowledge matrix after every stage as a dense mat.Bool and
-// re-runs the recurrence only over the rows and stages a mutation can have
-// touched. A from-scratch Schedule.IsBarrier costs O(stages·P³/64) and
-// allocates per stage; the cache exploits the recurrence's structure
-// instead:
+// KnowledgeCache is the prefix-reusable form of the Eq. 3 recurrence for
+// evaluators that mutate one working schedule in place. A from-scratch
+// Schedule.Knowledge costs O(stages·P³/64) and allocates per stage; the cache
+// keeps the recurrence transposed — row j of stage k's table is column j of
+// K(k), the set of arrivals rank j knows after stage k — so one stage step is
 //
-//   - Stage k's knowledge depends only on stage k-1's knowledge and stage
-//     matrix k, so a mutation at stage k leaves the prefix [0, k) intact.
-//   - Row x of K(k) depends only on row x of K(k-1) and the stage matrix, so
-//     a changed-row set can be propagated forward and shrinks whenever a
-//     recomputed row comes out unchanged.
-//   - A single *added* signal (i→j) perturbs every affected row by the same
-//     delta: rows knowing i gain {j} at the mutated stage, and the delta
-//     itself follows the recurrence (D ← D + D·S) — so one row-spread per
-//     stage prices the whole wave, O(1) per affected row.
+//	know′[j] = know[j] ∪ ⋃_{m : S[m][j]} know[m]
+//
+// one row union per signal, and re-runs it only over the rows and stages a
+// mutation can have touched:
+//
+//   - Copy-on-write row sharing. A stage that does not change rank j's
+//     knowledge aliases stage k-1's row for j instead of copying it, so a
+//     schedule's whole knowledge history costs O(changed rows), not
+//     O(stages·P²/64).
+//   - Frontier waves. A mutation dirties a handful of receivers; the next
+//     stage only needs to recompute those ranks and the receivers of their
+//     signals, and the wave dies as soon as recomputed rows come out equal
+//     to the cached ones. When a wave engulfs most ranks the cache falls
+//     back to one receiver-wise pass over the whole stage.
+//   - Pointer journaling. Published rows are immutable (replaced, never
+//     mutated), so the undo journal is a list of prior row pointers and
+//     Rollback is O(changed rows) pointer restores.
 //   - Exact single-bit change notes cancel in pairs, so an apply/undo cycle
 //     (a candidate answered by the transposition table) leaves no work.
-//   - Knowledge is monotone: once some stage's matrix is all-set, every later
-//     stage's is too, so verification can stop at the saturation stage and
+//   - Knowledge is monotone: once some stage's table is all-set, every later
+//     stage's is too, so verification stops at the saturation stage and
 //     mutations strictly after it cannot change the verdict.
+//
+// Verdicts and matrices are bit-identical to Schedule.Knowledge — boolean OR
+// is order-independent — which the property and fuzz tests in
+// knowledge_test.go pin at every word-boundary rank count.
 //
 // The cache does not observe the schedule; callers own the contract of
 // reporting every mutation before the next Barrier query — NoteSet/NoteClear
 // for exact single-bit edits, InvalidateRow(k, i) for an arbitrary change to
-// row i of stage k, Invalidate(k) for wholesale edits from stage k on. The
-// zero value is not usable; construct with NewDenseKnowledgeCache (or let
-// NewKnowledgeCache pick the engine by rank count).
-type DenseKnowledgeCache struct {
-	p    int
-	mats []*mat.Bool // mats[k] = knowledge after stage k, current for k < valid
-	// valid counts the leading stages whose cached knowledge is current,
-	// modulo the recorded pending notes.
-	valid int
-	// sat is a stage whose cached knowledge is all-set, or -1; when set,
-	// valid == sat+1 and stages beyond are deliberately left stale.
-	sat   int
-	ident *mat.Bool
-	// pending records change notes within [0, valid).
+// row i of stage k, Invalidate(k) for wholesale edits from stage k on — and
+// of calling Rollback at most once, and before any further mutation notes,
+// to undo the most recent Barrier. The zero value is not usable; construct
+// with NewKnowledgeCache.
+type KnowledgeCache struct {
+	p, words int
+	tailMask uint64
+	// tables[k][j] = know set of rank j after stage k, current for
+	// k < valid modulo pending notes. Rows may alias earlier stages' rows
+	// and are immutable once the Barrier call that allocated them returns.
+	tables  [][][]uint64
+	fullCnt []int // per-stage count of saturated rows, trusted for k < valid
+	valid   int
+	sat     int // a stage whose knowledge is all-set, or -1
+	ident   [][]uint64
 	pending []pendingNote
-	// Rank bitsets and row buffers driving the propagation; all are
-	// (p+63)/64 words since knowledge matrices are square.
-	chA, nextA    []uint64 // rows needing full recompute
-	chU, nextU    []uint64 // rows changed by exactly the uniform delta
-	delta, delta2 []uint64 // the uniform addition delta and its spread buffer
-	scratch       []uint64
-	// The undo journal: every row the last Barrier call overwrote inside the
-	// then-current prefix, with its prior words, plus the prior valid/sat.
-	// Rollback replays it in reverse — restoring a rejected candidate's
-	// evaluation by memcpy instead of re-running the change wave.
-	jRows    []journalRef
-	jArena   []uint64
-	jPending []pendingNote
-	jValid   int
-	jSat     int
-}
 
-type journalRef struct{ stage, row, off int }
+	// Wave state: rank bitsets and row accumulators, all sized for p.
+	dirty, nextDirty, cand []uint64
+	computed               []uint64
+	colScratch             []uint64
+	rowScratch             [][]uint64
+
+	// Undo journal: prior row pointers plus the prior valid/sat/pending.
+	jRefs        []journalRef
+	jPending     []pendingNote
+	jValid, jSat int
+
+	// free recycles row slabs across candidates: Rollback returns the rows
+	// it evicts (only the ones this cache allocated — never COW aliases of
+	// an earlier stage's row), and newRow reuses them before touching the
+	// allocator. In a rejection-heavy search loop this makes the steady
+	// state allocation-free.
+	free [][]uint64
+}
 
 // pendingNote kinds: exact set, exact clear, or a whole-row wildcard.
 const (
@@ -75,28 +88,68 @@ const (
 
 type pendingNote struct{ kind, stage, i, j int }
 
-// NewDenseKnowledgeCache returns an empty row-major cache for p-rank
-// schedules. Below the frontier threshold this is what NewKnowledgeCache
-// returns; tests and benchmarks use it directly to pin the dense path.
-func NewDenseKnowledgeCache(p int) *DenseKnowledgeCache {
+type journalRef struct {
+	stage, row int32
+	// fresh marks rows allocated (or pooled) by the installing Barrier call;
+	// only those may be recycled when Rollback evicts them. Aliased installs
+	// share their array with another table slot and must be left to the GC.
+	fresh bool
+	old   []uint64
+}
+
+// freeRetainRows bounds the recycling pool; evictions past it go to the GC.
+const freeRetainRows = 1 << 12
+
+// journalRetainRefs caps the journal capacity kept across Barrier calls. A
+// single pathological mutation (adopting a foreign schedule, a row
+// invalidation storm) can journal O(P·stages) rows; a long anneal performs
+// millions of Barrier calls, and without a cap the journal would stay at its
+// high-water capacity for the whole run.
+const journalRetainRefs = 1 << 12
+
+// newRow returns a row slab holding a copy of src, reusing a recycled slab
+// when one is available.
+func (c *KnowledgeCache) newRow(src []uint64) []uint64 {
+	if n := len(c.free); n > 0 {
+		r := c.free[n-1]
+		c.free = c.free[:n-1]
+		copy(r, src)
+		return r
+	}
+	return append(make([]uint64, 0, c.words), src...)
+}
+
+// NewKnowledgeCache returns an empty cache for p-rank schedules.
+func NewKnowledgeCache(p int) *KnowledgeCache {
 	if p <= 0 {
 		panic(fmt.Sprintf("sched: knowledge cache over %d ranks", p))
 	}
 	w := (p + 63) / 64
-	return &DenseKnowledgeCache{
-		p: p, sat: -1,
-		chA: make([]uint64, w), nextA: make([]uint64, w),
-		chU: make([]uint64, w), nextU: make([]uint64, w),
-		delta: make([]uint64, w), delta2: make([]uint64, w),
-		scratch: make([]uint64, w),
-		jSat:    -1,
+	tail := ^uint64(0)
+	if r := uint(p % 64); r != 0 {
+		tail = (uint64(1) << r) - 1
 	}
+	c := &KnowledgeCache{
+		p: p, words: w, tailMask: tail, sat: -1, jSat: -1,
+		dirty: make([]uint64, w), nextDirty: make([]uint64, w),
+		cand: make([]uint64, w), computed: make([]uint64, w),
+		colScratch: make([]uint64, w),
+		rowScratch: make([][]uint64, p),
+		ident:      make([][]uint64, p),
+	}
+	for j := 0; j < p; j++ {
+		c.rowScratch[j] = make([]uint64, w)
+		row := make([]uint64, w)
+		row[j>>6] = 1 << uint(j&63)
+		c.ident[j] = row
+	}
+	return c
 }
 
 // Invalidate marks stage k and every later stage wholly stale. Use it for
 // edits beyond single rows (adoption of a foreign schedule, stage appends and
 // truncations); Invalidate(0) forces a full recompute.
-func (c *DenseKnowledgeCache) Invalidate(stage int) {
+func (c *KnowledgeCache) Invalidate(stage int) {
 	if stage < 0 {
 		stage = 0
 	}
@@ -108,16 +161,16 @@ func (c *DenseKnowledgeCache) Invalidate(stage int) {
 	}
 }
 
-// NoteSet records that entry (i, j) of stage k's matrix changed from clear to
-// set. A pending NoteClear of the same entry cancels against it: the bit is
-// back where the cache last saw it, so neither needs replaying.
-func (c *DenseKnowledgeCache) NoteSet(stage, i, j int) { c.note(noteSet, noteClear, stage, i, j) }
+// NoteSet records that entry (i, j) of stage k's matrix changed from clear
+// to set. A pending NoteClear of the same entry cancels against it: the bit
+// is back where the cache last saw it, so neither needs replaying.
+func (c *KnowledgeCache) NoteSet(stage, i, j int) { c.note(noteSet, noteClear, stage, i, j) }
 
-// NoteClear records that entry (i, j) of stage k's matrix changed from set to
-// clear, cancelling a pending NoteSet of the same entry.
-func (c *DenseKnowledgeCache) NoteClear(stage, i, j int) { c.note(noteClear, noteSet, stage, i, j) }
+// NoteClear records that entry (i, j) of stage k's matrix changed from set
+// to clear, cancelling a pending NoteSet of the same entry.
+func (c *KnowledgeCache) NoteClear(stage, i, j int) { c.note(noteClear, noteSet, stage, i, j) }
 
-func (c *DenseKnowledgeCache) note(kind, inverse, stage, i, j int) {
+func (c *KnowledgeCache) note(kind, inverse, stage, i, j int) {
 	if i < 0 || i >= c.p || j < 0 || j >= c.p || stage < 0 {
 		panic(fmt.Sprintf("sched: change note (%d, %d, %d) out of range", stage, i, j))
 	}
@@ -136,7 +189,7 @@ func (c *DenseKnowledgeCache) note(kind, inverse, stage, i, j int) {
 // InvalidateRow records that row i of stage k's matrix changed in an
 // unspecified way — the coarse form of NoteSet/NoteClear for callers that do
 // not track individual bits.
-func (c *DenseKnowledgeCache) InvalidateRow(stage, row int) {
+func (c *KnowledgeCache) InvalidateRow(stage, row int) {
 	if row < 0 || row >= c.p || stage < 0 {
 		panic(fmt.Sprintf("sched: InvalidateRow(%d, %d) out of range", stage, row))
 	}
@@ -145,10 +198,11 @@ func (c *DenseKnowledgeCache) InvalidateRow(stage, row int) {
 	}
 }
 
-// Barrier reports whether s globally synchronises (Eq. 3), re-running the
-// recurrence only over rows and stages the recorded changes can have
+// Barrier reports whether s globally synchronises (Eq. 3), pushing a
+// dirty-rank frontier wave through the cached transposed tables so the
+// recurrence re-runs only over rows and stages the recorded changes can have
 // affected. s must be over the cache's rank count.
-func (c *DenseKnowledgeCache) Barrier(s *Schedule) bool {
+func (c *KnowledgeCache) Barrier(s *Schedule) bool {
 	if s.P != c.p {
 		panic(fmt.Sprintf("sched: %d-rank schedule against %d-rank knowledge cache", s.P, c.p))
 	}
@@ -160,10 +214,9 @@ func (c *DenseKnowledgeCache) Barrier(s *Schedule) bool {
 	if c.sat >= c.valid {
 		c.sat = -1
 	}
-	// Open a fresh undo journal for this call; row-level writes below record
-	// their prior contents so Rollback can restore this exact state. The
-	// pending notes are snapshotted too: this call consumes them, but a
-	// Rollback must re-arm any that described changes the schedule keeps.
+	// Open a fresh undo journal for this call. The pending notes are
+	// snapshotted too: this call consumes them, but a Rollback must re-arm
+	// any that described changes the schedule keeps.
 	c.resetJournal()
 	c.jPending = append(c.jPending[:0], c.pending...)
 	c.jValid, c.jSat = c.valid, c.sat
@@ -184,11 +237,12 @@ func (c *DenseKnowledgeCache) Barrier(s *Schedule) bool {
 			return true
 		}
 		if c.valid == n {
-			return n > 0 && c.mats[n-1].AllSet()
+			return n > 0 && c.fullCnt[n-1] == c.p
 		}
 	}
-	for len(c.mats) < n {
-		c.mats = append(c.mats, mat.NewBool(c.p))
+	for len(c.tables) < n {
+		c.tables = append(c.tables, make([][]uint64, c.p))
+		c.fullCnt = append(c.fullCnt, 0)
 	}
 
 	start := c.valid
@@ -197,134 +251,66 @@ func (c *DenseKnowledgeCache) Barrier(s *Schedule) bool {
 			start = pr.stage
 		}
 	}
-	clearWords(c.chA)
-	clearWords(c.chU)
-	clearWords(c.delta)
+	clear(c.dirty)
 	for k := start; k < n; k++ {
+		st := s.Stages[k]
 		if k >= c.valid {
-			// Stale region: recompute the stage wholesale.
-			mat.PropagateInto(c.mats[k], c.prev(k), s.Stages[k])
+			// Stale region: rebuild the stage wholesale. The restored valid
+			// count already un-does these writes on Rollback; the journal
+			// entries exist so rollback can recycle the installed rows.
+			c.recomputeStage(k, st, false)
 			c.valid = k + 1
-			if c.mats[k].AllSet() {
+			if c.fullCnt[k] == c.p {
 				c.saturateAt(k)
 				return true
 			}
 			continue
 		}
-		prev := c.prev(k)
-		st := s.Stages[k]
-		out := c.mats[k]
-		outW := out.Words()
-		wpr := len(c.scratch)
-		anyChanged := false
-
-		// 1. Advance the uniform delta through this stage and apply it to the
-		// rows it reached; a row the delta does not enlarge leaves the wave.
-		clearWords(c.nextU)
-		if !bitsetEmpty(c.chU) {
-			st.SpreadRow(c.delta, c.delta2)
-			c.delta, c.delta2 = c.delta2, c.delta
-			for w, word := range c.chU {
-				for word != 0 {
-					x := w*64 + trailingZeros64(word)
-					word &= word - 1
-					row := outW[x*wpr : (x+1)*wpr]
-					changed := false
-					for d, dw := range c.delta {
-						if row[d]|dw != row[d] {
-							changed = true
-							break
-						}
-					}
-					if changed {
-						c.journalRow(k, x, row)
-						for d, dw := range c.delta {
-							row[d] |= dw
-						}
-						c.nextU[w] |= 1 << uint(x&63)
-						anyChanged = true
-					}
+		// Candidate receivers: every rank whose own knowledge moved at the
+		// previous stage, every receiver of a signal such a rank sends at
+		// this stage, and every receiver a pending note names here. A
+		// wildcard row note means the row's previous receivers are unknown,
+		// so any rank may have lost a contribution: whole-stage recompute.
+		copy(c.cand, c.dirty)
+		wholeStage := false
+		for w, word := range c.dirty {
+			for word != 0 {
+				m := w*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				for x, v := range st.RowWords(m) {
+					c.cand[x] |= v
 				}
 			}
 		}
-
-		// 2. Fold this stage's pending notes in. A lone added signal with no
-		// other change in flight starts (or restarts) a uniform wave; anything
-		// else routes the affected rows through a full recompute.
-		var loneSet *pendingNote
-		sets := 0
-		for pi := range c.pending {
-			pr := &c.pending[pi]
+		for _, pr := range c.pending {
 			if pr.stage != k {
 				continue
 			}
-			if pr.kind == noteSet {
-				sets++
-				loneSet = pr
-				continue
-			}
-			prev.OrColInto(pr.i, c.chA)
-		}
-		if sets > 0 {
-			if sets == 1 && bitsetEmpty(c.chA) && bitsetEmpty(c.chU) && bitsetEmpty(c.nextU) {
-				// Pure addition: rows knowing i gain exactly {j}.
-				clearWords(c.delta)
-				c.delta[loneSet.j>>6] = 1 << uint(loneSet.j&63)
-				clearWords(c.scratch)
-				prev.OrColInto(loneSet.i, c.scratch)
-				jw, jb := loneSet.j>>6, uint64(1)<<uint(loneSet.j&63)
-				for w, word := range c.scratch {
-					c.scratch[w] = 0
-					for word != 0 {
-						x := w*64 + trailingZeros64(word)
-						word &= word - 1
-						row := outW[x*wpr : (x+1)*wpr]
-						if row[jw]&jb == 0 {
-							c.journalRow(k, x, row)
-							row[jw] |= jb
-							c.nextU[w] |= 1 << uint(x&63)
-							anyChanged = true
-						}
-					}
-				}
+			if pr.kind == noteRow {
+				wholeStage = true
 			} else {
-				for pi := range c.pending {
-					pr := &c.pending[pi]
-					if pr.stage == k && pr.kind == noteSet {
-						prev.OrColInto(pr.i, c.chA)
-					}
-				}
+				c.cand[pr.j>>6] |= 1 << uint(pr.j&63)
 			}
 		}
-
-		// 3. Fully recompute the arbitrary-change rows; survivors carry over.
-		if !bitsetEmpty(c.chA) {
-			if c.recomputeRows(k, st, out, prev) {
-				anyChanged = true
-			}
+		var changed bool
+		if wholeStage || popcountWords(c.cand)*8 >= c.p {
+			changed = c.recomputeStage(k, st, true)
 		} else {
-			clearWords(c.nextA)
+			changed = c.recomputeReceivers(k, st)
 		}
-		c.chA, c.nextA = c.nextA, c.chA
-		c.chU, c.nextU = c.nextU, c.chU
-		// A row recomputed in full no longer rides the uniform wave.
-		for w := range c.chU {
-			c.chU[w] &^= c.chA[w]
-		}
-
-		if anyChanged {
-			if k == c.sat && !out.AllSet() {
+		c.dirty, c.nextDirty = c.nextDirty, c.dirty
+		if changed {
+			if k == c.sat && c.fullCnt[k] != c.p {
 				// Saturation broken: the suffix must be rebuilt.
 				c.sat = -1
-			} else if c.sat < 0 && out.AllSet() {
+			} else if c.sat < 0 && c.fullCnt[k] == c.p {
 				c.saturateAt(k)
 				return true
 			}
 		}
-		if bitsetEmpty(c.chA) && bitsetEmpty(c.chU) && !c.pendingAfter(k) {
-			// No change can reach any later cached stage. If the schedule has
-			// a stale suffix (an appended stage awaiting its first recompute)
-			// jump straight to it; otherwise the verdict follows from what we
+		if bitsetEmpty(c.dirty) && !pendingAfter(c.pending, k) {
+			// The wave died. If the schedule has a stale suffix jump
+			// straight to it; otherwise the verdict follows from what we
 			// already know.
 			if c.sat >= 0 || c.valid >= n {
 				break
@@ -336,115 +322,256 @@ func (c *DenseKnowledgeCache) Barrier(s *Schedule) bool {
 	if c.sat >= 0 {
 		return true
 	}
-	return n > 0 && c.valid == n && c.mats[n-1].AllSet()
+	return n > 0 && c.valid == n && c.fullCnt[n-1] == c.p
 }
 
-// recomputeRows rebuilds the rows of stage k flagged in c.chA, records rows
-// whose value actually moved in c.nextA, and reports whether any did.
-func (c *DenseKnowledgeCache) recomputeRows(k int, st, out, prev *mat.Bool) bool {
-	clearWords(c.nextA)
-	wpr := len(c.scratch)
-	prevW, outW := prev.Words(), out.Words()
-	rowsChanged := false
-	for w, word := range c.chA {
-		for word != 0 {
-			x := w*64 + trailingZeros64(word)
-			word &= word - 1
-			st.SpreadRow(prevW[x*wpr:(x+1)*wpr], c.scratch)
-			dst := outW[x*wpr : (x+1)*wpr]
-			same := true
-			for i := range dst {
-				if dst[i] != c.scratch[i] {
-					same = false
-					break
+// recomputeStage rebuilds stage k with one receiver-wise pass over every
+// signal. In incremental mode (stage inside the valid prefix) rows whose
+// value did not move keep their cached pointer, moved rows are journaled and
+// flagged dirty for the next stage, and the return value reports whether any
+// moved; in stale mode rows are installed unconditionally (the slot's prior
+// pointer is untrusted) and journaled only for row recycling.
+func (c *KnowledgeCache) recomputeStage(k int, st *mat.Bool, incremental bool) bool {
+	clear(c.computed)
+	clear(c.nextDirty)
+	words := c.words
+	stW := st.Words()
+	for m := 0; m < c.p; m++ {
+		base := m * words
+		var src []uint64
+		for w := 0; w < words; w++ {
+			word := stW[base+w]
+			for word != 0 {
+				j := w*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				if src == nil {
+					src = c.prevRow(k, m)
 				}
-			}
-			if !same {
-				c.journalRow(k, x, dst)
-				copy(dst, c.scratch)
-				c.nextA[w] |= 1 << uint(x&63)
-				rowsChanged = true
+				dst := c.rowScratch[j]
+				if c.computed[j>>6]&(1<<uint(j&63)) == 0 {
+					copy(dst, c.prevRow(k, j))
+					c.computed[j>>6] |= 1 << uint(j&63)
+				}
+				for x, v := range src {
+					dst[x] |= v
+				}
 			}
 		}
 	}
-	return rowsChanged
+	changed := false
+	full := 0
+	tbl := c.tables[k]
+	for j := 0; j < c.p; j++ {
+		owned := c.computed[j>>6]&(1<<uint(j&63)) != 0
+		var newRow []uint64
+		if owned {
+			newRow = c.rowScratch[j]
+		} else {
+			newRow = c.prevRow(k, j)
+		}
+		if incremental {
+			cur := tbl[j]
+			if wordsEqual(cur, newRow) {
+				if c.isFullRow(cur) {
+					full++
+				}
+				continue
+			}
+			install := newRow
+			if owned {
+				install = c.newRow(newRow)
+			}
+			c.jRefs = append(c.jRefs, journalRef{int32(k), int32(j), owned, cur})
+			tbl[j] = install
+			c.nextDirty[j>>6] |= 1 << uint(j&63)
+			changed = true
+			if c.isFullRow(install) {
+				full++
+			}
+		} else {
+			// Stale mode installs unconditionally: the slot's current pointer
+			// is untrusted (it may dangle into the recycling pool), so it is
+			// never compared against, only journaled so Rollback can recycle
+			// the replacement row.
+			cur := tbl[j]
+			if owned {
+				newRow = c.newRow(newRow)
+			}
+			c.jRefs = append(c.jRefs, journalRef{int32(k), int32(j), owned, cur})
+			tbl[j] = newRow
+			if c.isFullRow(newRow) {
+				full++
+			}
+		}
+	}
+	c.fullCnt[k] = full
+	return changed
 }
 
-// journalRow records a row's pre-write words so Rollback can restore them.
-// Only rows inside the call's starting prefix are ever journaled; writes to
-// stages at or beyond the starting valid count are un-done by restoring the
-// valid count itself.
-func (c *DenseKnowledgeCache) journalRow(stage, row int, words []uint64) {
-	c.jArena = append(c.jArena, words...)
-	c.jRows = append(c.jRows, journalRef{stage, row, len(c.jArena) - len(words)})
+// recomputeReceivers rebuilds only the candidate receivers of stage k,
+// gathering each one's senders by a column scan of the stage matrix. It is
+// the small-wave complement of recomputeStage: O(candidates·P) bit tests
+// instead of a full pass over the stage's signals.
+func (c *KnowledgeCache) recomputeReceivers(k int, st *mat.Bool) bool {
+	clear(c.nextDirty)
+	words := c.words
+	stW := st.Words()
+	tbl := c.tables[k]
+	changed := false
+	for w, word := range c.cand {
+		for word != 0 {
+			j := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			buf := c.colScratch
+			copy(buf, c.prevRow(k, j))
+			cw, cb := j>>6, uint64(1)<<uint(j&63)
+			for m := 0; m < c.p; m++ {
+				if stW[m*words+cw]&cb != 0 {
+					for x, v := range c.prevRow(k, m) {
+						buf[x] |= v
+					}
+				}
+			}
+			cur := tbl[j]
+			if wordsEqual(cur, buf) {
+				continue
+			}
+			install := c.newRow(buf)
+			c.jRefs = append(c.jRefs, journalRef{int32(k), int32(j), true, cur})
+			tbl[j] = install
+			c.nextDirty[w] |= 1 << uint(j&63)
+			changed = true
+			wasFull, nowFull := c.isFullRow(cur), c.isFullRow(install)
+			if nowFull && !wasFull {
+				c.fullCnt[k]++
+			} else if wasFull && !nowFull {
+				c.fullCnt[k]--
+			}
+		}
+	}
+	return changed
 }
 
 // Rollback restores the cache to its exact state before the most recent
-// Barrier call by replaying the undo journal in reverse, including the
-// pending notes that call consumed. The caller then reverts its own rejected
-// edits and reports them as usual — those notes cancel against the restored
-// pending, while notes describing changes the schedule keeps stay armed for
-// the next Barrier. This is how the search engine retires an
-// evaluated-but-rejected candidate in O(rows actually changed) copies instead
-// of pushing a second change wave through the recurrence.
-func (c *DenseKnowledgeCache) Rollback() {
-	w := (c.p + 63) / 64
-	for i := len(c.jRows) - 1; i >= 0; i-- {
-		e := c.jRows[i]
-		copy(c.mats[e.stage].RowWords(e.row), c.jArena[e.off:e.off+w])
+// Barrier call by restoring the journaled row pointers in reverse, including
+// the pending notes that call consumed. The caller then reverts its own
+// rejected edits and reports them as usual — those notes cancel against the
+// restored pending, while notes describing changes the schedule keeps stay
+// armed for the next Barrier. This is how the search engine retires an
+// evaluated-but-rejected candidate in O(rows actually changed) pointer
+// restores instead of pushing a second change wave through the recurrence.
+func (c *KnowledgeCache) Rollback() {
+	for i := len(c.jRefs) - 1; i >= 0; i-- {
+		e := c.jRefs[i]
+		tbl := c.tables[e.stage]
+		cur := tbl[e.row]
+		tbl[e.row] = e.old
+		if e.fresh && len(c.free) < freeRetainRows {
+			// cur is the row this journal entry installed (each (stage, row)
+			// is journaled at most once per Barrier call), and fresh installs
+			// are never aliased into another slot by the time the rollback
+			// loop reaches their entry — safe to reuse.
+			c.free = append(c.free, cur)
+		}
+		wasFull, nowFull := c.isFullRow(cur), c.isFullRow(e.old)
+		if nowFull && !wasFull {
+			c.fullCnt[e.stage]++
+		} else if wasFull && !nowFull {
+			c.fullCnt[e.stage]--
+		}
 	}
 	c.resetJournal()
 	c.valid, c.sat = c.jValid, c.jSat
 	c.pending = append(c.pending[:0], c.jPending...)
 }
 
-// Journal retention caps. A single pathological mutation (adopting a foreign
-// schedule, a row invalidation storm) can journal O(P·stages) rows; a long
-// anneal performs millions of Barrier calls, and without a cap the journal
-// buffers would stay at their high-water capacity for the whole run. Commit
-// points (journal open and Rollback) drop buffers that grew past the caps so
-// memory tracks the typical mutation, not the worst one seen.
-const (
-	journalRetainWords = 1 << 16 // 512 KiB of row arena
-	journalRetainRefs  = 1 << 12
-)
-
-// resetJournal empties the undo journal, releasing oversized backing arrays
-// rather than retaining their capacity.
-func (c *DenseKnowledgeCache) resetJournal() {
-	if cap(c.jArena) > journalRetainWords {
-		c.jArena = nil
-	} else {
-		c.jArena = c.jArena[:0]
+// resetJournal empties the pointer journal, dropping the row references it
+// held (they pin otherwise-dead rows) and releasing capacity past
+// journalRetainRefs so memory tracks the typical mutation, not the worst one
+// seen.
+func (c *KnowledgeCache) resetJournal() {
+	for i := range c.jRefs {
+		c.jRefs[i].old = nil
 	}
-	if cap(c.jRows) > journalRetainRefs {
-		c.jRows = nil
+	if cap(c.jRefs) > journalRetainRefs {
+		c.jRefs = nil
 	} else {
-		c.jRows = c.jRows[:0]
+		c.jRefs = c.jRefs[:0]
 	}
 }
 
 // saturateAt records stage k as all-set and discards currency of everything
 // after it; later stages are rebuilt in full if saturation is ever broken.
-func (c *DenseKnowledgeCache) saturateAt(k int) {
+func (c *KnowledgeCache) saturateAt(k int) {
 	c.sat = k
 	c.valid = k + 1
 	c.pending = c.pending[:0]
 }
 
-func (c *DenseKnowledgeCache) pendingAfter(k int) bool {
-	for _, pr := range c.pending {
+// After returns the knowledge matrix following stage k — entry (i, j) set
+// when rank j knows of rank i's arrival, as in Schedule.Knowledge —
+// materialised row-major from the transposed tables into a freshly allocated
+// matrix, after bringing stages 0..k up to date with a Barrier call (which
+// opens a new undo journal, so After must not sit between a Barrier and its
+// Rollback). Stages past the saturation point carry fully-set knowledge; for
+// those the saturated stage is materialised.
+func (c *KnowledgeCache) After(s *Schedule, k int) *mat.Bool {
+	if k < 0 || k >= s.NumStages() {
+		panic(fmt.Sprintf("sched: knowledge after stage %d of %d-stage schedule", k, s.NumStages()))
+	}
+	c.Barrier(s)
+	if c.p == 1 {
+		return mat.Identity(1)
+	}
+	if c.sat >= 0 && k >= c.sat {
+		k = c.sat
+	}
+	if k >= c.valid {
+		// Only reachable when the schedule never saturates yet Barrier
+		// stopped early — it doesn't: a non-barrier run validates all stages.
+		panic(fmt.Sprintf("sched: knowledge cache stopped at stage %d before %d", c.valid, k))
+	}
+	out := mat.NewBool(c.p)
+	for j := 0; j < c.p; j++ {
+		for w, word := range c.tables[k][j] {
+			for word != 0 {
+				i := w*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				out.Set(i, j, true)
+			}
+		}
+	}
+	return out
+}
+
+// prevRow returns the know set feeding stage k for rank j.
+func (c *KnowledgeCache) prevRow(k, j int) []uint64 {
+	if k == 0 {
+		return c.ident[j]
+	}
+	return c.tables[k-1][j]
+}
+
+func (c *KnowledgeCache) isFullRow(row []uint64) bool {
+	if len(row) < c.words {
+		return false // unpopulated slot (nil row of a freshly grown stage)
+	}
+	last := c.words - 1
+	for w := 0; w < last; w++ {
+		if row[w] != ^uint64(0) {
+			return false
+		}
+	}
+	return row[last] == c.tailMask
+}
+
+func pendingAfter(pending []pendingNote, k int) bool {
+	for _, pr := range pending {
 		if pr.stage > k {
 			return true
 		}
 	}
 	return false
-}
-
-func clearWords(ws []uint64) {
-	for i := range ws {
-		ws[i] = 0
-	}
 }
 
 func bitsetEmpty(ws []uint64) bool {
@@ -456,62 +583,19 @@ func bitsetEmpty(ws []uint64) bool {
 	return true
 }
 
-// trailingZeros64 scans the cache's rank bitsets. Unlike mat, which keeps its
-// kernels free of standard-library imports, this package already leans on the
-// stdlib and uses the intrinsic-backed form.
-func trailingZeros64(x uint64) int {
-	return bits.TrailingZeros64(x)
-}
-
-// FirstFullStage returns the earliest stage after which every rank knows
-// about every arrival, or -1 when the schedule never synchronises. It shares
-// the cache's incremental state with Barrier.
-func (c *DenseKnowledgeCache) FirstFullStage(s *Schedule) int {
-	if !c.Barrier(s) {
-		return -1
-	}
-	if c.p == 1 {
-		return 0
-	}
-	for k := 0; k < c.valid; k++ {
-		if c.mats[k].AllSet() {
-			return k
+func wordsEqual(a, b []uint64) bool {
+	for w := range a {
+		if a[w] != b[w] {
+			return false
 		}
 	}
-	return c.sat // unreachable: a true verdict implies a full stage ≤ sat
+	return true
 }
 
-// After returns the cached knowledge matrix following stage k, ensuring
-// stages 0..k are current first. The returned matrix aliases cache storage
-// and is only valid until the next Invalidate/Barrier call; clone to keep.
-// Stages past the saturation point carry fully-set knowledge; for those the
-// saturated matrix is returned.
-func (c *DenseKnowledgeCache) After(s *Schedule, k int) *mat.Bool {
-	if k < 0 || k >= s.NumStages() {
-		panic(fmt.Sprintf("sched: knowledge after stage %d of %d-stage schedule", k, s.NumStages()))
+func popcountWords(ws []uint64) int {
+	n := 0
+	for _, w := range ws {
+		n += bits.OnesCount64(w)
 	}
-	c.Barrier(s)
-	if c.p == 1 {
-		return mat.Identity(1)
-	}
-	if c.sat >= 0 && k >= c.sat {
-		return c.mats[c.sat]
-	}
-	if k >= c.valid {
-		// Only reachable when the schedule never saturates yet Barrier
-		// stopped early — it doesn't: a non-barrier run validates all stages.
-		panic(fmt.Sprintf("sched: knowledge cache stopped at stage %d before %d", c.valid, k))
-	}
-	return c.mats[k]
-}
-
-// prev returns the knowledge matrix feeding stage k.
-func (c *DenseKnowledgeCache) prev(k int) *mat.Bool {
-	if k == 0 {
-		if c.ident == nil {
-			c.ident = mat.Identity(c.p)
-		}
-		return c.ident
-	}
-	return c.mats[k-1]
+	return n
 }

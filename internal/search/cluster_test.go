@@ -127,30 +127,6 @@ func TestAnnealClusterPrunedWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestAnnealDenseKnowledgeAblationIdentical pins that the ablation knob
-// changes only the knowledge engine, never the outcome: the sparse frontier
-// engine is bit-identical to the dense recurrence, so the whole search —
-// every verdict, every accept, every hash — must replay exactly.
-func TestAnnealDenseKnowledgeAblationIdentical(t *testing.T) {
-	p := 64 // at/above the frontier threshold, so the knob actually switches
-	pd := clusteredPredictor(t, p)
-	seed := sched.Tree(p)
-	base := AnnealOptions{Seed: 9, Steps: 300, Restarts: 2}
-	fast, err := Anneal(pd, seed, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.DenseKnowledge = true
-	dense, err := Anneal(pd, seed, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Cost != dense.Cost || fast.Examined != dense.Examined || !fast.Schedule.Equal(dense.Schedule) {
-		t.Fatalf("frontier and dense engines diverged: cost %g vs %g, examined %d vs %d",
-			fast.Cost, dense.Cost, fast.Examined, dense.Examined)
-	}
-}
-
 // TestZobristLazyDeterministic pins the on-demand key scheme above the table
 // budget: no table is materialised, and hashing stays a pure function of the
 // schedule.

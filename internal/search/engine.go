@@ -125,7 +125,7 @@ type climber struct {
 	z         *zobrist
 	rng       *stats.RNG
 	s         *sched.Schedule
-	kc        sched.KnowledgeCache
+	kc        *sched.KnowledgeCache
 	ev        *predict.Evaluator
 	hash      uint64
 	cost      float64
@@ -146,18 +146,12 @@ type climber struct {
 	spare *mat.Bool
 }
 
-func newClimber(pd *predict.Predictor, z *zobrist, seedSched *sched.Schedule, seedCost float64, rng *stats.RNG, maxStages int, prop *proposer, batch int, denseKnowledge bool) *climber {
+func newClimber(pd *predict.Predictor, z *zobrist, seedSched *sched.Schedule, seedCost float64, rng *stats.RNG, maxStages int, prop *proposer, batch int) *climber {
 	s := seedSched.Clone()
 	h := z.hashOf(s)
-	kc := sched.KnowledgeCache(nil)
-	if denseKnowledge {
-		kc = sched.NewDenseKnowledgeCache(s.P)
-	} else {
-		kc = sched.NewKnowledgeCache(s.P)
-	}
 	c := &climber{
 		pd: pd, z: z, rng: rng, s: s,
-		kc:        kc,
+		kc:        sched.NewKnowledgeCache(s.P),
 		ev:        predict.NewEvaluator(pd),
 		hash:      h,
 		cost:      seedCost,

@@ -44,7 +44,7 @@ func TestClimberInvariants(t *testing.T) {
 	pd := clusteredPredictor(t, 10)
 	seedSched := sched.Dissemination(10)
 	z := newZobrist(10, seedSched.NumStages()+2)
-	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(4), seedSched.NumStages()+2, nil, 0, false)
+	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(4), seedSched.NumStages()+2, nil, 0)
 	for step := 0; step < 3000; step++ {
 		c.step()
 		if step%50 != 0 {
@@ -81,7 +81,7 @@ func TestClimberUndoRestoresState(t *testing.T) {
 	pd := clusteredPredictor(t, 8)
 	seedSched := sched.Tree(8)
 	z := newZobrist(8, seedSched.NumStages()+2)
-	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(2), seedSched.NumStages()+2, nil, 0, false)
+	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(2), seedSched.NumStages()+2, nil, 0)
 	c.kc.Barrier(c.s)
 	c.ev.Cost(c.s)
 	for n := 0; n < 2000; n++ {
@@ -183,7 +183,7 @@ func TestTranspositionTableHits(t *testing.T) {
 	pd := predict.New(uniformProfile(4))
 	seedSched := sched.Dissemination(4)
 	z := newZobrist(4, seedSched.NumStages()+2)
-	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(8), seedSched.NumStages()+2, nil, 0, false)
+	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(8), seedSched.NumStages()+2, nil, 0)
 	c.run(4000)
 	if c.examined < 1000 {
 		t.Fatalf("only %d candidates examined", c.examined)

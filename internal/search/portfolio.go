@@ -211,7 +211,7 @@ func newPortfolio(pd *predict.Predictor, seedSched *sched.Schedule, seedCost flo
 	climbers := make([]*climber, opts.Restarts)
 	for r := range climbers {
 		rng := stats.NewRNG(opts.Seed + uint64(r)*0x9e3779b97f4a7c15)
-		climbers[r] = newClimber(pd, z, seedSched, seedCost, rng, maxStages, prop, opts.BatchSize, opts.DenseKnowledge)
+		climbers[r] = newClimber(pd, z, seedSched, seedCost, rng, maxStages, prop, opts.BatchSize)
 	}
 	return climbers
 }

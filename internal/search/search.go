@@ -133,10 +133,6 @@ type AnnealOptions struct {
 	// does not predict slower). Batches draw from the climber's own RNG
 	// stream, so the result stays independent of Workers.
 	BatchSize int
-	// DenseKnowledge forces the dense Eq. 3 knowledge engine regardless of
-	// P. It exists for benchmarks and ablations; the sparse frontier engine
-	// is bit-identical and strictly faster at large P.
-	DenseKnowledge bool
 	// Progress, when non-nil, is called from the coordinating goroutine
 	// after every exchange round.
 	Progress func(Progress)

@@ -44,7 +44,7 @@ func TestReviewDifferentialStress(t *testing.T) {
 		maxStages := seed.NumStages() + 3
 		z := newZobrist(p, maxStages)
 		rng := stats.NewRNG(42 + uint64(p))
-		c := newClimber(pd, z, seed, pd.Cost(seed), rng, maxStages, nil, 0, false)
+		c := newClimber(pd, z, seed, pd.Cost(seed), rng, maxStages, nil, 0)
 		for n := 0; n < 4000; n++ {
 			m, ok := c.draw()
 			if !ok {

@@ -1,9 +1,8 @@
-// Large-P scaling benchmarks: the Eq. 3 closure kernels (dense cube vs the
-// sparse-frontier engine) at P = 128/256/1024, and end-to-end mutation
-// throughput of the cluster-pruned batched search at the same rank counts.
-// The acceptance bar for the PR that introduced the frontier engine is a ≥5×
-// mutation-throughput advantage over the dense path at P = 256, pinned by
-// TestLargePSearchSpeedupFloor.
+// Large-P scaling benchmarks: the Eq. 3 closure (the from-scratch row-wise
+// reference vs the receiver-wise frontier kernel) at P = 128/256/1024, and
+// end-to-end mutation throughput of the cluster-pruned batched search at the
+// same rank counts. TestLargePSearchSpeedupFloor pins the search's advantage
+// over clone-and-recompute evaluation at P = 256.
 package topobarrier_test
 
 import (
@@ -19,6 +18,7 @@ import (
 	"topobarrier/internal/sched"
 	"topobarrier/internal/search"
 	"topobarrier/internal/sss"
+	"topobarrier/internal/stats"
 )
 
 // scaleProfile builds the noise-free profile of the synthetic hierarchical
@@ -47,16 +47,16 @@ func scaleClusters(pf *profile.Profile) [][]int {
 }
 
 // BenchmarkKnowledgeClosure compares one full Eq. 3 closure verification of a
-// dissemination barrier through the dense O(P³/64) cube (Schedule.Knowledge)
-// and the sparse-frontier kernel (mat.FrontierClosure) at large P. Both
-// return the same verdict on every schedule — the property tests pin that —
-// so the ratio of ns/op between the /dense and /frontier variants of the
-// same P is the kernel speedup.
+// dissemination barrier through the from-scratch O(P³/64) reference
+// (Schedule.Knowledge) and the receiver-wise kernel behind Schedule.IsBarrier
+// (mat.FrontierClosure) at large P. Both return the same verdict on every
+// schedule — mat's property tests pin that — so the ratio of ns/op between
+// the /scratch and /frontier variants of the same P is the kernel speedup.
 func BenchmarkKnowledgeClosure(b *testing.B) {
 	for _, p := range []int{128, 256, 1024} {
 		s := sched.Dissemination(p)
 
-		b.Run(fmt.Sprintf("P%d/dense", p), func(b *testing.B) {
+		b.Run(fmt.Sprintf("P%d/scratch", p), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				ks := s.Knowledge()
 				if !ks[len(ks)-1].AllSet() {
@@ -77,8 +77,7 @@ func BenchmarkKnowledgeClosure(b *testing.B) {
 
 // BenchmarkSearchThroughputLargeP reports end-to-end mutation evaluations
 // per second of the refinement search in its large-P configuration —
-// sparse-frontier knowledge cache, cluster-pruned proposals, best-of-8
-// batches — at P = 128/256/1024. Compare mutants/s across the P variants
+// cluster-pruned proposals, best-of-8 batches — at P = 128/256/1024. Compare mutants/s across the P variants
 // for the engine's scaling curve.
 func BenchmarkSearchThroughputLargeP(b *testing.B) {
 	for _, p := range []int{128, 256, 1024} {
@@ -106,35 +105,14 @@ func BenchmarkSearchThroughputLargeP(b *testing.B) {
 	}
 }
 
-// annealThroughput measures the mutation throughput of a single-worker
-// anneal in candidates per second, best of three runs — scheduler noise only
-// ever slows a run down, so the fastest observation is the cleanest.
-func annealThroughput(t *testing.T, pd *predict.Predictor, seed *sched.Schedule, opts search.AnnealOptions) float64 {
-	t.Helper()
-	best := 0.0
-	for trial := 0; trial < 3; trial++ {
-		start := time.Now()
-		res, err := search.Anneal(pd, seed, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if elapsed <= 0 || res.Examined == 0 {
-			t.Fatalf("degenerate run: %d examined in %s", res.Examined, elapsed)
-		}
-		if tp := float64(res.Examined) / elapsed.Seconds(); tp > best {
-			best = tp
-		}
-	}
-	return best
-}
-
-// TestLargePSearchSpeedupFloor pins the PR's acceptance bar: at P = 256 the
-// sparse-frontier engine must evaluate mutations at least 5× faster than the
-// dense-cube engine it replaced on the hot path (2× under the race detector,
-// whose per-word instrumentation compresses the gap). The two engines are
-// bit-identical — TestAnnealDenseKnowledgeAblationIdentical pins that — so
-// the DenseKnowledge ablation knob isolates exactly the kernel swap.
+// TestLargePSearchSpeedupFloor pins the reason the incremental engine exists
+// at large P: at P = 256 the search (knowledge cache, cluster-pruned
+// proposals, best-of-8 batches) must evaluate mutations at least 3× faster
+// than scratchEvaluate, the clone → toggle → from-scratch IsBarrier → pd.Cost
+// baseline of search_bench_test.go (2× under the race detector; measured
+// 5–6.5× and 3.7× on the 2-core build box). Each side is the best of three
+// runs — scheduler noise only ever slows a run down, so the fastest
+// observation is the cleanest.
 func TestLargePSearchSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing floor in -short mode")
@@ -143,28 +121,37 @@ func TestLargePSearchSpeedupFloor(t *testing.T) {
 	pf := scaleProfile(t, p)
 	pd := predict.New(pf)
 	seed := sched.Dissemination(p)
-	clusters := scaleClusters(pf)
-
-	base := search.AnnealOptions{
-		Seed: 11, Restarts: 1, Workers: 1,
-		Clusters: clusters, BatchSize: 8,
+	opts := search.AnnealOptions{
+		Seed: 11, Steps: 2000, Restarts: 1, Workers: 1,
+		Clusters: scaleClusters(pf), BatchSize: 8,
 	}
-	// The dense engine gets a smaller budget so the measurement stays cheap;
-	// throughput is per-candidate, so the budgets need not match.
-	dense := base
-	dense.Steps = 120
-	dense.DenseKnowledge = true
-	frontier := base
-	frontier.Steps = 2000
 
-	denseTP := annealThroughput(t, pd, seed, dense)
-	frontierTP := annealThroughput(t, pd, seed, frontier)
-	ratio := frontierTP / denseTP
-	floor := 5.0
+	var scratchTP, searchTP float64
+	for trial := 0; trial < 3; trial++ {
+		const mutants = 60
+		rng := stats.NewRNG(uint64(trial + 1))
+		start := time.Now()
+		for n := 0; n < mutants; n++ {
+			scratchEvaluate(pd, seed, rng)
+		}
+		scratchTP = max(scratchTP, mutants/time.Since(start).Seconds())
+
+		start = time.Now()
+		res, err := search.Anneal(pd, seed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Examined == 0 {
+			t.Fatalf("degenerate run: nothing examined")
+		}
+		searchTP = max(searchTP, float64(res.Examined)/time.Since(start).Seconds())
+	}
+	ratio := searchTP / scratchTP
+	floor := 3.0
 	if scaleRaceEnabled {
 		floor = 2.0
 	}
-	t.Logf("P=%d mutation throughput: frontier %.0f/s vs dense %.0f/s (%.1f×, floor %.0f×)",
-		p, frontierTP, denseTP, ratio, floor)
-	perftest.Floor(t, ratio >= floor, "frontier/dense throughput ratio %.2f below the %.0f× floor", ratio, floor)
+	t.Logf("P=%d mutation throughput: search %.0f/s vs scratch %.0f/s (%.1f×, floor %.0f×)",
+		p, searchTP, scratchTP, ratio, floor)
+	perftest.Floor(t, ratio >= floor, "search/scratch throughput ratio %.2f below the %.0f× floor", ratio, floor)
 }
