@@ -42,21 +42,28 @@ type Evaluator struct {
 	times      [][]float64
 	timesValid int
 	zero       []float64
-	// senders[k] is a rank bitset marking rows of stage k with at least one
-	// signal, kept in lockstep with the priced snapshots. The completion-time
-	// pass iterates only those rows: a rank that sends nothing contributes no
-	// arrival terms, so skipping it performs the exact same float operations
-	// in the exact same order — while hierarchical schedules at large P leave
-	// most ranks idle in most stages.
-	senders [][]uint64
+	// edges[k] lists stage k's signals, kept in lockstep with the priced
+	// snapshots. The completion-time pass walks this flat list instead of the
+	// stage's bitset rows: a rank that sends nothing contributes no arrival
+	// terms and max is order-independent, so the pass computes the exact same
+	// values — in one counted loop of branch-free max updates, where nested
+	// bit-scans mispredicted at every row end and at every comparison. (The
+	// builtin max parts from Predictor.Cost's `if a > b` only on NaN, which
+	// no cost of a usable profile is.)
+	edges [][]edge
+	// arrive[i] is rank i's own completion of the stage being priced, the
+	// time its signals arrive; next[i] starts there and only rises.
+	arrive []float64
 }
+
+type edge struct{ from, to int32 }
 
 type rowRef struct{ stage, rank int }
 
 // NewEvaluator returns an evaluator bound to the predictor's profile.
 func NewEvaluator(pd *Predictor) *Evaluator {
 	p := pd.Prof.P
-	return &Evaluator{pd: pd, p: p, zero: make([]float64, p)}
+	return &Evaluator{pd: pd, p: p, zero: make([]float64, p), arrive: make([]float64, p)}
 }
 
 // Touch marks the batch duration of rank in stage stale.
@@ -103,29 +110,21 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 	if n > 0 {
 		words = s.Stages[0].WordsPerRow()
 	}
-	rankWords := (e.p + 63) / 64
 	for e.active < n {
 		k := e.active
 		if len(e.dur) <= k {
 			e.dur = append(e.dur, make([]float64, e.p))
 			e.rowBits = append(e.rowBits, make([]uint64, e.p*words))
-			e.senders = append(e.senders, make([]uint64, rankWords))
+			e.edges = append(e.edges, nil)
 		}
-		sd := e.senders[k]
-		for w := range sd {
-			sd[w] = 0
-		}
+		es := e.edges[k][:0]
 		for i := 0; i < e.p; i++ {
 			e.dur[k][i] = e.rowCost(s, k, i)
 			row := s.Stages[k].RowWords(i)
 			copy(e.rowBits[k][i*words:(i+1)*words], row)
-			for _, wv := range row {
-				if wv != 0 {
-					sd[i>>6] |= 1 << (uint(i) % 64)
-					break
-				}
-			}
+			es = appendEdges(es, i, row)
 		}
+		e.edges[k] = es
 		if e.timesValid > k {
 			e.timesValid = k
 		}
@@ -151,18 +150,13 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 		}
 		copy(snap, row)
 		e.dur[r.stage][r.rank] = e.rowCost(s, r.stage, r.rank)
-		nz := false
-		for _, wv := range row {
-			if wv != 0 {
-				nz = true
-				break
+		kept := e.edges[r.stage][:0]
+		for _, sg := range e.edges[r.stage] {
+			if int(sg.from) != r.rank {
+				kept = append(kept, sg)
 			}
 		}
-		if nz {
-			e.senders[r.stage][r.rank>>6] |= 1 << (uint(r.rank) % 64)
-		} else {
-			e.senders[r.stage][r.rank>>6] &^= 1 << (uint(r.rank) % 64)
-		}
+		e.edges[r.stage] = appendEdges(kept, r.rank, row)
 		if r.stage < e.timesValid {
 			e.timesValid = r.stage
 		}
@@ -178,27 +172,15 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 			t = e.times[k-1]
 		}
 		next := e.times[k]
-		stWords := s.Stages[k].Words()
-		dur := e.dur[k]
-		for i := 0; i < e.p; i++ {
-			next[i] = t[i] + dur[i]
+		dur := e.dur[k][:len(next)]
+		arrive := e.arrive[:len(next)]
+		t = t[:len(next)]
+		for i := range next {
+			a := t[i] + dur[i]
+			arrive[i], next[i] = a, a
 		}
-		for sw, sword := range e.senders[k] {
-			for sword != 0 {
-				m := sw*64 + bits.TrailingZeros64(sword)
-				sword &= sword - 1
-				row := stWords[m*words : (m+1)*words]
-				arr := t[m] + dur[m]
-				for w, word := range row {
-					for word != 0 {
-						i := w*64 + bits.TrailingZeros64(word)
-						word &= word - 1
-						if arr > next[i] {
-							next[i] = arr
-						}
-					}
-				}
-			}
+		for _, sg := range e.edges[k] {
+			next[sg.to] = max(next[sg.to], arrive[sg.from])
 		}
 		if e.pd.StageOverhead > 0 {
 			for i := 0; i < e.p; i++ {
@@ -216,6 +198,18 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 		}
 	}
 	return max
+}
+
+// appendEdges appends one edge per set bit of rank from's row.
+func appendEdges(es []edge, from int, row []uint64) []edge {
+	for w, word := range row {
+		for word != 0 {
+			j := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			es = append(es, edge{int32(from), int32(j)})
+		}
+	}
+	return es
 }
 
 // rowCost replicates BatchCost over the bitset row without building an index

@@ -248,14 +248,19 @@ func TestClosedLoopRecovery(t *testing.T) {
 			t.Errorf("delayed direction %d→%d not re-probed (stale set %v)", faultRank, j, d2.Reprobe.Stale)
 		}
 	}
-	// …and (outside race builds, where scheduler noise can smear timings)
-	// nothing else: the full probe budget goes only to drifted links.
+	// …and nothing else: the full probe budget goes only to drifted links.
+	// Which links the screen flags is a wall-clock judgement — scheduler noise
+	// on a loaded box smears a healthy link's timings past the threshold
+	// (1 run in 15 on two cores; always possible under the race detector) —
+	// so it is enforced like the other timing floors.
 	if !raceEnabled {
+		var healthy []netmpi.Direction
 		for _, d := range d2.Reprobe.Stale {
 			if !wrapped[d] {
-				t.Errorf("healthy direction %s was fully re-probed", d)
+				healthy = append(healthy, d)
 			}
 		}
+		perftest.Floor(t, len(healthy) == 0, "healthy directions %v were fully re-probed", healthy)
 	}
 	if !d2.Swapped {
 		t.Fatalf("no swap proposed: repriced %.3gs, best candidate %.3gs (%s)",

@@ -25,13 +25,13 @@ import (
 //   - Frontier waves. A mutation dirties a handful of receivers; the next
 //     stage only needs to recompute those ranks and the receivers of their
 //     signals, and the wave dies as soon as recomputed rows come out equal
-//     to the cached ones. When a wave engulfs most ranks the cache falls
-//     back to one receiver-wise pass over the whole stage.
+//     to the cached ones. One pass serves every wave size: it reads only
+//     the matrix words that hold a candidate receiver's column.
 //   - Pointer journaling. Published rows are immutable (replaced, never
 //     mutated), so the undo journal is a list of prior row pointers and
 //     Rollback is O(changed rows) pointer restores.
 //   - Exact single-bit change notes cancel in pairs, so an apply/undo cycle
-//     (a candidate answered by the transposition table) leaves no work.
+//     (a candidate rejected without an Eq. 3 query) leaves no work.
 //   - Knowledge is monotone: once some stage's table is all-set, every later
 //     stage's is too, so verification stops at the saturation stage and
 //     mutations strictly after it cannot change the verdict.
@@ -42,11 +42,10 @@ import (
 //
 // The cache does not observe the schedule; callers own the contract of
 // reporting every mutation before the next Barrier query — NoteSet/NoteClear
-// for exact single-bit edits, InvalidateRow(k, i) for an arbitrary change to
-// row i of stage k, Invalidate(k) for wholesale edits from stage k on — and
-// of calling Rollback at most once, and before any further mutation notes,
-// to undo the most recent Barrier. The zero value is not usable; construct
-// with NewKnowledgeCache.
+// for exact single-bit edits, Invalidate(k) for wholesale edits from stage k
+// on — and of calling Rollback at most once, and before any further mutation
+// notes, to undo the most recent Barrier. The zero value is not usable;
+// construct with NewKnowledgeCache.
 type KnowledgeCache struct {
 	p, words int
 	tailMask uint64
@@ -63,7 +62,7 @@ type KnowledgeCache struct {
 	// Wave state: rank bitsets and row accumulators, all sized for p.
 	dirty, nextDirty, cand []uint64
 	computed               []uint64
-	colScratch             []uint64
+	candWords              []int // indices of cand's non-zero words
 	rowScratch             [][]uint64
 
 	// Undo journal: prior row pointers plus the prior valid/sat/pending.
@@ -79,11 +78,10 @@ type KnowledgeCache struct {
 	free [][]uint64
 }
 
-// pendingNote kinds: exact set, exact clear, or a whole-row wildcard.
+// pendingNote kinds: exact set or exact clear of one signal.
 const (
 	noteSet = iota
 	noteClear
-	noteRow
 )
 
 type pendingNote struct{ kind, stage, i, j int }
@@ -101,10 +99,10 @@ type journalRef struct {
 const freeRetainRows = 1 << 12
 
 // journalRetainRefs caps the journal capacity kept across Barrier calls. A
-// single pathological mutation (adopting a foreign schedule, a row
-// invalidation storm) can journal O(P·stages) rows; a long anneal performs
-// millions of Barrier calls, and without a cap the journal would stay at its
-// high-water capacity for the whole run.
+// single pathological mutation (adopting a foreign schedule) can journal
+// O(P·stages) rows; a long anneal performs millions of Barrier calls, and
+// without a cap the journal would stay at its high-water capacity for the
+// whole run.
 const journalRetainRefs = 1 << 12
 
 // newRow returns a row slab holding a copy of src, reusing a recycled slab
@@ -133,7 +131,6 @@ func NewKnowledgeCache(p int) *KnowledgeCache {
 		p: p, words: w, tailMask: tail, sat: -1, jSat: -1,
 		dirty: make([]uint64, w), nextDirty: make([]uint64, w),
 		cand: make([]uint64, w), computed: make([]uint64, w),
-		colScratch: make([]uint64, w),
 		rowScratch: make([][]uint64, p),
 		ident:      make([][]uint64, p),
 	}
@@ -147,8 +144,8 @@ func NewKnowledgeCache(p int) *KnowledgeCache {
 }
 
 // Invalidate marks stage k and every later stage wholly stale. Use it for
-// edits beyond single rows (adoption of a foreign schedule, stage appends and
-// truncations); Invalidate(0) forces a full recompute.
+// edits beyond single signals (adoption of a foreign schedule, stage appends
+// and truncations); Invalidate(0) forces a full recompute.
 func (c *KnowledgeCache) Invalidate(stage int) {
 	if stage < 0 {
 		stage = 0
@@ -184,18 +181,6 @@ func (c *KnowledgeCache) note(kind, inverse, stage, i, j int) {
 		}
 	}
 	c.pending = append(c.pending, pendingNote{kind, stage, i, j})
-}
-
-// InvalidateRow records that row i of stage k's matrix changed in an
-// unspecified way — the coarse form of NoteSet/NoteClear for callers that do
-// not track individual bits.
-func (c *KnowledgeCache) InvalidateRow(stage, row int) {
-	if row < 0 || row >= c.p || stage < 0 {
-		panic(fmt.Sprintf("sched: InvalidateRow(%d, %d) out of range", stage, row))
-	}
-	if stage < c.valid {
-		c.pending = append(c.pending, pendingNote{noteRow, stage, row, -1})
-	}
 }
 
 // Barrier reports whether s globally synchronises (Eq. 3), pushing a
@@ -268,11 +253,9 @@ func (c *KnowledgeCache) Barrier(s *Schedule) bool {
 		}
 		// Candidate receivers: every rank whose own knowledge moved at the
 		// previous stage, every receiver of a signal such a rank sends at
-		// this stage, and every receiver a pending note names here. A
-		// wildcard row note means the row's previous receivers are unknown,
-		// so any rank may have lost a contribution: whole-stage recompute.
+		// this stage, and every receiver a pending note names here. No other
+		// row of the stage can have moved.
 		copy(c.cand, c.dirty)
-		wholeStage := false
 		for w, word := range c.dirty {
 			for word != 0 {
 				m := w*64 + bits.TrailingZeros64(word)
@@ -283,21 +266,11 @@ func (c *KnowledgeCache) Barrier(s *Schedule) bool {
 			}
 		}
 		for _, pr := range c.pending {
-			if pr.stage != k {
-				continue
-			}
-			if pr.kind == noteRow {
-				wholeStage = true
-			} else {
+			if pr.stage == k {
 				c.cand[pr.j>>6] |= 1 << uint(pr.j&63)
 			}
 		}
-		var changed bool
-		if wholeStage || popcountWords(c.cand)*8 >= c.p {
-			changed = c.recomputeStage(k, st, true)
-		} else {
-			changed = c.recomputeReceivers(k, st)
-		}
+		changed := c.recomputeStage(k, st, true)
 		c.dirty, c.nextDirty = c.nextDirty, c.dirty
 		if changed {
 			if k == c.sat && c.fullCnt[k] != c.p {
@@ -325,22 +298,40 @@ func (c *KnowledgeCache) Barrier(s *Schedule) bool {
 	return n > 0 && c.valid == n && c.fullCnt[n-1] == c.p
 }
 
-// recomputeStage rebuilds stage k with one receiver-wise pass over every
-// signal. In incremental mode (stage inside the valid prefix) rows whose
-// value did not move keep their cached pointer, moved rows are journaled and
-// flagged dirty for the next stage, and the return value reports whether any
-// moved; in stale mode rows are installed unconditionally (the slot's prior
-// pointer is untrusted) and journaled only for row recycling.
+// recomputeStage rebuilds the candidate receivers (c.cand) of stage k in one
+// receiver-wise pass over the signals that reach them. In incremental mode
+// (stage inside the valid prefix) rows whose value did not move keep their
+// cached pointer, moved rows are journaled and flagged dirty for the next
+// stage, and the return value reports whether any moved; in stale mode every
+// rank is a candidate and rows are installed unconditionally — the slot's
+// prior pointer is untrusted (it may dangle into the recycling pool), so it
+// is never compared against or counted, only journaled so Rollback can
+// recycle the replacement row.
 func (c *KnowledgeCache) recomputeStage(k int, st *mat.Bool, incremental bool) bool {
 	clear(c.computed)
 	clear(c.nextDirty)
+	if !incremental {
+		for w := range c.cand {
+			c.cand[w] = ^uint64(0)
+		}
+		c.cand[c.words-1] = c.tailMask
+		c.fullCnt[k] = 0
+	}
+	// Only matrix words holding a candidate column are read: a single dirty
+	// receiver at large P costs one word per sender row, not the whole stage.
+	c.candWords = c.candWords[:0]
+	for w, mask := range c.cand {
+		if mask != 0 {
+			c.candWords = append(c.candWords, w)
+		}
+	}
 	words := c.words
 	stW := st.Words()
 	for m := 0; m < c.p; m++ {
 		base := m * words
 		var src []uint64
-		for w := 0; w < words; w++ {
-			word := stW[base+w]
+		for _, w := range c.candWords {
+			word := stW[base+w] & c.cand[w]
 			for word != 0 {
 				j := w*64 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -348,9 +339,9 @@ func (c *KnowledgeCache) recomputeStage(k int, st *mat.Bool, incremental bool) b
 					src = c.prevRow(k, m)
 				}
 				dst := c.rowScratch[j]
-				if c.computed[j>>6]&(1<<uint(j&63)) == 0 {
+				if c.computed[w]&(1<<uint(j&63)) == 0 {
 					copy(dst, c.prevRow(k, j))
-					c.computed[j>>6] |= 1 << uint(j&63)
+					c.computed[w] |= 1 << uint(j&63)
 				}
 				for x, v := range src {
 					dst[x] |= v
@@ -359,89 +350,28 @@ func (c *KnowledgeCache) recomputeStage(k int, st *mat.Bool, incremental bool) b
 		}
 	}
 	changed := false
-	full := 0
 	tbl := c.tables[k]
-	for j := 0; j < c.p; j++ {
-		owned := c.computed[j>>6]&(1<<uint(j&63)) != 0
-		var newRow []uint64
-		if owned {
-			newRow = c.rowScratch[j]
-		} else {
-			newRow = c.prevRow(k, j)
-		}
-		if incremental {
+	for _, w := range c.candWords {
+		for word := c.cand[w]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			j := w*64 + b
+			owned := c.computed[w]&(1<<uint(b)) != 0
+			newRow := c.prevRow(k, j)
+			if owned {
+				newRow = c.rowScratch[j]
+			}
 			cur := tbl[j]
-			if wordsEqual(cur, newRow) {
-				if c.isFullRow(cur) {
-					full++
-				}
+			if incremental && wordsEqual(cur, newRow) {
 				continue
 			}
-			install := newRow
-			if owned {
-				install = c.newRow(newRow)
-			}
-			c.jRefs = append(c.jRefs, journalRef{int32(k), int32(j), owned, cur})
-			tbl[j] = install
-			c.nextDirty[j>>6] |= 1 << uint(j&63)
-			changed = true
-			if c.isFullRow(install) {
-				full++
-			}
-		} else {
-			// Stale mode installs unconditionally: the slot's current pointer
-			// is untrusted (it may dangle into the recycling pool), so it is
-			// never compared against, only journaled so Rollback can recycle
-			// the replacement row.
-			cur := tbl[j]
 			if owned {
 				newRow = c.newRow(newRow)
 			}
 			c.jRefs = append(c.jRefs, journalRef{int32(k), int32(j), owned, cur})
 			tbl[j] = newRow
-			if c.isFullRow(newRow) {
-				full++
-			}
-		}
-	}
-	c.fullCnt[k] = full
-	return changed
-}
-
-// recomputeReceivers rebuilds only the candidate receivers of stage k,
-// gathering each one's senders by a column scan of the stage matrix. It is
-// the small-wave complement of recomputeStage: O(candidates·P) bit tests
-// instead of a full pass over the stage's signals.
-func (c *KnowledgeCache) recomputeReceivers(k int, st *mat.Bool) bool {
-	clear(c.nextDirty)
-	words := c.words
-	stW := st.Words()
-	tbl := c.tables[k]
-	changed := false
-	for w, word := range c.cand {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			buf := c.colScratch
-			copy(buf, c.prevRow(k, j))
-			cw, cb := j>>6, uint64(1)<<uint(j&63)
-			for m := 0; m < c.p; m++ {
-				if stW[m*words+cw]&cb != 0 {
-					for x, v := range c.prevRow(k, m) {
-						buf[x] |= v
-					}
-				}
-			}
-			cur := tbl[j]
-			if wordsEqual(cur, buf) {
-				continue
-			}
-			install := c.newRow(buf)
-			c.jRefs = append(c.jRefs, journalRef{int32(k), int32(j), true, cur})
-			tbl[j] = install
-			c.nextDirty[w] |= 1 << uint(j&63)
+			c.nextDirty[w] |= 1 << uint(b)
 			changed = true
-			wasFull, nowFull := c.isFullRow(cur), c.isFullRow(install)
+			wasFull, nowFull := incremental && c.isFullRow(cur), c.isFullRow(newRow)
 			if nowFull && !wasFull {
 				c.fullCnt[k]++
 			} else if wasFull && !nowFull {
@@ -590,12 +520,4 @@ func wordsEqual(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-func popcountWords(ws []uint64) int {
-	n := 0
-	for _, w := range ws {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

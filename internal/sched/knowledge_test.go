@@ -105,10 +105,8 @@ func (h *knowledgeScript) apply(op, x, y, z int) {
 	was := s.Stages[k].At(i, j)
 	s.Stages[k].Set(i, j, !was)
 	switch op % 9 {
-	case 2: // coarse invalidation
+	case 2, 3: // coarse invalidation
 		c.Invalidate(k)
-	case 3: // row-level invalidation
-		c.InvalidateRow(k, i)
 	case 4: // evaluated rejection: note, evaluate, roll back, revert
 		noteToggle(c, k, i, j, was)
 		if got, want := c.Barrier(s), scratchVerdict(s.P, s.Knowledge()); got != want {
@@ -189,7 +187,7 @@ func FuzzKnowledgeCacheMatchesScratch(f *testing.F) {
 	script := []byte{
 		5, 1, 4, 7, // exact notes
 		4, 0, 2, 3, 4, 1, 0, 5, // evaluated rejections
-		3, 2, 1, 0, 2, 1, 3, 2, // row and coarse invalidation
+		3, 2, 1, 0, 2, 1, 3, 2, // coarse invalidation
 		0, 0, 0, 0, 6, 9, 1, 2, 1, 0, 0, 0, // append, edit the new stage, truncate
 		0x85, 0, 1, 2, 0x86, 1, 2, 3, 4, 2, 0, 1, // unevaluated notes, then a rejection
 	}

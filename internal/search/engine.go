@@ -13,9 +13,10 @@ import (
 // The incremental search engine. The seed implementation paid a full
 // Schedule.Clone, a from-scratch Eq. 3 recurrence, and a from-scratch
 // critical-path pass for every mutant. Here a single working schedule is
-// mutated in place with apply/undo deltas; the Eq. 3 verdict comes from a
-// prefix-reusable sched.KnowledgeCache, the cost from an incremental
-// predict.Evaluator, and revisited candidates are answered from a
+// mutated in place with apply/undo deltas; the cost comes from an incremental
+// predict.Evaluator, the Eq. 3 verdict — for the move kinds and prices that
+// leave it open (climber.score) — from a prefix-reusable
+// sched.KnowledgeCache, and revisited candidates are answered from a
 // transposition table keyed by an incrementally maintained Zobrist hash —
 // they are never re-scored at all.
 
@@ -187,30 +188,74 @@ func (c *climber) step() {
 	if !ok {
 		return
 	}
+	if cost, verified := c.examine(m); cost <= c.cost {
+		c.accept(cost)
+	} else {
+		c.undo(m, verified)
+	}
+}
+
+// accept keeps the applied candidate as the working state.
+func (c *climber) accept(cost float64) {
+	c.accepts++
+	c.cost = cost
+	if cost < c.bestCost {
+		c.bestCost = cost
+		c.best = c.s.Clone()
+	}
+}
+
+// examine applies m and returns the candidate's score — from the
+// transposition table when the state has been seen, from score otherwise —
+// and whether Eq. 3 ran, which is what undo needs to know.
+func (c *climber) examine(m mutation) (cost float64, verified bool) {
 	c.apply(m)
 	c.examined++
 	cost, hit := c.table[c.hash]
 	if hit {
 		c.ttHits++
-	} else {
-		if c.kc.Barrier(c.s) {
-			cost = c.ev.Cost(c.s)
-		} else {
+		return cost, false
+	}
+	cost, verified = c.score(m)
+	if len(c.table) < transpositionCap {
+		c.table[c.hash] = cost
+	}
+	return cost, verified
+}
+
+// score prices the applied, never-seen candidate, running only the checks
+// its kind leaves open. The working schedule is always a barrier and a
+// candidate is kept only if it is a barrier costing at most c.cost, so:
+//
+//   - add / append: Eq. 3 is monotone in the signal set — a superset of a
+//     barrier is a barrier — so only the price is in question. The NoteSet
+//     (or stage invalidation) stays armed in the knowledge cache for the next
+//     candidate that does run Eq. 3, as on a transposition-answered accept.
+//   - move: priced first; a costlier move is rejected whatever its verdict,
+//     so Eq. 3 runs only when the price would be accepted. The table entry
+//     of a costlier non-barrier is then its real price rather than +Inf,
+//     which decides identically: c.cost never rises (accepts are ≤, adoptions
+//     strictly cheaper), so the entry exceeds c.cost on every revisit, and a
+//     batch it wins is a batch stepBatch does not apply.
+//   - remove: can break the barrier and its price rarely rejects it, so
+//     Eq. 3 runs first and the price only on a true verdict.
+func (c *climber) score(m mutation) (cost float64, verified bool) {
+	switch m.kind {
+	case mutAdd, mutAppend:
+		return c.ev.Cost(c.s), false
+	case mutMove:
+		if cost = c.ev.Cost(c.s); cost > c.cost {
+			return cost, false
+		}
+		if !c.kc.Barrier(c.s) {
 			cost = math.Inf(1)
 		}
-		if len(c.table) < transpositionCap {
-			c.table[c.hash] = cost
+		return cost, true
+	default:
+		if !c.kc.Barrier(c.s) {
+			return math.Inf(1), true
 		}
-	}
-	if cost <= c.cost {
-		c.accepts++
-		c.cost = cost
-		if cost < c.bestCost {
-			c.bestCost = cost
-			c.best = c.s.Clone()
-		}
-	} else {
-		c.undo(m, !hit)
+		return c.ev.Cost(c.s), true
 	}
 }
 
@@ -232,34 +277,15 @@ func (c *climber) stepBatch(b int) {
 		if !ok {
 			continue
 		}
-		c.apply(m)
-		c.examined++
-		cost, hit := c.table[c.hash]
-		if hit {
-			c.ttHits++
-		} else {
-			if c.kc.Barrier(c.s) {
-				cost = c.ev.Cost(c.s)
-			} else {
-				cost = math.Inf(1)
-			}
-			if len(c.table) < transpositionCap {
-				c.table[c.hash] = cost
-			}
-		}
+		cost, verified := c.examine(m)
 		if !found || cost < bestCost {
 			found, bestM, bestCost = true, m, cost
 		}
-		c.undo(m, !hit)
+		c.undo(m, verified)
 	}
 	if found && bestCost <= c.cost {
 		c.apply(bestM)
-		c.accepts++
-		c.cost = bestCost
-		if bestCost < c.bestCost {
-			c.bestCost = bestCost
-			c.best = c.s.Clone()
-		}
+		c.accept(bestCost)
 	}
 }
 
@@ -385,16 +411,16 @@ func (c *climber) apply(m mutation) {
 	}
 }
 
-// undo reverses apply exactly. evaluated says whether the candidate went
-// through Barrier/Cost (a transposition miss): then the knowledge cache holds
-// the candidate's matrices and is first rolled back from its undo journal in
-// one shot — which also re-arms the pending notes that Barrier consumed. The
-// undo's own change notes, issued after, cancel the apply's (restored) notes,
-// so the cache ends exactly where it was before the candidate: notes from
-// earlier transposition-answered accepts stay armed, the rejected edit leaves
-// no trace, and no second change wave ever runs.
-func (c *climber) undo(m mutation, evaluated bool) {
-	if evaluated {
+// undo reverses apply exactly. verified says whether Eq. 3 ran on the
+// candidate (score called Barrier): then the knowledge cache holds the
+// candidate's matrices and is first rolled back from its undo journal in one
+// shot — which also re-arms the pending notes that Barrier consumed. The
+// undo's own change notes, issued after, cancel the apply's (restored or
+// never-consumed) notes, so the cache ends exactly where it was before the
+// candidate: notes from earlier accepts that skipped Eq. 3 stay armed, the
+// rejected edit leaves no trace, and no second change wave ever runs.
+func (c *climber) undo(m mutation, verified bool) {
+	if verified {
 		c.kc.Rollback()
 	}
 	switch m.kind {

@@ -1,0 +1,155 @@
+package search
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"topobarrier/internal/predict"
+	"topobarrier/internal/sched"
+	"topobarrier/internal/stats"
+)
+
+// The score-everything reference: candidate scoring as it was before score
+// became per-kind — every unseen candidate goes through Eq. 3, and through the
+// evaluator when it is a barrier. It lives only here, as what the lockstep
+// test holds the gated climber to.
+
+func refExamine(c *climber, m mutation) (cost float64, evaluated bool) {
+	c.apply(m)
+	c.examined++
+	cost, hit := c.table[c.hash]
+	if hit {
+		c.ttHits++
+		return cost, false
+	}
+	if c.kc.Barrier(c.s) {
+		cost = c.ev.Cost(c.s)
+	} else {
+		cost = math.Inf(1)
+	}
+	if len(c.table) < transpositionCap {
+		c.table[c.hash] = cost
+	}
+	return cost, true
+}
+
+func refStep(c *climber) {
+	m, ok := c.draw()
+	if !ok {
+		return
+	}
+	if cost, evaluated := refExamine(c, m); cost <= c.cost {
+		c.accept(cost)
+	} else {
+		c.undo(m, evaluated)
+	}
+}
+
+func refStepBatch(c *climber, b int) {
+	var bestM mutation
+	bestCost := math.Inf(1)
+	found := false
+	for n := 0; n < b; n++ {
+		m, ok := c.draw()
+		if !ok {
+			continue
+		}
+		cost, evaluated := refExamine(c, m)
+		if !found || cost < bestCost {
+			found, bestM, bestCost = true, m, cost
+		}
+		c.undo(m, evaluated)
+	}
+	if found && bestCost <= c.cost {
+		c.apply(bestM)
+		c.accept(bestCost)
+	}
+}
+
+// chunkClusters partitions 0..p-1 into contiguous clusters of four.
+func chunkClusters(p int) [][]int {
+	var clusters [][]int
+	for r := 0; r < p; r++ {
+		if r%4 == 0 {
+			clusters = append(clusters, nil)
+		}
+		clusters[len(clusters)-1] = append(clusters[len(clusters)-1], r)
+	}
+	return clusters
+}
+
+// TestGatedClimberLockstep runs the real step/stepBatch against the
+// score-everything reference from the same RNG seed and requires, after every
+// step, the same working schedule (by hash), the same cost bits and the same
+// examined / transposition-hit / accept counts — i.e. the same decision on
+// every candidate — and that whatever the gated climber kept without running
+// Eq. 3 is a barrier by the from-scratch recurrence. The tables are compared
+// by size only: the gate stores a costlier non-barrier move's real price where
+// the reference stores +Inf.
+func TestGatedClimberLockstep(t *testing.T) {
+	for _, p := range []int{2, 3, 5, 8, 13, 32, 65, 130} {
+		pd := predict.New(syntheticProfile(p, uint64(p)))
+		pd.StageOverhead = 0.1e-6
+		for _, mode := range []string{"uniform", "clustered", "batch8"} {
+			var prop *proposer
+			batch := 0
+			switch mode {
+			case "clustered":
+				var err error
+				if prop, err = newProposer(p, chunkClusters(p)); err != nil {
+					t.Fatal(err)
+				}
+			case "batch8":
+				batch = 8
+			}
+			for _, seed := range []*sched.Schedule{sched.Tree(p), sched.Dissemination(p)} {
+				t.Run(fmt.Sprintf("P%d/%s/%s", p, mode, seed.Name), func(t *testing.T) {
+					lockstep(t, pd, seed, prop, batch)
+				})
+			}
+		}
+	}
+}
+
+func lockstep(t *testing.T, pd *predict.Predictor, seed *sched.Schedule, prop *proposer, batch int) {
+	p := seed.P
+	maxStages := seed.NumStages() + 2
+	z := newZobrist(p, maxStages)
+	cost := pd.Cost(seed)
+	gated := newClimber(pd, z, seed, cost, stats.NewRNG(uint64(77+p)), maxStages, prop, batch)
+	ref := newClimber(pd, z, seed, cost, stats.NewRNG(uint64(77+p)), maxStages, prop, batch)
+	steps := 6000
+	if p > 64 {
+		steps = 1500
+	}
+	if batch > 1 {
+		steps /= 4 // a batch step examines up to batch candidates
+	}
+	for n := 0; n < steps; n++ {
+		accepts := gated.accepts
+		if batch > 1 {
+			gated.stepBatch(batch)
+			refStepBatch(ref, batch)
+		} else {
+			gated.step()
+			refStep(ref)
+		}
+		if gated.hash != ref.hash || math.Float64bits(gated.cost) != math.Float64bits(ref.cost) ||
+			gated.examined != ref.examined || gated.ttHits != ref.ttHits || gated.accepts != ref.accepts ||
+			len(gated.table) != len(ref.table) || math.Float64bits(gated.bestCost) != math.Float64bits(ref.bestCost) {
+			t.Fatalf("step %d diverged: hash %#x/%#x cost %v/%v examined %d/%d ttHits %d/%d accepts %d/%d table %d/%d",
+				n, gated.hash, ref.hash, gated.cost, ref.cost, gated.examined, ref.examined,
+				gated.ttHits, ref.ttHits, gated.accepts, ref.accepts, len(gated.table), len(ref.table))
+		}
+		if gated.accepts != accepts && !gated.s.IsBarrier() {
+			t.Fatalf("step %d: kept a non-barrier:\n%s", n, gated.s)
+		}
+	}
+	if !gated.s.Equal(ref.s) || !gated.best.Equal(ref.best) {
+		t.Fatalf("working or best schedule differs from the reference at the end")
+	}
+	if gated.examined == 0 {
+		t.Fatalf("no candidate was examined")
+	}
+}

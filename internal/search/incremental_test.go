@@ -72,11 +72,11 @@ func TestClimberInvariants(t *testing.T) {
 }
 
 // TestClimberUndoRestoresState applies and immediately undoes every mutation
-// kind — both before evaluation (the transposition-hit path, where change
-// notes cancel) and after a Barrier/Cost evaluation (the miss path, where the
-// knowledge cache rolls back from its undo journal) — and checks the
-// schedule, hash, evaluator, and cached verdict return to their exact prior
-// state.
+// kind — both unscored (the transposition-hit path, where change notes
+// cancel) and after score (the miss path: the knowledge cache rolls back from
+// its undo journal exactly when score ran Eq. 3, and the notes of a kind that
+// skipped it cancel like a hit's) — and checks the schedule, hash, evaluator,
+// and cached verdict return to their exact prior state.
 func TestClimberUndoRestoresState(t *testing.T) {
 	pd := clusteredPredictor(t, 8)
 	seedSched := sched.Tree(8)
@@ -92,13 +92,11 @@ func TestClimberUndoRestoresState(t *testing.T) {
 			continue
 		}
 		c.apply(m)
-		evaluated := n%2 == 1
-		if evaluated {
-			if c.kc.Barrier(c.s) {
-				c.ev.Cost(c.s)
-			}
+		verified := false
+		if n%2 == 1 {
+			_, verified = c.score(m)
 		}
-		c.undo(m, evaluated)
+		c.undo(m, verified)
 		if !c.s.Equal(before) {
 			t.Fatalf("mutation kind %d not undone:\nbefore:\n%s\nafter:\n%s", m.kind, before, c.s)
 		}

@@ -12,6 +12,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 
 	"topobarrier/internal/mat"
 	"topobarrier/internal/predict"
@@ -178,10 +179,13 @@ func (o AnnealOptions) withDefaults(seedSched *sched.Schedule) AnnealOptions {
 // another stage, append a stage) are kept when the mutant still synchronises
 // and does not predict slower. Restarts run as a deterministic parallel
 // portfolio with periodic elite exchange; each restart mutates a single
-// working schedule in place, verifies Eq. 3 through a prefix-reusable
-// knowledge cache, prices candidates through an incremental critical-path
-// evaluator, and never re-scores a schedule its transposition table has seen.
-// The cheapest schedule observed anywhere in the portfolio is returned.
+// working schedule in place, prices candidates through an incremental
+// critical-path evaluator, runs Eq. 3 through a prefix-reusable knowledge
+// cache only for the move kinds that can break a barrier and only when the
+// verdict can change the decision (climber.score), and never re-scores a
+// schedule its transposition table has seen. The cheapest schedule observed
+// anywhere in the portfolio is returned, after one from-scratch
+// re-verification of its Eq. 3 verdict and its cost; a mismatch is an error.
 func Anneal(pd *predict.Predictor, seedSched *sched.Schedule, opts AnnealOptions) (*Result, error) {
 	if !seedSched.IsBarrier() {
 		return nil, fmt.Errorf("search: seed %q is not a barrier", seedSched.Name)
@@ -207,5 +211,13 @@ func Anneal(pd *predict.Predictor, seedSched *sched.Schedule, opts AnnealOptions
 		}
 	}
 	best.Schedule.Name = fmt.Sprintf("annealed(%s)", seedSched.Name)
+	// The climb elides every check its move kind makes redundant, so the one
+	// unconditional verification sits here, where the result leaves the
+	// package: Eq. 3 and the price, both from scratch.
+	barrier, scratch := best.Schedule.IsBarrier(), pd.Cost(best.Schedule)
+	if !barrier || math.Float64bits(scratch) != math.Float64bits(best.Cost) {
+		return nil, fmt.Errorf("search: result %q fails re-verification: barrier %v, tracked cost %g, from scratch %g",
+			best.Schedule.Name, barrier, best.Cost, scratch)
+	}
 	return best, nil
 }

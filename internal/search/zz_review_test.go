@@ -29,9 +29,13 @@ func syntheticProfile(p int, seed uint64) *profile.Profile {
 	return pr
 }
 
-// Differential stress: replicate climber.step's protocol but verify the
-// incremental Barrier verdict and Cost against from-scratch computation at
-// every evaluated candidate AND after every accept/undo.
+// Differential stress: drive the climber candidate by candidate through
+// examine/undo — climber.step's protocol — and check every score against
+// from-scratch computation: a verdict Eq. 3 produced, and equally a verdict
+// score elided (an add or append must be a barrier by Schedule.IsBarrier; a
+// move may skip Eq. 3 only when its price already rejects it), the cost of
+// every priced candidate, the hash, and the incremental state after every
+// accept/undo.
 func TestReviewDifferentialStress(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13} {
 		prof := syntheticProfile(p, 1)
@@ -50,38 +54,39 @@ func TestReviewDifferentialStress(t *testing.T) {
 			if !ok {
 				continue
 			}
-			c.apply(m)
-			cost, hit := c.table[c.hash]
-			if !hit {
-				if c.kc.Barrier(c.s) {
-					cost = c.ev.Cost(c.s)
-				} else {
-					cost = math.Inf(1)
+			hits := c.ttHits
+			cost, verified := c.examine(m)
+			wantB := c.s.IsBarrier()
+			switch {
+			case c.ttHits != hits:
+				// A table entry is +Inf for a non-barrier, or a real price
+				// above the current cost for a move that skipped Eq. 3.
+				if !wantB && !math.IsInf(cost, 1) && cost <= c.cost {
+					t.Fatalf("p=%d step=%d table would accept a non-barrier (hash collision?)", p, n)
 				}
-				// cross-check against from-scratch
-				wantB := c.s.IsBarrier()
-				gotB := !math.IsInf(cost, 1)
-				if wantB != gotB {
+			case verified:
+				if gotB := !math.IsInf(cost, 1); gotB != wantB {
 					t.Fatalf("p=%d step=%d barrier verdict: incremental=%v scratch=%v\n%s", p, n, gotB, wantB, c.s)
 				}
-				if wantB {
-					want := pd.Cost(c.s)
-					if cost != want {
-						t.Fatalf("p=%d step=%d cost: incremental=%v scratch=%v", p, n, cost, want)
-					}
+			case m.kind == mutMove:
+				if cost <= c.cost {
+					t.Fatalf("p=%d step=%d move priced %v ≤ %v skipped Eq. 3", p, n, cost, c.cost)
 				}
-				c.table[c.hash] = cost
-			} else {
-				// verify the cached entry matches scratch for the current state
-				wantB := c.s.IsBarrier()
-				if wantB != !math.IsInf(cost, 1) {
-					t.Fatalf("p=%d step=%d table verdict mismatch (hash collision?)", p, n)
+			default:
+				if m.kind == mutRemove || !wantB {
+					t.Fatalf("p=%d step=%d kind %d skipped Eq. 3, scratch verdict %v\n%s", p, n, m.kind, wantB, c.s)
 				}
 			}
+			if want := pd.Cost(c.s); !math.IsInf(cost, 1) && c.ttHits == hits && cost != want {
+				t.Fatalf("p=%d step=%d cost: incremental=%v scratch=%v", p, n, cost, want)
+			}
 			if cost <= c.cost {
+				if !wantB {
+					t.Fatalf("p=%d step=%d accepting a non-barrier\n%s", p, n, c.s)
+				}
 				c.cost = cost
 			} else {
-				c.undo(m, !hit)
+				c.undo(m, verified)
 			}
 			// verify hash integrity
 			if c.hash != c.z.hashOf(c.s) {

@@ -16,7 +16,7 @@ import (
 	"topobarrier/internal/topo"
 )
 
-func throughputPredictor(b *testing.B, p int) *predict.Predictor {
+func throughputPredictor(b testing.TB, p int) *predict.Predictor {
 	b.Helper()
 	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
 	if err != nil {
@@ -104,4 +104,24 @@ func BenchmarkSearchWorkerScaling(b *testing.B) {
 			b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
 		})
 	}
+}
+
+// BenchmarkAnnealColdTree32 is the ledger's search_cold_p32 shape in
+// miniature: binomial-tree seed at P=32, three restarts, uniform proposals —
+// accept-heavy, where BenchmarkSearchThroughput's dissemination seeds are
+// reject-heavy from the first step.
+func BenchmarkAnnealColdTree32(b *testing.B) {
+	pd := throughputPredictor(b, 32)
+	seed := sched.Tree(32)
+	examined := 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		res, err := search.Anneal(pd, seed, search.AnnealOptions{Seed: uint64(n), Budget: 200_000, Restarts: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		examined += res.Examined
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
 }
