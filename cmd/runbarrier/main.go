@@ -11,7 +11,7 @@
 // instead of hanging the job. -net-fault injects a deterministic transport
 // fault (drop/delay/truncate/sever) on one rank's accepted links to
 // demonstrate the fail-fast behaviour. -transport hybrid upgrades every
-// link between co-located ranks to an in-process shared-memory ring
+// link between co-located ranks to an in-process shared-memory link
 // (co-location from -colocate, or derived from -cluster/-placement);
 // cross-node links stay TCP and failure semantics are identical on both.
 //
@@ -92,7 +92,7 @@ func main() {
 		netDead   = flag.Duration("net-deadline", 2*time.Second, "per-receive deadline on the TCP mesh; a rank exceeding it fails the barrier")
 		netDial   = flag.Duration("net-dial-timeout", 5*time.Second, "TCP mesh formation budget (dials retry with exponential backoff)")
 		netFault  = flag.String("net-fault", "", "inject a transport fault, op:rank:frame[:arg] with op drop|delay|truncate|sever (delay arg: duration, truncate arg: bytes kept); e.g. sever:0:2")
-		transport = flag.String("transport", "tcp", "with -net, mesh transport: tcp, or hybrid (shared-memory rings between co-located ranks)")
+		transport = flag.String("transport", "tcp", "with -net, mesh transport: tcp, or hybrid (shared memory between co-located ranks)")
 		colocate  = flag.String("colocate", "", "with -transport hybrid, co-location spec: \"nodes=K\" or rank groups \"0-3,4-7\"; default derives from -cluster/-placement")
 
 		retuneRun      = flag.Bool("retune", false, "with -net, run the closed-loop online retuning controller during the measurement")
@@ -314,7 +314,7 @@ type retuneConfig struct {
 // runNet executes the barrier over a real loopback mesh with per-rank
 // failure reporting: every rank either reports its mean barrier time or the
 // transport error that stopped it within its deadline. A non-nil nodes
-// vector routes co-located links over shared-memory rings; fault injection
+// vector routes co-located links over shared memory; fault injection
 // applies to the TCP links only (the faultnet injectors wrap net.Conn). A
 // non-nil rc runs the measurement through epoch runners with the online
 // retuning controller attached.

@@ -28,7 +28,7 @@
 // minimum RTT is stable for -adaptive samples, and with -profile-cache reuses
 // a fingerprinted profile from a previous run, re-validating a sampled
 // subset of links against -drift-tol before trusting it. -transport hybrid
-// forms the mesh with shared-memory rings between co-located ranks (from
+// forms the mesh with shared memory between co-located ranks (from
 // -colocate, or derived from -cluster/-placement), so the probed profile
 // and the drift table show the real intra/inter-node class gap.
 //
@@ -92,7 +92,7 @@ func main() {
 		netDead    = flag.Duration("net-deadline", 5*time.Second, "per-receive deadline on the mesh (-net)")
 		netDial    = flag.Duration("net-dial-timeout", 5*time.Second, "mesh formation budget (-net)")
 		traceOut   = flag.String("trace-out", "", "write the final traced execution as Chrome trace-event JSON (-net)")
-		transport  = flag.String("transport", "tcp", "mesh transport: tcp, or hybrid (shared-memory rings between co-located ranks) (-net)")
+		transport  = flag.String("transport", "tcp", "mesh transport: tcp, or hybrid (shared memory between co-located ranks) (-net)")
 		colocate   = flag.String("colocate", "", "co-location spec for -transport hybrid: \"nodes=K\" or rank groups \"0-3,4-7\"; default derives from -cluster/-placement (-net)")
 	)
 	flag.Parse()

@@ -35,7 +35,7 @@
 // -probe-net P skips stored profiles entirely: it forms a live P-rank
 // loopback mesh, probes the O/L matrices over it, and tunes against the
 // measurement. -transport hybrid with -colocate routes co-located links over
-// shared-memory rings, so the probed profile carries the intra- vs
+// shared memory, so the probed profile carries the intra- vs
 // cross-node cost gap and the SSS clustering can exploit it. Combined with
 // -profile-cache, the live probe goes through the fingerprinted cache: a
 // warm entry (same rank count, probe budget, and transport signature — a
@@ -82,7 +82,7 @@ func main() {
 		fpPrefix = flag.String("fingerprint", "", "with -profile-cache: fingerprint prefix selecting the entry (default: newest)")
 
 		probeNet   = flag.Int("probe-net", 0, "probe a live P-rank loopback mesh and tune against the measured profile instead of -profile")
-		transport  = flag.String("transport", "tcp", "with -probe-net, mesh transport: tcp, or hybrid (shared-memory rings between co-located ranks)")
+		transport  = flag.String("transport", "tcp", "with -probe-net, mesh transport: tcp, or hybrid (shared memory between co-located ranks)")
 		colocate   = flag.String("colocate", "", "with -transport hybrid, co-location spec: \"nodes=K\" or rank groups \"0-3,4-7\"")
 		probeIters = flag.Int("probe-iters", 8, "with -probe-net, max ping-pongs per ordered rank pair")
 		driftTol   = flag.Float64("drift-tol", 0.5, "with -probe-net and -profile-cache, relative O+L drift that marks a cached link stale during revalidation; 0 trusts a hit blindly")

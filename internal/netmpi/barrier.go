@@ -1,0 +1,269 @@
+package netmpi
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"time"
+
+	"topobarrier/internal/analyze"
+	"topobarrier/internal/run"
+	"topobarrier/internal/sched"
+	"topobarrier/internal/telemetry"
+)
+
+// stageClass names the transport mix of one stage's links for span tagging:
+// "tcp", "shm", or "mixed". On a pure-TCP mesh it is a constant — the common
+// fast path costs one nil check.
+func (p *Peer) stageClass(st run.StageOps) string {
+	if p.nodes == nil {
+		return "tcp"
+	}
+	sawTCP, sawShm := false, false
+	classify := func(r int) {
+		if p.TransportOf(r) == TransportShm {
+			sawShm = true
+		} else {
+			sawTCP = true
+		}
+	}
+	for _, dst := range st.Sends {
+		classify(dst)
+	}
+	for _, src := range st.Recvs {
+		classify(src)
+	}
+	switch {
+	case sawTCP && sawShm:
+		return "mixed"
+	case sawShm:
+		return "shm"
+	default:
+		return "tcp"
+	}
+}
+
+// Message-span names, precomputed so the traced hot path does not
+// concatenate per message. The suffix is the link's transport class; the
+// span's peer attribute is the other end and the tag attribute is the wire
+// tag, which is what lets critpath match a send span on one rank to the
+// receive span it caused on another.
+const (
+	sendSpanTCP = "barrier.send:tcp"
+	sendSpanShm = "barrier.send:shm"
+	recvSpanTCP = "barrier.recv:tcp"
+	recvSpanShm = "barrier.recv:shm"
+)
+
+func (p *Peer) sendSpanName(dst int) string {
+	if p.TransportOf(dst) == TransportShm {
+		return sendSpanShm
+	}
+	return sendSpanTCP
+}
+
+func (p *Peer) recvSpanName(src int) string {
+	if p.TransportOf(src) == TransportShm {
+		return recvSpanShm
+	}
+	return recvSpanTCP
+}
+
+// Barrier executes one compiled barrier plan over the mesh, using tags in
+// [tagBase, tagBase+plan stages). The deadline bounds each receive; any
+// transport failure or timeout aborts the barrier with an error naming the
+// stage and the link.
+func (p *Peer) Barrier(pl *run.Plan, tagBase int, deadline time.Duration) error {
+	_, err := p.execute(pl, tagBase, deadline, false)
+	return err
+}
+
+// BarrierResilient executes one compiled barrier plan like Barrier, but
+// keeps going when peers die mid-barrier: sends to and receives from latched
+// failed links are skipped instead of aborting. It returns the sorted ranks
+// that were skipped.
+//
+// The correctness contract is exactly what analyze.CertifyK certifies: if
+// the plan's schedule is k-fault resilient and at most k ranks die (each
+// detected as its links latch), the knowledge closure among survivors still
+// holds, so every survivor's exit happens after every survivor's entry. On a
+// schedule that is NOT resilient against the dead set, some survivor's
+// required knowledge chain routes through a dead rank; that survivor's
+// receive then waits on a healthy link whose sender is itself stalled, and
+// the deadline converts the certified-impossible wait into an error rather
+// than a hang. Run it only under a positive deadline for that reason.
+func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duration) ([]int, error) {
+	return p.execute(pl, tagBase, deadline, true)
+}
+
+// execute is the stage loop both executors share: per stage, all sends, then
+// all receives, each under a message span. resilient selects the per-message
+// primitives — Send/Recv, which abort on the first failure anywhere, or
+// sendResilient/recvResilient, which skip latched links and report them.
+func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resilient bool) (skipped []int, err error) {
+	if pl.P != p.size {
+		return nil, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
+	}
+	var barrierStart time.Time
+	if p.m.enabled {
+		barrierStart = time.Now()
+	}
+	for _, st := range pl.RankOps(p.rank) {
+		tag := tagBase + st.Stage
+		var stageStart time.Time
+		if p.m.enabled {
+			stageStart = time.Now()
+		}
+		var span telemetry.Span
+		if p.tracer != nil {
+			span = p.tracer.Begin("barrier.stage:"+p.stageClass(st), p.rank, st.Stage, -1)
+		}
+		for _, dst := range st.Sends {
+			ms := p.tracer.BeginTag(p.sendSpanName(dst), p.rank, st.Stage, dst, tag)
+			skipIt := false
+			if resilient {
+				skipIt, err = p.sendResilient(dst, tag, nil)
+			} else {
+				err = p.Send(dst, tag, nil)
+			}
+			ms.End()
+			if err != nil {
+				span.End()
+				return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
+			}
+			if skipIt {
+				skipped = addRank(skipped, dst)
+			}
+		}
+		for _, src := range st.Recvs {
+			ms := p.tracer.BeginTag(p.recvSpanName(src), p.rank, st.Stage, src, tag)
+			skipIt := false
+			if resilient {
+				skipIt, err = p.recvResilient(src, tag, deadline)
+			} else {
+				_, err = p.Recv(src, tag, deadline)
+			}
+			ms.End()
+			if err != nil {
+				span.End()
+				return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
+			}
+			if skipIt {
+				skipped = addRank(skipped, src)
+			}
+		}
+		span.End()
+		if p.m.enabled {
+			p.m.stageDur.Observe(time.Since(stageStart).Seconds())
+		}
+	}
+	if p.m.enabled {
+		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
+	}
+	return skipped, nil
+}
+
+// addRank inserts r into the sorted set ranks.
+func addRank(ranks []int, r int) []int {
+	if i, found := slices.BinarySearch(ranks, r); !found {
+		ranks = slices.Insert(ranks, i, r)
+	}
+	return ranks
+}
+
+// sendResilient writes one frame unless the link to dst is already latched
+// as failed, in which case it reports skipped. A write error latches the
+// link (not the whole peer: the resilient path's point is to keep going)
+// and reports skipped too — on TCP, writes to a dead peer may buffer
+// silently or surface late, so the reader-side EOF latch is the primary
+// detector and the write error just confirms it.
+func (p *Peer) sendResilient(dst, tag int, payload []byte) (skipped bool, err error) {
+	if p.down.Load() { // some latch is set: find out whether it concerns dst
+		p.mu.Lock()
+		closed, linkErr := p.closed, p.linkErr[dst]
+		p.mu.Unlock()
+		if closed {
+			return false, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
+		}
+		if linkErr != nil {
+			return true, nil
+		}
+	}
+	if werr := p.writeFrame(dst, tag, payload); werr != nil {
+		p.fail(dst, werr)
+		return true, nil
+	}
+	return false, nil
+}
+
+// recvResilient waits for a message from src unless (or until) the link to
+// src is latched as failed. Mail that arrived before the failure is drained
+// and delivered first, exactly like the peer-level path. It reports skipped
+// when the link is down, a timeout error when the deadline passes on a
+// healthy link — the certified-schedule hang case, which resilience cannot
+// excuse — and a closed error on local Close.
+func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (skipped bool, err error) {
+	switch _, why := p.await(src, tag, deadline, p.linkDown[src], p.closedCh); why {
+	case gotMail:
+		return false, nil
+	case wakeFirst:
+		return true, nil
+	case wakeSecond:
+		return false, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
+	}
+	return false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
+}
+
+// VetPlan is the pre-execution gate for real-network runs: it runs the
+// barriervet static analysis over the schedule, compiles it only when the
+// report carries no Error-severity findings, then runs the plan-level
+// protocol checks (matched sends/receives, tag budget, rendezvous cycles)
+// over the compiled artifact — the thing that actually touches sockets.
+// Unlike run.NewPlan's bare boolean check, a refusal explains itself: the
+// returned report holds the stalled knowledge pairs, chain counterexamples,
+// or protocol violations, and is returned even on failure so callers can
+// render it.
+func VetPlan(s *sched.Schedule, opts analyze.Options) (*run.Plan, *analyze.Report, error) {
+	rep := analyze.Analyze(s, opts)
+	if err := rep.Err(); err != nil {
+		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
+	}
+	pl, err := run.NewPlan(s)
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.Findings = append(rep.Findings, analyze.CheckPlan(pl)...)
+	sort.SliceStable(rep.Findings, func(i, j int) bool {
+		return rep.Findings[i].Severity > rep.Findings[j].Severity
+	})
+	if err := rep.Err(); err != nil {
+		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
+	}
+	return pl, rep, nil
+}
+
+// MeasureBarrier times iters wall-clock barrier executions after warmup
+// untimed ones. All ranks must call it with the same arguments; the caller
+// aggregates the per-rank durations.
+func (p *Peer) MeasureBarrier(pl *run.Plan, warmup, iters int, deadline time.Duration) (time.Duration, error) {
+	if iters <= 0 {
+		return 0, fmt.Errorf("netmpi: non-positive iteration count %d", iters)
+	}
+	tag := 0
+	next := func() int {
+		tag++
+		return (tag % 2) * run.TagSpan
+	}
+	for i := 0; i < warmup; i++ {
+		if err := p.Barrier(pl, next(), deadline); err != nil {
+			return 0, err
+		}
+	}
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := p.Barrier(pl, next(), deadline); err != nil {
+			return 0, err
+		}
+	}
+	return time.Duration(int64(time.Since(start)) / int64(iters)), nil
+}

@@ -15,7 +15,7 @@ import (
 )
 
 // hybridMesh spins up a p-rank mesh whose co-located ranks (same node id)
-// talk over shared-memory rings. Cleanup closes everything.
+// talk over shared memory. Cleanup closes everything.
 func hybridMesh(tb testing.TB, p int, nodes []int, opts ...Option) []*Peer {
 	tb.Helper()
 	peers, err := HybridMesh(p, nodes, meshTimeout, opts...)
@@ -103,51 +103,6 @@ func TestShmSendKeepsCallerOwnership(t *testing.T) {
 	}
 }
 
-// TestShmRing drives the sense-reversing ring directly: FIFO across several
-// wraparound laps, and the full-ring producer aborting when the consumer
-// side closes instead of spinning forever.
-func TestShmRing(t *testing.T) {
-	peers := mesh(t, 2) // healthy peer: pushAbort stays nil
-	r := newShmRing()
-	// Three laps of interleaved push/pop exercise the epoch rearm.
-	seqNo := 0
-	for lap := 0; lap < 3; lap++ {
-		for i := 0; i < shmRingSize; i++ {
-			if err := r.push(seqNo, nil, peers[0], 1); err != nil {
-				t.Fatal(err)
-			}
-			tag, _, ok := r.pop()
-			if !ok || tag != seqNo {
-				t.Fatalf("lap %d: pop = (%d, %v), want %d", lap, tag, ok, seqNo)
-			}
-			seqNo++
-		}
-	}
-	// Fill the ring completely; the next push must block (spin), then abort
-	// with the remote-gone error once the ring closes.
-	for i := 0; i < shmRingSize; i++ {
-		if err := r.push(i, nil, peers[0], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pushed := make(chan error, 1)
-	go func() { pushed <- r.push(0, nil, peers[0], 1) }()
-	select {
-	case err := <-pushed:
-		t.Fatalf("push into a full ring returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	r.close()
-	select {
-	case err := <-pushed:
-		if err != errShmRemoteGone {
-			t.Fatalf("full-ring push error = %v, want errShmRemoteGone", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("full-ring push still spinning 5s after close")
-	}
-}
-
 // TestHybridBarrierSemantics is the delay-injection synchronization check
 // over a mixed mesh: with rank 5 entering 150ms late, nobody may leave
 // before its entry — the barrier property must not depend on which
@@ -189,7 +144,7 @@ func TestHybridBarrierSemantics(t *testing.T) {
 
 // TestShmKilledPeerMidBarrierFailsFast is the shm analogue of the TCP
 // killed-peer acceptance test: on a fully co-located mesh, one rank dying
-// mid-barrier must fail every survivor by ring-close propagation — naming
+// mid-barrier must fail every survivor by close propagation — naming
 // the shm link — far faster than the deadline, with no goroutine leaks.
 func TestShmKilledPeerMidBarrierFailsFast(t *testing.T) {
 	const p = 6

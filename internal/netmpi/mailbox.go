@@ -1,0 +1,225 @@
+package netmpi
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// mailbox is one (source, tag) queue. It is unbounded so a producer — a TCP
+// reader or a co-located sender — can always deliver without blocking: a
+// full queue on one tag must not stall frames for every other tag sharing
+// the link. pending mirrors the queue length so an empty check costs one
+// atomic load instead of the lock. The avail channel (capacity 1) is a
+// wake-up edge, not the data path: a take that found its message without
+// parking leaves a stale token behind, which costs the next parked receiver
+// one empty re-check and nothing else, and take re-arms the edge while
+// messages remain so coalesced signals cannot strand a waiter.
+type mailbox struct {
+	mu      sync.Mutex
+	msgs    [][]byte // queued messages are msgs[head:]
+	head    int
+	pending atomic.Int32
+	avail   chan struct{}
+}
+
+func (b *mailbox) wake() {
+	select {
+	case b.avail <- struct{}{}:
+	default:
+	}
+}
+
+func (b *mailbox) put(msg []byte) {
+	b.mu.Lock()
+	// Reclaim the consumed prefix instead of growing once it is at least half
+	// the array: steady traffic then reuses one backing array forever.
+	if b.head > 0 && len(b.msgs) == cap(b.msgs) && b.head >= len(b.msgs)/2 {
+		n := copy(b.msgs, b.msgs[b.head:])
+		clear(b.msgs[n:])
+		b.msgs, b.head = b.msgs[:n], 0
+	}
+	b.msgs = append(b.msgs, msg)
+	b.pending.Add(1)
+	b.mu.Unlock()
+	b.wake()
+}
+
+func (b *mailbox) take() ([]byte, bool) {
+	if b.pending.Load() == 0 {
+		return nil, false
+	}
+	b.mu.Lock()
+	if b.head == len(b.msgs) {
+		b.mu.Unlock()
+		return nil, false
+	}
+	msg := b.msgs[b.head]
+	b.msgs[b.head] = nil
+	b.head++
+	remaining := len(b.msgs) - b.head
+	if remaining == 0 {
+		b.msgs, b.head = b.msgs[:0], 0
+	}
+	b.pending.Add(-1)
+	b.mu.Unlock()
+	if remaining > 0 {
+		b.wake()
+	}
+	return msg, true
+}
+
+// inbox holds the mailboxes fed by one source rank, keyed by tag. A TCP
+// link's inbox is private to the receiving Peer and fed by its reader
+// goroutine; a shared-memory link's inbox lives in the segment both
+// endpoints share (shmLink) and is fed by the sender itself.
+type inbox struct {
+	mu    sync.Mutex
+	boxes map[int]*mailbox
+}
+
+// box returns (creating on demand) the mailbox of one tag.
+func (in *inbox) box(tag int) *mailbox {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	b, ok := in.boxes[tag]
+	if !ok {
+		if in.boxes == nil {
+			in.boxes = map[int]*mailbox{}
+		}
+		b = &mailbox{avail: make(chan struct{}, 1)}
+		in.boxes[tag] = b
+	}
+	return b
+}
+
+// shmYields is how many times a receive on a shared-memory link yields the
+// processor and re-checks its mailbox before it parks. The sender of an shm
+// signal is a goroutine of this process that delivers straight into the
+// mailbox, so letting it run is usually all the wait there is, and a yield
+// is several times cheaper than park + wake-up. The budget is deliberately
+// tiny: with more runnable ranks than processors a long spin only delays the
+// ranks everyone is waiting for (results/pr15_shm_onehop.md has the
+// {0, 2, 8, 64} table on all-shm, 2×4 mixed and all-TCP meshes). Receives on
+// TCP links never yield — their producer is a reader goroutine blocked in
+// the kernel, and yielding in front of it starves it.
+const shmYields = 2
+
+// wakeReason says what ended a receive wait: a message, or one of the three
+// things that can cut the wait short.
+type wakeReason int
+
+const (
+	gotMail wakeReason = iota
+	wakeFirst
+	wakeSecond
+	wakeTimeout
+)
+
+// timerPool recycles the deadline timers of parked receives; go.mod's go 1.23
+// timers deliver nothing stale after Stop, so a recycled timer needs no drain.
+var timerPool = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
+// await is the one receive wait: it returns the next message of (src, tag),
+// or why it gave up — first or second closed, or the deadline (0 = none)
+// passed. Whatever ends the wait, mail that raced in ahead of it is returned
+// instead. Both receive flavours differ only in which two latches they
+// watch: Recv the caller's cancel and the peer-level failure, the resilient
+// path the link-level failure and the local close.
+func (p *Peer) await(src, tag int, deadline time.Duration, first, second <-chan struct{}) ([]byte, wakeReason) {
+	b := p.in[src].box(tag)
+	if p.m.enabled {
+		start := time.Now()
+		defer func() { p.m.recvWait.Observe(time.Since(start).Seconds()) }()
+	}
+	shm := p.shmOut[src] != nil
+	msg, ok := b.take()
+	for i := 0; shm && !ok && i < shmYields; i++ {
+		runtime.Gosched()
+		msg, ok = b.take()
+	}
+	why := gotMail
+	if !ok {
+		msg, why = b.park(deadline, first, second)
+	}
+	if why == gotMail && shm {
+		// A shared-memory frame has no reader goroutine to count it on
+		// arrival, so its receiver does.
+		p.m.recvFrames[src].Add(1)
+		p.m.recvBytes[src].Add(int64(len(msg)))
+	}
+	return msg, why
+}
+
+// park blocks on the mailbox's wake-up edge, the two latches and the
+// deadline. The timer exists only here, past the fast paths.
+func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) ([]byte, wakeReason) {
+	var timeout <-chan time.Time
+	if deadline > 0 {
+		timer := timerPool.Get().(*time.Timer)
+		timer.Reset(deadline)
+		defer func() { timer.Stop(); timerPool.Put(timer) }()
+		timeout = timer.C
+	}
+	why := gotMail
+	for {
+		select {
+		case <-b.avail:
+		case <-first:
+			why = wakeFirst
+		case <-second:
+			why = wakeSecond
+		case <-timeout:
+			why = wakeTimeout
+		}
+		if msg, ok := b.take(); ok {
+			return msg, gotMail
+		}
+		if why != gotMail {
+			return nil, why
+		}
+	}
+}
+
+// ErrRecvCancelled is returned by RecvCancel when the caller's cancel
+// channel closes before a matching message arrives.
+var ErrRecvCancelled = errors.New("netmpi: receive cancelled")
+
+// Recv blocks until a message with the given source and tag arrives and
+// returns its payload. The deadline bounds the wait; zero means no time
+// bound, but every Recv — deadline or not — wakes immediately when the peer
+// fails or is closed, returning the latched transport error. Mail delivered
+// before a failure stays readable.
+func (p *Peer) Recv(src, tag int, deadline time.Duration) ([]byte, error) {
+	return p.RecvCancel(src, tag, deadline, nil)
+}
+
+// RecvCancel is Recv with a third wake source: when cancel closes before a
+// matching message arrives, the wait ends immediately with ErrRecvCancelled
+// (mail that raced in ahead of the cancellation is still returned). A nil
+// cancel channel never fires, making RecvCancel(src, tag, d, nil) ≡ Recv.
+// The probe pipeline uses this to latch a failed pair: when one side of a
+// timed exchange errors out, it cancels its partner's pending receive
+// instead of leaving it blocked until the deadline.
+func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan struct{}) ([]byte, error) {
+	if src < 0 || src >= p.size || src == p.rank {
+		return nil, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
+	}
+	msg, why := p.await(src, tag, deadline, cancel, p.done)
+	switch why {
+	case gotMail:
+		return msg, nil
+	case wakeFirst:
+		return nil, ErrRecvCancelled
+	}
+	if err := p.err(); err != nil {
+		return nil, err
+	}
+	if why == wakeSecond {
+		return nil, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
+	}
+	return nil, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
+}

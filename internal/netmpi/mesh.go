@@ -58,9 +58,9 @@ func LoopbackMesh(p int, timeout time.Duration, opts ...Option) ([]*Peer, error)
 }
 
 // HybridMesh is LoopbackMesh with a co-location map: links between ranks
-// sharing a node id run over in-process shared-memory rings, everything else
-// over framed TCP. nodes[i] is rank i's node id; a nil nodes forms a plain
-// TCP mesh. One ShmHub is created for the whole mesh, so every co-located
+// sharing a node id run over in-process shared-memory segments, everything
+// else over framed TCP. nodes[i] is rank i's node id; a nil nodes forms a
+// plain TCP mesh. One ShmHub is created for the whole mesh, so every co-located
 // pair attaches the same segment.
 func HybridMesh(p int, nodes []int, timeout time.Duration, opts ...Option) ([]*Peer, error) {
 	if nodes == nil {

@@ -13,7 +13,9 @@
 // per-link FIFO order exactly like the simulator's non-overtaking guarantee.
 // Mailboxes are unbounded queues and readers never block on delivery, so a
 // slow consumer on one tag cannot head-of-line-block other tags from the
-// same source.
+// same source. Links between co-located ranks (WithColocation) skip sockets,
+// frames and readers altogether: the sender puts straight into the
+// receiver's mailbox (shm.go).
 //
 // Barrier correctness needs only the knowledge recurrence of the schedule
 // (Eq. 3), which holds for eager sends, so sends are plain buffered writes;
@@ -46,42 +48,44 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"topobarrier/internal/analyze"
-	"topobarrier/internal/run"
-	"topobarrier/internal/sched"
 	"topobarrier/internal/telemetry"
 )
 
 // Peer is one rank's endpoint in the fully connected mesh. Each link is
-// carried by exactly one transport: framed TCP (conns[j] non-nil) or the
-// in-process shared-memory rings (shmOut[j]/shmIn[j] non-nil), selected at
-// Dial time from the co-location map (WithColocation). Both transports
-// terminate in the same mailboxes and the same failure latches, so every
-// receive path behaves identically regardless of what carried the frame.
+// carried by exactly one transport: framed TCP (conns[j] non-nil) or shared
+// memory (shmOut[j] non-nil), selected at Dial time from the co-location map
+// (WithColocation). Both transports terminate in the same mailbox type and
+// the same failure latches, so every receive path behaves identically
+// regardless of what carried the message; the one thing a receive reads off
+// the link's class is whether yielding before it parks can help (shmYields).
 type Peer struct {
 	rank  int
 	size  int
 	conns []net.Conn
 
+	// in[j] holds the mailboxes fed by rank j: private and filled by the
+	// connection's reader on a TCP link, owned by the shared segment and
+	// filled by rank j's own sends on a shared-memory link.
+	in []*inbox
+
 	// Hybrid transport state: nodes is the co-location vector (nil = pure
-	// TCP), hub the segment rendezvous, shmOut[j]/shmIn[j] the per-direction
-	// rings of shared-memory links (nil entries for TCP links).
+	// TCP), hub the segment rendezvous, shmOut[j] the outbound direction of
+	// the shared-memory link to rank j (nil for TCP links).
 	hub    *ShmHub
 	nodes  []int
-	shmOut []*shmRing
-	shmIn  []*shmRing
+	shmOut []*shmLink
 
 	mu     sync.Mutex
-	boxes  map[mailKey]*mailbox
 	errVal error
 	closed bool
-	done   chan struct{} // closed on first failure or on Close; wakes all waiters
-	wg     sync.WaitGroup
+	down   atomic.Bool    // errVal != nil || closed: lets Send skip mu while healthy
+	done   chan struct{}  // closed on first failure or on Close; wakes all waiters
+	wg     sync.WaitGroup // the TCP readers; shared-memory links own no goroutine
 
 	// Per-link failure state, feeding the resilient execution path. fail()
 	// latches both granularities: linkErr[src]/linkDown[src] record which
@@ -163,54 +167,6 @@ func (p *Peer) initMetrics() {
 	p.m.barrierDur = p.reg.Histogram(telemetry.Label("netmpi_barrier_seconds", "rank", me), nil)
 }
 
-type mailKey struct {
-	src, tag int
-}
-
-// mailbox is one (source, tag) queue. It is unbounded so the per-connection
-// reader can always deliver without blocking: a full queue on one tag must
-// not stall frames for every other tag sharing the link. The avail channel
-// (capacity 1) is a wakeup edge, not the data path; take re-arms it when
-// messages remain so coalesced signals cannot strand a waiter.
-type mailbox struct {
-	mu    sync.Mutex
-	msgs  [][]byte
-	avail chan struct{}
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{avail: make(chan struct{}, 1)}
-}
-
-func (b *mailbox) put(msg []byte) {
-	b.mu.Lock()
-	b.msgs = append(b.msgs, msg)
-	b.mu.Unlock()
-	select {
-	case b.avail <- struct{}{}:
-	default:
-	}
-}
-
-func (b *mailbox) take() ([]byte, bool) {
-	b.mu.Lock()
-	if len(b.msgs) == 0 {
-		b.mu.Unlock()
-		return nil, false
-	}
-	msg := b.msgs[0]
-	b.msgs = b.msgs[1:]
-	remaining := len(b.msgs)
-	b.mu.Unlock()
-	if remaining > 0 {
-		select {
-		case b.avail <- struct{}{}:
-		default:
-		}
-	}
-	return msg, true
-}
-
 // frame header: src (handshake only), tag, payload length.
 const headerBytes = 8
 
@@ -281,9 +237,8 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		rank:     rank,
 		size:     p,
 		conns:    make([]net.Conn, p),
-		shmOut:   make([]*shmRing, p),
-		shmIn:    make([]*shmRing, p),
-		boxes:    map[mailKey]*mailbox{},
+		in:       make([]*inbox, p),
+		shmOut:   make([]*shmLink, p),
 		done:     make(chan struct{}),
 		linkErr:  make([]error, p),
 		linkDown: make([]chan struct{}, p),
@@ -292,14 +247,12 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 	for j := 0; j < p; j++ {
 		if j != rank {
 			peer.linkDown[j] = make(chan struct{})
+			peer.in[j] = new(inbox)
 		}
 	}
 	for _, opt := range opts {
 		opt(peer)
 	}
-	// Attach the shared-memory links before any TCP work: co-located links
-	// rendezvous in the hub instead of dialing, so the socket loops below
-	// only cover the cross-node remainder.
 	if peer.nodes != nil {
 		if len(peer.nodes) != p {
 			return nil, fmt.Errorf("netmpi: rank %d: colocation vector covers %d ranks, mesh has %d", rank, len(peer.nodes), p)
@@ -307,14 +260,23 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		if peer.hub == nil {
 			return nil, fmt.Errorf("netmpi: rank %d: colocation without a shared ShmHub", rank)
 		}
-		for j := 0; j < p; j++ {
-			if j != rank && peer.TransportOf(j) == TransportShm {
-				seg := peer.hub.segment(rank, j)
-				peer.shmOut[j], peer.shmIn[j] = seg.rings(rank, j)
-			}
-		}
 	}
 	peer.initMetrics()
+	// Attach the shared-memory links before any TCP work: co-located links
+	// rendezvous in the hub instead of dialing, so the socket loops below
+	// only cover the cross-node remainder. Mail a co-located rank sent before
+	// this point is already waiting in the segment's inbox; a rank that came
+	// and went before it has left its close mark there.
+	for j := 0; j < p; j++ {
+		if j == rank || peer.TransportOf(j) != TransportShm {
+			continue
+		}
+		out, in := peer.hub.segment(rank, j).links(rank, j)
+		peer.shmOut[j], peer.in[j] = out, &in.inbox
+		if in.attach(peer) {
+			peer.fail(j, errShmPeerClosed)
+		}
+	}
 	dialSpan := peer.tracer.Begin("netmpi.dial", rank, -1, -1)
 	defer dialSpan.End()
 	deadline := time.Now().Add(timeout)
@@ -418,21 +380,13 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		return nil, firstErr
 	}
 
-	// Start the demultiplexing readers: one per TCP connection, one drainer
-	// per incoming shared-memory ring. Both feed the same mailboxes.
+	// Start the demultiplexing readers, one per TCP connection.
 	for j, conn := range peer.conns {
 		if conn == nil {
 			continue
 		}
 		peer.wg.Add(1)
 		go peer.reader(j, conn)
-	}
-	for j, ring := range peer.shmIn {
-		if ring == nil {
-			continue
-		}
-		peer.wg.Add(1)
-		go peer.readerShm(j, ring)
 	}
 	return peer, nil
 }
@@ -466,15 +420,16 @@ func (p *Peer) reader(src int, conn net.Conn) {
 		}
 		p.m.recvFrames[src].Add(1)
 		p.m.recvBytes[src].Add(int64(n))
-		p.box(src, tag).put(payload)
+		p.in[src].box(tag).put(payload)
 	}
 }
 
 // fail latches the first transport error and closes done so every blocked
-// Recv wakes immediately. A remote close — EOF on a socket, a closed ring on
-// shared memory — counts as a failure: only a locally initiated Close is
-// orderly, anything else means a participant is gone and the collective
-// cannot complete. The latched description names the transport that failed.
+// Recv wakes immediately. A remote close — EOF on a socket, the closing
+// peer's own call on shared memory (errShmPeerClosed) — counts as a failure:
+// only a locally initiated Close is orderly, anything else means a
+// participant is gone and the collective cannot complete. The latched
+// description names the transport that failed.
 func (p *Peer) fail(src int, err error) {
 	var desc error
 	switch {
@@ -500,6 +455,7 @@ func (p *Peer) fail(src int, err error) {
 		return // peer-level latch already set by an earlier link
 	}
 	p.errVal = desc
+	p.down.Store(true)
 	p.m.failures.Inc()
 	close(p.done)
 }
@@ -518,36 +474,20 @@ func (p *Peer) LinkErr(src int) error {
 	return p.linkErr[src]
 }
 
-// box returns (creating on demand) the mailbox for one (source, tag) pair.
-func (p *Peer) box(src, tag int) *mailbox {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := mailKey{src, tag}
-	b, ok := p.boxes[k]
-	if !ok {
-		b = newMailbox()
-		p.boxes[k] = b
-	}
-	return b
-}
-
 // Send transmits one tagged message to dst. Sends are eager: completion
-// means the frame entered the TCP stream or was published in the shared
-// ring. The caller keeps ownership of payload on both transports (the shm
-// path copies non-empty payloads for that reason). A failed or closed peer
-// refuses further sends with its latched error, propagating the failure to
-// senders as fast as to receivers.
+// means the frame entered the TCP stream or sits in the co-located
+// receiver's mailbox. The caller keeps ownership of payload on both
+// transports (the shm path copies non-empty payloads for that reason). A
+// failed or closed peer refuses further sends with its latched error,
+// propagating the failure to senders as fast as to receivers.
 func (p *Peer) Send(dst, tag int, payload []byte) error {
 	if dst < 0 || dst >= p.size || dst == p.rank {
 		return fmt.Errorf("netmpi: rank %d sending to invalid rank %d", p.rank, dst)
 	}
-	p.mu.Lock()
-	err, closed := p.errVal, p.closed
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if closed {
+	if p.down.Load() {
+		if err := p.err(); err != nil {
+			return err
+		}
 		return fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
 	}
 	if err := p.writeFrame(dst, tag, payload); err != nil {
@@ -563,18 +503,16 @@ func (p *Peer) Send(dst, tag int, payload []byte) error {
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // writeFrame hands one message to dst's transport, updating the send
-// metrics. The shared-memory path publishes into the lock-free ring (copying
-// non-empty payloads so the caller keeps ownership, matching TCP's copy into
-// the frame); the TCP path encodes a pooled length-prefixed frame and writes
-// it in one call.
+// metrics. The shared-memory path puts it into the receiver's mailbox right
+// here, on the sender's goroutine (copying non-empty payloads so the caller
+// keeps ownership, matching TCP's copy into the frame); the TCP path encodes
+// a pooled length-prefixed frame and writes it in one call.
 func (p *Peer) writeFrame(dst, tag int, payload []byte) error {
-	if ring := p.shmOut[dst]; ring != nil {
+	if link := p.shmOut[dst]; link != nil {
 		if len(payload) > 0 {
 			payload = append([]byte(nil), payload...)
 		}
-		if err := ring.push(tag, payload, p, dst); err != nil {
-			return err
-		}
+		link.box(tag).put(payload)
 		p.m.sendFrames[dst].Add(1)
 		p.m.sendBytes[dst].Add(int64(len(payload)))
 		return nil
@@ -600,89 +538,6 @@ func (p *Peer) writeFrame(dst, tag int, payload []byte) error {
 	return nil
 }
 
-// pushAbort is consulted by a spinning shm push (full ring): it converts a
-// latched link or peer failure — or a local close — into an error so the
-// producer never spins on a consumer that will not come back.
-func (p *Peer) pushAbort(dst int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.linkErr[dst] != nil {
-		return p.linkErr[dst]
-	}
-	if p.errVal != nil {
-		return p.errVal
-	}
-	if p.closed {
-		return fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
-	}
-	return nil
-}
-
-// ErrRecvCancelled is returned by RecvCancel when the caller's cancel
-// channel closes before a matching message arrives.
-var ErrRecvCancelled = errors.New("netmpi: receive cancelled")
-
-// Recv blocks until a message with the given source and tag arrives and
-// returns its payload. The deadline bounds the wait; zero means no time
-// bound, but every Recv — deadline or not — wakes immediately when the peer
-// fails or is closed, returning the latched transport error. Mail delivered
-// before a failure stays readable.
-func (p *Peer) Recv(src, tag int, deadline time.Duration) ([]byte, error) {
-	return p.RecvCancel(src, tag, deadline, nil)
-}
-
-// RecvCancel is Recv with a third wake source: when cancel closes before a
-// matching message arrives, the wait ends immediately with ErrRecvCancelled
-// (mail that raced in ahead of the cancellation is still returned). A nil
-// cancel channel never fires, making RecvCancel(src, tag, d, nil) ≡ Recv.
-// The probe pipeline uses this to latch a failed pair: when one side of a
-// timed exchange errors out, it cancels its partner's pending receive
-// instead of leaving it blocked until the deadline.
-func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan struct{}) ([]byte, error) {
-	if src < 0 || src >= p.size || src == p.rank {
-		return nil, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
-	}
-	b := p.box(src, tag)
-	if p.m.enabled {
-		start := time.Now()
-		defer func() { p.m.recvWait.Observe(time.Since(start).Seconds()) }()
-	}
-	var timeout <-chan time.Time
-	if deadline > 0 {
-		timer := time.NewTimer(deadline)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for {
-		if msg, ok := b.take(); ok {
-			return msg, nil
-		}
-		select {
-		case <-b.avail:
-		case <-cancel:
-			if msg, ok := b.take(); ok {
-				return msg, nil
-			}
-			return nil, ErrRecvCancelled
-		case <-p.done:
-			// Drain mail that raced in ahead of the failure before
-			// reporting it.
-			if msg, ok := b.take(); ok {
-				return msg, nil
-			}
-			if err := p.err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
-		case <-timeout:
-			if err := p.err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
-		}
-	}
-}
-
 func (p *Peer) err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -698,6 +553,7 @@ func (p *Peer) Close() error {
 	p.mu.Lock()
 	already := p.closed
 	p.closed = true
+	p.down.Store(true)
 	if !already {
 		close(p.closedCh)
 		if p.errVal == nil {
@@ -711,316 +567,19 @@ func (p *Peer) Close() error {
 		}
 	}
 	if !already {
-		// Closing the outgoing rings is the shm transport's FIN: each
-		// co-located peer's drainer does a final drain, then latches the
-		// same "peer exited" failure a TCP EOF produces.
-		for _, ring := range p.shmOut {
-			if ring != nil {
-				ring.close()
+		// Closing the outgoing links is the shm transport's FIN, delivered by
+		// hand: latch, in each co-located peer, the same "peer exited"
+		// failure a TCP EOF produces. p.mu is not held, so two peers closing
+		// at once cannot deadlock on each other's latch.
+		for _, link := range p.shmOut {
+			if link == nil {
+				continue
+			}
+			if consumer := link.close(); consumer != nil {
+				consumer.fail(p.rank, errShmPeerClosed)
 			}
 		}
 	}
 	p.wg.Wait()
 	return nil
-}
-
-// stageClass names the transport mix of one stage's links for span tagging:
-// "tcp", "shm", or "mixed". On a pure-TCP mesh it is a constant — the common
-// fast path costs one nil check.
-func (p *Peer) stageClass(st run.StageOps) string {
-	if p.nodes == nil {
-		return "tcp"
-	}
-	sawTCP, sawShm := false, false
-	classify := func(r int) {
-		if p.TransportOf(r) == TransportShm {
-			sawShm = true
-		} else {
-			sawTCP = true
-		}
-	}
-	for _, dst := range st.Sends {
-		classify(dst)
-	}
-	for _, src := range st.Recvs {
-		classify(src)
-	}
-	switch {
-	case sawTCP && sawShm:
-		return "mixed"
-	case sawShm:
-		return "shm"
-	default:
-		return "tcp"
-	}
-}
-
-// Message-span names, precomputed so the traced hot path does not
-// concatenate per message. The suffix is the link's transport class; the
-// span's peer attribute is the other end and the tag attribute is the wire
-// tag, which is what lets critpath match a send span on one rank to the
-// receive span it caused on another.
-const (
-	sendSpanTCP = "barrier.send:tcp"
-	sendSpanShm = "barrier.send:shm"
-	recvSpanTCP = "barrier.recv:tcp"
-	recvSpanShm = "barrier.recv:shm"
-)
-
-func (p *Peer) sendSpanName(dst int) string {
-	if p.TransportOf(dst) == TransportShm {
-		return sendSpanShm
-	}
-	return sendSpanTCP
-}
-
-func (p *Peer) recvSpanName(src int) string {
-	if p.TransportOf(src) == TransportShm {
-		return recvSpanShm
-	}
-	return recvSpanTCP
-}
-
-// Barrier executes one compiled barrier plan over the mesh, using tags in
-// [tagBase, tagBase+plan stages). The deadline bounds each receive; any
-// transport failure or timeout aborts the barrier with an error naming the
-// stage and the link.
-func (p *Peer) Barrier(pl *run.Plan, tagBase int, deadline time.Duration) error {
-	if pl.P != p.size {
-		return fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
-	}
-	var barrierStart time.Time
-	if p.m.enabled {
-		barrierStart = time.Now()
-	}
-	for _, st := range pl.RankOps(p.rank) {
-		tag := tagBase + st.Stage
-		var stageStart time.Time
-		if p.m.enabled {
-			stageStart = time.Now()
-		}
-		var span telemetry.Span
-		if p.tracer != nil {
-			span = p.tracer.Begin("barrier.stage:"+p.stageClass(st), p.rank, st.Stage, -1)
-		}
-		for _, dst := range st.Sends {
-			ms := p.tracer.BeginTag(p.sendSpanName(dst), p.rank, st.Stage, dst, tag)
-			err := p.Send(dst, tag, nil)
-			ms.End()
-			if err != nil {
-				span.End()
-				return fmt.Errorf("barrier stage %d: %w", st.Stage, err)
-			}
-		}
-		for _, src := range st.Recvs {
-			ms := p.tracer.BeginTag(p.recvSpanName(src), p.rank, st.Stage, src, tag)
-			_, err := p.Recv(src, tag, deadline)
-			ms.End()
-			if err != nil {
-				span.End()
-				return fmt.Errorf("barrier stage %d: %w", st.Stage, err)
-			}
-		}
-		span.End()
-		if p.m.enabled {
-			p.m.stageDur.Observe(time.Since(stageStart).Seconds())
-		}
-	}
-	if p.m.enabled {
-		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
-	}
-	return nil
-}
-
-// sendResilient writes one frame unless the link to dst is already latched
-// as failed, in which case it reports skipped. A write error latches the
-// link (not the whole peer: the resilient path's point is to keep going)
-// and reports skipped too — on TCP, writes to a dead peer may buffer
-// silently or surface late, so the reader-side EOF latch is the primary
-// detector and the write error just confirms it.
-func (p *Peer) sendResilient(dst, tag int, payload []byte) (skipped bool, err error) {
-	p.mu.Lock()
-	closed, linkErr := p.closed, p.linkErr[dst]
-	p.mu.Unlock()
-	if closed {
-		return false, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
-	}
-	if linkErr != nil {
-		return true, nil
-	}
-	if werr := p.writeFrame(dst, tag, payload); werr != nil {
-		p.fail(dst, werr)
-		return true, nil
-	}
-	return false, nil
-}
-
-// recvResilient waits for a message from src unless (or until) the link to
-// src is latched as failed. Mail that arrived before the failure is drained
-// and delivered first, exactly like the peer-level path. It reports skipped
-// when the link is down, a timeout error when the deadline passes on a
-// healthy link — the certified-schedule hang case, which resilience cannot
-// excuse — and a closed error on local Close.
-func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (skipped bool, err error) {
-	b := p.box(src, tag)
-	if p.m.enabled {
-		start := time.Now()
-		defer func() { p.m.recvWait.Observe(time.Since(start).Seconds()) }()
-	}
-	var timeout <-chan time.Time
-	if deadline > 0 {
-		timer := time.NewTimer(deadline)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for {
-		if _, ok := b.take(); ok {
-			return false, nil
-		}
-		select {
-		case <-b.avail:
-		case <-p.linkDown[src]:
-			if _, ok := b.take(); ok {
-				return false, nil
-			}
-			return true, nil
-		case <-p.closedCh:
-			if _, ok := b.take(); ok {
-				return false, nil
-			}
-			return false, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
-		case <-timeout:
-			if _, ok := b.take(); ok {
-				return false, nil
-			}
-			return false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
-		}
-	}
-}
-
-// BarrierResilient executes one compiled barrier plan like Barrier, but
-// keeps going when peers die mid-barrier: sends to and receives from latched
-// failed links are skipped instead of aborting. It returns the sorted ranks
-// that were skipped.
-//
-// The correctness contract is exactly what analyze.CertifyK certifies: if
-// the plan's schedule is k-fault resilient and at most k ranks die (each
-// detected as its links latch), the knowledge closure among survivors still
-// holds, so every survivor's exit happens after every survivor's entry. On a
-// schedule that is NOT resilient against the dead set, some survivor's
-// required knowledge chain routes through a dead rank; that survivor's
-// receive then waits on a healthy link whose sender is itself stalled, and
-// the deadline converts the certified-impossible wait into an error rather
-// than a hang. Run it only under a positive deadline for that reason.
-func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duration) ([]int, error) {
-	if pl.P != p.size {
-		return nil, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
-	}
-	var barrierStart time.Time
-	if p.m.enabled {
-		barrierStart = time.Now()
-	}
-	skipped := make(map[int]bool)
-	for _, st := range pl.RankOps(p.rank) {
-		tag := tagBase + st.Stage
-		var stageStart time.Time
-		if p.m.enabled {
-			stageStart = time.Now()
-		}
-		var span telemetry.Span
-		if p.tracer != nil {
-			span = p.tracer.Begin("barrier.stage:"+p.stageClass(st), p.rank, st.Stage, -1)
-		}
-		for _, dst := range st.Sends {
-			ms := p.tracer.BeginTag(p.sendSpanName(dst), p.rank, st.Stage, dst, tag)
-			skip, err := p.sendResilient(dst, tag, nil)
-			ms.End()
-			if err != nil {
-				span.End()
-				return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
-			}
-			if skip {
-				skipped[dst] = true
-			}
-		}
-		for _, src := range st.Recvs {
-			ms := p.tracer.BeginTag(p.recvSpanName(src), p.rank, st.Stage, src, tag)
-			skip, err := p.recvResilient(src, tag, deadline)
-			ms.End()
-			if err != nil {
-				span.End()
-				return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
-			}
-			if skip {
-				skipped[src] = true
-			}
-		}
-		span.End()
-		if p.m.enabled {
-			p.m.stageDur.Observe(time.Since(stageStart).Seconds())
-		}
-	}
-	if p.m.enabled {
-		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
-	}
-	out := make([]int, 0, len(skipped))
-	for r := range skipped {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// VetPlan is the pre-execution gate for real-network runs: it runs the
-// barriervet static analysis over the schedule, compiles it only when the
-// report carries no Error-severity findings, then runs the plan-level
-// protocol checks (matched sends/receives, tag budget, rendezvous cycles)
-// over the compiled artifact — the thing that actually touches sockets.
-// Unlike run.NewPlan's bare boolean check, a refusal explains itself: the
-// returned report holds the stalled knowledge pairs, chain counterexamples,
-// or protocol violations, and is returned even on failure so callers can
-// render it.
-func VetPlan(s *sched.Schedule, opts analyze.Options) (*run.Plan, *analyze.Report, error) {
-	rep := analyze.Analyze(s, opts)
-	if err := rep.Err(); err != nil {
-		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
-	}
-	pl, err := run.NewPlan(s)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.Findings = append(rep.Findings, analyze.CheckPlan(pl)...)
-	sort.SliceStable(rep.Findings, func(i, j int) bool {
-		return rep.Findings[i].Severity > rep.Findings[j].Severity
-	})
-	if err := rep.Err(); err != nil {
-		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
-	}
-	return pl, rep, nil
-}
-
-// MeasureBarrier times iters wall-clock barrier executions after warmup
-// untimed ones. All ranks must call it with the same arguments; the caller
-// aggregates the per-rank durations.
-func (p *Peer) MeasureBarrier(pl *run.Plan, warmup, iters int, deadline time.Duration) (time.Duration, error) {
-	if iters <= 0 {
-		return 0, fmt.Errorf("netmpi: non-positive iteration count %d", iters)
-	}
-	tag := 0
-	next := func() int {
-		tag++
-		return (tag % 2) * run.TagSpan
-	}
-	for i := 0; i < warmup; i++ {
-		if err := p.Barrier(pl, next(), deadline); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := p.Barrier(pl, next(), deadline); err != nil {
-			return 0, err
-		}
-	}
-	return time.Duration(int64(time.Since(start)) / int64(iters)), nil
 }

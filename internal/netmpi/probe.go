@@ -400,7 +400,7 @@ func ProbeFingerprint(p int, opts ProbeOptions) profile.Fingerprint {
 // MeshFingerprint is the cache key of a probe over a specific live mesh: for
 // a pure-TCP mesh it is exactly ProbeFingerprint (cache entries written
 // before hybrid transports existed stay valid), while a hybrid mesh keys on
-// its transport signature too — a profile measured with rings between
+// its transport signature too — a profile measured with shared memory between
 // co-located ranks must never answer for a pure-TCP mesh or for a different
 // co-location shape, since the entire point is that their cost matrices
 // differ.

@@ -1,195 +1,69 @@
-// Shared-memory intra-node transport: the fast path under the TCP mesh.
+// Shared-memory intra-node transport: one hop per signal.
 //
-// Co-located ranks exchange signals through a bounded lock-free ring whose
-// slots carry sense-reversing sequence counters — the MCS idea behind the
-// sense-reversing centralized barrier (each participant toggles a private
-// sense and spins on a shared counter) generalized to a queue: every slot's
-// counter alternates between the "writable in epoch e" and "readable in
-// epoch e" senses, producers claim a slot by advancing the shared tail, and
-// the consumer flips the slot back to writable for the next epoch. A send is
-// one CAS, one slot write, and one release store — no syscalls, no frame
-// serialization, no locks.
+// A barrier message carries no payload, so every layer between "the sender
+// decided to signal" and "the waiter sees it" is pure overhead. Co-located
+// ranks therefore share the receiving side's mailboxes outright: the segment
+// of a rank pair owns one inbox per direction — the same inbox/mailbox types
+// the TCP readers feed — and a send on a shared-memory link is
+// inbox.box(tag).put(payload) on the sender's own goroutine. Nothing sits in
+// between — no queue of frames, no goroutine to forward them: the receiver's
+// Recv resolves (src, tag) to the very mailbox the sender wrote, so Recv,
+// RecvCancel, the resilient receive path and every failure latch behave
+// exactly as they do over TCP. Mail sent before the receiver's Dial attaches
+// simply waits in the segment.
 //
-// Delivery intentionally terminates in the same per-(source, tag) mailboxes
-// the TCP readers feed: a drainer goroutine per incoming ring (readerShm,
-// the exact analogue of the per-connection reader) moves published slots
-// into mailboxes, so Recv, RecvCancel, the resilient receive path, and every
-// failure-latch semantic are byte-for-byte identical across transports. The
-// one event an in-process ring can signal that a socket signals with EOF —
-// the remote peer closing — is propagated by closing the ring: the drainer
-// drains what raced in, then latches the same "peer exited" failure a TCP
-// EOF produces.
+// Close protocol. A socket reports a vanished peer with EOF; here the closing
+// peer reports itself. Peer.Close marks each outgoing link closed and calls
+// the attached consumer's fail(errShmPeerClosed) directly, which latches the
+// same "peer exited or crashed" failure a TCP EOF produces and wakes every
+// blocked receive at once. All of the closer's sends completed before its
+// Close began, so already-delivered mail stays readable — receives take
+// before they look at a latch. A consumer that attaches after the close
+// learns of it from attach and latches the failure itself.
 package netmpi
 
-import (
-	"errors"
-	"runtime"
-	"sync/atomic"
-)
-
-// shmRingSize is the slot count of one direction ring. Barrier traffic is a
-// handful of in-flight signals per link; 1024 slots absorb any compiled
-// plan's burst and probe pipelining with room to spare. Power of two so the
-// index mask is an AND.
-const shmRingSize = 1024
-
-// errShmRemoteGone reports a push aborted because the consuming peer closed.
-var errShmRemoteGone = errors.New("shm link closed by remote peer")
-
-// shmSlot is one exchange cell. seq is the sense-reversing counter: a slot
-// at position pos is writable while seq == pos (producer sense), readable
-// while seq == pos+1 (consumer sense), and rearmed to pos+shmRingSize for
-// the next lap. The data fields are published by the release store to seq
-// and read under the corresponding acquire load, which is what keeps the
-// ring race-free without locks.
-type shmSlot struct {
-	seq     atomic.Uint64
-	tag     int
-	payload []byte
-}
-
-// shmRing is one direction of an intra-node link: multi-producer (any of the
-// sending peer's goroutines), single-consumer (the receiving peer's
-// readerShm drainer).
-type shmRing struct {
-	slots [shmRingSize]shmSlot
-	tail  atomic.Uint64 // next position to claim (producers)
-	head  uint64        // next position to pop (consumer-private)
-
-	// notify is the consumer wakeup edge (capacity 1), armed after every
-	// publish; the data path is the slots, never the channel.
-	notify chan struct{}
-	// closed is closed by the producing peer's Close: the consumer-side
-	// drainer treats it exactly like a socket EOF.
-	closed chan struct{}
-}
-
-func newShmRing() *shmRing {
-	r := &shmRing{notify: make(chan struct{}, 1), closed: make(chan struct{})}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// shmSegment is the shared state of one unordered rank pair {lo, hi}: one
-// ring per direction, indexed by sender.
-type shmSegment struct {
-	loToHi *shmRing // lower rank sends here, higher rank drains
-	hiToLo *shmRing
-}
-
-func newShmSegment() *shmSegment {
-	return &shmSegment{loToHi: newShmRing(), hiToLo: newShmRing()}
-}
-
-// rings returns (outbound, inbound) for the given endpoint rank of the
-// {a, b} pair.
-func (s *shmSegment) rings(self, other int) (out, in *shmRing) {
-	if self < other {
-		return s.loToHi, s.hiToLo
-	}
-	return s.hiToLo, s.loToHi
-}
-
-// push publishes one tagged message. It is lock-free in the common case; on
-// a full ring (the consumer is more than shmRingSize signals behind) it
-// spins with Gosched until a slot frees, re-checking the peer's latched
-// failures each lap so a dead or closed consumer converts the wait into an
-// error instead of a spin-forever. p/dst are passed unpacked (instead of an
-// abort closure) so the hot path stays allocation-free. The payload is
-// handed over by reference — in-process shared memory, no serialization.
-func (r *shmRing) push(tag int, payload []byte, p *Peer, dst int) error {
-	pos := r.tail.Load()
-	for {
-		slot := &r.slots[pos&(shmRingSize-1)]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos: // writable in this epoch: claim it
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				slot.tag = tag
-				slot.payload = payload
-				slot.seq.Store(pos + 1) // flip to the consumer's sense
-				select {
-				case r.notify <- struct{}{}:
-				default:
-				}
-				return nil
-			}
-			pos = r.tail.Load() // lost the claim race; reload
-		case seq < pos: // a full lap behind: ring is full
-			select {
-			case <-r.closed:
-				return errShmRemoteGone
-			default:
-			}
-			if err := p.pushAbort(dst); err != nil {
-				return err
-			}
-			runtime.Gosched()
-			pos = r.tail.Load()
-		default: // another producer claimed pos; move past it
-			pos = r.tail.Load()
-		}
-	}
-}
-
-// pop takes the next published message, if any. Single consumer: only the
-// owning drainer calls it.
-func (r *shmRing) pop() (tag int, payload []byte, ok bool) {
-	slot := &r.slots[r.head&(shmRingSize-1)]
-	if slot.seq.Load() != r.head+1 {
-		return 0, nil, false
-	}
-	tag, payload = slot.tag, slot.payload
-	slot.payload = nil                    // drop the ring's reference
-	slot.seq.Store(r.head + shmRingSize) // rearm for the next lap
-	r.head++
-	return tag, payload, true
-}
-
-// close marks the producing side gone. Idempotent via the peer's own closed
-// latch (each ring is closed by exactly one peer, once).
-func (r *shmRing) close() {
-	close(r.closed)
-}
-
-// readerShm drains one incoming ring into the shared mailboxes — the
-// shared-memory analogue of the per-connection TCP reader, with the same
-// never-blocks guarantee (mailboxes are unbounded) and the same failure
-// protocol: the producing peer closing its side is this transport's EOF.
-// Named reader* on purpose: the goroutine-leak checks watch for surviving
-// netmpi.(*Peer).reader frames and cover this one by prefix.
-func (p *Peer) readerShm(src int, ring *shmRing) {
-	defer p.wg.Done()
-	deliver := func() {
-		for {
-			tag, payload, ok := ring.pop()
-			if !ok {
-				return
-			}
-			p.m.recvFrames[src].Add(1)
-			p.m.recvBytes[src].Add(int64(len(payload)))
-			p.box(src, tag).put(payload)
-		}
-	}
-	for {
-		deliver()
-		select {
-		case <-ring.notify:
-		case <-ring.closed:
-			// Signals that raced in ahead of the close stay deliverable,
-			// exactly like frames read before a socket EOF. The producer is
-			// gone, so this final drain cannot miss a late publish.
-			deliver()
-			p.fail(src, errShmPeerClosed)
-			return
-		case <-p.closedCh:
-			return // local orderly shutdown; Close waits for us via p.wg
-		}
-	}
-}
+import "errors"
 
 // errShmPeerClosed is the shm transport's EOF: the co-located peer closed
 // its side of the segment.
 var errShmPeerClosed = errors.New("shm peer closed")
+
+// shmLink is one direction of a shared-memory link: the receiver's inbox for
+// this source, plus the close handshake. The inbox mutex guards all of it.
+type shmLink struct {
+	inbox
+	closed   bool  // the sending peer called Close
+	consumer *Peer // the receiving peer, once its Dial attached
+}
+
+// attach registers the receiving peer and reports whether the sender had
+// already closed, in which case the caller latches the failure itself.
+func (l *shmLink) attach(consumer *Peer) (closed bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.consumer = consumer
+	return l.closed
+}
+
+// close marks the sending side gone and returns the consumer to notify, nil
+// if none has attached yet.
+func (l *shmLink) close() *Peer {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	return l.consumer
+}
+
+// shmSegment is the shared state of one unordered rank pair {lo, hi}: one
+// link per direction, named by its sender.
+type shmSegment struct {
+	fromLo, fromHi shmLink
+}
+
+// links returns (outbound, inbound) for the given endpoint rank of the pair.
+func (s *shmSegment) links(self, other int) (out, in *shmLink) {
+	if self < other {
+		return &s.fromLo, &s.fromHi
+	}
+	return &s.fromHi, &s.fromLo
+}

@@ -26,79 +26,107 @@ func runMeshBarrier(t *testing.T, peers []*Peer, pl *run.Plan) {
 	}
 }
 
+// TestMeshTelemetryCounters checks the per-link counters, the latency
+// histograms and the spans on both transports. A TCP frame is counted as
+// received by its reader goroutine; a shared-memory frame has no reader, so
+// its receive counts it — either way every frame sent is a frame received
+// once the barrier is over, and the counters carry the link's transport.
 func TestMeshTelemetryCounters(t *testing.T) {
 	const p = 4
-	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer()
-	peers, err := LoopbackMesh(p, 5*time.Second, WithTelemetry(reg), WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseMesh(peers)
-
-	s := sched.Dissemination(p)
-	pl, err := run.NewPlan(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runMeshBarrier(t, peers, pl)
-
-	snap := reg.Snapshot()
-	// Dissemination over 4 ranks: each rank sends one frame per stage (2
-	// stages), so every rank's total outgoing frame count is 2.
-	totalSent := int64(0)
-	for name, v := range snap {
-		if strings.HasPrefix(name, "netmpi_send_frames_total") {
-			totalSent += v.(int64)
-		}
-	}
-	if want := int64(p * pl.Stages); totalSent != want {
-		t.Fatalf("sent frames = %d, want %d\nsnapshot: %v", totalSent, want, snap)
-	}
-	totalRecv := int64(0)
-	for name, v := range snap {
-		if strings.HasPrefix(name, "netmpi_recv_frames_total") {
-			totalRecv += v.(int64)
-		}
-	}
-	if totalRecv != totalSent {
-		t.Fatalf("received %d frames, sent %d", totalRecv, totalSent)
-	}
-
-	// Every rank recorded one barrier duration and per-stage durations.
-	for r := 0; r < p; r++ {
-		name := telemetry.Label("netmpi_barrier_seconds", "rank", string(rune('0'+r)))
-		hv, ok := snap[name].(map[string]any)
-		if !ok {
-			t.Fatalf("missing histogram %s in snapshot", name)
-		}
-		if hv["count"].(int64) != 1 {
-			t.Fatalf("%s count = %v, want 1", name, hv["count"])
-		}
-	}
-
-	// Spans: p dial spans plus p·stages barrier stage spans.
-	evs := tr.Events()
-	stageSpans, dialSpans := 0, 0
-	for _, e := range evs {
-		switch {
-		case strings.HasPrefix(e.Name, "barrier.stage:"):
-			stageSpans++
-			if e.Stage < 0 || e.Stage >= pl.Stages || e.Rank < 0 || e.Rank >= p {
-				t.Fatalf("bad stage span %+v", e)
+	for _, tc := range []struct {
+		transport string
+		nodes     []int
+	}{
+		{"tcp", nil},
+		{"shm", oneNode(p)},
+	} {
+		t.Run(tc.transport, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			tr := telemetry.NewTracer()
+			peers, err := HybridMesh(p, tc.nodes, 5*time.Second, WithTelemetry(reg), WithTracer(tr))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e.Name != "barrier.stage:tcp" {
-				t.Fatalf("pure-TCP mesh emitted span %q, want barrier.stage:tcp", e.Name)
+			defer CloseMesh(peers)
+
+			s := sched.Dissemination(p)
+			pl, err := run.NewPlan(s)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case e.Name == "netmpi.dial":
-			dialSpans++
-		}
-	}
-	if stageSpans != p*pl.Stages {
-		t.Fatalf("stage spans = %d, want %d", stageSpans, p*pl.Stages)
-	}
-	if dialSpans != p {
-		t.Fatalf("dial spans = %d, want %d", dialSpans, p)
+			runMeshBarrier(t, peers, pl)
+			// One payload-carrying message on top, for the byte counters.
+			if err := peers[0].Send(1, 3*run.TagSpan, []byte("12345")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := peers[1].Recv(0, 3*run.TagSpan, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+
+			snap := reg.Snapshot()
+			total := func(metric string) int64 {
+				sum := int64(0)
+				for name, v := range snap {
+					if !strings.HasPrefix(name, metric) {
+						continue
+					}
+					if n := v.(int64); n != 0 && !strings.Contains(name, `transport="`+tc.transport+`"`) {
+						t.Errorf("%s = %d on a pure-%s mesh", name, n, tc.transport)
+					} else {
+						sum += n
+					}
+				}
+				return sum
+			}
+			// Dissemination over 4 ranks: each rank sends one frame per stage
+			// (2 stages), plus the one payload message.
+			want := int64(p*pl.Stages + 1)
+			if sent := total("netmpi_send_frames_total"); sent != want {
+				t.Fatalf("sent frames = %d, want %d\nsnapshot: %v", sent, want, snap)
+			}
+			if recv := total("netmpi_recv_frames_total"); recv != want {
+				t.Fatalf("received %d frames, sent %d", recv, want)
+			}
+			if sent, recv := total("netmpi_send_bytes_total"), total("netmpi_recv_bytes_total"); sent != 5 || recv != 5 {
+				t.Fatalf("payload bytes: sent %d, received %d, want 5 and 5", sent, recv)
+			}
+
+			// Every rank recorded one barrier duration and per-stage durations.
+			for r := 0; r < p; r++ {
+				name := telemetry.Label("netmpi_barrier_seconds", "rank", string(rune('0'+r)))
+				hv, ok := snap[name].(map[string]any)
+				if !ok {
+					t.Fatalf("missing histogram %s in snapshot", name)
+				}
+				if hv["count"].(int64) != 1 {
+					t.Fatalf("%s count = %v, want 1", name, hv["count"])
+				}
+			}
+
+			// Spans: p dial spans plus p·stages barrier stage spans.
+			evs := tr.Events()
+			stageSpans, dialSpans := 0, 0
+			for _, e := range evs {
+				switch {
+				case strings.HasPrefix(e.Name, "barrier.stage:"):
+					stageSpans++
+					if e.Stage < 0 || e.Stage >= pl.Stages || e.Rank < 0 || e.Rank >= p {
+						t.Fatalf("bad stage span %+v", e)
+					}
+					if e.Name != "barrier.stage:"+tc.transport {
+						t.Fatalf("pure-%s mesh emitted span %q", tc.transport, e.Name)
+					}
+				case e.Name == "netmpi.dial":
+					dialSpans++
+				}
+			}
+			if stageSpans != p*pl.Stages {
+				t.Fatalf("stage spans = %d, want %d", stageSpans, p*pl.Stages)
+			}
+			if dialSpans != p {
+				t.Fatalf("dial spans = %d, want %d", dialSpans, p)
+			}
+		})
 	}
 }
 

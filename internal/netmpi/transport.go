@@ -22,10 +22,10 @@ const (
 	// socket, demultiplexed by a per-connection reader goroutine. It is the
 	// only class that crosses a node boundary.
 	TransportTCP TransportClass = iota
-	// TransportShm is the intra-node fast path: a lock-free bounded ring of
-	// sense-reversing slots shared by the two endpoints. No sockets, no
-	// syscalls, no frame serialization — a send is two atomic operations and
-	// a slot write.
+	// TransportShm is the intra-node fast path: the two endpoints share the
+	// receiver's mailboxes, and a send is a put into one of them on the
+	// sender's goroutine. No sockets, no syscalls, no frame serialization, no
+	// goroutine in between.
 	TransportShm
 )
 
@@ -181,9 +181,11 @@ func TransportSignature(nodes []int) string {
 
 // ShmHub is the in-process rendezvous through which co-located ranks find
 // the shared-memory segment connecting them — the stand-in for a named
-// shm_open segment on a real node. Every rank of one mesh must be handed the
-// same hub (LoopbackMesh and HybridMesh do this; manual Dial callers share
-// one hub across their goroutine ranks).
+// shm_open segment on a real node. A segment exists from the moment either
+// endpoint first asks for it and holds each direction's inbox, so mail sent
+// before the other endpoint's Dial attaches waits there. Every rank of one
+// mesh must be handed the same hub (LoopbackMesh and HybridMesh do this;
+// manual Dial callers share one hub across their goroutine ranks).
 type ShmHub struct {
 	mu   sync.Mutex
 	segs map[[2]int]*shmSegment
@@ -195,8 +197,7 @@ func NewShmHub() *ShmHub {
 }
 
 // segment returns the shared segment of the unordered pair {a, b}, creating
-// it on first attach. Both endpoints get the same segment; direction rings
-// are indexed by the lower rank first.
+// it on first attach. Both endpoints get the same segment.
 func (h *ShmHub) segment(a, b int) *shmSegment {
 	if a > b {
 		a, b = b, a
@@ -206,7 +207,7 @@ func (h *ShmHub) segment(a, b int) *shmSegment {
 	key := [2]int{a, b}
 	seg, ok := h.segs[key]
 	if !ok {
-		seg = newShmSegment()
+		seg = new(shmSegment)
 		h.segs[key] = seg
 	}
 	return seg
@@ -214,7 +215,7 @@ func (h *ShmHub) segment(a, b int) *shmSegment {
 
 // WithColocation routes the links between co-located ranks over the shared-
 // memory transport: nodes[i] is rank i's node id, links between same-node
-// ranks attach rings in hub instead of dialing TCP, and everything else
+// ranks attach a segment in hub instead of dialing TCP, and everything else
 // stays on framed TCP. Every rank of the mesh must be configured with the
 // same hub and the same node vector — the map is part of the mesh contract,
 // and a disagreement surfaces as a mesh-formation failure (one side waits
