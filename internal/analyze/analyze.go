@@ -324,9 +324,10 @@ func structuralLints(s *sched.Schedule, opts Options) []Finding {
 			})
 			continue
 		}
+		cols := st.Cols()
 		for i := 0; i < s.P; i++ {
 			out := len(st.Row(i))
-			in := len(st.Col(i))
+			in := len(cols[i])
 			sends[i] += out
 			recvs[i] += in
 			if st.At(i, i) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/sss"
@@ -60,96 +61,127 @@ func (r *Result) Describe() string {
 // Hybrid composes a specialised barrier for the platform described by the
 // predictor's profile, over the given topology tree, choosing among the given
 // component algorithms.
+//
+// Candidates are priced locally and only winners are emitted: every builder's
+// n-rank arrival is priced on the cluster's own n×n sub-profile, and the
+// cheapest is written, edge by edge through the cluster's member list, into
+// one shared sequence of global arrival matrices at the stage its subtree
+// left off. No candidate is ever lifted into the P-rank space. Pricing the
+// local pattern equals pricing the lifted one bit for bit as long as every
+// member list is strictly ascending (BatchCost sums L over targets in
+// increasing rank, non-members cost nothing and never bound the maximum);
+// SSS trees guarantee that order and Hybrid rejects a tree that does not.
 func Hybrid(pd *predict.Predictor, tree *sss.Node, builders []sched.Builder) (*Result, error) {
 	if len(builders) == 0 {
 		return nil, fmt.Errorf("compose: no component algorithms")
 	}
 	p := pd.Prof.P
-	res := &Result{}
-
-	below, rootPhase, rootNeedsDeparture, err := res.buildArrival(pd, tree, builders, p, true)
+	c := &composer{pd: pd, builders: builders}
+	rootStart, end, rootNeedsDeparture, err := c.place(tree, true)
 	if err != nil {
 		return nil, err
 	}
 
 	full := sched.New(fmt.Sprintf("hybrid(%d)", p), p)
-	full.Concat(below)
-	full.Concat(rootPhase)
-	if rootNeedsDeparture {
-		// Departure mirrors the entire arrival.
-		whole := below.Clone().Concat(rootPhase)
-		full.Concat(whole.ReverseTransposed())
-	} else {
-		// A root-level dissemination informs every representative; only the
-		// sub-root levels need their transposed broadcast.
-		full.Concat(below.ReverseTransposed())
+	for _, m := range c.arrival {
+		if m != nil {
+			full.AddStage(m)
+		}
 	}
-	full = full.DropEmptyStages()
-	full.Name = fmt.Sprintf("hybrid(%d)", p)
+	// Departure mirrors the arrival: the same matrices transposed, in reverse.
+	// A root-level dissemination informs every representative, so then only
+	// the sub-root stages need their transposed broadcast.
+	if !rootNeedsDeparture {
+		end = rootStart
+	}
+	for t := end - 1; t >= 0; t-- {
+		if c.arrival[t] != nil {
+			full.AddStage(c.arrival[t].T())
+		}
+	}
 	if !full.IsBarrier() {
 		return nil, fmt.Errorf("compose: composed schedule does not globally synchronise (bug)")
 	}
-	res.Schedule = full
-	res.PredictedCost = pd.Cost(full)
-	return res, nil
+	return &Result{Schedule: full, Choices: c.choices, PredictedCost: pd.Cost(full)}, nil
 }
 
-// buildArrival returns the arrival phases of a subtree, split into the
-// stages below the node's own level (`below`) and the node's own local phase
-// (`own`), so the caller can treat the root's no-departure case. For a leaf,
-// `below` is empty and `own` is the leaf's local arrival.
-func (r *Result) buildArrival(pd *predict.Predictor, n *sss.Node, builders []sched.Builder, p int, isRoot bool) (below, own *sched.Schedule, needsDeparture bool, err error) {
+// composer carries one Hybrid call's state down the tree walk.
+type composer struct {
+	pd       *predict.Predictor
+	builders []sched.Builder
+	// arrival[t] is the union of every component's signals at global stage t,
+	// nil while no signal landed there (a no-op stage, eliminated on output).
+	arrival []*mat.Bool
+	choices []Choice
+}
+
+// place composes the subtree under n into c.arrival and returns the stage
+// range [start, end) of n's own phase. Leaves start at stage 0 and a node's
+// own phase starts where its deepest child ended, so sibling phases of
+// differing length overlap as early as possible (§VII.B).
+func (c *composer) place(n *sss.Node, isRoot bool) (start, end int, needsDeparture bool, err error) {
 	members := n.Ranks
 	if !n.IsLeaf() {
-		// Compose the children first; their merged arrival runs before this
-		// level's phase.
-		parts := make([]*sched.Schedule, 0, len(n.Children))
-		reps := make([]int, 0, len(n.Children))
-		for _, c := range n.Children {
-			cb, co, _, cerr := r.buildArrival(pd, c, builders, p, false)
-			if cerr != nil {
-				return nil, nil, false, cerr
+		members = make([]int, 0, len(n.Children))
+		for _, ch := range n.Children {
+			_, chEnd, _, err := c.place(ch, false)
+			if err != nil {
+				return 0, 0, false, err
 			}
-			parts = append(parts, cb.Concat(co))
-			reps = append(reps, c.Representative())
+			start = max(start, chEnd)
+			members = append(members, ch.Representative())
 		}
-		below = sched.MergeEarly("children", p, parts...)
-		members = reps
-	} else {
-		below = sched.New("children", p)
 	}
-
-	own, needsDeparture, choice, err := r.selectComponent(pd, members, builders, p, isRoot)
+	own, needsDeparture, choice, err := c.selectComponent(members, isRoot)
 	if err != nil {
-		return nil, nil, false, err
+		return 0, 0, false, err
 	}
 	choice.Root = isRoot
-	r.Choices = append(r.Choices, choice)
-	return below, own, needsDeparture, nil
+	c.choices = append(c.choices, choice)
+	end = start + own.NumStages()
+	for len(c.arrival) < end {
+		c.arrival = append(c.arrival, nil)
+	}
+	for k, st := range own.Stages {
+		st.Each(func(a, b int) {
+			if c.arrival[start+k] == nil {
+				c.arrival[start+k] = mat.NewBool(c.pd.Prof.P)
+			}
+			c.arrival[start+k].Set(members[a], members[b], true)
+		})
+	}
+	return start, end, needsDeparture, nil
 }
 
 // selectComponent greedily picks the cheapest component for one group of
-// members, lifted into the global rank space.
-func (r *Result) selectComponent(pd *predict.Predictor, members []int, builders []sched.Builder, p int, isRoot bool) (*sched.Schedule, bool, Choice, error) {
+// members and returns its arrival in the group's local rank space.
+func (c *composer) selectComponent(members []int, isRoot bool) (*sched.Schedule, bool, Choice, error) {
 	if len(members) == 0 {
 		return nil, false, Choice{}, fmt.Errorf("compose: empty cluster")
 	}
 	if len(members) == 1 {
-		return sched.New("singleton", p), true, Choice{Ranks: members, Algorithm: "singleton"}, nil
+		return sched.New("singleton", 1), true, Choice{Ranks: members, Algorithm: "singleton"}, nil
 	}
+	for a := 1; a < len(members); a++ {
+		if members[a] <= members[a-1] {
+			return nil, false, Choice{}, fmt.Errorf("compose: cluster members %v are not strictly ascending", members)
+		}
+	}
+	local := *c.pd // same policy and stage overhead, on the cluster's own sub-profile
+	local.Prof = c.pd.Prof.Sub(members)
 	var (
 		best        *sched.Schedule
 		bestBuilder sched.Builder
 		bestCost    float64
 	)
-	for _, b := range builders {
-		lifted := b.Arrival(len(members)).Lift(p, members)
+	for _, b := range c.builders {
+		arrival := b.Arrival(len(members))
 		// Lower levels always pay the departure transposes; only the root
 		// can exploit a no-departure component (§VII.B).
 		needsDep := b.NeedsDeparture() || !isRoot
-		cost := pd.ArrivalPhaseCost(lifted, needsDep)
+		cost := local.ArrivalPhaseCost(arrival, needsDep)
 		if best == nil || cost < bestCost {
-			best, bestBuilder, bestCost = lifted, b, cost
+			best, bestBuilder, bestCost = arrival, b, cost
 		}
 	}
 	ch := Choice{Ranks: append([]int(nil), members...), Algorithm: bestBuilder.Name(), Cost: bestCost}

@@ -114,6 +114,40 @@ func (m *Bool) Col(j int) []int {
 	return out
 }
 
+// Cols returns every column's row list at once: out[j] is exactly what Col(j)
+// returns — the rows i with entry (i, j) set, increasing, nil for an empty
+// column — but all n lists come from two passes over the set bits (count,
+// then fill) instead of n² At probes, so compiling a stage's receive lists
+// costs O(n·words + signals). The lists are carved from one backing array
+// with their capacity clipped, so appending to one never reaches the next.
+func (m *Bool) Cols() [][]int {
+	out := make([][]int, m.n)
+	counts := make([]int, m.n)
+	m.Each(func(_, j int) { counts[j]++ })
+	backing := make([]int, m.Count())
+	off := 0
+	for j, c := range counts {
+		if c > 0 {
+			out[j] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	m.Each(func(i, j int) { out[j] = append(out[j], i) })
+	return out
+}
+
+// Each calls f(i, j) for every set entry in row-major order — rows
+// increasing, columns increasing within a row — without allocating.
+func (m *Bool) Each(f func(i, j int)) {
+	for i, k := 0, 0; i < m.n; i++ {
+		for w := 0; w < m.words; w, k = w+1, k+1 {
+			for word := m.rows[k]; word != 0; word &= word - 1 {
+				f(i, w*wordBits+bits.TrailingZeros64(word))
+			}
+		}
+	}
+}
+
 // RowWords returns the bitset words backing row i. The slice aliases the
 // matrix storage: writes through it mutate the matrix, and it is invalidated
 // by nothing (the backing array never reallocates). It exists so word-at-a-
@@ -226,11 +260,7 @@ func (m *Bool) Or(o *Bool) *Bool {
 // T returns the transpose of m as a new matrix.
 func (m *Bool) T() *Bool {
 	t := NewBool(m.n)
-	for i := 0; i < m.n; i++ {
-		for _, j := range m.Row(i) {
-			t.Set(j, i, true)
-		}
-	}
+	m.Each(func(i, j int) { t.Set(j, i, true) })
 	return t
 }
 

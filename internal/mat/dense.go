@@ -61,6 +61,11 @@ func (m *Dense) Add(i, j int, v float64) {
 	m.data[i*m.n+j] += v
 }
 
+// Data exposes the backing slice, rows concatenated in order: entry (i, j) is
+// Data()[i*N()+j]. It exists for whole-matrix scans that cannot afford a
+// bounds-checked accessor call per entry; writes through it mutate the matrix.
+func (m *Dense) Data() []float64 { return m.data }
+
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.n)

@@ -119,3 +119,62 @@ func TestSendAllocsPooled(t *testing.T) {
 		})
 	}
 }
+
+// TestBarrierAllocsWarm pins the executor's own allocation budget: a warm
+// Barrier of a compiled plan allocates nothing on shared memory, on any rank
+// — run.Plan.RankOps hands out the plan's compiled view instead of a copy —
+// and only TCP's amortized pool refills otherwise. Ranks 1..P-1 are parked
+// goroutines released once per round, so the count covers one whole barrier.
+func TestBarrierAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates shadow state; allocation counts are meaningless there")
+	}
+	const p = 8
+	for _, tc := range []struct {
+		name      string
+		nodes     []int
+		maxAllocs float64
+	}{
+		{"tcp", nil, 1},
+		{"shm", oneNode(p), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := tunedPlan(t, p)
+			peers := hybridMesh(t, p, tc.nodes)
+			n := 0
+			barrier := func(pe *Peer) {
+				if err := pe.Barrier(pl, (n%2)*run.TagSpan, meshTimeout); err != nil {
+					t.Error(err)
+				}
+			}
+			start, done := make(chan struct{}), make(chan struct{})
+			for _, pe := range peers[1:] {
+				go func() {
+					for range start {
+						barrier(pe)
+						done <- struct{}{}
+					}
+				}()
+			}
+			defer close(start)
+			round := func() {
+				for range peers[1:] {
+					start <- struct{}{}
+				}
+				barrier(peers[0])
+				for range peers[1:] {
+					<-done
+				}
+				n++ // after every rank left the barrier, so no rank reads it mid-write
+			}
+			for i := 0; i < 100; i++ {
+				round()
+			}
+			avg := testing.AllocsPerRun(500, round)
+			t.Logf("%s warm %d-rank barrier: %.2f allocs", tc.name, p, avg)
+			if avg > tc.maxAllocs {
+				t.Fatalf("warm barrier allocates %.2f objects, want ≤ %g", avg, tc.maxAllocs)
+			}
+		})
+	}
+}

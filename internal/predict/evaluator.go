@@ -118,8 +118,9 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 			e.edges = append(e.edges, nil)
 		}
 		es := e.edges[k][:0]
+		ready := e.pd.stageReady(k)
 		for i := 0; i < e.p; i++ {
-			e.dur[k][i] = e.rowCost(s, k, i)
+			e.dur[k][i] = e.pd.rowCost(s.Stages[k], i, ready)
 			row := s.Stages[k].RowWords(i)
 			copy(e.rowBits[k][i*words:(i+1)*words], row)
 			es = appendEdges(es, i, row)
@@ -149,7 +150,7 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 			continue
 		}
 		copy(snap, row)
-		e.dur[r.stage][r.rank] = e.rowCost(s, r.stage, r.rank)
+		e.dur[r.stage][r.rank] = e.pd.rowCost(s.Stages[r.stage], r.rank, e.pd.stageReady(r.stage))
 		kept := e.edges[r.stage][:0]
 		for _, sg := range e.edges[r.stage] {
 			if int(sg.from) != r.rank {
@@ -210,32 +211,4 @@ func appendEdges(es []edge, from int, row []uint64) []edge {
 		}
 	}
 	return es
-}
-
-// rowCost replicates BatchCost over the bitset row without building an index
-// slice: identical accumulation order, so results match bit for bit.
-func (e *Evaluator) rowCost(s *sched.Schedule, k, i int) float64 {
-	ready := e.pd.stageReady(k)
-	st := s.Stages[k]
-	wpr := st.WordsPerRow()
-	sumL, maxO := 0.0, 0.0
-	sent := false
-	for w, word := range st.Words()[i*wpr : (i+1)*wpr] {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			sent = true
-			sumL += e.pd.Prof.L.At(i, j)
-			if o := e.pd.Prof.O.At(i, j); o > maxO {
-				maxO = o
-			}
-		}
-	}
-	if !sent {
-		return 0
-	}
-	if ready {
-		return e.pd.Prof.O.At(i, i) + sumL
-	}
-	return maxO + sumL
 }

@@ -7,6 +7,7 @@ package predict
 
 import (
 	"fmt"
+	"math/bits"
 
 	"topobarrier/internal/mat"
 	"topobarrier/internal/profile"
@@ -89,6 +90,33 @@ func (pd *Predictor) stageReady(stage int) bool {
 	}
 }
 
+// rowCost is BatchCost of rank i over its targets in one stage matrix, read
+// off the row's bitset words without building the target list: identical
+// accumulation order (targets increasing), so the two agree bit for bit.
+func (pd *Predictor) rowCost(st *mat.Bool, i int, ready bool) float64 {
+	wpr := st.WordsPerRow()
+	sumL, maxO := 0.0, 0.0
+	sent := false
+	for w, word := range st.Words()[i*wpr : (i+1)*wpr] {
+		for word != 0 {
+			j := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			sent = true
+			sumL += pd.Prof.L.At(i, j)
+			if o := pd.Prof.O.At(i, j); o > maxO {
+				maxO = o
+			}
+		}
+	}
+	if !sent {
+		return 0
+	}
+	if ready {
+		return pd.Prof.O.At(i, i) + sumL
+	}
+	return maxO + sumL
+}
+
 // StageCosts returns, for every stage, the per-rank send-batch durations —
 // the "matrices of per-rank cost estimates at each step" of §VI, reduced to
 // their row sums.
@@ -98,53 +126,58 @@ func (pd *Predictor) StageCosts(s *sched.Schedule) [][]float64 {
 	for k, st := range s.Stages {
 		ready := pd.stageReady(k)
 		row := make([]float64, s.P)
-		for i := 0; i < s.P; i++ {
-			row[i] = pd.BatchCost(i, st.Row(i), ready)
+		for i := range row {
+			row[i] = pd.rowCost(st, i, ready)
 		}
 		out[k] = row
 	}
 	return out
 }
 
-// Cost returns the predicted execution time of the schedule: the critical
-// path from all arrivals through all departures of the layered dependency
-// graph. Rank i's stage completes when its own send batch has drained and
-// every signal addressed to it in the stage has arrived; a signal from m
-// arrives when m's batch (begun at m's previous-stage completion) drains.
-func (pd *Predictor) Cost(s *sched.Schedule) float64 {
+// forward runs the layered dependency graph's recurrence and returns every
+// rank's completion time of the last stage; stage, when non-nil, sees the
+// completion times of each stage k as they are produced (the slice is reused).
+// Rank i's stage completes when its own send batch has drained and every
+// signal addressed to it in the stage has arrived; a signal from m arrives
+// when m's batch (begun at m's previous-stage completion) drains.
+func (pd *Predictor) forward(s *sched.Schedule, stage func(k int, done []float64)) []float64 {
 	pd.check(s)
 	t := make([]float64, s.P) // completion time of the previous stage
 	next := make([]float64, s.P)
+	arrive := make([]float64, s.P)
 	for k, st := range s.Stages {
 		ready := pd.stageReady(k)
-		// Send-batch duration per rank.
-		dur := make([]float64, s.P)
-		for i := 0; i < s.P; i++ {
-			dur[i] = pd.BatchCost(i, st.Row(i), ready)
-		}
-		for i := 0; i < s.P; i++ {
-			next[i] = t[i] + dur[i]
+		for i := range next {
+			a := t[i] + pd.rowCost(st, i, ready)
+			arrive[i], next[i] = a, a
 		}
 		// Receives: signal m→i lands when m's batch drains.
-		for m := 0; m < s.P; m++ {
-			arr := t[m] + dur[m]
-			for _, i := range st.Row(m) {
-				if arr > next[i] {
-					next[i] = arr
-				}
+		st.Each(func(m, i int) {
+			if arrive[m] > next[i] {
+				next[i] = arrive[m]
 			}
-		}
+		})
 		// Executing the stage itself costs every rank the per-stage
 		// overhead, regardless of whether sends or receives dominated.
 		if pd.StageOverhead > 0 {
-			for i := 0; i < s.P; i++ {
+			for i := range next {
 				next[i] += pd.StageOverhead
 			}
 		}
+		if stage != nil {
+			stage(k, next)
+		}
 		t, next = next, t
 	}
+	return t
+}
+
+// Cost returns the predicted execution time of the schedule: the critical
+// path from all arrivals through all departures of the layered dependency
+// graph, i.e. the latest completion of the last stage.
+func (pd *Predictor) Cost(s *sched.Schedule) float64 {
 	max := 0.0
-	for _, v := range t {
+	for _, v := range pd.forward(s, nil) {
 		if v > max {
 			max = v
 		}
@@ -159,35 +192,8 @@ func (pd *Predictor) Cost(s *sched.Schedule) float64 {
 // against observed per-stage completions from an instrumented execution it
 // yields the predicted-vs-measured drift table.
 func (pd *Predictor) Timeline(s *sched.Schedule) [][]float64 {
-	pd.check(s)
 	out := make([][]float64, s.NumStages())
-	t := make([]float64, s.P)
-	next := make([]float64, s.P)
-	for k, st := range s.Stages {
-		ready := pd.stageReady(k)
-		dur := make([]float64, s.P)
-		for i := 0; i < s.P; i++ {
-			dur[i] = pd.BatchCost(i, st.Row(i), ready)
-		}
-		for i := 0; i < s.P; i++ {
-			next[i] = t[i] + dur[i]
-		}
-		for m := 0; m < s.P; m++ {
-			arr := t[m] + dur[m]
-			for _, i := range st.Row(m) {
-				if arr > next[i] {
-					next[i] = arr
-				}
-			}
-		}
-		if pd.StageOverhead > 0 {
-			for i := 0; i < s.P; i++ {
-				next[i] += pd.StageOverhead
-			}
-		}
-		out[k] = append([]float64(nil), next...)
-		t, next = next, t
-	}
+	pd.forward(s, func(k int, done []float64) { out[k] = append([]float64(nil), done...) })
 	return out
 }
 

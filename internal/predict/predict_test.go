@@ -2,10 +2,12 @@ package predict
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"topobarrier/internal/profile"
 	"topobarrier/internal/sched"
+	"topobarrier/internal/stats"
 )
 
 // uniformProfile has O=o, L=l on every off-diagonal link and Oii=oii.
@@ -271,6 +273,95 @@ func TestTimelineAgreesWithCost(t *testing.T) {
 					if tl[k][i] < tl[k-1][i] {
 						t.Fatalf("%s: rank %d completion went backwards at stage %d", s.Name, i, k)
 					}
+				}
+			}
+		}
+	}
+}
+
+// referenceTimeline is §VI's recurrence written the paper-literal way — one
+// BatchCost over Row(i) per rank per stage, then one arrival per listed
+// target — which Cost, Timeline and StageCosts replaced with a single
+// allocation-free walk of each row's words. They must agree bit for bit.
+func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
+	out := make([][]float64, s.NumStages())
+	t := make([]float64, s.P)
+	for k, st := range s.Stages {
+		dur := make([]float64, s.P)
+		next := make([]float64, s.P)
+		for i := range dur {
+			dur[i] = pd.BatchCost(i, st.Row(i), pd.stageReady(k))
+			next[i] = t[i] + dur[i]
+		}
+		for m := 0; m < s.P; m++ {
+			for _, i := range st.Row(m) {
+				if arr := t[m] + dur[m]; arr > next[i] {
+					next[i] = arr
+				}
+			}
+		}
+		if pd.StageOverhead > 0 {
+			for i := range next {
+				next[i] += pd.StageOverhead
+			}
+		}
+		out[k], t = next, next
+	}
+	return out
+}
+
+func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
+	for _, p := range []int{2, 9, 64, 70} {
+		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
+			for _, overhead := range []float64{0, 0.3e-6} {
+				pd := &Predictor{Prof: noisyProfile(p, uint64(p)), Policy: policy, StageOverhead: overhead}
+				for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), sched.KAryTree(p, 4)} {
+					want := referenceTimeline(pd, s)
+					if got := pd.Timeline(s); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %v overhead %g: Timeline differs from the reference", s.Name, policy, overhead)
+					}
+					costs := pd.StageCosts(s)
+					for k, st := range s.Stages {
+						for i := 0; i < p; i++ {
+							if want := pd.BatchCost(i, st.Row(i), pd.stageReady(k)); costs[k][i] != want {
+								t.Fatalf("%s stage %d rank %d: StageCosts %v, BatchCost %v", s.Name, k, i, costs[k][i], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalPricingEqualsLiftedPricing is the composer's licence to price a
+// candidate on the cluster's own sub-profile: for an ascending member list,
+// the n-rank pattern on Prof.Sub(members) costs exactly — ==, not ≈ — what its
+// lift into the P-rank space costs on the full profile, under every policy
+// and with a stage overhead (idle non-members accrue it too, but never more
+// than a member does). A descending list sums L in another order and may not.
+func TestLocalPricingEqualsLiftedPricing(t *testing.T) {
+	const p = 70
+	rng := stats.NewRNG(16)
+	for trial := 0; trial < 60; trial++ {
+		pr := noisyProfile(p, uint64(trial+1))
+		var members []int
+		for r := 0; r < p; r++ {
+			if rng.Float64() < 0.3 {
+				members = append(members, r)
+			}
+		}
+		if len(members) < 2 {
+			continue
+		}
+		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
+			full := &Predictor{Prof: pr, Policy: policy, StageOverhead: 0.4e-6 * float64(trial%2)}
+			local := &Predictor{Prof: pr.Sub(members), Policy: policy, StageOverhead: full.StageOverhead}
+			for _, b := range sched.ExtendedBuilders() {
+				arrival := b.Arrival(len(members))
+				got, want := local.Cost(arrival), full.Cost(arrival.Lift(p, members))
+				if got != want {
+					t.Fatalf("trial %d %s over %v policy %v: local %v, lifted %v", trial, b.Name(), members, policy, got, want)
 				}
 			}
 		}

@@ -51,11 +51,10 @@ func (pr *Profile) Validate() error {
 	if pr.O.N() != pr.P || pr.L.N() != pr.P {
 		return fmt.Errorf("profile: matrix sizes %d/%d do not match P=%d", pr.O.N(), pr.L.N(), pr.P)
 	}
-	for i := 0; i < pr.P; i++ {
-		for j := 0; j < pr.P; j++ {
-			if pr.O.At(i, j) < 0 || pr.L.At(i, j) < 0 {
-				return fmt.Errorf("profile: negative cost at (%d,%d)", i, j)
-			}
+	o, l := pr.O.Data(), pr.L.Data()
+	for k := range o {
+		if o[k] < 0 || l[k] < 0 {
+			return fmt.Errorf("profile: negative cost at (%d,%d)", k/pr.P, k%pr.P)
 		}
 	}
 	return nil

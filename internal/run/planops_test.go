@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/sched"
 )
 
@@ -84,4 +85,68 @@ func TestPlanSilenced(t *testing.T) {
 		}
 	}()
 	pl.Silenced(99)
+}
+
+// perRankOps is plan compilation as it was before receive lists came from one
+// mat.Bool.Cols pass per stage: Col(r) and Row(r) for every rank of every
+// non-empty stage. Kept as the reference NewPlan is compared against.
+func perRankOps(s *sched.Schedule) [][]StageOps {
+	ops := make([][]StageOps, s.P)
+	for k, st := range s.DropEmptyStages().Stages {
+		for r := 0; r < s.P; r++ {
+			recvs, sends := st.Col(r), st.Row(r)
+			if len(recvs) > 0 || len(sends) > 0 {
+				ops[r] = append(ops[r], StageOps{Stage: k, Recvs: recvs, Sends: sends})
+			}
+		}
+	}
+	return ops
+}
+
+// TestNewPlanMatchesPerRankCompile: same stage numbering after empty-stage
+// elimination, same peer order, and nil — not empty — lists for ranks that
+// only send or only receive, across word-boundary sizes.
+func TestNewPlanMatchesPerRankCompile(t *testing.T) {
+	var cases []*sched.Schedule
+	for _, p := range []int{2, 3, 7, 8, 22, 63, 64, 65, 130} {
+		cases = append(cases, sched.Linear(p), sched.Dissemination(p), sched.Tree(p),
+			sched.Ring(p), sched.KAryTree(p, 4), sched.SymmetricDissemination(p))
+	}
+	// A composed shape with no-op stages in the middle and at both ends.
+	hy := sched.New("hybrid-with-gaps", 12)
+	hy.AddStage(mat.NewBool(12))
+	hy.Concat(sched.MergeEarly("children", 12,
+		sched.LinearArrival(5).Lift(12, []int{0, 1, 2, 3, 4}),
+		sched.TreeArrival(7).Lift(12, []int{5, 6, 7, 8, 9, 10, 11})))
+	hy.AddStage(mat.NewBool(12))
+	hy.Concat(sched.TreeArrival(2).Lift(12, []int{0, 5}))
+	hy.Concat(hy.Clone().ReverseTransposed())
+	cases = append(cases, hy)
+	for _, s := range cases {
+		pl, err := NewPlan(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		want := perRankOps(s)
+		if pl.Stages != s.DropEmptyStages().NumStages() {
+			t.Fatalf("%s: %d stages, want %d", s.Name, pl.Stages, s.DropEmptyStages().NumStages())
+		}
+		for r := 0; r < s.P; r++ {
+			if !reflect.DeepEqual(pl.RankOps(r), want[r]) {
+				t.Fatalf("%s rank %d:\ngot  %#v\nwant %#v", s.Name, r, pl.RankOps(r), want[r])
+			}
+		}
+	}
+}
+
+// TestRankOpsIsCompiledOnce: RankOps hands out the plan's own view — what
+// lets a transport execute a warm barrier without allocating.
+func TestRankOpsIsCompiledOnce(t *testing.T) {
+	pl, err := NewPlan(sched.Dissemination(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = pl.RankOps(3) }); n != 0 {
+		t.Fatalf("RankOps allocates %.0f objects per call", n)
+	}
 }

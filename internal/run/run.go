@@ -13,6 +13,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/sched"
@@ -64,13 +65,17 @@ type Plan struct {
 	P      int
 	Stages int
 	// ops[rank] lists only the stages in which the rank participates.
-	ops [][]rankStage
+	ops [][]StageOps
 }
 
-type rankStage struct {
-	stage int // stage index after empty-stage elimination (tag offset)
-	recvs []int
-	sends []int
+// StageOps is one rank's work in one stage of a compiled plan.
+type StageOps struct {
+	// Stage is the stage index (tag offset) after empty-stage elimination.
+	Stage int
+	// Recvs and Sends list the peer ranks in increasing order; a rank that
+	// only sends (or only receives) in the stage has a nil list on the other
+	// side.
+	Recvs, Sends []int
 }
 
 // NewPlan compiles a schedule. It returns an error if the schedule does not
@@ -82,30 +87,38 @@ func NewPlan(s *sched.Schedule) (*Plan, error) {
 	if !s.IsBarrier() {
 		return nil, fmt.Errorf("run: schedule %q does not globally synchronise", s.Name)
 	}
-	clean := s.DropEmptyStages()
-	pl := &Plan{Name: s.Name, P: s.P, Stages: clean.NumStages(), ops: make([][]rankStage, s.P)}
-	for k, st := range clean.Stages {
-		for r := 0; r < s.P; r++ {
-			recvs := st.Col(r)
-			sends := st.Row(r)
-			if len(recvs) == 0 && len(sends) == 0 {
-				continue
-			}
-			pl.ops[r] = append(pl.ops[r], rankStage{stage: k, recvs: recvs, sends: sends})
+	return compile(s), nil
+}
+
+// compile resolves the non-empty stage matrices to per-rank lists. Each
+// stage's receive lists come from one mat.Bool.Cols pass over its set bits,
+// so compilation costs O(P·words + signals) per stage, not P² bit probes.
+func compile(s *sched.Schedule) *Plan {
+	pl := &Plan{Name: s.Name, P: s.P, ops: make([][]StageOps, s.P)}
+	for _, st := range s.Stages {
+		if st.IsZero() {
+			continue
 		}
+		recvs := st.Cols()
+		for r := 0; r < s.P; r++ {
+			if sends := st.Row(r); len(recvs[r]) > 0 || len(sends) > 0 {
+				pl.ops[r] = append(pl.ops[r], StageOps{Stage: pl.Stages, Recvs: recvs[r], Sends: sends})
+			}
+		}
+		pl.Stages++
 	}
-	return pl, nil
+	return pl
 }
 
 // Execute runs the plan for the calling rank.
 func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
 	for _, st := range pl.ops[c.Rank()] {
-		tag := tagBase + st.stage
-		reqs := make([]*mpi.Request, 0, len(st.recvs)+len(st.sends))
-		for _, src := range st.recvs {
+		tag := tagBase + st.Stage
+		reqs := make([]*mpi.Request, 0, len(st.Recvs)+len(st.Sends))
+		for _, src := range st.Recvs {
 			reqs = append(reqs, c.Irecv(src, tag))
 		}
-		for _, dst := range st.sends {
+		for _, dst := range st.Sends {
 			reqs = append(reqs, c.Issend(dst, tag, 0))
 		}
 		c.Wait(reqs...)
@@ -237,35 +250,20 @@ func NewGroupPlan(s *sched.Schedule, members []int) (*Plan, error) {
 	for _, m := range members {
 		inGroup[m] = true
 	}
-	clean := s.DropEmptyStages()
-	pl := &Plan{Name: s.Name, P: s.P, Stages: clean.NumStages(), ops: make([][]rankStage, s.P)}
-	for k, st := range clean.Stages {
-		for r := 0; r < s.P; r++ {
-			recvs := st.Col(r)
-			sends := st.Row(r)
-			if len(recvs) == 0 && len(sends) == 0 {
-				continue
-			}
-			if !inGroup[r] {
-				return nil, fmt.Errorf("run: schedule %q involves non-member rank %d", s.Name, r)
-			}
-			for _, peer := range append(append([]int(nil), recvs...), sends...) {
+	pl := compile(s)
+	for r, list := range pl.ops {
+		if len(list) > 0 && !inGroup[r] {
+			return nil, fmt.Errorf("run: schedule %q involves non-member rank %d", s.Name, r)
+		}
+		for _, op := range list {
+			for _, peer := range slices.Concat(op.Recvs, op.Sends) {
 				if !inGroup[peer] {
 					return nil, fmt.Errorf("run: schedule %q signals non-member rank %d", s.Name, peer)
 				}
 			}
-			pl.ops[r] = append(pl.ops[r], rankStage{stage: k, recvs: recvs, sends: sends})
 		}
 	}
 	return pl, nil
-}
-
-// StageOps is one rank's work in one stage of a compiled plan.
-type StageOps struct {
-	// Stage is the stage index (tag offset) after empty-stage elimination.
-	Stage int
-	// Recvs and Sends list the peer ranks, in deterministic order.
-	Recvs, Sends []int
 }
 
 // PlanFromOps assembles a plan directly from per-rank stage lists, bypassing
@@ -285,21 +283,21 @@ func PlanFromOps(name string, p, stages int, ops [][]StageOps) (*Plan, error) {
 	if len(ops) != p {
 		return nil, fmt.Errorf("run: %d op lists for %d ranks", len(ops), p)
 	}
-	pl := &Plan{Name: name, P: p, Stages: stages, ops: make([][]rankStage, p)}
+	pl := &Plan{Name: name, P: p, Stages: stages, ops: make([][]StageOps, p)}
 	for r, list := range ops {
 		for _, op := range list {
 			if op.Stage < 0 || op.Stage >= stages {
 				return nil, fmt.Errorf("run: rank %d op in stage %d of %d-stage plan", r, op.Stage, stages)
 			}
-			for _, peer := range append(append([]int(nil), op.Recvs...), op.Sends...) {
+			for _, peer := range slices.Concat(op.Recvs, op.Sends) {
 				if peer < 0 || peer >= p {
 					return nil, fmt.Errorf("run: rank %d references peer %d of %d-rank plan", r, peer, p)
 				}
 			}
-			pl.ops[r] = append(pl.ops[r], rankStage{
-				stage: op.Stage,
-				recvs: append([]int(nil), op.Recvs...),
-				sends: append([]int(nil), op.Sends...),
+			pl.ops[r] = append(pl.ops[r], StageOps{
+				Stage: op.Stage,
+				Recvs: append([]int(nil), op.Recvs...),
+				Sends: append([]int(nil), op.Sends...),
 			})
 		}
 	}
@@ -321,17 +319,16 @@ func (pl *Plan) Silenced(ranks ...int) *Plan {
 		}
 		silent[r] = true
 	}
-	out := &Plan{Name: pl.Name, P: pl.P, Stages: pl.Stages, ops: make([][]rankStage, pl.P)}
+	out := &Plan{Name: pl.Name, P: pl.P, Stages: pl.Stages, ops: make([][]StageOps, pl.P)}
 	for r := range pl.ops {
 		for _, op := range pl.ops[r] {
-			ns := rankStage{stage: op.stage, recvs: append([]int(nil), op.recvs...)}
-			if !silent[r] {
-				ns.sends = append([]int(nil), op.sends...)
+			// Peer lists are immutable once compiled, so the copy shares them.
+			if silent[r] {
+				op.Sends = nil
 			}
-			if len(ns.recvs) == 0 && len(ns.sends) == 0 {
-				continue
+			if len(op.Recvs) > 0 || len(op.Sends) > 0 {
+				out.ops[r] = append(out.ops[r], op)
 			}
-			out.ops[r] = append(out.ops[r], ns)
 		}
 	}
 	return out
@@ -339,18 +336,11 @@ func (pl *Plan) Silenced(ranks ...int) *Plan {
 
 // RankOps returns the per-stage operation list of one rank — the data a
 // transport backend (for example the TCP mesh in internal/netmpi) needs to
-// execute the plan outside the simulator.
+// execute the plan outside the simulator. The list is the plan's own,
+// compiled once: callers must treat it and its peer lists as read-only.
 func (pl *Plan) RankOps(r int) []StageOps {
 	if r < 0 || r >= pl.P {
 		panic(fmt.Sprintf("run: rank %d out of range for %d-rank plan", r, pl.P))
 	}
-	out := make([]StageOps, len(pl.ops[r]))
-	for i, op := range pl.ops[r] {
-		out[i] = StageOps{
-			Stage: op.stage,
-			Recvs: append([]int(nil), op.recvs...),
-			Sends: append([]int(nil), op.sends...),
-		}
-	}
-	return out
+	return pl.ops[r]
 }

@@ -99,10 +99,11 @@ func (n *Node) String() string {
 // The first listed rank seeds the first cluster. Returned clusters preserve
 // founding order; each cluster's ranks are sorted.
 func Flat(pr *profile.Profile, ranks []int, sparseness float64) [][]int {
-	if len(ranks) == 0 {
-		return nil
-	}
-	// Diameter within the subset.
+	return flat(pr, ranks, sparseness*diameter(pr, ranks))
+}
+
+// diameter returns the largest pairwise distance within the subset.
+func diameter(pr *profile.Profile, ranks []int) float64 {
 	diam := 0.0
 	for a := 0; a < len(ranks); a++ {
 		for b := a + 1; b < len(ranks); b++ {
@@ -111,7 +112,15 @@ func Flat(pr *profile.Profile, ranks []int, sparseness float64) [][]int {
 			}
 		}
 	}
-	threshold := sparseness * diam
+	return diam
+}
+
+// flat is Flat with the new-center threshold already resolved, so a caller
+// that knows the subset's diameter does not pay the all-pairs scan twice.
+func flat(pr *profile.Profile, ranks []int, threshold float64) [][]int {
+	if len(ranks) == 0 {
+		return nil
+	}
 	centers := []int{ranks[0]}
 	clusters := [][]int{{ranks[0]}}
 	for _, r := range ranks[1:] {
@@ -155,18 +164,11 @@ func build(pr *profile.Profile, ranks []int, opts Options, depth int) *Node {
 		return n
 	}
 	// Stop when remaining locality differences are below the floor.
-	diam := 0.0
-	for a := 0; a < len(sorted); a++ {
-		for b := a + 1; b < len(sorted); b++ {
-			if d := pr.Distance(sorted[a], sorted[b]); d > diam {
-				diam = d
-			}
-		}
-	}
+	diam := diameter(pr, sorted)
 	if diam <= opts.MinDiameter {
 		return n
 	}
-	clusters := Flat(pr, sorted, opts.sparseness())
+	clusters := flat(pr, sorted, opts.sparseness()*diam)
 	if len(clusters) <= 1 {
 		return n
 	}

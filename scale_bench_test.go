@@ -1,15 +1,20 @@
 // Large-P scaling benchmarks: the Eq. 3 closure (the from-scratch row-wise
 // reference vs the receiver-wise frontier kernel) at P = 128/256/1024, and
 // end-to-end mutation throughput of the cluster-pruned batched search at the
-// same rank counts. TestLargePSearchSpeedupFloor pins the search's advantage
-// over clone-and-recompute evaluation at P = 256.
+// same rank counts, and the composer and the whole budgeted tune at
+// P = 256/1024. TestLargePSearchSpeedupFloor pins the search's advantage over
+// clone-and-recompute evaluation at P = 256; TestTuneAllocationBoundLargeP
+// pins the tune's output-sensitivity without a wall clock.
 package topobarrier_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"topobarrier/internal/compose"
+	"topobarrier/internal/core"
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mat"
 	"topobarrier/internal/perftest"
@@ -102,6 +107,66 @@ func BenchmarkSearchThroughputLargeP(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
 		})
+	}
+}
+
+// ledgerTuneOptions is the tuner configuration of the ledger's
+// tune_scale_p1024 workload (bench/workloads.go).
+var ledgerTuneOptions = core.Options{Refine: 400, RefineBatch: 8, RefineSeed: 16}
+
+// BenchmarkTuneLargeP times one whole budgeted tune — profile in hand to
+// verified plan in hand — the span the ledger reports as tune_s.
+func BenchmarkTuneLargeP(b *testing.B) {
+	for _, p := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			pf := scaleProfile(b, p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Tune(pf, ledgerTuneOptions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkComposeHybrid times the greedy composer alone over the SSS tree.
+func BenchmarkComposeHybrid(b *testing.B) {
+	for _, p := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			pf := scaleProfile(b, p)
+			pd := predict.New(pf)
+			tree := sss.Tree(pf, sss.Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := compose.Hybrid(pd, tree, sched.PaperBuilders()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTuneAllocationBoundLargeP is the deterministic scale guard of the
+// compose → vet → compile path: a P=1024 stage matrix is 128 KB, so a tune
+// that materialises one per (cluster × builder) candidate allocates 406 MB
+// where the output-sensitive path allocates 62 MB (the composed schedule,
+// the anneal's working copies and the compiled plan). A reintroduced P×P
+// temporary per candidate fails here rather than in a ledger run.
+func TestTuneAllocationBoundLargeP(t *testing.T) {
+	pf := scaleProfile(t, 1024)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := core.Tune(pf, ledgerTuneOptions); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("core.Tune at P=1024 allocated %.1f MB", mb)
+	if mb >= 150 {
+		t.Fatalf("core.Tune at P=1024 allocated %.1f MB, want < 150", mb)
 	}
 }
 
