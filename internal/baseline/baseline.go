@@ -69,11 +69,11 @@ func Linear(c *mpi.Comm, tagBase int) {
 		for n := 1; n < p; n++ {
 			c.Recv(mpi.AnySource, tagBase)
 		}
-		reqs := make([]*mpi.Request, 0, p-1)
+		b := c.Batch()
 		for dst := 1; dst < p; dst++ {
-			reqs = append(reqs, c.Issend(dst, tagBase+1, 0))
+			b.Issend(dst, tagBase+1, 0)
 		}
-		c.Wait(reqs...)
+		b.Wait()
 		return
 	}
 	c.Send(0, tagBase, 0)
@@ -89,10 +89,16 @@ func Dissemination(c *mpi.Comm, tagBase int) {
 		step := 1 << uint(e)
 		to := (me + step) % p
 		from := (me - step%p + p) % p
-		recv := c.Irecv(from, tagBase+e)
-		send := c.Issend(to, tagBase+e, 0)
-		c.Wait(recv, send)
+		exchange(c, from, to, tagBase+e)
 	}
+}
+
+// exchange is one pairwise round: hear from one rank while signalling another.
+func exchange(c *mpi.Comm, from, to, tag int) {
+	b := c.Batch()
+	b.Irecv(from, tag)
+	b.Issend(to, tag, 0)
+	b.Wait()
 }
 
 // RecursiveDoubling is the pairwise-exchange barrier; for non-powers of two
@@ -107,9 +113,7 @@ func RecursiveDoubling(c *mpi.Comm, tagBase int) {
 	me := c.Rank()
 	for e := 0; (1 << uint(e)) < p; e++ {
 		partner := me ^ (1 << uint(e))
-		recv := c.Irecv(partner, tagBase+e)
-		send := c.Issend(partner, tagBase+e, 0)
-		c.Wait(recv, send)
+		exchange(c, partner, partner, tagBase+e)
 	}
 }
 

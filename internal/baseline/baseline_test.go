@@ -5,6 +5,7 @@ import (
 
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mpi"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/topo"
@@ -26,6 +27,30 @@ func TestAllBaselinesSynchronise(t *testing.T) {
 				t.Fatalf("%s at p=%d: %v", name, p, err)
 			}
 		}
+	}
+}
+
+// Every baseline waits through blocking calls or the rank's Batch, so in
+// steady state a barrier allocates nothing: N and 2N barriers inside one
+// World.Run cost the same. The fabric is noise-free so the count is exact.
+func TestBaselineAllocsIndependentOfBarrierCount(t *testing.T) {
+	params := fabric.GigEParams(1)
+	params.SelfSigma = 0
+	for c, l := range params.Classes {
+		l.Sigma = 0
+		params.Classes[c] = l
+	}
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 24, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(f)
+	for name, b := range All() {
+		perftest.SteadyAllocs(t, name, 40, func(iters int) {
+			if _, err := run.Measure(w, b, 0, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

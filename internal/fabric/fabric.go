@@ -16,7 +16,6 @@ package fabric
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"topobarrier/internal/profile"
 	"topobarrier/internal/stats"
@@ -59,6 +58,10 @@ type Params struct {
 
 // Fabric resolves per-rank message costs for one placed job: a machine spec,
 // a placement of P ranks onto cores, and the link cost parameters.
+//
+// Every cost sample advances the one noise stream, so a Fabric (and any
+// mpi.World over it) must be driven by one goroutine at a time; sharing one
+// across goroutines is unsupported. Separate fabrics are independent.
 type Fabric struct {
 	spec   topo.Spec
 	params Params
@@ -68,7 +71,6 @@ type Fabric struct {
 	// applied (messages from a higher-numbered core to a lower one).
 	links, skewed [topo.NumLinkClasses]Link
 
-	mu  sync.Mutex
 	rng *stats.RNG
 }
 
@@ -176,8 +178,6 @@ func (f *Fabric) noise(sigma float64) float64 {
 	if sigma <= 0 {
 		return 1
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.rng.LogNorm(sigma)
 }
 
@@ -250,12 +250,20 @@ func (f *Fabric) TrueL(src, dst int) float64 {
 // probed estimates; the oracle profile supports tests and the ablation that
 // separates model error from measurement error.
 func (f *Fabric) TrueProfile() *profile.Profile {
-	pf := profile.New(f.spec.Name+" (oracle)", len(f.cores))
-	for i := range f.cores {
-		for j := range f.cores {
-			pf.O.Set(i, j, f.TrueO(i, j))
-			pf.L.Set(i, j, f.TrueL(i, j))
+	p := len(f.cores)
+	pf := profile.New(f.spec.Name+" (oracle)", p)
+	o, l := pf.O.Data(), pf.L.Data()
+	for i, si := range f.seats {
+		orow, lrow := o[i*p:(i+1)*p], l[i*p:(i+1)*p]
+		for j, sj := range f.seats {
+			links := &f.links
+			if f.cores[i] > f.cores[j] {
+				links = &f.skewed
+			}
+			lk := &links[si.ClassTo(sj)]
+			orow[j], lrow[j] = lk.Alpha, lk.Lambda
 		}
+		orow[i], lrow[i] = f.params.SelfOverhead, 0
 	}
 	return pf
 }

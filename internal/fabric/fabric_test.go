@@ -259,19 +259,35 @@ func BenchmarkSendOverhead(b *testing.B) {
 	}
 }
 
+// TrueProfile fills its rows through Dense.Data; the TrueO / TrueL accessors
+// are the per-entry reference it must agree with bit for bit, round-robin and
+// block placements, symmetric and skewed links.
 func TestTrueProfileMatchesOracle(t *testing.T) {
-	f, err := QuadClusterFabric(topo.RoundRobin{}, 12, 1)
-	if err != nil {
-		t.Fatal(err)
+	check := func(f *Fabric, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf := f.TrueProfile()
+		if err := pf.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < f.P(); i++ {
+			for j := 0; j < f.P(); j++ {
+				if pf.O.At(i, j) != f.TrueO(i, j) || pf.L.At(i, j) != f.TrueL(i, j) {
+					t.Fatalf("P=%d skew=%g: oracle profile mismatch at (%d,%d)", f.P(), f.params.DirectionSkew, i, j)
+				}
+			}
+		}
 	}
-	pf := f.TrueProfile()
-	if err := pf.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			if pf.O.At(i, j) != f.TrueO(i, j) || pf.L.At(i, j) != f.TrueL(i, j) {
-				t.Fatalf("oracle profile mismatch at (%d,%d)", i, j)
+	check(QuadClusterFabric(topo.RoundRobin{}, 12, 1))
+	for _, p := range []int{8, 64, 1024} {
+		for _, skew := range []float64{0, 0.5} {
+			params := GigEParams(1)
+			params.DirectionSkew = skew
+			check(New(ScaleClusterSpec(p, (p+31)/32), topo.Block{}, p, params))
+			if p <= 64 {
+				check(New(topo.QuadCluster(), topo.RoundRobin{}, p, params))
 			}
 		}
 	}

@@ -114,12 +114,15 @@ func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 }
 
 // newRequest returns a request initialised to v, reusing the storage of a
-// finished blocking call when there is one.
+// recycled one when there is one.
 func (r *run) newRequest(v Request) *Request {
 	var q *Request
 	if n := len(r.free); n > 0 {
 		q = r.free[n-1]
 		r.free = r.free[:n-1]
+		if !q.done || q.inWait {
+			panic("mpi: live request on the free list")
+		}
 	} else {
 		q = new(Request)
 	}
@@ -127,9 +130,40 @@ func (r *run) newRequest(v Request) *Request {
 	return q
 }
 
-// recycle takes back a completed request no caller ever saw (a blocking
-// call's): once complete, nothing in the run refers to it any more.
-func (r *run) recycle(q *Request) { r.free = append(r.free, q) }
+// recycle takes back completed requests no caller ever saw (a blocking
+// call's, a Batch's) once their wait has returned: once complete, nothing in
+// the run refers to them any more. That is the one ownership rule — a request
+// returned to the caller (Irecv, Issend, Isend) is the caller's for good.
+func (r *run) recycle(qs ...*Request) { r.free = append(r.free, qs...) }
+
+// Batch is a rank's reusable stage — "post these operations, wait for all" —
+// whose requests never reach the caller: Wait recycles them, so a steady
+// stream of stages allocates nothing. A rank has one batch; posts accumulate
+// until Wait, and blocking calls may run in between.
+type Batch struct{ c *Comm }
+
+// Batch returns the calling rank's batch.
+func (c *Comm) Batch() Batch { return Batch{c} }
+
+func (b Batch) post(q *Request) { b.c.p.stage = append(b.c.p.stage, q) }
+
+// Irecv posts a receive as Comm.Irecv does.
+func (b Batch) Irecv(src, tag int) { b.post(b.c.Irecv(src, tag)) }
+
+// Issend posts a synchronized send as Comm.Issend does.
+func (b Batch) Issend(dst, tag, bytes int) { b.post(b.c.Issend(dst, tag, bytes)) }
+
+// Isend posts an eager send as Comm.Isend does.
+func (b Batch) Isend(dst, tag, bytes int) { b.post(b.c.Isend(dst, tag, bytes)) }
+
+// Wait blocks until everything posted since the last Wait has completed, as
+// Comm.Wait does, and empties the batch.
+func (b Batch) Wait() {
+	p := b.c.p
+	b.c.Wait(p.stage...)
+	b.c.r.recycle(p.stage...)
+	p.stage = p.stage[:0]
+}
 
 // Irecv posts a nonblocking receive matching the given source and tag
 // (AnySource / AnyTag act as wildcards). On completion the request's Src and

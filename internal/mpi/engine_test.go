@@ -2,8 +2,12 @@ package mpi
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"topobarrier/internal/fabric"
+	"topobarrier/internal/topo"
 )
 
 // settledGoroutines returns the goroutine count once it has stopped falling:
@@ -134,6 +138,44 @@ func TestAllocsPerMessageCeiling(t *testing.T) {
 	t.Logf("%.3f allocations per message (%.0f per run)", perMsg, allocs)
 	if perMsg > 1 {
 		t.Fatalf("%.2f allocations per message, want <= 1", perMsg)
+	}
+}
+
+// The single-owner contract: a Fabric and the Worlds over it belong to one
+// goroutine at a time, and separate fabrics share nothing — so two jobs on two
+// fabrics may run concurrently (clean under -race) and each still replays
+// exactly what it does alone.
+func TestSeparateFabricsRunConcurrently(t *testing.T) {
+	job := func(seed uint64) float64 {
+		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 4, seed)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		w := NewWorld(f)
+		total := 0.0
+		for i := 0; i < 20; i++ {
+			elapsed, err := w.Run(func(c *Comm) { pingPong(c, 50) })
+			if err != nil {
+				t.Error(err)
+			}
+			total += elapsed
+		}
+		return total
+	}
+	alone := [2]float64{job(1), job(2)}
+	var together [2]float64
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = job(uint64(i + 1))
+		}()
+	}
+	wg.Wait()
+	if together != alone {
+		t.Fatalf("concurrent jobs on separate fabrics measured %v, alone %v", together, alone)
 	}
 }
 

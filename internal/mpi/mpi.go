@@ -168,7 +168,7 @@ type run struct {
 	q       des.Queue[event]
 	procs   []proc
 	nicFree []float64
-	free    []*Request // requests of finished blocking calls, for reuse
+	free    []*Request // completed requests no caller ever saw, for reuse
 }
 
 // event is what the run's queue carries: the payload of one scheduler action,
@@ -200,6 +200,8 @@ type proc struct {
 	batchLat float64 // summed batch-marginal cost of the sends since the proc last blocked
 
 	pending int // incomplete requests of the Wait the proc is parked in
+
+	stage []*Request // the rank's Batch: posted since its last Wait
 
 	posted     []*Request // posted, unmatched receives (post order)
 	unexpected []inMsg    // arrived, unmatched messages (arrival order)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/run"
 )
 
@@ -94,7 +95,7 @@ func BenchmarkSendAllocs(b *testing.B) {
 // steady-state empty-frame send+receive round under a receive deadline, as
 // Barrier issues it, stays within sendRecvShapes' bound on each transport.
 func TestSendAllocsPooled(t *testing.T) {
-	if raceEnabled {
+	if perftest.RaceEnabled {
 		t.Skip("race instrumentation allocates shadow state; allocation counts are meaningless there")
 	}
 	for _, tc := range sendRecvShapes {
@@ -126,7 +127,7 @@ func TestSendAllocsPooled(t *testing.T) {
 // and only TCP's amortized pool refills otherwise. Ranks 1..P-1 are parked
 // goroutines released once per round, so the count covers one whole barrier.
 func TestBarrierAllocsWarm(t *testing.T) {
-	if raceEnabled {
+	if perftest.RaceEnabled {
 		t.Skip("race instrumentation allocates shadow state; allocation counts are meaningless there")
 	}
 	const p = 8

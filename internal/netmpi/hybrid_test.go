@@ -456,7 +456,7 @@ func TestHybridBarrierSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison, skipped in -short")
 	}
-	if raceEnabled {
+	if perftest.RaceEnabled {
 		t.Skip("race instrumentation inflates atomics far more than syscalls; transport timing is meaningless there")
 	}
 	const p = 8

@@ -143,14 +143,14 @@ func MeasureDirected(w *mpi.World, cfg Config) (*profile.Profile, error) {
 func directedSender(c *mpi.Comm, dst, tag int, cfg Config, pi int, sendAt []float64) {
 	handshake(c, dst, tag, true)
 	// L sweep: batches of empty messages; the receiver times them.
+	b := c.Batch()
 	for _, m := range cfg.Batches {
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
 			sendAt[pi] = c.Wtime()
-			reqs := make([]*mpi.Request, m)
 			for k := 0; k < m; k++ {
-				reqs[k] = c.Issend(dst, tag+1, 0)
+				b.Issend(dst, tag+1, 0)
 			}
-			c.Wait(reqs...)
+			b.Wait()
 			c.Recv(dst, tag+2) // pace
 		}
 	}
@@ -168,15 +168,16 @@ func directedSender(c *mpi.Comm, dst, tag int, cfg Config, pi int, sendAt []floa
 // timestamps and fits the directed L and O estimates.
 func directedReceiver(c *mpi.Comm, src, tag int, cfg Config, pi int, sendAt []float64, sizeXs, batchXs []float64) (l, o float64, err error) {
 	handshake(c, src, tag, false)
+	b := c.Batch()
+	samples := make([]float64, 0, cfg.Reps)
 	batchMeans := make([]float64, len(cfg.Batches))
 	for bi, m := range cfg.Batches {
-		samples := make([]float64, 0, cfg.Reps)
+		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			reqs := make([]*mpi.Request, m)
 			for k := 0; k < m; k++ {
-				reqs[k] = c.Irecv(src, tag+1)
+				b.Irecv(src, tag+1)
 			}
-			c.Wait(reqs...)
+			b.Wait()
 			if r >= cfg.Warmup {
 				samples = append(samples, c.Wtime()-sendAt[pi])
 			}
@@ -195,7 +196,7 @@ func directedReceiver(c *mpi.Comm, src, tag int, cfg Config, pi int, sendAt []fl
 
 	sizeMeans := make([]float64, len(cfg.Sizes))
 	for si := range cfg.Sizes {
-		samples := make([]float64, 0, cfg.Reps)
+		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
 			c.Recv(src, tag+3)
 			if r >= cfg.Warmup {

@@ -249,16 +249,17 @@ func measureInitiator(c *mpi.Comm, peer, tag int, cfg Config, sizeXs, batchXs []
 	handshake(c, peer, tag, true)
 
 	// L sweep first: the fitted gradient corrects the O intercept below.
+	b := c.Batch()
+	samples := make([]float64, 0, cfg.Reps)
 	batchMeans := make([]float64, len(cfg.Batches))
 	for bi, m := range cfg.Batches {
-		samples := make([]float64, 0, cfg.Reps)
+		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
 			t0 := c.Wtime()
-			reqs := make([]*mpi.Request, m)
 			for k := 0; k < m; k++ {
-				reqs[k] = c.Issend(peer, tag+1, 0)
+				b.Issend(peer, tag+1, 0)
 			}
-			c.Wait(reqs...)
+			b.Wait()
 			t1 := c.Wtime()
 			c.Recv(peer, tag+2) // untimed ack keeps reps in lockstep
 			if r >= cfg.Warmup {
@@ -279,7 +280,7 @@ func measureInitiator(c *mpi.Comm, peer, tag int, cfg Config, sizeXs, batchXs []
 	// O sweep: round trips over growing sizes; intercept/2 minus L.
 	sizeMeans := make([]float64, len(cfg.Sizes))
 	for si, s := range cfg.Sizes {
-		samples := make([]float64, 0, cfg.Reps)
+		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
 			t0 := c.Wtime()
 			c.Send(peer, tag+3, s)
@@ -305,13 +306,13 @@ func measureInitiator(c *mpi.Comm, peer, tag int, cfg Config, sizeXs, batchXs []
 // measureResponder mirrors measureInitiator on the passive side.
 func measureResponder(c *mpi.Comm, peer, tag int, cfg Config) {
 	handshake(c, peer, tag, false)
+	b := c.Batch()
 	for _, m := range cfg.Batches {
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			reqs := make([]*mpi.Request, m)
 			for k := 0; k < m; k++ {
-				reqs[k] = c.Irecv(peer, tag+1)
+				b.Irecv(peer, tag+1)
 			}
-			c.Wait(reqs...)
+			b.Wait()
 			c.Send(peer, tag+2, 0)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mpi"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/stats"
 	"topobarrier/internal/topo"
 )
@@ -315,6 +316,32 @@ func TestPaperProtocolRecoversParameters(t *testing.T) {
 				t.Errorf("paper-protocol L[%d][%d] err %.1f%%", i, j, 100*e)
 			}
 		}
+	}
+}
+
+// The sweeps post through the rank's Batch and reuse their sample buffers, so
+// a probe allocates per pair (fit inputs, error slots, profile entries), not
+// per message: P=16 is 120 pairs exchanging 69 960 messages and measures
+// 1 395 allocations, 11.6 per pair, where one Request per L-sweep message
+// alone would be 985 per pair.
+func TestMeasureAllocsScaleWithPairs(t *testing.T) {
+	if perftest.RaceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	const p, perPair = 16, 32
+	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(f)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Measure(w, Default()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("probe.Measure at P=%d: %.0f allocations, %.1f per pair", p, allocs, allocs/(p*(p-1)/2))
+	if allocs > perPair*p*(p-1)/2 {
+		t.Fatalf("probe.Measure at P=%d allocated %.0f times, want <= %d per pair", p, allocs, perPair)
 	}
 }
 

@@ -253,7 +253,7 @@ func TestClosedLoopRecovery(t *testing.T) {
 	// on a loaded box smears a healthy link's timings past the threshold
 	// (1 run in 15 on two cores; always possible under the race detector) —
 	// so it is enforced like the other timing floors.
-	if !raceEnabled {
+	if !perftest.RaceEnabled {
 		var healthy []netmpi.Direction
 		for _, d := range d2.Reprobe.Stale {
 			if !wrapped[d] {
@@ -306,7 +306,7 @@ func TestClosedLoopRecovery(t *testing.T) {
 		d2.Observed, d2.Repriced, d2.Candidate, d2.NewPredicted, d2.Reprobe.Stale)
 	t.Logf("post-swap: observed %.4gs predicted %.4gs drift %.2f schedule %s (%d stages)",
 		d4.Observed, d4.Predicted, d4.Drift, ctl.Schedule().Name, ctl.Schedule().NumStages())
-	if raceEnabled {
+	if perftest.RaceEnabled {
 		t.Logf("race build: skipping the 1.5× recovery pin (drift %.3gs → post-swap %.3gs)", d2.Observed, d4.Observed)
 		return
 	}

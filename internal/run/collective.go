@@ -8,11 +8,11 @@ import (
 )
 
 // Transfer executes a signal pattern whose messages carry a payload of the
-// given size — the executor for gather/broadcast collectives composed by
-// internal/coll. The stage discipline matches Barrier: per stage, post
-// receives, issue synchronized sends, wait for all.
+// given size — the general stage-matrix interpreter behind Barrier and the
+// executor for gather/broadcast collectives composed by internal/coll. Per
+// stage: post receives, issue synchronized sends, wait for all.
 func Transfer(c *mpi.Comm, s *sched.Schedule, tagBase, bytes int) {
-	me := c.Rank()
+	me, b := c.Rank(), c.Batch()
 	for k, st := range s.Stages {
 		tag := tagBase + k
 		sources := st.Col(me)
@@ -20,14 +20,13 @@ func Transfer(c *mpi.Comm, s *sched.Schedule, tagBase, bytes int) {
 		if len(sources) == 0 && len(targets) == 0 {
 			continue
 		}
-		reqs := make([]*mpi.Request, 0, len(sources)+len(targets))
 		for _, src := range sources {
-			reqs = append(reqs, c.Irecv(src, tag))
+			b.Irecv(src, tag)
 		}
 		for _, dst := range targets {
-			reqs = append(reqs, c.Issend(dst, tag, bytes))
+			b.Issend(dst, tag, bytes)
 		}
-		c.Wait(reqs...)
+		b.Wait()
 	}
 }
 

@@ -31,25 +31,7 @@ const TagSpan = 1024
 // Barrier executes schedule s for the calling rank using the general
 // stage-matrix interpreter. All ranks of the world must call it with the
 // same schedule and tagBase.
-func Barrier(c *mpi.Comm, s *sched.Schedule, tagBase int) {
-	me := c.Rank()
-	for k, st := range s.Stages {
-		tag := tagBase + k
-		sources := st.Col(me)
-		targets := st.Row(me)
-		if len(sources) == 0 && len(targets) == 0 {
-			continue
-		}
-		reqs := make([]*mpi.Request, 0, len(sources)+len(targets))
-		for _, src := range sources {
-			reqs = append(reqs, c.Irecv(src, tag))
-		}
-		for _, dst := range targets {
-			reqs = append(reqs, c.Issend(dst, tag, 0))
-		}
-		c.Wait(reqs...)
-	}
-}
+func Barrier(c *mpi.Comm, s *sched.Schedule, tagBase int) { Transfer(c, s, tagBase, 0) }
 
 // ScheduleFunc adapts a schedule to a Func using the general interpreter.
 func ScheduleFunc(s *sched.Schedule) Func {
@@ -112,16 +94,16 @@ func compile(s *sched.Schedule) *Plan {
 
 // Execute runs the plan for the calling rank.
 func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
+	b := c.Batch()
 	for _, st := range pl.ops[c.Rank()] {
 		tag := tagBase + st.Stage
-		reqs := make([]*mpi.Request, 0, len(st.Recvs)+len(st.Sends))
 		for _, src := range st.Recvs {
-			reqs = append(reqs, c.Irecv(src, tag))
+			b.Irecv(src, tag)
 		}
 		for _, dst := range st.Sends {
-			reqs = append(reqs, c.Issend(dst, tag, 0))
+			b.Issend(dst, tag, 0)
 		}
-		c.Wait(reqs...)
+		b.Wait()
 	}
 }
 

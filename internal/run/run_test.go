@@ -7,6 +7,7 @@ import (
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mat"
 	"topobarrier/internal/mpi"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/topo"
 )
@@ -174,6 +175,25 @@ func TestPlanEmptyStageElimination(t *testing.T) {
 	}
 	if err := Validate(testWorld(t, 4, 1), pl.Func(), 0.25, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A compiled plan's stages go through the rank's Batch, so once a run's
+// queue, free list and match lists have reached their working size a barrier
+// allocates nothing: N and 2N barriers inside one World.Run cost the same
+// (testWorld is noise-free, so the count is exact).
+func TestExecuteAllocsIndependentOfBarrierCount(t *testing.T) {
+	w := testWorld(t, 32, 1)
+	for _, s := range []*sched.Schedule{sched.Tree(32), sched.Dissemination(32)} {
+		pl, err := NewPlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perftest.SteadyAllocs(t, s.Name, 40, func(iters int) {
+			if _, err := Measure(w, pl.Func(), 0, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -102,7 +102,9 @@ const freeRetainRows = 1 << 12
 // single pathological mutation (adopting a foreign schedule) can journal
 // O(P·stages) rows; a long anneal performs millions of Barrier calls, and
 // without a cap the journal would stay at its high-water capacity for the
-// whole run.
+// whole run. The cap is this floor or 16·P, whichever is larger: an ordinary
+// rebuild journals a few stages of up to P rows each, and a cap below that
+// frees and regrows the journal on every call.
 const journalRetainRefs = 1 << 12
 
 // newRow returns a row slab holding a copy of src, reusing a recycled slab
@@ -417,13 +419,13 @@ func (c *KnowledgeCache) Rollback() {
 
 // resetJournal empties the pointer journal, dropping the row references it
 // held (they pin otherwise-dead rows) and releasing capacity past
-// journalRetainRefs so memory tracks the typical mutation, not the worst one
-// seen.
+// max(journalRetainRefs, 16·P) so memory tracks the typical mutation, not the
+// worst one seen.
 func (c *KnowledgeCache) resetJournal() {
 	for i := range c.jRefs {
 		c.jRefs[i].old = nil
 	}
-	if cap(c.jRefs) > journalRetainRefs {
+	if cap(c.jRefs) > max(journalRetainRefs, 16*c.p) {
 		c.jRefs = nil
 	} else {
 		c.jRefs = c.jRefs[:0]

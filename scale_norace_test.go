@@ -5,7 +5,3 @@ package topobarrier_test
 // scaleTestP is the rank count for the large-P end-to-end tuning tests: the
 // full P=1024 scaling configuration when instrumentation is off.
 const scaleTestP = 1024
-
-// scaleRaceEnabled relaxes the large-P throughput floors when the race
-// detector multiplies the cost of every matrix word access.
-const scaleRaceEnabled = false

@@ -6,7 +6,3 @@ package topobarrier_test
 // Under the race detector every matrix word access is instrumented, so the
 // tests exercise the same code paths at a quarter of the scale.
 const scaleTestP = 256
-
-// scaleRaceEnabled relaxes the large-P throughput floors when the race
-// detector multiplies the cost of every matrix word access.
-const scaleRaceEnabled = true
