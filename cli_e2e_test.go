@@ -1,6 +1,7 @@
 package topobarrier_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -119,31 +120,46 @@ func TestCLIExperimentsSubset(t *testing.T) {
 	}
 }
 
-// TestCLIBarrierLib drives the library command: tune (miss), tune (hit),
-// check, list.
-func TestCLIBarrierLib(t *testing.T) {
+// TestCLIProfileCacheRoundTrip drives the tune-once-reuse-later flow on the
+// fingerprinted profile cache: the second profilecluster run is a cache hit
+// that skips the measurement, tuning from the cache is deterministic down to
+// the schedule bytes, and the cached plan validates on the cluster.
+func TestCLIProfileCacheRoundTrip(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles and runs the barrierlib command")
+		t.Skip("compiles and runs the profile-cache commands")
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
 	dir := t.TempDir()
-	out := runCmd(t, "./cmd/barrierlib", "tune", "-dir", dir, "-cluster", "quad", "-p", "12")
-	if !strings.Contains(out, "tuned now") {
-		t.Fatalf("first tune output: %s", out)
+	cache := filepath.Join(dir, "cache")
+	profArgs := []string{"./cmd/profilecluster", "-cluster", "quad", "-p", "12", "-profile-cache", cache, "-o", filepath.Join(dir, "prof.json")}
+	if out := runCmd(t, profArgs...); strings.Contains(out, "profile cache hit") {
+		t.Fatalf("first profilecluster run hit an empty cache:\n%s", out)
 	}
-	out = runCmd(t, "./cmd/barrierlib", "tune", "-dir", dir, "-cluster", "quad", "-p", "12")
-	if !strings.Contains(out, "loaded from library") {
-		t.Fatalf("second tune output: %s", out)
+	if out := runCmd(t, profArgs...); !strings.Contains(out, "profile cache hit") {
+		t.Fatalf("second profilecluster run did not hit the cache:\n%s", out)
 	}
-	out = runCmd(t, "./cmd/barrierlib", "check", "-dir", dir, "-cluster", "quad", "-p", "12")
-	if !strings.Contains(out, "synchronization verified") {
-		t.Fatalf("check output: %s", out)
+
+	var schedules [2][]byte
+	for i, name := range []string{"a.json", "b.json"} {
+		path := filepath.Join(dir, name)
+		if out := runCmd(t, "./cmd/tunebarrier", "-profile-cache", cache, "-o", path); !strings.Contains(out, "profile cache hit") {
+			t.Fatalf("tunebarrier did not load the cached profile:\n%s", out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedules[i] = data
 	}
-	out = runCmd(t, "./cmd/barrierlib", "list", "-dir", dir)
-	if !strings.Contains(out, "P=12") {
-		t.Fatalf("list output: %s", out)
+	if !bytes.Equal(schedules[0], schedules[1]) {
+		t.Fatalf("tuning the same cached profile twice gave different schedules")
+	}
+
+	out := runCmd(t, "./cmd/runbarrier", "-cluster", "quad", "-p", "12", "-alg", filepath.Join(dir, "a.json"), "-iters", "10")
+	if !strings.Contains(out, "synchronization validated") {
+		t.Fatalf("runbarrier output:\n%s", out)
 	}
 }
 

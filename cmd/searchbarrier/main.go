@@ -1,7 +1,6 @@
 // Command searchbarrier explores the admissible schedule space beyond the
-// greedy composition (§VII.B / §VIII future work): exhaustively for tiny
-// jobs, or by deterministic local search seeded with the tuned hybrid or a
-// classic algorithm.
+// greedy composition (§VII.B / §VIII future work) by deterministic local
+// search seeded with the tuned hybrid or a classic algorithm.
 //
 // Usage:
 //
@@ -10,7 +9,6 @@
 //	              [-cluster-prune] [-batch N]
 //	              [-progress] [-telemetry addr] [-o schedule.json]
 //	searchbarrier -synthetic-p 1024 [-synthetic-nodes N] [-budget N] ...
-//	searchbarrier -profile tiny.json -exhaustive [-stages N]
 //
 // -synthetic-p skips the profile file and searches against the noise-free
 // profile of a synthetic hierarchical cluster (fabric.ScaleClusterFabric) —
@@ -20,8 +18,8 @@
 // every N candidates; both preserve the bit-identical-for-any-workers
 // guarantee.
 //
-// -telemetry serves live search metrics (candidates/sec, transposition-table
-// hit rate, elite adoptions, per-restart progress) over HTTP for the run's
+// -telemetry serves live search metrics (candidates/sec, accepted moves,
+// elite adoptions, per-restart progress) over HTTP for the run's
 // duration: Prometheus text at /metrics, expvar at /debug/vars, pprof at
 // /debug/pprof. Metrics are flushed at exchange-round barriers and never
 // perturb the search result.
@@ -49,17 +47,15 @@ import (
 
 func main() {
 	var (
-		profPath   = flag.String("profile", "profile.json", "profile file written by profilecluster")
-		seedAlg    = flag.String("seed-alg", "hybrid", "starting schedule: hybrid, tree, dissemination, linear")
-		steps      = flag.Int("steps", 4000, "mutation attempts per restart")
-		restarts   = flag.Int("restarts", 3, "independent restarts")
-		workers    = flag.Int("workers", 0, "worker goroutines for the restart portfolio (0 = all cores); does not affect the result")
-		budget     = flag.Int("budget", 0, "total candidate evaluations across all restarts (0 = steps×restarts)")
-		rngseed    = flag.Uint64("rngseed", 1, "search randomness seed")
-		progress   = flag.Bool("progress", false, "report exchange-round progress on stderr")
-		exhaustive = flag.Bool("exhaustive", false, "enumerate the full space (P ≤ 3)")
-		stages     = flag.Int("stages", 2, "stage budget for exhaustive search")
-		out        = flag.String("o", "", "write the best schedule as JSON")
+		profPath = flag.String("profile", "profile.json", "profile file written by profilecluster")
+		seedAlg  = flag.String("seed-alg", "hybrid", "starting schedule: hybrid, tree, dissemination, linear")
+		steps    = flag.Int("steps", 4000, "mutation attempts per restart")
+		restarts = flag.Int("restarts", 3, "independent restarts")
+		workers  = flag.Int("workers", 0, "worker goroutines for the restart portfolio (0 = all cores); does not affect the result")
+		budget   = flag.Int("budget", 0, "total candidate evaluations across all restarts (0 = steps×restarts)")
+		rngseed  = flag.Uint64("rngseed", 1, "search randomness seed")
+		progress = flag.Bool("progress", false, "report exchange-round progress on stderr")
+		out      = flag.String("o", "", "write the best schedule as JSON")
 
 		synthP     = flag.Int("synthetic-p", 0, "search against the noise-free profile of a synthetic hierarchical cluster with this many ranks instead of -profile")
 		synthNodes = flag.Int("synthetic-nodes", 0, "with -synthetic-p, node count of the synthetic cluster (0 = about one node per 32 ranks)")
@@ -97,50 +93,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
 	}
 
-	var res *search.Result
-	if *exhaustive {
-		var err error
-		res, err = search.Exhaustive(pd, *stages, false)
-		if err != nil {
-			fatal(err)
+	seed, err := seedSchedule(pf, *seedAlg)
+	if err != nil {
+		fatal(err)
+	}
+	before := pd.Cost(seed)
+	opts := search.AnnealOptions{
+		Seed: *rngseed, Steps: *steps, Restarts: *restarts,
+		Workers: *workers, Budget: *budget, BatchSize: *batch,
+		Telemetry: reg,
+	}
+	if *prune {
+		for _, leaf := range sss.Tree(pf, sss.Options{}).Leaves() {
+			opts.Clusters = append(opts.Clusters, leaf.Ranks)
 		}
-		fmt.Printf("exhaustive optimum over %d candidates: %.1fµs\n", res.Examined, res.Cost*1e6)
-	} else {
-		seed, err := seedSchedule(pf, *seedAlg)
-		if err != nil {
-			fatal(err)
+		fmt.Fprintf(os.Stderr, "cluster-pruned proposals over %d clusters\n", len(opts.Clusters))
+	}
+	if *progress {
+		opts.Progress = func(pr search.Progress) {
+			fmt.Fprintf(os.Stderr, "round %d/%d: %d candidates examined, best %.1fµs (restart %d)\n",
+				pr.Round, pr.Rounds, pr.Examined, pr.BestCost*1e6, pr.Elite)
 		}
-		before := pd.Cost(seed)
-		opts := search.AnnealOptions{
-			Seed: *rngseed, Steps: *steps, Restarts: *restarts,
-			Workers: *workers, Budget: *budget, BatchSize: *batch,
-			Telemetry: reg,
-		}
-		if *prune {
-			for _, leaf := range sss.Tree(pf, sss.Options{}).Leaves() {
-				opts.Clusters = append(opts.Clusters, leaf.Ranks)
-			}
-			fmt.Fprintf(os.Stderr, "cluster-pruned proposals over %d clusters\n", len(opts.Clusters))
-		}
-		if *progress {
-			opts.Progress = func(pr search.Progress) {
-				fmt.Fprintf(os.Stderr, "round %d/%d: %d candidates examined, best %.1fµs (restart %d)\n",
-					pr.Round, pr.Rounds, pr.Examined, pr.BestCost*1e6, pr.Elite)
-			}
-		}
-		start := time.Now()
-		res, err = search.Anneal(pd, seed, opts)
-		elapsed := time.Since(start)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("seed %s: predicted %.1fµs\n", seed.Name, before*1e6)
-		fmt.Printf("searched %d candidates: predicted %.1fµs (%.1f%% better)\n",
-			res.Examined, res.Cost*1e6, 100*(before-res.Cost)/before)
-		if elapsed > 0 {
-			fmt.Printf("throughput: %.0f candidates/s over %s\n",
-				float64(res.Examined)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
-		}
+	}
+	start := time.Now()
+	res, err := search.Anneal(pd, seed, opts)
+	elapsed := time.Since(start)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("seed %s: predicted %.1fµs\n", seed.Name, before*1e6)
+	fmt.Printf("searched %d candidates: predicted %.1fµs (%.1f%% better)\n",
+		res.Examined, res.Cost*1e6, 100*(before-res.Cost)/before)
+	if elapsed > 0 {
+		fmt.Printf("throughput: %.0f candidates/s over %s\n",
+			float64(res.Examined)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 	}
 	fmt.Printf("result: %d stages, %d signals, barrier verified: %v\n",
 		res.Schedule.NumStages(), res.Schedule.SignalCount(), res.Schedule.IsBarrier())

@@ -3,20 +3,17 @@ package topobarrier
 import (
 	"net"
 	"time"
-	"topobarrier/internal/coll"
-	"topobarrier/internal/library"
+
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
-
-	"topobarrier/internal/dynamic"
 	"topobarrier/internal/run"
 	"topobarrier/internal/search"
 	"topobarrier/internal/trace"
 )
 
 // This file exposes the extensions beyond the paper's core method: searched
-// schedules (§VII.B's wider space), dynamic re-tuning (§VIII), execution
-// tracing, one-shot measurement, and topology-aware collectives.
+// schedules (§VII.B's wider space), execution tracing, one-shot and sized
+// measurement, and the real-network mesh.
 
 // CongestionModel extends predictions with NIC serialisation (§VIII).
 type CongestionModel = predict.CongestionModel
@@ -32,42 +29,9 @@ type (
 	SearchProgress = search.Progress
 )
 
-// ExhaustiveSearch enumerates every stage sequence for tiny jobs (P ≤ 3).
-func ExhaustiveSearch(pd *Predictor, maxStages int, force bool) (*SearchResult, error) {
-	return search.Exhaustive(pd, maxStages, force)
-}
-
 // AnnealSearch hill-climbs from a seed schedule with signal-level mutations.
 func AnnealSearch(pd *Predictor, seed *Schedule, opts AnnealOptions) (*SearchResult, error) {
 	return search.Anneal(pd, seed, opts)
-}
-
-// Dynamic re-tuning (see internal/dynamic).
-type (
-	// DriftMonitor flags sustained cost drift against a baseline.
-	DriftMonitor = dynamic.Monitor
-	// Session manages a barrier across changing run-time conditions.
-	Session = dynamic.Session
-)
-
-// NewDriftMonitor returns a drift monitor.
-func NewDriftMonitor(baseline, factor float64, window int) (*DriftMonitor, error) {
-	return dynamic.NewMonitor(baseline, factor, window)
-}
-
-// RetuneProfitable applies the §VIII amortisation criterion.
-func RetuneProfitable(observed, candidate, retuneOverhead float64, horizon int) bool {
-	return dynamic.Profitable(observed, candidate, retuneOverhead, horizon)
-}
-
-// NewSession tunes an initial barrier and returns a re-tuning session.
-func NewSession(w *World, probeCfg ProbeConfig, tuneOpts TuneOptions, retuneOverhead float64, horizon int) (*Session, error) {
-	return dynamic.NewSession(w, probeCfg, tuneOpts, retuneOverhead, horizon)
-}
-
-// RefineProfile folds traced message latencies into a profile (EMA).
-func RefineProfile(pf *Profile, rec *TraceRecorder, alpha float64) (int, error) {
-	return dynamic.RefineProfile(pf, rec, alpha)
 }
 
 // Tracing (see internal/trace).
@@ -95,51 +59,13 @@ func MeasureCold(w *World, b BarrierFunc, reps int) (Measurement, error) {
 	return run.MeasureCold(w, b, reps)
 }
 
-// Collectives (see internal/coll).
-
-// HierGather composes a topology-aware small-message gather over the
-// hierarchy.
-func HierGather(pd *Predictor, tree *ClusterTree, builders []Builder) (*Schedule, error) {
-	return coll.Gather(pd, tree, builders)
-}
-
-// HierBcast composes a topology-aware small-message broadcast.
-func HierBcast(pd *Predictor, tree *ClusterTree, builders []Builder) (*Schedule, error) {
-	return coll.Bcast(pd, tree, builders)
-}
-
-// BinomialBcast returns the topology-neutral binomial broadcast baseline.
-func BinomialBcast(p int) *Schedule { return coll.BinomialBcast(p) }
-
-// BinomialGather returns the topology-neutral binomial gather baseline.
-func BinomialGather(p int) *Schedule { return coll.BinomialGather(p) }
-
 // Transfer executes a sized signal pattern for the calling rank.
 func Transfer(c *Comm, s *Schedule, tagBase, bytes int) { run.Transfer(c, s, tagBase, bytes) }
 
 // TransferFunc adapts a sized pattern to a BarrierFunc.
 func TransferFunc(s *Schedule, bytes int) BarrierFunc { return run.TransferFunc(s, bytes) }
 
-// ValidateBroadcast checks broadcast semantics by delay injection.
-func ValidateBroadcast(w *World, s *Schedule, root int, delay float64) error {
-	return run.ValidateBroadcast(w, s, root, delay)
-}
-
-// ValidateGather checks gather semantics by delay injection.
-func ValidateGather(w *World, s *Schedule, root int, delay float64, delayRanks []int) error {
-	return run.ValidateGather(w, s, root, delay, delayRanks)
-}
-
-// Deployment (see internal/library and internal/netmpi).
-
-// BarrierLibrary is an on-disk cache of tuned barriers keyed by platform.
-type BarrierLibrary = library.Library
-
-// LibraryEntry identifies one stored barrier.
-type LibraryEntry = library.Entry
-
-// OpenLibrary creates (if needed) and opens a barrier library directory.
-func OpenLibrary(dir string) (*BarrierLibrary, error) { return library.Open(dir) }
+// Deployment (see internal/netmpi).
 
 // NetPeer is one rank's endpoint of a real TCP mesh executing tuned plans.
 // The mesh is fail-fast: the first dead link wakes every blocked Recv —

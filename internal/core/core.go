@@ -59,7 +59,7 @@ type Options struct {
 	// a pointer check.
 	Tracer *telemetry.Tracer
 	// Telemetry, when non-nil, is handed to the refinement search (its
-	// candidate/transposition/adoption counters) and receives the pipeline's
+	// candidate/accept/adoption counters) and receives the pipeline's
 	// tune_predicted_cost_seconds gauge.
 	Telemetry *telemetry.Registry
 	// ProfileCache, when non-nil, lets ProfileAndTune skip the measurement

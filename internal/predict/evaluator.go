@@ -19,8 +19,8 @@ import (
 // A dirty mark is a hint, not a sentence: at the next Cost the evaluator
 // compares the row's bits against a snapshot taken when the row was last
 // priced, and a row whose bits are back to the snapshot — the apply/undo
-// cycle of a rejected or transposition-answered candidate — costs nothing
-// and does not invalidate the completion-time prefix.
+// cycle of a rejected candidate — costs nothing and does not invalidate the
+// completion-time prefix.
 //
 // Contract: after mutating row i of stage k, call Touch(k, i) before the next
 // Cost; after removing trailing stages, call Truncate with the new stage

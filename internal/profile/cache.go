@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -76,15 +77,17 @@ func (c *Cache) Load(fp Fingerprint) (*Profile, bool, error) {
 		return nil, false, err
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		c.Reg.Counter("probe_cache_misses_total").Inc()
-		return nil, false, fmt.Errorf("profile: cache entry %s: %w", c.Path(fp), err)
+	err = json.Unmarshal(data, &e)
+	switch {
+	case err != nil:
+	case e.Fingerprint != string(fp):
+		err = fmt.Errorf("carries fingerprint %q, want %q", e.Fingerprint, fp)
+	case e.Profile == nil:
+		err = errors.New("holds no profile")
+	default:
+		err = e.Profile.Validate()
 	}
-	if e.Fingerprint != string(fp) || e.Profile == nil {
-		c.Reg.Counter("probe_cache_misses_total").Inc()
-		return nil, false, fmt.Errorf("profile: cache entry %s carries fingerprint %q, want %q", c.Path(fp), e.Fingerprint, fp)
-	}
-	if err := e.Profile.Validate(); err != nil {
+	if err != nil {
 		c.Reg.Counter("probe_cache_misses_total").Inc()
 		return nil, false, fmt.Errorf("profile: cache entry %s: %w", c.Path(fp), err)
 	}

@@ -2,8 +2,10 @@ package profile
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"topobarrier/internal/telemetry"
@@ -98,6 +100,55 @@ func TestCacheRejectsCorruptAndMislabelledEntries(t *testing.T) {
 	if _, hit, err := c.Load(fp); hit || err == nil {
 		t.Fatalf("mislabelled entry: hit=%v err=%v", hit, err)
 	}
+
+	// A matching fingerprint over a null profile is named as such, and a
+	// ragged matrix is a decode error, not a panic.
+	for want, body := range map[string]string{
+		"holds no profile": `null`,
+		"row 1":            `{"platform":"x","p":2,"o":[[0,1],[0]],"l":[[0,1],[1,0]]}`,
+	} {
+		entry := fmt.Sprintf(`{"fingerprint":%q,"profile":%s}`, fp, body)
+		if err := os.WriteFile(c.Path(fp), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, err := c.Load(fp); hit || err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("entry with profile %s: hit=%v err=%v, want %q", body, hit, err, want)
+		}
+	}
+}
+
+// FuzzProfileCacheEntry feeds arbitrary bytes to the cache as an entry file:
+// Load must answer miss-or-error without panicking, and whatever it does
+// accept must be a valid profile.
+func FuzzProfileCacheEntry(f *testing.F) {
+	fp := FingerprintOf("fuzz")
+	good, err := json.Marshal(cacheEntry{Fingerprint: string(fp), Profile: cacheProfile(3, 1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(fmt.Appendf(nil, `{"fingerprint":%q,"profile":null}`, fp))
+	f.Add(fmt.Appendf(nil, `{"fingerprint":%q,"profile":{"platform":"x","p":2,"o":[[0,1],[0]],"l":[[0,1],[1,0]]}}`, fp))
+	f.Add(fmt.Appendf(nil, `{"fingerprint":%q,"profile":{"p":-1,"o":[],"l":[]}}`, fp))
+	f.Add([]byte(`{not json`))
+	c := &Cache{Dir: f.TempDir()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(c.Path(fp), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pf, hit, err := c.Load(fp)
+		if hit != (err == nil) {
+			t.Fatalf("present entry: hit=%v err=%v", hit, err)
+		}
+		if hit {
+			if err := pf.Validate(); err != nil {
+				t.Fatalf("Load accepted an invalid profile: %v", err)
+			}
+		}
+		if _, err := c.List(); err != nil {
+			t.Fatalf("List failed on a corrupt entry: %v", err)
+		}
+	})
 }
 
 func TestCacheStoreRejectsInvalidProfile(t *testing.T) {

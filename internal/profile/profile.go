@@ -129,6 +129,11 @@ func (pr *Profile) UnmarshalJSON(data []byte) error {
 	if len(dec.O) != dec.P || len(dec.L) != dec.P {
 		return fmt.Errorf("profile: decoded matrices of %d/%d rows for P=%d", len(dec.O), len(dec.L), dec.P)
 	}
+	for i := 0; i < dec.P; i++ {
+		if len(dec.O[i]) != dec.P || len(dec.L[i]) != dec.P {
+			return fmt.Errorf("profile: decoded row %d has %d/%d entries for P=%d", i, len(dec.O[i]), len(dec.L[i]), dec.P)
+		}
+	}
 	pr.Platform = dec.Platform
 	pr.P = dec.P
 	pr.O = mat.DenseFromRows(dec.O)

@@ -119,12 +119,15 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatalf("missing file accepted")
 	}
-	pr := &Profile{}
-	if err := pr.UnmarshalJSON([]byte(`{"platform":"x","p":3,"o":[[0]],"l":[[0]]}`)); err == nil {
-		t.Fatalf("truncated matrices accepted")
-	}
-	if err := pr.UnmarshalJSON([]byte(`not json`)); err == nil {
-		t.Fatalf("garbage accepted")
+	for name, data := range map[string]string{
+		"truncated matrices": `{"platform":"x","p":3,"o":[[0]],"l":[[0]]}`,
+		"ragged O row":       `{"platform":"x","p":2,"o":[[0,1],[0]],"l":[[0,1],[1,0]]}`,
+		"ragged L row":       `{"platform":"x","p":2,"o":[[0,1],[1,0]],"l":[[0,1,2],[1,0]]}`,
+		"garbage":            `not json`,
+	} {
+		if err := new(Profile).UnmarshalJSON([]byte(data)); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package run
 
 import (
-	"strings"
 	"testing"
 
 	"topobarrier/internal/sched"
@@ -23,31 +22,6 @@ func TestTransferDeliversPayloadPattern(t *testing.T) {
 	}
 	if big.Mean <= small.Mean {
 		t.Fatalf("payload size has no cost: %g vs %g", big.Mean, small.Mean)
-	}
-}
-
-func TestValidateBroadcastAndGatherOnRuntime(t *testing.T) {
-	p := 9
-	w := testWorld(t, p, 2)
-	bcast := sched.TreeArrival(p).ReverseTransposed()
-	if err := ValidateBroadcast(w, bcast, 0, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	gather := sched.TreeArrival(p)
-	if err := ValidateGather(w, gather, 0, 0.5, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateBroadcastRejectsGatherPattern(t *testing.T) {
-	w := testWorld(t, 5, 1)
-	err := ValidateBroadcast(w, sched.TreeArrival(5), 0, 0.5)
-	if err == nil || !strings.Contains(err.Error(), "not a broadcast") {
-		t.Fatalf("err = %v", err)
-	}
-	err = ValidateGather(w, sched.TreeArrival(5).ReverseTransposed(), 0, 0.5, nil)
-	if err == nil || !strings.Contains(err.Error(), "not a gather") {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -153,8 +153,8 @@ func TestFrontierCacheSingleRankAndEmpty(t *testing.T) {
 // stages, and evaluate-then-Rollback cycles the way the search engine's
 // evaluated-rejection protocol runs them — and requires the verdict and every
 // per-stage matrix of the reference. One operation in three goes unevaluated,
-// so notes pile up across stages the way transposition-answered accepts leave
-// them. This is the correctness contract the incremental search engine rests
+// so notes pile up across stages the way accepted adds, which skip Eq. 3,
+// leave them. This is the correctness contract the incremental search engine rests
 // on.
 func randomMutations(t *testing.T, p int) {
 	steps := 400
@@ -257,7 +257,7 @@ func TestFrontierCacheDeadWaveThenStaleSuffix(t *testing.T) {
 
 // rollbackPreservesUnreplayedNotes drives the cache through the search
 // engine's evaluated-rejection protocol: an earlier edit the schedule keeps
-// is noted but never evaluated (a transposition-answered accept), then a
+// is noted but never evaluated (an accepted add, which skips Eq. 3), then a
 // candidate edit is noted, evaluated, and retired via Rollback plus an
 // inverse note. The kept edit's note must survive the rollback, or the cache
 // silently diverges from the schedule.

@@ -126,30 +126,3 @@ func TestAnnealClusterPrunedWorkerIndependence(t *testing.T) {
 		}
 	}
 }
-
-// TestZobristLazyDeterministic pins the on-demand key scheme above the table
-// budget: no table is materialised, and hashing stays a pure function of the
-// schedule.
-func TestZobristLazyDeterministic(t *testing.T) {
-	p, maxStages := 512, 20 // 5.2M slots, past the 4.2M budget
-	if maxStages*p*p <= zobristTableBudget {
-		t.Fatalf("test sizes no longer exceed the table budget")
-	}
-	za, zb := newZobrist(p, maxStages), newZobrist(p, maxStages)
-	if za.keys != nil {
-		t.Fatalf("large-P zobrist materialised %d keys", len(za.keys))
-	}
-	s := sched.Dissemination(p)
-	if za.hashOf(s) != zb.hashOf(s) {
-		t.Fatalf("lazy zobrist hash is not reproducible")
-	}
-	h := za.hashOf(s)
-	s.Stages[0].Set(0, 2, true)
-	if za.hashOf(s) == h {
-		t.Fatalf("lazy zobrist hash ignored a signal change")
-	}
-	// Small P stays on the historical table scheme.
-	if zs := newZobrist(8, 6); zs.keys == nil {
-		t.Fatalf("small-P zobrist lost its key table")
-	}
-}

@@ -2,9 +2,10 @@ package search
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
-	"topobarrier/internal/predict"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/stats"
 )
@@ -37,14 +38,13 @@ func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestClimberInvariants steps one climber directly and checks, at every
-// accepted state, that the incrementally maintained cost, hash, and barrier
+// accepted state, that the incrementally maintained cost and barrier
 // verdict agree with from-scratch evaluation — the property the apply/undo
 // deltas and caches must preserve over arbitrary mutation sequences.
 func TestClimberInvariants(t *testing.T) {
 	pd := clusteredPredictor(t, 10)
 	seedSched := sched.Dissemination(10)
-	z := newZobrist(10, seedSched.NumStages()+2)
-	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(4), seedSched.NumStages()+2, nil, 0)
+	c := newClimber(pd, seedSched, pd.Cost(seedSched), stats.NewRNG(4), seedSched.NumStages()+2, nil, 0)
 	for step := 0; step < 3000; step++ {
 		c.step()
 		if step%50 != 0 {
@@ -55,9 +55,6 @@ func TestClimberInvariants(t *testing.T) {
 		}
 		if want := pd.Cost(c.s); c.cost != want {
 			t.Fatalf("step %d: incremental cost %v, from scratch %v", step, c.cost, want)
-		}
-		if want := z.hashOf(c.s); c.hash != want {
-			t.Fatalf("step %d: incremental hash %#x, from scratch %#x", step, c.hash, want)
 		}
 	}
 	if c.bestCost > c.cost {
@@ -72,21 +69,19 @@ func TestClimberInvariants(t *testing.T) {
 }
 
 // TestClimberUndoRestoresState applies and immediately undoes every mutation
-// kind — both unscored (the transposition-hit path, where change notes
-// cancel) and after score (the miss path: the knowledge cache rolls back from
-// its undo journal exactly when score ran Eq. 3, and the notes of a kind that
-// skipped it cancel like a hit's) — and checks the schedule, hash, evaluator,
-// and cached verdict return to their exact prior state.
+// kind — both unscored (change notes cancel) and after score (the knowledge
+// cache rolls back from its undo journal exactly when score ran Eq. 3, and
+// the notes of a kind that skipped it cancel like an unscored one's) — and
+// checks the schedule, evaluator, and cached verdict return to their exact
+// prior state.
 func TestClimberUndoRestoresState(t *testing.T) {
 	pd := clusteredPredictor(t, 8)
 	seedSched := sched.Tree(8)
-	z := newZobrist(8, seedSched.NumStages()+2)
-	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(2), seedSched.NumStages()+2, nil, 0)
+	c := newClimber(pd, seedSched, pd.Cost(seedSched), stats.NewRNG(2), seedSched.NumStages()+2, nil, 0)
 	c.kc.Barrier(c.s)
 	c.ev.Cost(c.s)
 	for n := 0; n < 2000; n++ {
 		before := c.s.Clone()
-		h := c.hash
 		m, ok := c.draw()
 		if !ok {
 			continue
@@ -99,9 +94,6 @@ func TestClimberUndoRestoresState(t *testing.T) {
 		c.undo(m, verified)
 		if !c.s.Equal(before) {
 			t.Fatalf("mutation kind %d not undone:\nbefore:\n%s\nafter:\n%s", m.kind, before, c.s)
-		}
-		if c.hash != h {
-			t.Fatalf("mutation kind %d: hash %#x after undo, want %#x", m.kind, c.hash, h)
 		}
 		if got, want := c.ev.Cost(c.s), pd.Cost(c.s); got != want {
 			t.Fatalf("mutation kind %d: evaluator %v after undo, want %v", m.kind, got, want)
@@ -173,20 +165,109 @@ func TestAnnealProgressCallback(t *testing.T) {
 	}
 }
 
-// TestTranspositionTableHits replays a small climb and checks the table
-// actually answers repeat candidates: the number of distinct entries must
-// stay well below the number examined on a small instance where the walk
-// revisits states constantly.
-func TestTranspositionTableHits(t *testing.T) {
-	pd := predict.New(uniformProfile(4))
-	seedSched := sched.Dissemination(4)
-	z := newZobrist(4, seedSched.NumStages()+2)
-	c := newClimber(pd, z, seedSched, pd.Cost(seedSched), stats.NewRNG(8), seedSched.NumStages()+2, nil, 0)
-	c.run(4000)
-	if c.examined < 1000 {
-		t.Fatalf("only %d candidates examined", c.examined)
+// TestRevisitedStateDecidesAlike reaches one schedule by two routes — add the
+// signal to the neighbouring stage (a plateau accept), then remove the
+// original; or move it there in one mutation — and requires the same
+// accept/reject decision on both, although remove verifies before pricing and
+// move prices before verifying, and a knowledge cache that still answers
+// Barrier correctly afterwards on either route.
+func TestRevisitedStateDecidesAlike(t *testing.T) {
+	pd := clusteredPredictor(t, 8)
+	decide := func(c *climber, m mutation) bool { // climber.step's protocol
+		cost, verified := c.examine(m)
+		if cost <= c.cost {
+			c.accept(cost)
+			return true
+		}
+		c.undo(m, verified)
+		return false
 	}
-	if len(c.table) >= c.examined {
-		t.Fatalf("no transposition reuse: %d entries for %d examined", len(c.table), c.examined)
+	// routes moves signal i→j from stage k to dk both ways from the same base
+	// state; ok is false when the add is not a plateau accept, where the two
+	// routes would compare against different bounds.
+	routes := func(base *sched.Schedule, baseCost float64, k, dk, i, j int) (kept, ok bool) {
+		maxStages := base.NumStages() + 2
+		twoStep := newClimber(pd, base, baseCost, stats.NewRNG(1), maxStages, nil, 0)
+		cost, _ := twoStep.examine(mutation{kind: mutAdd, k: dk, i: i, j: j})
+		if math.Float64bits(cost) != math.Float64bits(baseCost) {
+			return false, false
+		}
+		twoStep.accept(cost)
+		oneStep := newClimber(pd, base, baseCost, stats.NewRNG(1), maxStages, nil, 0)
+
+		viaRemove := decide(twoStep, mutation{kind: mutRemove, k: k, i: i, j: j})
+		viaMove := decide(oneStep, mutation{kind: mutMove, k: k, dk: dk, i: i, j: j})
+		if viaRemove != viaMove {
+			t.Fatalf("%s: signal %d→%d stage %d→%d: accepted %v via add+remove, %v via move",
+				base.Name, i, j, k, dk, viaRemove, viaMove)
+		}
+		if viaMove && (!oneStep.s.Equal(twoStep.s) || math.Float64bits(oneStep.cost) != math.Float64bits(twoStep.cost)) {
+			t.Fatalf("%s: the two routes kept different states", base.Name)
+		}
+		for _, c := range []*climber{twoStep, oneStep} {
+			if got, want := c.kc.Barrier(c.s), c.s.IsBarrier(); got != want || !want {
+				t.Fatalf("%s: after signal %d→%d stage %d→%d the cache answers barrier=%v, from scratch %v",
+					base.Name, i, j, k, dk, got, want)
+			}
+			if got, want := c.ev.Cost(c.s), pd.Cost(c.s); got != want || got != c.cost {
+				t.Fatalf("%s: evaluator %v, from scratch %v, tracked %v", base.Name, got, want, c.cost)
+			}
+		}
+		return viaMove, true
+	}
+	accepted, rejected := 0, 0
+	for _, seedSched := range []*sched.Schedule{sched.Tree(8), sched.Dissemination(8), sched.Linear(8)} {
+		warm := newClimber(pd, seedSched, pd.Cost(seedSched), stats.NewRNG(6), seedSched.NumStages()+2, nil, 0)
+		warm.run(300)
+		base := warm.s
+		for k := range base.Stages {
+			for _, dk := range []int{k - 1, k + 1} {
+				if dk < 0 || dk >= base.NumStages() {
+					continue
+				}
+				for i := 0; i < base.P; i++ {
+					for _, j := range base.Stages[k].Row(i) {
+						if base.Stages[dk].At(i, j) {
+							continue
+						}
+						switch kept, ok := routes(base, warm.cost, k, dk, i, j); {
+						case !ok:
+						case kept:
+							accepted++
+						default:
+							rejected++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("routes compared: %d accepted, %d rejected", accepted, rejected)
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("routes compared: %d accepted, %d rejected; want both decisions exercised", accepted, rejected)
+	}
+}
+
+// TestAnnealAllocationBound pins what the anneal allocates at the ledger's
+// search_cold_p32 shape in miniature (binomial-tree seed, P=32, 200 000
+// candidates): the working schedules, knowledge caches and evaluators of three
+// climbers plus a clone per new best — ≈ 3.2 MB. A per-candidate allocation or
+// a per-climber memo of visited states (7 MB when there was one) fails here.
+func TestAnnealAllocationBound(t *testing.T) {
+	if perftest.RaceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	pd := clusteredPredictor(t, 32)
+	seed := sched.Tree(32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 200_000, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("Anneal at P=32, budget 200000 allocated %.2f MB", mb)
+	if mb > 4.5 {
+		t.Fatalf("Anneal at P=32, budget 200000 allocated %.2f MB, want ≤ 4.5", mb)
 	}
 }

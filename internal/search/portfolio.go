@@ -35,9 +35,6 @@ type Progress struct {
 	StepsDone int
 	// Examined is the total number of candidates evaluated so far.
 	Examined int
-	// TTHits is how many of those candidates were answered from the
-	// transposition table without re-scoring.
-	TTHits int
 	// Accepts counts mutations kept because they did not predict slower.
 	Accepts int
 	// BestCost is the cheapest predicted cost seen by any restart so far.
@@ -51,7 +48,6 @@ type Progress struct {
 // search result and its determinism are unaffected by telemetry).
 type searchMetrics struct {
 	candidates *telemetry.Counter
-	ttHits     *telemetry.Counter
 	accepts    *telemetry.Counter
 	rounds     *telemetry.Counter
 	adoptions  *telemetry.Counter
@@ -61,13 +57,12 @@ type searchMetrics struct {
 	perBest    []*telemetry.Gauge
 
 	// last-flushed totals, for delta accounting into monotonic counters
-	lastExamined, lastHits, lastAccepts int
+	lastExamined, lastAccepts int
 }
 
 func newSearchMetrics(reg *telemetry.Registry, restarts int) *searchMetrics {
 	m := &searchMetrics{
 		candidates: reg.Counter("search_candidates_total"),
-		ttHits:     reg.Counter("search_tt_hits_total"),
 		accepts:    reg.Counter("search_accepts_total"),
 		rounds:     reg.Counter("search_exchange_rounds_total"),
 		adoptions:  reg.Counter("search_elite_adoptions_total"),
@@ -98,18 +93,16 @@ func (m *searchMetrics) flush(climbers []*climber, stepsDone int, bestCost float
 	if m == nil {
 		return
 	}
-	examined, hits, accepts := 0, 0, 0
+	examined, accepts := 0, 0
 	for r, c := range climbers {
 		examined += c.examined
-		hits += c.ttHits
 		accepts += c.accepts
 		m.perSteps[r].Set(float64(stepsDone))
 		m.perBest[r].Set(c.bestCost)
 	}
 	m.candidates.Add(int64(examined - m.lastExamined))
-	m.ttHits.Add(int64(hits - m.lastHits))
 	m.accepts.Add(int64(accepts - m.lastAccepts))
-	m.lastExamined, m.lastHits, m.lastAccepts = examined, hits, accepts
+	m.lastExamined, m.lastAccepts = examined, accepts
 	m.rounds.Inc()
 	m.bestCost.Set(bestCost)
 }
@@ -174,12 +167,11 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 			}
 		}
 		if opts.Progress != nil || metrics != nil {
-			examined, hits, accepts := 0, 0, 0
+			examined, accepts := 0, 0
 			bestCost := climbers[0].bestCost
 			bestAt := 0
 			for r, c := range climbers {
 				examined += c.examined
-				hits += c.ttHits
 				accepts += c.accepts
 				if c.bestCost < bestCost {
 					bestCost, bestAt = c.bestCost, r
@@ -191,7 +183,6 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 					Round: round + 1, Rounds: rounds,
 					StepsDone: opts.Steps - stepsLeft,
 					Examined:  examined,
-					TTHits:    hits,
 					Accepts:   accepts,
 					BestCost:  bestCost,
 					Elite:     bestAt,
@@ -201,17 +192,16 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 	}
 }
 
-// newPortfolio seeds one climber per restart with its own SplitMix64 stream.
+// newPortfolio seeds one climber per restart with its own RNG stream.
 func newPortfolio(pd *predict.Predictor, seedSched *sched.Schedule, seedCost float64, opts AnnealOptions, prop *proposer) []*climber {
 	maxStages := opts.MaxStages
 	if seedSched.NumStages() > maxStages {
 		maxStages = seedSched.NumStages()
 	}
-	z := newZobrist(seedSched.P, maxStages)
 	climbers := make([]*climber, opts.Restarts)
 	for r := range climbers {
 		rng := stats.NewRNG(opts.Seed + uint64(r)*0x9e3779b97f4a7c15)
-		climbers[r] = newClimber(pd, z, seedSched, seedCost, rng, maxStages, prop, opts.BatchSize)
+		climbers[r] = newClimber(pd, seedSched, seedCost, rng, maxStages, prop, opts.BatchSize)
 	}
 	return climbers
 }

@@ -2,19 +2,16 @@
 // beyond the paper's greedy construction — the generalisation §VII.B and
 // §VIII leave as future work.
 //
-// Two strategies are provided. Exhaustive enumerates every sequence of
-// incidence matrices up to a stage budget for very small P, establishing the
-// true optimum the heuristics can be compared against. Anneal runs a
-// deterministic local search (hill climbing with restarts over signal-level
-// mutations) that scales to realistic sizes and is seeded with the best
-// classic algorithm or a composed hybrid.
+// Anneal runs a deterministic local search (hill climbing with restarts over
+// signal-level mutations) that scales to realistic sizes and is seeded with
+// the best classic algorithm or a composed hybrid. The package's tests keep a
+// brute-force enumerator for P ≤ 3 as the floor no search result may beat.
 package search
 
 import (
 	"fmt"
 	"math"
 
-	"topobarrier/internal/mat"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/telemetry"
@@ -26,74 +23,6 @@ type Result struct {
 	Cost     float64
 	// Examined counts candidate schedules whose cost was evaluated.
 	Examined int
-}
-
-// Exhaustive enumerates all stage sequences of length 1..maxStages over all
-// boolean P×P incidence matrices without self-signals, and returns the
-// cheapest one that globally synchronises. It is exponential in P²·stages
-// and refuses P > 3 or budgets above 2 stages beyond P=3 unless force is
-// set; with P=3 and maxStages=2 it examines ~4000 sequences.
-func Exhaustive(pd *predict.Predictor, maxStages int, force bool) (*Result, error) {
-	p := pd.Prof.P
-	if !force && (p > 3 || maxStages > 2) {
-		return nil, fmt.Errorf("search: exhaustive over P=%d, %d stages is intractable (use force)", p, maxStages)
-	}
-	if maxStages < 1 {
-		return nil, fmt.Errorf("search: non-positive stage budget %d", maxStages)
-	}
-	edges := p * (p - 1)
-	if edges >= 63 {
-		return nil, fmt.Errorf("search: P=%d has too many edges to enumerate", p)
-	}
-	numMatrices := 1 << uint(edges)
-
-	best := &Result{}
-	var rec func(prefix []*mat.Bool)
-	rec = func(prefix []*mat.Bool) {
-		if len(prefix) > 0 {
-			s := sched.New(fmt.Sprintf("exhaustive(%d)", p), p)
-			for _, m := range prefix {
-				s.AddStage(m.Clone())
-			}
-			best.Examined++
-			if s.IsBarrier() {
-				c := pd.Cost(s)
-				if best.Schedule == nil || c < best.Cost {
-					best.Schedule, best.Cost = s, c
-				}
-			}
-		}
-		if len(prefix) == maxStages {
-			return
-		}
-		for code := 1; code < numMatrices; code++ {
-			rec(append(prefix, matrixFromCode(p, uint64(code))))
-		}
-	}
-	rec(nil)
-	if best.Schedule == nil {
-		return nil, fmt.Errorf("search: no barrier within %d stages (impossible for maxStages ≥ 1)", maxStages)
-	}
-	return best, nil
-}
-
-// matrixFromCode decodes a bitmask over the p(p-1) ordered off-diagonal
-// entries (row-major) into an incidence matrix.
-func matrixFromCode(p int, code uint64) *mat.Bool {
-	m := mat.NewBool(p)
-	bit := 0
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i == j {
-				continue
-			}
-			if code&(1<<uint(bit)) != 0 {
-				m.Set(i, j, true)
-			}
-			bit++
-		}
-	}
-	return m
 }
 
 // AnnealOptions configures the local search.
@@ -138,8 +67,7 @@ type AnnealOptions struct {
 	// after every exchange round.
 	Progress func(Progress)
 	// Telemetry, when non-nil, receives the search's runtime metrics:
-	// candidate throughput, transposition-table hit rate, accepted moves,
-	// exchange rounds, elite adoptions, and per-restart progress gauges.
+	// candidate throughput, accepted moves, exchange rounds, elite adoptions, and per-restart progress gauges.
 	// Metrics are flushed at exchange-round barriers by the coordinator, so
 	// enabling them never perturbs the hot mutation loop or the
 	// deterministic result.
@@ -182,9 +110,8 @@ func (o AnnealOptions) withDefaults(seedSched *sched.Schedule) AnnealOptions {
 // working schedule in place, prices candidates through an incremental
 // critical-path evaluator, runs Eq. 3 through a prefix-reusable knowledge
 // cache only for the move kinds that can break a barrier and only when the
-// verdict can change the decision (climber.score), and never re-scores a
-// schedule its transposition table has seen. The cheapest schedule observed
-// anywhere in the portfolio is returned, after one from-scratch
+// verdict can change the decision (climber.score). The cheapest schedule
+// observed anywhere in the portfolio is returned, after one from-scratch
 // re-verification of its Eq. 3 verdict and its cost; a mismatch is an error.
 func Anneal(pd *predict.Predictor, seedSched *sched.Schedule, opts AnnealOptions) (*Result, error) {
 	if !seedSched.IsBarrier() {

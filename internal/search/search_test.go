@@ -1,10 +1,12 @@
 package search
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"topobarrier/internal/fabric"
+	"topobarrier/internal/mat"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/sched"
@@ -26,9 +28,77 @@ func uniformProfile(p int) *profile.Profile {
 	return pr
 }
 
+// exhaustive is the test oracle: it enumerates all stage sequences of length
+// 1..maxStages over all boolean P×P incidence matrices without self-signals,
+// and returns the cheapest one that globally synchronises. It is exponential
+// in P²·stages and refuses P > 3 or budgets above 2 stages unless force is
+// set; with P=3 and maxStages=2 it examines ~4000 sequences.
+func exhaustive(pd *predict.Predictor, maxStages int, force bool) (*Result, error) {
+	p := pd.Prof.P
+	if !force && (p > 3 || maxStages > 2) {
+		return nil, fmt.Errorf("search: exhaustive over P=%d, %d stages is intractable (use force)", p, maxStages)
+	}
+	if maxStages < 1 {
+		return nil, fmt.Errorf("search: non-positive stage budget %d", maxStages)
+	}
+	edges := p * (p - 1)
+	if edges >= 63 {
+		return nil, fmt.Errorf("search: P=%d has too many edges to enumerate", p)
+	}
+	numMatrices := 1 << uint(edges)
+
+	best := &Result{}
+	var rec func(prefix []*mat.Bool)
+	rec = func(prefix []*mat.Bool) {
+		if len(prefix) > 0 {
+			s := sched.New(fmt.Sprintf("exhaustive(%d)", p), p)
+			for _, m := range prefix {
+				s.AddStage(m.Clone())
+			}
+			best.Examined++
+			if s.IsBarrier() {
+				c := pd.Cost(s)
+				if best.Schedule == nil || c < best.Cost {
+					best.Schedule, best.Cost = s, c
+				}
+			}
+		}
+		if len(prefix) == maxStages {
+			return
+		}
+		for code := 1; code < numMatrices; code++ {
+			rec(append(prefix, matrixFromCode(p, uint64(code))))
+		}
+	}
+	rec(nil)
+	if best.Schedule == nil {
+		return nil, fmt.Errorf("search: no barrier within %d stages (impossible for maxStages ≥ 1)", maxStages)
+	}
+	return best, nil
+}
+
+// matrixFromCode decodes a bitmask over the p(p-1) ordered off-diagonal
+// entries (row-major) into an incidence matrix.
+func matrixFromCode(p int, code uint64) *mat.Bool {
+	m := mat.NewBool(p)
+	bit := 0
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			if i == j {
+				continue
+			}
+			if code&(1<<uint(bit)) != 0 {
+				m.Set(i, j, true)
+			}
+			bit++
+		}
+	}
+	return m
+}
+
 func TestExhaustiveP2FindsMutualExchange(t *testing.T) {
 	pd := predict.New(uniformProfile(2))
-	res, err := Exhaustive(pd, 1, false)
+	res, err := exhaustive(pd, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +115,7 @@ func TestExhaustiveP2FindsMutualExchange(t *testing.T) {
 
 func TestExhaustiveP3BeatsOrMatchesClassics(t *testing.T) {
 	pd := predict.New(uniformProfile(3))
-	res, err := Exhaustive(pd, 2, false)
+	res, err := exhaustive(pd, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +127,28 @@ func TestExhaustiveP3BeatsOrMatchesClassics(t *testing.T) {
 	if !res.Schedule.IsBarrier() {
 		t.Fatalf("optimum not a barrier")
 	}
+	// The enumerated optimum is a floor for the anneal over the same space.
+	ann, err := Anneal(pd, sched.Dissemination(3), AnnealOptions{Seed: 1, Steps: 2000, MaxStages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ann.Schedule.NumStages() > 2 || ann.Cost < res.Cost-1e-15 {
+		t.Fatalf("anneal found %g in %d stages, below the enumerated 2-stage optimum %g",
+			ann.Cost, ann.Schedule.NumStages(), res.Cost)
+	}
 }
 
 func TestExhaustiveTractabilityGuard(t *testing.T) {
 	pd := predict.New(uniformProfile(4))
-	if _, err := Exhaustive(pd, 2, false); err == nil || !strings.Contains(err.Error(), "intractable") {
+	if _, err := exhaustive(pd, 2, false); err == nil || !strings.Contains(err.Error(), "intractable") {
 		t.Fatalf("P=4 exhaustive accepted: %v", err)
 	}
 	pd3 := predict.New(uniformProfile(3))
-	if _, err := Exhaustive(pd3, 0, false); err == nil {
+	if _, err := exhaustive(pd3, 0, false); err == nil {
 		t.Fatalf("zero stage budget accepted")
 	}
 	big := predict.New(uniformProfile(9))
-	if _, err := Exhaustive(big, 1, true); err == nil {
+	if _, err := exhaustive(big, 1, true); err == nil {
 		t.Fatalf("P=9 (72 edges) enumeration accepted")
 	}
 }

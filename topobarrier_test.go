@@ -100,3 +100,51 @@ func TestPublicClusteringAndHeatMap(t *testing.T) {
 		t.Fatalf("builder sets changed")
 	}
 }
+
+// TestRetuneAfterPlacementChange is the §VIII re-tuning scenario
+// examples/retune prints: a job tuned under block placement is rescheduled
+// round-robin; the stale plan still synchronises but has lost its locality,
+// and re-profiling and re-tuning on the new layout wins it back.
+func TestRetuneAfterPlacementChange(t *testing.T) {
+	const p = 24
+	cfg := topobarrier.DefaultProbe()
+	cfg.Replicate = true
+	worldFor := func(pl topobarrier.Placement, seed uint64) *topobarrier.World {
+		fab, err := topobarrier.NewFabric(topobarrier.QuadCluster(), pl, p, topobarrier.GigEParams(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topobarrier.NewWorld(fab)
+	}
+	mean := func(w *topobarrier.World, b topobarrier.BarrierFunc) float64 {
+		m, err := topobarrier.Measure(w, b, 3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Mean
+	}
+
+	before := worldFor(topobarrier.Block{}, 1)
+	tuned, err := topobarrier.ProfileAndTune(before, cfg, topobarrier.TuneOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := mean(before, tuned.Func())
+
+	after := worldFor(topobarrier.RoundRobin{}, 2)
+	if err := topobarrier.Validate(after, tuned.Func(), 0.5, []int{0, p - 1}); err != nil {
+		t.Fatalf("stale plan no longer synchronises: %v", err)
+	}
+	stale := mean(after, tuned.Func())
+	if stale < 1.3*base {
+		t.Fatalf("placement change did not hurt the stale barrier: %g vs %g", stale, base)
+	}
+
+	retuned, err := topobarrier.ProfileAndTune(after, cfg, topobarrier.TuneOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := mean(after, retuned.Func()); fresh >= stale {
+		t.Fatalf("re-tuned barrier no better: %g vs stale %g", fresh, stale)
+	}
+}
