@@ -164,7 +164,7 @@ func reportPredictionError(b *testing.B, vd *figures.ValidationData) {
 
 func quadWorld(b *testing.B, p int, seed uint64) *mpi.World {
 	b.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, seed)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func quadWorld(b *testing.B, p int, seed uint64) *mpi.World {
 
 func measureTuned(b *testing.B, p int, opts core.Options, worldOpts ...mpi.Option) float64 {
 	b.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 11)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(11))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func BenchmarkAblationBuilders(b *testing.B) {
 func BenchmarkAblationCongestion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hybrid := measureTuned(b, 40, core.Options{}, mpi.WithCongestion())
-		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 40, 11)
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 40, fabric.GigEParams(11))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,13 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"topobarrier/internal/analyze"
 	"topobarrier/internal/codegen"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
-	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 )
 
@@ -134,18 +132,11 @@ func vetFile(path string, opts analyze.Options) (*analyze.Report, error) {
 	if s.Name == "" {
 		s.Name = path
 	}
-	rep := analyze.Analyze(&s, opts)
-	// A schedule that passes Eq. 3 and the structural gate also gets the
-	// plan-level protocol checks over its compiled form — what a transport
-	// would actually execute.
-	if rep.Barrier && rep.Err() == nil {
-		if pl, err := run.NewPlan(&s); err == nil {
-			rep.Findings = append(rep.Findings, analyze.CheckPlan(pl)...)
-			sort.SliceStable(rep.Findings, func(i, j int) bool {
-				return rep.Findings[i].Severity > rep.Findings[j].Severity
-			})
-		}
-	}
+	// The gate's report is the product here, not its verdict: a schedule
+	// that passes Eq. 3 and the structural checks also carries the
+	// plan-level findings over its compiled form, and the exit status reads
+	// the report's Error findings (a -k counterexample alone is exit 0).
+	_, rep, _ := analyze.Vet(&s, opts)
 	return rep, nil
 }
 

@@ -1,6 +1,6 @@
 // Command runbarrier measures barrier implementations on a simulated
-// cluster: the schedule-driven classic algorithms, the hard-coded baselines
-// (including the MPI_Barrier stand-in), or a schedule stored as JSON by
+// cluster: the schedule-driven classic algorithms, the hard-coded
+// MPI_Barrier stand-in, or a schedule stored as JSON by
 // tunebarrier. It also runs the paper's delay-injection synchronization
 // validation (§VI) before timing.
 //
@@ -219,13 +219,13 @@ func main() {
 
 // resolve maps an -alg value to an executable barrier: a simulator function
 // always, plus the underlying schedule when the algorithm has one (the
-// hard-coded mpi/rd baselines do not, so they cannot run with -net).
+// hard-coded mpi baseline does not, so it cannot run with -net).
 func resolve(alg string, p int) (string, run.Func, *sched.Schedule, error) {
 	switch alg {
 	case "mpi":
 		return "MPI barrier (binomial tree)", baseline.Tree, nil, nil
 	case "rd":
-		return "recursive doubling (hard-coded)", baseline.RecursiveDoubling, nil, nil
+		return "recursive doubling (schedule)", run.ScheduleFunc(sched.RecursiveDoubling(p)), sched.RecursiveDoubling(p), nil
 	case "tree":
 		return "tree (schedule)", run.ScheduleFunc(sched.Tree(p)), sched.Tree(p), nil
 	case "linear":
@@ -247,17 +247,13 @@ func resolve(alg string, p int) (string, run.Func, *sched.Schedule, error) {
 		}
 		// Loaded schedules are untrusted: vet them before execution and
 		// refuse Error-severity findings with the full diagnosis.
-		rep := analyze.Analyze(&s, analyze.Options{SkipRedundancy: true})
-		if err := rep.Err(); err != nil {
+		plan, rep, err := analyze.Vet(&s, analyze.Options{SkipRedundancy: true})
+		if err != nil {
 			fmt.Fprint(os.Stderr, rep)
 			return "", nil, nil, fmt.Errorf("schedule %s fails barriervet: %w", alg, err)
 		}
 		if n := rep.Count(analyze.Warning); n > 0 {
 			fmt.Fprintf(os.Stderr, "barriervet: %d warnings for %q (run cmd/barriervet for details)\n", n, s.Name)
-		}
-		plan, err := run.NewPlan(&s)
-		if err != nil {
-			return "", nil, nil, err
 		}
 		return s.Name + " (compiled plan)", plan.Func(), &s, nil
 	}
@@ -320,7 +316,7 @@ type retuneConfig struct {
 // retuning controller attached.
 func runNet(name string, s *sched.Schedule, p int, nodes []int, warmup, iters int, deadline, dialTimeout time.Duration, faultSpec string, reg *telemetry.Registry, tracer *telemetry.Tracer, traceOut string, flight *critpath.FlightRecorder, rc *retuneConfig) error {
 	if s == nil {
-		return fmt.Errorf("%s is a hard-coded simulator baseline; -net needs a schedule (tree, linear, dissemination, or a JSON file)", name)
+		return fmt.Errorf("%s is a hard-coded simulator baseline; -net needs a schedule (tree, linear, dissemination, rd, or a JSON file)", name)
 	}
 	pl, rep, err := netmpi.VetPlan(s, analyze.Options{SkipRedundancy: true})
 	if err != nil {

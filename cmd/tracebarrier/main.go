@@ -17,14 +17,14 @@
 //	tracebarrier -cluster quad|hex -p N [-placement round-robin|block]
 //	             [-alg tree|linear|dissemination|mpi|hybrid] [-seed N] [-width N]
 //	tracebarrier -net -p N [-alg tree|linear|dissemination|hybrid]
-//	             [-iters N] [-warmup N] [-probe-iters N] [-workers N]
+//	             [-iters N] [-warmup N] [-probe-iters N]
 //	             [-adaptive K] [-profile-cache DIR] [-drift-tol F] [-ranks]
 //	             [-recommend F] [-critical-path]
 //	             [-net-deadline D] [-net-dial-timeout D] [-trace-out file.json]
 //	             [-transport tcp|hybrid] [-colocate nodes=K|"0-3,4-7"]
 //
 // Profiling runs as edge-colored parallel rounds (⌊P/2⌋ disjoint pairs per
-// round, -workers bounds the overlap), stops each pair adaptively once its
+// round), stops each pair adaptively once its
 // minimum RTT is stable for -adaptive samples, and with -profile-cache reuses
 // a fingerprinted profile from a previous run, re-validating a sampled
 // subset of links against -drift-tol before trusting it. -transport hybrid
@@ -82,7 +82,6 @@ func main() {
 		iters      = flag.Int("iters", 5, "traced barrier executions; observed times are per-cell minima (-net)")
 		warmup     = flag.Int("warmup", 3, "untimed warmup barriers (-net)")
 		probeIters = flag.Int("probe-iters", 8, "max ping-pongs per ordered rank pair when probing the profile (-net)")
-		workers    = flag.Int("workers", 0, "concurrently probed pairs per round; 0 = all disjoint pairs of the round (-net)")
 		adaptive   = flag.Int("adaptive", 3, "stop a probed pair once its min RTT is stable for K samples; 0 = fixed iterations (-net)")
 		cacheDir   = flag.String("profile-cache", "", "fingerprinted profile cache directory; warm profiles skip the probe (-net)")
 		driftTol   = flag.Float64("drift-tol", 0.5, "relative O+L drift that marks a cached link stale during revalidation; 0 trusts the cache blindly (-net)")
@@ -103,7 +102,7 @@ func main() {
 			fatal(err)
 		}
 		popts := probeCLIOptions{
-			iters: *probeIters, workers: *workers, adaptive: *adaptive,
+			iters: *probeIters, adaptive: *adaptive,
 			cacheDir: *cacheDir, driftTol: *driftTol,
 		}
 		if err := runNetDrift(*alg, *p, nodes, *iters, *warmup, popts, *perRank, *recommend, *critPath, *netDead, *netDial, *traceOut); err != nil {
@@ -198,9 +197,9 @@ func main() {
 
 // probeCLIOptions bundles the profiling flags of -net mode.
 type probeCLIOptions struct {
-	iters, workers, adaptive int
-	cacheDir                 string
-	driftTol                 float64
+	iters, adaptive int
+	cacheDir        string
+	driftTol        float64
 }
 
 // meshBanner describes the formed mesh: link counts per transport and, for a
@@ -286,7 +285,7 @@ func runNetDrift(alg string, p int, nodes []int, iters, warmup int, popts probeC
 	// Measure: the paper's O/L profile, probed over the live links in
 	// parallel rounds (or served from the fingerprinted cache).
 	probeOpts := netmpi.ProbeOptions{
-		MaxIters: popts.iters, StableK: popts.adaptive, Workers: popts.workers,
+		MaxIters: popts.iters, StableK: popts.adaptive,
 		Deadline: deadline, Tracer: tracer,
 	}
 	var pf *profile.Profile

@@ -20,6 +20,11 @@ func corpusSchedules(p int) []struct {
 	s         *sched.Schedule
 	resilient bool
 } {
+	kary := sched.KAryTreeArrival(p, 4)
+	kary.Concat(kary.ReverseTransposed())
+	doubled := sched.Dissemination(p)
+	doubled.Concat(doubled)
+	doubled.Name += "×2"
 	return []struct {
 		s         *sched.Schedule
 		resilient bool
@@ -31,10 +36,10 @@ func corpusSchedules(p int) []struct {
 		{sched.Dissemination(p), false},
 		{sched.RecursiveDoubling(p), false},
 		{sched.Ring(p), false},
-		{sched.KAryTree(p, 4), false},
+		{kary, false},
 		// The redundant compositions survive any single silent rank.
 		{sched.SymmetricDissemination(p), true},
-		{sched.Repeat(sched.Dissemination(p), 2), true},
+		{doubled, true},
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"topobarrier/internal/netmpi"
-	"topobarrier/internal/predict"
 	"topobarrier/internal/run"
 	"topobarrier/internal/search"
 	"topobarrier/internal/trace"
@@ -14,9 +13,6 @@ import (
 // This file exposes the extensions beyond the paper's core method: searched
 // schedules (§VII.B's wider space), execution tracing, one-shot and sized
 // measurement, and the real-network mesh.
-
-// CongestionModel extends predictions with NIC serialisation (§VIII).
-type CongestionModel = predict.CongestionModel
 
 // Search (see internal/search).
 type (

@@ -9,9 +9,10 @@
 // stages, fan hotspots, departure phases that contradict the schedule's
 // claimed provenance).
 //
-// The report gates the tuning pipeline (internal/core refuses to compile a
-// plan from a schedule with Error-severity findings), the real-network
-// transport (netmpi.VetPlan), and the runbarrier/barriervet CLIs.
+// Vet is the gate built on the report: the tuning pipeline (internal/core),
+// the online retuner, the real-network transport (netmpi.VetPlan) and the
+// runbarrier/barriervet CLIs all compile a plan through it, and it refuses a
+// schedule with Error-severity findings.
 package analyze
 
 import (
@@ -208,27 +209,23 @@ type Options struct {
 	MaxWitnesses int
 	// SkipRedundancy disables the greedy signal/stage minimisation, which
 	// re-verifies Eq. 3 once per candidate removal. It is also skipped
-	// automatically (with an Info note) above RedundancyMaxP ranks.
+	// automatically (with an Info note) above redundancyMaxP ranks.
 	SkipRedundancy bool
-	// RedundancyMaxP bounds the rank count for redundancy analysis.
-	// 0 selects the default of 128.
-	RedundancyMaxP int
 	// CertifyK, when positive, runs the k-fault resilience certifier on
 	// verified barriers: either a Certified{k} finding or a minimal silent
 	// rank set that breaks the barrier, with stalled-pair witnesses.
 	CertifyK int
-	// CertifyMaxSubsets bounds the certifier's exhaustive enumeration
-	// (0 selects its default); above it the pruned candidate search runs.
-	CertifyMaxSubsets int
 	// CriticalEdges, when set, reports every send of a verified barrier
 	// whose loss alone breaks Eq. 3, ranked most damaging first.
 	CriticalEdges bool
 }
 
 const (
-	defaultFanThreshold   = 8
-	defaultMaxWitnesses   = 5
-	defaultRedundancyMaxP = 128
+	defaultFanThreshold = 8
+	defaultMaxWitnesses = 5
+	// redundancyMaxP bounds the rank count for redundancy analysis, which
+	// re-verifies Eq. 3 once per candidate removal.
+	redundancyMaxP = 128
 )
 
 // Analyze runs every barriervet check against the schedule and returns the
@@ -277,7 +274,7 @@ func Analyze(s *sched.Schedule, opts Options) *Report {
 			fs = append(fs, redundancy(s, opts)...)
 		}
 		if opts.CertifyK > 0 {
-			res := CertifyK(s, opts.CertifyK, ResilienceOptions{MaxSubsets: opts.CertifyMaxSubsets})
+			res := CertifyK(s, opts.CertifyK, ResilienceOptions{})
 			fs = append(fs, resilienceFindings(s, res)...)
 		}
 		if opts.CriticalEdges {

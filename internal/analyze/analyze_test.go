@@ -11,6 +11,20 @@ import (
 	"topobarrier/internal/sched"
 )
 
+// kAryTree is the full k-ary tree barrier: arrival plus its transposed
+// reversal.
+func kAryTree(p, k int) *sched.Schedule {
+	arr := sched.KAryTreeArrival(p, k)
+	return arr.Concat(arr.ReverseTransposed())
+}
+
+// doubled runs the schedule's stages twice over — the redundancy that buys a
+// dissemination barrier its second fault budget.
+func doubled(s *sched.Schedule) *sched.Schedule {
+	s.Name += "×2"
+	return s.Concat(s)
+}
+
 // uniformPredictor builds a predictor over a flat profile, so cost deltas
 // are well-defined without a cluster model.
 func uniformPredictor(t *testing.T, p int) *predict.Predictor {
@@ -302,7 +316,7 @@ func TestAnalyzeAgreesWithIsBarrier(t *testing.T) {
 		sched.Linear(1), sched.Linear(7), sched.LinearArrival(7),
 		sched.Dissemination(6), sched.Tree(9), sched.TreeArrival(9),
 		sched.Ring(5), sched.RingArrival(5), sched.RecursiveDoubling(8),
-		sched.KAryTree(13, 3), sched.New("void(3)", 3),
+		kAryTree(13, 3), sched.New("void(3)", 3),
 	}
 	for _, s := range cases {
 		rep := Analyze(s, Options{})

@@ -25,7 +25,7 @@ func BenchmarkCertifyK(b *testing.B) {
 		{"counterexample/dissemination", sched.Dissemination(16), 1},
 		{"certify/symmetric-dissemination", sched.SymmetricDissemination(16), 1},
 		{"counterexample/k2/symmetric-dissemination", sched.SymmetricDissemination(16), 2},
-		{"certify/k2/double-dissemination", sched.Repeat(sched.Dissemination(16), 2), 2},
+		{"certify/k2/double-dissemination", doubled(sched.Dissemination(16)), 2},
 	}
 	for _, c := range cases {
 		b.Run(fmt.Sprintf("P=16/k=%d/%s", c.k, c.name), func(b *testing.B) {

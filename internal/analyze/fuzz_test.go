@@ -18,7 +18,7 @@ func FuzzCertifyAgreesWithBruteForce(f *testing.F) {
 	for _, s := range []*sched.Schedule{
 		sched.Dissemination(4), sched.SymmetricDissemination(4),
 		sched.Linear(5), sched.Tree(8), sched.RecursiveDoubling(4),
-		sched.Repeat(sched.Dissemination(4), 2),
+		doubled(sched.Dissemination(4)),
 	} {
 		seed, err := json.Marshal(s)
 		if err != nil {

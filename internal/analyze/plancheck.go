@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"topobarrier/internal/run"
+	"topobarrier/internal/sched"
 )
 
 // This file implements the plan-level protocol checker: a static pass over a
@@ -256,18 +257,33 @@ func findCycle(out map[int][]int, marked map[int]bool) []int {
 	return nil
 }
 
-// AnalyzePlan wraps CheckPlan in a Report, for callers that want the same
-// gate/rendering machinery as schedule analysis.
-func AnalyzePlan(pl *run.Plan) *Report {
-	rep := &Report{Schedule: pl.Name, P: pl.P, Stages: pl.Stages, Barrier: true}
-	if rep.Schedule == "" {
-		rep.Schedule = "(unnamed plan)"
+// Vet is the one gate between a schedule and anything that executes it: the
+// barriervet analysis, then compilation and the plan-level protocol checks
+// over the compiled artifact — the thing that actually touches a transport.
+// It refuses on any Error-severity finding and, when opts.CertifyK demands
+// certification, on a resilience counterexample (which is deliberately not
+// Error severity). Unlike run.NewPlan's bare boolean check, a refusal
+// explains itself: the report holds the stalled knowledge pairs, chain
+// counterexamples, or protocol violations, and is returned even on failure so
+// callers can render it.
+func Vet(s *sched.Schedule, opts Options) (*run.Plan, *Report, error) {
+	rep := Analyze(s, opts)
+	if err := rep.Err(); err != nil {
+		return nil, rep, err
 	}
-	rep.Findings = CheckPlan(pl)
-	for r := 0; r < pl.P; r++ {
-		for _, op := range pl.RankOps(r) {
-			rep.Signals += len(op.Sends)
-		}
+	pl, err := run.NewPlan(s)
+	if err != nil {
+		return nil, rep, err
 	}
-	return rep
+	rep.Findings = append(rep.Findings, CheckPlan(pl)...)
+	sort.SliceStable(rep.Findings, func(i, j int) bool {
+		return rep.Findings[i].Severity > rep.Findings[j].Severity
+	})
+	if err := rep.Err(); err != nil {
+		return nil, rep, err
+	}
+	if cex := rep.ResilienceCounterexample(); cex != nil {
+		return nil, rep, fmt.Errorf("analyze: schedule %q: %s", rep.Schedule, cex.Message)
+	}
+	return pl, rep, nil
 }

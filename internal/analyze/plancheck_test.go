@@ -2,8 +2,10 @@ package analyze
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 )
@@ -34,7 +36,7 @@ func checks(fs []Finding) map[string]int {
 func TestCheckPlanCleanSchedules(t *testing.T) {
 	for _, s := range []*sched.Schedule{
 		sched.Linear(8), sched.Dissemination(8), sched.Tree(8),
-		sched.Ring(8), sched.KAryTree(16, 4), sched.SymmetricDissemination(8),
+		sched.Ring(8), kAryTree(16, 4), sched.SymmetricDissemination(8),
 	} {
 		pl, err := run.NewPlan(s)
 		if err != nil {
@@ -86,8 +88,7 @@ func TestCheckPlanUnmatchedSend(t *testing.T) {
 	if n := checks(fs)["plan-unmatched-send"]; n != 1 {
 		t.Fatalf("findings %v: want one plan-unmatched-send", fs)
 	}
-	rep := AnalyzePlan(pl)
-	if rep.Err() == nil {
+	if (&Report{Findings: fs}).Err() == nil {
 		t.Error("unmatched send must gate execution")
 	}
 }
@@ -167,18 +168,44 @@ func TestCheckPlanTagOverflow(t *testing.T) {
 	}
 }
 
-// TestAnalyzePlanReport: the wrapper fills the report header and stays
-// JSON-serialisable.
-func TestAnalyzePlanReport(t *testing.T) {
-	pl, err := run.NewPlan(sched.Tree(8))
-	if err != nil {
-		t.Fatal(err)
+// TestVetGate drives the one pre-execution gate: a clean schedule compiles
+// and its report carries the plan-level findings too; a non-barrier is
+// refused with the report still returned.
+func TestVetGate(t *testing.T) {
+	pl, rep, err := Vet(sched.RecursiveDoubling(8), Options{})
+	if err != nil || pl == nil || pl.P != 8 {
+		t.Fatalf("clean schedule refused: plan %v, err %v", pl, err)
 	}
-	rep := AnalyzePlan(pl)
-	if rep.Schedule != pl.Name || rep.P != 8 || rep.Signals == 0 {
-		t.Errorf("report header %+v not filled from plan", rep)
+	if checks(rep.Findings)["plan-rendezvous-cycle"] == 0 {
+		t.Errorf("report %v lacks the compiled plan's findings", rep.Findings)
 	}
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("report not serialisable: %v", err)
+	}
+
+	m := mat.NewBool(3)
+	m.Set(1, 0, true)
+	broken := sched.New("broken(3)", 3)
+	broken.AddStage(m)
+	if pl, rep, err := Vet(broken, Options{}); err == nil || pl != nil || rep == nil || rep.Barrier {
+		t.Errorf("non-barrier: plan %v, report %v, err %v", pl, rep, err)
+	}
+}
+
+// TestVetRefusesResilienceCounterexample: a demanded certification refuses a
+// schedule whose counterexample is not Error severity — the case a gate that
+// checks Report.Err alone lets through.
+func TestVetRefusesResilienceCounterexample(t *testing.T) {
+	tree := sched.Tree(8)
+	if _, _, err := Vet(tree, Options{}); err != nil {
+		t.Fatalf("tree(8) refused without a certification demand: %v", err)
+	}
+	pl, rep, err := Vet(tree, Options{CertifyK: 1})
+	if err == nil || pl != nil {
+		t.Fatalf("tree(8) passed the gate under CertifyK=1 (plan %v)", pl)
+	}
+	cex := rep.ResilienceCounterexample()
+	if cex == nil || rep.Err() != nil || !strings.Contains(err.Error(), cex.Message) {
+		t.Errorf("refusal %q does not carry the counterexample %+v", err, cex)
 	}
 }

@@ -14,14 +14,10 @@ import (
 // Removable stages and signals are reported as optimisation opportunities;
 // when a predictor is available the total predicted saving is priced.
 func redundancy(s *sched.Schedule, opts Options) []Finding {
-	maxP := opts.RedundancyMaxP
-	if maxP == 0 {
-		maxP = defaultRedundancyMaxP
-	}
-	if s.P > maxP {
+	if s.P > redundancyMaxP {
 		return []Finding{{
 			Check: "redundancy-skipped", Severity: Info, Stage: -1,
-			Message: fmt.Sprintf("redundancy analysis skipped: %d ranks exceeds the %d-rank bound (raise RedundancyMaxP to force)", s.P, maxP),
+			Message: fmt.Sprintf("redundancy analysis skipped: %d ranks exceeds the %d-rank bound", s.P, redundancyMaxP),
 		}}
 	}
 

@@ -48,7 +48,7 @@ type Resilience struct {
 	// Counterexample is a minimal silent rank set breaking the barrier
 	// (every proper subset provably survives), nil when certified.
 	Counterexample []int `json:"counterexample,omitempty"`
-	// Stalled lists up to MaxWitnessPairs survivor pairs (From arrives, To
+	// Stalled lists up to maxWitnessPairs survivor pairs (From arrives, To
 	// never learns of it) witnessing the counterexample.
 	Stalled []Pair `json:"stalled,omitempty"`
 }
@@ -58,14 +58,12 @@ type ResilienceOptions struct {
 	// MaxSubsets bounds the exhaustive enumeration; above it the pruned
 	// candidate search runs instead. 0 selects the default of 1<<17.
 	MaxSubsets int
-	// MaxWitnessPairs caps the stalled pairs reported with a counterexample.
-	// 0 selects the default of 8.
-	MaxWitnessPairs int
 }
 
 const (
-	defaultMaxSubsets      = 1 << 17
-	defaultMaxWitnessPairs = 8
+	defaultMaxSubsets = 1 << 17
+	// maxWitnessPairs caps the stalled pairs reported with a counterexample.
+	maxWitnessPairs = 8
 )
 
 // CertifyK decides k-fault resilience for the schedule. It requires a
@@ -80,10 +78,6 @@ func CertifyK(s *sched.Schedule, k int, opts ResilienceOptions) *Resilience {
 	maxSubsets := opts.MaxSubsets
 	if maxSubsets == 0 {
 		maxSubsets = defaultMaxSubsets
-	}
-	maxPairs := opts.MaxWitnessPairs
-	if maxPairs == 0 {
-		maxPairs = defaultMaxWitnessPairs
 	}
 
 	ck := newClosureChecker(s)
@@ -100,7 +94,7 @@ func CertifyK(s *sched.Schedule, k int, opts ResilienceOptions) *Resilience {
 			break
 		}
 		total += c
-		if found := ck.enumerate(m, res, maxPairs); found {
+		if found := ck.enumerate(m, res); found {
 			return res
 		}
 	}
@@ -114,7 +108,7 @@ func CertifyK(s *sched.Schedule, k int, opts ResilienceOptions) *Resilience {
 	// the union graph and the ranks whose silencing left the closure
 	// thinnest, then enumerate subsets of the candidate pool.
 	res.Exhaustive = false
-	ck.pruned(k, maxSubsets, res, maxPairs)
+	ck.pruned(k, maxSubsets, res)
 	return res
 }
 
@@ -216,7 +210,7 @@ func (c *closureChecker) stalledPairs(faults []int, max int) []Pair {
 // enumerate checks every fault set of exactly size m, filling res and
 // returning true on the first (minimum-cardinality, hence minimal)
 // counterexample.
-func (c *closureChecker) enumerate(m int, res *Resilience, maxPairs int) bool {
+func (c *closureChecker) enumerate(m int, res *Resilience) bool {
 	faults := make([]int, m)
 	var rec func(start, idx int) bool
 	rec = func(start, idx int) bool {
@@ -230,7 +224,7 @@ func (c *closureChecker) enumerate(m int, res *Resilience, maxPairs int) bool {
 			if !ok {
 				res.Certified = false
 				res.Counterexample = append([]int(nil), faults...)
-				res.Stalled = c.stalledPairs(faults, maxPairs)
+				res.Stalled = c.stalledPairs(faults, maxWitnessPairs)
 				res.SubsetsChecked = c.checked
 				return true
 			}
@@ -258,7 +252,7 @@ func (c *closureChecker) enumerate(m int, res *Resilience, maxPairs int) bool {
 // is a counterexample outright) plus the top thin-closure ranks by the
 // size-1 lateness score. Any failing subset found here is an exact,
 // minimised counterexample.
-func (c *closureChecker) pruned(k, maxSubsets int, res *Resilience, maxPairs int) {
+func (c *closureChecker) pruned(k, maxSubsets int, res *Resilience) {
 	type scored struct{ rank, score int }
 	pool := make([]scored, 0, c.s.P)
 	union := unionMatrix(c.s)
@@ -306,7 +300,7 @@ func (c *closureChecker) pruned(k, maxSubsets int, res *Resilience, maxPairs int
 				res.Counterexample = c.minimise(append([]int(nil), faults...))
 				// Re-evaluate the minimised set for accurate witnesses.
 				c.closed(res.Counterexample)
-				res.Stalled = c.stalledPairs(res.Counterexample, maxPairs)
+				res.Stalled = c.stalledPairs(res.Counterexample, maxWitnessPairs)
 				return true
 			}
 			return false

@@ -37,7 +37,7 @@ func TestCertifyClassicSchedulesNotResilient(t *testing.T) {
 			sched.Tree(p),
 			sched.RecursiveDoubling(p),
 			sched.Ring(p),
-			sched.KAryTree(p, 4),
+			kAryTree(p, 4),
 		} {
 			res := CertifyK(s, 1, ResilienceOptions{})
 			if res.Certified {
@@ -86,7 +86,7 @@ func TestCertifySymmetricDissemination(t *testing.T) {
 // silenced ranks.
 func TestCertifyRepeatedDissemination(t *testing.T) {
 	for _, p := range []int{8, 16} {
-		s := sched.Repeat(sched.Dissemination(p), 2)
+		s := doubled(sched.Dissemination(p))
 		res := CertifyK(s, 2, ResilienceOptions{})
 		if !res.Certified || !res.Exhaustive {
 			t.Errorf("dissemination(%d)×2: certified=%v exhaustive=%v cex=%v, want exhaustive 2-fault proof",
@@ -154,7 +154,7 @@ func TestCertifyPrunedSearch(t *testing.T) {
 
 	// Doubled dissemination at P=64 has no 2-fault counterexample; under the
 	// same budget the verdict must be certified-but-not-proof.
-	d := sched.Repeat(sched.Dissemination(64), 2)
+	d := doubled(sched.Dissemination(64))
 	res = CertifyK(d, 2, ResilienceOptions{MaxSubsets: 200})
 	if !res.Certified || res.Exhaustive {
 		t.Errorf("%s: certified=%v exhaustive=%v, want non-exhaustive pass", d.Name, res.Certified, res.Exhaustive)
@@ -201,7 +201,7 @@ func TestCriticalEdges(t *testing.T) {
 			t.Errorf("unexpected critical edge %+v, want final-stage antipodal send stalling 1 pair", e)
 		}
 	}
-	if edges := CriticalEdges(sched.Repeat(sched.Dissemination(8), 2)); len(edges) != 0 {
+	if edges := CriticalEdges(doubled(sched.Dissemination(8))); len(edges) != 0 {
 		t.Errorf("dissemination(8)×2: %d critical edges, want none", len(edges))
 	}
 	// CriticalEdges must not mutate its input.

@@ -13,7 +13,7 @@ import (
 
 func testWorld(t testing.TB, p int, seed uint64) *mpi.World {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, seed)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +21,15 @@ func testWorld(t testing.TB, p int, seed uint64) *mpi.World {
 }
 
 func TestAllBaselinesSynchronise(t *testing.T) {
-	for name, b := range All() {
-		for _, p := range []int{1, 2, 3, 5, 7, 8, 9, 16} {
-			if err := run.Validate(testWorld(t, p, 1), b, 0.5, nil); err != nil {
-				t.Fatalf("%s at p=%d: %v", name, p, err)
-			}
+	for _, p := range []int{1, 2, 3, 5, 7, 8, 9, 16} {
+		if err := run.Validate(testWorld(t, p, 1), Tree, 0.5, nil); err != nil {
+			t.Fatalf("tree at p=%d: %v", p, err)
 		}
 	}
 }
 
-// Every baseline waits through blocking calls or the rank's Batch, so in
-// steady state a barrier allocates nothing: N and 2N barriers inside one
+// The baseline waits through blocking calls, so in steady state a barrier
+// allocates nothing: N and 2N barriers inside one
 // World.Run cost the same. The fabric is noise-free so the count is exact.
 func TestBaselineAllocsIndependentOfBarrierCount(t *testing.T) {
 	params := fabric.GigEParams(1)
@@ -45,13 +43,11 @@ func TestBaselineAllocsIndependentOfBarrierCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := mpi.NewWorld(f)
-	for name, b := range All() {
-		perftest.SteadyAllocs(t, name, 40, func(iters int) {
-			if _, err := run.Measure(w, b, 0, iters); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	perftest.SteadyAllocs(t, "tree", 40, func(iters int) {
+		if _, err := run.Measure(w, Tree, 0, iters); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestTreeMatchesScheduleShape(t *testing.T) {
@@ -71,51 +67,6 @@ func TestTreeMatchesScheduleShape(t *testing.T) {
 		if ratio < 0.5 || ratio > 2.0 {
 			t.Fatalf("p=%d: hard-coded tree %g vs schedule tree %g (ratio %.2f)", p, hard.Mean, interp.Mean, ratio)
 		}
-	}
-}
-
-func TestLinearIsSlowestAtScale(t *testing.T) {
-	p := 32
-	lin, err := run.Measure(testWorld(t, p, 2), Linear, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := run.Measure(testWorld(t, p, 2), Tree, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lin.Mean <= tree.Mean {
-		t.Fatalf("linear (%g) not slower than tree (%g) at p=%d", lin.Mean, tree.Mean, p)
-	}
-}
-
-func TestRecursiveDoublingFallbackPath(t *testing.T) {
-	// p=12 is not a power of two: RecursiveDoubling must still synchronise
-	// via the dissemination fallback.
-	if err := run.Validate(testWorld(t, 12, 3), RecursiveDoubling, 0.5, []int{0, 5, 11}); err != nil {
-		t.Fatal(err)
-	}
-	// p=16 takes the pairwise-exchange path.
-	if err := run.Validate(testWorld(t, 16, 3), RecursiveDoubling, 0.5, []int{0, 7, 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDisseminationStageCount(t *testing.T) {
-	// Count distinct virtual times at which messages arrive for one barrier:
-	// dissemination at p=8 should need 3 rounds of cross traffic, far fewer
-	// than linear's 2(p-1) serial hops. We just sanity-check relative cost.
-	p := 8
-	dis, err := run.Measure(testWorld(t, p, 4), Dissemination, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin, err := run.Measure(testWorld(t, p, 4), Linear, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dis.Mean <= 0 || lin.Mean <= 0 {
-		t.Fatalf("non-positive means %g %g", dis.Mean, lin.Mean)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 func quadOracle(t testing.TB, pl topo.Placement, p int) *profile.Profile {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(pl, p, 1)
+	f, err := fabric.New(topo.QuadCluster(), pl, p, fabric.GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}

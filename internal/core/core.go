@@ -41,35 +41,24 @@ type Options struct {
 	// seeded with the composed schedule. A refined schedule replaces the
 	// composed one only when it prices cheaper and passes the same barriervet
 	// gate; otherwise the composition stands. The pass is deterministic for a
-	// fixed RefineSeed regardless of RefineWorkers.
+	// fixed RefineSeed.
 	Refine int
 	// RefineSeed is the refinement search's randomness seed.
 	RefineSeed uint64
-	// RefineWorkers bounds the refinement portfolio's goroutines; 0 uses all
-	// cores. It never changes the result, only the wall-clock time.
-	RefineWorkers int
 	// RefineBatch, when above 1, makes the refinement search evaluate
 	// mutations in best-of-RefineBatch batches (search.AnnealOptions
 	// .BatchSize) — the large-P configuration, where each kept move should
 	// be the pick of several cheap cluster-pruned proposals.
 	RefineBatch int
 	// Tracer, when non-nil, records one span per pipeline phase
-	// (tune.profile, tune.compose, tune.vet, tune.refine, tune.plan) so a
-	// tuning run can be inspected in chrome://tracing. Nil keeps every span
-	// a pointer check.
+	// (tune.profile, tune.compose, tune.vet, tune.refine) so a tuning run
+	// can be inspected in chrome://tracing. Nil keeps every span a pointer
+	// check.
 	Tracer *telemetry.Tracer
 	// Telemetry, when non-nil, is handed to the refinement search (its
 	// candidate/accept/adoption counters) and receives the pipeline's
 	// tune_predicted_cost_seconds gauge.
 	Telemetry *telemetry.Registry
-	// ProfileCache, when non-nil, lets ProfileAndTune skip the measurement
-	// phase entirely: profiles are keyed by a fingerprint of the fabric spec,
-	// rank count, probe configuration, and CacheSalt, so a platform already
-	// profiled under the same conditions tunes from the warm profile.
-	ProfileCache *profile.Cache
-	// CacheSalt is an extra fingerprint discriminator for conditions the
-	// fabric spec does not encode (placement policy, noise seed).
-	CacheSalt string
 	// CertifyK, when positive, demands fault-resilience certification: the
 	// vet pass runs the analyze.CertifyK prover and Tune fails when the tuned
 	// schedule has a counterexample — a set of at most CertifyK ranks whose
@@ -87,8 +76,9 @@ type Tuned struct {
 	Tree *sss.Node
 	// Result holds the composed schedule and the per-cluster decisions.
 	Result *compose.Result
-	// Report is the barriervet static analysis of the composed schedule;
-	// schedules with Error-severity findings never reach this struct.
+	// Report is the barriervet static analysis of the schedule and its
+	// compiled plan; schedules with Error-severity findings never reach this
+	// struct.
 	Report *analyze.Report
 	// Plan is the flattened executable form of the schedule.
 	Plan *run.Plan
@@ -125,19 +115,18 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Static analysis gates plan compilation and source emission: a composed
-	// schedule with Error-severity findings is a composer bug and must not
-	// execute; the report also rides along on the Tuned value so callers can
-	// surface warnings and redundancy opportunities.
-	vetOpts := analyze.Options{Predictor: pd, CertifyK: opts.CertifyK}
-	vetSpan := opts.Tracer.Begin("tune.vet", -1, -1, -1)
-	rep := analyze.Analyze(res.Schedule, vetOpts)
-	vetSpan.End()
-	if err := rep.Err(); err != nil {
-		return nil, fmt.Errorf("core: composed schedule fails barriervet: %w", err)
+	// analyze.Vet gates plan compilation and source emission: a composed
+	// schedule it refuses is a composer bug and must not execute. The report
+	// also rides along on the Tuned value so callers can surface warnings
+	// and redundancy opportunities.
+	vet := func(s *sched.Schedule) (*run.Plan, *analyze.Report, error) {
+		span := opts.Tracer.Begin("tune.vet", -1, -1, -1)
+		defer span.End()
+		return analyze.Vet(s, analyze.Options{Predictor: pd, CertifyK: opts.CertifyK})
 	}
-	if cex := rep.ResilienceCounterexample(); cex != nil {
-		return nil, fmt.Errorf("core: composed schedule is not %d-fault resilient: %s", opts.CertifyK, cex.Message)
+	plan, rep, err := vet(res.Schedule)
+	if err != nil {
+		return nil, fmt.Errorf("core: composed schedule fails vet: %w", err)
 	}
 	if opts.Refine > 0 {
 		refineSpan := opts.Tracer.Begin("tune.refine", -1, -1, -1)
@@ -150,7 +139,7 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 			clusters = append(clusters, leaf.Ranks)
 		}
 		sres, err := search.Anneal(pd, res.Schedule, search.AnnealOptions{
-			Seed: opts.RefineSeed, Budget: opts.Refine, Workers: opts.RefineWorkers,
+			Seed: opts.RefineSeed, Budget: opts.Refine,
 			Clusters: clusters, BatchSize: opts.RefineBatch,
 			Telemetry: opts.Telemetry,
 		})
@@ -160,29 +149,13 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 		}
 		if sres.Cost < res.PredictedCost {
 			// The refined schedule must clear the same gate as the composition;
-			// an Error finding keeps the composed schedule instead of failing
-			// the pipeline, since a verified fallback is in hand.
-			vetSpan = opts.Tracer.Begin("tune.vet", -1, -1, -1)
-			rrep := analyze.Analyze(sres.Schedule, vetOpts)
-			vetSpan.End()
-			if rrep.Err() == nil && rrep.ResilienceCounterexample() == nil {
+			// a refusal keeps the composed schedule instead of failing the
+			// pipeline, since a verified fallback is in hand.
+			if rplan, rrep, err := vet(sres.Schedule); err == nil {
 				res.Schedule, res.PredictedCost = sres.Schedule, sres.Cost
-				rep = rrep
+				plan, rep = rplan, rrep
 			}
 		}
-	}
-	planSpan := opts.Tracer.Begin("tune.plan", -1, -1, -1)
-	plan, err := run.NewPlan(res.Schedule)
-	planSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	// Plan-level protocol checks over the compiled artifact; an Error here
-	// (unmatched message, tag overflow) means the compiled form would break
-	// a transport even though the schedule's matrices passed Eq. 3.
-	rep.Findings = append(rep.Findings, analyze.CheckPlan(plan)...)
-	if err := rep.Err(); err != nil {
-		return nil, fmt.Errorf("core: compiled plan fails protocol check: %w", err)
 	}
 	opts.Telemetry.Gauge("tune_predicted_cost_seconds").Set(res.PredictedCost)
 	return &Tuned{Profile: pf, Tree: tree, Result: res, Report: rep, Plan: plan}, nil
@@ -191,35 +164,21 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 // ProfileAndTune profiles the platform of a world with the given benchmark
 // configuration and immediately tunes a barrier for it — the full §III
 // pipeline in one call. The profile is also returned via the Tuned value for
-// storage and re-use. With Options.ProfileCache set, a platform already
-// profiled under the same fingerprint (fabric spec, rank count, probe
-// configuration, CacheSalt) skips the measurement phase and tunes from the
-// warm profile; a miss measures as usual and populates the cache.
+// storage and re-use.
 func ProfileAndTune(w *mpi.World, probeCfg probe.Config, opts Options) (*Tuned, error) {
-	var fp profile.Fingerprint
-	if opts.ProfileCache != nil {
-		fp = ProfileFingerprint(w, probeCfg, opts.CacheSalt)
-		if pf, hit, _ := opts.ProfileCache.Load(fp); hit {
-			return Tune(pf, opts)
-		}
-	}
 	span := opts.Tracer.Begin("tune.profile", -1, -1, -1)
 	pf, err := probe.Measure(w, probeCfg)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	if opts.ProfileCache != nil {
-		if err := opts.ProfileCache.Store(fp, pf); err != nil {
-			return nil, fmt.Errorf("core: caching profile: %w", err)
-		}
-	}
 	return Tune(pf, opts)
 }
 
-// ProfileFingerprint is the cache key ProfileAndTune uses for a simulated
-// world: the fabric spec name, rank count, probe configuration, and any
-// caller-supplied salt for conditions the spec does not encode.
+// ProfileFingerprint is the profile-cache key of a simulated world: the
+// fabric spec name, rank count, probe configuration, and a caller-supplied
+// salt for conditions the spec does not encode (placement policy, noise
+// seed).
 func ProfileFingerprint(w *mpi.World, probeCfg probe.Config, salt string) profile.Fingerprint {
 	return profile.FingerprintOf("sim", w.Fabric().Spec().Name,
 		fmt.Sprintf("p=%d", w.Size()), probeCfg.Key(), salt)

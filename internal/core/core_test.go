@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 
 func quadWorld(t testing.TB, p int, seed uint64) *mpi.World {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, seed)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,8 @@ func TestTuneProducesValidSpecialisedBarrier(t *testing.T) {
 // TestTuneRefinementNeverRegresses: with Refine set, Tune follows the greedy
 // composition with a local-search pass. The refined result must still be a
 // barrier, clear barriervet, price no worse than the plain composition, run
-// correctly, and be deterministic regardless of the worker count.
+// correctly, and be deterministic regardless of the worker count (the search
+// portfolio sizes itself from GOMAXPROCS).
 func TestTuneRefinementNeverRegresses(t *testing.T) {
 	w := quadWorld(t, 24, 1)
 	pf := w.Fabric().TrueProfile()
@@ -58,7 +60,8 @@ func TestTuneRefinementNeverRegresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Tune(pf, Options{Refine: 4000, RefineSeed: 7, RefineWorkers: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	refined, err := Tune(pf, Options{Refine: 4000, RefineSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,8 @@ func TestTuneRefinementNeverRegresses(t *testing.T) {
 	if err := run.Validate(w, refined.Func(), 0.5, []int{0, 7, 23}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Tune(pf, Options{Refine: 4000, RefineSeed: 7, RefineWorkers: 4})
+	runtime.GOMAXPROCS(4)
+	again, err := Tune(pf, Options{Refine: 4000, RefineSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +159,12 @@ func TestProfileAndTuneEndToEnd(t *testing.T) {
 	if err := run.Validate(w, tuned.Func(), 0.5, []int{0, 15}); err != nil {
 		t.Fatal(err)
 	}
+	// The cache key separates what the spec does not encode (the salt) and
+	// what changes the measurement (the probe configuration).
+	fp := ProfileFingerprint(w, cfg, "seed=4")
+	if fp != ProfileFingerprint(w, cfg, "seed=4") || fp == ProfileFingerprint(w, cfg, "seed=5") || fp == ProfileFingerprint(w, probe.Default(), "seed=4") {
+		t.Fatal("ProfileFingerprint does not key on exactly the salt and the probe configuration")
+	}
 }
 
 func TestGenerateSourceFromTuned(t *testing.T) {
@@ -222,8 +232,10 @@ func BenchmarkTune64(b *testing.B) {
 
 func TestTuneOnAsymmetricProfile(t *testing.T) {
 	// §IV.A: the cost matrices extend trivially to asymmetric links. Probe a
-	// direction-skewed fabric with the directed protocol and verify the
-	// tuned barrier is correct and competitive there.
+	// direction-skewed fabric — the symmetric protocol reads each pair's
+	// mean over its two directions — split the mean back into the two
+	// directed costs, and verify the tuned barrier is correct and
+	// competitive there.
 	params := fabric.GigEParams(6)
 	params.DirectionSkew = 0.6
 	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 24, params)
@@ -233,9 +245,25 @@ func TestTuneOnAsymmetricProfile(t *testing.T) {
 	w := mpi.NewWorld(f)
 	cfg := probe.Default()
 	cfg.Replicate = true
-	pf, err := probe.MeasureDirected(w, cfg)
+	pf, err := probe.Measure(w, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < pf.P; i++ {
+		for j := 0; j < pf.P; j++ {
+			if i == j {
+				continue
+			}
+			dir := 1 / (1 + params.DirectionSkew/2)
+			if f.TrueO(i, j) > f.TrueO(j, i) {
+				dir *= 1 + params.DirectionSkew
+			}
+			pf.O.Set(i, j, pf.O.At(i, j)*dir)
+			pf.L.Set(i, j, pf.L.At(i, j)*dir)
+		}
+	}
+	if pf.O.At(0, 1) == pf.O.At(1, 0) {
+		t.Fatal("profile is still symmetric")
 	}
 	tuned, err := Tune(pf, Options{})
 	if err != nil {
@@ -297,7 +325,7 @@ func TestLowLatencyInterconnectNarrowsTheGap(t *testing.T) {
 }
 
 // TestTunePhaseSpans: with a tracer attached, the pipeline records one span
-// per phase (profile/compose/vet/plan, plus refine when enabled) and the
+// per phase (profile/compose/vet, plus refine when enabled) and the
 // predicted-cost gauge lands in the registry; without one, Tune behaves
 // identically.
 func TestTunePhaseSpans(t *testing.T) {
@@ -313,7 +341,7 @@ func TestTunePhaseSpans(t *testing.T) {
 	for _, e := range tr.Events() {
 		phases[e.Name]++
 	}
-	for _, want := range []string{"tune.compose", "tune.vet", "tune.refine", "tune.plan"} {
+	for _, want := range []string{"tune.compose", "tune.vet", "tune.refine"} {
 		if phases[want] == 0 {
 			t.Fatalf("missing phase span %q; got %v", want, phases)
 		}

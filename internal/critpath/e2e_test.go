@@ -158,14 +158,24 @@ func TestBlameAndFlightRecorderE2E(t *testing.T) {
 		t.Fatalf("blame implicated the whole mesh: %d links", len(links))
 	}
 
-	// The realized critical path of the last barrier must route through the
-	// delayed link: a 1ms arrival dominates every healthy ~20µs hop.
-	wins := flight.Windows()
-	tl, err := critpath.Merge(wins[len(wins)-1].Events, p, -1)
+	// The realized critical path of the last barrier, as a flight dump
+	// reports it, must route through the delayed link: a 1ms arrival
+	// dominates every healthy ~20µs hop.
+	dumpPath, err := flight.Dump("e2e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := critpath.Analyze(tl, pd, s)
+	dumped, err := os.ReadFile(dumpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drift struct {
+		Report *critpath.Report `json:"report"`
+	}
+	if err := json.Unmarshal(dumped, &drift); err != nil || drift.Report == nil {
+		t.Fatalf("flight dump carries no report: %v\n%s", err, dumped)
+	}
+	rep := drift.Report
 	if len(rep.Realized) == 0 {
 		t.Fatal("no realized critical path extracted")
 	}
@@ -188,7 +198,7 @@ func TestBlameAndFlightRecorderE2E(t *testing.T) {
 	for i, l := range links {
 		dirs[i] = netmpi.Direction{From: l.From, To: l.To}
 	}
-	rrep, err := netmpi.ReprobeDirections(peers, pf, probeOpts, 0.5, dirs)
+	rrep, err := netmpi.Reprobe(peers, pf, probeOpts, 0.5, dirs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,47 +86,6 @@ func (f *FlightRecorder) Cut(label string) int {
 	return len(evs)
 }
 
-// Windows returns a snapshot of the retained windows, oldest first.
-func (f *FlightRecorder) Windows() []Window {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Window(nil), f.wins...)
-}
-
-// merged concatenates the retained windows' events (cut order) after first
-// draining whatever the tracer holds into a final window.
-func (f *FlightRecorder) merged() []telemetry.SpanEvent {
-	f.Cut("drain")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var evs []telemetry.SpanEvent
-	for _, w := range f.wins {
-		evs = append(evs, w.Events...)
-	}
-	return evs
-}
-
-// Implicated merges the retained windows (draining the tracer first) and
-// returns the directions whose blame score against pf exceeds tol, worst
-// first. Nil on a nil recorder or when nothing has been traced.
-func (f *FlightRecorder) Implicated(pf *profile.Profile, tol float64) []Link {
-	if f == nil {
-		return nil
-	}
-	evs := f.merged()
-	if len(evs) == 0 {
-		return nil
-	}
-	tl, err := Merge(evs, f.p, -1)
-	if err != nil {
-		return nil
-	}
-	return tl.Implicated(pf, tol)
-}
-
 // ImplicatedFresh drains the tracer into a new window (label) and blames
 // only that window against pf — the spans recorded since the previous cut.
 // Floors are minima, so blaming the whole ring would let healthy-era

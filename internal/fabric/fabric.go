@@ -139,12 +139,6 @@ func (f *Fabric) P() int { return len(f.cores) }
 // Spec returns the machine description.
 func (f *Fabric) Spec() topo.Spec { return f.spec }
 
-// CoreOf returns the global core index rank r is pinned to.
-func (f *Fabric) CoreOf(r int) int {
-	f.checkRank(r)
-	return f.cores[r]
-}
-
 // NodeOf returns the node index rank r is pinned to.
 func (f *Fabric) NodeOf(r int) int {
 	f.checkRank(r)

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -20,15 +21,15 @@ func quietParams(seed uint64) Params {
 }
 
 func TestNewPlacesRanks(t *testing.T) {
-	f, err := QuadClusterFabric(topo.Block{}, 16, 1)
+	f, err := New(topo.QuadCluster(), topo.Block{}, 16, GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.P() != 16 {
 		t.Fatalf("P() = %d", f.P())
 	}
-	if f.CoreOf(0) != 0 || f.CoreOf(15) != 15 {
-		t.Fatalf("block cores wrong: %d %d", f.CoreOf(0), f.CoreOf(15))
+	if f.cores[0] != 0 || f.cores[15] != 15 {
+		t.Fatalf("block cores wrong: %d %d", f.cores[0], f.cores[15])
 	}
 	if f.NodeOf(7) != 0 || f.NodeOf(8) != 1 {
 		t.Fatalf("NodeOf wrong: %d %d", f.NodeOf(7), f.NodeOf(8))
@@ -39,7 +40,7 @@ func TestNewPlacesRanks(t *testing.T) {
 }
 
 func TestNewRejectsBadInput(t *testing.T) {
-	if _, err := QuadClusterFabric(topo.Block{}, 100, 1); err == nil {
+	if _, err := New(topo.QuadCluster(), topo.Block{}, 100, GigEParams(1)); err == nil {
 		t.Fatalf("oversubscription accepted")
 	}
 	bad := topo.Spec{Nodes: 0, SocketsPerNode: 1, CoresPerSocket: 1}
@@ -158,11 +159,11 @@ func TestSelfSendUsesSelfOverhead(t *testing.T) {
 }
 
 func TestNoiseIsReproducibleAndCentred(t *testing.T) {
-	a, err := QuadClusterFabric(topo.Block{}, 16, 42)
+	a, err := New(topo.QuadCluster(), topo.Block{}, 16, GigEParams(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := QuadClusterFabric(topo.Block{}, 16, 42)
+	b, err := New(topo.QuadCluster(), topo.Block{}, 16, GigEParams(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestNoiseIsReproducibleAndCentred(t *testing.T) {
 	if m := stats.Median(sa); math.Abs(m-alpha)/alpha > 0.05 {
 		t.Fatalf("noisy median %g too far from alpha %g", m, alpha)
 	}
-	if stats.StdDev(sa) == 0 {
+	if stats.Min(sa) == stats.Max(sa) {
 		t.Fatalf("no noise with nonzero sigma")
 	}
 }
@@ -213,12 +214,12 @@ func TestNICOccupancy(t *testing.T) {
 }
 
 func TestRankRangePanics(t *testing.T) {
-	f, err := QuadClusterFabric(topo.Block{}, 4, 1)
+	f, err := New(topo.QuadCluster(), topo.Block{}, 4, GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fn := range []func(){
-		func() { f.CoreOf(4) },
+		func() { f.NodeOf(4) },
 		func() { f.Class(0, 4) },
 		func() { f.SelfOverhead(-1) },
 		func() { f.BatchMarginal(2, 2) },
@@ -235,7 +236,7 @@ func TestRankRangePanics(t *testing.T) {
 }
 
 func TestHexClusterFabric(t *testing.T) {
-	f, err := HexClusterFabric(topo.RoundRobin{}, 120, 7)
+	f, err := New(topo.HexCluster(), topo.RoundRobin{}, 120, GigEParams(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestHexClusterFabric(t *testing.T) {
 }
 
 func BenchmarkSendOverhead(b *testing.B) {
-	f, err := QuadClusterFabric(topo.Block{}, 64, 1)
+	f, err := New(topo.QuadCluster(), topo.Block{}, 64, GigEParams(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestTrueProfileMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	check(QuadClusterFabric(topo.RoundRobin{}, 12, 1))
+	check(New(topo.QuadCluster(), topo.RoundRobin{}, 12, GigEParams(1)))
 	for _, p := range []int{8, 64, 1024} {
 		for _, skew := range []float64{0, 0.5} {
 			params := GigEParams(1)
@@ -329,7 +330,7 @@ func TestMissingClassRejected(t *testing.T) {
 	}
 	// Against brute force: for random placements with one class dropped, New
 	// errs exactly when some pair of ranks is connected by that class.
-	rng := stats.NewRNG(7)
+	rng := rand.New(rand.NewSource(7))
 	quad := topo.QuadCluster()
 	for trial := 0; trial < 300; trial++ {
 		p := 2 + rng.Intn(10)
@@ -338,7 +339,7 @@ func TestMissingClassRejected(t *testing.T) {
 		produced := false
 		for i := 0; i < p; i++ {
 			for j := 0; j < i; j++ {
-				produced = produced || quad.Classify(cores[i], cores[j]) == drop
+				produced = produced || quad.SeatAt(cores[i]).ClassTo(quad.SeatAt(cores[j])) == drop
 			}
 		}
 		_, err := New(quad, topo.Permutation{Cores: cores}, p, without(drop))

@@ -36,18 +36,6 @@ func GigEParams(seed uint64) Params {
 	}
 }
 
-// QuadClusterFabric places p ranks on the paper's 8-node dual quad-core
-// system with the given placement and returns its cost oracle.
-func QuadClusterFabric(pl topo.Placement, p int, seed uint64) (*Fabric, error) {
-	return New(topo.QuadCluster(), pl, p, GigEParams(seed))
-}
-
-// HexClusterFabric places p ranks on the paper's 10-node dual hex-core
-// system with the given placement and returns its cost oracle.
-func HexClusterFabric(pl topo.Placement, p int, seed uint64) (*Fabric, error) {
-	return New(topo.HexCluster(), pl, p, GigEParams(seed))
-}
-
 // ScaleClusterSpec returns a synthetic hierarchical machine shape for
 // large-P tuning studies: nodes dual-socket nodes with exactly enough cores
 // per socket to host p ranks under block placement. The paper's machines top

@@ -160,13 +160,6 @@ func WrapConn(c net.Conn, inj Injector) *Conn {
 	return &Conn{Conn: c, inj: inj}
 }
 
-// Frames reports how many writes the connection has judged so far.
-func (c *Conn) Frames() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frames
-}
-
 // Write applies the injector's verdict for this frame.
 func (c *Conn) Write(b []byte) (int, error) {
 	c.mu.Lock()

@@ -50,8 +50,8 @@ func TestScriptPassAndDrop(t *testing.T) {
 	if err != nil || string(got) != "aacc" {
 		t.Fatalf("stream = %q, %v", got, err)
 	}
-	if w.Frames() != 3 {
-		t.Fatalf("frames = %d", w.Frames())
+	if w.frames != 3 {
+		t.Fatalf("frames = %d", w.frames)
 	}
 }
 

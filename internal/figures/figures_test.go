@@ -203,25 +203,29 @@ func TestSVGRendering(t *testing.T) {
 func TestFigureWrappersSmoke(t *testing.T) {
 	cfg := fastConfig(31)
 	cfg.Iters = 4
-	for _, gen := range map[string]func(Config) (*Figure, error){
-		"Fig5": Fig5, "Fig7": Fig7, "Fig11Quad": Fig11Quad,
-	} {
+	// Figures 5–8 are the two views of one validation sweep per cluster, as
+	// cmd/experiments assembles them.
+	validation := func(spec topo.Spec, maxP int, comparison, panels string) []*Figure {
+		vd, err := Validation(cfg, spec, maxP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Figure{vd.ComparisonFigure(comparison), vd.PerAlgorithmFigure(panels)}
+	}
+	fig11 := func(gen func(Config) (*Figure, error)) *Figure {
 		f, err := gen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return f
+	}
+	for _, f := range append(validation(topo.QuadCluster(), 64, "Figure 5", "Figure 7"), fig11(Fig11Quad)) {
 		if len(f.Series) == 0 || len(f.Series[0].X) == 0 {
 			t.Fatalf("%s empty", f.ID)
 		}
 	}
 	cfg.Step = 59
-	for _, gen := range map[string]func(Config) (*Figure, error){
-		"Fig6": Fig6, "Fig8": Fig8, "Fig11Hex": Fig11Hex,
-	} {
-		f, err := gen(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range append(validation(topo.HexCluster(), 120, "Figure 6", "Figure 8"), fig11(Fig11Hex)) {
 		if len(f.Series) == 0 {
 			t.Fatalf("%s empty", f.ID)
 		}

@@ -143,39 +143,3 @@ func rankOrder(m map[string][]float64, i int) string {
 	}
 	return names[0] + "<" + names[1] + "<" + names[2]
 }
-
-// Fig5 regenerates Figure 5: validation on 8 nodes of dual quad-cores.
-func Fig5(cfg Config) (*Figure, error) {
-	vd, err := Validation(cfg, topo.QuadCluster(), 64)
-	if err != nil {
-		return nil, err
-	}
-	return vd.ComparisonFigure("Figure 5"), nil
-}
-
-// Fig6 regenerates Figure 6: validation on 10 nodes of dual hex-cores.
-func Fig6(cfg Config) (*Figure, error) {
-	vd, err := Validation(cfg, topo.HexCluster(), 120)
-	if err != nil {
-		return nil, err
-	}
-	return vd.ComparisonFigure("Figure 6"), nil
-}
-
-// Fig7 regenerates Figure 7: per-algorithm panels on the quad cluster.
-func Fig7(cfg Config) (*Figure, error) {
-	vd, err := Validation(cfg, topo.QuadCluster(), 64)
-	if err != nil {
-		return nil, err
-	}
-	return vd.PerAlgorithmFigure("Figure 7"), nil
-}
-
-// Fig8 regenerates Figure 8: per-algorithm panels on the hex cluster.
-func Fig8(cfg Config) (*Figure, error) {
-	vd, err := Validation(cfg, topo.HexCluster(), 120)
-	if err != nil {
-		return nil, err
-	}
-	return vd.PerAlgorithmFigure("Figure 8"), nil
-}

@@ -211,32 +211,6 @@ func (m *Bool) IsZero() bool {
 	return true
 }
 
-// AllSet reports whether every entry is set (the Eq. 3 barrier condition).
-// It compares words directly and exits at the first hole, so the common
-// not-yet-saturated case costs one word, not a full popcount.
-func (m *Bool) AllSet() bool {
-	if m.n == 0 {
-		return true
-	}
-	tail := m.words - 1
-	tailMask := ^uint64(0)
-	if r := uint(m.n % wordBits); r != 0 {
-		tailMask = (uint64(1) << r) - 1
-	}
-	for i := 0; i < m.n; i++ {
-		base := i * m.words
-		for w := 0; w < tail; w++ {
-			if m.rows[base+w] != ^uint64(0) {
-				return false
-			}
-		}
-		if m.rows[base+tail] != tailMask {
-			return false
-		}
-	}
-	return true
-}
-
 // Count returns the number of set entries.
 func (m *Bool) Count() int {
 	c := 0
@@ -262,25 +236,6 @@ func (m *Bool) T() *Bool {
 	t := NewBool(m.n)
 	m.Each(func(i, j int) { t.Set(j, i, true) })
 	return t
-}
-
-// Mul returns the boolean semiring product m·o: the result has entry (i, j)
-// set iff there is an index k with m[i][k] and o[k][j].
-func (m *Bool) Mul(o *Bool) *Bool {
-	if m.n != o.n {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %d vs %d", m.n, o.n))
-	}
-	r := NewBool(m.n)
-	for i := 0; i < m.n; i++ {
-		dst := r.rows[i*r.words : (i+1)*r.words]
-		for _, k := range m.Row(i) {
-			src := o.rows[k*o.words : (k+1)*o.words]
-			for w := range dst {
-				dst[w] |= src[w]
-			}
-		}
-	}
-	return r
 }
 
 // Propagate computes one step of the paper's knowledge recurrence

@@ -86,19 +86,6 @@ func (m *Dense) Sub(idx []int) *Dense {
 	return s
 }
 
-// Symmetrize overwrites m with (m + mᵀ)/2 and returns m. The paper assumes
-// link symmetry (Oij == Oji); profiling noise is folded out here.
-func (m *Dense) Symmetrize() *Dense {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			v := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
-}
-
 // MaxOffDiag returns the largest off-diagonal entry, i.e. the diameter of the
 // profile viewed as a metric space. It returns 0 for matrices of size < 2.
 func (m *Dense) MaxOffDiag() float64 {
@@ -129,14 +116,6 @@ func (m *Dense) MinOffDiag() float64 {
 		}
 	}
 	return min
-}
-
-// Scale multiplies every entry by f and returns m.
-func (m *Dense) Scale(f float64) *Dense {
-	for k := range m.data {
-		m.data[k] *= f
-	}
-	return m
 }
 
 // String renders the matrix with %.3g entries; intended for small dumps.

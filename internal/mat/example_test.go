@@ -22,7 +22,7 @@ func ExamplePropagate() {
 	k = mat.Propagate(k, arrival)
 	fmt.Println("after arrival:  ", k.Count(), "of 16 entries known")
 	k = mat.Propagate(k, departure)
-	fmt.Println("after departure:", k.Count(), "of 16 entries known, barrier:", k.AllSet())
+	fmt.Println("after departure:", k.Count(), "of 16 entries known, barrier:", k.Count() == 16)
 	// Output:
 	// after arrival:   7 of 16 entries known
 	// after departure: 16 of 16 entries known, barrier: true

@@ -65,9 +65,6 @@ func (r *HybridRow) Count() int { return r.ones }
 // Full reports whether every column is set.
 func (r *HybridRow) Full() bool { return r.ones == r.n }
 
-// IsDense reports whether the row has densified to a bitset.
-func (r *HybridRow) IsDense() bool { return r.bits != nil }
-
 // Clone returns a deep copy of r.
 func (r *HybridRow) Clone() *HybridRow {
 	c := &HybridRow{n: r.n, ones: r.ones}
@@ -248,42 +245,6 @@ func (r *HybridRow) OrRow(o *HybridRow) bool {
 	return r.ones > before
 }
 
-// OrWords unions a dense word bitset (at least (n+63)/64 words, padding bits
-// zero) into r and reports whether r grew.
-func (r *HybridRow) OrWords(src []uint64) bool {
-	words := (r.n + wordBits - 1) / wordBits
-	if len(src) < words {
-		panic(fmt.Sprintf("mat: HybridRow OrWords src has %d words, want %d", len(src), words))
-	}
-	r.densify()
-	before := r.ones
-	ones := 0
-	for w := 0; w < words; w++ {
-		r.bits[w] |= src[w]
-		ones += bits.OnesCount64(r.bits[w])
-	}
-	r.ones = ones
-	return r.ones > before
-}
-
-// Indices appends the set columns to dst in increasing order and returns it.
-func (r *HybridRow) Indices(dst []int) []int {
-	if r.bits != nil {
-		for w, v := range r.bits {
-			for v != 0 {
-				b := bits.TrailingZeros64(v)
-				v &^= 1 << uint(b)
-				dst = append(dst, w*wordBits+b)
-			}
-		}
-		return dst
-	}
-	for _, j := range r.idx {
-		dst = append(dst, int(j))
-	}
-	return dst
-}
-
 func (r *HybridRow) densify() {
 	if r.bits != nil {
 		return
@@ -298,7 +259,7 @@ func (r *HybridRow) densify() {
 // FrontierClosure reports whether the stage sequence closes the Eq. 3
 // recurrence — every rank ends up knowing every arrival — using the
 // receiver-wise hybrid-row kernel. The verdict is bit-identical to running
-// Propagate from Identity(p) and testing AllSet (boolean OR is
+// Propagate from Identity(p) and testing Count() == p*p (boolean OR is
 // order-independent), but each stage costs one row union per signal instead
 // of one per set knowledge bit, rows are shared copy-on-write with the
 // previous stage when no signal grows them, and receivers that have
@@ -357,25 +318,16 @@ func FrontierClosure(p int, stages []*Bool) bool {
 	return fullCnt == p
 }
 
-// PropagateTInto computes the receiver-wise (transposed) form of the Eq. 3
-// step. kt holds the knowledge matrix transposed — row j of kt is column j
-// of K, the set of arrivals rank j knows — and dst receives the transpose of
-// K + K·S: dst[j] = kt[j] | OR over senders m with S[m][j] of kt[m]. The
-// result is bit-identical to transposing Propagate's output, at a cost of
+// PropagateTSilencedInto computes the receiver-wise (transposed) form of the
+// Eq. 3 step with the rows of silenced ranks treated as zero, mirroring
+// PropagateSilencedInto in the transposed representation: a silenced rank
+// receives knowledge but never forwards it. kt holds the knowledge matrix
+// transposed — row j of kt is column j of K, the set of arrivals rank j
+// knows — and dst receives the transpose of K + K·S: dst[j] = kt[j] | OR
+// over unsilenced senders m with S[m][j] of kt[m]. The result is
+// bit-identical to transposing PropagateSilencedInto's output, at a cost of
 // one row union per signal instead of one per set knowledge bit. dst must
-// not alias kt.
-func PropagateTInto(dst, kt, s *Bool) {
-	if kt.n != s.n || dst.n != kt.n {
-		panic(fmt.Sprintf("mat: PropagateTInto dimension mismatch %d/%d/%d", dst.n, kt.n, s.n))
-	}
-	copy(dst.rows, kt.rows)
-	propagateTSpread(dst, kt, s, nil)
-}
-
-// PropagateTSilencedInto is PropagateTInto with the rows of silenced ranks
-// treated as zero, mirroring PropagateSilencedInto in the transposed
-// representation: a silenced rank receives knowledge but never forwards it.
-// silent is a bitset over ranks with at least (N+63)/64 words.
+// not alias kt. silent is a bitset over ranks with at least (N+63)/64 words.
 func PropagateTSilencedInto(dst, kt, s *Bool, silent []uint64) {
 	if kt.n != s.n || dst.n != kt.n {
 		panic(fmt.Sprintf("mat: PropagateTSilencedInto dimension mismatch %d/%d/%d", dst.n, kt.n, s.n))
@@ -384,12 +336,8 @@ func PropagateTSilencedInto(dst, kt, s *Bool, silent []uint64) {
 		panic(fmt.Sprintf("mat: PropagateTSilencedInto silent mask has %d words for %d ranks", len(silent), kt.n))
 	}
 	copy(dst.rows, kt.rows)
-	propagateTSpread(dst, kt, s, silent)
-}
-
-func propagateTSpread(dst, kt, s *Bool, silent []uint64) {
 	for m := 0; m < s.n; m++ {
-		if silent != nil && silent[m/wordBits]&(1<<(uint(m)%wordBits)) != 0 {
+		if silent[m/wordBits]&(1<<(uint(m)%wordBits)) != 0 {
 			continue
 		}
 		src := kt.rows[m*kt.words : (m+1)*kt.words]

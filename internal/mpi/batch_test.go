@@ -2,11 +2,11 @@ package mpi
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"topobarrier/internal/fabric"
-	"topobarrier/internal/stats"
 	"topobarrier/internal/topo"
 )
 
@@ -35,7 +35,7 @@ type progRound struct {
 // AnySource keeps the round's tag, AnyTag keeps the source and is only drawn
 // in all-synchronized rounds (an eager sender could run ahead and have its
 // next round's message overtake).
-func randomProgram(rng *stats.RNG, p, rounds int) [][]progRound {
+func randomProgram(rng *rand.Rand, p, rounds int) [][]progRound {
 	prog := make([][]progRound, p)
 	for r := range prog {
 		prog[r] = make([]progRound, rounds)
@@ -195,11 +195,11 @@ func runProgram(t *testing.T, fab *fabric.Fabric, prog [][]progRound, batched bo
 // while still live trips newRequest's assertion or changes a held request.
 func TestBatchMatchesOneRequestPerCall(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
-		rng := stats.NewRNG(seed)
+		rng := rand.New(rand.NewSource(int64(seed)))
 		p := 2 + rng.Intn(7)
 		prog := randomProgram(rng, p, 4+rng.Intn(20))
 		newFab := func() *fabric.Fabric {
-			f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, seed)
+			f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -147,7 +147,7 @@ func TestAllocsPerMessageCeiling(t *testing.T) {
 // exactly what it does alone.
 func TestSeparateFabricsRunConcurrently(t *testing.T) {
 	job := func(seed uint64) float64 {
-		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 4, seed)
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 4, fabric.GigEParams(seed))
 		if err != nil {
 			t.Error(err)
 			return 0

@@ -355,7 +355,7 @@ func TestComputeAdvancesOnlyLocalTime(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() float64 {
-		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 24, 1234)
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 24, fabric.GigEParams(1234))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +531,7 @@ func BenchmarkPingPong(b *testing.B) {
 }
 
 func BenchmarkFanIn32(b *testing.B) {
-	f, err := fabric.QuadClusterFabric(topo.Block{}, 32, 1)
+	f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 32, fabric.GigEParams(1))
 	if err != nil {
 		b.Fatal(err)
 	}

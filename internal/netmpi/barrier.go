@@ -3,12 +3,9 @@ package netmpi
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
-	"topobarrier/internal/analyze"
 	"topobarrier/internal/run"
-	"topobarrier/internal/sched"
 	"topobarrier/internal/telemetry"
 )
 
@@ -212,34 +209,6 @@ func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (skipped bool
 		return false, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
 	}
 	return false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
-}
-
-// VetPlan is the pre-execution gate for real-network runs: it runs the
-// barriervet static analysis over the schedule, compiles it only when the
-// report carries no Error-severity findings, then runs the plan-level
-// protocol checks (matched sends/receives, tag budget, rendezvous cycles)
-// over the compiled artifact — the thing that actually touches sockets.
-// Unlike run.NewPlan's bare boolean check, a refusal explains itself: the
-// returned report holds the stalled knowledge pairs, chain counterexamples,
-// or protocol violations, and is returned even on failure so callers can
-// render it.
-func VetPlan(s *sched.Schedule, opts analyze.Options) (*run.Plan, *analyze.Report, error) {
-	rep := analyze.Analyze(s, opts)
-	if err := rep.Err(); err != nil {
-		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
-	}
-	pl, err := run.NewPlan(s)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.Findings = append(rep.Findings, analyze.CheckPlan(pl)...)
-	sort.SliceStable(rep.Findings, func(i, j int) bool {
-		return rep.Findings[i].Severity > rep.Findings[j].Severity
-	})
-	if err := rep.Err(); err != nil {
-		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
-	}
-	return pl, rep, nil
 }
 
 // MeasureBarrier times iters wall-clock barrier executions after warmup

@@ -5,7 +5,22 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"topobarrier/internal/analyze"
+	"topobarrier/internal/run"
+	"topobarrier/internal/sched"
 )
+
+// VetPlan is the pre-execution gate for real-network runs: analyze.Vet, with
+// a refusal worded for the transport. The report is returned even on failure
+// so callers can render it.
+func VetPlan(s *sched.Schedule, opts analyze.Options) (*run.Plan, *analyze.Report, error) {
+	pl, rep, err := analyze.Vet(s, opts)
+	if err != nil {
+		return nil, rep, fmt.Errorf("netmpi: refusing to execute: %w", err)
+	}
+	return pl, rep, nil
+}
 
 // LoopbackMesh forms a complete in-process p-rank mesh over 127.0.0.1
 // listeners: one Peer per rank, each dialled concurrently with the given

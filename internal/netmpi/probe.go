@@ -19,8 +19,7 @@ import (
 const probeTagBase = 1 << 20
 
 // ProbeOptions configures ProbeProfileOpts. The zero value (after defaults)
-// is the parallel round schedule with 8 fixed ping-pongs per direction and a
-// 5 s per-receive deadline.
+// is 8 fixed ping-pongs per direction and a 5 s per-receive deadline.
 type ProbeOptions struct {
 	// MaxIters is the hard cap of timed ping-pongs per ordered pair; 0
 	// selects 8.
@@ -34,14 +33,6 @@ type ProbeOptions struct {
 	StableK int
 	// Deadline bounds each probe receive; 0 selects 5 s.
 	Deadline time.Duration
-	// Workers caps the concurrently probed pairs within one round; 0 means
-	// all ⌊P/2⌋ pairs of the round at once. It never changes which pairs
-	// share a round, only how many of a round's slots run simultaneously.
-	Workers int
-	// Sequential restores the strict one-pair-at-a-time probe order (every
-	// ordered pair back to back) — the pre-round baseline, kept for
-	// benchmarking and for debugging contention suspicions.
-	Sequential bool
 	// Registry, when non-nil, receives probe_rounds_total,
 	// probe_directions_total, probe_samples_total, and the
 	// probe_samples_per_pair histogram.
@@ -62,16 +53,15 @@ func (o ProbeOptions) withDefaults() ProbeOptions {
 }
 
 // key returns the fingerprint component of the options: the fields that
-// change what a measurement means. Workers and Sequential only change the
-// wall-clock schedule, so profiles probed either way share a cache slot.
+// change what a measurement means.
 func (o ProbeOptions) key() string {
 	return fmt.Sprintf("iters=%d,stablek=%d", o.MaxIters, o.StableK)
 }
 
 // ProbeReport describes how a probe run spent its budget.
 type ProbeReport struct {
-	// Rounds is the number of parallel rounds executed (0 in sequential
-	// mode and on a pure cache hit).
+	// Rounds is the number of parallel rounds executed (0 on a pure cache
+	// hit).
 	Rounds int
 	// Samples[i][j] is the number of timed ping-pongs direction i→j took;
 	// 0 on the diagonal and for directions served from the cache.
@@ -123,10 +113,30 @@ type dirResult struct {
 	n    int
 }
 
-// pairResult holds both directions of one pair slot.
-type pairResult struct {
-	fwd, rev       dirResult
-	fwdErr, revErr error
+// freshDir pairs a direction with its fresh measurement.
+type freshDir struct {
+	d Direction
+	r dirResult
+}
+
+// slot is the directions one goroutine probes back to back. The slots of a
+// round share no rank, so every rank is in at most one timed exchange at any
+// instant and the measurements stay uncontended.
+type slot []Direction
+
+// meshRounds schedules every direction of a p-rank mesh as edge-colored
+// tournament rounds (probe.Rounds) of pair slots: ~P rounds of up to ⌊P/2⌋
+// disjoint pairs, each slot probing its pair's two directions.
+func meshRounds(p int) [][]slot {
+	rounds := make([][]slot, 0, p)
+	for _, round := range probe.Rounds(p) {
+		slots := make([]slot, len(round))
+		for k, pr := range round {
+			slots[k] = slot{{pr.I, pr.J}, {pr.J, pr.I}}
+		}
+		rounds = append(rounds, slots)
+	}
+	return rounds
 }
 
 func validateProbePeers(peers []*Peer) error {
@@ -142,17 +152,6 @@ func validateProbePeers(peers []*Peer) error {
 	return nil
 }
 
-// ProbeProfile measures a topological profile over a live mesh with the
-// parallel round schedule and a fixed iteration count — the historical
-// signature, now backed by ProbeProfileOpts.
-func ProbeProfile(peers []*Peer, iters int, deadline time.Duration) (*profile.Profile, error) {
-	if iters <= 0 {
-		return nil, fmt.Errorf("netmpi: non-positive probe iteration count %d", iters)
-	}
-	pf, _, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: iters, Deadline: deadline})
-	return pf, err
-}
-
 // ProbeProfileOpts measures a topological profile (the paper's O and L
 // matrices, §IV) over a live in-process mesh — the real-transport analogue
 // of internal/probe's simulator benchmarks, and the input the §VI validation
@@ -166,13 +165,10 @@ func ProbeProfile(peers []*Peer, iters int, deadline time.Duration) (*profile.Pr
 // scheduling noise on a shared host only ever adds latency, so the minimum
 // is the closest observation to the platform constants the model wants.
 //
-// Pairs are scheduled as edge-colored rounds (probe.Rounds): each round runs
-// up to ⌊P/2⌋ disjoint pairs concurrently, every rank in at most one timed
-// exchange per round, so measurements stay uncontended while the P·(P−1)
-// sequential ping-pong blocks collapse into ~2(P−1) parallel direction
-// slots. Rounds are separated by a full join, so a rank never has two
-// in-flight timed exchanges. StableK additionally stops each direction as
-// soon as its running minimum is stable.
+// Pairs are scheduled as meshRounds: the P·(P−1) ping-pong blocks collapse
+// into ~2(P−1) parallel direction slots. Rounds are separated by a full
+// join, so a rank never has two in-flight timed exchanges. StableK
+// additionally stops each direction as soon as its running minimum is stable.
 func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *ProbeReport, error) {
 	if err := validateProbePeers(peers); err != nil {
 		return nil, nil, err
@@ -182,55 +178,30 @@ func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *Prob
 		return nil, nil, fmt.Errorf("netmpi: negative probe budget (iters=%d, stableK=%d)", opts.MaxIters, opts.StableK)
 	}
 	p := len(peers)
-	platform := "netmpi-loopback"
-	if sig := peers[0].TransportSignature(); sig != "tcp" {
-		// A hybrid mesh is a different platform: its O/L matrices carry the
-		// intra-node vs cross-node class gap the pure-TCP mesh cannot show.
-		platform = "netmpi-hybrid"
-	}
+	platform, _ := meshPlatform(peers)
 	pf := profile.New(fmt.Sprintf("%s(P=%d)", platform, p), p)
 	rep := newProbeReport(p)
 	start := time.Now()
 	span := opts.Tracer.Begin("probe.profile", -1, -1, -1)
 	defer span.End()
 
-	record := func(i, j int, r dirResult) {
-		pf.O.Set(i, j, r.o)
-		pf.L.Set(i, j, r.l)
-		rep.Samples[i][j] = r.n
-		opts.Registry.Counter("probe_directions_total").Inc()
-		opts.Registry.Counter("probe_samples_total").Add(int64(r.n))
-		opts.Registry.Histogram("probe_samples_per_pair", probeSampleBuckets()).Observe(float64(r.n))
-	}
-
-	if opts.Sequential {
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				if i == j {
-					continue
-				}
-				r, err := probeDirection(peers, i, j, opts)
-				if err != nil {
-					return nil, nil, fmt.Errorf("netmpi: probing %d→%d: %w", i, j, err)
-				}
-				record(i, j, r)
-			}
+	rounds := meshRounds(p)
+	rep.Rounds = len(rounds)
+	for rn, round := range rounds {
+		roundSpan := opts.Tracer.Begin("probe.round", -1, rn, -1)
+		fresh, err := probeRound(peers, round, opts)
+		roundSpan.End()
+		opts.Registry.Counter("probe_rounds_total").Inc()
+		if err != nil {
+			return nil, nil, err
 		}
-	} else {
-		rounds := probe.Rounds(p)
-		rep.Rounds = len(rounds)
-		for rn, round := range rounds {
-			roundSpan := opts.Tracer.Begin("probe.round", -1, rn, -1)
-			results, err := probeRound(peers, round, opts)
-			roundSpan.End()
-			opts.Registry.Counter("probe_rounds_total").Inc()
-			if err != nil {
-				return nil, nil, err
-			}
-			for k, pr := range round {
-				record(pr.I, pr.J, results[k].fwd)
-				record(pr.J, pr.I, results[k].rev)
-			}
+		for _, f := range fresh {
+			pf.O.Set(f.d.From, f.d.To, f.r.o)
+			pf.L.Set(f.d.From, f.d.To, f.r.l)
+			rep.Samples[f.d.From][f.d.To] = f.r.n
+			opts.Registry.Counter("probe_directions_total").Inc()
+			opts.Registry.Counter("probe_samples_total").Add(int64(f.r.n))
+			opts.Registry.Histogram("probe_samples_per_pair", probeSampleBuckets()).Observe(float64(f.r.n))
 		}
 	}
 
@@ -268,43 +239,36 @@ func setOii(pf *profile.Profile) {
 	}
 }
 
-// probeRound runs one round of disjoint pairs, up to opts.Workers of them
-// concurrently, and joins before returning — the concurrency heart of the
-// parallel schedule. Each slot probes its pair's two directions back to
-// back, so a rank is in exactly one timed exchange at any instant.
-func probeRound(peers []*Peer, round []probe.Pair, opts ProbeOptions) ([]pairResult, error) {
-	workers := opts.Workers
-	if workers <= 0 || workers > len(round) {
-		workers = len(round)
-	}
-	sem := make(chan struct{}, workers)
-	results := make([]pairResult, len(round))
+// probeRound runs the slots of one round concurrently and joins before
+// returning — the concurrency heart of the probe. A slot stops at its first
+// failed direction; the results come back in slot order.
+func probeRound(peers []*Peer, round []slot, opts ProbeOptions) ([]freshDir, error) {
+	results := make([][]freshDir, len(round))
+	errs := make([]error, len(round))
 	var wg sync.WaitGroup
-	for k, pr := range round {
-		k, pr := k, pr
+	for k, sl := range round {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[k].fwd, results[k].fwdErr = probeDirection(peers, pr.I, pr.J, opts)
-			if results[k].fwdErr != nil {
-				return
+			for _, d := range sl {
+				r, err := probeDirection(peers, d.From, d.To, opts)
+				if err != nil {
+					errs[k] = fmt.Errorf("netmpi: probing %s: %w", d, err)
+					return
+				}
+				results[k] = append(results[k], freshDir{d, r})
 			}
-			results[k].rev, results[k].revErr = probeDirection(peers, pr.J, pr.I, opts)
 		}()
 	}
 	wg.Wait()
-	var errs []error
-	for k, pr := range round {
-		if err := results[k].fwdErr; err != nil {
-			errs = append(errs, fmt.Errorf("netmpi: probing %d→%d: %w", pr.I, pr.J, err))
-		}
-		if err := results[k].revErr; err != nil {
-			errs = append(errs, fmt.Errorf("netmpi: probing %d→%d: %w", pr.J, pr.I, err))
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	return results, errors.Join(errs...)
+	var fresh []freshDir
+	for _, rs := range results {
+		fresh = append(fresh, rs...)
+	}
+	return fresh, nil
 }
 
 // probeDirection times ping-pongs i→j. The two sides share a stop latch:
@@ -388,44 +352,44 @@ func probeDirection(peers []*Peer, i, j int, opts ProbeOptions) (dirResult, erro
 	return dirResult{o: o, l: l, n: n}, nil
 }
 
-// ProbeFingerprint is the cache key of a mesh probe: the mesh size and the
-// measurement-relevant probe options. Loopback listener ports are ephemeral
-// and deliberately excluded — on one host, every P-rank loopback mesh is the
-// same platform.
-func ProbeFingerprint(p int, opts ProbeOptions) profile.Fingerprint {
-	opts = opts.withDefaults()
-	return profile.FingerprintOf("netmpi-loopback", strconv.Itoa(p), opts.key())
+// meshPlatform names the platform a mesh's profile describes, with the
+// transport signature that tells co-location shapes apart. A hybrid mesh is a
+// different platform from a pure-TCP one: its O/L matrices carry the
+// intra-node vs cross-node class gap the pure-TCP mesh cannot show.
+func meshPlatform(peers []*Peer) (platform, sig string) {
+	if sig = peers[0].TransportSignature(); sig == "tcp" {
+		return "netmpi-loopback", sig
+	}
+	return "netmpi-hybrid", sig
 }
 
-// MeshFingerprint is the cache key of a probe over a specific live mesh: for
-// a pure-TCP mesh it is exactly ProbeFingerprint (cache entries written
-// before hybrid transports existed stay valid), while a hybrid mesh keys on
-// its transport signature too — a profile measured with shared memory between
-// co-located ranks must never answer for a pure-TCP mesh or for a different
-// co-location shape, since the entire point is that their cost matrices
-// differ.
+// MeshFingerprint is the cache key of a probe over a live mesh: the platform,
+// the mesh size and the measurement-relevant probe options; a hybrid mesh
+// keys on its transport signature too — a profile measured with shared
+// memory between co-located ranks must never answer for a pure-TCP mesh or
+// for a different co-location shape, since the entire point is that their
+// cost matrices differ. Loopback listener ports are ephemeral and
+// deliberately excluded — on one host, every P-rank loopback mesh is the same
+// platform.
 func MeshFingerprint(peers []*Peer, opts ProbeOptions) profile.Fingerprint {
-	opts = opts.withDefaults()
-	p := len(peers)
-	sig := "tcp"
-	if p > 0 {
-		sig = peers[0].TransportSignature()
+	platform, sig := meshPlatform(peers)
+	parts := []string{platform, strconv.Itoa(len(peers)), opts.withDefaults().key()}
+	if sig != "tcp" {
+		parts = append(parts, sig)
 	}
-	if sig == "tcp" {
-		return ProbeFingerprint(p, opts)
-	}
-	return profile.FingerprintOf("netmpi-hybrid", strconv.Itoa(p), opts.key(), sig)
+	return profile.FingerprintOf(parts...)
 }
 
 // ProbeProfileCached is ProbeProfileOpts behind a fingerprinted profile
 // cache. A miss probes the full mesh and stores the result. A hit returns
 // the saved profile; with driftTol > 0 it first re-validates a sampled
 // subset of links (the first tournament round: ⌊P/2⌋ disjoint pairs, both
-// directions) against the cache — directions whose round-trip cost (O+L)
-// drifted beyond the relative tolerance are patched with the fresh
-// measurement and the entry is re-stored; if more than half the sampled
-// directions drifted, the whole profile is considered stale and re-probed
-// from scratch. The returned bool reports whether the cache was hit.
+// directions, at the full probe budget) against the cache — directions whose
+// round-trip cost (O+L) drifted beyond the relative tolerance are patched
+// with the fresh measurement and the entry is re-stored; if more than half
+// the sampled directions drifted, the whole profile is considered stale and
+// re-probed from scratch. The returned bool reports whether the cache was
+// hit.
 func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, driftTol float64) (*profile.Profile, *ProbeReport, bool, error) {
 	if cache == nil {
 		pf, rep, err := ProbeProfileOpts(peers, opts)
@@ -437,90 +401,55 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 	opts = opts.withDefaults()
 	p := len(peers)
 	fp := MeshFingerprint(peers, opts)
-	cached, hit, _ := cache.Load(fp) // a corrupt entry is a miss; Store overwrites it
-	if hit && cached.P != p {
-		hit = false
-	}
-	if !hit {
-		pf, rep, err := ProbeProfileOpts(peers, opts)
+	// A corrupt entry is a miss; Store overwrites it.
+	if cached, hit, _ := cache.Load(fp); hit && cached.P == p {
+		if driftTol <= 0 {
+			return cached, newProbeReport(p), true, nil
+		}
+		start := time.Now()
+		checked, stale, err := screen(peers, cached, meshRounds(p)[:1], opts, driftTol)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, true, fmt.Errorf("netmpi: cache revalidation: %w", err)
 		}
-		if err := cache.Store(fp, pf); err != nil {
-			return nil, nil, false, fmt.Errorf("netmpi: storing probed profile: %w", err)
-		}
-		return pf, rep, false, nil
-	}
-	if driftTol <= 0 {
-		return cached, newProbeReport(p), true, nil
-	}
-
-	// Re-validate a sampled subset: one parallel round over disjoint pairs.
-	start := time.Now()
-	round := probe.Rounds(p)[0]
-	results, err := probeRound(peers, round, opts)
-	if err != nil {
-		return nil, nil, true, fmt.Errorf("netmpi: cache revalidation: %w", err)
-	}
-	rep := newProbeReport(p)
-	rep.Rounds = 1
-	type staleDir struct {
-		i, j int
-		r    dirResult
-	}
-	var stale []staleDir
-	checked := 0
-	for k, pr := range round {
-		for _, d := range []struct {
-			i, j int
-			r    dirResult
-		}{{pr.I, pr.J, results[k].fwd}, {pr.J, pr.I, results[k].rev}} {
-			checked++
-			rep.Samples[d.i][d.j] = d.r.n
-			old := cached.O.At(d.i, d.j) + cached.L.At(d.i, d.j)
-			fresh := d.r.o + d.r.l
-			if relDrift(old, fresh) > driftTol {
-				stale = append(stale, staleDir{d.i, d.j, d.r})
+		opts.Registry.Counter("probe_cache_revalidated_total").Add(int64(len(checked)))
+		opts.Registry.Counter("probe_cache_stale_links_total").Add(int64(len(stale)))
+		if 2*len(stale) <= len(checked) {
+			rep := newProbeReport(p)
+			rep.Rounds = 1
+			for _, f := range checked {
+				rep.Samples[f.d.From][f.d.To] = f.r.n
 			}
+			if len(stale) > 0 {
+				patch(cached, stale)
+				if err := cache.Store(fp, cached); err != nil {
+					return nil, nil, true, fmt.Errorf("netmpi: re-storing revalidated profile: %w", err)
+				}
+			}
+			rep.Elapsed = time.Since(start)
+			if err := cached.Validate(); err != nil {
+				return nil, nil, true, fmt.Errorf("netmpi: revalidated profile invalid: %w", err)
+			}
+			return cached, rep, true, nil
 		}
-	}
-	opts.Registry.Counter("probe_cache_revalidated_total").Add(int64(checked))
-	opts.Registry.Counter("probe_cache_stale_links_total").Add(int64(len(stale)))
-	if 2*len(stale) > checked {
 		// The platform moved, not a link: the cached entry is worthless.
-		pf, frep, err := ProbeProfileOpts(peers, opts)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if err := cache.Store(fp, pf); err != nil {
-			return nil, nil, false, fmt.Errorf("netmpi: storing re-probed profile: %w", err)
-		}
-		return pf, frep, false, nil
 	}
-	for _, s := range stale {
-		cached.O.Set(s.i, s.j, s.r.o)
-		cached.L.Set(s.i, s.j, s.r.l)
+	pf, rep, err := ProbeProfileOpts(peers, opts)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	if len(stale) > 0 {
-		setOii(cached)
-		if err := cache.Store(fp, cached); err != nil {
-			return nil, nil, true, fmt.Errorf("netmpi: re-storing revalidated profile: %w", err)
-		}
+	if err := cache.Store(fp, pf); err != nil {
+		return nil, nil, false, fmt.Errorf("netmpi: storing probed profile: %w", err)
 	}
-	rep.Elapsed = time.Since(start)
-	if err := cached.Validate(); err != nil {
-		return nil, nil, true, fmt.Errorf("netmpi: revalidated profile invalid: %w", err)
-	}
-	return cached, rep, true, nil
+	return pf, rep, false, nil
 }
 
-// relDrift is the relative distance between a cached and a fresh cost,
+// RelDrift is the relative distance between a cached and a fresh cost,
 // normalised by the smaller of the two. Normalising by the cached value alone
 // would saturate at 1 when the cache is too high (|fresh−old|/old < 1 for any
 // fresh < old), making large tolerances blind to exactly the stale entries
 // they should catch; the symmetric form grows without bound in both
 // directions.
-func relDrift(old, fresh float64) float64 {
+func RelDrift(old, fresh float64) float64 {
 	if old <= 0 || fresh <= 0 {
 		if old == fresh {
 			return 0

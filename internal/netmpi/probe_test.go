@@ -36,8 +36,33 @@ func TestRecvCancelUnblocks(t *testing.T) {
 	}
 }
 
+// probeSequential is the reference the round schedule is held against: every
+// ordered pair back to back, one direction at a time, through the same
+// probeDirection the rounds run.
+func probeSequential(tb testing.TB, peers []*Peer, opts ProbeOptions) (*profile.Profile, time.Duration) {
+	tb.Helper()
+	opts = opts.withDefaults()
+	p := len(peers)
+	pf := profile.New("sequential-reference", p)
+	start := time.Now()
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			if i == j {
+				continue
+			}
+			r, err := probeDirection(peers, i, j, opts)
+			if err != nil {
+				tb.Fatalf("probing %d→%d: %v", i, j, err)
+			}
+			pf.O.Set(i, j, r.o)
+			pf.L.Set(i, j, r.l)
+		}
+	}
+	return pf, time.Since(start)
+}
+
 // TestProbeProfileParallelMatchesSequential checks that the edge-colored
-// parallel schedule measures the same platform the sequential baseline does.
+// parallel schedule measures the same platform the sequential reference does.
 // Loopback timings are noisy, so the comparison is order-of-magnitude: each
 // direction's round-trip estimate (O+L) must be within a generous factor.
 func TestProbeProfileParallelMatchesSequential(t *testing.T) {
@@ -47,10 +72,7 @@ func TestProbeProfileParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer CloseMesh(peers)
-	seq, _, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: 8, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, _ := probeSequential(t, peers, ProbeOptions{MaxIters: 8})
 	par, rep, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -116,18 +138,31 @@ func TestProbeProfileAdaptive(t *testing.T) {
 	}
 }
 
-// TestProbeFingerprintIgnoresSchedulingKnobs pins the cache-key contract:
-// Workers and Sequential change only the wall-clock schedule and must share a
-// fingerprint; the measurement budget must not.
-func TestProbeFingerprintIgnoresSchedulingKnobs(t *testing.T) {
-	base := ProbeFingerprint(8, ProbeOptions{MaxIters: 8, StableK: 3})
-	if got := ProbeFingerprint(8, ProbeOptions{MaxIters: 8, StableK: 3, Workers: 2, Sequential: true}); got != base {
-		t.Fatalf("scheduling knobs changed the fingerprint: %s vs %s", got, base)
+// TestMeshFingerprintKeysOnBudgetAndSize pins the cache-key contract: the
+// measurement budget and the rank count are part of the key, and a pure-TCP
+// mesh keys exactly as it did before hybrid transports existed, so entries
+// written then stay valid.
+func TestMeshFingerprintKeysOnBudgetAndSize(t *testing.T) {
+	mesh := func(p int) []*Peer {
+		peers, err := LoopbackMesh(p, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { CloseMesh(peers) })
+		return peers
 	}
-	if got := ProbeFingerprint(8, ProbeOptions{MaxIters: 16, StableK: 3}); got == base {
+	two := mesh(2)
+	base := MeshFingerprint(two, ProbeOptions{MaxIters: 8, StableK: 3})
+	if want := profile.FingerprintOf("netmpi-loopback", "2", "iters=8,stablek=3"); base != want {
+		t.Fatalf("pure-TCP mesh fingerprint %s diverged from the pre-hybrid key %s", base, want)
+	}
+	if got := MeshFingerprint(two, ProbeOptions{StableK: 3}); got != base {
+		t.Fatalf("the default budget keys differently from its explicit value: %s vs %s", got, base)
+	}
+	if got := MeshFingerprint(two, ProbeOptions{MaxIters: 16, StableK: 3}); got == base {
 		t.Fatal("MaxIters change kept the fingerprint")
 	}
-	if got := ProbeFingerprint(9, ProbeOptions{MaxIters: 8, StableK: 3}); got == base {
+	if got := MeshFingerprint(mesh(3), ProbeOptions{MaxIters: 8, StableK: 3}); got == base {
 		t.Fatal("rank-count change kept the fingerprint")
 	}
 }
@@ -188,7 +223,7 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 	}
 	defer CloseMesh(peers)
 	opts := ProbeOptions{MaxIters: 6}
-	fp := ProbeFingerprint(p, opts)
+	fp := MeshFingerprint(peers, opts)
 
 	t.Run("patch-stale-link", func(t *testing.T) {
 		cache := &profile.Cache{Dir: t.TempDir()}
@@ -326,11 +361,6 @@ func TestProbeCacheCrossTransportIsolation(t *testing.T) {
 	}
 	if fpTwo == fpOne {
 		t.Fatalf("different co-location shapes share a cache slot: %s", fpTwo)
-	}
-	// Pure-TCP keys are exactly the pre-hybrid fingerprint, so entries
-	// written before hybrid transports existed stay valid.
-	if fpTCP != ProbeFingerprint(p, opts) {
-		t.Fatalf("pure-TCP mesh fingerprint %s diverged from the legacy probe fingerprint %s", fpTCP, ProbeFingerprint(p, opts))
 	}
 
 	// Prime the cache from the two-node hybrid mesh, then look up the other

@@ -7,10 +7,10 @@ import (
 	"topobarrier/internal/profile"
 )
 
-// TestReprobeDirectionsAimedScreen pins the aimed re-probe: it screens
+// TestReprobeAimedScreen pins the aimed re-probe: it screens
 // exactly the caller's (deduplicated) implicated set, never the whole mesh,
 // and only directions that actually drifted get the full probe budget.
-func TestReprobeDirectionsAimedScreen(t *testing.T) {
+func TestReprobeAimedScreen(t *testing.T) {
 	const p = 4
 	peers, err := LoopbackMesh(p, 5*time.Second)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestReprobeDirectionsAimedScreen(t *testing.T) {
 	// A fresh profile screened against itself within a generous tolerance:
 	// both directions screened, nothing stale, profile untouched.
 	o01, l01 := pf.O.At(0, 1), pf.L.At(0, 1)
-	rep, err := ReprobeDirections(peers, pf, opts, 1000, []Direction{{0, 1}, {2, 3}, {0, 1}})
+	rep, err := Reprobe(peers, pf, opts, 1000, []Direction{{0, 1}, {2, 3}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReprobeDirectionsAimedScreen(t *testing.T) {
 	// Force the 0→1 entry to be absurdly stale: the aimed pass must fully
 	// re-probe exactly that direction and patch the profile back to reality.
 	pf.O.Set(0, 1, 10.0) // 10 seconds of overhead never survives a screen
-	rep, err = ReprobeDirections(peers, pf, opts, 0.5, []Direction{{0, 1}})
+	rep, err = Reprobe(peers, pf, opts, 0.5, []Direction{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestReprobeDirectionsAimedScreen(t *testing.T) {
 	}
 }
 
-// TestReprobeDirectionsValidation pins the argument contract.
-func TestReprobeDirectionsValidation(t *testing.T) {
+// TestReprobeAimedValidation pins the argument contract.
+func TestReprobeAimedValidation(t *testing.T) {
 	peers, err := LoopbackMesh(3, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -74,20 +74,24 @@ func TestReprobeDirectionsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]Direction{
-		"empty set":  {},
 		"diagonal":   {{1, 1}},
 		"from range": {{-1, 0}},
 		"to range":   {{0, 3}},
 	}
 	for name, dirs := range cases {
-		if _, err := ReprobeDirections(peers, pf, opts, 0.5, dirs); err == nil {
+		if _, err := Reprobe(peers, pf, opts, 0.5, dirs); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := ReprobeDirections(peers, profile.New("wrong", 5), opts, 0.5, []Direction{{0, 1}}); err == nil {
+	// An empty aim set is the whole-mesh screen, the same as nil.
+	rep, err := Reprobe(peers, pf, opts, 1000, []Direction{})
+	if err != nil || rep.Screened != 3*2 {
+		t.Errorf("empty aim set: %v, screened %+v; want the whole 3-rank mesh", err, rep)
+	}
+	if _, err := Reprobe(peers, profile.New("wrong", 5), opts, 0.5, []Direction{{0, 1}}); err == nil {
 		t.Error("mismatched profile accepted")
 	}
-	if _, err := ReprobeDirections(peers, pf, opts, 0, []Direction{{0, 1}}); err == nil {
+	if _, err := Reprobe(peers, pf, opts, 0, []Direction{{0, 1}}); err == nil {
 		t.Error("non-positive tolerance accepted")
 	}
 }

@@ -170,7 +170,7 @@ func TestProbeProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer CloseMesh(peers)
-	pf, err := ProbeProfile(peers, 4, 5*time.Second)
+	pf, _, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +204,16 @@ func TestProbeProfileArgErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer CloseMesh(peers)
-	if _, err := ProbeProfile(peers, 0, time.Second); err == nil {
-		t.Fatal("accepted zero iterations")
+	if _, _, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: -1}); err == nil {
+		t.Fatal("accepted a negative iteration budget")
 	}
-	if _, err := ProbeProfile(peers[:1], 1, time.Second); err == nil {
+	if _, _, err := ProbeProfileOpts(peers, ProbeOptions{StableK: -1}); err == nil {
+		t.Fatal("accepted a negative stability window")
+	}
+	if _, _, err := ProbeProfileOpts(peers[:1], ProbeOptions{MaxIters: 1}); err == nil {
 		t.Fatal("accepted partial mesh")
 	}
-	if _, err := ProbeProfile([]*Peer{peers[1], peers[0]}, 1, time.Second); err == nil {
+	if _, _, err := ProbeProfileOpts([]*Peer{peers[1], peers[0]}, ProbeOptions{MaxIters: 1}); err == nil {
 		t.Fatal("accepted out-of-order mesh")
 	}
 }

@@ -42,17 +42,6 @@ func (c TransportClass) String() string {
 	}
 }
 
-// TransportFor maps a topology link class to the transport that should carry
-// it: every intra-node class (shared-cache, same-socket, cross-socket — and
-// trivially self) stays on shared memory; only cross-node links pay for TCP.
-// This is the paper's on-chip/off-chip split turned into a routing rule.
-func TransportFor(c topo.LinkClass) TransportClass {
-	if c == topo.CrossNode {
-		return TransportTCP
-	}
-	return TransportShm
-}
-
 // NodesFromPlacement derives the co-location vector of a placed job: ranks
 // pinned to cores of the same node share a node id, so every link the
 // topology classifies below CrossNode becomes a shared-memory link.

@@ -4,31 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"topobarrier/internal/profile"
 	"topobarrier/internal/topo"
 )
-
-// TestTransportForLinkClass pins the routing rule: every intra-node class
-// rides shared memory, only the cluster interconnect pays for TCP.
-func TestTransportForLinkClass(t *testing.T) {
-	cases := []struct {
-		class topo.LinkClass
-		want  TransportClass
-	}{
-		{topo.Self, TransportShm},
-		{topo.SharedCache, TransportShm},
-		{topo.SameSocket, TransportShm},
-		{topo.CrossSocket, TransportShm},
-		{topo.CrossNode, TransportTCP},
-	}
-	for _, c := range cases {
-		if got := TransportFor(c.class); got != c.want {
-			t.Errorf("TransportFor(%s) = %s, want %s", c.class, got, c.want)
-		}
-	}
-	if TransportTCP.String() != "tcp" || TransportShm.String() != "shm" {
-		t.Errorf("class names: %s / %s", TransportTCP, TransportShm)
-	}
-}
 
 func TestParseColocation(t *testing.T) {
 	cases := []struct {
@@ -113,8 +91,8 @@ func TestNodesFromPlacement(t *testing.T) {
 				if i == j {
 					continue
 				}
-				class := spec.Classify(cores[i], cores[j])
-				wantShm := TransportFor(class) == TransportShm
+				class := spec.SeatAt(cores[i]).ClassTo(spec.SeatAt(cores[j]))
+				wantShm := class != topo.CrossNode
 				if gotShm := nodes[i] == nodes[j]; gotShm != wantShm {
 					t.Errorf("%s: link %d-%d is %s but co-location says shm=%v", pl.Name(), i, j, class, gotShm)
 				}
@@ -158,8 +136,8 @@ func TestTransportOfOnMesh(t *testing.T) {
 	}
 
 	opts := ProbeOptions{MaxIters: 4}
-	hybridFP := MeshFingerprint(peers, opts)
-	if hybridFP == ProbeFingerprint(4, opts) {
+	historical := profile.FingerprintOf("netmpi-loopback", "4", "iters=4,stablek=0")
+	if MeshFingerprint(peers, opts) == historical {
 		t.Error("hybrid mesh fingerprint collides with the pure-TCP key")
 	}
 
@@ -168,8 +146,8 @@ func TestTransportOfOnMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer CloseMesh(tcpPeers)
-	if MeshFingerprint(tcpPeers, opts) != ProbeFingerprint(4, opts) {
-		t.Error("pure-TCP mesh fingerprint drifted from the historical ProbeFingerprint")
+	if MeshFingerprint(tcpPeers, opts) != historical {
+		t.Error("pure-TCP mesh fingerprint drifted from the historical key")
 	}
 }
 

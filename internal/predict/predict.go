@@ -117,23 +117,6 @@ func (pd *Predictor) rowCost(st *mat.Bool, i int, ready bool) float64 {
 	return maxO + sumL
 }
 
-// StageCosts returns, for every stage, the per-rank send-batch durations —
-// the "matrices of per-rank cost estimates at each step" of §VI, reduced to
-// their row sums.
-func (pd *Predictor) StageCosts(s *sched.Schedule) [][]float64 {
-	pd.check(s)
-	out := make([][]float64, s.NumStages())
-	for k, st := range s.Stages {
-		ready := pd.stageReady(k)
-		row := make([]float64, s.P)
-		for i := range row {
-			row[i] = pd.rowCost(st, i, ready)
-		}
-		out[k] = row
-	}
-	return out
-}
-
 // forward runs the layered dependency graph's recurrence and returns every
 // rank's completion time of the last stage; stage, when non-nil, sees the
 // completion times of each stage k as they are produced (the slice is reused).
@@ -213,31 +196,4 @@ func (pd *Predictor) check(s *sched.Schedule) {
 	if s.P != pd.Prof.P {
 		panic(fmt.Sprintf("predict: %d-rank schedule against %d-rank profile", s.P, pd.Prof.P))
 	}
-}
-
-// WeightedStages returns, per stage, the incidence matrix weighted by cost:
-// entry (i, j) holds the predicted drain time of the batch that carries the
-// signal i→j (Eq. 1/Eq. 2 applied to i's full target list for the stage).
-// This is §VI's "weighting the incidence matrices by the cost implied by
-// Equations 1, 2 to obtain matrices of per-rank cost estimates at each
-// step", exposed for inspection and tooling.
-func (pd *Predictor) WeightedStages(s *sched.Schedule) []*mat.Dense {
-	pd.check(s)
-	out := make([]*mat.Dense, s.NumStages())
-	for k, st := range s.Stages {
-		ready := pd.stageReady(k)
-		w := mat.NewDense(s.P)
-		for i := 0; i < s.P; i++ {
-			targets := st.Row(i)
-			if len(targets) == 0 {
-				continue
-			}
-			cost := pd.BatchCost(i, targets, ready)
-			for _, j := range targets {
-				w.Set(i, j, cost)
-			}
-		}
-		out[k] = w
-	}
-	return out
 }

@@ -173,25 +173,6 @@ func TestArrivalPhaseCost(t *testing.T) {
 	}
 }
 
-func TestStageCostsShape(t *testing.T) {
-	p := 6
-	pd := New(uniformProfile(p, o, l, oii))
-	s := sched.Linear(p)
-	costs := pd.StageCosts(s)
-	if len(costs) != 2 || len(costs[0]) != p {
-		t.Fatalf("stage costs shape wrong")
-	}
-	if costs[0][0] != 0 {
-		t.Fatalf("root sends in arrival stage?")
-	}
-	if costs[0][1] != o+l {
-		t.Fatalf("leaf arrival batch = %g", costs[0][1])
-	}
-	if costs[1][0] != oii+float64(p-1)*l {
-		t.Fatalf("root departure batch = %g", costs[1][0])
-	}
-}
-
 func TestMismatchedProfilePanics(t *testing.T) {
 	pd := New(uniformProfile(4, o, l, oii))
 	defer func() {
@@ -225,31 +206,6 @@ func BenchmarkCostTree64(b *testing.B) {
 	}
 }
 
-func TestWeightedStages(t *testing.T) {
-	p := 4
-	pd := New(uniformProfile(p, o, l, oii))
-	ws := pd.WeightedStages(sched.Linear(p))
-	if len(ws) != 2 {
-		t.Fatalf("weighted stages = %d", len(ws))
-	}
-	// Stage 0: each leaf's single-signal batch costs O+L.
-	if got := ws[0].At(1, 0); got != o+l {
-		t.Fatalf("leaf edge weight = %g, want %g", got, o+l)
-	}
-	if ws[0].At(0, 1) != 0 {
-		t.Fatalf("absent edge weighted")
-	}
-	// Stage 1: the root's 3-signal batch costs Oii+3L on every edge.
-	want := oii + 3*l
-	for j := 1; j < p; j++ {
-		if got := ws[1].At(0, j); got != want {
-			t.Fatalf("root edge weight = %g, want %g", got, want)
-		}
-	}
-}
-
-// TestTimelineAgreesWithCost: the final stage's maximum completion must be
-// bit-identical to Cost, and completions must be monotone per rank.
 func TestTimelineAgreesWithCost(t *testing.T) {
 	for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
 		pd := &Predictor{Prof: uniformProfile(8, 10e-6, 2e-6, 1e-6), Policy: policy, StageOverhead: 0.5e-6}
@@ -281,7 +237,7 @@ func TestTimelineAgreesWithCost(t *testing.T) {
 
 // referenceTimeline is §VI's recurrence written the paper-literal way — one
 // BatchCost over Row(i) per rank per stage, then one arrival per listed
-// target — which Cost, Timeline and StageCosts replaced with a single
+// target — which Cost and Timeline replaced with a single
 // allocation-free walk of each row's words. They must agree bit for bit.
 func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
 	out := make([][]float64, s.NumStages())
@@ -315,16 +271,16 @@ func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
 		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
 			for _, overhead := range []float64{0, 0.3e-6} {
 				pd := &Predictor{Prof: noisyProfile(p, uint64(p)), Policy: policy, StageOverhead: overhead}
-				for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), sched.KAryTree(p, 4)} {
+				kary := sched.KAryTreeArrival(p, 4)
+				for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), kary.Concat(kary.ReverseTransposed())} {
 					want := referenceTimeline(pd, s)
 					if got := pd.Timeline(s); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s %v overhead %g: Timeline differs from the reference", s.Name, policy, overhead)
 					}
-					costs := pd.StageCosts(s)
 					for k, st := range s.Stages {
 						for i := 0; i < p; i++ {
-							if want := pd.BatchCost(i, st.Row(i), pd.stageReady(k)); costs[k][i] != want {
-								t.Fatalf("%s stage %d rank %d: StageCosts %v, BatchCost %v", s.Name, k, i, costs[k][i], want)
+							if got, want := pd.rowCost(st, i, pd.stageReady(k)), pd.BatchCost(i, st.Row(i), pd.stageReady(k)); got != want {
+								t.Fatalf("%s stage %d rank %d: rowCost %v, BatchCost %v", s.Name, k, i, got, want)
 							}
 						}
 					}

@@ -25,19 +25,3 @@ func TestMeasureAggregatesPairErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestMeasureDirectedAggregatesPairErrors is the same contract for the
-// directed profiler, which enumerates ordered pairs.
-func TestMeasureDirectedAggregatesPairErrors(t *testing.T) {
-	cfg := Default()
-	cfg.Sizes = []int{4, 4}
-	_, err := MeasureDirected(mpi.NewWorld(quietFabric(t, 2)), cfg)
-	if err == nil {
-		t.Fatal("degenerate size sweep produced a directed profile")
-	}
-	for _, want := range []string{"pair 0→1", "pair 1→0"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("aggregated error missing %q:\n%v", want, err)
-		}
-	}
-}

@@ -30,6 +30,43 @@ func quietFabric(t testing.TB, p int) *fabric.Fabric {
 	return f
 }
 
+// TestFabricDirectionSkew: on a fabric whose reverse-direction links (higher
+// core to lower core) cost 50% more, the symmetric protocol reads each pair's
+// O as the mean of its two directions — a round trip crosses both.
+func TestFabricDirectionSkew(t *testing.T) {
+	spec := topo.Spec{Name: "skewed", Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 4}
+	f, err := fabric.New(spec, topo.Block{}, 8, fabric.Params{
+		Classes: map[topo.LinkClass]fabric.Link{
+			topo.SameSocket: {Alpha: 10e-6, Beta: 1e-9, Lambda: 2e-6},
+			topo.CrossNode:  {Alpha: 50e-6, Beta: 8e-9, Lambda: 8e-6},
+		},
+		SelfOverhead:  1e-6,
+		DirectionSkew: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := f.TrueO(0, 4)
+	rev := f.TrueO(4, 0)
+	if math.Abs(rev/fwd-1.5) > 1e-12 {
+		t.Fatalf("skew not applied: fwd %g rev %g", fwd, rev)
+	}
+	if f.TrueL(4, 0)/f.TrueL(0, 4) != 1.5 {
+		t.Fatalf("skew not applied to L")
+	}
+	// Noise-free samples match ground truth in both directions.
+	if f.SendOverhead(4, 0, 0) != rev {
+		t.Fatalf("sample does not reflect skew")
+	}
+	pf, err := Measure(mpi.NewWorld(f), Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pf.O.At(0, 4), (fwd+rev)/2; math.Abs(got-want)/want > 0.05 || pf.O.At(4, 0) != got {
+		t.Fatalf("symmetric O(0,4) = %g / O(4,0) = %g, want the directions' mean %g", got, pf.O.At(4, 0), want)
+	}
+}
+
 func TestMeasureRecoversQuietParameters(t *testing.T) {
 	f := quietFabric(t, 6)
 	pf, err := Measure(mpi.NewWorld(f), Default())
@@ -134,7 +171,7 @@ func TestReplicateMatchesFullOnUniformFabric(t *testing.T) {
 func TestReplicateIsMuchCheaper(t *testing.T) {
 	// On the quad cluster, a replicated profile measures a handful of pairs;
 	// sanity-check it completes on the full 64-rank machine quickly.
-	f, err := fabric.QuadClusterFabric(topo.Block{}, 64, 3)
+	f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 64, fabric.GigEParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +233,7 @@ func TestPaperConfigShape(t *testing.T) {
 
 func TestMeasureDeterministic(t *testing.T) {
 	run := func() float64 {
-		f, err := fabric.QuadClusterFabric(topo.Block{}, 8, 7)
+		f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 8, fabric.GigEParams(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +250,7 @@ func TestMeasureDeterministic(t *testing.T) {
 
 func BenchmarkMeasureReplicate64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := fabric.QuadClusterFabric(topo.Block{}, 64, 3)
+		f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 64, fabric.GigEParams(3))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -329,7 +366,7 @@ func TestMeasureAllocsScaleWithPairs(t *testing.T) {
 		t.Skip("allocation counts under the race detector include its own")
 	}
 	const p, perPair = 16, 32
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +388,7 @@ func TestMeasureAllocsScaleWithPairs(t *testing.T) {
 func BenchmarkProbeMeasureP64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 64, 1)
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 64, fabric.GigEParams(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -60,14 +60,6 @@ func (pr *Profile) Validate() error {
 	return nil
 }
 
-// Symmetrize enforces the paper's link-symmetry assumption (Oij == Oji) by
-// averaging mirrored entries of both matrices, and returns the profile.
-func (pr *Profile) Symmetrize() *Profile {
-	pr.O.Symmetrize()
-	pr.L.Symmetrize()
-	return pr
-}
-
 // Distance returns the metric used for rank clustering: the symmetrised
 // startup overhead between two distinct ranks, and 0 for i == j. With a
 // symmetric profile this satisfies the metric-space requirements of SSS

@@ -68,16 +68,6 @@ func TestDistanceAndDiameter(t *testing.T) {
 	}
 }
 
-func TestSymmetrize(t *testing.T) {
-	pr := sample()
-	pr.O.Set(0, 1, 4e-6)
-	pr.O.Set(1, 0, 2e-6)
-	pr.Symmetrize()
-	if pr.O.At(0, 1) != 3e-6 || pr.O.At(1, 0) != 3e-6 {
-		t.Fatalf("Symmetrize wrong: %g %g", pr.O.At(0, 1), pr.O.At(1, 0))
-	}
-}
-
 func TestSub(t *testing.T) {
 	pr := sample()
 	sub := pr.Sub([]int{1, 3})

@@ -4,15 +4,15 @@
 // tuned plan keeps executing against a model that is no longer true. The
 // Controller watches predicted-vs-observed barrier cost through the mesh's
 // telemetry histograms, and when the drift exceeds tolerance it (1)
-// re-probes only the stale links (netmpi.ReprobeStale's two-phase screen +
-// adaptive re-probe, patching the live profile in place and refreshing the
-// fingerprinted cache), (2) re-runs the incremental search seeded from the
-// *currently running* schedule — the warm-start that makes online retuning
-// cheap enough to matter, per "Fast Tuning of Intra-Cluster Collective
-// Communications" — alongside a from-scratch composition, with the same
-// barriervet/CertifyK gates every offline tune passes, and (3) hot-swaps
-// the winning plan into the running mesh through the epoch store, where the
-// per-rank runners agree on the switch point at their next control barrier.
+// re-probes only the stale links (netmpi.Reprobe's two-phase screen +
+// adaptive re-probe, patching the live profile in place), (2) re-runs the
+// incremental search seeded from the *currently running* schedule — the
+// warm-start that makes online retuning cheap enough to matter, per "Fast
+// Tuning of Intra-Cluster Collective Communications" — alongside a
+// from-scratch composition, with the same analyze.Vet gate every offline
+// tune passes, and (3) hot-swaps the winning plan into the running mesh
+// through the epoch store, where the per-rank runners agree on the switch
+// point at their next control barrier.
 // No restart, no dropped barriers: the swap is a version bump the transport
 // applies at a quiescence point.
 package retune
@@ -56,18 +56,11 @@ type Options struct {
 	Hysteresis float64
 	// Probe configures the re-probe phases (budget, adaptivity, deadline).
 	Probe netmpi.ProbeOptions
-	// Cache, when non-nil, receives the patched profile under the mesh
-	// fingerprint after every re-probe, so the next cold start revalidates
-	// against reality instead of the stale entry.
-	Cache *profile.Cache
 	// SearchBudget caps the seeded incremental search's candidate
 	// evaluations. Default 4000.
 	SearchBudget int
 	// SearchSeed drives the search's randomness (deterministic per seed).
 	SearchSeed uint64
-	// SearchWorkers bounds the search portfolio's goroutines; 0 uses all
-	// cores. Never changes the result.
-	SearchWorkers int
 	// CertifyK, when positive, demands the same k-fault certification of a
 	// swapped-in plan that core.Tune demands offline.
 	CertifyK int
@@ -86,8 +79,8 @@ type Options struct {
 	// drift trigger the controller dumps it (reason "drift") and asks the
 	// traced messages which directions they implicate: when the per-link
 	// blame names suspects, the re-probe screens only those directions
-	// (netmpi.ReprobeDirections) instead of all P·(P−1), and falls back to
-	// the full screen when the blame is silent.
+	// instead of all P·(P−1), and falls back to the full screen when the
+	// blame is silent.
 	Flight *critpath.FlightRecorder
 }
 
@@ -247,19 +240,6 @@ func (c *Controller) observe() (mean float64, minFresh int64) {
 	return mean, minFresh
 }
 
-// relDrift mirrors the probe cache's symmetric relative distance: |a−b|
-// normalised by the smaller of the two, unbounded in both directions.
-func relDrift(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		if a == b {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	d := math.Abs(a - b)
-	return d / math.Min(a, b)
-}
-
 // Check runs one pass of the loop: observe, judge drift, and — when
 // triggered — re-probe, re-search, and propose. It is cheap when nothing
 // drifted (a handful of histogram reads) and never blocks barrier traffic:
@@ -293,7 +273,7 @@ func (c *Controller) Check() (Decision, error) {
 	}
 	d.Checked = true
 	d.Observed = observed
-	d.Drift = relDrift(c.predicted, observed)
+	d.Drift = netmpi.RelDrift(c.predicted, observed)
 	c.driftGauge.Set(d.Drift)
 	if d.Drift <= c.opts.DriftTol {
 		// The window was consumed quietly; cut the matching flight window so
@@ -306,41 +286,25 @@ func (c *Controller) Check() (Decision, error) {
 	d.Triggered = true
 	c.triggers.Inc()
 
-	// Re-probe only what moved, fold it into the live profile, and refresh
-	// the cache entry so the next cold start inherits reality. With a
+	// Re-probe only what moved and fold it into the live profile. With a
 	// flight recorder attached, the traced messages of the drifted window
 	// aim the screen — only the directions whose observed delivery floor
 	// drifted from the model get measured — and the drift moment is
 	// preserved on disk before the mesh is touched.
-	var rep *netmpi.ReprobeReport
-	var err error
 	if c.opts.Flight != nil {
 		links := c.opts.Flight.ImplicatedFresh(c.pf, c.opts.DriftTol, "drift")
 		if _, derr := c.opts.Flight.Dump("drift"); derr != nil {
 			return d, fmt.Errorf("retune: flight dump: %w", derr)
 		}
-		if len(links) > 0 {
-			dirs := make([]netmpi.Direction, len(links))
-			for i, l := range links {
-				dirs[i] = netmpi.Direction{From: l.From, To: l.To}
-			}
-			d.Implicated = dirs
-			rep, err = netmpi.ReprobeDirections(c.peers, c.pf, c.opts.Probe, c.opts.DriftTol, dirs)
+		for _, l := range links {
+			d.Implicated = append(d.Implicated, netmpi.Direction{From: l.From, To: l.To})
 		}
 	}
-	if rep == nil && err == nil {
-		rep, err = netmpi.ReprobeStale(c.peers, c.pf, c.opts.Probe, c.opts.DriftTol)
-	}
+	rep, err := netmpi.Reprobe(c.peers, c.pf, c.opts.Probe, c.opts.DriftTol, d.Implicated)
 	if err != nil {
 		return d, fmt.Errorf("retune: re-probe: %w", err)
 	}
 	d.Reprobe = rep
-	if c.opts.Cache != nil {
-		fp := netmpi.MeshFingerprint(c.peers, c.opts.Probe)
-		if err := c.opts.Cache.Store(fp, c.pf); err != nil {
-			return d, fmt.Errorf("retune: refreshing cache: %w", err)
-		}
-	}
 
 	s, pl, cost, repriced, candidate, err := c.replan()
 	if err != nil {
@@ -369,8 +333,9 @@ func (c *Controller) Check() (Decision, error) {
 
 // replan races two candidates under the patched profile — the incremental
 // search seeded from the running schedule, and a from-scratch composition —
-// and returns the cheapest one that passes the full vet (barriervet +
-// CheckPlan + CertifyK), alongside the running schedule's re-priced cost.
+// and returns the cheapest one that passes analyze.Vet (barriervet, the
+// CertifyK demand, CheckPlan), alongside the running schedule's re-priced
+// cost.
 // A nil plan means no candidate survived its gates.
 func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, string, error) {
 	span := c.opts.Tracer.Begin("retune.replan", -1, -1, -1)
@@ -386,11 +351,10 @@ func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, str
 
 	// Candidate 1: seeded incremental search from the running schedule.
 	if res, err := search.Anneal(pd, c.sched, search.AnnealOptions{
-		Seed:    c.opts.SearchSeed,
-		Budget:  c.opts.SearchBudget,
-		Workers: c.opts.SearchWorkers,
+		Seed:   c.opts.SearchSeed,
+		Budget: c.opts.SearchBudget,
 	}); err == nil && res.Cost < bestCost {
-		if pl, _, err := netmpi.VetPlan(res.Schedule, vetOpts); err == nil {
+		if pl, _, err := analyze.Vet(res.Schedule, vetOpts); err == nil {
 			bestS, bestPl, bestCost, bestName = res.Schedule, pl, res.Cost, "seeded-search"
 		}
 	}

@@ -373,6 +373,60 @@ func TestControllerNoDriftNoAction(t *testing.T) {
 	}
 }
 
+// TestCertifyKGatesTheSwap: with CertifyK set, a re-tuned plan must clear the
+// same certification core.Tune demands offline. Nothing grown from a binomial
+// tree survives one silent rank, so a triggered check re-probes, finds no
+// candidate that passes the gate, and proposes nothing — the seeded-search
+// candidate used to be vetted on Error findings alone and was swapped in with
+// its counterexample.
+func TestCertifyKGatesTheSwap(t *testing.T) {
+	const p = 8
+	reg := telemetry.NewRegistry()
+	peers, err := netmpi.LoopbackMesh(p, meshTimeout, netmpi.WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netmpi.CloseMesh(peers)
+	probeOpts := netmpi.ProbeOptions{MaxIters: 3, StableK: 2}
+	pf, _, err := netmpi.ProbeProfileOpts(peers, probeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.Tree(p)
+	plan, err := run.NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps, err := netmpi.NewEpochs(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := newRunners(t, peers, eps, 4)
+	ctl, err := New(peers, eps, s, pf, Options{
+		DriftTol:        1e-9, // any disagreement between model and mesh triggers
+		MinObservations: 4,
+		Probe:           probeOpts,
+		CertifyK:        1,
+		Registry:        reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runLoop(t, runners, 12, "pre-check loop")
+	d, err := ctl.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Triggered || d.Reprobe == nil {
+		t.Fatalf("check did not trigger: %+v", d)
+	}
+	if d.Candidate != "" || d.Swapped || eps.Latest() != 0 {
+		t.Fatalf("a plan with a 1-fault counterexample cleared the CertifyK gate: candidate %q, swapped %v, latest version %d",
+			d.Candidate, d.Swapped, eps.Latest())
+	}
+	runLoop(t, runners, 8, "post-check loop")
+}
+
 // TestControllerValidation pins the constructor's contract.
 func TestControllerValidation(t *testing.T) {
 	reg := telemetry.NewRegistry()

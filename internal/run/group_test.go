@@ -1,21 +1,22 @@
 package run
 
 import (
-	"strings"
 	"testing"
 
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/sched"
 )
 
-// groupTree lifts a binomial tree barrier onto a subset of global ranks.
-func groupTree(t *testing.T, p int, members []int) *sched.Schedule {
+// groupTree lifts a binomial tree barrier onto a subset of global ranks and
+// compiles it as it stands: a sub-group barrier is no global barrier, so
+// NewPlan would refuse it.
+func groupTree(t *testing.T, p int, members []int) *Plan {
 	t.Helper()
 	s := sched.Tree(len(members)).Lift(p, members)
 	if !s.IsGroupBarrier(members) {
 		t.Fatalf("lifted tree is not a group barrier")
 	}
-	return s
+	return compile(s)
 }
 
 func TestDisjointGroupBarriers(t *testing.T) {
@@ -29,20 +30,13 @@ func TestDisjointGroupBarriers(t *testing.T) {
 		groupA[i] = i
 		groupB[i] = 12 + i
 	}
-	planA, err := NewGroupPlan(groupTree(t, p, groupA), groupA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planB, err := NewGroupPlan(groupTree(t, p, groupB), groupB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planA, planB := groupTree(t, p, groupA), groupTree(t, p, groupB)
 
 	w := testWorld(t, p, 1)
 	const delay = 0.5
 	enter := make([]float64, p)
 	exit := make([]float64, p)
-	_, err = w.Run(func(c *mpi.Comm) {
+	_, err := w.Run(func(c *mpi.Comm) {
 		if c.Rank() == 3 {
 			c.Compute(delay)
 		}
@@ -78,10 +72,7 @@ func TestNestedBarriers(t *testing.T) {
 	for i := range inner {
 		inner[i] = i
 	}
-	innerPlan, err := NewGroupPlan(groupTree(t, p, inner), inner)
-	if err != nil {
-		t.Fatal(err)
-	}
+	innerPlan := groupTree(t, p, inner)
 	globalPlan, err := NewPlan(sched.Tree(p))
 	if err != nil {
 		t.Fatal(err)
@@ -95,26 +86,6 @@ func TestNestedBarriers(t *testing.T) {
 	}, 0.5, []int{0, 7, 8, 15})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNewGroupPlanRejectsLeakyPatterns(t *testing.T) {
-	const p = 8
-	members := []int{0, 1, 2, 3}
-	// A pattern that signals a non-member.
-	leaky := sched.Tree(4).Lift(p, members)
-	leaky.Stages[0].Set(0, 7, true)
-	if _, err := NewGroupPlan(leaky, members); err == nil || !strings.Contains(err.Error(), "non-member") {
-		t.Fatalf("leaky pattern accepted: %v", err)
-	}
-	// A pattern that does not synchronise the group.
-	partial := sched.TreeArrival(4).Lift(p, members)
-	if _, err := NewGroupPlan(partial, members); err == nil {
-		t.Fatalf("non-synchronising pattern accepted")
-	}
-	// Empty group.
-	if ok := sched.Tree(4).Lift(p, members).IsGroupBarrier(nil); ok {
-		t.Fatalf("empty group accepted")
 	}
 }
 

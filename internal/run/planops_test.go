@@ -109,8 +109,9 @@ func perRankOps(s *sched.Schedule) [][]StageOps {
 func TestNewPlanMatchesPerRankCompile(t *testing.T) {
 	var cases []*sched.Schedule
 	for _, p := range []int{2, 3, 7, 8, 22, 63, 64, 65, 130} {
+		kary := sched.KAryTreeArrival(p, 4)
 		cases = append(cases, sched.Linear(p), sched.Dissemination(p), sched.Tree(p),
-			sched.Ring(p), sched.KAryTree(p, 4), sched.SymmetricDissemination(p))
+			sched.Ring(p), kary.Concat(kary.ReverseTransposed()), sched.SymmetricDissemination(p))
 	}
 	// A composed shape with no-op stages in the middle and at both ends.
 	hy := sched.New("hybrid-with-gaps", 12)

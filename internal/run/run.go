@@ -217,37 +217,6 @@ func MeasureCold(w *mpi.World, b Func, reps int) (Measurement, error) {
 	return Measurement{Mean: total / float64(reps), Iters: reps}, nil
 }
 
-// NewGroupPlan compiles a schedule that synchronises only the given subset
-// of ranks (a disjoint or nested sub-group barrier). Ranks outside the group
-// must not appear in any signal; group members must be mutually
-// synchronised.
-func NewGroupPlan(s *sched.Schedule, members []int) (*Plan, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if !s.IsGroupBarrier(members) {
-		return nil, fmt.Errorf("run: schedule %q does not synchronise group %v", s.Name, members)
-	}
-	inGroup := make([]bool, s.P)
-	for _, m := range members {
-		inGroup[m] = true
-	}
-	pl := compile(s)
-	for r, list := range pl.ops {
-		if len(list) > 0 && !inGroup[r] {
-			return nil, fmt.Errorf("run: schedule %q involves non-member rank %d", s.Name, r)
-		}
-		for _, op := range list {
-			for _, peer := range slices.Concat(op.Recvs, op.Sends) {
-				if !inGroup[peer] {
-					return nil, fmt.Errorf("run: schedule %q signals non-member rank %d", s.Name, peer)
-				}
-			}
-		}
-	}
-	return pl, nil
-}
-
 // PlanFromOps assembles a plan directly from per-rank stage lists, bypassing
 // schedule compilation. Unlike NewPlan it does not prove Eq. 3 first — that
 // is the point: it exists so the plan-level protocol checker

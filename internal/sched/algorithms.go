@@ -153,14 +153,6 @@ func KAryTreeArrival(p, k int) *Schedule {
 	return s
 }
 
-// KAryTree returns the full k-ary tree barrier.
-func KAryTree(p, k int) *Schedule {
-	arr := KAryTreeArrival(p, k)
-	full := arr.Clone().Concat(arr.ReverseTransposed())
-	full.Name = fmt.Sprintf("%d-ary-tree(%d)", k, p)
-	return full
-}
-
 // SymmetricDissemination returns the pairwise (bidirectional) dissemination
 // barrier: in stage s every rank i signals both (i + 2^s) mod p and
 // (i - 2^s) mod p. Where plain dissemination carries each knowledge pair
@@ -183,22 +175,6 @@ func SymmetricDissemination(p int) *Schedule {
 		s.AddStage(m)
 	}
 	return s
-}
-
-// Repeat concatenates n copies of the schedule. Repetition multiplies
-// knowledge chains: a doubled dissemination certifies as 2-fault-resilient
-// because the second pass re-propagates everything the first pass spread
-// around the silenced ranks. The fault-budget/latency trade-off is the
-// caller's.
-func Repeat(s *Schedule, n int) *Schedule {
-	if n < 1 {
-		panic(fmt.Sprintf("sched: repeat ×%d", n))
-	}
-	out := New(fmt.Sprintf("%s×%d", s.Name, n), s.P)
-	for r := 0; r < n; r++ {
-		out.Concat(s)
-	}
-	return out
 }
 
 // Builder generates the component phases of one barrier algorithm for the

@@ -440,42 +440,6 @@ func (c *KnowledgeCache) saturateAt(k int) {
 	c.pending = c.pending[:0]
 }
 
-// After returns the knowledge matrix following stage k — entry (i, j) set
-// when rank j knows of rank i's arrival, as in Schedule.Knowledge —
-// materialised row-major from the transposed tables into a freshly allocated
-// matrix, after bringing stages 0..k up to date with a Barrier call (which
-// opens a new undo journal, so After must not sit between a Barrier and its
-// Rollback). Stages past the saturation point carry fully-set knowledge; for
-// those the saturated stage is materialised.
-func (c *KnowledgeCache) After(s *Schedule, k int) *mat.Bool {
-	if k < 0 || k >= s.NumStages() {
-		panic(fmt.Sprintf("sched: knowledge after stage %d of %d-stage schedule", k, s.NumStages()))
-	}
-	c.Barrier(s)
-	if c.p == 1 {
-		return mat.Identity(1)
-	}
-	if c.sat >= 0 && k >= c.sat {
-		k = c.sat
-	}
-	if k >= c.valid {
-		// Only reachable when the schedule never saturates yet Barrier
-		// stopped early — it doesn't: a non-barrier run validates all stages.
-		panic(fmt.Sprintf("sched: knowledge cache stopped at stage %d before %d", c.valid, k))
-	}
-	out := mat.NewBool(c.p)
-	for j := 0; j < c.p; j++ {
-		for w, word := range c.tables[k][j] {
-			for word != 0 {
-				i := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				out.Set(i, j, true)
-			}
-		}
-	}
-	return out
-}
-
 // prevRow returns the know set feeding stage k for rank j.
 func (c *KnowledgeCache) prevRow(k, j int) []uint64 {
 	if k == 0 {

@@ -44,36 +44,7 @@ func TestSymmetricDissemination(t *testing.T) {
 		if got, want := s.NumStages(), Dissemination(p).NumStages(); got != want {
 			t.Errorf("p=%d: %d stages, want %d", p, got, want)
 		}
-		// Every rank fully informed: per-rank broadcast property.
-		for r := 0; r < p; r++ {
-			if !s.IsBroadcast(r) {
-				t.Errorf("p=%d: rank %d's arrival does not reach everyone", p, r)
-			}
-		}
 	}
-}
-
-// TestRepeat: n copies concatenate stage-for-stage; n < 1 panics.
-func TestRepeat(t *testing.T) {
-	base := Dissemination(8)
-	d := Repeat(base, 2)
-	if d.NumStages() != 2*base.NumStages() {
-		t.Fatalf("repeat ×2: %d stages, want %d", d.NumStages(), 2*base.NumStages())
-	}
-	for i := 0; i < base.NumStages(); i++ {
-		if !d.Stages[i].Equal(base.Stages[i]) || !d.Stages[i+base.NumStages()].Equal(base.Stages[i]) {
-			t.Fatalf("stage %d of the repeat differs from the base", i)
-		}
-	}
-	if !d.IsBarrier() {
-		t.Fatal("repeated barrier lost Eq. 3")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Repeat(s, 0) did not panic")
-		}
-	}()
-	Repeat(base, 0)
 }
 
 // TestSymmetricDisseminationBuilder: the builder contract — root-0

@@ -291,46 +291,6 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	return s.Validate()
 }
 
-// IsGather reports whether the pattern funnels every rank's arrival
-// knowledge to root: the final knowledge matrix has column root fully set.
-// Arrival phases of hierarchical barriers are gathers; the property also
-// verifies topology-aware small-message gather collectives.
-func (s *Schedule) IsGather(root int) bool {
-	if root < 0 || root >= s.P {
-		panic(fmt.Sprintf("sched: gather root %d out of range", root))
-	}
-	k := mat.Identity(s.P)
-	for _, st := range s.Stages {
-		k = mat.Propagate(k, st)
-	}
-	for i := 0; i < s.P; i++ {
-		if !k.At(i, root) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsBroadcast reports whether knowledge originating at root reaches every
-// rank: the final knowledge matrix has row root fully set. Departure phases
-// are broadcasts; the property also verifies topology-aware small-message
-// broadcast collectives.
-func (s *Schedule) IsBroadcast(root int) bool {
-	if root < 0 || root >= s.P {
-		panic(fmt.Sprintf("sched: broadcast root %d out of range", root))
-	}
-	k := mat.Identity(s.P)
-	for _, st := range s.Stages {
-		k = mat.Propagate(k, st)
-	}
-	for j := 0; j < s.P; j++ {
-		if !k.At(root, j) {
-			return false
-		}
-	}
-	return true
-}
-
 // IsGroupBarrier reports whether the pattern synchronises the given subset
 // of ranks among themselves: every member's arrival must become known to
 // every other member. Signals involving non-members are permitted (they are

@@ -102,6 +102,13 @@ func TestTreeMatchesFigure4(t *testing.T) {
 	}
 }
 
+// kAryTree is the full k-ary tree barrier: the arrival phase plus its
+// transposed reversal.
+func kAryTree(p, k int) *Schedule {
+	arr := KAryTreeArrival(p, k)
+	return arr.Concat(arr.ReverseTransposed())
+}
+
 func TestAllGeneratorsAreBarriers(t *testing.T) {
 	gens := map[string]func(int) *Schedule{
 		"linear":             Linear,
@@ -109,7 +116,7 @@ func TestAllGeneratorsAreBarriers(t *testing.T) {
 		"tree":               Tree,
 		"recursive-doubling": RecursiveDoubling,
 		"ring":               Ring,
-		"4-ary":              func(p int) *Schedule { return KAryTree(p, 4) },
+		"4-ary":              func(p int) *Schedule { return kAryTree(p, 4) },
 	}
 	for name, gen := range gens {
 		for p := 1; p <= 40; p++ {

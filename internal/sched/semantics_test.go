@@ -7,38 +7,11 @@ import (
 	"topobarrier/internal/mat"
 )
 
-func TestIsGatherAndIsBroadcast(t *testing.T) {
-	for _, p := range []int{2, 5, 9, 16} {
-		arr := TreeArrival(p)
-		if !arr.IsGather(0) {
-			t.Fatalf("tree arrival(%d) not a gather to 0", p)
-		}
-		if p > 1 && arr.IsGather(p-1) {
-			t.Fatalf("tree arrival(%d) gathers to the wrong root", p)
-		}
-		dep := arr.ReverseTransposed()
-		if !dep.IsBroadcast(0) {
-			t.Fatalf("tree departure(%d) not a broadcast from 0", p)
-		}
-		if p > 1 && dep.IsGather(0) {
-			t.Fatalf("tree departure(%d) claims gather semantics", p)
-		}
-		// A full barrier is both, from and to every rank.
-		full := Dissemination(p)
-		for r := 0; r < p; r++ {
-			if !full.IsGather(r) || !full.IsBroadcast(r) {
-				t.Fatalf("dissemination(%d) lacks semantics at rank %d", p, r)
-			}
-		}
-	}
-}
-
 func TestSemanticsPanicOnBadRoot(t *testing.T) {
 	s := Tree(4)
 	for _, fn := range []func(){
-		func() { s.IsGather(4) },
-		func() { s.IsBroadcast(-1) },
 		func() { s.IsGroupBarrier([]int{0, 9}) },
+		func() { s.IsGroupBarrier([]int{-1}) },
 	} {
 		func() {
 			defer func() {

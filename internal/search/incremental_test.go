@@ -16,7 +16,7 @@ import (
 func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 	pd := clusteredPredictor(t, 16)
 	seed := sched.Dissemination(16)
-	opts := AnnealOptions{Seed: 9, Steps: 1200, Restarts: 8, ExchangeEvery: 200}
+	opts := AnnealOptions{Seed: 9, Steps: 1200, Restarts: 8}
 
 	var ref *Result
 	for _, workers := range []int{1, 2, 8} {
@@ -141,7 +141,7 @@ func TestAnnealProgressCallback(t *testing.T) {
 	seed := sched.Tree(12)
 	var rounds []Progress
 	_, err := Anneal(pd, seed, AnnealOptions{
-		Seed: 5, Steps: 1000, Restarts: 2, Workers: 2, ExchangeEvery: 250,
+		Seed: 5, Steps: 4 * exchangeEvery, Restarts: 2, Workers: 2,
 		Progress: func(p Progress) { rounds = append(rounds, p) },
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestAnnealProgressCallback(t *testing.T) {
 		t.Fatalf("expected 4 progress rounds, got %d", len(rounds))
 	}
 	last := rounds[len(rounds)-1]
-	if last.StepsDone != 1000 || last.Round != 4 || last.Rounds != 4 {
+	if last.StepsDone != 4*exchangeEvery || last.Round != 4 || last.Rounds != 4 {
 		t.Fatalf("final progress snapshot wrong: %+v", last)
 	}
 	if last.Examined == 0 || math.IsInf(last.BestCost, 1) {

@@ -119,9 +119,9 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 		metrics = newSearchMetrics(opts.Telemetry, len(climbers))
 	}
 	stepsLeft := opts.Steps
-	rounds := (opts.Steps + opts.ExchangeEvery - 1) / opts.ExchangeEvery
+	rounds := (opts.Steps + exchangeEvery - 1) / exchangeEvery
 	for round := 0; stepsLeft > 0; round++ {
-		stepsThis := opts.ExchangeEvery
+		stepsThis := exchangeEvery
 		if stepsThis > stepsLeft {
 			stepsThis = stepsLeft
 		}
@@ -192,12 +192,10 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 	}
 }
 
-// newPortfolio seeds one climber per restart with its own RNG stream.
+// newPortfolio seeds one climber per restart with its own RNG stream. A
+// schedule may grow to two stages more than the seed.
 func newPortfolio(pd *predict.Predictor, seedSched *sched.Schedule, seedCost float64, opts AnnealOptions, prop *proposer) []*climber {
-	maxStages := opts.MaxStages
-	if seedSched.NumStages() > maxStages {
-		maxStages = seedSched.NumStages()
-	}
+	maxStages := seedSched.NumStages() + 2
 	climbers := make([]*climber, opts.Restarts)
 	for r := range climbers {
 		rng := stats.NewRNG(opts.Seed + uint64(r)*0x9e3779b97f4a7c15)

@@ -34,8 +34,6 @@ type AnnealOptions struct {
 	Steps int
 	// Restarts is the number of portfolio members (default 3).
 	Restarts int
-	// MaxStages bounds schedule growth (default: 2 + stages of the seed).
-	MaxStages int
 	// Workers bounds how many restarts climb concurrently (default
 	// GOMAXPROCS, capped at Restarts). The worker count affects throughput
 	// only: for a fixed Seed the result is bit-identical at any value.
@@ -43,10 +41,6 @@ type AnnealOptions struct {
 	// Budget, when positive, caps the total mutation attempts across the
 	// whole portfolio by overriding Steps with Budget/Restarts.
 	Budget int
-	// ExchangeEvery is the number of steps each restart climbs between
-	// cross-restart elite exchanges (default 500). Exchanges happen at
-	// synchronisation barriers, so changing Workers never changes them.
-	ExchangeEvery int
 	// Clusters, when it holds at least two entries, prunes the mutation
 	// space by locality structure: each entry lists the ranks of one cluster
 	// (its first rank acting as leader), and together the entries must
@@ -74,7 +68,12 @@ type AnnealOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-func (o AnnealOptions) withDefaults(seedSched *sched.Schedule) AnnealOptions {
+// exchangeEvery is the number of steps each restart climbs between
+// cross-restart elite exchanges. Exchanges happen at synchronisation
+// barriers, so changing Workers never changes them.
+const exchangeEvery = 500
+
+func (o AnnealOptions) withDefaults() AnnealOptions {
 	if o.Budget > 0 {
 		if o.Restarts <= 0 {
 			o.Restarts = 3
@@ -90,14 +89,8 @@ func (o AnnealOptions) withDefaults(seedSched *sched.Schedule) AnnealOptions {
 	if o.Restarts <= 0 {
 		o.Restarts = 3
 	}
-	if o.MaxStages <= 0 {
-		o.MaxStages = seedSched.NumStages() + 2
-	}
 	if o.Workers <= 0 {
 		o.Workers = defaultWorkers()
-	}
-	if o.ExchangeEvery <= 0 {
-		o.ExchangeEvery = 500
 	}
 	return o
 }
@@ -120,7 +113,7 @@ func Anneal(pd *predict.Predictor, seedSched *sched.Schedule, opts AnnealOptions
 	if seedSched.P != pd.Prof.P {
 		return nil, fmt.Errorf("search: seed over %d ranks vs %d-rank profile", seedSched.P, pd.Prof.P)
 	}
-	opts = opts.withDefaults(seedSched)
+	opts = opts.withDefaults()
 	prop, err := newProposer(seedSched.P, opts.Clusters)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // newWorld builds a quad-cluster world for execution checks.
 func newWorld(t testing.TB, p int) *mpi.World {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 3)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(3))
 	if err != nil {
 		t.Fatal(err)
 	}

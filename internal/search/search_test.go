@@ -127,13 +127,14 @@ func TestExhaustiveP3BeatsOrMatchesClassics(t *testing.T) {
 	if !res.Schedule.IsBarrier() {
 		t.Fatalf("optimum not a barrier")
 	}
-	// The enumerated optimum is a floor for the anneal over the same space.
-	ann, err := Anneal(pd, sched.Dissemination(3), AnnealOptions{Seed: 1, Steps: 2000, MaxStages: 2})
+	// The enumerated optimum is a floor for whatever the anneal finds in the
+	// same space (it may also grow the 2-stage seed, which costs more here).
+	ann, err := Anneal(pd, sched.Dissemination(3), AnnealOptions{Seed: 1, Steps: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ann.Schedule.NumStages() > 2 || ann.Cost < res.Cost-1e-15 {
-		t.Fatalf("anneal found %g in %d stages, below the enumerated 2-stage optimum %g",
+	if ann.Schedule.NumStages() != 2 || ann.Cost < res.Cost-1e-15 {
+		t.Fatalf("anneal found %g in %d stages, against the enumerated 2-stage optimum %g",
 			ann.Cost, ann.Schedule.NumStages(), res.Cost)
 	}
 }
@@ -175,7 +176,7 @@ func TestMatrixFromCodeRoundTrip(t *testing.T) {
 
 func clusteredPredictor(t testing.TB, p int) *predict.Predictor {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestAnnealRejectsBadSeeds(t *testing.T) {
 func TestAnnealedScheduleExecutes(t *testing.T) {
 	// The searched pattern must actually synchronise at run time, not just
 	// under Eq. 3.
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, 12, 2)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 12, fabric.GigEParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}

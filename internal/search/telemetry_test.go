@@ -16,7 +16,7 @@ func TestAnnealTelemetryCounters(t *testing.T) {
 	pd := predict.New(pf)
 	reg := telemetry.NewRegistry()
 	res, err := Anneal(pd, sched.Dissemination(8), AnnealOptions{
-		Seed: 3, Steps: 600, Restarts: 2, ExchangeEvery: 200, Telemetry: reg,
+		Seed: 3, Steps: 3 * exchangeEvery, Restarts: 2, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestAnnealTelemetryCounters(t *testing.T) {
 		t.Fatalf("accepts %d out of range [0, %d]", accepts, candidates)
 	}
 	if got := reg.Counter("search_exchange_rounds_total").Value(); got != 3 {
-		t.Fatalf("exchange rounds = %d, want 3 (600 steps / 200 per round)", got)
+		t.Fatalf("exchange rounds = %d, want 3", got)
 	}
 	if got := reg.Gauge("search_restarts").Value(); got != 2 {
 		t.Fatalf("search_restarts gauge = %g, want 2", got)
@@ -42,8 +42,8 @@ func TestAnnealTelemetryCounters(t *testing.T) {
 	}
 	for r := 0; r < 2; r++ {
 		name := telemetry.Label("search_restart_steps", "restart", string(rune('0'+r)))
-		if got := reg.Gauge(name).Value(); got != 600 {
-			t.Fatalf("%s = %g, want 600", name, got)
+		if got := reg.Gauge(name).Value(); got != 3*exchangeEvery {
+			t.Fatalf("%s = %g, want %d", name, got, 3*exchangeEvery)
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestProgressCarriesTelemetryFields(t *testing.T) {
 	pd := predict.New(pf)
 	var last Progress
 	_, err := Anneal(pd, sched.Dissemination(6), AnnealOptions{
-		Seed: 5, Steps: 400, Restarts: 2, ExchangeEvery: 100,
+		Seed: 5, Steps: 400, Restarts: 2,
 		Progress: func(p Progress) { last = p },
 	})
 	if err != nil {

@@ -95,13 +95,6 @@ func (n *Node) String() string {
 	return s + "]"
 }
 
-// Flat partitions the given ranks by one SSS pass using the profile metric.
-// The first listed rank seeds the first cluster. Returned clusters preserve
-// founding order; each cluster's ranks are sorted.
-func Flat(pr *profile.Profile, ranks []int, sparseness float64) [][]int {
-	return flat(pr, ranks, sparseness*diameter(pr, ranks))
-}
-
 // diameter returns the largest pairwise distance within the subset.
 func diameter(pr *profile.Profile, ranks []int) float64 {
 	diam := 0.0
@@ -115,8 +108,11 @@ func diameter(pr *profile.Profile, ranks []int) float64 {
 	return diam
 }
 
-// flat is Flat with the new-center threshold already resolved, so a caller
-// that knows the subset's diameter does not pay the all-pairs scan twice.
+// flat partitions the given ranks by one SSS pass using the profile metric:
+// a rank farther than threshold (sparseness × the subset's diameter) from
+// every centre founds a new cluster. The first listed rank seeds the first
+// cluster. Returned clusters preserve founding order; each cluster's ranks
+// are sorted.
 func flat(pr *profile.Profile, ranks []int, threshold float64) [][]int {
 	if len(ranks) == 0 {
 		return nil

@@ -14,7 +14,7 @@ import (
 // the given placement.
 func quadProfile(t testing.TB, pl topo.Placement, p int) *profile.Profile {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(pl, p, 1)
+	f, err := fabric.New(topo.QuadCluster(), pl, p, fabric.GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFlatFindsNodeClustersBlock(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	clusters := Flat(pr, all, DefaultSparseness)
+	clusters := flat(pr, all, DefaultSparseness*diameter(pr, all))
 	if len(clusters) != 3 {
 		t.Fatalf("found %d clusters, want 3 nodes: %v", len(clusters), clusters)
 	}
@@ -59,7 +59,7 @@ func TestFlatFindsNodeClustersRoundRobin(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	clusters := Flat(pr, all, DefaultSparseness)
+	clusters := flat(pr, all, DefaultSparseness*diameter(pr, all))
 	if len(clusters) != 3 {
 		t.Fatalf("found %d clusters, want 3: %v", len(clusters), clusters)
 	}
@@ -80,10 +80,10 @@ func TestFlatFindsNodeClustersRoundRobin(t *testing.T) {
 
 func TestFlatSingletonAndEmpty(t *testing.T) {
 	pr := quadProfile(t, topo.Block{}, 8)
-	if got := Flat(pr, []int{5}, 0.35); len(got) != 1 || got[0][0] != 5 {
+	if got := flat(pr, []int{5}, 0.35*diameter(pr, []int{5})); len(got) != 1 || got[0][0] != 5 {
 		t.Fatalf("singleton clustering = %v", got)
 	}
-	if got := Flat(pr, nil, 0.35); got != nil {
+	if got := flat(pr, nil, 0.35*diameter(pr, nil)); got != nil {
 		t.Fatalf("empty clustering = %v", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestFlatUniformDistancesSplitToSingletons(t *testing.T) {
 		}
 	}
 	all := []int{0, 1, 2, 3, 4}
-	clusters := Flat(pr, all, 0.35)
+	clusters := flat(pr, all, 0.35*diameter(pr, all))
 	if len(clusters) != 5 {
 		t.Fatalf("uniform profile produced %d clusters, want 5 singletons", len(clusters))
 	}
@@ -202,12 +202,12 @@ func TestSparsenessExtremes(t *testing.T) {
 		all[i] = i
 	}
 	// Sparseness 1: nothing exceeds the diameter, so one cluster remains.
-	one := Flat(pr, all, 1.0)
+	one := flat(pr, all, 1.0*diameter(pr, all))
 	if len(one) != 1 {
 		t.Fatalf("near-1 sparseness produced %d clusters", len(one))
 	}
 	// Tiny sparseness: everything splits apart.
-	many := Flat(pr, all, 1e-9)
+	many := flat(pr, all, 1e-9*diameter(pr, all))
 	if len(many) != 16 {
 		t.Fatalf("tiny sparseness produced %d clusters", len(many))
 	}
@@ -223,7 +223,7 @@ func TestOptionsDefaultSparseness(t *testing.T) {
 }
 
 func BenchmarkTree64(b *testing.B) {
-	f, err := fabric.QuadClusterFabric(topo.Block{}, 64, 1)
+	f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 64, fabric.GigEParams(1))
 	if err != nil {
 		b.Fatal(err)
 	}

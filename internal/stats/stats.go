@@ -67,21 +67,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Median returns the median, or 0 for an empty slice. The input is not
 // modified.
 func Median(xs []float64) float64 {
@@ -170,17 +155,4 @@ func (r *RNG) Norm(sigma float64) float64 {
 // noise reproduces.
 func (r *RNG) LogNorm(sigma float64) float64 {
 	return math.Exp(r.Norm(sigma))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -84,10 +84,7 @@ func TestSummaryStats(t *testing.T) {
 	if Min(xs) != 1 || Max(xs) != 4 {
 		t.Fatalf("Min/Max wrong")
 	}
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138089935) > 1e-6 {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatalf("empty-input conventions violated")
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
@@ -188,18 +185,6 @@ func TestLogNormMedian(t *testing.T) {
 		if v <= 0 {
 			t.Fatalf("LogNorm produced non-positive %v", v)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm invalid: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

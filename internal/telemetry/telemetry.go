@@ -164,34 +164,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 ≤ q ≤ 1)
-// from the bucket counts: the bound of the bucket containing the q·count-th
-// observation. Returns 0 with no observations or on a nil receiver.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen int64
-	for i := range h.counts {
-		seen += h.counts[i].Load()
-		if seen > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // Registry names and owns metrics. Lookup methods create on first use and
 // are safe for concurrent callers; a nil *Registry hands out nil metrics, so
 // the whole instrumentation tree collapses to pointer checks when telemetry

@@ -42,7 +42,7 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics reported non-zero values")
 	}
 	if err := reg.WritePrometheus(io.Discard); err != nil {
@@ -72,14 +72,18 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if math.Abs(h.Sum()-5056) > 1e-9 {
 		t.Fatalf("sum = %g, want 5056", h.Sum())
 	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %g, want bucket bound 1", q)
+	// Cumulative buckets as exposed: two at ≤ 1, the 5 at ≤ 10, the 50 at
+	// ≤ 100, and the 5000 only in the overflow bucket.
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
 	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Fatalf("q50 = %g, want 10", q)
-	}
-	if q := h.Quantile(1); !math.IsInf(q, 1) {
-		t.Fatalf("q100 = %g, want +Inf (overflow bucket)", q)
+	for _, want := range []string{
+		`lat_bucket{le="1"} 2`, `lat_bucket{le="10"} 3`, `lat_bucket{le="100"} 4`, `lat_bucket{le="+Inf"} 5`,
+	} {
+		if !strings.Contains(out.String(), want+"\n") {
+			t.Fatalf("exposition lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 

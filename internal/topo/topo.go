@@ -108,15 +108,6 @@ func (s Spec) CoreAt(global int) Core {
 	}
 }
 
-// GlobalIndex is the inverse of CoreAt.
-func (s Spec) GlobalIndex(c Core) int {
-	if c.Node < 0 || c.Node >= s.Nodes || c.Socket < 0 || c.Socket >= s.SocketsPerNode ||
-		c.Index < 0 || c.Index >= s.CoresPerSocket {
-		panic(fmt.Sprintf("topo: core %+v out of range for %q", c, s.Name))
-	}
-	return (c.Node*s.SocketsPerNode+c.Socket)*s.CoresPerSocket + c.Index
-}
-
 // Seat is a core's position with its cache slice resolved, so that
 // classifying a pair of seats is comparison only. Callers that classify the
 // same cores repeatedly (the fabric, once per simulated message) resolve
@@ -151,11 +142,6 @@ func (a Seat) ClassTo(b Seat) LinkClass {
 	default:
 		return SameSocket
 	}
-}
-
-// Classify returns the link class connecting two global core indices.
-func (s Spec) Classify(a, b int) LinkClass {
-	return s.SeatAt(a).ClassTo(s.SeatAt(b))
 }
 
 // QuadCluster returns the paper's first test system: 8 nodes of dual

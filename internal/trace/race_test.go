@@ -34,28 +34,6 @@ func TestRecorderHookConcurrent(t *testing.T) {
 	}
 }
 
-// TestRecorderResetConcurrentWithHook interleaves Reset with hook callbacks;
-// the point is the -race verdict, not the final event count.
-func TestRecorderResetConcurrentWithHook(t *testing.T) {
-	rec := &Recorder{}
-	hook := rec.Hook()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 1000; i++ {
-			hook(mpi.TraceEvent{Src: 0, Dst: 1, Sent: float64(i), Arrived: float64(i) + 1})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			rec.Reset()
-		}
-	}()
-	wg.Wait()
-}
-
 // TestTracedWorldUnderRace runs a real traced simulation, whose rank
 // goroutines drive the hook concurrently — the scenario the mutex exists for.
 func TestTracedWorldUnderRace(t *testing.T) {

@@ -37,25 +37,6 @@ func (r *Recorder) Hook() func(mpi.TraceEvent) {
 	}
 }
 
-// Reset discards recorded events.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.Events = nil
-	r.mu.Unlock()
-}
-
-// Latencies returns the observed per-message latency (arrival − send time)
-// for every event between src and dst; src or dst may be -1 for any.
-func (r *Recorder) Latencies(src, dst int) []float64 {
-	var out []float64
-	for _, e := range r.Events {
-		if (src == -1 || e.Src == src) && (dst == -1 || e.Dst == dst) {
-			out = append(out, e.Arrived-e.Sent)
-		}
-	}
-	return out
-}
-
 // Span returns the time interval covered by the recorded events.
 func (r *Recorder) Span() (start, end float64) {
 	if len(r.Events) == 0 {

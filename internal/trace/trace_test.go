@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"topobarrier/internal/baseline"
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/run"
@@ -14,7 +13,7 @@ import (
 
 func quadFabric(t testing.TB, p int) *fabric.Fabric {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +35,12 @@ func TestSpanAndLatencies(t *testing.T) {
 	if start != 0 || end != 30e-6 {
 		t.Fatalf("span = [%g, %g]", start, end)
 	}
-	all := r.Latencies(-1, -1)
-	if len(all) != 4 {
-		t.Fatalf("latencies = %v", all)
+	links := r.PerLink()
+	if len(links) != 4 {
+		t.Fatalf("per-link latencies = %+v", links)
 	}
-	from0 := r.Latencies(0, -1)
-	if len(from0) != 2 {
-		t.Fatalf("src filter broken: %v", from0)
-	}
-	exact := r.Latencies(1, 2)
-	if len(exact) != 1 || exact[0] != 15e-6 {
-		t.Fatalf("pair filter broken: %v", exact)
+	if l := links[2]; l.Src != 1 || l.Dst != 2 || l.Count != 1 || l.Mean != 15e-6 || l.Max != 15e-6 {
+		t.Fatalf("link 1→2 latency wrong: %+v", l)
 	}
 }
 
@@ -99,16 +93,12 @@ func TestTracedBarrierRun(t *testing.T) {
 	if chain[len(chain)-1].Arrived < end-1e-12 {
 		t.Fatalf("chain does not end at the final arrival")
 	}
-	rec.Reset()
-	if len(rec.Events) != 0 {
-		t.Fatalf("reset did not clear events")
-	}
 }
 
 func TestPerLinkSeparatesClasses(t *testing.T) {
 	p := 8
 	w, rec := NewTracedWorld(quadFabric(t, p))
-	if _, err := RunOnce(w, baseline.Dissemination); err != nil {
+	if _, err := RunOnce(w, run.ScheduleFunc(sched.Dissemination(p))); err != nil {
 		t.Fatal(err)
 	}
 	stats := rec.PerLink()
@@ -130,7 +120,7 @@ func TestPerLinkSeparatesClasses(t *testing.T) {
 func TestPerLinkObservesHierarchy(t *testing.T) {
 	p := 16 // two nodes under round-robin
 	w, rec := NewTracedWorld(quadFabric(t, p))
-	if _, err := RunOnce(w, baseline.Dissemination); err != nil {
+	if _, err := RunOnce(w, run.ScheduleFunc(sched.Dissemination(p))); err != nil {
 		t.Fatal(err)
 	}
 	f := quadFabric(t, p)

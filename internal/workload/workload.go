@@ -50,14 +50,6 @@ type BSPResult struct {
 	Overhead float64
 }
 
-// OverheadFraction returns Overhead/Total.
-func (r BSPResult) OverheadFraction() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return r.Overhead / r.Total
-}
-
 // RunBSP executes the workload on a world and returns its cost breakdown.
 func RunBSP(w *mpi.World, cfg BSPConfig) (BSPResult, error) {
 	if cfg.Iterations <= 0 {

@@ -15,7 +15,7 @@ import (
 
 func world(t testing.TB, p int, seed uint64) *mpi.World {
 	t.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, seed)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,6 @@ func TestPureSynchronizationWorkload(t *testing.T) {
 	if res.Total <= 0 || res.Overhead != res.Total {
 		t.Fatalf("pure-sync accounting wrong: %+v", res)
 	}
-	if res.OverheadFraction() != 1 {
-		t.Fatalf("overhead fraction = %g", res.OverheadFraction())
-	}
 }
 
 func TestComputeDominatedWorkload(t *testing.T) {
@@ -66,8 +63,8 @@ func TestComputeDominatedWorkload(t *testing.T) {
 	if math.Abs(res.IdealCompute-5*10e-3) > 1e-9 {
 		t.Fatalf("ideal compute = %g, want 50ms", res.IdealCompute)
 	}
-	if res.OverheadFraction() > 0.15 {
-		t.Fatalf("overhead fraction %g too high for coarse grain", res.OverheadFraction())
+	if frac := res.Overhead / res.Total; frac > 0.15 {
+		t.Fatalf("overhead fraction %g too high for coarse grain", frac)
 	}
 	if res.Overhead <= 0 {
 		t.Fatalf("overhead = %g", res.Overhead)

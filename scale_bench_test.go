@@ -64,7 +64,7 @@ func BenchmarkKnowledgeClosure(b *testing.B) {
 		b.Run(fmt.Sprintf("P%d/scratch", p), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				ks := s.Knowledge()
-				if !ks[len(ks)-1].AllSet() {
+				if ks[len(ks)-1].Count() != p*p {
 					b.Fatal("dissemination must close")
 				}
 			}

@@ -18,7 +18,7 @@ import (
 
 func throughputPredictor(b testing.TB, p int) *predict.Predictor {
 	b.Helper()
-	f, err := fabric.QuadClusterFabric(topo.RoundRobin{}, p, 1)
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func BenchmarkSearchWorkerScaling(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: 3, Steps: 1500, Restarts: 8, Workers: workers, ExchangeEvery: 500,
+					Seed: 3, Steps: 1500, Restarts: 8, Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

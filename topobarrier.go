@@ -232,14 +232,10 @@ func Validate(w *World, b BarrierFunc, delay float64, delayRanks []int) error {
 	return run.Validate(w, b, delay, delayRanks)
 }
 
-// Topology-neutral baselines (see internal/baseline).
-
-// MPIBarrier is the binomial-tree barrier, the stand-in for OpenMPI's
-// MPI_Barrier that the paper compares against.
+// MPIBarrier is the directly-coded, topology-neutral binomial-tree barrier,
+// the stand-in for OpenMPI's MPI_Barrier that the paper compares against
+// (see internal/baseline).
 func MPIBarrier(c *Comm, tagBase int) { baseline.Tree(c, tagBase) }
-
-// Baselines returns all directly-coded baseline barriers by name.
-func Baselines() map[string]BarrierFunc { return baseline.All() }
 
 // Adaptive tuning (see internal/core).
 type (

@@ -93,9 +93,6 @@ func TestPublicClusteringAndHeatMap(t *testing.T) {
 	if !strings.Contains(hm, "L matrix") {
 		t.Fatalf("heat map broken")
 	}
-	if len(topobarrier.Baselines()) != 4 {
-		t.Fatalf("baseline set changed")
-	}
 	if len(topobarrier.PaperBuilders()) != 3 || len(topobarrier.ExtendedBuilders()) != 5 {
 		t.Fatalf("builder sets changed")
 	}
