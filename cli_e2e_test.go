@@ -141,6 +141,25 @@ func TestCLIProfileCacheRoundTrip(t *testing.T) {
 		t.Fatalf("second profilecluster run did not hit the cache:\n%s", out)
 	}
 
+	// A hierarchy-driven profile (-full above 16 ranks) keeps its
+	// measured/estimated record through the cache: the hit reports the counts
+	// the measuring run did.
+	var coverage [2]string
+	for i := range coverage {
+		out := runCmd(t, "./cmd/profilecluster", "-cluster", "quad", "-p", "24", "-full", "-profile-cache", filepath.Join(dir, "sparse-cache"), "-o", filepath.Join(dir, "sparse.json"))
+		if hit := strings.Contains(out, "profile cache hit"); hit != (i == 1) {
+			t.Fatalf("sparse profilecluster run %d: cache hit = %v:\n%s", i, hit, out)
+		}
+		at := strings.Index(out, "measured ")
+		if at < 0 || !strings.Contains(out[at:], " of 276 pairs, ") || strings.Contains(out[at:], ", 0 estimated") {
+			t.Fatalf("sparse profilecluster run %d reports no estimated pairs:\n%s", i, out)
+		}
+		coverage[i] = strings.TrimSpace(out[at:])
+	}
+	if coverage[0] != coverage[1] {
+		t.Fatalf("provenance changed through the cache: %q, then %q", coverage[0], coverage[1])
+	}
+
 	var schedules [2][]byte
 	for i, name := range []string{"a.json", "b.json"} {
 		path := filepath.Join(dir, name)

@@ -1,0 +1,19 @@
+package probe
+
+import (
+	"topobarrier/internal/mpi"
+	"topobarrier/internal/profile"
+)
+
+// MeasureAllPairs is the reference the hierarchy-driven probe is compared
+// with: the dense leaf routine on the whole rank set, whatever its size.
+func MeasureAllPairs(w *mpi.World, cfg Config) (*profile.Profile, error) {
+	s, all, err := newSurvey(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.dense(all); err != nil {
+		return nil, err
+	}
+	return s.finish()
+}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/stats"
@@ -100,143 +101,132 @@ func (cfg Config) validate(p int) error {
 	return nil
 }
 
-type pair struct {
-	i, j  int // i < j; rank i initiates and records
-	class topo.LinkClass
-}
-
 // Measure profiles the world's platform and returns its topological model.
 // The profile is symmetric by construction (the paper's assumption that
 // round-trip cost is twice one-way cost).
 //
-// Pairs are scheduled as edge-colored tournament rounds (Rounds): within a
-// round every rank sits in at most one pair, and the pairs — already on
-// disjoint tag spaces — now also overlap in (virtual) time, collapsing the
-// O(P²) sequential pairwise blocks into ~P concurrent rounds. Disjoint pairs
-// use disjoint links, but the fabric has one noise stream, drawn in the
-// simulator's event order (time, then scheduling order): a given seed, rank
-// count and Config always interleave the pairs the same way and so reproduce
-// the profile bit for bit, while a different schedule of the same pairs draws
-// different noise and measures slightly different values.
+// Up to denseLimit ranks every pair is measured; above, the probe follows the
+// hierarchy (survey.sparse) and the profile's Provenance says which entries
+// are estimates. Either way the work is a sequence of phases, each one w.Run
+// over rounds of disjoint pairs on disjoint tag spaces, overlapping in
+// (virtual) time. The fabric has one noise stream, drawn in the simulator's
+// event order: a seed, rank count and Config reproduce the profile bit for
+// bit, while another schedule of the same pairs draws different noise.
 func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
-	p := w.Size()
-	if err := cfg.validate(p); err != nil {
+	s, all, err := newSurvey(w, cfg)
+	if err != nil {
 		return nil, err
 	}
-	fab := w.Fabric()
+	if !cfg.Replicate {
+		if err := s.sparse(all); err != nil {
+			return nil, err
+		}
+		return s.finish()
+	}
 
-	// Enumerate the unordered pairs to measure in tournament-round order;
-	// the Replicate filter keeps only the first pair of each link class.
-	var pairs []pair
-	rounds := Rounds(p)
-	sel := make(map[Pair]int, p*(p-1)/2) // scheduled pair → index into pairs
-	classRep := make(map[topo.LinkClass]bool)
-	for _, round := range rounds {
+	// §IV.B: measure the first pair of each link class in tournament order
+	// and replicate it across the class; Oii becomes the mean over ranks.
+	p, fab := len(all), w.Fabric()
+	var pairs []Pair
+	rep := make(map[topo.LinkClass]Pair)
+	for _, round := range Rounds(p) {
 		for _, pr := range round {
-			cl := fab.Class(pr.I, pr.J)
-			if cfg.Replicate {
-				if classRep[cl] {
-					continue
-				}
-				classRep[cl] = true
+			if _, ok := rep[fab.Class(pr.I, pr.J)]; !ok {
+				rep[fab.Class(pr.I, pr.J)] = pr
+				pairs = append(pairs, pr)
 			}
-			sel[pr] = len(pairs)
-			pairs = append(pairs, pair{i: pr.I, j: pr.J, class: cl})
 		}
 	}
-
-	oPair := make([]float64, len(pairs))
-	lPair := make([]float64, len(pairs))
-	pairErr := make([]error, len(pairs))
-	oii := make([]float64, p)
-	sizeXs := make([]float64, len(cfg.Sizes))
-	for k, s := range cfg.Sizes {
-		sizeXs[k] = float64(s)
+	if err := s.phase(pairs); err != nil {
+		return nil, err
 	}
-	batchXs := make([]float64, len(cfg.Batches))
-	for k, m := range cfg.Batches {
-		batchXs[k] = float64(m)
+	oii := 0.0
+	for i := 0; i < p; i++ {
+		oii += s.pf.O.At(i, i)
 	}
+	for i := 0; i < p; i++ {
+		s.pf.O.Set(i, i, oii/float64(p))
+		for j := i + 1; j < p; j++ {
+			r := rep[fab.Class(i, j)]
+			s.set(i, j, s.pf.O.At(r.I, r.J), s.pf.L.At(r.I, r.J), false)
+		}
+	}
+	return s.finish()
+}
 
-	if _, err := w.Run(func(c *mpi.Comm) {
+// newSurvey returns an empty survey of the world's platform and its ranks.
+func newSurvey(w *mpi.World, cfg Config) (*survey, []int, error) {
+	p := w.Size()
+	if err := cfg.validate(p); err != nil {
+		return nil, nil, err
+	}
+	sim := &simulator{w: w, cfg: cfg}
+	for _, n := range cfg.Sizes {
+		sim.sizeXs = append(sim.sizeXs, float64(n))
+	}
+	for _, m := range cfg.Batches {
+		sim.batchXs = append(sim.batchXs, float64(m))
+	}
+	all := make([]int, p)
+	for i := range all {
+		all[i] = i
+	}
+	return &survey{pf: profile.New(w.Fabric().Spec().Name, p), measure: sim.run, known: mat.NewBool(p), est: mat.NewBool(p)}, all, nil
+}
+
+// simulator is the survey's measuring side on the simulated runtime.
+type simulator struct {
+	w               *mpi.World
+	cfg             Config
+	sizeXs, batchXs []float64
+	selfDone        bool // Oii is measured once, at the end of the first phase
+}
+
+// run measures one phase: every rank walks the rounds of disjoint pairs in
+// order, the lower rank of a pair initiating and recording.
+func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
+	p := m.w.Size()
+	rounds := pairRounds(p, pairs)
+	pairErr := make([]error, p) // per initiating rank, in its round order
+	if _, err := m.w.Run(func(c *mpi.Comm) {
 		me := c.Rank()
 		for _, round := range rounds {
 			pr, ok := roundOf(round, me)
 			if !ok {
 				continue // bye round
 			}
-			pi, ok := sel[pr]
-			if !ok {
-				continue // filtered out by Replicate
-			}
 			tag := (pr.I*p + pr.J) * 8 // disjoint tag space per pair
-			if pr.I == me {
-				l, o, err := measureInitiator(c, pr.J, tag, cfg, sizeXs, batchXs)
-				if err != nil {
-					// Record and keep going: the protocol for this pair has
-					// already completed (fits fail after the sweeps), so
-					// staying in the round schedule keeps every later
-					// handshake aligned.
-					pairErr[pi] = fmt.Errorf("probe: pair (%d,%d): %w", pr.I, pr.J, err)
-					continue
-				}
-				lPair[pi], oPair[pi] = l, o
-			} else {
-				measureResponder(c, pr.I, tag, cfg)
+			if pr.J == me {
+				measureResponder(c, pr.I, tag, m.cfg)
+				continue
 			}
+			l, o, err := measureInitiator(c, pr.J, tag, m.cfg, m.sizeXs, m.batchXs)
+			if err != nil {
+				// Record and keep going: fits fail after the sweeps, so the
+				// pair's protocol is complete and later handshakes stay aligned.
+				pairErr[me] = errors.Join(pairErr[me], fmt.Errorf("probe: pair (%d,%d): %w", pr.I, pr.J, err))
+				continue
+			}
+			set(pr.I, pr.J, o, l)
+		}
+		if m.selfDone {
+			return
 		}
 		// Oii: mean of no-op initiation costs (every rank, measured locally).
-		samples := make([]float64, 0, cfg.Reps)
-		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
+		samples := make([]float64, 0, m.cfg.Reps)
+		for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
 			t0 := c.Wtime()
 			c.NoopInitiate()
-			if r >= cfg.Warmup {
+			if r >= m.cfg.Warmup {
 				samples = append(samples, c.Wtime()-t0)
 			}
 		}
-		oii[me] = stats.Mean(samples)
+		set(me, me, stats.Mean(samples), 0)
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	// Aggregate every failed pair by name rather than keeping only the last
-	// error: a multi-pair failure names all of them at once.
-	if err := errors.Join(pairErr...); err != nil {
-		return nil, err
-	}
-
-	// Assemble the profile, replicating class representatives if requested.
-	pf := profile.New(fab.Spec().Name, p)
-	byClass := make(map[topo.LinkClass][2]float64)
-	for pi, pr := range pairs {
-		byClass[pr.class] = [2]float64{oPair[pi], lPair[pi]}
-		pf.O.Set(pr.i, pr.j, oPair[pi])
-		pf.O.Set(pr.j, pr.i, oPair[pi])
-		pf.L.Set(pr.i, pr.j, lPair[pi])
-		pf.L.Set(pr.j, pr.i, lPair[pi])
-	}
-	if cfg.Replicate {
-		meanOii := stats.Mean(oii)
-		for i := 0; i < p; i++ {
-			oii[i] = meanOii
-			for j := i + 1; j < p; j++ {
-				v, ok := byClass[fab.Class(i, j)]
-				if !ok {
-					return nil, fmt.Errorf("probe: no representative for class %v", fab.Class(i, j))
-				}
-				pf.O.Set(i, j, v[0])
-				pf.O.Set(j, i, v[0])
-				pf.L.Set(i, j, v[1])
-				pf.L.Set(j, i, v[1])
-			}
-		}
-	}
-	for i := 0; i < p; i++ {
-		pf.O.Set(i, i, oii[i])
-	}
-	if err := pf.Validate(); err != nil {
-		return nil, err
-	}
-	return pf, nil
+	m.selfDone = true
+	return errors.Join(pairErr...) // every failed pair by name, not only the last
 }
 
 // floor keeps fitted parameters physically meaningful when noise produces a

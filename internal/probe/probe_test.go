@@ -1,13 +1,19 @@
 package probe
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/perftest"
+	"topobarrier/internal/profile"
+	"topobarrier/internal/sss"
 	"topobarrier/internal/stats"
 	"topobarrier/internal/topo"
 )
@@ -231,20 +237,108 @@ func TestPaperConfigShape(t *testing.T) {
 	}
 }
 
-func TestMeasureDeterministic(t *testing.T) {
-	run := func() float64 {
-		f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 8, fabric.GigEParams(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := Measure(mpi.NewWorld(f), Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pf.O.At(0, 7)
+// quadWorld is the paper's quad cluster, round-robin placed: at P = 64 the
+// ledger's paper_sim_p64 platform.
+func quadWorld(t testing.TB, p int, seed uint64) *mpi.World {
+	t.Helper()
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("profiling not reproducible: %g vs %g", a, b)
+	return mpi.NewWorld(f)
+}
+
+// measuredPairs counts the off-diagonal pairs of a probed profile that were
+// measured rather than estimated.
+func measuredPairs(pf *profile.Profile) int {
+	n := pf.P * (pf.P - 1) / 2
+	if pf.Provenance != nil {
+		n -= pf.Provenance.Estimated.Count() / 2
+	}
+	return n
+}
+
+// Two probes of one seed agree bit for bit — O, L and which entries are
+// estimates — on the dense path (P = 8) and through every phase of the
+// hierarchy-driven one (P = 64): the ledger's "rebuilding a draw must
+// reproduce its hash" rests on it.
+func TestMeasureDeterministic(t *testing.T) {
+	for _, p := range []int{8, 64} {
+		a, err := Measure(quadWorld(t, p, 7), Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Measure(quadWorld(t, p, 7), Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("P=%d: profiling not reproducible", p)
+		}
+		if sparse := a.Provenance != nil; sparse != (p > denseLimit) {
+			t.Fatalf("P=%d: provenance present = %v", p, sparse)
+		}
+	}
+}
+
+// cold_start_p8's simulator probe (two quad-core nodes, block-placed) is at
+// most denseLimit ranks, so it is the all-pairs protocol it always was: the
+// hash was taken at the commit before the probe learnt to cluster.
+func TestMeasureP8ProfileUnchanged(t *testing.T) {
+	spec := topo.Spec{Name: "2x quad-core", Nodes: 2, SocketsPerNode: 1, CoresPerSocket: 4, CacheGroup: 2}
+	f, err := fabric.New(spec, topo.Block{}, 8, fabric.GigEParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := Measure(mpi.NewWorld(f), Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for i := 0; i < pf.P; i++ {
+		for j := 0; j < pf.P; j++ {
+			fmt.Fprintf(h, "%x %x\n", pf.O.At(i, j), pf.L.At(i, j))
+		}
+	}
+	const want = "ed4a14335e4f8dd1c642cb4c2b7e6e427c1d44f7b8b84b1bd0eefdc016962c65"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || pf.Provenance != nil {
+		t.Fatalf("P=8 profile hash %s (provenance %v), want %s and none", got, pf.Provenance, want)
+	}
+}
+
+// The pair counts of the hierarchy-driven probe are exact and pinned: the
+// paper's quad cluster at P = 64 (acceptance: at most 760 of 2 016) and the
+// 16-node scale cluster at P = 256 (at most 20 % of 32 640). At both sizes
+// the sparse profile clusters at depth 1 the way the oracle profile does.
+func TestMeasurePairCounts(t *testing.T) {
+	scale, err := fabric.New(fabric.ScaleClusterSpec(256, 16), topo.Block{}, 256, fabric.GigEParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		w    *mpi.World
+		want int
+	}{
+		{quadWorld(t, 64, 1), 721},
+		{mpi.NewWorld(scale), 5985},
+	} {
+		p := tc.w.Size()
+		if p > 64 && (testing.Short() || perftest.RaceEnabled) {
+			continue // ≈ 2 s plain
+		}
+		pf, err := Measure(tc.w, Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv := pf.Provenance
+		t.Logf("P=%d: measured %d of %d pairs, %d spot-checked, %d blocks re-measured", p, measuredPairs(pf), p*(p-1)/2, pv.SpotChecked, pv.Remeasured)
+		if got := measuredPairs(pf); got != tc.want {
+			t.Errorf("P=%d: measured %d pairs, want %d", p, got, tc.want)
+		}
+		one := sss.Options{MaxDepth: 1}
+		if got, want := sss.Tree(pf, one).String(), sss.Tree(tc.w.Fabric().TrueProfile(), one).String(); got != want {
+			t.Errorf("P=%d: depth-1 clusters %s, oracle's %s", p, got, want)
+		}
 	}
 }
 
@@ -382,18 +476,42 @@ func TestMeasureAllocsScaleWithPairs(t *testing.T) {
 	}
 }
 
+// The P=64 twin: the hierarchy-driven probe adds, to the ≈ 12 allocations of
+// a measured pair, those of its phases — 19 here, each a World.Run bringing
+// up 64 coroutines at ≈ 12 allocations a rank — and must still allocate per
+// measured pair, not per message or per pair of the rank set.
+func TestMeasureAllocsScaleWithMeasuredPairs(t *testing.T) {
+	if perftest.RaceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	const perPair = 48
+	w := quadWorld(t, 64, 1)
+	var pf *profile.Profile
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if pf, err = Measure(w, Default()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pairs := float64(measuredPairs(pf))
+	t.Logf("probe.Measure at P=64: %.0f allocations, %.1f per measured pair (%.0f pairs)", allocs, allocs/pairs, pairs)
+	if allocs > perPair*pairs {
+		t.Fatalf("probe.Measure at P=64 allocated %.0f times, want <= %d per measured pair", allocs, perPair)
+	}
+}
+
 // BenchmarkProbeMeasureP64 is the cold-start cost the ledger's paper_sim_p64
-// workload is dominated by: the full all-pairs protocol on the §VI quad
-// cluster.
+// workload is dominated by: the hierarchy-driven protocol on the §VI quad
+// cluster. pairs/op is the number of pairs it actually measured.
 func BenchmarkProbeMeasureP64(b *testing.B) {
 	b.ReportAllocs()
+	pairs := 0
 	for i := 0; i < b.N; i++ {
-		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 64, fabric.GigEParams(1))
+		pf, err := Measure(quadWorld(b, 64, 1), Default())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Measure(mpi.NewWorld(f), Default()); err != nil {
-			b.Fatal(err)
-		}
+		pairs += measuredPairs(pf)
 	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 }

@@ -51,6 +51,24 @@ func Rounds(p int) [][]Pair {
 	return rounds
 }
 
+// pairRounds schedules an arbitrary set of distinct pairs over p ranks as
+// rounds of disjoint pairs: each pair, in the order given, takes the first
+// round after the last one either of its ranks already sits in, so every rank
+// keeps the order given. All pairs in tournament order come back as Rounds(p).
+func pairRounds(p int, pairs []Pair) [][]Pair {
+	free := make([]int, p) // the first round each rank is free in
+	var rounds [][]Pair
+	for _, pr := range pairs {
+		r := max(free[pr.I], free[pr.J])
+		if r == len(rounds) {
+			rounds = append(rounds, nil)
+		}
+		rounds[r] = append(rounds[r], pr)
+		free[pr.I], free[pr.J] = r+1, r+1
+	}
+	return rounds
+}
+
 // roundOf returns the pair containing rank me in the given round, if any.
 func roundOf(round []Pair, me int) (Pair, bool) {
 	for _, pr := range round {

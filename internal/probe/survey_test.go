@@ -1,0 +1,269 @@
+package probe
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"topobarrier/internal/mat"
+	"topobarrier/internal/profile"
+	"topobarrier/internal/sss"
+	"topobarrier/internal/stats"
+)
+
+// synthetic is a survey over a known truth: measuring a pair copies its true
+// O and L, and counts it.
+type synthetic struct {
+	*survey
+	truth    *profile.Profile
+	measured int
+	phases   int
+}
+
+func newSynthetic(truth *profile.Profile) *synthetic {
+	p := truth.P
+	sy := &synthetic{truth: truth}
+	sy.survey = &survey{pf: profile.New("synthetic", p), known: mat.NewBool(p), est: mat.NewBool(p)}
+	sy.measure = func(pairs []Pair, set func(i, j int, o, l float64)) error {
+		sy.phases++
+		for _, pr := range pairs {
+			if pr.I >= pr.J || sy.known.At(pr.I, pr.J) {
+				return fmt.Errorf("phase %d asks for pair %+v, malformed or already measured", sy.phases, pr)
+			}
+			set(pr.I, pr.J, truth.O.At(pr.I, pr.J), truth.L.At(pr.I, pr.J))
+		}
+		sy.measured += len(pairs)
+		return nil
+	}
+	return sy
+}
+
+func (sy *synthetic) run(t *testing.T) *profile.Profile {
+	t.Helper()
+	all := make([]int, sy.truth.P)
+	for i := range all {
+		all[i] = i
+	}
+	if err := sy.sparse(all); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := sy.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pf
+}
+
+// hierarchy is a random tree over a shuffled rank set: a pair's O is the
+// level value of its lowest common ancestor and its L a fixed fraction of it,
+// so the metric is an exact ultrametric with one value per link class. Each
+// level is at most 0.3 of the one above, well inside the 0.35 sparseness.
+type hierarchy struct {
+	ranks    []int
+	value    float64
+	children []*hierarchy
+}
+
+func randomHierarchy(rng *stats.RNG, ranks []int, value float64) *hierarchy {
+	h := &hierarchy{ranks: ranks, value: value}
+	if len(ranks) <= 2 || value < 1e-7 {
+		return h
+	}
+	k := min(2+rng.Intn(7), len(ranks))
+	// k-1 distinct interior cut points: the head of a shuffle of 1..n-1.
+	cuts := make([]int, len(ranks)-1)
+	for i := range cuts {
+		cuts[i] = i + 1
+	}
+	shuffle(rng, cuts)
+	cuts = append(cuts[:k-1], 0, len(ranks))
+	sort.Ints(cuts)
+	for c := 0; c+1 < len(cuts); c++ {
+		sub := ranks[cuts[c]:cuts[c+1]]
+		h.children = append(h.children, randomHierarchy(rng, sub, value*(0.05+0.25*rng.Float64())))
+	}
+	return h
+}
+
+func shuffle[T any](rng *stats.RNG, xs []T) {
+	for i := len(xs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+}
+
+func (h *hierarchy) fillTruth(pf *profile.Profile) {
+	for _, i := range h.ranks {
+		for _, j := range h.ranks {
+			if i != j {
+				pf.O.Set(i, j, h.value)
+				pf.L.Set(i, j, h.value/7)
+			}
+		}
+	}
+	for _, c := range h.children {
+		c.fillTruth(pf)
+	}
+}
+
+// bound is the most pairs the driver may measure on the hierarchy: all pairs
+// of a set of at most denseLimit ranks (or one with no level below it), and
+// otherwise a star per child plus the far sweep, one spot check per sibling
+// block, and the children's own bounds.
+func (h *hierarchy) bound() int {
+	n, k := len(h.ranks), len(h.children)
+	if n <= denseLimit || k == 0 {
+		return n * (n - 1) / 2
+	}
+	b := (k+1)*(n-1) + k*(k-1)/2
+	for _, c := range h.children {
+		b += c.bound()
+	}
+	return min(b, n*(n-1)/2)
+}
+
+func TestSparseOnRandomHierarchies(t *testing.T) {
+	for _, p := range []int{17, 33, 64, 120, 256} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			rng := stats.NewRNG(seed*1000 + uint64(p))
+			ranks := make([]int, p)
+			for i := range ranks {
+				ranks[i] = i
+			}
+			shuffle(rng, ranks)
+			h := randomHierarchy(rng, ranks, 100e-6)
+			truth := profile.New("truth", p)
+			h.fillTruth(truth)
+			for i := 0; i < p; i++ {
+				truth.O.Set(i, i, 1e-6)
+			}
+
+			sy := newSynthetic(truth)
+			pf := sy.run(t)
+			for i := 0; i < p; i++ {
+				for j := 0; j < p; j++ {
+					if i != j && (pf.O.At(i, j) != truth.O.At(i, j) || pf.L.At(i, j) != truth.L.At(i, j)) {
+						t.Fatalf("P=%d seed %d: entry (%d,%d) = %g/%g, class value %g/%g (estimated: %v)", p, seed, i, j,
+							pf.O.At(i, j), pf.L.At(i, j), truth.O.At(i, j), truth.L.At(i, j), sy.est.At(i, j))
+					}
+				}
+			}
+			if sy.refilled != 0 {
+				t.Errorf("P=%d seed %d: %d blocks re-measured on an exact hierarchy", p, seed, sy.refilled)
+			}
+			if got, want := sss.Tree(pf, sss.Options{}).String(), sss.Tree(truth, sss.Options{}).String(); got != want {
+				t.Errorf("P=%d seed %d: clusters of the sparse profile\n%s\nwant those of the full matrix\n%s", p, seed, got, want)
+			}
+			all, est := p*(p-1)/2, sy.est.Count()/2
+			if sy.measured+est != all || sy.measured > h.bound() {
+				t.Errorf("P=%d seed %d: measured %d + estimated %d of %d pairs, bound %d", p, seed, sy.measured, est, all, h.bound())
+			}
+			if seed == 1 {
+				t.Logf("P=%d: measured %d of %d pairs (bound %d) in %d phases", p, sy.measured, all, h.bound(), sy.phases)
+			}
+		}
+	}
+}
+
+// On a ring there is no hierarchy to find: the centre-link mean is wrong for
+// most pairs between two arcs. The spot checks must notice, and every block
+// they flag must come back measured; what stays estimated passed its check.
+func TestSparseOnRingFallsBack(t *testing.T) {
+	const p = 64
+	truth := profile.New("ring", p)
+	for i := 0; i < p; i++ {
+		truth.O.Set(i, i, 1e-6)
+		for j := 0; j < p; j++ {
+			if hops := min((i-j+p)%p, (j-i+p)%p); hops > 0 {
+				truth.O.Set(i, j, float64(hops)*10e-6)
+				truth.L.Set(i, j, float64(hops)*1e-6)
+			}
+		}
+	}
+	sy := newSynthetic(truth)
+	pf := sy.run(t)
+	if sy.refilled == 0 {
+		t.Fatalf("no block re-measured on a ring (%d spot checks)", sy.spotChecked)
+	}
+	worst := 0.0
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p; j++ {
+			e := relativeErr(pf.O.At(i, j), truth.O.At(i, j))
+			if !sy.est.At(i, j) && e != 0 {
+				t.Fatalf("measured entry (%d,%d) = %g, truth %g", i, j, pf.O.At(i, j), truth.O.At(i, j))
+			}
+			worst = max(worst, e)
+		}
+	}
+	est := sy.est.Count() / 2
+	if pv := pf.Provenance; est > 0 && (pv == nil || pv.Remeasured != sy.refilled || pv.SpotChecked != sy.spotChecked) {
+		t.Fatalf("provenance %+v does not record %d spot checks, %d re-measured blocks", pv, sy.spotChecked, sy.refilled)
+	}
+	t.Logf("ring P=%d: %d of %d spot-checked blocks fell back; measured %d of %d pairs, %d estimated, worst surviving estimate off by %.0f%%",
+		p, sy.refilled, sy.spotChecked, sy.measured, p*(p-1)/2, est, 100*worst)
+}
+
+// An entry nobody measured or estimated is a free link to the model: finish
+// must refuse the profile and name the pair.
+func TestFinishRefusesUnmeasuredEntry(t *testing.T) {
+	truth := profile.New("truth", 4)
+	sy := newSynthetic(truth)
+	if err := sy.phase([]Pair{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sy.finish(); err == nil || err.Error() != "probe: pair (1,3) was neither measured nor estimated" {
+		t.Fatalf("finish() = %v, want it to name pair (1,3)", err)
+	}
+}
+
+// pairRounds: the all-pairs tournament order comes back as Rounds(p), and an
+// arbitrary pair set becomes rounds of disjoint pairs that keep, per rank,
+// the order the pairs were listed in.
+func TestPairRounds(t *testing.T) {
+	for p := 2; p <= 33; p++ {
+		var flatList []Pair
+		for _, round := range Rounds(p) {
+			flatList = append(flatList, round...)
+		}
+		if got := pairRounds(p, flatList); !reflect.DeepEqual(got, Rounds(p)) {
+			t.Fatalf("p=%d: pairRounds of the tournament order is not Rounds(p)", p)
+		}
+	}
+	rng := stats.NewRNG(5)
+	for trial := 0; trial < 50; trial++ {
+		p := 2 + rng.Intn(40)
+		var pairs []Pair
+		for i := 0; i < p; i++ {
+			for j := i + 1; j < p; j++ {
+				if rng.Intn(3) == 0 {
+					pairs = append(pairs, Pair{i, j})
+				}
+			}
+		}
+		shuffle(rng, pairs)
+		perRank := make([][]Pair, p)
+		for _, round := range pairRounds(p, pairs) {
+			in := map[int]bool{}
+			for _, pr := range round {
+				if in[pr.I] || in[pr.J] {
+					t.Fatalf("trial %d: a rank sits twice in round %v", trial, round)
+				}
+				in[pr.I], in[pr.J] = true, true
+				perRank[pr.I] = append(perRank[pr.I], pr)
+				perRank[pr.J] = append(perRank[pr.J], pr)
+			}
+		}
+		want := make([][]Pair, p)
+		for _, pr := range pairs {
+			want[pr.I] = append(want[pr.I], pr)
+			want[pr.J] = append(want[pr.J], pr)
+		}
+		if !reflect.DeepEqual(perRank, want) {
+			t.Fatalf("trial %d: per-rank pair order changed by the round assignment", trial)
+		}
+	}
+	if got := pairRounds(4, nil); got != nil {
+		t.Fatalf("pairRounds of no pairs = %v", got)
+	}
+}

@@ -131,6 +131,11 @@ func FuzzProfileCacheEntry(f *testing.F) {
 	f.Add(fmt.Appendf(nil, `{"fingerprint":%q,"profile":{"platform":"x","p":2,"o":[[0,1],[0]],"l":[[0,1],[1,0]]}}`, fp))
 	f.Add(fmt.Appendf(nil, `{"fingerprint":%q,"profile":{"p":-1,"o":[],"l":[]}}`, fp))
 	f.Add([]byte(`{not json`))
+	sparse, err := json.Marshal(cacheEntry{Fingerprint: string(fp), Profile: sparseSample()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sparse)
 	c := &Cache{Dir: f.TempDir()}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(c.Path(fp), data, 0o644); err != nil {

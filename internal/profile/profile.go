@@ -33,6 +33,22 @@ type Profile struct {
 	// L[i][j] estimates the marginal latency of adding a message from i to j
 	// to a non-empty simultaneous send batch.
 	L *mat.Dense
+	// Provenance says which off-diagonal entries a hierarchy-driven probe
+	// estimated instead of measuring; nil means every entry was measured (or
+	// the profile's source does not say).
+	Provenance *Provenance
+}
+
+// Provenance is the measured/estimated record of a sparse probe.
+type Provenance struct {
+	// Estimated is symmetric: (i, j) is set when O and L of the pair are the
+	// mean of the two measured rank → cluster-centre links rather than a
+	// measurement of the pair itself.
+	Estimated *mat.Bool
+	// SpotChecked counts the sibling-cluster blocks whose estimate was held
+	// against one fresh measurement; Remeasured counts the blocks that
+	// missed it and were then measured in full.
+	SpotChecked, Remeasured int
 }
 
 // New returns an empty profile for p processes.
@@ -56,6 +72,9 @@ func (pr *Profile) Validate() error {
 		if o[k] < 0 || l[k] < 0 {
 			return fmt.Errorf("profile: negative cost at (%d,%d)", k/pr.P, k%pr.P)
 		}
+	}
+	if pv := pr.Provenance; pv != nil && (pv.Estimated == nil || pv.Estimated.N() != pr.P) {
+		return fmt.Errorf("profile: provenance does not cover P=%d", pr.P)
 	}
 	return nil
 }
@@ -86,7 +105,8 @@ func (pr *Profile) Diameter() float64 {
 }
 
 // Sub returns the profile restricted to the given ranks; entry (a, b) of the
-// result describes the pair (ranks[a], ranks[b]) of the original.
+// result describes the pair (ranks[a], ranks[b]) of the original. It is the
+// tuner's pricing view and does not carry Provenance.
 func (pr *Profile) Sub(ranks []int) *Profile {
 	return &Profile{
 		Platform: pr.Platform,
@@ -102,6 +122,17 @@ type profileJSON struct {
 	P        int         `json:"p"`
 	O        [][]float64 `json:"o"`
 	L        [][]float64 `json:"l"`
+	// Provenance is absent when every entry was measured, so profiles written
+	// before sparse probing load, and save again, byte for byte.
+	Provenance *provenanceJSON `json:"provenance,omitempty"`
+}
+
+// provenanceJSON lists, for each rank i, the ranks j > i whose pair (i, j)
+// is an estimate.
+type provenanceJSON struct {
+	Estimated   [][]int `json:"estimated"`
+	SpotChecked int     `json:"spot_checked"`
+	Remeasured  int     `json:"remeasured_blocks"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -109,6 +140,17 @@ func (pr *Profile) MarshalJSON() ([]byte, error) {
 	enc := profileJSON{Platform: pr.Platform, P: pr.P}
 	enc.O = toRows(pr.O)
 	enc.L = toRows(pr.L)
+	if pv := pr.Provenance; pv != nil {
+		enc.Provenance = &provenanceJSON{Estimated: make([][]int, pr.P), SpotChecked: pv.SpotChecked, Remeasured: pv.Remeasured}
+		for i := range enc.Provenance.Estimated {
+			enc.Provenance.Estimated[i] = []int{}
+		}
+		pv.Estimated.Each(func(i, j int) {
+			if i < j {
+				enc.Provenance.Estimated[i] = append(enc.Provenance.Estimated[i], j)
+			}
+		})
+	}
 	return json.Marshal(enc)
 }
 
@@ -130,6 +172,22 @@ func (pr *Profile) UnmarshalJSON(data []byte) error {
 	pr.P = dec.P
 	pr.O = mat.DenseFromRows(dec.O)
 	pr.L = mat.DenseFromRows(dec.L)
+	pr.Provenance = nil
+	if pj := dec.Provenance; pj != nil {
+		if len(pj.Estimated) != dec.P {
+			return fmt.Errorf("profile: provenance of %d rows for P=%d", len(pj.Estimated), dec.P)
+		}
+		pr.Provenance = &Provenance{Estimated: mat.NewBool(dec.P), SpotChecked: pj.SpotChecked, Remeasured: pj.Remeasured}
+		for i, row := range pj.Estimated {
+			for _, j := range row {
+				if j <= i || j >= dec.P {
+					return fmt.Errorf("profile: provenance row %d lists rank %d, want %d < j < %d", i, j, i, dec.P)
+				}
+				pr.Provenance.Estimated.Set(i, j, true)
+				pr.Provenance.Estimated.Set(j, i, true)
+			}
+		}
+	}
 	return pr.Validate()
 }
 

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"strings"
@@ -105,15 +107,77 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// sparseSample is sample() as a hierarchy-driven probe would leave it: the
+// cross-node pairs (1,2) and (1,3) estimated, one block spot-checked.
+func sparseSample() *Profile {
+	pr := sample()
+	pr.Provenance = &Provenance{Estimated: mat.NewBool(4), SpotChecked: 1}
+	for _, e := range [][2]int{{1, 2}, {1, 3}} {
+		pr.Provenance.Estimated.Set(e[0], e[1], true)
+		pr.Provenance.Estimated.Set(e[1], e[0], true)
+	}
+	return pr
+}
+
+// Provenance survives the file format, and a profile without it — every
+// profile written before sparse probing — encodes to the bytes it always did.
+func TestProvenanceRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	pr := sparseSample()
+	if err := pr.Save(filepath.Join(dir, "sparse.json")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(filepath.Join(dir, "sparse.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Provenance == nil || !got.Provenance.Estimated.Equal(pr.Provenance.Estimated) ||
+		got.Provenance.SpotChecked != 1 || got.Provenance.Remeasured != 0 {
+		t.Fatalf("provenance lost: %+v", got.Provenance)
+	}
+	again, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := json.Marshal(pr)
+	if !bytes.Equal(first, again) {
+		t.Fatalf("sparse profile re-encodes differently:\n%s\n%s", first, again)
+	}
+	if want := `"provenance":{"estimated":[[],[2,3],[],[]],"spot_checked":1,"remeasured_blocks":0}`; !bytes.Contains(first, []byte(want)) {
+		t.Fatalf("encoding %s lacks %s", first, want)
+	}
+
+	const old = `{"platform":"x","p":2,"o":[[0.000001,0.000002],[0.000002,0.000001]],"l":[[0,0.000005],[0.000005,0]]}`
+	full := new(Profile)
+	if err := json.Unmarshal([]byte(old), full); err != nil {
+		t.Fatal(err)
+	}
+	if full.Provenance != nil {
+		t.Fatalf("a profile without the field decoded with provenance %+v", full.Provenance)
+	}
+	if out, _ := json.Marshal(full); string(out) != old {
+		t.Fatalf("fully measured profile re-encodes as\n%s\nwant\n%s", out, old)
+	}
+
+	short := sparseSample()
+	short.Provenance.Estimated = mat.NewBool(3)
+	if err := short.Validate(); err == nil {
+		t.Fatal("provenance of the wrong size accepted")
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatalf("missing file accepted")
 	}
 	for name, data := range map[string]string{
-		"truncated matrices": `{"platform":"x","p":3,"o":[[0]],"l":[[0]]}`,
-		"ragged O row":       `{"platform":"x","p":2,"o":[[0,1],[0]],"l":[[0,1],[1,0]]}`,
-		"ragged L row":       `{"platform":"x","p":2,"o":[[0,1],[1,0]],"l":[[0,1,2],[1,0]]}`,
-		"garbage":            `not json`,
+		"truncated matrices":  `{"platform":"x","p":3,"o":[[0]],"l":[[0]]}`,
+		"ragged O row":        `{"platform":"x","p":2,"o":[[0,1],[0]],"l":[[0,1],[1,0]]}`,
+		"ragged L row":        `{"platform":"x","p":2,"o":[[0,1],[1,0]],"l":[[0,1,2],[1,0]]}`,
+		"garbage":             `not json`,
+		"short provenance":    `{"platform":"x","p":2,"o":[[0,1],[1,0]],"l":[[0,1],[1,0]],"provenance":{"estimated":[[1]]}}`,
+		"provenance diagonal": `{"platform":"x","p":2,"o":[[0,1],[1,0]],"l":[[0,1],[1,0]],"provenance":{"estimated":[[0],[]]}}`,
+		"provenance range":    `{"platform":"x","p":2,"o":[[0,1],[1,0]],"l":[[0,1],[1,0]],"provenance":{"estimated":[[2],[]]}}`,
 	} {
 		if err := new(Profile).UnmarshalJSON([]byte(data)); err == nil {
 			t.Fatalf("%s accepted", name)

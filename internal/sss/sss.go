@@ -108,27 +108,28 @@ func diameter(pr *profile.Profile, ranks []int) float64 {
 	return diam
 }
 
-// flat partitions the given ranks by one SSS pass using the profile metric:
-// a rank farther than threshold (sparseness × the subset's diameter) from
-// every centre founds a new cluster. The first listed rank seeds the first
-// cluster. Returned clusters preserve founding order; each cluster's ranks
-// are sorted.
-func flat(pr *profile.Profile, ranks []int, threshold float64) [][]int {
+// Flat partitions the given ranks by one SSS pass over the metric dist: a
+// rank farther than threshold (sparseness × the subset's diameter) from every
+// centre founds a new cluster; the first listed rank seeds the first. dist is
+// only asked for rank → centre distances, centre second, so a probe can
+// measure a centre's links when the pass first asks about it. Clusters keep
+// founding order, ranks sorted; centres[k] is the rank that founded clusters[k].
+func Flat(ranks []int, threshold float64, dist func(r, centre int) float64) (clusters [][]int, centres []int) {
 	if len(ranks) == 0 {
-		return nil
+		return nil, nil
 	}
-	centers := []int{ranks[0]}
-	clusters := [][]int{{ranks[0]}}
+	centres = []int{ranks[0]}
+	clusters = [][]int{{ranks[0]}}
 	for _, r := range ranks[1:] {
 		best, bestDist := -1, 0.0
-		for ci, c := range centers {
-			d := pr.Distance(r, c)
+		for ci, c := range centres {
+			d := dist(r, c)
 			if best == -1 || d < bestDist {
 				best, bestDist = ci, d
 			}
 		}
 		if bestDist > threshold {
-			centers = append(centers, r)
+			centres = append(centres, r)
 			clusters = append(clusters, []int{r})
 			continue
 		}
@@ -137,7 +138,7 @@ func flat(pr *profile.Profile, ranks []int, threshold float64) [][]int {
 	for _, cl := range clusters {
 		sort.Ints(cl)
 	}
-	return clusters
+	return clusters, centres
 }
 
 // Tree builds the recursive topology hierarchy over all ranks of the profile.
@@ -164,7 +165,7 @@ func build(pr *profile.Profile, ranks []int, opts Options, depth int) *Node {
 	if diam <= opts.MinDiameter {
 		return n
 	}
-	clusters := flat(pr, sorted, opts.sparseness()*diam)
+	clusters, _ := Flat(sorted, opts.sparseness()*diam, pr.Distance)
 	if len(clusters) <= 1 {
 		return n
 	}

@@ -21,6 +21,22 @@ func quadProfile(t testing.TB, pl topo.Placement, p int) *profile.Profile {
 	return f.TrueProfile()
 }
 
+// flatOf is one SSS pass over the profile's own metric; it also holds Flat to
+// its centre contract: centres[k] founded, and belongs to, clusters[k].
+func flatOf(t *testing.T, pr *profile.Profile, ranks []int, threshold float64) [][]int {
+	t.Helper()
+	clusters, centres := Flat(ranks, threshold, pr.Distance)
+	if len(centres) != len(clusters) {
+		t.Fatalf("%d centres for %d clusters", len(centres), len(clusters))
+	}
+	for k, c := range centres {
+		if i := sort.SearchInts(clusters[k], c); i == len(clusters[k]) || clusters[k][i] != c {
+			t.Fatalf("centre %d is not in its cluster %v", c, clusters[k])
+		}
+	}
+	return clusters
+}
+
 func nodesOf(t *testing.T, clusters [][]int, pr *profile.Profile) {
 	t.Helper()
 	for _, cl := range clusters {
@@ -40,7 +56,7 @@ func TestFlatFindsNodeClustersBlock(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	clusters := flat(pr, all, DefaultSparseness*diameter(pr, all))
+	clusters := flatOf(t, pr, all, DefaultSparseness*diameter(pr, all))
 	if len(clusters) != 3 {
 		t.Fatalf("found %d clusters, want 3 nodes: %v", len(clusters), clusters)
 	}
@@ -59,7 +75,7 @@ func TestFlatFindsNodeClustersRoundRobin(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	clusters := flat(pr, all, DefaultSparseness*diameter(pr, all))
+	clusters := flatOf(t, pr, all, DefaultSparseness*diameter(pr, all))
 	if len(clusters) != 3 {
 		t.Fatalf("found %d clusters, want 3: %v", len(clusters), clusters)
 	}
@@ -80,10 +96,10 @@ func TestFlatFindsNodeClustersRoundRobin(t *testing.T) {
 
 func TestFlatSingletonAndEmpty(t *testing.T) {
 	pr := quadProfile(t, topo.Block{}, 8)
-	if got := flat(pr, []int{5}, 0.35*diameter(pr, []int{5})); len(got) != 1 || got[0][0] != 5 {
+	if got := flatOf(t, pr, []int{5}, 0.35*diameter(pr, []int{5})); len(got) != 1 || got[0][0] != 5 {
 		t.Fatalf("singleton clustering = %v", got)
 	}
-	if got := flat(pr, nil, 0.35*diameter(pr, nil)); got != nil {
+	if got := flatOf(t, pr, nil, 0.35*diameter(pr, nil)); got != nil {
 		t.Fatalf("empty clustering = %v", got)
 	}
 }
@@ -98,7 +114,7 @@ func TestFlatUniformDistancesSplitToSingletons(t *testing.T) {
 		}
 	}
 	all := []int{0, 1, 2, 3, 4}
-	clusters := flat(pr, all, 0.35*diameter(pr, all))
+	clusters := flatOf(t, pr, all, 0.35*diameter(pr, all))
 	if len(clusters) != 5 {
 		t.Fatalf("uniform profile produced %d clusters, want 5 singletons", len(clusters))
 	}
@@ -202,12 +218,12 @@ func TestSparsenessExtremes(t *testing.T) {
 		all[i] = i
 	}
 	// Sparseness 1: nothing exceeds the diameter, so one cluster remains.
-	one := flat(pr, all, 1.0*diameter(pr, all))
+	one := flatOf(t, pr, all, 1.0*diameter(pr, all))
 	if len(one) != 1 {
 		t.Fatalf("near-1 sparseness produced %d clusters", len(one))
 	}
 	// Tiny sparseness: everything splits apart.
-	many := flat(pr, all, 1e-9*diameter(pr, all))
+	many := flatOf(t, pr, all, 1e-9*diameter(pr, all))
 	if len(many) != 16 {
 		t.Fatalf("tiny sparseness produced %d clusters", len(many))
 	}
