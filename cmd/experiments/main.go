@@ -39,13 +39,9 @@ func main() {
 	cfg.Iters = *iters
 	cfg.Warmup = *warmup
 	cfg.Congestion = *congestion
-	switch *placement {
-	case "round-robin":
-		cfg.Placement = topo.RoundRobin{}
-	case "block":
-		cfg.Placement = topo.Block{}
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown placement %q\n", *placement)
+	var err error
+	if cfg.Placement, err = topo.PlacementByName(*placement); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 

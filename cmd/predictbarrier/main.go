@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
@@ -44,28 +43,17 @@ func main() {
 		fatal(fmt.Errorf("unknown policy %q", *policy))
 	}
 
-	gens := map[string]func(int) *sched.Schedule{
-		"linear":             sched.Linear,
-		"dissemination":      sched.Dissemination,
-		"tree":               sched.Tree,
-		"ring":               sched.Ring,
-		"recursive-doubling": sched.RecursiveDoubling,
-	}
-	var names []string
+	names := []string{*alg}
 	if *alg == "all" {
-		for n := range gens {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-	} else if _, ok := gens[*alg]; ok {
-		names = []string{*alg}
-	} else {
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
+		names = []string{"dissemination", "linear", "recursive-doubling", "ring", "tree"}
 	}
 
 	fmt.Printf("platform: %s (P=%d), policy %s\n", pf.Platform, pf.P, pd.Policy)
 	for _, n := range names {
-		s := gens[n](pf.P)
+		s, err := sched.Named(n, pf.P)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("%-22s %2d stages %5d signals predicted %9.1fµs\n",
 			n, s.NumStages(), s.SignalCount(), pd.Cost(s)*1e6)
 	}

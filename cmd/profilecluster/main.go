@@ -49,14 +49,14 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := specFor(*cluster)
+	spec, err := topo.ClusterByName(*cluster)
 	if err != nil {
 		fatal(err)
 	}
 	if *p == 0 {
 		*p = spec.TotalCores()
 	}
-	pl, err := placementFor(*placement)
+	pl, err := topo.PlacementByName(*placement)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,30 +113,6 @@ func main() {
 	if *heat {
 		fmt.Println(profile.HeatMap(pf.O, "O matrix [seconds]"))
 		fmt.Println(profile.HeatMap(pf.L, "L matrix [seconds]"))
-	}
-}
-
-func specFor(name string) (topo.Spec, error) {
-	switch name {
-	case "quad":
-		return topo.QuadCluster(), nil
-	case "hex":
-		return topo.HexCluster(), nil
-	case "single":
-		return topo.SingleNode(2, 4, 2), nil
-	default:
-		return topo.Spec{}, fmt.Errorf("unknown cluster %q", name)
-	}
-}
-
-func placementFor(name string) (topo.Placement, error) {
-	switch name {
-	case "round-robin":
-		return topo.RoundRobin{}, nil
-	case "block":
-		return topo.Block{}, nil
-	default:
-		return nil, fmt.Errorf("unknown placement %q", name)
 	}
 }
 

@@ -52,11 +52,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,7 +105,7 @@ func main() {
 	)
 	flag.Parse()
 
-	name, fn, s, err := resolve(*alg, *p)
+	name, fn, s, pl, err := resolve(*alg, *p)
 	if err != nil {
 		fatal(err)
 	}
@@ -142,7 +141,7 @@ func main() {
 	}
 
 	if *netRun {
-		nodes, err := colocationNodes(*transport, *colocate, *cluster, *placement, *p)
+		nodes, err := netmpi.Colocation(*transport, *colocate, *cluster, *placement, *p)
 		if err != nil {
 			fatal(err)
 		}
@@ -156,7 +155,7 @@ func main() {
 			}
 			rc = &retuneConfig{drift: *retuneDrift, interval: *retuneInterval, budget: *retuneBudget}
 		}
-		if err := runNet(name, s, *p, nodes, *warmup, *iters, *netDead, *netDial, *netFault, reg, tracer, *traceOut, flight, rc); err != nil {
+		if err := runNet(name, s, pl, nodes, *warmup, *iters, *netDead, *netDial, *netFault, reg, tracer, *traceOut, flight, rc); err != nil {
 			fatal(err)
 		}
 		return
@@ -171,26 +170,15 @@ func main() {
 		fatal(fmt.Errorf("-retune closes the loop on a live mesh; it requires -net"))
 	}
 
-	var spec topo.Spec
-	switch *cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *cluster))
+	spec, err := topo.ClusterByName(*cluster)
+	if err != nil {
+		fatal(err)
 	}
-	var pl topo.Placement
-	switch *placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		fatal(fmt.Errorf("unknown placement %q", *placement))
+	place, err := topo.PlacementByName(*placement)
+	if err != nil {
+		fatal(err)
 	}
-
-	fab, err := fabric.New(spec, pl, *p, fabric.GigEParams(*seed))
+	fab, err := fabric.New(spec, place, *p, fabric.GigEParams(*seed))
 	if err != nil {
 		fatal(err)
 	}
@@ -214,90 +202,34 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("%s on %s, P=%d (%s): %.1fµs/barrier (%d iters, %d warmup)\n",
-		name, spec.Name, *p, pl.Name(), m.Mean*1e6, m.Iters, m.Warmup)
+		name, spec.Name, *p, place.Name(), m.Mean*1e6, m.Iters, m.Warmup)
 }
 
-// resolve maps an -alg value to an executable barrier: a simulator function
-// always, plus the underlying schedule when the algorithm has one (the
-// hard-coded mpi baseline does not, so it cannot run with -net).
-func resolve(alg string, p int) (string, run.Func, *sched.Schedule, error) {
-	switch alg {
-	case "mpi":
-		return "MPI barrier (binomial tree)", baseline.Tree, nil, nil
-	case "rd":
-		return "recursive doubling (schedule)", run.ScheduleFunc(sched.RecursiveDoubling(p)), sched.RecursiveDoubling(p), nil
-	case "tree":
-		return "tree (schedule)", run.ScheduleFunc(sched.Tree(p)), sched.Tree(p), nil
-	case "linear":
-		return "linear (schedule)", run.ScheduleFunc(sched.Linear(p)), sched.Linear(p), nil
-	case "dissemination":
-		return "dissemination (schedule)", run.ScheduleFunc(sched.Dissemination(p)), sched.Dissemination(p), nil
+// resolve maps an -alg value to an executable barrier: the hard-coded mpi
+// baseline, which has no schedule and so cannot run with -net, or a named or
+// stored schedule (sched.Named) compiled to its plan. Schedules are vetted
+// before execution and refused on Error-severity findings, with the full
+// diagnosis; warnings do not gate execution, but silently dropping them hides
+// real hazards (rendezvous cycles, silent ranks) from the operator.
+func resolve(alg string, p int) (string, run.Func, *sched.Schedule, *run.Plan, error) {
+	if alg == "mpi" {
+		return "MPI barrier (binomial tree)", baseline.Tree, nil, nil, nil
 	}
-	if strings.HasSuffix(alg, ".json") {
-		data, err := os.ReadFile(alg)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		var s sched.Schedule
-		if err := json.Unmarshal(data, &s); err != nil {
-			return "", nil, nil, fmt.Errorf("decoding %s: %w", alg, err)
-		}
-		if s.P != p {
-			return "", nil, nil, fmt.Errorf("schedule %q is for %d ranks, job has %d", s.Name, s.P, p)
-		}
-		// Loaded schedules are untrusted: vet them before execution and
-		// refuse Error-severity findings with the full diagnosis.
-		plan, rep, err := analyze.Vet(&s, analyze.Options{SkipRedundancy: true})
-		if err != nil {
-			fmt.Fprint(os.Stderr, rep)
-			return "", nil, nil, fmt.Errorf("schedule %s fails barriervet: %w", alg, err)
-		}
-		if n := rep.Count(analyze.Warning); n > 0 {
-			fmt.Fprintf(os.Stderr, "barriervet: %d warnings for %q (run cmd/barriervet for details)\n", n, s.Name)
-		}
-		return s.Name + " (compiled plan)", plan.Func(), &s, nil
+	s, err := sched.Named(alg, p)
+	if err != nil {
+		return "", nil, nil, nil, err
 	}
-	return "", nil, nil, fmt.Errorf("unknown algorithm %q", alg)
-}
-
-// colocationNodes resolves the -transport/-colocate flags into a co-location
-// vector: nil for a pure-TCP mesh, a node-id vector for hybrid. With hybrid
-// and no explicit -colocate, the vector is derived from the named cluster
-// topology and placement — the ranks the simulator would put on one node
-// share shared memory on the live mesh too.
-func colocationNodes(transport, colocate, cluster, placement string, p int) ([]int, error) {
-	switch transport {
-	case "tcp":
-		if colocate != "" {
-			return nil, fmt.Errorf("-colocate needs -transport hybrid")
+	pl, rep, err := analyze.Vet(s, analyze.Options{SkipRedundancy: true})
+	if err != nil {
+		fmt.Fprint(os.Stderr, rep)
+		return "", nil, nil, nil, fmt.Errorf("schedule %s fails barriervet: %w", alg, err)
+	}
+	for _, f := range rep.Findings {
+		if f.Severity == analyze.Warning {
+			fmt.Fprintf(os.Stderr, "barriervet: %s\n", f)
 		}
-		return nil, nil
-	case "hybrid":
-	default:
-		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
 	}
-	if colocate != "" {
-		return netmpi.ParseColocation(colocate, p)
-	}
-	var spec topo.Spec
-	switch cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", cluster)
-	}
-	var pl topo.Placement
-	switch placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-	return netmpi.NodesFromPlacement(spec, pl, p)
+	return s.Name + " (compiled plan)", pl.Func(), s, pl, nil
 }
 
 // retuneConfig carries the -retune knobs into runNet.
@@ -314,23 +246,9 @@ type retuneConfig struct {
 // applies to the TCP links only (the faultnet injectors wrap net.Conn). A
 // non-nil rc runs the measurement through epoch runners with the online
 // retuning controller attached.
-func runNet(name string, s *sched.Schedule, p int, nodes []int, warmup, iters int, deadline, dialTimeout time.Duration, faultSpec string, reg *telemetry.Registry, tracer *telemetry.Tracer, traceOut string, flight *critpath.FlightRecorder, rc *retuneConfig) error {
+func runNet(name string, s *sched.Schedule, pl *run.Plan, nodes []int, warmup, iters int, deadline, dialTimeout time.Duration, faultSpec string, reg *telemetry.Registry, tracer *telemetry.Tracer, traceOut string, flight *critpath.FlightRecorder, rc *retuneConfig) error {
 	if s == nil {
 		return fmt.Errorf("%s is a hard-coded simulator baseline; -net needs a schedule (tree, linear, dissemination, rd, or a JSON file)", name)
-	}
-	pl, rep, err := netmpi.VetPlan(s, analyze.Options{SkipRedundancy: true})
-	if err != nil {
-		if rep != nil {
-			fmt.Fprint(os.Stderr, rep)
-		}
-		return err
-	}
-	// Warnings do not gate execution, but silently dropping them hides real
-	// hazards (rendezvous cycles, silent ranks) from the operator.
-	for _, f := range rep.Findings {
-		if f.Severity == analyze.Warning {
-			fmt.Fprintf(os.Stderr, "barriervet: %s\n", f)
-		}
 	}
 	faultRank, injector, err := parseFault(faultSpec)
 	if err != nil {
@@ -348,43 +266,18 @@ func runNet(name string, s *sched.Schedule, p int, nodes []int, warmup, iters in
 		dialOpts = append(dialOpts, netmpi.WithColocation(netmpi.NewShmHub(), nodes))
 		meshName = "hybrid shm+TCP"
 	}
-
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := netmpi.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		if i == faultRank {
-			ln = &faultnet.Listener{Listener: ln, New: injector}
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-		defer ln.Close()
+	listeners, err := netmpi.LoopbackListeners(s.P)
+	if err != nil {
+		return err
 	}
-	peers := make([]*netmpi.Peer, p)
-	dialErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peers[i], dialErrs[i] = netmpi.Dial(i, addrs, listeners[i], dialTimeout, dialOpts...)
-		}()
+	if faultRank >= 0 && faultRank < s.P {
+		listeners[faultRank] = &faultnet.Listener{Listener: listeners[faultRank], New: injector}
 	}
-	wg.Wait()
-	for i, err := range dialErrs {
-		if err != nil {
-			return fmt.Errorf("mesh formation: rank %d: %w", i, err)
-		}
+	peers, err := netmpi.MeshOver(listeners, dialTimeout, dialOpts...)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		for _, pe := range peers {
-			pe.Close()
-		}
-	}()
+	defer netmpi.CloseMesh(peers)
 	if faultSpec != "" {
 		fmt.Fprintf(os.Stderr, "fault injection armed on rank %d's accepted links: %s\n", faultRank, faultSpec)
 	}
@@ -392,9 +285,10 @@ func runNet(name string, s *sched.Schedule, p int, nodes []int, warmup, iters in
 		return runNetRetuned(name, meshName, s, pl, peers, warmup, iters, deadline, rc, reg, tracer, traceOut, flight)
 	}
 
-	durs := make([]time.Duration, p)
-	rankErrs := make([]error, p)
-	for i := 0; i < p; i++ {
+	durs := make([]time.Duration, s.P)
+	rankErrs := make([]error, s.P)
+	var wg sync.WaitGroup
+	for i := range peers {
 		i := i
 		wg.Add(1)
 		go func() {
@@ -403,7 +297,19 @@ func runNet(name string, s *sched.Schedule, p int, nodes []int, warmup, iters in
 		}()
 	}
 	wg.Wait()
+	slowest, err := rankOutcome(durs, rankErrs, deadline, flight)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s over %s mesh, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
+		name, meshName, s.P, slowest, iters, warmup, deadline)
+	return writeArtifacts(tracer, traceOut, flight)
+}
 
+// rankOutcome is how a measured -net loop ends: the slowest rank's mean when
+// every rank finished, or every failed rank named on stderr, the flight
+// recorder dumped, and an error.
+func rankOutcome(durs []time.Duration, rankErrs []error, deadline time.Duration, flight *critpath.FlightRecorder) (time.Duration, error) {
 	failed := 0
 	for i, err := range rankErrs {
 		if err != nil {
@@ -413,16 +319,14 @@ func runNet(name string, s *sched.Schedule, p int, nodes []int, warmup, iters in
 	}
 	if failed > 0 {
 		dumpFlight(flight, "barrier-failure")
-		return fmt.Errorf("%d of %d ranks failed within the %v deadline (fail-fast: no rank hung)", failed, p, deadline)
+		return 0, fmt.Errorf("%d of %d ranks failed within the %v deadline (fail-fast: no rank hung)", failed, len(rankErrs), deadline)
 	}
-	max := time.Duration(0)
-	for _, d := range durs {
-		if d > max {
-			max = d
-		}
-	}
-	fmt.Printf("%s over %s mesh, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
-		name, meshName, p, max, iters, warmup, deadline)
+	return slices.Max(durs), nil
+}
+
+// writeArtifacts writes what a successful -net run leaves behind: the Chrome
+// trace, when asked for, and the flight recorder's run-end dump.
+func writeArtifacts(tracer *telemetry.Tracer, traceOut string, flight *critpath.FlightRecorder) error {
 	if tracer != nil && traceOut != "" {
 		if err := tracer.WriteChromeTraceFile(traceOut); err != nil {
 			return err
@@ -513,22 +417,9 @@ func runNetRetuned(name, meshName string, s *sched.Schedule, pl *run.Plan, peers
 		return fmt.Errorf("retune loop: %w", err)
 	}
 
-	failed := 0
-	for i, err := range rankErrs {
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "rank %d failed: %v\n", i, err)
-		}
-	}
-	if failed > 0 {
-		dumpFlight(flight, "barrier-failure")
-		return fmt.Errorf("%d of %d ranks failed within the %v deadline (fail-fast: no rank hung)", failed, p, deadline)
-	}
-	max := time.Duration(0)
-	for _, d := range durs {
-		if d > max {
-			max = d
-		}
+	slowest, err := rankOutcome(durs, rankErrs, deadline, flight)
+	if err != nil {
+		return err
 	}
 	checked, triggered, swaps := 0, 0, 0
 	for _, d := range ctl.History() {
@@ -543,17 +434,10 @@ func runNetRetuned(name, meshName string, s *sched.Schedule, pl *run.Plan, peers
 		}
 	}
 	fmt.Printf("%s over %s mesh with online retuning, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
-		name, meshName, p, max, iters, warmup, deadline)
+		name, meshName, p, slowest, iters, warmup, deadline)
 	fmt.Printf("retune: %d checks (%d judged), %d triggered, %d swapped; final schedule %q predicted %.1fµs (epoch v%d)\n",
 		len(ctl.History()), checked, triggered, swaps, ctl.Schedule().Name, ctl.Predicted()*1e6, eps.Latest())
-	if tracer != nil && traceOut != "" {
-		if err := tracer.WriteChromeTraceFile(traceOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Chrome trace to %s\n", traceOut)
-	}
-	dumpFlight(flight, "run-end")
-	return nil
+	return writeArtifacts(tracer, traceOut, flight)
 }
 
 // parseFault decodes op:rank:frame[:arg] into the target rank and a

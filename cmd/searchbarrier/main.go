@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		profPath = flag.String("profile", "profile.json", "profile file written by profilecluster")
-		seedAlg  = flag.String("seed-alg", "hybrid", "starting schedule: hybrid, tree, dissemination, linear")
+		seedAlg  = flag.String("seed-alg", "hybrid", "starting schedule: hybrid, or any name runbarrier's -alg takes (tree, dissemination, linear, rd, ring, FILE.json)")
 		steps    = flag.Int("steps", 4000, "mutation attempts per restart")
 		restarts = flag.Int("restarts", 3, "independent restarts")
 		workers  = flag.Int("workers", 0, "worker goroutines for the restart portfolio (0 = all cores); does not affect the result")
@@ -68,7 +68,7 @@ func main() {
 
 	var pf *profile.Profile
 	if *synthP > 0 {
-		f, err := fabric.ScaleClusterFabric(*synthP, syntheticNodes(*synthP, *synthNodes), 1)
+		f, err := fabric.ScaleClusterFabric(*synthP, *synthNodes, 1)
 		if err != nil {
 			fatal(err)
 		}
@@ -144,35 +144,14 @@ func main() {
 }
 
 func seedSchedule(pf *profile.Profile, alg string) (*sched.Schedule, error) {
-	switch alg {
-	case "hybrid":
-		tuned, err := core.Tune(pf, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return tuned.Schedule(), nil
-	case "tree":
-		return sched.Tree(pf.P), nil
-	case "dissemination":
-		return sched.Dissemination(pf.P), nil
-	case "linear":
-		return sched.Linear(pf.P), nil
-	default:
-		return nil, fmt.Errorf("unknown seed algorithm %q", alg)
+	if alg != "hybrid" {
+		return sched.Named(alg, pf.P)
 	}
-}
-
-// syntheticNodes resolves the node count of the synthetic scale cluster:
-// explicit when given, otherwise about one dual-socket node per 32 ranks.
-func syntheticNodes(p, nodes int) int {
-	if nodes > 0 {
-		return nodes
+	tuned, err := core.Tune(pf, core.Options{})
+	if err != nil {
+		return nil, err
 	}
-	n := (p + 31) / 32
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return tuned.Schedule(), nil
 }
 
 func fatal(err error) {

@@ -1,25 +1,29 @@
-// Command tracebarrier records the message-level execution of one barrier on
-// a simulated cluster and prints a per-rank Gantt timeline, the measured
-// critical path, and per-link latency statistics — the §VI validation story
-// at single-message granularity.
+// Command tracebarrier records the message-level execution of one barrier as
+// a critpath.Timeline — the one record both executors produce — and prints
+// one report from it: a per-rank Gantt timeline, the predicted-vs-observed
+// per-stage drift table (predict.Timeline against the timeline's stage
+// completions), the realized critical path against the model's predicted
+// chain, and the per-class and per-link comparison of observed delivery
+// floors with the profile's O+L — the §VI validation story at single-message
+// granularity.
 //
-// With -net it validates against the *real* transport instead of the
-// simulator: it forms a loopback TCP mesh (internal/netmpi), probes the
-// paper's O/L topological profile over the live links, predicts per-stage
-// completion times from that profile, executes the barrier with per-stage
-// span tracing, and prints a predicted-vs-observed drift table — the §VI
-// comparison closed against an actual network execution. -trace-out
+// By default the barrier runs on the simulated cluster and is priced on the
+// fabric's true O/L profile. With -net it runs over the *real* transport
+// instead: tracebarrier forms a loopback mesh (internal/netmpi), probes the
+// paper's O/L topological profile over the live links, executes the barrier
+// with span tracing, and reports against the probed profile. -trace-out
 // additionally writes the traced execution as Chrome trace-event JSON for
 // chrome://tracing or Perfetto.
 //
 // Usage:
 //
 //	tracebarrier -cluster quad|hex -p N [-placement round-robin|block]
-//	             [-alg tree|linear|dissemination|mpi|hybrid] [-seed N] [-width N]
-//	tracebarrier -net -p N [-alg tree|linear|dissemination|hybrid]
+//	             [-alg tree|linear|dissemination|rd|ring|mpi|hybrid|FILE.json]
+//	             [-seed N] [-width N] [-ranks]
+//	tracebarrier -net -p N [-alg tree|linear|dissemination|rd|ring|hybrid|FILE.json]
 //	             [-iters N] [-warmup N] [-probe-iters N]
 //	             [-adaptive K] [-profile-cache DIR] [-drift-tol F] [-ranks]
-//	             [-recommend F] [-critical-path]
+//	             [-recommend F] [-width N]
 //	             [-net-deadline D] [-net-dial-timeout D] [-trace-out file.json]
 //	             [-transport tcp|hybrid] [-colocate nodes=K|"0-3,4-7"]
 //
@@ -32,26 +36,21 @@
 // -colocate, or derived from -cluster/-placement), so the probed profile
 // and the drift table show the real intra/inter-node class gap.
 //
-// -recommend F follows the drift table with one read-only pass of the online
+// -recommend F follows the report with one read-only pass of the online
 // retuning controller (internal/retune) at drift tolerance F: if the
 // observed-vs-predicted drift exceeds F it re-probes the stale links and
 // prints the schedule the closed loop would hot-swap in, without touching
 // the running mesh.
-//
-// -critical-path merges the last traced execution's per-message send/recv
-// spans into one causally-consistent timeline (internal/critpath), extracts
-// the *realized* critical path of the barrier, and prints it against the
-// model's predicted chain with a per-link blame table — the message-level
-// answer to "which link made this barrier slow".
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
+	"topobarrier/internal/analyze"
 	"topobarrier/internal/baseline"
 	"topobarrier/internal/core"
 	"topobarrier/internal/critpath"
@@ -59,14 +58,12 @@ import (
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
-	"topobarrier/internal/probe"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/retune"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/telemetry"
 	"topobarrier/internal/topo"
-	"topobarrier/internal/trace"
 )
 
 func main() {
@@ -74,9 +71,10 @@ func main() {
 		cluster   = flag.String("cluster", "quad", "machine: quad or hex (simulator mode)")
 		p         = flag.Int("p", 16, "number of ranks")
 		placement = flag.String("placement", "round-robin", "rank placement (simulator mode)")
-		alg       = flag.String("alg", "mpi", "barrier: tree, linear, dissemination, mpi, hybrid")
+		alg       = flag.String("alg", "mpi", "barrier: tree, linear, dissemination, rd, ring, mpi (simulator only), hybrid, or a schedule JSON file")
 		seed      = flag.Uint64("seed", 1, "fabric noise seed (simulator mode)")
 		width     = flag.Int("width", 100, "gantt width in columns")
+		perRank   = flag.Bool("ranks", false, "print the per-rank drift rows, not just the per-stage maxima")
 
 		netRun     = flag.Bool("net", false, "validate against a real loopback TCP mesh instead of the simulator")
 		iters      = flag.Int("iters", 5, "traced barrier executions; observed times are per-cell minima (-net)")
@@ -85,9 +83,7 @@ func main() {
 		adaptive   = flag.Int("adaptive", 3, "stop a probed pair once its min RTT is stable for K samples; 0 = fixed iterations (-net)")
 		cacheDir   = flag.String("profile-cache", "", "fingerprinted profile cache directory; warm profiles skip the probe (-net)")
 		driftTol   = flag.Float64("drift-tol", 0.5, "relative O+L drift that marks a cached link stale during revalidation; 0 trusts the cache blindly (-net)")
-		perRank    = flag.Bool("ranks", false, "print the per-rank drift rows, not just the per-stage maxima (-net)")
-		recommend  = flag.Float64("recommend", 0, "after the drift table, run one offline retune check at this drift tolerance and print the recommended schedule; 0 disables (-net)")
-		critPath   = flag.Bool("critical-path", false, "merge the last traced execution into one timeline and print its realized critical path, the predicted chain, and per-link blame (-net)")
+		recommend  = flag.Float64("recommend", 0, "after the report, run one offline retune check at this drift tolerance and print the recommended schedule; 0 disables (-net)")
 		netDead    = flag.Duration("net-deadline", 5*time.Second, "per-receive deadline on the mesh (-net)")
 		netDial    = flag.Duration("net-dial-timeout", 5*time.Second, "mesh formation budget (-net)")
 		traceOut   = flag.String("trace-out", "", "write the final traced execution as Chrome trace-event JSON (-net)")
@@ -96,176 +92,155 @@ func main() {
 	)
 	flag.Parse()
 
-	if *netRun {
-		nodes, err := colocationNodes(*transport, *colocate, *cluster, *placement, *p)
-		if err != nil {
-			fatal(err)
+	if !*netRun {
+		if *recommend > 0 {
+			fatal(fmt.Errorf("-recommend judges a live mesh; it requires -net"))
 		}
-		popts := probeCLIOptions{
-			iters: *probeIters, adaptive: *adaptive,
-			cacheDir: *cacheDir, driftTol: *driftTol,
-		}
-		if err := runNetDrift(*alg, *p, nodes, *iters, *warmup, popts, *perRank, *recommend, *critPath, *netDead, *netDial, *traceOut); err != nil {
+		if err := runSim(*cluster, *placement, *alg, *p, *seed, *perRank, *width); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *recommend > 0 {
-		fatal(fmt.Errorf("-recommend judges a live mesh; it requires -net"))
-	}
-	if *critPath {
-		fatal(fmt.Errorf("-critical-path merges live mesh traces; it requires -net (the simulator prints its own measured path)"))
-	}
-
-	var spec topo.Spec
-	switch *cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *cluster))
-	}
-	var pl topo.Placement
-	switch *placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		fatal(fmt.Errorf("unknown placement %q", *placement))
-	}
-	fab, err := fabric.New(spec, pl, *p, fabric.GigEParams(*seed))
+	nodes, err := netmpi.Colocation(*transport, *colocate, *cluster, *placement, *p)
 	if err != nil {
 		fatal(err)
 	}
+	popts := netmpi.ProbeOptions{MaxIters: *probeIters, StableK: *adaptive, Deadline: *netDead}
+	var cache *profile.Cache
+	if *cacheDir != "" {
+		cache = &profile.Cache{Dir: *cacheDir}
+	}
+	if err := runNet(*alg, *p, nodes, *iters, *warmup, popts, cache, *driftTol, *recommend, *netDial, *traceOut, *perRank, *width); err != nil {
+		fatal(err)
+	}
+}
 
-	var fn run.Func
-	switch *alg {
-	case "mpi":
-		fn = baseline.Tree
-	case "tree":
-		fn = run.ScheduleFunc(sched.Tree(*p))
-	case "linear":
-		fn = run.ScheduleFunc(sched.Linear(*p))
-	case "dissemination":
-		fn = run.ScheduleFunc(sched.Dissemination(*p))
-	case "hybrid":
-		cfg := probe.Default()
-		cfg.Replicate = true
-		tuned, err := core.ProfileAndTune(mpi.NewWorld(fab), cfg, core.Options{})
+// schedule resolves -alg into the vetted schedule under test and its plan:
+// hybrid tunes against pf — the profile the report predicts with — anything
+// else is a named generator or a stored schedule. Empty stages are dropped so
+// the schedule's stage indices are the plan's (and the trace's).
+func schedule(alg string, pf *profile.Profile) (*sched.Schedule, *run.Plan, error) {
+	var s *sched.Schedule
+	if alg == "hybrid" {
+		tuned, err := core.Tune(pf, core.Options{})
 		if err != nil {
-			fatal(err)
+			return nil, nil, fmt.Errorf("tuning against the profile: %w", err)
 		}
-		fn = tuned.Func()
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
+		s = tuned.Schedule()
+	} else {
+		var err error
+		if s, err = sched.Named(alg, pf.P); err != nil {
+			return nil, nil, err
+		}
 	}
-
-	w, rec := trace.NewTracedWorld(fab)
-	elapsed, err := trace.RunOnce(w, fn)
+	s = s.DropEmptyStages()
+	pl, rep, err := analyze.Vet(s, analyze.Options{SkipRedundancy: true})
 	if err != nil {
-		fatal(err)
+		fmt.Fprint(os.Stderr, rep)
+		return nil, nil, fmt.Errorf("schedule %s fails barriervet: %w", alg, err)
 	}
+	return s, pl, nil
+}
 
-	fmt.Printf("%s barrier, %d ranks on %s (%s): %.1fµs, %d messages\n\n",
-		*alg, *p, spec.Name, pl.Name(), elapsed*1e6, len(rec.Events))
-	fmt.Println(rec.Gantt(*p, *width))
-
-	fmt.Println("measured critical path:")
-	for _, e := range rec.CriticalPath() {
-		fmt.Printf("  %3d → %-3d sent %8.1fµs  arrived %8.1fµs  (%.1fµs)\n",
-			e.Src, e.Dst, e.Sent*1e6, e.Arrived*1e6, (e.Arrived-e.Sent)*1e6)
+// runSim traces one barrier on the simulated cluster, priced on the fabric's
+// true profile. The hard-coded mpi baseline executes sched.Tree's pattern
+// stage for stage, so that schedule is its model.
+func runSim(cluster, placement, alg string, p int, seed uint64, perRank bool, width int) error {
+	spec, err := topo.ClusterByName(cluster)
+	if err != nil {
+		return err
 	}
+	pl, err := topo.PlacementByName(placement)
+	if err != nil {
+		return err
+	}
+	fab, err := fabric.New(spec, pl, p, fabric.GigEParams(seed))
+	if err != nil {
+		return err
+	}
+	pf := fab.TrueProfile()
+	fn, s := run.Func(baseline.Tree), sched.Tree(p)
+	if alg != "mpi" {
+		var plan *run.Plan
+		if s, plan, err = schedule(alg, pf); err != nil {
+			return err
+		}
+		fn = plan.Func()
+	}
+	tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { fn(c, 0) })
+	if err != nil {
+		return err
+	}
+	title := fmt.Sprintf("%s barrier, %d ranks on %s (%s)", alg, p, spec.Name, pl.Name())
+	return report(title, tl, observe(nil, tl), 1, predict.New(pf), s, perRank, width)
+}
 
-	fmt.Println("\nslowest links observed:")
-	stats := rec.PerLink()
-	// Print the five worst by mean.
-	for n := 0; n < 5 && len(stats) > 0; n++ {
-		worst := 0
-		for i := range stats {
-			if stats[i].Mean > stats[worst].Mean {
-				worst = i
+// observe folds the timeline's stage completions, measured from the
+// instance's start, into obs as per-cell minima.
+func observe(obs [][]float64, tl *critpath.Timeline) [][]float64 {
+	start, _ := tl.Span()
+	done := tl.StageDone()
+	for k := range done {
+		for r := range done[k] {
+			done[k][r] -= start
+			if k < len(obs) {
+				done[k][r] = min(done[k][r], obs[k][r])
 			}
 		}
-		ls := stats[worst]
-		fmt.Printf("  %3d → %-3d %d msgs, mean %.1fµs, max %.1fµs\n",
-			ls.Src, ls.Dst, ls.Count, ls.Mean*1e6, ls.Max*1e6)
-		stats = append(stats[:worst], stats[worst+1:]...)
 	}
+	return done
 }
 
-// probeCLIOptions bundles the profiling flags of -net mode.
-type probeCLIOptions struct {
-	iters, adaptive int
-	cacheDir        string
-	driftTol        float64
-}
-
-// meshBanner describes the formed mesh: link counts per transport and, for a
-// hybrid mesh, its transport signature.
-func meshBanner(peers []*netmpi.Peer, p int, nodes []int) string {
-	if nodes == nil {
-		return fmt.Sprintf("loopback TCP mesh up: %d ranks, %d connections", p, p*(p-1)/2)
+// report prints the one report of a traced barrier, whichever executor ran
+// it: tl is the (last) execution's timeline, obs the per-stage, per-rank
+// completions observed over runs executions, pd and s the model side.
+func report(title string, tl *critpath.Timeline, obs [][]float64, runs int, pd *predict.Predictor, s *sched.Schedule, perRank bool, width int) error {
+	pred := pd.Timeline(s)
+	if len(obs) != len(pred) || len(pred) == 0 {
+		return fmt.Errorf("the trace shows %d stages, schedule %s has %d", len(obs), s.Name, len(pred))
 	}
-	shm := 0
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			if peers[i].TransportOf(j) == netmpi.TransportShm {
-				shm++
+	start, end := tl.Span()
+	est := 0
+	for _, e := range tl.Estimated {
+		if e {
+			est++
+		}
+	}
+	fmt.Printf("%s: %.1fµs, %d messages (%d unmatched), clock offsets estimated for %d/%d ranks\n\n",
+		title, (end-start)*1e6, len(tl.Messages), tl.Unmatched, est, tl.P)
+	fmt.Println(tl.Gantt(width))
+
+	fmt.Printf("%s: predicted vs observed per-stage completion (per-cell min of %d)\n", s.Name, runs)
+	fmt.Printf("%5s  %12s  %12s  %8s\n", "stage", "predicted", "observed", "drift")
+	row := func(label string, pred, obs float64) {
+		drift := 0.0
+		if pred > 0 {
+			// Positive: the executor ran slower than the model said.
+			drift = 100 * (obs - pred) / pred
+		}
+		fmt.Printf("%s  %10.1fµs  %10.1fµs  %+7.1f%%\n", label, pred*1e6, obs*1e6, drift)
+	}
+	for k := range pred {
+		row(fmt.Sprintf("%5d", k), slices.Max(pred[k]), slices.Max(obs[k]))
+		if perRank {
+			for i := range pred[k] {
+				row(fmt.Sprintf("      rank %3d", i), pred[k][i], obs[k][i])
 			}
 		}
 	}
-	return fmt.Sprintf("hybrid mesh up: %d ranks, %d shm links + %d tcp connections (%s)",
-		p, shm, p*(p-1)/2-shm, peers[0].TransportSignature())
+	row("total", slices.Max(pred[len(pred)-1]), slices.Max(obs[len(obs)-1]))
+	fmt.Println()
+	fmt.Print(critpath.Analyze(tl, pd, s))
+	return nil
 }
 
-// colocationNodes resolves the -transport/-colocate flags into a co-location
-// vector: nil for a pure-TCP mesh, a node-id vector for hybrid. With hybrid
-// and no explicit -colocate, the vector is derived from the named cluster
-// topology and placement — the ranks the simulator would put on one node
-// share shared memory on the live mesh too.
-func colocationNodes(transport, colocate, cluster, placement string, p int) ([]int, error) {
-	switch transport {
-	case "tcp":
-		if colocate != "" {
-			return nil, fmt.Errorf("-colocate needs -transport hybrid")
-		}
-		return nil, nil
-	case "hybrid":
-	default:
-		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
-	}
-	if colocate != "" {
-		return netmpi.ParseColocation(colocate, p)
-	}
-	var spec topo.Spec
-	switch cluster {
-	case "quad":
-		spec = topo.QuadCluster()
-	case "hex":
-		spec = topo.HexCluster()
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", cluster)
-	}
-	var pl topo.Placement
-	switch placement {
-	case "round-robin":
-		pl = topo.RoundRobin{}
-	case "block":
-		pl = topo.Block{}
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-	return netmpi.NodesFromPlacement(spec, pl, p)
-}
-
-// runNetDrift is the real-transport §VI validation: probe → predict →
-// execute traced → compare, all against one live loopback mesh.
-func runNetDrift(alg string, p int, nodes []int, iters, warmup int, popts probeCLIOptions, perRank bool, recommend float64, critPath bool, deadline, dialTimeout time.Duration, traceOut string) error {
+// runNet is the real-transport §VI validation: probe → predict → execute
+// traced → report, all against one live loopback mesh.
+func runNet(alg string, p int, nodes []int, iters, warmup int, probeOpts netmpi.ProbeOptions, cache *profile.Cache, driftTol, recommend float64, dialTimeout time.Duration, traceOut string, perRank bool, width int) error {
 	if iters <= 0 || warmup < 0 {
 		return fmt.Errorf("need positive -iters and non-negative -warmup")
 	}
+	deadline := probeOpts.Deadline
 	tracer := telemetry.NewTracer()
 	dialOpts := []netmpi.Option{netmpi.WithTracer(tracer)}
 	var reg *telemetry.Registry
@@ -280,35 +255,21 @@ func runNetDrift(alg string, p int, nodes []int, iters, warmup int, popts probeC
 		return err
 	}
 	defer netmpi.CloseMesh(peers)
-	fmt.Printf("%s\n", meshBanner(peers, p, nodes))
+	fmt.Printf("loopback mesh up: %d ranks, transport %s\n", p, peers[0].TransportSignature())
 
 	// Measure: the paper's O/L profile, probed over the live links in
 	// parallel rounds (or served from the fingerprinted cache).
-	probeOpts := netmpi.ProbeOptions{
-		MaxIters: popts.iters, StableK: popts.adaptive,
-		Deadline: deadline, Tracer: tracer,
+	probeOpts.Tracer = tracer
+	pf, rep, hit, err := netmpi.ProbeProfileCached(peers, probeOpts, cache, driftTol)
+	if err != nil {
+		return err
 	}
-	var pf *profile.Profile
-	var rep *netmpi.ProbeReport
-	if popts.cacheDir != "" {
-		cache := &profile.Cache{Dir: popts.cacheDir}
-		var hit bool
-		pf, rep, hit, err = netmpi.ProbeProfileCached(peers, probeOpts, cache, popts.driftTol)
-		if err != nil {
-			return err
-		}
+	if cache != nil {
+		verdict := "miss; stored"
 		if hit {
-			fmt.Printf("profile cache hit (%s) in %s\n",
-				netmpi.MeshFingerprint(peers, probeOpts), popts.cacheDir)
-		} else {
-			fmt.Printf("profile cache miss; stored %s in %s\n",
-				netmpi.MeshFingerprint(peers, probeOpts), popts.cacheDir)
+			verdict = "hit"
 		}
-	} else {
-		pf, rep, err = netmpi.ProbeProfileOpts(peers, probeOpts)
-		if err != nil {
-			return err
-		}
+		fmt.Printf("profile cache %s (%s) in %s\n", verdict, netmpi.MeshFingerprint(peers, probeOpts), cache.Dir)
 	}
 	if n := rep.TotalSamples(); n > 0 {
 		lo, med, hi := rep.SampleStats()
@@ -319,33 +280,12 @@ func runNetDrift(alg string, p int, nodes []int, iters, warmup int, popts probeC
 		pf.Platform, pf.O.MinOffDiag()*1e6, pf.O.MaxOffDiag()*1e6,
 		pf.L.MinOffDiag()*1e6, pf.L.MaxOffDiag()*1e6)
 
-	// Model: the schedule under test.
-	var s *sched.Schedule
-	switch alg {
-	case "tree":
-		s = sched.Tree(p)
-	case "linear":
-		s = sched.Linear(p)
-	case "dissemination":
-		s = sched.Dissemination(p)
-	case "hybrid":
-		tuned, err := core.Tune(pf, core.Options{})
-		if err != nil {
-			return fmt.Errorf("tuning against the probed profile: %w", err)
-		}
-		s = tuned.Schedule()
-	default:
-		return fmt.Errorf("algorithm %q has no schedule; -net drift needs tree, linear, dissemination, or hybrid", alg)
-	}
-	clean := s.DropEmptyStages()
-	pl, err := run.NewPlan(clean)
+	// Model: the schedule under test, priced on the probed profile.
+	s, pl, err := schedule(alg, pf)
 	if err != nil {
 		return err
 	}
-
-	// Predict: per-stage completion times from the probed profile.
 	pd := predict.New(pf)
-	timeline := pd.Timeline(clean)
 
 	// The retune recommendation must watch the run from the start: the
 	// controller snapshots the barrier histograms at construction, so built
@@ -356,7 +296,7 @@ func runNetDrift(alg string, p int, nodes []int, iters, warmup int, popts probeC
 		if err != nil {
 			return err
 		}
-		ctl, err = retune.New(peers, eps, clean, pf, retune.Options{
+		ctl, err = retune.New(peers, eps, s, pf, retune.Options{
 			DriftTol:        recommend,
 			MinObservations: 1, // judge whatever the traced run produced
 			Probe:           probeOpts,
@@ -402,122 +342,31 @@ func runNetDrift(alg string, p int, nodes []int, iters, warmup int, popts probeC
 			return fmt.Errorf("warmup barrier: %w", err)
 		}
 	}
-	stages := pl.Stages
-	obs := make([][]float64, stages) // per stage, per rank: min observed completion (s)
-	for k := range obs {
-		obs[k] = make([]float64, p)
-		for i := range obs[k] {
-			obs[k][i] = -1
-		}
-	}
-	obsTotal := -1.0
-	minSkew := -1.0 // best-case spread of rank entries into stage 0
+	// Every traced window holds the alignment barrier and the traced one;
+	// Merge selects the later (traced) instance, and the alignment run
+	// doubles as clock-offset material.
+	var tl *critpath.Timeline
+	var obs [][]float64
 	for it := 0; it < iters; it++ {
 		tracer.Reset()
 		if err := runOnce(nextTag(), nextTag()); err != nil {
 			return fmt.Errorf("traced barrier %d: %w", it, err)
 		}
-		// Two spans exist per (rank, stage): the alignment barrier's and the
-		// traced one's. The traced span is the later of the two.
-		traced := make(map[[2]int]telemetry.SpanEvent)
-		for _, e := range tracer.Events() {
-			if !strings.HasPrefix(e.Name, "barrier.stage:") || e.Stage >= stages || e.Rank >= p {
-				continue
-			}
-			key := [2]int{e.Rank, e.Stage}
-			if prev, ok := traced[key]; !ok || e.Start > prev.Start {
-				traced[key] = e
-			}
+		if tl, err = critpath.Merge(tracer.Events(), p, -1); err != nil {
+			return fmt.Errorf("merging traced window %d: %w", it, err)
 		}
-		if len(traced) == 0 {
-			return fmt.Errorf("traced run %d recorded no stage spans", it)
-		}
-		start := time.Duration(-1)
-		last := time.Duration(0)
-		end := time.Duration(0)
-		for key, e := range traced {
-			if key[1] == 0 {
-				if start < 0 || e.Start < start {
-					start = e.Start
-				}
-				if e.Start > last {
-					last = e.Start
-				}
-			}
-			if e.End() > end {
-				end = e.End()
-			}
-		}
-		if skew := (last - start).Seconds(); minSkew < 0 || skew < minSkew {
-			minSkew = skew
-		}
-		for key, e := range traced {
-			done := (e.End() - start).Seconds()
-			if cur := obs[key[1]][key[0]]; cur < 0 || done < cur {
-				obs[key[1]][key[0]] = done
-			}
-		}
-		if total := (end - start).Seconds(); obsTotal < 0 || total < obsTotal {
-			obsTotal = total
-		}
+		obs = observe(obs, tl)
 	}
-
-	// Ranks idle in a stage record no span; their completion is the last
-	// stage they did complete (or 0), mirroring the model's carry-forward.
-	for k := 0; k < stages; k++ {
-		for i := 0; i < p; i++ {
-			if obs[k][i] < 0 {
-				if k > 0 {
-					obs[k][i] = obs[k-1][i]
-				} else {
-					obs[k][i] = 0
-				}
-			}
-		}
+	fmt.Println()
+	if err := report(s.Name+" over the real mesh", tl, obs, iters, pd, s, perRank, width); err != nil {
+		return err
 	}
-
-	fmt.Printf("\n%s over the real mesh: predicted vs observed per-stage completion (min of %d runs)\n",
-		clean.Name, iters)
-	fmt.Printf("rank entry skew into stage 0: %.1fµs (observed times start at the first entrant)\n", minSkew*1e6)
-	fmt.Printf("%5s  %12s  %12s  %8s\n", "stage", "predicted", "observed", "drift")
-	for k := 0; k < stages; k++ {
-		pmax, omax := maxOf(timeline[k]), maxOf(obs[k])
-		fmt.Printf("%5d  %10.1fµs  %10.1fµs  %+7.1f%%\n", k, pmax*1e6, omax*1e6, driftPct(pmax, omax))
-		if perRank {
-			for i := 0; i < p; i++ {
-				fmt.Printf("      rank %3d  %10.1fµs  %10.1fµs  %+7.1f%%\n",
-					i, timeline[k][i]*1e6, obs[k][i]*1e6, driftPct(timeline[k][i], obs[k][i]))
-			}
-		}
-	}
-	predTotal := pd.Cost(clean)
-	fmt.Printf("%5s  %10.1fµs  %10.1fµs  %+7.1f%%\n", "total", predTotal*1e6, obsTotal*1e6, driftPct(predTotal, obsTotal))
 
 	if ctl != nil {
-		if err := printRecommendation(ctl, clean, recommend); err != nil {
+		if err := printRecommendation(ctl, s, recommend); err != nil {
 			return err
 		}
 	}
-
-	if critPath {
-		// The tracer still holds the final iteration's window: the alignment
-		// barrier plus the traced one. Merge auto-selects the later (traced)
-		// instance; the alignment run doubles as clock-offset material.
-		tl, err := critpath.Merge(tracer.Events(), p, -1)
-		if err != nil {
-			return fmt.Errorf("merging the final traced window: %w", err)
-		}
-		est := 0
-		for _, e := range tl.Estimated {
-			if e {
-				est++
-			}
-		}
-		fmt.Printf("\nmerged timeline: %d matched messages (%d unmatched), clock offsets estimated for %d/%d ranks\n",
-			len(tl.All), tl.Unmatched, est, p)
-		fmt.Print(critpath.Analyze(tl, pd, clean))
-	}
-
 	if traceOut != "" {
 		if err := tracer.WriteChromeTraceFile(traceOut); err != nil {
 			return err
@@ -556,25 +405,6 @@ func printRecommendation(ctl *retune.Controller, s *sched.Schedule, tol float64)
 	fmt.Printf("  recommend switching to %q (%s): predicted %.1fµs, %.1f× better\n",
 		ctl.Schedule().Name, d.Candidate, d.NewPredicted*1e6, d.Repriced/d.NewPredicted)
 	return nil
-}
-
-func maxOf(xs []float64) float64 {
-	max := 0.0
-	for _, v := range xs {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// driftPct is the signed observed-vs-predicted error; positive means the
-// transport ran slower than the model said.
-func driftPct(pred, obs float64) float64 {
-	if pred <= 0 {
-		return 0
-	}
-	return 100 * (obs - pred) / pred
 }
 
 func fatal(err error) {

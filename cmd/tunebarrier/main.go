@@ -91,16 +91,12 @@ func main() {
 
 	var pf *profile.Profile
 	if *synthP > 0 {
-		nodes := *synthNodes
-		if nodes <= 0 {
-			nodes = (*synthP + 31) / 32
-		}
-		f, err := fabric.ScaleClusterFabric(*synthP, nodes, 1)
+		f, err := fabric.ScaleClusterFabric(*synthP, *synthNodes, 1)
 		if err != nil {
 			fatal(err)
 		}
 		pf = f.TrueProfile()
-		fmt.Fprintf(os.Stderr, "synthetic scale cluster: P=%d over %d nodes\n", *synthP, nodes)
+		fmt.Fprintf(os.Stderr, "synthetic scale cluster: P=%d over %d nodes\n", *synthP, f.Spec().Nodes)
 	} else if *probeNet > 0 {
 		var cache *profile.Cache
 		if *cacheDir != "" {
@@ -194,22 +190,9 @@ func main() {
 // signature), so a tune against a hybrid mesh can never pick up a profile
 // measured on pure TCP — their cost matrices are the thing being tuned for.
 func probeLiveProfile(p int, transport, colocate string, probeIters int, cache *profile.Cache, driftTol float64) (*profile.Profile, error) {
-	var nodes []int
-	switch transport {
-	case "tcp":
-		if colocate != "" {
-			return nil, fmt.Errorf("-colocate needs -transport hybrid")
-		}
-	case "hybrid":
-		if colocate == "" {
-			return nil, fmt.Errorf("-transport hybrid needs -colocate (e.g. \"nodes=2\" or \"0-3,4-7\")")
-		}
-		var err error
-		if nodes, err = netmpi.ParseColocation(colocate, p); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
+	nodes, err := netmpi.Colocation(transport, colocate, "", "", p)
+	if err != nil {
+		return nil, err
 	}
 	peers, err := netmpi.HybridMesh(p, nodes, 5*time.Second)
 	if err != nil {
@@ -219,17 +202,13 @@ func probeLiveProfile(p int, transport, colocate string, probeIters int, cache *
 	fmt.Fprintf(os.Stderr, "probing live %s mesh: %d ranks (%s)\n",
 		transport, p, peers[0].TransportSignature())
 	opts := netmpi.ProbeOptions{MaxIters: probeIters}
-	if cache == nil {
-		pf, _, err := netmpi.ProbeProfileOpts(peers, opts)
-		return pf, err
-	}
 	pf, _, hit, err := netmpi.ProbeProfileCached(peers, opts, cache, driftTol)
 	if err != nil {
 		return nil, err
 	}
 	if hit {
 		fmt.Fprintf(os.Stderr, "profile cache hit (%s)\n", netmpi.MeshFingerprint(peers, opts))
-	} else {
+	} else if cache != nil {
 		fmt.Fprintf(os.Stderr, "profile cache miss; stored probe as %s\n", netmpi.MeshFingerprint(peers, opts))
 	}
 	return pf, nil

@@ -9,7 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,36 +38,18 @@ func main() {
 	fmt.Printf("barriervet: verified barrier, %d non-error findings\n", len(tuned.Report.Findings))
 
 	// 2. Stand up a real TCP mesh (each rank is a goroutine here; across
-	//    machines, distribute the address list instead).
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := range listeners {
-		ln, err := netmpi.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	//    machines, each rank calls netmpi.Listen and netmpi.Dial itself with
+	//    the distributed address list).
+	peers, err := netmpi.LoopbackMesh(p, 5*time.Second)
+	if err != nil {
+		log.Fatal(err)
 	}
-	peers := make([]*netmpi.Peer, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pe, err := netmpi.Dial(i, addrs, listeners[i], 5*time.Second)
-			if err != nil {
-				log.Fatal(err)
-			}
-			peers[i] = pe
-		}()
-	}
-	wg.Wait()
+	defer netmpi.CloseMesh(peers)
 	fmt.Printf("TCP mesh of %d ranks established\n", p)
 
 	// 3. Execute the tuned plan over real sockets and time it.
 	durs := make([]time.Duration, p)
+	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
 		i := i
 		wg.Add(1)
@@ -81,15 +63,5 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	max := time.Duration(0)
-	for _, d := range durs {
-		if d > max {
-			max = d
-		}
-	}
-	fmt.Printf("tuned barrier over loopback TCP: %v per barrier (200 iterations)\n", max)
-
-	for _, pe := range peers {
-		pe.Close()
-	}
+	fmt.Printf("tuned barrier over loopback TCP: %v per barrier (200 iterations)\n", slices.Max(durs))
 }

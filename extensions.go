@@ -4,10 +4,10 @@ import (
 	"net"
 	"time"
 
+	"topobarrier/internal/critpath"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/run"
 	"topobarrier/internal/search"
-	"topobarrier/internal/trace"
 )
 
 // This file exposes the extensions beyond the paper's core method: searched
@@ -30,22 +30,17 @@ func AnnealSearch(pd *Predictor, seed *Schedule, opts AnnealOptions) (*SearchRes
 	return search.Anneal(pd, seed, opts)
 }
 
-// Tracing (see internal/trace).
-type (
-	// TraceRecorder collects delivered-message events.
-	TraceRecorder = trace.Recorder
-	// LinkStats summarises observed latencies per link.
-	LinkStats = trace.LinkStats
-)
+// Tracing (see internal/critpath).
 
-// NewTracedWorld wraps a fabric into a world with message recording.
-func NewTracedWorld(fab *Fabric, opts ...WorldOption) (*World, *TraceRecorder) {
-	return trace.NewTracedWorld(fab, opts...)
-}
+// ExecutionTimeline is the record of one barrier execution: its matched
+// messages, realized critical path, per-stage completions, Gantt and per-link
+// blame.
+type ExecutionTimeline = critpath.Timeline
 
-// RunTracedOnce drives one barrier execution on a traced world.
-func RunTracedOnce(w *World, b BarrierFunc) (float64, error) {
-	return trace.RunOnce(w, b)
+// TraceBarrier executes b once on a traced world over fab and returns the
+// execution's timeline and its elapsed virtual time.
+func TraceBarrier(fab *Fabric, b BarrierFunc, opts ...WorldOption) (*ExecutionTimeline, float64, error) {
+	return critpath.Sim(fab, func(c *Comm) { b(c, 0) }, opts...)
 }
 
 // One-shot measurement (see internal/run).

@@ -37,14 +37,17 @@ func TestPublicTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, rec := topobarrier.NewTracedWorld(fab)
-	if _, err := topobarrier.RunTracedOnce(w, topobarrier.MPIBarrier); err != nil {
+	tl, elapsed, err := topobarrier.TraceBarrier(fab, topobarrier.MPIBarrier)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events) == 0 {
-		t.Fatalf("no events recorded")
+	if len(tl.Messages) == 0 {
+		t.Fatalf("no messages recorded")
 	}
-	if len(rec.CriticalPath()) == 0 {
+	if len(tl.CriticalPath()) == 0 {
 		t.Fatalf("no critical path")
+	}
+	if _, end := tl.Span(); end != elapsed {
+		t.Fatalf("timeline ends at %g, run at %g", end, elapsed)
 	}
 }

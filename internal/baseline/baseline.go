@@ -34,22 +34,24 @@ func Tree(c *mpi.Comm, tagBase int) {
 			c.Recv(me+bit, tagBase+e)
 		}
 	}
-	// Departure: mirror image, highest stage first.
+	// Departure: mirror image, highest stage first. Tag offsets count up in
+	// execution order — they are sched.Tree's stage indices — so a trace of
+	// this barrier reads stage by stage like any schedule's.
 	top := 0
 	for (1 << uint(top)) < p {
 		top++
 	}
 	for e := top - 1; e >= 0; e-- {
-		bit := 1 << uint(e)
+		bit, tag := 1<<uint(e), tagBase+2*top-1-e
 		if me&(bit-1) != 0 {
 			continue
 		}
 		if me&bit != 0 {
-			c.Recv(me-bit, tagBase+top+e)
+			c.Recv(me-bit, tag)
 			continue
 		}
 		if me+bit < p {
-			c.Send(me+bit, tagBase+top+e, 0)
+			c.Send(me+bit, tag, 0)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func (r *Result) Describe() string {
 // one shared sequence of global arrival matrices at the stage its subtree
 // left off. No candidate is ever lifted into the P-rank space. Pricing the
 // local pattern equals pricing the lifted one bit for bit as long as every
-// member list is strictly ascending (BatchCost sums L over targets in
+// member list is strictly ascending (the predictor sums L over targets in
 // increasing rank, non-members cost nothing and never bound the maximum);
 // SSS trees guarantee that order and Hybrid rejects a tree that does not.
 func Hybrid(pd *predict.Predictor, tree *sss.Node, builders []sched.Builder) (*Result, error) {

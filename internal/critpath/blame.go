@@ -19,6 +19,9 @@ func (l Link) String() string { return fmt.Sprintf("%d→%d", l.From, l.To) }
 // Blame scores one observed direction against the profile.
 type Blame struct {
 	From, To int
+	// Transport is the link's class: the live mesh's transport (tcp, shm) or
+	// the simulated fabric's link class.
+	Transport string
 	// Observed is the direction's delivery floor: the minimum over its
 	// matched messages of (arrival − max(send start, recv post)). Measuring
 	// from the later of the two endpoints is what keeps blame causal: a
@@ -50,8 +53,9 @@ type Blame struct {
 // worst first and then by direction for determinism.
 func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 	type agg struct {
-		floor float64
-		n     int
+		floor     float64
+		n         int
+		transport string
 	}
 	obs := map[Link]*agg{}
 	for _, m := range tl.All {
@@ -63,7 +67,7 @@ func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 		}
 		a := obs[Link{m.Src, m.Dst}]
 		if a == nil {
-			a = &agg{floor: math.Inf(1)}
+			a = &agg{floor: math.Inf(1), transport: m.Transport}
 			obs[Link{m.Src, m.Dst}] = a
 		}
 		if d < a.floor {
@@ -73,7 +77,7 @@ func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 	}
 	out := make([]Blame, 0, len(obs))
 	for l, a := range obs {
-		b := Blame{From: l.From, To: l.To, Observed: a.floor, Count: a.n}
+		b := Blame{From: l.From, To: l.To, Transport: a.transport, Observed: a.floor, Count: a.n}
 		if pf != nil && l.From < pf.P && l.To < pf.P {
 			b.Expected = pf.O.At(l.From, l.To) + pf.L.At(l.From, l.To)
 		}

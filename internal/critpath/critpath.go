@@ -1,11 +1,14 @@
-// Package critpath turns the per-rank spans of one mesh run into a single
-// causally-consistent, cross-rank timeline and extracts what the model can
-// only predict: the *realized* critical path of a barrier — the chain of
-// message arrivals that actually determined its completion — plus per-link
-// blame scores that compare each direction's observed delivery floor against
-// the profiled O+L model.
+// Package critpath holds the one record of a barrier execution: a single
+// causally-consistent, cross-rank timeline of its messages, built from either
+// executor — Merge from the per-rank spans of a live mesh run, MergeSim from
+// the simulator's message stream — and read by everything that asks what
+// executed: the *realized* critical path of a barrier — the chain of message
+// arrivals that actually determined its completion — the per-stage, per-rank
+// completion times the model's Timeline is held against, a text Gantt, and
+// per-link blame scores that compare each direction's observed delivery floor
+// against the profiled O+L model.
 //
-// The pipeline is: netmpi emits per-message send/recv spans (tag, peer,
+// The live pipeline is: netmpi emits per-message send/recv spans (tag, peer,
 // stage, transport) into a telemetry.Tracer; Merge matches the k-th send on
 // a (src, dst, tag) key to the k-th receive on the same key — per-link
 // non-overtaking on both transports makes that pairing exact — estimates
@@ -22,7 +25,8 @@
 // the graph of bidirectional pairs; ranks that pair with rank 0's component
 // in one direction only keep offset 0 and are flagged. In-process all ranks
 // share one clock and every estimate is near zero, but the machinery is what
-// a multi-process deployment will lean on.
+// a multi-process deployment will lean on. The simulator's virtual clock is
+// global and exact: MergeSim estimates nothing.
 package critpath
 
 import (
@@ -168,8 +172,26 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 		}
 	}
 	tl.estimateOffsets(raw)
+	if err := tl.assemble(raw, tagBase); err != nil {
+		return nil, err
+	}
 
-	// Correct times and group into barrier instances.
+	for rk, ss := range stagesRaw {
+		sortByStart(ss)
+		for _, e := range ss {
+			tl.stages[rk] = append(tl.stages[rk], stageSpan{
+				start: e.Start.Seconds() - tl.Offsets[e.Rank],
+				end:   e.End().Seconds() - tl.Offsets[e.Rank],
+			})
+		}
+	}
+	return tl, nil
+}
+
+// assemble corrects the matched pairs by the timeline's clock offsets into
+// All, groups them into barrier instances and selects one into Messages —
+// the half of Merge that does not care which executor produced the pairs.
+func (tl *Timeline) assemble(raw []rawMsg, tagBase int) error {
 	for _, m := range raw {
 		tl.All = append(tl.All, Message{
 			Src: m.src, Dst: m.dst, Stage: m.stage, Tag: m.tag, Seq: m.seq,
@@ -204,7 +226,7 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 		}
 	}
 	if sel.base < 0 && tagBase >= 0 {
-		return nil, fmt.Errorf("critpath: no matched messages with tag base %d in window", tagBase)
+		return fmt.Errorf("critpath: no matched messages with tag base %d in window", tagBase)
 	}
 	tl.TagBase, tl.Seq = sel.base, sel.seq
 	for _, m := range tl.All {
@@ -221,17 +243,7 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 		}
 		return tl.Messages[a].Dst < tl.Messages[b].Dst
 	})
-
-	for rk, ss := range stagesRaw {
-		sortByStart(ss)
-		for _, e := range ss {
-			tl.stages[rk] = append(tl.stages[rk], stageSpan{
-				start: e.Start.Seconds() - tl.Offsets[e.Rank],
-				end:   e.End().Seconds() - tl.Offsets[e.Rank],
-			})
-		}
-	}
-	return tl, nil
+	return nil
 }
 
 func sortByStart(evs []telemetry.SpanEvent) {

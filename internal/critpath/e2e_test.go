@@ -2,7 +2,6 @@ package critpath_test
 
 import (
 	"encoding/json"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -39,45 +38,16 @@ func (t *toggleDelay) Judge(int) faultnet.Action {
 // dials it — so the injector owns precisely the (p−2)→(p−1) direction.
 func delayedLinkMesh(t testing.TB, p int, inj faultnet.Injector, opts ...netmpi.Option) []*netmpi.Peer {
 	t.Helper()
-	faultRank := p - 2
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := netmpi.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == faultRank {
-			ln = &faultnet.Listener{Listener: ln, New: func() faultnet.Injector { return inj }}
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	listeners, err := netmpi.LoopbackListeners(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	peers := make([]*netmpi.Peer, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peers[i], errs[i] = netmpi.Dial(i, addrs, listeners[i], meshTimeout, opts...)
-		}()
+	listeners[p-2] = &faultnet.Listener{Listener: listeners[p-2], New: func() faultnet.Injector { return inj }}
+	peers, err := netmpi.MeshOver(listeners, meshTimeout, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, pe := range peers {
-			pe.Close()
-		}
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	})
+	t.Cleanup(func() { netmpi.CloseMesh(peers) })
 	return peers
 }
 

@@ -129,6 +129,29 @@ type windowMeta struct {
 	Events int       `json:"events"`
 }
 
+// snapshot assembles the dump document of the retained windows plus extra
+// (spans the caller read off the tracer without consuming them) and returns
+// it with every span it covers.
+func (f *FlightRecorder) snapshot(reason string, extra []telemetry.SpanEvent) (dumpDoc, []telemetry.SpanEvent) {
+	f.mu.Lock()
+	wins := append([]Window(nil), f.wins...)
+	pd, s := f.pd, f.s
+	f.mu.Unlock()
+	var evs []telemetry.SpanEvent
+	doc := dumpDoc{Reason: reason, At: time.Now(), P: f.p, Dropped: f.tr.Dropped()}
+	for _, w := range wins {
+		evs = append(evs, w.Events...)
+		doc.Windows = append(doc.Windows, windowMeta{Seq: w.Seq, Label: w.Label, CutAt: w.CutAt, Events: len(w.Events)})
+	}
+	evs = append(evs, extra...)
+	if tl, err := Merge(evs, f.p, -1); err != nil {
+		doc.Error = err.Error()
+	} else if len(tl.All) > 0 {
+		doc.Report = Analyze(tl, pd, s)
+	}
+	return doc, evs
+}
+
 // Dump writes the retained windows (draining the tracer first) as
 // <dir>/flight-<n>-<reason>.json — window metadata plus the latest
 // barrier's critical-path report — and a Chrome trace of every retained
@@ -142,8 +165,6 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	f.mu.Lock()
 	f.nDumps++
 	n := f.nDumps
-	wins := append([]Window(nil), f.wins...)
-	pd, s := f.pd, f.s
 	f.mu.Unlock()
 
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
@@ -151,17 +172,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	}
 	base := filepath.Join(f.dir, fmt.Sprintf("flight-%03d-%s", n, sanitize(reason)))
 
-	var evs []telemetry.SpanEvent
-	doc := dumpDoc{Reason: reason, At: time.Now(), P: f.p, Dropped: f.tr.Dropped()}
-	for _, w := range wins {
-		evs = append(evs, w.Events...)
-		doc.Windows = append(doc.Windows, windowMeta{Seq: w.Seq, Label: w.Label, CutAt: w.CutAt, Events: len(w.Events)})
-	}
-	if tl, err := Merge(evs, f.p, -1); err != nil {
-		doc.Error = err.Error()
-	} else if len(tl.All) > 0 {
-		doc.Report = Analyze(tl, pd, s)
-	}
+	doc, evs := f.snapshot(reason, nil)
 
 	jf, err := os.Create(base + ".json")
 	if err != nil {
@@ -200,25 +211,10 @@ func (f *FlightRecorder) Handler() http.Handler {
 			http.Error(w, "flight recorder disabled", http.StatusNotFound)
 			return
 		}
-		f.mu.Lock()
-		wins := append([]Window(nil), f.wins...)
-		pd, s := f.pd, f.s
-		f.mu.Unlock()
-		var evs []telemetry.SpanEvent
-		doc := dumpDoc{Reason: "debug", At: time.Now(), P: f.p, Dropped: f.tr.Dropped()}
-		for _, win := range wins {
-			evs = append(evs, win.Events...)
-			doc.Windows = append(doc.Windows, windowMeta{Seq: win.Seq, Label: win.Label, CutAt: win.CutAt, Events: len(win.Events)})
-		}
 		// Include spans still in the tracer without consuming them: the
 		// handler must not race the flight windows away from a failure
 		// path that wants to dump them.
-		evs = append(evs, f.tr.Events()...)
-		if tl, err := Merge(evs, f.p, -1); err != nil {
-			doc.Error = err.Error()
-		} else if len(tl.All) > 0 {
-			doc.Report = Analyze(tl, pd, s)
-		}
+		doc, _ := f.snapshot("debug", f.tr.Events())
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

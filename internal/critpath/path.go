@@ -3,6 +3,7 @@ package critpath
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"topobarrier/internal/predict"
@@ -149,28 +150,77 @@ func (tl *Timeline) CriticalPath() []Hop {
 // latest stage completion (falling back to the latest arrival).
 func (tl *Timeline) Span() (start, end float64) {
 	start, end = math.Inf(1), math.Inf(-1)
-	for r := 0; r < tl.P; r++ {
-		if s, _, ok := tl.stageInterval(r, 0); ok && s < start {
-			start = s
-		}
-		for k := range tl.stages {
-			if k[0] != r {
-				continue
+	for rk := range tl.stages {
+		if s, e, ok := tl.stageInterval(rk[0], rk[1]); ok {
+			if rk[1] == 0 {
+				start = min(start, s)
 			}
-			if _, e, ok := tl.stageInterval(r, k[1]); ok && e > end {
-				end = e
-			}
+			end = max(end, e)
 		}
 	}
 	for _, m := range tl.Messages {
-		if m.SendStart < start {
-			start = m.SendStart
-		}
-		if m.Arrived > end {
-			end = m.Arrived
-		}
+		start, end = min(start, m.SendStart), max(end, m.Arrived)
 	}
 	return start, end
+}
+
+// StageDone returns the selected instance's completion times in the shape
+// predict.Timeline predicts them: out[k][r] is when rank r completed stage k,
+// on the clock Span reports, and a rank idle in a stage carries its previous
+// completion forward — the instance's start for stage 0 — as the model does.
+func (tl *Timeline) StageDone() [][]float64 {
+	stages := 0
+	for _, m := range tl.Messages {
+		stages = max(stages, m.Stage+1)
+	}
+	start, _ := tl.Span()
+	out := make([][]float64, stages)
+	for k := range out {
+		out[k] = make([]float64, tl.P)
+		for r := range out[k] {
+			if _, end, ok := tl.stageInterval(r, k); ok {
+				out[k][r] = end
+			} else if k > 0 {
+				out[k][r] = out[k-1][r]
+			} else {
+				out[k][r] = start
+			}
+		}
+	}
+	return out
+}
+
+// Gantt renders the selected instance as a per-rank text timeline: each row
+// is a rank, each message is drawn from its send column to its arrival
+// column. width is the number of character columns.
+func (tl *Timeline) Gantt(width int) string {
+	start, end := tl.Span()
+	if len(tl.Messages) == 0 || end <= start || width < 10 {
+		return "(no events)\n"
+	}
+	col := func(t float64) int {
+		return min(max(int(float64(width-1)*(t-start)/(end-start)), 0), width-1)
+	}
+	rows := make([][]byte, tl.P)
+	for i := range rows {
+		rows[i] = []byte(strings.Repeat(".", width))
+	}
+	for _, m := range tl.Messages {
+		c0, c1 := col(m.SendStart), col(m.Arrived)
+		for c := c0 + 1; c < c1; c++ {
+			if rows[m.Dst][c] == '.' {
+				rows[m.Dst][c] = '-' // message in flight toward this rank
+			}
+		}
+		rows[m.Dst][c1] = '<'
+		rows[m.Src][c0] = '>'
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "t ∈ [%.1fµs, %.1fµs], %d messages\n", start*1e6, end*1e6, len(tl.Messages))
+	for i, row := range rows {
+		fmt.Fprintf(&b, "%3d %s\n", i, row)
+	}
+	return b.String()
 }
 
 // Report is the realized-vs-predicted critical-path comparison of one
@@ -249,7 +299,28 @@ func (rep *Report) String() string {
 		}
 	}
 	if len(rep.Blame) > 0 {
-		b.WriteString("per-link blame (observed delivery floor vs profile O+L):\n")
+		// The blame table once more, by link class: where the profile is
+		// wrong about a whole class, not one link.
+		b.WriteString("per-class residual (mean observed delivery floor vs mean profile O+L):\n")
+		type sums struct{ n, observed, expected float64 }
+		classes := map[string]*sums{}
+		var names []string
+		for _, bl := range rep.Blame {
+			c := classes[bl.Transport]
+			if c == nil {
+				c = &sums{}
+				classes[bl.Transport] = c
+				names = append(names, bl.Transport)
+			}
+			c.n, c.observed, c.expected = c.n+1, c.observed+bl.Observed, c.expected+bl.Expected
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			c := classes[name]
+			fmt.Fprintf(&b, "  %s: %.0f links, observed %.1fµs expected %.1fµs (%+.1f%%)\n",
+				name, c.n, c.observed/c.n*1e6, c.expected/c.n*1e6, 100*(c.observed-c.expected)/c.expected)
+		}
+		b.WriteString("slowest links — per-link blame (observed delivery floor vs profile O+L):\n")
 		for i, bl := range rep.Blame {
 			if i >= 8 && bl.Score == 0 {
 				fmt.Fprintf(&b, "  ... %d more within tolerance\n", len(rep.Blame)-i)
@@ -262,8 +333,8 @@ func (rep *Report) String() string {
 			if bl.OnPredicted {
 				marks += " [predicted]"
 			}
-			fmt.Fprintf(&b, "  %d→%d: observed %.1fµs expected %.1fµs score %.2f (n=%d)%s\n",
-				bl.From, bl.To, bl.Observed*1e6, bl.Expected*1e6, bl.Score, bl.Count, marks)
+			fmt.Fprintf(&b, "  %d→%d %s: observed %.1fµs expected %.1fµs score %.2f (n=%d)%s\n",
+				bl.From, bl.To, bl.Transport, bl.Observed*1e6, bl.Expected*1e6, bl.Score, bl.Count, marks)
 		}
 	}
 	return b.String()

@@ -41,10 +41,11 @@ func GigEParams(seed uint64) Params {
 // per socket to host p ranks under block placement. The paper's machines top
 // out at 120 cores; this preset extrapolates the same three-layer hierarchy
 // (shared cache pair, socket, node) to P=1024 and beyond so the scaling of
-// the tuning engine itself can be measured.
+// the tuning engine itself can be measured. A non-positive nodes means about
+// one node per 32 ranks.
 func ScaleClusterSpec(p, nodes int) topo.Spec {
 	if nodes <= 0 {
-		nodes = 1
+		nodes = max(1, (p+31)/32)
 	}
 	perSocket := (p + 2*nodes - 1) / (2 * nodes)
 	if perSocket < 1 {

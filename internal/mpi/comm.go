@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Comm is a rank's handle to the job, valid only inside the body passed to
 // World.Run and only on that rank's coroutine.
@@ -38,6 +41,7 @@ type Request struct {
 	done        bool
 	inWait      bool // counted in the owner's pending Wait
 	completedAt float64
+	postedAt    float64 // receives: when Irecv posted it (set only for a tracer)
 
 	// Matched source and tag, filled for completed receives.
 	Src, Tag int
@@ -172,12 +176,20 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	c.checkPeer(src, true)
 	r, p := c.r, c.p
 	req := r.newRequest(Request{kind: recvReq, owner: p.rank, peer: src, tag: tag})
+	if r.world.tracer != nil {
+		req.postedAt = r.q.Now()
+	}
 
 	// Check messages that already arrived unmatched.
 	for i, m := range p.unexpected {
 		if envelopeMatches(req, m.src, m.tag) {
 			p.unexpected = append(p.unexpected[:i], p.unexpected[i+1:]...)
 			now := r.q.Now()
+			if r.world.tracer != nil {
+				e := &r.trace[p.unexpectedEv[i]]
+				e.Posted, e.Matched = now, now
+				p.unexpectedEv = append(p.unexpectedEv[:i], p.unexpectedEv[i+1:]...)
+			}
 			req.complete(now, m.src, m.tag)
 			if m.sreq != nil && !m.sreq.done {
 				// The synchronized sender learns of the match now; complete
@@ -287,12 +299,19 @@ func (r *run) hasPostedMatch(dst, src, tag int) bool {
 // against posted receives or queue it as unexpected.
 func (r *run) deliver(dp *proc, m inMsg, sentAt float64) {
 	now := r.q.Now()
-	if fn := r.world.tracer; fn != nil {
-		fn(TraceEvent{Src: m.src, Dst: dp.rank, Tag: m.tag, Bytes: m.bytes, Sent: sentAt, Arrived: now})
+	traced := r.world.tracer != nil
+	if traced {
+		never := math.Inf(1)
+		r.trace = append(r.trace, TraceEvent{Src: m.src, Dst: dp.rank, Tag: m.tag, Bytes: m.bytes,
+			Sent: sentAt, Arrived: now, Posted: never, Matched: never})
 	}
 	for i, q := range dp.posted {
 		if envelopeMatches(q, m.src, m.tag) {
 			dp.posted = append(dp.posted[:i], dp.posted[i+1:]...)
+			if traced {
+				e := &r.trace[len(r.trace)-1]
+				e.Posted, e.Matched = q.postedAt, now
+			}
 			r.completeAndWake(q, now, m.src, m.tag)
 			r.completeAndWake(m.sreq, now, -1, -1)
 			return
@@ -304,6 +323,9 @@ func (r *run) deliver(dp *proc, m inMsg, sentAt float64) {
 		m.sreq = nil
 	}
 	dp.unexpected = append(dp.unexpected, m)
+	if traced {
+		dp.unexpectedEv = append(dp.unexpectedEv, len(r.trace)-1)
+	}
 }
 
 // completeAndWake completes a request and wakes its owner if that was the

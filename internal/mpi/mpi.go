@@ -54,6 +54,12 @@ type TraceEvent struct {
 	Src, Dst, Tag, Bytes int
 	Sent                 float64 // virtual time the send was issued
 	Arrived              float64 // virtual time the message arrived
+	// Posted is when the receive that matched the message was posted, and
+	// Matched when the two met: Arrived for a receiver that was waiting,
+	// Posted for a message that sat unexpected. A synchronized sender's
+	// request completes at Matched. Both are +Inf for a message the run ended
+	// without receiving.
+	Posted, Matched float64
 }
 
 // Option configures a World.
@@ -67,7 +73,8 @@ func WithCongestion() Option { return func(w *World) { w.congestion = true } }
 // exceeding it fail with an error. 0 means unbounded.
 func WithMaxEvents(n int) Option { return func(w *World) { w.maxEvents = n } }
 
-// WithTracer installs a callback invoked for every delivered message.
+// WithTracer installs a callback invoked, as each Run ends, once for every
+// message the run delivered, in delivery order.
 func WithTracer(fn func(TraceEvent)) Option { return func(w *World) { w.tracer = fn } }
 
 // World is a simulated P-rank job. A World may execute any number of
@@ -129,6 +136,9 @@ func (w *World) Run(body func(*Comm)) (elapsed float64, err error) {
 		for i := range r.procs {
 			r.procs[i].stop()
 		}
+		for _, e := range r.trace {
+			w.tracer(e)
+		}
 	}()
 
 	events := 0
@@ -169,6 +179,10 @@ type run struct {
 	procs   []proc
 	nicFree []float64
 	free    []*Request // completed requests no caller ever saw, for reuse
+	// trace, kept only when the world has a tracer, holds every delivery so
+	// far in delivery order; a delivery's match times are filled in when its
+	// receive turns up, so the tracer sees the events when the run ends.
+	trace []TraceEvent
 }
 
 // event is what the run's queue carries: the payload of one scheduler action,
@@ -205,6 +219,9 @@ type proc struct {
 
 	posted     []*Request // posted, unmatched receives (post order)
 	unexpected []inMsg    // arrived, unmatched messages (arrival order)
+	// unexpectedEv[i] is unexpected[i]'s index in the run's trace; empty
+	// without a tracer.
+	unexpectedEv []int
 }
 
 type inMsg struct {

@@ -457,6 +457,41 @@ func TestTracerSeesDeliveries(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsTheMatch pins the two match times of a trace event: a
+// waiting receiver matches at arrival, a message that sat unexpected matches
+// when its receive is posted, and one nobody receives never does.
+func TestTracerRecordsTheMatch(t *testing.T) {
+	const late = 1e-3
+	var events []TraceEvent
+	w := NewWorld(testFabric(t, 1, 2, 2), WithTracer(func(e TraceEvent) { events = append(events, e) }))
+	_, err := w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, 1, 0)
+			c.Send(1, 2, 0)
+			c.Wait(c.Isend(1, 3, 0))
+		} else {
+			c.Recv(0, 1)
+			c.Compute(late)
+			c.Recv(0, 2)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 3 {
+		t.Fatalf("traced %d events, want 3", len(events))
+	}
+	if e := events[0]; e.Posted != 0 || e.Matched != e.Arrived {
+		t.Errorf("waiting receiver: %+v", e)
+	}
+	if e := events[1]; e.Posted <= e.Arrived || e.Posted < late || e.Matched != e.Posted {
+		t.Errorf("unexpected message: %+v", e)
+	}
+	if e := events[2]; !math.IsInf(e.Posted, 1) || !math.IsInf(e.Matched, 1) {
+		t.Errorf("message nobody received: %+v", e)
+	}
+}
+
 func TestNoopInitiateAdvancesTime(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
 	elapsed, err := w.Run(func(c *Comm) {

@@ -65,44 +65,30 @@ func checkNoReaderLeak(t *testing.T) {
 // frames.
 func faultMesh(t *testing.T, p, faultRank int, inj func() faultnet.Injector) []*Peer {
 	t.Helper()
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	return wrappedMesh(t, p, func(i int, ln net.Listener) net.Listener {
+		if i != faultRank {
+			return ln
 		}
-		if i == faultRank {
-			ln = &faultnet.Listener{Listener: ln, New: inj}
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	peers := make([]*Peer, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peers[i], errs[i] = Dial(i, addrs, listeners[i], meshTimeout)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, pe := range peers {
-			pe.Close()
-		}
-		for _, ln := range listeners {
-			ln.Close()
-		}
+		return &faultnet.Listener{Listener: ln, New: inj}
 	})
+}
+
+// wrappedMesh is mesh with every rank's listener passed through wrap before
+// the mesh is dialled over them.
+func wrappedMesh(tb testing.TB, p int, wrap func(rank int, ln net.Listener) net.Listener, opts ...Option) []*Peer {
+	tb.Helper()
+	listeners, err := LoopbackListeners(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, ln := range listeners {
+		listeners[i] = wrap(i, ln)
+	}
+	peers, err := MeshOver(listeners, meshTimeout, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { CloseMesh(peers) })
 	return peers
 }
 

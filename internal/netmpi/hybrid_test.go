@@ -360,45 +360,13 @@ func TestResilientParityAcrossTransports(t *testing.T) {
 // physical, not scheduler noise.
 func delayHybridMesh(tb testing.TB, p int, nodes []int, d time.Duration) []*Peer {
 	tb.Helper()
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		listeners[i] = &faultnet.Listener{Listener: ln, New: func() faultnet.Injector {
-			return faultnet.DelayFrom(0, d)
-		}}
-		addrs[i] = ln.Addr().String()
+	var opts []Option
+	if nodes != nil {
+		opts = append(opts, WithColocation(NewShmHub(), nodes))
 	}
-	hub := NewShmHub()
-	peers := make([]*Peer, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peers[i], errs[i] = Dial(i, addrs, listeners[i], meshTimeout, WithColocation(hub, nodes))
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			tb.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	tb.Cleanup(func() {
-		for _, pe := range peers {
-			pe.Close()
-		}
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	})
-	return peers
+	return wrappedMesh(tb, p, func(_ int, ln net.Listener) net.Listener {
+		return &faultnet.Listener{Listener: ln, New: func() faultnet.Injector { return faultnet.DelayFrom(0, d) }}
+	}, opts...)
 }
 
 // TestHybridProbeMeasuresClassGap is the drift test of the issue: on a

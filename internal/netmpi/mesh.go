@@ -9,6 +9,7 @@ import (
 	"topobarrier/internal/analyze"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
+	"topobarrier/internal/topo"
 )
 
 // VetPlan is the pre-execution gate for real-network runs: analyze.Vet, with
@@ -28,12 +29,22 @@ func VetPlan(s *sched.Schedule, opts analyze.Options) (*run.Plan, *analyze.Repor
 // On success the caller owns the peers and must Close each; on failure
 // everything opened so far is torn down.
 func LoopbackMesh(p int, timeout time.Duration, opts ...Option) ([]*Peer, error) {
+	listeners, err := LoopbackListeners(p)
+	if err != nil {
+		return nil, err
+	}
+	return MeshOver(listeners, timeout, opts...)
+}
+
+// LoopbackListeners opens one 127.0.0.1 mesh listener per rank — the first
+// half of LoopbackMesh, for callers that wrap some of them (fault injection)
+// before handing them to MeshOver.
+func LoopbackListeners(p int) ([]net.Listener, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("netmpi: mesh needs at least 2 ranks, got %d", p)
 	}
 	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
+	for i := range listeners {
 		ln, err := Listen("127.0.0.1:0")
 		if err != nil {
 			for _, l := range listeners[:i] {
@@ -42,6 +53,18 @@ func LoopbackMesh(p int, timeout time.Duration, opts ...Option) ([]*Peer, error)
 			return nil, err
 		}
 		listeners[i] = ln
+	}
+	return listeners, nil
+}
+
+// MeshOver dials the full mesh whose rank i accepts on listeners[i], every
+// rank concurrently with the given options, and closes the listeners: a
+// formed mesh no longer needs them. On failure every peer opened so far is
+// torn down.
+func MeshOver(listeners []net.Listener, timeout time.Duration, opts ...Option) ([]*Peer, error) {
+	p := len(listeners)
+	addrs := make([]string, p)
+	for i, ln := range listeners {
 		addrs[i] = ln.Addr().String()
 	}
 	peers := make([]*Peer, p)
@@ -61,11 +84,7 @@ func LoopbackMesh(p int, timeout time.Duration, opts ...Option) ([]*Peer, error)
 	}
 	for i, err := range errs {
 		if err != nil {
-			for _, pe := range peers {
-				if pe != nil {
-					pe.Close()
-				}
-			}
+			CloseMesh(peers)
 			return nil, fmt.Errorf("netmpi: mesh formation: rank %d: %w", i, err)
 		}
 	}
@@ -87,6 +106,36 @@ func HybridMesh(p int, nodes []int, timeout time.Duration, opts ...Option) ([]*P
 	hub := NewShmHub()
 	all := append([]Option{WithColocation(hub, nodes)}, opts...)
 	return LoopbackMesh(p, timeout, all...)
+}
+
+// Colocation resolves a command's -transport/-colocate pair into the
+// co-location vector HybridMesh takes: nil for "tcp"; for "hybrid" the parsed
+// colocate spec or, when that is empty, the nodes the named placement puts
+// the p ranks on in the named cluster — the ranks the simulator would put on
+// one node share memory on the live mesh too. A command with no cluster to
+// derive from passes an empty name, and hybrid then needs an explicit spec.
+func Colocation(transport, colocate, cluster, placement string, p int) ([]int, error) {
+	switch {
+	case transport == "tcp" && colocate != "":
+		return nil, fmt.Errorf("-colocate needs -transport hybrid")
+	case transport == "tcp":
+		return nil, nil
+	case transport != "hybrid":
+		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
+	case colocate != "":
+		return ParseColocation(colocate, p)
+	case cluster == "":
+		return nil, fmt.Errorf("-transport hybrid needs -colocate (e.g. \"nodes=2\" or \"0-3,4-7\")")
+	}
+	spec, err := topo.ClusterByName(cluster)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := topo.PlacementByName(placement)
+	if err != nil {
+		return nil, err
+	}
+	return NodesFromPlacement(spec, pl, p)
 }
 
 // CloseMesh closes every peer of a mesh.

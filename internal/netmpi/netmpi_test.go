@@ -2,7 +2,6 @@ package netmpi
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -17,41 +16,11 @@ const meshTimeout = 5 * time.Second
 // peers. Cleanup closes everything.
 func mesh(t *testing.T, p int) []*Peer {
 	t.Helper()
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	peers, err := LoopbackMesh(p, meshTimeout)
+	if err != nil {
+		t.Fatal(err)
 	}
-	peers := make([]*Peer, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peers[i], errs[i] = Dial(i, addrs, listeners[i], meshTimeout)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, pe := range peers {
-			pe.Close()
-		}
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	})
+	t.Cleanup(func() { CloseMesh(peers) })
 	return peers
 }
 

@@ -1,12 +1,9 @@
 package netmpi
 
 import (
-	"net"
-	"sync"
 	"testing"
 	"time"
 
-	"topobarrier/internal/faultnet"
 	"topobarrier/internal/perftest"
 )
 
@@ -18,44 +15,7 @@ import (
 // observable regardless of core count.
 func delayMesh(tb testing.TB, p int, d time.Duration) []*Peer {
 	tb.Helper()
-	listeners := make([]net.Listener, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		ln, err := Listen("127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		listeners[i] = &faultnet.Listener{Listener: ln, New: func() faultnet.Injector {
-			return faultnet.DelayFrom(0, d)
-		}}
-		addrs[i] = ln.Addr().String()
-	}
-	peers := make([]*Peer, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peers[i], errs[i] = Dial(i, addrs, listeners[i], meshTimeout)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			tb.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	tb.Cleanup(func() {
-		for _, pe := range peers {
-			pe.Close()
-		}
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	})
-	return peers
+	return delayHybridMesh(tb, p, nil, d)
 }
 
 // benchLinkDelay approximates one-way latency on a switched gigabit fabric.

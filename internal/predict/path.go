@@ -15,66 +15,45 @@ type PathStep struct {
 	At float64
 }
 
-// CriticalPath replays the Timeline recurrence while tracking, for every
-// (stage, rank) cell, the predecessor that realized its max — and then walks
-// that predecessor chain back from the rank whose final-stage completion is
-// the schedule's predicted Cost. The result is ordered earliest stage first
-// and always has exactly NumStages steps: the chain of batch drains and
-// message arrivals the model says the barrier's completion time is made of.
-// Ties resolve the way Cost resolves them (own batch first, then lower
-// sender rank), so the reported chain is deterministic.
+// CriticalPath walks back over Timeline's completion times from the rank whose
+// final-stage completion is the schedule's predicted Cost, asking at every
+// (stage, rank) cell which term of the recurrence realized its max: the
+// rank's own batch drain or the arrival of one of the stage's signals. The
+// result is ordered earliest stage first and always has exactly NumStages
+// steps: the chain of batch drains and message arrivals the model says the
+// barrier's completion time is made of. Ties resolve the way Cost resolves
+// them (own batch first, then lower sender rank), so the reported chain is
+// deterministic.
 func (pd *Predictor) CriticalPath(s *sched.Schedule) []PathStep {
-	pd.check(s)
-	numStages := s.NumStages()
-	if numStages == 0 {
+	times := pd.Timeline(s)
+	if len(times) == 0 {
 		return nil
 	}
-	t := make([]float64, s.P)
-	next := make([]float64, s.P)
-	times := make([][]float64, numStages)
-	pred := make([][]int, numStages)
-	for k, st := range s.Stages {
-		ready := pd.stageReady(k)
-		dur := make([]float64, s.P)
-		for i := 0; i < s.P; i++ {
-			dur[i] = pd.BatchCost(i, st.Row(i), ready)
-		}
-		pk := make([]int, s.P)
-		for i := 0; i < s.P; i++ {
-			next[i] = t[i] + dur[i]
-			pk[i] = i
-		}
-		for m := 0; m < s.P; m++ {
-			arr := t[m] + dur[m]
-			for _, i := range st.Row(m) {
-				if arr > next[i] {
-					next[i] = arr
-					pk[i] = m
-				}
-			}
-		}
-		if pd.StageOverhead > 0 {
-			for i := 0; i < s.P; i++ {
-				next[i] += pd.StageOverhead
-			}
-		}
-		times[k] = append([]float64(nil), next...)
-		pred[k] = pk
-		t, next = next, t
-	}
-
-	last := numStages - 1
-	final := 0
+	last := len(times) - 1
+	r := 0
 	for i := 1; i < s.P; i++ {
-		if times[last][i] > times[last][final] {
-			final = i
+		if times[last][i] > times[last][r] {
+			r = i
 		}
 	}
-	steps := make([]PathStep, numStages)
-	r := final
+	steps := make([]PathStep, len(times))
 	for k := last; k >= 0; k-- {
-		steps[k] = PathStep{Stage: k, From: pred[k][r], To: r, At: times[k][r]}
-		r = pred[k][r]
+		st, ready := s.Stages[k], pd.stageReady(k)
+		// drained is when m's stage-k batch drains: the time its signals land.
+		drained := func(m int) float64 {
+			if k == 0 {
+				return pd.rowCost(st, m, ready)
+			}
+			return times[k-1][m] + pd.rowCost(st, m, ready)
+		}
+		from, best := r, drained(r)
+		for _, m := range st.Col(r) {
+			if a := drained(m); a > best {
+				from, best = m, a
+			}
+		}
+		steps[k] = PathStep{Stage: k, From: from, To: r, At: times[k][r]}
+		r = from
 	}
 	return steps
 }

@@ -57,28 +57,6 @@ func New(prof *profile.Profile) *Predictor {
 	return &Predictor{Prof: prof, Policy: FirstStageEq1}
 }
 
-// BatchCost evaluates the cost of rank i sending one signal to each target in
-// one stage. With ready=false this is the paper's Eq. 1,
-// max_k O[i][jk] + Σ_k L[i][jk]; with ready=true it is Eq. 2,
-// O[i][i] + Σ_k L[i][jk]. An empty target list costs nothing.
-func (pd *Predictor) BatchCost(i int, targets []int, ready bool) float64 {
-	if len(targets) == 0 {
-		return 0
-	}
-	sumL := 0.0
-	maxO := 0.0
-	for _, j := range targets {
-		sumL += pd.Prof.L.At(i, j)
-		if o := pd.Prof.O.At(i, j); o > maxO {
-			maxO = o
-		}
-	}
-	if ready {
-		return pd.Prof.O.At(i, i) + sumL
-	}
-	return maxO + sumL
-}
-
 func (pd *Predictor) stageReady(stage int) bool {
 	switch pd.Policy {
 	case AlwaysEq1:
@@ -90,9 +68,11 @@ func (pd *Predictor) stageReady(stage int) bool {
 	}
 }
 
-// rowCost is BatchCost of rank i over its targets in one stage matrix, read
-// off the row's bitset words without building the target list: identical
-// accumulation order (targets increasing), so the two agree bit for bit.
+// rowCost evaluates the cost of rank i sending one signal to each of its
+// targets in one stage matrix, read off the row's bitset words, targets
+// increasing. With ready=false this is the paper's Eq. 1,
+// max_k O[i][jk] + Σ_k L[i][jk]; with ready=true it is Eq. 2,
+// O[i][i] + Σ_k L[i][jk]. An empty row costs nothing.
 func (pd *Predictor) rowCost(st *mat.Bool, i int, ready bool) float64 {
 	wpr := st.WordsPerRow()
 	sumL, maxO := 0.0, 0.0

@@ -54,17 +54,38 @@ const (
 	oii = 1e-6
 )
 
+// batchCost is the list form of rowCost — the same Eq. 1/2 sum over an
+// explicit target list in increasing order — kept as the reference rowCost's
+// word scan is held to, bit for bit.
+func (pd *Predictor) batchCost(i int, targets []int, ready bool) float64 {
+	if len(targets) == 0 {
+		return 0
+	}
+	sumL := 0.0
+	maxO := 0.0
+	for _, j := range targets {
+		sumL += pd.Prof.L.At(i, j)
+		if o := pd.Prof.O.At(i, j); o > maxO {
+			maxO = o
+		}
+	}
+	if ready {
+		return pd.Prof.O.At(i, i) + sumL
+	}
+	return maxO + sumL
+}
+
 func TestBatchCostEquations(t *testing.T) {
 	pd := New(uniformProfile(8, o, l, oii))
 	// Eq. 1: max O + Σ L.
-	if got := pd.BatchCost(0, []int{1, 2, 3}, false); math.Abs(got-(o+3*l)) > 1e-18 {
+	if got := pd.batchCost(0, []int{1, 2, 3}, false); math.Abs(got-(o+3*l)) > 1e-18 {
 		t.Fatalf("Eq1 batch = %g, want %g", got, o+3*l)
 	}
 	// Eq. 2: Oii + Σ L.
-	if got := pd.BatchCost(0, []int{1, 2, 3}, true); math.Abs(got-(oii+3*l)) > 1e-18 {
+	if got := pd.batchCost(0, []int{1, 2, 3}, true); math.Abs(got-(oii+3*l)) > 1e-18 {
 		t.Fatalf("Eq2 batch = %g, want %g", got, oii+3*l)
 	}
-	if pd.BatchCost(0, nil, false) != 0 {
+	if pd.batchCost(0, nil, false) != 0 {
 		t.Fatalf("empty batch has nonzero cost")
 	}
 }
@@ -74,7 +95,7 @@ func TestBatchCostMaxOverhead(t *testing.T) {
 	pr.O.Set(0, 3, 100e-6) // one slow target dominates the max term
 	pd := New(pr)
 	want := 100e-6 + 3*l
-	if got := pd.BatchCost(0, []int{1, 2, 3}, false); math.Abs(got-want) > 1e-18 {
+	if got := pd.batchCost(0, []int{1, 2, 3}, false); math.Abs(got-want) > 1e-18 {
 		t.Fatalf("max-overhead batch = %g, want %g", got, want)
 	}
 }
@@ -236,7 +257,7 @@ func TestTimelineAgreesWithCost(t *testing.T) {
 }
 
 // referenceTimeline is §VI's recurrence written the paper-literal way — one
-// BatchCost over Row(i) per rank per stage, then one arrival per listed
+// batchCost over Row(i) per rank per stage, then one arrival per listed
 // target — which Cost and Timeline replaced with a single
 // allocation-free walk of each row's words. They must agree bit for bit.
 func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
@@ -246,7 +267,7 @@ func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
 		dur := make([]float64, s.P)
 		next := make([]float64, s.P)
 		for i := range dur {
-			dur[i] = pd.BatchCost(i, st.Row(i), pd.stageReady(k))
+			dur[i] = pd.batchCost(i, st.Row(i), pd.stageReady(k))
 			next[i] = t[i] + dur[i]
 		}
 		for m := 0; m < s.P; m++ {
@@ -279,8 +300,8 @@ func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
 					}
 					for k, st := range s.Stages {
 						for i := 0; i < p; i++ {
-							if got, want := pd.rowCost(st, i, pd.stageReady(k)), pd.BatchCost(i, st.Row(i), pd.stageReady(k)); got != want {
-								t.Fatalf("%s stage %d rank %d: rowCost %v, BatchCost %v", s.Name, k, i, got, want)
+							if got, want := pd.rowCost(st, i, pd.stageReady(k)), pd.batchCost(i, st.Row(i), pd.stageReady(k)); got != want {
+								t.Fatalf("%s stage %d rank %d: rowCost %v, batchCost %v", s.Name, k, i, got, want)
 							}
 						}
 					}

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"strings"
 
 	"topobarrier/internal/mat"
 )
@@ -279,6 +282,35 @@ func (SymmetricDisseminationBuilder) Arrival(n int) *Schedule { return Symmetric
 
 // NeedsDeparture implements Builder.
 func (SymmetricDisseminationBuilder) NeedsDeparture() bool { return false }
+
+// Named returns the p-rank schedule a command-line -alg value names: a
+// classic generator — tree, linear, dissemination, ring, rd (or
+// recursive-doubling) — or, for a name ending in ".json", the schedule stored
+// in that file, which must be for p ranks. A loaded schedule is untrusted:
+// callers vet it (analyze.Vet) before executing it.
+func Named(name string, p int) (*Schedule, error) {
+	if gen, ok := map[string]func(int) *Schedule{
+		"tree": Tree, "linear": Linear, "dissemination": Dissemination, "ring": Ring,
+		"rd": RecursiveDoubling, "recursive-doubling": RecursiveDoubling,
+	}[name]; ok {
+		return gen(p), nil
+	}
+	if !strings.HasSuffix(name, ".json") {
+		return nil, fmt.Errorf("unknown algorithm %q", name)
+	}
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	var s Schedule
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("decoding %s: %w", name, err)
+	}
+	if s.P != p {
+		return nil, fmt.Errorf("schedule %q is for %d ranks, job has %d", s.Name, s.P, p)
+	}
+	return &s, nil
+}
 
 // PaperBuilders returns the paper's three component algorithms (§V.B).
 func PaperBuilders() []Builder {

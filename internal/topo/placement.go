@@ -43,6 +43,17 @@ func usedNodes(spec Spec, p int) int {
 	return n
 }
 
+// PlacementByName returns the placement a command-line -placement value
+// names: round-robin or block.
+func PlacementByName(name string) (Placement, error) {
+	for _, pl := range []Placement{RoundRobin{}, Block{}} {
+		if pl.Name() == name {
+			return pl, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown placement %q: want round-robin or block", name)
+}
+
 // Block fills nodes one at a time: ranks 0..C-1 on node 0, and so on. This is
 // the "compact" mapping.
 type Block struct{}

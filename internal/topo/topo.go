@@ -156,6 +156,20 @@ func HexCluster() Spec {
 	return Spec{Name: "10x dual hex-core Opteron 2431", Nodes: 10, SocketsPerNode: 2, CoresPerSocket: 6, CacheGroup: 0}
 }
 
+// ClusterByName returns the machine a command-line -cluster value names:
+// quad, hex, or single (one 2x4-core node).
+func ClusterByName(name string) (Spec, error) {
+	switch name {
+	case "quad":
+		return QuadCluster(), nil
+	case "hex":
+		return HexCluster(), nil
+	case "single":
+		return SingleNode(2, 4, 2), nil
+	}
+	return Spec{}, fmt.Errorf("unknown cluster %q: want quad, hex or single", name)
+}
+
 // SingleNode returns a one-node machine with the given socket/core shape,
 // used for the Figure 9 single-node profile.
 func SingleNode(sockets, cores, cacheGroup int) Spec {
