@@ -103,12 +103,12 @@ func main() {
 	}
 	fmt.Printf("wrote %s (P=%d, diameter %.1fµs)\n", *out, pf.P, pf.Diameter()*1e6)
 	if *full {
-		pairs, est, spot, redone := pf.P*(pf.P-1)/2, 0, 0, 0
+		pairs, spot, redone := pf.P*(pf.P-1)/2, 0, 0
 		if pv := pf.Provenance; pv != nil {
-			est, spot, redone = pv.Estimated.Count()/2, pv.SpotChecked, pv.Remeasured
+			spot, redone = pv.SpotChecked, pv.Remeasured
 		}
-		fmt.Printf("measured %d of %d pairs, %d estimated, %d spot-checked (%d blocks re-measured)\n",
-			pairs-est, pairs, est, spot, redone)
+		fmt.Printf("measured %d of %d pairs, %d estimated, %d spot checks (%d blocks re-measured)\n",
+			pf.MeasuredPairs(), pairs, pairs-pf.MeasuredPairs(), spot, redone)
 	}
 	if *heat {
 		fmt.Println(profile.HeatMap(pf.O, "O matrix [seconds]"))

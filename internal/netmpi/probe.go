@@ -19,17 +19,16 @@ import (
 const probeTagBase = 1 << 20
 
 // ProbeOptions configures ProbeProfileOpts. The zero value (after defaults)
-// is 8 fixed ping-pongs per direction and a 5 s per-receive deadline.
+// is 8 fixed ping-pongs per pair and a 5 s per-receive deadline.
 type ProbeOptions struct {
-	// MaxIters is the hard cap of timed ping-pongs per ordered pair; 0
-	// selects 8.
+	// MaxIters is the hard cap of timed ping-pongs per pair; 0 selects 8.
 	MaxIters int
-	// StableK enables adaptive sampling: a direction stops early once its
+	// StableK enables adaptive sampling: a pair's series stops early once its
 	// running minimum RTT has not improved for StableK consecutive samples.
 	// Minima converge fast under one-sided scheduling noise, so most quiet
 	// links stop well before MaxIters. 0 disables early stopping. When it
-	// fires, a direction has taken at least StableK+1 samples (the first
-	// sample always establishes the minimum).
+	// fires, a series has taken at least StableK+1 samples (the first sample
+	// always establishes the minimum).
 	StableK int
 	// Deadline bounds each probe receive; 0 selects 5 s.
 	Deadline time.Duration
@@ -63,8 +62,10 @@ type ProbeReport struct {
 	// Rounds is the number of parallel rounds executed (0 on a pure cache
 	// hit).
 	Rounds int
-	// Samples[i][j] is the number of timed ping-pongs direction i→j took;
-	// 0 on the diagonal and for directions served from the cache.
+	// Samples[i][j] is the number of timed round trips of the series rank i
+	// initiated with rank j. A pair is one series that yields both directions,
+	// credited here to the initiating one: 0 for the echo direction, on the
+	// diagonal, and for pairs served from the cache.
 	Samples [][]int
 	// Elapsed is the probe wall-clock time.
 	Elapsed time.Duration
@@ -78,7 +79,7 @@ func newProbeReport(p int) *ProbeReport {
 	return r
 }
 
-// TotalSamples returns the total number of timed ping-pongs taken.
+// TotalSamples returns the total number of timed round trips taken.
 func (r *ProbeReport) TotalSamples() int {
 	n := 0
 	for _, row := range r.Samples {
@@ -89,8 +90,8 @@ func (r *ProbeReport) TotalSamples() int {
 	return n
 }
 
-// SampleStats summarises the per-direction sample counts (min, median, max)
-// over the directions that were actually probed.
+// SampleStats summarises the per-series sample counts (min, median, max) over
+// the pairs that were actually probed.
 func (r *ProbeReport) SampleStats() (min, median, max float64) {
 	var xs []float64
 	for _, row := range r.Samples {
@@ -106,37 +107,13 @@ func (r *ProbeReport) SampleStats() (min, median, max float64) {
 	return stats.Min(xs), stats.Median(xs), stats.Max(xs)
 }
 
-// dirResult is one probed direction: the fitted O/L estimates and the number
-// of samples spent on them.
-type dirResult struct {
+// freshDir is one direction's fresh measurement: the fitted O/L estimates and
+// the timed round trips credited to it (the series' count on the initiating
+// direction, 0 on the echo's).
+type freshDir struct {
+	d    Direction
 	o, l float64
 	n    int
-}
-
-// freshDir pairs a direction with its fresh measurement.
-type freshDir struct {
-	d Direction
-	r dirResult
-}
-
-// slot is the directions one goroutine probes back to back. The slots of a
-// round share no rank, so every rank is in at most one timed exchange at any
-// instant and the measurements stay uncontended.
-type slot []Direction
-
-// meshRounds schedules every direction of a p-rank mesh as edge-colored
-// tournament rounds (probe.Rounds) of pair slots: ~P rounds of up to ⌊P/2⌋
-// disjoint pairs, each slot probing its pair's two directions.
-func meshRounds(p int) [][]slot {
-	rounds := make([][]slot, 0, p)
-	for _, round := range probe.Rounds(p) {
-		slots := make([]slot, len(round))
-		for k, pr := range round {
-			slots[k] = slot{{pr.I, pr.J}, {pr.J, pr.I}}
-		}
-		rounds = append(rounds, slots)
-	}
-	return rounds
 }
 
 func validateProbePeers(peers []*Peer) error {
@@ -158,17 +135,21 @@ func validateProbePeers(peers []*Peer) error {
 // needs to predict what the *transport* should do rather than what the
 // simulator would.
 //
-// For every ordered pair (i, j) it runs empty-frame ping-pongs: O[i][j] is
-// the fastest observed Send call (the eager write cost), L[i][j] is the
-// fastest half round trip minus that overhead, and O[i][i] is the rank's
-// fastest send overhead to any peer. Minima rather than means deliberately:
-// scheduling noise on a shared host only ever adds latency, so the minimum
-// is the closest observation to the platform constants the model wants.
+// A pair is one series of empty-frame ping-pongs that yields both directions
+// (probePair): O is the fastest observed Send call of the direction's sender
+// (the eager write cost), L the fastest half round trip minus that overhead,
+// and O[i][i] the rank's fastest send overhead to any peer. Minima rather
+// than means deliberately: scheduling noise on a shared host only ever adds
+// latency, so the minimum is the closest observation to the platform
+// constants the model wants.
 //
-// Pairs are scheduled as meshRounds: the P·(P−1) ping-pong blocks collapse
-// into ~2(P−1) parallel direction slots. Rounds are separated by a full
-// join, so a rank never has two in-flight timed exchanges. StableK
-// additionally stops each direction as soon as its running minimum is stable.
+// Every pair is measured, in the tournament rounds of probe.Rounds: P−1 (even
+// P) joined rounds of disjoint pairs, so a rank never has two in-flight timed
+// exchanges. That is also why the live venue does not follow the simulator's
+// hierarchy survey above 16 ranks: its cost here is joined rounds, not pairs,
+// and a centre's star is one round per pair — the two diameter sweeps alone
+// are 2·P−3 rounds. StableK additionally stops each series as soon as its
+// running minimum is stable.
 func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *ProbeReport, error) {
 	if err := validateProbePeers(peers); err != nil {
 		return nil, nil, err
@@ -179,38 +160,51 @@ func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *Prob
 	}
 	p := len(peers)
 	platform, _ := meshPlatform(peers)
-	pf := profile.New(fmt.Sprintf("%s(P=%d)", platform, p), p)
 	rep := newProbeReport(p)
 	start := time.Now()
 	span := opts.Tracer.Begin("probe.profile", -1, -1, -1)
 	defer span.End()
 
-	rounds := meshRounds(p)
-	rep.Rounds = len(rounds)
-	for rn, round := range rounds {
-		roundSpan := opts.Tracer.Begin("probe.round", -1, rn, -1)
-		fresh, err := probeRound(peers, round, opts)
-		roundSpan.End()
-		opts.Registry.Counter("probe_rounds_total").Inc()
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, f := range fresh {
-			pf.O.Set(f.d.From, f.d.To, f.r.o)
-			pf.L.Set(f.d.From, f.d.To, f.r.l)
-			rep.Samples[f.d.From][f.d.To] = f.r.n
-			opts.Registry.Counter("probe_directions_total").Inc()
-			opts.Registry.Counter("probe_samples_total").Add(int64(f.r.n))
-			opts.Registry.Histogram("probe_samples_per_pair", probeSampleBuckets()).Observe(float64(f.r.n))
-		}
+	pf := profile.New(fmt.Sprintf("%s(P=%d)", platform, p), p)
+	if err := measure(peers, probe.Rounds(p), opts, rep, func(f freshDir) {
+		pf.O.Set(f.d.From, f.d.To, f.o)
+		pf.L.Set(f.d.From, f.d.To, f.l)
+	}); err != nil {
+		return nil, nil, err
 	}
-
 	setOii(pf)
 	rep.Elapsed = time.Since(start)
 	if err := pf.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("netmpi: probed profile invalid: %w", err)
 	}
 	return pf, rep, nil
+}
+
+// measure is the one probe loop of a live mesh: rounds of disjoint pairs, each
+// round probed concurrently and joined, every direction's result handed to
+// each and the spend recorded in rep. The whole-mesh probe, the cache
+// revalidation and both re-probe phases measure through it.
+func measure(peers []*Peer, rounds [][]probe.Pair, opts ProbeOptions, rep *ProbeReport, each func(freshDir)) error {
+	for _, round := range rounds {
+		span := opts.Tracer.Begin("probe.round", -1, rep.Rounds, -1)
+		fresh, err := probeRound(peers, round, opts)
+		span.End()
+		opts.Registry.Counter("probe_rounds_total").Inc()
+		rep.Rounds++
+		if err != nil {
+			return err
+		}
+		for _, f := range fresh {
+			each(f)
+			opts.Registry.Counter("probe_directions_total").Inc()
+			if f.n > 0 {
+				rep.Samples[f.d.From][f.d.To] += f.n
+				opts.Registry.Counter("probe_samples_total").Add(int64(f.n))
+				opts.Registry.Histogram("probe_samples_per_pair", probeSampleBuckets()).Observe(float64(f.n))
+			}
+		}
+	}
+	return nil
 }
 
 // probeSampleBuckets covers sample counts from 1 to well past any sane
@@ -239,73 +233,72 @@ func setOii(pf *profile.Profile) {
 	}
 }
 
-// probeRound runs the slots of one round concurrently and joins before
-// returning — the concurrency heart of the probe. A slot stops at its first
-// failed direction; the results come back in slot order.
-func probeRound(peers []*Peer, round []slot, opts ProbeOptions) ([]freshDir, error) {
-	results := make([][]freshDir, len(round))
+// probeRound runs the pairs of one round concurrently and joins before
+// returning — the concurrency heart of the probe. The pairs of a round share
+// no rank, so every rank is in at most one timed exchange at any instant and
+// the measurements stay uncontended. The results come back in pair order,
+// initiating direction first.
+func probeRound(peers []*Peer, round []probe.Pair, opts ProbeOptions) ([]freshDir, error) {
+	fresh := make([]freshDir, 2*len(round))
 	errs := make([]error, len(round))
 	var wg sync.WaitGroup
-	for k, sl := range round {
+	for k, pr := range round {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, d := range sl {
-				r, err := probeDirection(peers, d.From, d.To, opts)
-				if err != nil {
-					errs[k] = fmt.Errorf("netmpi: probing %s: %w", d, err)
-					return
-				}
-				results[k] = append(results[k], freshDir{d, r})
+			fwd, back, err := probePair(peers, pr.I, pr.J, opts)
+			if err != nil {
+				errs[k] = fmt.Errorf("netmpi: probing %s: %w", fwd.d, err)
 			}
+			fresh[2*k], fresh[2*k+1] = fwd, back
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	var fresh []freshDir
-	for _, rs := range results {
-		fresh = append(fresh, rs...)
-	}
-	return fresh, nil
+	return fresh, errors.Join(errs...)
 }
 
-// probeDirection times ping-pongs i→j. The two sides share a stop latch:
-// whichever side errors first closes it, cancelling the partner's pending
-// receive, so a broken pair surfaces immediately instead of stalling for the
-// partner's full receive deadline. Normal completion closes the latch too,
-// which is how the echo side learns the (adaptively chosen) sample count is
-// over.
-func probeDirection(peers []*Peer, i, j int, opts ProbeOptions) (dirResult, error) {
+// probePair times one series of ping-pongs i→j→i and reads both directions
+// off it: the round trip j→i→j is the same two legs, so the echo side times
+// its own Send for O[j][i] and the two directions share the minimum RTT. The
+// two sides share a stop latch: whichever side errors first closes it,
+// cancelling the partner's pending receive, so a broken pair surfaces
+// immediately instead of stalling for the partner's full receive deadline.
+// Normal completion closes the latch too, which is how the echo side learns
+// the (adaptively chosen) sample count is over.
+func probePair(peers []*Peer, i, j int, opts ProbeOptions) (fwd, back freshDir, err error) {
 	p := len(peers)
 	ping := probeTagBase + 2*(i*p+j)
 	pong := ping + 1
+	fwd.d, back.d = Direction{i, j}, Direction{j, i}
 
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	latch := func() { stopOnce.Do(func() { close(stop) }) }
 
 	var echoErr error
+	var minRTT, minSend, minEcho time.Duration
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer latch()
-		for {
+		for first := true; ; first = false {
 			if _, err := peers[j].RecvCancel(i, ping, opts.Deadline, stop); err != nil {
 				if !errors.Is(err, ErrRecvCancelled) {
 					echoErr = err
 				}
 				return
 			}
+			t0 := time.Now()
 			if err := peers[j].Send(i, pong, nil); err != nil {
 				echoErr = err
 				return
 			}
+			if c := time.Since(t0); first || c < minEcho {
+				minEcho = c
+			}
 		}
 	}()
 
-	var minRTT, minSend time.Duration
 	var pingErr error
 	n, stable, first := 0, 0, true
 	for n < opts.MaxIters {
@@ -339,17 +332,14 @@ func probeDirection(peers []*Peer, i, j int, opts ProbeOptions) (dirResult, erro
 	latch()
 	<-done
 	if pingErr != nil {
-		return dirResult{}, pingErr
+		return fwd, back, pingErr
 	}
 	if echoErr != nil {
-		return dirResult{}, fmt.Errorf("echo side: %w", echoErr)
+		return fwd, back, fmt.Errorf("echo side: %w", echoErr)
 	}
-	o := minSend.Seconds()
-	l := minRTT.Seconds()/2 - o
-	if l < 0 {
-		l = 0
-	}
-	return dirResult{o: o, l: l, n: n}, nil
+	fwd.o, back.o, fwd.n = minSend.Seconds(), minEcho.Seconds(), n
+	fwd.l, back.l = max(0, minRTT.Seconds()/2-fwd.o), max(0, minRTT.Seconds()/2-back.o)
+	return fwd, back, nil
 }
 
 // meshPlatform names the platform a mesh's profile describes, with the
@@ -381,15 +371,14 @@ func MeshFingerprint(peers []*Peer, opts ProbeOptions) profile.Fingerprint {
 }
 
 // ProbeProfileCached is ProbeProfileOpts behind a fingerprinted profile
-// cache. A miss probes the full mesh and stores the result. A hit returns
-// the saved profile; with driftTol > 0 it first re-validates a sampled
-// subset of links (the first tournament round: ⌊P/2⌋ disjoint pairs, both
-// directions, at the full probe budget) against the cache — directions whose
-// round-trip cost (O+L) drifted beyond the relative tolerance are patched
-// with the fresh measurement and the entry is re-stored; if more than half
-// the sampled directions drifted, the whole profile is considered stale and
-// re-probed from scratch. The returned bool reports whether the cache was
-// hit.
+// cache. A miss probes the mesh and stores the result. A hit returns the
+// saved profile; with driftTol > 0 it first re-validates a sampled subset of
+// links (the first tournament round: ⌊P/2⌋ disjoint pairs, both directions,
+// at the full probe budget) against the cache — directions whose round-trip
+// cost (O+L) drifted beyond the relative tolerance are patched with the fresh
+// measurement and the entry is re-stored; if more than half the sampled
+// directions drifted, the whole profile is considered stale and re-probed
+// from scratch. The returned bool reports whether the cache was hit.
 func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, driftTol float64) (*profile.Profile, *ProbeReport, bool, error) {
 	if cache == nil {
 		pf, rep, err := ProbeProfileOpts(peers, opts)
@@ -403,22 +392,23 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 	fp := MeshFingerprint(peers, opts)
 	// A corrupt entry is a miss; Store overwrites it.
 	if cached, hit, _ := cache.Load(fp); hit && cached.P == p {
+		rep := newProbeReport(p)
 		if driftTol <= 0 {
-			return cached, newProbeReport(p), true, nil
+			return cached, rep, true, nil
 		}
 		start := time.Now()
-		checked, stale, err := screen(peers, cached, meshRounds(p)[:1], opts, driftTol)
-		if err != nil {
+		checked := 0
+		var stale []freshDir
+		if err := measure(peers, probe.Rounds(p)[:1], opts, rep, func(f freshDir) {
+			if checked++; drifted(cached, f, driftTol) {
+				stale = append(stale, f)
+			}
+		}); err != nil {
 			return nil, nil, true, fmt.Errorf("netmpi: cache revalidation: %w", err)
 		}
-		opts.Registry.Counter("probe_cache_revalidated_total").Add(int64(len(checked)))
+		opts.Registry.Counter("probe_cache_revalidated_total").Add(int64(checked))
 		opts.Registry.Counter("probe_cache_stale_links_total").Add(int64(len(stale)))
-		if 2*len(stale) <= len(checked) {
-			rep := newProbeReport(p)
-			rep.Rounds = 1
-			for _, f := range checked {
-				rep.Samples[f.d.From][f.d.To] = f.r.n
-			}
+		if 2*len(stale) <= checked {
 			if len(stale) > 0 {
 				patch(cached, stale)
 				if err := cache.Store(fp, cached); err != nil {
@@ -441,6 +431,12 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 		return nil, nil, false, fmt.Errorf("netmpi: storing probed profile: %w", err)
 	}
 	return pf, rep, false, nil
+}
+
+// drifted reports whether a fresh measurement's round-trip cost O+L moved
+// from the profile's beyond the relative tolerance (RelDrift).
+func drifted(pf *profile.Profile, f freshDir, tol float64) bool {
+	return RelDrift(pf.O.At(f.d.From, f.d.To)+pf.L.At(f.d.From, f.d.To), f.o+f.l) > tol
 }
 
 // RelDrift is the relative distance between a cached and a fresh cost,

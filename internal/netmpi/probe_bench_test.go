@@ -22,12 +22,12 @@ func delayMesh(tb testing.TB, p int, d time.Duration) []*Peer {
 const benchLinkDelay = 200 * time.Microsecond
 
 // BenchmarkProbeProfile compares the probe schedules at P=8 over a mesh with
-// realistic link latency: the one-direction-at-a-time reference
-// (probeSequential) against the edge-colored parallel rounds, with and
-// without adaptive stable-K stopping.
-// The parallel rounds collapse the 56 sequential direction blocks into 7
-// joined rounds of 4 concurrent pairs, and adaptive stopping trims each
-// direction's sample tail — together the issue's ≥4× wall-clock reduction.
+// realistic link latency: the one-pair-at-a-time reference (probeSequential)
+// against the edge-colored parallel rounds, with and without adaptive
+// stable-K stopping. The parallel rounds collapse the 28 sequential series
+// into 7 joined rounds of 4 concurrent pairs, and adaptive stopping trims each
+// series' sample tail. samples/op is the timed round trips one probe took: a
+// pair is one series that yields both directions, so 28 × 8 without stopping.
 func BenchmarkProbeProfile(b *testing.B) {
 	const p = 8
 	b.Run("sequential", func(b *testing.B) {
@@ -46,12 +46,16 @@ func BenchmarkProbeProfile(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			peers := delayMesh(b, p, benchLinkDelay)
+			samples := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ProbeProfileOpts(peers, c.opts); err != nil {
+				_, rep, err := ProbeProfileOpts(peers, c.opts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				samples += rep.TotalSamples()
 			}
+			b.ReportMetric(float64(samples)/float64(b.N), "samples/op")
 		})
 	}
 }

@@ -37,8 +37,8 @@ func TestRecvCancelUnblocks(t *testing.T) {
 }
 
 // probeSequential is the reference the round schedule is held against: every
-// ordered pair back to back, one direction at a time, through the same
-// probeDirection the rounds run.
+// pair back to back, one series at a time, through the same probePair the
+// rounds run.
 func probeSequential(tb testing.TB, peers []*Peer, opts ProbeOptions) (*profile.Profile, time.Duration) {
 	tb.Helper()
 	opts = opts.withDefaults()
@@ -46,16 +46,12 @@ func probeSequential(tb testing.TB, peers []*Peer, opts ProbeOptions) (*profile.
 	pf := profile.New("sequential-reference", p)
 	start := time.Now()
 	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i == j {
-				continue
-			}
-			r, err := probeDirection(peers, i, j, opts)
+		for j := i + 1; j < p; j++ {
+			fwd, back, err := probePair(peers, i, j, opts)
 			if err != nil {
 				tb.Fatalf("probing %d→%d: %v", i, j, err)
 			}
-			pf.O.Set(i, j, r.o)
-			pf.L.Set(i, j, r.l)
+			patch(pf, []freshDir{fwd, back})
 		}
 	}
 	return pf, time.Since(start)
@@ -98,9 +94,9 @@ func TestProbeProfileParallelMatchesSequential(t *testing.T) {
 }
 
 // TestProbeProfileAdaptive checks the stable-K contract: when early stopping
-// can fire, a direction takes at least StableK+1 and at most MaxIters
-// samples; when StableK exceeds the cap, every direction takes exactly
-// MaxIters samples.
+// can fire, a pair's series takes at least StableK+1 and at most MaxIters
+// samples; when StableK exceeds the cap, every series takes exactly MaxIters
+// samples. A pair is one series, credited to the direction that initiated it.
 func TestProbeProfileAdaptive(t *testing.T) {
 	const p = 4
 	peers, err := LoopbackMesh(p, 5*time.Second)
@@ -109,30 +105,23 @@ func TestProbeProfileAdaptive(t *testing.T) {
 	}
 	defer CloseMesh(peers)
 
-	_, rep, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: 64, StableK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i == j {
-				continue
-			}
-			n := rep.Samples[i][j]
-			if n < 3 || n > 64 {
-				t.Fatalf("direction %d→%d took %d samples, want in [3, 64]", i, j, n)
-			}
+	for _, tc := range []struct {
+		opts   ProbeOptions
+		lo, hi int
+	}{
+		{ProbeOptions{MaxIters: 64, StableK: 2}, 3, 64},
+		{ProbeOptions{MaxIters: 3, StableK: 50}, 3, 3},
+	} {
+		_, rep, err := ProbeProfileOpts(peers, tc.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	_, rep, err = ProbeProfileOpts(peers, ProbeOptions{MaxIters: 3, StableK: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j && rep.Samples[i][j] != 3 {
-				t.Fatalf("direction %d→%d took %d samples, want the hard cap 3", i, j, rep.Samples[i][j])
+		for i := 0; i < p; i++ {
+			for j := i + 1; j < p; j++ {
+				if n := rep.Samples[i][j]; n < tc.lo || n > tc.hi || rep.Samples[j][i] != 0 {
+					t.Fatalf("%+v: pair (%d,%d) took %d samples (and %d credited to the echo direction), want in [%d, %d] and 0",
+						tc.opts, i, j, n, rep.Samples[j][i], tc.lo, tc.hi)
+				}
 			}
 		}
 	}

@@ -8,11 +8,12 @@ import (
 // MeasureAllPairs is the reference the hierarchy-driven probe is compared
 // with: the dense leaf routine on the whole rank set, whatever its size.
 func MeasureAllPairs(w *mpi.World, cfg Config) (*profile.Profile, error) {
-	s, all, err := newSurvey(w, cfg)
+	sim, err := newSimulator(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.dense(all); err != nil {
+	s := newSurvey(w.Fabric().Spec().Name, w.Size(), sim.run)
+	if err := s.dense(s.all()); err != nil {
 		return nil, err
 	}
 	return s.finish()

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 
-	"topobarrier/internal/mat"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/stats"
@@ -113,12 +112,14 @@ func (cfg Config) validate(p int) error {
 // event order: a seed, rank count and Config reproduce the profile bit for
 // bit, while another schedule of the same pairs draws different noise.
 func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
-	s, all, err := newSurvey(w, cfg)
+	sim, err := newSimulator(w, cfg)
 	if err != nil {
 		return nil, err
 	}
+	p, fab := w.Size(), w.Fabric()
+	s := newSurvey(fab.Spec().Name, p, sim.run)
 	if !cfg.Replicate {
-		if err := s.sparse(all); err != nil {
+		if err := s.sparse(s.all()); err != nil {
 			return nil, err
 		}
 		return s.finish()
@@ -126,7 +127,6 @@ func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
 
 	// §IV.B: measure the first pair of each link class in tournament order
 	// and replicate it across the class; Oii becomes the mean over ranks.
-	p, fab := len(all), w.Fabric()
 	var pairs []Pair
 	rep := make(map[topo.LinkClass]Pair)
 	for _, round := range Rounds(p) {
@@ -149,16 +149,16 @@ func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
 		for j := i + 1; j < p; j++ {
 			r := rep[fab.Class(i, j)]
 			s.set(i, j, s.pf.O.At(r.I, r.J), s.pf.L.At(r.I, r.J), false)
+			s.set(j, i, s.pf.O.At(r.I, r.J), s.pf.L.At(r.I, r.J), false)
 		}
 	}
 	return s.finish()
 }
 
-// newSurvey returns an empty survey of the world's platform and its ranks.
-func newSurvey(w *mpi.World, cfg Config) (*survey, []int, error) {
-	p := w.Size()
-	if err := cfg.validate(p); err != nil {
-		return nil, nil, err
+// newSimulator returns the measuring side of a survey of the world's platform.
+func newSimulator(w *mpi.World, cfg Config) (*simulator, error) {
+	if err := cfg.validate(w.Size()); err != nil {
+		return nil, err
 	}
 	sim := &simulator{w: w, cfg: cfg}
 	for _, n := range cfg.Sizes {
@@ -167,11 +167,7 @@ func newSurvey(w *mpi.World, cfg Config) (*survey, []int, error) {
 	for _, m := range cfg.Batches {
 		sim.batchXs = append(sim.batchXs, float64(m))
 	}
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	return &survey{pf: profile.New(w.Fabric().Spec().Name, p), measure: sim.run, known: mat.NewBool(p), est: mat.NewBool(p)}, all, nil
+	return sim, nil
 }
 
 // simulator is the survey's measuring side on the simulated runtime.
@@ -186,7 +182,7 @@ type simulator struct {
 // order, the lower rank of a pair initiating and recording.
 func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 	p := m.w.Size()
-	rounds := pairRounds(p, pairs)
+	rounds := PairRounds(p, pairs)
 	pairErr := make([]error, p) // per initiating rank, in its round order
 	if _, err := m.w.Run(func(c *mpi.Comm) {
 		me := c.Rank()
@@ -207,7 +203,8 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 				pairErr[me] = errors.Join(pairErr[me], fmt.Errorf("probe: pair (%d,%d): %w", pr.I, pr.J, err))
 				continue
 			}
-			set(pr.I, pr.J, o, l)
+			set(pr.I, pr.J, o, l) // links are symmetric: a pair is measured once
+			set(pr.J, pr.I, o, l)
 		}
 		if m.selfDone {
 			return

@@ -248,16 +248,6 @@ func quadWorld(t testing.TB, p int, seed uint64) *mpi.World {
 	return mpi.NewWorld(f)
 }
 
-// measuredPairs counts the off-diagonal pairs of a probed profile that were
-// measured rather than estimated.
-func measuredPairs(pf *profile.Profile) int {
-	n := pf.P * (pf.P - 1) / 2
-	if pf.Provenance != nil {
-		n -= pf.Provenance.Estimated.Count() / 2
-	}
-	return n
-}
-
 // Two probes of one seed agree bit for bit — O, L and which entries are
 // estimates — on the dense path (P = 8) and through every phase of the
 // hierarchy-driven one (P = 64): the ledger's "rebuilding a draw must
@@ -307,36 +297,43 @@ func TestMeasureP8ProfileUnchanged(t *testing.T) {
 }
 
 // The pair counts of the hierarchy-driven probe are exact and pinned: the
-// paper's quad cluster at P = 64 (acceptance: at most 760 of 2 016) and the
-// 16-node scale cluster at P = 256 (at most 20 % of 32 640). At both sizes
-// the sparse profile clusters at depth 1 the way the oracle profile does.
+// paper's quad cluster at P = 64 (acceptance: at most 520 of 2 016), the
+// 16-node scale cluster at P = 256 (at most 4 200 of 32 640) and the 32-node
+// one at P = 1024 (at most 6.5 % of 523 776). At every size the sparse
+// profile clusters at depth 1 the way the oracle profile does.
 func TestMeasurePairCounts(t *testing.T) {
-	scale, err := fabric.New(fabric.ScaleClusterSpec(256, 16), topo.Block{}, 256, fabric.GigEParams(1))
-	if err != nil {
-		t.Fatal(err)
+	scale := func(p, nodes int) *mpi.World {
+		f, err := fabric.New(fabric.ScaleClusterSpec(p, nodes), topo.Block{}, p, fabric.GigEParams(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mpi.NewWorld(f)
 	}
 	for _, tc := range []struct {
-		w    *mpi.World
+		w    func() *mpi.World
+		p    int
 		want int
 	}{
-		{quadWorld(t, 64, 1), 721},
-		{mpi.NewWorld(scale), 5985},
+		{func() *mpi.World { return quadWorld(t, 64, 1) }, 64, 511},
+		{func() *mpi.World { return scale(256, 16) }, 256, 4095},
+		{func() *mpi.World { return scale(1024, 32) }, 1024, 32767},
 	} {
-		p := tc.w.Size()
+		p := tc.p
 		if p > 64 && (testing.Short() || perftest.RaceEnabled) {
-			continue // ≈ 2 s plain
+			continue // ≈ 1 s and ≈ 10 s plain
 		}
-		pf, err := Measure(tc.w, Default())
+		w := tc.w()
+		pf, err := Measure(w, Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		pv := pf.Provenance
-		t.Logf("P=%d: measured %d of %d pairs, %d spot-checked, %d blocks re-measured", p, measuredPairs(pf), p*(p-1)/2, pv.SpotChecked, pv.Remeasured)
-		if got := measuredPairs(pf); got != tc.want {
+		t.Logf("P=%d: measured %d of %d pairs, %d spot checks, %d blocks re-measured", p, pf.MeasuredPairs(), p*(p-1)/2, pv.SpotChecked, pv.Remeasured)
+		if got := pf.MeasuredPairs(); got != tc.want {
 			t.Errorf("P=%d: measured %d pairs, want %d", p, got, tc.want)
 		}
 		one := sss.Options{MaxDepth: 1}
-		if got, want := sss.Tree(pf, one).String(), sss.Tree(tc.w.Fabric().TrueProfile(), one).String(); got != want {
+		if got, want := sss.Tree(pf, one).String(), sss.Tree(w.Fabric().TrueProfile(), one).String(); got != want {
 			t.Errorf("P=%d: depth-1 clusters %s, oracle's %s", p, got, want)
 		}
 	}
@@ -493,7 +490,7 @@ func TestMeasureAllocsScaleWithMeasuredPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	pairs := float64(measuredPairs(pf))
+	pairs := float64(pf.MeasuredPairs())
 	t.Logf("probe.Measure at P=64: %.0f allocations, %.1f per measured pair (%.0f pairs)", allocs, allocs/pairs, pairs)
 	if allocs > perPair*pairs {
 		t.Fatalf("probe.Measure at P=64 allocated %.0f times, want <= %d per measured pair", allocs, perPair)
@@ -511,7 +508,7 @@ func BenchmarkProbeMeasureP64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pairs += measuredPairs(pf)
+		pairs += pf.MeasuredPairs()
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 }

@@ -1,8 +1,8 @@
 package probe
 
 // Pair is one unordered probe pair; I < J always. Rank I initiates the
-// exchange (the simulator's timed side; the transport probes both directions
-// inside the pair's slot).
+// exchange: the simulator's timed side, and on a live mesh the side whose
+// ping-pong series both directions are read off.
 type Pair struct {
 	I, J int
 }
@@ -51,11 +51,11 @@ func Rounds(p int) [][]Pair {
 	return rounds
 }
 
-// pairRounds schedules an arbitrary set of distinct pairs over p ranks as
+// PairRounds schedules an arbitrary set of distinct pairs over p ranks as
 // rounds of disjoint pairs: each pair, in the order given, takes the first
 // round after the last one either of its ranks already sits in, so every rank
 // keeps the order given. All pairs in tournament order come back as Rounds(p).
-func pairRounds(p int, pairs []Pair) [][]Pair {
+func PairRounds(p int, pairs []Pair) [][]Pair {
 	free := make([]int, p) // the first round each rank is free in
 	var rounds [][]Pair
 	for _, pr := range pairs {

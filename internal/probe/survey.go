@@ -14,23 +14,38 @@ const (
 	spotTolerance = 0.25 // how far a spot check may miss its estimate
 )
 
-// survey decides which pairs a probe measures, whatever runtime is under it:
-// measure runs one phase, handing O and L of every listed pair to set (and
-// may hand it a rank's Oii as the pair (i, i)).
+// survey decides which pairs a probe measures.
 type survey struct {
-	pf      *profile.Profile
+	pf *profile.Profile
+	// measure is the measuring side, whatever runtime is under it: it runs one
+	// phase, handing O and L of each direction of every listed pair to set
+	// (and may hand it a rank's Oii as the pair (i, i)).
 	measure func(pairs []Pair, set func(i, j int, o, l float64)) error
 	// known and est are symmetric and disjoint: the off-diagonal entries that
 	// hold a measured (or replicated) value, and those that hold an estimate.
 	known, est            *mat.Bool
-	spotChecked, refilled int // sibling blocks checked, and measured in full
+	spotChecked, refilled int // spot pairs measured, and blocks measured in full
 }
 
-// set writes both directions of a pair and records whether it is an estimate.
+func newSurvey(platform string, p int, measure func([]Pair, func(i, j int, o, l float64)) error) *survey {
+	return &survey{pf: profile.New(platform, p), measure: measure, known: mat.NewBool(p), est: mat.NewBool(p)}
+}
+
+// all lists the surveyed ranks.
+func (s *survey) all() []int {
+	all := make([]int, s.pf.P)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// set writes direction i→j of a pair and records whether the pair is an
+// estimate.
 func (s *survey) set(i, j int, o, l float64, estimate bool) {
+	s.pf.O.Set(i, j, o)
+	s.pf.L.Set(i, j, l)
 	for _, e := range [2][2]int{{i, j}, {j, i}} {
-		s.pf.O.Set(e[0], e[1], o)
-		s.pf.L.Set(e[0], e[1], l)
 		s.known.Set(e[0], e[1], !estimate)
 		s.est.Set(e[0], e[1], estimate)
 	}
@@ -82,9 +97,12 @@ func (s *survey) star(c int, ranks []int) (far int, dist float64, err error) {
 // sparse profiles the (ascending) ranks by clustering them while it measures.
 // More than denseLimit ranks take their diameter from two sweeps — the star
 // of ranks[0], then of the rank farthest from it, exact on a hierarchy — and
-// run the SSS pass over a metric that measures a centre's star the first time
-// the pass asks about that centre. Each cluster is then profiled the same
-// way, and the pairs between clusters are filled in from the centre stars.
+// those two ranks are the first two centres of a first-fit pass: a centre
+// claims the ranks within the SSS threshold of it that no earlier centre
+// claimed, and while ranks are left the first of them founds the next centre,
+// its star measured against the unclaimed ranks only. Each cluster is then
+// profiled the same way, and the pairs between clusters are filled in from
+// the centre stars.
 func (s *survey) sparse(ranks []int) error {
 	if len(ranks) <= denseLimit {
 		return s.dense(ranks)
@@ -97,20 +115,30 @@ func (s *survey) sparse(ranks []int) error {
 	if err != nil {
 		return err
 	}
-	clusters, centres := sss.Flat(ranks, sss.DefaultSparseness*diam, func(r, c int) float64 {
-		if err == nil && !s.known.At(r, c) {
-			_, _, err = s.star(c, ranks)
+	centres := []int{ranks[0], far}
+	var clusters [][]int
+	for k, rest := 0, ranks; len(rest) > 0; k++ {
+		if k == len(centres) {
+			centres = append(centres, rest[0])
+			if _, _, err := s.star(rest[0], rest); err != nil {
+				return err
+			}
 		}
-		return s.pf.Distance(r, c)
-	})
-	if err == nil { // the pass never asks about a centre no rank came after
-		_, _, err = s.star(centres[len(centres)-1], ranks)
+		var in, out []int
+		for _, r := range rest {
+			if s.pf.Distance(r, centres[k]) <= sss.DefaultSparseness*diam {
+				in = append(in, r)
+			} else {
+				out = append(out, r)
+			}
+		}
+		clusters, rest = append(clusters, in), out
 	}
-	if err != nil {
-		return err
-	}
-	if len(clusters) == 1 {
-		return s.dense(ranks) // no hierarchy at this level
+	if len(clusters[0]) == len(ranks) {
+		// On a metric the second centre lies beyond the threshold of the
+		// first; measurements that break the triangle inequality by more get
+		// no hierarchy read into them (and the recursion its end).
+		return s.dense(ranks)
 	}
 	for _, cl := range clusters {
 		if err := s.sparse(cl); err != nil {
@@ -120,53 +148,95 @@ func (s *survey) sparse(ranks []int) error {
 	return s.fill(clusters, centres)
 }
 
-// fill estimates every unmeasured pair (i ∈ A, j ∈ B) of sibling clusters as
-// the mean of the measured links (i, centre of B) and (j, centre of A) — two
-// samples of the pair's own link class on a hierarchy. It then measures one
-// estimated pair per block, and in full every block whose check misses its
-// estimate by more than spotTolerance: a fabric without the hierarchy
-// degrades toward all-pairs, not to a wrong profile.
-func (s *survey) fill(clusters [][]int, centres []int) error {
-	type block struct {
-		a, b   int
-		spot   Pair    // the last pair estimated,
-		wo, wl float64 // and its estimate
+// sym is the direction-symmetrised entry of a pair, what a check compares.
+func sym(m *mat.Dense, i, j int) float64 { return (m.At(i, j) + m.At(j, i)) / 2 }
+
+// estimate fills direction a→b of an unmeasured pair of sibling clusters with
+// the measured links of its own link class on a hierarchy: a → centre of b's
+// cluster and centre of a's cluster → b, whichever the first-fit stars
+// measured (the one through the earlier-founded centre always is: its star
+// covered every rank of the later cluster), or their mean.
+func (s *survey) estimate(a, b, ca, cb int) {
+	var o, l, n float64
+	for _, e := range [2][2]int{{a, cb}, {ca, b}} {
+		if s.known.At(e[0], e[1]) {
+			o, l, n = o+s.pf.O.At(e[0], e[1]), l+s.pf.L.At(e[0], e[1]), n+1
+		}
 	}
-	var blocks []block
-	var spots []Pair
+	s.set(a, b, o/n, l/n, true)
+}
+
+// fill estimates every unmeasured pair of sibling clusters. Most estimates
+// rest on one sample, so each block gets two spot checks, picked from what is
+// known to stress it: the rank of A farthest from A's centre against the
+// ranks of B nearest to and farthest from that centre. A block whose check
+// misses its estimate by more than spotTolerance is measured in full: a
+// fabric without the hierarchy degrades toward all-pairs, not to a wrong
+// profile.
+func (s *survey) fill(clusters [][]int, centres []int) error {
+	type spot struct {
+		block  [2]int
+		wo, wl float64 // the pair's estimate
+	}
+	var spots []spot // spots[k] is the check of pairs[k]
+	var pairs []Pair
 	for a := range clusters {
 		for b := a + 1; b < len(clusters); b++ {
-			bl := block{a: a, b: b}
+			ca, row := centres[a], -1
 			for _, i := range clusters[a] {
+				guessed := false
 				for _, j := range clusters[b] {
-					if s.known.At(i, j) {
-						continue
+					if !s.known.At(i, j) {
+						s.estimate(i, j, ca, centres[b])
+						s.estimate(j, i, centres[b], ca)
+						guessed = true
 					}
-					bl.wo = (s.pf.O.At(i, centres[b]) + s.pf.O.At(j, centres[a])) / 2
-					bl.wl = (s.pf.L.At(i, centres[b]) + s.pf.L.At(j, centres[a])) / 2
-					s.set(i, j, bl.wo, bl.wl, true)
-					bl.spot = Pair{i, j}
+				}
+				if guessed && (row < 0 || s.pf.Distance(i, ca) > s.pf.Distance(row, ca)) {
+					row = i
 				}
 			}
-			if bl.spot != (Pair{}) {
-				blocks = append(blocks, bl)
-				spots = append(spots, bl.spot)
+			if row < 0 {
+				continue
+			}
+			near, far := -1, -1
+			for _, j := range clusters[b] {
+				if !s.est.At(row, j) {
+					continue
+				}
+				d := s.pf.Distance(j, ca)
+				if near < 0 || d < s.pf.Distance(near, ca) {
+					near = j
+				}
+				if far < 0 || d >= s.pf.Distance(far, ca) {
+					far = j
+				}
+			}
+			picks := []int{near, far}
+			if near == far {
+				picks = picks[:1]
+			}
+			for _, j := range picks {
+				spots = append(spots, spot{[2]int{a, b}, sym(s.pf.O, row, j), sym(s.pf.L, row, j)})
+				pairs = append(pairs, Pair{row, j})
 			}
 		}
 	}
-	if err := s.phase(spots); err != nil {
+	if err := s.phase(pairs); err != nil {
 		return err
 	}
 	s.spotChecked += len(spots)
 	var redo []Pair
-	for _, bl := range blocks {
-		o, l := s.pf.O.At(bl.spot.I, bl.spot.J), s.pf.L.At(bl.spot.I, bl.spot.J)
-		if math.Abs(o-bl.wo) <= spotTolerance*bl.wo && math.Abs(l-bl.wl) <= spotTolerance*bl.wl {
+	failed := map[[2]int]bool{}
+	for k, sp := range spots {
+		o, l := sym(s.pf.O, pairs[k].I, pairs[k].J), sym(s.pf.L, pairs[k].I, pairs[k].J)
+		if failed[sp.block] || (math.Abs(o-sp.wo) <= spotTolerance*sp.wo && math.Abs(l-sp.wl) <= spotTolerance*sp.wl) {
 			continue
 		}
+		failed[sp.block] = true
 		s.refilled++
-		for _, i := range clusters[bl.a] {
-			for _, j := range clusters[bl.b] {
+		for _, i := range clusters[sp.block[0]] {
+			for _, j := range clusters[sp.block[1]] {
 				redo = append(redo, Pair{i, j})
 			}
 		}

@@ -41,14 +41,25 @@ type Profile struct {
 
 // Provenance is the measured/estimated record of a sparse probe.
 type Provenance struct {
-	// Estimated is symmetric: (i, j) is set when O and L of the pair are the
-	// mean of the two measured rank → cluster-centre links rather than a
-	// measurement of the pair itself.
+	// Estimated is symmetric: (i, j) is set when O and L of the pair are read
+	// off the measured rank → cluster-centre links of its link class rather
+	// than a measurement of the pair itself.
 	Estimated *mat.Bool
-	// SpotChecked counts the sibling-cluster blocks whose estimate was held
-	// against one fresh measurement; Remeasured counts the blocks that
-	// missed it and were then measured in full.
+	// SpotChecked counts the estimated pairs that were then measured to hold
+	// their sibling-cluster block's estimates against (two a block);
+	// Remeasured counts the blocks that missed a check and were measured in
+	// full.
 	SpotChecked, Remeasured int
+}
+
+// MeasuredPairs counts the off-diagonal pairs that were measured rather than
+// estimated: what a probe of the platform cost.
+func (pr *Profile) MeasuredPairs() int {
+	n := pr.P * (pr.P - 1) / 2
+	if pr.Provenance != nil {
+		n -= pr.Provenance.Estimated.Count() / 2
+	}
+	return n
 }
 
 // New returns an empty profile for p processes.
@@ -71,6 +82,9 @@ func (pr *Profile) Validate() error {
 	for k := range o {
 		if o[k] < 0 || l[k] < 0 {
 			return fmt.Errorf("profile: negative cost at (%d,%d)", k/pr.P, k%pr.P)
+		}
+		if o[k] == 0 && l[k] == 0 && k/pr.P != k%pr.P {
+			return fmt.Errorf("profile: pair (%d,%d) has O = L = 0: an entry nobody measured, which the model would price as a free link", k/pr.P, k%pr.P)
 		}
 	}
 	if pv := pr.Provenance; pv != nil && (pv.Estimated == nil || pv.Estimated.N() != pr.P) {
@@ -105,15 +119,26 @@ func (pr *Profile) Diameter() float64 {
 }
 
 // Sub returns the profile restricted to the given ranks; entry (a, b) of the
-// result describes the pair (ranks[a], ranks[b]) of the original. It is the
-// tuner's pricing view and does not carry Provenance.
+// result describes the pair (ranks[a], ranks[b]) of the original, Provenance
+// included (the probe's spot-check and re-measured counts carry over as they
+// are). It is the tuner's pricing view.
 func (pr *Profile) Sub(ranks []int) *Profile {
-	return &Profile{
+	sub := &Profile{
 		Platform: pr.Platform,
 		P:        len(ranks),
 		O:        pr.O.Sub(ranks),
 		L:        pr.L.Sub(ranks),
 	}
+	if pv := pr.Provenance; pv != nil {
+		est := mat.NewBool(len(ranks))
+		for a, i := range ranks {
+			for b, j := range ranks {
+				est.Set(a, b, pv.Estimated.At(i, j))
+			}
+		}
+		sub.Provenance = &Provenance{Estimated: est, SpotChecked: pv.SpotChecked, Remeasured: pv.Remeasured}
+	}
+	return sub
 }
 
 // profileJSON is the on-disk representation.

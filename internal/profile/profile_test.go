@@ -52,6 +52,17 @@ func TestValidate(t *testing.T) {
 	if err := (&Profile{P: 2}).Validate(); err == nil {
 		t.Fatalf("nil matrices accepted")
 	}
+	// An off-diagonal entry nobody filled in is a free link to the model: it
+	// is refused by pair name. L alone may be 0 (a live probe clamps it).
+	free := sample()
+	free.L.Set(3, 1, 0)
+	if err := free.Validate(); err != nil {
+		t.Fatalf("L = 0 with O > 0 refused: %v", err)
+	}
+	free.O.Set(3, 1, 0)
+	if err := free.Validate(); err == nil || !strings.Contains(err.Error(), "pair (3,1)") {
+		t.Fatalf("Validate() = %v, want the free link (3,1) refused by name", err)
+	}
 }
 
 func TestDistanceAndDiameter(t *testing.T) {
@@ -81,6 +92,22 @@ func TestSub(t *testing.T) {
 	}
 	if sub.O.At(0, 0) != pr.O.At(1, 1) {
 		t.Fatalf("sub diagonal wrong")
+	}
+	if sub.Provenance != nil {
+		t.Fatalf("sub of a fully measured profile has provenance %+v", sub.Provenance)
+	}
+	// The restriction keeps the measured/estimated record: (1,3) is an
+	// estimate, (0,1) is not.
+	sparse := sparseSample()
+	if sub = sparse.Sub([]int{1, 3}); sub.Provenance == nil || !sub.Provenance.Estimated.At(0, 1) || !sub.Provenance.Estimated.At(1, 0) ||
+		sub.Provenance.SpotChecked != 1 || sub.MeasuredPairs() != 0 {
+		t.Fatalf("sub {1,3} of the sparse sample: provenance %+v, %d measured pairs", sub.Provenance, sub.MeasuredPairs())
+	}
+	if sub = sparse.Sub([]int{0, 1}); sub.Provenance == nil || !sub.Provenance.Estimated.IsZero() || sub.MeasuredPairs() != 1 {
+		t.Fatalf("sub {0,1} of the sparse sample: provenance %+v, %d measured pairs", sub.Provenance, sub.MeasuredPairs())
+	}
+	if got := sparse.MeasuredPairs(); got != 4 {
+		t.Fatalf("sparse sample counts %d measured pairs, want 4 of 6", got)
 	}
 }
 
