@@ -52,32 +52,7 @@ type censusDecl struct {
 // function counts as referenced by an identifier in its own package or a
 // pkg.Name selector elsewhere; a method by any .Name selector.
 func TestNoExportedAPIOnlyTestsCall(t *testing.T) {
-	fset := token.NewFileSet()
-	files := map[string]*ast.File{} // slash path relative to the module root
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files[filepath.ToSlash(path)] = f
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	files := parseModule(t)
 	var decls []censusDecl
 	declIdent := map[*ast.Ident]bool{}
 	for path, f := range files {
@@ -170,5 +145,77 @@ func TestNoExportedAPIOnlyTestsCall(t *testing.T) {
 	sort.Strings(dead)
 	for _, k := range dead {
 		t.Errorf("internal/%s is exported but only tests reference it: delete it with its tests, or add it to censusAllow with the reason it stays", k)
+	}
+}
+
+// parseModule parses every non-test Go file of the module, keyed by its slash
+// path relative to the module root; hidden and testdata directories are
+// skipped.
+func parseModule(t *testing.T) map[string]*ast.File {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(path)] = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// cliFlags is the number of flag definitions across cmd/*/main.go. It is the
+// ratchet against new knobs: a command line grows only by raising it, with
+// the reason in the change; deleting a flag lowers it.
+const cliFlags = 85
+
+// TestCLIFlagCensus counts the flag.* calls that define a flag in the
+// commands' main files and holds the total to cliFlags.
+func TestCLIFlagCensus(t *testing.T) {
+	definers := map[string]bool{}
+	for _, kind := range []string{"Bool", "Duration", "Float64", "Int", "Int64", "String", "Uint", "Uint64"} {
+		definers[kind], definers[kind+"Var"] = true, true
+	}
+	for _, name := range []string{"Var", "Func", "BoolFunc", "TextVar"} {
+		definers[name] = true
+	}
+	total := 0
+	for path, f := range parseModule(t) {
+		if !strings.HasPrefix(path, "cmd/") || filepath.Base(path) != "main.go" {
+			continue
+		}
+		n := 0
+		ast.Inspect(f, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" && definers[sel.Sel.Name] {
+						n++
+					}
+				}
+			}
+			return true
+		})
+		t.Logf("%s: %d flags", path, n)
+		total += n
+	}
+	if total != cliFlags {
+		t.Errorf("cmd/ defines %d flags, the census pins %d: lower cliFlags after deleting a flag; raise it only with the reason a new knob is needed", total, cliFlags)
 	}
 }

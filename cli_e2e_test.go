@@ -40,8 +40,8 @@ func runCmdExit(t *testing.T, args ...string) (string, int) {
 	return string(out), 0
 }
 
-// TestCLIPipeline drives profilecluster → predictbarrier → tunebarrier →
-// runbarrier → genbarrier → searchbarrier end to end through their public
+// TestCLIPipeline drives profilecluster → tunebarrier → runbarrier →
+// barriervet -emit → searchbarrier end to end through their public
 // command-line interfaces.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
@@ -63,16 +63,19 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out = runCmd(t, "./cmd/predictbarrier", "-profile", prof)
-	for _, want := range []string{"linear", "dissemination", "tree", "predicted"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("predictbarrier output missing %q:\n%s", want, out)
-		}
-	}
-
 	out = runCmd(t, "./cmd/tunebarrier", "-profile", prof, "-o", schedule, "-maxdepth", "1")
 	if !strings.Contains(out, "root") || !strings.Contains(out, "wrote "+schedule) {
 		t.Fatalf("tunebarrier output:\n%s", out)
+	}
+	// The classic schedules' predicted costs on the same profile.
+	at := strings.Index(out, "classic schedules")
+	if at < 0 {
+		t.Fatalf("tunebarrier prints no classic costs:\n%s", out)
+	}
+	for _, want := range []string{"linear", "dissemination", "tree", "predicted"} {
+		if !strings.Contains(out[at:], want) {
+			t.Fatalf("tunebarrier classic costs missing %q:\n%s", want, out)
+		}
 	}
 
 	out = runCmd(t, "./cmd/runbarrier", "-cluster", "quad", "-p", "22", "-alg", schedule, "-iters", "10")
@@ -84,13 +87,16 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("runbarrier mpi output:\n%s", out)
 	}
 
-	runCmd(t, "./cmd/genbarrier", "-schedule", schedule, "-o", genfile, "-pkg", "main", "-func", "B")
+	out = runCmd(t, "./cmd/barriervet", "-emit", genfile, "-pkg", "main", "-func", "B", schedule)
+	if !strings.Contains(out, "wrote "+genfile) {
+		t.Fatalf("barriervet -emit output:\n%s", out)
+	}
 	src, err := os.ReadFile(genfile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(src), "func B(c *topobarrier.Comm") {
-		t.Fatalf("genbarrier output:\n%s", src)
+	if !strings.Contains(string(src), "package main") || !strings.Contains(string(src), "func B(c *topobarrier.Comm") {
+		t.Fatalf("barriervet -emit source:\n%s", src)
 	}
 
 	out = runCmd(t, "./cmd/searchbarrier", "-profile", prof, "-seed-alg", "tree", "-steps", "300", "-restarts", "1")
@@ -211,7 +217,13 @@ func TestCLIBarrierVet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, code := runCmdExit(t, "./cmd/barriervet", bad)
+	genfile := filepath.Join(dir, "broken.go")
+	out, code := runCmdExit(t, "./cmd/barriervet", "-emit", genfile, bad)
+	if _, err := os.Stat(genfile); code == 0 || err == nil {
+		t.Fatalf("barriervet -emit on a non-barrier: exit %d, source written = %v:\n%s", code, err == nil, out)
+	}
+
+	out, code = runCmdExit(t, "./cmd/barriervet", bad)
 	if code == 0 {
 		t.Fatalf("barriervet exit 0 on a non-barrier:\n%s", out)
 	}
@@ -276,6 +288,12 @@ func TestCLIRunBarrierNetExitCode(t *testing.T) {
 	if !strings.Contains(out, "failed") || !strings.Contains(out, "fail-fast") {
 		t.Fatalf("faulted -net output does not report the failure:\n%s", out)
 	}
+	// A measurement of zero barriers is refused up front, in every mode,
+	// instead of dividing by it.
+	out, code = runCmdExit(t, "./cmd/runbarrier", "-net", "-retune", "-iters", "0", "-p", "4", "-alg", "dissemination")
+	if code == 0 || strings.Contains(out, "panic:") || !strings.Contains(out, "need positive -iters") {
+		t.Fatalf("-iters 0 (exit %d):\n%s", code, out)
+	}
 }
 
 // TestCLIRunBarrierHybrid drives runbarrier over the hybrid shm+TCP mesh
@@ -310,18 +328,18 @@ func TestCLIRunBarrierHybrid(t *testing.T) {
 	}
 }
 
-// TestCLITraceBarrierNetDrift drives the predicted-vs-observed drift report
-// over a real loopback mesh and checks the Chrome trace artifact parses and
-// carries per-stage spans.
+// TestCLITraceBarrierNetDrift drives runbarrier -report's predicted-vs-observed
+// drift report over a real loopback mesh and checks the Chrome trace artifact
+// parses and carries per-stage spans.
 func TestCLITraceBarrierNetDrift(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles and runs the tracebarrier command over a real TCP mesh")
+		t.Skip("compiles and runs runbarrier -report over a real TCP mesh")
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
-	out := runCmd(t, "./cmd/tracebarrier", "-net", "-p", "4", "-alg", "dissemination",
+	out := runCmd(t, "./cmd/runbarrier", "-net", "-report", "-p", "4", "-alg", "dissemination",
 		"-iters", "2", "-warmup", "1", "-probe-iters", "3", "-trace-out", traceFile)
 	for _, want := range []string{"probed profile", "predicted", "observed", "drift", "total", "wrote Chrome trace"} {
 		if !strings.Contains(out, want) {
@@ -355,18 +373,50 @@ func TestCLITraceBarrierNetDrift(t *testing.T) {
 	}
 }
 
-// TestCLITraceBarrier drives the trace command.
+// TestCLITraceBarrier drives runbarrier -report on the simulator.
 func TestCLITraceBarrier(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles and runs the tracebarrier command")
+		t.Skip("compiles and runs runbarrier -report")
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
-	out := runCmd(t, "./cmd/tracebarrier", "-p", "8", "-alg", "dissemination", "-width", "60")
+	out := runCmd(t, "./cmd/runbarrier", "-report", "-p", "8", "-alg", "dissemination", "-width", "60")
 	for _, want := range []string{"messages", "critical path", "slowest links"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("tracebarrier output missing %q:\n%s", want, out)
+			t.Fatalf("runbarrier -report output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCLILiveProfileCacheRoundTrip tunes for the transport in two commands:
+// runbarrier -net -report probes a live mesh into the fingerprinted cache (the
+// second run is a hit), and tunebarrier tunes from that cache entry.
+//
+// A hit re-measures the first tournament round and re-probes everything when
+// more than half of its directions moved past the 0.5 drift tolerance — which
+// few-µs loopback costs on a loaded host legitimately do. A 2 ms write delay
+// on rank 0's links makes both directions of its round-0 pair delay-dominated
+// (rank 0 plays in every round), so at most the other half can drift.
+func TestCLILiveProfileCacheRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs runbarrier over a real TCP mesh and tunebarrier")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable")
+	}
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	for i, want := range []string{"profile cache miss; stored", "profile cache hit"} {
+		out := runCmd(t, "./cmd/runbarrier", "-net", "-report", "-p", "4", "-alg", "dissemination",
+			"-iters", "2", "-warmup", "1", "-net-fault", "delay:0:0:2ms", "-profile-cache", cache)
+		if !strings.Contains(out, want) {
+			t.Fatalf("live run %d: want %q:\n%s", i, want, out)
+		}
+	}
+	schedule := filepath.Join(dir, "s.json")
+	out := runCmd(t, "./cmd/tunebarrier", "-profile-cache", cache, "-o", schedule)
+	if !strings.Contains(out, "(P=4)") || !strings.Contains(out, "wrote "+schedule) {
+		t.Fatalf("tunebarrier from the live cache:\n%s", out)
 	}
 }

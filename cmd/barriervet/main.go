@@ -4,7 +4,11 @@
 // propagation stalls and the shortest broken signal chain as a
 // counterexample), signals and stages whose removal provably preserves
 // Eq. 3 (priced against a profile when one is given), and structural lints.
-// It can also syntax-check source emitted by the code generator.
+//
+// -emit is the paper's code generator (§VII.C) behind the same gate: a
+// schedule that passes is written out as hard-coded Go source — a specialised
+// function with no matrix scanning and no no-op stages — and one that fails
+// writes nothing.
 //
 // It also model-checks: -k runs the fault-resilience certifier (is the
 // schedule still a barrier for the survivors when any k ranks go silent?),
@@ -17,7 +21,7 @@
 //
 //	barriervet [-json] [-profile prof.json] [-threshold N] [-witnesses N]
 //	           [-noredundancy] [-k N] [-critical-edges] schedule.json...
-//	barriervet -gen generated.go
+//	barriervet -emit barrier.go [-pkg NAME] [-func NAME] schedule.json
 //
 // Exit status: 0 when every schedule is clean of Error-severity findings,
 // 1 when any schedule fails, 2 on usage or I/O errors. A resilience
@@ -47,26 +51,18 @@ func main() {
 		noRedund  = flag.Bool("noredundancy", false, "skip the greedy redundancy minimisation")
 		certifyK  = flag.Int("k", 0, "certify k-fault resilience: prove the schedule survives any k ranks going silent, or report a minimal counterexample")
 		critEdges = flag.Bool("critical-edges", false, "report every send whose loss alone breaks the barrier, most damaging first")
-		genPath   = flag.String("gen", "", "syntax-check a codegen-generated Go source file instead of analysing schedules")
+		emit      = flag.String("emit", "", "write the schedule as hard-coded Go source to this file when it passes (one schedule only)")
+		pkg       = flag.String("pkg", "barrier", "with -emit, package name of the generated file")
+		fn        = flag.String("func", "", "with -emit, function name (default derived from the schedule name)")
 	)
 	flag.Parse()
 
-	if *genPath != "" {
-		src, err := os.ReadFile(*genPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := codegen.Check(src); err != nil {
-			fmt.Fprintf(os.Stderr, "barriervet: %s: generated source does not parse: %v\n", *genPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: generated source parses cleanly\n", *genPath)
-		if flag.NArg() == 0 {
-			return
-		}
-	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "barriervet: no schedule files given (try -h)")
+		os.Exit(2)
+	}
+	if *emit != "" && flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "barriervet: -emit generates one schedule; give exactly one file")
 		os.Exit(2)
 	}
 
@@ -88,9 +84,19 @@ func main() {
 	failed := false
 	var reports []*analyze.Report
 	for _, path := range flag.Args() {
-		rep, err := vetFile(path, opts)
+		s, rep, err := vetFile(path, opts)
 		if err != nil {
 			fatal(err)
+		}
+		if *emit != "" && rep.Err() == nil {
+			src, err := codegen.Generate(s, codegen.Options{Package: *pkg, FuncName: *fn})
+			if err != nil {
+				fatal(err)
+			}
+			if err := os.WriteFile(*emit, src, 0o644); err != nil {
+				fatal(err)
+			}
+			fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *emit, len(src))
 		}
 		reports = append(reports, rep)
 		if rep.Err() != nil {
@@ -116,18 +122,18 @@ func main() {
 	}
 }
 
-// vetFile decodes one schedule and analyses it. Schedules that decode
-// structurally but fail sched validation (self-signals, zero stages) are
-// still analysed, so the report can explain the failure; undecodable input
-// is an I/O-level error.
-func vetFile(path string, opts analyze.Options) (*analyze.Report, error) {
+// vetFile decodes one schedule and analyses it, returning both. Schedules
+// that decode structurally but fail sched validation (self-signals, zero
+// stages) are still analysed, so the report can explain the failure;
+// undecodable input is an I/O-level error.
+func vetFile(path string, opts analyze.Options) (*sched.Schedule, *analyze.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var s sched.Schedule
 	if err := json.Unmarshal(data, &s); err != nil && s.P <= 0 {
-		return nil, fmt.Errorf("decoding %s: %w", path, err)
+		return nil, nil, fmt.Errorf("decoding %s: %w", path, err)
 	}
 	if s.Name == "" {
 		s.Name = path
@@ -137,7 +143,7 @@ func vetFile(path string, opts analyze.Options) (*analyze.Report, error) {
 	// plan-level findings over its compiled form, and the exit status reads
 	// the report's Error findings (a -k counterexample alone is exit 0).
 	_, rep, _ := analyze.Vet(&s, opts)
-	return rep, nil
+	return &s, rep, nil
 }
 
 func fatal(err error) {

@@ -1,28 +1,48 @@
-// Command runbarrier measures barrier implementations on a simulated
-// cluster: the schedule-driven classic algorithms, the hard-coded
-// MPI_Barrier stand-in, or a schedule stored as JSON by
-// tunebarrier. It also runs the paper's delay-injection synchronization
-// validation (§VI) before timing.
+// Command runbarrier executes one barrier — on the simulated cluster, or with
+// -net over a real loopback mesh — and times it or, with -report, traces it.
 //
-// With -net, the barrier instead executes over a real loopback TCP mesh
-// (one goroutine per rank, internal/netmpi): mesh formation retries through
-// the listener-startup race within -net-dial-timeout, every receive is
-// bounded by -net-deadline, and any rank failure is reported per rank
-// instead of hanging the job. -net-fault injects a deterministic transport
-// fault (drop/delay/truncate/sever) on one rank's accepted links to
-// demonstrate the fail-fast behaviour. -transport hybrid upgrades every
-// link between co-located ranks to an in-process shared-memory link
-// (co-location from -colocate, or derived from -cluster/-placement);
-// cross-node links stay TCP and failure semantics are identical on both.
+// The barrier is the hard-coded MPI_Barrier stand-in (simulator only), a
+// schedule-driven classic algorithm, a schedule stored as JSON by
+// tunebarrier, or hybrid: the adaptive construction tuned against the profile
+// the run is priced with — the fabric's true O/L profile on the simulator,
+// the live probe with -net. Every schedule passes the barriervet gate before
+// it executes, and on the simulator the paper's delay-injection
+// synchronization validation (§VI) precedes timing.
+//
+// With -net the barrier executes over a real loopback TCP mesh (one goroutine
+// per rank, internal/netmpi): mesh formation retries through the
+// listener-startup race within -net-dial-timeout, every receive is bounded by
+// -net-deadline, and any rank failure is reported per rank instead of hanging
+// the job. -net-fault injects a deterministic transport fault
+// (drop/delay/truncate/sever) on one rank's accepted links to demonstrate the
+// fail-fast behaviour. -transport hybrid upgrades every link between
+// co-located ranks to an in-process shared-memory link (co-location from
+// -colocate, or derived from -cluster/-placement); cross-node links stay TCP
+// and failure semantics are identical on both. When the run needs the mesh's
+// O/L profile (-report, -retune, -alg hybrid) it probes every pair in
+// tournament rounds, at most -probe-iters ping-pongs a pair, each pair
+// stopping once its minimum RTT has been stable for 3 samples; -profile-cache
+// reuses a fingerprinted profile from an earlier run after re-validating one
+// round of links against it.
+//
+// -report records the message-level execution of the barrier as a
+// critpath.Timeline and prints one report from it: a per-rank Gantt timeline,
+// the predicted-vs-observed per-stage drift table, the realized critical path
+// against the model's predicted chain, and the per-class and per-link
+// comparison of observed delivery floors with the profile's O+L — the §VI
+// validation story at single-message granularity. With -net the observed
+// times are per-cell minima over -iters traced executions.
 //
 // Usage:
 //
 //	runbarrier -cluster quad|hex -p N [-placement round-robin|block]
-//	           [-alg tree|linear|dissemination|mpi|rd|FILE.json]
+//	           [-alg tree|linear|dissemination|rd|ring|mpi|hybrid|FILE.json]
 //	           [-iters N] [-warmup N] [-seed N] [-congestion] [-novalidate]
+//	           [-report] [-width N] [-ranks]
 //	           [-net] [-net-deadline D] [-net-dial-timeout D]
 //	           [-net-fault op:rank:frame[:arg]]
 //	           [-transport tcp|hybrid] [-colocate nodes=K|"0-3,4-7"]
+//	           [-probe-iters N] [-profile-cache DIR]
 //	           [-retune] [-retune-drift F] [-retune-interval D]
 //	           [-retune-budget N]
 //	           [-telemetry addr] [-trace-out file.json] [-flight-dir dir]
@@ -30,7 +50,7 @@
 // -telemetry serves the run's metrics registry (Prometheus text at /metrics,
 // expvar at /debug/vars, pprof at /debug/pprof) for the process lifetime;
 // with -net the mesh registers per-link frame/byte counters and wait/stage
-// histograms into it. -trace-out (with -net) writes every measured barrier's
+// histograms into it. -trace-out (with -net) writes the measured barriers'
 // per-stage spans as Chrome trace-event JSON.
 //
 // -flight-dir (with -net) arms a flight recorder: per-stage and per-message
@@ -42,13 +62,15 @@
 // served at /debug/critpath.
 //
 // -retune (with -net) closes the online tuning loop around the measured run:
-// the mesh is probed before measurement, barriers execute through
-// epoch-versioned runners, and a background controller watches
-// predicted-vs-observed drift (threshold -retune-drift, cadence
-// -retune-interval). When drift crosses the threshold the controller
+// barriers execute through epoch-versioned runners, and a background
+// controller watches predicted-vs-observed drift (threshold -retune-drift,
+// cadence -retune-interval). When drift crosses the threshold the controller
 // re-probes only the stale links, re-searches from the running schedule
 // (budget -retune-budget), and hot-swaps the winning plan between barrier
-// epochs — demonstrable live with e.g. -net-fault delay:3:100:2ms.
+// epochs — demonstrable live with e.g. -net-fault delay:3:100:2ms. With
+// -report it is one read-only pass instead: the same judgement, re-probe and
+// re-search over the traced run, printing the schedule the closed loop would
+// swap in without touching the mesh.
 package main
 
 import (
@@ -63,11 +85,14 @@ import (
 
 	"topobarrier/internal/analyze"
 	"topobarrier/internal/baseline"
+	"topobarrier/internal/core"
 	"topobarrier/internal/critpath"
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/faultnet"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/netmpi"
+	"topobarrier/internal/predict"
+	"topobarrier/internal/profile"
 	"topobarrier/internal/retune"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
@@ -75,235 +100,615 @@ import (
 	"topobarrier/internal/topo"
 )
 
+const (
+	// stableK stops a probed pair once its minimum RTT has not improved for
+	// this many samples; it is part of the profile-cache fingerprint.
+	stableK = 3
+	// cacheDriftTol is the relative O+L drift that marks a cached link stale
+	// when a -profile-cache hit is re-validated.
+	cacheDriftTol = 0.5
+)
+
+// netOnly names the flags that configure a live mesh.
+var netOnly = map[string]bool{
+	"net-deadline": true, "net-dial-timeout": true, "net-fault": true,
+	"transport": true, "colocate": true, "probe-iters": true, "profile-cache": true,
+	"retune": true, "retune-drift": true, "retune-interval": true, "retune-budget": true,
+	"trace-out": true, "flight-dir": true,
+}
+
 func main() {
 	var (
 		cluster    = flag.String("cluster", "quad", "machine: quad or hex")
 		p          = flag.Int("p", 16, "number of ranks")
 		placement  = flag.String("placement", "round-robin", "rank placement: round-robin or block")
-		alg        = flag.String("alg", "mpi", "barrier: tree, linear, dissemination, mpi, rd, or a schedule JSON file")
-		iters      = flag.Int("iters", 25, "timed iterations")
+		alg        = flag.String("alg", "mpi", "barrier: tree, linear, dissemination, rd, ring, mpi (simulator only), hybrid (tuned against the run's profile), or a schedule JSON file")
+		iters      = flag.Int("iters", 25, "timed iterations; with -report -net, traced executions (observed times are per-cell minima)")
 		warmup     = flag.Int("warmup", 5, "warmup iterations")
 		seed       = flag.Uint64("seed", 1, "fabric noise seed")
 		congestion = flag.Bool("congestion", false, "enable NIC serialisation")
 		novalidate = flag.Bool("novalidate", false, "skip the delay-injection synchronization check")
 
-		netRun    = flag.Bool("net", false, "execute over a real loopback TCP mesh (goroutine ranks) instead of the simulator")
-		netDead   = flag.Duration("net-deadline", 2*time.Second, "per-receive deadline on the TCP mesh; a rank exceeding it fails the barrier")
-		netDial   = flag.Duration("net-dial-timeout", 5*time.Second, "TCP mesh formation budget (dials retry with exponential backoff)")
-		netFault  = flag.String("net-fault", "", "inject a transport fault, op:rank:frame[:arg] with op drop|delay|truncate|sever (delay arg: duration, truncate arg: bytes kept); e.g. sever:0:2")
-		transport = flag.String("transport", "tcp", "with -net, mesh transport: tcp, or hybrid (shared memory between co-located ranks)")
-		colocate  = flag.String("colocate", "", "with -transport hybrid, co-location spec: \"nodes=K\" or rank groups \"0-3,4-7\"; default derives from -cluster/-placement")
+		report  = flag.Bool("report", false, "trace the barrier instead of timing it and print the Gantt timeline, the predicted-vs-observed drift table and the critical-path report")
+		width   = flag.Int("width", 100, "with -report, gantt width in columns")
+		perRank = flag.Bool("ranks", false, "with -report, print the per-rank drift rows, not just the per-stage maxima")
 
-		retuneRun      = flag.Bool("retune", false, "with -net, run the closed-loop online retuning controller during the measurement")
+		netRun     = flag.Bool("net", false, "execute over a real loopback TCP mesh (goroutine ranks) instead of the simulator")
+		netDead    = flag.Duration("net-deadline", 2*time.Second, "per-receive deadline on the mesh, probe included; a rank exceeding it fails the barrier")
+		netDial    = flag.Duration("net-dial-timeout", 5*time.Second, "TCP mesh formation budget (dials retry with exponential backoff)")
+		netFault   = flag.String("net-fault", "", "inject a transport fault, op:rank:frame[:arg] with op drop|delay|truncate|sever (delay arg: duration, truncate arg: bytes kept); e.g. sever:0:2")
+		transport  = flag.String("transport", "tcp", "with -net, mesh transport: tcp, or hybrid (shared memory between co-located ranks)")
+		colocate   = flag.String("colocate", "", "with -transport hybrid, co-location spec: \"nodes=K\" or rank groups \"0-3,4-7\"; default derives from -cluster/-placement")
+		probeIters = flag.Int("probe-iters", 8, "with -net, max ping-pongs per rank pair when probing the O/L profile (-report, -retune, -alg hybrid)")
+		cacheDir   = flag.String("profile-cache", "", "with -net, fingerprinted profile cache directory; a warm entry skips the probe after re-validating one round of links")
+
+		retuneRun      = flag.Bool("retune", false, "with -net, run the closed-loop online retuning controller during the measurement; with -report, one read-only check after the traced runs")
 		retuneDrift    = flag.Float64("retune-drift", 1.0, "relative predicted-vs-observed drift that triggers a re-probe and re-search")
 		retuneInterval = flag.Duration("retune-interval", 200*time.Millisecond, "cadence of the controller's drift checks")
 		retuneBudget   = flag.Int("retune-budget", 4000, "candidate evaluations of the seeded re-search per trigger")
 
 		telemetryAddr = flag.String("telemetry", "", "serve /metrics, /debug/vars, and /debug/pprof on this address for the run's duration (e.g. 127.0.0.1:9090); with -net the mesh's counters and histograms are registered, and with -flight-dir a /debug/critpath handler serves the merged timeline")
-		traceOut      = flag.String("trace-out", "", "with -net, write the measured barriers as Chrome trace-event JSON")
+		traceOut      = flag.String("trace-out", "", "with -net, write the measured (with -report: the last traced) barriers as Chrome trace-event JSON")
 		flightDir     = flag.String("flight-dir", "", "with -net, run a flight recorder over the mesh's message spans and dump JSON + Chrome trace into this directory on any rank failure, on retune drift triggers, and at run end")
 	)
 	flag.Parse()
 
-	name, fn, s, pl, err := resolve(*alg, *p)
-	if err != nil {
-		fatal(err)
+	if *iters <= 0 || *warmup < 0 {
+		fatal(fmt.Errorf("need positive -iters and non-negative -warmup"))
 	}
+	if !*netRun {
+		flag.Visit(func(f *flag.Flag) {
+			if netOnly[f.Name] {
+				fatal(fmt.Errorf("-%s configures a live mesh; live-mesh flags require -net", f.Name))
+			}
+		})
+	} else if *alg == "mpi" {
+		fatal(fmt.Errorf("mpi is a hard-coded simulator baseline; -net needs a schedule (tree, linear, dissemination, rd, ring, hybrid, or a JSON file)"))
+	} else if *report && *flightDir != "" {
+		fatal(fmt.Errorf("-flight-dir records a timed run; it does not combine with -report"))
+	}
+	lv := &live{p: *p, warmup: *warmup, iters: *iters, deadline: *netDead, dial: *netDial,
+		fault: *netFault, traceOut: *traceOut, report: *report, perRank: *perRank, width: *width}
 
-	// The tracer is shared by -trace-out and the flight recorder; the flight
-	// path bounds it, since a long-lived recorded run must not grow span
-	// memory without limit (evicted spans are counted, and the retained
+	// The tracer is shared by -report, -trace-out and the flight recorder;
+	// the flight path bounds it, since a long-lived recorded run must not grow
+	// span memory without limit (evicted spans are counted, and the retained
 	// flight windows hold the recent past anyway).
-	var tracer *telemetry.Tracer
-	var flight *critpath.FlightRecorder
 	var extraRoutes []telemetry.Route
-	if *netRun && (*traceOut != "" || *flightDir != "") {
-		tracer = telemetry.NewTracer()
+	if *netRun && (*report || *traceOut != "" || *flightDir != "") {
+		lv.tracer = telemetry.NewTracer()
 	}
 	if *flightDir != "" {
-		if !*netRun {
-			fatal(fmt.Errorf("-flight-dir records a real transport execution; it requires -net"))
-		}
-		tracer.SetCap(1 << 18)
-		flight = critpath.NewFlightRecorder(tracer, *p, 16, *flightDir)
-		extraRoutes = append(extraRoutes, telemetry.Route{Pattern: "/debug/critpath", Handler: flight.Handler()})
+		lv.tracer.SetCap(1 << 18)
+		lv.flight = critpath.NewFlightRecorder(lv.tracer, *p, 16, *flightDir)
+		extraRoutes = append(extraRoutes, telemetry.Route{Pattern: "/debug/critpath", Handler: lv.flight.Handler()})
 	}
-
-	var reg *telemetry.Registry
 	if *telemetryAddr != "" {
-		reg = telemetry.NewRegistry()
-		addr, stop, err := telemetry.Serve(*telemetryAddr, reg, extraRoutes...)
+		lv.reg = telemetry.NewRegistry()
+		addr, stop, err := telemetry.Serve(*telemetryAddr, lv.reg, extraRoutes...)
 		if err != nil {
 			fatal(err)
 		}
 		defer stop()
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
 	}
-
-	if *netRun {
-		nodes, err := netmpi.Colocation(*transport, *colocate, *cluster, *placement, *p)
-		if err != nil {
-			fatal(err)
-		}
-		var rc *retuneConfig
-		if *retuneRun {
-			if reg == nil {
-				// The controller observes drift through the mesh's barrier
-				// histograms, so a registry is required even without
-				// -telemetry.
-				reg = telemetry.NewRegistry()
-			}
-			rc = &retuneConfig{drift: *retuneDrift, interval: *retuneInterval, budget: *retuneBudget}
-		}
-		if err := runNet(name, s, pl, nodes, *warmup, *iters, *netDead, *netDial, *netFault, reg, tracer, *traceOut, flight, rc); err != nil {
+	if !*netRun {
+		if err := runSim(*cluster, *placement, *alg, *p, *seed, *congestion, *novalidate, *warmup, *iters, *report, *perRank, *width); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *traceOut != "" {
-		fatal(fmt.Errorf("-trace-out records a real transport execution; it requires -net"))
+
+	var err error
+	if lv.nodes, err = netmpi.Colocation(*transport, *colocate, *cluster, *placement, *p); err != nil {
+		fatal(err)
 	}
-	if *transport != "tcp" || *colocate != "" {
-		fatal(fmt.Errorf("-transport/-colocate select the live mesh transport; they require -net"))
+	if *retuneRun && lv.reg == nil {
+		// The controller observes drift through the mesh's barrier
+		// histograms, so a registry is required even without -telemetry.
+		lv.reg = telemetry.NewRegistry()
 	}
+	if *cacheDir != "" {
+		lv.cache = &profile.Cache{Dir: *cacheDir}
+	}
+	lv.probe = netmpi.ProbeOptions{MaxIters: *probeIters, StableK: stableK, Deadline: *netDead, Registry: lv.reg, Tracer: lv.tracer}
 	if *retuneRun {
-		fatal(fmt.Errorf("-retune closes the loop on a live mesh; it requires -net"))
+		lv.retune = &retune.Options{DriftTol: *retuneDrift, Probe: lv.probe, SearchBudget: *retuneBudget,
+			Registry: lv.reg, Tracer: lv.tracer, Flight: lv.flight}
+		lv.interval = *retuneInterval
 	}
+	if err := lv.run(*alg); err != nil {
+		fatal(err)
+	}
+}
 
-	spec, err := topo.ClusterByName(*cluster)
-	if err != nil {
-		fatal(err)
-	}
-	place, err := topo.PlacementByName(*placement)
-	if err != nil {
-		fatal(err)
-	}
-	fab, err := fabric.New(spec, place, *p, fabric.GigEParams(*seed))
-	if err != nil {
-		fatal(err)
-	}
-	var opts []mpi.Option
-	if *congestion {
-		opts = append(opts, mpi.WithCongestion())
-	}
-	world := mpi.NewWorld(fab, opts...)
-
-	if !*novalidate {
-		// Delay a few spread-out ranks rather than all P, keeping validation
-		// quick for large jobs.
-		delayed := []int{0, *p / 2, *p - 1}
-		if err := run.Validate(world, fn, 0.5, delayed); err != nil {
-			fatal(fmt.Errorf("synchronization validation failed: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "synchronization validated (ranks %v delayed)\n", delayed)
-	}
-	m, err := run.Measure(world, fn, *warmup, *iters)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s on %s, P=%d (%s): %.1fµs/barrier (%d iters, %d warmup)\n",
-		name, spec.Name, *p, place.Name(), m.Mean*1e6, m.Iters, m.Warmup)
+// barrier is a resolved -alg value.
+type barrier struct {
+	name string
+	fn   run.Func
+	s    *sched.Schedule // nil for the hard-coded mpi baseline
+	pl   *run.Plan
 }
 
 // resolve maps an -alg value to an executable barrier: the hard-coded mpi
-// baseline, which has no schedule and so cannot run with -net, or a named or
-// stored schedule (sched.Named) compiled to its plan. Schedules are vetted
-// before execution and refused on Error-severity findings, with the full
-// diagnosis; warnings do not gate execution, but silently dropping them hides
-// real hazards (rendezvous cycles, silent ranks) from the operator.
-func resolve(alg string, p int) (string, run.Func, *sched.Schedule, *run.Plan, error) {
-	if alg == "mpi" {
-		return "MPI barrier (binomial tree)", baseline.Tree, nil, nil, nil
+// baseline, which has no schedule and so cannot run with -net; hybrid, tuned
+// against pf — the profile the run is priced with; or a named or stored
+// schedule (sched.Named). Empty stages are dropped so the schedule's stage
+// indices are the plan's (and a trace's). Schedules are vetted before
+// execution and refused on Error-severity findings, with the full diagnosis;
+// warnings do not gate execution, but silently dropping them hides real
+// hazards (rendezvous cycles, silent ranks) from the operator.
+func resolve(alg string, p int, pf *profile.Profile) (barrier, error) {
+	var s *sched.Schedule
+	switch alg {
+	case "mpi":
+		return barrier{name: "MPI barrier (binomial tree)", fn: baseline.Tree}, nil
+	case "hybrid":
+		tuned, err := core.Tune(pf, core.Options{})
+		if err != nil {
+			return barrier{}, fmt.Errorf("tuning against the profile: %w", err)
+		}
+		s = tuned.Schedule()
+	default:
+		var err error
+		if s, err = sched.Named(alg, p); err != nil {
+			return barrier{}, err
+		}
 	}
-	s, err := sched.Named(alg, p)
-	if err != nil {
-		return "", nil, nil, nil, err
-	}
+	s = s.DropEmptyStages()
 	pl, rep, err := analyze.Vet(s, analyze.Options{SkipRedundancy: true})
 	if err != nil {
 		fmt.Fprint(os.Stderr, rep)
-		return "", nil, nil, nil, fmt.Errorf("schedule %s fails barriervet: %w", alg, err)
+		return barrier{}, fmt.Errorf("schedule %s fails barriervet: %w", alg, err)
 	}
 	for _, f := range rep.Findings {
 		if f.Severity == analyze.Warning {
 			fmt.Fprintf(os.Stderr, "barriervet: %s\n", f)
 		}
 	}
-	return s.Name + " (compiled plan)", pl.Func(), s, pl, nil
+	return barrier{name: s.Name + " (compiled plan)", fn: pl.Func(), s: s, pl: pl}, nil
 }
 
-// retuneConfig carries the -retune knobs into runNet.
-type retuneConfig struct {
-	drift    float64
+// runSim runs the barrier on the simulated cluster, priced on the fabric's
+// true profile: validated and timed, or with -report traced once.
+func runSim(cluster, placement, alg string, p int, seed uint64, congestion, novalidate bool, warmup, iters int, reportOnly, perRank bool, width int) error {
+	spec, err := topo.ClusterByName(cluster)
+	if err != nil {
+		return err
+	}
+	place, err := topo.PlacementByName(placement)
+	if err != nil {
+		return err
+	}
+	fab, err := fabric.New(spec, place, p, fabric.GigEParams(seed))
+	if err != nil {
+		return err
+	}
+	pf := fab.TrueProfile()
+	b, err := resolve(alg, p, pf)
+	if err != nil {
+		return err
+	}
+	if reportOnly {
+		// The hard-coded mpi baseline executes sched.Tree's pattern stage for
+		// stage, so that schedule is its model.
+		s := b.s
+		if s == nil {
+			s = sched.Tree(p)
+		}
+		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { b.fn(c, 0) })
+		if err != nil {
+			return err
+		}
+		title := fmt.Sprintf("%s barrier, %d ranks on %s (%s)", alg, p, spec.Name, place.Name())
+		return report(title, tl, observe(nil, tl), 1, predict.New(pf), s, perRank, width)
+	}
+
+	var opts []mpi.Option
+	if congestion {
+		opts = append(opts, mpi.WithCongestion())
+	}
+	world := mpi.NewWorld(fab, opts...)
+	if !novalidate {
+		// Delay a few spread-out ranks rather than all P, keeping validation
+		// quick for large jobs.
+		delayed := []int{0, p / 2, p - 1}
+		if err := run.Validate(world, b.fn, 0.5, delayed); err != nil {
+			return fmt.Errorf("synchronization validation failed: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "synchronization validated (ranks %v delayed)\n", delayed)
+	}
+	m, err := run.Measure(world, b.fn, warmup, iters)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s on %s, P=%d (%s): %.1fµs/barrier (%d iters, %d warmup)\n",
+		b.name, spec.Name, p, place.Name(), m.Mean*1e6, m.Iters, m.Warmup)
+	return nil
+}
+
+// observe folds the timeline's stage completions, measured from the
+// instance's start, into obs as per-cell minima.
+func observe(obs [][]float64, tl *critpath.Timeline) [][]float64 {
+	start, _ := tl.Span()
+	done := tl.StageDone()
+	for k := range done {
+		for r := range done[k] {
+			done[k][r] -= start
+			if k < len(obs) {
+				done[k][r] = min(done[k][r], obs[k][r])
+			}
+		}
+	}
+	return done
+}
+
+// report prints the one report of a traced barrier, whichever executor ran
+// it: tl is the (last) execution's timeline, obs the per-stage, per-rank
+// completions observed over runs executions, pd and s the model side.
+func report(title string, tl *critpath.Timeline, obs [][]float64, runs int, pd *predict.Predictor, s *sched.Schedule, perRank bool, width int) error {
+	pred := pd.Timeline(s)
+	if len(obs) != len(pred) || len(pred) == 0 {
+		return fmt.Errorf("the trace shows %d stages, schedule %s has %d", len(obs), s.Name, len(pred))
+	}
+	start, end := tl.Span()
+	est := 0
+	for _, e := range tl.Estimated {
+		if e {
+			est++
+		}
+	}
+	fmt.Printf("%s: %.1fµs, %d messages (%d unmatched), clock offsets estimated for %d/%d ranks\n\n",
+		title, (end-start)*1e6, len(tl.Messages), tl.Unmatched, est, tl.P)
+	fmt.Println(tl.Gantt(width))
+
+	fmt.Printf("%s: predicted vs observed per-stage completion (per-cell min of %d)\n", s.Name, runs)
+	fmt.Printf("%5s  %12s  %12s  %8s\n", "stage", "predicted", "observed", "drift")
+	row := func(label string, pred, obs float64) {
+		drift := 0.0
+		if pred > 0 {
+			// Positive: the executor ran slower than the model said.
+			drift = 100 * (obs - pred) / pred
+		}
+		fmt.Printf("%s  %10.1fµs  %10.1fµs  %+7.1f%%\n", label, pred*1e6, obs*1e6, drift)
+	}
+	for k := range pred {
+		row(fmt.Sprintf("%5d", k), slices.Max(pred[k]), slices.Max(obs[k]))
+		if perRank {
+			for i := range pred[k] {
+				row(fmt.Sprintf("      rank %3d", i), pred[k][i], obs[k][i])
+			}
+		}
+	}
+	row("total", slices.Max(pred[len(pred)-1]), slices.Max(obs[len(obs)-1]))
+	fmt.Println()
+	fmt.Print(critpath.Analyze(tl, pd, s))
+	return nil
+}
+
+// live is a -net run: one mesh bring-up, at most one probe, and one of three
+// ways to run the barrier over it.
+type live struct {
+	p               int
+	nodes           []int // co-location vector; nil for a pure-TCP mesh
+	warmup, iters   int
+	deadline, dial  time.Duration
+	fault, traceOut string
+	report, perRank bool
+	width           int
+
+	probe    netmpi.ProbeOptions
+	cache    *profile.Cache
+	reg      *telemetry.Registry
+	tracer   *telemetry.Tracer
+	flight   *critpath.FlightRecorder
+	retune   *retune.Options // nil without -retune
 	interval time.Duration
-	budget   int
 }
 
-// runNet executes the barrier over a real loopback mesh with per-rank
-// failure reporting: every rank either reports its mean barrier time or the
-// transport error that stopped it within its deadline. A non-nil nodes
-// vector routes co-located links over shared memory; fault injection
-// applies to the TCP links only (the faultnet injectors wrap net.Conn). A
-// non-nil rc runs the measurement through epoch runners with the online
-// retuning controller attached.
-func runNet(name string, s *sched.Schedule, pl *run.Plan, nodes []int, warmup, iters int, deadline, dialTimeout time.Duration, faultSpec string, reg *telemetry.Registry, tracer *telemetry.Tracer, traceOut string, flight *critpath.FlightRecorder, rc *retuneConfig) error {
-	if s == nil {
-		return fmt.Errorf("%s is a hard-coded simulator baseline; -net needs a schedule (tree, linear, dissemination, rd, or a JSON file)", name)
-	}
-	faultRank, injector, err := parseFault(faultSpec)
-	if err != nil {
-		return err
-	}
-	var dialOpts []netmpi.Option
-	if reg != nil {
-		dialOpts = append(dialOpts, netmpi.WithTelemetry(reg))
-	}
-	if tracer != nil {
-		dialOpts = append(dialOpts, netmpi.WithTracer(tracer))
-	}
-	meshName := "loopback TCP"
-	if nodes != nil {
-		dialOpts = append(dialOpts, netmpi.WithColocation(netmpi.NewShmHub(), nodes))
-		meshName = "hybrid shm+TCP"
-	}
-	listeners, err := netmpi.LoopbackListeners(s.P)
-	if err != nil {
-		return err
-	}
-	if faultRank >= 0 && faultRank < s.P {
-		listeners[faultRank] = &faultnet.Listener{Listener: listeners[faultRank], New: injector}
-	}
-	peers, err := netmpi.MeshOver(listeners, dialTimeout, dialOpts...)
+// run brings the mesh up, probes it when anything needs the profile (the
+// report's model, the retune controller, the hybrid tune), and executes the
+// barrier: traced with -report, through the retune loop with -retune, timed
+// otherwise.
+func (lv *live) run(alg string) error {
+	peers, meshName, err := lv.bringUp()
 	if err != nil {
 		return err
 	}
 	defer netmpi.CloseMesh(peers)
-	if faultSpec != "" {
-		fmt.Fprintf(os.Stderr, "fault injection armed on rank %d's accepted links: %s\n", faultRank, faultSpec)
+	var pf *profile.Profile
+	if lv.report || lv.retune != nil || alg == "hybrid" {
+		if pf, err = lv.probeMesh(peers); err != nil {
+			return err
+		}
 	}
-	if rc != nil {
-		return runNetRetuned(name, meshName, s, pl, peers, warmup, iters, deadline, rc, reg, tracer, traceOut, flight)
+	b, err := resolve(alg, lv.p, pf)
+	if err != nil {
+		return err
+	}
+	switch {
+	case lv.report:
+		return lv.traced(peers, b, pf)
+	case lv.retune != nil:
+		return lv.retuned(peers, meshName, b, pf)
+	}
+	return lv.measured(peers, meshName, b)
+}
+
+// bringUp forms the mesh: loopback listeners, the -net-fault injector wrapped
+// around one rank's, and every rank dialled with the run's telemetry, tracer
+// and co-location. Fault injection applies to the TCP links only (the
+// faultnet injectors wrap net.Conn).
+func (lv *live) bringUp() ([]*netmpi.Peer, string, error) {
+	faultRank, injector, err := parseFault(lv.fault)
+	if err != nil {
+		return nil, "", err
+	}
+	var opts []netmpi.Option
+	if lv.reg != nil {
+		opts = append(opts, netmpi.WithTelemetry(lv.reg))
+	}
+	if lv.tracer != nil {
+		opts = append(opts, netmpi.WithTracer(lv.tracer))
+	}
+	meshName := "loopback TCP"
+	if lv.nodes != nil {
+		opts = append(opts, netmpi.WithColocation(netmpi.NewShmHub(), lv.nodes))
+		meshName = "hybrid shm+TCP"
+	}
+	listeners, err := netmpi.LoopbackListeners(lv.p)
+	if err != nil {
+		return nil, "", err
+	}
+	if faultRank >= 0 && faultRank < lv.p {
+		listeners[faultRank] = &faultnet.Listener{Listener: listeners[faultRank], New: injector}
+	}
+	peers, err := netmpi.MeshOver(listeners, lv.dial, opts...)
+	if err != nil {
+		return nil, "", err
+	}
+	if lv.fault != "" {
+		fmt.Fprintf(os.Stderr, "fault injection armed on rank %d's accepted links: %s\n", faultRank, lv.fault)
+	}
+	return peers, meshName, nil
+}
+
+// probeMesh measures the paper's O/L profile over the live links in parallel
+// rounds, or serves it from the fingerprinted cache, and says which.
+func (lv *live) probeMesh(peers []*netmpi.Peer) (*profile.Profile, error) {
+	fmt.Printf("loopback mesh up: %d ranks, transport %s\n", len(peers), peers[0].TransportSignature())
+	pf, rep, hit, err := netmpi.ProbeProfileCached(peers, lv.probe, lv.cache, cacheDriftTol)
+	if err != nil {
+		return nil, err
+	}
+	if lv.cache != nil {
+		verdict := "miss; stored"
+		if hit {
+			verdict = "hit"
+		}
+		fmt.Printf("profile cache %s (%s) in %s\n", verdict, netmpi.MeshFingerprint(peers, lv.probe), lv.cache.Dir)
+	}
+	if n := rep.TotalSamples(); n > 0 {
+		lo, med, hi := rep.SampleStats()
+		fmt.Printf("probe: %d rounds, %d samples (per pair min %g / median %g / max %g) in %s\n",
+			rep.Rounds, n, lo, med, hi, rep.Elapsed.Round(time.Millisecond))
+	}
+	fmt.Printf("probed profile %q: O in [%.1fµs, %.1fµs], L in [%.1fµs, %.1fµs]\n",
+		pf.Platform, pf.O.MinOffDiag()*1e6, pf.O.MaxOffDiag()*1e6,
+		pf.L.MinOffDiag()*1e6, pf.L.MaxOffDiag()*1e6)
+	return pf, nil
+}
+
+// traced is the real-transport §VI validation: traced executions over the
+// mesh the profile came from, then the report against that profile.
+func (lv *live) traced(peers []*netmpi.Peer, b barrier, pf *profile.Profile) error {
+	// The retune check must watch the run from the start: the controller
+	// snapshots the barrier histograms at construction, so built any later it
+	// would see no fresh samples to judge.
+	var ctl *retune.Controller
+	if lv.retune != nil {
+		eps, err := netmpi.NewEpochs(b.pl)
+		if err != nil {
+			return err
+		}
+		opts := *lv.retune
+		opts.MinObservations = 1 // judge whatever the traced run produced
+		if ctl, err = retune.New(peers, eps, b.s, pf, opts); err != nil {
+			return err
+		}
 	}
 
-	durs := make([]time.Duration, s.P)
-	rankErrs := make([]error, s.P)
+	// Each traced barrier is preceded, in the same goroutine, by an untimed
+	// alignment barrier: the model charges every rank from a common t=0, so
+	// the ranks must enter the measured barrier together, not staggered by
+	// goroutine launch skew. Tag windows alternate as in MeasureBarrier; a
+	// barrier completing anywhere proves every rank drained the previous
+	// window, so two windows suffice even back-to-back.
+	runOnce := func(tags ...int) error {
+		errs := make(chan error, lv.p)
+		for _, pe := range peers {
+			pe := pe
+			go func() {
+				for _, tag := range tags {
+					if err := pe.Barrier(b.pl, tag, lv.deadline); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for range peers {
+			if err := <-errs; err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	n := 0
+	nextTag := func() int { n++; return (n % 2) * run.TagSpan }
+	for i := 0; i < lv.warmup; i++ {
+		if err := runOnce(nextTag()); err != nil {
+			return fmt.Errorf("warmup barrier: %w", err)
+		}
+	}
+	// Every traced window holds the alignment barrier and the traced one;
+	// Merge selects the later (traced) instance, and the alignment run
+	// doubles as clock-offset material.
+	var tl *critpath.Timeline
+	var obs [][]float64
+	for it := 0; it < lv.iters; it++ {
+		lv.tracer.Reset()
+		if err := runOnce(nextTag(), nextTag()); err != nil {
+			return fmt.Errorf("traced barrier %d: %w", it, err)
+		}
+		var err error
+		if tl, err = critpath.Merge(lv.tracer.Events(), lv.p, -1); err != nil {
+			return fmt.Errorf("merging traced window %d: %w", it, err)
+		}
+		obs = observe(obs, tl)
+	}
+	fmt.Println()
+	if err := report(b.s.Name+" over the real mesh", tl, obs, lv.iters, predict.New(pf), b.s, lv.perRank, lv.width); err != nil {
+		return err
+	}
+	if ctl != nil {
+		if err := printRecommendation(ctl, b.s, lv.retune.DriftTol); err != nil {
+			return err
+		}
+	}
+	return writeArtifacts(lv.tracer, lv.traceOut, lv.flight)
+}
+
+// printRecommendation runs one pass of the online retuning controller
+// read-only: the same drift judgement, targeted re-probe, and seeded
+// re-search the closed loop performs, but with the proposal landing in a
+// throwaway epoch store — nothing executing is touched. The operator gets
+// the exact plan `runbarrier -net -retune` would have swapped in.
+func printRecommendation(ctl *retune.Controller, s *sched.Schedule, tol float64) error {
+	d, err := ctl.Check()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nretune check (tolerance %.2g):\n", tol)
+	if !d.Checked {
+		fmt.Println("  not enough barrier samples to judge drift")
+		return nil
+	}
+	fmt.Printf("  observed %.1fµs vs predicted %.1fµs — drift %.2f\n", d.Observed*1e6, d.Predicted*1e6, d.Drift)
+	if !d.Triggered {
+		fmt.Printf("  within tolerance; keep %q\n", s.Name)
+		return nil
+	}
+	fmt.Printf("  re-probe: %d directions screened, %d stale %v\n", d.Reprobe.Screened, len(d.Reprobe.Stale), d.Reprobe.Stale)
+	fmt.Printf("  current plan re-priced under the patched profile: %.1fµs\n", d.Repriced*1e6)
+	if !d.Swapped {
+		fmt.Printf("  no candidate beat the re-priced plan by the hysteresis margin; keep %q\n", s.Name)
+		return nil
+	}
+	fmt.Printf("  recommend switching to %q (%s): predicted %.1fµs, %.1f× better\n",
+		ctl.Schedule().Name, d.Candidate, d.NewPredicted*1e6, d.Repriced/d.NewPredicted)
+	return nil
+}
+
+// measured times the barrier with per-rank failure reporting: every rank
+// either reports its mean barrier time or the transport error that stopped it
+// within its deadline.
+func (lv *live) measured(peers []*netmpi.Peer, meshName string, b barrier) error {
+	durs := make([]time.Duration, lv.p)
+	rankErrs := make([]error, lv.p)
 	var wg sync.WaitGroup
 	for i := range peers {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			durs[i], rankErrs[i] = peers[i].MeasureBarrier(pl, warmup, iters, deadline)
+			durs[i], rankErrs[i] = peers[i].MeasureBarrier(b.pl, lv.warmup, lv.iters, lv.deadline)
 		}()
 	}
 	wg.Wait()
-	slowest, err := rankOutcome(durs, rankErrs, deadline, flight)
+	slowest, err := rankOutcome(durs, rankErrs, lv.deadline, lv.flight)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s over %s mesh, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
-		name, meshName, s.P, slowest, iters, warmup, deadline)
-	return writeArtifacts(tracer, traceOut, flight)
+		b.name, meshName, lv.p, slowest, lv.iters, lv.warmup, lv.deadline)
+	return writeArtifacts(lv.tracer, lv.traceOut, lv.flight)
+}
+
+// retuned measures the barrier through epoch-versioned runners with the
+// closed-loop controller running alongside: drift checks, targeted
+// re-probes, seeded re-searches, and plan hot-swaps all happen while the
+// measured barriers keep flowing. The reported mean therefore covers the
+// whole story — stale plan, detection, and recovery — and the retune summary
+// line says which of those chapters actually happened.
+func (lv *live) retuned(peers []*netmpi.Peer, meshName string, b barrier, pf *profile.Profile) error {
+	eps, err := netmpi.NewEpochs(b.pl)
+	if err != nil {
+		return err
+	}
+	runners := make([]*netmpi.EpochRunner, lv.p)
+	for i, pe := range peers {
+		if runners[i], err = netmpi.NewEpochRunner(pe, eps, 0); err != nil {
+			return err
+		}
+	}
+	ctl, err := retune.New(peers, eps, b.s, pf, *lv.retune)
+	if err != nil {
+		return err
+	}
+	ctl.Start(lv.interval)
+	defer ctl.Stop()
+
+	durs := make([]time.Duration, lv.p)
+	rankErrs := make([]error, lv.p)
+	var wg sync.WaitGroup
+	for i := range peers {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < lv.warmup; n++ {
+				if rankErrs[i] = runners[i].Barrier(lv.deadline); rankErrs[i] != nil {
+					return
+				}
+			}
+			start := time.Now()
+			for n := 0; n < lv.iters; n++ {
+				if rankErrs[i] = runners[i].Barrier(lv.deadline); rankErrs[i] != nil {
+					return
+				}
+			}
+			durs[i] = time.Since(start) / time.Duration(lv.iters)
+		}()
+	}
+	wg.Wait()
+	ctl.Stop()
+	if err := ctl.Err(); err != nil {
+		return fmt.Errorf("retune loop: %w", err)
+	}
+
+	slowest, err := rankOutcome(durs, rankErrs, lv.deadline, lv.flight)
+	if err != nil {
+		return err
+	}
+	checked, triggered, swaps := 0, 0, 0
+	for _, d := range ctl.History() {
+		if d.Checked {
+			checked++
+		}
+		if d.Triggered {
+			triggered++
+		}
+		if d.Swapped {
+			swaps++
+		}
+	}
+	fmt.Printf("%s over %s mesh with online retuning, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
+		b.name, meshName, lv.p, slowest, lv.iters, lv.warmup, lv.deadline)
+	fmt.Printf("retune: %d checks (%d judged), %d triggered, %d swapped; final schedule %q predicted %.1fµs (epoch v%d)\n",
+		len(ctl.History()), checked, triggered, swaps, ctl.Schedule().Name, ctl.Predicted()*1e6, eps.Latest())
+	return writeArtifacts(lv.tracer, lv.traceOut, lv.flight)
 }
 
 // rankOutcome is how a measured -net loop ends: the slowest rank's mean when
@@ -350,94 +755,6 @@ func dumpFlight(flight *critpath.FlightRecorder, reason string) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "flight recorder dumped to %s (reason: %s)\n", path, reason)
-}
-
-// runNetRetuned measures the barrier through epoch-versioned runners with
-// the closed-loop controller running alongside: drift checks, targeted
-// re-probes, seeded re-searches, and plan hot-swaps all happen while the
-// measured barriers keep flowing. The reported mean therefore covers the
-// whole story — stale plan, detection, and recovery — and the retune summary
-// line says which of those chapters actually happened.
-func runNetRetuned(name, meshName string, s *sched.Schedule, pl *run.Plan, peers []*netmpi.Peer, warmup, iters int, deadline time.Duration, rc *retuneConfig, reg *telemetry.Registry, tracer *telemetry.Tracer, traceOut string, flight *critpath.FlightRecorder) error {
-	p := len(peers)
-	probeOpts := netmpi.ProbeOptions{MaxIters: 6, StableK: 3, Deadline: deadline, Registry: reg, Tracer: tracer}
-	pf, _, err := netmpi.ProbeProfileOpts(peers, probeOpts)
-	if err != nil {
-		return fmt.Errorf("probing the mesh for retuning: %w", err)
-	}
-	eps, err := netmpi.NewEpochs(pl)
-	if err != nil {
-		return err
-	}
-	runners := make([]*netmpi.EpochRunner, p)
-	for i, pe := range peers {
-		if runners[i], err = netmpi.NewEpochRunner(pe, eps, 0); err != nil {
-			return err
-		}
-	}
-	ctl, err := retune.New(peers, eps, s, pf, retune.Options{
-		DriftTol:     rc.drift,
-		Probe:        probeOpts,
-		SearchBudget: rc.budget,
-		Registry:     reg,
-		Tracer:       tracer,
-		Flight:       flight,
-	})
-	if err != nil {
-		return err
-	}
-	ctl.Start(rc.interval)
-	defer ctl.Stop()
-
-	durs := make([]time.Duration, p)
-	rankErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := range peers {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < warmup; n++ {
-				if rankErrs[i] = runners[i].Barrier(deadline); rankErrs[i] != nil {
-					return
-				}
-			}
-			start := time.Now()
-			for n := 0; n < iters; n++ {
-				if rankErrs[i] = runners[i].Barrier(deadline); rankErrs[i] != nil {
-					return
-				}
-			}
-			durs[i] = time.Since(start) / time.Duration(iters)
-		}()
-	}
-	wg.Wait()
-	ctl.Stop()
-	if err := ctl.Err(); err != nil {
-		return fmt.Errorf("retune loop: %w", err)
-	}
-
-	slowest, err := rankOutcome(durs, rankErrs, deadline, flight)
-	if err != nil {
-		return err
-	}
-	checked, triggered, swaps := 0, 0, 0
-	for _, d := range ctl.History() {
-		if d.Checked {
-			checked++
-		}
-		if d.Triggered {
-			triggered++
-		}
-		if d.Swapped {
-			swaps++
-		}
-	}
-	fmt.Printf("%s over %s mesh with online retuning, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
-		name, meshName, p, slowest, iters, warmup, deadline)
-	fmt.Printf("retune: %d checks (%d judged), %d triggered, %d swapped; final schedule %q predicted %.1fµs (epoch v%d)\n",
-		len(ctl.History()), checked, triggered, swaps, ctl.Schedule().Name, ctl.Predicted()*1e6, eps.Latest())
-	return writeArtifacts(tracer, traceOut, flight)
 }
 
 // parseFault decodes op:rank:frame[:arg] into the target rank and a

@@ -1,47 +1,40 @@
 // Command tunebarrier runs the paper's adaptive construction (§VII) against
 // a stored profile: SSS clustering, greedy component selection, hybrid
 // composition, and Eq. 3 verification. It prints the discovered hierarchy
-// and decisions, and optionally stores the composed schedule as JSON for
-// runbarrier and genbarrier.
+// and decisions, then the predicted cost of each classic schedule on the
+// same profile — the low-cost candidate evaluation the paper's Figure 1
+// performs "without occupying the target machine" — and optionally stores
+// the composed schedule as JSON for runbarrier and barriervet -emit.
 //
 // Usage:
 //
 //	tunebarrier -profile profile.json [-o schedule.json] [-sparseness F]
 //	            [-maxdepth N] [-builders paper|extended] [-dump]
+//	            [-policy eq1-first-stage|always-eq1|always-eq2]
 //	            [-refine N] [-refine-batch N] [-telemetry addr]
 //	            [-trace-out file.json]
 //	            [-profile-cache DIR] [-fingerprint PREFIX]
-//	            [-probe-net P] [-transport tcp|hybrid] [-colocate SPEC]
-//	            [-probe-iters N] [-drift-tol F]
 //	tunebarrier -synthetic-p 1024 [-synthetic-nodes N] [-refine N] ...
 //
 // -synthetic-p tunes against the noise-free profile of a synthetic
-// hierarchical cluster (fabric.ScaleClusterFabric) instead of a stored or
-// probed one — the large-P scaling configuration, where the sparse-frontier
+// hierarchical cluster (fabric.ScaleClusterFabric) instead of a stored one —
+// the large-P scaling configuration, where the sparse-frontier
 // knowledge kernels and cluster-pruned refinement keep a budgeted tune in
 // seconds. -refine-batch makes the refinement keep only the best of every N
-// candidate mutations.
+// candidate mutations. -policy selects the Eq. 1 / Eq. 2 weighting the tune
+// and the classic costs are priced with.
 //
 // -telemetry serves the pipeline's metrics (tune_predicted_cost_seconds and,
 // with -refine, the refinement search's counters) over HTTP for the run's
 // duration. -trace-out writes one span per pipeline phase
 // (compose/vet/refine/plan) as Chrome trace-event JSON.
 //
-// -profile-cache tunes straight from a fingerprinted profile cache (as
-// written by profilecluster or tracebarrier -net) instead of a profile file:
-// the newest entry is used, or the newest whose fingerprint starts with
-// -fingerprint.
-//
-// -probe-net P skips stored profiles entirely: it forms a live P-rank
-// loopback mesh, probes the O/L matrices over it, and tunes against the
-// measurement. -transport hybrid with -colocate routes co-located links over
-// shared memory, so the probed profile carries the intra- vs
-// cross-node cost gap and the SSS clustering can exploit it. Combined with
-// -profile-cache, the live probe goes through the fingerprinted cache: a
-// warm entry (same rank count, probe budget, and transport signature — a
-// hybrid mesh never shares a slot with a pure-TCP one) skips the
-// measurement after revalidating a sampled round against -drift-tol, and a
-// cold probe stores its result for the next run.
+// -profile-cache tunes straight from a fingerprinted profile cache instead of
+// a profile file: the newest entry is used, or the newest whose fingerprint
+// starts with -fingerprint. profilecluster writes simulator profiles there,
+// and runbarrier -net -report -profile-cache writes the profile it probed
+// over a live mesh, so tuning for the transport is one live run followed by
+// this command.
 package main
 
 import (
@@ -49,11 +42,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"topobarrier/internal/core"
 	"topobarrier/internal/fabric"
-	"topobarrier/internal/netmpi"
+	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/sss"
@@ -68,6 +60,7 @@ func main() {
 		maxdepth    = flag.Int("maxdepth", 0, "clustering recursion bound (0 = unlimited)")
 		builders    = flag.String("builders", "paper", "component set: paper or extended")
 		dump        = flag.Bool("dump", false, "print the stage matrices (Figure 10 style)")
+		policy      = flag.String("policy", "eq1-first-stage", "cost policy: eq1-first-stage, always-eq1, always-eq2")
 		refine      = flag.Int("refine", 0, "follow composition with N candidate evaluations of local-search refinement")
 		refineBatch = flag.Int("refine-batch", 0, "refinement keeps the best of every N candidate mutations (0 or 1 = single-candidate steps)")
 		rngseed     = flag.Uint64("rngseed", 1, "refinement randomness seed")
@@ -80,12 +73,6 @@ func main() {
 
 		cacheDir = flag.String("profile-cache", "", "tune from a fingerprinted profile cache instead of -profile")
 		fpPrefix = flag.String("fingerprint", "", "with -profile-cache: fingerprint prefix selecting the entry (default: newest)")
-
-		probeNet   = flag.Int("probe-net", 0, "probe a live P-rank loopback mesh and tune against the measured profile instead of -profile")
-		transport  = flag.String("transport", "tcp", "with -probe-net, mesh transport: tcp, or hybrid (shared memory between co-located ranks)")
-		colocate   = flag.String("colocate", "", "with -transport hybrid, co-location spec: \"nodes=K\" or rank groups \"0-3,4-7\"")
-		probeIters = flag.Int("probe-iters", 8, "with -probe-net, max ping-pongs per ordered rank pair")
-		driftTol   = flag.Float64("drift-tol", 0.5, "with -probe-net and -profile-cache, relative O+L drift that marks a cached link stale during revalidation; 0 trusts a hit blindly")
 	)
 	flag.Parse()
 
@@ -97,16 +84,6 @@ func main() {
 		}
 		pf = f.TrueProfile()
 		fmt.Fprintf(os.Stderr, "synthetic scale cluster: P=%d over %d nodes\n", *synthP, f.Spec().Nodes)
-	} else if *probeNet > 0 {
-		var cache *profile.Cache
-		if *cacheDir != "" {
-			cache = &profile.Cache{Dir: *cacheDir}
-		}
-		npf, err := probeLiveProfile(*probeNet, *transport, *colocate, *probeIters, cache, *driftTol)
-		if err != nil {
-			fatal(err)
-		}
-		pf = npf
 	} else if *cacheDir != "" {
 		cache := &profile.Cache{Dir: *cacheDir}
 		cpf, fp, ok, err := cache.LoadLatest(*fpPrefix)
@@ -153,6 +130,15 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown builder set %q", *builders))
 	}
+	known := false
+	for pol := predict.FirstStageEq1; pol <= predict.AlwaysEq2; pol++ {
+		if pol.String() == *policy {
+			opts.Policy, known = pol, true
+		}
+	}
+	if !known {
+		fatal(fmt.Errorf("unknown policy %q", *policy))
+	}
 
 	tuned, err := core.Tune(pf, opts)
 	if err != nil {
@@ -161,6 +147,16 @@ func main() {
 	fmt.Printf("platform: %s (P=%d)\n", pf.Platform, pf.P)
 	fmt.Printf("clusters: %s\n\n", tuned.Tree)
 	fmt.Print(tuned.Result.Describe())
+	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy}
+	fmt.Printf("\nclassic schedules on the same profile, policy %s:\n", pd.Policy)
+	for _, n := range []string{"dissemination", "linear", "recursive-doubling", "ring", "tree"} {
+		s, err := sched.Named(n, pf.P)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%-22s %2d stages %5d signals predicted %9.1fµs\n",
+			n, s.NumStages(), s.SignalCount(), pd.Cost(s)*1e6)
+	}
 	if *dump {
 		fmt.Println()
 		fmt.Print(tuned.Schedule().String())
@@ -181,37 +177,6 @@ func main() {
 		}
 		fmt.Printf("wrote pipeline trace to %s\n", *traceOut)
 	}
-}
-
-// probeLiveProfile forms a live mesh, measures the O/L profile over it, and
-// tears the mesh down — tuning then proceeds from a measurement of the very
-// transport the schedule will run on. With a cache, the probe is served
-// through the mesh fingerprint (rank count, probe budget, transport
-// signature), so a tune against a hybrid mesh can never pick up a profile
-// measured on pure TCP — their cost matrices are the thing being tuned for.
-func probeLiveProfile(p int, transport, colocate string, probeIters int, cache *profile.Cache, driftTol float64) (*profile.Profile, error) {
-	nodes, err := netmpi.Colocation(transport, colocate, "", "", p)
-	if err != nil {
-		return nil, err
-	}
-	peers, err := netmpi.HybridMesh(p, nodes, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer netmpi.CloseMesh(peers)
-	fmt.Fprintf(os.Stderr, "probing live %s mesh: %d ranks (%s)\n",
-		transport, p, peers[0].TransportSignature())
-	opts := netmpi.ProbeOptions{MaxIters: probeIters}
-	pf, _, hit, err := netmpi.ProbeProfileCached(peers, opts, cache, driftTol)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		fmt.Fprintf(os.Stderr, "profile cache hit (%s)\n", netmpi.MeshFingerprint(peers, opts))
-	} else if cache != nil {
-		fmt.Fprintf(os.Stderr, "profile cache miss; stored probe as %s\n", netmpi.MeshFingerprint(peers, opts))
-	}
-	return pf, nil
 }
 
 func fatal(err error) {

@@ -4,7 +4,9 @@
 // barrier, across compute grain sizes. At fine grain the barrier dominates
 // and the tuned hybrid buys real application time; as grain grows the
 // advantage amortises away — quantifying when the paper's optimization
-// matters to an application.
+// matters to an application ("informing algorithm designs with topological
+// information could improve both the application performance and
+// scalability of these systems", §VII.C).
 package main
 
 import (
@@ -12,7 +14,8 @@ import (
 	"log"
 
 	"topobarrier"
-	"topobarrier/internal/workload"
+	"topobarrier/internal/run"
+	"topobarrier/internal/stats"
 )
 
 func main() {
@@ -35,17 +38,21 @@ func main() {
 		"grain", "hybrid total", "MPI total", "overhead cut", "app gain")
 
 	for _, grain := range []float64{0, 20e-6, 100e-6, 500e-6, 5e-3} {
-		wl := workload.BSPConfig{
+		wl := bspConfig{
 			Iterations:  40,
 			ComputeMean: grain,
 			Imbalance:   0.2,
 			HaloBytes:   2048,
 			Seed:        3,
 		}
-		hybrid, mpiTree, err := workload.Compare(world, wl, tuned.Func(), topobarrier.MPIBarrier)
-		if err != nil {
-			log.Fatal(err)
+		var res [2]bspResult
+		for i, b := range []topobarrier.BarrierFunc{tuned.Func(), topobarrier.MPIBarrier} {
+			wl.Barrier = b
+			if res[i], err = runBSP(world, wl); err != nil {
+				log.Fatal(err)
+			}
 		}
+		hybrid, mpiTree := res[0], res[1]
 		cut := mpiTree.Overhead - hybrid.Overhead
 		gain := (mpiTree.Total - hybrid.Total) / mpiTree.Total * 100
 		fmt.Printf("%10.0fµs %12.2fms %12.2fms %12.1fµs %9.1f%%\n",
@@ -53,4 +60,110 @@ func main() {
 	}
 	fmt.Println("\nfine-grained supersteps inherit the full barrier speedup;")
 	fmt.Println("coarse grains amortise synchronization and the gap closes.")
+}
+
+// bspConfig describes a bulk-synchronous workload.
+type bspConfig struct {
+	// Iterations is the number of compute+barrier supersteps.
+	Iterations int
+	// ComputeMean is the mean per-rank compute time per superstep (seconds).
+	// 0 produces a pure synchronization benchmark.
+	ComputeMean float64
+	// Imbalance spreads per-rank compute uniformly in
+	// ComputeMean·[1−Imbalance, 1+Imbalance]. Stragglers make barrier wait
+	// time, and thus barrier algorithm quality, matter less.
+	Imbalance float64
+	// HaloBytes, when positive, adds a ring halo exchange (send to both
+	// neighbours, receive from both) before each barrier — the paper's
+	// stencil-style workload shape.
+	HaloBytes int
+	// Seed drives the per-rank compute time draws.
+	Seed uint64
+	// Barrier is the synchronization implementation under test.
+	Barrier topobarrier.BarrierFunc
+}
+
+// bspResult summarises one workload execution.
+type bspResult struct {
+	// Total is the virtual wall time of the whole run.
+	Total float64
+	// IdealCompute is the critical-path compute time: the sum over
+	// supersteps of the slowest rank's compute. A perfect zero-cost barrier
+	// (and free halo exchange) would finish in exactly this time.
+	IdealCompute float64
+	// Overhead is Total − IdealCompute: everything synchronization and
+	// communication cost the application.
+	Overhead float64
+}
+
+// runBSP executes the workload on a world and returns its cost breakdown.
+func runBSP(w *topobarrier.World, cfg bspConfig) (bspResult, error) {
+	if cfg.Iterations <= 0 {
+		return bspResult{}, fmt.Errorf("workload: non-positive iteration count %d", cfg.Iterations)
+	}
+	if cfg.Barrier == nil {
+		return bspResult{}, fmt.Errorf("workload: nil barrier")
+	}
+	if cfg.Imbalance < 0 || cfg.Imbalance > 1 {
+		return bspResult{}, fmt.Errorf("workload: imbalance %g outside [0,1]", cfg.Imbalance)
+	}
+	p := w.Size()
+
+	// Draw the compute schedule up front (deterministic, and needed for the
+	// ideal-time baseline).
+	compute := make([][]float64, cfg.Iterations)
+	rng := stats.NewRNG(cfg.Seed)
+	ideal := 0.0
+	for it := range compute {
+		compute[it] = make([]float64, p)
+		slowest := 0.0
+		for r := 0; r < p; r++ {
+			c := cfg.ComputeMean
+			if cfg.Imbalance > 0 && c > 0 {
+				c *= 1 + cfg.Imbalance*(2*rng.Float64()-1)
+			}
+			compute[it][r] = c
+			if c > slowest {
+				slowest = c
+			}
+		}
+		ideal += slowest
+	}
+
+	total, err := w.Run(func(c *topobarrier.Comm) {
+		me := c.Rank()
+		left := (me - 1 + p) % p
+		right := (me + 1) % p
+		tag := 0
+		for it := 0; it < cfg.Iterations; it++ {
+			if compute[it][me] > 0 {
+				c.Compute(compute[it][me])
+			}
+			if cfg.HaloBytes > 0 && p > 1 {
+				reqs := []*topobarrier.Request{
+					c.Irecv(left, tag+1),
+					c.Irecv(right, tag+2),
+				}
+				if right != left {
+					reqs = append(reqs,
+						c.Issend(left, tag+2, cfg.HaloBytes),
+						c.Issend(right, tag+1, cfg.HaloBytes),
+					)
+				} else {
+					// Two ranks: both neighbours are the same peer.
+					reqs = append(reqs,
+						c.Issend(left, tag+2, cfg.HaloBytes),
+						c.Issend(left, tag+1, cfg.HaloBytes),
+					)
+				}
+				c.Wait(reqs...)
+			}
+			cfg.Barrier(c, tag+8)
+			tag = (tag + run.TagSpan) % (2 * run.TagSpan)
+		}
+	})
+	if err != nil {
+		return bspResult{}, err
+	}
+	return bspResult{Total: total, IdealCompute: ideal, Overhead: total - ideal}, nil
 }

@@ -109,11 +109,10 @@ func HybridMesh(p int, nodes []int, timeout time.Duration, opts ...Option) ([]*P
 }
 
 // Colocation resolves a command's -transport/-colocate pair into the
-// co-location vector HybridMesh takes: nil for "tcp"; for "hybrid" the parsed
-// colocate spec or, when that is empty, the nodes the named placement puts
-// the p ranks on in the named cluster — the ranks the simulator would put on
-// one node share memory on the live mesh too. A command with no cluster to
-// derive from passes an empty name, and hybrid then needs an explicit spec.
+// co-location vector WithColocation takes: nil for "tcp"; for "hybrid" the
+// parsed colocate spec or, when that is empty, the nodes the named placement
+// puts the p ranks on in the named cluster — the ranks the simulator would put
+// on one node share memory on the live mesh too.
 func Colocation(transport, colocate, cluster, placement string, p int) ([]int, error) {
 	switch {
 	case transport == "tcp" && colocate != "":
@@ -124,8 +123,6 @@ func Colocation(transport, colocate, cluster, placement string, p int) ([]int, e
 		return nil, fmt.Errorf("unknown transport %q: want tcp or hybrid", transport)
 	case colocate != "":
 		return ParseColocation(colocate, p)
-	case cluster == "":
-		return nil, fmt.Errorf("-transport hybrid needs -colocate (e.g. \"nodes=2\" or \"0-3,4-7\")")
 	}
 	spec, err := topo.ClusterByName(cluster)
 	if err != nil {
