@@ -33,10 +33,11 @@ func main() {
 		}
 		pred := topobarrier.NewPredictor(prof).Cost(topobarrier.Dissemination(p))
 
-		s := topobarrier.Dissemination(p)
-		m, err := topobarrier.Measure(world, func(c *topobarrier.Comm, tag int) {
-			topobarrier.ExecuteSchedule(c, s, tag)
-		}, 5, 30)
+		pl, err := topobarrier.NewPlan(topobarrier.Dissemination(p))
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, err := topobarrier.Measure(world, pl.Func(), 5, 30)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -22,9 +22,18 @@ func world(t testing.TB, p int, seed uint64) *mpi.World {
 	return mpi.NewWorld(f)
 }
 
+func plan(t testing.TB, s *sched.Schedule) run.Func {
+	t.Helper()
+	pl, err := run.NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl.Func()
+}
+
 func TestRunBSPValidation(t *testing.T) {
 	w := world(t, 4, 1)
-	b := run.ScheduleFunc(sched.Tree(4))
+	b := plan(t, sched.Tree(4))
 	if _, err := runBSP(w, bspConfig{Iterations: 0, Barrier: b}); err == nil {
 		t.Fatalf("zero iterations accepted")
 	}
@@ -118,7 +127,7 @@ func TestHaloExchangeWorkload(t *testing.T) {
 		w := world(t, p, 6)
 		res, err := runBSP(w, bspConfig{
 			Iterations: 5, ComputeMean: 50e-6, HaloBytes: 4096,
-			Barrier: run.ScheduleFunc(sched.Dissemination(p)), Seed: 3,
+			Barrier: plan(t, sched.Dissemination(p)), Seed: 3,
 		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)

@@ -6,13 +6,12 @@ import (
 
 	"topobarrier/internal/critpath"
 	"topobarrier/internal/netmpi"
-	"topobarrier/internal/run"
 	"topobarrier/internal/search"
 )
 
 // This file exposes the extensions beyond the paper's core method: searched
-// schedules (§VII.B's wider space), execution tracing, one-shot and sized
-// measurement, and the real-network mesh.
+// schedules (§VII.B's wider space), execution tracing, and the real-network
+// mesh that runs the same compiled plans.
 
 // Search (see internal/search).
 type (
@@ -42,19 +41,6 @@ type ExecutionTimeline = critpath.Timeline
 func TraceBarrier(fab *Fabric, b BarrierFunc, opts ...WorldOption) (*ExecutionTimeline, float64, error) {
 	return critpath.Sim(fab, func(c *Comm) { b(c, 0) }, opts...)
 }
-
-// One-shot measurement (see internal/run).
-
-// MeasureCold times single-shot executions in fresh runs.
-func MeasureCold(w *World, b BarrierFunc, reps int) (Measurement, error) {
-	return run.MeasureCold(w, b, reps)
-}
-
-// Transfer executes a sized signal pattern for the calling rank.
-func Transfer(c *Comm, s *Schedule, tagBase, bytes int) { run.Transfer(c, s, tagBase, bytes) }
-
-// TransferFunc adapts a sized pattern to a BarrierFunc.
-func TransferFunc(s *Schedule, bytes int) BarrierFunc { return run.TransferFunc(s, bytes) }
 
 // Deployment (see internal/netmpi).
 

@@ -59,13 +59,17 @@ func TestTreeMatchesScheduleShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interp, err := run.Measure(testWorld(t, p, 5), run.ScheduleFunc(sched.Tree(p)), 2, 5)
+		pl, err := run.NewPlan(sched.Tree(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio := hard.Mean / interp.Mean
+		planned, err := run.Measure(testWorld(t, p, 5), pl.Func(), 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := hard.Mean / planned.Mean
 		if ratio < 0.5 || ratio > 2.0 {
-			t.Fatalf("p=%d: hard-coded tree %g vs schedule tree %g (ratio %.2f)", p, hard.Mean, interp.Mean, ratio)
+			t.Fatalf("p=%d: hard-coded tree %g vs schedule tree %g (ratio %.2f)", p, hard.Mean, planned.Mean, ratio)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"strings"
 	"sync"
@@ -9,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/core"
 	"topobarrier/internal/critpath"
+	"topobarrier/internal/fabric"
 	"topobarrier/internal/faultnet"
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/retune"
@@ -66,6 +70,60 @@ func barrierAll(peers []*netmpi.Peer, pl *run.Plan, tag int, deadline time.Durat
 	}
 	wg.Wait()
 	return errs
+}
+
+// TestPlanExecutorsSendTheSameMessages: one barrier of the same plan under
+// the simulator and on a traced loopback mesh sends the same signals — equal
+// sets of (src, dst, stage, tag) — for the classics and the tuned hybrid at
+// P = 8. The sets carry no timing, so the check is deterministic.
+func TestPlanExecutorsSendTheSameMessages(t *testing.T) {
+	const p = 8
+	fab := quadFabric(t, p, fabric.GigEParams(1))
+	tuned, err := core.Tune(fab.TrueProfile(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listeners, err := netmpi.LoopbackListeners(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := telemetry.NewTracer()
+	peers, err := netmpi.MeshOver(listeners, meshTimeout, netmpi.WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { netmpi.CloseMesh(peers) })
+
+	type signal struct{ src, dst, stage, tag int }
+	signals := func(tl *critpath.Timeline) map[signal]bool {
+		set := map[signal]bool{}
+		for _, m := range tl.Messages {
+			set[signal{m.Src, m.Dst, m.Stage, m.Tag}] = true
+		}
+		return set
+	}
+	for _, s := range []*sched.Schedule{sched.Linear(p), sched.Tree(p), sched.Dissemination(p), sched.Ring(p), tuned.Schedule()} {
+		pl := newPlan(t, s)
+		sim, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0, 0) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, err := range barrierAll(peers, pl, 0, meshTimeout) {
+			if err != nil {
+				t.Fatalf("%s: rank %d: %v", s.Name, r, err)
+			}
+		}
+		live, err := critpath.Merge(tracer.Take(), p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := s.SignalCount(); len(sim.Messages) != want || live.Unmatched != 0 {
+			t.Fatalf("%s: simulator sent %d of %d signals; mesh left %d unmatched", s.Name, len(sim.Messages), want, live.Unmatched)
+		}
+		if a, b := signals(sim), signals(live); !maps.Equal(a, b) {
+			t.Errorf("%s: simulator sent %v, mesh sent %v", s.Name, a, b)
+		}
+	}
 }
 
 // TestBlameAndFlightRecorderE2E is the acceptance test of the tracing

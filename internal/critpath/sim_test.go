@@ -25,14 +25,25 @@ func quadFabric(t testing.TB, p int, params fabric.Params) *fabric.Fabric {
 	return f
 }
 
-// simBarrier runs s once on the noisy GigE quad cluster and returns the
-// execution's timeline, its elapsed time and the Wtime every rank read when
-// its barrier returned.
+// newPlan compiles a schedule the test knows to be a barrier.
+func newPlan(t testing.TB, s *sched.Schedule) *run.Plan {
+	t.Helper()
+	pl, err := run.NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// simBarrier runs s's plan once on the noisy GigE quad cluster and returns
+// the execution's timeline, its elapsed time and the Wtime every rank read
+// when its barrier returned.
 func simBarrier(t testing.TB, s *sched.Schedule, seed uint64) (*critpath.Timeline, float64, []float64) {
 	t.Helper()
+	pl := newPlan(t, s)
 	wtime := make([]float64, s.P)
 	tl, elapsed, err := critpath.Sim(quadFabric(t, s.P, fabric.GigEParams(seed)), func(c *mpi.Comm) {
-		run.Barrier(c, s, 0)
+		pl.Execute(c, 0, 0)
 		wtime[c.Rank()] = c.Wtime()
 	})
 	if err != nil {
@@ -142,7 +153,7 @@ func TestSimBlameFindsTheUnderstatedLink(t *testing.T) {
 // moves — no floor rises to even a hundredth of the stall.
 func TestSimBlameIgnoresAnUpstreamStall(t *testing.T) {
 	const p, late, stall = 8, 6, 1e-3
-	s := sched.Dissemination(p)
+	pl := newPlan(t, sched.Dissemination(p))
 	for seed := uint64(1); seed <= 20; seed++ {
 		fab := quadFabric(t, p, fabric.GigEParams(seed))
 		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) {
@@ -150,7 +161,7 @@ func TestSimBlameIgnoresAnUpstreamStall(t *testing.T) {
 				if c.Rank() == late {
 					c.Compute(stall)
 				}
-				run.Barrier(c, s, (n%2)*run.TagSpan)
+				pl.Execute(c, (n%2)*run.TagSpan, 0)
 			}
 		})
 		if err != nil {
@@ -183,7 +194,8 @@ func TestPredictedTimelineResiduals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*sched.Schedule{sched.Linear(p), sched.Tree(p), sched.Dissemination(p), tuned.Schedule().DropEmptyStages()} {
-		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { run.Barrier(c, s, 0) })
+		pl := newPlan(t, s)
+		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0, 0) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,8 +31,8 @@ var validationAlgorithms = []struct {
 
 // Validation runs the §VI experiment on one cluster up to maxP processes.
 // For every P it probes a topological profile, predicts the three barrier
-// costs from the profile, and measures the same matrix encodings with the
-// general executor.
+// costs from the profile, and measures the same matrix encodings compiled to
+// plans.
 func Validation(cfg Config, spec topo.Spec, maxP int) (*ValidationData, error) {
 	vd := &ValidationData{
 		Spec: spec,
@@ -49,7 +49,11 @@ func Validation(cfg Config, spec topo.Spec, maxP int) (*ValidationData, error) {
 		for _, alg := range validationAlgorithms {
 			s := alg.gen(p)
 			vd.Pred[alg.name] = append(vd.Pred[alg.name], pd.Cost(s))
-			mean, err := cfg.measure(spec, p, uint64(p)*31+7, run.ScheduleFunc(s))
+			pl, err := run.NewPlan(s)
+			if err != nil {
+				return nil, fmt.Errorf("figures: compiling %s at P=%d: %w", alg.name, p, err)
+			}
+			mean, err := cfg.measure(spec, p, uint64(p)*31+7, pl.Func())
 			if err != nil {
 				return nil, fmt.Errorf("figures: measuring %s at P=%d: %w", alg.name, p, err)
 			}

@@ -71,7 +71,11 @@ func TestGoldenProbeTraceAndProfile(t *testing.T) {
 func TestGoldenDisseminationTrace(t *testing.T) {
 	opt, sum := traceHasher()
 	w := mpi.NewWorld(goldenFabric(t), opt)
-	m, err := run.Measure(w, run.ScheduleFunc(sched.Dissemination(16)), 0, 50)
+	pl, err := run.NewPlan(sched.Dissemination(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := run.Measure(w, pl.Func(), 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,11 @@ func TestGoldenCongestionTrace(t *testing.T) {
 	w := mpi.NewWorld(goldenFabric(t), opt, mpi.WithCongestion())
 	// Payload-carrying linear exchange: every rank's cross-node sends queue
 	// on its node's NIC, so the occupancy path decides most arrival times.
-	m, err := run.Measure(w, run.TransferFunc(sched.Linear(16), 4096), 2, 20)
+	pl, err := run.NewPlan(sched.Linear(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := run.Measure(w, func(c *mpi.Comm, tag int) { pl.Execute(c, tag, 4096) }, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

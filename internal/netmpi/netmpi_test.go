@@ -202,7 +202,7 @@ func tunedPlan(t testing.TB, p int) *run.Plan {
 	full := sched.New(fmt.Sprintf("hybrid-test(%d)", p), p)
 	full.Concat(arr).Concat(root)
 	full.Concat(full.Clone().ReverseTransposed())
-	pl, err := run.NewPlan(full.DropEmptyStages())
+	pl, err := run.NewPlan(full)
 	if err != nil {
 		t.Fatal(err)
 	}

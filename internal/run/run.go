@@ -1,14 +1,15 @@
-// Package run executes barrier schedules on the simulated MPI runtime and
-// measures them.
+// Package run compiles barrier schedules into plans, executes them on the
+// simulated MPI runtime and measures them.
 //
-// It provides the paper's "general simulator for matrix encodings of
-// barriers" (§VI): each rank loops over the stages of a schedule, posts
-// nonblocking receives for the signals addressed to it, issues nonblocking
-// synchronized sends for the signals it owes, and waits for all requests
-// before entering the next stage. It also provides the flattened Plan — the
-// in-process equivalent of the paper's generated code (§VII.C), with
-// matrices pre-resolved to per-rank lists and no-op stages eliminated — plus
-// the timing harness and the delay-injection synchronization validator.
+// A Plan is the one executable form of a schedule: the stage matrices
+// resolved to per-rank lists with no-op stages eliminated, as the paper's
+// generated code hard-codes them (§VII.C). Every executor runs it the same
+// way — per stage, post nonblocking receives for the signals addressed to
+// the rank, issue synchronized sends for the signals it owes, and wait for
+// all before entering the next stage (§VI): Plan.Execute on the simulator,
+// netmpi on a live mesh, and the Go source codegen emits from RankOps. The
+// package also holds the timing harness and the delay-injection
+// synchronization validator.
 package run
 
 import (
@@ -27,16 +28,6 @@ type Func func(c *mpi.Comm, tagBase int)
 
 // TagSpan is the tag budget one barrier invocation may use.
 const TagSpan = 1024
-
-// Barrier executes schedule s for the calling rank using the general
-// stage-matrix interpreter. All ranks of the world must call it with the
-// same schedule and tagBase.
-func Barrier(c *mpi.Comm, s *sched.Schedule, tagBase int) { Transfer(c, s, tagBase, 0) }
-
-// ScheduleFunc adapts a schedule to a Func using the general interpreter.
-func ScheduleFunc(s *sched.Schedule) Func {
-	return func(c *mpi.Comm, tagBase int) { Barrier(c, s, tagBase) }
-}
 
 // Plan is a schedule compiled to per-rank stage lists: the executable
 // equivalent of the paper's generated hard-coded barriers. Empty stages are
@@ -92,8 +83,13 @@ func compile(s *sched.Schedule) *Plan {
 	return pl
 }
 
-// Execute runs the plan for the calling rank.
-func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
+// Execute runs the plan for the calling rank, each message carrying bytes of
+// payload (0 for a barrier). All ranks of the world must call it with the
+// same tagBase; a plan compiled for another world size panics.
+func (pl *Plan) Execute(c *mpi.Comm, tagBase, bytes int) {
+	if c.Size() != pl.P {
+		panic(fmt.Sprintf("run: %d-rank plan on %d-rank world", pl.P, c.Size()))
+	}
 	b := c.Batch()
 	for _, st := range pl.ops[c.Rank()] {
 		tag := tagBase + st.Stage
@@ -101,7 +97,7 @@ func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
 			b.Irecv(src, tag)
 		}
 		for _, dst := range st.Sends {
-			b.Issend(dst, tag, 0)
+			b.Issend(dst, tag, bytes)
 		}
 		b.Wait()
 	}
@@ -109,7 +105,7 @@ func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
 
 // Func adapts the plan to the Func interface.
 func (pl *Plan) Func() Func {
-	return func(c *mpi.Comm, tagBase int) { pl.Execute(c, tagBase) }
+	return func(c *mpi.Comm, tagBase int) { pl.Execute(c, tagBase, 0) }
 }
 
 // Measurement summarises a timed barrier run.
@@ -194,27 +190,6 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 		}
 	}
 	return nil
-}
-
-// MeasureCold times single-shot executions: each of reps samples runs the
-// barrier exactly once in a fresh virtual-time run, so no state (posted
-// receives, pipelining) carries over between samples. Steady-state Measure
-// rewards deep trees whose receivers pre-post across iterations; one-shot
-// operations — a broadcast at program start, a rarely-executed barrier — see
-// the cold cost instead.
-func MeasureCold(w *mpi.World, b Func, reps int) (Measurement, error) {
-	if reps <= 0 {
-		return Measurement{}, fmt.Errorf("run: non-positive rep count %d", reps)
-	}
-	total := 0.0
-	for i := 0; i < reps; i++ {
-		elapsed, err := w.Run(func(c *mpi.Comm) { b(c, 0) })
-		if err != nil {
-			return Measurement{}, err
-		}
-		total += elapsed
-	}
-	return Measurement{Mean: total / float64(reps), Iters: reps}, nil
 }
 
 // PlanFromOps assembles a plan directly from per-rank stage lists, bypassing

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,10 +31,20 @@ func testWorld(t testing.TB, p int, seed uint64) *mpi.World {
 	return mpi.NewWorld(f)
 }
 
-func TestBarrierInterpreterSynchronises(t *testing.T) {
+// plan compiles a schedule the test knows to be a barrier.
+func plan(t testing.TB, s *sched.Schedule) Func {
+	t.Helper()
+	pl, err := NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl.Func()
+}
+
+func TestPlanSynchronises(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13} {
 		for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p)} {
-			if err := Validate(testWorld(t, p, 1), ScheduleFunc(s), 0.5, nil); err != nil {
+			if err := Validate(testWorld(t, p, 1), plan(t, s), 0.5, nil); err != nil {
 				t.Fatalf("%s at p=%d: %v", s.Name, p, err)
 			}
 		}
@@ -47,7 +58,7 @@ func TestValidateCatchesBrokenPattern(t *testing.T) {
 	s := sched.Linear(p)
 	s.Stages[0].Set(3, 0, false)
 	s.Stages[1].Set(0, 3, false)
-	err := Validate(testWorld(t, p, 1), ScheduleFunc(s), 0.5, []int{3})
+	err := Validate(testWorld(t, p, 1), compile(s).Func(), 0.5, []int{3})
 	if err == nil || !strings.Contains(err.Error(), "exited") {
 		t.Fatalf("broken pattern passed validation: %v", err)
 	}
@@ -55,7 +66,7 @@ func TestValidateCatchesBrokenPattern(t *testing.T) {
 
 func TestValidateArgumentChecks(t *testing.T) {
 	w := testWorld(t, 2, 1)
-	f := ScheduleFunc(sched.Linear(2))
+	f := plan(t, sched.Linear(2))
 	if err := Validate(w, f, 0, nil); err == nil {
 		t.Fatalf("zero delay accepted")
 	}
@@ -66,7 +77,7 @@ func TestValidateArgumentChecks(t *testing.T) {
 
 func TestSingleRankBarrier(t *testing.T) {
 	s := sched.Tree(1)
-	m, err := Measure(testWorld(t, 1, 1), ScheduleFunc(s), 1, 3)
+	m, err := Measure(testWorld(t, 1, 1), plan(t, s), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestSingleRankBarrier(t *testing.T) {
 
 func TestMeasureBasics(t *testing.T) {
 	p := 16
-	m, err := Measure(testWorld(t, p, 2), ScheduleFunc(sched.Tree(p)), 2, 5)
+	m, err := Measure(testWorld(t, p, 2), plan(t, sched.Tree(p)), 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +107,7 @@ func TestMeasureBasics(t *testing.T) {
 
 func TestMeasureRejectsBadArgs(t *testing.T) {
 	w := testWorld(t, 2, 1)
-	f := ScheduleFunc(sched.Linear(2))
+	f := plan(t, sched.Linear(2))
 	if _, err := Measure(w, f, 0, 0); err == nil {
 		t.Fatalf("zero iters accepted")
 	}
@@ -109,40 +120,16 @@ func TestMeasuredOrderingLinearVsTree(t *testing.T) {
 	// At p=32 spanning 4 nodes, the serialized linear barrier must be the
 	// slowest of the three classic algorithms (Figures 5-6).
 	p := 32
-	lin, err := Measure(testWorld(t, p, 3), ScheduleFunc(sched.Linear(p)), 2, 6)
+	lin, err := Measure(testWorld(t, p, 3), plan(t, sched.Linear(p)), 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Measure(testWorld(t, p, 3), ScheduleFunc(sched.Tree(p)), 2, 6)
+	tree, err := Measure(testWorld(t, p, 3), plan(t, sched.Tree(p)), 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tree.Mean >= lin.Mean {
 		t.Fatalf("tree (%g) not faster than linear (%g)", tree.Mean, lin.Mean)
-	}
-}
-
-func TestPlanMatchesInterpreterExactly(t *testing.T) {
-	// Same fabric seed, same op order → bit-identical virtual timings.
-	for _, p := range []int{5, 8, 22} {
-		for _, gen := range []func(int) *sched.Schedule{sched.Linear, sched.Dissemination, sched.Tree} {
-			s := gen(p)
-			mi, err := Measure(testWorld(t, p, 7), ScheduleFunc(s), 1, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl, err := NewPlan(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mp, err := Measure(testWorld(t, p, 7), pl.Func(), 1, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mi.Mean != mp.Mean {
-				t.Fatalf("%s p=%d: interpreter %g != plan %g", s.Name, p, mi.Mean, mp.Mean)
-			}
-		}
 	}
 }
 
@@ -175,6 +162,41 @@ func TestPlanEmptyStageElimination(t *testing.T) {
 	}
 	if err := Validate(testWorld(t, 4, 1), pl.Func(), 0.25, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestTransferDeliversPayloadPattern(t *testing.T) {
+	// A flat broadcast carrying 1 MB: every leaf must wait for the root's
+	// payload, so transfer time must reflect the payload size.
+	p := 6
+	bcast := compile(sched.LinearArrival(p).ReverseTransposed())
+	w := testWorld(t, p, 1)
+	small, err := w.Run(func(c *mpi.Comm) { bcast.Execute(c, 0, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := w.Run(func(c *mpi.Comm) { bcast.Execute(c, 0, 1<<20) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big <= small {
+		t.Fatalf("payload size has no cost: %g vs %g", big, small)
+	}
+}
+
+// TestMisSizedPlanPanics: a plan runs only on a world of its own size, in
+// both directions, with the message every executor uses for the mismatch.
+func TestMisSizedPlanPanics(t *testing.T) {
+	for _, c := range []struct{ plan, world int }{{4, 8}, {8, 4}} {
+		pl, err := NewPlan(sched.Dissemination(c.plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = testWorld(t, c.world, 1).Run(func(cm *mpi.Comm) { pl.Execute(cm, 0, 0) })
+		want := fmt.Sprintf("run: %d-rank plan on %d-rank world", c.plan, c.world)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d-rank plan on %d ranks: err %v, want %q", c.plan, c.world, err, want)
+		}
 	}
 }
 

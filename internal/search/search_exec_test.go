@@ -20,7 +20,12 @@ func newWorld(t testing.TB, p int) *mpi.World {
 	return mpi.NewWorld(f)
 }
 
-// validateSchedule runs the paper's delay-injection check on a schedule.
+// validateSchedule compiles a schedule and runs the paper's delay-injection
+// check on its plan.
 func validateSchedule(w *mpi.World, s *sched.Schedule) error {
-	return run.Validate(w, run.ScheduleFunc(s), 0.5, []int{0, w.Size() / 2, w.Size() - 1})
+	pl, err := run.NewPlan(s)
+	if err != nil {
+		return err
+	}
+	return run.Validate(w, pl.Func(), 0.5, []int{0, w.Size() / 2, w.Size() - 1})
 }

@@ -215,11 +215,9 @@ type (
 	Measurement = run.Measurement
 )
 
-// ExecuteSchedule runs a schedule for the calling rank with the general
-// stage-matrix interpreter.
-func ExecuteSchedule(c *Comm, s *Schedule, tagBase int) { run.Barrier(c, s, tagBase) }
-
-// NewPlan compiles a schedule, verifying that it globally synchronises.
+// NewPlan compiles a schedule, verifying that it globally synchronises. The
+// plan is the one executable form of a schedule: pl.Func() runs it on a
+// World, NetPeer.Barrier on a real mesh, and GenerateSource hard-codes it.
 func NewPlan(s *Schedule) (*Plan, error) { return run.NewPlan(s) }
 
 // Measure times a barrier over warmup+iters iterations on a world.

@@ -68,13 +68,12 @@ func TestPublicScheduleAndPredictor(t *testing.T) {
 	if !(tree < lin) || dis <= 0 {
 		t.Fatalf("predicted costs implausible: L=%g D=%g T=%g", lin, dis, tree)
 	}
-	// The public schedule interpreter must synchronise too.
-	world := topobarrier.NewWorld(fab)
-	s := topobarrier.Tree(36)
-	err = topobarrier.Validate(world, func(c *topobarrier.Comm, tag int) {
-		topobarrier.ExecuteSchedule(c, s, tag)
-	}, 0.5, []int{0, 35})
+	// The public compiled plan must synchronise too.
+	pl, err := topobarrier.NewPlan(topobarrier.Tree(36))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topobarrier.Validate(topobarrier.NewWorld(fab), pl.Func(), 0.5, []int{0, 35}); err != nil {
 		t.Fatal(err)
 	}
 }
