@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -157,8 +158,13 @@ func TestCLIProfileCacheRoundTrip(t *testing.T) {
 			t.Fatalf("sparse profilecluster run %d: cache hit = %v:\n%s", i, hit, out)
 		}
 		at := strings.Index(out, "measured ")
-		if at < 0 || !strings.Contains(out[at:], " of 276 pairs, ") || strings.Contains(out[at:], ", 0 estimated") {
-			t.Fatalf("sparse profilecluster run %d reports no estimated pairs:\n%s", i, out)
+		var measured, all, screened, estimated, spot, redone int
+		if at < 0 {
+			t.Fatalf("sparse profilecluster run %d reports no coverage:\n%s", i, out)
+		}
+		if _, err := fmt.Sscanf(out[at:], "measured %d of %d pairs, %d screened, %d estimated, %d spot checks (%d blocks re-measured)",
+			&measured, &all, &screened, &estimated, &spot, &redone); err != nil || all != 276 || measured+estimated != all || screened == 0 || estimated == 0 || spot == 0 {
+			t.Fatalf("sparse profilecluster run %d: coverage line unparsed (%v) or no screened and estimated pairs:\n%s", i, err, out)
 		}
 		coverage[i] = strings.TrimSpace(out[at:])
 	}

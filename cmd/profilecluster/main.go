@@ -11,10 +11,12 @@
 //
 // By default the light-weight protocol with structural replication (§IV.B)
 // is used. -full probes the platform itself instead of trusting its spec:
-// every pair up to 16 ranks; above that the hierarchy — the links of the SSS
-// cluster centres, every pair inside a cluster of at most 16 ranks, and the
-// rest estimated from the centre links and spot-checked (the saved profile
-// records which entries are estimates). -paper selects the paper's exact
+// every pair up to 16 ranks; above that the hierarchy — found by screening
+// the SSS cluster centres' links with zero-byte round trips — with every pair
+// inside a cluster of at most 16 ranks, one link between each two sibling
+// clusters' centres and every centre link whose screen stands out measured,
+// and the rest estimated from them and spot-checked (the saved profile
+// records which entries are estimates, and how many pairs were screened). -paper selects the paper's exact
 // protocol (sizes 2^0..2^20, batches 1..32, 25 repetitions).
 //
 // With -profile-cache, profiles are keyed by a fingerprint of the cluster
@@ -41,7 +43,7 @@ func main() {
 		p         = flag.Int("p", 0, "number of ranks (default: all cores)")
 		placement = flag.String("placement", "round-robin", "rank placement: round-robin or block")
 		paper     = flag.Bool("paper", false, "use the paper's full §IV.A protocol")
-		full      = flag.Bool("full", false, "probe the links instead of replicating one pair per link class (§IV.B): every pair up to 16 ranks, above that cluster-centre links and in-cluster pairs measured, the rest estimated and spot-checked")
+		full      = flag.Bool("full", false, "probe the links instead of replicating one pair per link class (§IV.B): every pair up to 16 ranks; above that the cluster-centre stars are screened with zero-byte round trips to find the hierarchy, and in-cluster pairs, cluster-centre links and links their screens single out are measured, the rest estimated and spot-checked")
 		seed      = flag.Uint64("seed", 1, "fabric noise seed")
 		out       = flag.String("o", "profile.json", "output path")
 		heat      = flag.Bool("heatmap", false, "print O and L heat maps")
@@ -103,12 +105,12 @@ func main() {
 	}
 	fmt.Printf("wrote %s (P=%d, diameter %.1fµs)\n", *out, pf.P, pf.Diameter()*1e6)
 	if *full {
-		pairs, spot, redone := pf.P*(pf.P-1)/2, 0, 0
+		pairs, screened, spot, redone := pf.P*(pf.P-1)/2, 0, 0, 0
 		if pv := pf.Provenance; pv != nil {
-			spot, redone = pv.SpotChecked, pv.Remeasured
+			screened, spot, redone = pv.Screened, pv.SpotChecked, pv.Remeasured
 		}
-		fmt.Printf("measured %d of %d pairs, %d estimated, %d spot checks (%d blocks re-measured)\n",
-			pf.MeasuredPairs(), pairs, pairs-pf.MeasuredPairs(), spot, redone)
+		fmt.Printf("measured %d of %d pairs, %d screened, %d estimated, %d spot checks (%d blocks re-measured)\n",
+			pf.MeasuredPairs(), pairs, screened, pairs-pf.MeasuredPairs(), spot, redone)
 	}
 	if *heat {
 		fmt.Println(profile.HeatMap(pf.O, "O matrix [seconds]"))

@@ -12,7 +12,7 @@ func MeasureAllPairs(w *mpi.World, cfg Config) (*profile.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newSurvey(w.Fabric().Spec().Name, w.Size(), sim.run)
+	s := newSurvey(w.Fabric().Spec().Name, w.Size(), sim.run, nil)
 	if err := s.dense(s.all()); err != nil {
 		return nil, err
 	}

@@ -104,11 +104,12 @@ func (cfg Config) validate(p int) error {
 // The profile is symmetric by construction (the paper's assumption that
 // round-trip cost is twice one-way cost).
 //
-// Up to denseLimit ranks every pair is measured; above, the probe follows the
-// hierarchy (survey.sparse) and the profile's Provenance says which entries
-// are estimates. Either way the work is a sequence of phases, each one w.Run
-// over rounds of disjoint pairs on disjoint tag spaces, overlapping in
-// (virtual) time. The fabric has one noise stream, drawn in the simulator's
+// Up to denseLimit ranks every pair is measured; above, the probe finds the
+// hierarchy with zero-byte round-trip screens, measures only the links the
+// profile keeps (survey.sparse), and the profile's Provenance says which
+// entries are estimates. Either way the work is a sequence of phases, each
+// one w.Run over rounds of disjoint pairs on disjoint tag spaces, overlapping
+// in (virtual) time. The fabric has one noise stream, drawn in the simulator's
 // event order: a seed, rank count and Config reproduce the profile bit for
 // bit, while another schedule of the same pairs draws different noise.
 func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
@@ -117,7 +118,7 @@ func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
 		return nil, err
 	}
 	p, fab := w.Size(), w.Fabric()
-	s := newSurvey(fab.Spec().Name, p, sim.run)
+	s := newSurvey(fab.Spec().Name, p, sim.run, sim.screen)
 	if !cfg.Replicate {
 		if err := s.sparse(s.all()); err != nil {
 			return nil, err
@@ -224,6 +225,43 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 	}
 	m.selfDone = true
 	return errors.Join(pairErr...) // every failed pair by name, not only the last
+}
+
+// screen runs one phase of Warmup+Reps zero-byte round trips per pair, the
+// lower rank initiating, and hands set each pair's mean half round trip.
+func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
+	p := m.w.Size()
+	rounds := PairRounds(p, pairs)
+	_, err := m.w.Run(func(c *mpi.Comm) {
+		me := c.Rank()
+		for _, round := range rounds {
+			pr, ok := roundOf(round, me)
+			if !ok {
+				continue // bye round
+			}
+			tag := (pr.I*p+pr.J)*8 + 5 // past the sweep's tags of the pair
+			if pr.J == me {
+				handshake(c, pr.I, tag, false)
+				for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
+					c.Recv(pr.I, tag+1)
+					c.Send(pr.I, tag+1, 0)
+				}
+				continue
+			}
+			handshake(c, pr.J, tag, true)
+			sum := 0.0
+			for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
+				t0 := c.Wtime()
+				c.Send(pr.J, tag+1, 0)
+				c.Recv(pr.J, tag+1)
+				if r >= m.cfg.Warmup {
+					sum += c.Wtime() - t0
+				}
+			}
+			set(pr.I, pr.J, sum/float64(2*m.cfg.Reps))
+		}
+	})
+	return err
 }
 
 // floor keeps fitted parameters physically meaningful when noise produces a

@@ -11,7 +11,7 @@ import (
 
 const (
 	denseLimit    = 16   // the largest rank set measured all-pairs
-	spotTolerance = 0.25 // how far a spot check may miss its estimate
+	spotTolerance = 0.25 // how far a spot check may miss its estimate, or a screen its centre link's
 )
 
 // survey decides which pairs a probe measures.
@@ -21,14 +21,19 @@ type survey struct {
 	// phase, handing O and L of each direction of every listed pair to set
 	// (and may hand it a rank's Oii as the pair (i, i)).
 	measure func(pairs []Pair, set func(i, j int, o, l float64)) error
+	// screen is its discovery side: one phase of zero-byte round trips, handing
+	// set each listed pair's mean half round trip. That is a distance to
+	// cluster on, never a profile entry.
+	screen func(pairs []Pair, set func(i, j int, d float64)) error
+	scr    map[Pair]float64 // the screened pairs' distances, keyed I < J
 	// known and est are symmetric and disjoint: the off-diagonal entries that
 	// hold a measured (or replicated) value, and those that hold an estimate.
 	known, est            *mat.Bool
 	spotChecked, refilled int // spot pairs measured, and blocks measured in full
 }
 
-func newSurvey(platform string, p int, measure func([]Pair, func(i, j int, o, l float64)) error) *survey {
-	return &survey{pf: profile.New(platform, p), measure: measure, known: mat.NewBool(p), est: mat.NewBool(p)}
+func newSurvey(platform string, p int, measure func([]Pair, func(i, j int, o, l float64)) error, screen func([]Pair, func(i, j int, d float64)) error) *survey {
+	return &survey{pf: profile.New(platform, p), measure: measure, screen: screen, scr: map[Pair]float64{}, known: mat.NewBool(p), est: mat.NewBool(p)}
 }
 
 // all lists the surveyed ranks.
@@ -76,33 +81,45 @@ func (s *survey) dense(ranks []int) error {
 	return s.phase(pairs)
 }
 
-// star measures rank c against every one of ranks and returns the one
-// farthest from it, the first on a tie, with its distance.
+// dist is the screened distance of a pair, and whether it was screened; a
+// rank is at distance 0 from itself.
+func (s *survey) dist(i, j int) (float64, bool) {
+	if i == j {
+		return 0, true
+	}
+	d, ok := s.scr[Pair{min(i, j), max(i, j)}]
+	return d, ok
+}
+
+// star screens rank c against every one of ranks not screened against it yet
+// and returns the one farthest from it, the first on a tie, with its distance.
 func (s *survey) star(c int, ranks []int) (far int, dist float64, err error) {
 	pairs := make([]Pair, 0, len(ranks))
 	for _, r := range ranks {
-		if r != c {
-			pairs = append(pairs, Pair{c, r})
+		if _, ok := s.dist(c, r); !ok {
+			pairs = append(pairs, Pair{min(c, r), max(c, r)})
 		}
 	}
-	err = s.phase(pairs)
+	if len(pairs) > 0 {
+		err = s.screen(pairs, func(i, j int, d float64) { s.scr[Pair{i, j}] = d })
+	}
 	for _, r := range ranks {
-		if d := s.pf.Distance(c, r); d > dist {
+		if d, _ := s.dist(c, r); d > dist {
 			far, dist = r, d
 		}
 	}
 	return far, dist, err
 }
 
-// sparse profiles the (ascending) ranks by clustering them while it measures.
-// More than denseLimit ranks take their diameter from two sweeps — the star
-// of ranks[0], then of the rank farthest from it, exact on a hierarchy — and
-// those two ranks are the first two centres of a first-fit pass: a centre
-// claims the ranks within the SSS threshold of it that no earlier centre
-// claimed, and while ranks are left the first of them founds the next centre,
-// its star measured against the unclaimed ranks only. Each cluster is then
-// profiled the same way, and the pairs between clusters are filled in from
-// the centre stars.
+// sparse profiles the (ascending) ranks by clustering them on screens and
+// measuring what the profile keeps. More than denseLimit ranks take their
+// diameter from two sweeps — the star of ranks[0], then of the rank farthest
+// from it, exact on a hierarchy — and those two ranks are the first two
+// centres of a first-fit pass: a centre claims the ranks within the SSS
+// threshold of it that no earlier centre claimed, and while ranks are left the
+// first of them founds the next centre, its star screened against the
+// unclaimed ranks only. Each cluster is then profiled the same way, and the
+// pairs between clusters are filled in from the centre links.
 func (s *survey) sparse(ranks []int) error {
 	if len(ranks) <= denseLimit {
 		return s.dense(ranks)
@@ -126,7 +143,7 @@ func (s *survey) sparse(ranks []int) error {
 		}
 		var in, out []int
 		for _, r := range rest {
-			if s.pf.Distance(r, centres[k]) <= sss.DefaultSparseness*diam {
+			if d, _ := s.dist(r, centres[k]); d <= sss.DefaultSparseness*diam {
 				in = append(in, r)
 			} else {
 				out = append(out, r)
@@ -153,9 +170,8 @@ func sym(m *mat.Dense, i, j int) float64 { return (m.At(i, j) + m.At(j, i)) / 2 
 
 // estimate fills direction a→b of an unmeasured pair of sibling clusters with
 // the measured links of its own link class on a hierarchy: a → centre of b's
-// cluster and centre of a's cluster → b, whichever the first-fit stars
-// measured (the one through the earlier-founded centre always is: its star
-// covered every rank of the later cluster), or their mean.
+// cluster and centre of a's cluster → b, whichever were measured, or their
+// mean; with neither, the centre link.
 func (s *survey) estimate(a, b, ca, cb int) {
 	var o, l, n float64
 	for _, e := range [2][2]int{{a, cb}, {ca, b}} {
@@ -163,17 +179,42 @@ func (s *survey) estimate(a, b, ca, cb int) {
 			o, l, n = o+s.pf.O.At(e[0], e[1]), l+s.pf.L.At(e[0], e[1]), n+1
 		}
 	}
+	if n == 0 {
+		o, l, n = s.pf.O.At(ca, cb), s.pf.L.At(ca, cb), 1
+	}
 	s.set(a, b, o/n, l/n, true)
 }
 
-// fill estimates every unmeasured pair of sibling clusters. Most estimates
-// rest on one sample, so each block gets two spot checks, picked from what is
-// known to stress it: the rank of A farthest from A's centre against the
+// fill measures, for every block of sibling clusters A and B, the centre link
+// and the exceptions: each screened centre → rank link whose screen misses the
+// centre link's by more than spotTolerance, so a rank off its class is
+// measured, not averaged away. The rest of the block is estimated. Most
+// estimates rest on one sample, so each block gets two spot checks, picked on
+// screens to stress it: the rank of A farthest from A's centre against the
 // ranks of B nearest to and farthest from that centre. A block whose check
 // misses its estimate by more than spotTolerance is measured in full: a
 // fabric without the hierarchy degrades toward all-pairs, not to a wrong
 // profile.
 func (s *survey) fill(clusters [][]int, centres []int) error {
+	var keep []Pair
+	for a := range clusters {
+		for b := a + 1; b < len(clusters); b++ {
+			keep = append(keep, Pair{centres[a], centres[b]})
+			ref, _ := s.dist(centres[a], centres[b]) // a's star covered the later cluster b
+			for _, e := range [2][2]int{{a, b}, {b, a}} {
+				c := centres[e[0]]
+				for _, j := range clusters[e[1]] {
+					if d, ok := s.dist(c, j); ok && math.Abs(d-ref) > spotTolerance*ref {
+						keep = append(keep, Pair{c, j})
+					}
+				}
+			}
+		}
+	}
+	if err := s.phase(keep); err != nil {
+		return err
+	}
+
 	type spot struct {
 		block  [2]int
 		wo, wl float64 // the pair's estimate
@@ -183,6 +224,8 @@ func (s *survey) fill(clusters [][]int, centres []int) error {
 	for a := range clusters {
 		for b := a + 1; b < len(clusters); b++ {
 			ca, row := centres[a], -1
+			// Every distance read below is to ca: its star covered A and B.
+			dist := func(r int) float64 { d, _ := s.dist(r, ca); return d }
 			for _, i := range clusters[a] {
 				guessed := false
 				for _, j := range clusters[b] {
@@ -192,7 +235,7 @@ func (s *survey) fill(clusters [][]int, centres []int) error {
 						guessed = true
 					}
 				}
-				if guessed && (row < 0 || s.pf.Distance(i, ca) > s.pf.Distance(row, ca)) {
+				if guessed && (row < 0 || dist(i) > dist(row)) {
 					row = i
 				}
 			}
@@ -204,11 +247,11 @@ func (s *survey) fill(clusters [][]int, centres []int) error {
 				if !s.est.At(row, j) {
 					continue
 				}
-				d := s.pf.Distance(j, ca)
-				if near < 0 || d < s.pf.Distance(near, ca) {
+				d := dist(j)
+				if near < 0 || d < dist(near) {
 					near = j
 				}
-				if far < 0 || d >= s.pf.Distance(far, ca) {
+				if far < 0 || d >= dist(far) {
 					far = j
 				}
 			}
@@ -245,7 +288,8 @@ func (s *survey) fill(clusters [][]int, centres []int) error {
 }
 
 // finish refuses a profile with an off-diagonal entry left unmeasured — the
-// model would price it as a free link — and attaches the provenance.
+// model would price it as a free link — and attaches the provenance when
+// anything was estimated or screened.
 func (s *survey) finish() (*profile.Profile, error) {
 	for i := 0; i < s.pf.P; i++ {
 		for j := i + 1; j < s.pf.P; j++ {
@@ -254,8 +298,8 @@ func (s *survey) finish() (*profile.Profile, error) {
 			}
 		}
 	}
-	if !s.est.IsZero() {
-		s.pf.Provenance = &profile.Provenance{Estimated: s.est, SpotChecked: s.spotChecked, Remeasured: s.refilled}
+	if !s.est.IsZero() || len(s.scr) > 0 {
+		s.pf.Provenance = &profile.Provenance{Estimated: s.est, Screened: len(s.scr), SpotChecked: s.spotChecked, Remeasured: s.refilled}
 	}
 	return s.pf, s.pf.Validate()
 }

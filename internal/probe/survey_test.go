@@ -6,24 +6,30 @@ import (
 	"sort"
 	"testing"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/sss"
 	"topobarrier/internal/stats"
 )
 
 // synthetic is a survey over a known truth: measuring a pair copies its true
-// O and L, and counts it.
+// O and L, screening it reports its true distance at screenScale, and each is
+// counted apart.
 type synthetic struct {
 	*survey
-	truth    *profile.Profile
-	measured int
-	phases   int
+	truth              *profile.Profile
+	measured, screened int
+	phases             int
 }
+
+// screenScale puts a screen three orders of magnitude above any entry of a
+// truth, so one that leaks into O or L fails run's range check.
+const screenScale = 1e3
 
 func newSynthetic(truth *profile.Profile) *synthetic {
 	p := truth.P
 	sy := &synthetic{truth: truth}
-	sy.survey = newSurvey("synthetic", p, nil)
+	sy.survey = newSurvey("synthetic", p, nil, nil)
 	sy.measure = func(pairs []Pair, set func(i, j int, o, l float64)) error {
 		sy.phases++
 		for _, pr := range pairs {
@@ -36,9 +42,22 @@ func newSynthetic(truth *profile.Profile) *synthetic {
 		sy.measured += len(pairs)
 		return nil
 	}
+	sy.screen = func(pairs []Pair, set func(i, j int, d float64)) error {
+		sy.phases++
+		for _, pr := range pairs {
+			if _, ok := sy.scr[pr]; pr.I >= pr.J || ok {
+				return fmt.Errorf("phase %d screens pair %+v, malformed or already screened", sy.phases, pr)
+			}
+			set(pr.I, pr.J, screenScale*truth.Distance(pr.I, pr.J))
+		}
+		sy.screened += len(pairs)
+		return nil
+	}
 	return sy
 }
 
+// run surveys the truth and checks what every survey must leave: no screen
+// in the profile, and screens counted in its provenance.
 func (sy *synthetic) run(t *testing.T) *profile.Profile {
 	t.Helper()
 	if err := sy.sparse(sy.all()); err != nil {
@@ -47,6 +66,22 @@ func (sy *synthetic) run(t *testing.T) *profile.Profile {
 	pf, err := sy.finish()
 	if err != nil {
 		t.Fatal(err)
+	}
+	top := 0.0
+	for _, m := range []*mat.Dense{sy.truth.O, sy.truth.L} {
+		for _, v := range m.Data() {
+			top = max(top, v)
+		}
+	}
+	for _, m := range []*mat.Dense{pf.O, pf.L} {
+		for k, v := range m.Data() {
+			if v > top {
+				t.Fatalf("profile entry (%d,%d) = %g, above every entry of the truth (%g): a screen leaked in", k/pf.P, k%pf.P, v, top)
+			}
+		}
+	}
+	if sy.screened > 0 && (pf.Provenance == nil || pf.Provenance.Screened != sy.screened) {
+		t.Fatalf("provenance %+v does not record %d screens", pf.Provenance, sy.screened)
 	}
 	return pf
 }
@@ -103,14 +138,33 @@ func (h *hierarchy) fillTruth(pf *profile.Profile) {
 	}
 }
 
-// bound is the most pairs the driver may measure on the hierarchy: all pairs
+// pairs is the most pairs the survey may measure on the hierarchy: all pairs
 // of a set of at most denseLimit ranks (or one with no level below it), and
-// otherwise the two diameter sweeps, a first-fit star per further child over
-// the ranks still unclaimed (at most what the smallest children leave), two
-// spot checks per sibling block, and the children's own bounds.
-func (h *hierarchy) bound() int {
+// otherwise, per sibling block, the centre link and two spot checks, plus the
+// children's own bounds. An exact hierarchy has no exceptions to add.
+func (h *hierarchy) pairs() int {
 	n, k := len(h.ranks), len(h.children)
 	if n <= denseLimit || k == 0 {
+		return n * (n - 1) / 2
+	}
+	b := 3 * k * (k - 1) / 2
+	for _, c := range h.children {
+		b += c.pairs()
+	}
+	return min(b, n*(n-1)/2)
+}
+
+// screens is the most pairs it may screen: none in a set of at most
+// denseLimit ranks, all of one with no level below it, and otherwise the two
+// diameter sweeps, a first-fit star per further child over the ranks still
+// unclaimed (at most what the smallest children leave), and the children's
+// own bounds.
+func (h *hierarchy) screens() int {
+	n, k := len(h.ranks), len(h.children)
+	if n <= denseLimit {
+		return 0
+	}
+	if k == 0 {
 		return n * (n - 1) / 2
 	}
 	sizes := make([]int, k)
@@ -118,13 +172,13 @@ func (h *hierarchy) bound() int {
 		sizes[i] = len(c.ranks)
 	}
 	sort.Ints(sizes)
-	b, rest := (n-1)+(n-2)+k*(k-1), n-sizes[0]-sizes[1]
+	b, rest := (n-1)+(n-2), n-sizes[0]-sizes[1]
 	for _, sz := range sizes[2:] {
 		b += rest - 1
 		rest -= sz
 	}
 	for _, c := range h.children {
-		b += c.bound()
+		b += c.screens()
 	}
 	return min(b, n*(n-1)/2)
 }
@@ -162,11 +216,15 @@ func TestSparseOnRandomHierarchies(t *testing.T) {
 				t.Errorf("P=%d seed %d: clusters of the sparse profile\n%s\nwant those of the full matrix\n%s", p, seed, got, want)
 			}
 			all, est := p*(p-1)/2, sy.est.Count()/2
-			if sy.measured+est != all || sy.measured > h.bound() {
-				t.Errorf("P=%d seed %d: measured %d + estimated %d of %d pairs, bound %d", p, seed, sy.measured, est, all, h.bound())
+			if sy.measured+est != all || sy.measured > h.pairs() {
+				t.Errorf("P=%d seed %d: measured %d + estimated %d of %d pairs, bound %d", p, seed, sy.measured, est, all, h.pairs())
+			}
+			if sy.screened > h.screens() {
+				t.Errorf("P=%d seed %d: screened %d pairs, bound %d", p, seed, sy.screened, h.screens())
 			}
 			if seed == 1 {
-				t.Logf("P=%d: measured %d of %d pairs (bound %d) in %d phases", p, sy.measured, all, h.bound(), sy.phases)
+				t.Logf("P=%d: measured %d of %d pairs (bound %d), screened %d (bound %d), in %d phases",
+					p, sy.measured, all, h.pairs(), sy.screened, h.screens(), sy.phases)
 			}
 		}
 	}
@@ -207,8 +265,8 @@ func TestSparseOnRingFallsBack(t *testing.T) {
 	if pv := pf.Provenance; est > 0 && (pv == nil || pv.Remeasured != sy.refilled || pv.SpotChecked != sy.spotChecked) {
 		t.Fatalf("provenance %+v does not record %d spot checks, %d re-measured blocks", pv, sy.spotChecked, sy.refilled)
 	}
-	t.Logf("ring P=%d: %d spot checks, %d blocks fell back; measured %d of %d pairs, %d estimated, worst surviving estimate off by %.0f%%",
-		p, sy.spotChecked, sy.refilled, sy.measured, p*(p-1)/2, est, 100*worst)
+	t.Logf("ring P=%d: %d spot checks, %d blocks fell back; measured %d of %d pairs, %d screened, %d estimated, worst surviving estimate off by %.0f%%",
+		p, sy.spotChecked, sy.refilled, sy.measured, p*(p-1)/2, sy.screened, est, 100*worst)
 	if worst > 0.5 {
 		t.Fatalf("an estimate that survived its block's spot checks is off by %.0f%%, want at most 50%%", 100*worst)
 	}
@@ -257,8 +315,52 @@ func TestSparseOnNonMetricSetIsDense(t *testing.T) {
 	truth.O.Set(1, 5, 1e-5) // rank 1 is the first at rank 0's (uniform) radius
 	truth.O.Set(5, 1, 1e-5)
 	sy := newSynthetic(truth)
-	if pf := sy.run(t); sy.measured != p*(p-1)/2 || pf.Provenance != nil {
+	if pf := sy.run(t); sy.measured != p*(p-1)/2 || pf.MeasuredPairs() != sy.measured {
 		t.Fatalf("measured %d of %d pairs (provenance %+v), want all of them", sy.measured, p*(p-1)/2, pf.Provenance)
+	}
+}
+
+// A slow rank — its links out of its own cluster cost 3× their class — breaks
+// the hierarchy at one rank. Its screens miss the centre links they are held
+// to, so the links it makes wrong are measured as exceptions: no block falls
+// back, the survey stays far from all-pairs, and every estimate left is within
+// 25 %. Rank 0 is a diameter-sweep centre; the others are found by it.
+func TestSparseMeasuresASlowRank(t *testing.T) {
+	const p, size = 64, 16
+	for _, slow := range []int{0, 21, 40, 63} {
+		truth := profile.New("slow rank", p)
+		for i := 0; i < p; i++ {
+			truth.O.Set(i, i, 1e-6)
+			for j := 0; j < p; j++ {
+				o := 10e-6
+				if i/size != j/size {
+					o = 100e-6
+					if i == slow || j == slow {
+						o *= 3
+					}
+				}
+				if i != j {
+					truth.O.Set(i, j, o)
+					truth.L.Set(i, j, o/7)
+				}
+			}
+		}
+		sy := newSynthetic(truth)
+		pf := sy.run(t)
+		if all := p * (p - 1) / 2; sy.refilled != 0 || 2*sy.measured > all {
+			t.Errorf("slow rank %d: %d blocks re-measured, %d of %d pairs measured", slow, sy.refilled, sy.measured, all)
+		}
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				if i == j || !sy.est.At(i, j) {
+					continue
+				}
+				if e := max(relativeErr(pf.O.At(i, j), truth.O.At(i, j)), relativeErr(pf.L.At(i, j), truth.L.At(i, j))); e > spotTolerance {
+					t.Fatalf("slow rank %d: estimate (%d,%d) = %g, truth %g: off by %.0f%%", slow, i, j, pf.O.At(i, j), truth.O.At(i, j), 100*e)
+				}
+			}
+		}
+		t.Logf("slow rank %d: measured %d pairs, screened %d, %d estimated", slow, sy.measured, sy.screened, sy.est.Count()/2)
 	}
 }
 

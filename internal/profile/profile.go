@@ -34,8 +34,9 @@ type Profile struct {
 	// to a non-empty simultaneous send batch.
 	L *mat.Dense
 	// Provenance says which off-diagonal entries a hierarchy-driven probe
-	// estimated instead of measuring; nil means every entry was measured (or
-	// the profile's source does not say).
+	// estimated instead of measuring, and what it screened; nil means every
+	// entry was measured and nothing screened (or the profile's source does
+	// not say).
 	Provenance *Provenance
 }
 
@@ -45,6 +46,9 @@ type Provenance struct {
 	// off the measured rank → cluster-centre links of its link class rather
 	// than a measurement of the pair itself.
 	Estimated *mat.Bool
+	// Screened counts the pairs given a zero-byte round-trip screen to find
+	// the hierarchy by; a screen is never an entry of O or L.
+	Screened int
 	// SpotChecked counts the estimated pairs that were then measured to hold
 	// their sibling-cluster block's estimates against (two a block);
 	// Remeasured counts the blocks that missed a check and were measured in
@@ -136,7 +140,7 @@ func (pr *Profile) Sub(ranks []int) *Profile {
 				est.Set(a, b, pv.Estimated.At(i, j))
 			}
 		}
-		sub.Provenance = &Provenance{Estimated: est, SpotChecked: pv.SpotChecked, Remeasured: pv.Remeasured}
+		sub.Provenance = &Provenance{Estimated: est, Screened: pv.Screened, SpotChecked: pv.SpotChecked, Remeasured: pv.Remeasured}
 	}
 	return sub
 }
@@ -153,11 +157,13 @@ type profileJSON struct {
 }
 
 // provenanceJSON lists, for each rank i, the ranks j > i whose pair (i, j)
-// is an estimate.
+// is an estimate. Screened is absent when 0, so provenance written before
+// screening loads, and saves again, byte for byte.
 type provenanceJSON struct {
 	Estimated   [][]int `json:"estimated"`
 	SpotChecked int     `json:"spot_checked"`
 	Remeasured  int     `json:"remeasured_blocks"`
+	Screened    int     `json:"screened,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -166,7 +172,7 @@ func (pr *Profile) MarshalJSON() ([]byte, error) {
 	enc.O = toRows(pr.O)
 	enc.L = toRows(pr.L)
 	if pv := pr.Provenance; pv != nil {
-		enc.Provenance = &provenanceJSON{Estimated: make([][]int, pr.P), SpotChecked: pv.SpotChecked, Remeasured: pv.Remeasured}
+		enc.Provenance = &provenanceJSON{Estimated: make([][]int, pr.P), SpotChecked: pv.SpotChecked, Remeasured: pv.Remeasured, Screened: pv.Screened}
 		for i := range enc.Provenance.Estimated {
 			enc.Provenance.Estimated[i] = []int{}
 		}
@@ -202,7 +208,7 @@ func (pr *Profile) UnmarshalJSON(data []byte) error {
 		if len(pj.Estimated) != dec.P {
 			return fmt.Errorf("profile: provenance of %d rows for P=%d", len(pj.Estimated), dec.P)
 		}
-		pr.Provenance = &Provenance{Estimated: mat.NewBool(dec.P), SpotChecked: pj.SpotChecked, Remeasured: pj.Remeasured}
+		pr.Provenance = &Provenance{Estimated: mat.NewBool(dec.P), Screened: pj.Screened, SpotChecked: pj.SpotChecked, Remeasured: pj.Remeasured}
 		for i, row := range pj.Estimated {
 			for _, j := range row {
 				if j <= i || j >= dec.P {

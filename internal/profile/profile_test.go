@@ -174,6 +174,17 @@ func TestProvenanceRoundTrip(t *testing.T) {
 		t.Fatalf("encoding %s lacks %s", first, want)
 	}
 
+	// A survey that screened says how much; provenance from before screening
+	// (above: no count) stays without one.
+	pr.Provenance.Screened = 5
+	screened, _ := json.Marshal(pr)
+	if want := `"remeasured_blocks":0,"screened":5}`; !bytes.Contains(screened, []byte(want)) {
+		t.Fatalf("encoding %s lacks %s", screened, want)
+	}
+	if err := json.Unmarshal(screened, got); err != nil || got.Provenance.Screened != 5 || got.Sub([]int{0, 2}).Provenance.Screened != 5 {
+		t.Fatalf("screen count lost: %v, %+v", err, got.Provenance)
+	}
+
 	const old = `{"platform":"x","p":2,"o":[[0.000001,0.000002],[0.000002,0.000001]],"l":[[0,0.000005],[0.000005,0]]}`
 	full := new(Profile)
 	if err := json.Unmarshal([]byte(old), full); err != nil {
