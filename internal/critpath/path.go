@@ -13,8 +13,9 @@ import (
 // Hop is one step of the realized critical path. From != To is a link hop:
 // either the arrival of From's stage-Stage signal is what let To finish the
 // stage, or (Blocked) From's own eager send to To blocked long enough to
-// gate From's progress — writes complete synchronously, so a delayed or
-// backpressured link stalls its sender, and the cause is still the link.
+// gate From's progress — a stage's writes overlap and the stage waits for
+// all of them, so the longest write of a delayed or backpressured link
+// stalls its sender, and the cause is still the link.
 // From == To is a local hop: To's own work (send-batch drain, or a stage
 // with no binding arrival) dominated.
 type Hop struct {
@@ -104,9 +105,10 @@ func (tl *Timeline) CriticalPath() []Hop {
 		stStart, stEnd, stOK := tl.stageInterval(r, k)
 		const eps = 1e-7
 		// An eager send that blocked far longer than the rank then waited in
-		// its receive is the stage's real stall: sends complete synchronously,
-		// so outbound backpressure (or an injected link delay) shows up as a
-		// long write, after which the inbound message is usually already
+		// its receive is the stage's real stall: a stage's writes overlap and
+		// its receives start once the longest one returns, so outbound
+		// backpressure (or an injected link delay) shows up as that long
+		// write, after which the inbound message is usually already
 		// waiting and its negligible Wait would misdirect the walk to a
 		// healthy link. The 50µs floor keeps ordinary syscall-scale writes
 		// from ever outranking a genuine arrival.

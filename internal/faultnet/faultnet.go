@@ -31,7 +31,8 @@ const (
 	Pass Op = iota
 	// Drop discards the frame but reports success to the writer.
 	Drop
-	// Delay sleeps Action.Delay before delivering the frame.
+	// Delay sleeps Action.Delay before delivering the frame. The sleep holds
+	// that connection's writer only: writes on other connections proceed.
 	Delay
 	// Truncate delivers only Action.Keep bytes of the frame, then severs
 	// the connection.

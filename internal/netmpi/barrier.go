@@ -93,9 +93,11 @@ func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duratio
 	return p.execute(pl, tagBase, deadline, true)
 }
 
-// execute is the stage loop both executors share: per stage, all sends, then
-// all receives, each under a message span. resilient selects the per-message
-// primitives — Send/Recv, which abort on the first failure anywhere, or
+// execute is the stage loop both executors share. Per stage it posts every
+// send as Plan.Execute posts its Issend batch — TCP sends but the last to
+// their link writers, so one stalled write holds only its link — and waits
+// for all of them before the receives, each message under a span. resilient
+// selects Send/Recv, which abort on the first failure anywhere, or
 // sendResilient/recvResilient, which skip latched links and report them.
 func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resilient bool) (skipped []int, err error) {
 	if pl.P != p.size {
@@ -104,6 +106,14 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 	var barrierStart time.Time
 	if p.m.enabled {
 		barrierStart = time.Now()
+	}
+	settle := func(s stageSend) {
+		if s.skipped {
+			skipped = addRank(skipped, s.dst)
+		}
+		if err == nil {
+			err = s.err
+		}
 	}
 	for _, st := range pl.RankOps(p.rank) {
 		tag := tagBase + st.Stage
@@ -115,22 +125,30 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 		if p.tracer != nil {
 			span = p.tracer.Begin("barrier.stage:"+p.stageClass(st), p.rank, st.Stage, -1)
 		}
-		for _, dst := range st.Sends {
-			ms := p.tracer.BeginTag(p.sendSpanName(dst), p.rank, st.Stage, dst, tag)
-			skipIt := false
-			if resilient {
-				skipIt, err = p.sendResilient(dst, tag, nil)
-			} else {
-				err = p.Send(dst, tag, nil)
+		handed, last := 0, len(st.Sends)-1
+		for last >= 0 && p.conns[st.Sends[last]] == nil {
+			last-- // the last TCP send stays inline
+		}
+		for i, dst := range st.Sends {
+			s := stageSend{dst: dst, stage: st.Stage, tag: tag, resilient: resilient}
+			if i < last && p.conns[dst] != nil {
+				select {
+				case p.jobs[dst] <- s:
+					handed++
+					continue
+				case <-p.closedCh: // the writer is gone; the inline send reports the close
+				}
 			}
-			ms.End()
-			if err != nil {
-				span.End()
-				return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
+			if settle(p.post(s)); err != nil {
+				break
 			}
-			if skipIt {
-				skipped = addRank(skipped, dst)
-			}
+		}
+		for ; handed > 0; handed-- {
+			settle(<-p.sent)
+		}
+		if err != nil {
+			span.End()
+			return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
 		}
 		for _, src := range st.Recvs {
 			ms := p.tracer.BeginTag(p.recvSpanName(src), p.rank, st.Stage, src, tag)
@@ -166,6 +184,40 @@ func addRank(ranks []int, r int) []int {
 		ranks = slices.Insert(ranks, i, r)
 	}
 	return ranks
+}
+
+// stageSend is one send of a stage: what the stage loop hands a link writer
+// and, with its outcome filled in, what comes back.
+type stageSend struct {
+	dst, stage, tag    int
+	resilient, skipped bool
+	err                error
+}
+
+// post runs s under its message span on the calling goroutine.
+func (p *Peer) post(s stageSend) stageSend {
+	ms := p.tracer.BeginTag(p.sendSpanName(s.dst), p.rank, s.stage, s.dst, s.tag)
+	if s.resilient {
+		s.skipped, s.err = p.sendResilient(s.dst, s.tag, nil)
+	} else {
+		s.err = p.Send(s.dst, s.tag, nil)
+	}
+	ms.End()
+	return s
+}
+
+// writer posts TCP link dst's handed-off sends until local Close. p.sent has
+// room for every link, so a writer never blocks reporting.
+func (p *Peer) writer(dst int) {
+	defer p.wg.Done()
+	for {
+		select {
+		case s := <-p.jobs[dst]:
+			p.sent <- p.post(s)
+		case <-p.closedCh:
+			return
+		}
+	}
 }
 
 // sendResilient writes one frame unless the link to dst is already latched

@@ -32,9 +32,10 @@ func waitAll(t *testing.T, wg *sync.WaitGroup, d time.Duration, what string) {
 	}
 }
 
-// checkNoReaderLeak asserts that no netmpi reader goroutines survive the
-// test (all peers must have been closed first). On failure the dump is also
-// written to $NETMPI_LEAK_DIR for CI artifact collection.
+// checkNoReaderLeak asserts that no netmpi link goroutine — reader or
+// writer — survives the test (all peers must have been closed first). On
+// failure the dump is also written to $NETMPI_LEAK_DIR for CI artifact
+// collection.
 func checkNoReaderLeak(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -42,7 +43,8 @@ func checkNoReaderLeak(t *testing.T) {
 	for {
 		buf := make([]byte, 1<<20)
 		dump = buf[:runtime.Stack(buf, true)]
-		if !bytes.Contains(dump, []byte("netmpi.(*Peer).reader")) {
+		if !bytes.Contains(dump, []byte("netmpi.(*Peer).reader")) &&
+			!bytes.Contains(dump, []byte("netmpi.(*Peer).writer")) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -56,7 +58,7 @@ func checkNoReaderLeak(t *testing.T) {
 			t.Logf("writing leak dump: %v", err)
 		}
 	}
-	t.Fatalf("reader goroutines leaked after Close:\n%s", dump)
+	t.Fatalf("link goroutines leaked after Close:\n%s", dump)
 }
 
 // faultMesh is mesh with faultRank's listener wrapped in fault injection:

@@ -126,6 +126,10 @@ func TestSendAllocsPooled(t *testing.T) {
 // — run.Plan.RankOps hands out the plan's compiled view instead of a copy —
 // and only TCP's amortized pool refills otherwise. Ranks 1..P-1 are parked
 // goroutines released once per round, so the count covers one whole barrier.
+// tunedPlan's release stage is a 3-target fan-out (0 → {1, 2, 3} and
+// 4 → {5, 6, 7}), so the tcp case covers the link writers' hand-off. On
+// twoNodes those fan-outs are all shared memory; pairs co-locates 0 with 1
+// and 4 with 5, so there a stage mixes an shm put with TCP hand-offs.
 func TestBarrierAllocsWarm(t *testing.T) {
 	if perftest.RaceEnabled {
 		t.Skip("race instrumentation allocates shadow state; allocation counts are meaningless there")
@@ -138,6 +142,8 @@ func TestBarrierAllocsWarm(t *testing.T) {
 	}{
 		{"tcp", nil, 1},
 		{"shm", oneNode(p), 0},
+		{"mixed", twoNodes(p), 1},
+		{"pairs", []int{0, 0, 1, 1, 2, 2, 3, 3}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := tunedPlan(t, p)

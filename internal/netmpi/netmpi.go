@@ -18,8 +18,9 @@
 // receiver's mailbox (shm.go).
 //
 // Barrier correctness needs only the knowledge recurrence of the schedule
-// (Eq. 3), which holds for eager sends, so sends are plain buffered writes;
-// a rank leaves the barrier when every signal addressed to it has arrived.
+// (Eq. 3), which holds for eager sends; a rank leaves the barrier when every
+// signal addressed to it has arrived. A stage posts its sends together, as
+// the simulator posts an Issend batch, and waits for them (barrier.go).
 //
 // # Failure model
 //
@@ -85,7 +86,10 @@ type Peer struct {
 	closed bool
 	down   atomic.Bool    // errVal != nil || closed: lets Send skip mu while healthy
 	done   chan struct{}  // closed on first failure or on Close; wakes all waiters
-	wg     sync.WaitGroup // the TCP readers; shared-memory links own no goroutine
+	wg     sync.WaitGroup // the TCP readers and writers; shared-memory links own no goroutine
+	// jobs[j] hands a stage send to TCP link j's writer; all report on sent.
+	jobs []chan stageSend
+	sent chan stageSend
 
 	// Per-link failure state, feeding the resilient execution path. fail()
 	// latches both granularities: linkErr[src]/linkDown[src] record which
@@ -239,6 +243,8 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		conns:    make([]net.Conn, p),
 		in:       make([]*inbox, p),
 		shmOut:   make([]*shmLink, p),
+		jobs:     make([]chan stageSend, p),
+		sent:     make(chan stageSend, p),
 		done:     make(chan struct{}),
 		linkErr:  make([]error, p),
 		linkDown: make([]chan struct{}, p),
@@ -380,13 +386,15 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		return nil, firstErr
 	}
 
-	// Start the demultiplexing readers, one per TCP connection.
+	// Start each TCP connection's demultiplexing reader and link writer.
 	for j, conn := range peer.conns {
 		if conn == nil {
 			continue
 		}
-		peer.wg.Add(1)
+		peer.jobs[j] = make(chan stageSend)
+		peer.wg.Add(2)
 		go peer.reader(j, conn)
+		go peer.writer(j)
 	}
 	return peer, nil
 }
