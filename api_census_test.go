@@ -181,6 +181,46 @@ func parseModule(t *testing.T) map[string]*ast.File {
 	return files
 }
 
+// optionFields is the number of exported field declarations of the exported
+// Options, Config and Params structs under internal/: the library's knobs,
+// pinned the way cliFlags pins the command lines'. One declaration naming
+// several fields (`Warmup, Iters int`) is one knob.
+const optionFields = 62
+
+// TestOptionFieldCensus counts the exported field declarations of every
+// exported struct type under internal/ whose name ends in Options, Config or
+// Params and holds the total to optionFields.
+func TestOptionFieldCensus(t *testing.T) {
+	total := 0
+	for path, f := range parseModule(t) {
+		if !strings.HasPrefix(path, "internal/") {
+			continue
+		}
+		ast.Inspect(f, func(node ast.Node) bool {
+			ts, ok := node.(*ast.TypeSpec)
+			if !ok || !ts.Name.IsExported() {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Params")) {
+				return true
+			}
+			n := 0
+			for _, field := range st.Fields.List {
+				if len(field.Names) > 0 && field.Names[0].IsExported() {
+					n++
+				}
+			}
+			t.Logf("%s %s: %d fields", filepath.Dir(path), ts.Name.Name, n)
+			total += n
+			return true
+		})
+	}
+	if total != optionFields {
+		t.Errorf("internal/ option structs export %d fields, the census pins %d: lower optionFields after deleting a knob; raise it only with the reason a new one is needed", total, optionFields)
+	}
+}
+
 // cliFlags is the number of flag definitions across cmd/*/main.go. It is the
 // ratchet against new knobs: a command line grows only by raising it, with
 // the reason in the change; deleting a flag lowers it.

@@ -22,8 +22,10 @@
 // O/L profile (-report, -retune, -alg hybrid) it probes every pair in
 // tournament rounds, at most -probe-iters ping-pongs a pair, each pair
 // stopping once its minimum RTT has been stable for 3 samples; -profile-cache
-// reuses a fingerprinted profile from an earlier run after re-validating one
-// round of links against it.
+// reuses a fingerprinted profile from an earlier run after re-checking one
+// round of links against it through the same re-probe -retune uses (a
+// two-sample screen, then the full budget on the flagged links; only links
+// that still drift 50 % there are patched).
 //
 // -report records the message-level execution of the barrier as a
 // critpath.Timeline and prints one report from it: a per-rank Gantt timeline,
@@ -65,7 +67,8 @@
 // barriers execute through epoch-versioned runners, and a background
 // controller watches predicted-vs-observed drift (threshold -retune-drift,
 // cadence -retune-interval). When drift crosses the threshold the controller
-// re-probes only the stale links, re-searches from the running schedule
+// re-probes the suspect links, patches those confirmed stale at the full
+// probe budget, re-searches from the running schedule
 // (budget -retune-budget), and hot-swaps the winning plan between barrier
 // epochs — demonstrable live with e.g. -net-fault delay:3:100:2ms. With
 // -report it is one read-only pass instead: the same judgement, re-probe and
@@ -105,7 +108,7 @@ const (
 	// this many samples; it is part of the profile-cache fingerprint.
 	stableK = 3
 	// cacheDriftTol is the relative O+L drift that marks a cached link stale
-	// when a -profile-cache hit is re-validated.
+	// when a -profile-cache hit is re-checked.
 	cacheDriftTol = 0.5
 )
 

@@ -167,7 +167,7 @@ func (c *composer) selectComponent(members []int, isRoot bool) (*sched.Schedule,
 			return nil, false, Choice{}, fmt.Errorf("compose: cluster members %v are not strictly ascending", members)
 		}
 	}
-	local := *c.pd // same policy and stage overhead, on the cluster's own sub-profile
+	local := *c.pd // same policy, on the cluster's own sub-profile
 	local.Prof = c.pd.Prof.Sub(members)
 	var (
 		best        *sched.Schedule

@@ -137,9 +137,6 @@ func TestHybridMatchesLiftAndMergeReference(t *testing.T) {
 		for draw := 0; draw < 3; draw++ {
 			pr := randomPlatform(rng, p)
 			pd := &predict.Predictor{Prof: pr, Policy: policies[rng.Intn(3)]}
-			if rng.Intn(2) == 0 {
-				pd.StageOverhead = 0.7e-6 * rng.Float64()
-			}
 			builders := sched.PaperBuilders()
 			if rng.Intn(3) == 0 {
 				builders = sched.ExtendedBuilders()
@@ -215,7 +212,7 @@ func TestHybridSingletonsMatchReference(t *testing.T) {
 		leaf(8, 9, 10, 11),
 	}}
 	for _, pol := range []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1, predict.AlwaysEq2} {
-		pd := &predict.Predictor{Prof: pr, Policy: pol, StageOverhead: 0.2e-6}
+		pd := &predict.Predictor{Prof: pr, Policy: pol}
 		assertMatchesReference(t, pd, tree, sched.ExtendedBuilders())
 	}
 }

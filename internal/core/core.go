@@ -34,8 +34,6 @@ type Options struct {
 	Clustering sss.Options
 	// Policy selects the Eq. 1 / Eq. 2 weighting of predicted batch costs.
 	Policy predict.CostPolicy
-	// StageOverhead is the per-stage penalty of the predictor.
-	StageOverhead float64
 	// Refine, when positive, follows the greedy composition with that many
 	// candidate evaluations of local-search refinement (§VIII future work),
 	// seeded with the composed schedule. A refined schedule replaces the
@@ -107,7 +105,7 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 	if builders == nil {
 		builders = sched.PaperBuilders()
 	}
-	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy, StageOverhead: opts.StageOverhead}
+	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy}
 	composeSpan := opts.Tracer.Begin("tune.compose", -1, -1, -1)
 	tree := sss.Tree(pf, opts.Clustering)
 	res, err := compose.Hybrid(pd, tree, builders)

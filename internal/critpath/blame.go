@@ -1,20 +1,11 @@
 package critpath
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"topobarrier/internal/profile"
 )
-
-// Link is one ordered direction i→j, critpath's netmpi-free mirror of a
-// mesh direction.
-type Link struct {
-	From, To int
-}
-
-func (l Link) String() string { return fmt.Sprintf("%d→%d", l.From, l.To) }
 
 // Blame scores one observed direction against the profile.
 type Blame struct {
@@ -57,7 +48,7 @@ func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 		n         int
 		transport string
 	}
-	obs := map[Link]*agg{}
+	obs := map[profile.Link]*agg{}
 	for _, m := range tl.All {
 		// Arrived − max(SendStart, recv post) ≡ min(Arrived−SendStart, Wait):
 		// head-of-line blocking on the receiver must not indict the link.
@@ -65,10 +56,10 @@ func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 		if m.Wait < d {
 			d = m.Wait
 		}
-		a := obs[Link{m.Src, m.Dst}]
+		a := obs[profile.Link{From: m.Src, To: m.Dst}]
 		if a == nil {
 			a = &agg{floor: math.Inf(1), transport: m.Transport}
-			obs[Link{m.Src, m.Dst}] = a
+			obs[profile.Link{From: m.Src, To: m.Dst}] = a
 		}
 		if d < a.floor {
 			a.floor = d
@@ -111,14 +102,14 @@ func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 // P·(P−1) directions. An empty result means the observed floors all sit
 // within tolerance of the model and the caller should fall back to a full
 // screen: the drift lives somewhere tracing cannot see.
-func (tl *Timeline) Implicated(pf *profile.Profile, tol float64) []Link {
+func (tl *Timeline) Implicated(pf *profile.Profile, tol float64) []profile.Link {
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	var out []Link
+	var out []profile.Link
 	for _, b := range tl.LinkBlame(pf) {
 		if b.Score > tol {
-			out = append(out, Link{b.From, b.To})
+			out = append(out, profile.Link{From: b.From, To: b.To})
 		}
 	}
 	return out

@@ -276,7 +276,7 @@ func TestLinkBlameScoring(t *testing.T) {
 		t.Errorf("fast link scored %g, want 0 (one-sided)", bl[1].Score)
 	}
 	links := tl.Implicated(pf, 0.5)
-	if len(links) != 1 || links[0] != (Link{0, 1}) {
+	if len(links) != 1 || links[0] != (profile.Link{From: 0, To: 1}) {
 		t.Errorf("implicated %v, want exactly 0→1", links)
 	}
 	if got := tl.Implicated(pf, 10); len(got) != 0 {

@@ -17,6 +17,7 @@ import (
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
+	"topobarrier/internal/profile"
 	"topobarrier/internal/retune"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
@@ -179,7 +180,7 @@ func TestBlameAndFlightRecorderE2E(t *testing.T) {
 	if len(links) == 0 {
 		t.Fatal("no links implicated under a 1ms injected delay")
 	}
-	if links[0] != (critpath.Link{From: from, To: to}) {
+	if links[0] != (profile.Link{From: from, To: to}) {
 		t.Fatalf("top blame %v, want %d→%d (full set %v)", links[0], from, to, links)
 	}
 	if len(links) >= p*(p-1) {
@@ -222,20 +223,16 @@ func TestBlameAndFlightRecorderE2E(t *testing.T) {
 
 	// Aimed re-probe: screen only the implicated set — strictly fewer than
 	// P·(P−1) directions — and fully re-probe the delayed one.
-	dirs := make([]netmpi.Direction, len(links))
-	for i, l := range links {
-		dirs[i] = netmpi.Direction{From: l.From, To: l.To}
-	}
-	rrep, err := netmpi.Reprobe(peers, pf, probeOpts, 0.5, dirs)
+	rrep, err := netmpi.Reprobe(peers, pf, probeOpts, 0.5, links)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rrep.Screened != len(dirs) || rrep.Screened >= p*(p-1) {
-		t.Fatalf("aimed screen measured %d directions, want %d (≪ %d)", rrep.Screened, len(dirs), p*(p-1))
+	if rrep.Screened != len(links) || rrep.Screened >= p*(p-1) {
+		t.Fatalf("aimed screen measured %d directions, want %d (≪ %d)", rrep.Screened, len(links), p*(p-1))
 	}
 	staleHit := false
 	for _, d := range rrep.Stale {
-		if d == (netmpi.Direction{From: from, To: to}) {
+		if d == (profile.Link{From: from, To: to}) {
 			staleHit = true
 		}
 	}
@@ -400,7 +397,7 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 	}
 	hit := false
 	for _, d := range d2.Implicated {
-		if d == (netmpi.Direction{From: from, To: to}) {
+		if d == (profile.Link{From: from, To: to}) {
 			hit = true
 		}
 	}
@@ -409,7 +406,7 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 	}
 	staleHit := false
 	for _, d := range d2.Reprobe.Stale {
-		if d == (netmpi.Direction{From: from, To: to}) {
+		if d == (profile.Link{From: from, To: to}) {
 			staleHit = true
 		}
 	}

@@ -94,7 +94,7 @@ func (f *FlightRecorder) Cut(label string) int {
 // the one whose drift triggered it. Nil when nothing fresh was traced (the
 // caller should fall back to a full screen). The window stays in the ring
 // for the next Dump.
-func (f *FlightRecorder) ImplicatedFresh(pf *profile.Profile, tol float64, label string) []Link {
+func (f *FlightRecorder) ImplicatedFresh(pf *profile.Profile, tol float64, label string) []profile.Link {
 	if f == nil {
 		return nil
 	}

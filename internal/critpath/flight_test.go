@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/profile"
 	"topobarrier/internal/telemetry"
 )
 
@@ -199,7 +200,7 @@ func TestImplicatedFreshUsesOnlyLastWindow(t *testing.T) {
 	r.End()
 
 	links := f.ImplicatedFresh(pf, 1.0, "drift")
-	if len(links) != 1 || links[0] != (Link{0, 1}) {
+	if len(links) != 1 || links[0] != (profile.Link{From: 0, To: 1}) {
 		t.Fatalf("fresh window implicated %v, want exactly 0→1", links)
 	}
 	// Nothing fresh since the last call → nil, caller falls back.

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"topobarrier/internal/predict"
+	"topobarrier/internal/profile"
 	"topobarrier/internal/sched"
 )
 
@@ -259,20 +260,20 @@ func Analyze(tl *Timeline, pd *predict.Predictor, s *sched.Schedule) *Report {
 	}
 	if pd != nil && pd.Prof != nil {
 		rep.Blame = tl.LinkBlame(pd.Prof)
-		onReal := map[Link]bool{}
+		onReal := map[profile.Link]bool{}
 		for _, h := range rep.Realized {
 			if h.From != h.To {
-				onReal[Link{h.From, h.To}] = true
+				onReal[profile.Link{From: h.From, To: h.To}] = true
 			}
 		}
-		onPred := map[Link]bool{}
+		onPred := map[profile.Link]bool{}
 		for _, st := range rep.Predicted {
 			if st.From != st.To {
-				onPred[Link{st.From, st.To}] = true
+				onPred[profile.Link{From: st.From, To: st.To}] = true
 			}
 		}
 		for i := range rep.Blame {
-			l := Link{rep.Blame[i].From, rep.Blame[i].To}
+			l := profile.Link{From: rep.Blame[i].From, To: rep.Blame[i].To}
 			rep.Blame[i].OnRealized = onReal[l]
 			rep.Blame[i].OnPredicted = onPred[l]
 		}

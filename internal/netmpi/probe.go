@@ -3,7 +3,6 @@ package netmpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -14,8 +13,8 @@ import (
 	"topobarrier/internal/telemetry"
 )
 
-// probeTagBase keeps probe traffic out of the barrier tag windows
-// ([0, 2·run.TagSpan) under MeasureBarrier's alternation).
+// probeTagBase keeps probe traffic out of the barrier tag windows: data
+// barriers use [0, 4·run.TagSpan) under EpochRunner's four windows.
 const probeTagBase = 1 << 20
 
 // ProbeOptions configures ProbeProfileOpts. The zero value (after defaults)
@@ -57,16 +56,25 @@ func (o ProbeOptions) key() string {
 	return fmt.Sprintf("iters=%d,stablek=%d", o.MaxIters, o.StableK)
 }
 
-// ProbeReport describes how a probe run spent its budget.
+// ProbeReport describes how a probe or re-probe run spent its budget and, for
+// a re-probe, what it found.
 type ProbeReport struct {
 	// Rounds is the number of parallel rounds executed (0 on a pure cache
 	// hit).
 	Rounds int
 	// Samples[i][j] is the number of timed round trips of the series rank i
-	// initiated with rank j. A pair is one series that yields both directions,
-	// credited here to the initiating one: 0 for the echo direction, on the
-	// diagonal, and for pairs served from the cache.
+	// initiated with rank j, over every phase. A pair is one series that
+	// yields both directions, credited here to the initiating one: 0 for the
+	// echo direction, on the diagonal, and for pairs served from the cache.
 	Samples [][]int
+	// Screened is the number of directions a re-probe's two-sample screen
+	// held against the profile: all P·(P−1) for a whole-mesh pass, only the
+	// named ones for an aimed one. 0 for a full probe.
+	Screened int
+	// Stale lists, in ascending order, the screened directions whose O+L
+	// still drifted beyond the tolerance when re-measured at the full budget:
+	// exactly the entries the re-probe patched.
+	Stale []profile.Link
 	// Elapsed is the probe wall-clock time.
 	Elapsed time.Duration
 }
@@ -111,7 +119,7 @@ func (r *ProbeReport) SampleStats() (min, median, max float64) {
 // the timed round trips credited to it (the series' count on the initiating
 // direction, 0 on the echo's).
 type freshDir struct {
-	d    Direction
+	d    profile.Link
 	o, l float64
 	n    int
 }
@@ -182,8 +190,8 @@ func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *Prob
 
 // measure is the one probe loop of a live mesh: rounds of disjoint pairs, each
 // round probed concurrently and joined, every direction's result handed to
-// each and the spend recorded in rep. The whole-mesh probe, the cache
-// revalidation and both re-probe phases measure through it.
+// each and the spend recorded in rep. The whole-mesh probe and both re-probe
+// phases measure through it.
 func measure(peers []*Peer, rounds [][]probe.Pair, opts ProbeOptions, rep *ProbeReport, each func(freshDir)) error {
 	for _, round := range rounds {
 		span := opts.Tracer.Begin("probe.round", -1, rep.Rounds, -1)
@@ -269,7 +277,7 @@ func probePair(peers []*Peer, i, j int, opts ProbeOptions) (fwd, back freshDir, 
 	p := len(peers)
 	ping := probeTagBase + 2*(i*p+j)
 	pong := ping + 1
-	fwd.d, back.d = Direction{i, j}, Direction{j, i}
+	fwd.d, back.d = profile.Link{From: i, To: j}, profile.Link{From: j, To: i}
 
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -372,13 +380,12 @@ func MeshFingerprint(peers []*Peer, opts ProbeOptions) profile.Fingerprint {
 
 // ProbeProfileCached is ProbeProfileOpts behind a fingerprinted profile
 // cache. A miss probes the mesh and stores the result. A hit returns the
-// saved profile; with driftTol > 0 it first re-validates a sampled subset of
-// links (the first tournament round: ⌊P/2⌋ disjoint pairs, both directions,
-// at the full probe budget) against the cache — directions whose round-trip
-// cost (O+L) drifted beyond the relative tolerance are patched with the fresh
-// measurement and the entry is re-stored; if more than half the sampled
-// directions drifted, the whole profile is considered stale and re-probed
-// from scratch. The returned bool reports whether the cache was hit.
+// saved profile; with driftTol > 0 it first re-checks it through Reprobe,
+// aimed at both directions of every pair of the first tournament round
+// (⌊P/2⌋ disjoint pairs). Stale directions are patched and the entry is
+// re-stored; if more than half the screened directions are stale, the
+// platform moved rather than a link, and the whole profile is re-probed from
+// scratch. The returned bool reports whether the cache was hit.
 func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, driftTol float64) (*profile.Profile, *ProbeReport, bool, error) {
 	if cache == nil {
 		pf, rep, err := ProbeProfileOpts(peers, opts)
@@ -392,36 +399,25 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 	fp := MeshFingerprint(peers, opts)
 	// A corrupt entry is a miss; Store overwrites it.
 	if cached, hit, _ := cache.Load(fp); hit && cached.P == p {
-		rep := newProbeReport(p)
 		if driftTol <= 0 {
-			return cached, rep, true, nil
+			return cached, newProbeReport(p), true, nil
 		}
-		start := time.Now()
-		checked := 0
-		var stale []freshDir
-		if err := measure(peers, probe.Rounds(p)[:1], opts, rep, func(f freshDir) {
-			if checked++; drifted(cached, f, driftTol) {
-				stale = append(stale, f)
-			}
-		}); err != nil {
+		var dirs []profile.Link
+		for _, pr := range probe.Rounds(p)[0] {
+			dirs = append(dirs, profile.Link{From: pr.I, To: pr.J}, profile.Link{From: pr.J, To: pr.I})
+		}
+		rep, err := Reprobe(peers, cached, opts, driftTol, dirs)
+		if err != nil {
 			return nil, nil, true, fmt.Errorf("netmpi: cache revalidation: %w", err)
 		}
-		opts.Registry.Counter("probe_cache_revalidated_total").Add(int64(checked))
-		opts.Registry.Counter("probe_cache_stale_links_total").Add(int64(len(stale)))
-		if 2*len(stale) <= checked {
-			if len(stale) > 0 {
-				patch(cached, stale)
+		if 2*len(rep.Stale) <= rep.Screened {
+			if len(rep.Stale) > 0 {
 				if err := cache.Store(fp, cached); err != nil {
 					return nil, nil, true, fmt.Errorf("netmpi: re-storing revalidated profile: %w", err)
 				}
 			}
-			rep.Elapsed = time.Since(start)
-			if err := cached.Validate(); err != nil {
-				return nil, nil, true, fmt.Errorf("netmpi: revalidated profile invalid: %w", err)
-			}
 			return cached, rep, true, nil
 		}
-		// The platform moved, not a link: the cached entry is worthless.
 	}
 	pf, rep, err := ProbeProfileOpts(peers, opts)
 	if err != nil {
@@ -431,34 +427,4 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 		return nil, nil, false, fmt.Errorf("netmpi: storing probed profile: %w", err)
 	}
 	return pf, rep, false, nil
-}
-
-// drifted reports whether a fresh measurement's round-trip cost O+L moved
-// from the profile's beyond the relative tolerance (RelDrift).
-func drifted(pf *profile.Profile, f freshDir, tol float64) bool {
-	return RelDrift(pf.O.At(f.d.From, f.d.To)+pf.L.At(f.d.From, f.d.To), f.o+f.l) > tol
-}
-
-// RelDrift is the relative distance between a cached and a fresh cost,
-// normalised by the smaller of the two. Normalising by the cached value alone
-// would saturate at 1 when the cache is too high (|fresh−old|/old < 1 for any
-// fresh < old), making large tolerances blind to exactly the stale entries
-// they should catch; the symmetric form grows without bound in both
-// directions.
-func RelDrift(old, fresh float64) float64 {
-	if old <= 0 || fresh <= 0 {
-		if old == fresh {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	d := fresh - old
-	if d < 0 {
-		d = -d
-	}
-	m := old
-	if fresh < m {
-		m = fresh
-	}
-	return d / m
 }

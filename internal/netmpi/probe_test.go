@@ -200,10 +200,12 @@ func TestProbeProfileCachedHit(t *testing.T) {
 	}
 }
 
-// TestProbeProfileCachedRevalidation drives both drift outcomes: a single
-// tampered link is detected by the sampled revalidation round and patched in
-// place (still a hit), while tampering every sampled direction condemns the
-// whole entry and triggers a full re-probe (a miss).
+// TestProbeProfileCachedRevalidation drives the outcomes of the cache's
+// re-check through Reprobe: a single tampered link is confirmed at the full
+// budget and patched in place, alone (still a hit); tampering every sampled
+// direction condemns the whole entry and triggers a full re-probe (a miss);
+// and a link whose screen was misled by two delayed frames, but whose
+// full-budget series is clean, keeps its entry bit for bit.
 func TestProbeProfileCachedRevalidation(t *testing.T) {
 	const p = 4
 	peers, err := LoopbackMesh(p, 5*time.Second)
@@ -227,18 +229,23 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 		if err := cache.Store(fp, pf); err != nil {
 			t.Fatal(err)
 		}
-		got, _, hit, err := ProbeProfileCached(peers, opts, cache, 3.0)
+		got, rep, hit, err := ProbeProfileCached(peers, opts, cache, 3.0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !hit {
 			t.Fatal("one stale link among four sampled directions should not condemn the entry")
 		}
+		if want := (profile.Link{From: 0, To: 3}); rep.Screened != 4 || len(rep.Stale) != 1 || rep.Stale[0] != want {
+			t.Fatalf("screened %d, stale %v; want 4 and exactly [%s]", rep.Screened, rep.Stale, want)
+		}
 		if got.O.At(0, 3) >= tampered/10 {
 			t.Fatalf("stale direction not patched: O(0,3) = %g, tampered value %g", got.O.At(0, 3), tampered)
 		}
-		if err := got.Validate(); err != nil {
-			t.Fatal(err)
+		for _, d := range [][2]int{{3, 0}, {1, 2}, {2, 1}} {
+			if got.O.At(d[0], d[1]) != pf.O.At(d[0], d[1]) || got.L.At(d[0], d[1]) != pf.L.At(d[0], d[1]) {
+				t.Errorf("untampered %d→%d was rewritten", d[0], d[1])
+			}
 		}
 		// The patch must persist: a subsequent no-revalidation hit sees it.
 		again, _, hit, err := ProbeProfileCached(peers, opts, cache, 0)
@@ -295,6 +302,46 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 		}
 		if got.O.At(0, 3) >= pf.O.At(0, 3)/10 {
 			t.Fatal("re-probed profile kept the tampered value")
+		}
+	})
+
+	t.Run("misled-screen", func(t *testing.T) {
+		// Rank 0 initiates the series of pair (0,3), one frame per sample: the
+		// priming probe writes frames [0, MaxIters) on that link, so the
+		// re-check's two screening pings are the next two.
+		const delay = 2 * time.Millisecond
+		held := faultnet.Script{
+			opts.MaxIters:     {Op: faultnet.Delay, Delay: delay},
+			opts.MaxIters + 1: {Op: faultnet.Delay, Delay: delay},
+		}
+		misled := rank0Faulted(t, p, func(src int) faultnet.Injector {
+			if src == 3 {
+				return held
+			}
+			return nil
+		})
+		cache := &profile.Cache{Dir: t.TempDir()}
+		pf, _, _, err := ProbeProfileCached(misled, opts, cache, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, hit, err := ProbeProfileCached(misled, opts, cache, 3.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit || rep.Screened != 4 {
+			t.Fatalf("hit=%v, screened %d; want a hit that screened 4 directions", hit, rep.Screened)
+		}
+		if n := rep.Samples[0][3]; n != 2+opts.MaxIters {
+			t.Fatalf("pair (0,3) took %d samples, want the 2-sample screen plus a %d-sample re-measure: the delayed screen did not flag it", n, opts.MaxIters)
+		}
+		if len(rep.Stale) != 0 {
+			t.Fatalf("stale %v on a link whose full-budget series was clean", rep.Stale)
+		}
+		b1, _ := json.Marshal(pf)
+		b2, _ := json.Marshal(got)
+		if string(b1) != string(b2) {
+			t.Fatal("a screen false positive rewrote the cached entry")
 		}
 	})
 }

@@ -183,11 +183,6 @@ func (e *Evaluator) Cost(s *sched.Schedule) float64 {
 		for _, sg := range e.edges[k] {
 			next[sg.to] = max(next[sg.to], arrive[sg.from])
 		}
-		if e.pd.StageOverhead > 0 {
-			for i := 0; i < e.p; i++ {
-				next[i] += e.pd.StageOverhead
-			}
-		}
 	}
 	e.timesValid = n
 	max := 0.0

@@ -44,52 +44,50 @@ func TestEvaluatorMatchesCostOnClassics(t *testing.T) {
 // TestEvaluatorPropertyRandomMutations mutates a working schedule for many
 // steps — signal toggles, moves, appends, truncations — reporting only the
 // touched rows, and asserts the incremental cost stays bit-identical to the
-// from-scratch predictor under every cost policy and with a stage overhead.
+// from-scratch predictor under every cost policy.
 func TestEvaluatorPropertyRandomMutations(t *testing.T) {
 	for _, pol := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
-		for _, overhead := range []float64{0, 0.7e-6} {
-			p := 11
-			pd := &Predictor{Prof: noisyProfile(p, 9), Policy: pol, StageOverhead: overhead}
-			rng := stats.NewRNG(uint64(42 + int(pol)))
-			s := sched.Dissemination(p)
-			e := NewEvaluator(pd)
-			for step := 0; step < 500; step++ {
-				switch rng.Intn(10) {
-				case 0: // append a stage carrying one signal
-					if s.NumStages() < 10 {
-						st := mat.NewBool(p)
-						st.Set(rng.Intn(p), rng.Intn(p-1)+1, true)
-						s.AddStage(st)
-					}
-				case 1: // truncate the last stage
-					if s.NumStages() > 1 {
-						s.Stages = s.Stages[:s.NumStages()-1]
-						e.Truncate(s.NumStages())
-					}
-				case 2: // move a signal between stages
-					k := rng.Intn(s.NumStages())
-					dk := rng.Intn(s.NumStages())
-					i, j := rng.Intn(p), rng.Intn(p)
-					if i == j || !s.Stages[k].At(i, j) {
-						continue
-					}
-					s.Stages[k].Set(i, j, false)
-					s.Stages[dk].Set(i, j, true)
-					e.Touch(k, i)
-					e.Touch(dk, i)
-				default: // toggle a signal
-					k := rng.Intn(s.NumStages())
-					i, j := rng.Intn(p), rng.Intn(p)
-					if i == j {
-						continue
-					}
-					s.Stages[k].Set(i, j, !s.Stages[k].At(i, j))
-					e.Touch(k, i)
+		p := 11
+		pd := &Predictor{Prof: noisyProfile(p, 9), Policy: pol}
+		rng := stats.NewRNG(uint64(42 + int(pol)))
+		s := sched.Dissemination(p)
+		e := NewEvaluator(pd)
+		for step := 0; step < 500; step++ {
+			switch rng.Intn(10) {
+			case 0: // append a stage carrying one signal
+				if s.NumStages() < 10 {
+					st := mat.NewBool(p)
+					st.Set(rng.Intn(p), rng.Intn(p-1)+1, true)
+					s.AddStage(st)
 				}
-				if got, want := e.Cost(s), pd.Cost(s); got != want {
-					t.Fatalf("policy %v overhead %v step %d: evaluator %v, Cost %v\n%s",
-						pol, overhead, step, got, want, s)
+			case 1: // truncate the last stage
+				if s.NumStages() > 1 {
+					s.Stages = s.Stages[:s.NumStages()-1]
+					e.Truncate(s.NumStages())
 				}
+			case 2: // move a signal between stages
+				k := rng.Intn(s.NumStages())
+				dk := rng.Intn(s.NumStages())
+				i, j := rng.Intn(p), rng.Intn(p)
+				if i == j || !s.Stages[k].At(i, j) {
+					continue
+				}
+				s.Stages[k].Set(i, j, false)
+				s.Stages[dk].Set(i, j, true)
+				e.Touch(k, i)
+				e.Touch(dk, i)
+			default: // toggle a signal
+				k := rng.Intn(s.NumStages())
+				i, j := rng.Intn(p), rng.Intn(p)
+				if i == j {
+					continue
+				}
+				s.Stages[k].Set(i, j, !s.Stages[k].At(i, j))
+				e.Touch(k, i)
+			}
+			if got, want := e.Cost(s), pd.Cost(s); got != want {
+				t.Fatalf("policy %v step %d: evaluator %v, Cost %v\n%s",
+					pol, step, got, want, s)
 			}
 		}
 	}

@@ -16,11 +16,6 @@ func TestCriticalPathConsistentWithCost(t *testing.T) {
 	profiles := map[string]func(p int) *Predictor{
 		"uniform":   func(p int) *Predictor { return New(uniformProfile(p, 4e-6, 24e-6, 1e-6)) },
 		"clustered": func(p int) *Predictor { return New(clusteredProfile(p, 2e-6, 9e-6, 6e-6, 85e-6, 1e-6)) },
-		"overhead": func(p int) *Predictor {
-			pd := New(uniformProfile(p, 4e-6, 24e-6, 1e-6))
-			pd.StageOverhead = 3e-6
-			return pd
-		},
 		"eq1": func(p int) *Predictor {
 			pd := New(clusteredProfile(p, 2e-6, 9e-6, 6e-6, 85e-6, 1e-6))
 			pd.Policy = AlwaysEq1

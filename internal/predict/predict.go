@@ -46,10 +46,6 @@ func (p CostPolicy) String() string {
 type Predictor struct {
 	Prof   *profile.Profile
 	Policy CostPolicy
-	// StageOverhead is a small per-stage cost charged to every rank even
-	// when it is idle in the stage; §VII.B relies on such a penalty for the
-	// existence of an upper bound on useful stage counts. 0 disables it.
-	StageOverhead float64
 }
 
 // New returns a predictor with the default policy.
@@ -120,13 +116,6 @@ func (pd *Predictor) forward(s *sched.Schedule, stage func(k int, done []float64
 				next[i] = arrive[m]
 			}
 		})
-		// Executing the stage itself costs every rank the per-stage
-		// overhead, regardless of whether sends or receives dominated.
-		if pd.StageOverhead > 0 {
-			for i := range next {
-				next[i] += pd.StageOverhead
-			}
-		}
 		if stage != nil {
 			stage(k, next)
 		}

@@ -135,17 +135,6 @@ func TestPolicyOrdering(t *testing.T) {
 	}
 }
 
-func TestStageOverheadCharges(t *testing.T) {
-	s := sched.Tree(8) // 6 stages
-	pr := uniformProfile(8, o, l, oii)
-	base := New(pr).Cost(s)
-	pd := New(pr)
-	pd.StageOverhead = 1e-6
-	if got := pd.Cost(s); math.Abs(got-(base+6e-6)) > 1e-15 {
-		t.Fatalf("stage overhead not charged: %g vs %g+6µs", got, base)
-	}
-}
-
 func TestTreeBeatsLinearAtScale(t *testing.T) {
 	p := 32
 	pd := New(uniformProfile(p, o, l, oii))
@@ -229,7 +218,7 @@ func BenchmarkCostTree64(b *testing.B) {
 
 func TestTimelineAgreesWithCost(t *testing.T) {
 	for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
-		pd := &Predictor{Prof: uniformProfile(8, 10e-6, 2e-6, 1e-6), Policy: policy, StageOverhead: 0.5e-6}
+		pd := &Predictor{Prof: uniformProfile(8, 10e-6, 2e-6, 1e-6), Policy: policy}
 		for _, s := range []*sched.Schedule{sched.Tree(8), sched.Dissemination(8), sched.Linear(8)} {
 			tl := pd.Timeline(s)
 			if len(tl) != s.NumStages() {
@@ -277,11 +266,6 @@ func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
 				}
 			}
 		}
-		if pd.StageOverhead > 0 {
-			for i := range next {
-				next[i] += pd.StageOverhead
-			}
-		}
 		out[k], t = next, next
 	}
 	return out
@@ -290,19 +274,17 @@ func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
 func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
 	for _, p := range []int{2, 9, 64, 70} {
 		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
-			for _, overhead := range []float64{0, 0.3e-6} {
-				pd := &Predictor{Prof: noisyProfile(p, uint64(p)), Policy: policy, StageOverhead: overhead}
-				kary := sched.KAryTreeArrival(p, 4)
-				for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), kary.Concat(kary.ReverseTransposed())} {
-					want := referenceTimeline(pd, s)
-					if got := pd.Timeline(s); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %v overhead %g: Timeline differs from the reference", s.Name, policy, overhead)
-					}
-					for k, st := range s.Stages {
-						for i := 0; i < p; i++ {
-							if got, want := pd.rowCost(st, i, pd.stageReady(k)), pd.batchCost(i, st.Row(i), pd.stageReady(k)); got != want {
-								t.Fatalf("%s stage %d rank %d: rowCost %v, batchCost %v", s.Name, k, i, got, want)
-							}
+			pd := &Predictor{Prof: noisyProfile(p, uint64(p)), Policy: policy}
+			kary := sched.KAryTreeArrival(p, 4)
+			for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), kary.Concat(kary.ReverseTransposed())} {
+				want := referenceTimeline(pd, s)
+				if got := pd.Timeline(s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v: Timeline differs from the reference", s.Name, policy)
+				}
+				for k, st := range s.Stages {
+					for i := 0; i < p; i++ {
+						if got, want := pd.rowCost(st, i, pd.stageReady(k)), pd.batchCost(i, st.Row(i), pd.stageReady(k)); got != want {
+							t.Fatalf("%s stage %d rank %d: rowCost %v, batchCost %v", s.Name, k, i, got, want)
 						}
 					}
 				}
@@ -314,9 +296,8 @@ func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
 // TestLocalPricingEqualsLiftedPricing is the composer's licence to price a
 // candidate on the cluster's own sub-profile: for an ascending member list,
 // the n-rank pattern on Prof.Sub(members) costs exactly — ==, not ≈ — what its
-// lift into the P-rank space costs on the full profile, under every policy
-// and with a stage overhead (idle non-members accrue it too, but never more
-// than a member does). A descending list sums L in another order and may not.
+// lift into the P-rank space costs on the full profile, under every policy.
+// A descending list sums L in another order and may not.
 func TestLocalPricingEqualsLiftedPricing(t *testing.T) {
 	const p = 70
 	rng := stats.NewRNG(16)
@@ -332,8 +313,8 @@ func TestLocalPricingEqualsLiftedPricing(t *testing.T) {
 			continue
 		}
 		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
-			full := &Predictor{Prof: pr, Policy: policy, StageOverhead: 0.4e-6 * float64(trial%2)}
-			local := &Predictor{Prof: pr.Sub(members), Policy: policy, StageOverhead: full.StageOverhead}
+			full := &Predictor{Prof: pr, Policy: policy}
+			local := &Predictor{Prof: pr.Sub(members), Policy: policy}
 			for _, b := range sched.ExtendedBuilders() {
 				arrival := b.Arrival(len(members))
 				got, want := local.Cost(arrival), full.Cost(arrival.Lift(p, members))

@@ -40,6 +40,14 @@ type Profile struct {
 	Provenance *Provenance
 }
 
+// Link is one ordered direction i→j between two ranks: the unit a probe
+// measures, blame scores and a re-probe patches.
+type Link struct {
+	From, To int
+}
+
+func (l Link) String() string { return fmt.Sprintf("%d→%d", l.From, l.To) }
+
 // Provenance is the measured/estimated record of a sparse probe.
 type Provenance struct {
 	// Estimated is symmetric: (i, j) is set when O and L of the pair are read

@@ -4,8 +4,9 @@
 // tuned plan keeps executing against a model that is no longer true. The
 // Controller watches predicted-vs-observed barrier cost through the mesh's
 // telemetry histograms, and when the drift exceeds tolerance it (1)
-// re-probes only the stale links (netmpi.Reprobe's two-phase screen +
-// adaptive re-probe, patching the live profile in place), (2) re-runs the
+// re-probes a copy of its live profile through netmpi.Reprobe (a two-sample
+// screen, then the full budget on the flagged links; only links that still
+// drift there are patched) and adopts the copy, (2) re-runs the
 // incremental search seeded from the *currently running* schedule — the
 // warm-start that makes online retuning cheap enough to matter, per "Fast
 // Tuning of Intra-Cluster Collective Communications" — alongside a
@@ -39,21 +40,16 @@ import (
 // Options configures a Controller. The zero value of each field selects the
 // documented default.
 type Options struct {
-	// DriftTol is the relative predicted-vs-observed drift (normalised by
-	// the smaller of the two, exactly like the probe cache's revalidation)
-	// beyond which the controller acts. It is also the per-link tolerance
-	// handed to the re-probe screen. Default 1.0 — act when observation and
+	// DriftTol is the relative predicted-vs-observed drift (netmpi.RelDrift,
+	// normalised by the smaller of the two, exactly like Reprobe's per-link
+	// verdict) beyond which the controller acts. It is also the per-link
+	// tolerance handed to Reprobe. Default 1.0 — act when observation and
 	// model disagree by 2×.
 	DriftTol float64
 	// MinObservations is the number of fresh barrier samples every rank
 	// must have contributed since the last check before drift is judged;
 	// fewer and the check is skipped. Default 8.
 	MinObservations int64
-	// Hysteresis is the fractional predicted improvement a re-tuned plan
-	// must show over the current schedule (re-priced under the patched
-	// profile) before a swap is proposed — swapping for noise-level wins
-	// would churn epochs for nothing. Default 0.05.
-	Hysteresis float64
 	// Probe configures the re-probe phases (budget, adaptivity, deadline).
 	Probe netmpi.ProbeOptions
 	// SearchBudget caps the seeded incremental search's candidate
@@ -64,10 +60,9 @@ type Options struct {
 	// CertifyK, when positive, demands the same k-fault certification of a
 	// swapped-in plan that core.Tune demands offline.
 	CertifyK int
-	// Policy and StageOverhead parameterise the predictor, matching
-	// whatever the initial tune used.
-	Policy        predict.CostPolicy
-	StageOverhead float64
+	// Policy parameterises the predictor, matching whatever the initial
+	// tune used.
+	Policy predict.CostPolicy
 	// Registry is the registry the mesh's peers publish to — the source of
 	// the per-rank netmpi_barrier_seconds histograms the controller
 	// watches. Required: a controller with nothing to observe is a bug.
@@ -84,15 +79,18 @@ type Options struct {
 	Flight *critpath.FlightRecorder
 }
 
+// hysteresis is the fractional predicted improvement a re-tuned plan must
+// show over the current schedule (re-priced under the patched profile) before
+// a swap is proposed: swapping for noise-level wins would churn epochs for
+// nothing.
+const hysteresis = 0.05
+
 func (o Options) withDefaults() Options {
 	if o.DriftTol <= 0 {
 		o.DriftTol = 1.0
 	}
 	if o.MinObservations <= 0 {
 		o.MinObservations = 8
-	}
-	if o.Hysteresis <= 0 {
-		o.Hysteresis = 0.05
 	}
 	if o.SearchBudget <= 0 {
 		o.SearchBudget = 4000
@@ -114,10 +112,11 @@ type Decision struct {
 	// Implicated is the blame-derived direction set the re-probe was aimed
 	// at; nil when no flight recorder was attached or the blame named no
 	// suspects and the screen covered the whole mesh.
-	Implicated []netmpi.Direction
+	Implicated []profile.Link
 	// Reprobe describes the two-phase re-probe (nil unless triggered); its
-	// Stale list is exactly the set of fully re-probed directions.
-	Reprobe *netmpi.ReprobeReport
+	// Stale list is exactly the set of directions confirmed at the full
+	// budget and patched.
+	Reprobe *netmpi.ProbeReport
 	// Repriced is the current schedule's predicted cost under the patched
 	// profile; NewPredicted the winning candidate's. Candidate names the
 	// winner ("seeded-search" or "recomposed"); empty when every candidate
@@ -179,7 +178,7 @@ func New(peers []*netmpi.Peer, eps *netmpi.Epochs, s *sched.Schedule, pf *profil
 		return nil, fmt.Errorf("retune: schedule (%d ranks) / profile (%d ranks) vs %d-rank mesh", s.P, pf.P, len(peers))
 	}
 	opts = opts.withDefaults()
-	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy, StageOverhead: opts.StageOverhead}
+	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy}
 	c := &Controller{
 		peers:      peers,
 		eps:        eps,
@@ -286,48 +285,46 @@ func (c *Controller) Check() (Decision, error) {
 	d.Triggered = true
 	c.triggers.Inc()
 
-	// Re-probe only what moved and fold it into the live profile. With a
-	// flight recorder attached, the traced messages of the drifted window
-	// aim the screen — only the directions whose observed delivery floor
-	// drifted from the model get measured — and the drift moment is
-	// preserved on disk before the mesh is touched.
+	// Re-probe only what moved. With a flight recorder attached, the traced
+	// messages of the drifted window aim the screen — only the directions
+	// whose observed delivery floor drifted from the model get measured —
+	// and the drift moment is preserved on disk before the mesh is touched.
 	if c.opts.Flight != nil {
-		links := c.opts.Flight.ImplicatedFresh(c.pf, c.opts.DriftTol, "drift")
+		d.Implicated = c.opts.Flight.ImplicatedFresh(c.pf, c.opts.DriftTol, "drift")
 		if _, derr := c.opts.Flight.Dump("drift"); derr != nil {
 			return d, fmt.Errorf("retune: flight dump: %w", derr)
 		}
-		for _, l := range links {
-			d.Implicated = append(d.Implicated, netmpi.Direction{From: l.From, To: l.To})
-		}
 	}
-	rep, err := netmpi.Reprobe(c.peers, c.pf, c.opts.Probe, c.opts.DriftTol, d.Implicated)
+	// The recorder's model reads c.pf from whatever goroutine serves its
+	// handler, so the re-probe patches a copy and the copy is swapped in.
+	all := make([]int, c.pf.P)
+	for r := range all {
+		all[r] = r
+	}
+	pf := c.pf.Sub(all)
+	rep, err := netmpi.Reprobe(c.peers, pf, c.opts.Probe, c.opts.DriftTol, d.Implicated)
 	if err != nil {
 		return d, fmt.Errorf("retune: re-probe: %w", err)
 	}
-	d.Reprobe = rep
+	c.pf, d.Reprobe = pf, rep
 
-	s, pl, cost, repriced, candidate, err := c.replan()
-	if err != nil {
-		return d, err
-	}
-	d.Repriced = repriced
-	d.NewPredicted = cost
-	d.Candidate = candidate
+	// The running schedule is re-priced under the patched profile either way,
+	// so the next check judges against reality; a candidate replaces it only
+	// when it beats that price by the hysteresis margin.
+	s, pl, cost, repriced, candidate := c.replan()
+	d.Repriced, d.NewPredicted, d.Candidate = repriced, cost, candidate
 	c.predicted = repriced
-	if pl == nil || cost >= repriced*(1-c.opts.Hysteresis) {
-		// Nothing beat the running schedule by enough; keep it, with the
-		// model refreshed so the next check judges against reality.
-		return d, nil
+	if pl != nil && cost < repriced*(1-hysteresis) {
+		v, err := c.eps.Propose(pl)
+		if err != nil {
+			return d, fmt.Errorf("retune: proposing plan: %w", err)
+		}
+		c.sched, c.predicted, c.version = s, cost, v
+		c.settling = true
+		d.Swapped, d.Version, d.Predicted = true, v, cost
+		c.swaps.Inc()
 	}
-	v, err := c.eps.Propose(pl)
-	if err != nil {
-		return d, fmt.Errorf("retune: proposing plan: %w", err)
-	}
-	c.sched, c.predicted, c.version = s, cost, v
-	c.settling = true
-	d.Swapped, d.Version, d.Predicted = true, v, cost
-	c.swaps.Inc()
-	c.opts.Flight.SetModel(&predict.Predictor{Prof: c.pf, Policy: c.opts.Policy, StageOverhead: c.opts.StageOverhead}, s)
+	c.opts.Flight.SetModel(&predict.Predictor{Prof: c.pf, Policy: c.opts.Policy}, c.sched)
 	return d, nil
 }
 
@@ -335,12 +332,11 @@ func (c *Controller) Check() (Decision, error) {
 // search seeded from the running schedule, and a from-scratch composition —
 // and returns the cheapest one that passes analyze.Vet (barriervet, the
 // CertifyK demand, CheckPlan), alongside the running schedule's re-priced
-// cost.
-// A nil plan means no candidate survived its gates.
-func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, string, error) {
+// cost. A nil plan (at cost +Inf) means no candidate survived its gates.
+func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, string) {
 	span := c.opts.Tracer.Begin("retune.replan", -1, -1, -1)
 	defer span.End()
-	pd := &predict.Predictor{Prof: c.pf, Policy: c.opts.Policy, StageOverhead: c.opts.StageOverhead}
+	pd := &predict.Predictor{Prof: c.pf, Policy: c.opts.Policy}
 	repriced := pd.Cost(c.sched)
 	vetOpts := analyze.Options{Predictor: pd, CertifyK: c.opts.CertifyK}
 
@@ -362,17 +358,13 @@ func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, str
 	// Candidate 2: full recomposition on the patched profile — the paper's
 	// pipeline, for drifts large enough that the old structure is wrong.
 	if tuned, err := core.Tune(c.pf, core.Options{
-		Policy:        c.opts.Policy,
-		StageOverhead: c.opts.StageOverhead,
-		CertifyK:      c.opts.CertifyK,
+		Policy:   c.opts.Policy,
+		CertifyK: c.opts.CertifyK,
 	}); err == nil && tuned.PredictedCost() < bestCost {
 		bestS, bestPl, bestCost, bestName = tuned.Schedule(), tuned.Plan, tuned.PredictedCost(), "recomposed"
 	}
 
-	if bestPl == nil {
-		return nil, nil, math.Inf(1), repriced, "", nil
-	}
-	return bestS, bestPl, bestCost, repriced, bestName, nil
+	return bestS, bestPl, bestCost, repriced, bestName
 }
 
 // Start launches the loop in its own goroutine, running Check every

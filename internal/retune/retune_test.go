@@ -1,12 +1,15 @@
 package retune
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"topobarrier/internal/critpath"
 	"topobarrier/internal/faultnet"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/perftest"
@@ -199,39 +202,38 @@ func TestClosedLoopRecovery(t *testing.T) {
 			d2.Observed, d2.Predicted, d2.Drift)
 	}
 	if d2.Reprobe == nil || len(d2.Reprobe.Stale) == 0 {
-		t.Fatal("triggered without re-probing any link")
+		t.Fatal("triggered without confirming any stale link")
 	}
-	// The delayed writes are rank 3's frames to ranks 4–6; the screen sees
+	// The delayed writes are rank 3's frames to ranks 4–6; the probe sees
 	// them in both directions of each wrapped pair (the echo of a j→3 probe
-	// crosses the delayed 3→j path too). Every one of those must have been
-	// caught…
-	wrapped := map[netmpi.Direction]bool{}
+	// crosses the delayed 3→j path too). Every delayed direction must have
+	// been confirmed stale at the full budget…
+	wrapped := map[profile.Link]bool{}
 	for j := faultRank + 1; j < p; j++ {
-		wrapped[netmpi.Direction{From: faultRank, To: j}] = true
-		wrapped[netmpi.Direction{From: j, To: faultRank}] = true
+		wrapped[profile.Link{From: faultRank, To: j}] = true
+		wrapped[profile.Link{From: j, To: faultRank}] = true
 	}
-	staleSet := map[netmpi.Direction]bool{}
+	staleSet := map[profile.Link]bool{}
 	for _, d := range d2.Reprobe.Stale {
 		staleSet[d] = true
 	}
 	for j := faultRank + 1; j < p; j++ {
-		if !staleSet[netmpi.Direction{From: faultRank, To: j}] {
-			t.Errorf("delayed direction %d→%d not re-probed (stale set %v)", faultRank, j, d2.Reprobe.Stale)
+		if !staleSet[profile.Link{From: faultRank, To: j}] {
+			t.Errorf("delayed direction %d→%d not confirmed stale (stale set %v)", faultRank, j, d2.Reprobe.Stale)
 		}
 	}
-	// …and nothing else: the full probe budget goes only to drifted links.
-	// Which links the screen flags is a wall-clock judgement — scheduler noise
-	// on a loaded box smears a healthy link's timings past the threshold
-	// (1 run in 15 on two cores; always possible under the race detector) —
-	// so it is enforced like the other timing floors.
+	// …and nothing else: only drifted links are patched. Which links drift is
+	// a wall-clock judgement — scheduler noise on a loaded box can smear a
+	// healthy link's timings past the threshold (always possible under the
+	// race detector) — so it is enforced like the other timing floors.
 	if !perftest.RaceEnabled {
-		var healthy []netmpi.Direction
+		var healthy []profile.Link
 		for _, d := range d2.Reprobe.Stale {
 			if !wrapped[d] {
 				healthy = append(healthy, d)
 			}
 		}
-		perftest.Floor(t, len(healthy) == 0, "healthy directions %v were fully re-probed", healthy)
+		perftest.Floor(t, len(healthy) == 0, "healthy directions %v were patched", healthy)
 	}
 	if !d2.Swapped {
 		t.Fatalf("no swap proposed: repriced %.3gs, best candidate %.3gs (%s)",
@@ -396,6 +398,100 @@ func TestCertifyKGatesTheSwap(t *testing.T) {
 			d.Candidate, d.Swapped, eps.Latest())
 	}
 	runLoop(t, runners, 8, "post-check loop")
+}
+
+// TestReprobeLeavesTheServedModelAlone is the regression for a data race: the
+// flight recorder prices the controller's model on whatever goroutine serves
+// /debug/critpath, so a triggered Check must not patch the profile that model
+// reads. It re-probes a copy and hands the recorder the patched copy, which
+// the handler shows once the check is done.
+func TestReprobeLeavesTheServedModelAlone(t *testing.T) {
+	const p = 4
+	reg := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer()
+	peers, err := netmpi.LoopbackMesh(p, meshTimeout, netmpi.WithTelemetry(reg), netmpi.WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netmpi.CloseMesh(peers)
+	probeOpts := netmpi.ProbeOptions{MaxIters: 3, StableK: 2}
+	pf, _, err := netmpi.ProbeProfileOpts(peers, probeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.Dissemination(p)
+	plan, err := run.NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps, err := netmpi.NewEpochs(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := newRunners(t, peers, eps, 4)
+	flight := critpath.NewFlightRecorder(tracer, p, 16, t.TempDir())
+	ctl, err := New(peers, eps, s, pf, Options{
+		DriftTol:        1e-9, // any disagreement triggers, and every screened link is stale
+		MinObservations: 4,
+		Probe:           probeOpts,
+		SearchBudget:    200,
+		Registry:        reg,
+		Flight:          flight,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runLoop(t, runners, 12, "pre-check loop")
+
+	serve := func() []byte {
+		rec := httptest.NewRecorder()
+		flight.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/critpath", nil))
+		return rec.Body.Bytes()
+	}
+	stop, served := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				served <- n
+				return
+			default:
+				serve()
+			}
+		}
+	}()
+	d, err := ctl.Check()
+	close(stop)
+	if n := <-served; n == 0 {
+		t.Error("the handler never served during the check")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Triggered || d.Reprobe == nil || len(d.Reprobe.Stale) == 0 {
+		t.Fatalf("check did not re-probe and patch: %+v", d)
+	}
+
+	// The handler now prices against the patched copy, not the profile the
+	// controller was built with.
+	stale := map[profile.Link]bool{}
+	for _, l := range d.Reprobe.Stale {
+		stale[l] = true
+	}
+	var doc struct{ Report *critpath.Report }
+	if err := json.Unmarshal(serve(), &doc); err != nil || doc.Report == nil {
+		t.Fatalf("handler served no report: %v", err)
+	}
+	shown := false
+	for _, b := range doc.Report.Blame {
+		if l := (profile.Link{From: b.From, To: b.To}); stale[l] {
+			shown = shown || b.Expected != pf.O.At(l.From, l.To)+pf.L.At(l.From, l.To)
+		}
+	}
+	if !shown {
+		t.Errorf("the recorder still prices the stale links %v with the unpatched profile", d.Reprobe.Stale)
+	}
 }
 
 // TestControllerValidation pins the constructor's contract.

@@ -78,7 +78,6 @@ func chunkClusters(p int) [][]int {
 func TestGatedClimberLockstep(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13, 32, 65, 130} {
 		pd := predict.New(syntheticProfile(p, uint64(p)))
-		pd.StageOverhead = 0.1e-6
 		for _, mode := range []string{"uniform", "clustered", "batch8"} {
 			var prop *proposer
 			batch := 0

@@ -40,7 +40,6 @@ func TestReviewDifferentialStress(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13} {
 		prof := syntheticProfile(p, 1)
 		pd := predict.New(prof)
-		pd.StageOverhead = 0.1e-6
 		seed := sched.Dissemination(p)
 		if !seed.IsBarrier() {
 			t.Fatalf("seed not barrier")
