@@ -323,7 +323,7 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 	}
 	runners := make([]*netmpi.EpochRunner, p)
 	for i, pe := range peers {
-		if runners[i], err = netmpi.NewEpochRunner(pe, eps, 4); err != nil {
+		if runners[i], err = netmpi.NewEpochRunner(pe, eps, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

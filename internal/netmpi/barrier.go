@@ -71,7 +71,7 @@ func (p *Peer) recvSpanName(src int) string {
 // transport failure or timeout aborts the barrier with an error naming the
 // stage and the link.
 func (p *Peer) Barrier(pl *run.Plan, tagBase int, deadline time.Duration) error {
-	_, err := p.execute(pl, tagBase, deadline, false)
+	_, _, err := p.execute(pl, tagBase, deadline, false, 0)
 	return err
 }
 
@@ -90,19 +90,27 @@ func (p *Peer) Barrier(pl *run.Plan, tagBase int, deadline time.Duration) error 
 // the deadline converts the certified-impossible wait into an error rather
 // than a hang. Run it only under a positive deadline for that reason.
 func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duration) ([]int, error) {
-	return p.execute(pl, tagBase, deadline, true)
+	skipped, _, err := p.execute(pl, tagBase, deadline, true, 0)
+	return skipped, err
 }
 
 // execute is the stage loop both executors share. Per stage it posts every
 // send as Plan.Execute posts its Issend batch — TCP sends but the last to
 // their link writers, so one stalled write holds only its link — and waits
 // for all of them before the receives, each message under a span. resilient
-// selects Send/Recv, which abort on the first failure anywhere, or
+// selects send/recv, which abort on the first failure anywhere, or
 // sendResilient/recvResilient, which skip latched links and report them.
-func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resilient bool) (skipped []int, err error) {
+//
+// Every frame carries folded, the running minimum of the caller's entry word
+// and every word received in earlier stages. Sends precede receives in each
+// stage, so the minimum travels exactly as Eq. 3 knowledge does, and on a
+// barrier plan every rank returns the global minimum of the entry words
+// (EpochRunner's plan version; the other callers pass 0).
+func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resilient bool, entry uint32) (skipped []int, folded uint32, err error) {
 	if pl.P != p.size {
-		return nil, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
+		return nil, 0, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
 	}
+	folded = entry
 	var barrierStart time.Time
 	if p.m.enabled {
 		barrierStart = time.Now()
@@ -130,7 +138,7 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 			last-- // the last TCP send stays inline
 		}
 		for i, dst := range st.Sends {
-			s := stageSend{dst: dst, stage: st.Stage, tag: tag, resilient: resilient}
+			s := stageSend{dst: dst, stage: st.Stage, tag: tag, word: folded, resilient: resilient}
 			if i < last && p.conns[dst] != nil {
 				select {
 				case p.jobs[dst] <- s:
@@ -148,24 +156,26 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 		}
 		if err != nil {
 			span.End()
-			return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
+			return nil, 0, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
 		}
 		for _, src := range st.Recvs {
 			ms := p.tracer.BeginTag(p.recvSpanName(src), p.rank, st.Stage, src, tag)
+			var msg mail
 			skipIt := false
 			if resilient {
-				skipIt, err = p.recvResilient(src, tag, deadline)
+				msg, skipIt, err = p.recvResilient(src, tag, deadline)
 			} else {
-				_, err = p.Recv(src, tag, deadline)
+				msg, err = p.recv(src, tag, deadline, nil)
 			}
 			ms.End()
 			if err != nil {
 				span.End()
-				return nil, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
+				return nil, 0, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
 			}
 			if skipIt {
 				skipped = addRank(skipped, src)
 			}
+			folded = min(folded, msg.word)
 		}
 		span.End()
 		if p.m.enabled {
@@ -175,7 +185,7 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 	if p.m.enabled {
 		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
 	}
-	return skipped, nil
+	return skipped, folded, nil
 }
 
 // addRank inserts r into the sorted set ranks.
@@ -190,6 +200,7 @@ func addRank(ranks []int, r int) []int {
 // and, with its outcome filled in, what comes back.
 type stageSend struct {
 	dst, stage, tag    int
+	word               uint32
 	resilient, skipped bool
 	err                error
 }
@@ -198,9 +209,9 @@ type stageSend struct {
 func (p *Peer) post(s stageSend) stageSend {
 	ms := p.tracer.BeginTag(p.sendSpanName(s.dst), p.rank, s.stage, s.dst, s.tag)
 	if s.resilient {
-		s.skipped, s.err = p.sendResilient(s.dst, s.tag, nil)
+		s.skipped, s.err = p.sendResilient(s.dst, s.tag, s.word)
 	} else {
-		s.err = p.Send(s.dst, s.tag, nil)
+		s.err = p.send(s.dst, s.tag, nil, s.word)
 	}
 	ms.End()
 	return s
@@ -220,13 +231,13 @@ func (p *Peer) writer(dst int) {
 	}
 }
 
-// sendResilient writes one frame unless the link to dst is already latched
-// as failed, in which case it reports skipped. A write error latches the
-// link (not the whole peer: the resilient path's point is to keep going)
+// sendResilient writes one empty frame unless the link to dst is already
+// latched as failed, in which case it reports skipped. A write error latches
+// the link (not the whole peer: the resilient path's point is to keep going)
 // and reports skipped too — on TCP, writes to a dead peer may buffer
 // silently or surface late, so the reader-side EOF latch is the primary
 // detector and the write error just confirms it.
-func (p *Peer) sendResilient(dst, tag int, payload []byte) (skipped bool, err error) {
+func (p *Peer) sendResilient(dst, tag int, word uint32) (skipped bool, err error) {
 	if p.down.Load() { // some latch is set: find out whether it concerns dst
 		p.mu.Lock()
 		closed, linkErr := p.closed, p.linkErr[dst]
@@ -238,7 +249,7 @@ func (p *Peer) sendResilient(dst, tag int, payload []byte) (skipped bool, err er
 			return true, nil
 		}
 	}
-	if werr := p.writeFrame(dst, tag, payload); werr != nil {
+	if werr := p.writeFrame(dst, tag, nil, word); werr != nil {
 		p.fail(dst, werr)
 		return true, nil
 	}
@@ -251,16 +262,17 @@ func (p *Peer) sendResilient(dst, tag int, payload []byte) (skipped bool, err er
 // when the link is down, a timeout error when the deadline passes on a
 // healthy link — the certified-schedule hang case, which resilience cannot
 // excuse — and a closed error on local Close.
-func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (skipped bool, err error) {
-	switch _, why := p.await(src, tag, deadline, p.linkDown[src], p.closedCh); why {
+func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (msg mail, skipped bool, err error) {
+	msg, why := p.await(src, tag, deadline, p.linkDown[src], p.closedCh)
+	switch why {
 	case gotMail:
-		return false, nil
+		return msg, false, nil
 	case wakeFirst:
-		return true, nil
+		return msg, true, nil
 	case wakeSecond:
-		return false, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
+		return msg, false, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
 	}
-	return false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
+	return msg, false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
 }
 
 // MeasureBarrier times iters wall-clock barrier executions after warmup

@@ -1,7 +1,6 @@
 package netmpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -13,37 +12,24 @@ import (
 // Epoch-versioned plan execution: the hot-swap half of the online retuning
 // loop. An Epochs store holds the succession of compiled plans a mesh has
 // been asked to run; per-rank EpochRunners execute barriers against the
-// currently agreed plan and, at a fixed cadence, run a control barrier — a
-// dissemination min-allreduce over the plan versions each rank has locally
-// observed — to pick the switch point. Because every rank computes the same
-// minimum, every rank installs the same plan before the same data barrier;
-// no rank ever executes invocation n of one plan against invocation n of
-// another.
+// currently agreed plan, and the barriers themselves agree on the next one.
 //
-// Tag-space layout. Data barriers use four windows of run.TagSpan tags:
+// Agreement by closure. Every frame of an EpochRunner barrier carries one
+// word: the lowest plan version its sender has seen — its own Latest at
+// entry, folded (min) with every word received in earlier stages (the stage
+// loop, barrier.go). The word spreads exactly as Eq. 3 knowledge does, so
+// when barrier n completes every rank has folded in every rank's entry word
+// and holds the same global minimum M: the newest version every rank has
+// seen. Every rank installs plan M at call n+1 with no extra message and no
+// cadence, so no rank ever executes invocation n of one plan against
+// invocation n of another.
 //
-//	window = 2·(swaps mod 2) + (iteration-within-epoch mod 2)
-//
-// The iteration parity is the classic alternation (a rank racing into
-// barrier n+1 cannot match the frames of a straggler still in barrier n);
-// the swap parity partitions consecutive epochs, so in-flight frames from
-// epoch N can never match epoch N+1 receives even while ranks disagree by
-// one invocation about where the switch lands. Window reuse two swaps later
-// is safe because a switch only happens at a completed control barrier:
-// completing the min-allreduce proves every rank entered it, which proves
-// every rank finished — and, plans being quiescent (analyze.CheckPlan),
-// fully consumed — all data frames of the outgoing epoch. Control barriers
-// live in their own tag region (ctrlTagBase, far above the data windows and
-// the probe region) with the same two-window alternation over control
-// rounds.
-const (
-	// ctrlTagBase keeps control-barrier traffic clear of data barriers
-	// ([0, 4·run.TagSpan)) and probe traffic ([probeTagBase, …)).
-	ctrlTagBase = 1 << 22
-	// ctrlSpan is the per-round control tag budget: one tag per
-	// dissemination stage, so it bounds log2(P) — 64 covers any mesh.
-	ctrlSpan = 64
-)
+// Two tag windows. Call n uses window n mod 2 of run.TagSpan tags, so the
+// data region is [0, 2·run.TagSpan). A rank racing into call n+1 cannot
+// match the frames of a straggler still in call n, whatever plans the two
+// calls run. Reusing the window at call n+2 is safe too: a rank that leaves
+// n+1 knows every rank entered n+1, so every rank has finished n, and plans
+// being quiescent (analyze.CheckPlan) every frame of n has been consumed.
 
 // Epochs is the shared, versioned plan store of one mesh: the rendezvous
 // between a retuning controller (Propose) and the per-rank EpochRunners
@@ -63,10 +49,12 @@ func NewEpochs(initial *run.Plan) (*Epochs, error) {
 	return &Epochs{plans: []*run.Plan{initial}}, nil
 }
 
-// Propose installs a new plan and returns its version. Runners do not react
-// until their next control barrier agrees on it, so Propose is safe at any
-// time relative to in-flight barriers. Plans for a different mesh size are
-// rejected.
+// Propose installs a new plan and returns its version. The runners react at
+// the call after every rank has seen the proposal: a Propose made between
+// two collective calls rides the next call's frames and runs from the call
+// after it. Propose is safe at any time relative to in-flight barriers: a
+// rank that misses it in one call carries the older version, and the others
+// wait one more call. Plans for a different mesh size are rejected.
 func (e *Epochs) Propose(pl *run.Plan) (int, error) {
 	if pl == nil {
 		return 0, fmt.Errorf("netmpi: proposing a nil plan")
@@ -98,40 +86,32 @@ func (e *Epochs) Plan(version int) (*run.Plan, error) {
 }
 
 // EpochRunner executes one rank's barriers against the epoch store. All
-// ranks of a mesh must construct their runners with the same store and the
-// same CheckEvery, and call Barrier collectively the same number of times —
-// exactly the existing collective-call contract of Peer.Barrier, extended
-// with the agreed plan switch.
+// ranks of a mesh must construct their runners with the same store and call
+// Barrier collectively the same number of times — exactly the existing
+// collective-call contract of Peer.Barrier, extended with the agreed plan
+// switch.
 type EpochRunner struct {
 	peer *Peer
 	eps  *Epochs
 
-	checkEvery int
-	calls      int // total Barrier invocations (drives the control cadence)
-	version    int // plan version currently executing
-	plan       *run.Plan
-	iter       int // invocations within the current epoch (drives tag parity)
-	swaps      int // completed switches (drives the epoch window parity)
-	ctrlRound  int // control barriers run (drives the control window parity)
+	calls   int // total Barrier invocations (drives the tag window)
+	version int // plan version currently executing
+	plan    *run.Plan
+	agreed  int // the version the last barrier agreed on: the next call's plan
+	swaps   int // completed switches
 
 	swapMetric *telemetry.Counter
-	ctrlMetric *telemetry.Counter
 }
 
-// NewEpochRunner wraps one rank's peer. checkEvery is the control-barrier
-// cadence: every checkEvery-th Barrier call first agrees on (and installs)
-// the newest globally visible plan version; 0 selects 8. Runners start on
-// the latest version already in the store, so construct all runners before
-// the first concurrent Propose.
-func NewEpochRunner(peer *Peer, eps *Epochs, checkEvery int) (*EpochRunner, error) {
+// NewEpochRunner wraps one rank's peer. Runners start on the latest version
+// already in the store, so construct all runners before the first
+// concurrent Propose. The trailing argument is vestigial and must be 0.
+func NewEpochRunner(peer *Peer, eps *Epochs, zero int) (*EpochRunner, error) {
 	if peer == nil || eps == nil {
 		return nil, fmt.Errorf("netmpi: epoch runner needs a peer and an epoch store")
 	}
-	if checkEvery < 0 {
-		return nil, fmt.Errorf("netmpi: negative control cadence %d", checkEvery)
-	}
-	if checkEvery == 0 {
-		checkEvery = 8
+	if zero != 0 {
+		return nil, fmt.Errorf("netmpi: epoch runner's third argument is %d, must be 0", zero)
 	}
 	version := eps.Latest()
 	pl, err := eps.Plan(version)
@@ -141,11 +121,9 @@ func NewEpochRunner(peer *Peer, eps *Epochs, checkEvery int) (*EpochRunner, erro
 	if pl.P != peer.Size() {
 		return nil, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, peer.Size())
 	}
-	r := &EpochRunner{peer: peer, eps: eps, checkEvery: checkEvery, version: version, plan: pl}
+	r := &EpochRunner{peer: peer, eps: eps, version: version, plan: pl, agreed: version}
 	if peer.reg != nil {
-		me := fmt.Sprint(peer.rank)
-		r.swapMetric = peer.reg.Counter(telemetry.Label("netmpi_epoch_swaps_total", "rank", me))
-		r.ctrlMetric = peer.reg.Counter(telemetry.Label("netmpi_epoch_control_rounds_total", "rank", me))
+		r.swapMetric = peer.reg.Counter(telemetry.Label("netmpi_epoch_swaps_total", "rank", fmt.Sprint(peer.rank)))
 	}
 	return r, nil
 }
@@ -159,69 +137,27 @@ func (r *EpochRunner) Swaps() int { return r.swaps }
 // Plan returns the plan the runner is currently executing.
 func (r *EpochRunner) Plan() *run.Plan { return r.plan }
 
-// agreeVersion is the control barrier: a dissemination min-allreduce over
-// the locally observed latest plan version. ⌈log2 P⌉ stages; at stage s rank
-// i sends its running minimum to (i+2^s) mod P and folds in the minimum
-// received from (i−2^s) mod P, so afterwards every rank holds the global
-// minimum — the newest version *every* rank has seen, the only version all
-// ranks can be trusted to switch to together. The dissemination pattern is
-// itself a barrier (full Eq. 3 closure), which is what makes the switch
-// point a quiescence point for the outgoing epoch's data frames.
-func (r *EpochRunner) agreeVersion(deadline time.Duration) (int, error) {
-	p := r.peer.Size()
-	base := ctrlTagBase + (r.ctrlRound%2)*ctrlSpan
-	r.ctrlRound++
-	r.ctrlMetric.Inc()
-	v := uint64(r.eps.Latest())
-	var buf [8]byte
-	for s := 0; 1<<s < p; s++ {
-		dst := (r.peer.Rank() + 1<<s) % p
-		src := (r.peer.Rank() - 1<<s%p + p) % p
-		binary.BigEndian.PutUint64(buf[:], v)
-		if err := r.peer.Send(dst, base+s, buf[:]); err != nil {
-			return 0, fmt.Errorf("control barrier stage %d: %w", s, err)
-		}
-		msg, err := r.peer.Recv(src, base+s, deadline)
-		if err != nil {
-			return 0, fmt.Errorf("control barrier stage %d: %w", s, err)
-		}
-		if len(msg) != 8 {
-			return 0, fmt.Errorf("control barrier stage %d: %d-byte version payload from rank %d", s, len(msg), src)
-		}
-		if got := binary.BigEndian.Uint64(msg); got < v {
-			v = got
-		}
-	}
-	return int(v), nil
-}
-
-// Barrier executes one data barrier under the current epoch's plan. Every
-// checkEvery-th call first runs the control barrier; when it agrees on a
-// newer version, the runner installs that plan — atomically with respect to
-// barrier traffic, because the installation happens between the control
-// barrier (a quiescence point) and the next data barrier, on every rank at
-// the same call index. The deadline bounds each receive of both the control
-// and the data phase.
+// Barrier executes one barrier. It first installs the version the previous
+// call agreed on, if newer — on every rank at the same call index — then
+// runs the current plan with this rank's latest known version as the frames'
+// word, and keeps the folded minimum for the next call. The deadline bounds
+// each receive.
 func (r *EpochRunner) Barrier(deadline time.Duration) error {
-	if r.calls%r.checkEvery == 0 {
-		agreed, err := r.agreeVersion(deadline)
+	if r.agreed > r.version {
+		pl, err := r.eps.Plan(r.agreed)
 		if err != nil {
 			return err
 		}
-		if agreed > r.version {
-			pl, err := r.eps.Plan(agreed)
-			if err != nil {
-				return err
-			}
-			r.version = agreed
-			r.plan = pl
-			r.iter = 0
-			r.swaps++
-			r.swapMetric.Inc()
-		}
+		r.version, r.plan = r.agreed, pl
+		r.swaps++
+		r.swapMetric.Inc()
 	}
+	tagBase := (r.calls % 2) * run.TagSpan
 	r.calls++
-	window := 2*(r.swaps%2) + r.iter%2
-	r.iter++
-	return r.peer.Barrier(r.plan, window*run.TagSpan, deadline)
+	_, agreed, err := r.peer.execute(r.plan, tagBase, deadline, false, uint32(r.eps.Latest()))
+	if err != nil {
+		return err
+	}
+	r.agreed = int(agreed)
+	return nil
 }

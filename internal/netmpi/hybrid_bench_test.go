@@ -129,7 +129,9 @@ func TestSendAllocsPooled(t *testing.T) {
 // tunedPlan's release stage is a 3-target fan-out (0 → {1, 2, 3} and
 // 4 → {5, 6, 7}), so the tcp case covers the link writers' hand-off. On
 // twoNodes those fan-outs are all shared memory; pairs co-locates 0 with 1
-// and 4 with 5, so there a stage mixes an shm put with TCP hand-offs.
+// and 4 with 5, so there a stage mixes an shm put with TCP hand-offs. The
+// epoch rows run the same plan through EpochRunner, whose version word rides
+// every frame and must cost nothing extra.
 func TestBarrierAllocsWarm(t *testing.T) {
 	if perftest.RaceEnabled {
 		t.Skip("race instrumentation allocates shadow state; allocation counts are meaningless there")
@@ -138,27 +140,44 @@ func TestBarrierAllocsWarm(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		nodes     []int
+		epoch     bool
 		maxAllocs float64
 	}{
-		{"tcp", nil, 1},
-		{"shm", oneNode(p), 0},
-		{"mixed", twoNodes(p), 1},
-		{"pairs", []int{0, 0, 1, 1, 2, 2, 3, 3}, 1},
+		{"tcp", nil, false, 1},
+		{"shm", oneNode(p), false, 0},
+		{"mixed", twoNodes(p), false, 1},
+		{"pairs", []int{0, 0, 1, 1, 2, 2, 3, 3}, false, 1},
+		{"epoch-tcp", nil, true, 1},
+		{"epoch-shm", oneNode(p), true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := tunedPlan(t, p)
 			peers := hybridMesh(t, p, tc.nodes)
+			var runners []*EpochRunner
+			if tc.epoch {
+				eps, err := NewEpochs(pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runners = newRunners(t, peers, eps)
+			}
 			n := 0
-			barrier := func(pe *Peer) {
-				if err := pe.Barrier(pl, (n%2)*run.TagSpan, meshTimeout); err != nil {
+			barrier := func(r int) {
+				var err error
+				if runners != nil {
+					err = runners[r].Barrier(meshTimeout)
+				} else {
+					err = peers[r].Barrier(pl, (n%2)*run.TagSpan, meshTimeout)
+				}
+				if err != nil {
 					t.Error(err)
 				}
 			}
 			start, done := make(chan struct{}), make(chan struct{})
-			for _, pe := range peers[1:] {
+			for r := 1; r < p; r++ {
 				go func() {
 					for range start {
-						barrier(pe)
+						barrier(r)
 						done <- struct{}{}
 					}
 				}()
@@ -168,7 +187,7 @@ func TestBarrierAllocsWarm(t *testing.T) {
 				for range peers[1:] {
 					start <- struct{}{}
 				}
-				barrier(peers[0])
+				barrier(0)
 				for range peers[1:] {
 					<-done
 				}

@@ -20,7 +20,7 @@ import (
 // messages remain so coalesced signals cannot strand a waiter.
 type mailbox struct {
 	mu      sync.Mutex
-	msgs    [][]byte // queued messages are msgs[head:]
+	msgs    []mail // queued messages are msgs[head:]
 	head    int
 	pending atomic.Int32
 	avail   chan struct{}
@@ -33,7 +33,15 @@ func (b *mailbox) wake() {
 	}
 }
 
-func (b *mailbox) put(msg []byte) {
+// mail is one queued message: its payload and the version word its sender
+// folded into the frame (epoch.go; 0 on every frame an EpochRunner did not
+// send).
+type mail struct {
+	payload []byte
+	word    uint32
+}
+
+func (b *mailbox) put(msg mail) {
 	b.mu.Lock()
 	// Reclaim the consumed prefix instead of growing once it is at least half
 	// the array: steady traffic then reuses one backing array forever.
@@ -48,17 +56,17 @@ func (b *mailbox) put(msg []byte) {
 	b.wake()
 }
 
-func (b *mailbox) take() ([]byte, bool) {
+func (b *mailbox) take() (mail, bool) {
 	if b.pending.Load() == 0 {
-		return nil, false
+		return mail{}, false
 	}
 	b.mu.Lock()
 	if b.head == len(b.msgs) {
 		b.mu.Unlock()
-		return nil, false
+		return mail{}, false
 	}
 	msg := b.msgs[b.head]
-	b.msgs[b.head] = nil
+	b.msgs[b.head] = mail{}
 	b.head++
 	remaining := len(b.msgs) - b.head
 	if remaining == 0 {
@@ -129,7 +137,7 @@ var timerPool = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 // instead. Both receive flavours differ only in which two latches they
 // watch: Recv the caller's cancel and the peer-level failure, the resilient
 // path the link-level failure and the local close.
-func (p *Peer) await(src, tag int, deadline time.Duration, first, second <-chan struct{}) ([]byte, wakeReason) {
+func (p *Peer) await(src, tag int, deadline time.Duration, first, second <-chan struct{}) (mail, wakeReason) {
 	b := p.in[src].box(tag)
 	if p.m.enabled {
 		start := time.Now()
@@ -149,14 +157,14 @@ func (p *Peer) await(src, tag int, deadline time.Duration, first, second <-chan 
 		// A shared-memory frame has no reader goroutine to count it on
 		// arrival, so its receiver does.
 		p.m.recvFrames[src].Add(1)
-		p.m.recvBytes[src].Add(int64(len(msg)))
+		p.m.recvBytes[src].Add(int64(len(msg.payload)))
 	}
 	return msg, why
 }
 
 // park blocks on the mailbox's wake-up edge, the two latches and the
 // deadline. The timer exists only here, past the fast paths.
-func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) ([]byte, wakeReason) {
+func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) (mail, wakeReason) {
 	var timeout <-chan time.Time
 	if deadline > 0 {
 		timer := timerPool.Get().(*time.Timer)
@@ -179,7 +187,7 @@ func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) ([
 			return msg, gotMail
 		}
 		if why != gotMail {
-			return nil, why
+			return mail{}, why
 		}
 	}
 }
@@ -205,21 +213,27 @@ func (p *Peer) Recv(src, tag int, deadline time.Duration) ([]byte, error) {
 // timed exchange errors out, it cancels its partner's pending receive
 // instead of leaving it blocked until the deadline.
 func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan struct{}) ([]byte, error) {
+	msg, err := p.recv(src, tag, deadline, cancel)
+	return msg.payload, err
+}
+
+// recv is RecvCancel keeping the frame's version word, for the stage loop.
+func (p *Peer) recv(src, tag int, deadline time.Duration, cancel <-chan struct{}) (mail, error) {
 	if src < 0 || src >= p.size || src == p.rank {
-		return nil, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
+		return mail{}, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
 	}
 	msg, why := p.await(src, tag, deadline, cancel, p.done)
 	switch why {
 	case gotMail:
 		return msg, nil
 	case wakeFirst:
-		return nil, ErrRecvCancelled
+		return mail{}, ErrRecvCancelled
 	}
 	if err := p.err(); err != nil {
-		return nil, err
+		return mail{}, err
 	}
 	if why == wakeSecond {
-		return nil, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
+		return mail{}, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
 	}
-	return nil, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
+	return mail{}, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
 }

@@ -8,9 +8,10 @@
 // so the mesh forms without a coordinator). Mesh formation tolerates the
 // listener-startup race: dials retry with exponential backoff until the
 // formation timeout, so ranks need not start in any particular order.
-// Messages are length-prefixed frames carrying a tag; per-connection reader
-// goroutines demultiplex frames into per-(source, tag) mailboxes, preserving
-// per-link FIFO order exactly like the simulator's non-overtaking guarantee.
+// Messages are length-prefixed frames carrying a tag and a version word
+// (epoch.go); per-connection reader goroutines demultiplex frames into
+// per-(source, tag) mailboxes, preserving per-link FIFO order exactly like
+// the simulator's non-overtaking guarantee.
 // Mailboxes are unbounded queues and readers never block on delivery, so a
 // slow consumer on one tag cannot head-of-line-block other tags from the
 // same source. Links between co-located ranks (WithColocation) skip sockets,
@@ -171,8 +172,8 @@ func (p *Peer) initMetrics() {
 	p.m.barrierDur = p.reg.Histogram(telemetry.Label("netmpi_barrier_seconds", "rank", me), nil)
 }
 
-// frame header: src (handshake only), tag, payload length.
-const headerBytes = 8
+// frame header: tag, payload length, version word.
+const headerBytes = 12
 
 // Dial retry/backoff bounds for the listener-startup race: the first retry
 // waits dialBackoffMin, each subsequent one doubles, capped at
@@ -417,7 +418,7 @@ func (p *Peer) reader(src int, conn net.Conn) {
 			return
 		}
 		tag := int(int32(binary.BigEndian.Uint32(hdr[:4])))
-		n := int(binary.BigEndian.Uint32(hdr[4:]))
+		n := int(binary.BigEndian.Uint32(hdr[4:8]))
 		var payload []byte
 		if n > 0 {
 			payload = make([]byte, n)
@@ -428,7 +429,7 @@ func (p *Peer) reader(src int, conn net.Conn) {
 		}
 		p.m.recvFrames[src].Add(1)
 		p.m.recvBytes[src].Add(int64(n))
-		p.in[src].box(tag).put(payload)
+		p.in[src].box(tag).put(mail{payload, binary.BigEndian.Uint32(hdr[8:])})
 	}
 }
 
@@ -489,6 +490,11 @@ func (p *Peer) LinkErr(src int) error {
 // failed or closed peer refuses further sends with its latched error,
 // propagating the failure to senders as fast as to receivers.
 func (p *Peer) Send(dst, tag int, payload []byte) error {
+	return p.send(dst, tag, payload, 0)
+}
+
+// send is Send with the frame's version word, for the stage loop.
+func (p *Peer) send(dst, tag int, payload []byte, word uint32) error {
 	if dst < 0 || dst >= p.size || dst == p.rank {
 		return fmt.Errorf("netmpi: rank %d sending to invalid rank %d", p.rank, dst)
 	}
@@ -498,7 +504,7 @@ func (p *Peer) Send(dst, tag int, payload []byte) error {
 		}
 		return fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
 	}
-	if err := p.writeFrame(dst, tag, payload); err != nil {
+	if err := p.writeFrame(dst, tag, payload, word); err != nil {
 		return fmt.Errorf("netmpi: rank %d sending to %d over %s: %w", p.rank, dst, p.TransportOf(dst), err)
 	}
 	return nil
@@ -515,12 +521,12 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b
 // here, on the sender's goroutine (copying non-empty payloads so the caller
 // keeps ownership, matching TCP's copy into the frame); the TCP path encodes
 // a pooled length-prefixed frame and writes it in one call.
-func (p *Peer) writeFrame(dst, tag int, payload []byte) error {
+func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32) error {
 	if link := p.shmOut[dst]; link != nil {
 		if len(payload) > 0 {
 			payload = append([]byte(nil), payload...)
 		}
-		link.box(tag).put(payload)
+		link.box(tag).put(mail{payload, word})
 		p.m.sendFrames[dst].Add(1)
 		p.m.sendBytes[dst].Add(int64(len(payload)))
 		return nil
@@ -534,6 +540,7 @@ func (p *Peer) writeFrame(dst, tag int, payload []byte) error {
 	frame = frame[:need]
 	binary.BigEndian.PutUint32(frame[:4], uint32(int32(tag)))
 	binary.BigEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[8:12], word)
 	copy(frame[headerBytes:], payload)
 	_, err := p.conns[dst].Write(frame)
 	*bp = frame[:0]

@@ -14,7 +14,7 @@ import (
 )
 
 // probeTagBase keeps probe traffic out of the barrier tag windows: data
-// barriers use [0, 4·run.TagSpan) under EpochRunner's four windows.
+// barriers use [0, 2·run.TagSpan) under the two alternating windows.
 const probeTagBase = 1 << 20
 
 // ProbeOptions configures ProbeProfileOpts. The zero value (after defaults)

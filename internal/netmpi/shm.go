@@ -5,12 +5,13 @@
 // ranks therefore share the receiving side's mailboxes outright: the segment
 // of a rank pair owns one inbox per direction — the same inbox/mailbox types
 // the TCP readers feed — and a send on a shared-memory link is
-// inbox.box(tag).put(payload) on the sender's own goroutine. Nothing sits in
-// between — no queue of frames, no goroutine to forward them: the receiver's
-// Recv resolves (src, tag) to the very mailbox the sender wrote, so Recv,
-// RecvCancel, the resilient receive path and every failure latch behave
-// exactly as they do over TCP. Mail sent before the receiver's Dial attaches
-// simply waits in the segment.
+// inbox.box(tag).put(mail{payload, word}) on the sender's own goroutine, the
+// version word (epoch.go) riding beside the payload as in a TCP header.
+// Nothing sits in between — no queue of frames, no goroutine to forward
+// them: the receiver's Recv resolves (src, tag) to the very mailbox the
+// sender wrote, so Recv, RecvCancel, the resilient receive path and every
+// failure latch behave exactly as they do over TCP. Mail sent before the
+// receiver's Dial attaches simply waits in the segment.
 //
 // Close protocol. A socket reports a vanished peer with EOF; here the closing
 // peer reports itself. Peer.Close marks each outgoing link closed and calls

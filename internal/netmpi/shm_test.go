@@ -103,7 +103,7 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 	wg.Add(3)
 	go func() { defer wg.Done(); _, recvErr = peers[1].Recv(0, 100, 0) }()
 	go func() { defer wg.Done(); _, cancelErr = peers[1].RecvCancel(0, 101, 0, make(chan struct{})) }()
-	go func() { defer wg.Done(); resSkipped, resErr = peers[1].recvResilient(0, 102, 30*time.Second) }()
+	go func() { defer wg.Done(); _, resSkipped, resErr = peers[1].recvResilient(0, 102, 30*time.Second) }()
 	time.Sleep(20 * time.Millisecond) // let the three park; the outcome is the same if one has not
 
 	const n = 50
@@ -146,7 +146,7 @@ func TestMailboxStaleTokenStress(t *testing.T) {
 	go func() {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < n; i++ {
-			b.put([]byte{byte(i), byte(i >> 8), byte(i >> 16)})
+			b.put(mail{[]byte{byte(i), byte(i >> 8), byte(i >> 16)}, uint32(i)})
 			if rng.Intn(4) == 0 {
 				runtime.Gosched()
 			}
@@ -166,8 +166,8 @@ func TestMailboxStaleTokenStress(t *testing.T) {
 				t.Fatalf("parked at message %d of %d and never woke: lost wake-up", want, n)
 			}
 		}
-		if got := int(msg[0]) | int(msg[1])<<8 | int(msg[2])<<16; got != want {
-			t.Fatalf("took message %d, want %d", got, want)
+		if got := int(msg.payload[0]) | int(msg.payload[1])<<8 | int(msg.payload[2])<<16; got != want || msg.word != uint32(want) {
+			t.Fatalf("took message %d (word %d), want %d", got, msg.word, want)
 		}
 		want++
 	}

@@ -13,7 +13,7 @@
 // from-scratch composition, with the same analyze.Vet gate every offline
 // tune passes, and (3) hot-swaps the winning plan into the running mesh
 // through the epoch store, where the per-rank runners agree on the switch
-// point at their next control barrier.
+// point inside their next barrier: its frames carry the plan version.
 // No restart, no dropped barriers: the swap is a version bump the transport
 // applies at a quiescence point.
 package retune

@@ -49,7 +49,7 @@ func BenchmarkRetuneRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runners := newRunners(b, peers, eps, 4)
+		runners := newRunners(b, peers, eps)
 
 		ctl, err := New(peers, eps, s, pf, Options{
 			DriftTol:        10,

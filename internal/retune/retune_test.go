@@ -93,11 +93,11 @@ func runLoop(t testing.TB, runners []*netmpi.EpochRunner, iters int, what string
 	}
 }
 
-func newRunners(t testing.TB, peers []*netmpi.Peer, eps *netmpi.Epochs, checkEvery int) []*netmpi.EpochRunner {
+func newRunners(t testing.TB, peers []*netmpi.Peer, eps *netmpi.Epochs) []*netmpi.EpochRunner {
 	t.Helper()
 	runners := make([]*netmpi.EpochRunner, len(peers))
 	for i, pe := range peers {
-		r, err := netmpi.NewEpochRunner(pe, eps, checkEvery)
+		r, err := netmpi.NewEpochRunner(pe, eps, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestClosedLoopRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := newRunners(t, peers, eps, 4)
+	runners := newRunners(t, peers, eps)
 
 	ctl, err := New(peers, eps, s, pf, Options{
 		DriftTol:        10, // far above model noise, far below a 3 ms injected delay
@@ -244,9 +244,10 @@ func TestClosedLoopRecovery(t *testing.T) {
 	}
 
 	// Drain the mixed window (stale-plan and swapped-plan barriers from
-	// phase C), then force the swap through a control barrier if the loop
-	// above raced past the proposal. The check after a swap must be the
-	// settling discard, not a judgement on the contaminated window.
+	// phase C) and install the swap if the loop above raced past the
+	// proposal: one call carries the new version, the next runs it. The
+	// check after a swap must be the settling discard, not a judgement on
+	// the contaminated window.
 	runLoop(t, runners, 8, "post-swap settle")
 	d3, err := ctl.Check()
 	if err != nil {
@@ -311,7 +312,7 @@ func TestControllerNoDriftNoAction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := newRunners(t, peers, eps, 4)
+	runners := newRunners(t, peers, eps)
 	ctl, err := New(peers, eps, s, pf, Options{
 		DriftTol:        1e9, // nothing real ever crosses this
 		MinObservations: 4,
@@ -374,7 +375,7 @@ func TestCertifyKGatesTheSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := newRunners(t, peers, eps, 4)
+	runners := newRunners(t, peers, eps)
 	ctl, err := New(peers, eps, s, pf, Options{
 		DriftTol:        1e-9, // any disagreement between model and mesh triggers
 		MinObservations: 4,
@@ -428,7 +429,7 @@ func TestReprobeLeavesTheServedModelAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := newRunners(t, peers, eps, 4)
+	runners := newRunners(t, peers, eps)
 	flight := critpath.NewFlightRecorder(tracer, p, 16, t.TempDir())
 	ctl, err := New(peers, eps, s, pf, Options{
 		DriftTol:        1e-9, // any disagreement triggers, and every screened link is stale
@@ -549,7 +550,7 @@ func TestControllerStartStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := newRunners(t, peers, eps, 4)
+	runners := newRunners(t, peers, eps)
 	ctl, err := New(peers, eps, s, pf, Options{DriftTol: 1e9, MinObservations: 2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
