@@ -34,9 +34,6 @@ var censusAllow = map[string]string{
 	"run.Plan.Silenced":              "fault model: crash-silenced plans for the executor tests",
 	"netmpi.Peer.LinkErr":            "fault latch the fail-fast transport tests read",
 	"netmpi.EpochRunner.Swaps":       "epoch observer the hot-swap tests read",
-	"mpi.Comm.Test":                  "simulated MPI surface: MPI_Test",
-	"mpi.Comm.Iprobe":                "simulated MPI surface: MPI_Iprobe",
-	"mpi.Request.CompletedAt":        "simulated MPI surface: request completion time",
 }
 
 // censusDecl is one exported function or method declared under internal/.

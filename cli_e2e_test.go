@@ -96,7 +96,7 @@ func TestCLIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(src), "package main") || !strings.Contains(string(src), "func B(c *topobarrier.Comm") {
+	if !strings.Contains(string(src), "package main") || !strings.Contains(string(src), "func B(c topobarrier.Stager, tagBase int) error") {
 		t.Fatalf("barriervet -emit source:\n%s", src)
 	}
 

@@ -93,34 +93,42 @@ func ExampleGenerateSource() {
 	//
 	// package main
 	//
-	// import topobarrier "topobarrier"
+	// import (
+	// 	"fmt"
+	//
+	// 	topobarrier "topobarrier"
+	// )
 	//
 	// // TinyBarrier executes the barrier "linear(2)", specialised for exactly 2 ranks.
+	// // It runs on any topobarrier.Stager, a simulated rank or a live mesh peer.
 	// // Every rank of the job must call it with the same tagBase; the function
 	// // uses tags in [tagBase, tagBase+2).
-	// func TinyBarrier(c *topobarrier.Comm, tagBase int) {
+	// func TinyBarrier(c topobarrier.Stager, tagBase int) error {
 	// 	if c.Size() != 2 {
-	// 		panic("TinyBarrier: compiled for 2 ranks")
+	// 		return fmt.Errorf("TinyBarrier: compiled for 2 ranks, called on %d", c.Size())
 	// 	}
 	// 	switch c.Rank() {
 	// 	case 0:
-	// 		{ // stage 0
-	// 			q0 := c.Irecv(1, tagBase+0)
-	// 			c.Wait(q0)
+	// 		if err := c.Stage(tagBase+0, peersTinyBarrier[0], nil); err != nil {
+	// 			return err
 	// 		}
-	// 		{ // stage 1
-	// 			q0 := c.Issend(1, tagBase+1, 0)
-	// 			c.Wait(q0)
+	// 		if err := c.Stage(tagBase+1, nil, peersTinyBarrier[0]); err != nil {
+	// 			return err
 	// 		}
 	// 	case 1:
-	// 		{ // stage 0
-	// 			q0 := c.Issend(0, tagBase+0, 0)
-	// 			c.Wait(q0)
+	// 		if err := c.Stage(tagBase+0, nil, peersTinyBarrier[1]); err != nil {
+	// 			return err
 	// 		}
-	// 		{ // stage 1
-	// 			q0 := c.Irecv(0, tagBase+1)
-	// 			c.Wait(q0)
+	// 		if err := c.Stage(tagBase+1, peersTinyBarrier[1], nil); err != nil {
+	// 			return err
 	// 		}
 	// 	}
+	// 	return nil
+	// }
+	//
+	// // peersTinyBarrier holds TinyBarrier's peer lists.
+	// var peersTinyBarrier = [...][]int{
+	// 	{1},
+	// 	{0},
 	// }
 }

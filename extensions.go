@@ -47,7 +47,8 @@ func TraceBarrier(fab *Fabric, b BarrierFunc, opts ...WorldOption) (*ExecutionTi
 // NetPeer is one rank's endpoint of a real TCP mesh executing tuned plans.
 // The mesh is fail-fast: the first dead link wakes every blocked Recv —
 // bounded-deadline or not — with a descriptive error, so a crashed peer
-// cannot hang the survivors (see internal/netmpi's failure model).
+// cannot hang the survivors (see internal/netmpi's failure model). It is a
+// Stager, so the functions GenerateSource emits run on it.
 type NetPeer = netmpi.Peer
 
 // NetListen opens a rank's mesh listener.

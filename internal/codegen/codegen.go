@@ -4,9 +4,11 @@
 // scanning and no no-op stages.
 //
 // The generated function unrolls, per rank, the compiled run.Plan's stage
-// list — the same receives and synchronized sends, in the same order and with
-// the same tag offsets, as every other executor of the plan — against the
-// public topobarrier API, and is formatted with go/format so it is
+// list into one Stage call per stage — the same peers, in the same order and
+// with the same tag offsets, as every other executor of the plan — against
+// topobarrier.Stager, so the same source runs on the simulator (*Comm) and on
+// a live mesh (*NetPeer). Its peer lists are package-level values, so a call
+// allocates nothing, and the source is formatted with go/format so it is
 // immediately reviewable and committable.
 package codegen
 
@@ -14,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"go/format"
+	"go/token"
 	"strings"
 	"unicode"
 
@@ -21,8 +24,7 @@ import (
 	"topobarrier/internal/sched"
 )
 
-// Options controls the emitted source. The generated function takes a
-// *topobarrier.Comm, the public facade of this module.
+// Options controls the emitted source.
 type Options struct {
 	// Package is the package clause of the generated file; default "barrier".
 	Package string
@@ -53,7 +55,8 @@ func funcName(name string) string {
 }
 
 // Generate emits the specialised barrier source for the schedule's compiled
-// plan. The schedule must be a verified barrier.
+// plan. The schedule must be a verified barrier, and the package and function
+// names Go identifiers (go/token.IsIdentifier, which excludes keywords).
 func Generate(s *sched.Schedule, opts Options) ([]byte, error) {
 	pl, err := run.NewPlan(s)
 	if err != nil {
@@ -65,17 +68,42 @@ func Generate(s *sched.Schedule, opts Options) ([]byte, error) {
 	if opts.FuncName == "" {
 		opts.FuncName = funcName(s.Name)
 	}
+	if !token.IsIdentifier(opts.Package) || opts.Package == "_" {
+		return nil, fmt.Errorf("codegen: invalid package name %q", opts.Package)
+	}
+	if !token.IsIdentifier(opts.FuncName) {
+		return nil, fmt.Errorf("codegen: invalid function name %q", opts.FuncName)
+	}
+
+	// Every distinct peer list becomes one entry of a package-level table
+	// named after the function: a slice literal at the call site would
+	// escape through the Stager interface and allocate on every call.
+	table := "peers" + opts.FuncName
+	index := map[string]int{}
+	var lists []string
+	peers := func(ranks []int) string {
+		if len(ranks) == 0 {
+			return "nil"
+		}
+		list := strings.TrimPrefix(fmt.Sprintf("%#v", ranks), "[]int") // "{1, 2}"
+		i, ok := index[list]
+		if !ok {
+			i, index[list], lists = len(lists), len(lists), append(lists, list)
+		}
+		return fmt.Sprintf("%s[%d]", table, i)
+	}
 
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by topobarrier codegen from schedule %q. DO NOT EDIT.\n", s.Name)
 	fmt.Fprintf(&b, "\npackage %s\n\n", opts.Package)
-	fmt.Fprintf(&b, "import topobarrier \"topobarrier\"\n\n")
+	fmt.Fprintf(&b, "import (\n\"fmt\"\n\ntopobarrier \"topobarrier\"\n)\n\n")
 	fmt.Fprintf(&b, "// %s executes the barrier %q, specialised for exactly %d ranks.\n", opts.FuncName, s.Name, pl.P)
+	fmt.Fprintf(&b, "// It runs on any topobarrier.Stager, a simulated rank or a live mesh peer.\n")
 	fmt.Fprintf(&b, "// Every rank of the job must call it with the same tagBase; the function\n")
 	fmt.Fprintf(&b, "// uses tags in [tagBase, tagBase+%d).\n", pl.Stages)
-	fmt.Fprintf(&b, "func %s(c *topobarrier.Comm, tagBase int) {\n", opts.FuncName)
+	fmt.Fprintf(&b, "func %s(c topobarrier.Stager, tagBase int) error {\n", opts.FuncName)
 	fmt.Fprintf(&b, "\tif c.Size() != %d {\n", pl.P)
-	fmt.Fprintf(&b, "\t\tpanic(\"%s: compiled for %d ranks\")\n", opts.FuncName, pl.P)
+	fmt.Fprintf(&b, "\t\treturn fmt.Errorf(\"%s: compiled for %d ranks, called on %%d\", c.Size())\n", opts.FuncName, pl.P)
 	fmt.Fprintf(&b, "\t}\n")
 	fmt.Fprintf(&b, "\tswitch c.Rank() {\n")
 	for r := 0; r < pl.P; r++ {
@@ -85,21 +113,16 @@ func Generate(s *sched.Schedule, opts Options) ([]byte, error) {
 		}
 		fmt.Fprintf(&b, "\tcase %d:\n", r)
 		for _, op := range ops {
-			fmt.Fprintf(&b, "\t\t{ // stage %d\n", op.Stage)
-			names := make([]string, len(op.Recvs)+len(op.Sends))
-			for i := range names {
-				names[i] = fmt.Sprintf("q%d", i)
-			}
-			for i, src := range op.Recvs {
-				fmt.Fprintf(&b, "\t\t\tq%d := c.Irecv(%d, tagBase+%d)\n", i, src, op.Stage)
-			}
-			for i, dst := range op.Sends {
-				fmt.Fprintf(&b, "\t\t\tq%d := c.Issend(%d, tagBase+%d, 0)\n", len(op.Recvs)+i, dst, op.Stage)
-			}
-			fmt.Fprintf(&b, "\t\t\tc.Wait(%s)\n\t\t}\n", strings.Join(names, ", "))
+			fmt.Fprintf(&b, "\t\tif err := c.Stage(tagBase+%d, %s, %s); err != nil {\n\t\t\treturn err\n\t\t}\n",
+				op.Stage, peers(op.Recvs), peers(op.Sends))
 		}
 	}
-	fmt.Fprintf(&b, "\t}\n}\n")
+	fmt.Fprintf(&b, "\t}\n\treturn nil\n}\n")
+	fmt.Fprintf(&b, "\n// %s holds %s's peer lists.\nvar %s = [...][]int{\n", table, opts.FuncName, table)
+	for _, list := range lists {
+		fmt.Fprintf(&b, "\t%s,\n", list)
+	}
+	fmt.Fprintf(&b, "}\n")
 
 	src, err := format.Source(b.Bytes())
 	if err != nil {

@@ -73,10 +73,31 @@ func barrierAll(peers []*netmpi.Peer, pl *run.Plan, tag int, deadline time.Durat
 	return errs
 }
 
+// stageAll runs one barrier of the plan on every rank the way generated code
+// does: one Peer.Stage call per entry of the rank's RankOps.
+func stageAll(peers []*netmpi.Peer, pl *run.Plan) []error {
+	errs := make([]error, len(peers))
+	var wg sync.WaitGroup
+	for r, pe := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, st := range pl.RankOps(r) {
+				if errs[r] = pe.Stage(st.Stage, st.Recvs, st.Sends); errs[r] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
 // TestPlanExecutorsSendTheSameMessages: one barrier of the same plan under
-// the simulator and on a traced loopback mesh sends the same signals — equal
-// sets of (src, dst, stage, tag) — for the classics and the tuned hybrid at
-// P = 8. The sets carry no timing, so the check is deterministic.
+// the simulator, on a traced loopback mesh through Peer.Barrier, and on the
+// mesh stage by stage through Peer.Stage sends the same signals — equal sets
+// of (src, dst, stage, tag) — for the classics and the tuned hybrid at P = 8.
+// The sets carry no timing, so the check is deterministic.
 func TestPlanExecutorsSendTheSameMessages(t *testing.T) {
 	const p = 8
 	fab := quadFabric(t, p, fabric.GigEParams(1))
@@ -105,24 +126,35 @@ func TestPlanExecutorsSendTheSameMessages(t *testing.T) {
 	}
 	for _, s := range []*sched.Schedule{sched.Linear(p), sched.Tree(p), sched.Dissemination(p), sched.Ring(p), tuned.Schedule()} {
 		pl := newPlan(t, s)
-		sim, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0, 0) })
+		sim, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, err := range barrierAll(peers, pl, 0, meshTimeout) {
-			if err != nil {
-				t.Fatalf("%s: rank %d: %v", s.Name, r, err)
+		if want := s.SignalCount(); len(sim.Messages) != want {
+			t.Fatalf("%s: simulator sent %d of %d signals", s.Name, len(sim.Messages), want)
+		}
+		for _, leg := range []struct {
+			name string
+			run  func() []error
+		}{
+			{"Barrier", func() []error { return barrierAll(peers, pl, 0, meshTimeout) }},
+			{"Stage", func() []error { return stageAll(peers, pl) }},
+		} {
+			for r, err := range leg.run() {
+				if err != nil {
+					t.Fatalf("%s via %s: rank %d: %v", s.Name, leg.name, r, err)
+				}
 			}
-		}
-		live, err := critpath.Merge(tracer.Take(), p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := s.SignalCount(); len(sim.Messages) != want || live.Unmatched != 0 {
-			t.Fatalf("%s: simulator sent %d of %d signals; mesh left %d unmatched", s.Name, len(sim.Messages), want, live.Unmatched)
-		}
-		if a, b := signals(sim), signals(live); !maps.Equal(a, b) {
-			t.Errorf("%s: simulator sent %v, mesh sent %v", s.Name, a, b)
+			live, err := critpath.Merge(tracer.Take(), p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.Unmatched != 0 {
+				t.Fatalf("%s via %s: mesh left %d unmatched", s.Name, leg.name, live.Unmatched)
+			}
+			if a, b := signals(sim), signals(live); !maps.Equal(a, b) {
+				t.Errorf("%s via %s: simulator sent %v, mesh sent %v", s.Name, leg.name, a, b)
+			}
 		}
 	}
 }

@@ -43,7 +43,7 @@ func simBarrier(t testing.TB, s *sched.Schedule, seed uint64) (*critpath.Timelin
 	pl := newPlan(t, s)
 	wtime := make([]float64, s.P)
 	tl, elapsed, err := critpath.Sim(quadFabric(t, s.P, fabric.GigEParams(seed)), func(c *mpi.Comm) {
-		pl.Execute(c, 0, 0)
+		pl.Execute(c, 0)
 		wtime[c.Rank()] = c.Wtime()
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestSimBlameIgnoresAnUpstreamStall(t *testing.T) {
 				if c.Rank() == late {
 					c.Compute(stall)
 				}
-				pl.Execute(c, (n%2)*run.TagSpan, 0)
+				pl.Execute(c, (n%2)*run.TagSpan)
 			}
 		})
 		if err != nil {
@@ -195,7 +195,7 @@ func TestPredictedTimelineResiduals(t *testing.T) {
 	}
 	for _, s := range []*sched.Schedule{sched.Linear(p), sched.Tree(p), sched.Dissemination(p), tuned.Schedule().DropEmptyStages()} {
 		pl := newPlan(t, s)
-		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0, 0) })
+		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0) })
 		if err != nil {
 			t.Fatal(err)
 		}

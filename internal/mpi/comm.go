@@ -36,7 +36,6 @@ type Request struct {
 	peer  int // destination, or source (possibly AnySource)
 	tag   int
 	bytes int
-	sync  bool // synchronized send (Issend)
 
 	done        bool
 	inWait      bool // counted in the owner's pending Wait
@@ -46,12 +45,6 @@ type Request struct {
 	// Matched source and tag, filled for completed receives.
 	Src, Tag int
 }
-
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.done }
-
-// CompletedAt returns the virtual completion time; valid once Done.
-func (q *Request) CompletedAt() float64 { return q.completedAt }
 
 func (c *Comm) checkPeer(peer int, wild bool) {
 	if wild && peer == AnySource {
@@ -66,16 +59,6 @@ func (c *Comm) checkPeer(peer int, wild bool) {
 // returned request completes only once the receiver has matched the message.
 // This is the operation the paper's barrier executor issues for every signal.
 func (c *Comm) Issend(dst, tag, bytes int) *Request {
-	return c.send(dst, tag, bytes, true)
-}
-
-// Isend posts an eager nonblocking send; the request completes when the
-// message arrives at the destination, matched or not.
-func (c *Comm) Isend(dst, tag, bytes int) *Request {
-	return c.send(dst, tag, bytes, false)
-}
-
-func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 	c.checkPeer(dst, false)
 	if dst == c.p.rank {
 		panic(fmt.Sprintf("mpi: rank %d sending to itself", dst))
@@ -87,7 +70,7 @@ func (c *Comm) send(dst, tag, bytes int, sync bool) *Request {
 	fab := r.world.fab
 	now := r.q.Now()
 
-	req := r.newRequest(Request{kind: sendReq, owner: p.rank, peer: dst, tag: tag, bytes: bytes, sync: sync})
+	req := r.newRequest(Request{kind: sendReq, owner: p.rank, peer: dst, tag: tag, bytes: bytes})
 
 	// Eq. 2: when the receiver is already waiting, the per-message overhead
 	// is the software initiation cost Oii rather than the full targeting
@@ -135,38 +118,29 @@ func (r *run) newRequest(v Request) *Request {
 }
 
 // recycle takes back completed requests no caller ever saw (a blocking
-// call's, a Batch's) once their wait has returned: once complete, nothing in
+// call's, a Stage's) once their wait has returned: once complete, nothing in
 // the run refers to them any more. That is the one ownership rule — a request
-// returned to the caller (Irecv, Issend, Isend) is the caller's for good.
+// returned to the caller (Irecv, Issend) is the caller's for good.
 func (r *run) recycle(qs ...*Request) { r.free = append(r.free, qs...) }
 
-// Batch is a rank's reusable stage — "post these operations, wait for all" —
-// whose requests never reach the caller: Wait recycles them, so a steady
-// stream of stages allocates nothing. A rank has one batch; posts accumulate
-// until Wait, and blocking calls may run in between.
-type Batch struct{ c *Comm }
-
-// Batch returns the calling rank's batch.
-func (c *Comm) Batch() Batch { return Batch{c} }
-
-func (b Batch) post(q *Request) { b.c.p.stage = append(b.c.p.stage, q) }
-
-// Irecv posts a receive as Comm.Irecv does.
-func (b Batch) Irecv(src, tag int) { b.post(b.c.Irecv(src, tag)) }
-
-// Issend posts a synchronized send as Comm.Issend does.
-func (b Batch) Issend(dst, tag, bytes int) { b.post(b.c.Issend(dst, tag, bytes)) }
-
-// Isend posts an eager send as Comm.Isend does.
-func (b Batch) Isend(dst, tag, bytes int) { b.post(b.c.Isend(dst, tag, bytes)) }
-
-// Wait blocks until everything posted since the last Wait has completed, as
-// Comm.Wait does, and empties the batch.
-func (b Batch) Wait() {
-	p := b.c.p
-	b.c.Wait(p.stage...)
-	b.c.r.recycle(p.stage...)
+// Stage runs one stage of a barrier plan (§VI): it posts a receive from every
+// rank of recvs and a zero-byte Issend to every rank of sends, all under tag,
+// in that order, and waits for all of them. Its requests never reach the
+// caller and are recycled when the wait returns, so a steady stream of stages
+// allocates nothing. It never fails; the error is run.Stager's, whose live
+// implementation can.
+func (c *Comm) Stage(tag int, recvs, sends []int) error {
+	p := c.p
+	for _, src := range recvs {
+		p.stage = append(p.stage, c.Irecv(src, tag))
+	}
+	for _, dst := range sends {
+		p.stage = append(p.stage, c.Issend(dst, tag, 0))
+	}
+	c.Wait(p.stage...)
+	c.r.recycle(p.stage...)
 	p.stage = p.stage[:0]
+	return nil
 }
 
 // Irecv posts a nonblocking receive matching the given source and tag
@@ -191,11 +165,9 @@ func (c *Comm) Irecv(src, tag int) *Request {
 				p.unexpectedEv = append(p.unexpectedEv[:i], p.unexpectedEv[i+1:]...)
 			}
 			req.complete(now, m.src, m.tag)
-			if m.sreq != nil && !m.sreq.done {
-				// The synchronized sender learns of the match now; complete
-				// (and possibly wake) it from scheduler context.
-				r.q.Schedule(now, event{kind: evComplete, m: inMsg{sreq: m.sreq}})
-			}
+			// The synchronized sender learns of the match now; complete (and
+			// possibly wake) it from scheduler context.
+			r.q.Schedule(now, event{kind: evComplete, m: inMsg{sreq: m.sreq}})
 			return req
 		}
 	}
@@ -317,11 +289,6 @@ func (r *run) deliver(dp *proc, m inMsg, sentAt float64) {
 			return
 		}
 	}
-	if !m.sreq.sync {
-		// Eager sends complete on arrival even when unmatched.
-		r.completeAndWake(m.sreq, now, -1, -1)
-		m.sreq = nil
-	}
 	dp.unexpected = append(dp.unexpected, m)
 	if traced {
 		dp.unexpectedEv = append(dp.unexpectedEv, len(r.trace)-1)
@@ -342,33 +309,4 @@ func (r *run) completeAndWake(q *Request, t float64, src, tag int) {
 			r.wake(p)
 		}
 	}
-}
-
-// Test reports whether the request has completed, without blocking. Unlike
-// Wait it never parks the caller, so it supports polling-style algorithms;
-// note that in virtual time a request can only progress while the caller is
-// parked, so a pure busy-poll loop without intervening Compute or Wait calls
-// will spin forever.
-func (c *Comm) Test(q *Request) bool {
-	if q == nil {
-		return true
-	}
-	if q.owner != c.p.rank {
-		panic(fmt.Sprintf("mpi: rank %d testing rank %d's request", c.p.rank, q.owner))
-	}
-	return q.done
-}
-
-// Iprobe reports whether a message matching (src, tag) has arrived but not
-// yet been received; wildcards apply as in Irecv. It does not consume the
-// message.
-func (c *Comm) Iprobe(src, tag int) bool {
-	c.checkPeer(src, true)
-	probe := &Request{kind: recvReq, owner: c.p.rank, peer: src, tag: tag}
-	for _, m := range c.p.unexpected {
-		if envelopeMatches(probe, m.src, m.tag) {
-			return true
-		}
-	}
-	return false
 }

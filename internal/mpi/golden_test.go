@@ -98,7 +98,7 @@ func TestGoldenCongestionTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := run.Measure(w, func(c *mpi.Comm, tag int) { pl.Execute(c, tag, 4096) }, 2, 20)
+	m, err := run.Measure(w, withPayload(pl, 4096), 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +109,23 @@ func TestGoldenCongestionTrace(t *testing.T) {
 	}
 	if got := hexFloat(m.Mean); got != wantMean {
 		t.Errorf("congestion mean = %s, want %s", got, wantMean)
+	}
+}
+
+// withPayload runs the plan's stages with bytes of payload per message,
+// spelled with caller-owned requests in the order Comm.Stage posts them: the
+// plan's own executor sends zero-byte signals only.
+func withPayload(pl *run.Plan, bytes int) run.Func {
+	return func(c *mpi.Comm, tagBase int) {
+		for _, st := range pl.RankOps(c.Rank()) {
+			var reqs []*mpi.Request
+			for _, src := range st.Recvs {
+				reqs = append(reqs, c.Irecv(src, tagBase+st.Stage))
+			}
+			for _, dst := range st.Sends {
+				reqs = append(reqs, c.Issend(dst, tagBase+st.Stage, bytes))
+			}
+			c.Wait(reqs...)
+		}
 	}
 }

@@ -23,8 +23,6 @@
 //   - Issend is synchronized (as used by the paper's general barrier
 //     executor): the sender's request completes only when the receiver has
 //     matched the message.
-//   - Isend is eager: it completes on arrival at the destination, matched or
-//     not.
 //
 // An optional congestion mode serialises cross-node messages through the
 // source node's NIC, an effect the paper's static model deliberately ignores
@@ -215,7 +213,7 @@ type proc struct {
 
 	pending int // incomplete requests of the Wait the proc is parked in
 
-	stage []*Request // the rank's Batch: posted since its last Wait
+	stage []*Request // the requests of the Stage the rank is in
 
 	posted     []*Request // posted, unmatched receives (post order)
 	unexpected []inMsg    // arrived, unmatched messages (arrival order)
@@ -226,7 +224,7 @@ type proc struct {
 
 type inMsg struct {
 	src, tag, bytes int
-	sreq            *Request // sender's request (nil once completed)
+	sreq            *Request // the sender's synchronized request
 }
 
 // wake resumes a parked proc and returns when it parks again or finishes.

@@ -160,27 +160,6 @@ func TestSynchronizedSendBlocksUntilMatched(t *testing.T) {
 	}
 }
 
-func TestEagerIsendCompletesUnmatched(t *testing.T) {
-	var sendDone float64
-	w := NewWorld(testFabric(t, 1, 2, 2))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			q := c.Isend(1, 0, 0)
-			c.Wait(q)
-			sendDone = c.Wtime()
-		} else {
-			c.Compute(100 * usec)
-			c.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sendDone > 50*usec {
-		t.Fatalf("eager send waited for the receiver (done at %g)", sendDone)
-	}
-}
-
 func TestWildcardReceive(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 3, 3))
 	_, err := w.Run(func(c *Comm) {
@@ -242,7 +221,7 @@ func TestNonOvertakingSameEnvelope(t *testing.T) {
 			q1 := c.Irecv(0, 0)
 			q2 := c.Irecv(0, 0)
 			c.Wait(q1, q2)
-			first, second = q1.CompletedAt(), q2.CompletedAt()
+			first, second = q1.completedAt, q2.completedAt
 		}
 	})
 	if err != nil {
@@ -468,7 +447,7 @@ func TestTracerRecordsTheMatch(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, 0)
 			c.Send(1, 2, 0)
-			c.Wait(c.Isend(1, 3, 0))
+			c.Issend(1, 3, 0) // never matched: left pending when the run ends
 		} else {
 			c.Recv(0, 1)
 			c.Compute(late)
@@ -585,62 +564,5 @@ func BenchmarkFanIn32(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestTestAndIprobe(t *testing.T) {
-	w := NewWorld(testFabric(t, 1, 2, 2))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			if !c.Test(nil) {
-				panic("nil request not done")
-			}
-			q := c.Issend(1, 3, 0)
-			if c.Test(q) {
-				panic("unmatched sync send reports done")
-			}
-			c.Wait(q)
-			if !c.Test(q) {
-				panic("completed request reports pending")
-			}
-			return
-		}
-		// Rank 1: let the message arrive unexpected, probe it, then receive.
-		if c.Iprobe(0, 3) {
-			panic("probe true before any arrival")
-		}
-		c.Compute(100 * usec) // message lands while we are parked
-		if !c.Iprobe(0, 3) {
-			panic("probe missed the queued message")
-		}
-		if !c.Iprobe(AnySource, AnyTag) {
-			panic("wildcard probe missed the queued message")
-		}
-		if c.Iprobe(0, 99) {
-			panic("probe matched the wrong tag")
-		}
-		c.Recv(0, 3)
-		if c.Iprobe(0, 3) {
-			panic("probe still true after receive")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTestForeignRequestPanics(t *testing.T) {
-	w := NewWorld(testFabric(t, 1, 2, 2))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			q := c.Issend(1, 0, 0)
-			q.owner = 1
-			c.Test(q)
-		} else {
-			c.Recv(0, 0)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("foreign Test accepted: %v", err)
 	}
 }

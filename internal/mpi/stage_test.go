@@ -15,13 +15,13 @@ type progOp struct {
 	recv      bool
 	peer, tag int // recv: source (maybe AnySource) and tag (maybe AnyTag)
 	bytes     int
-	sync      bool // send: Issend rather than Isend
-	held      bool // the caller keeps the request in both spellings
+	// held operations are caller-owned requests in both spellings; the others
+	// make up the round's Stage.
+	held bool
 }
 
-// A progRound is what one rank does in one round: a Compute, an Iprobe poll,
-// either a blocking exchange or a set of nonblocking operations it then waits
-// for.
+// A progRound is what one rank does in one round: a Compute, then either a
+// blocking exchange or its held operations followed by one stage.
 type progRound struct {
 	compute  float64
 	blocking bool // ops run as Send / Recv in list order
@@ -30,11 +30,12 @@ type progRound struct {
 
 // randomProgram builds a deadlock-free P-rank program. Every round has its
 // own tag and every rank posts all of the round's operations before waiting,
-// so any message set is safe; wildcards are drawn per (round, receiver) so a
-// wildcard receive can only take a message its round owes that rank:
-// AnySource keeps the round's tag, AnyTag keeps the source and is only drawn
-// in all-synchronized rounds (an eager sender could run ahead and have its
-// next round's message overtake).
+// so any message set is safe. Wildcards are drawn per (round, receiver), and
+// such a receiver's receives are all held, so a wildcard receive can only
+// take a message its round owes that rank: AnySource keeps the round's tag,
+// AnyTag keeps the source, and a sender cannot run ahead into its next round
+// before every synchronized send of this one has been matched. A Stage
+// signal carries no payload; held sends may.
 func randomProgram(rng *rand.Rand, p, rounds int) [][]progRound {
 	prog := make([][]progRound, p)
 	for r := range prog {
@@ -52,17 +53,14 @@ func randomProgram(rng *rand.Rand, p, rounds int) [][]progRound {
 			for i := 0; i+1 < p; i += 2 {
 				a, b := min(perm[i], perm[i+1]), max(perm[i], perm[i+1])
 				prog[a][k].blocking, prog[b][k].blocking = true, true
-				prog[a][k].ops = []progOp{{peer: b, tag: k, sync: true}, {recv: true, peer: b, tag: k}}
-				prog[b][k].ops = []progOp{{recv: true, peer: a, tag: k}, {peer: a, tag: k, sync: true}}
+				prog[a][k].ops = []progOp{{peer: b, tag: k}, {recv: true, peer: b, tag: k}}
+				prog[b][k].ops = []progOp{{recv: true, peer: a, tag: k}, {peer: a, tag: k}}
 			}
 			continue
 		}
-		allSync := rng.Intn(2) == 0
 		wild := make([]int, p) // per receiver: 0 exact, 1 AnySource, 2 AnyTag
 		for r := range wild {
-			if wild[r] = rng.Intn(3); wild[r] == 2 && !allSync {
-				wild[r] = 0
-			}
+			wild[r] = rng.Intn(3)
 		}
 		recvs, sends := make([][]progOp, p), make([][]progOp, p)
 		for n := rng.Intn(3 * p); n > 0; n-- {
@@ -70,9 +68,12 @@ func randomProgram(rng *rand.Rand, p, rounds int) [][]progRound {
 			if src == dst {
 				continue
 			}
-			sends[src] = append(sends[src], progOp{peer: dst, tag: k, bytes: rng.Intn(3) * 512,
-				sync: allSync || rng.Intn(2) == 0, held: rng.Intn(3) == 0})
-			rop := progOp{recv: true, peer: src, tag: k, held: rng.Intn(3) == 0}
+			sop := progOp{peer: dst, tag: k, held: rng.Intn(3) == 0}
+			if sop.held {
+				sop.bytes = rng.Intn(3) * 512
+			}
+			sends[src] = append(sends[src], sop)
+			rop := progOp{recv: true, peer: src, tag: k, held: wild[dst] != 0 || rng.Intn(3) == 0}
 			switch wild[dst] {
 			case 1:
 				rop.peer = AnySource
@@ -83,7 +84,7 @@ func randomProgram(rng *rand.Rand, p, rounds int) [][]progRound {
 		}
 		for r := 0; r < p; r++ {
 			ops := append(recvs[r], sends[r]...)
-			if rng.Intn(2) == 0 { // sends first: the Eq. 2 ready-receiver case flips
+			if rng.Intn(2) == 0 { // held sends first: the Eq. 2 ready-receiver case flips
 				ops = append(sends[r], recvs[r]...)
 			}
 			prog[r][k].ops = ops
@@ -99,10 +100,12 @@ type transcript struct {
 	Ranks   [][]string // per rank: one line per observation, in program order
 }
 
-// runProgram executes prog. With batched set, operations not marked held go
-// through the rank's Batch; otherwise every operation is its own caller-owned
-// request waited on with Comm.Wait — the one-request-per-call spelling.
-func runProgram(t *testing.T, fab *fabric.Fabric, prog [][]progRound, batched bool) transcript {
+// runProgram executes prog. Each nonblocking round posts its held operations
+// as caller-owned requests, then runs the rest as one stage, then waits for
+// the held ones. With staged set the stage is one Comm.Stage call; otherwise
+// it is spelled with one caller-owned request per operation — Irecv for the
+// receives, then a zero-byte Issend for the sends — and one Comm.Wait.
+func runProgram(t *testing.T, fab *fabric.Fabric, prog [][]progRound, staged bool) transcript {
 	t.Helper()
 	var tr transcript
 	tr.Ranks = make([][]string, len(prog))
@@ -121,7 +124,6 @@ func runProgram(t *testing.T, fab *fabric.Fabric, prog [][]progRound, batched bo
 		var held []heldReq
 		for k, rd := range prog[me] {
 			c.Compute(rd.compute)
-			note("r%d probe=%v", k, c.Iprobe(AnySource, AnyTag))
 			if rd.blocking {
 				for _, op := range rd.ops {
 					if op.recv {
@@ -134,47 +136,52 @@ func runProgram(t *testing.T, fab *fabric.Fabric, prog [][]progRound, batched bo
 				note("r%d end t=%x", k, c.Wtime())
 				continue
 			}
-			b := c.Batch()
 			var own []*Request
+			var stageRecvs, stageSends []int
 			for _, op := range rd.ops {
 				switch {
-				case batched && !op.held && op.recv:
-					b.Irecv(op.peer, op.tag)
-				case batched && !op.held && op.sync:
-					b.Issend(op.peer, op.tag, op.bytes)
-				case batched && !op.held:
-					b.Isend(op.peer, op.tag, op.bytes)
+				case !op.held && op.recv:
+					stageRecvs = append(stageRecvs, op.peer)
+				case !op.held:
+					stageSends = append(stageSends, op.peer)
 				case op.recv:
 					own = append(own, c.Irecv(op.peer, op.tag))
-				case op.sync:
-					own = append(own, c.Issend(op.peer, op.tag, op.bytes))
 				default:
-					own = append(own, c.Isend(op.peer, op.tag, op.bytes))
+					own = append(own, c.Issend(op.peer, op.tag, op.bytes))
 				}
 				if op.held {
 					q := own[len(own)-1]
-					note("r%d test=%v", k, c.Test(q))
+					note("r%d posted done=%v", k, q.done)
 					held = append(held, heldReq{q: q})
 				}
 			}
-			if k%2 == 0 {
-				c.Wait(own...)
-				b.Wait()
+			if staged {
+				if err := c.Stage(k, stageRecvs, stageSends); err != nil {
+					panic(err)
+				}
 			} else {
-				b.Wait()
-				c.Wait(own...)
+				var reqs []*Request
+				for _, src := range stageRecvs {
+					reqs = append(reqs, c.Irecv(src, k))
+				}
+				for _, dst := range stageSends {
+					reqs = append(reqs, c.Issend(dst, k, 0))
+				}
+				c.Wait(reqs...)
 			}
+			note("r%d stage t=%x", k, c.Wtime())
+			c.Wait(own...)
 			note("r%d end t=%x", k, c.Wtime())
 			for i := range held {
-				if h := &held[i]; !h.seen && h.q.Done() {
-					h.seen, h.at, h.src, h.tag = true, h.q.CompletedAt(), h.q.Src, h.q.Tag
+				if h := &held[i]; !h.seen && h.q.done {
+					h.seen, h.at, h.src, h.tag = true, h.q.completedAt, h.q.Src, h.q.Tag
 					note("r%d held %x %d/%d", k, h.at, h.src, h.tag)
 				}
 			}
 		}
 		// Caller-owned requests must have survived every later recycle.
 		for _, h := range held {
-			if !c.Test(h.q) || h.q.CompletedAt() != h.at || h.q.Src != h.src || h.q.Tag != h.tag {
+			if !h.q.done || h.q.completedAt != h.at || h.q.Src != h.src || h.q.Tag != h.tag {
 				panic(fmt.Sprintf("held request changed after completion: %+v vs %+v", *h.q, h))
 			}
 		}
@@ -186,14 +193,14 @@ func runProgram(t *testing.T, fab *fabric.Fabric, prog [][]progRound, batched bo
 	return tr
 }
 
-// TestBatchMatchesOneRequestPerCall is the recycling property: random
-// programs mixing the Batch with caller-owned Isend / Issend / Irecv, Wait,
-// Test, Iprobe, blocking calls and wildcard receives observe exactly what the
-// same program spelled with one caller-owned request per call observes —
-// delivery stream, virtual times, matched envelopes — on a noisy fabric, so a
-// single extra, missing or reordered RNG draw would show. A request recycled
-// while still live trips newRequest's assertion or changes a held request.
-func TestBatchMatchesOneRequestPerCall(t *testing.T) {
+// TestStageMatchesOneRequestPerCall is the recycling property: random
+// programs mixing Stage with caller-owned Issend / Irecv, Wait, blocking
+// calls and wildcard receives observe exactly what the same program spelled
+// with one caller-owned request per call observes — delivery stream, virtual
+// times, matched envelopes — on a noisy fabric, so a single extra, missing or
+// reordered RNG draw would show. A request recycled while still live trips
+// newRequest's assertion or changes a held request.
+func TestStageMatchesOneRequestPerCall(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := 2 + rng.Intn(7)
@@ -214,7 +221,7 @@ func TestBatchMatchesOneRequestPerCall(t *testing.T) {
 			for r := range want.Ranks {
 				for i := 0; i < min(len(got.Ranks[r]), len(want.Ranks[r])); i++ {
 					if got.Ranks[r][i] != want.Ranks[r][i] {
-						t.Fatalf("seed %d rank %d observation %d: batched %q, plain %q", seed, r, i, got.Ranks[r][i], want.Ranks[r][i])
+						t.Fatalf("seed %d rank %d observation %d: staged %q, plain %q", seed, r, i, got.Ranks[r][i], want.Ranks[r][i])
 					}
 				}
 			}

@@ -9,61 +9,36 @@ import (
 	"topobarrier/internal/telemetry"
 )
 
-// stageClass names the transport mix of one stage's links for span tagging:
-// "tcp", "shm", or "mixed". On a pure-TCP mesh it is a constant — the common
-// fast path costs one nil check.
-func (p *Peer) stageClass(st run.StageOps) string {
-	if p.nodes == nil {
-		return "tcp"
-	}
-	sawTCP, sawShm := false, false
-	classify := func(r int) {
-		if p.TransportOf(r) == TransportShm {
-			sawShm = true
-		} else {
-			sawTCP = true
-		}
-	}
-	for _, dst := range st.Sends {
-		classify(dst)
-	}
-	for _, src := range st.Recvs {
-		classify(src)
-	}
-	switch {
-	case sawTCP && sawShm:
-		return "mixed"
-	case sawShm:
-		return "shm"
-	default:
-		return "tcp"
-	}
-}
-
-// Message-span names, precomputed so the traced hot path does not
-// concatenate per message. The suffix is the link's transport class; the
-// span's peer attribute is the other end and the tag attribute is the wire
-// tag, which is what lets critpath match a send span on one rank to the
-// receive span it caused on another.
-const (
-	sendSpanTCP = "barrier.send:tcp"
-	sendSpanShm = "barrier.send:shm"
-	recvSpanTCP = "barrier.recv:tcp"
-	recvSpanShm = "barrier.recv:shm"
+// Span names, constant so the traced hot path does not concatenate per
+// message. The suffix is the transport class of the message's link, or of
+// the stage's links ("mixed" for both); a message span's peer attribute is
+// the other end and its tag attribute the wire tag, which is what lets
+// critpath match a send span on one rank to the receive span it caused on
+// another.
+var (
+	sendSpan = [...]string{TransportTCP: "barrier.send:tcp", TransportShm: "barrier.send:shm"}
+	recvSpan = [...]string{TransportTCP: "barrier.recv:tcp", TransportShm: "barrier.recv:shm"}
 )
 
-func (p *Peer) sendSpanName(dst int) string {
-	if p.TransportOf(dst) == TransportShm {
-		return sendSpanShm
+// stageSpanName names a stage's span. On a pure-TCP mesh it is a constant —
+// the common fast path costs one nil check.
+func (p *Peer) stageSpanName(recvs, sends []int) string {
+	if p.nodes == nil {
+		return "barrier.stage:tcp"
 	}
-	return sendSpanTCP
-}
-
-func (p *Peer) recvSpanName(src int) string {
-	if p.TransportOf(src) == TransportShm {
-		return recvSpanShm
+	var seen [2]bool // by TransportClass
+	for _, peers := range [2][]int{sends, recvs} {
+		for _, r := range peers {
+			seen[p.TransportOf(r)] = true
+		}
 	}
-	return recvSpanTCP
+	switch {
+	case seen[TransportTCP] && seen[TransportShm]:
+		return "barrier.stage:mixed"
+	case seen[TransportShm]:
+		return "barrier.stage:shm"
+	}
+	return "barrier.stage:tcp"
 }
 
 // Barrier executes one compiled barrier plan over the mesh, using tags in
@@ -94,98 +69,134 @@ func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duratio
 	return skipped, err
 }
 
-// execute is the stage loop both executors share. Per stage it posts every
-// send as Plan.Execute posts its Issend batch — TCP sends but the last to
-// their link writers, so one stalled write holds only its link — and waits
-// for all of them before the receives, each message under a span. resilient
-// selects send/recv, which abort on the first failure anywhere, or
-// sendResilient/recvResilient, which skip latched links and report them.
-//
-// Every frame carries folded, the running minimum of the caller's entry word
-// and every word received in earlier stages. Sends precede receives in each
-// stage, so the minimum travels exactly as Eq. 3 knowledge does, and on a
-// barrier plan every rank returns the global minimum of the entry words
-// (EpochRunner's plan version; the other callers pass 0).
+// Stage runs one stage on the mesh, the run.Stager contract generated
+// barriers call: it posts a signal under tag to every rank of sends, then
+// receives one under tag from every rank of recvs. Like Recv(…, 0) it has no
+// time bound but fails fast: a failed link anywhere in the peer, or a local
+// Close, ends it with an error.
+func (p *Peer) Stage(tag int, recvs, sends []int) error {
+	for _, peers := range [2][]int{recvs, sends} {
+		for _, r := range peers {
+			if r < 0 || r >= p.size || r == p.rank {
+				return fmt.Errorf("netmpi: rank %d: invalid stage peer %d on a %d-rank mesh", p.rank, r, p.size)
+			}
+		}
+	}
+	return p.stage(tag, recvs, sends, &execState{})
+}
+
+var _ run.Stager = (*Peer)(nil)
+
+// execute is the stage loop of Barrier, BarrierResilient and EpochRunner:
+// one stage call per entry of the rank's plan, threading the caller's
+// deadline, resilience and entry word through them.
 func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resilient bool, entry uint32) (skipped []int, folded uint32, err error) {
 	if pl.P != p.size {
 		return nil, 0, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
 	}
-	folded = entry
 	var barrierStart time.Time
 	if p.m.enabled {
 		barrierStart = time.Now()
 	}
-	settle := func(s stageSend) {
-		if s.skipped {
-			skipped = addRank(skipped, s.dst)
-		}
-		if err == nil {
-			err = s.err
-		}
-	}
+	x := execState{deadline: deadline, resilient: resilient, folded: entry}
 	for _, st := range pl.RankOps(p.rank) {
-		tag := tagBase + st.Stage
-		var stageStart time.Time
-		if p.m.enabled {
-			stageStart = time.Now()
-		}
-		var span telemetry.Span
-		if p.tracer != nil {
-			span = p.tracer.Begin("barrier.stage:"+p.stageClass(st), p.rank, st.Stage, -1)
-		}
-		handed, last := 0, len(st.Sends)-1
-		for last >= 0 && p.conns[st.Sends[last]] == nil {
-			last-- // the last TCP send stays inline
-		}
-		for i, dst := range st.Sends {
-			s := stageSend{dst: dst, stage: st.Stage, tag: tag, word: folded, resilient: resilient}
-			if i < last && p.conns[dst] != nil {
-				select {
-				case p.jobs[dst] <- s:
-					handed++
-					continue
-				case <-p.closedCh: // the writer is gone; the inline send reports the close
-				}
-			}
-			if settle(p.post(s)); err != nil {
-				break
-			}
-		}
-		for ; handed > 0; handed-- {
-			settle(<-p.sent)
-		}
-		if err != nil {
-			span.End()
-			return nil, 0, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
-		}
-		for _, src := range st.Recvs {
-			ms := p.tracer.BeginTag(p.recvSpanName(src), p.rank, st.Stage, src, tag)
-			var msg mail
-			skipIt := false
-			if resilient {
-				msg, skipIt, err = p.recvResilient(src, tag, deadline)
-			} else {
-				msg, err = p.recv(src, tag, deadline, nil)
-			}
-			ms.End()
-			if err != nil {
-				span.End()
-				return nil, 0, fmt.Errorf("barrier stage %d: %w", st.Stage, err)
-			}
-			if skipIt {
-				skipped = addRank(skipped, src)
-			}
-			folded = min(folded, msg.word)
-		}
-		span.End()
-		if p.m.enabled {
-			p.m.stageDur.Observe(time.Since(stageStart).Seconds())
+		if err = p.stage(tagBase+st.Stage, st.Recvs, st.Sends, &x); err != nil {
+			return nil, 0, err
 		}
 	}
 	if p.m.enabled {
 		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
 	}
-	return skipped, folded, nil
+	return x.skipped, x.folded, nil
+}
+
+// execState is what a stage loop threads through its stages: the caller's
+// receive deadline (0 = none) and resilience, and what the stages fold in.
+type execState struct {
+	deadline  time.Duration
+	resilient bool
+	folded    uint32 // the running minimum of the entry word and every word received
+	skipped   []int  // resilient: the sorted ranks whose latched links were skipped
+}
+
+// stage is the one stage body. It posts every send as Comm.Stage posts its
+// Issends — TCP sends but the last to their link writers, so one stalled
+// write holds only its link — and waits for all of them before the receives,
+// each message under a span. x.resilient selects send/recv, which abort on
+// the first failure anywhere, or sendResilient/recvResilient, which skip
+// latched links and record them in x.skipped.
+//
+// Every frame carries x.folded, the running minimum of the caller's entry
+// word and every word received in earlier stages. Sends precede receives in
+// each stage, so the minimum travels exactly as Eq. 3 knowledge does, and on
+// a barrier plan every rank ends with the global minimum of the entry words
+// (EpochRunner's plan version; the other callers pass 0). The stage's span
+// and error name its index, the tag's offset in its run.TagSpan window.
+func (p *Peer) stage(tag int, recvs, sends []int, x *execState) (err error) {
+	index := tag % run.TagSpan
+	var stageStart time.Time
+	if p.m.enabled {
+		stageStart = time.Now()
+	}
+	var span telemetry.Span
+	if p.tracer != nil {
+		span = p.tracer.Begin(p.stageSpanName(recvs, sends), p.rank, index, -1)
+	}
+	defer span.End()
+	settle := func(s stageSend) {
+		if s.skipped {
+			x.skipped = addRank(x.skipped, s.dst)
+		}
+		if err == nil {
+			err = s.err
+		}
+	}
+	handed, last := 0, len(sends)-1
+	for last >= 0 && p.conns[sends[last]] == nil {
+		last-- // the last TCP send stays inline
+	}
+	for i, dst := range sends {
+		s := stageSend{dst: dst, stage: index, tag: tag, word: x.folded, resilient: x.resilient}
+		if i < last && p.conns[dst] != nil {
+			select {
+			case p.jobs[dst] <- s:
+				handed++
+				continue
+			case <-p.closedCh: // the writer is gone; the inline send reports the close
+			}
+		}
+		if settle(p.post(s)); err != nil {
+			break
+		}
+	}
+	for ; handed > 0; handed-- {
+		settle(<-p.sent)
+	}
+	if err != nil {
+		return fmt.Errorf("barrier stage %d: %w", index, err)
+	}
+	for _, src := range recvs {
+		ms := p.tracer.BeginTag(recvSpan[p.TransportOf(src)], p.rank, index, src, tag)
+		var msg mail
+		skipIt := false
+		if x.resilient {
+			msg, skipIt, err = p.recvResilient(src, tag, x.deadline)
+		} else {
+			msg, err = p.recv(src, tag, x.deadline, nil)
+		}
+		ms.End()
+		if err != nil {
+			return fmt.Errorf("barrier stage %d: %w", index, err)
+		}
+		if skipIt {
+			x.skipped = addRank(x.skipped, src)
+		}
+		x.folded = min(x.folded, msg.word)
+	}
+	if p.m.enabled {
+		p.m.stageDur.Observe(time.Since(stageStart).Seconds())
+	}
+	return nil
 }
 
 // addRank inserts r into the sorted set ranks.
@@ -207,7 +218,7 @@ type stageSend struct {
 
 // post runs s under its message span on the calling goroutine.
 func (p *Peer) post(s stageSend) stageSend {
-	ms := p.tracer.BeginTag(p.sendSpanName(s.dst), p.rank, s.stage, s.dst, s.tag)
+	ms := p.tracer.BeginTag(sendSpan[p.TransportOf(s.dst)], p.rank, s.stage, s.dst, s.tag)
 	if s.resilient {
 		s.skipped, s.err = p.sendResilient(s.dst, s.tag, s.word)
 	} else {

@@ -140,21 +140,23 @@ func TestBarrierAllocsWarm(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		nodes     []int
-		epoch     bool
+		via       string // "barrier", "epoch" (EpochRunner) or "stage" (Peer.Stage over RankOps)
 		maxAllocs float64
 	}{
-		{"tcp", nil, false, 1},
-		{"shm", oneNode(p), false, 0},
-		{"mixed", twoNodes(p), false, 1},
-		{"pairs", []int{0, 0, 1, 1, 2, 2, 3, 3}, false, 1},
-		{"epoch-tcp", nil, true, 1},
-		{"epoch-shm", oneNode(p), true, 0},
+		{"tcp", nil, "barrier", 1},
+		{"shm", oneNode(p), "barrier", 0},
+		{"mixed", twoNodes(p), "barrier", 1},
+		{"pairs", []int{0, 0, 1, 1, 2, 2, 3, 3}, "barrier", 1},
+		{"epoch-tcp", nil, "epoch", 1},
+		{"epoch-shm", oneNode(p), "epoch", 0},
+		{"stage-tcp", nil, "stage", 1},
+		{"stage-shm", oneNode(p), "stage", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := tunedPlan(t, p)
 			peers := hybridMesh(t, p, tc.nodes)
 			var runners []*EpochRunner
-			if tc.epoch {
+			if tc.via == "epoch" {
 				eps, err := NewEpochs(pl)
 				if err != nil {
 					t.Fatal(err)
@@ -164,9 +166,16 @@ func TestBarrierAllocsWarm(t *testing.T) {
 			n := 0
 			barrier := func(r int) {
 				var err error
-				if runners != nil {
+				switch tc.via {
+				case "epoch":
 					err = runners[r].Barrier(meshTimeout)
-				} else {
+				case "stage":
+					for _, st := range pl.RankOps(r) {
+						if err = peers[r].Stage((n%2)*run.TagSpan+st.Stage, st.Recvs, st.Sends); err != nil {
+							break
+						}
+					}
+				default:
 					err = peers[r].Barrier(pl, (n%2)*run.TagSpan, meshTimeout)
 				}
 				if err != nil {

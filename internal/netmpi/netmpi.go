@@ -20,8 +20,9 @@
 //
 // Barrier correctness needs only the knowledge recurrence of the schedule
 // (Eq. 3), which holds for eager sends; a rank leaves the barrier when every
-// signal addressed to it has arrived. A stage posts its sends together, as
-// the simulator posts an Issend batch, and waits for them (barrier.go).
+// signal addressed to it has arrived. A stage (Peer.Stage, the run.Stager
+// contract) posts its sends together, as the simulator's Comm.Stage posts its
+// Issends, and waits for them (barrier.go).
 //
 // # Failure model
 //

@@ -27,6 +27,7 @@ package probe
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/profile"
@@ -87,6 +88,9 @@ func (cfg Config) validate(p int) error {
 	}
 	if len(cfg.Batches) < 2 {
 		return fmt.Errorf("probe: need at least 2 batch sizes, have %d", len(cfg.Batches))
+	}
+	if slices.Min(cfg.Batches) < 0 {
+		return fmt.Errorf("probe: negative batch size in %v", cfg.Batches)
 	}
 	if cfg.Reps < 1 {
 		return fmt.Errorf("probe: non-positive repetition count %d", cfg.Reps)
@@ -187,6 +191,7 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 	pairErr := make([]error, p) // per initiating rank, in its round order
 	if _, err := m.w.Run(func(c *mpi.Comm) {
 		me := c.Rank()
+		peers := make([]int, slices.Max(m.cfg.Batches)) // the L sweep's Stage lists
 		for _, round := range rounds {
 			pr, ok := roundOf(round, me)
 			if !ok {
@@ -194,10 +199,10 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 			}
 			tag := (pr.I*p + pr.J) * 8 // disjoint tag space per pair
 			if pr.J == me {
-				measureResponder(c, pr.I, tag, m.cfg)
+				measureResponder(c, fill(peers, pr.I), tag, m.cfg)
 				continue
 			}
-			l, o, err := measureInitiator(c, pr.J, tag, m.cfg, m.sizeXs, m.batchXs)
+			l, o, err := measureInitiator(c, fill(peers, pr.J), tag, m.cfg, m.sizeXs, m.batchXs)
 			if err != nil {
 				// Record and keep going: fits fail after the sweeps, so the
 				// pair's protocol is complete and later handshakes stay aligned.
@@ -268,23 +273,30 @@ func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
 // slightly negative intercept or gradient.
 const floor = 1e-9
 
-// measureInitiator runs both sweeps from the initiating side and returns the
-// fitted (L, O) estimates for the pair.
-func measureInitiator(c *mpi.Comm, peer, tag int, cfg Config, sizeXs, batchXs []float64) (l, o float64, err error) {
+// fill sets every entry of peers to peer and returns it: a batch of m
+// simultaneous signals to peer is one Stage over peers[:m].
+func fill(peers []int, peer int) []int {
+	for k := range peers {
+		peers[k] = peer
+	}
+	return peers
+}
+
+// measureInitiator runs both sweeps from the initiating side against
+// peers[0], peers being as long as the largest batch, and returns the fitted
+// (L, O) estimates for the pair.
+func measureInitiator(c *mpi.Comm, peers []int, tag int, cfg Config, sizeXs, batchXs []float64) (l, o float64, err error) {
+	peer := peers[0]
 	handshake(c, peer, tag, true)
 
 	// L sweep first: the fitted gradient corrects the O intercept below.
-	b := c.Batch()
 	samples := make([]float64, 0, cfg.Reps)
 	batchMeans := make([]float64, len(cfg.Batches))
 	for bi, m := range cfg.Batches {
 		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
 			t0 := c.Wtime()
-			for k := 0; k < m; k++ {
-				b.Issend(peer, tag+1, 0)
-			}
-			b.Wait()
+			_ = c.Stage(tag+1, nil, peers[:m]) // never fails on the simulator
 			t1 := c.Wtime()
 			c.Recv(peer, tag+2) // untimed ack keeps reps in lockstep
 			if r >= cfg.Warmup {
@@ -329,15 +341,12 @@ func measureInitiator(c *mpi.Comm, peer, tag int, cfg Config, sizeXs, batchXs []
 }
 
 // measureResponder mirrors measureInitiator on the passive side.
-func measureResponder(c *mpi.Comm, peer, tag int, cfg Config) {
+func measureResponder(c *mpi.Comm, peers []int, tag int, cfg Config) {
+	peer := peers[0]
 	handshake(c, peer, tag, false)
-	b := c.Batch()
 	for _, m := range cfg.Batches {
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			for k := 0; k < m; k++ {
-				b.Irecv(peer, tag+1)
-			}
-			b.Wait()
+			_ = c.Stage(tag+1, peers[:m], nil) // never fails on the simulator
 			c.Send(peer, tag+2, 0)
 		}
 	}

@@ -450,7 +450,7 @@ func TestPaperProtocolRecoversParameters(t *testing.T) {
 	}
 }
 
-// The sweeps post through the rank's Batch and reuse their sample buffers, so
+// The L sweep posts through Comm.Stage and the sweeps reuse their buffers, so
 // a probe allocates per pair (fit inputs, error slots, profile entries), not
 // per message: P=16 is 120 pairs exchanging 69 960 messages and measures
 // 1 395 allocations, 11.6 per pair, where one Request per L-sweep message

@@ -42,9 +42,9 @@ func TestDisjointGroupBarriers(t *testing.T) {
 		}
 		enter[c.Rank()] = c.Wtime()
 		if c.Rank() < 12 {
-			planA.Execute(c, 0, 0)
+			planA.Execute(c, 0)
 		} else {
-			planB.Execute(c, TagSpan, 0)
+			planB.Execute(c, TagSpan)
 		}
 		exit[c.Rank()] = c.Wtime()
 	})
@@ -80,9 +80,9 @@ func TestNestedBarriers(t *testing.T) {
 	w := testWorld(t, p, 2)
 	err = Validate(w, func(c *mpi.Comm, tag int) {
 		if c.Rank() < 8 {
-			innerPlan.Execute(c, tag, 0)
+			innerPlan.Execute(c, tag)
 		}
-		globalPlan.Execute(c, tag+512, 0)
+		globalPlan.Execute(c, tag+512)
 	}, 0.5, []int{0, 7, 8, 15})
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,12 @@
 // A Plan is the one executable form of a schedule: the stage matrices
 // resolved to per-rank lists with no-op stages eliminated, as the paper's
 // generated code hard-codes them (§VII.C). Every executor runs it the same
-// way — per stage, post nonblocking receives for the signals addressed to
-// the rank, issue synchronized sends for the signals it owes, and wait for
-// all before entering the next stage (§VI): Plan.Execute on the simulator,
-// netmpi on a live mesh, and the Go source codegen emits from RankOps. The
-// package also holds the timing harness and the delay-injection
+// way, through one call per stage (Stager.Stage): post receives for the
+// signals addressed to the rank, issue synchronized sends for the signals it
+// owes, and wait for all before entering the next stage (§VI). Plan.Execute
+// drives the simulator's *mpi.Comm, netmpi the live mesh's *netmpi.Peer, and
+// the Go source codegen emits from RankOps calls whichever Stager it is
+// handed. The package also holds the timing harness and the delay-injection
 // synchronization validator.
 package run
 
@@ -83,30 +84,34 @@ func compile(s *sched.Schedule) *Plan {
 	return pl
 }
 
-// Execute runs the plan for the calling rank, each message carrying bytes of
-// payload (0 for a barrier). All ranks of the world must call it with the
-// same tagBase; a plan compiled for another world size panics.
-func (pl *Plan) Execute(c *mpi.Comm, tagBase, bytes int) {
+// Stager is the one executor contract, met by the simulator's *mpi.Comm and
+// the live mesh's *netmpi.Peer alike. Stage posts a receive under tag from
+// every rank of recvs and a synchronized zero-byte signal under tag to every
+// rank of sends, and returns once all of them have completed; a plan runs as
+// one Stage per entry of its RankOps. Generated barriers take a Stager, so
+// the same source runs on every venue.
+type Stager interface {
+	Rank() int
+	Size() int
+	Stage(tag int, recvs, sends []int) error
+}
+
+var _ Stager = (*mpi.Comm)(nil)
+
+// Execute runs the plan for the calling rank, one Stage per stage it takes
+// part in. All ranks of the world must call it with the same tagBase; a plan
+// compiled for another world size panics.
+func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
 	if c.Size() != pl.P {
 		panic(fmt.Sprintf("run: %d-rank plan on %d-rank world", pl.P, c.Size()))
 	}
-	b := c.Batch()
 	for _, st := range pl.ops[c.Rank()] {
-		tag := tagBase + st.Stage
-		for _, src := range st.Recvs {
-			b.Irecv(src, tag)
-		}
-		for _, dst := range st.Sends {
-			b.Issend(dst, tag, bytes)
-		}
-		b.Wait()
+		_ = c.Stage(tagBase+st.Stage, st.Recvs, st.Sends) // never fails on the simulator
 	}
 }
 
 // Func adapts the plan to the Func interface.
-func (pl *Plan) Func() Func {
-	return func(c *mpi.Comm, tagBase int) { pl.Execute(c, tagBase, 0) }
-}
+func (pl *Plan) Func() Func { return pl.Execute }
 
 // Measurement summarises a timed barrier run.
 type Measurement struct {

@@ -171,11 +171,27 @@ func TestTransferDeliversPayloadPattern(t *testing.T) {
 	p := 6
 	bcast := compile(sched.LinearArrival(p).ReverseTransposed())
 	w := testWorld(t, p, 1)
-	small, err := w.Run(func(c *mpi.Comm) { bcast.Execute(c, 0, 0) })
+	// The plan's executor sends zero-byte signals; the payload stages are
+	// spelled with caller-owned requests, in the order Comm.Stage posts them.
+	withPayload := func(bytes int) func(*mpi.Comm) {
+		return func(c *mpi.Comm) {
+			for _, st := range bcast.RankOps(c.Rank()) {
+				var reqs []*mpi.Request
+				for _, src := range st.Recvs {
+					reqs = append(reqs, c.Irecv(src, st.Stage))
+				}
+				for _, dst := range st.Sends {
+					reqs = append(reqs, c.Issend(dst, st.Stage, bytes))
+				}
+				c.Wait(reqs...)
+			}
+		}
+	}
+	small, err := w.Run(withPayload(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := w.Run(func(c *mpi.Comm) { bcast.Execute(c, 0, 1<<20) })
+	big, err := w.Run(withPayload(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +208,7 @@ func TestMisSizedPlanPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = testWorld(t, c.world, 1).Run(func(cm *mpi.Comm) { pl.Execute(cm, 0, 0) })
+		_, err = testWorld(t, c.world, 1).Run(func(cm *mpi.Comm) { pl.Execute(cm, 0) })
 		want := fmt.Sprintf("run: %d-rank plan on %d-rank world", c.plan, c.world)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%d-rank plan on %d ranks: err %v, want %q", c.plan, c.world, err, want)
@@ -200,7 +216,7 @@ func TestMisSizedPlanPanics(t *testing.T) {
 	}
 }
 
-// A compiled plan's stages go through the rank's Batch, so once a run's
+// A compiled plan's stages go through Comm.Stage, so once a run's
 // queue, free list and match lists have reached their working size a barrier
 // allocates nothing: N and 2N barriers inside one World.Run cost the same
 // (testWorld is noise-free, so the count is exact).

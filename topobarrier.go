@@ -213,11 +213,19 @@ type (
 	Plan = run.Plan
 	// Measurement summarises a timed barrier run.
 	Measurement = run.Measurement
+	// Stager is the one per-stage executor contract: *Comm and *NetPeer both
+	// meet it, and the functions GenerateSource emits take one.
+	Stager = run.Stager
 )
+
+// TagSpan is the tag window one barrier invocation may use; back-to-back
+// barriers alternate two windows.
+const TagSpan = run.TagSpan
 
 // NewPlan compiles a schedule, verifying that it globally synchronises. The
 // plan is the one executable form of a schedule: pl.Func() runs it on a
-// World, NetPeer.Barrier on a real mesh, and GenerateSource hard-codes it.
+// World, NetPeer.Barrier on a real mesh, and GenerateSource hard-codes it as
+// Stage calls that run on either.
 func NewPlan(s *Schedule) (*Plan, error) { return run.NewPlan(s) }
 
 // Measure times a barrier over warmup+iters iterations on a world.

@@ -50,7 +50,7 @@ func TestPublicPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(src), "Issend") {
+	if !strings.Contains(string(src), "c.Stage(") {
 		t.Fatalf("generated source has no sends")
 	}
 }
