@@ -100,7 +100,7 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("barriervet -emit source:\n%s", src)
 	}
 
-	out = runCmd(t, "./cmd/searchbarrier", "-profile", prof, "-seed-alg", "tree", "-steps", "300", "-restarts", "1")
+	out = runCmd(t, "./cmd/searchbarrier", "-profile", prof, "-seed-alg", "tree", "-budget", "300", "-restarts", "1")
 	if !strings.Contains(out, "barrier verified: true") {
 		t.Fatalf("searchbarrier output:\n%s", out)
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	searchbarrier -profile profile.json [-seed-alg hybrid|tree|dissemination|linear]
-//	              [-steps N] [-restarts N] [-workers N] [-budget N] [-rngseed N]
+//	              [-budget N] [-restarts N] [-workers N] [-rngseed N]
 //	              [-cluster-prune] [-batch N]
 //	              [-progress] [-telemetry addr] [-o schedule.json]
 //	searchbarrier -synthetic-p 1024 [-synthetic-nodes N] [-budget N] ...
@@ -49,10 +49,9 @@ func main() {
 	var (
 		profPath = flag.String("profile", "profile.json", "profile file written by profilecluster")
 		seedAlg  = flag.String("seed-alg", "hybrid", "starting schedule: hybrid, or any name runbarrier's -alg takes (tree, dissemination, linear, rd, ring, FILE.json)")
-		steps    = flag.Int("steps", 4000, "mutation attempts per restart")
+		budget   = flag.Int("budget", 12000, "total mutation attempts across all restarts, split evenly between them")
 		restarts = flag.Int("restarts", 3, "independent restarts")
 		workers  = flag.Int("workers", 0, "worker goroutines for the restart portfolio (0 = all cores); does not affect the result")
-		budget   = flag.Int("budget", 0, "total candidate evaluations across all restarts (0 = steps×restarts)")
 		rngseed  = flag.Uint64("rngseed", 1, "search randomness seed")
 		progress = flag.Bool("progress", false, "report exchange-round progress on stderr")
 		out      = flag.String("o", "", "write the best schedule as JSON")
@@ -99,8 +98,8 @@ func main() {
 	}
 	before := pd.Cost(seed)
 	opts := search.AnnealOptions{
-		Seed: *rngseed, Steps: *steps, Restarts: *restarts,
-		Workers: *workers, Budget: *budget, BatchSize: *batch,
+		Seed: *rngseed, Budget: *budget, Restarts: *restarts,
+		Workers: *workers, BatchSize: *batch,
 		Telemetry: reg,
 	}
 	if *prune {

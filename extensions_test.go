@@ -20,7 +20,7 @@ func TestPublicSearchImprovesSeed(t *testing.T) {
 	prof := fab.TrueProfile()
 	pd := topobarrier.NewPredictor(prof)
 	seed := topobarrier.Dissemination(24)
-	res, err := topobarrier.AnnealSearch(pd, seed, topobarrier.AnnealOptions{Seed: 1, Steps: 1500})
+	res, err := topobarrier.AnnealSearch(pd, seed, topobarrier.AnnealOptions{Seed: 1, Budget: 4500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,23 +2,29 @@ package analyze
 
 import (
 	"encoding/json"
+	"reflect"
+	"sort"
 	"testing"
 
 	"topobarrier/internal/sched"
 )
 
-// FuzzCertifyAgreesWithBruteForce cross-checks the resilience certifier
-// against an independent oracle on arbitrary decoded schedules at small P:
-// for every fault set of size ≤ k, drop the set's sends with
-// Schedule.Silence, recompute Eq. 3 from scratch, and test survivor closure
-// with IsGroupBarrier. The certifier's verdict must match "no such set
-// breaks the survivors", and any counterexample it reports must actually
-// break — the property that makes a Certified{k} finding trustworthy.
+// FuzzCertifyAgreesWithBruteForce cross-checks every caller of the Eq. 3
+// closure kernel against the from-scratch Knowledge recurrence on arbitrary
+// decoded schedules at small P. IsBarrier must equal "the last Knowledge
+// matrix is all set"; on barriers, CriticalEdges must equal dropping each
+// send in turn and recounting the unset pairs; and the resilience certifier
+// must agree with, for every fault set of size ≤ k, dropping the set's sends
+// with Schedule.Silence, recomputing Eq. 3 and testing survivor closure with
+// IsGroupBarrier: its verdict must match "no such set breaks the survivors",
+// and any counterexample it reports must actually break — the property that
+// makes a Certified{k} finding trustworthy.
 func FuzzCertifyAgreesWithBruteForce(f *testing.F) {
 	for _, s := range []*sched.Schedule{
 		sched.Dissemination(4), sched.SymmetricDissemination(4),
 		sched.Linear(5), sched.Tree(8), sched.RecursiveDoubling(4),
 		doubled(sched.Dissemination(4)),
+		sched.LinearArrival(5), // not a barrier: only the IsBarrier oracle runs
 	} {
 		seed, err := json.Marshal(s)
 		if err != nil {
@@ -36,11 +42,19 @@ func FuzzCertifyAgreesWithBruteForce(f *testing.F) {
 		if s.P < 2 || s.P > 8 || s.NumStages() > 8 {
 			return
 		}
+		ks := s.Knowledge()
+		barrier := len(ks) > 0 && ks[len(ks)-1].Count() == s.P*s.P
+		if got := s.IsBarrier(); got != barrier {
+			t.Fatalf("%q: IsBarrier=%v, but the last Knowledge matrix all set is %v", s.Name, got, barrier)
+		}
+		if !barrier {
+			return // certification is defined over verified barriers
+		}
+		if got, want := CriticalEdges(&s), bruteCriticalEdges(&s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: CriticalEdges %v, drop-one-send brute force %v", s.Name, got, want)
+		}
 		if k < 1 || k > 3 || s.P-k < 2 {
 			return
-		}
-		if !s.IsBarrier() {
-			return // certification is defined over verified barriers
 		}
 
 		res := CertifyK(&s, k, ResilienceOptions{})
@@ -87,4 +101,38 @@ func FuzzCertifyAgreesWithBruteForce(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bruteCriticalEdges is the oracle for CriticalEdges: drop each send of a
+// fresh copy in turn, recompute Knowledge from scratch and count the unset
+// pairs of its last matrix; order most stalled first, then by stage, sender
+// and receiver.
+func bruteCriticalEdges(s *sched.Schedule) []CriticalEdge {
+	var out []CriticalEdge
+	for a, st := range s.Stages {
+		for i := 0; i < s.P; i++ {
+			for _, j := range st.Row(i) {
+				c := s.Clone()
+				c.Stages[a].Set(i, j, false)
+				ks := c.Knowledge()
+				if missing := s.P*s.P - ks[len(ks)-1].Count(); missing > 0 {
+					out = append(out, CriticalEdge{Edge: Edge{Stage: a, From: i, To: j}, Stalled: missing})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(x, y int) bool {
+		ex, ey := out[x], out[y]
+		if ex.Stalled != ey.Stalled {
+			return ex.Stalled > ey.Stalled
+		}
+		if ex.Edge.Stage != ey.Edge.Stage {
+			return ex.Edge.Stage < ey.Edge.Stage
+		}
+		if ex.Edge.From != ey.Edge.From {
+			return ex.Edge.From < ey.Edge.From
+		}
+		return ex.Edge.To < ey.Edge.To
+	})
+	return out
 }

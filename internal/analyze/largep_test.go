@@ -8,11 +8,12 @@ import (
 	"topobarrier/internal/stats"
 )
 
-// bruteForceClosure is the reference for closureChecker.closed and
-// stalledPairs: the row-wise silenced recurrence from Identity(P), run to the
-// same early exit, with the survivor pairs still unset read straight off the
-// resulting K (entry (i, j): rank j knows of rank i's arrival).
-func bruteForceClosure(s *sched.Schedule, faults []int, maxPairs int) (ok bool, lastIncomplete int, stalled []Pair) {
+// bruteForceClosure is the reference for closureChecker.run and
+// stalledPairs: the row-wise silenced recurrence from Identity(P) over every
+// stage, with the number of stages the survivors took to close (-1 if never)
+// and the survivor pairs still unset read straight off K (entry (i, j): rank
+// j knows of rank i's arrival).
+func bruteForceClosure(s *sched.Schedule, faults []int, maxPairs int) (closes int, stalled []Pair) {
 	silent := make([]uint64, (s.P+63)/64)
 	dead := make([]bool, s.P)
 	for _, f := range faults {
@@ -31,27 +32,30 @@ func bruteForceClosure(s *sched.Schedule, faults []int, maxPairs int) (ok bool, 
 		}
 		return out
 	}
-	lastIncomplete = -1
+	closes = -1
+	if len(holes()) == 0 { // at most one survivor
+		closes = 0
+	}
 	for a, st := range s.Stages {
 		mat.PropagateSilencedInto(next, k, st, silent)
 		k, next = next, k
-		if len(holes()) == 0 {
-			return true, lastIncomplete, nil
+		if closes < 0 && len(holes()) == 0 {
+			closes = a + 1
 		}
-		lastIncomplete = a
 	}
 	stalled = holes()
 	if len(stalled) > maxPairs {
 		stalled = stalled[:maxPairs]
 	}
-	return false, lastIncomplete, stalled
+	return closes, stalled
 }
 
-// TestClosureCheckerTransposedMatchesDense drives the closure checker — which
-// runs the transposed receiver-wise kernel at every P — over random fault
-// sets of thinned dissemination schedules at one-word, word-boundary and
-// sub-word rank counts, and requires the verdict, the lateness observation
-// and the witness pairs of the dense row-wise brute force.
+// TestClosureCheckerTransposedMatchesDense drives the closure checker — the
+// receiver-wise mat.Closure with the fault set as its silence mask — over
+// random fault sets of thinned dissemination schedules at one-word,
+// word-boundary and sub-word rank counts, and requires the verdict, the
+// closing stage behind the lateness score and the witness pairs of the dense
+// row-wise brute force.
 func TestClosureCheckerTransposedMatchesDense(t *testing.T) {
 	rng := stats.NewRNG(31)
 	for _, p := range []int{3, 8, 33, 64} {
@@ -71,22 +75,22 @@ func TestClosureCheckerTransposedMatchesDense(t *testing.T) {
 					faults = append(faults, f)
 				}
 			}
-			ok, last := c.closed(faults)
-			wantOK, wantLast, wantPairs := bruteForceClosure(s, faults, 8)
-			if ok != wantOK || last != wantLast {
-				t.Fatalf("P=%d faults %v: checker (%v, %d) vs brute force (%v, %d)", p, faults, ok, last, wantOK, wantLast)
+			got := c.run(faults)
+			want, wantPairs := bruteForceClosure(s, faults, 8)
+			if got != want {
+				t.Fatalf("P=%d faults %v: checker closes after %d stages, brute force after %d", p, faults, got, want)
 			}
-			if ok {
+			if got >= 0 {
 				continue
 			}
 			broken++
-			got := c.stalledPairs(faults, 8)
-			if len(got) != len(wantPairs) {
-				t.Fatalf("P=%d faults %v: %d vs %d stalled pairs", p, faults, len(got), len(wantPairs))
+			pairs := c.stalledPairs(8)
+			if len(pairs) != len(wantPairs) {
+				t.Fatalf("P=%d faults %v: %d vs %d stalled pairs", p, faults, len(pairs), len(wantPairs))
 			}
-			for i := range got {
-				if got[i] != wantPairs[i] {
-					t.Fatalf("P=%d faults %v: witness %d differs: %v vs %v", p, faults, i, got[i], wantPairs[i])
+			for i := range pairs {
+				if pairs[i] != wantPairs[i] {
+					t.Fatalf("P=%d faults %v: witness %d differs: %v vs %v", p, faults, i, pairs[i], wantPairs[i])
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/sched"
 )
 
@@ -21,7 +22,11 @@ func redundancy(s *sched.Schedule, opts Options) []Finding {
 		}}
 	}
 
+	// Both passes re-verify on one closure over a working copy's stage slice:
+	// a stage trial is the slice without that stage, a signal trial toggles
+	// the copy's matrix in place.
 	c := s.Clone()
+	cl := mat.NewClosure(c.P)
 	origIdx := make([]int, c.NumStages()) // current stage index → original index
 	for k := range origIdx {
 		origIdx[k] = k
@@ -30,12 +35,12 @@ func redundancy(s *sched.Schedule, opts Options) []Finding {
 	// Pass 1: whole stages, latest first (departure-side redundancy drops
 	// without disturbing the arrival funnel the later stages depend on).
 	var redundantStages []int
+	trial := make([]*mat.Bool, 0, c.NumStages())
 	for k := c.NumStages() - 1; k >= 0; k-- {
-		trial := c.Clone()
-		trial.Stages = append(trial.Stages[:k:k], trial.Stages[k+1:]...)
-		if trial.NumStages() > 0 && trial.IsBarrier() {
+		trial = append(append(trial[:0], c.Stages[:k]...), c.Stages[k+1:]...)
+		if len(trial) > 0 && cl.Run(trial, nil) >= 0 {
 			redundantStages = append(redundantStages, origIdx[k])
-			c = trial
+			c.Stages, trial = trial, c.Stages
 			origIdx = append(origIdx[:k:k], origIdx[k+1:]...)
 		}
 	}
@@ -44,16 +49,14 @@ func redundancy(s *sched.Schedule, opts Options) []Finding {
 	var redundantEdges []Edge
 	for k := c.NumStages() - 1; k >= 0; k-- {
 		st := c.Stages[k]
-		for i := 0; i < c.P; i++ {
-			for _, j := range st.Row(i) {
-				st.Set(i, j, false)
-				if c.IsBarrier() {
-					redundantEdges = append(redundantEdges, Edge{Stage: origIdx[k], From: i, To: j})
-				} else {
-					st.Set(i, j, true)
-				}
+		st.Each(func(i, j int) {
+			st.Set(i, j, false)
+			if cl.Run(c.Stages, nil) >= 0 {
+				redundantEdges = append(redundantEdges, Edge{Stage: origIdx[k], From: i, To: j})
+			} else {
+				st.Set(i, j, true)
 			}
-		}
+		})
 	}
 
 	if len(redundantStages) == 0 && len(redundantEdges) == 0 {

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"topobarrier/internal/mat"
@@ -112,93 +113,55 @@ func CertifyK(s *sched.Schedule, k int, opts ResilienceOptions) *Resilience {
 	return res
 }
 
-// closureChecker evaluates survivor closure for fault sets of one schedule,
-// reusing its scratch knowledge matrices across checks. It runs the
-// receiver-wise kernel, so k holds the knowledge matrix transposed (row j =
-// what rank j knows) and a stage costs O(signals·P/64) words instead of the
-// row-wise O(P³/64). The closure condition quantifies symmetrically over
-// survivor pairs, so survivorsClosed reads the transposed matrix unchanged;
-// only the witness listing has to swap indices.
+// closureChecker evaluates survivor closure for fault sets of one schedule on
+// one mat.Closure, whose row slots it reuses across checks: the fault set is
+// the closure's silence mask, so a silenced rank neither relays knowledge nor
+// has to learn any, and the closure's know sets are the witness source.
 type closureChecker struct {
-	s        *sched.Schedule
-	words    int
-	k, next  *mat.Bool
-	identity *mat.Bool
-	silent   []uint64
-	checked  int
+	s       *sched.Schedule
+	words   int
+	cl      *mat.Closure
+	silent  []uint64
+	checked int
 	// lateness[f] scores how thin the closure was with only rank f silent:
-	// the number of survivor rows that were completed only by the final
-	// stage. Filled by the size-1 enumeration, consumed by pruning.
+	// the number of stages after which the survivors still had holes.
+	// Filled by the size-1 enumeration, consumed by pruning.
 	lateness []int
 }
 
 func newClosureChecker(s *sched.Schedule) *closureChecker {
-	id := mat.Identity(s.P)
+	words := (s.P + 63) / 64
 	return &closureChecker{
 		s:        s,
-		words:    id.WordsPerRow(),
-		k:        mat.NewBool(s.P),
-		next:     mat.NewBool(s.P),
-		identity: id,
-		silent:   make([]uint64, id.WordsPerRow()),
+		words:    words,
+		cl:       mat.NewClosure(s.P),
+		silent:   make([]uint64, words),
 		lateness: make([]int, s.P),
 	}
 }
 
-func (c *closureChecker) setFaults(faults []int) {
-	for w := range c.silent {
-		c.silent[w] = 0
-	}
+// run evaluates Eq. 3 with the given ranks silenced and returns how many
+// stages it took every survivor to learn of every survivor, or -1 when the
+// survivors never close.
+func (c *closureChecker) run(faults []int) int {
+	clear(c.silent)
 	for _, f := range faults {
 		c.silent[f/64] |= 1 << (uint(f) % 64)
 	}
-}
-
-// closed evaluates Eq. 3 with the given ranks silenced and reports whether
-// every survivor row covers every survivor, plus the stage after which the
-// closure completed (for the lateness score; -1 when it never does).
-func (c *closureChecker) closed(faults []int) (ok bool, lastIncomplete int) {
-	c.setFaults(faults)
 	c.checked++
-	c.k.CopyFrom(c.identity) // symmetric: the identity is its own transpose
-	lastIncomplete = -1
-	for a, st := range c.s.Stages {
-		mat.PropagateTSilencedInto(c.next, c.k, st, c.silent)
-		c.k, c.next = c.next, c.k
-		// Knowledge is monotone: once the survivors close, they stay closed.
-		if c.survivorsClosed() {
-			return true, lastIncomplete
-		}
-		lastIncomplete = a
-	}
-	return false, lastIncomplete
+	return c.cl.Run(c.s.Stages, c.silent)
 }
 
-// survivorsClosed reports whether the current knowledge matrix closes the
-// survivor set: every survivor row covers all survivor columns.
-func (c *closureChecker) survivorsClosed() bool {
-	for i := 0; i < c.s.P; i++ {
-		if c.silent[i/64]&(1<<(uint(i)%64)) != 0 {
-			continue
-		}
-		if !c.k.RowCoversAllExcept(i, c.silent) {
-			return false
-		}
-	}
-	return true
-}
-
-// stalledPairs lists survivor pairs unset in the current knowledge matrix.
-func (c *closureChecker) stalledPairs(faults []int, max int) []Pair {
+// stalledPairs lists the survivor pairs (i, j) — rank j never learns of rank
+// i's arrival — left open by the last run, which must have failed.
+func (c *closureChecker) stalledPairs(max int) []Pair {
 	var out []Pair
 	for i := 0; i < c.s.P && len(out) < max; i++ {
 		if c.silent[i/64]&(1<<(uint(i)%64)) != 0 {
 			continue
 		}
 		for j := 0; j < c.s.P && len(out) < max; j++ {
-			// Entry (i, j) of K — rank j knows of rank i's arrival — is entry
-			// (j, i) of the transposed matrix held in k.
-			if c.silent[j/64]&(1<<(uint(j)%64)) != 0 || c.k.At(j, i) {
+			if c.silent[j/64]&(1<<(uint(j)%64)) != 0 || c.cl.Know(j)[i/64]&(1<<(uint(i)%64)) != 0 {
 				continue
 			}
 			out = append(out, Pair{From: i, To: j})
@@ -215,16 +178,16 @@ func (c *closureChecker) enumerate(m int, res *Resilience) bool {
 	var rec func(start, idx int) bool
 	rec = func(start, idx int) bool {
 		if idx == m {
-			ok, last := c.closed(faults)
-			if m == 1 && ok {
+			n := c.run(faults)
+			if m == 1 && n >= 0 {
 				// Thin-closure score for pruning: +1 per stage the closure
 				// still had holes; late completion means little slack.
-				c.lateness[faults[0]] = last + 1
+				c.lateness[faults[0]] = n - 1
 			}
-			if !ok {
+			if n < 0 {
 				res.Certified = false
 				res.Counterexample = append([]int(nil), faults...)
-				res.Stalled = c.stalledPairs(faults, maxWitnessPairs)
+				res.Stalled = c.stalledPairs(maxWitnessPairs)
 				res.SubsetsChecked = c.checked
 				return true
 			}
@@ -295,12 +258,12 @@ func (c *closureChecker) pruned(k, maxSubsets int, res *Resilience) {
 	var rec func(start, size int) bool
 	rec = func(start, size int) bool {
 		if len(faults) == size {
-			if ok, _ := c.closed(faults); !ok {
+			if c.run(faults) < 0 {
 				res.Certified = false
 				res.Counterexample = c.minimise(append([]int(nil), faults...))
 				// Re-evaluate the minimised set for accurate witnesses.
-				c.closed(res.Counterexample)
-				res.Stalled = c.stalledPairs(res.Counterexample, maxWitnessPairs)
+				c.run(res.Counterexample)
+				res.Stalled = c.stalledPairs(maxWitnessPairs)
 				return true
 			}
 			return false
@@ -329,7 +292,7 @@ func (c *closureChecker) minimise(faults []int) []int {
 		changed = false
 		for i := range faults {
 			trial := append(append([]int(nil), faults[:i]...), faults[i+1:]...)
-			if ok, _ := c.closed(trial); !ok {
+			if c.run(trial) < 0 {
 				faults = trial
 				changed = true
 				break
@@ -430,24 +393,21 @@ type CriticalEdge struct {
 func CriticalEdges(s *sched.Schedule) []CriticalEdge {
 	s = s.Clone() // stages are toggled in place during the sweep
 	var out []CriticalEdge
-	k := mat.NewBool(s.P)
-	next := mat.NewBool(s.P)
-	id := mat.Identity(s.P)
+	cl := mat.NewClosure(s.P)
 	for a, st := range s.Stages {
-		for i := 0; i < s.P; i++ {
-			for _, j := range st.Row(i) {
-				st.Set(i, j, false)
-				k.CopyFrom(id)
-				for _, stage := range s.Stages {
-					mat.PropagateInto(next, k, stage)
-					k, next = next, k
+		st.Each(func(i, j int) {
+			st.Set(i, j, false)
+			if cl.Run(s.Stages, nil) < 0 {
+				missing := s.P * s.P
+				for r := 0; r < s.P; r++ {
+					for _, w := range cl.Know(r) {
+						missing -= bits.OnesCount64(w)
+					}
 				}
-				if missing := s.P*s.P - k.Count(); missing > 0 {
-					out = append(out, CriticalEdge{Edge: Edge{Stage: a, From: i, To: j}, Stalled: missing})
-				}
-				st.Set(i, j, true)
+				out = append(out, CriticalEdge{Edge: Edge{Stage: a, From: i, To: j}, Stalled: missing})
 			}
-		}
+			st.Set(i, j, true)
+		})
 	}
 	sort.SliceStable(out, func(x, y int) bool { return out[x].Stalled > out[y].Stalled })
 	return out

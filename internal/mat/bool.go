@@ -168,15 +168,6 @@ func (m *Bool) WordsPerRow() int { return m.words }
 // bits (kept zero) past column N-1 in each row's last word.
 func (m *Bool) Words() []uint64 { return m.rows }
 
-// CopyFrom overwrites m with the entries of o (same dimension required)
-// without allocating.
-func (m *Bool) CopyFrom(o *Bool) {
-	if m.n != o.n {
-		panic(fmt.Sprintf("mat: CopyFrom dimension mismatch %d vs %d", m.n, o.n))
-	}
-	copy(m.rows, o.rows)
-}
-
 // Clone returns a deep copy of m.
 func (m *Bool) Clone() *Bool {
 	c := NewBool(m.n)
@@ -260,53 +251,12 @@ func Propagate(k, s *Bool) *Bool {
 	return r
 }
 
-// PropagateInto computes dst = K + K·S without allocating: the in-place form
-// of Propagate for evaluators that reuse per-stage knowledge matrices. dst
-// must not alias k or s. Rows of K that are already saturated (all bits set)
-// are copied without the spread loop: knowledge is monotone, so a full row
-// stays full — and in the closing stages of a barrier most rows are full,
-// which is where the recurrence otherwise spends its time.
-func PropagateInto(dst, k, s *Bool) {
-	if k.n != s.n || dst.n != k.n {
-		panic(fmt.Sprintf("mat: PropagateInto dimension mismatch %d/%d/%d", dst.n, k.n, s.n))
-	}
-	copy(dst.rows, k.rows)
-	full := k.words - 1
-	tailMask := ^uint64(0)
-	if r := uint(k.n % wordBits); r != 0 {
-		tailMask = (uint64(1) << r) - 1
-	}
-	for i := 0; i < k.n; i++ {
-		base := i * k.words
-		sat := k.rows[base+full] == tailMask
-		for w := 0; sat && w < full; w++ {
-			sat = k.rows[base+w] == ^uint64(0)
-		}
-		if sat {
-			continue
-		}
-		out := dst.rows[base : base+dst.words]
-		for w := 0; w < k.words; w++ {
-			word := k.rows[base+w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				mrow := (w*wordBits + b) * s.words
-				src := s.rows[mrow : mrow+s.words]
-				for x := range out {
-					out[x] |= src[x]
-				}
-			}
-		}
-	}
-}
-
 // PropagateSilencedInto computes dst = K + K·S′, where S′ is S with the rows
 // of silenced ranks treated as zero: a silenced rank receives knowledge but
 // never forwards it. silent is a bitset over ranks with at least (N+63)/64
 // words. dst must not alias k or s. It is the row-wise reference for
-// PropagateTSilencedInto, the kernel the k-fault resilience certifier runs;
-// only tests call it.
+// Closure.Run with a silence mask, which the k-fault resilience certifier
+// runs; only tests call it.
 func PropagateSilencedInto(dst, k, s *Bool, silent []uint64) {
 	if k.n != s.n || dst.n != k.n {
 		panic(fmt.Sprintf("mat: PropagateSilencedInto dimension mismatch %d/%d/%d", dst.n, k.n, s.n))
@@ -331,30 +281,6 @@ func PropagateSilencedInto(dst, k, s *Bool, silent []uint64) {
 			}
 		}
 	}
-}
-
-// RowCoversAllExcept reports whether row i has every bit set outside the
-// excluded bitset — the survivor-closure test of the resilience certifier
-// (row i of the final knowledge matrix must cover every surviving rank).
-// excl must have at least (N+63)/64 words; bits of excl beyond column N-1
-// are ignored.
-func (m *Bool) RowCoversAllExcept(i int, excl []uint64) bool {
-	m.check(i, 0)
-	if len(excl) < m.words {
-		panic(fmt.Sprintf("mat: RowCoversAllExcept mask has %d words, want %d", len(excl), m.words))
-	}
-	tail := m.words - 1
-	tailMask := ^uint64(0)
-	if r := uint(m.n % wordBits); r != 0 {
-		tailMask = (uint64(1) << r) - 1
-	}
-	base := i * m.words
-	for w := 0; w < tail; w++ {
-		if m.rows[base+w]|excl[w] != ^uint64(0) {
-			return false
-		}
-	}
-	return (m.rows[base+tail]|excl[tail])&tailMask == tailMask
 }
 
 // ReachableFrom computes the set of columns reachable from the seed bitset by

@@ -333,48 +333,6 @@ func TestEqualFastPaths(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	a := randBool(33, 9)
-	b := NewBool(33)
-	b.CopyFrom(a)
-	if !b.Equal(a) {
-		t.Fatalf("CopyFrom did not copy")
-	}
-	b.Set(0, 1, !b.At(0, 1))
-	if b.Equal(a) {
-		t.Fatalf("CopyFrom aliased storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("CopyFrom accepted dimension mismatch")
-		}
-	}()
-	b.CopyFrom(NewBool(2))
-}
-
-func TestPropagateIntoMatchesPropagate(t *testing.T) {
-	f := func(seed uint32) bool {
-		n := int(seed%9) + 2
-		s := randBool(n, uint64(seed)+5)
-		k := randBool(n, uint64(seed)*3+1)
-		k.Or(Identity(n))
-		dst := NewBool(n)
-		PropagateInto(dst, k, s)
-		return dst.Equal(Propagate(k, s))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-	// Sizes spanning multiple words per row.
-	s := randBool(130, 2)
-	k := Identity(130)
-	dst := NewBool(130)
-	PropagateInto(dst, k, s)
-	if !dst.Equal(Propagate(k, s)) {
-		t.Fatalf("PropagateInto diverges from Propagate at n=130")
-	}
-}
-
 // TestTrailingZerosExhaustive walks the set-bit scan over every bit position
 // of both words of a two-word row, with the top bit set as a decoy.
 func TestTrailingZerosExhaustive(t *testing.T) {

@@ -5,13 +5,17 @@ import (
 	"math/bits"
 )
 
-// This file holds the receiver-wise form of the Eq. 3 knowledge recurrence —
-// the one every verdict in the repo goes through, at every rank count.
+// This file holds Closure, the one non-incremental evaluator of the Eq. 3
+// knowledge recurrence: Schedule.IsBarrier, the k-fault certifier (with a
+// silence mask), the critical-edge sweep and the redundancy minimiser all run
+// on it. The incremental sched.KnowledgeCache is the only other Eq. 3 engine;
+// Propagate and PropagateSilencedInto in bool.go are the row-wise references
+// both are tested against.
 //
-// Propagate in bool.go walks knowledge row-wise: spreading row i of K costs
-// one row union per set bit, so a closure over a saturating schedule is
-// O(P³/64) words per stage. Working column-wise ("receiver-wise") turns the
-// same recurrence into
+// Propagate walks knowledge row-wise: spreading row i of K costs one row
+// union per set bit, so a closure over a saturating schedule is O(P³/64)
+// words per stage. Working column-wise ("receiver-wise") turns the same
+// recurrence into
 //
 //	know′[j] = know[j] ∪ ⋃_{m : S[m][j]} know[m]
 //
@@ -20,108 +24,129 @@ import (
 // × P/64) words; because boolean OR is order-independent the result is
 // bit-identical to the row-wise reference.
 
-// FrontierClosure reports whether the stage sequence closes the Eq. 3
-// recurrence — every rank ends up knowing every arrival — using the
-// receiver-wise kernel over plain bitset rows. The verdict is bit-identical
-// to running Propagate from Identity(p) and testing Count() == p*p (boolean
-// OR is order-independent), but each stage costs one row union per signal
-// instead of one per set knowledge bit, a row is copied only in a stage
-// that signals its rank, and receivers that have saturated are never touched
-// again. It returns early once every row is full: knowledge is
-// monotone, so later stages cannot unclose a closure.
-func FrontierClosure(p int, stages []*Bool) bool {
-	if p <= 1 {
-		return true
-	}
+// Closure evaluates Eq. 3 from the identity over a stage sequence in the
+// receiver-wise form. Every rank has two row slots: a row is copied only in a
+// stage that signals its rank, and receivers that have closed are never
+// touched again. The slots are reused across Run calls, so a caller that
+// evaluates many variants of one schedule allocates once.
+type Closure struct {
+	p, words int
+	// slots holds rank j's two rows at 2j·words and (2j+1)·words, then full.
+	// at[j] locates the row j knew on entering the stage — what its own
+	// signals forward; the other slot takes the stage's unions, and the two
+	// swap at the end of a stage that signalled j.
+	slots []uint64
+	at    []int
+	full  []uint64 // a required row has closed when it equals full
+	done  []bool   // row closed, or not required to close
+	grown []bool   // j's other slot holds this stage's unions
+}
+
+// NewClosure returns a closure over p ranks.
+func NewClosure(p int) *Closure {
 	words := (p + wordBits - 1) / wordBits
-	// Every rank has two row slots. know[j] is what j knew on entering the
-	// stage — what its own signals forward — and spare[j] takes the stage's
-	// unions; the two swap at the end of a stage that signalled j.
-	slots := make([]uint64, 2*p*words)
-	know := make([][]uint64, p)
-	spare := make([][]uint64, p)
-	for j := range know {
-		know[j] = slots[2*j*words : (2*j+1)*words]
-		spare[j] = slots[(2*j+1)*words : (2*j+2)*words]
-		know[j][j/wordBits] = 1 << (uint(j) % wordBits)
+	slots := make([]uint64, (2*p+1)*words)
+	flags := make([]bool, 2*p)
+	return &Closure{
+		p: p, words: words,
+		slots: slots, at: make([]int, p), full: slots[2*p*words:],
+		done: flags[:p], grown: flags[p:],
 	}
-	full := make([]bool, p)
-	fullCnt := 0
-	grown := make([]bool, p)
-	for _, s := range stages {
-		if s.n != p {
-			panic(fmt.Sprintf("mat: FrontierClosure stage is %d×%d, want %d", s.n, s.n, p))
+}
+
+// Run evaluates the stages with the ranks in silent — a rank bitset of at
+// least (p+63)/64 words, or nil for none — neither forwarding knowledge nor
+// having to learn any. It returns how many leading stages it took until every
+// unsilenced rank knew of every unsilenced arrival (0 when nothing was left to
+// learn), or -1 when the stages never get there. Knowledge is monotone, so
+// Run stops at the closing stage; a closed row's know set is final.
+func (c *Closure) Run(stages []*Bool, silent []uint64) int {
+	p, words, slots, at, full, done, grown := c.p, c.words, c.slots, c.at, c.full, c.done, c.grown
+	if silent != nil && len(silent) < words {
+		panic(fmt.Sprintf("mat: Closure silent mask has %d words for %d ranks", len(silent), p))
+	}
+	clear(slots[:2*p*words])
+	open := 0
+	for j := range at {
+		at[j] = 2 * j * words
+		slots[at[j]+j/wordBits] = 1 << (uint(j) % wordBits)
+		done[j] = silent != nil && silent[j/wordBits]&(1<<(uint(j)%wordBits)) != 0
+		if !done[j] {
+			open++
 		}
-		s.Each(func(m, j int) {
-			if full[j] {
-				return
+	}
+	if open <= 1 {
+		return 0
+	}
+	// A silenced rank forwards nothing, so no other rank ever learns of it:
+	// a required row has closed exactly when it holds every unsilenced rank.
+	for w := range full {
+		full[w] = ^uint64(0)
+		if silent != nil {
+			full[w] &^= silent[w]
+		}
+	}
+	if r := uint(p % wordBits); r != 0 {
+		full[words-1] &= 1<<r - 1
+	}
+	for a, s := range stages {
+		if s.n != p {
+			panic(fmt.Sprintf("mat: Closure stage is %d×%d, want %d", s.n, s.n, p))
+		}
+		for m, k := 0, 0; m < p; m, k = m+1, k+words {
+			if silent != nil && silent[m/wordBits]&(1<<(uint(m)%wordBits)) != 0 {
+				continue
 			}
-			dst := spare[j]
-			if !grown[j] {
-				copy(dst, know[j])
-				grown[j] = true
+			src := slots[at[m] : at[m]+words]
+			for w, word := range s.rows[k : k+words] {
+				for ; word != 0; word &= word - 1 {
+					j := w*wordBits + bits.TrailingZeros64(word)
+					if done[j] {
+						continue
+					}
+					other := (4*j+1)*words - at[j] // j's two offsets sum to (4j+1)·words
+					dst := slots[other : other+words]
+					if grown[j] {
+						for x, v := range src {
+							dst[x] |= v
+						}
+						continue
+					}
+					// The first signal this stage: the union starts from j's
+					// own row, in the same pass (no separate copy).
+					for x, v := range slots[at[j] : at[j]+words] {
+						dst[x] = v | src[x]
+					}
+					grown[j] = true
+				}
 			}
-			for x, v := range know[m] {
-				dst[x] |= v
-			}
-		})
+		}
 		for j, g := range grown {
 			if !g {
 				continue
 			}
-			know[j], spare[j] = spare[j], know[j]
 			grown[j] = false
-			ones := 0
-			for _, v := range know[j] {
-				ones += bits.OnesCount64(v)
-			}
-			if ones == p {
-				full[j] = true
-				fullCnt++
-			}
-		}
-		if fullCnt == p {
-			return true
-		}
-	}
-	return false
-}
-
-// PropagateTSilencedInto computes the receiver-wise (transposed) form of the
-// Eq. 3 step with the rows of silenced ranks treated as zero, mirroring
-// PropagateSilencedInto in the transposed representation: a silenced rank
-// receives knowledge but never forwards it. kt holds the knowledge matrix
-// transposed — row j of kt is column j of K, the set of arrivals rank j
-// knows — and dst receives the transpose of K + K·S: dst[j] = kt[j] | OR
-// over unsilenced senders m with S[m][j] of kt[m]. The result is
-// bit-identical to transposing PropagateSilencedInto's output, at a cost of
-// one row union per signal instead of one per set knowledge bit. dst must
-// not alias kt. silent is a bitset over ranks with at least (N+63)/64 words.
-func PropagateTSilencedInto(dst, kt, s *Bool, silent []uint64) {
-	if kt.n != s.n || dst.n != kt.n {
-		panic(fmt.Sprintf("mat: PropagateTSilencedInto dimension mismatch %d/%d/%d", dst.n, kt.n, s.n))
-	}
-	if len(silent) < (kt.n+wordBits-1)/wordBits {
-		panic(fmt.Sprintf("mat: PropagateTSilencedInto silent mask has %d words for %d ranks", len(silent), kt.n))
-	}
-	copy(dst.rows, kt.rows)
-	for m := 0; m < s.n; m++ {
-		if silent[m/wordBits]&(1<<(uint(m)%wordBits)) != 0 {
-			continue
-		}
-		src := kt.rows[m*kt.words : (m+1)*kt.words]
-		base := m * s.words
-		for w := 0; w < s.words; w++ {
-			word := s.rows[base+w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				j := w*wordBits + b
-				out := dst.rows[j*dst.words : (j+1)*dst.words]
-				for x := range out {
-					out[x] |= src[x]
+			at[j] = (4*j+1)*words - at[j]
+			closed := true
+			for x, v := range slots[at[j] : at[j]+words] {
+				if v != full[x] {
+					closed = false
+					break
 				}
 			}
+			if closed {
+				done[j] = true
+				open--
+			}
+		}
+		if open == 0 {
+			return a + 1
 		}
 	}
+	return -1
 }
+
+// Know returns rank j's know set after the last Run — bit i set means j has
+// learned of i's arrival, entry (i, j) of K — for every rank Run required to
+// learn. The slice aliases the closure's slots: the next Run overwrites it.
+func (c *Closure) Know(j int) []uint64 { return c.slots[c.at[j] : c.at[j]+c.words] }

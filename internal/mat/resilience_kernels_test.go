@@ -43,32 +43,6 @@ func TestPropagateSilencedInto(t *testing.T) {
 	}
 }
 
-// TestRowCoversAllExcept covers the tail-mask edge cases around word
-// boundaries.
-func TestRowCoversAllExcept(t *testing.T) {
-	for _, n := range []int{3, 64, 65, 130} {
-		m := NewBool(n)
-		for j := 0; j < n; j++ {
-			m.Set(0, j, true)
-		}
-		w := m.WordsPerRow()
-		if !m.RowCoversAllExcept(0, maskOf(w)) {
-			t.Errorf("n=%d: full row should cover all with empty exclusion", n)
-		}
-		m.Set(0, n-1, false)
-		if m.RowCoversAllExcept(0, maskOf(w)) {
-			t.Errorf("n=%d: hole at %d not detected", n, n-1)
-		}
-		if !m.RowCoversAllExcept(0, maskOf(w, n-1)) {
-			t.Errorf("n=%d: excluded hole at %d should pass", n, n-1)
-		}
-		// Excluding an unrelated rank must not mask the hole.
-		if n > 3 && m.RowCoversAllExcept(0, maskOf(w, 1)) {
-			t.Errorf("n=%d: exclusion of rank 1 masked hole at %d", n, n-1)
-		}
-	}
-}
-
 // TestReachableFrom: BFS closure over a path graph, with and without a
 // silenced cut vertex.
 func TestReachableFrom(t *testing.T) {

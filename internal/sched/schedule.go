@@ -85,8 +85,9 @@ func (s *Schedule) Validate() error {
 // the paper's Eq. 3: K(-1) = I, K(a) = K(a-1) + K(a-1)·S(a). Element (i, j)
 // of K(a) means rank j knows, after stage a completes, that rank i has
 // entered the barrier. This from-scratch row-wise recurrence is the reference
-// the faster Eq. 3 paths (IsBarrier, KnowledgeCache, the certifier's closure
-// checker) are tested against, and what the analyzer's witness search reads.
+// the two fast Eq. 3 engines — mat.Closure (behind IsBarrier, the k-fault
+// certifier and the critical-edge sweep) and KnowledgeCache — are tested
+// against, and what the analyzer's witness search reads.
 func (s *Schedule) Knowledge() []*mat.Bool {
 	k := mat.Identity(s.P)
 	out := make([]*mat.Bool, 0, len(s.Stages))
@@ -99,10 +100,11 @@ func (s *Schedule) Knowledge() []*mat.Bool {
 
 // IsBarrier reports whether the signal pattern globally synchronises: every
 // element of the final knowledge matrix must be non-zero (Eq. 3). The verdict
-// comes from the receiver-wise sparse closure, which mat's property tests pin
-// bit-identical to the last matrix of Knowledge being all-set.
+// comes from the receiver-wise mat.Closure, which mat's property tests and
+// analyze's fuzz target pin bit-identical to the last matrix of Knowledge
+// being all-set.
 func (s *Schedule) IsBarrier() bool {
-	return mat.FrontierClosure(s.P, s.Stages)
+	return mat.NewClosure(s.P).Run(s.Stages, nil) >= 0
 }
 
 // SignalCount returns the total number of point-to-point signals.

@@ -84,7 +84,7 @@ func TestProposerDistribution(t *testing.T) {
 
 func TestAnnealRejectsInvalidClusters(t *testing.T) {
 	pd := clusteredPredictor(t, 12)
-	opts := AnnealOptions{Seed: 1, Steps: 10, Clusters: [][]int{{0, 1, 2}, {3, 4, 5}}}
+	opts := AnnealOptions{Seed: 1, Budget: 30, Clusters: [][]int{{0, 1, 2}, {3, 4, 5}}}
 	if _, err := Anneal(pd, sched.Tree(12), opts); err == nil {
 		t.Fatalf("partition covering 6 of 12 ranks accepted")
 	}
@@ -104,7 +104,7 @@ func TestAnnealClusterPrunedWorkerIndependence(t *testing.T) {
 	var ref *Result
 	for _, workers := range []int{1, 4, 8} {
 		res, err := Anneal(pd, seed, AnnealOptions{
-			Seed: 21, Steps: 1200, Restarts: 3, Workers: workers,
+			Seed: 21, Budget: 3600, Restarts: 3, Workers: workers,
 			Clusters: clusters, BatchSize: 4,
 		})
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 	pd := clusteredPredictor(t, 16)
 	seed := sched.Dissemination(16)
-	opts := AnnealOptions{Seed: 9, Steps: 1200, Restarts: 8}
+	opts := AnnealOptions{Seed: 9, Budget: 9600, Restarts: 8}
 
 	var ref *Result
 	for _, workers := range []int{1, 2, 8} {
@@ -109,7 +109,7 @@ func TestAnnealTracksInRestartBest(t *testing.T) {
 	// can never exceed the (deterministically replayed) per-climber minimum.
 	pd := clusteredPredictor(t, 12)
 	seed := sched.Dissemination(12)
-	opts := AnnealOptions{Seed: 21, Steps: 1500, Restarts: 2, Workers: 1}
+	opts := AnnealOptions{Seed: 21, Budget: 3000, Restarts: 2, Workers: 1}
 	res, err := Anneal(pd, seed, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestAnnealProgressCallback(t *testing.T) {
 	seed := sched.Tree(12)
 	var rounds []Progress
 	_, err := Anneal(pd, seed, AnnealOptions{
-		Seed: 5, Steps: 4 * exchangeEvery, Restarts: 2, Workers: 2,
+		Seed: 5, Budget: 2 * 4 * exchangeEvery, Restarts: 2, Workers: 2,
 		Progress: func(p Progress) { rounds = append(rounds, p) },
 	})
 	if err != nil {

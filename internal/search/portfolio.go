@@ -118,8 +118,9 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 	if opts.Telemetry != nil {
 		metrics = newSearchMetrics(opts.Telemetry, len(climbers))
 	}
-	stepsLeft := opts.Steps
-	rounds := (opts.Steps + exchangeEvery - 1) / exchangeEvery
+	steps := opts.steps()
+	stepsLeft := steps
+	rounds := (steps + exchangeEvery - 1) / exchangeEvery
 	for round := 0; stepsLeft > 0; round++ {
 		stepsThis := exchangeEvery
 		if stepsThis > stepsLeft {
@@ -177,11 +178,11 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 					bestCost, bestAt = c.bestCost, r
 				}
 			}
-			metrics.flush(climbers, opts.Steps-stepsLeft, bestCost)
+			metrics.flush(climbers, steps-stepsLeft, bestCost)
 			if opts.Progress != nil {
 				opts.Progress(Progress{
 					Round: round + 1, Rounds: rounds,
-					StepsDone: opts.Steps - stepsLeft,
+					StepsDone: steps - stepsLeft,
 					Examined:  examined,
 					Accepts:   accepts,
 					BestCost:  bestCost,

@@ -30,16 +30,15 @@ type AnnealOptions struct {
 	// Seed drives mutation choices; identical seeds replay identical
 	// searches, independent of Workers.
 	Seed uint64
-	// Steps is the number of mutation attempts per restart (default 2000).
-	Steps int
 	// Restarts is the number of portfolio members (default 3).
 	Restarts int
 	// Workers bounds how many restarts climb concurrently (default
 	// GOMAXPROCS, capped at Restarts). The worker count affects throughput
 	// only: for a fixed Seed the result is bit-identical at any value.
 	Workers int
-	// Budget, when positive, caps the total mutation attempts across the
-	// whole portfolio by overriding Steps with Budget/Restarts.
+	// Budget is the total number of mutation attempts across the whole
+	// portfolio: each restart performs Budget/Restarts of them (at least
+	// one). 0 selects 2000 per restart.
 	Budget int
 	// Clusters, when it holds at least two entries, prunes the mutation
 	// space by locality structure: each entry lists the ranks of one cluster
@@ -74,26 +73,20 @@ type AnnealOptions struct {
 const exchangeEvery = 500
 
 func (o AnnealOptions) withDefaults() AnnealOptions {
-	if o.Budget > 0 {
-		if o.Restarts <= 0 {
-			o.Restarts = 3
-		}
-		o.Steps = o.Budget / o.Restarts
-		if o.Steps < 1 {
-			o.Steps = 1
-		}
-	}
-	if o.Steps <= 0 {
-		o.Steps = 2000
-	}
 	if o.Restarts <= 0 {
 		o.Restarts = 3
+	}
+	if o.Budget <= 0 {
+		o.Budget = 2000 * o.Restarts
 	}
 	if o.Workers <= 0 {
 		o.Workers = defaultWorkers()
 	}
 	return o
 }
+
+// steps is the number of mutation attempts each restart performs.
+func (o AnnealOptions) steps() int { return max(o.Budget/o.Restarts, 1) }
 
 // Anneal performs hill climbing from the given seed schedule: random
 // signal-level mutations (add a signal, remove a signal, move a signal to

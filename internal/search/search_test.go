@@ -129,7 +129,7 @@ func TestExhaustiveP3BeatsOrMatchesClassics(t *testing.T) {
 	}
 	// The enumerated optimum is a floor for whatever the anneal finds in the
 	// same space (it may also grow the 2-stage seed, which costs more here).
-	ann, err := Anneal(pd, sched.Dissemination(3), AnnealOptions{Seed: 1, Steps: 2000})
+	ann, err := Anneal(pd, sched.Dissemination(3), AnnealOptions{Seed: 1, Budget: 6000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func clusteredPredictor(t testing.TB, p int) *predict.Predictor {
 func TestAnnealNeverWorseThanSeed(t *testing.T) {
 	pd := clusteredPredictor(t, 16)
 	seed := sched.Tree(16)
-	res, err := Anneal(pd, seed, AnnealOptions{Seed: 7, Steps: 800, Restarts: 2})
+	res, err := Anneal(pd, seed, AnnealOptions{Seed: 7, Budget: 1600, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestAnnealImprovesTopologyNeutralSeedOnCluster(t *testing.T) {
 	// topology-neutral dissemination barrier must find savings.
 	pd := clusteredPredictor(t, 12)
 	seed := sched.Dissemination(12)
-	res, err := Anneal(pd, seed, AnnealOptions{Seed: 3, Steps: 3000, Restarts: 3})
+	res, err := Anneal(pd, seed, AnnealOptions{Seed: 3, Budget: 9000, Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestAnnealImprovesTopologyNeutralSeedOnCluster(t *testing.T) {
 func TestAnnealDeterministic(t *testing.T) {
 	pd := clusteredPredictor(t, 12)
 	seed := sched.Tree(12)
-	a, err := Anneal(pd, seed, AnnealOptions{Seed: 5, Steps: 500})
+	a, err := Anneal(pd, seed, AnnealOptions{Seed: 5, Budget: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Anneal(pd, seed, AnnealOptions{Seed: 5, Steps: 500})
+	b, err := Anneal(pd, seed, AnnealOptions{Seed: 5, Budget: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestAnnealedScheduleExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pd := predict.New(f.TrueProfile())
-	res, err := Anneal(pd, sched.Tree(12), AnnealOptions{Seed: 11, Steps: 1000})
+	res, err := Anneal(pd, sched.Tree(12), AnnealOptions{Seed: 11, Budget: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func BenchmarkAnnealTree16(b *testing.B) {
 	seed := sched.Tree(16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Anneal(pd, seed, AnnealOptions{Seed: uint64(i), Steps: 500, Restarts: 1}); err != nil {
+		if _, err := Anneal(pd, seed, AnnealOptions{Seed: uint64(i), Budget: 500, Restarts: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ func TestAnnealTelemetryCounters(t *testing.T) {
 	pd := predict.New(pf)
 	reg := telemetry.NewRegistry()
 	res, err := Anneal(pd, sched.Dissemination(8), AnnealOptions{
-		Seed: 3, Steps: 3 * exchangeEvery, Restarts: 2, Telemetry: reg,
+		Seed: 3, Budget: 2 * 3 * exchangeEvery, Restarts: 2, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestAnnealTelemetryCounters(t *testing.T) {
 func TestAnnealTelemetryDoesNotChangeResult(t *testing.T) {
 	pf := uniformProfile(8)
 	pd := predict.New(pf)
-	opts := AnnealOptions{Seed: 11, Steps: 500, Restarts: 2}
+	opts := AnnealOptions{Seed: 11, Budget: 1000, Restarts: 2}
 	plain, err := Anneal(pd, sched.Dissemination(8), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestProgressCarriesTelemetryFields(t *testing.T) {
 	pd := predict.New(pf)
 	var last Progress
 	_, err := Anneal(pd, sched.Dissemination(6), AnnealOptions{
-		Seed: 5, Steps: 400, Restarts: 2,
+		Seed: 5, Budget: 800, Restarts: 2,
 		Progress: func(p Progress) { last = p },
 	})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Large-P scaling benchmarks: the Eq. 3 closure (the from-scratch row-wise
-// reference vs the receiver-wise frontier kernel) at P = 128/256/1024, and
+// reference vs the receiver-wise mat.Closure kernel) at P = 128/256/1024, and
 // end-to-end mutation throughput of the cluster-pruned batched search at the
 // same rank counts, and the composer and the whole budgeted tune at
 // P = 256/1024. TestLargePSearchSpeedupFloor pins the search's advantage over
@@ -53,10 +53,11 @@ func scaleClusters(pf *profile.Profile) [][]int {
 
 // BenchmarkKnowledgeClosure compares one full Eq. 3 closure verification of a
 // dissemination barrier through the from-scratch O(P³/64) reference
-// (Schedule.Knowledge) and the receiver-wise kernel behind Schedule.IsBarrier
-// (mat.FrontierClosure) at large P. Both return the same verdict on every
-// schedule — mat's property tests pin that — so the ratio of ns/op between
-// the /scratch and /frontier variants of the same P is the kernel speedup.
+// (Schedule.Knowledge) and the one non-incremental kernel, mat.Closure, as
+// Schedule.IsBarrier calls it (a fresh closure per verdict), at large P. Both
+// return the same verdict on every schedule — mat's property tests and
+// analyze's fuzz target pin that — so the ratio of ns/op between the
+// /scratch and /frontier variants of the same P is the kernel speedup.
 func BenchmarkKnowledgeClosure(b *testing.B) {
 	for _, p := range []int{128, 256, 1024} {
 		s := sched.Dissemination(p)
@@ -72,7 +73,7 @@ func BenchmarkKnowledgeClosure(b *testing.B) {
 
 		b.Run(fmt.Sprintf("P%d/frontier", p), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				if !mat.FrontierClosure(s.P, s.Stages) {
+				if mat.NewClosure(s.P).Run(s.Stages, nil) < 0 {
 					b.Fatal("dissemination must close")
 				}
 			}
@@ -96,7 +97,7 @@ func BenchmarkSearchThroughputLargeP(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n += 500 {
 				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: uint64(n + 1), Steps: 500, Restarts: 1, Workers: 1,
+					Seed: uint64(n + 1), Budget: 500, Restarts: 1, Workers: 1,
 					Clusters: clusters, BatchSize: 8,
 				})
 				if err != nil {
@@ -189,7 +190,7 @@ func TestLargePSearchSpeedupFloor(t *testing.T) {
 	pd := predict.New(pf)
 	seed := sched.Dissemination(p)
 	opts := search.AnnealOptions{
-		Seed: 11, Steps: 2000, Restarts: 1, Workers: 1,
+		Seed: 11, Budget: 2000, Restarts: 1, Workers: 1,
 		Clusters: scaleClusters(pf), BatchSize: 8,
 	}
 

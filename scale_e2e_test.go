@@ -69,7 +69,7 @@ func TestSearchSyntheticLargeP(t *testing.T) {
 	text := runCmd(t, "./cmd/searchbarrier",
 		"-synthetic-p", fmt.Sprint(scaleTestP),
 		"-seed-alg", "dissemination",
-		"-steps", "300", "-restarts", "1",
+		"-budget", "300", "-restarts", "1",
 		"-cluster-prune", "-batch", "8", "-rngseed", "7")
 	if !strings.Contains(text, "barrier verified: true") {
 		t.Fatalf("searchbarrier did not verify the result:\n%s", text)

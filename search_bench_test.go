@@ -68,7 +68,7 @@ func BenchmarkSearchThroughput(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n += 2000 {
 				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: uint64(n + 1), Steps: 2000, Restarts: 1, Workers: 1,
+					Seed: uint64(n + 1), Budget: 2000, Restarts: 1, Workers: 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -93,7 +93,7 @@ func BenchmarkSearchWorkerScaling(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: 3, Steps: 1500, Restarts: 8, Workers: workers,
+					Seed: 3, Budget: 12000, Restarts: 8, Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

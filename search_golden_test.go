@@ -94,7 +94,7 @@ func TestGoldenAnnealDissemination16(t *testing.T) {
 	pd := throughputPredictor(t, 16)
 	for _, workers := range []int{1, 4} {
 		res, err := search.Anneal(pd, sched.Dissemination(16), search.AnnealOptions{
-			Seed: 3, Steps: 4000, Restarts: 8, Workers: workers,
+			Seed: 3, Budget: 32000, Restarts: 8, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
