@@ -191,13 +191,12 @@ func measureTuned(b *testing.B, p int, opts core.Options, worldOpts ...mpi.Optio
 	return m.Mean
 }
 
-// BenchmarkAblationCostPolicy compares the three Eq. 1/Eq. 2 weighting
+// BenchmarkAblationCostPolicy compares the two Eq. 1/Eq. 2 weighting
 // policies by the measured cost of the hybrids they produce.
 func BenchmarkAblationCostPolicy(b *testing.B) {
 	policies := map[string]predict.CostPolicy{
 		"eq1-first": predict.FirstStageEq1,
 		"always1":   predict.AlwaysEq1,
-		"always2":   predict.AlwaysEq2,
 	}
 	for name, pol := range policies {
 		pol := pol

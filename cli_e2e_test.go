@@ -302,6 +302,30 @@ func TestCLIRunBarrierNetExitCode(t *testing.T) {
 	}
 }
 
+// TestCLIRunBarrierNetRetune runs the two -retune modes to success: the
+// timed run with the controller alongside, and the traced run with one
+// read-only check after its last barrier.
+func TestCLIRunBarrierNetRetune(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs runbarrier -retune over a real TCP mesh")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable")
+	}
+	out := runCmd(t, "./cmd/runbarrier", "-net", "-retune", "-p", "4", "-alg", "dissemination",
+		"-iters", "40", "-warmup", "2")
+	for _, want := range []string{"with online retuning", "retune: ", " checks ("} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("-net -retune output missing %q:\n%s", want, out)
+		}
+	}
+	out = runCmd(t, "./cmd/runbarrier", "-net", "-report", "-retune", "-p", "4", "-alg", "dissemination",
+		"-iters", "2", "-warmup", "1", "-probe-iters", "3")
+	if !strings.Contains(out, "retune check (tolerance") {
+		t.Fatalf("-net -report -retune output has no retune check:\n%s", out)
+	}
+}
+
 // TestCLIRunBarrierHybrid drives runbarrier over the hybrid shm+TCP mesh
 // through its public flag surface, and pins the flag-validation error paths:
 // -transport/-colocate require -net, and -colocate requires -transport hybrid.
@@ -424,5 +448,49 @@ func TestCLILiveProfileCacheRoundTrip(t *testing.T) {
 	out := runCmd(t, "./cmd/tunebarrier", "-profile-cache", cache, "-o", schedule)
 	if !strings.Contains(out, "(P=4)") || !strings.Contains(out, "wrote "+schedule) {
 		t.Fatalf("tunebarrier from the live cache:\n%s", out)
+	}
+}
+
+// TestExamplesRun builds every program under examples/ and runs each in a
+// fresh directory (heatmap writes l_matrix.pgm into its working directory),
+// requiring exit 0 and the line that shows the example did its job.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs every example, one over a real TCP mesh")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
+	}
+	want := map[string]string{
+		"heatmap":    "wrote l_matrix.pgm",
+		"netbarrier": "tuned barrier over loopback TCP:",
+		"oddeven":    "the model predicts both",
+		"quickstart": "synchronization validated",
+		"retune":     "after re-tuning:",
+		"stencil":    "stencil workload",
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		key, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("examples/%s has no expected output line here", e.Name())
+			continue
+		}
+		cmd := exec.Command(filepath.Join(bin, e.Name()))
+		cmd.Dir = t.TempDir()
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Errorf("examples/%s: %v\n%s", e.Name(), err, out)
+		} else if !strings.Contains(string(out), key) {
+			t.Errorf("examples/%s output missing %q:\n%s", e.Name(), key, out)
+		}
 	}
 }

@@ -63,17 +63,18 @@
 // is written on success. With -telemetry the live recorder state is also
 // served at /debug/critpath.
 //
-// -retune (with -net) closes the online tuning loop around the measured run:
-// barriers execute through epoch-versioned runners, and a background
-// controller watches predicted-vs-observed drift (threshold -retune-drift,
-// cadence -retune-interval). When drift crosses the threshold the controller
-// re-probes the suspect links, patches those confirmed stale at the full
-// probe budget, re-searches from the running schedule
-// (budget -retune-budget), and hot-swaps the winning plan between barrier
-// epochs — demonstrable live with e.g. -net-fault delay:3:100:2ms. With
-// -report it is one read-only pass instead: the same judgement, re-probe and
-// re-search over the traced run, printing the schedule the closed loop would
-// swap in without touching the mesh.
+// Every -net barrier, warmup, traced or timed, is one call of a per-rank
+// epoch-versioned runner (netmpi.EpochRunner), so -retune adds nothing but the
+// controller. It closes the online tuning loop around the measured run: a
+// background controller watches predicted-vs-observed drift (threshold
+// -retune-drift, cadence -retune-interval). When drift crosses the threshold
+// the controller re-probes the suspect links, patches those confirmed stale
+// at the full probe budget, re-searches from the running schedule (budget
+// -retune-budget), and hot-swaps the winning plan between barrier epochs —
+// demonstrable live with e.g. -net-fault delay:3:100:2ms. With -report it is
+// one read-only pass after the last traced barrier instead: the same
+// judgement, re-probe and re-search, printing the schedule the closed loop
+// would swap in without touching the mesh.
 package main
 
 import (
@@ -389,8 +390,8 @@ func report(title string, tl *critpath.Timeline, obs [][]float64, runs int, pd *
 	return nil
 }
 
-// live is a -net run: one mesh bring-up, at most one probe, and one of three
-// ways to run the barrier over it.
+// live is a -net run: one mesh bring-up, at most one probe, and one epoch
+// store whose per-rank runners execute every barrier of the run.
 type live struct {
 	p               int
 	nodes           []int // co-location vector; nil for a pure-TCP mesh
@@ -411,8 +412,10 @@ type live struct {
 
 // run brings the mesh up, probes it when anything needs the profile (the
 // report's model, the retune controller, the hybrid tune), and executes the
-// barrier: traced with -report, through the retune loop with -retune, timed
-// otherwise.
+// barrier through one epoch runner per rank: traced with -report, timed
+// otherwise. With -retune the controller is built on the runners' store
+// before the first barrier, since it snapshots the barrier histograms at
+// construction and built any later would see no fresh samples to judge.
 func (lv *live) run(alg string) error {
 	peers, meshName, err := lv.bringUp()
 	if err != nil {
@@ -429,13 +432,30 @@ func (lv *live) run(alg string) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case lv.report:
-		return lv.traced(peers, b, pf)
-	case lv.retune != nil:
-		return lv.retuned(peers, meshName, b, pf)
+	eps, err := netmpi.NewEpochs(b.pl)
+	if err != nil {
+		return err
 	}
-	return lv.measured(peers, meshName, b)
+	runners := make([]*netmpi.EpochRunner, lv.p)
+	for i, pe := range peers {
+		if runners[i], err = netmpi.NewEpochRunner(pe, eps, 0); err != nil {
+			return err
+		}
+	}
+	var ctl *retune.Controller
+	if lv.retune != nil {
+		opts := *lv.retune
+		if lv.report {
+			opts.MinObservations = 1 // judge whatever the traced run produced
+		}
+		if ctl, err = retune.New(peers, eps, b.s, pf, opts); err != nil {
+			return err
+		}
+	}
+	if lv.report {
+		return lv.traced(runners, b, pf, ctl)
+	}
+	return lv.timed(runners, eps, meshName, b, ctl)
 }
 
 // bringUp forms the mesh: loopback listeners, the -net-fault injector wrapped
@@ -503,66 +523,23 @@ func (lv *live) probeMesh(peers []*netmpi.Peer) (*profile.Profile, error) {
 }
 
 // traced is the real-transport §VI validation: traced executions over the
-// mesh the profile came from, then the report against that profile.
-func (lv *live) traced(peers []*netmpi.Peer, b barrier, pf *profile.Profile) error {
-	// The retune check must watch the run from the start: the controller
-	// snapshots the barrier histograms at construction, so built any later it
-	// would see no fresh samples to judge.
-	var ctl *retune.Controller
-	if lv.retune != nil {
-		eps, err := netmpi.NewEpochs(b.pl)
-		if err != nil {
-			return err
-		}
-		opts := *lv.retune
-		opts.MinObservations = 1 // judge whatever the traced run produced
-		if ctl, err = retune.New(peers, eps, b.s, pf, opts); err != nil {
-			return err
-		}
+// mesh the profile came from, then the report against that profile. With
+// -retune, ctl's one read-only check follows the last barrier.
+func (lv *live) traced(runners []*netmpi.EpochRunner, b barrier, pf *profile.Profile, ctl *retune.Controller) error {
+	if _, err := lv.barriers(runners, lv.warmup); err != nil {
+		return fmt.Errorf("warmup barrier: %w", err)
 	}
-
-	// Each traced barrier is preceded, in the same goroutine, by an untimed
-	// alignment barrier: the model charges every rank from a common t=0, so
-	// the ranks must enter the measured barrier together, not staggered by
-	// goroutine launch skew. Tag windows alternate as in MeasureBarrier; a
-	// barrier completing anywhere proves every rank drained the previous
-	// window, so two windows suffice even back-to-back.
-	runOnce := func(tags ...int) error {
-		errs := make(chan error, lv.p)
-		for _, pe := range peers {
-			pe := pe
-			go func() {
-				for _, tag := range tags {
-					if err := pe.Barrier(b.pl, tag, lv.deadline); err != nil {
-						errs <- err
-						return
-					}
-				}
-				errs <- nil
-			}()
-		}
-		for range peers {
-			if err := <-errs; err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	n := 0
-	nextTag := func() int { n++; return (n % 2) * run.TagSpan }
-	for i := 0; i < lv.warmup; i++ {
-		if err := runOnce(nextTag()); err != nil {
-			return fmt.Errorf("warmup barrier: %w", err)
-		}
-	}
-	// Every traced window holds the alignment barrier and the traced one;
-	// Merge selects the later (traced) instance, and the alignment run
-	// doubles as clock-offset material.
+	// Each traced window is two runner calls in every rank's goroutine: an
+	// untimed alignment barrier, then the traced one. The model charges every
+	// rank from a common t=0, so the ranks must enter the traced barrier
+	// together, not staggered by goroutine launch skew. Merge selects the
+	// later (traced) instance, and the alignment run doubles as clock-offset
+	// material.
 	var tl *critpath.Timeline
 	var obs [][]float64
 	for it := 0; it < lv.iters; it++ {
 		lv.tracer.Reset()
-		if err := runOnce(nextTag(), nextTag()); err != nil {
+		if _, err := lv.barriers(runners, 2); err != nil {
 			return fmt.Errorf("traced barrier %d: %w", it, err)
 		}
 		var err error
@@ -585,9 +562,10 @@ func (lv *live) traced(peers []*netmpi.Peer, b barrier, pf *profile.Profile) err
 
 // printRecommendation runs one pass of the online retuning controller
 // read-only: the same drift judgement, targeted re-probe, and seeded
-// re-search the closed loop performs, but with the proposal landing in a
-// throwaway epoch store — nothing executing is touched. The operator gets
-// the exact plan `runbarrier -net -retune` would have swapped in.
+// re-search the closed loop performs, but after the last barrier, so a
+// proposal lands in the epoch store with no call left to install it. The
+// operator gets the exact plan `runbarrier -net -retune` would have swapped
+// in.
 func printRecommendation(ctl *retune.Controller, s *sched.Schedule, tol float64) error {
 	d, err := ctl.Check()
 	if err != nil {
@@ -614,110 +592,73 @@ func printRecommendation(ctl *retune.Controller, s *sched.Schedule, tol float64)
 	return nil
 }
 
-// measured times the barrier with per-rank failure reporting: every rank
-// either reports its mean barrier time or the transport error that stopped it
-// within its deadline.
-func (lv *live) measured(peers []*netmpi.Peer, meshName string, b barrier) error {
-	durs := make([]time.Duration, lv.p)
-	rankErrs := make([]error, lv.p)
-	var wg sync.WaitGroup
-	for i := range peers {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			durs[i], rankErrs[i] = peers[i].MeasureBarrier(b.pl, lv.warmup, lv.iters, lv.deadline)
-		}()
+// timed measures the barrier: warmup calls, then the timed ones, and the
+// slowest rank's mean per barrier. With -retune the closed-loop controller
+// runs alongside — drift checks, targeted re-probes, seeded re-searches and
+// plan hot-swaps all happen while the measured barriers keep flowing — so
+// the mean covers the whole story (stale plan, detection, recovery) and the
+// retune summary line says which of those chapters actually happened.
+func (lv *live) timed(runners []*netmpi.EpochRunner, eps *netmpi.Epochs, meshName string, b barrier, ctl *retune.Controller) error {
+	if ctl != nil {
+		ctl.Start(lv.interval)
 	}
-	wg.Wait()
-	slowest, err := rankOutcome(durs, rankErrs, lv.deadline, lv.flight)
+	_, err := lv.barriers(runners, lv.warmup)
+	var slowest time.Duration
+	if err == nil {
+		slowest, err = lv.barriers(runners, lv.iters)
+	}
+	mode := ""
+	if ctl != nil {
+		ctl.Stop()
+		if cerr := ctl.Err(); cerr != nil {
+			return fmt.Errorf("retune loop: %w", cerr)
+		}
+		mode = " with online retuning"
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s over %s mesh, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
-		b.name, meshName, lv.p, slowest, lv.iters, lv.warmup, lv.deadline)
+	fmt.Printf("%s over %s mesh%s, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
+		b.name, meshName, mode, lv.p, slowest/time.Duration(lv.iters), lv.iters, lv.warmup, lv.deadline)
+	if ctl != nil {
+		checked, triggered, swaps := 0, 0, 0
+		for _, d := range ctl.History() {
+			if d.Checked {
+				checked++
+			}
+			if d.Triggered {
+				triggered++
+			}
+			if d.Swapped {
+				swaps++
+			}
+		}
+		fmt.Printf("retune: %d checks (%d judged), %d triggered, %d swapped; final schedule %q predicted %.1fµs (epoch v%d)\n",
+			len(ctl.History()), checked, triggered, swaps, ctl.Schedule().Name, ctl.Predicted()*1e6, eps.Latest())
+	}
 	return writeArtifacts(lv.tracer, lv.traceOut, lv.flight)
 }
 
-// retuned measures the barrier through epoch-versioned runners with the
-// closed-loop controller running alongside: drift checks, targeted
-// re-probes, seeded re-searches, and plan hot-swaps all happen while the
-// measured barriers keep flowing. The reported mean therefore covers the
-// whole story — stale plan, detection, and recovery — and the retune summary
-// line says which of those chapters actually happened.
-func (lv *live) retuned(peers []*netmpi.Peer, meshName string, b barrier, pf *profile.Profile) error {
-	eps, err := netmpi.NewEpochs(b.pl)
-	if err != nil {
-		return err
-	}
-	runners := make([]*netmpi.EpochRunner, lv.p)
-	for i, pe := range peers {
-		if runners[i], err = netmpi.NewEpochRunner(pe, eps, 0); err != nil {
-			return err
-		}
-	}
-	ctl, err := retune.New(peers, eps, b.s, pf, *lv.retune)
-	if err != nil {
-		return err
-	}
-	ctl.Start(lv.interval)
-	defer ctl.Stop()
-
-	durs := make([]time.Duration, lv.p)
-	rankErrs := make([]error, lv.p)
+// barriers is the one per-rank loop of a -net run: every rank's goroutine
+// makes n runner calls back to back. It returns the slowest rank's wall time
+// over them, or, when any rank failed within its deadline, names every
+// failed rank on stderr, dumps the flight recorder and returns an error.
+func (lv *live) barriers(runners []*netmpi.EpochRunner, n int) (time.Duration, error) {
+	durs := make([]time.Duration, len(runners))
+	rankErrs := make([]error, len(runners))
 	var wg sync.WaitGroup
-	for i := range peers {
-		i := i
+	for i, r := range runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := 0; n < lv.warmup; n++ {
-				if rankErrs[i] = runners[i].Barrier(lv.deadline); rankErrs[i] != nil {
-					return
-				}
-			}
 			start := time.Now()
-			for n := 0; n < lv.iters; n++ {
-				if rankErrs[i] = runners[i].Barrier(lv.deadline); rankErrs[i] != nil {
-					return
-				}
+			for k := 0; k < n && rankErrs[i] == nil; k++ {
+				rankErrs[i] = r.Barrier(lv.deadline)
 			}
-			durs[i] = time.Since(start) / time.Duration(lv.iters)
+			durs[i] = time.Since(start)
 		}()
 	}
 	wg.Wait()
-	ctl.Stop()
-	if err := ctl.Err(); err != nil {
-		return fmt.Errorf("retune loop: %w", err)
-	}
-
-	slowest, err := rankOutcome(durs, rankErrs, lv.deadline, lv.flight)
-	if err != nil {
-		return err
-	}
-	checked, triggered, swaps := 0, 0, 0
-	for _, d := range ctl.History() {
-		if d.Checked {
-			checked++
-		}
-		if d.Triggered {
-			triggered++
-		}
-		if d.Swapped {
-			swaps++
-		}
-	}
-	fmt.Printf("%s over %s mesh with online retuning, P=%d: %v/barrier (%d iters, %d warmup, deadline %v)\n",
-		b.name, meshName, lv.p, slowest, lv.iters, lv.warmup, lv.deadline)
-	fmt.Printf("retune: %d checks (%d judged), %d triggered, %d swapped; final schedule %q predicted %.1fµs (epoch v%d)\n",
-		len(ctl.History()), checked, triggered, swaps, ctl.Schedule().Name, ctl.Predicted()*1e6, eps.Latest())
-	return writeArtifacts(lv.tracer, lv.traceOut, lv.flight)
-}
-
-// rankOutcome is how a measured -net loop ends: the slowest rank's mean when
-// every rank finished, or every failed rank named on stderr, the flight
-// recorder dumped, and an error.
-func rankOutcome(durs []time.Duration, rankErrs []error, deadline time.Duration, flight *critpath.FlightRecorder) (time.Duration, error) {
 	failed := 0
 	for i, err := range rankErrs {
 		if err != nil {
@@ -726,8 +667,8 @@ func rankOutcome(durs []time.Duration, rankErrs []error, deadline time.Duration,
 		}
 	}
 	if failed > 0 {
-		dumpFlight(flight, "barrier-failure")
-		return 0, fmt.Errorf("%d of %d ranks failed within the %v deadline (fail-fast: no rank hung)", failed, len(rankErrs), deadline)
+		dumpFlight(lv.flight, "barrier-failure")
+		return 0, fmt.Errorf("%d of %d ranks failed within the %v deadline (fail-fast: no rank hung)", failed, len(runners), lv.deadline)
 	}
 	return slices.Max(durs), nil
 }

@@ -10,7 +10,7 @@
 //
 //	tunebarrier -profile profile.json [-o schedule.json] [-sparseness F]
 //	            [-maxdepth N] [-builders paper|extended] [-dump]
-//	            [-policy eq1-first-stage|always-eq1|always-eq2]
+//	            [-policy eq1-first-stage|always-eq1]
 //	            [-refine N] [-refine-batch N] [-telemetry addr]
 //	            [-trace-out file.json]
 //	            [-profile-cache DIR] [-fingerprint PREFIX]
@@ -60,7 +60,7 @@ func main() {
 		maxdepth    = flag.Int("maxdepth", 0, "clustering recursion bound (0 = unlimited)")
 		builders    = flag.String("builders", "paper", "component set: paper or extended")
 		dump        = flag.Bool("dump", false, "print the stage matrices (Figure 10 style)")
-		policy      = flag.String("policy", "eq1-first-stage", "cost policy: eq1-first-stage, always-eq1, always-eq2")
+		policy      = flag.String("policy", "eq1-first-stage", "cost policy: eq1-first-stage (Eq. 1 for the first stage, Eq. 2 after) or always-eq1")
 		refine      = flag.Int("refine", 0, "follow composition with N candidate evaluations of local-search refinement")
 		refineBatch = flag.Int("refine-batch", 0, "refinement keeps the best of every N candidate mutations (0 or 1 = single-candidate steps)")
 		rngseed     = flag.Uint64("rngseed", 1, "refinement randomness seed")
@@ -131,7 +131,7 @@ func main() {
 		fatal(fmt.Errorf("unknown builder set %q", *builders))
 	}
 	known := false
-	for pol := predict.FirstStageEq1; pol <= predict.AlwaysEq2; pol++ {
+	for _, pol := range []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1} {
 		if pol.String() == *policy {
 			opts.Policy, known = pol, true
 		}

@@ -17,7 +17,11 @@ import (
 	"topobarrier/internal/netmpi"
 )
 
-const p = 8
+const (
+	p      = 8
+	warmup = 10
+	iters  = 200
+)
 
 func main() {
 	// 1. Tune for the target topology in the simulator.
@@ -47,21 +51,35 @@ func main() {
 	defer netmpi.CloseMesh(peers)
 	fmt.Printf("TCP mesh of %d ranks established\n", p)
 
-	// 3. Execute the tuned plan over real sockets and time it.
+	// 3. Execute the tuned plan over real sockets and time it. Each rank runs
+	//    its barriers back to back through an epoch runner, the loop that
+	//    could also hot-swap a retuned plan between two calls.
+	eps, err := netmpi.NewEpochs(tuned.Plan)
+	if err != nil {
+		log.Fatal(err)
+	}
 	durs := make([]time.Duration, p)
 	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		i := i
+	for i, pe := range peers {
+		r, err := netmpi.NewEpochRunner(pe, eps, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := peers[i].MeasureBarrier(tuned.Plan, 10, 200, 5*time.Second)
-			if err != nil {
-				log.Fatal(err)
+			var start time.Time
+			for n := 0; n < warmup+iters; n++ {
+				if n == warmup {
+					start = time.Now()
+				}
+				if err := r.Barrier(5 * time.Second); err != nil {
+					log.Fatal(err)
+				}
 			}
-			durs[i] = d
+			durs[i] = time.Since(start) / iters
 		}()
 	}
 	wg.Wait()
-	fmt.Printf("tuned barrier over loopback TCP: %v per barrier (200 iterations)\n", slices.Max(durs))
+	fmt.Printf("tuned barrier over loopback TCP: %v per barrier (%d iterations)\n", slices.Max(durs), iters)
 }

@@ -131,12 +131,12 @@ func randomPlatform(rng *rand.Rand, p int) *profile.Profile {
 
 func TestHybridMatchesLiftAndMergeReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	policies := []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1, predict.AlwaysEq2}
+	policies := []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1}
 	clusterings := []sss.Options{{}, {MaxDepth: 1}, {MaxDepth: 2}, {MinDiameter: 2e-6}}
 	for p := 2; p <= 64; p++ {
 		for draw := 0; draw < 3; draw++ {
 			pr := randomPlatform(rng, p)
-			pd := &predict.Predictor{Prof: pr, Policy: policies[rng.Intn(3)]}
+			pd := &predict.Predictor{Prof: pr, Policy: policies[rng.Intn(len(policies))]}
 			builders := sched.PaperBuilders()
 			if rng.Intn(3) == 0 {
 				builders = sched.ExtendedBuilders()
@@ -211,7 +211,7 @@ func TestHybridSingletonsMatchReference(t *testing.T) {
 		leaf(7),
 		leaf(8, 9, 10, 11),
 	}}
-	for _, pol := range []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1, predict.AlwaysEq2} {
+	for _, pol := range []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1} {
 		pd := &predict.Predictor{Prof: pr, Policy: pol}
 		assertMatchesReference(t, pd, tree, sched.ExtendedBuilders())
 	}

@@ -285,29 +285,3 @@ func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (msg mail, sk
 	}
 	return msg, false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
 }
-
-// MeasureBarrier times iters wall-clock barrier executions after warmup
-// untimed ones. All ranks must call it with the same arguments; the caller
-// aggregates the per-rank durations.
-func (p *Peer) MeasureBarrier(pl *run.Plan, warmup, iters int, deadline time.Duration) (time.Duration, error) {
-	if iters <= 0 {
-		return 0, fmt.Errorf("netmpi: non-positive iteration count %d", iters)
-	}
-	tag := 0
-	next := func() int {
-		tag++
-		return (tag % 2) * run.TagSpan
-	}
-	for i := 0; i < warmup; i++ {
-		if err := p.Barrier(pl, next(), deadline); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := p.Barrier(pl, next(), deadline); err != nil {
-			return 0, err
-		}
-	}
-	return time.Duration(int64(time.Since(start)) / int64(iters)), nil
-}

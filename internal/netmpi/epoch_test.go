@@ -45,6 +45,29 @@ func runEpochLoop(t *testing.T, runners []*EpochRunner, iters int, deadline time
 	return errs
 }
 
+// timeEpochLoop runs warmup untimed, then iters timed collective barriers
+// of pl through a fresh epoch store's runners, and returns the mesh's wall
+// time per timed barrier. Any rank error fails the test.
+func timeEpochLoop(t *testing.T, peers []*Peer, pl *run.Plan, warmup, iters int) time.Duration {
+	t.Helper()
+	eps, err := NewEpochs(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := newRunners(t, peers, eps)
+	loop := func(n int) {
+		for r, err := range runEpochLoop(t, runners, n, meshTimeout) {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+	}
+	loop(warmup)
+	start := time.Now()
+	loop(iters)
+	return time.Since(start) / time.Duration(iters)
+}
+
 func newRunners(t testing.TB, peers []*Peer, eps *Epochs) []*EpochRunner {
 	t.Helper()
 	runners := make([]*EpochRunner, len(peers))

@@ -432,29 +432,8 @@ func TestHybridBarrierSpeedup(t *testing.T) {
 	measure := func(peers []*Peer) time.Duration {
 		best := time.Duration(0)
 		for attempt := 0; attempt < 3; attempt++ {
-			durs := make([]time.Duration, p)
-			errs := make([]error, p)
-			var wg sync.WaitGroup
-			for r := 0; r < p; r++ {
-				r := r
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					durs[r], errs[r] = peers[r].MeasureBarrier(pl, 5, 50, meshTimeout)
-				}()
-			}
-			waitAll(t, &wg, 60*time.Second, "speedup measurement")
-			worst := time.Duration(0)
-			for r := 0; r < p; r++ {
-				if errs[r] != nil {
-					t.Fatalf("rank %d: %v", r, errs[r])
-				}
-				if durs[r] > worst {
-					worst = durs[r]
-				}
-			}
-			if attempt == 0 || worst < best {
-				best = worst
+			if d := timeEpochLoop(t, peers, pl, 5, 50); attempt == 0 || d < best {
+				best = d
 			}
 		}
 		return best

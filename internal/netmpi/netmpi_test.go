@@ -113,28 +113,8 @@ func TestTunedPlanRunsOverTCP(t *testing.T) {
 	// transport: the plan is pure data.
 	const p = 6
 	pl := tunedPlan(t, p)
-	peers := mesh(t, p)
-	var wg sync.WaitGroup
-	errs := make([]error, p)
-	durs := make([]time.Duration, p)
-	for r := 0; r < p; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			durs[r], errs[r] = peers[r].MeasureBarrier(pl, 2, 20, meshTimeout)
-		}()
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	for r, d := range durs {
-		if d <= 0 || d > time.Second {
-			t.Fatalf("rank %d measured %v per barrier", r, d)
-		}
+	if d := timeEpochLoop(t, mesh(t, p), pl, 2, 20); d <= 0 || d > time.Second {
+		t.Fatalf("measured %v per barrier", d)
 	}
 }
 
@@ -173,9 +153,6 @@ func TestSendRecvValidation(t *testing.T) {
 	}
 	if err := peers[0].Barrier(pl, 0, time.Second); err == nil {
 		t.Fatalf("size-mismatched plan accepted")
-	}
-	if _, err := peers[0].MeasureBarrier(pl, 0, 0, time.Second); err == nil {
-		t.Fatalf("zero iterations accepted")
 	}
 }
 

@@ -24,8 +24,6 @@ const (
 	FirstStageEq1 CostPolicy = iota
 	// AlwaysEq1 uses the conservative full-overhead form everywhere.
 	AlwaysEq1
-	// AlwaysEq2 assumes ready receivers everywhere.
-	AlwaysEq2
 )
 
 // String returns a short policy name.
@@ -35,8 +33,6 @@ func (p CostPolicy) String() string {
 		return "eq1-first-stage"
 	case AlwaysEq1:
 		return "always-eq1"
-	case AlwaysEq2:
-		return "always-eq2"
 	default:
 		return fmt.Sprintf("CostPolicy(%d)", int(p))
 	}
@@ -54,14 +50,7 @@ func New(prof *profile.Profile) *Predictor {
 }
 
 func (pd *Predictor) stageReady(stage int) bool {
-	switch pd.Policy {
-	case AlwaysEq1:
-		return false
-	case AlwaysEq2:
-		return true
-	default:
-		return stage > 0
-	}
+	return pd.Policy != AlwaysEq1 && stage > 0
 }
 
 // rowCost evaluates the cost of rank i sending one signal to each of its

@@ -127,11 +127,9 @@ func TestPolicyOrdering(t *testing.T) {
 	s := sched.Tree(16)
 	pr := uniformProfile(16, o, l, oii)
 	eq1 := &Predictor{Prof: pr, Policy: AlwaysEq1}
-	eq2 := &Predictor{Prof: pr, Policy: AlwaysEq2}
 	def := &Predictor{Prof: pr, Policy: FirstStageEq1}
-	c1, c2, cd := eq1.Cost(s), eq2.Cost(s), def.Cost(s)
-	if !(c2 < cd && cd < c1) {
-		t.Fatalf("policy ordering violated: eq2=%g default=%g eq1=%g", c2, cd, c1)
+	if c1, cd := eq1.Cost(s), def.Cost(s); !(cd < c1) {
+		t.Fatalf("policy ordering violated: default=%g eq1=%g", cd, c1)
 	}
 }
 
@@ -202,7 +200,7 @@ func TestEmptySchedulePredictsZero(t *testing.T) {
 
 func TestPolicyString(t *testing.T) {
 	if FirstStageEq1.String() != "eq1-first-stage" || AlwaysEq1.String() != "always-eq1" ||
-		AlwaysEq2.String() != "always-eq2" || CostPolicy(9).String() != "CostPolicy(9)" {
+		CostPolicy(9).String() != "CostPolicy(9)" {
 		t.Fatalf("policy names wrong")
 	}
 }
@@ -217,7 +215,7 @@ func BenchmarkCostTree64(b *testing.B) {
 }
 
 func TestTimelineAgreesWithCost(t *testing.T) {
-	for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
+	for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1} {
 		pd := &Predictor{Prof: uniformProfile(8, 10e-6, 2e-6, 1e-6), Policy: policy}
 		for _, s := range []*sched.Schedule{sched.Tree(8), sched.Dissemination(8), sched.Linear(8)} {
 			tl := pd.Timeline(s)
@@ -273,7 +271,7 @@ func referenceTimeline(pd *Predictor, s *sched.Schedule) [][]float64 {
 
 func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
 	for _, p := range []int{2, 9, 64, 70} {
-		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
+		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1} {
 			pd := &Predictor{Prof: noisyProfile(p, uint64(p)), Policy: policy}
 			kary := sched.KAryTreeArrival(p, 4)
 			for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), kary.Concat(kary.ReverseTransposed())} {
@@ -312,7 +310,7 @@ func TestLocalPricingEqualsLiftedPricing(t *testing.T) {
 		if len(members) < 2 {
 			continue
 		}
-		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1, AlwaysEq2} {
+		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1} {
 			full := &Predictor{Prof: pr, Policy: policy}
 			local := &Predictor{Prof: pr.Sub(members), Policy: policy}
 			for _, b := range sched.ExtendedBuilders() {

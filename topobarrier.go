@@ -188,7 +188,6 @@ type (
 const (
 	FirstStageEq1 = predict.FirstStageEq1
 	AlwaysEq1     = predict.AlwaysEq1
-	AlwaysEq2     = predict.AlwaysEq2
 )
 
 // NewPredictor returns a predictor with the default policy.
