@@ -85,9 +85,9 @@ func (s *Schedule) Validate() error {
 // the paper's Eq. 3: K(-1) = I, K(a) = K(a-1) + K(a-1)·S(a). Element (i, j)
 // of K(a) means rank j knows, after stage a completes, that rank i has
 // entered the barrier. This from-scratch row-wise recurrence is the reference
-// the two fast Eq. 3 engines — mat.Closure (behind IsBarrier, the k-fault
-// certifier and the critical-edge sweep) and KnowledgeCache — are tested
-// against, and what the analyzer's witness search reads.
+// the one fast Eq. 3 engine, mat.Closure — run from scratch behind IsBarrier,
+// the k-fault certifier and the critical-edge sweep, resumed by the search —
+// is tested against, and what the analyzer's witness search reads.
 func (s *Schedule) Knowledge() []*mat.Bool {
 	k := mat.Identity(s.P)
 	out := make([]*mat.Bool, 0, len(s.Stages))

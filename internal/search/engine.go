@@ -15,8 +15,8 @@ import (
 // critical-path pass for every mutant. Here a single working schedule is
 // mutated in place with apply/undo deltas; the cost comes from an incremental
 // predict.Evaluator, the Eq. 3 verdict — for the move kinds and prices that
-// leave it open (climber.score) — from a prefix-reusable
-// sched.KnowledgeCache.
+// leave it open (climber.score) — from a mat.Closure resumed at the first
+// stage the candidate touched, against the levels of the accepted schedule.
 
 // mutation kinds mirror the seed implementation's move set.
 const (
@@ -43,7 +43,7 @@ type climber struct {
 	pd        *predict.Predictor
 	rng       *stats.RNG
 	s         *sched.Schedule
-	kc        *sched.KnowledgeCache
+	know      *mat.Closure // Eq. 3 levels of the accepted schedule
 	ev        *predict.Evaluator
 	cost      float64
 	maxStages int
@@ -64,7 +64,7 @@ type climber struct {
 func newClimber(pd *predict.Predictor, seedSched *sched.Schedule, seedCost float64, rng *stats.RNG, maxStages int, prop *proposer, batch int) *climber {
 	return &climber{
 		pd: pd, rng: rng, s: seedSched.Clone(),
-		kc:        sched.NewKnowledgeCache(seedSched.P),
+		know:      mat.NewClosure(seedSched.P),
 		ev:        predict.NewEvaluator(pd),
 		cost:      seedCost,
 		maxStages: maxStages,
@@ -97,26 +97,27 @@ func (c *climber) step() {
 	if !ok {
 		return
 	}
-	if cost, verified := c.examine(m); cost <= c.cost {
+	if cost := c.examine(m); cost <= c.cost {
 		c.accept(cost)
 	} else {
-		c.undo(m, verified)
+		c.undo(m)
 	}
 }
 
-// accept keeps the applied candidate as the working state.
+// accept keeps the applied candidate as the working state. Every candidate
+// kept is a barrier, so it becomes the knowledge closure's base.
 func (c *climber) accept(cost float64) {
 	c.accepts++
 	c.cost = cost
+	c.know.Commit()
 	if cost < c.bestCost {
 		c.bestCost = cost
 		c.best = c.s.Clone()
 	}
 }
 
-// examine applies m and returns the candidate's score and whether Eq. 3 ran,
-// which is what undo needs to know.
-func (c *climber) examine(m mutation) (cost float64, verified bool) {
+// examine applies m and returns the candidate's score.
+func (c *climber) examine(m mutation) float64 {
 	c.apply(m)
 	c.examined++
 	return c.score(m)
@@ -127,32 +128,28 @@ func (c *climber) examine(m mutation) (cost float64, verified bool) {
 // candidate is kept only if it is a barrier costing at most c.cost, so:
 //
 //   - add / append: Eq. 3 is monotone in the signal set — a superset of a
-//     barrier is a barrier — so only the price is in question. The NoteSet
-//     (or stage invalidation) stays armed in the knowledge cache for the next
-//     candidate that does run Eq. 3.
+//     barrier is a barrier — so only the price is in question. An accept
+//     then marks the closure's base stale from the touched stage.
 //   - move: priced first; a costlier move is rejected whatever its verdict,
 //     so Eq. 3 runs only when the price would be accepted. A costlier
 //     non-barrier then scores its real price rather than +Inf, which decides
 //     identically: a batch it wins is a batch stepBatch does not apply.
 //   - remove: can break the barrier and its price rarely rejects it, so
 //     Eq. 3 runs first and the price only on a true verdict.
-func (c *climber) score(m mutation) (cost float64, verified bool) {
+func (c *climber) score(m mutation) float64 {
 	switch m.kind {
 	case mutAdd, mutAppend:
-		return c.ev.Cost(c.s), false
+		return c.ev.Cost(c.s)
 	case mutMove:
-		if cost = c.ev.Cost(c.s); cost > c.cost {
-			return cost, false
+		if cost := c.ev.Cost(c.s); cost > c.cost || c.know.Resume(c.s.Stages) {
+			return cost
 		}
-		if !c.kc.Barrier(c.s) {
-			cost = math.Inf(1)
-		}
-		return cost, true
+		return math.Inf(1)
 	default:
-		if !c.kc.Barrier(c.s) {
-			return math.Inf(1), true
+		if !c.know.Resume(c.s.Stages) {
+			return math.Inf(1)
 		}
-		return c.ev.Cost(c.s), true
+		return c.ev.Cost(c.s)
 	}
 }
 
@@ -162,8 +159,8 @@ func (c *climber) score(m mutation) (cost float64, verified bool) {
 // selection that sharpens every accepted step, which is what makes cheap
 // cluster-pruned proposals at large P pay off. Every candidate is undone
 // before the next is drawn, so all b draws see the identical base schedule.
-// The winning re-apply needs no fresh Barrier: its change notes stay armed in
-// the knowledge cache and the next candidate that runs Eq. 3 replays them.
+// The winning re-apply runs no fresh verdict: its accept marks the closure's
+// base stale from the touched stage, and the next verdict catches it up.
 func (c *climber) stepBatch(b int) {
 	var bestM mutation
 	bestCost := math.Inf(1)
@@ -173,11 +170,11 @@ func (c *climber) stepBatch(b int) {
 		if !ok {
 			continue
 		}
-		cost, verified := c.examine(m)
+		cost := c.examine(m)
 		if !found || cost < bestCost {
 			found, bestM, bestCost = true, m, cost
 		}
-		c.undo(m, verified)
+		c.undo(m)
 	}
 	if found && bestCost <= c.cost {
 		c.apply(bestM)
@@ -267,26 +264,23 @@ func (c *climber) pickSignal(k, i int) (int, bool) {
 	return 0, false // unreachable
 }
 
-// apply performs the mutation on the working schedule, invalidating exactly
-// the touched knowledge suffix and cost rows.
+// apply performs the mutation on the working schedule, touching exactly the
+// changed stages and cost rows.
 func (c *climber) apply(m mutation) {
 	switch m.kind {
 	case mutRemove:
 		c.s.Stages[m.k].Set(m.i, m.j, false)
 		c.ev.Touch(m.k, m.i)
-		c.kc.NoteClear(m.k, m.i, m.j)
 	case mutAdd:
 		c.s.Stages[m.k].Set(m.i, m.j, true)
 		c.ev.Touch(m.k, m.i)
-		c.kc.NoteSet(m.k, m.i, m.j)
 	case mutMove:
 		c.s.Stages[m.k].Set(m.i, m.j, false)
 		c.s.Stages[m.dk].Set(m.i, m.j, true)
 		c.ev.Touch(m.k, m.i)
 		c.ev.Touch(m.dk, m.i)
-		c.kc.NoteClear(m.k, m.i, m.j)
 		if !m.dkHad {
-			c.kc.NoteSet(m.dk, m.i, m.j)
+			c.know.Touch(m.dk)
 		}
 	case mutAppend:
 		st := c.spare
@@ -296,47 +290,34 @@ func (c *climber) apply(m mutation) {
 		}
 		st.Set(m.i, m.j, true)
 		c.s.AddStage(st)
-		c.kc.Invalidate(m.k)
 	}
+	c.know.Touch(m.k)
 }
 
-// undo reverses apply exactly. verified says whether Eq. 3 ran on the
-// candidate (score called Barrier): then the knowledge cache holds the
-// candidate's matrices and is first rolled back from its undo journal in one
-// shot — which also re-arms the pending notes that Barrier consumed. The
-// undo's own change notes, issued after, cancel the apply's (restored or
-// never-consumed) notes, so the cache ends exactly where it was before the
-// candidate: notes from earlier accepts that skipped Eq. 3 stay armed, the
-// rejected edit leaves no trace, and no second change wave ever runs.
-func (c *climber) undo(m mutation, verified bool) {
-	if verified {
-		c.kc.Rollback()
-	}
+// undo reverses apply exactly. The closure's base levels were never written
+// for the candidate, so rejecting it restores nothing there.
+func (c *climber) undo(m mutation) {
+	c.know.Reject()
 	switch m.kind {
 	case mutRemove:
 		c.s.Stages[m.k].Set(m.i, m.j, true)
 		c.ev.Touch(m.k, m.i)
-		c.kc.NoteSet(m.k, m.i, m.j)
 	case mutAdd:
 		c.s.Stages[m.k].Set(m.i, m.j, false)
 		c.ev.Touch(m.k, m.i)
-		c.kc.NoteClear(m.k, m.i, m.j)
 	case mutMove:
 		c.s.Stages[m.k].Set(m.i, m.j, true)
 		if !m.dkHad {
 			c.s.Stages[m.dk].Set(m.i, m.j, false)
-			c.kc.NoteClear(m.dk, m.i, m.j)
 		}
 		c.ev.Touch(m.k, m.i)
 		c.ev.Touch(m.dk, m.i)
-		c.kc.NoteSet(m.k, m.i, m.j)
 	case mutAppend:
 		st := c.s.Stages[m.k]
 		st.Set(m.i, m.j, false)
 		c.spare = st
 		c.s.Stages = c.s.Stages[:m.k]
 		c.ev.Truncate(m.k)
-		c.kc.Invalidate(m.k)
 	}
 }
 
@@ -346,7 +327,8 @@ func (c *climber) undo(m mutation, verified bool) {
 // portfolio reproducible.
 func (c *climber) adopt(elite *sched.Schedule, cost float64) {
 	c.s = elite.Clone()
-	c.kc.Invalidate(0)
+	c.know.Touch(0)
+	c.know.Commit()
 	c.ev.Truncate(0)
 	c.cost = cost
 	if cost < c.bestCost {

@@ -15,13 +15,13 @@ import (
 // evaluator when it is a barrier. It lives only here, as what the lockstep
 // test holds the gated climber to.
 
-func refExamine(c *climber, m mutation) (cost float64, evaluated bool) {
+func refExamine(c *climber, m mutation) float64 {
 	c.apply(m)
 	c.examined++
-	if c.kc.Barrier(c.s) {
-		return c.ev.Cost(c.s), true
+	if c.know.Resume(c.s.Stages) {
+		return c.ev.Cost(c.s)
 	}
-	return math.Inf(1), true
+	return math.Inf(1)
 }
 
 func refStep(c *climber) {
@@ -29,10 +29,10 @@ func refStep(c *climber) {
 	if !ok {
 		return
 	}
-	if cost, evaluated := refExamine(c, m); cost <= c.cost {
+	if cost := refExamine(c, m); cost <= c.cost {
 		c.accept(cost)
 	} else {
-		c.undo(m, evaluated)
+		c.undo(m)
 	}
 }
 
@@ -45,11 +45,11 @@ func refStepBatch(c *climber, b int) {
 		if !ok {
 			continue
 		}
-		cost, evaluated := refExamine(c, m)
+		cost := refExamine(c, m)
 		if !found || cost < bestCost {
 			found, bestM, bestCost = true, m, cost
 		}
-		c.undo(m, evaluated)
+		c.undo(m)
 	}
 	if found && bestCost <= c.cost {
 		c.apply(bestM)

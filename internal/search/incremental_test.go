@@ -69,16 +69,14 @@ func TestClimberInvariants(t *testing.T) {
 }
 
 // TestClimberUndoRestoresState applies and immediately undoes every mutation
-// kind — both unscored (change notes cancel) and after score (the knowledge
-// cache rolls back from its undo journal exactly when score ran Eq. 3, and
-// the notes of a kind that skipped it cancel like an unscored one's) — and
-// checks the schedule, evaluator, and cached verdict return to their exact
-// prior state.
+// kind, both unscored and after score (which resumes the knowledge closure
+// for the kinds that run Eq. 3), and checks the schedule, evaluator and
+// resumed verdict return to their exact prior state.
 func TestClimberUndoRestoresState(t *testing.T) {
 	pd := clusteredPredictor(t, 8)
 	seedSched := sched.Tree(8)
 	c := newClimber(pd, seedSched, pd.Cost(seedSched), stats.NewRNG(2), seedSched.NumStages()+2, nil, 0)
-	c.kc.Barrier(c.s)
+	c.know.Resume(c.s.Stages)
 	c.ev.Cost(c.s)
 	for n := 0; n < 2000; n++ {
 		before := c.s.Clone()
@@ -87,18 +85,17 @@ func TestClimberUndoRestoresState(t *testing.T) {
 			continue
 		}
 		c.apply(m)
-		verified := false
 		if n%2 == 1 {
-			_, verified = c.score(m)
+			c.score(m)
 		}
-		c.undo(m, verified)
+		c.undo(m)
 		if !c.s.Equal(before) {
 			t.Fatalf("mutation kind %d not undone:\nbefore:\n%s\nafter:\n%s", m.kind, before, c.s)
 		}
 		if got, want := c.ev.Cost(c.s), pd.Cost(c.s); got != want {
 			t.Fatalf("mutation kind %d: evaluator %v after undo, want %v", m.kind, got, want)
 		}
-		if got, want := c.kc.Barrier(c.s), c.s.IsBarrier(); got != want {
+		if got, want := c.know.Resume(c.s.Stages), c.s.IsBarrier(); got != want {
 			t.Fatalf("mutation kind %d: barrier %v after undo, want %v", m.kind, got, want)
 		}
 	}
@@ -169,17 +166,16 @@ func TestAnnealProgressCallback(t *testing.T) {
 // signal to the neighbouring stage (a plateau accept), then remove the
 // original; or move it there in one mutation — and requires the same
 // accept/reject decision on both, although remove verifies before pricing and
-// move prices before verifying, and a knowledge cache that still answers
-// Barrier correctly afterwards on either route.
+// move prices before verifying, and a knowledge closure whose resumed verdict
+// is still right afterwards on either route.
 func TestRevisitedStateDecidesAlike(t *testing.T) {
 	pd := clusteredPredictor(t, 8)
 	decide := func(c *climber, m mutation) bool { // climber.step's protocol
-		cost, verified := c.examine(m)
-		if cost <= c.cost {
+		if cost := c.examine(m); cost <= c.cost {
 			c.accept(cost)
 			return true
 		}
-		c.undo(m, verified)
+		c.undo(m)
 		return false
 	}
 	// routes moves signal i→j from stage k to dk both ways from the same base
@@ -188,7 +184,7 @@ func TestRevisitedStateDecidesAlike(t *testing.T) {
 	routes := func(base *sched.Schedule, baseCost float64, k, dk, i, j int) (kept, ok bool) {
 		maxStages := base.NumStages() + 2
 		twoStep := newClimber(pd, base, baseCost, stats.NewRNG(1), maxStages, nil, 0)
-		cost, _ := twoStep.examine(mutation{kind: mutAdd, k: dk, i: i, j: j})
+		cost := twoStep.examine(mutation{kind: mutAdd, k: dk, i: i, j: j})
 		if math.Float64bits(cost) != math.Float64bits(baseCost) {
 			return false, false
 		}
@@ -205,8 +201,8 @@ func TestRevisitedStateDecidesAlike(t *testing.T) {
 			t.Fatalf("%s: the two routes kept different states", base.Name)
 		}
 		for _, c := range []*climber{twoStep, oneStep} {
-			if got, want := c.kc.Barrier(c.s), c.s.IsBarrier(); got != want || !want {
-				t.Fatalf("%s: after signal %d→%d stage %d→%d the cache answers barrier=%v, from scratch %v",
+			if got, want := c.know.Resume(c.s.Stages), c.s.IsBarrier(); got != want || !want {
+				t.Fatalf("%s: after signal %d→%d stage %d→%d the closure answers barrier=%v, from scratch %v",
 					base.Name, i, j, k, dk, got, want)
 			}
 			if got, want := c.ev.Cost(c.s), pd.Cost(c.s); got != want || got != c.cost {
@@ -250,9 +246,12 @@ func TestRevisitedStateDecidesAlike(t *testing.T) {
 
 // TestAnnealAllocationBound pins what the anneal allocates at the ledger's
 // search_cold_p32 shape in miniature (binomial-tree seed, P=32, 200 000
-// candidates): the working schedules, knowledge caches and evaluators of three
-// climbers plus a clone per new best — ≈ 3.2 MB. A per-candidate allocation or
-// a per-climber memo of visited states (7 MB when there was one) fails here.
+// candidates): the working schedules, knowledge closures (the accepted
+// schedule's levels plus the candidate's scratch levels, grown once to the
+// longest schedule and reused) and evaluators of three climbers plus a clone
+// per new best. A per-candidate allocation, a level store that regrows per
+// verdict, or a per-climber memo of visited states (7 MB when there was one)
+// fails here.
 func TestAnnealAllocationBound(t *testing.T) {
 	if perftest.RaceEnabled {
 		t.Skip("allocation counts under the race detector include its own")

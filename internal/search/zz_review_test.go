@@ -30,12 +30,12 @@ func syntheticProfile(p int, seed uint64) *profile.Profile {
 }
 
 // Differential stress: drive the climber candidate by candidate through
-// examine/undo — climber.step's protocol — and check every score against
-// from-scratch computation: a verdict Eq. 3 produced, and equally a verdict
-// score elided (an add or append must be a barrier by Schedule.IsBarrier; a
-// move may skip Eq. 3 only when its price already rejects it), the cost of
-// every priced candidate, that an undo restores the schedule exactly, and the
-// incremental state after every accept/undo.
+// climber.step's protocol — examine, then accept or undo — and check every
+// score against from-scratch computation: +Inf exactly for a candidate Eq. 3
+// rejected (only a remove or move runs it), a finite score only for a barrier
+// unless a move's price already rejects it (score then skips Eq. 3), the cost
+// of every priced candidate, that an undo restores the schedule exactly, and
+// the incremental state after every accept/undo.
 func TestReviewDifferentialStress(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13} {
 		prof := syntheticProfile(p, 1)
@@ -53,36 +53,27 @@ func TestReviewDifferentialStress(t *testing.T) {
 				continue
 			}
 			before := c.s.Clone()
-			cost, verified := c.examine(m)
+			cost := c.examine(m)
 			wantB := c.s.IsBarrier()
 			switch {
-			case verified:
-				if gotB := !math.IsInf(cost, 1); gotB != wantB {
-					t.Fatalf("p=%d step=%d barrier verdict: incremental=%v scratch=%v\n%s", p, n, gotB, wantB, c.s)
+			case math.IsInf(cost, 1):
+				if wantB || m.kind == mutAdd || m.kind == mutAppend {
+					t.Fatalf("p=%d step=%d kind %d rejected by Eq. 3, scratch verdict %v\n%s", p, n, m.kind, wantB, c.s)
 				}
-			case m.kind == mutMove:
-				if cost <= c.cost {
-					t.Fatalf("p=%d step=%d move priced %v ≤ %v skipped Eq. 3", p, n, cost, c.cost)
-				}
-			default:
-				if m.kind == mutRemove || !wantB {
-					t.Fatalf("p=%d step=%d kind %d skipped Eq. 3, scratch verdict %v\n%s", p, n, m.kind, wantB, c.s)
-				}
+			case !wantB && (m.kind != mutMove || cost <= c.cost):
+				t.Fatalf("p=%d step=%d kind %d priced %v (bound %v) but not a barrier\n%s", p, n, m.kind, cost, c.cost, c.s)
 			}
 			if want := pd.Cost(c.s); !math.IsInf(cost, 1) && cost != want {
 				t.Fatalf("p=%d step=%d cost: incremental=%v scratch=%v", p, n, cost, want)
 			}
 			if cost <= c.cost {
-				if !wantB {
-					t.Fatalf("p=%d step=%d accepting a non-barrier\n%s", p, n, c.s)
-				}
-				c.cost = cost
-			} else if c.undo(m, verified); !c.s.Equal(before) {
+				c.accept(cost)
+			} else if c.undo(m); !c.s.Equal(before) {
 				t.Fatalf("p=%d step=%d kind %d not undone", p, n, m.kind)
 			}
-			// every few steps, force a Barrier+Cost on the current state and compare
+			// every few steps, resume a verdict and price the current state
 			if n%7 == 0 {
-				gotB := c.kc.Barrier(c.s)
+				gotB := c.know.Resume(c.s.Stages)
 				if gotB != c.s.IsBarrier() {
 					t.Fatalf("p=%d step=%d post-step barrier mismatch", p, n)
 				}

@@ -155,9 +155,10 @@ func BenchmarkComposeHybrid(b *testing.B) {
 // that materialises one per (cluster × builder) candidate allocates 406 MB
 // where the output-sensitive path allocates 31 MB (the composed schedule,
 // the anneal's working copies and the compiled plan). A reintroduced P×P
-// temporary per candidate, or a knowledge cache that frees and regrows its
-// undo journal on every rebuild (+32 MB), fails here rather than in a ledger
-// run.
+// temporary per candidate, or a knowledge closure whose level store (the
+// accepted schedule's levels plus the candidate's scratch levels, 128 KB
+// each at P = 1024) is reallocated per verdict rather than grown once, fails
+// here rather than in a ledger run.
 func TestTuneAllocationBoundLargeP(t *testing.T) {
 	pf := scaleProfile(t, 1024)
 	var before, after runtime.MemStats
@@ -174,11 +175,12 @@ func TestTuneAllocationBoundLargeP(t *testing.T) {
 }
 
 // TestLargePSearchSpeedupFloor pins the reason the incremental engine exists
-// at large P: at P = 256 the search (knowledge cache, cluster-pruned
-// proposals, best-of-8 batches) must evaluate mutations at least 3× faster
-// than scratchEvaluate, the clone → toggle → from-scratch IsBarrier → pd.Cost
-// baseline of search_bench_test.go (2× under the race detector; measured
-// 5–6.5× and 3.7× on the 2-core build box). Each side is the best of three
+// at large P: at P = 256 the search (Eq. 3 resumed from the accepted
+// schedule's levels, cluster-pruned proposals, best-of-8 batches) must
+// evaluate mutations at least 3× faster than scratchEvaluate, the clone →
+// toggle → from-scratch IsBarrier → pd.Cost baseline of search_bench_test.go
+// (2× under the race detector; measured 5.4–7.5× and 5.9× on the 2-core
+// build box). Each side is the best of three
 // runs — scheduler noise only ever slows a run down, so the fastest
 // observation is the cleanest.
 func TestLargePSearchSpeedupFloor(t *testing.T) {
