@@ -8,6 +8,7 @@ package predict
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"topobarrier/internal/mat"
 	"topobarrier/internal/profile"
@@ -82,31 +83,81 @@ func (pd *Predictor) rowCost(st *mat.Bool, i int, ready bool) float64 {
 	return maxO + sumL
 }
 
-// forward runs the layered dependency graph's recurrence and returns every
-// rank's completion time of the last stage; stage, when non-nil, sees the
-// completion times of each stage k as they are produced (the slice is reused).
-// Rank i's stage completes when its own send batch has drained and every
-// signal addressed to it in the stage has arrived; a signal from m arrives
-// when m's batch (begun at m's previous-stage completion) drains.
-func (pd *Predictor) forward(s *sched.Schedule, stage func(k int, done []float64)) []float64 {
-	pd.check(s)
-	t := make([]float64, s.P) // completion time of the previous stage
-	next := make([]float64, s.P)
-	arrive := make([]float64, s.P)
-	for k, st := range s.Stages {
-		ready := pd.stageReady(k)
-		for i := range next {
-			a := t[i] + pd.rowCost(st, i, ready)
-			arrive[i], next[i] = a, a
+// drain is rank i's own completion offset in stage k of st: the Eq. 1/2 batch
+// cost of its row under the policy. It is the one place the policy's send
+// rule is applied.
+func (pd *Predictor) drain(st *mat.Bool, k, i int) float64 {
+	return pd.rowCost(st, i, pd.stageReady(k))
+}
+
+// edge is one signal of a stage, from → to.
+type edge struct{ from, to int32 }
+
+// appendEdges appends one edge per set bit of rank from's row.
+func appendEdges(es []edge, from int, row []uint64) []edge {
+	for w, word := range row {
+		for word != 0 {
+			j := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			es = append(es, edge{int32(from), int32(j)})
 		}
-		// Receives: signal m→i lands when m's batch drains.
-		st.Each(func(m, i int) {
-			if arrive[m] > next[i] {
-				next[i] = arrive[m]
-			}
-		})
+	}
+	return es
+}
+
+// stageInputs prices stage k of st for step: it fills drain with every rank's
+// drain and returns the stage's signals, reusing es.
+func (pd *Predictor) stageInputs(st *mat.Bool, k int, drain []float64, es []edge) []edge {
+	es = es[:0]
+	words, wpr := st.Words(), st.WordsPerRow()
+	for i := range drain {
+		drain[i] = pd.drain(st, k, i)
+		es = appendEdges(es, i, words[i*wpr:(i+1)*wpr])
+	}
+	return es
+}
+
+// step is the layered dependency graph's stage body, the one copy of the
+// recurrence. From the previous stage's completion times t it writes each
+// rank's own batch drain, arrive[i] = t[i] + drain[i] — the time i's signals
+// land — and each rank's completion next[i]: the latest of its own drain and
+// every arrival addressed to it. max is order-independent (no cost of a
+// usable profile is NaN), so any order of edges gives the same bits.
+func step(edges []edge, drain, t, next, arrive []float64) {
+	for i := range next {
+		a := t[i] + drain[i]
+		arrive[i], next[i] = a, a
+	}
+	for _, sg := range edges {
+		next[sg.to] = max(next[sg.to], arrive[sg.from])
+	}
+}
+
+// latest is a completion vector's maximum: the barrier's predicted cost.
+func latest(t []float64) float64 {
+	m := 0.0
+	for _, v := range t {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// forward runs step over every stage of s from time zero and returns every
+// rank's completion time of the last stage; stage, when non-nil, sees each
+// stage k's completion and arrival times as they are produced (the slices
+// are reused).
+func (pd *Predictor) forward(s *sched.Schedule, stage func(k int, done, arrive []float64)) []float64 {
+	pd.check(s)
+	buf := make([]float64, 4*s.P)
+	t, next, drain, arrive := buf[:s.P], buf[s.P:2*s.P], buf[2*s.P:3*s.P], buf[3*s.P:]
+	es := make([]edge, 0, s.P)
+	for k, st := range s.Stages {
+		es = pd.stageInputs(st, k, drain, es)
+		step(es, drain, t, next, arrive)
 		if stage != nil {
-			stage(k, next)
+			stage(k, next, arrive)
 		}
 		t, next = next, t
 	}
@@ -117,13 +168,7 @@ func (pd *Predictor) forward(s *sched.Schedule, stage func(k int, done []float64
 // path from all arrivals through all departures of the layered dependency
 // graph, i.e. the latest completion of the last stage.
 func (pd *Predictor) Cost(s *sched.Schedule) float64 {
-	max := 0.0
-	for _, v := range pd.forward(s, nil) {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return latest(pd.forward(s, nil))
 }
 
 // Timeline returns the predicted per-stage completion times of the model's
@@ -134,7 +179,7 @@ func (pd *Predictor) Cost(s *sched.Schedule) float64 {
 // yields the predicted-vs-measured drift table.
 func (pd *Predictor) Timeline(s *sched.Schedule) [][]float64 {
 	out := make([][]float64, s.NumStages())
-	pd.forward(s, func(k int, done []float64) { out[k] = append([]float64(nil), done...) })
+	pd.forward(s, func(k int, done, _ []float64) { out[k] = slices.Clone(done) })
 	return out
 }
 

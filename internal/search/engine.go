@@ -13,10 +13,12 @@ import (
 // The incremental search engine. The seed implementation paid a full
 // Schedule.Clone, a from-scratch Eq. 3 recurrence, and a from-scratch
 // critical-path pass for every mutant. Here a single working schedule is
-// mutated in place with apply/undo deltas; the cost comes from an incremental
-// predict.Evaluator, the Eq. 3 verdict — for the move kinds and prices that
-// leave it open (climber.score) — from a mat.Closure resumed at the first
-// stage the candidate touched, against the levels of the accepted schedule.
+// mutated in place with apply/undo deltas. Both engines follow one protocol —
+// Touch the edited stages, evaluate, then Commit or Reject — and resume from
+// the first stage the candidate touched against the accepted schedule's
+// levels: the cost from predict.Evaluator's completion times, the Eq. 3
+// verdict — for the move kinds and prices that leave it open (climber.score)
+// — from mat.Closure's knowledge.
 
 // mutation kinds mirror the seed implementation's move set.
 const (
@@ -110,6 +112,7 @@ func (c *climber) accept(cost float64) {
 	c.accepts++
 	c.cost = cost
 	c.know.Commit()
+	c.ev.Commit()
 	if cost < c.bestCost {
 		c.bestCost = cost
 		c.best = c.s.Clone()
@@ -265,22 +268,19 @@ func (c *climber) pickSignal(k, i int) (int, bool) {
 }
 
 // apply performs the mutation on the working schedule, touching exactly the
-// changed stages and cost rows.
+// changed stages and rows in the closure and the evaluator.
 func (c *climber) apply(m mutation) {
 	switch m.kind {
 	case mutRemove:
 		c.s.Stages[m.k].Set(m.i, m.j, false)
-		c.ev.Touch(m.k, m.i)
 	case mutAdd:
 		c.s.Stages[m.k].Set(m.i, m.j, true)
-		c.ev.Touch(m.k, m.i)
 	case mutMove:
 		c.s.Stages[m.k].Set(m.i, m.j, false)
 		c.s.Stages[m.dk].Set(m.i, m.j, true)
-		c.ev.Touch(m.k, m.i)
-		c.ev.Touch(m.dk, m.i)
 		if !m.dkHad {
 			c.know.Touch(m.dk)
+			c.ev.Touch(c.s, m.dk, m.i)
 		}
 	case mutAppend:
 		st := c.spare
@@ -292,32 +292,30 @@ func (c *climber) apply(m mutation) {
 		c.s.AddStage(st)
 	}
 	c.know.Touch(m.k)
+	c.ev.Touch(c.s, m.k, m.i)
 }
 
-// undo reverses apply exactly. The closure's base levels were never written
-// for the candidate, so rejecting it restores nothing there.
+// undo reverses apply exactly. Neither the closure's nor the evaluator's base
+// levels were written for the candidate; rejecting restores the evaluator's
+// repriced rows.
 func (c *climber) undo(m mutation) {
 	c.know.Reject()
+	c.ev.Reject()
 	switch m.kind {
 	case mutRemove:
 		c.s.Stages[m.k].Set(m.i, m.j, true)
-		c.ev.Touch(m.k, m.i)
 	case mutAdd:
 		c.s.Stages[m.k].Set(m.i, m.j, false)
-		c.ev.Touch(m.k, m.i)
 	case mutMove:
 		c.s.Stages[m.k].Set(m.i, m.j, true)
 		if !m.dkHad {
 			c.s.Stages[m.dk].Set(m.i, m.j, false)
 		}
-		c.ev.Touch(m.k, m.i)
-		c.ev.Touch(m.dk, m.i)
 	case mutAppend:
 		st := c.s.Stages[m.k]
 		st.Set(m.i, m.j, false)
 		c.spare = st
 		c.s.Stages = c.s.Stages[:m.k]
-		c.ev.Truncate(m.k)
 	}
 }
 
@@ -329,7 +327,7 @@ func (c *climber) adopt(elite *sched.Schedule, cost float64) {
 	c.s = elite.Clone()
 	c.know.Touch(0)
 	c.know.Commit()
-	c.ev.Truncate(0)
+	c.ev = predict.NewEvaluator(c.pd)
 	c.cost = cost
 	if cost < c.bestCost {
 		c.bestCost = cost

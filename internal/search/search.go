@@ -93,11 +93,12 @@ func (o AnnealOptions) steps() int { return max(o.Budget/o.Restarts, 1) }
 // another stage, append a stage) are kept when the mutant still synchronises
 // and does not predict slower. Restarts run as a deterministic parallel
 // portfolio with periodic elite exchange; each restart mutates a single
-// working schedule in place, prices candidates through an incremental
-// critical-path evaluator, and runs Eq. 3 — by resuming a mat.Closure from
-// the accepted schedule's levels at the candidate's first touched stage —
-// only for the move kinds that can break a barrier and only when the verdict
-// can change the decision (climber.score). The cheapest schedule
+// working schedule in place, prices candidates with a predict.Evaluator
+// resumed from the accepted schedule's completion times at the candidate's
+// first touched stage, and runs Eq. 3 — by resuming a mat.Closure from the
+// accepted schedule's levels at the same stage — only for the move kinds that
+// can break a barrier and only when the verdict can change the decision
+// (climber.score). The cheapest schedule
 // observed anywhere in the portfolio is returned, after one from-scratch
 // re-verification of its Eq. 3 verdict and its cost; a mismatch is an error.
 func Anneal(pd *predict.Predictor, seedSched *sched.Schedule, opts AnnealOptions) (*Result, error) {
