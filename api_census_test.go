@@ -182,7 +182,7 @@ func parseModule(t *testing.T) map[string]*ast.File {
 // Options, Config and Params structs under internal/: the library's knobs,
 // pinned the way cliFlags pins the command lines'. One declaration naming
 // several fields (`Warmup, Iters int`) is one knob.
-const optionFields = 61
+const optionFields = 60
 
 // TestOptionFieldCensus counts the exported field declarations of every
 // exported struct type under internal/ whose name ends in Options, Config or
@@ -221,7 +221,7 @@ func TestOptionFieldCensus(t *testing.T) {
 // cliFlags is the number of flag definitions across cmd/*/main.go. It is the
 // ratchet against new knobs: a command line grows only by raising it, with
 // the reason in the change; deleting a flag lowers it.
-const cliFlags = 84
+const cliFlags = 72
 
 // TestCLIFlagCensus counts the flag.* calls that define a flag in the
 // commands' main files and holds the total to cliFlags.

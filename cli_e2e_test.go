@@ -42,7 +42,7 @@ func runCmdExit(t *testing.T, args ...string) (string, int) {
 }
 
 // TestCLIPipeline drives profilecluster → tunebarrier → runbarrier →
-// barriervet -emit → searchbarrier end to end through their public
+// barriervet -emit → tunebarrier -seed-alg end to end through their public
 // command-line interfaces.
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
@@ -100,9 +100,18 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("barriervet -emit source:\n%s", src)
 	}
 
-	out = runCmd(t, "./cmd/searchbarrier", "-profile", prof, "-seed-alg", "tree", "-budget", "300", "-restarts", "1")
-	if !strings.Contains(out, "barrier verified: true") {
-		t.Fatalf("searchbarrier output:\n%s", out)
+	out = runCmd(t, "./cmd/tunebarrier", "-profile", prof, "-seed-alg", "tree", "-refine", "300")
+	if !strings.Contains(out, "search from tree(22)") || !strings.Contains(out, "barrier verified: true") {
+		t.Fatalf("tunebarrier -seed-alg tree output:\n%s", out)
+	}
+
+	// A negative count is a usage error naming the flag, not a silent
+	// fallback (no refinement, single steps, or the default profile file).
+	for _, bad := range [][]string{{"-refine", "-1"}, {"-refine-batch", "-3"}, {"-synthetic-p", "-4"}} {
+		out, code := runCmdExit(t, append([]string{"./cmd/tunebarrier", "-profile", prof}, bad...)...)
+		if code == 0 || !strings.Contains(out, bad[0]+" must not be negative") {
+			t.Fatalf("tunebarrier %v: exit %d, output:\n%s", bad, code, out)
+		}
 	}
 }
 

@@ -4,17 +4,26 @@
 // and decisions, then the predicted cost of each classic schedule on the
 // same profile — the low-cost candidate evaluation the paper's Figure 1
 // performs "without occupying the target machine" — and optionally stores
-// the composed schedule as JSON for runbarrier and barriervet -emit.
+// the tuned schedule as JSON for runbarrier and barriervet -emit.
 //
 // Usage:
 //
 //	tunebarrier -profile profile.json [-o schedule.json] [-sparseness F]
 //	            [-maxdepth N] [-builders paper|extended] [-dump]
 //	            [-policy eq1-first-stage|always-eq1]
-//	            [-refine N] [-refine-batch N] [-telemetry addr]
+//	            [-seed-alg hybrid|tree|dissemination|linear|rd|ring|FILE.json]
+//	            [-refine N] [-refine-batch N] [-rngseed N] [-telemetry addr]
 //	            [-trace-out file.json]
 //	            [-profile-cache DIR] [-fingerprint PREFIX]
 //	tunebarrier -synthetic-p 1024 [-synthetic-nodes N] [-refine N] ...
+//
+// -refine N follows the seed with N candidate evaluations of local search
+// beyond the greedy composer (§VIII), over the SSS leaf clusters; the result
+// replaces the seed only when it prices cheaper and passes the same vet gate,
+// and the run reports the seed's cost, the candidates examined, the result's
+// cost and its Eq. 3 verdict. The seed is the composed hybrid unless
+// -seed-alg names a classic schedule or a schedule file, which skips
+// composition and is vetted, refined and written the same way.
 //
 // -synthetic-p tunes against the noise-free profile of a synthetic
 // hierarchical cluster (fabric.ScaleClusterFabric) instead of a stored one —
@@ -61,7 +70,8 @@ func main() {
 		builders    = flag.String("builders", "paper", "component set: paper or extended")
 		dump        = flag.Bool("dump", false, "print the stage matrices (Figure 10 style)")
 		policy      = flag.String("policy", "eq1-first-stage", "cost policy: eq1-first-stage (Eq. 1 for the first stage, Eq. 2 after) or always-eq1")
-		refine      = flag.Int("refine", 0, "follow composition with N candidate evaluations of local-search refinement")
+		seedAlg     = flag.String("seed-alg", "hybrid", "schedule to refine and write: hybrid composes one; any name runbarrier's -alg takes (tree, dissemination, linear, rd, ring, FILE.json) skips composition")
+		refine      = flag.Int("refine", 0, "follow the seed with N candidate evaluations of local-search refinement")
 		refineBatch = flag.Int("refine-batch", 0, "refinement keeps the best of every N candidate mutations (0 or 1 = single-candidate steps)")
 		rngseed     = flag.Uint64("rngseed", 1, "refinement randomness seed")
 
@@ -75,6 +85,15 @@ func main() {
 		fpPrefix = flag.String("fingerprint", "", "with -profile-cache: fingerprint prefix selecting the entry (default: newest)")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"refine", *refine}, {"refine-batch", *refineBatch}, {"synthetic-p", *synthP}} {
+		if f.value < 0 {
+			fmt.Fprintf(os.Stderr, "tunebarrier: -%s must not be negative, got %d (try -h)\n", f.name, f.value)
+			os.Exit(2)
+		}
+	}
 
 	var pf *profile.Profile
 	if *synthP > 0 {
@@ -140,13 +159,26 @@ func main() {
 		fatal(fmt.Errorf("unknown policy %q", *policy))
 	}
 
-	tuned, err := core.Tune(pf, opts)
+	tuned, err := tune(pf, *seedAlg, opts)
 	if err != nil {
 		fatal(err)
 	}
+	seed, seedCost := tuned.Result.Schedule, tuned.Result.PredictedCost
 	fmt.Printf("platform: %s (P=%d)\n", pf.Platform, pf.P)
 	fmt.Printf("clusters: %s\n\n", tuned.Tree)
-	fmt.Print(tuned.Result.Describe())
+	if *seedAlg == "hybrid" {
+		fmt.Print(tuned.Result.Describe())
+	} else {
+		fmt.Printf("seed %s: %d stages, %d signals, predicted %.1fµs\n",
+			seed.Name, seed.NumStages(), seed.SignalCount(), seedCost*1e6)
+	}
+	if res := tuned.Schedule(); tuned.Search != nil {
+		fmt.Printf("\nsearch from %s: predicted %.1fµs\n", seed.Name, seedCost*1e6)
+		fmt.Printf("examined %d candidates: %s predicted %.1fµs (%.1f%% better)\n",
+			tuned.Search.Examined, res.Name, tuned.PredictedCost()*1e6, 100*(seedCost-tuned.PredictedCost())/seedCost)
+		fmt.Printf("result: %d stages, %d signals, barrier verified: %v\n",
+			res.NumStages(), res.SignalCount(), res.IsBarrier())
+	}
 	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy}
 	fmt.Printf("\nclassic schedules on the same profile, policy %s:\n", pd.Policy)
 	for _, n := range []string{"dissemination", "linear", "recursive-doubling", "ring", "tree"} {
@@ -177,6 +209,19 @@ func main() {
 		}
 		fmt.Printf("wrote pipeline trace to %s\n", *traceOut)
 	}
+}
+
+// tune composes the hybrid, or takes the named schedule as the seed, and
+// vets and refines it.
+func tune(pf *profile.Profile, alg string, opts core.Options) (*core.Tuned, error) {
+	if alg == "hybrid" {
+		return core.Tune(pf, opts)
+	}
+	seed, err := sched.Named(alg, pf.P)
+	if err != nil {
+		return nil, err
+	}
+	return core.TuneFrom(pf, seed, opts)
 }
 
 func fatal(err error) {

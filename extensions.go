@@ -19,9 +19,6 @@ type (
 	SearchResult = search.Result
 	// AnnealOptions configures the local search.
 	AnnealOptions = search.AnnealOptions
-	// SearchProgress is one per-round snapshot of the portfolio annealer,
-	// delivered through AnnealOptions.Progress.
-	SearchProgress = search.Progress
 )
 
 // AnnealSearch hill-climbs from a seed schedule with signal-level mutations.

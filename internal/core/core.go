@@ -36,10 +36,10 @@ type Options struct {
 	Policy predict.CostPolicy
 	// Refine, when positive, follows the greedy composition with that many
 	// candidate evaluations of local-search refinement (§VIII future work),
-	// seeded with the composed schedule. A refined schedule replaces the
-	// composed one only when it prices cheaper and passes the same barriervet
-	// gate; otherwise the composition stands. The pass is deterministic for a
-	// fixed RefineSeed.
+	// seeded with the composed schedule (TuneFrom: the given one). A refined
+	// schedule replaces the seed only when it prices cheaper and passes the
+	// same barriervet gate; otherwise the seed stands. The pass is
+	// deterministic for a fixed RefineSeed.
 	Refine int
 	// RefineSeed is the refinement search's randomness seed.
 	RefineSeed uint64
@@ -72,28 +72,38 @@ type Tuned struct {
 	Profile *profile.Profile
 	// Tree is the locality hierarchy discovered by clustering.
 	Tree *sss.Node
-	// Result holds the composed schedule and the per-cluster decisions.
+	// Result holds the seed — the composed schedule, its predicted cost and
+	// the per-cluster decisions, or TuneFrom's schedule with none; refinement
+	// leaves it as it was.
 	Result *compose.Result
+	// Search is the refinement search's outcome when Options.Refine is
+	// positive, nil otherwise. Its schedule is the tuned barrier only when it
+	// prices cheaper than the seed and passes the same vet gate.
+	Search *search.Result
 	// Report is the barriervet static analysis of the schedule and its
 	// compiled plan; schedules with Error-severity findings never reach this
 	// struct.
 	Report *analyze.Report
 	// Plan is the flattened executable form of the schedule.
 	Plan *run.Plan
+
+	schedule *sched.Schedule
+	cost     float64
 }
 
 // PredictedCost returns the critical-path cost estimate of the tuned barrier.
-func (t *Tuned) PredictedCost() float64 { return t.Result.PredictedCost }
+func (t *Tuned) PredictedCost() float64 { return t.cost }
 
-// Schedule returns the composed signal pattern.
-func (t *Tuned) Schedule() *sched.Schedule { return t.Result.Schedule }
+// Schedule returns the tuned signal pattern: the seed, or the refinement's
+// result when that replaced it.
+func (t *Tuned) Schedule() *sched.Schedule { return t.schedule }
 
 // Func returns the barrier as an executable function.
 func (t *Tuned) Func() run.Func { return t.Plan.Func() }
 
 // GenerateSource emits hard-coded Go source for the tuned barrier.
 func (t *Tuned) GenerateSource(opts codegen.Options) ([]byte, error) {
-	return codegen.Generate(t.Result.Schedule, opts)
+	return codegen.Generate(t.schedule, opts)
 }
 
 // Tune runs the adaptive construction against a profile.
@@ -113,10 +123,28 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 	if err != nil {
 		return nil, err
 	}
+	return refine(pd, tree, res, opts)
+}
+
+// TuneFrom is Tune with a given seed schedule in place of the composition:
+// the seed is vetted and, with opts.Refine, refined exactly as a composed
+// schedule is (same clusters, policy and gate). The returned Result holds the
+// seed with no per-cluster choices; Builders is unused.
+func TuneFrom(pf *profile.Profile, seed *sched.Schedule, opts Options) (*Tuned, error) {
+	if err := pf.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy}
+	return refine(pd, sss.Tree(pf, opts.Clustering), &compose.Result{Schedule: seed, PredictedCost: pd.Cost(seed)}, opts)
+}
+
+// refine vets the seed in res and, with opts.Refine, anneals from it.
+func refine(pd *predict.Predictor, tree *sss.Node, res *compose.Result, opts Options) (*Tuned, error) {
 	// analyze.Vet gates plan compilation and source emission: a composed
-	// schedule it refuses is a composer bug and must not execute. The report
-	// also rides along on the Tuned value so callers can surface warnings
-	// and redundancy opportunities.
+	// schedule it refuses is a composer bug, a given seed it refuses is the
+	// caller's, and neither may execute. The report also rides along on the
+	// Tuned value so callers can surface warnings and redundancy
+	// opportunities.
 	vet := func(s *sched.Schedule) (*run.Plan, *analyze.Report, error) {
 		span := opts.Tracer.Begin("tune.vet", -1, -1, -1)
 		defer span.End()
@@ -124,8 +152,9 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 	}
 	plan, rep, err := vet(res.Schedule)
 	if err != nil {
-		return nil, fmt.Errorf("core: composed schedule fails vet: %w", err)
+		return nil, fmt.Errorf("core: schedule %q fails vet: %w", res.Schedule.Name, err)
 	}
+	t := &Tuned{Profile: pd.Prof, Tree: tree, Result: res, Report: rep, Plan: plan, schedule: res.Schedule, cost: res.PredictedCost}
 	if opts.Refine > 0 {
 		refineSpan := opts.Tracer.Begin("tune.refine", -1, -1, -1)
 		// The SSS leaf clusters that shaped the composition also prune the
@@ -145,18 +174,18 @@ func Tune(pf *profile.Profile, opts Options) (*Tuned, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: refinement search: %w", err)
 		}
+		t.Search = sres
 		if sres.Cost < res.PredictedCost {
-			// The refined schedule must clear the same gate as the composition;
-			// a refusal keeps the composed schedule instead of failing the
-			// pipeline, since a verified fallback is in hand.
+			// The refined schedule must clear the same gate as the seed; a
+			// refusal keeps the seed instead of failing the pipeline, since a
+			// verified fallback is in hand.
 			if rplan, rrep, err := vet(sres.Schedule); err == nil {
-				res.Schedule, res.PredictedCost = sres.Schedule, sres.Cost
-				plan, rep = rplan, rrep
+				t.schedule, t.cost, t.Plan, t.Report = sres.Schedule, sres.Cost, rplan, rrep
 			}
 		}
 	}
-	opts.Telemetry.Gauge("tune_predicted_cost_seconds").Set(res.PredictedCost)
-	return &Tuned{Profile: pf, Tree: tree, Result: res, Report: rep, Plan: plan}, nil
+	opts.Telemetry.Gauge("tune_predicted_cost_seconds").Set(t.cost)
+	return t, nil
 }
 
 // ProfileAndTune profiles the platform of a world with the given benchmark

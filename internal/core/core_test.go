@@ -74,6 +74,9 @@ func TestTuneRefinementNeverRegresses(t *testing.T) {
 	if refined.PredictedCost() > plain.PredictedCost() {
 		t.Fatalf("refinement regressed: %g > %g", refined.PredictedCost(), plain.PredictedCost())
 	}
+	if !refined.Result.Schedule.Equal(plain.Schedule()) || refined.Result.PredictedCost != plain.PredictedCost() || refined.Search == nil || plain.Search != nil {
+		t.Fatalf("Result must stay the composition and Search carry the refinement")
+	}
 	if err := run.Validate(w, refined.Func(), 0.5, []int{0, 7, 23}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +87,40 @@ func TestTuneRefinementNeverRegresses(t *testing.T) {
 	}
 	if !again.Schedule().Equal(refined.Schedule()) {
 		t.Fatalf("refinement depends on worker count")
+	}
+}
+
+// TestTuneFromClassicSeed: TuneFrom vets a given seed and refines it like a
+// composition. Without Refine the seed is the result unchanged; with it the
+// result clears the gate and prices no higher than the seed; a seed that is
+// not a barrier is refused.
+func TestTuneFromClassicSeed(t *testing.T) {
+	pf := quadWorld(t, 24, 1).Fabric().TrueProfile()
+	seed := sched.Tree(24)
+	seedCost := predict.New(pf).Cost(seed)
+	plain, err := TuneFrom(pf, seed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Schedule() != seed || plain.PredictedCost() != seedCost || plain.Search != nil || len(plain.Result.Choices) != 0 {
+		t.Fatalf("unrefined TuneFrom changed the seed: %s at %g", plain.Schedule().Name, plain.PredictedCost())
+	}
+	refined, err := TuneFrom(pf, seed, Options{Refine: 3000, RefineSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined.Search == nil || refined.Search.Examined == 0 || refined.Result.Schedule != seed {
+		t.Fatalf("TuneFrom reports no search from the seed")
+	}
+	if err := refined.Report.Err(); err != nil || !refined.Schedule().IsBarrier() {
+		t.Fatalf("refined schedule fails the gate: %v", err)
+	}
+	if refined.PredictedCost() > seedCost || refined.PredictedCost() != predict.New(pf).Cost(refined.Schedule()) {
+		t.Fatalf("refined cost %g, seed %g", refined.PredictedCost(), seedCost)
+	}
+	broken := &sched.Schedule{Name: "broken(24)", P: 24, Stages: seed.Stages[:1]}
+	if _, err := TuneFrom(pf, broken, Options{Refine: 100}); err == nil || !strings.Contains(err.Error(), "fails vet") {
+		t.Fatalf("TuneFrom accepted a non-barrier seed: %v", err)
 	}
 }
 

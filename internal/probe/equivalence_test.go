@@ -68,9 +68,9 @@ func TestSparseProfileTunesToTheSamePlan(t *testing.T) {
 			}
 			if !a.Schedule().Equal(b.Schedule()) {
 				t.Fatalf("sparse-probed profile tunes to %s (%.3f us), reference profile to %s (%.3f us)",
-					a.Schedule().Name, a.Result.PredictedCost*1e6, b.Schedule().Name, b.Result.PredictedCost*1e6)
+					a.Schedule().Name, a.PredictedCost()*1e6, b.Schedule().Name, b.PredictedCost()*1e6)
 			}
-			t.Logf("%s: predicted %.3f us on the sparse profile, %.3f us on the reference", a.Schedule().Name, a.Result.PredictedCost*1e6, b.Result.PredictedCost*1e6)
+			t.Logf("%s: predicted %.3f us on the sparse profile, %.3f us on the reference", a.Schedule().Name, a.PredictedCost()*1e6, b.PredictedCost()*1e6)
 		})
 	}
 }

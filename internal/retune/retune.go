@@ -243,8 +243,8 @@ func (c *Controller) observe() (mean float64, minFresh int64) {
 // triggered — re-probe, re-search, and propose. It is cheap when nothing
 // drifted (a handful of histogram reads) and never blocks barrier traffic:
 // the re-probe shares the mesh with live barriers by tag-space separation,
-// and the proposal is picked up by the runners at their next control
-// barrier.
+// and the proposal rides the version word of the next EpochRunner call and
+// is installed at the call after every rank has seen it.
 func (c *Controller) Check() (Decision, error) {
 	span := c.opts.Tracer.Begin("retune.check", -1, -1, -1)
 	defer span.End()

@@ -133,35 +133,6 @@ func TestAnnealBudgetCapsExaminations(t *testing.T) {
 	}
 }
 
-func TestAnnealProgressCallback(t *testing.T) {
-	pd := clusteredPredictor(t, 12)
-	seed := sched.Tree(12)
-	var rounds []Progress
-	_, err := Anneal(pd, seed, AnnealOptions{
-		Seed: 5, Budget: 2 * 4 * exchangeEvery, Restarts: 2, Workers: 2,
-		Progress: func(p Progress) { rounds = append(rounds, p) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) != 4 {
-		t.Fatalf("expected 4 progress rounds, got %d", len(rounds))
-	}
-	last := rounds[len(rounds)-1]
-	if last.StepsDone != 4*exchangeEvery || last.Round != 4 || last.Rounds != 4 {
-		t.Fatalf("final progress snapshot wrong: %+v", last)
-	}
-	if last.Examined == 0 || math.IsInf(last.BestCost, 1) {
-		t.Fatalf("progress carries no data: %+v", last)
-	}
-	for i := 1; i < len(rounds); i++ {
-		if rounds[i].BestCost > rounds[i-1].BestCost {
-			t.Fatalf("best cost regressed between rounds: %v -> %v",
-				rounds[i-1].BestCost, rounds[i].BestCost)
-		}
-	}
-}
-
 // TestRevisitedStateDecidesAlike reaches one schedule by two routes — add the
 // signal to the neighbouring stage (a plateau accept), then remove the
 // original; or move it there in one mutation — and requires the same

@@ -26,23 +26,6 @@ import (
 // current best.
 const eliteAdoptFactor = 1.05
 
-// Progress is a snapshot handed to AnnealOptions.Progress after each
-// exchange round.
-type Progress struct {
-	// Round counts completed exchange rounds; Rounds is the total planned.
-	Round, Rounds int
-	// StepsDone is the number of mutation attempts completed per restart.
-	StepsDone int
-	// Examined is the total number of candidates evaluated so far.
-	Examined int
-	// Accepts counts mutations kept because they did not predict slower.
-	Accepts int
-	// BestCost is the cheapest predicted cost seen by any restart so far.
-	BestCost float64
-	// Elite is the restart index holding the current cheapest state.
-	Elite int
-}
-
 // searchMetrics is the registry view of one Anneal call, flushed by the
 // coordinator at exchange-round barriers (never from the hot loop, so the
 // search result and its determinism are unaffected by telemetry).
@@ -88,15 +71,18 @@ func (m *searchMetrics) adoptionInc() {
 	m.adoptions.Inc()
 }
 
-// flush publishes the round's aggregate deltas and per-restart gauges.
-func (m *searchMetrics) flush(climbers []*climber, stepsDone int, bestCost float64) {
+// flush publishes the round's aggregate deltas, the portfolio's best cost and
+// the per-restart gauges; no-op on nil metrics.
+func (m *searchMetrics) flush(climbers []*climber, stepsDone int) {
 	if m == nil {
 		return
 	}
 	examined, accepts := 0, 0
+	bestCost := climbers[0].bestCost
 	for r, c := range climbers {
 		examined += c.examined
 		accepts += c.accepts
+		bestCost = min(bestCost, c.bestCost)
 		m.perSteps[r].Set(float64(stepsDone))
 		m.perBest[r].Set(c.bestCost)
 	}
@@ -120,8 +106,7 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 	}
 	steps := opts.steps()
 	stepsLeft := steps
-	rounds := (steps + exchangeEvery - 1) / exchangeEvery
-	for round := 0; stepsLeft > 0; round++ {
+	for stepsLeft > 0 {
 		stepsThis := exchangeEvery
 		if stepsThis > stepsLeft {
 			stepsThis = stepsLeft
@@ -167,29 +152,7 @@ func runPortfolio(climbers []*climber, opts AnnealOptions) {
 				}
 			}
 		}
-		if opts.Progress != nil || metrics != nil {
-			examined, accepts := 0, 0
-			bestCost := climbers[0].bestCost
-			bestAt := 0
-			for r, c := range climbers {
-				examined += c.examined
-				accepts += c.accepts
-				if c.bestCost < bestCost {
-					bestCost, bestAt = c.bestCost, r
-				}
-			}
-			metrics.flush(climbers, steps-stepsLeft, bestCost)
-			if opts.Progress != nil {
-				opts.Progress(Progress{
-					Round: round + 1, Rounds: rounds,
-					StepsDone: steps - stepsLeft,
-					Examined:  examined,
-					Accepts:   accepts,
-					BestCost:  bestCost,
-					Elite:     bestAt,
-				})
-			}
-		}
+		metrics.flush(climbers, steps-stepsLeft)
 	}
 }
 

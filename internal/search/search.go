@@ -56,9 +56,6 @@ type AnnealOptions struct {
 	// does not predict slower). Batches draw from the climber's own RNG
 	// stream, so the result stays independent of Workers.
 	BatchSize int
-	// Progress, when non-nil, is called from the coordinating goroutine
-	// after every exchange round.
-	Progress func(Progress)
 	// Telemetry, when non-nil, receives the search's runtime metrics:
 	// candidate throughput, accepted moves, exchange rounds, elite adoptions, and per-restart progress gauges.
 	// Metrics are flushed at exchange-round barriers by the coordinator, so

@@ -71,23 +71,3 @@ func TestAnnealTelemetryDoesNotChangeResult(t *testing.T) {
 		t.Fatal("telemetry changed the found schedule")
 	}
 }
-
-// TestProgressCarriesTelemetryFields checks the extended Progress snapshot.
-func TestProgressCarriesTelemetryFields(t *testing.T) {
-	pf := uniformProfile(6)
-	pd := predict.New(pf)
-	var last Progress
-	_, err := Anneal(pd, sched.Dissemination(6), AnnealOptions{
-		Seed: 5, Budget: 800, Restarts: 2,
-		Progress: func(p Progress) { last = p },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.Examined == 0 {
-		t.Fatal("progress never reported examined candidates")
-	}
-	if last.Accepts < 0 || last.Accepts > last.Examined {
-		t.Fatalf("progress Accepts %d out of range", last.Accepts)
-	}
-}

@@ -40,7 +40,14 @@ func TestTuneSyntheticLargeP(t *testing.T) {
 	if want := fmt.Sprintf("(P=%d)", scaleTestP); !strings.Contains(text, want) {
 		t.Fatalf("tunebarrier output lacks %q:\n%s", want, text[:min(len(text), 800)])
 	}
-	data, err := os.ReadFile(out)
+	checkStoredBarrier(t, out)
+}
+
+// checkStoredBarrier loads a schedule a command wrote with -o and requires a
+// scaleTestP-rank barrier.
+func checkStoredBarrier(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,26 +59,29 @@ func TestTuneSyntheticLargeP(t *testing.T) {
 		t.Fatalf("stored schedule has P=%d, want %d", s.P, scaleTestP)
 	}
 	if !s.IsBarrier() {
-		t.Fatalf("P=%d tuned schedule fails Eq. 3 closure", scaleTestP)
+		t.Fatalf("P=%d stored schedule fails Eq. 3 closure", scaleTestP)
 	}
 }
 
-// TestSearchSyntheticLargeP runs the standalone local search at large P with
+// TestSearchSyntheticLargeP anneals from a classic seed at large P with
 // cluster-pruned proposals and best-of-batch stepping — the configuration the
-// sparse-frontier kernels exist for — and requires a verified barrier out.
+// sparse-frontier kernels exist for — through tunebarrier -seed-alg, and
+// requires a verified barrier out, on screen and in the stored schedule.
 func TestSearchSyntheticLargeP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles and runs searchbarrier at large P")
+		t.Skip("compiles and runs tunebarrier -seed-alg at large P")
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
-	text := runCmd(t, "./cmd/searchbarrier",
+	out := filepath.Join(t.TempDir(), "sched.json")
+	text := runCmd(t, "./cmd/tunebarrier",
 		"-synthetic-p", fmt.Sprint(scaleTestP),
 		"-seed-alg", "dissemination",
-		"-budget", "300", "-restarts", "1",
-		"-cluster-prune", "-batch", "8", "-rngseed", "7")
+		"-refine", "300", "-refine-batch", "8", "-rngseed", "7",
+		"-o", out)
 	if !strings.Contains(text, "barrier verified: true") {
-		t.Fatalf("searchbarrier did not verify the result:\n%s", text)
+		t.Fatalf("tunebarrier -seed-alg did not verify the result:\n%s", text)
 	}
+	checkStoredBarrier(t, out)
 }
