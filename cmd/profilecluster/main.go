@@ -103,7 +103,11 @@ func main() {
 	if err := pf.Save(*out); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (P=%d, diameter %.1fµs)\n", *out, pf.P, pf.Diameter()*1e6)
+	all := make([]int, pf.P)
+	for i := range all {
+		all[i] = i
+	}
+	fmt.Printf("wrote %s (P=%d, diameter %.1fµs)\n", *out, pf.P, pf.Diameter(all)*1e6)
 	if *full {
 		pairs, screened, spot, redone := pf.P*(pf.P-1)/2, 0, 0, 0
 		if pv := pf.Provenance; pv != nil {

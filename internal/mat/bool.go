@@ -10,6 +10,7 @@ package mat
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -151,28 +152,16 @@ func (m *Bool) Each(f func(i, j int)) {
 // RowWords returns the bitset words backing row i. The slice aliases the
 // matrix storage: writes through it mutate the matrix, and it is invalidated
 // by nothing (the backing array never reallocates). It exists so word-at-a-
-// time kernels — the incremental knowledge recurrence, schedule hashing —
-// can avoid the per-bit At/Set accessors and the allocation in Row.
+// time kernels — stage pricing, the search's signal draw — can avoid the
+// per-bit At/Set accessors and the allocation in Row.
 func (m *Bool) RowWords(i int) []uint64 {
-	m.check(i, 0)
 	return m.rows[i*m.words : (i+1)*m.words]
 }
 
-// WordsPerRow returns the number of uint64 words backing each row.
-func (m *Bool) WordsPerRow() int { return m.words }
-
-// Words exposes the full backing word slice, rows concatenated in order, each
-// WordsPerRow long. It exists for evaluation loops that walk every row of a
-// stage matrix and cannot afford a bounds-checked accessor call per row; the
-// slice aliases matrix storage and writes through it must respect the padding
-// bits (kept zero) past column N-1 in each row's last word.
-func (m *Bool) Words() []uint64 { return m.rows }
-
-// Clone returns a deep copy of m.
+// Clone returns a deep copy of m, written once: the copy is never zeroed
+// first.
 func (m *Bool) Clone() *Bool {
-	c := NewBool(m.n)
-	copy(c.rows, m.rows)
-	return c
+	return &Bool{n: m.n, words: m.words, rows: slices.Clone(m.rows)}
 }
 
 // Equal reports whether m and o have the same dimension and entries. Identical

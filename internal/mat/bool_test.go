@@ -302,9 +302,6 @@ var _ = strings.TrimSpace // keep strings imported if dumps are removed
 
 func TestRowWordsAliasesStorage(t *testing.T) {
 	m := NewBool(70) // two words per row
-	if m.WordsPerRow() != 2 {
-		t.Fatalf("WordsPerRow() = %d, want 2", m.WordsPerRow())
-	}
 	m.Set(3, 65, true)
 	w := m.RowWords(3)
 	if len(w) != 2 {

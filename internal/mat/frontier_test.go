@@ -71,7 +71,7 @@ func checkRun(t *testing.T, c *Closure, p int, stages []*Bool, silent []uint64) 
 		if silent != nil && silent[j/64]&(1<<(uint(j)%64)) != 0 {
 			continue
 		}
-		want := make([]uint64, k.WordsPerRow())
+		want := make([]uint64, k.words)
 		for _, i := range k.Col(j) {
 			want[i/64] |= 1 << (uint(i) % 64)
 		}

@@ -22,7 +22,7 @@ func TestPropagateSilencedInto(t *testing.T) {
 			s.Set(i, (i+1)%n, true)
 		}
 		k := Identity(n)
-		silent := maskOf(k.WordsPerRow(), 2)
+		silent := maskOf(k.words, 2)
 
 		got := NewBool(n)
 		PropagateSilencedInto(got, k, s, silent)
@@ -51,7 +51,7 @@ func TestReachableFrom(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		m.Set(i, i+1, true)
 	}
-	w := m.WordsPerRow()
+	w := m.words
 
 	seed := maskOf(w, 0)
 	m.ReachableFrom(seed, nil)

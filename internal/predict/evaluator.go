@@ -95,9 +95,8 @@ func (e *Evaluator) Touch(s *sched.Schedule, stage, rank int) {
 			es = append(es, sg)
 		}
 	}
-	e.edges[stage] = appendEdges(es, rank, st.RowWords(rank))
 	e.saved = append(e.saved, saved{stage, rank, e.drain[stage][rank], old})
-	e.drain[stage][rank] = e.pd.drain(st, stage, rank)
+	e.drain[stage][rank], e.edges[stage] = e.pd.rowInputs(st, stage, rank, es)
 }
 
 // Cost returns the predicted cost of s, the working schedule: the base with

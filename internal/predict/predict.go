@@ -54,65 +54,50 @@ func (pd *Predictor) stageReady(stage int) bool {
 	return pd.Policy != AlwaysEq1 && stage > 0
 }
 
-// rowCost evaluates the cost of rank i sending one signal to each of its
-// targets in one stage matrix, read off the row's bitset words, targets
-// increasing. With ready=false this is the paper's Eq. 1,
-// max_k O[i][jk] + Σ_k L[i][jk]; with ready=true it is Eq. 2,
-// O[i][i] + Σ_k L[i][jk]. An empty row costs nothing.
-func (pd *Predictor) rowCost(st *mat.Bool, i int, ready bool) float64 {
-	wpr := st.WordsPerRow()
-	sumL, maxO := 0.0, 0.0
-	sent := false
-	for w, word := range st.Words()[i*wpr : (i+1)*wpr] {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			sent = true
-			sumL += pd.Prof.L.At(i, j)
-			if o := pd.Prof.O.At(i, j); o > maxO {
-				maxO = o
-			}
-		}
-	}
-	if !sent {
-		return 0
-	}
-	if ready {
-		return pd.Prof.O.At(i, i) + sumL
-	}
-	return maxO + sumL
-}
-
-// drain is rank i's own completion offset in stage k of st: the Eq. 1/2 batch
-// cost of its row under the policy. It is the one place the policy's send
-// rule is applied.
-func (pd *Predictor) drain(st *mat.Bool, k, i int) float64 {
-	return pd.rowCost(st, i, pd.stageReady(k))
-}
-
 // edge is one signal of a stage, from → to.
 type edge struct{ from, to int32 }
 
-// appendEdges appends one edge per set bit of rank from's row.
-func appendEdges(es []edge, from int, row []uint64) []edge {
-	for w, word := range row {
-		for word != 0 {
-			j := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			es = append(es, edge{int32(from), int32(j)})
+// rowInputs reads rank i's row of stage k of st once, targets increasing: it
+// appends one edge per target to es and returns i's drain, its own completion
+// offset in the stage — the Eq. 1/2 batch cost of the row under the policy.
+// With Eq. 1 that is max_j O[i][j] + Σ_j L[i][j]; with Eq. 2 (a ready stage)
+// it is O[i][i] + Σ_j L[i][j]. It is the one place the policy's send rule is
+// applied. A row whose words are all zero drains nothing and adds no edge.
+func (pd *Predictor) rowInputs(st *mat.Bool, k, i int, es []edge) (float64, []edge) {
+	row := st.RowWords(i)
+	w0 := 0
+	for w0 < len(row) && row[w0] == 0 {
+		w0++
+	}
+	if w0 == len(row) {
+		return 0, es
+	}
+	p := pd.Prof.P
+	o, l := pd.Prof.O.Data()[i*p:(i+1)*p], pd.Prof.L.Data()[i*p:(i+1)*p]
+	sumL, maxO := 0.0, 0.0
+	for w, word := range row[w0:] {
+		for ; word != 0; word &= word - 1 {
+			j := (w0+w)*64 + bits.TrailingZeros64(word)
+			sumL += l[j]
+			if o[j] > maxO {
+				maxO = o[j]
+			}
+			es = append(es, edge{int32(i), int32(j)})
 		}
 	}
-	return es
+	if pd.stageReady(k) {
+		return o[i] + sumL, es
+	}
+	return maxO + sumL, es
 }
 
 // stageInputs prices stage k of st for step: it fills drain with every rank's
-// drain and returns the stage's signals, reusing es.
+// drain and returns the stage's signals, reusing es. Most rows of a stage the
+// search appends are all zero, and rowInputs skips each after one look.
 func (pd *Predictor) stageInputs(st *mat.Bool, k int, drain []float64, es []edge) []edge {
 	es = es[:0]
-	words, wpr := st.Words(), st.WordsPerRow()
 	for i := range drain {
-		drain[i] = pd.drain(st, k, i)
-		es = appendEdges(es, i, words[i*wpr:(i+1)*wpr])
+		drain[i], es = pd.rowInputs(st, k, i, es)
 	}
 	return es
 }

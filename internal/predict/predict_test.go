@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"topobarrier/internal/profile"
@@ -54,9 +55,9 @@ const (
 	oii = 1e-6
 )
 
-// batchCost is the list form of rowCost — the same Eq. 1/2 sum over an
-// explicit target list in increasing order — kept as the reference rowCost's
-// word scan is held to, bit for bit.
+// batchCost is the list form of rowInputs' drain — the same Eq. 1/2 sum over
+// an explicit target list in increasing order — kept as the reference
+// rowInputs' word scan is held to, bit for bit.
 func (pd *Predictor) batchCost(i int, targets []int, ready bool) float64 {
 	if len(targets) == 0 {
 		return 0
@@ -273,16 +274,31 @@ func TestForwardMatchesPaperLiteralRecurrence(t *testing.T) {
 	for _, p := range []int{2, 9, 64, 70} {
 		for _, policy := range []CostPolicy{FirstStageEq1, AlwaysEq1} {
 			pd := &Predictor{Prof: noisyProfile(p, uint64(p)), Policy: policy}
-			kary := sched.KAryTreeArrival(p, 4)
-			for _, s := range []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p), kary.Concat(kary.ReverseTransposed())} {
+			scheds := []*sched.Schedule{sched.Linear(p), sched.Dissemination(p), sched.Tree(p)}
+			for _, b := range sched.ExtendedBuilders() {
+				a := b.Arrival(p)
+				scheds = append(scheds, a.Concat(a.ReverseTransposed()))
+			}
+			for _, s := range scheds {
 				want := referenceTimeline(pd, s)
 				if got := pd.Timeline(s); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %v: Timeline differs from the reference", s.Name, policy)
 				}
 				for k, st := range s.Stages {
 					for i := 0; i < p; i++ {
-						if got, want := pd.rowCost(st, i, pd.stageReady(k)), pd.batchCost(i, st.Row(i), pd.stageReady(k)); got != want {
-							t.Fatalf("%s stage %d rank %d: rowCost %v, batchCost %v", s.Name, k, i, got, want)
+						got, es := pd.rowInputs(st, k, i, nil)
+						if want := pd.batchCost(i, st.Row(i), pd.stageReady(k)); got != want {
+							t.Fatalf("%s stage %d rank %d: rowInputs drain %v, batchCost %v", s.Name, k, i, got, want)
+						}
+						var targets []int
+						for _, e := range es {
+							if int(e.from) != i {
+								t.Fatalf("%s stage %d rank %d: rowInputs edge from %d", s.Name, k, i, e.from)
+							}
+							targets = append(targets, int(e.to))
+						}
+						if want := st.Row(i); !slices.Equal(targets, want) {
+							t.Fatalf("%s stage %d rank %d: rowInputs targets %v, Row %v", s.Name, k, i, targets, want)
 						}
 					}
 				}

@@ -11,6 +11,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"topobarrier/internal/mat"
@@ -91,12 +92,22 @@ func (pr *Profile) Validate() error {
 		return fmt.Errorf("profile: matrix sizes %d/%d do not match P=%d", pr.O.N(), pr.L.N(), pr.P)
 	}
 	o, l := pr.O.Data(), pr.L.Data()
-	for k := range o {
-		if o[k] < 0 || l[k] < 0 {
-			return fmt.Errorf("profile: negative cost at (%d,%d)", k/pr.P, k%pr.P)
+	l = l[:len(o)]
+	for k, ok := range o {
+		// As unsigned integers, the bits of the finite costs ≥ +0 are exactly
+		// those below +Inf's, so one test clears nearly every pair; a pair
+		// with O = L = +0 (b = 0) goes on to the checks below.
+		if b := max(math.Float64bits(ok), math.Float64bits(l[k])); b > 0 && b < 0x7FF0000000000000 {
+			continue
 		}
-		if o[k] == 0 && l[k] == 0 && k/pr.P != k%pr.P {
-			return fmt.Errorf("profile: pair (%d,%d) has O = L = 0: an entry nobody measured, which the model would price as a free link", k/pr.P, k%pr.P)
+		i, j := k/pr.P, k%pr.P
+		switch {
+		case math.IsNaN(ok) || math.IsInf(ok, 0) || math.IsNaN(l[k]) || math.IsInf(l[k], 0):
+			return fmt.Errorf("profile: pair (%d,%d) has O = %g, L = %g: a non-finite cost, which the model cannot price", i, j, ok, l[k])
+		case ok < 0 || l[k] < 0:
+			return fmt.Errorf("profile: negative cost at (%d,%d)", i, j)
+		case ok == 0 && l[k] == 0 && i != j:
+			return fmt.Errorf("profile: pair (%d,%d) has O = L = 0: an entry nobody measured, which the model would price as a free link", i, j)
 		}
 	}
 	if pv := pr.Provenance; pv != nil && (pv.Estimated == nil || pv.Estimated.N() != pr.P) {
@@ -117,13 +128,26 @@ func (pr *Profile) Distance(i, j int) float64 {
 	return (pr.O.At(i, j) + pr.O.At(j, i)) / 2
 }
 
-// Diameter returns the largest pairwise distance.
-func (pr *Profile) Diameter() float64 {
+// Diameter returns the largest Distance between two of the given distinct
+// ranks, and 0 for fewer than two. It reads O's rows directly, 64 × 64 rank
+// pairs at a time, so the transposed entry of each pair is a read from a
+// cached row rather than a column walk.
+func (pr *Profile) Diameter(ranks []int) float64 {
+	const tile = 64
+	p, o := pr.P, pr.O.Data()
 	d := 0.0
-	for i := 0; i < pr.P; i++ {
-		for j := i + 1; j < pr.P; j++ {
-			if v := pr.Distance(i, j); v > d {
-				d = v
+	for a0 := 0; a0 < len(ranks); a0 += tile {
+		a1 := min(a0+tile, len(ranks))
+		for b0 := a0; b0 < len(ranks); b0 += tile {
+			b1 := min(b0+tile, len(ranks))
+			for a := a0; a < a1; a++ {
+				i := ranks[a]
+				row := o[i*p : (i+1)*p]
+				for _, j := range ranks[max(b0, a+1):b1] {
+					if v := (row[j] + o[j*p+i]) / 2; v > d {
+						d = v
+					}
+				}
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"topobarrier/internal/mat"
+	"topobarrier/internal/stats"
 )
 
 func sample() *Profile {
@@ -76,8 +77,80 @@ func TestDistanceAndDiameter(t *testing.T) {
 	if pr.Distance(0, 2) != pr.Distance(2, 0) {
 		t.Fatalf("distance asymmetric")
 	}
-	if pr.Diameter() != 50e-6 {
-		t.Fatalf("diameter = %g", pr.Diameter())
+	if d := pr.Diameter([]int{0, 1, 2, 3}); d != 50e-6 {
+		t.Fatalf("diameter = %g", d)
+	}
+	if d := pr.Diameter([]int{3, 2}); d != 2e-6 {
+		t.Fatalf("diameter of one node = %g", d)
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN compares false against everything, so
+// the negative-cost check alone would pass it, and an infinite cost breaks
+// every sum the model takes. Either, in O or in L, is refused by its pair.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, inO := range []bool{true, false} {
+			pr := sample()
+			m := pr.L
+			if inO {
+				m = pr.O
+			}
+			m.Set(2, 1, v)
+			err := pr.Validate()
+			if err == nil || !strings.Contains(err.Error(), "pair (2,1)") || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%v in O: %v: Validate() = %v, want pair (2,1) refused as non-finite", v, inO, err)
+			}
+		}
+	}
+}
+
+// pairwiseDiameter is the reference Diameter is held to: the largest
+// Distance over every pair of the subset, one pair at a time.
+func pairwiseDiameter(pr *Profile, ranks []int) float64 {
+	d := 0.0
+	for a := range ranks {
+		for _, j := range ranks[a+1:] {
+			d = max(d, pr.Distance(ranks[a], j))
+		}
+	}
+	return d
+}
+
+// TestDiameterMatchesPairwiseDistance holds the tiled scan to the pairwise
+// reference bit for bit, on asymmetric profiles whose sizes straddle the tile
+// edge, over random subsets in random order, the empty set and every rank.
+func TestDiameterMatchesPairwiseDistance(t *testing.T) {
+	rng := stats.NewRNG(39)
+	for _, p := range []int{1, 2, 63, 64, 65, 130} {
+		pr := New("random", p)
+		for k := range pr.O.Data() {
+			pr.O.Data()[k] = rng.Float64() * 1e-4
+			pr.L.Data()[k] = rng.Float64() * 1e-5
+		}
+		subsets := [][]int{nil, make([]int, p)}
+		for i := range subsets[1] {
+			subsets[1][i] = i
+		}
+		for trial := 0; trial < 20; trial++ {
+			var ranks []int
+			for i := 0; i < p; i++ {
+				if rng.Float64() < 0.6 {
+					ranks = append(ranks, i)
+				}
+			}
+			for a := len(ranks) - 1; a > 0; a-- {
+				b := rng.Intn(a + 1)
+				ranks[a], ranks[b] = ranks[b], ranks[a]
+			}
+			subsets = append(subsets, ranks)
+		}
+		for _, ranks := range subsets {
+			got, want := pr.Diameter(ranks), pairwiseDiameter(pr, ranks)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("P=%d ranks %v: Diameter %v, pairwise %v", p, ranks, got, want)
+			}
+		}
 	}
 }
 

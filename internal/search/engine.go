@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"topobarrier/internal/mat"
 	"topobarrier/internal/predict"
@@ -56,7 +57,9 @@ type climber struct {
 	examined int
 	accepts  int // mutations kept (cost did not worsen)
 	// best tracks the cheapest state seen during the climb — not just the
-	// end-of-restart state — so a plateau walk can never discard it.
+	// end-of-restart state — so a plateau walk can never discard it. It is
+	// replaced, never written: until the climb improves on the seed it is
+	// the caller's seed itself.
 	best     *sched.Schedule
 	bestCost float64
 	// spare recycles the stage matrix of an undone append.
@@ -72,7 +75,7 @@ func newClimber(pd *predict.Predictor, seedSched *sched.Schedule, seedCost float
 		maxStages: maxStages,
 		prop:      prop,
 		batch:     batch,
-		best:      seedSched.Clone(),
+		best:      seedSched,
 		bestCost:  seedCost,
 	}
 }
@@ -336,14 +339,16 @@ func (c *climber) adopt(elite *sched.Schedule, cost float64) {
 }
 
 // finalize returns the restart's cheapest schedule with no-op stages
-// eliminated, re-scored from scratch.
+// eliminated, re-scored from scratch; a schedule without one is returned as
+// it is, uncopied.
 func (c *climber) finalize() (*sched.Schedule, float64) {
-	s, cost := c.best, c.bestCost
-	dropped := c.best.DropEmptyStages()
-	if dropped.NumStages() != c.best.NumStages() && dropped.IsBarrier() {
-		if dc := c.pd.Cost(dropped); dc <= cost {
-			s, cost = dropped, dc
+	if !slices.ContainsFunc(c.best.Stages, (*mat.Bool).IsZero) {
+		return c.best, c.bestCost
+	}
+	if dropped := c.best.DropEmptyStages(); dropped.IsBarrier() {
+		if dc := c.pd.Cost(dropped); dc <= c.bestCost {
+			return dropped, dc
 		}
 	}
-	return s, cost
+	return c.best, c.bestCost
 }

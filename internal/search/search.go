@@ -115,12 +115,15 @@ func Anneal(pd *predict.Predictor, seedSched *sched.Schedule, opts AnnealOptions
 	climbers := newPortfolio(pd, seedSched, seedCost, opts, prop)
 	runPortfolio(climbers, opts)
 
-	best := &Result{Schedule: seedSched.Clone(), Cost: seedCost}
+	best := &Result{Schedule: seedSched, Cost: seedCost}
 	for _, c := range climbers {
 		best.Examined += c.examined
 		if s, cost := c.finalize(); cost < best.Cost {
 			best.Schedule, best.Cost = s, cost
 		}
+	}
+	if best.Schedule == seedSched {
+		best.Schedule = seedSched.Clone()
 	}
 	best.Schedule.Name = fmt.Sprintf("annealed(%s)", seedSched.Name)
 	// The climb elides every check its move kind makes redundant, so the one

@@ -95,19 +95,6 @@ func (n *Node) String() string {
 	return s + "]"
 }
 
-// diameter returns the largest pairwise distance within the subset.
-func diameter(pr *profile.Profile, ranks []int) float64 {
-	diam := 0.0
-	for a := 0; a < len(ranks); a++ {
-		for b := a + 1; b < len(ranks); b++ {
-			if d := pr.Distance(ranks[a], ranks[b]); d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
 // Flat partitions the given ranks by one SSS pass over the metric dist: a
 // rank farther than threshold (sparseness × the subset's diameter) from every
 // centre founds a new cluster; the first listed rank seeds the first. dist is
@@ -161,7 +148,7 @@ func build(pr *profile.Profile, ranks []int, opts Options, depth int) *Node {
 		return n
 	}
 	// Stop when remaining locality differences are below the floor.
-	diam := diameter(pr, sorted)
+	diam := pr.Diameter(sorted)
 	if diam <= opts.MinDiameter {
 		return n
 	}

@@ -56,7 +56,7 @@ func TestFlatFindsNodeClustersBlock(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	clusters := flatOf(t, pr, all, DefaultSparseness*diameter(pr, all))
+	clusters := flatOf(t, pr, all, DefaultSparseness*pr.Diameter(all))
 	if len(clusters) != 3 {
 		t.Fatalf("found %d clusters, want 3 nodes: %v", len(clusters), clusters)
 	}
@@ -75,7 +75,7 @@ func TestFlatFindsNodeClustersRoundRobin(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	clusters := flatOf(t, pr, all, DefaultSparseness*diameter(pr, all))
+	clusters := flatOf(t, pr, all, DefaultSparseness*pr.Diameter(all))
 	if len(clusters) != 3 {
 		t.Fatalf("found %d clusters, want 3: %v", len(clusters), clusters)
 	}
@@ -96,10 +96,10 @@ func TestFlatFindsNodeClustersRoundRobin(t *testing.T) {
 
 func TestFlatSingletonAndEmpty(t *testing.T) {
 	pr := quadProfile(t, topo.Block{}, 8)
-	if got := flatOf(t, pr, []int{5}, 0.35*diameter(pr, []int{5})); len(got) != 1 || got[0][0] != 5 {
+	if got := flatOf(t, pr, []int{5}, 0.35*pr.Diameter([]int{5})); len(got) != 1 || got[0][0] != 5 {
 		t.Fatalf("singleton clustering = %v", got)
 	}
-	if got := flatOf(t, pr, nil, 0.35*diameter(pr, nil)); got != nil {
+	if got := flatOf(t, pr, nil, 0.35*pr.Diameter(nil)); got != nil {
 		t.Fatalf("empty clustering = %v", got)
 	}
 }
@@ -114,7 +114,7 @@ func TestFlatUniformDistancesSplitToSingletons(t *testing.T) {
 		}
 	}
 	all := []int{0, 1, 2, 3, 4}
-	clusters := flatOf(t, pr, all, 0.35*diameter(pr, all))
+	clusters := flatOf(t, pr, all, 0.35*pr.Diameter(all))
 	if len(clusters) != 5 {
 		t.Fatalf("uniform profile produced %d clusters, want 5 singletons", len(clusters))
 	}
@@ -218,14 +218,63 @@ func TestSparsenessExtremes(t *testing.T) {
 		all[i] = i
 	}
 	// Sparseness 1: nothing exceeds the diameter, so one cluster remains.
-	one := flatOf(t, pr, all, 1.0*diameter(pr, all))
+	one := flatOf(t, pr, all, 1.0*pr.Diameter(all))
 	if len(one) != 1 {
 		t.Fatalf("near-1 sparseness produced %d clusters", len(one))
 	}
 	// Tiny sparseness: everything splits apart.
-	many := flatOf(t, pr, all, 1e-9*diameter(pr, all))
+	many := flatOf(t, pr, all, 1e-9*pr.Diameter(all))
 	if len(many) != 16 {
 		t.Fatalf("tiny sparseness produced %d clusters", len(many))
+	}
+}
+
+// referenceTree is build with the pairwise diameter Profile.Diameter's tiled
+// scan replaced: the largest Distance over the subset, one pair at a time.
+func referenceTree(pr *profile.Profile, ranks []int, opts Options, depth int) *Node {
+	n := &Node{Ranks: ranks}
+	if len(ranks) <= 1 || (opts.MaxDepth > 0 && depth >= opts.MaxDepth) {
+		return n
+	}
+	diam := 0.0
+	for a := range ranks {
+		for _, j := range ranks[a+1:] {
+			diam = max(diam, pr.Distance(ranks[a], j))
+		}
+	}
+	if diam <= opts.MinDiameter {
+		return n
+	}
+	clusters, _ := Flat(ranks, opts.sparseness()*diam, pr.Distance)
+	if len(clusters) <= 1 {
+		return n
+	}
+	for _, cl := range clusters {
+		n.Children = append(n.Children, referenceTree(pr, cl, opts, depth+1))
+	}
+	return n
+}
+
+// TestTreeMatchesPairwiseDiameter: the tiled diameter changes no threshold,
+// so no tree — at the ledger's P = 1024 scale cluster or on the paper's quad
+// cluster — differs from the one the pairwise scan builds.
+func TestTreeMatchesPairwiseDiameter(t *testing.T) {
+	f, err := fabric.ScaleClusterFabric(1024, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pr := range map[string]*profile.Profile{"scale P=1024": f.TrueProfile(), "quad P=64": quadProfile(t, topo.Block{}, 64)} {
+		all := make([]int, pr.P)
+		for i := range all {
+			all[i] = i
+		}
+		got, want := Tree(pr, Options{}), referenceTree(pr, all, Options{}, 0)
+		if got.String() != want.String() {
+			t.Fatalf("%s: Tree %s, pairwise reference %s", name, got, want)
+		}
+		if len(got.Leaves()) < 2 {
+			t.Fatalf("%s: tree %s has no hierarchy to compare", name, got)
+		}
 	}
 }
 

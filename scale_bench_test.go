@@ -1,8 +1,8 @@
 // Large-P scaling benchmarks: the Eq. 3 closure (the from-scratch row-wise
 // reference vs the receiver-wise mat.Closure kernel) at P = 128/256/1024, and
 // end-to-end mutation throughput of the cluster-pruned batched search at the
-// same rank counts, and the composer and the whole budgeted tune at
-// P = 256/1024. TestLargePSearchSpeedupFloor pins the search's advantage over
+// same rank counts, and the SSS tree, the composer and the whole budgeted
+// tune at P = 256/1024. TestLargePSearchSpeedupFloor pins the search's advantage over
 // clone-and-recompute evaluation at P = 256; TestTuneAllocationBoundLargeP
 // pins the tune's output-sensitivity without a wall clock.
 package topobarrier_test
@@ -144,6 +144,24 @@ func BenchmarkComposeHybrid(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := compose.Hybrid(pd, tree, sched.PaperBuilders()); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSSSTreeLargeP times the SSS clustering alone — the tiled diameter
+// scan of every level plus the centre passes — the span the ledger reports
+// as sss.tree_ms.
+func BenchmarkSSSTreeLargeP(b *testing.B) {
+	for _, p := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			pf := scaleProfile(b, p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(sss.Tree(pf, sss.Options{}).Leaves()) < 2 {
+					b.Fatal("no clusters")
 				}
 			}
 		})
