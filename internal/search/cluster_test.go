@@ -1,6 +1,10 @@
 package search
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 
 	"topobarrier/internal/sched"
@@ -121,6 +125,45 @@ func TestAnnealClusterPrunedWorkerIndependence(t *testing.T) {
 			continue
 		}
 		if res.Cost != ref.Cost || res.Examined != ref.Examined || !res.Schedule.Equal(ref.Schedule) {
+			t.Fatalf("workers=%d diverged from workers=1: cost %g vs %g, examined %d vs %d",
+				workers, res.Cost, ref.Cost, res.Examined, ref.Examined)
+		}
+	}
+}
+
+// TestAnnealSlicedRoundsWorkerIndependence pins the determinism contract
+// where rounds are cut into slices that move restarts between workers:
+// best-of-5 batches (5 does not divide the slice length), 1043 steps per
+// restart (a multiple of neither exchangeEvery nor the batch), so the rounds
+// are 500, 500 and 43 steps, the last shorter than one slice. Every worker
+// count must match Workers: 1 bit for bit, and Workers: 1 must match the
+// result recorded when each restart ran its rounds whole: a slice that ended
+// inside a batch would cut the batches elsewhere and move it.
+func TestAnnealSlicedRoundsWorkerIndependence(t *testing.T) {
+	pd := clusteredPredictor(t, 16)
+	seed := sched.Tree(16)
+	var ref *Result
+	for _, workers := range []int{1, 2, 3} {
+		res, err := Anneal(pd, seed, AnnealOptions{
+			Seed: 9, Budget: 3 * 1043, Restarts: 3, Workers: workers, BatchSize: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+			data, err := json.Marshal(res.Schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			got := fmt.Sprintf("%x %#x %d", sum[:8], math.Float64bits(res.Cost), res.Examined)
+			if want := "13e44f6d22748d13 0x3f145e5bd5e9ac00 2020"; got != want {
+				t.Fatalf("workers=1 moved from the whole-round result: got %s, want %s", got, want)
+			}
+			continue
+		}
+		if math.Float64bits(res.Cost) != math.Float64bits(ref.Cost) || res.Examined != ref.Examined || !res.Schedule.Equal(ref.Schedule) {
 			t.Fatalf("workers=%d diverged from workers=1: cost %g vs %g, examined %d vs %d",
 				workers, res.Cost, ref.Cost, res.Examined, ref.Examined)
 		}

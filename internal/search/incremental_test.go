@@ -222,22 +222,25 @@ func TestRevisitedStateDecidesAlike(t *testing.T) {
 // longest schedule and reused) and evaluators of three climbers plus a clone
 // per new best. A per-candidate allocation, a level store that regrows per
 // verdict, or a per-climber memo of visited states (7 MB when there was one)
-// fails here.
+// fails here. Two workers share the same bound: the pool that runs the
+// rounds' slices is made once per call, not once per round.
 func TestAnnealAllocationBound(t *testing.T) {
 	if perftest.RaceEnabled {
 		t.Skip("allocation counts under the race detector include its own")
 	}
 	pd := clusteredPredictor(t, 32)
 	seed := sched.Tree(32)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 200_000, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	t.Logf("Anneal at P=32, budget 200000 allocated %.2f MB", mb)
-	if mb > 4.5 {
-		t.Fatalf("Anneal at P=32, budget 200000 allocated %.2f MB, want ≤ 4.5", mb)
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 200_000, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("Anneal at P=32, budget 200000, %d workers allocated %.2f MB", workers, mb)
+		if mb > 4.5 {
+			t.Fatalf("Anneal at P=32, budget 200000, %d workers allocated %.2f MB, want ≤ 4.5", workers, mb)
+		}
 	}
 }

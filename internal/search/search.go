@@ -33,8 +33,10 @@ type AnnealOptions struct {
 	// Restarts is the number of portfolio members (default 3).
 	Restarts int
 	// Workers bounds how many restarts climb concurrently (default
-	// GOMAXPROCS, capped at Restarts). The worker count affects throughput
-	// only: for a fixed Seed the result is bit-identical at any value.
+	// GOMAXPROCS, capped at Restarts). A restart's round runs in slices
+	// that may move between workers, so more restarts than workers still
+	// keep every worker busy. The worker count affects throughput only: for
+	// a fixed Seed the result is bit-identical at any value.
 	Workers int
 	// Budget is the total number of mutation attempts across the whole
 	// portfolio: each restart performs Budget/Restarts of them (at least
@@ -58,15 +60,14 @@ type AnnealOptions struct {
 	BatchSize int
 	// Telemetry, when non-nil, receives the search's runtime metrics:
 	// candidate throughput, accepted moves, exchange rounds, elite adoptions, and per-restart progress gauges.
-	// Metrics are flushed at exchange-round barriers by the coordinator, so
-	// enabling them never perturbs the hot mutation loop or the
-	// deterministic result.
+	// Metrics are flushed at each round's exchange, so enabling them never
+	// perturbs the hot mutation loop or the deterministic result.
 	Telemetry *telemetry.Registry
 }
 
 // exchangeEvery is the number of steps each restart climbs between
-// cross-restart elite exchanges. Exchanges happen at synchronisation
-// barriers, so changing Workers never changes them.
+// cross-restart elite exchanges. Exchanges happen when every restart has
+// finished the round, so changing Workers never changes them.
 const exchangeEvery = 500
 
 func (o AnnealOptions) withDefaults() AnnealOptions {

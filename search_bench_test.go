@@ -6,7 +6,9 @@ package topobarrier_test
 
 import (
 	"fmt"
+	"syscall"
 	"testing"
+	"time"
 
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/predict"
@@ -83,38 +85,54 @@ func BenchmarkSearchThroughput(b *testing.B) {
 
 // BenchmarkSearchWorkerScaling runs a fixed 8-restart portfolio on 1, 2, 4,
 // and 8 workers; with shared-nothing climbers the speedup should track the
-// worker count until restarts run out.
+// worker count until restarts run out. The tree32 rows are the ledger's
+// shape, three restarts on one and two workers, where a round cut into
+// slices is what lets the third restart share the two cores.
 func BenchmarkSearchWorkerScaling(b *testing.B) {
-	pd := throughputPredictor(b, 16)
-	seed := sched.Dissemination(16)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			examined := 0
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: 3, Budget: 12000, Restarts: 8, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
+	shapes := []struct {
+		name             string
+		seed             *sched.Schedule
+		restarts, budget int
+		workers          []int
+	}{
+		{"", sched.Dissemination(16), 8, 12000, []int{1, 2, 4, 8}},
+		{"tree32/restarts=3/", sched.Tree(32), 3, 30_000, []int{1, 2}},
+	}
+	for _, sh := range shapes {
+		pd := throughputPredictor(b, sh.seed.P)
+		for _, workers := range sh.workers {
+			b.Run(fmt.Sprintf("%sworkers=%d", sh.name, workers), func(b *testing.B) {
+				examined := 0
+				b.ResetTimer()
+				cpu := cpuSeconds(b)
+				for n := 0; n < b.N; n++ {
+					res, err := search.Anneal(pd, sh.seed, search.AnnealOptions{
+						Seed: 3, Budget: sh.budget, Restarts: sh.restarts, Workers: workers,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					examined += res.Examined
 				}
-				examined += res.Examined
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
-		})
+				b.StopTimer()
+				b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
+				b.ReportMetric((cpuSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
+			})
+		}
 	}
 }
 
 // BenchmarkAnnealColdTree32 is the ledger's search_cold_p32 shape in
 // miniature: binomial-tree seed at P=32, three restarts, uniform proposals —
 // accept-heavy, where BenchmarkSearchThroughput's dissemination seeds are
-// reject-heavy from the first step.
+// reject-heavy from the first step. busy-cores is the process's CPU time
+// over wall time: how much of the box the portfolio keeps working.
 func BenchmarkAnnealColdTree32(b *testing.B) {
 	pd := throughputPredictor(b, 32)
 	seed := sched.Tree(32)
 	examined := 0
 	b.ResetTimer()
+	cpu := cpuSeconds(b)
 	for n := 0; n < b.N; n++ {
 		res, err := search.Anneal(pd, seed, search.AnnealOptions{Seed: uint64(n), Budget: 200_000, Restarts: 3})
 		if err != nil {
@@ -124,4 +142,14 @@ func BenchmarkAnnealColdTree32(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
+	b.ReportMetric((cpuSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
+}
+
+// cpuSeconds returns the user plus system CPU time the process has used.
+func cpuSeconds(b *testing.B) float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
