@@ -356,14 +356,7 @@ func report(title string, tl *critpath.Timeline, obs [][]float64, runs int, pd *
 		return fmt.Errorf("the trace shows %d stages, schedule %s has %d", len(obs), s.Name, len(pred))
 	}
 	start, end := tl.Span()
-	est := 0
-	for _, e := range tl.Estimated {
-		if e {
-			est++
-		}
-	}
-	fmt.Printf("%s: %.1fµs, %d messages (%d unmatched), clock offsets estimated for %d/%d ranks\n\n",
-		title, (end-start)*1e6, len(tl.Messages), tl.Unmatched, est, tl.P)
+	fmt.Printf("%s: %.1fµs, %d messages (%d unmatched)\n\n", title, (end-start)*1e6, len(tl.Messages), tl.Unmatched)
 	fmt.Println(tl.Gantt(width))
 
 	fmt.Printf("%s: predicted vs observed per-stage completion (per-cell min of %d)\n", s.Name, runs)

@@ -11,22 +11,14 @@
 // The live pipeline is: netmpi emits per-message send/recv spans (tag, peer,
 // stage, transport) into a telemetry.Tracer; Merge matches the k-th send on
 // a (src, dst, tag) key to the k-th receive on the same key — per-link
-// non-overtaking on both transports makes that pairing exact — estimates
-// per-rank clock offsets from the matched exchanges, and groups messages
-// into barrier instances; Timeline.CriticalPath walks arrival maxima
-// backwards from the last stage completion; Analyze diffs that walk against
-// predict's modelled chain.
+// non-overtaking on both transports makes that pairing exact — and groups
+// messages into barrier instances; Timeline.CriticalPath walks each stage's
+// binding receive backwards from the last stage completion; Analyze diffs
+// that walk against predict's modelled chain.
 //
-// Clock offsets are estimated NTP-style: for ranks i and j exchanging
-// messages both ways, delta(i,j) = min over i→j messages of
-// (recv end − send end) overstates the true latency by the clock skew
-// off(j) − off(i), so (delta(i,j) − delta(j,i))/2 estimates the skew with
-// the symmetric-latency assumption. Estimates propagate from rank 0 across
-// the graph of bidirectional pairs; ranks that pair with rank 0's component
-// in one direction only keep offset 0 and are flagged. In-process all ranks
-// share one clock and every estimate is near zero, but the machinery is what
-// a multi-process deployment will lean on. The simulator's virtual clock is
-// global and exact: MergeSim estimates nothing.
+// Merge takes the spans of one tracer: one epoch and one monotonic clock for
+// every rank, so times from different ranks compare directly and nothing is
+// corrected. The simulator's virtual clock is global and exact as well.
 package critpath
 
 import (
@@ -46,7 +38,7 @@ const (
 )
 
 // Message is one matched send/recv pair, with all times in seconds from the
-// tracer epoch after per-rank clock-offset correction.
+// tracer epoch.
 type Message struct {
 	Src, Dst  int
 	Stage     int
@@ -63,7 +55,7 @@ type Message struct {
 	Wait float64
 }
 
-// stageSpan is one corrected barrier.stage interval of a rank.
+// stageSpan is one barrier.stage interval of a rank.
 type stageSpan struct {
 	start, end float64
 }
@@ -71,11 +63,6 @@ type stageSpan struct {
 // Timeline is the merged cross-rank view of one trace window.
 type Timeline struct {
 	P int
-	// Offsets[r] is the estimated clock offset of rank r relative to rank 0
-	// (seconds, subtracted from r's raw times); Estimated[r] says whether
-	// it came from a bidirectional exchange chain or defaulted to 0.
-	Offsets   []float64
-	Estimated []bool
 	// TagBase and Seq identify the selected barrier instance; Messages are
 	// its matched messages, All every matched message in the window.
 	TagBase  int
@@ -86,7 +73,7 @@ type Timeline struct {
 	// (messages cut in flight, or windows that split an exchange).
 	Unmatched int
 
-	stages map[[2]int][]stageSpan // (rank, stage) → corrected spans, in window order
+	stages map[[2]int][]stageSpan // (rank, stage) → spans, in window order
 }
 
 // instanceKey identifies one barrier execution: every instance uses a
@@ -96,20 +83,12 @@ type instanceKey struct {
 	base, seq int
 }
 
-// rawMsg is a matched pair before offset correction.
-type rawMsg struct {
-	src, dst, stage, tag, seq int
-	transport                 string
-	sendStart, sent           float64
-	recvStart, recvEnd        float64
-}
-
 // Merge builds the cross-rank timeline of a trace window for a p-rank mesh.
 // tagBase selects the barrier instance to extract the critical path for:
 // pass a data tag base to pin one, or a negative value to auto-select the
 // latest instance in the window (the usual case — the barrier that just
-// completed or failed). Offset estimation and link blame always use every
-// matched message in the window regardless of the selection.
+// completed or failed). Link blame always uses every matched message in the
+// window regardless of the selection.
 func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("critpath: non-positive rank count %d", p)
@@ -145,7 +124,7 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 	// mailbox preserves it, so the k-th send on a key pairs with the k-th
 	// receive on it.
 	tl := &Timeline{P: p, stages: map[[2]int][]stageSpan{}}
-	var raw []rawMsg
+	var all []Message
 	for k, ss := range sends {
 		rs := recvs[k]
 		sortByStart(ss)
@@ -156,13 +135,14 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 		}
 		tl.Unmatched += len(ss) - n
 		for i := 0; i < n; i++ {
-			raw = append(raw, rawMsg{
-				src: k.src, dst: k.dst, stage: ss[i].Stage, tag: k.tag, seq: i,
-				transport: strings.TrimPrefix(ss[i].Name, sendPrefix),
-				sendStart: ss[i].Start.Seconds(),
-				sent:      ss[i].End().Seconds(),
-				recvStart: rs[i].Start.Seconds(),
-				recvEnd:   rs[i].End().Seconds(),
+			recvEnd := rs[i].End().Seconds()
+			all = append(all, Message{
+				Src: k.src, Dst: k.dst, Stage: ss[i].Stage, Tag: k.tag, Seq: i,
+				Transport: strings.TrimPrefix(ss[i].Name, sendPrefix),
+				SendStart: ss[i].Start.Seconds(),
+				Sent:      ss[i].End().Seconds(),
+				Arrived:   recvEnd,
+				Wait:      recvEnd - rs[i].Start.Seconds(),
 			})
 		}
 	}
@@ -171,37 +151,24 @@ func Merge(evs []telemetry.SpanEvent, p int, tagBase int) (*Timeline, error) {
 			tl.Unmatched += len(rs) - n
 		}
 	}
-	tl.estimateOffsets(raw)
-	if err := tl.assemble(raw, tagBase); err != nil {
+	if err := tl.assemble(all, tagBase); err != nil {
 		return nil, err
 	}
 
 	for rk, ss := range stagesRaw {
 		sortByStart(ss)
 		for _, e := range ss {
-			tl.stages[rk] = append(tl.stages[rk], stageSpan{
-				start: e.Start.Seconds() - tl.Offsets[e.Rank],
-				end:   e.End().Seconds() - tl.Offsets[e.Rank],
-			})
+			tl.stages[rk] = append(tl.stages[rk], stageSpan{start: e.Start.Seconds(), end: e.End().Seconds()})
 		}
 	}
 	return tl, nil
 }
 
-// assemble corrects the matched pairs by the timeline's clock offsets into
-// All, groups them into barrier instances and selects one into Messages —
-// the half of Merge that does not care which executor produced the pairs.
-func (tl *Timeline) assemble(raw []rawMsg, tagBase int) error {
-	for _, m := range raw {
-		tl.All = append(tl.All, Message{
-			Src: m.src, Dst: m.dst, Stage: m.stage, Tag: m.tag, Seq: m.seq,
-			Transport: m.transport,
-			SendStart: m.sendStart - tl.Offsets[m.src],
-			Sent:      m.sent - tl.Offsets[m.src],
-			Arrived:   m.recvEnd - tl.Offsets[m.dst],
-			Wait:      m.recvEnd - m.recvStart,
-		})
-	}
+// assemble takes the matched messages as All, groups them into barrier
+// instances and selects one into Messages — the half of Merge that does not
+// care which executor produced them.
+func (tl *Timeline) assemble(all []Message, tagBase int) error {
+	tl.All = all
 	sort.Slice(tl.All, func(a, b int) bool {
 		if tl.All[a].Sent != tl.All[b].Sent {
 			return tl.All[a].Sent < tl.All[b].Sent
@@ -250,42 +217,7 @@ func sortByStart(evs []telemetry.SpanEvent) {
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
 }
 
-// estimateOffsets fills Offsets/Estimated from the raw matched exchanges.
-func (tl *Timeline) estimateOffsets(raw []rawMsg) {
-	p := tl.P
-	tl.Offsets = make([]float64, p)
-	tl.Estimated = make([]bool, p)
-	delta := make([][]float64, p)
-	for i := range delta {
-		delta[i] = make([]float64, p)
-		for j := range delta[i] {
-			delta[i][j] = math.Inf(1)
-		}
-	}
-	for _, m := range raw {
-		if d := m.recvEnd - m.sent; d < delta[m.src][m.dst] {
-			delta[m.src][m.dst] = d
-		}
-	}
-	// BFS over bidirectional pairs from rank 0. rel(i,j) estimates
-	// off(j) − off(i); offsets accumulate along the tree.
-	tl.Estimated[0] = true
-	queue := []int{0}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		for j := 0; j < p; j++ {
-			if tl.Estimated[j] || math.IsInf(delta[i][j], 1) || math.IsInf(delta[j][i], 1) {
-				continue
-			}
-			tl.Offsets[j] = tl.Offsets[i] + (delta[i][j]-delta[j][i])/2
-			tl.Estimated[j] = true
-			queue = append(queue, j)
-		}
-	}
-}
-
-// stageInterval returns the corrected stage span of (rank, stage) belonging
+// stageInterval returns the stage span of (rank, stage) belonging
 // to the selected barrier instance: the span containing the rank's earliest
 // event time for that stage, or the window's last such span when the rank
 // has no selected-instance event there.
@@ -309,9 +241,8 @@ func (tl *Timeline) stageInterval(rank, stage int) (start, end float64, ok bool)
 		}
 	}
 	if !math.IsInf(t, 1) {
-		const eps = 1e-6 // 1µs slack against clock-offset correction jitter
 		for _, s := range spans {
-			if s.start-eps <= t && t <= s.end+eps {
+			if s.start <= t && t <= s.end {
 				return s.start, s.end, true
 			}
 		}

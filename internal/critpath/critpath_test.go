@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -72,55 +73,6 @@ func TestMergeFIFOMatching(t *testing.T) {
 	// Auto-selection picks the instance with the latest arrival: seq 1.
 	if tl.Seq != 1 || len(tl.Messages) != 1 {
 		t.Errorf("selected seq %d with %d messages, want seq 1 with 1", tl.Seq, len(tl.Messages))
-	}
-}
-
-// TestMergeClockOffsetRecovery shifts one rank's clock by a known delta and
-// checks the NTP-style estimate recovers it from a symmetric bidirectional
-// exchange — and that corrected arrivals then reflect the true latency.
-func TestMergeClockOffsetRecovery(t *testing.T) {
-	const (
-		delta = 40 * us // rank 1's clock runs 40µs ahead
-		lat   = 10 * us // true symmetric one-way latency
-		o     = 2 * us  // send overhead
-	)
-	var evs []telemetry.SpanEvent
-	// 0→1: sent on rank 0's clock, received on rank 1's (shifted) clock.
-	evs = exchange(evs, 0, 1, 0, 3, 100*us, o, 100*us+delta, 100*us+o+lat+delta)
-	// 1→0: sent on rank 1's (shifted) clock, received on rank 0's clock.
-	evs = exchange(evs, 1, 0, 0, 4, 100*us+delta, o, 100*us, 100*us+o+lat)
-	tl, err := Merge(evs, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tl.Estimated[0] || !tl.Estimated[1] {
-		t.Fatalf("offsets not estimated: %v", tl.Estimated)
-	}
-	if got := tl.Offsets[1]; math.Abs(got-delta.Seconds()) > 1e-9 {
-		t.Fatalf("offset[1] = %gµs, want %gµs", got*1e6, delta.Seconds()*1e6)
-	}
-	// After correction both directions must show the true one-way latency.
-	for _, m := range tl.All {
-		if flight := m.Arrived - m.Sent; math.Abs(flight-lat.Seconds()) > 1e-9 {
-			t.Errorf("%d→%d corrected flight %gµs, want %gµs", m.Src, m.Dst, flight*1e6, lat.Seconds()*1e6)
-		}
-	}
-}
-
-// TestMergeOffsetsUnreachedRanksFlagged pins the disconnected case: a rank
-// with only one-directional traffic keeps offset 0 and Estimated false.
-func TestMergeOffsetsUnreachedRanksFlagged(t *testing.T) {
-	var evs []telemetry.SpanEvent
-	evs = exchange(evs, 0, 1, 0, 3, 10*us, us, 10*us, 14*us) // one way only
-	tl, err := Merge(evs, 3, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Estimated[1] || tl.Estimated[2] {
-		t.Errorf("one-directional or silent ranks flagged as estimated: %v", tl.Estimated)
-	}
-	if tl.Offsets[1] != 0 || tl.Offsets[2] != 0 {
-		t.Errorf("unreached ranks must keep offset 0: %v", tl.Offsets)
 	}
 }
 
@@ -210,24 +162,80 @@ func TestCriticalPathSynthetic(t *testing.T) {
 	}
 }
 
-// TestCriticalPathLocalHop pins the local-work case: when a rank's stage
-// began after every arrival, its own drain is the determining step.
+// TestCriticalPathLocalHop pins whose fault a stage's wait was: a receive
+// is a link hop only if it blocked longer than the rank had spent in the
+// stage before it began, the binding receive is the one that blocked
+// longest rather than the last to return, and a message found waiting in a
+// late receiver's mailbox leaves the walk on the receiver. Each case names
+// the one hop per stage the realized path must be.
 func TestCriticalPathLocalHop(t *testing.T) {
-	var evs []telemetry.SpanEvent
-	// 0→1 arrives at 12µs but rank 1 only entered the stage at 20µs and
-	// finished at 30µs: the arrival did not gate it, its own lateness did.
-	evs = exchange(evs, 0, 1, 0, 10, 10*us, us, 20*us, 12*us+9*us) // arrival 21µs < stage start+eps? no: 21µs > 20µs
-	evs = append(evs, stageEv(1, 0, 22*us, 8*us), stageEv(0, 0, 9*us, 2*us))
-	tl, err := Merge(evs, 2, -1)
-	if err != nil {
-		t.Fatal(err)
+	type hop struct {
+		stage, from, to int
+		blocked         bool
 	}
-	hops := tl.CriticalPath()
-	if len(hops) != 1 {
-		t.Fatalf("path %v, want 1 hop", hops)
-	}
-	if hops[0].From != 1 || hops[0].To != 1 {
-		t.Errorf("hop %+v, want a local hop on rank 1 (arrival predates its stage entry)", hops[0])
+	for _, tc := range []struct {
+		name string
+		p    int
+		evs  []telemetry.SpanEvent
+		want []hop
+	}{{
+		// 0→1 was sent at 10µs. Rank 1 entered the stage at 20µs, spent
+		// 7µs on its own work before its receive began and found the
+		// message waiting: its own lateness gated it, not the link.
+		name: "late receiver",
+		p:    2,
+		evs: exchange([]telemetry.SpanEvent{stageEv(1, 0, 20*us, 10*us), stageEv(0, 0, 9*us, 2*us)},
+			0, 1, 0, 10, 10*us, us, 27*us, 28*us),
+		want: []hop{{0, 1, 1, false}},
+	}, {
+		// A live P = 8 dissemination with 6→7 delayed 1.1ms. Rank 6's
+		// stage-0 write to 7 blocked; every receive after it waited only
+		// 0.4–0.5µs, after the rank's own sends. The walk must stay on
+		// rank 6 back to the blocked write instead of charging 2→6.
+		name: "delayed write, late receiver",
+		p:    8,
+		evs: func() []telemetry.SpanEvent {
+			evs := []telemetry.SpanEvent{
+				stageEv(6, 0, 10*us, 1101*us), stageEv(6, 1, 1111*us, 3*us), stageEv(6, 2, 1114*us, 3*us),
+				stageEv(7, 0, 10*us, 1101*us+500),
+			}
+			evs = exchange(evs, 6, 7, 0, 0, 10*us, 1100*us, 12*us, 1111*us)
+			evs = exchange(evs, 5, 6, 0, 0, 10*us, 2*us, 1110*us, 1110*us+500)
+			evs = exchange(evs, 6, 0, 1, 1, 1111*us, 2*us, 15*us, 1113*us+200)
+			evs = exchange(evs, 4, 6, 1, 1, 18*us, 2*us, 1113*us, 1113*us+400)
+			evs = exchange(evs, 6, 2, 2, 2, 1114*us, 2*us, 25*us, 1116*us+500)
+			return exchange(evs, 2, 6, 2, 2, 20*us, 2*us, 1116*us, 1116*us+400)
+		}(),
+		want: []hop{{0, 6, 7, true}, {1, 6, 6, false}, {2, 6, 6, false}},
+	}, {
+		// Rank 3 takes three messages in turn. The first blocked 30µs on
+		// rank 0's late send; the other two had long arrived and returned
+		// last. The binding arrival is 0→3.
+		name: "fan-in, first receive binds",
+		p:    4,
+		evs: func() []telemetry.SpanEvent {
+			evs := []telemetry.SpanEvent{
+				stageEv(3, 0, 10*us, 33*us), stageEv(0, 0, 37*us, 3*us),
+				stageEv(1, 0, 11*us, 3*us), stageEv(2, 0, 11*us, 3*us),
+			}
+			evs = exchange(evs, 0, 3, 0, 0, 38*us, us, 10*us, 40*us)
+			evs = exchange(evs, 1, 3, 0, 0, 12*us, us, 40*us, 41*us)
+			return exchange(evs, 2, 3, 0, 0, 12*us, us, 41*us, 42*us)
+		}(),
+		want: []hop{{0, 0, 3, false}},
+	}} {
+		tl, err := Merge(tc.evs, tc.p, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := tl.CriticalPath()
+		got := make([]hop, len(path))
+		for i, h := range path {
+			got[i] = hop{h.Stage, h.From, h.To, h.Blocked}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: path %v, want %+v", tc.name, path, tc.want)
+		}
 	}
 }
 

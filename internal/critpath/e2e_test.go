@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"maps"
 	"os"
 	"strings"
@@ -208,12 +209,28 @@ func TestBlameAndFlightRecorderE2E(t *testing.T) {
 	}
 
 	// Blame: the injected direction must top the table and be implicated.
+	fresh := tracer.Events() // the window ImplicatedFresh is about to cut
 	links := flight.ImplicatedFresh(pf, 4.0, "drift")
+	window := func() string {
+		tl, err := critpath.Merge(fresh, p, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		b.WriteString(critpath.Analyze(tl, pd, s).String())
+		fmt.Fprintf(&b, "%d→%d messages (send start, sent, arrived, wait in µs):\n", from, to)
+		for _, m := range tl.All {
+			if m.Src == from && m.Dst == to {
+				fmt.Fprintf(&b, "  %.1f %.1f %.1f %.1f\n", m.SendStart*1e6, m.Sent*1e6, m.Arrived*1e6, m.Wait*1e6)
+			}
+		}
+		return b.String()
+	}
 	if len(links) == 0 {
-		t.Fatal("no links implicated under a 1ms injected delay")
+		t.Fatalf("no links implicated under a 1ms injected delay; the window's report:\n%s", window())
 	}
 	if links[0] != (profile.Link{From: from, To: to}) {
-		t.Fatalf("top blame %v, want %d→%d (full set %v)", links[0], from, to, links)
+		t.Fatalf("top blame %v, want %d→%d (full set %v); the window's report:\n%s", links[0], from, to, links, window())
 	}
 	if len(links) >= p*(p-1) {
 		t.Fatalf("blame implicated the whole mesh: %d links", len(links))
@@ -446,7 +463,8 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 		t.Errorf("injected direction not fully re-probed: stale %v", d2.Reprobe.Stale)
 	}
 	if !d2.Swapped {
-		t.Fatalf("no swap proposed: repriced %.3gs best %.3gs (%s)", d2.Repriced, d2.NewPredicted, d2.Candidate)
+		t.Fatalf("no swap proposed: repriced %.3gs best %.3gs (%s); implicated %v, re-probed stale %v",
+			d2.Repriced, d2.NewPredicted, d2.Candidate, d2.Implicated, d2.Reprobe.Stale)
 	}
 
 	// The drift moment must be on disk: a dump with reason "drift" plus its

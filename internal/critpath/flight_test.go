@@ -139,6 +139,35 @@ func TestFlightDumpWritesValidFiles(t *testing.T) {
 	}
 }
 
+// TestFlightDumpIdleStage pins that a window without stage spans still
+// dumps: the walk crosses a stage in which its rank sent and received
+// nothing, and that hop must carry finite times for the report to encode.
+func TestFlightDumpIdleStage(t *testing.T) {
+	tr := telemetry.NewTracer()
+	f := NewFlightRecorder(tr, 4, 4, t.TempDir())
+	replay(tr, []telemetry.SpanEvent{
+		sendEv(2, 3, 0, 0, 0, 0), recvEv(2, 3, 0, 0, 0, 0),
+		sendEv(0, 1, 1, 1, 0, 0), recvEv(0, 1, 1, 1, 0, 0),
+	})
+	path, err := f.Dump("idle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Report *Report `json:"report"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || doc.Report == nil {
+		t.Fatalf("dump carries no report: %v\n%s", err, raw)
+	}
+	if hops := doc.Report.Realized; len(hops) != 2 || hops[0].From != 0 || hops[0].To != 0 {
+		t.Errorf("realized path %v, want rank 0 idle in stage 0, then 0→1", hops)
+	}
+}
+
 // TestFlightHandlerServesState pins the /debug/critpath payload: retained
 // windows plus whatever is still in the tracer, without draining it.
 func TestFlightHandlerServesState(t *testing.T) {

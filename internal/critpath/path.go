@@ -23,9 +23,10 @@ type Hop struct {
 	Stage     int
 	From, To  int
 	Transport string // link hops only
-	// Sent/Arrived bound the determining interval (seconds, corrected):
-	// for an arrival hop the send-span start and the delivery; for a blocked
-	// send the write's start and return; for a local hop the stage interval.
+	// Sent/Arrived bound the determining interval (seconds): for an arrival
+	// hop the send-span start and the delivery; for a blocked send the
+	// write's start and return; for a local hop the stage interval, or, for
+	// a rank idle in the stage, its previous completion at both ends.
 	Sent, Arrived float64
 	// Wait is how long To's receive blocked on the hop (arrival hops only).
 	Wait float64
@@ -48,12 +49,14 @@ func (h Hop) String() string {
 }
 
 // CriticalPath walks the selected barrier instance backwards from its
-// latest stage completion: at each stage it asks what determined the
-// current rank's completion — the latest message arrival if one landed
-// after the rank entered the stage (hop to the sender), its own work
-// otherwise (stay local) — yielding the realized analogue of
-// predict.CriticalPath, earliest stage first. Nil when the window holds no
-// matched messages.
+// latest stage completion, yielding the realized analogue of
+// predict.CriticalPath, earliest stage first. At each stage it asks what
+// held the current rank: a send whose write blocked (stay on the rank), the
+// receive that blocked longest if the rank spent more time blocked in it
+// than in the stage before it began (hop to the sender), or the rank's own
+// work (stay local). A receive that barely blocked found its message
+// already waiting: the rank was late, not the link. Nil when the window
+// holds no matched messages.
 func (tl *Timeline) CriticalPath() []Hop {
 	if len(tl.Messages) == 0 {
 		return nil
@@ -90,12 +93,13 @@ func (tl *Timeline) CriticalPath() []Hop {
 	}
 
 	var rev []Hop
+	var done [][]float64 // StageDone, computed on the first idle stage
 	r := rank
 	for k := maxStage; k >= 0; k-- {
 		var best, bestSend *Message
 		for i := range tl.Messages {
 			m := &tl.Messages[i]
-			if m.Dst == r && m.Stage == k && (best == nil || m.Arrived > best.Arrived) {
+			if m.Dst == r && m.Stage == k && (best == nil || m.Wait > best.Wait) {
 				best = m
 			}
 			if m.Src == r && m.Stage == k &&
@@ -104,7 +108,6 @@ func (tl *Timeline) CriticalPath() []Hop {
 			}
 		}
 		stStart, stEnd, stOK := tl.stageInterval(r, k)
-		const eps = 1e-7
 		// An eager send that blocked far longer than the rank then waited in
 		// its receive is the stage's real stall: a stage's writes overlap and
 		// its receives start once the longest one returns, so outbound
@@ -128,7 +131,11 @@ func (tl *Timeline) CriticalPath() []Hop {
 				continue
 			}
 		}
-		if best != nil && (!stOK || best.Arrived > stStart+eps) {
+		// The longest-blocked receive charges its link only if it blocked
+		// longer, by over 0.1µs, than the rank had been in the stage when it
+		// began; otherwise its message waited for a late receiver.
+		const eps = 1e-7
+		if best != nil && (!stOK || best.Wait > best.Arrived-best.Wait-stStart+eps) {
 			rev = append(rev, Hop{
 				Stage: k, From: best.Src, To: r, Transport: best.Transport,
 				Sent: best.SendStart, Arrived: best.Arrived, Wait: best.Wait,
@@ -137,7 +144,12 @@ func (tl *Timeline) CriticalPath() []Hop {
 			continue
 		}
 		if !stOK {
-			stStart, stEnd = math.NaN(), math.NaN()
+			// Idle in the stage, or its span fell outside the window: it
+			// passed through at its previous completion.
+			if done == nil {
+				done = tl.StageDone()
+			}
+			stStart, stEnd = done[k][r], done[k][r]
 		}
 		rev = append(rev, Hop{Stage: k, From: r, To: r, Sent: stStart, Arrived: stEnd})
 	}

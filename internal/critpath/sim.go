@@ -10,37 +10,33 @@ import (
 
 // MergeSim is Merge for the simulator: it builds the timeline of a traced
 // world's message stream (mpi.WithTracer) over fab. The simulator hands over
-// matched pairs, one global exact clock and no stage spans, so there is
-// nothing to match or estimate: Stage is the tag's offset in its run.TagSpan
-// window, Transport the fabric's link-class name, SendStart the send's issue
-// and Sent the synchronized sender's completion, Arrived the moment message
-// and receive met, Wait how long the receive had been posted by then
-// (max(0, arrival − post)), and every offset zero. The selected instance's
-// stage intervals are read off its messages. tagBase selects the instance as
-// in Merge.
+// matched pairs on its one virtual clock and no stage spans, so there is
+// nothing to match: Stage is the tag's offset in its run.TagSpan window,
+// Transport the fabric's link-class name, SendStart the send's issue and
+// Sent the synchronized sender's completion, Arrived the moment message and
+// receive met, and Wait how long the receive had been posted by then
+// (max(0, arrival − post)). The selected instance's stage intervals are read
+// off its messages. tagBase selects the instance as in Merge.
 func MergeSim(evs []mpi.TraceEvent, fab *fabric.Fabric, tagBase int) (*Timeline, error) {
 	p := fab.P()
-	tl := &Timeline{P: p, Offsets: make([]float64, p), Estimated: make([]bool, p), stages: map[[2]int][]stageSpan{}}
-	for r := range tl.Estimated {
-		tl.Estimated[r] = true
-	}
+	tl := &Timeline{P: p, stages: map[[2]int][]stageSpan{}}
 	type key struct{ src, dst, tag int }
 	seen := map[key]int{}
-	raw := make([]rawMsg, 0, len(evs))
+	all := make([]Message, 0, len(evs))
 	for _, e := range evs {
 		if math.IsInf(e.Matched, 1) {
 			tl.Unmatched++
 			continue
 		}
 		k := key{e.Src, e.Dst, e.Tag}
-		raw = append(raw, rawMsg{
-			src: e.Src, dst: e.Dst, stage: e.Tag % run.TagSpan, tag: e.Tag, seq: seen[k],
-			transport: fab.Class(e.Src, e.Dst).String(),
-			sendStart: e.Sent, sent: e.Matched, recvStart: e.Posted, recvEnd: e.Matched,
+		all = append(all, Message{
+			Src: e.Src, Dst: e.Dst, Stage: e.Tag % run.TagSpan, Tag: e.Tag, Seq: seen[k],
+			Transport: fab.Class(e.Src, e.Dst).String(),
+			SendStart: e.Sent, Sent: e.Matched, Arrived: e.Matched, Wait: e.Matched - e.Posted,
 		})
 		seen[k]++
 	}
-	if err := tl.assemble(raw, tagBase); err != nil {
+	if err := tl.assemble(all, tagBase); err != nil {
 		return nil, err
 	}
 	// A rank is in stage k from the moment it enters it — when it issues the

@@ -2,6 +2,7 @@ package critpath_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -53,9 +54,10 @@ func simBarrier(t testing.TB, s *sched.Schedule, seed uint64) (*critpath.Timelin
 }
 
 // checkRealizedPath holds a simulated execution's realized critical path to
-// what the executor did: one hop per stage, every link hop a signal of the
-// schedule, each hop starting on the rank the previous one ended on, and the
-// chain ending at the rank that finished last, when the run did.
+// what the executor did: one hop per stage, finite times on every hop (a
+// rank idle in a stage too), every link hop a signal of the schedule, each
+// hop starting on the rank the previous one ended on, and the chain ending
+// at the rank that finished last, when the run did.
 func checkRealizedPath(t *testing.T, s *sched.Schedule, tl *critpath.Timeline, elapsed float64) {
 	t.Helper()
 	path := tl.CriticalPath()
@@ -66,6 +68,9 @@ func checkRealizedPath(t *testing.T, s *sched.Schedule, tl *critpath.Timeline, e
 	for k, h := range path {
 		if h.Stage != k {
 			t.Errorf("%s: hop %d labelled stage %d", s.Name, k, h.Stage)
+		}
+		if math.IsNaN(h.Sent) || math.IsNaN(h.Arrived) {
+			t.Errorf("%s: stage %d hop %+v has no time", s.Name, k, h)
 		}
 		if h.From != h.To && !s.Stages[k].At(h.From, h.To) {
 			t.Errorf("%s: stage %d hop %d→%d is not a signal of the schedule", s.Name, k, h.From, h.To)
