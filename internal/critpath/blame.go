@@ -13,16 +13,19 @@ type Blame struct {
 	// Transport is the link's class: the live mesh's transport (tcp, shm) or
 	// the simulated fabric's link class.
 	Transport string
-	// Observed is the direction's delivery floor: the minimum over its
-	// matched messages of (arrival − max(send start, recv post)). Measuring
-	// from the later of the two endpoints is what keeps blame causal: a
-	// receiver stalled elsewhere posts its recv late and finds the message
-	// already waiting, so its near-zero wait says nothing bad about the
-	// link — only a receiver that was actually ready and still had to wait
-	// observed the link itself. Every remaining observation includes the
-	// true O+L plus scheduling noise, so the minimum is the robust
-	// estimate — and a genuinely delayed link delays every message past a
-	// ready receiver, so its floor rises with it.
+	// Observed is the direction's delivery floor: the minimum of (arrival −
+	// send start) over its matched messages whose receiver was already
+	// waiting when the send started (Wait ≥ Arrived − SendStart). Only a
+	// receiver that was ready and still had to wait observed the link
+	// itself; one stalled elsewhere posts its recv late and finds the
+	// message waiting, so its near-zero wait says nothing about the link,
+	// and a single such message must not clear a delayed link's floor.
+	// Every ready observation includes the true O+L plus scheduling noise,
+	// so their minimum is the robust estimate, and a genuinely delayed link
+	// delays every message past a ready receiver, so its floor rises with
+	// it. A direction no receiver was ever ready for falls back to the
+	// minimum over all its messages of (arrival − max(send start, recv
+	// post)), which is min(Arrived − SendStart, Wait).
 	Observed float64
 	// Expected is the profile's O+L for the direction.
 	Expected float64
@@ -32,7 +35,7 @@ type Blame struct {
 	// that got *slower*; a link that quietly got faster does not explain a
 	// drift trigger.
 	Score float64
-	// Count is the number of observations behind the floor.
+	// Count is the number of messages the floor was taken over.
 	Count int
 	// OnRealized / OnPredicted mark membership of the critical paths when
 	// the blame table is part of an Analyze report.
@@ -44,31 +47,34 @@ type Blame struct {
 // worst first and then by direction for determinism.
 func (tl *Timeline) LinkBlame(pf *profile.Profile) []Blame {
 	type agg struct {
-		floor     float64
-		n         int
-		transport string
+		floor, readyFloor float64 // over all messages; over those a ready receiver waited for
+		n, ready          int
+		transport         string
 	}
 	obs := map[profile.Link]*agg{}
 	for _, m := range tl.All {
+		l := profile.Link{From: m.Src, To: m.Dst}
+		a := obs[l]
+		if a == nil {
+			a = &agg{floor: math.Inf(1), readyFloor: math.Inf(1), transport: m.Transport}
+			obs[l] = a
+		}
+		flight := m.Arrived - m.SendStart
+		if m.Wait >= flight {
+			a.readyFloor = min(a.readyFloor, flight)
+			a.ready++
+		}
 		// Arrived − max(SendStart, recv post) ≡ min(Arrived−SendStart, Wait):
 		// head-of-line blocking on the receiver must not indict the link.
-		d := m.Arrived - m.SendStart
-		if m.Wait < d {
-			d = m.Wait
-		}
-		a := obs[profile.Link{From: m.Src, To: m.Dst}]
-		if a == nil {
-			a = &agg{floor: math.Inf(1), transport: m.Transport}
-			obs[profile.Link{From: m.Src, To: m.Dst}] = a
-		}
-		if d < a.floor {
-			a.floor = d
-		}
+		a.floor = min(a.floor, flight, m.Wait)
 		a.n++
 	}
 	out := make([]Blame, 0, len(obs))
 	for l, a := range obs {
 		b := Blame{From: l.From, To: l.To, Transport: a.transport, Observed: a.floor, Count: a.n}
+		if a.ready > 0 {
+			b.Observed, b.Count = a.readyFloor, a.ready
+		}
 		if pf != nil && l.From < pf.P && l.To < pf.P {
 			b.Expected = pf.O.At(l.From, l.To) + pf.L.At(l.From, l.To)
 		}

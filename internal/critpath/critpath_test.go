@@ -292,6 +292,47 @@ func TestLinkBlameScoring(t *testing.T) {
 	}
 }
 
+// TestLinkBlameFloorsOverReadyReceivers replays a live failure of the
+// delayed-link e2e test: rank 6's writes to 7 are held about 1.1 ms, and in
+// eleven of twelve barriers rank 7 was already waiting for them. In the
+// twelfth, 7 posted its receive about 700 µs after 6's write returned (send
+// start 17 362.0 µs, write returned 18 844.2, arrived 19 545.9, wait 6.2),
+// and that one late receiver's 6.2 µs must not become the link's floor and
+// clear it. A direction whose receivers were never ready keeps the old floor,
+// min(Arrived − SendStart, Wait).
+func TestLinkBlameFloorsOverReadyReceivers(t *testing.T) {
+	pf := uniformProfile(8, 40e-6, 10e-6) // expected O+L = 50µs
+	at := func(micros float64) time.Duration { return time.Duration(micros * 1e3) }
+	var evs []telemetry.SpanEvent
+	for k := 0; k < 11; k++ {
+		start := float64(k) * 1500
+		// 7 posts 3µs before 6 starts its held write, and the message
+		// lands 1 104µs later.
+		evs = exchange(evs, 6, 7, 0, k, at(start), at(1100), at(start-3), at(start+1104))
+	}
+	evs = exchange(evs, 6, 7, 0, 11, at(17362.0), at(18844.2-17362.0), at(19545.9-6.2), at(19545.9))
+	// 1→2: the receiver always posts after the message landed.
+	evs = exchange(evs, 1, 2, 0, 0, at(100), at(1), at(200), at(230))
+	evs = exchange(evs, 1, 2, 0, 1, at(400), at(1), at(500), at(520))
+	tl, err := Merge(evs, 8, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[profile.Link]Blame{}
+	for _, b := range tl.LinkBlame(pf) {
+		rows[profile.Link{From: b.From, To: b.To}] = b
+	}
+	if b := rows[profile.Link{From: 6, To: 7}]; math.Abs(b.Observed-1104e-6) > 1e-9 || b.Count != 11 {
+		t.Errorf("6→7 floor %.1fµs over %d messages, want 1104µs over the 11 a ready receiver waited for", b.Observed*1e6, b.Count)
+	}
+	if b := rows[profile.Link{From: 1, To: 2}]; math.Abs(b.Observed-20e-6) > 1e-9 || b.Count != 2 {
+		t.Errorf("1→2 floor %.1fµs over %d messages, want the 20µs wait over both", b.Observed*1e6, b.Count)
+	}
+	if got := tl.Implicated(pf, 4); len(got) != 1 || got[0] != (profile.Link{From: 6, To: 7}) {
+		t.Errorf("implicated %v, want exactly 6→7", got)
+	}
+}
+
 // schedPair is a one-stage 2-rank exchange barrier.
 func schedPair() *sched.Schedule {
 	s := sched.New("pair", 2)

@@ -31,6 +31,14 @@ func (a *entry[E]) before(b *entry[E]) bool {
 	return a.seq < b.seq
 }
 
+// Reset empties the queue and rewinds its clock and sequence to those of a
+// new one, keeping the heap's capacity.
+func (q *Queue[E]) Reset() {
+	clear(q.h)
+	q.h = q.h[:0]
+	q.seq, q.now = 0, 0
+}
+
 // Now returns the virtual time of the most recently popped event (0 before
 // any event was popped).
 func (q *Queue[E]) Now() float64 { return q.now }

@@ -15,6 +15,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"topobarrier/internal/profile"
@@ -61,7 +62,12 @@ type Params struct {
 //
 // Every cost sample advances the one noise stream, so a Fabric (and any
 // mpi.World over it) must be driven by one goroutine at a time; sharing one
-// across goroutines is unsupported. Separate fabrics are independent.
+// across goroutines is unsupported. Separate fabrics are independent. The
+// stream's Box-Muller factors are computed a batch ahead of the draws: from
+// the third batch on, a helper goroutine fills the next batch while the
+// current one is drawn, and it exits when its batch is full. It owns the
+// generator only while it fills, so the draws are the stream's, in order,
+// bit for bit; a fabric that never draws noise starts no goroutine.
 type Fabric struct {
 	spec   topo.Spec
 	params Params
@@ -72,6 +78,24 @@ type Fabric struct {
 	links, skewed [topo.NumLinkClasses]Link
 
 	rng *stats.RNG
+	// batch[at:] are the precomputed factors not yet drawn; ahead, once the
+	// look-ahead has started, delivers the batch after batch.
+	batch []normFactors
+	at    int
+	ahead chan []normFactors
+}
+
+// noiseBatch is the number of normal draws the fabric computes at a time:
+// 4096 factor pairs, 64 KiB per buffer and two buffers per drawing fabric.
+const noiseBatch = 4096
+
+// normFactors is one precomputed normal draw: σ·s·c, see stats.NormFactors.
+type normFactors struct{ s, c float64 }
+
+func fillNoise(rng *stats.RNG, batch []normFactors) {
+	for i := range batch {
+		batch[i].s, batch[i].c = rng.NormFactors()
+	}
 }
 
 // New places p ranks on the machine using pl and returns the cost oracle for
@@ -168,11 +192,47 @@ func (f *Fabric) link(src, dst int) *Link {
 	return &f.links[c]
 }
 
+// noise returns one multiplicative log-normal noise factor with median 1.
+// Right-skewed, as latency noise in real interconnects is. σ·s·c multiplies
+// left to right, exactly as the normal draw σ·√(−2 ln u₁)·cos 2πu₂ always
+// has, so the factor is bit-identical to drawing the stream in place.
 func (f *Fabric) noise(sigma float64) float64 {
 	if sigma <= 0 {
 		return 1
 	}
-	return f.rng.LogNorm(sigma)
+	if f.at == len(f.batch) {
+		f.nextBatch()
+	}
+	n := &f.batch[f.at]
+	f.at++
+	return math.Exp(sigma * n.s * n.c)
+}
+
+// nextBatch makes the next noiseBatch factors current. The first two batches
+// are computed here, so a fabric that draws little starts no goroutine; from
+// then on each batch is computed on a goroutine of its own while the one
+// before it is drawn, and this only swaps buffers (waiting if the helper is
+// behind) and starts the next.
+func (f *Fabric) nextBatch() {
+	f.at = 0
+	if f.batch == nil {
+		f.batch = make([]normFactors, noiseBatch)
+		fillNoise(f.rng, f.batch)
+		return
+	}
+	var spare []normFactors
+	if f.ahead == nil {
+		fillNoise(f.rng, f.batch)
+		f.ahead = make(chan []normFactors, 1)
+		spare = make([]normFactors, noiseBatch)
+	} else {
+		spare = f.batch
+		f.batch = <-f.ahead
+	}
+	go func(rng *stats.RNG, b []normFactors, out chan<- []normFactors) {
+		fillNoise(rng, b)
+		out <- b
+	}(f.rng, spare, f.ahead)
 }
 
 // SendOverhead returns one noisy sample of the cost of starting a message of

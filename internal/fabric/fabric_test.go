@@ -3,6 +3,7 @@ package fabric
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,6 +185,85 @@ func TestNoiseIsReproducibleAndCentred(t *testing.T) {
 	}
 	if stats.Min(sa) == stats.Max(sa) {
 		t.Fatalf("no noise with nonzero sigma")
+	}
+}
+
+// refNoise is the fabric's noise factor drawn in place, written out as the
+// fabric drew it before the look-ahead: exp(σ·√(−2 ln u₁)·cos 2πu₂), with
+// the u₁ = 0 redraw, and no draw at all for σ ≤ 0.
+func refNoise(r *stats.RNG, sigma float64) float64 {
+	if sigma <= 0 {
+		return 1
+	}
+	u1 := r.Float64()
+	for u1 == 0 {
+		u1 = r.Float64()
+	}
+	u2 := r.Float64()
+	return math.Exp(sigma * math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
+}
+
+// The factors computed a batch ahead are the stream drawn in place, bit for
+// bit, across the two batches filled inline and the look-ahead batches after
+// them, for every sigma the presets draw with: each class's sigma, a third of
+// it for the transfer term, and SelfSigma (and 0, which draws nothing).
+func TestNoiseLookAheadIsTheStream(t *testing.T) {
+	sigmas := []float64{0}
+	for _, params := range []Params{GigEParams(1), IBParams(1)} {
+		for _, l := range params.Classes {
+			sigmas = append(sigmas, l.Sigma, l.Sigma/3)
+		}
+		sigmas = append(sigmas, params.SelfSigma)
+	}
+	slices.Sort(sigmas) // map order is random; the draw order must not be
+	f, err := New(topo.QuadCluster(), topo.Block{}, 16, GigEParams(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := stats.NewRNG(7)
+	pick := rand.New(rand.NewSource(1))
+	for i := 0; i < 5*noiseBatch; i++ {
+		sigma := sigmas[pick.Intn(len(sigmas))]
+		if got, want := f.noise(sigma), refNoise(ref, sigma); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d (sigma %g): look-ahead %x, in place %x", i, sigma, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	if f.ahead == nil {
+		t.Fatal("five batches drawn without the look-ahead")
+	}
+}
+
+// Only a fabric that draws past its first batch starts the look-ahead
+// goroutine; one that never draws (a noise-free fabric, or an oracle profile)
+// does not even allocate a batch.
+func TestNoiseLookAheadStartsPastTheFirstBatch(t *testing.T) {
+	quiet, err := New(topo.QuadCluster(), topo.Block{}, 16, quietParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet.TrueProfile()
+	for i := 0; i < 2*noiseBatch; i++ {
+		quiet.SendOverhead(0, 8, 64)
+		quiet.BatchMarginal(0, 8)
+		quiet.SelfOverhead(3)
+	}
+	if quiet.batch != nil || quiet.ahead != nil {
+		t.Fatal("a noise-free fabric computed noise")
+	}
+
+	f, err := New(topo.QuadCluster(), topo.Block{}, 16, GigEParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < noiseBatch; i++ {
+		f.BatchMarginal(0, 8)
+	}
+	if f.ahead != nil {
+		t.Fatalf("%d draws started the look-ahead goroutine", noiseBatch)
+	}
+	f.BatchMarginal(0, 8)
+	if f.ahead == nil {
+		t.Fatalf("%d draws did not start the look-ahead goroutine", noiseBatch+1)
 	}
 }
 

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,19 +12,23 @@ import (
 	"topobarrier/internal/topo"
 )
 
-// settledGoroutines returns the goroutine count once it has stopped falling:
-// a finished rank's goroutine may still be exiting when Run returns.
-func settledGoroutines(atMost int) int {
+// settledGoroutines returns the goroutine count once it has settled at want,
+// or whatever it reads after two seconds of trying: a rank coroutine stopped
+// beyond the pool's bound may still be exiting when Run returns.
+func settledGoroutines(want int) int {
 	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n > atMost && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+	for deadline := time.Now().Add(2 * time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 		runtime.Gosched()
 	}
 	return n
 }
 
 // A Run that ends early — deadlock, rank panic, event budget — must report
-// the same error text as ever, leave no rank goroutine behind, and leave the
-// World usable.
+// the same error text as ever, hand every rank coroutine back to the pool
+// (the goroutine count after the third failed Run is the count after the
+// first), and leave nothing behind in the World: the next Run measures and
+// traces exactly what the same body does on a fresh World, and its AnySource
+// receive matches no mail the failed Run left unreceived.
 func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -34,12 +40,15 @@ func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 		{
 			name: "deadlock",
 			body: func(c *Comm) {
-				if c.Rank() < 2 {
+				switch c.Rank() {
+				case 0, 1:
 					c.Recv(3, 7) // never sent
+				case 3:
+					c.Issend(0, 9, 0) // arrives unexpected at rank 0, never received
 				}
 			},
-			want:  "mpi: deadlock, ranks [0 1] blocked at t=0",
-			again: func(c *Comm) { pingPong(c, 3) },
+			want:  "mpi: deadlock, ranks [0 1] blocked at t=1.2e-05",
+			again: anySourceThenPingPong,
 		},
 		{
 			name: "panic",
@@ -50,7 +59,7 @@ func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 				c.Recv(2, 0) // blocked forever behind the panicked rank
 			},
 			want:  "mpi: rank 2 panicked: boom",
-			again: func(c *Comm) { pingPong(c, 3) },
+			again: anySourceThenPingPong,
 		},
 		{
 			name: "panic after blocking",
@@ -62,18 +71,21 @@ func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 				c.Recv(1, 0)
 			},
 			want:  "mpi: rank 1 panicked: late boom",
-			again: func(c *Comm) { pingPong(c, 3) },
+			again: anySourceThenPingPong,
 		},
 		{
 			name: "max events",
 			opts: []Option{WithMaxEvents(5)},
 			body: func(c *Comm) {
+				if c.Rank() == 3 {
+					c.Issend(0, 9, 0) // still in flight when the budget runs out
+				}
 				for {
 					c.Compute(1e-6)
 				}
 			},
 			want:  "mpi: run exceeded 5 events",
-			again: func(*Comm) {}, // four start events fit the budget
+			again: anySource, // four start events and one delivery fit the budget
 		},
 		{
 			name: "max events before every rank started",
@@ -84,23 +96,91 @@ func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorld(testFabric(t, 1, 4, 4), tc.opts...)
-			base := runtime.NumGoroutine()
+			var got []TraceEvent
+			w := NewWorld(testFabric(t, 1, 4, 4), append(tc.opts, WithTracer(func(e TraceEvent) { got = append(got, e) }))...)
+			base := 0
 			for i := 0; i < 3; i++ {
 				_, err := w.Run(tc.body)
 				if err == nil || err.Error() != tc.want {
 					t.Fatalf("run %d: err = %v, want %q", i, err, tc.want)
 				}
-			}
-			if n := settledGoroutines(base); n > base {
-				t.Fatalf("%d goroutines after failed runs, %d before", n, base)
-			}
-			if tc.again != nil {
-				if _, err := w.Run(tc.again); err != nil {
-					t.Fatalf("world unusable after failed runs: %v", err)
+				if i == 0 {
+					base = runtime.NumGoroutine()
 				}
 			}
+			if n := settledGoroutines(base); n != base {
+				t.Fatalf("%d goroutines after the third failed run, %d after the first", n, base)
+			}
+			if tc.again == nil {
+				return
+			}
+			got = got[:0]
+			elapsed, err := w.Run(tc.again)
+			if err != nil {
+				t.Fatalf("world unusable after failed runs: %v", err)
+			}
+			var want []TraceEvent
+			fresh := NewWorld(testFabric(t, 1, 4, 4), append(tc.opts, WithTracer(func(e TraceEvent) { want = append(want, e) }))...)
+			wantElapsed, err := fresh.Run(tc.again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elapsed != wantElapsed || !slices.Equal(got, want) {
+				t.Fatalf("after failed runs: elapsed %g, trace %v; a fresh world: %g, %v", elapsed, got, wantElapsed, want)
+			}
 		})
+	}
+}
+
+// anySource has rank 0 receive from any source and tag, and rank 1 send it
+// one message; it panics if the receive matched anything else.
+func anySource(c *Comm) {
+	switch c.Rank() {
+	case 0:
+		if st := c.Recv(AnySource, AnyTag); st != (Status{Src: 1, Tag: 4}) {
+			panic(fmt.Sprintf("AnySource receive matched %+v", st))
+		}
+	case 1:
+		c.Send(0, 4, 0)
+	}
+}
+
+func anySourceThenPingPong(c *Comm) {
+	anySource(c)
+	pingPong(c, 3)
+}
+
+// A body that calls runtime.Goexit (t.FailNow from inside a rank) ends the
+// goroutine that called Run, as it always has. Its coroutine is gone and must
+// not go back to the pool: the ranks of every later Run still start.
+func TestGoexitInABodyDiscardsItsCoroutine(t *testing.T) {
+	w := NewWorld(testFabric(t, 1, 4, 4))
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = w.Run(func(c *Comm) {
+			c.Compute(1e-6)
+			if c.Rank() == 1 {
+				runtime.Goexit()
+			}
+			c.Recv(1, 0)
+		})
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned after a rank called runtime.Goexit")
+	}
+	for i := 0; i < 3; i++ {
+		elapsed, err := w.Run(anySourceThenPingPong)
+		if err != nil {
+			t.Fatalf("run %d after the Goexit: %v", i, err)
+		}
+		want, err := NewWorld(testFabric(t, 1, 4, 4)).Run(anySourceThenPingPong)
+		if err != nil || elapsed != want {
+			t.Fatalf("run %d after the Goexit took %g, a fresh world %g (%v)", i, elapsed, want, err)
+		}
 	}
 }
 
@@ -142,29 +222,39 @@ func TestAllocsPerMessageCeiling(t *testing.T) {
 }
 
 // The single-owner contract: a Fabric and the Worlds over it belong to one
-// goroutine at a time, and separate fabrics share nothing — so two jobs on two
-// fabrics may run concurrently (clean under -race) and each still replays
-// exactly what it does alone.
+// goroutine at a time, and separate fabrics share nothing but the pool of
+// idle rank coroutines — so four jobs on four fabrics may run concurrently
+// (clean under -race), each mixing deadlocked Runs, which leave a rank
+// parked, with good ones, and each still replays exactly what it does alone.
 func TestSeparateFabricsRunConcurrently(t *testing.T) {
-	job := func(seed uint64) float64 {
-		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 4, fabric.GigEParams(seed))
+	job := func(seed uint64) []float64 {
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 6, fabric.GigEParams(seed))
 		if err != nil {
 			t.Error(err)
-			return 0
+			return nil
 		}
 		w := NewWorld(f)
-		total := 0.0
-		for i := 0; i < 20; i++ {
-			elapsed, err := w.Run(func(c *Comm) { pingPong(c, 50) })
-			if err != nil {
-				t.Error(err)
+		var out []float64
+		for i := 0; i < 30; i++ {
+			deadlock := i%3 == 1
+			elapsed, err := w.Run(func(c *Comm) {
+				if deadlock && c.Rank() == 2 {
+					c.Recv(4, 5) // never sent
+				}
+				anySourceThenPingPong(c)
+			})
+			if (err != nil) != deadlock {
+				t.Errorf("seed %d run %d: err = %v", seed, i, err)
 			}
-			total += elapsed
+			out = append(out, elapsed)
 		}
-		return total
+		return out
 	}
-	alone := [2]float64{job(1), job(2)}
-	var together [2]float64
+	const jobs = 4
+	var alone, together [jobs][]float64
+	for i := range alone {
+		alone[i] = job(uint64(i + 1))
+	}
 	var wg sync.WaitGroup
 	for i := range together {
 		wg.Add(1)
@@ -174,8 +264,10 @@ func TestSeparateFabricsRunConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if together != alone {
-		t.Fatalf("concurrent jobs on separate fabrics measured %v, alone %v", together, alone)
+	for i := range alone {
+		if !slices.Equal(together[i], alone[i]) {
+			t.Fatalf("job %d measured %v concurrently, %v alone", i, together[i], alone[i])
+		}
 	}
 }
 

@@ -6,10 +6,13 @@
 // Each rank of a job runs as a coroutine (iter.Pull) of the goroutine that
 // called Run: the discrete-event scheduler resumes one rank at a time with a
 // direct coroutine switch and gets control back when the rank blocks, so no
-// rank switch goes through the Go scheduler. Virtual time advances only
-// through message costs drawn from the fabric and through explicit Compute
-// calls. Events run in (time, scheduling order) and the fabric's noise is
-// drawn in that order, so every run is reproducible.
+// rank switch goes through the Go scheduler. The coroutines come from a
+// process-wide pool and go back to it when the Run ends, so a rank's stack,
+// once grown, serves the Runs after it; the event queue, the ranks' queues
+// and the request free list stay on the World and are reset between Runs.
+// Virtual time advances only through message costs drawn from the fabric and
+// through explicit Compute calls. Events run in (time, scheduling order) and
+// the fabric's noise is drawn in that order, so every run is reproducible.
 //
 // The timing model mirrors the paper's topological model (§IV):
 //
@@ -32,6 +35,7 @@ package mpi
 import (
 	"fmt"
 	"iter"
+	"sync"
 
 	"topobarrier/internal/des"
 	"topobarrier/internal/fabric"
@@ -44,7 +48,7 @@ const (
 )
 
 // abortSignal is panicked into a parked rank to unwind its stack when a run
-// is torn down early.
+// is torn down early; the rank's coroutine survives it and idles.
 type abortSignal struct{}
 
 // TraceEvent records one delivered message; see WithTracer.
@@ -77,13 +81,15 @@ func WithTracer(fn func(TraceEvent)) Option { return func(w *World) { w.tracer =
 
 // World is a simulated P-rank job. A World may execute any number of
 // sequential Runs; fabric noise state carries across runs (so repetitions see
-// fresh noise), everything else is per-run.
+// fresh noise), and every other piece of run state is reset to empty before
+// each Run, keeping only the capacity it grew.
 type World struct {
 	fab        *fabric.Fabric
 	n          int
 	congestion bool
 	maxEvents  int
 	tracer     func(TraceEvent)
+	r          *run // the state of the current or last Run; nil before the first
 }
 
 // NewWorld wraps a placed fabric as a runnable job.
@@ -104,40 +110,12 @@ func (w *World) Fabric() *fabric.Fabric { return w.fab }
 // Run executes body once on every rank concurrently (in virtual time) and
 // returns the virtual time at which the last rank finished. It returns an
 // error if any rank panicked, if ranks deadlocked, or if the event bound was
-// exceeded.
+// exceeded. A body must not call Run on its own World.
 func (w *World) Run(body func(*Comm)) (elapsed float64, err error) {
-	r := &run{
-		world:   w,
-		procs:   make([]proc, w.n),
-		nicFree: make([]float64, w.fab.Spec().Nodes),
-	}
-	for i := range r.procs {
-		p := &r.procs[i]
-		p.rank = i
-		p.comm = Comm{r: r, p: p}
-		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yield = yield
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(abortSignal); !ok {
-						p.failure = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, rec)
-					}
-				}
-			}()
-			body(&p.comm)
-		})
-		r.q.Schedule(0, event{kind: evWake, p: p})
-	}
-	// Tear down every rank still parked (or never started) so nothing leaks;
-	// stop is a no-op on a rank that ran to completion.
-	defer func() {
-		for i := range r.procs {
-			r.procs[i].stop()
-		}
-		for _, e := range r.trace {
-			w.tracer(e)
-		}
-	}()
+	r := w.newRun(body)
+	// Unwind every rank still parked and hand the coroutines back, so
+	// nothing leaks and the World can run again.
+	defer r.finish()
 
 	events := 0
 	for ev, ok := r.q.Next(); ok; ev, ok = r.q.Next() {
@@ -170,13 +148,73 @@ func (w *World) Run(body func(*Comm)) (elapsed float64, err error) {
 	return r.q.Now(), nil
 }
 
-// run holds the per-Run state.
+// newRun readies the World's run state for body: built on the first Run,
+// emptied on later ones. Every rank is scheduled to start at time 0.
+func (w *World) newRun(body func(*Comm)) *run {
+	r := w.r
+	switch {
+	case r == nil:
+		r = &run{world: w, procs: make([]proc, w.n), nicFree: make([]float64, w.fab.Spec().Nodes)}
+		for i := range r.procs {
+			p := &r.procs[i]
+			p.rank = i
+			p.comm = Comm{r: r, p: p}
+		}
+		w.r = r
+	case r.body != nil:
+		panic("mpi: World.Run called from inside a Run of the same World")
+	default:
+		r.q.Reset()
+		clear(r.nicFree)
+		r.trace = r.trace[:0]
+		for i := range r.procs {
+			r.procs[i].reset()
+		}
+	}
+	r.body = body
+	for i := range r.procs {
+		r.q.Schedule(0, event{kind: evWake, p: &r.procs[i]})
+	}
+	return r
+}
+
+// finish ends a Run, however it ended: it unwinds every rank parked mid-body
+// with abortSignal, returns the ranks' coroutines to the pool and hands the
+// trace to the tracer.
+func (r *run) finish() {
+	coros := r.coros[:0]
+	for i := range r.procs {
+		p := &r.procs[i]
+		co := p.co
+		switch {
+		case co == nil: // never started
+			continue
+		case co.exited: // its body called runtime.Goexit: the coroutine is gone
+			continue
+		case !p.done:
+			p.abort = true
+			co.next()
+		}
+		coros = append(coros, co)
+	}
+	releaseCoros(coros)
+	clear(coros)
+	r.coros, r.body = coros[:0], nil
+	for _, e := range r.trace {
+		r.world.tracer(e)
+	}
+}
+
+// run holds the state of a Run. The World keeps it, and newRun empties it
+// for the next.
 type run struct {
 	world   *World
+	body    func(*Comm) // the body of the Run in progress; nil between Runs
 	q       des.Queue[event]
 	procs   []proc
 	nicFree []float64
-	free    []*Request // completed requests no caller ever saw, for reuse
+	free    []*Request  // completed requests no caller ever saw, for reuse
+	coros   []*rankCoro // finish's scratch: the coroutines going back to the pool
 	// trace, kept only when the world has a tracer, holds every delivery so
 	// far in delivery order; a delivery's match times are filled in when its
 	// receive turns up, so the tracer sees the events when the run ends.
@@ -203,10 +241,9 @@ const (
 type proc struct {
 	rank    int
 	comm    Comm
-	next    func() (struct{}, bool) // resume the rank until it parks or returns
-	yield   func(struct{}) bool     // park: hand control back to the scheduler
-	stop    func()                  // unwind a parked rank
+	co      *rankCoro // the coroutine running the rank's body; nil until it starts
 	done    bool
+	abort   bool // the run is being torn down: unwind at the next park
 	failure error
 
 	batchLat float64 // summed batch-marginal cost of the sends since the proc last blocked
@@ -227,10 +264,26 @@ type inMsg struct {
 	sreq            *Request // the sender's synchronized request
 }
 
-// wake resumes a parked proc and returns when it parks again or finishes.
+// reset empties the proc for the next Run, keeping its slices' capacity.
+func (p *proc) reset() {
+	clear(p.stage)
+	clear(p.posted)
+	clear(p.unexpected)
+	*p = proc{
+		rank: p.rank, comm: p.comm,
+		stage: p.stage[:0], posted: p.posted[:0],
+		unexpected: p.unexpected[:0], unexpectedEv: p.unexpectedEv[:0],
+	}
+}
+
+// wake starts or resumes a proc and returns when it parks again or finishes.
 // It must only be called from scheduler context (inside an event).
 func (r *run) wake(p *proc) {
-	if _, parked := p.next(); !parked {
+	if p.co == nil {
+		p.co = takeCoro()
+		p.co.p, p.co.body = p, r.body
+	}
+	if over, _ := p.co.next(); over {
 		p.done = true
 	}
 }
@@ -239,7 +292,95 @@ func (r *run) wake(p *proc) {
 // scheduler wakes it. Called from proc context only.
 func (p *proc) park() {
 	p.batchLat = 0
-	if !p.yield(struct{}{}) {
+	if !p.co.yield(false) || p.abort {
 		panic(abortSignal{}) // the run is over: unwind to the coroutine's root
+	}
+}
+
+// rankCoro is a coroutine that runs rank bodies, one per Run it is taken for.
+// Between bodies it idles in yield(true); a rank parks in yield(false).
+type rankCoro struct {
+	next   func() (over, ok bool) // resume; over reports that the body has ended
+	stop   func()
+	yield  func(over bool) bool
+	p      *proc       // the rank it runs; nil while idle
+	body   func(*Comm) // what it runs; nil while idle
+	exited bool        // the body called runtime.Goexit, which ended the coroutine
+}
+
+func newRankCoro() *rankCoro {
+	co := &rankCoro{}
+	co.next, co.stop = iter.Pull(func(yield func(bool) bool) {
+		co.yield = yield
+		for {
+			co.runBody()
+			if !yield(true) {
+				return // stopped while idle: discarded from the pool
+			}
+		}
+	})
+	return co
+}
+
+// runBody runs the rank's body to its end, recording a panic as the rank's
+// failure and absorbing abortSignal.
+func (co *rankCoro) runBody() {
+	p := co.p
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		switch rec := recover(); rec.(type) {
+		case nil:
+			co.exited = true // runtime.Goexit, which no recover stops
+		case abortSignal:
+		default:
+			p.failure = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, rec)
+		}
+	}()
+	co.body(&p.comm)
+	returned = true
+}
+
+// maxIdleCoros bounds the pool of idle rank coroutines shared by every World
+// in the process: enough for every rank of a 1024-rank job. An idle
+// coroutine is a parked goroutine that keeps the stack its last body grew,
+// 4 or 8 KB for a barrier or probe body (5 KB on average after a 64-rank
+// probe), so a full pool holds at most about 8 MB.
+const maxIdleCoros = 1024
+
+var idleCoros struct {
+	sync.Mutex
+	list []*rankCoro
+}
+
+// takeCoro returns an idle coroutine from the pool, or a new one.
+func takeCoro() *rankCoro {
+	idleCoros.Lock()
+	n := len(idleCoros.list)
+	if n == 0 {
+		idleCoros.Unlock()
+		return newRankCoro()
+	}
+	co := idleCoros.list[n-1]
+	idleCoros.list[n-1] = nil
+	idleCoros.list = idleCoros.list[:n-1]
+	idleCoros.Unlock()
+	return co
+}
+
+// releaseCoros returns idle coroutines to the pool and stops those the pool
+// has no room for.
+func releaseCoros(coros []*rankCoro) {
+	for _, co := range coros {
+		co.p, co.body = nil, nil
+	}
+	idleCoros.Lock()
+	room := min(len(coros), maxIdleCoros-len(idleCoros.list))
+	idleCoros.list = append(idleCoros.list, coros[:room]...)
+	idleCoros.Unlock()
+	for _, co := range coros[room:] {
+		co.stop()
 	}
 }

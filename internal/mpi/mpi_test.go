@@ -308,6 +308,22 @@ func TestMisusePanics(t *testing.T) {
 			}
 		})
 	}
+	// A World keeps one run state, so a body may not start a Run of its own
+	// World; the World still runs afterwards.
+	t.Run("nested-run", func(t *testing.T) {
+		w := NewWorld(testFabric(t, 1, 2, 2))
+		_, err := w.Run(func(c *Comm) {
+			if c.Rank() == 0 {
+				_, _ = w.Run(func(*Comm) {})
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "World.Run called from inside a Run of the same World") {
+			t.Fatalf("err = %v, want the nested-Run panic", err)
+		}
+		if _, err := w.Run(func(c *Comm) { pingPong(c, 2) }); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestComputeAdvancesOnlyLocalTime(t *testing.T) {

@@ -8,7 +8,9 @@ package perftest
 
 import (
 	"os"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // Floor checks one wall-clock floor: when met is false the test fails if
@@ -39,4 +41,15 @@ func SteadyAllocs(t *testing.T, what string, n int, work func(iters int)) {
 	if once != twice {
 		t.Errorf("%s: %d iterations allocate %.0f times, %d allocate %.0f", what, n, once, 2*n, twice)
 	}
+}
+
+// CPUSeconds returns the user plus system CPU time the process has used.
+// Benchmarks report its growth over their wall time as "busy-cores": how much
+// of the box the measured code keeps working.
+func CPUSeconds(tb testing.TB) float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }

@@ -532,10 +532,13 @@ func TestMeasureAllocsScaleWithMeasuredPairs(t *testing.T) {
 // BenchmarkProbeMeasureP64 is the cold-start cost the ledger's paper_sim_p64
 // workload is dominated by: the hierarchy-driven protocol on the §VI quad
 // cluster. pairs/op is the number of pairs it actually measured, screens/op
-// the number it screened to find the hierarchy.
+// the number it screened to find the hierarchy, and busy-cores the process's
+// CPU time over wall time: above 1 while the fabric computes its noise a
+// batch ahead on the second core.
 func BenchmarkProbeMeasureP64(b *testing.B) {
 	b.ReportAllocs()
 	pairs, screens := 0, 0
+	cpu := perftest.CPUSeconds(b)
 	for i := 0; i < b.N; i++ {
 		pf, err := Measure(quadWorld(b, 64, 1), Default())
 		if err != nil {
@@ -544,6 +547,8 @@ func BenchmarkProbeMeasureP64(b *testing.B) {
 		pairs += pf.MeasuredPairs()
 		screens += pf.Provenance.Screened
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 	b.ReportMetric(float64(screens)/float64(b.N), "screens/op")
+	b.ReportMetric((perftest.CPUSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
 }

@@ -170,21 +170,24 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 			delayRanks[i] = i
 		}
 	}
-	for _, d := range delayRanks {
+	// One body and one pair of time vectors serve every delayed rank, so a
+	// validation allocates the same however many ranks it delays.
+	enter := make([]float64, w.Size())
+	exit := make([]float64, w.Size())
+	var d int
+	body := func(c *mpi.Comm) {
+		if c.Rank() == d {
+			c.Compute(delay)
+		}
+		enter[c.Rank()] = c.Wtime()
+		b(c, 0)
+		exit[c.Rank()] = c.Wtime()
+	}
+	for _, d = range delayRanks {
 		if d < 0 || d >= w.Size() {
 			return fmt.Errorf("run: delay rank %d out of range", d)
 		}
-		enter := make([]float64, w.Size())
-		exit := make([]float64, w.Size())
-		_, err := w.Run(func(c *mpi.Comm) {
-			if c.Rank() == d {
-				c.Compute(delay)
-			}
-			enter[c.Rank()] = c.Wtime()
-			b(c, 0)
-			exit[c.Rank()] = c.Wtime()
-		})
-		if err != nil {
+		if _, err := w.Run(body); err != nil {
 			return fmt.Errorf("run: validation with rank %d delayed: %w", d, err)
 		}
 		for r, x := range exit {

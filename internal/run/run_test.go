@@ -5,11 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"topobarrier/internal/compose"
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mat"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/perftest"
+	"topobarrier/internal/predict"
 	"topobarrier/internal/sched"
+	"topobarrier/internal/sss"
 	"topobarrier/internal/topo"
 )
 
@@ -235,6 +238,24 @@ func TestExecuteAllocsIndependentOfBarrierCount(t *testing.T) {
 	}
 }
 
+// Validate runs one World.Run per delayed rank, and the World keeps its run
+// state and rank coroutines between Runs, so validating with 2n delayed ranks
+// allocates exactly as often as with n (testWorld is noise-free).
+func TestValidateAllocsIndependentOfDelayedRanks(t *testing.T) {
+	const p = 16
+	w := testWorld(t, p, 1)
+	b := plan(t, sched.Dissemination(p))
+	perftest.SteadyAllocs(t, "Validate", p, func(n int) {
+		delayed := make([]int, n)
+		for i := range delayed {
+			delayed[i] = i % p
+		}
+		if err := Validate(w, b, 1e-4, delayed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkPlanBarrier32(b *testing.B) {
 	pl, err := NewPlan(sched.Tree(32))
 	if err != nil {
@@ -247,4 +268,36 @@ func BenchmarkPlanBarrier32(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkValidateP64 is the delay-injection validation of the ledger's
+// paper_sim_p64 workload: every one of 64 ranks delayed in turn on the hybrid
+// plan tuned for the §VI quad cluster, one World.Run each. busy-cores is the
+// process's CPU time over wall time.
+func BenchmarkValidateP64(b *testing.B) {
+	const p = 64
+	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf := f.TrueProfile()
+	res, err := compose.Hybrid(predict.New(pf), sss.Tree(pf, sss.Options{}), sched.PaperBuilders())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := NewPlan(res.Schedule)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := mpi.NewWorld(f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpu := perftest.CPUSeconds(b)
+	for i := 0; i < b.N; i++ {
+		if err := Validate(w, pl.Func(), 1e-3, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric((perftest.CPUSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
 }

@@ -138,21 +138,19 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a normally distributed value with mean 0 and the given
-// standard deviation, via the Box-Muller transform.
-func (r *RNG) Norm(sigma float64) float64 {
+// NormFactors returns the two Box-Muller factors of the next normal draw,
+// s = √(−2 ln u₁) and c = cos 2πu₂: σ·s·c is normally distributed with mean
+// 0 and standard deviation σ, and exp(σ·s·c) is the log-normal noise factor
+// (median 1) the simulated fabric applies to every cost sample. It is the
+// one definition of the transform, so a consumer that computes factors ahead
+// of the draws that use them (the fabric does, a batch at a time) consumes
+// the stream exactly as one drawing them in place.
+func (r *RNG) NormFactors() (s, c float64) {
 	// Guard against log(0).
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	return sigma * math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// LogNorm returns exp(Norm(sigma)); a multiplicative noise factor with median
-// 1. Latency noise in real interconnects is right-skewed, which log-normal
-// noise reproduces.
-func (r *RNG) LogNorm(sigma float64) float64 {
-	return math.Exp(r.Norm(sigma))
+	return math.Sqrt(-2 * math.Log(u1)), math.Cos(2 * math.Pi * u2)
 }

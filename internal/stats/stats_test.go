@@ -30,7 +30,7 @@ func TestLeastSquaresNoisy(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		x := float64(i)
 		xs = append(xs, x)
-		ys = append(ys, 10+0.5*x+rng.Norm(0.1))
+		ys = append(ys, 10+0.5*x+norm(rng, 0.1))
 	}
 	f, err := LeastSquares(xs, ys)
 	if err != nil {
@@ -153,12 +153,18 @@ func TestRNGIntn(t *testing.T) {
 	r.Intn(0)
 }
 
+// norm is a normal draw with standard deviation sigma.
+func norm(r *RNG, sigma float64) float64 {
+	s, c := r.NormFactors()
+	return sigma * s * c
+}
+
 func TestNormMoments(t *testing.T) {
 	r := NewRNG(3)
 	n := 50000
 	var sum, sum2 float64
 	for i := 0; i < n; i++ {
-		v := r.Norm(2)
+		v := norm(r, 2)
 		sum += v
 		sum2 += v * v
 	}
@@ -172,18 +178,21 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// exp(σ·s·c) over NormFactors is the simulated fabric's multiplicative
+// noise: log-normal with median 1 and never non-positive.
 func TestLogNormMedian(t *testing.T) {
 	r := NewRNG(4)
 	var vs []float64
 	for i := 0; i < 20001; i++ {
-		vs = append(vs, r.LogNorm(0.5))
+		s, c := r.NormFactors()
+		vs = append(vs, math.Exp(0.5*s*c))
 	}
 	if m := Median(vs); math.Abs(m-1) > 0.05 {
-		t.Fatalf("LogNorm median = %v, want ~1", m)
+		t.Fatalf("log-normal median = %v, want ~1", m)
 	}
 	for _, v := range vs[:100] {
 		if v <= 0 {
-			t.Fatalf("LogNorm produced non-positive %v", v)
+			t.Fatalf("log-normal factor non-positive: %v", v)
 		}
 	}
 }
@@ -229,9 +238,9 @@ func BenchmarkLeastSquares(b *testing.B) {
 	}
 }
 
-func BenchmarkRNGNorm(b *testing.B) {
+func BenchmarkRNGNormFactors(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {
-		_ = r.Norm(1)
+		_, _ = r.NormFactors()
 	}
 }

@@ -6,11 +6,10 @@ package topobarrier_test
 
 import (
 	"fmt"
-	"syscall"
 	"testing"
-	"time"
 
 	"topobarrier/internal/fabric"
+	"topobarrier/internal/perftest"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/search"
@@ -104,7 +103,7 @@ func BenchmarkSearchWorkerScaling(b *testing.B) {
 			b.Run(fmt.Sprintf("%sworkers=%d", sh.name, workers), func(b *testing.B) {
 				examined := 0
 				b.ResetTimer()
-				cpu := cpuSeconds(b)
+				cpu := perftest.CPUSeconds(b)
 				for n := 0; n < b.N; n++ {
 					res, err := search.Anneal(pd, sh.seed, search.AnnealOptions{
 						Seed: 3, Budget: sh.budget, Restarts: sh.restarts, Workers: workers,
@@ -116,7 +115,7 @@ func BenchmarkSearchWorkerScaling(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
-				b.ReportMetric((cpuSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
+				b.ReportMetric((perftest.CPUSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
 			})
 		}
 	}
@@ -132,7 +131,7 @@ func BenchmarkAnnealColdTree32(b *testing.B) {
 	seed := sched.Tree(32)
 	examined := 0
 	b.ResetTimer()
-	cpu := cpuSeconds(b)
+	cpu := perftest.CPUSeconds(b)
 	for n := 0; n < b.N; n++ {
 		res, err := search.Anneal(pd, seed, search.AnnealOptions{Seed: uint64(n), Budget: 200_000, Restarts: 3})
 		if err != nil {
@@ -142,14 +141,5 @@ func BenchmarkAnnealColdTree32(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(examined)/b.Elapsed().Seconds(), "mutants/s")
-	b.ReportMetric((cpuSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
-}
-
-// cpuSeconds returns the user plus system CPU time the process has used.
-func cpuSeconds(b *testing.B) float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		b.Fatal(err)
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
+	b.ReportMetric((perftest.CPUSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
 }
