@@ -1,10 +1,14 @@
 package critpath_test
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -338,6 +342,56 @@ func TestBlameAndFlightRecorderE2E(t *testing.T) {
 	}
 }
 
+// barrierWindow describes each rank's netmpi_barrier_seconds observations
+// between two registry snapshots: how many, their mean, and the three highest
+// occupied buckets with their counts.
+func barrierWindow(before, after map[string]any, p int) string {
+	var b strings.Builder
+	for r := 0; r < p; r++ {
+		name := telemetry.Label("netmpi_barrier_seconds", "rank", strconv.Itoa(r))
+		h0, _ := before[name].(map[string]any)
+		h1, _ := after[name].(map[string]any)
+		if h1 == nil {
+			fmt.Fprintf(&b, "rank %d: no barrier histogram\n", r)
+			continue
+		}
+		count, _ := h1["count"].(int64)
+		sum, _ := h1["sum"].(float64)
+		cum0, _ := h0["buckets"].(map[string]int64)
+		cum1, _ := h1["buckets"].(map[string]int64)
+		if h0 != nil {
+			c0, _ := h0["count"].(int64)
+			s0, _ := h0["sum"].(float64)
+			count, sum = count-c0, sum-s0
+		}
+		fmt.Fprintf(&b, "rank %d: %d barriers, mean %.3g s;", r, count, sum/float64(count))
+		// Cumulative counts to per-bucket counts, in bound order.
+		bounds := slices.Collect(maps.Keys(cum1))
+		bound := func(k string) float64 {
+			if k == "+Inf" {
+				return math.Inf(1)
+			}
+			v, _ := strconv.ParseFloat(k, 64)
+			return v
+		}
+		slices.SortFunc(bounds, func(x, y string) int { return cmp.Compare(bound(x), bound(y)) })
+		var occupied []string
+		prev := int64(0)
+		for _, k := range bounds {
+			n := cum1[k] - cum0[k]
+			if n > prev {
+				occupied = append(occupied, fmt.Sprintf(" ≤%s: %d", k, n-prev))
+			}
+			prev = n
+		}
+		for _, o := range occupied[max(0, len(occupied)-3):] {
+			b.WriteString(o)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // TestAimedReprobeClosedLoop drives the retune controller with a flight
 // recorder attached on a live P=8 mesh: on the drift trigger the controller
 // must aim the re-probe at the blamed directions — screening strictly fewer
@@ -418,13 +472,17 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 
 	// Healthy window: check declines, and cuts the flight window so the
 	// healthy floors cannot mask the coming drift.
+	before := reg.Snapshot()
 	runLoop(20, "baseline")
 	d1, err := ctl.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d1.Checked || d1.Triggered {
-		t.Fatalf("baseline check: %+v", d1)
+		// Observed is the slowest rank's mean over the window, so one
+		// stalled barrier among 20 healthy ones can trip the tolerance: show
+		// what each rank's mean is made of.
+		t.Fatalf("baseline check: %+v\n%s", d1, barrierWindow(before, reg.Snapshot(), p))
 	}
 
 	// Drift window: only 6→7 degrades.

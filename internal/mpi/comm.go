@@ -55,10 +55,8 @@ func (c *Comm) checkPeer(peer int, wild bool) {
 	}
 }
 
-// Issend posts a synchronized nonblocking send of bytes payload to dst: the
-// returned request completes only once the receiver has matched the message.
-// This is the operation the paper's barrier executor issues for every signal.
-func (c *Comm) Issend(dst, tag, bytes int) *Request {
+// checkSend panics unless the caller may send bytes to dst.
+func (c *Comm) checkSend(dst, bytes int) {
 	c.checkPeer(dst, false)
 	if dst == c.p.rank {
 		panic(fmt.Sprintf("mpi: rank %d sending to itself", dst))
@@ -66,6 +64,13 @@ func (c *Comm) Issend(dst, tag, bytes int) *Request {
 	if bytes < 0 {
 		panic(fmt.Sprintf("mpi: negative message size %d", bytes))
 	}
+}
+
+// Issend posts a synchronized nonblocking send of bytes payload to dst: the
+// returned request completes only once the receiver has matched the message.
+// This is the operation the paper's barrier executor issues for every signal.
+func (c *Comm) Issend(dst, tag, bytes int) *Request {
+	c.checkSend(dst, bytes)
 	r, p := c.r, c.p
 	fab := r.world.fab
 	now := r.q.Now()
@@ -123,24 +128,106 @@ func (r *run) newRequest(v Request) *Request {
 // returned to the caller (Irecv, Issend) is the caller's for good.
 func (r *run) recycle(qs ...*Request) { r.free = append(r.free, qs...) }
 
+// Step is one step of a rank program (Comm.Steps): what one Stage call does,
+// with a payload size for its sends.
+type Step struct {
+	Tag          int   // added to the program's base tag
+	Recvs, Sends []int // peers, posted in list order: every receive, then every send
+	Bytes        int   // each send's payload
+}
+
 // Stage runs one stage of a barrier plan (§VI): it posts a receive from every
 // rank of recvs and a zero-byte Issend to every rank of sends, all under tag,
-// in that order, and waits for all of them. Its requests never reach the
-// caller and are recycled when the wait returns, so a steady stream of stages
-// allocates nothing. It never fails; the error is run.Stager's, whose live
-// implementation can.
+// in that order, and waits for all of them. It is a one-step program
+// (Steps), so its requests never reach the caller and a steady stream of
+// stages allocates nothing. It never fails; the error is run.Stager's, whose
+// live implementation can.
 func (c *Comm) Stage(tag int, recvs, sends []int) error {
 	p := c.p
-	for _, src := range recvs {
-		p.stage = append(p.stage, c.Irecv(src, tag))
-	}
-	for _, dst := range sends {
-		p.stage = append(p.stage, c.Issend(dst, tag, 0))
-	}
-	c.Wait(p.stage...)
-	c.r.recycle(p.stage...)
-	p.stage = p.stage[:0]
+	p.one[0] = Step{Recvs: recvs, Sends: sends}
+	c.Steps(tag, p.one[:], nil)
+	p.one[0] = Step{}
 	return nil
+}
+
+// Steps runs a program of steps and returns when its last step has
+// completed. Step k posts a receive under base+steps[k].Tag from every rank
+// of its Recvs, then an Issend of its Bytes under the same tag to every rank
+// of its Sends, and waits for all of them; step k+1 starts when step k has
+// completed, and each step boundary ends the send batch, as Wait does. A
+// program observes exactly what the same calls to Irecv, Issend and Wait
+// would, but the scheduler posts each next step itself, in the event that
+// completed the step before, so the rank is resumed once per program rather
+// than once per step. When done is non-nil, done[k] receives the virtual time
+// step k completed — what Wtime would read once its Wait returned — and done
+// must be at least as long as steps. Every peer is checked before the first
+// step is posted. The program's requests never reach the caller and are
+// recycled as each step completes; steps is only read, so one program may
+// serve many ranks and Worlds at once.
+func (c *Comm) Steps(base int, steps []Step, done []float64) {
+	if done != nil && len(done) < len(steps) {
+		panic(fmt.Sprintf("mpi: %d completion times for %d steps", len(done), len(steps)))
+	}
+	for k := range steps {
+		st := &steps[k]
+		for _, src := range st.Recvs {
+			c.checkPeer(src, true)
+		}
+		for _, dst := range st.Sends {
+			c.checkSend(dst, st.Bytes)
+		}
+	}
+	p := c.p
+	p.prog, p.progBase, p.progDone, p.progAt = steps, base, done, 0
+	if c.r.advance(p) {
+		return
+	}
+	for p.prog != nil {
+		p.park()
+	}
+}
+
+// advance posts the steps of p's program from the current one on, each as
+// soon as the one before it has completed, and reports whether the program
+// has ended; it stops at a step that must wait. It runs in the rank's own
+// context when the program starts and in scheduler context (completeAndWake)
+// afterwards.
+func (r *run) advance(p *proc) bool {
+	c := &p.comm
+	for p.progAt < len(p.prog) {
+		st := &p.prog[p.progAt]
+		tag := p.progBase + st.Tag
+		for _, src := range st.Recvs {
+			p.stage = append(p.stage, c.Irecv(src, tag))
+		}
+		for _, dst := range st.Sends {
+			p.stage = append(p.stage, c.Issend(dst, tag, st.Bytes))
+		}
+		for _, q := range p.stage {
+			if !q.done {
+				q.inWait = true
+				p.pending++
+			}
+		}
+		if p.pending > 0 {
+			return false
+		}
+		r.stepDone(p)
+	}
+	p.prog, p.progDone = nil, nil
+	return true
+}
+
+// stepDone ends p's current program step: it records the completion time,
+// ends the send batch and recycles the step's requests.
+func (r *run) stepDone(p *proc) {
+	if p.progDone != nil {
+		p.progDone[p.progAt] = r.q.Now()
+	}
+	p.progAt++
+	p.batchLat = 0
+	r.recycle(p.stage...)
+	p.stage = p.stage[:0]
 }
 
 // Irecv posts a nonblocking receive matching the given source and tag
@@ -295,8 +382,10 @@ func (r *run) deliver(dp *proc, m inMsg, sentAt float64) {
 	}
 }
 
-// completeAndWake completes a request and wakes its owner if that was the
-// last request the owner is parked waiting on. Scheduler context only.
+// completeAndWake completes a request. When that was the last request its
+// owner waits on, it wakes the owner — or, for a rank running a program,
+// ends the step and posts the next ones, and wakes the rank only once the
+// program has ended. Scheduler context only.
 func (r *run) completeAndWake(q *Request, t float64, src, tag int) {
 	if q.done {
 		return
@@ -305,8 +394,15 @@ func (r *run) completeAndWake(q *Request, t float64, src, tag int) {
 	if q.inWait {
 		q.inWait = false
 		p := &r.procs[q.owner]
-		if p.pending--; p.pending == 0 {
-			r.wake(p)
+		if p.pending--; p.pending > 0 {
+			return
 		}
+		if p.prog != nil {
+			r.stepDone(p)
+			if !r.advance(p) {
+				return
+			}
+		}
+		r.wake(p)
 	}
 }

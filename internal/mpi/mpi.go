@@ -4,15 +4,20 @@
 // model.
 //
 // Each rank of a job runs as a coroutine (iter.Pull) of the goroutine that
-// called Run: the discrete-event scheduler resumes one rank at a time with a
-// direct coroutine switch and gets control back when the rank blocks, so no
-// rank switch goes through the Go scheduler. The coroutines come from a
-// process-wide pool and go back to it when the Run ends, so a rank's stack,
-// once grown, serves the Runs after it; the event queue, the ranks' queues
-// and the request free list stay on the World and are reset between Runs.
-// Virtual time advances only through message costs drawn from the fabric and
-// through explicit Compute calls. Events run in (time, scheduling order) and
-// the fabric's noise is drawn in that order, so every run is reproducible.
+// drives the Run's event loop — one of its own, so the caller's OS-thread
+// lock never reaches the coroutines: the discrete-event scheduler resumes one
+// rank at a time with a direct coroutine switch and gets control back when
+// the rank blocks, so no rank switch goes through the Go scheduler. A rank
+// that hands the scheduler a whole program of stages (Comm.Steps) is not
+// resumed between them: the scheduler posts each next step itself, in the
+// event that completed the one before, and resumes the rank once when the
+// program has ended. The coroutines come from a process-wide pool and go
+// back to it when the Run ends, so a rank's stack, once grown, serves the
+// Runs after it; the event queue, the ranks' queues and the request free list
+// stay on the World and are reset between Runs. Virtual time advances only
+// through message costs drawn from the fabric and through explicit Compute
+// calls. Events run in (time, scheduling order) and the fabric's noise is
+// drawn in that order, so every run is reproducible.
 //
 // The timing model mirrors the paper's topological model (§IV):
 //
@@ -35,6 +40,7 @@ package mpi
 import (
 	"fmt"
 	"iter"
+	"runtime"
 	"sync"
 
 	"topobarrier/internal/des"
@@ -90,6 +96,13 @@ type World struct {
 	maxEvents  int
 	tracer     func(TraceEvent)
 	r          *run // the state of the current or last Run; nil before the first
+
+	// Totals over every Run so far, for the tests that bound the engine's
+	// work: events executed and rank coroutine resumes.
+	events, resumes int
+
+	done chan struct{} // drive's signal that the Run's loop has ended
+	call runCall
 }
 
 // NewWorld wraps a placed fabric as a runnable job.
@@ -111,13 +124,76 @@ func (w *World) Fabric() *fabric.Fabric { return w.fab }
 // returns the virtual time at which the last rank finished. It returns an
 // error if any rank panicked, if ranks deadlocked, or if the event bound was
 // exceeded. A body must not call Run on its own World.
+//
+// The event loop runs on a goroutine of its own, which Run waits for: a
+// pooled rank coroutine must be resumed under the OS-thread lock state it was
+// created under, and a fresh goroutine holds no lock whatever its caller
+// holds. A panic that escapes the loop (a tracer's) is raised again in the
+// caller, and a body's runtime.Goexit ends the caller, as it would if the
+// loop ran there.
 func (w *World) Run(body func(*Comm)) (elapsed float64, err error) {
+	if w.r != nil && w.r.body != nil {
+		panic("mpi: World.Run called from inside a Run of the same World")
+	}
+	if w.done == nil {
+		w.done = make(chan struct{})
+	}
+	w.call = runCall{body: body}
+	go drive()
+	loops <- w
+	<-w.done
+	c := w.call
+	w.call = runCall{}
+	switch {
+	case c.panicked != nil:
+		panic(c.panicked)
+	case c.exited:
+		runtime.Goexit()
+	}
+	return c.elapsed, c.err
+}
+
+// runCall is one Run's hand-over between the caller and drive.
+type runCall struct {
+	body     func(*Comm)
+	elapsed  float64
+	err      error
+	panicked any  // a panic that escaped the loop
+	exited   bool // the loop's goroutine ended in runtime.Goexit
+}
+
+// loops hands each Run's World to a goroutine started for it (drive). Each
+// Run starts its goroutine before it sends, so a full buffer only delays a
+// sender until a started goroutine takes a World; 64 Runs starting at once
+// on separate Worlds hand over without waiting, and neither side allocates.
+var loops = make(chan *World, 64)
+
+// drive runs the event loop of one World taken from loops and reports back
+// on the World's done channel, however the loop ended.
+func drive() {
+	w := <-loops
+	defer func() { w.done <- struct{}{} }()
+	returned := false
+	defer func() {
+		if !returned {
+			if w.call.panicked = recover(); w.call.panicked == nil {
+				w.call.exited = true
+			}
+		}
+	}()
+	w.call.elapsed, w.call.err = w.loop(w.call.body)
+	returned = true
+}
+
+// loop is Run's event loop.
+func (w *World) loop(body func(*Comm)) (elapsed float64, err error) {
 	r := w.newRun(body)
 	// Unwind every rank still parked and hand the coroutines back, so
 	// nothing leaks and the World can run again.
 	defer r.finish()
 
 	events := 0
+	defer func() { w.events += events }()
 	for ev, ok := r.q.Next(); ok; ev, ok = r.q.Next() {
 		switch ev.kind {
 		case evWake:
@@ -161,8 +237,6 @@ func (w *World) newRun(body func(*Comm)) *run {
 			p.comm = Comm{r: r, p: p}
 		}
 		w.r = r
-	case r.body != nil:
-		panic("mpi: World.Run called from inside a Run of the same World")
 	default:
 		r.q.Reset()
 		clear(r.nicFree)
@@ -193,6 +267,7 @@ func (r *run) finish() {
 			continue
 		case !p.done:
 			p.abort = true
+			r.world.resumes++
 			co.next()
 		}
 		coros = append(coros, co)
@@ -248,9 +323,19 @@ type proc struct {
 
 	batchLat float64 // summed batch-marginal cost of the sends since the proc last blocked
 
-	pending int // incomplete requests of the Wait the proc is parked in
+	pending int // incomplete requests of the Wait or program step the proc is parked in
 
-	stage []*Request // the requests of the Stage the rank is in
+	// The program (Comm.Steps) the rank is running, nil outside one: the
+	// scheduler posts step progAt once the step before it has completed,
+	// records completion times in progDone, and resumes the rank when the
+	// last step has completed.
+	prog     []Step
+	progBase int
+	progDone []float64
+	progAt   int
+	one      [1]Step // Comm.Stage's one-step program
+
+	stage []*Request // the requests of the step in flight
 
 	posted     []*Request // posted, unmatched receives (post order)
 	unexpected []inMsg    // arrived, unmatched messages (arrival order)
@@ -283,6 +368,7 @@ func (r *run) wake(p *proc) {
 		p.co = takeCoro()
 		p.co.p, p.co.body = p, r.body
 	}
+	r.world.resumes++
 	if over, _ := p.co.next(); over {
 		p.done = true
 	}

@@ -13,9 +13,11 @@
 //     transmission.
 //
 // Ranks pace each other with untimed handshakes, so concurrent progress on
-// disjoint pairs never contaminates a timed region. Every sample is a virtual
-// time difference observed through Comm.Wtime, exactly as a wall-clock
-// benchmark would observe MPI_Wtime.
+// disjoint pairs never contaminates a timed region. Each side of a pair runs
+// its whole protocol as one program (Comm.Steps), and every sample is a
+// difference of its steps' completion times: the virtual times Comm.Wtime
+// reads between the same calls, as a wall-clock benchmark observes
+// MPI_Wtime.
 //
 // The optional Replicate mode implements the reduction the paper describes
 // in §IV.B: it measures one representative pair per interconnect link class
@@ -165,7 +167,7 @@ func newSimulator(w *mpi.World, cfg Config) (*simulator, error) {
 	if err := cfg.validate(w.Size()); err != nil {
 		return nil, err
 	}
-	sim := &simulator{w: w, cfg: cfg}
+	sim := &simulator{w: w, cfg: cfg, progs: make([]program, w.Size())}
 	for _, n := range cfg.Sizes {
 		sim.sizeXs = append(sim.sizeXs, float64(n))
 	}
@@ -180,7 +182,59 @@ type simulator struct {
 	w               *mpi.World
 	cfg             Config
 	sizeXs, batchXs []float64
-	selfDone        bool // Oii is measured once, at the end of the first phase
+	selfDone        bool      // Oii is measured once, at the end of the first phase
+	progs           []program // per rank, reused across its pairs and phases
+}
+
+// program is one rank's side of one pair's protocol, built for Comm.Steps in
+// buffers the rank reuses from pair to pair.
+type program struct {
+	peers []int // as long as the largest batch, every entry the peer
+	steps []mpi.Step
+	done  []float64 // the steps' completion times
+}
+
+// prog returns rank me's program buffers, emptied for a protocol with peer.
+func (m *simulator) prog(me, peer int) *program {
+	pg := &m.progs[me]
+	if pg.peers == nil {
+		cfg := m.cfg
+		pg.peers = make([]int, max(slices.Max(cfg.Batches), 1))
+		// The longest program: measure's handshake and two steps a repetition.
+		pg.steps = make([]mpi.Step, 0, 2+2*(len(cfg.Batches)+len(cfg.Sizes))*(cfg.Warmup+cfg.Reps))
+	}
+	for k := range pg.peers {
+		pg.peers[k] = peer
+	}
+	pg.steps = pg.steps[:0]
+	return pg
+}
+
+// signal appends a step in which the rank sends n messages of bytes to the
+// peer, when send is set, or receives n from it.
+func (pg *program) signal(send bool, tag, n, bytes int) {
+	if send {
+		pg.steps = append(pg.steps, mpi.Step{Tag: tag, Sends: pg.peers[:n], Bytes: bytes})
+	} else {
+		pg.steps = append(pg.steps, mpi.Step{Tag: tag, Recvs: pg.peers[:n]})
+	}
+}
+
+// handshake appends the untimed exchange that aligns the two ranks of a pair
+// before timed work begins: the initiator signals first.
+func (pg *program) handshake(initiator bool) {
+	pg.signal(initiator, 0, 1, 0)
+	pg.signal(!initiator, 0, 1, 0)
+}
+
+// run executes the program under tag and returns its completion times.
+func (pg *program) run(c *mpi.Comm, tag int) []float64 {
+	if cap(pg.done) < len(pg.steps) {
+		pg.done = make([]float64, len(pg.steps))
+	}
+	pg.done = pg.done[:len(pg.steps)]
+	c.Steps(tag, pg.steps, pg.done)
+	return pg.done
 }
 
 // run measures one phase: every rank walks the rounds of disjoint pairs in
@@ -191,7 +245,6 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 	pairErr := make([]error, p) // per initiating rank, in its round order
 	if _, err := m.w.Run(func(c *mpi.Comm) {
 		me := c.Rank()
-		peers := make([]int, slices.Max(m.cfg.Batches)) // the L sweep's Stage lists
 		for _, round := range rounds {
 			pr, ok := roundOf(round, me)
 			if !ok {
@@ -199,13 +252,14 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 			}
 			tag := (pr.I*p + pr.J) * 8 // disjoint tag space per pair
 			if pr.J == me {
-				measureResponder(c, fill(peers, pr.I), tag, m.cfg)
+				m.measure(c, pr.I, tag, false)
 				continue
 			}
-			l, o, err := measureInitiator(c, fill(peers, pr.J), tag, m.cfg, m.sizeXs, m.batchXs)
+			l, o, err := m.fit(me, pr.J, m.measure(c, pr.J, tag, true))
 			if err != nil {
-				// Record and keep going: fits fail after the sweeps, so the
-				// pair's protocol is complete and later handshakes stay aligned.
+				// Record and keep going: the fits come after the sweeps, so
+				// the pair's protocol is complete and later handshakes stay
+				// aligned.
 				pairErr[me] = errors.Join(pairErr[me], fmt.Errorf("probe: pair (%d,%d): %w", pr.I, pr.J, err))
 				continue
 			}
@@ -244,23 +298,26 @@ func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
 			if !ok {
 				continue // bye round
 			}
-			tag := (pr.I*p+pr.J)*8 + 5 // past the sweep's tags of the pair
-			if pr.J == me {
-				handshake(c, pr.I, tag, false)
-				for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
-					c.Recv(pr.I, tag+1)
-					c.Send(pr.I, tag+1, 0)
-				}
+			peer, initiator := pr.I, pr.J != me
+			if initiator {
+				peer = pr.J
+			}
+			pg := m.prog(me, peer)
+			pg.handshake(initiator)
+			for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
+				pg.signal(initiator, 1, 1, 0)
+				pg.signal(!initiator, 1, 1, 0)
+			}
+			done := pg.run(c, (pr.I*p+pr.J)*8+5) // past the sweep's tags of the pair
+			if !initiator {
 				continue
 			}
-			handshake(c, pr.J, tag, true)
+			// Round trip r spans the completion of the step before its
+			// send to that of its reply.
 			sum := 0.0
-			for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
-				t0 := c.Wtime()
-				c.Send(pr.J, tag+1, 0)
-				c.Recv(pr.J, tag+1)
+			for r, k := 0, 2; r < m.cfg.Warmup+m.cfg.Reps; r, k = r+1, k+2 {
 				if r >= m.cfg.Warmup {
-					sum += c.Wtime() - t0
+					sum += done[k+1] - done[k-1]
 				}
 			}
 			set(pr.I, pr.J, sum/float64(2*m.cfg.Reps))
@@ -273,98 +330,77 @@ func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
 // slightly negative intercept or gradient.
 const floor = 1e-9
 
-// fill sets every entry of peers to peer and returns it: a batch of m
-// simultaneous signals to peer is one Stage over peers[:m].
-func fill(peers []int, peer int) []int {
-	for k := range peers {
-		peers[k] = peer
+// measure runs one side of a pair's protocol with peer under tag and returns
+// its steps' completion times: the handshake, then the L sweep (per
+// repetition, the initiator's batch of m simultaneous zero-byte signals and
+// the responder's untimed ack, which keeps repetitions in lockstep), then
+// the O sweep (per repetition, a round trip of two messages of the size).
+func (m *simulator) measure(c *mpi.Comm, peer, tag int, initiator bool) []float64 {
+	cfg := m.cfg
+	pg := m.prog(c.Rank(), peer)
+	pg.handshake(initiator)
+	for _, n := range cfg.Batches {
+		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
+			pg.signal(initiator, 1, n, 0)
+			pg.signal(!initiator, 2, 1, 0)
+		}
 	}
-	return peers
+	for _, s := range cfg.Sizes {
+		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
+			pg.signal(initiator, 3, 1, s)
+			pg.signal(!initiator, 4, 1, s)
+		}
+	}
+	return pg.run(c, tag)
 }
 
-// measureInitiator runs both sweeps from the initiating side against
-// peers[0], peers being as long as the largest batch, and returns the fitted
-// (L, O) estimates for the pair.
-func measureInitiator(c *mpi.Comm, peers []int, tag int, cfg Config, sizeXs, batchXs []float64) (l, o float64, err error) {
-	peer := peers[0]
-	handshake(c, peer, tag, true)
+// fit returns the (L, O) estimates of the pair (me, peer) from the
+// initiator's completion times of measure's protocol.
+func (m *simulator) fit(me, peer int, done []float64) (l, o float64, err error) {
+	cfg := m.cfg
+	k := 2 // the first step past the handshake
 
-	// L sweep first: the fitted gradient corrects the O intercept below.
+	// L sweep first: the fitted gradient corrects the O intercept below. A
+	// batch spans its own step.
 	samples := make([]float64, 0, cfg.Reps)
 	batchMeans := make([]float64, len(cfg.Batches))
-	for bi, m := range cfg.Batches {
+	for bi := range cfg.Batches {
 		samples = samples[:0]
-		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			t0 := c.Wtime()
-			_ = c.Stage(tag+1, nil, peers[:m]) // never fails on the simulator
-			t1 := c.Wtime()
-			c.Recv(peer, tag+2) // untimed ack keeps reps in lockstep
+		for r := 0; r < cfg.Warmup+cfg.Reps; r, k = r+1, k+2 {
 			if r >= cfg.Warmup {
-				samples = append(samples, t1-t0)
+				samples = append(samples, done[k]-done[k-1])
 			}
 		}
 		batchMeans[bi] = stats.Mean(samples)
 	}
-	lFit, err := stats.LeastSquares(batchXs, batchMeans)
+	lFit, err := stats.LeastSquares(m.batchXs, batchMeans)
 	if err != nil {
-		return 0, 0, fmt.Errorf("probe: L fit for pair (%d,%d): %w", c.Rank(), peer, err)
+		return 0, 0, fmt.Errorf("probe: L fit for pair (%d,%d): %w", me, peer, err)
 	}
 	l = lFit.Slope
 	if l < floor {
 		l = floor
 	}
 
-	// O sweep: round trips over growing sizes; intercept/2 minus L.
+	// O sweep: round trips over growing sizes; intercept/2 minus L. A round
+	// trip spans its send and its reply.
 	sizeMeans := make([]float64, len(cfg.Sizes))
-	for si, s := range cfg.Sizes {
+	for si := range cfg.Sizes {
 		samples = samples[:0]
-		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			t0 := c.Wtime()
-			c.Send(peer, tag+3, s)
-			c.Recv(peer, tag+4)
-			t1 := c.Wtime()
+		for r := 0; r < cfg.Warmup+cfg.Reps; r, k = r+1, k+2 {
 			if r >= cfg.Warmup {
-				samples = append(samples, t1-t0)
+				samples = append(samples, done[k+1]-done[k-1])
 			}
 		}
 		sizeMeans[si] = stats.Mean(samples)
 	}
-	oFit, err := stats.LeastSquares(sizeXs, sizeMeans)
+	oFit, err := stats.LeastSquares(m.sizeXs, sizeMeans)
 	if err != nil {
-		return 0, 0, fmt.Errorf("probe: O fit for pair (%d,%d): %w", c.Rank(), peer, err)
+		return 0, 0, fmt.Errorf("probe: O fit for pair (%d,%d): %w", me, peer, err)
 	}
 	o = oFit.Intercept/2 - l
 	if o < floor {
 		o = floor
 	}
 	return l, o, nil
-}
-
-// measureResponder mirrors measureInitiator on the passive side.
-func measureResponder(c *mpi.Comm, peers []int, tag int, cfg Config) {
-	peer := peers[0]
-	handshake(c, peer, tag, false)
-	for _, m := range cfg.Batches {
-		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			_ = c.Stage(tag+1, peers[:m], nil) // never fails on the simulator
-			c.Send(peer, tag+2, 0)
-		}
-	}
-	for _, s := range cfg.Sizes {
-		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			c.Recv(peer, tag+3)
-			c.Send(peer, tag+4, s)
-		}
-	}
-}
-
-// handshake aligns the two ranks of a pair before timed work begins.
-func handshake(c *mpi.Comm, peer, tag int, initiator bool) {
-	if initiator {
-		c.Send(peer, tag, 0)
-		c.Recv(peer, tag)
-	} else {
-		c.Recv(peer, tag)
-		c.Send(peer, tag, 0)
-	}
 }

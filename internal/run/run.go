@@ -6,11 +6,12 @@
 // generated code hard-codes them (§VII.C). Every executor runs it the same
 // way, through one call per stage (Stager.Stage): post receives for the
 // signals addressed to the rank, issue synchronized sends for the signals it
-// owes, and wait for all before entering the next stage (§VI). Plan.Execute
-// drives the simulator's *mpi.Comm, netmpi the live mesh's *netmpi.Peer, and
-// the Go source codegen emits from RankOps calls whichever Stager it is
-// handed. The package also holds the timing harness and the delay-injection
-// synchronization validator.
+// owes, and wait for all before entering the next stage (§VI). netmpi drives
+// the live mesh's *netmpi.Peer that way, and the Go source codegen emits from
+// RankOps calls whichever Stager it is handed; Plan.Execute hands the
+// simulator's *mpi.Comm a rank's whole stage list as one program
+// (Comm.Steps), whose steps are exactly those Stage calls. The package also
+// holds the timing harness and the delay-injection synchronization validator.
 package run
 
 import (
@@ -40,6 +41,9 @@ type Plan struct {
 	Stages int
 	// ops[rank] lists only the stages in which the rank participates.
 	ops [][]StageOps
+	// steps[rank] is ops[rank] as the simulator's program, built with ops
+	// and read-only after, so one plan may run on several Worlds at once.
+	steps [][]mpi.Step
 }
 
 // StageOps is one rank's work in one stage of a compiled plan.
@@ -81,6 +85,24 @@ func compile(s *sched.Schedule) *Plan {
 		}
 		pl.Stages++
 	}
+	return pl.withSteps()
+}
+
+// withSteps builds the plan's programs from its op lists, on one backing
+// array, and returns the plan.
+func (pl *Plan) withSteps() *Plan {
+	n := 0
+	for _, ops := range pl.ops {
+		n += len(ops)
+	}
+	all := make([]mpi.Step, 0, n)
+	pl.steps = make([][]mpi.Step, pl.P)
+	for r, ops := range pl.ops {
+		for _, op := range ops {
+			all = append(all, mpi.Step{Tag: op.Stage, Recvs: op.Recvs, Sends: op.Sends})
+		}
+		pl.steps[r], all = all[:len(ops):len(ops)], all[len(ops):]
+	}
 	return pl
 }
 
@@ -98,16 +120,15 @@ type Stager interface {
 
 var _ Stager = (*mpi.Comm)(nil)
 
-// Execute runs the plan for the calling rank, one Stage per stage it takes
-// part in. All ranks of the world must call it with the same tagBase; a plan
-// compiled for another world size panics.
+// Execute runs the plan for the calling rank: its stages, one Stage each, as
+// one program the simulator's scheduler advances. All ranks of the world
+// must call it with the same tagBase; a plan compiled for another world size
+// panics.
 func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
 	if c.Size() != pl.P {
 		panic(fmt.Sprintf("run: %d-rank plan on %d-rank world", pl.P, c.Size()))
 	}
-	for _, st := range pl.ops[c.Rank()] {
-		_ = c.Stage(tagBase+st.Stage, st.Recvs, st.Sends) // never fails on the simulator
-	}
+	c.Steps(tagBase, pl.steps[c.Rank()], nil)
 }
 
 // Func adapts the plan to the Func interface.
@@ -235,7 +256,7 @@ func PlanFromOps(name string, p, stages int, ops [][]StageOps) (*Plan, error) {
 			})
 		}
 	}
-	return pl, nil
+	return pl.withSteps(), nil
 }
 
 // Silenced returns a copy of the plan in which the listed ranks keep all
@@ -265,7 +286,7 @@ func (pl *Plan) Silenced(ranks ...int) *Plan {
 			}
 		}
 	}
-	return out
+	return out.withSteps()
 }
 
 // RankOps returns the per-stage operation list of one rank — the data a

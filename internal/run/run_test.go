@@ -2,17 +2,16 @@ package run
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
-	"topobarrier/internal/compose"
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/mat"
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/perftest"
-	"topobarrier/internal/predict"
 	"topobarrier/internal/sched"
-	"topobarrier/internal/sss"
 	"topobarrier/internal/topo"
 )
 
@@ -256,48 +255,54 @@ func TestValidateAllocsIndependentOfDelayedRanks(t *testing.T) {
 	})
 }
 
-func BenchmarkPlanBarrier32(b *testing.B) {
-	pl, err := NewPlan(sched.Tree(32))
+// A plan's programs are read-only once compiled, so one Plan may run on
+// several Worlds at once: four noisy Worlds measuring and validating one
+// shared plan on four goroutines (clean under -race) each measure exactly
+// what they measure alone.
+func TestSharedPlanRunsOnSeveralWorlds(t *testing.T) {
+	const p, worlds = 16, 4
+	pl, err := NewPlan(sched.Dissemination(p))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	w := testWorld(b, 32, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Measure(w, pl.Func(), 0, 1); err != nil {
-			b.Fatal(err)
+	job := func(seed uint64) []float64 {
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(seed))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		w := mpi.NewWorld(f)
+		var out []float64
+		for i := 0; i < 5; i++ {
+			m, err := Measure(w, pl.Func(), 2, 10)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			if err := Validate(w, pl.Func(), 1e-4, []int{i, p - 1 - i}); err != nil {
+				t.Error(err)
+				return nil
+			}
+			out = append(out, m.Mean)
+		}
+		return out
+	}
+	var alone, together [worlds][]float64
+	for i := range alone {
+		alone[i] = job(uint64(i + 1))
+	}
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = job(uint64(i + 1))
+		}()
+	}
+	wg.Wait()
+	for i := range alone {
+		if !slices.Equal(together[i], alone[i]) {
+			t.Fatalf("world %d measured %v next to the others, %v alone", i, together[i], alone[i])
 		}
 	}
-}
-
-// BenchmarkValidateP64 is the delay-injection validation of the ledger's
-// paper_sim_p64 workload: every one of 64 ranks delayed in turn on the hybrid
-// plan tuned for the §VI quad cluster, one World.Run each. busy-cores is the
-// process's CPU time over wall time.
-func BenchmarkValidateP64(b *testing.B) {
-	const p = 64
-	f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pf := f.TrueProfile()
-	res, err := compose.Hybrid(predict.New(pf), sss.Tree(pf, sss.Options{}), sched.PaperBuilders())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := NewPlan(res.Schedule)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := mpi.NewWorld(f)
-	b.ReportAllocs()
-	b.ResetTimer()
-	cpu := perftest.CPUSeconds(b)
-	for i := 0; i < b.N; i++ {
-		if err := Validate(w, pl.Func(), 1e-3, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric((perftest.CPUSeconds(b)-cpu)/b.Elapsed().Seconds(), "busy-cores")
 }
