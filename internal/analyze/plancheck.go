@@ -62,39 +62,39 @@ func CheckPlan(pl *run.Plan) []Finding {
 	for r := 0; r < pl.P; r++ {
 		prev := -1
 		for _, op := range pl.RankOps(r) {
-			if op.Stage < 0 || op.Stage >= pl.Stages {
+			if op.Tag < 0 || op.Tag >= pl.Stages {
 				fs = append(fs, Finding{
-					Check: "plan-structure", Severity: Error, Stage: op.Stage, Ranks: []int{r},
-					Message: fmt.Sprintf("rank %d has ops in stage %d of a %d-stage plan", r, op.Stage, pl.Stages),
+					Check: "plan-structure", Severity: Error, Stage: op.Tag, Ranks: []int{r},
+					Message: fmt.Sprintf("rank %d has ops in stage %d of a %d-stage plan", r, op.Tag, pl.Stages),
 				})
 				continue
 			}
-			if op.Stage <= prev {
+			if op.Tag <= prev {
 				fs = append(fs, Finding{
-					Check: "plan-structure", Severity: Error, Stage: op.Stage, Ranks: []int{r},
-					Message: fmt.Sprintf("rank %d revisits stage %d after stage %d: its tag window is reused while live", r, op.Stage, prev),
+					Check: "plan-structure", Severity: Error, Stage: op.Tag, Ranks: []int{r},
+					Message: fmt.Sprintf("rank %d revisits stage %d after stage %d: its tag window is reused while live", r, op.Tag, prev),
 				})
 			}
-			prev = op.Stage
+			prev = op.Tag
 			for _, src := range op.Recvs {
 				if src == r {
 					fs = append(fs, Finding{
-						Check: "plan-self-message", Severity: Error, Stage: op.Stage, Ranks: []int{r},
-						Message: fmt.Sprintf("rank %d receives from itself in stage %d: no transport can match it", r, op.Stage),
+						Check: "plan-self-message", Severity: Error, Stage: op.Tag, Ranks: []int{r},
+						Message: fmt.Sprintf("rank %d receives from itself in stage %d: no transport can match it", r, op.Tag),
 					})
 					continue
 				}
-				recvs[message{op.Stage, src, r}]++
+				recvs[message{op.Tag, src, r}]++
 			}
 			for _, dst := range op.Sends {
 				if dst == r {
 					fs = append(fs, Finding{
-						Check: "plan-self-message", Severity: Error, Stage: op.Stage, Ranks: []int{r},
-						Message: fmt.Sprintf("rank %d sends to itself in stage %d: no transport can match it", r, op.Stage),
+						Check: "plan-self-message", Severity: Error, Stage: op.Tag, Ranks: []int{r},
+						Message: fmt.Sprintf("rank %d sends to itself in stage %d: no transport can match it", r, op.Tag),
 					})
 					continue
 				}
-				sends[message{op.Stage, r, dst}]++
+				sends[message{op.Tag, r, dst}]++
 			}
 		}
 	}
@@ -175,10 +175,10 @@ func rendezvousCycles(pl *run.Plan) []Finding {
 			if len(op.Sends) == 0 {
 				continue
 			}
-			g := graphs[op.Stage]
+			g := graphs[op.Tag]
 			if g == nil {
 				g = &stageGraph{out: map[int][]int{}, senders: map[int]bool{}}
-				graphs[op.Stage] = g
+				graphs[op.Tag] = g
 			}
 			g.senders[r] = true
 			g.out[r] = append(g.out[r], op.Sends...)

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"topobarrier/internal/mat"
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 )
 
 // mustPlan assembles a plan from raw op lists, failing the test on
 // structural rejection.
-func mustPlan(t *testing.T, name string, p, stages int, ops [][]run.StageOps) *run.Plan {
+func mustPlan(t *testing.T, name string, p, stages int, ops [][]mpi.Step) *run.Plan {
 	t.Helper()
 	pl, err := run.PlanFromOps(name, p, stages, ops)
 	if err != nil {
@@ -80,8 +81,8 @@ func TestCheckPlanRendezvousCycle(t *testing.T) {
 // TestCheckPlanUnmatchedSend: a send nobody receives breaks stage
 // quiescence and must be an Error naming the edge.
 func TestCheckPlanUnmatchedSend(t *testing.T) {
-	pl := mustPlan(t, "orphan-send", 2, 1, [][]run.StageOps{
-		{{Stage: 0, Sends: []int{1}}},
+	pl := mustPlan(t, "orphan-send", 2, 1, [][]mpi.Step{
+		{{Tag: 0, Sends: []int{1}}},
 		{}, // rank 1 never posts the receive
 	})
 	fs := CheckPlan(pl)
@@ -96,9 +97,9 @@ func TestCheckPlanUnmatchedSend(t *testing.T) {
 // TestCheckPlanUnmatchedRecv: a receive nobody sends to deadlocks the
 // receiver.
 func TestCheckPlanUnmatchedRecv(t *testing.T) {
-	pl := mustPlan(t, "orphan-recv", 2, 1, [][]run.StageOps{
+	pl := mustPlan(t, "orphan-recv", 2, 1, [][]mpi.Step{
 		{},
-		{{Stage: 0, Recvs: []int{0}}},
+		{{Tag: 0, Recvs: []int{0}}},
 	})
 	if n := checks(CheckPlan(pl))["plan-unmatched-recv"]; n != 1 {
 		t.Fatalf("want one plan-unmatched-recv finding")
@@ -128,17 +129,17 @@ func TestCheckPlanSilencedPlanFindings(t *testing.T) {
 // TestCheckPlanDuplicateAndSelf: duplicated messages under one tag and
 // self-messages are wire-level ambiguities: Errors.
 func TestCheckPlanDuplicateAndSelf(t *testing.T) {
-	pl := mustPlan(t, "dup", 2, 1, [][]run.StageOps{
-		{{Stage: 0, Sends: []int{1, 1}}},
-		{{Stage: 0, Recvs: []int{0, 0}}},
+	pl := mustPlan(t, "dup", 2, 1, [][]mpi.Step{
+		{{Tag: 0, Sends: []int{1, 1}}},
+		{{Tag: 0, Recvs: []int{0, 0}}},
 	})
 	got := checks(CheckPlan(pl))
 	if got["plan-duplicate-message"] != 2 { // one for the send side, one for the recv side
 		t.Errorf("findings %v: want duplicate-message on both sides", got)
 	}
 
-	pl = mustPlan(t, "self", 2, 1, [][]run.StageOps{
-		{{Stage: 0, Sends: []int{0}}},
+	pl = mustPlan(t, "self", 2, 1, [][]mpi.Step{
+		{{Tag: 0, Sends: []int{0}}},
 		{},
 	})
 	if checks(CheckPlan(pl))["plan-self-message"] != 1 {
@@ -149,9 +150,9 @@ func TestCheckPlanDuplicateAndSelf(t *testing.T) {
 // TestCheckPlanStageMonotonicity: op lists that revisit a stage index reuse
 // a live tag window.
 func TestCheckPlanStageMonotonicity(t *testing.T) {
-	pl := mustPlan(t, "regress", 2, 2, [][]run.StageOps{
-		{{Stage: 1, Sends: []int{1}}, {Stage: 0, Sends: []int{1}}},
-		{{Stage: 0, Recvs: []int{0}}, {Stage: 1, Recvs: []int{0}}},
+	pl := mustPlan(t, "regress", 2, 2, [][]mpi.Step{
+		{{Tag: 1, Sends: []int{1}}, {Tag: 0, Sends: []int{1}}},
+		{{Tag: 0, Recvs: []int{0}}, {Tag: 1, Recvs: []int{0}}},
 	})
 	if checks(CheckPlan(pl))["plan-structure"] == 0 {
 		t.Error("stage regression not flagged")
@@ -161,7 +162,7 @@ func TestCheckPlanStageMonotonicity(t *testing.T) {
 // TestCheckPlanTagOverflow: more stages than the per-invocation tag budget
 // means two in-flight invocations' tag windows collide.
 func TestCheckPlanTagOverflow(t *testing.T) {
-	ops := [][]run.StageOps{{}, {}}
+	ops := [][]mpi.Step{{}, {}}
 	pl := mustPlan(t, "wide", 2, run.TagSpan+1, ops)
 	if checks(CheckPlan(pl))["plan-tag-overflow"] != 1 {
 		t.Error("tag overflow not flagged")

@@ -88,7 +88,7 @@ func stageAll(peers []*netmpi.Peer, pl *run.Plan) []error {
 		go func() {
 			defer wg.Done()
 			for _, st := range pl.RankOps(r) {
-				if errs[r] = pe.Stage(st.Stage, st.Recvs, st.Sends); errs[r] != nil {
+				if errs[r] = pe.Stage(st.Tag, st.Recvs, st.Sends); errs[r] != nil {
 					return
 				}
 			}

@@ -129,7 +129,9 @@ func (r *run) newRequest(v Request) *Request {
 func (r *run) recycle(qs ...*Request) { r.free = append(r.free, qs...) }
 
 // Step is one step of a rank program (Comm.Steps): what one Stage call does,
-// with a payload size for its sends.
+// with a payload size for its sends. It is also a compiled barrier plan's
+// per-rank entry (run.Plan.RankOps), Tag the stage index; plans send
+// zero-byte signals and leave Bytes at 0.
 type Step struct {
 	Tag          int   // added to the program's base tag
 	Recvs, Sends []int // peers, posted in list order: every receive, then every send

@@ -120,10 +120,10 @@ func withPayload(pl *run.Plan, bytes int) run.Func {
 		for _, st := range pl.RankOps(c.Rank()) {
 			var reqs []*mpi.Request
 			for _, src := range st.Recvs {
-				reqs = append(reqs, c.Irecv(src, tagBase+st.Stage))
+				reqs = append(reqs, c.Irecv(src, tagBase+st.Tag))
 			}
 			for _, dst := range st.Sends {
-				reqs = append(reqs, c.Issend(dst, tagBase+st.Stage, bytes))
+				reqs = append(reqs, c.Issend(dst, tagBase+st.Tag, bytes))
 			}
 			c.Wait(reqs...)
 		}

@@ -1,6 +1,7 @@
 package netmpi
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -94,13 +95,16 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 	if pl.P != p.size {
 		return nil, 0, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
 	}
+	if err := cmp.Or(p.checkTag(tagBase), p.checkTag(tagBase+pl.Stages)); err != nil {
+		return nil, 0, err
+	}
 	var barrierStart time.Time
 	if p.m.enabled {
 		barrierStart = time.Now()
 	}
 	x := execState{deadline: deadline, resilient: resilient, folded: entry}
 	for _, st := range pl.RankOps(p.rank) {
-		if err = p.stage(tagBase+st.Stage, st.Recvs, st.Sends, &x); err != nil {
+		if err = p.stage(tagBase+st.Tag, st.Recvs, st.Sends, &x); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 	"topobarrier/internal/telemetry"
@@ -363,13 +364,13 @@ func foldOnce(t *testing.T, peers []*Peer, pl *run.Plan, tagBase int, words []ui
 // dropSignal returns pl without the signal src → dst in stage, both ends.
 func dropSignal(t *testing.T, pl *run.Plan, stage, src, dst int) *run.Plan {
 	t.Helper()
-	ops := make([][]run.StageOps, pl.P)
+	ops := make([][]mpi.Step, pl.P)
 	for r := range ops {
 		for _, op := range pl.RankOps(r) {
-			if op.Stage == stage && r == src {
+			if op.Tag == stage && r == src {
 				op.Sends = slices.DeleteFunc(slices.Clone(op.Sends), func(d int) bool { return d == dst })
 			}
-			if op.Stage == stage && r == dst {
+			if op.Tag == stage && r == dst {
 				op.Recvs = slices.DeleteFunc(slices.Clone(op.Recvs), func(s int) bool { return s == src })
 			}
 			ops[r] = append(ops[r], op)

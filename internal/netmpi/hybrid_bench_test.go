@@ -171,7 +171,7 @@ func TestBarrierAllocsWarm(t *testing.T) {
 					err = runners[r].Barrier(meshTimeout)
 				case "stage":
 					for _, st := range pl.RankOps(r) {
-						if err = peers[r].Stage((n%2)*run.TagSpan+st.Stage, st.Recvs, st.Sends); err != nil {
+						if err = peers[r].Stage((n%2)*run.TagSpan+st.Tag, st.Recvs, st.Sends); err != nil {
 							break
 						}
 					}

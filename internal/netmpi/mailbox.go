@@ -222,6 +222,9 @@ func (p *Peer) recv(src, tag int, deadline time.Duration, cancel <-chan struct{}
 	if src < 0 || src >= p.size || src == p.rank {
 		return mail{}, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
 	}
+	if err := p.checkTag(tag); err != nil {
+		return mail{}, err
+	}
 	msg, why := p.await(src, tag, deadline, cancel, p.done)
 	switch why {
 	case gotMail:

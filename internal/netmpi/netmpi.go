@@ -499,6 +499,9 @@ func (p *Peer) send(dst, tag int, payload []byte, word uint32) error {
 	if dst < 0 || dst >= p.size || dst == p.rank {
 		return fmt.Errorf("netmpi: rank %d sending to invalid rank %d", p.rank, dst)
 	}
+	if err := p.checkTag(tag); err != nil {
+		return err
+	}
 	if p.down.Load() {
 		if err := p.err(); err != nil {
 			return err
@@ -551,6 +554,16 @@ func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32) error {
 	}
 	p.m.sendFrames[dst].Add(1)
 	p.m.sendBytes[dst].Add(int64(len(payload)))
+	return nil
+}
+
+// checkTag refuses a tag the frame's signed 32-bit tag field would
+// truncate, so both transports share one tag space: a shared-memory mailbox
+// keys on the whole int, a TCP reader on what the frame carried.
+func (p *Peer) checkTag(tag int) error {
+	if tag != int(int32(tag)) {
+		return fmt.Errorf("netmpi: rank %d: tag %d outside the 32-bit frame tag range", p.rank, tag)
+	}
 	return nil
 }
 

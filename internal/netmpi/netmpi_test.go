@@ -2,6 +2,7 @@ package netmpi
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +154,52 @@ func TestSendRecvValidation(t *testing.T) {
 	}
 	if err := peers[0].Barrier(pl, 0, time.Second); err == nil {
 		t.Fatalf("size-mismatched plan accepted")
+	}
+}
+
+// TestTagsOutsideTheFrameAreRefused: a frame carries a signed 32-bit tag,
+// so a wider tag would alias another on TCP while a shared-memory mailbox
+// kept it apart. Both transports refuse it before anything is written.
+func TestTagsOutsideTheFrameAreRefused(t *testing.T) {
+	const wide = 1<<32 | 5
+	pl, err := run.NewPlan(sched.Tree(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		peers func(*testing.T) []*Peer
+	}{
+		{"tcp", func(t *testing.T) []*Peer { return mesh(t, 2) }},
+		{"shm", func(t *testing.T) []*Peer { return hybridMesh(t, 2, oneNode(2)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := tc.peers(t)
+			if err := peers[0].Send(1, wide, []byte("wide")); err == nil {
+				t.Errorf("Send under tag %d accepted", wide)
+			}
+			if err := peers[0].Stage(wide, nil, []int{1}); err == nil {
+				t.Errorf("Stage under tag %d accepted", wide)
+			}
+			if _, err := peers[1].Recv(0, wide, meshTimeout); err == nil {
+				t.Errorf("Recv under tag %d accepted", wide)
+			}
+			for _, base := range []int{wide, math.MaxInt32 - pl.Stages + 1, math.MinInt32 - 1} {
+				if err := peers[0].Barrier(pl, base, time.Second); err == nil {
+					t.Errorf("Barrier at tag base %d accepted", base)
+				}
+				if _, err := peers[0].BarrierResilient(pl, base, time.Second); err == nil {
+					t.Errorf("BarrierResilient at tag base %d accepted", base)
+				}
+			}
+			// Nothing reached the wire: tag 5 holds only its own message.
+			if err := peers[0].Send(1, 5, []byte("five")); err != nil {
+				t.Fatal(err)
+			}
+			if msg, err := peers[1].Recv(0, 5, meshTimeout); err != nil || string(msg) != "five" {
+				t.Fatalf("tag 5 received %q, %v", msg, err)
+			}
+		})
 	}
 }
 

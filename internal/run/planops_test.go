@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topobarrier/internal/mat"
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/sched"
 )
 
@@ -15,7 +16,7 @@ func TestPlanFromOpsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := make([][]StageOps, orig.P)
+	ops := make([][]mpi.Step, orig.P)
 	for r := 0; r < orig.P; r++ {
 		ops[r] = orig.RankOps(r)
 	}
@@ -30,17 +31,19 @@ func TestPlanFromOpsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanFromOpsRejectsStructure: out-of-range ranks and stages are the
-// only things PlanFromOps polices — protocol correctness is CheckPlan's job.
+// TestPlanFromOpsRejectsStructure: out-of-range ranks and stages, and steps
+// carrying a payload, are the only things PlanFromOps polices — protocol
+// correctness is CheckPlan's job.
 func TestPlanFromOpsRejectsStructure(t *testing.T) {
 	cases := []struct {
 		name  string
 		p, st int
-		ops   [][]StageOps
+		ops   [][]mpi.Step
 	}{
-		{"rank-count-mismatch", 2, 1, [][]StageOps{{}}},
-		{"peer-out-of-range", 2, 1, [][]StageOps{{{Stage: 0, Sends: []int{5}}}, {}}},
-		{"stage-out-of-range", 2, 1, [][]StageOps{{{Stage: 3}}, {}}},
+		{"rank-count-mismatch", 2, 1, [][]mpi.Step{{}}},
+		{"peer-out-of-range", 2, 1, [][]mpi.Step{{{Tag: 0, Sends: []int{5}}}, {}}},
+		{"stage-out-of-range", 2, 1, [][]mpi.Step{{{Tag: 3}}, {}}},
+		{"payload", 2, 1, [][]mpi.Step{{{Tag: 0, Sends: []int{1}, Bytes: 8}}, {{Tag: 0, Recvs: []int{0}}}}},
 		{"zero-ranks", 0, 1, nil},
 	}
 	for _, c := range cases {
@@ -49,7 +52,7 @@ func TestPlanFromOpsRejectsStructure(t *testing.T) {
 		}
 	}
 	// But an unmatched send is structurally fine here.
-	if _, err := PlanFromOps("orphan", 2, 1, [][]StageOps{{{Stage: 0, Sends: []int{1}}}, {}}); err != nil {
+	if _, err := PlanFromOps("orphan", 2, 1, [][]mpi.Step{{{Tag: 0, Sends: []int{1}}}, {}}); err != nil {
 		t.Errorf("protocol-broken but structurally valid plan rejected: %v", err)
 	}
 }
@@ -65,10 +68,10 @@ func TestPlanSilenced(t *testing.T) {
 	sil := pl.Silenced(0)
 	for _, op := range sil.RankOps(0) {
 		if len(op.Sends) != 0 {
-			t.Fatalf("silenced rank still sends in stage %d", op.Stage)
+			t.Fatalf("silenced rank still sends in stage %d", op.Tag)
 		}
 		if len(op.Recvs) == 0 {
-			t.Fatalf("silenced rank lost its receives in stage %d", op.Stage)
+			t.Fatalf("silenced rank lost its receives in stage %d", op.Tag)
 		}
 	}
 	for r := 1; r < pl.P; r++ {
@@ -90,13 +93,13 @@ func TestPlanSilenced(t *testing.T) {
 // perRankOps is plan compilation as it was before receive lists came from one
 // mat.Bool.Cols pass per stage: Col(r) and Row(r) for every rank of every
 // non-empty stage. Kept as the reference NewPlan is compared against.
-func perRankOps(s *sched.Schedule) [][]StageOps {
-	ops := make([][]StageOps, s.P)
+func perRankOps(s *sched.Schedule) [][]mpi.Step {
+	ops := make([][]mpi.Step, s.P)
 	for k, st := range s.DropEmptyStages().Stages {
 		for r := 0; r < s.P; r++ {
 			recvs, sends := st.Col(r), st.Row(r)
 			if len(recvs) > 0 || len(sends) > 0 {
-				ops[r] = append(ops[r], StageOps{Stage: k, Recvs: recvs, Sends: sends})
+				ops[r] = append(ops[r], mpi.Step{Tag: k, Recvs: recvs, Sends: sends})
 			}
 		}
 	}
@@ -140,8 +143,9 @@ func TestNewPlanMatchesPerRankCompile(t *testing.T) {
 	}
 }
 
-// TestRankOpsIsCompiledOnce: RankOps hands out the plan's own view — what
-// lets a transport execute a warm barrier without allocating.
+// TestRankOpsIsCompiledOnce: RankOps hands out the plan's own program, the
+// one Execute runs — what lets a transport execute a warm barrier without
+// allocating.
 func TestRankOpsIsCompiledOnce(t *testing.T) {
 	pl, err := NewPlan(sched.Dissemination(16))
 	if err != nil {
@@ -149,5 +153,8 @@ func TestRankOpsIsCompiledOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = pl.RankOps(3) }); n != 0 {
 		t.Fatalf("RankOps allocates %.0f objects per call", n)
+	}
+	if ops := pl.RankOps(3); &ops[0] != &pl.steps[3][0] {
+		t.Fatalf("RankOps returns a copy of the program Execute runs")
 	}
 }

@@ -1,17 +1,15 @@
 // Package run compiles barrier schedules into plans, executes them on the
 // simulated MPI runtime and measures them.
 //
-// A Plan is the one executable form of a schedule: the stage matrices
-// resolved to per-rank lists with no-op stages eliminated, as the paper's
-// generated code hard-codes them (§VII.C). Every executor runs it the same
-// way, through one call per stage (Stager.Stage): post receives for the
-// signals addressed to the rank, issue synchronized sends for the signals it
-// owes, and wait for all before entering the next stage (§VI). netmpi drives
-// the live mesh's *netmpi.Peer that way, and the Go source codegen emits from
-// RankOps calls whichever Stager it is handed; Plan.Execute hands the
-// simulator's *mpi.Comm a rank's whole stage list as one program
-// (Comm.Steps), whose steps are exactly those Stage calls. The package also
-// holds the timing harness and the delay-injection synchronization validator.
+// A Plan is the one executable form of a schedule: each rank's program of
+// mpi.Steps, one per stage it takes part in, no-op stages eliminated, as the
+// paper's generated code hard-codes them (§VII.C). Every executor runs a
+// step as one Stager.Stage call (§VI): post receives for the signals
+// addressed to the rank, issue synchronized sends for those it owes, and
+// wait for all before the next. Plan.Execute hands the simulator's *mpi.Comm
+// the program itself (Comm.Steps); netmpi and the Go source codegen emits
+// walk the same RankOps slice. The package also holds the timing harness and
+// the delay-injection synchronization validator.
 package run
 
 import (
@@ -31,7 +29,7 @@ type Func func(c *mpi.Comm, tagBase int)
 // TagSpan is the tag budget one barrier invocation may use.
 const TagSpan = 1024
 
-// Plan is a schedule compiled to per-rank stage lists: the executable
+// Plan is a schedule compiled to per-rank step programs: the executable
 // equivalent of the paper's generated hard-coded barriers. Empty stages are
 // eliminated and per-stage membership is pre-resolved, so executing a plan
 // performs no matrix scans.
@@ -39,21 +37,11 @@ type Plan struct {
 	Name   string
 	P      int
 	Stages int
-	// ops[rank] lists only the stages in which the rank participates.
-	ops [][]StageOps
-	// steps[rank] is ops[rank] as the simulator's program, built with ops
-	// and read-only after, so one plan may run on several Worlds at once.
+	// steps[rank] holds one mpi.Step per stage the rank takes part in: Tag
+	// the stage index after elimination, peers ascending (nil on an unused
+	// side), Bytes 0. Read-only once built, so a plan may run on several
+	// Worlds and meshes at once.
 	steps [][]mpi.Step
-}
-
-// StageOps is one rank's work in one stage of a compiled plan.
-type StageOps struct {
-	// Stage is the stage index (tag offset) after empty-stage elimination.
-	Stage int
-	// Recvs and Sends list the peer ranks in increasing order; a rank that
-	// only sends (or only receives) in the stage has a nil list on the other
-	// side.
-	Recvs, Sends []int
 }
 
 // NewPlan compiles a schedule. It returns an error if the schedule does not
@@ -72,7 +60,7 @@ func NewPlan(s *sched.Schedule) (*Plan, error) {
 // stage's receive lists come from one mat.Bool.Cols pass over its set bits,
 // so compilation costs O(P·words + signals) per stage, not P² bit probes.
 func compile(s *sched.Schedule) *Plan {
-	pl := &Plan{Name: s.Name, P: s.P, ops: make([][]StageOps, s.P)}
+	pl := &Plan{Name: s.Name, P: s.P, steps: make([][]mpi.Step, s.P)}
 	for _, st := range s.Stages {
 		if st.IsZero() {
 			continue
@@ -80,28 +68,10 @@ func compile(s *sched.Schedule) *Plan {
 		recvs := st.Cols()
 		for r := 0; r < s.P; r++ {
 			if sends := st.Row(r); len(recvs[r]) > 0 || len(sends) > 0 {
-				pl.ops[r] = append(pl.ops[r], StageOps{Stage: pl.Stages, Recvs: recvs[r], Sends: sends})
+				pl.steps[r] = append(pl.steps[r], mpi.Step{Tag: pl.Stages, Recvs: recvs[r], Sends: sends})
 			}
 		}
 		pl.Stages++
-	}
-	return pl.withSteps()
-}
-
-// withSteps builds the plan's programs from its op lists, on one backing
-// array, and returns the plan.
-func (pl *Plan) withSteps() *Plan {
-	n := 0
-	for _, ops := range pl.ops {
-		n += len(ops)
-	}
-	all := make([]mpi.Step, 0, n)
-	pl.steps = make([][]mpi.Step, pl.P)
-	for r, ops := range pl.ops {
-		for _, op := range ops {
-			all = append(all, mpi.Step{Tag: op.Stage, Recvs: op.Recvs, Sends: op.Sends})
-		}
-		pl.steps[r], all = all[:len(ops):len(ops)], all[len(ops):]
 	}
 	return pl
 }
@@ -191,6 +161,9 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 			delayRanks[i] = i
 		}
 	}
+	if i := slices.IndexFunc(delayRanks, func(d int) bool { return d < 0 || d >= w.Size() }); i >= 0 {
+		return fmt.Errorf("run: delay rank %d out of range", delayRanks[i])
+	}
 	// One body and one pair of time vectors serve every delayed rank, so a
 	// validation allocates the same however many ranks it delays.
 	enter := make([]float64, w.Size())
@@ -205,9 +178,6 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 		exit[c.Rank()] = c.Wtime()
 	}
 	for _, d = range delayRanks {
-		if d < 0 || d >= w.Size() {
-			return fmt.Errorf("run: delay rank %d out of range", d)
-		}
 		if _, err := w.Run(body); err != nil {
 			return fmt.Errorf("run: validation with rank %d delayed: %w", d, err)
 		}
@@ -221,14 +191,14 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 	return nil
 }
 
-// PlanFromOps assembles a plan directly from per-rank stage lists, bypassing
-// schedule compilation. Unlike NewPlan it does not prove Eq. 3 first — that
-// is the point: it exists so the plan-level protocol checker
+// PlanFromOps assembles a plan directly from per-rank step programs,
+// bypassing schedule compilation. Unlike NewPlan it does not prove Eq. 3
+// first — that is the point: it exists so the plan-level protocol checker
 // (analyze.CheckPlan) can be exercised against deliberately broken plans,
 // and so tests can perform plan surgery. Only structural sanity is enforced
-// (rank and stage indices in range); protocol correctness is the checker's
-// job.
-func PlanFromOps(name string, p, stages int, ops [][]StageOps) (*Plan, error) {
+// (rank and stage indices in range, no payload: a barrier signal is zero
+// bytes on every transport); protocol correctness is the checker's job.
+func PlanFromOps(name string, p, stages int, ops [][]mpi.Step) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("run: plan over %d ranks", p)
 	}
@@ -238,25 +208,25 @@ func PlanFromOps(name string, p, stages int, ops [][]StageOps) (*Plan, error) {
 	if len(ops) != p {
 		return nil, fmt.Errorf("run: %d op lists for %d ranks", len(ops), p)
 	}
-	pl := &Plan{Name: name, P: p, Stages: stages, ops: make([][]StageOps, p)}
+	pl := &Plan{Name: name, P: p, Stages: stages, steps: make([][]mpi.Step, p)}
 	for r, list := range ops {
 		for _, op := range list {
-			if op.Stage < 0 || op.Stage >= stages {
-				return nil, fmt.Errorf("run: rank %d op in stage %d of %d-stage plan", r, op.Stage, stages)
+			if op.Tag < 0 || op.Tag >= stages {
+				return nil, fmt.Errorf("run: rank %d op in stage %d of %d-stage plan", r, op.Tag, stages)
+			}
+			if op.Bytes != 0 {
+				return nil, fmt.Errorf("run: rank %d op in stage %d carries a %d-byte payload", r, op.Tag, op.Bytes)
 			}
 			for _, peer := range slices.Concat(op.Recvs, op.Sends) {
 				if peer < 0 || peer >= p {
 					return nil, fmt.Errorf("run: rank %d references peer %d of %d-rank plan", r, peer, p)
 				}
 			}
-			pl.ops[r] = append(pl.ops[r], StageOps{
-				Stage: op.Stage,
-				Recvs: append([]int(nil), op.Recvs...),
-				Sends: append([]int(nil), op.Sends...),
-			})
+			op.Recvs, op.Sends = append([]int(nil), op.Recvs...), append([]int(nil), op.Sends...)
+			pl.steps[r] = append(pl.steps[r], op)
 		}
 	}
-	return pl.withSteps(), nil
+	return pl, nil
 }
 
 // Silenced returns a copy of the plan in which the listed ranks keep all
@@ -264,7 +234,7 @@ func PlanFromOps(name string, p, stages int, ops [][]StageOps) (*Plan, error) {
 // the resilience certifier's fault model (a rank whose messages are all
 // lost). Running a silenced plan on a transport without failure detection
 // reproduces exactly the hang the certifier's counterexample predicts.
-// Other ranks' op lists are unchanged: they still wait for the silenced
+// Other ranks' programs are unchanged: they still wait for the silenced
 // ranks' messages.
 func (pl *Plan) Silenced(ranks ...int) *Plan {
 	silent := make(map[int]bool, len(ranks))
@@ -274,28 +244,29 @@ func (pl *Plan) Silenced(ranks ...int) *Plan {
 		}
 		silent[r] = true
 	}
-	out := &Plan{Name: pl.Name, P: pl.P, Stages: pl.Stages, ops: make([][]StageOps, pl.P)}
-	for r := range pl.ops {
-		for _, op := range pl.ops[r] {
+	out := &Plan{Name: pl.Name, P: pl.P, Stages: pl.Stages, steps: make([][]mpi.Step, pl.P)}
+	for r := range pl.steps {
+		for _, op := range pl.steps[r] {
 			// Peer lists are immutable once compiled, so the copy shares them.
 			if silent[r] {
 				op.Sends = nil
 			}
 			if len(op.Recvs) > 0 || len(op.Sends) > 0 {
-				out.ops[r] = append(out.ops[r], op)
+				out.steps[r] = append(out.steps[r], op)
 			}
 		}
 	}
-	return out.withSteps()
+	return out
 }
 
-// RankOps returns the per-stage operation list of one rank — the data a
-// transport backend (for example the TCP mesh in internal/netmpi) needs to
-// execute the plan outside the simulator. The list is the plan's own,
-// compiled once: callers must treat it and its peer lists as read-only.
-func (pl *Plan) RankOps(r int) []StageOps {
+// RankOps returns one rank's program — the data a transport backend (for
+// example the TCP mesh in internal/netmpi) needs to execute the plan outside
+// the simulator, and the very slice Execute hands to Comm.Steps. It is the
+// plan's own, compiled once: callers must treat it and its peer lists as
+// read-only.
+func (pl *Plan) RankOps(r int) []mpi.Step {
 	if r < 0 || r >= pl.P {
 		panic(fmt.Sprintf("run: rank %d out of range for %d-rank plan", r, pl.P))
 	}
-	return pl.ops[r]
+	return pl.steps[r]
 }

@@ -75,6 +75,15 @@ func TestValidateArgumentChecks(t *testing.T) {
 	if err := Validate(w, f, 1, []int{5}); err == nil {
 		t.Fatalf("out-of-range delay rank accepted")
 	}
+	// Every delay rank is checked before any barrier runs.
+	calls := 0
+	counted := func(c *mpi.Comm, tagBase int) { calls++; f(c, tagBase) }
+	if err := Validate(w, counted, 1, []int{0, 5}); err == nil {
+		t.Fatalf("out-of-range delay rank accepted after a valid one")
+	}
+	if calls != 0 {
+		t.Fatalf("barrier ran %d times before the out-of-range delay rank was rejected", calls)
+	}
 }
 
 func TestSingleRankBarrier(t *testing.T) {
@@ -180,10 +189,10 @@ func TestTransferDeliversPayloadPattern(t *testing.T) {
 			for _, st := range bcast.RankOps(c.Rank()) {
 				var reqs []*mpi.Request
 				for _, src := range st.Recvs {
-					reqs = append(reqs, c.Irecv(src, st.Stage))
+					reqs = append(reqs, c.Irecv(src, st.Tag))
 				}
 				for _, dst := range st.Sends {
-					reqs = append(reqs, c.Issend(dst, st.Stage, bytes))
+					reqs = append(reqs, c.Issend(dst, st.Tag, bytes))
 				}
 				c.Wait(reqs...)
 			}
