@@ -6,8 +6,8 @@ import (
 	"slices"
 	"time"
 
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/run"
-	"topobarrier/internal/telemetry"
 )
 
 // Span names, constant so the traced hot path does not concatenate per
@@ -43,9 +43,10 @@ func (p *Peer) stageSpanName(recvs, sends []int) string {
 }
 
 // Barrier executes one compiled barrier plan over the mesh, using tags in
-// [tagBase, tagBase+plan stages). The deadline bounds each receive; any
-// transport failure or timeout aborts the barrier with an error naming the
-// stage and the link.
+// [tagBase, tagBase+plan stages). The deadline bounds each receive: no
+// receive waits longer than it since the rank last made progress (cursor.go).
+// Any transport failure or timeout aborts the barrier with an error naming
+// the stage and the link.
 func (p *Peer) Barrier(pl *run.Plan, tagBase int, deadline time.Duration) error {
 	_, _, err := p.execute(pl, tagBase, deadline, false, 0)
 	return err
@@ -83,14 +84,35 @@ func (p *Peer) Stage(tag int, recvs, sends []int) error {
 			}
 		}
 	}
-	return p.stage(tag, recvs, sends, &execState{})
+	if err := p.checkTag(tag); err != nil {
+		return err
+	}
+	_, err := p.stage(tag, recvs, sends, 0, false)
+	return err
 }
 
 var _ run.Stager = (*Peer)(nil)
 
-// execute is the stage loop of Barrier, BarrierResilient and EpochRunner:
-// one stage call per entry of the rank's plan, threading the caller's
-// deadline, resilience and entry word through them.
+// stage runs the one-step program {recvs, sends} under tag on the cursor,
+// bound afresh into the cursor's own one-step binding.
+func (p *Peer) stage(tag int, recvs, sends []int, deadline time.Duration, resilient bool) ([]int, error) {
+	c := &p.cur
+	c.one[0] = mpi.Step{Recvs: recvs, Sends: sends}
+	p.bind(&c.stageBind, c.one[:], tag)
+	skipped, _, err := c.run(&c.stageBind, deadline, resilient, 0)
+	return skipped, err
+}
+
+// execute runs the rank's program of a plan — Barrier, BarrierResilient and
+// EpochRunner — threading the caller's deadline, resilience and entry word
+// through it, and returns the skipped ranks and the folded word.
+//
+// Every frame carries the folded word: the running minimum of the caller's
+// entry word and every word received in earlier steps. A step's sends leave
+// with the word folded before its receives, so the minimum travels exactly
+// as Eq. 3 knowledge does, and on a barrier plan every rank ends with the
+// global minimum of the entry words (EpochRunner's plan version; the other
+// callers pass 0).
 func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resilient bool, entry uint32) (skipped []int, folded uint32, err error) {
 	if pl.P != p.size {
 		return nil, 0, fmt.Errorf("netmpi: %d-rank plan on %d-rank mesh", pl.P, p.size)
@@ -102,105 +124,12 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 	if p.m.enabled {
 		barrierStart = time.Now()
 	}
-	x := execState{deadline: deadline, resilient: resilient, folded: entry}
-	for _, st := range pl.RankOps(p.rank) {
-		if err = p.stage(tagBase+st.Tag, st.Recvs, st.Sends, &x); err != nil {
-			return nil, 0, err
-		}
-	}
-	if p.m.enabled {
+	c := &p.cur
+	skipped, folded, err = c.run(c.bound(pl.RankOps(p.rank), tagBase), deadline, resilient, entry)
+	if err == nil && p.m.enabled {
 		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
 	}
-	return x.skipped, x.folded, nil
-}
-
-// execState is what a stage loop threads through its stages: the caller's
-// receive deadline (0 = none) and resilience, and what the stages fold in.
-type execState struct {
-	deadline  time.Duration
-	resilient bool
-	folded    uint32 // the running minimum of the entry word and every word received
-	skipped   []int  // resilient: the sorted ranks whose latched links were skipped
-}
-
-// stage is the one stage body. It posts every send as Comm.Stage posts its
-// Issends — TCP sends but the last to their link writers, so one stalled
-// write holds only its link — and waits for all of them before the receives,
-// each message under a span. x.resilient selects send/recv, which abort on
-// the first failure anywhere, or sendResilient/recvResilient, which skip
-// latched links and record them in x.skipped.
-//
-// Every frame carries x.folded, the running minimum of the caller's entry
-// word and every word received in earlier stages. Sends precede receives in
-// each stage, so the minimum travels exactly as Eq. 3 knowledge does, and on
-// a barrier plan every rank ends with the global minimum of the entry words
-// (EpochRunner's plan version; the other callers pass 0). The stage's span
-// and error name its index, the tag's offset in its run.TagSpan window.
-func (p *Peer) stage(tag int, recvs, sends []int, x *execState) (err error) {
-	index := tag % run.TagSpan
-	var stageStart time.Time
-	if p.m.enabled {
-		stageStart = time.Now()
-	}
-	var span telemetry.Span
-	if p.tracer != nil {
-		span = p.tracer.Begin(p.stageSpanName(recvs, sends), p.rank, index, -1)
-	}
-	defer span.End()
-	settle := func(s stageSend) {
-		if s.skipped {
-			x.skipped = addRank(x.skipped, s.dst)
-		}
-		if err == nil {
-			err = s.err
-		}
-	}
-	handed, last := 0, len(sends)-1
-	for last >= 0 && p.conns[sends[last]] == nil {
-		last-- // the last TCP send stays inline
-	}
-	for i, dst := range sends {
-		s := stageSend{dst: dst, stage: index, tag: tag, word: x.folded, resilient: x.resilient}
-		if i < last && p.conns[dst] != nil {
-			select {
-			case p.jobs[dst] <- s:
-				handed++
-				continue
-			case <-p.closedCh: // the writer is gone; the inline send reports the close
-			}
-		}
-		if settle(p.post(s)); err != nil {
-			break
-		}
-	}
-	for ; handed > 0; handed-- {
-		settle(<-p.sent)
-	}
-	if err != nil {
-		return fmt.Errorf("barrier stage %d: %w", index, err)
-	}
-	for _, src := range recvs {
-		ms := p.tracer.BeginTag(recvSpan[p.TransportOf(src)], p.rank, index, src, tag)
-		var msg mail
-		skipIt := false
-		if x.resilient {
-			msg, skipIt, err = p.recvResilient(src, tag, x.deadline)
-		} else {
-			msg, err = p.recv(src, tag, x.deadline, nil)
-		}
-		ms.End()
-		if err != nil {
-			return fmt.Errorf("barrier stage %d: %w", index, err)
-		}
-		if skipIt {
-			x.skipped = addRank(x.skipped, src)
-		}
-		x.folded = min(x.folded, msg.word)
-	}
-	if p.m.enabled {
-		p.m.stageDur.Observe(time.Since(stageStart).Seconds())
-	}
-	return nil
+	return skipped, folded, err
 }
 
 // addRank inserts r into the sorted set ranks.
@@ -211,39 +140,14 @@ func addRank(ranks []int, r int) []int {
 	return ranks
 }
 
-// stageSend is one send of a stage: what the stage loop hands a link writer
-// and, with its outcome filled in, what comes back.
-type stageSend struct {
-	dst, stage, tag    int
-	word               uint32
-	resilient, skipped bool
-	err                error
-}
-
-// post runs s under its message span on the calling goroutine.
-func (p *Peer) post(s stageSend) stageSend {
-	ms := p.tracer.BeginTag(sendSpan[p.TransportOf(s.dst)], p.rank, s.stage, s.dst, s.tag)
-	if s.resilient {
-		s.skipped, s.err = p.sendResilient(s.dst, s.tag, s.word)
-	} else {
-		s.err = p.send(s.dst, s.tag, nil, s.word)
+// linkLatched reports whether the link from src has latched a failure.
+func (p *Peer) linkLatched(src int) bool {
+	if !p.down.Load() {
+		return false
 	}
-	ms.End()
-	return s
-}
-
-// writer posts TCP link dst's handed-off sends until local Close. p.sent has
-// room for every link, so a writer never blocks reporting.
-func (p *Peer) writer(dst int) {
-	defer p.wg.Done()
-	for {
-		select {
-		case s := <-p.jobs[dst]:
-			p.sent <- p.post(s)
-		case <-p.closedCh:
-			return
-		}
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.linkErr[src] != nil
 }
 
 // sendResilient writes one empty frame unless the link to dst is already
@@ -251,41 +155,23 @@ func (p *Peer) writer(dst int) {
 // the link (not the whole peer: the resilient path's point is to keep going)
 // and reports skipped too — on TCP, writes to a dead peer may buffer
 // silently or surface late, so the reader-side EOF latch is the primary
-// detector and the write error just confirms it.
-func (p *Peer) sendResilient(dst, tag int, word uint32) (skipped bool, err error) {
+// detector and the write error just confirms it. box is as for send.
+func (p *Peer) sendResilient(dst, tag int, word uint32, box *mailbox) (w waiter, skipped bool, err error) {
 	if p.down.Load() { // some latch is set: find out whether it concerns dst
 		p.mu.Lock()
 		closed, linkErr := p.closed, p.linkErr[dst]
 		p.mu.Unlock()
 		if closed {
-			return false, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
+			return waiter{}, false, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
 		}
 		if linkErr != nil {
-			return true, nil
+			return waiter{}, true, nil
 		}
 	}
-	if werr := p.writeFrame(dst, tag, nil, word); werr != nil {
+	w, werr := p.writeFrame(dst, tag, nil, word, box)
+	if werr != nil {
 		p.fail(dst, werr)
-		return true, nil
+		return waiter{}, true, nil
 	}
-	return false, nil
-}
-
-// recvResilient waits for a message from src unless (or until) the link to
-// src is latched as failed. Mail that arrived before the failure is drained
-// and delivered first, exactly like the peer-level path. It reports skipped
-// when the link is down, a timeout error when the deadline passes on a
-// healthy link — the certified-schedule hang case, which resilience cannot
-// excuse — and a closed error on local Close.
-func (p *Peer) recvResilient(src, tag int, deadline time.Duration) (msg mail, skipped bool, err error) {
-	msg, why := p.await(src, tag, deadline, p.linkDown[src], p.closedCh)
-	switch why {
-	case gotMail:
-		return msg, false, nil
-	case wakeFirst:
-		return msg, true, nil
-	case wakeSecond:
-		return msg, false, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
-	}
-	return msg, false, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d) on a healthy link", p.rank, deadline, src, tag)
+	return w, false, nil
 }

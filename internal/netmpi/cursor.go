@@ -1,0 +1,718 @@
+package netmpi
+
+// The live executor: a rank's step program advanced by whichever goroutine
+// completes its current step.
+//
+// A cursor is a rank's position in the program it is running — step index,
+// receives and sends of the step still outstanding, the folded version word
+// and the skipped set — kept as a value, the way a split-phase barrier keeps
+// its phase and index between try calls. The rank's goroutine posts step 0
+// and then only waits; every later step is posted by the goroutine whose
+// event completed the step before it:
+//
+//   - a put that brings an awaited message hands the registered waiter back
+//     to its caller — a co-located sender, or a TCP reader — which takes the
+//     message and, if it was the step's last outstanding event, posts the
+//     next step's sends itself: shared-memory puts inline, TCP frames handed
+//     to their link writers (only the rank's own goroutine writes a socket
+//     inline, and only for its own program);
+//   - a link writer's completion is an event of the step that posted it;
+//   - a latched link is an event of a resilient program waiting on it.
+//
+// Events go through a worklist, never recursion, and a cursor's lock is
+// never held while another cursor's is taken: a put returns the waiter
+// instead of calling it, and a post runs after the lock is released.
+//
+// The rank goroutine parks once per program, on one channel. It is woken
+// when the program has ended or failed: a failed send, the deadline, or the
+// failure latch the program watches (the peer's first failure, or for a
+// resilient program the local Close), which the latching goroutine applies
+// to the cursor itself — taking whatever mail already arrived first, as a
+// parked receive always has.
+//
+// The deadline is per receive: no receive waits longer than it since the
+// rank last made progress. One timer per peer enforces it lazily — armed
+// when a rank parks with none armed, re-armed only when it fires — so a
+// steady stream of barriers costs no timer operation and, with telemetry
+// off, reads no clock. It ticks every half deadline and counts the cursor's
+// progress events; two ticks without one (hence no progress for at least
+// the deadline, and at most one and a half) while a receive is outstanding
+// is the timeout.
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"topobarrier/internal/mpi"
+	"topobarrier/internal/run"
+	"topobarrier/internal/telemetry"
+)
+
+// binding is a step program with its mailboxes resolved for one tag base:
+// recv[k][i] is the mailbox step k's i-th receive reads, send[k][i] the
+// co-located receiver's mailbox step k's i-th send puts into (nil on a TCP
+// link). A plan's binding is built once per (plan, tag window) and reused.
+type binding struct {
+	steps    []mpi.Step
+	tagBase  int
+	recv     [][]*mailbox
+	send     [][]*mailbox
+	maxRecvs int
+}
+
+// bind resolves steps under tagBase into b, reusing b's slices.
+func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) {
+	b.steps, b.tagBase, b.maxRecvs = steps, tagBase, 0
+	b.recv, b.send = resize(b.recv, len(steps)), resize(b.send, len(steps))
+	for k, st := range steps {
+		tag := tagBase + st.Tag
+		b.recv[k] = b.recv[k][:0]
+		for _, src := range st.Recvs {
+			b.recv[k] = append(b.recv[k], p.in[src].box(tag))
+		}
+		b.send[k] = b.send[k][:0]
+		for _, dst := range st.Sends {
+			var box *mailbox
+			if link := p.shmOut[dst]; link != nil {
+				box = link.box(tag)
+			}
+			b.send[k] = append(b.send[k], box)
+		}
+		b.maxRecvs = max(b.maxRecvs, len(st.Recvs))
+	}
+}
+
+// resize returns s with length n, keeping its elements' backing arrays.
+func resize(s [][]*mailbox, n int) [][]*mailbox {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]*mailbox, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// cursor is one rank's position in the program it is running. The rank's
+// goroutine owns the binding cache and own; everything else is guarded by mu.
+type cursor struct {
+	p  *Peer
+	mu sync.Mutex
+
+	// The program run, set by begin.
+	b         *binding
+	deadline  time.Duration
+	resilient bool
+
+	gen      uint32 // programs begun: a waiter of an earlier one is stale
+	active   bool   // between begin and the rank's return
+	step     int    // the current step; len(b.steps) once the program ended
+	recvLeft int    // receives of the current step not yet taken or skipped
+	sendLeft int    // sends of the current step not yet completed
+	got      []bool // per receive slot of the current step
+	folded   uint32 // the running minimum of the entry word and every word received
+	skipped  []int  // resilient: the sorted ranks whose latched links were skipped
+	err      error  // the program's error; no step is posted after it
+	latch    bool   // the rank saw its failure latch: a receive that finds no mail fails
+
+	parked bool          // the rank goroutine waits on wake
+	kick   bool          // a signal claimed the parked rank's wake-up
+	wake   chan struct{} // capacity 1
+	over   atomic.Bool   // ready() held at the last signal: the yielding rank reads it without mu
+
+	// The lazy deadline timer.
+	timer    *time.Timer
+	timerGen uint32        // the timer's identity: a callback of a replaced one is stale
+	armed    bool          // a tick is pending
+	period   time.Duration // the pending tick's interval: half the deadline it was armed for
+	progress uint32        // events so far; the timer compares it across ticks
+	seen     uint32
+	quiet    int // ticks in a row without progress
+
+	// Telemetry of the current step, used only with a registry or tracer.
+	stageStart time.Time
+	stageSpan  telemetry.Span
+	recvSpans  []telemetry.Span
+
+	// Owned by the rank goroutine.
+	own       worklist
+	binds     [2]*binding // the last two (plan, tag window) bindings
+	nextBind  int
+	one       [1]mpi.Step // Stage's one-step program
+	stageBind binding
+}
+
+// bound returns steps bound under tagBase from the cache, binding them on a
+// miss. EpochRunner and the benchmarks alternate two tag windows over one
+// plan, so two entries keep a steady stream of barriers free of lookups.
+func (c *cursor) bound(steps []mpi.Step, tagBase int) *binding {
+	for _, b := range c.binds {
+		if b != nil && b.tagBase == tagBase && len(b.steps) == len(steps) &&
+			(len(steps) == 0 || &b.steps[0] == &steps[0]) {
+			return b
+		}
+	}
+	b := new(binding)
+	c.p.bind(b, steps, tagBase)
+	c.binds[c.nextBind] = b
+	c.nextBind = (c.nextBind + 1) % len(c.binds)
+	return b
+}
+
+// run executes the bound program on the rank's goroutine: it posts step 0,
+// yields shmYields times if every link of the mesh is shared memory, then
+// parks until the program ends or fails.
+func (c *cursor) run(b *binding, deadline time.Duration, resilient bool, entry uint32) (skipped []int, folded uint32, err error) {
+	if err := c.begin(b, deadline, resilient, entry); err != nil {
+		return nil, 0, err
+	}
+	c.own.drain()
+	for i := 0; c.p.shmOnly && i < shmYields && !c.over.Load(); i++ {
+		runtime.Gosched()
+	}
+	return c.wait()
+}
+
+// begin resets the cursor for b and enters step 0.
+func (c *cursor) begin(b *binding, deadline time.Duration, resilient bool, entry uint32) error {
+	c.mu.Lock()
+	defer c.unlock()
+	if c.active {
+		return fmt.Errorf("netmpi: rank %d: a collective call is already running on this peer", c.p.rank)
+	}
+	c.active = true
+	c.gen++
+	c.b, c.deadline, c.resilient = b, deadline, resilient
+	c.folded, c.skipped, c.err = entry, nil, nil
+	c.latch = c.p.latched(resilient)
+	c.over.Store(false)
+	if cap(c.got) < b.maxRecvs {
+		c.got = make([]bool, b.maxRecvs)
+		c.recvSpans = make([]telemetry.Span, b.maxRecvs)
+	}
+	c.step = 0
+	if len(b.steps) > 0 {
+		c.enter(&c.own)
+		c.settle(&c.own)
+	}
+	return nil
+}
+
+// ready reports whether the rank may return: the program ended or failed,
+// and no send of it is still in a writer's hands.
+func (c *cursor) ready() bool {
+	return c.sendLeft == 0 && (c.err != nil || c.step == len(c.b.steps))
+}
+
+// signal marks the program over once the rank may return, and claims the
+// wake-up of a parked rank: unlock sends it after releasing mu, so the rank
+// does not wake into a held lock. Caller holds mu.
+func (c *cursor) signal() {
+	if !c.ready() {
+		return
+	}
+	c.over.Store(true)
+	if c.parked {
+		c.parked, c.kick = false, true
+	}
+}
+
+// unlock releases mu and delivers the wake-up signal claimed. Every lock
+// holder that may signal releases through it; a park has one claim, so wake
+// never holds a stale token.
+func (c *cursor) unlock() {
+	kick := c.kick
+	c.kick = false
+	c.mu.Unlock()
+	if kick {
+		c.wake <- struct{}{}
+	}
+}
+
+// index is the current step's stage index, its tag's offset in the
+// run.TagSpan window, which its spans and errors name.
+func (c *cursor) index() int {
+	return (c.b.tagBase + c.b.steps[c.step].Tag) % run.TagSpan
+}
+
+// enter posts the current step: its sends go on the worklist with the word
+// folded so far, and each receive takes its mail or registers a waiter.
+// Caller holds mu.
+func (c *cursor) enter(w *worklist) {
+	p := c.p
+	st := &c.b.steps[c.step]
+	tag := c.b.tagBase + st.Tag
+	c.recvLeft, c.sendLeft = len(st.Recvs), len(st.Sends)
+	c.progress++
+	if p.m.enabled {
+		c.stageStart = time.Now()
+	}
+	if p.tracer != nil {
+		c.stageSpan = p.tracer.Begin(p.stageSpanName(st.Recvs, st.Sends), p.rank, c.index(), -1)
+	}
+	if len(st.Sends) > 0 {
+		w.push(item{c: c, gen: c.gen, step: int32(c.step), word: c.folded, post: true})
+	}
+	boxes := c.b.recv[c.step]
+	for slot, src := range st.Recvs {
+		c.got[slot] = false
+		msg, ok := boxes[slot].takeOrWait(waiter{c, c.gen, int32(c.step), int32(slot)})
+		if p.tracer != nil {
+			// Opened after the take, so the span of a message that was
+			// already queued is empty, as the simulator's is; a waiter
+			// cannot be satisfied before it opens, since that takes mu.
+			c.recvSpans[slot] = p.tracer.BeginTag(recvSpan[p.TransportOf(src)], p.rank, c.index(), src, tag)
+		}
+		switch {
+		case ok:
+			c.deliver(slot, msg)
+		case c.resilient && p.linkLatched(src):
+			// A latch that came before the registration has already
+			// looked for this program's waiter; whatever the link
+			// delivered before it is queued.
+			c.recvLinkDown(slot)
+		}
+	}
+}
+
+// deliver completes receive slot with msg. Caller holds mu.
+func (c *cursor) deliver(slot int, msg mail) {
+	c.endRecvSpan(slot) // first: a queued message's span stays empty
+	p := c.p
+	src := c.b.steps[c.step].Recvs[slot]
+	c.got[slot] = true
+	c.recvLeft--
+	c.progress++
+	c.folded = min(c.folded, msg.word)
+	if p.shmOut[src] != nil {
+		// A shared-memory frame has no reader goroutine to count it on
+		// arrival, so its receiver does.
+		p.m.recvFrames[src].Add(1)
+		p.m.recvBytes[src].Add(int64(len(msg.payload)))
+	}
+	if p.m.enabled {
+		p.m.recvWait.Observe(time.Since(c.stageStart).Seconds())
+	}
+}
+
+// endRecvSpan and endStageSpan close the current step's spans, if tracing.
+// Caller holds mu.
+func (c *cursor) endRecvSpan(slot int) {
+	if c.p.tracer != nil {
+		c.recvSpans[slot].End()
+	}
+}
+
+func (c *cursor) endStageSpan() {
+	if c.p.tracer != nil {
+		c.stageSpan.End()
+	}
+}
+
+// recvLinkDown completes receive slot of a resilient program whose link has
+// latched: with the mail the link delivered before it failed, or skipped.
+// Caller holds mu.
+func (c *cursor) recvLinkDown(slot int) {
+	box := c.b.recv[c.step][slot]
+	box.unwait(c)
+	if msg, _, ok := box.pop(); ok {
+		c.deliver(slot, msg)
+		return
+	}
+	c.got[slot] = true
+	c.recvLeft--
+	c.progress++
+	c.skipped = addRank(c.skipped, c.b.steps[c.step].Recvs[slot])
+	c.endRecvSpan(slot)
+}
+
+// settle moves past every completed step, entering the next one, and wakes
+// the rank once it may return. Caller holds mu.
+func (c *cursor) settle(w *worklist) {
+	for c.err == nil && c.step < len(c.b.steps) && c.recvLeft == 0 && c.sendLeft == 0 {
+		if c.p.m.enabled {
+			c.p.m.stageDur.Observe(time.Since(c.stageStart).Seconds())
+		}
+		c.endStageSpan()
+		if c.step++; c.step < len(c.b.steps) {
+			c.enter(w)
+		}
+	}
+	if c.latch && c.err == nil && c.step < len(c.b.steps) && c.recvLeft > 0 {
+		src, tag := c.waitingFor()
+		var err error
+		if !c.resilient {
+			err = c.p.err()
+		}
+		if err == nil {
+			err = fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", c.p.rank, src, tag)
+		}
+		c.err = fmt.Errorf("barrier stage %d: %w", c.index(), err)
+	}
+	c.signal()
+}
+
+// running reports whether a program is under way: begun, not failed, not
+// ended. Caller holds mu.
+func (c *cursor) running() bool {
+	return c.active && c.err == nil && c.step < len(c.b.steps)
+}
+
+// mail handles a waiter a put returned: its message is queued in the box.
+func (c *cursor) mail(it item, w *worklist) {
+	c.mu.Lock()
+	defer c.unlock()
+	if !c.running() || it.gen != c.gen || int(it.step) != c.step || c.got[it.slot] {
+		return // taken already by the rank at a latch, or the program is over
+	}
+	if msg, _, ok := c.b.recv[c.step][it.slot].pop(); ok {
+		c.deliver(int(it.slot), msg)
+		c.settle(w)
+	}
+}
+
+// sent reports n completed sends of step (gen, step); err is the first that
+// failed. A failed send fails the program, and its remaining sends are never
+// posted, so they count as completed too.
+func (c *cursor) sent(gen uint32, step int32, n int, err error, w *worklist) {
+	c.mu.Lock()
+	defer c.unlock()
+	if !c.active || gen != c.gen {
+		return
+	}
+	c.sendLeft -= n
+	c.progress++
+	if err != nil && c.err == nil && int(step) == c.step {
+		c.err = fmt.Errorf("barrier stage %d: %w", c.index(), err)
+	}
+	c.settle(w)
+}
+
+// skip adds dst, a send a resilient program skipped, to the skipped set.
+func (c *cursor) skip(dst int) {
+	c.mu.Lock()
+	c.skipped = addRank(c.skipped, dst)
+	c.mu.Unlock()
+}
+
+// linkDown is the latch of the link from src: a resilient program waiting
+// on src stops waiting.
+func (c *cursor) linkDown(src int, w *worklist) {
+	c.mu.Lock()
+	defer c.unlock()
+	if !c.resilient || !c.running() {
+		return
+	}
+	for slot, r := range c.b.steps[c.step].Recvs {
+		if r == src && !c.got[slot] {
+			c.recvLinkDown(slot)
+		}
+	}
+	c.settle(w)
+}
+
+// wait parks the rank goroutine until the program may return, and returns
+// its outcome.
+func (c *cursor) wait() (skipped []int, folded uint32, err error) {
+	c.mu.Lock()
+	for !c.ready() {
+		if c.deadline > 0 {
+			c.arm()
+		}
+		c.parked = true
+		c.mu.Unlock()
+		<-c.wake
+		c.mu.Lock()
+	}
+	if c.err == nil {
+		skipped, folded = c.skipped, c.folded
+	} else if c.step < len(c.b.steps) {
+		for slot, box := range c.b.recv[c.step] {
+			if !c.got[slot] {
+				box.unwait(c)
+				c.endRecvSpan(slot)
+			}
+		}
+		c.endStageSpan()
+	}
+	err = c.err
+	c.active = false
+	c.mu.Unlock()
+	return skipped, folded, err
+}
+
+// latched reports whether the failure latch a program watches is already
+// set: the peer's (done) for a plain program, the local Close (closedCh) for
+// a resilient one, which goes around failed links instead.
+func (p *Peer) latched(resilient bool) bool {
+	if !p.down.Load() {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed || (!resilient && p.errVal != nil)
+}
+
+// failed is the failure latch a running program watches closing: the peer's
+// first failure (closing false) or the local Close. Mail already queued for
+// the current step is taken, as a parked receive takes it, and from then on
+// a step that has to wait for a receive fails (settle). A step waiting only
+// for its sends runs on: its sends complete, and the next step's are
+// refused.
+func (c *cursor) failed(closing bool, w *worklist) {
+	c.mu.Lock()
+	defer c.unlock()
+	if !c.running() || (c.resilient && !closing) {
+		return
+	}
+	c.latch = true
+	for slot, box := range c.b.recv[c.step] {
+		if !c.got[slot] {
+			box.unwait(c)
+			if msg, _, ok := box.pop(); ok {
+				c.deliver(slot, msg)
+			}
+		}
+	}
+	c.settle(w)
+}
+
+// waitingFor names the current step's first outstanding receive. Caller
+// holds mu.
+func (c *cursor) waitingFor() (src, tag int) {
+	st := &c.b.steps[c.step]
+	for slot, r := range st.Recvs {
+		if !c.got[slot] {
+			return r, c.b.tagBase + st.Tag
+		}
+	}
+	return -1, c.b.tagBase + st.Tag
+}
+
+// arm makes sure a tick is pending at half the current deadline. A lapsed
+// timer is simply reset; one still running at another deadline's interval
+// is replaced, so its pending callback finds itself stale. Caller holds mu.
+func (c *cursor) arm() {
+	period := c.deadline / 2
+	switch {
+	case c.armed && c.period == period:
+		return
+	case c.armed || c.timer == nil:
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		c.timerGen++
+		gen := c.timerGen
+		c.timer = time.AfterFunc(period, func() { c.tick(gen) })
+	default:
+		c.timer.Reset(period)
+	}
+	c.armed, c.period, c.seen, c.quiet = true, period, c.progress, 0
+}
+
+// tick is the deadline timer: it times the program out after two ticks
+// without progress while a receive is outstanding, re-arms while the
+// program runs, and lets the timer lapse once it has ended.
+func (c *cursor) tick(gen uint32) {
+	c.mu.Lock()
+	defer c.unlock()
+	if gen != c.timerGen || !c.armed {
+		return
+	}
+	if !c.running() || c.deadline <= 0 {
+		c.armed = false
+		return
+	}
+	if c.progress != c.seen || c.recvLeft == 0 || c.period != c.deadline/2 {
+		c.seen, c.quiet = c.progress, 0
+	} else if c.quiet++; c.quiet == 2 {
+		c.armed = false
+		src, tag := c.waitingFor()
+		err := fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", c.p.rank, c.deadline, src, tag)
+		if c.resilient {
+			err = fmt.Errorf("%w on a healthy link", err)
+		}
+		c.err = fmt.Errorf("barrier stage %d: %w", c.index(), err)
+		c.signal()
+		return
+	}
+	c.timer.Reset(c.period)
+}
+
+// disarm stops the deadline timer: the peer is closing.
+func (c *cursor) disarm() {
+	c.mu.Lock()
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	c.armed = false
+	c.mu.Unlock()
+}
+
+// item is one worklist entry: a waiter a put returned (the mail of receive
+// slot of step, program gen), or, with post set, the sends of step to post
+// with word.
+type item struct {
+	c          *cursor
+	gen        uint32
+	step, slot int32
+	word       uint32
+	post       bool
+}
+
+// worklist holds the cursor events one goroutine has produced and not yet
+// handled. owner is the cursor whose rank goroutine drains it, nil on a
+// reader, a writer or a plain Send.
+type worklist struct {
+	owner *cursor
+	items []item
+}
+
+func (w *worklist) push(it item) { w.items = append(w.items, it) }
+
+// notice queues the waiter a put returned, if any.
+func (w *worklist) notice(wt waiter) {
+	if wt.c != nil {
+		w.push(item{c: wt.c, gen: wt.gen, step: wt.step, slot: wt.slot})
+	}
+}
+
+// drain handles events until none is left; handling one may queue more.
+func (w *worklist) drain() {
+	for n := len(w.items); n > 0; n = len(w.items) {
+		it := w.items[n-1]
+		w.items = w.items[:n-1]
+		if it.post {
+			it.c.post(it, w)
+		} else {
+			it.c.mail(it, w)
+		}
+	}
+}
+
+// post sends step it.step's signals: shared-memory puts inline, TCP frames
+// to their link writers, except that the rank's own goroutine writes its
+// last TCP frame itself, as Comm.Stage posts its Issends together. A failed
+// send stops the posting.
+func (c *cursor) post(it item, w *worklist) {
+	p := c.p
+	b := c.b // set by begin, before this item was queued
+	st := &b.steps[it.step]
+	tag := b.tagBase + st.Tag
+	index := tag % run.TagSpan
+	boxes := b.send[it.step]
+	inline := -1
+	if w.owner == c {
+		for inline = len(st.Sends) - 1; inline >= 0 && boxes[inline] != nil; inline-- {
+		}
+	}
+	done := 0
+	var err error
+	for i, dst := range st.Sends {
+		if boxes[i] == nil && i != inline &&
+			p.out[dst].push(job{c: c, gen: it.gen, step: it.step, dst: dst, tag: tag, word: it.word}) {
+			continue
+		}
+		var skipped bool
+		skipped, err = p.stepSend(dst, tag, index, it.word, c.resilient, boxes[i], w)
+		done++
+		if skipped {
+			c.skip(dst)
+		}
+		if err != nil {
+			done += len(st.Sends) - 1 - i
+			break
+		}
+	}
+	if done > 0 {
+		c.sent(it.gen, it.step, done, err, w)
+	}
+}
+
+// stepSend sends one signal of a step under its message span: send, which
+// refuses on a failed peer, or sendResilient, which skips a latched link.
+func (p *Peer) stepSend(dst, tag, index int, word uint32, resilient bool, box *mailbox, w *worklist) (skipped bool, err error) {
+	var ms telemetry.Span
+	if p.tracer != nil {
+		ms = p.tracer.BeginTag(sendSpan[p.TransportOf(dst)], p.rank, index, dst, tag)
+	}
+	var wt waiter
+	if resilient {
+		wt, skipped, err = p.sendResilient(dst, tag, word, box)
+	} else {
+		wt, err = p.send(dst, tag, nil, word, box)
+	}
+	if p.tracer != nil {
+		ms.End()
+	}
+	w.notice(wt)
+	return skipped, err
+}
+
+// job is one step send handed to a TCP link writer.
+type job struct {
+	c        *cursor
+	gen      uint32
+	step     int32
+	dst, tag int
+	word     uint32
+}
+
+// linkQueue is a TCP link writer's queue. Pushing never blocks, so the
+// goroutine that advances a program — a reader, another link's writer, a
+// co-located rank — never waits on a socket.
+type linkQueue struct {
+	mu     sync.Mutex
+	jobs   []job
+	closed bool          // the writer has exited: the pusher sends inline
+	ready  chan struct{} // capacity 1
+}
+
+// push queues j and reports true, or false once the writer is gone.
+func (q *linkQueue) push(j job) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.jobs = append(q.jobs, j)
+	q.mu.Unlock()
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// writer posts TCP link dst's queued step sends and reports each to its
+// cursor, until local Close; the jobs still queued then are posted too,
+// which on a closed peer refuses them at once.
+func (p *Peer) writer(dst int) {
+	defer p.wg.Done()
+	q := &p.out[dst]
+	var w worklist
+	var batch []job
+	for {
+		closing := false
+		select {
+		case <-q.ready:
+		case <-p.closedCh:
+			closing = true
+		}
+		q.mu.Lock()
+		batch, q.jobs = q.jobs, batch[:0]
+		q.closed = closing
+		q.mu.Unlock()
+		for _, j := range batch {
+			skipped, err := p.stepSend(j.dst, j.tag, j.tag%run.TagSpan, j.word, j.c.resilient, nil, &w)
+			if skipped {
+				j.c.skip(j.dst)
+			}
+			j.c.sent(j.gen, j.step, 1, err, &w)
+			w.drain()
+		}
+		if closing {
+			return
+		}
+	}
+}

@@ -106,11 +106,19 @@ func runAll(t *testing.T, peers []*Peer, pl *run.Plan, tagBase int, resilient bo
 	}
 	waitAll(t, &wg, 15*time.Second, "barrier")
 	for r, pe := range peers {
-		if n := len(pe.sent); n != 0 {
-			t.Errorf("rank %d left the barrier with %d send completions unread", r, n)
+		if n := sendsInFlight(pe); n != 0 {
+			t.Errorf("rank %d left the barrier with %d sends still in flight", r, n)
 		}
 	}
 	return skips, errs
+}
+
+// sendsInFlight is the number of sends of the rank's current step its
+// cursor still waits for: 0 once a barrier has returned.
+func sendsInFlight(pe *Peer) int {
+	pe.cur.mu.Lock()
+	defer pe.cur.mu.Unlock()
+	return pe.cur.sendLeft
 }
 
 // TestFanOutDoesNotQueueBehindAStalledWrite is the send-side head-of-line
@@ -189,8 +197,8 @@ func TestLinkWriterFailure(t *testing.T) {
 		})
 		_, errs := runAll(t, peers, pl, 0, false)
 		time.Sleep(2 * d)
-		if n := len(peers[0].sent); n != 0 {
-			t.Errorf("rank 0's failed stage left %d send completions behind", n)
+		if n := sendsInFlight(peers[0]); n != 0 {
+			t.Errorf("rank 0's failed stage left %d sends in flight", n)
 		}
 		if errs[0] == nil || !strings.Contains(errs[0].Error(), "sending to 1 over tcp") ||
 			!strings.Contains(errs[0].Error(), "severed") {

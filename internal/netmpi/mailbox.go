@@ -18,12 +18,26 @@ import (
 // parking leaves a stale token behind, which costs the next parked receiver
 // one empty re-check and nothing else, and take re-arms the edge while
 // messages remain so coalesced signals cannot strand a waiter.
+//
+// A running step program does not park on avail: its cursor registers a
+// waiter (takeOrWait), and the put that brings the next message hands the
+// waiter back to its caller, which advances the cursor (cursor.go). The
+// message itself still goes through the queue.
 type mailbox struct {
 	mu      sync.Mutex
 	msgs    []mail // queued messages are msgs[head:]
 	head    int
 	pending atomic.Int32
 	avail   chan struct{}
+	w       waiter // the cursor receive waiting for the next message, if any
+}
+
+// waiter names one receive of a running step program: the cursor, the
+// program run it belongs to, the step and the receive's slot in the step.
+type waiter struct {
+	c          *cursor
+	gen        uint32
+	step, slot int32
 }
 
 func (b *mailbox) wake() {
@@ -41,7 +55,9 @@ type mail struct {
 	word    uint32
 }
 
-func (b *mailbox) put(msg mail) {
+// put queues msg and returns the waiter it satisfies, if a cursor
+// registered one; only without a waiter does it raise the wake-up edge.
+func (b *mailbox) put(msg mail) waiter {
 	b.mu.Lock()
 	// Reclaim the consumed prefix instead of growing once it is at least half
 	// the array: steady traffic then reuses one backing array forever.
@@ -52,19 +68,18 @@ func (b *mailbox) put(msg mail) {
 	}
 	b.msgs = append(b.msgs, msg)
 	b.pending.Add(1)
+	w := b.w
+	b.w = waiter{}
 	b.mu.Unlock()
-	b.wake()
+	if w.c == nil {
+		b.wake()
+	}
+	return w
 }
 
-func (b *mailbox) take() (mail, bool) {
-	if b.pending.Load() == 0 {
-		return mail{}, false
-	}
-	b.mu.Lock()
-	if b.head == len(b.msgs) {
-		b.mu.Unlock()
-		return mail{}, false
-	}
+// popLocked dequeues the oldest message and reports how many remain. The
+// caller holds b.mu and has checked that the queue is not empty.
+func (b *mailbox) popLocked() (mail, int) {
 	msg := b.msgs[b.head]
 	b.msgs[b.head] = mail{}
 	b.head++
@@ -73,11 +88,54 @@ func (b *mailbox) take() (mail, bool) {
 		b.msgs, b.head = b.msgs[:0], 0
 	}
 	b.pending.Add(-1)
-	b.mu.Unlock()
+	return msg, remaining
+}
+
+// pop dequeues the oldest message, if any, and reports how many remain.
+// It leaves the wake-up edge alone: the cursor's receive never parks on it.
+func (b *mailbox) pop() (mail, int, bool) {
+	if b.pending.Load() == 0 {
+		return mail{}, 0, false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head == len(b.msgs) {
+		return mail{}, 0, false
+	}
+	msg, remaining := b.popLocked()
+	return msg, remaining, true
+}
+
+// take is pop for a receive that may park: it re-arms the wake-up edge
+// while messages remain.
+func (b *mailbox) take() (mail, bool) {
+	msg, remaining, ok := b.pop()
 	if remaining > 0 {
 		b.wake()
 	}
+	return msg, ok
+}
+
+// takeOrWait dequeues the oldest message or, atomically with finding the
+// queue empty, registers w: the next put returns it to its caller.
+func (b *mailbox) takeOrWait(w waiter) (mail, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head == len(b.msgs) {
+		b.w = w
+		return mail{}, false
+	}
+	msg, _ := b.popLocked()
 	return msg, true
+}
+
+// unwait withdraws c's registration, if it is still there.
+func (b *mailbox) unwait(c *cursor) {
+	b.mu.Lock()
+	if b.w.c == c {
+		b.w = waiter{}
+	}
+	b.mu.Unlock()
 }
 
 // inbox holds the mailboxes fed by one source rank, keyed by tag. A TCP
@@ -104,16 +162,21 @@ func (in *inbox) box(tag int) *mailbox {
 	return b
 }
 
-// shmYields is how many times a receive on a shared-memory link yields the
-// processor and re-checks its mailbox before it parks. The sender of an shm
-// signal is a goroutine of this process that delivers straight into the
-// mailbox, so letting it run is usually all the wait there is, and a yield
+// shmYields is how many times a rank yields the processor before it parks:
+// a Recv on a shared-memory link, re-checking its mailbox, and a barrier on
+// a mesh whose every link is shared memory, after posting its first step,
+// re-checking whether its program ended (cursor.go). An shm signal's sender
+// is a goroutine of this process that delivers straight into the mailbox
+// and, when that completes a step, posts the receiver's next step itself, so
+// letting the other ranks run is usually all the wait there is, and a yield
 // is several times cheaper than park + wake-up. The budget is deliberately
 // tiny: with more runnable ranks than processors a long spin only delays the
 // ranks everyone is waiting for (results/pr15_shm_onehop.md has the
-// {0, 2, 8, 64} table on all-shm, 2×4 mixed and all-TCP meshes). Receives on
-// TCP links never yield — their producer is a reader goroutine blocked in
-// the kernel, and yielding in front of it starves it.
+// {0, 2, 8, 64} table of the per-receive wait; results/pr46_progress.md
+// measures 0 against 2 for the per-barrier one). Receives on TCP links, and
+// barriers on a mesh with any TCP link, never yield: their progress waits on
+// reader goroutines blocked in the kernel, and yielding in front of them
+// starves them (a 2-node mixed mesh runs ≈ 15 % faster without the yields).
 const shmYields = 2
 
 // wakeReason says what ended a receive wait: a message, or one of the three
@@ -131,12 +194,11 @@ const (
 // timers deliver nothing stale after Stop, so a recycled timer needs no drain.
 var timerPool = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
-// await is the one receive wait: it returns the next message of (src, tag),
-// or why it gave up — first or second closed, or the deadline (0 = none)
-// passed. Whatever ends the wait, mail that raced in ahead of it is returned
-// instead. Both receive flavours differ only in which two latches they
-// watch: Recv the caller's cancel and the peer-level failure, the resilient
-// path the link-level failure and the local close.
+// await is the point-to-point receive wait (Recv, RecvCancel; a barrier's
+// receives are its cursor's): it returns the next message of (src, tag), or
+// why it gave up — first (the caller's cancel) or second (the peer's
+// failure latch) closed, or the deadline (0 = none) passed. Whatever ends
+// the wait, mail that raced in ahead of it is returned instead.
 func (p *Peer) await(src, tag int, deadline time.Duration, first, second <-chan struct{}) (mail, wakeReason) {
 	b := p.in[src].box(tag)
 	if p.m.enabled {

@@ -20,18 +20,27 @@
 //
 // Barrier correctness needs only the knowledge recurrence of the schedule
 // (Eq. 3), which holds for eager sends; a rank leaves the barrier when every
-// signal addressed to it has arrived. A stage (Peer.Stage, the run.Stager
-// contract) posts its sends together, as the simulator's Comm.Stage posts its
-// Issends, and waits for them (barrier.go).
+// signal addressed to it has arrived. A barrier is the rank's step program
+// (run.Plan.RankOps; Peer.Stage, the run.Stager contract, is a one-step
+// one), and it is not the rank's goroutine that advances it: the goroutine
+// whose event completes a step — a co-located sender whose put delivers the
+// last awaited signal, a TCP reader, a link writer finishing the step's last
+// send — posts the next step's sends together, as the simulator's scheduler
+// posts a program's next step. The rank posts step 0 and parks once, until
+// the program ends or fails (cursor.go). The deadline a barrier takes is per
+// receive — no receive waits longer than it since the rank last made
+// progress — and one timer per peer enforces it lazily, so a steady stream
+// of barriers costs no timer operation.
 //
 // # Failure model
 //
 // A Peer fails as a unit, and it fails fast. The first connection error —
 // including a remote peer closing or crashing (EOF mid-stream) — latches a
 // descriptive error and closes the peer's done channel, which wakes every
-// blocked Recv immediately, deadline or not. A collective protocol cannot
-// make progress once any participant is gone, so the whole peer turning
-// poisoned is the correct granularity: callers see exactly one of
+// blocked Recv and parked barrier immediately, deadline or not. A
+// collective protocol cannot make progress once any participant is gone, so
+// the whole peer turning poisoned is the correct granularity: callers see
+// exactly one of
 //
 //   - the payload, if the frame arrived before (or despite) the failure —
 //     already-delivered mail stays readable;
@@ -79,9 +88,10 @@ type Peer struct {
 	// Hybrid transport state: nodes is the co-location vector (nil = pure
 	// TCP), hub the segment rendezvous, shmOut[j] the outbound direction of
 	// the shared-memory link to rank j (nil for TCP links).
-	hub    *ShmHub
-	nodes  []int
-	shmOut []*shmLink
+	hub     *ShmHub
+	nodes   []int
+	shmOut  []*shmLink
+	shmOnly bool // every link is shared memory: a parking barrier yields first (shmYields)
 
 	mu     sync.Mutex
 	errVal error
@@ -89,18 +99,20 @@ type Peer struct {
 	down   atomic.Bool    // errVal != nil || closed: lets Send skip mu while healthy
 	done   chan struct{}  // closed on first failure or on Close; wakes all waiters
 	wg     sync.WaitGroup // the TCP readers and writers; shared-memory links own no goroutine
-	// jobs[j] hands a stage send to TCP link j's writer; all report on sent.
-	jobs []chan stageSend
-	sent chan stageSend
+	// out[j] queues the step sends TCP link j's writer posts (cursor.go).
+	out []linkQueue
+	// cur is the rank's position in the step program it is running: the
+	// one executor behind Barrier, BarrierResilient, EpochRunner and Stage.
+	cur cursor
 
 	// Per-link failure state, feeding the resilient execution path. fail()
-	// latches both granularities: linkErr[src]/linkDown[src] record which
-	// link broke (BarrierResilient keeps going around it), while errVal/done
-	// preserve the peer-fails-as-a-unit semantics every plain Recv sees.
-	// closedCh closes only on a locally initiated Close — the one event that
-	// must stop the resilient path too.
+	// latches both granularities: linkErr[src] records which link broke
+	// (BarrierResilient keeps going around it, told by a cursor event), while
+	// errVal/done preserve the peer-fails-as-a-unit semantics every plain
+	// Recv and barrier sees. closedCh closes only on a locally initiated
+	// Close — the one event that must stop the resilient path and the link
+	// writers too.
 	linkErr  []error
-	linkDown []chan struct{}
 	closedCh chan struct{}
 
 	reg    *telemetry.Registry
@@ -245,19 +257,18 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		conns:    make([]net.Conn, p),
 		in:       make([]*inbox, p),
 		shmOut:   make([]*shmLink, p),
-		jobs:     make([]chan stageSend, p),
-		sent:     make(chan stageSend, p),
+		out:      make([]linkQueue, p),
 		done:     make(chan struct{}),
 		linkErr:  make([]error, p),
-		linkDown: make([]chan struct{}, p),
 		closedCh: make(chan struct{}),
 	}
 	for j := 0; j < p; j++ {
 		if j != rank {
-			peer.linkDown[j] = make(chan struct{})
 			peer.in[j] = new(inbox)
 		}
 	}
+	peer.cur = cursor{p: peer, wake: make(chan struct{}, 1)}
+	peer.cur.own.owner = &peer.cur
 	for _, opt := range opts {
 		opt(peer)
 	}
@@ -389,11 +400,13 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 	}
 
 	// Start each TCP connection's demultiplexing reader and link writer.
+	peer.shmOnly = true
 	for j, conn := range peer.conns {
 		if conn == nil {
 			continue
 		}
-		peer.jobs[j] = make(chan stageSend)
+		peer.shmOnly = false
+		peer.out[j].ready = make(chan struct{}, 1)
 		peer.wg.Add(2)
 		go peer.reader(j, conn)
 		go peer.writer(j)
@@ -409,10 +422,13 @@ func (p *Peer) Size() int { return p.size }
 
 // reader decodes frames from one connection into mailboxes. Delivery never
 // blocks (mailboxes are unbounded), so one saturated (source, tag) queue
-// cannot head-of-line-block the other tags multiplexed on this link.
+// cannot head-of-line-block the other tags multiplexed on this link. A frame
+// that completes a step of this rank's program advances it right here; the
+// next step's TCP frames go to the link writers, so a reader never writes.
 func (p *Peer) reader(src int, conn net.Conn) {
 	defer p.wg.Done()
 	var hdr [headerBytes]byte
+	var w worklist
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			p.fail(src, err)
@@ -430,7 +446,8 @@ func (p *Peer) reader(src int, conn net.Conn) {
 		}
 		p.m.recvFrames[src].Add(1)
 		p.m.recvBytes[src].Add(int64(n))
-		p.in[src].box(tag).put(mail{payload, binary.BigEndian.Uint32(hdr[8:])})
+		w.notice(p.in[src].box(tag).put(mail{payload, binary.BigEndian.Uint32(hdr[8:])}))
+		w.drain()
 	}
 }
 
@@ -453,21 +470,29 @@ func (p *Peer) fail(src int, err error) {
 		desc = fmt.Errorf("netmpi: rank %d on %s link to rank %d: %w", p.rank, p.TransportOf(src), src, err)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return // orderly local shutdown
 	}
 	if p.linkErr[src] == nil {
 		p.linkErr[src] = desc
-		close(p.linkDown[src])
 	}
-	if p.errVal != nil {
-		return // peer-level latch already set by an earlier link
+	first := p.errVal == nil // else the peer-level latch was set by an earlier link
+	if first {
+		p.errVal = desc
+		p.down.Store(true)
+		p.m.failures.Inc()
+		close(p.done)
 	}
-	p.errVal = desc
-	p.down.Store(true)
-	p.m.failures.Inc()
-	close(p.done)
+	p.mu.Unlock()
+	// A latched link is an event for a resilient program waiting on it, the
+	// peer's first failure one for a plain program.
+	var w worklist
+	p.cur.linkDown(src, &w)
+	if first {
+		p.cur.failed(false, &w)
+	}
+	w.drain()
 }
 
 // LinkErr reports the latched error of the link to one peer rank, nil while
@@ -491,27 +516,38 @@ func (p *Peer) LinkErr(src int) error {
 // failed or closed peer refuses further sends with its latched error,
 // propagating the failure to senders as fast as to receivers.
 func (p *Peer) Send(dst, tag int, payload []byte) error {
-	return p.send(dst, tag, payload, 0)
-}
 
-// send is Send with the frame's version word, for the stage loop.
-func (p *Peer) send(dst, tag int, payload []byte, word uint32) error {
 	if dst < 0 || dst >= p.size || dst == p.rank {
 		return fmt.Errorf("netmpi: rank %d sending to invalid rank %d", p.rank, dst)
 	}
 	if err := p.checkTag(tag); err != nil {
 		return err
 	}
+	wt, err := p.send(dst, tag, payload, 0, nil)
+	if wt.c != nil { // the put completed a receive of a running program
+		var w worklist
+		w.notice(wt)
+		w.drain()
+	}
+	return err
+}
+
+// send transmits one frame with its version word to a validated dst; box is
+// dst's mailbox for tag when the link is shared memory and the caller has it
+// bound, nil otherwise. It returns the waiter the put satisfied, for the
+// caller's worklist.
+func (p *Peer) send(dst, tag int, payload []byte, word uint32, box *mailbox) (waiter, error) {
 	if p.down.Load() {
 		if err := p.err(); err != nil {
-			return err
+			return waiter{}, err
 		}
-		return fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
+		return waiter{}, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
 	}
-	if err := p.writeFrame(dst, tag, payload, word); err != nil {
-		return fmt.Errorf("netmpi: rank %d sending to %d over %s: %w", p.rank, dst, p.TransportOf(dst), err)
+	wt, err := p.writeFrame(dst, tag, payload, word, box)
+	if err != nil {
+		return waiter{}, fmt.Errorf("netmpi: rank %d sending to %d over %s: %w", p.rank, dst, p.TransportOf(dst), err)
 	}
-	return nil
+	return wt, nil
 }
 
 // framePool recycles TCP frame buffers: barrier traffic sends a steady
@@ -521,19 +557,23 @@ func (p *Peer) send(dst, tag int, payload []byte, word uint32) error {
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // writeFrame hands one message to dst's transport, updating the send
-// metrics. The shared-memory path puts it into the receiver's mailbox right
-// here, on the sender's goroutine (copying non-empty payloads so the caller
-// keeps ownership, matching TCP's copy into the frame); the TCP path encodes
+// metrics. The shared-memory path puts it into the receiver's mailbox (box,
+// or the one it looks up) right here, on the sender's goroutine (copying
+// non-empty payloads so the caller keeps ownership, matching TCP's copy into
+// the frame) and returns the waiter the put satisfied; the TCP path encodes
 // a pooled length-prefixed frame and writes it in one call.
-func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32) error {
+func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32, box *mailbox) (waiter, error) {
 	if link := p.shmOut[dst]; link != nil {
 		if len(payload) > 0 {
 			payload = append([]byte(nil), payload...)
 		}
-		link.box(tag).put(mail{payload, word})
+		if box == nil {
+			box = link.box(tag)
+		}
+		wt := box.put(mail{payload, word})
 		p.m.sendFrames[dst].Add(1)
 		p.m.sendBytes[dst].Add(int64(len(payload)))
-		return nil
+		return wt, nil
 	}
 	bp := framePool.Get().(*[]byte)
 	need := headerBytes + len(payload)
@@ -550,11 +590,11 @@ func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32) error {
 	*bp = frame[:0]
 	framePool.Put(bp)
 	if err != nil {
-		return err
+		return waiter{}, err
 	}
 	p.m.sendFrames[dst].Add(1)
 	p.m.sendBytes[dst].Add(int64(len(payload)))
-	return nil
+	return waiter{}, nil
 }
 
 // checkTag refuses a tag the frame's signed 32-bit tag field would
@@ -590,6 +630,12 @@ func (p *Peer) Close() error {
 		}
 	}
 	p.mu.Unlock()
+	if !already {
+		var w worklist
+		p.cur.failed(true, &w)
+		w.drain()
+	}
+	p.cur.disarm()
 	for _, c := range p.conns {
 		if c != nil {
 			c.Close()

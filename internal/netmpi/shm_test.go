@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -103,7 +104,12 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 	wg.Add(3)
 	go func() { defer wg.Done(); _, recvErr = peers[1].Recv(0, 100, 0) }()
 	go func() { defer wg.Done(); _, cancelErr = peers[1].RecvCancel(0, 101, 0, make(chan struct{})) }()
-	go func() { defer wg.Done(); _, resSkipped, resErr = peers[1].recvResilient(0, 102, 30*time.Second) }()
+	go func() {
+		defer wg.Done()
+		var skipped []int
+		skipped, resErr = peers[1].stage(102, []int{0}, nil, 30*time.Second, true)
+		resSkipped = slices.Equal(skipped, []int{0})
+	}()
 	time.Sleep(20 * time.Millisecond) // let the three park; the outcome is the same if one has not
 
 	const n = 50
@@ -120,7 +126,7 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 		}
 	}
 	if resErr != nil || !resSkipped {
-		t.Errorf("recvResilient = (skipped %v, %v), want the dead link skipped", resSkipped, resErr)
+		t.Errorf("resilient receive = (skipped %v, %v), want the dead link skipped", resSkipped, resErr)
 	}
 	if err := peers[1].LinkErr(0); err == nil || !strings.Contains(err.Error(), wantErr) {
 		t.Errorf("link latch = %v, want %q", err, wantErr)

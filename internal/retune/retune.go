@@ -103,7 +103,7 @@ type Decision struct {
 	// Checked is false when some rank had fewer than MinObservations fresh
 	// samples — no judgement was made and nothing below is meaningful.
 	Checked bool
-	// Observed is the slowest rank's mean barrier seconds over the fresh
+	// Observed is the slowest rank's median barrier seconds over the fresh
 	// window; Predicted is the model's cost for the running schedule;
 	// Drift their relative distance.
 	Observed, Predicted, Drift float64
@@ -147,11 +147,10 @@ type Controller struct {
 	pf        *profile.Profile
 	predicted float64
 
-	hist      []*telemetry.Histogram
-	lastCount []int64
-	lastSum   []float64
-	version   int
-	settling  bool // next window is contaminated by a swap; discard it
+	hist     []*telemetry.Histogram
+	last     [][]int64 // per rank, the bucket counts at the end of the last window
+	version  int
+	settling bool // next window is contaminated by a swap; discard it
 
 	checks, triggers, swaps *telemetry.Counter
 	driftGauge              *telemetry.Gauge
@@ -187,8 +186,7 @@ func New(peers []*netmpi.Peer, eps *netmpi.Epochs, s *sched.Schedule, pf *profil
 		pf:         pf,
 		predicted:  pd.Cost(s),
 		hist:       make([]*telemetry.Histogram, len(peers)),
-		lastCount:  make([]int64, len(peers)),
-		lastSum:    make([]float64, len(peers)),
+		last:       make([][]int64, len(peers)),
 		version:    eps.Latest(),
 		checks:     opts.Registry.Counter("retune_checks_total"),
 		triggers:   opts.Registry.Counter("retune_triggers_total"),
@@ -197,8 +195,7 @@ func New(peers []*netmpi.Peer, eps *netmpi.Epochs, s *sched.Schedule, pf *profil
 	}
 	for r := range peers {
 		c.hist[r] = opts.Registry.Histogram(telemetry.Label("netmpi_barrier_seconds", "rank", strconv.Itoa(r)), nil)
-		c.lastCount[r] = c.hist[r].Count()
-		c.lastSum[r] = c.hist[r].Sum()
+		c.last[r] = c.hist[r].Buckets(nil)
 	}
 	opts.Flight.SetModel(pd, s)
 	return c, nil
@@ -211,32 +208,36 @@ func (c *Controller) Predicted() float64 { return c.predicted }
 func (c *Controller) Schedule() *sched.Schedule { return c.sched }
 
 // observe reads the per-rank barrier histograms and returns the slowest
-// rank's mean over the samples accumulated since the last successful
+// rank's median over the samples accumulated since the last successful
 // observation, with the smallest per-rank fresh-sample count. The window is
-// consumed only when every rank has contributed enough.
-func (c *Controller) observe() (mean float64, minFresh int64) {
+// consumed only when every rank has contributed enough. A median, not a
+// mean: one scheduler or GC stall of tens of milliseconds on every rank
+// lifts each rank's mean over a 20-barrier window far past the model, while
+// the window's 19 healthy barriers keep its median where it was.
+func (c *Controller) observe() (median float64, minFresh int64) {
 	p := len(c.peers)
-	counts := make([]int64, p)
-	sums := make([]float64, p)
+	windows := make([][]int64, p)
 	minFresh = math.MaxInt64
 	for r := 0; r < p; r++ {
-		counts[r] = c.hist[r].Count()
-		sums[r] = c.hist[r].Sum()
-		if fresh := counts[r] - c.lastCount[r]; fresh < minFresh {
-			minFresh = fresh
+		now := c.hist[r].Buckets(nil)
+		var fresh int64
+		for i := range now {
+			now[i] -= c.last[r][i]
+			fresh += now[i]
 		}
+		windows[r] = now
+		minFresh = min(minFresh, fresh)
 	}
 	if minFresh < c.opts.MinObservations {
 		return 0, minFresh
 	}
 	for r := 0; r < p; r++ {
-		m := (sums[r] - c.lastSum[r]) / float64(counts[r]-c.lastCount[r])
-		if m > mean {
-			mean = m
+		median = max(median, c.hist[r].BucketQuantile(0.5, windows[r]))
+		for i, n := range windows[r] {
+			c.last[r][i] += n
 		}
-		c.lastCount[r], c.lastSum[r] = counts[r], sums[r]
 	}
-	return mean, minFresh
+	return median, minFresh
 }
 
 // Check runs one pass of the loop: observe, judge drift, and — when
@@ -257,8 +258,7 @@ func (c *Controller) Check() (Decision, error) {
 		c.settling = false
 		d.Settling = true
 		for r := range c.hist {
-			c.lastCount[r] = c.hist[r].Count()
-			c.lastSum[r] = c.hist[r].Sum()
+			c.last[r] = c.hist[r].Buckets(c.last[r][:0])
 		}
 		// Keep the flight windows aligned with the observation windows: the
 		// contaminated spans go into their own (discarded-for-blame) window.

@@ -156,6 +156,55 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
+// Buckets appends the per-bucket observation counts to dst, the +Inf
+// overflow bucket last, and returns it: a read-only snapshot, and the
+// difference of two snapshots is the distribution of the observations made
+// between them (BucketQuantile). Nil on a nil receiver.
+func (h *Histogram) Buckets(dst []int64) []int64 {
+	if h == nil {
+		return nil
+	}
+	for i := range h.counts {
+		dst = append(dst, h.counts[i].Load())
+	}
+	return dst
+}
+
+// BucketQuantile estimates the q-quantile (0 < q ≤ 1) of a distribution given
+// as per-bucket counts over h's bounds — a Buckets snapshot or the difference
+// of two — interpolating linearly inside the bucket it falls in (the first
+// bucket starts at 0; the overflow bucket reads as the largest bound). It
+// returns 0 for an empty distribution or a nil receiver.
+func (h *Histogram) BucketQuantile(q float64, counts []int64) float64 {
+	if h == nil {
+		return 0
+	}
+	var total int64
+	for _, n := range counts {
+		total += n
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var below int64
+	for i, n := range counts {
+		if n == 0 || float64(below+n) < rank {
+			below += n
+			continue
+		}
+		if i == len(h.bounds) {
+			break
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = h.bounds[i-1]
+		}
+		return lo + (h.bounds[i]-lo)*(rank-float64(below))/float64(n)
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
 // Sum returns the sum of all observations; 0 on a nil receiver.
 func (h *Histogram) Sum() float64 {
 	if h == nil {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,43 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 		if !strings.Contains(out.String(), want+"\n") {
 			t.Fatalf("exposition lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestHistogramWindowMedian: the difference of two bucket snapshots is the
+// window between them, and its median interpolates inside the bucket it
+// falls in, whatever the observations before the window or one outlier in
+// it.
+func TestHistogramWindowMedian(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat", []float64{1, 2, 4, 8})
+	for i := 0; i < 100; i++ {
+		h.Observe(7) // history: far above the window's median
+	}
+	before := h.Buckets(nil)
+	for _, v := range []float64{1.5, 1.5, 1.5, 3, 1000} {
+		h.Observe(v)
+	}
+	window := h.Buckets(nil)
+	for i := range window {
+		window[i] -= before[i]
+	}
+	if want := []int64{0, 3, 1, 0, 1}; !slices.Equal(window, want) {
+		t.Fatalf("window buckets = %v, want %v", window, want)
+	}
+	// Rank 2.5 of 5 falls in (1, 2], which holds ranks 1..3: 1 + 1·2.5/3.
+	if got, want := h.BucketQuantile(0.5, window), 1+2.5/3; math.Abs(got-want) > 1e-12 {
+		t.Errorf("window median = %g, want %g", got, want)
+	}
+	if got := h.BucketQuantile(1, window); got != 8 {
+		t.Errorf("window maximum = %g, want the largest bound 8 for the overflow bucket", got)
+	}
+	if got := h.BucketQuantile(0.5, make([]int64, len(window))); got != 0 {
+		t.Errorf("empty window median = %g, want 0", got)
+	}
+	var nilH *Histogram
+	if nilH.Buckets(nil) != nil || nilH.BucketQuantile(0.5, window) != 0 {
+		t.Error("nil histogram reported buckets")
 	}
 }
 
