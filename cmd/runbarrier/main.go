@@ -300,7 +300,7 @@ func runSim(cluster, placement, alg string, p int, seed uint64, congestion, nova
 		if s == nil {
 			s = sched.Tree(p)
 		}
-		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { b.fn(c, 0) })
+		tl, _, err := critpath.Sim(fab, b.fn.Programs(p))
 		if err != nil {
 			return err
 		}

@@ -130,38 +130,33 @@ func runBSP(w *topobarrier.World, cfg bspConfig) (bspResult, error) {
 		ideal += slowest
 	}
 
-	total, err := w.Run(func(c *topobarrier.Comm) {
-		me := c.Rank()
-		left := (me - 1 + p) % p
-		right := (me + 1) % p
+	// Each rank's program, superstep by superstep: its compute, the halo
+	// exchange with both ring neighbours (one step: every receive and send
+	// under one tag, neighbours told apart by source), then the barrier's
+	// steps, each superstep on the other of two tag windows.
+	progs := make([]topobarrier.Program, p)
+	for me := range progs {
+		left, right := (me-1+p)%p, (me+1)%p
+		barrier := cfg.Barrier(me, p)
+		var steps []topobarrier.Step
 		tag := 0
 		for it := 0; it < cfg.Iterations; it++ {
 			if compute[it][me] > 0 {
-				c.Compute(compute[it][me])
+				steps = append(steps, topobarrier.Step{Compute: compute[it][me]})
 			}
 			if cfg.HaloBytes > 0 && p > 1 {
-				reqs := []*topobarrier.Request{
-					c.Irecv(left, tag+1),
-					c.Irecv(right, tag+2),
-				}
-				if right != left {
-					reqs = append(reqs,
-						c.Issend(left, tag+2, cfg.HaloBytes),
-						c.Issend(right, tag+1, cfg.HaloBytes),
-					)
-				} else {
-					// Two ranks: both neighbours are the same peer.
-					reqs = append(reqs,
-						c.Issend(left, tag+2, cfg.HaloBytes),
-						c.Issend(left, tag+1, cfg.HaloBytes),
-					)
-				}
-				c.Wait(reqs...)
+				steps = append(steps, topobarrier.Step{Tag: tag + 1,
+					Recvs: []int{left, right}, Sends: []int{left, right}, Bytes: cfg.HaloBytes})
 			}
-			cfg.Barrier(c, tag+8)
+			for _, st := range barrier {
+				st.Tag += tag + 8
+				steps = append(steps, st)
+			}
 			tag = (tag + run.TagSpan) % (2 * run.TagSpan)
 		}
-	})
+		progs[me].Steps = steps
+	}
+	total, err := w.Run(progs)
 	if err != nil {
 		return bspResult{}, err
 	}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"topobarrier/internal/baseline"
@@ -150,13 +152,46 @@ func TestHaloSingleRank(t *testing.T) {
 	w := mpi.NewWorld(f)
 	res, err := runBSP(w, bspConfig{
 		Iterations: 3, ComputeMean: 1e-6, HaloBytes: 128,
-		Barrier: func(c *mpi.Comm, tag int) {}, Seed: 1,
+		Barrier: func(rank, p int) []mpi.Step { return nil }, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Total <= 0 {
 		t.Fatalf("total = %g", res.Total)
+	}
+}
+
+// runBSP as programs reproduces, bit for bit, the totals the workload's
+// former per-call spelling (Compute, Irecv/Issend per neighbour on two tags,
+// Wait, then the barrier) reached on commit 3e21247, with the halo exchange
+// on, at two and sixteen ranks: the halo step's one tag tells neighbours
+// apart by source, and at two ranks both messages of a direction share an
+// envelope and match in arrival order at the same times.
+func TestHaloTotalsMatchTheCallSpelling(t *testing.T) {
+	want := map[string]string{
+		"2/dissemination":  "0x1.db072970e2f0ap-12",
+		"2/tree":           "0x1.dfb382cf2dbc6p-12",
+		"16/dissemination": "0x1.de78530567dbcp-10",
+		"16/tree":          "0x1.f63c9c05feb39p-10",
+	}
+	for _, p := range []int{2, 16} {
+		for _, name := range []string{"dissemination", "tree"} {
+			var b run.Func = baseline.Tree
+			if name == "dissemination" {
+				b = plan(t, sched.Dissemination(p))
+			}
+			res, err := runBSP(world(t, p, 6), bspConfig{
+				Iterations: 8, ComputeMean: 50e-6, Imbalance: 0.2, HaloBytes: 4096, Barrier: b, Seed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%d/%s", p, name)
+			if got := strconv.FormatFloat(res.Total, 'x', -1, 64); got != want[key] {
+				t.Errorf("%s: total %s, the call spelling's %s", key, got, want[key])
+			}
+		}
 	}
 }
 

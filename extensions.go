@@ -36,7 +36,7 @@ type ExecutionTimeline = critpath.Timeline
 // TraceBarrier executes b once on a traced world over fab and returns the
 // execution's timeline and its elapsed virtual time.
 func TraceBarrier(fab *Fabric, b BarrierFunc, opts ...WorldOption) (*ExecutionTimeline, float64, error) {
-	return critpath.Sim(fab, func(c *Comm) { b(c, 0) }, opts...)
+	return critpath.Sim(fab, b.Programs(fab.P()), opts...)
 }
 
 // Deployment (see internal/netmpi).

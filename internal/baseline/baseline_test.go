@@ -28,9 +28,9 @@ func TestAllBaselinesSynchronise(t *testing.T) {
 	}
 }
 
-// The baseline waits through blocking calls, so in steady state a barrier
-// allocates nothing: N and 2N barriers inside one
-// World.Run cost the same. The fabric is noise-free so the count is exact.
+// Measure builds the baseline's programs once and repeats them, so in steady
+// state a barrier allocates nothing: N and 2N barriers inside one World.Run
+// cost the same. The fabric is noise-free so the count is exact.
 func TestBaselineAllocsIndependentOfBarrierCount(t *testing.T) {
 	params := fabric.GigEParams(1)
 	params.SelfSigma = 0

@@ -19,7 +19,6 @@ import (
 	"topobarrier/internal/critpath"
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/faultnet"
-	"topobarrier/internal/mpi"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
@@ -131,7 +130,7 @@ func TestPlanExecutorsSendTheSameMessages(t *testing.T) {
 	}
 	for _, s := range []*sched.Schedule{sched.Linear(p), sched.Tree(p), sched.Dissemination(p), sched.Ring(p), tuned.Schedule()} {
 		pl := newPlan(t, s)
-		sim, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0) })
+		sim, _, err := critpath.Sim(fab, pl.Func().Programs(pl.P))
 		if err != nil {
 			t.Fatal(err)
 		}

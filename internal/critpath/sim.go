@@ -56,14 +56,14 @@ func MergeSim(evs []mpi.TraceEvent, fab *fabric.Fabric, tagBase int) (*Timeline,
 	return tl, nil
 }
 
-// Sim runs body on every rank of a traced world over fab and returns the
+// Sim runs progs (one per rank) on a traced world over fab and returns the
 // run's timeline (the latest barrier instance selected) and elapsed virtual
 // time.
-func Sim(fab *fabric.Fabric, body func(*mpi.Comm), opts ...mpi.Option) (*Timeline, float64, error) {
+func Sim(fab *fabric.Fabric, progs []mpi.Program, opts ...mpi.Option) (*Timeline, float64, error) {
 	var evs []mpi.TraceEvent
 	record := mpi.WithTracer(func(e mpi.TraceEvent) { evs = append(evs, e) })
 	w := mpi.NewWorld(fab, append(opts[:len(opts):len(opts)], record)...)
-	elapsed, err := w.Run(body)
+	elapsed, err := w.Run(progs)
 	if err != nil {
 		return nil, elapsed, err
 	}

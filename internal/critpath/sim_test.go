@@ -37,20 +37,20 @@ func newPlan(t testing.TB, s *sched.Schedule) *run.Plan {
 }
 
 // simBarrier runs s's plan once on the noisy GigE quad cluster and returns
-// the execution's timeline, its elapsed time and the Wtime every rank read
-// when its barrier returned.
+// the execution's timeline, its elapsed time and the time every rank's
+// barrier program ended.
 func simBarrier(t testing.TB, s *sched.Schedule, seed uint64) (*critpath.Timeline, float64, []float64) {
 	t.Helper()
-	pl := newPlan(t, s)
-	wtime := make([]float64, s.P)
-	tl, elapsed, err := critpath.Sim(quadFabric(t, s.P, fabric.GigEParams(seed)), func(c *mpi.Comm) {
-		pl.Execute(c, 0)
-		wtime[c.Rank()] = c.Wtime()
-	})
+	progs := newPlan(t, s).Func().Programs(s.P)
+	tl, elapsed, err := critpath.Sim(quadFabric(t, s.P, fabric.GigEParams(seed)), progs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tl, elapsed, wtime
+	ends := make([]float64, s.P)
+	for r, pg := range progs {
+		ends[r] = pg.End
+	}
+	return tl, elapsed, ends
 }
 
 // checkRealizedPath holds a simulated execution's realized critical path to
@@ -94,7 +94,7 @@ func checkRealizedPath(t *testing.T, s *sched.Schedule, tl *critpath.Timeline, e
 // TestSimTimelineFidelity is the contract that lets one record serve both
 // executors: for every generator, every P ∈ {2…33, 64} and a composed
 // schedule, on the noisy fabric, the last-stage completion the timeline
-// reports for rank r is exactly the Wtime r read when its barrier returned,
+// reports for rank r is exactly when r's barrier program ended,
 // and the realized path is made of the schedule's own signals.
 func TestSimTimelineFidelity(t *testing.T) {
 	sizes := []int{64}
@@ -119,14 +119,14 @@ func TestSimTimelineFidelity(t *testing.T) {
 			schedules = append(schedules, tuned.Schedule().DropEmptyStages())
 		}
 		for _, s := range schedules {
-			tl, elapsed, wtime := simBarrier(t, s, uint64(p))
+			tl, elapsed, ends := simBarrier(t, s, uint64(p))
 			done := tl.StageDone()
 			if len(done) != s.NumStages() {
 				t.Fatalf("%s: timeline has %d stages, schedule %d", s.Name, len(done), s.NumStages())
 			}
-			for r, w := range wtime {
-				if got := done[len(done)-1][r]; got != w {
-					t.Errorf("%s: rank %d completed at %v by the timeline, read Wtime %v", s.Name, r, got, w)
+			for r, end := range ends {
+				if got := done[len(done)-1][r]; got != end {
+					t.Errorf("%s: rank %d completed at %v by the timeline, its program ended at %v", s.Name, r, got, end)
 				}
 			}
 			checkRealizedPath(t, s, tl, elapsed)
@@ -161,14 +161,14 @@ func TestSimBlameIgnoresAnUpstreamStall(t *testing.T) {
 	pl := newPlan(t, sched.Dissemination(p))
 	for seed := uint64(1); seed <= 20; seed++ {
 		fab := quadFabric(t, p, fabric.GigEParams(seed))
-		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) {
-			for n := 0; n < 6; n++ {
-				if c.Rank() == late {
-					c.Compute(stall)
-				}
-				pl.Execute(c, (n%2)*run.TagSpan)
-			}
-		})
+		// Six barriers on alternating tag windows, the late rank stalling
+		// before each.
+		progs := pl.Func().Programs(p)
+		for r := range progs {
+			progs[r].Reps, progs[r].Bases = 6, []int{0, run.TagSpan}
+		}
+		progs[late].Steps = append([]mpi.Step{{Compute: stall}}, progs[late].Steps...)
+		tl, _, err := critpath.Sim(fab, progs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestPredictedTimelineResiduals(t *testing.T) {
 	}
 	for _, s := range []*sched.Schedule{sched.Linear(p), sched.Tree(p), sched.Dissemination(p), tuned.Schedule().DropEmptyStages()} {
 		pl := newPlan(t, s)
-		tl, _, err := critpath.Sim(fab, func(c *mpi.Comm) { pl.Execute(c, 0) })
+		tl, _, err := critpath.Sim(fab, pl.Func().Programs(p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,115 +1,70 @@
 package mpi
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"topobarrier/internal/fabric"
 	"topobarrier/internal/topo"
 )
 
-// settledGoroutines returns the goroutine count once it has settled at want,
-// or whatever it reads after two seconds of trying: a rank coroutine stopped
-// beyond the pool's bound may still be exiting when Run returns.
-func settledGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		runtime.Gosched()
-	}
-	return n
-}
-
-// A Run that ends early — deadlock, rank panic, event budget — must report
-// the same error text as ever, hand every rank coroutine back to the pool
-// (the goroutine count after the third failed Run is the count after the
-// first), and leave nothing behind in the World: the next Run measures and
-// traces exactly what the same body does on a fresh World, and its AnySource
-// receive matches no mail the failed Run left unreceived.
+// A Run that ends early — deadlock, event budget — must report the same
+// error text every time and leave nothing behind in the World: the next Run
+// measures and traces exactly what the same programs do on a fresh World,
+// and its receives match no mail the failed Run left unreceived.
 func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 	cases := []struct {
 		name  string
 		opts  []Option
-		body  func(*Comm)
+		progs []Program
 		want  string
-		again func(*Comm) // a body the same World must then run cleanly
+		again []Program // programs the same World must then run cleanly
 	}{
 		{
 			name: "deadlock",
-			body: func(c *Comm) {
-				switch c.Rank() {
-				case 0, 1:
-					c.Recv(3, 7) // never sent
-				case 3:
-					c.Issend(0, 9, 0) // arrives unexpected at rank 0, never received
-				}
-			},
-			want:  "mpi: deadlock, ranks [0 1] blocked at t=1.2e-05",
-			again: anySourceThenPingPong,
-		},
-		{
-			name: "panic",
-			body: func(c *Comm) {
-				if c.Rank() == 2 {
-					panic("boom")
-				}
-				c.Recv(2, 0) // blocked forever behind the panicked rank
-			},
-			want:  "mpi: rank 2 panicked: boom",
-			again: anySourceThenPingPong,
-		},
-		{
-			name: "panic after blocking",
-			body: func(c *Comm) {
-				c.Compute(1e-6)
-				if c.Rank() == 1 {
-					panic("late boom")
-				}
-				c.Recv(1, 0)
-			},
-			want:  "mpi: rank 1 panicked: late boom",
-			again: anySourceThenPingPong,
+			progs: programs(
+				[]Step{recvFrom(7, 3)}, // never sent
+				[]Step{recvFrom(7, 3)},
+				nil,
+				[]Step{sendTo(9, 0)}, // arrives unexpected at rank 0, never received
+			),
+			want: "mpi: deadlock, ranks [0 1 3] blocked at t=1.2e-05; " +
+				"rank 0 step 0 (tag 7) waits for sends from [3]; " +
+				"rank 1 step 0 (tag 7) waits for sends from [3]; " +
+				"rank 3 step 0 (tag 9) has sends to [0] unreceived",
+			again: lateMailThenPingPong(),
 		},
 		{
 			name: "max events",
 			opts: []Option{WithMaxEvents(5)},
-			body: func(c *Comm) {
-				if c.Rank() == 3 {
-					c.Issend(0, 9, 0) // still in flight when the budget runs out
-				}
-				for {
-					c.Compute(1e-6)
-				}
+			progs: []Program{
+				{Steps: []Step{work(1e-6)}, Reps: 1000},
+				{Steps: []Step{work(1e-6)}, Reps: 1000},
+				{Steps: []Step{work(1e-6)}, Reps: 1000},
+				{Steps: []Step{sendTo(9, 0)}}, // still in flight when the budget runs out
 			},
-			want:  "mpi: run exceeded 5 events",
-			again: anySource, // four start events and one delivery fit the budget
+			want: "mpi: run exceeded 5 events",
+			// Four start events and one delivery fit the budget.
+			again: programs([]Step{recvFrom(9, 3)}, nil, nil, []Step{sendTo(9, 0)}),
 		},
 		{
-			name: "max events before every rank started",
-			opts: []Option{WithMaxEvents(2)},
-			body: func(c *Comm) { c.Compute(1e-6) },
-			want: "mpi: run exceeded 2 events",
+			name:  "max events before every rank started",
+			opts:  []Option{WithMaxEvents(2)},
+			progs: programs([]Step{work(1e-6)}, []Step{work(1e-6)}, []Step{work(1e-6)}, []Step{work(1e-6)}),
+			want:  "mpi: run exceeded 2 events",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []TraceEvent
 			w := NewWorld(testFabric(t, 1, 4, 4), append(tc.opts, WithTracer(func(e TraceEvent) { got = append(got, e) }))...)
-			base := 0
 			for i := 0; i < 3; i++ {
-				_, err := w.Run(tc.body)
+				_, err := w.Run(tc.progs)
 				if err == nil || err.Error() != tc.want {
 					t.Fatalf("run %d: err = %v, want %q", i, err, tc.want)
 				}
-				if i == 0 {
-					base = runtime.NumGoroutine()
-				}
-			}
-			if n := settledGoroutines(base); n != base {
-				t.Fatalf("%d goroutines after the third failed run, %d after the first", n, base)
 			}
 			if tc.again == nil {
 				return
@@ -132,85 +87,68 @@ func TestFailedRunsTearDownAndWorldRunsAgain(t *testing.T) {
 	}
 }
 
-// anySource has rank 0 receive from any source and tag, and rank 1 send it
-// one message; it panics if the receive matched anything else.
-func anySource(c *Comm) {
-	switch c.Rank() {
-	case 0:
-		if st := c.Recv(AnySource, AnyTag); st != (Status{Src: 1, Tag: 4}) {
-			panic(fmt.Sprintf("AnySource receive matched %+v", st))
-		}
-	case 1:
-		c.Send(0, 4, 0)
+// lateMailThenPingPong has rank 3 send rank 0 the envelope the failed runs
+// left unreceived, but only after 50 µs: a leftover message would match at
+// once. Then ranks 0 and 1 ping-pong three times.
+func lateMailThenPingPong() []Program {
+	pp := func(first, second Step) Program {
+		return Program{Steps: []Step{first, second}, Reps: 3}
+	}
+	return []Program{
+		{Steps: []Step{recvFrom(9, 3), sendTo(0, 1), recvFrom(0, 1), sendTo(0, 1), recvFrom(0, 1), sendTo(0, 1), recvFrom(0, 1)}},
+		pp(recvFrom(0, 0), sendTo(0, 0)),
+		{},
+		{Steps: []Step{work(50e-6), sendTo(9, 0)}},
 	}
 }
 
-func anySourceThenPingPong(c *Comm) {
-	anySource(c)
-	pingPong(c, 3)
-}
-
-// A body that calls runtime.Goexit (t.FailNow from inside a rank) ends the
-// goroutine that called Run, as it always has. Its coroutine is gone and must
-// not go back to the pool: the ranks of every later Run still start.
-func TestGoexitInABodyDiscardsItsCoroutine(t *testing.T) {
+// World.Run runs its loop on the caller's goroutine and starts none, so a
+// caller locked to its OS thread runs like any other, before and after
+// unlocked ones, and one World may pass between such goroutines.
+func TestRunOnALockedThread(t *testing.T) {
+	want, err := NewWorld(testFabric(t, 1, 4, 4)).Run(lateMailThenPingPong())
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := NewWorld(testFabric(t, 1, 4, 4))
-	returned := false
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = w.Run(func(c *Comm) {
-			c.Compute(1e-6)
-			if c.Rank() == 1 {
-				runtime.Goexit()
+	for i, locked := range []bool{true, false, true, false} {
+		got := make(chan float64)
+		go func() {
+			if locked {
+				runtime.LockOSThread()
+				defer runtime.UnlockOSThread()
 			}
-			c.Recv(1, 0)
-		})
-		returned = true
-	}()
-	<-done
-	if returned {
-		t.Fatal("Run returned after a rank called runtime.Goexit")
-	}
-	for i := 0; i < 3; i++ {
-		elapsed, err := w.Run(anySourceThenPingPong)
-		if err != nil {
-			t.Fatalf("run %d after the Goexit: %v", i, err)
-		}
-		want, err := NewWorld(testFabric(t, 1, 4, 4)).Run(anySourceThenPingPong)
-		if err != nil || elapsed != want {
-			t.Fatalf("run %d after the Goexit took %g, a fresh world %g (%v)", i, elapsed, want, err)
+			elapsed, err := w.Run(lateMailThenPingPong())
+			if err != nil {
+				t.Error(err)
+			}
+			got <- elapsed
+		}()
+		if elapsed := <-got; elapsed != want {
+			t.Fatalf("run %d (locked %v) took %g, a fresh world %g", i, locked, elapsed, want)
 		}
 	}
 }
 
-// pingPong bounces rounds zero-byte messages between ranks 0 and 1; other
-// ranks idle.
-func pingPong(c *Comm, rounds int) {
-	switch c.Rank() {
-	case 0:
-		for i := 0; i < rounds; i++ {
-			c.Send(1, 0, 0)
-			c.Recv(1, 0)
-		}
-	case 1:
-		for i := 0; i < rounds; i++ {
-			c.Recv(0, 0)
-			c.Send(0, 0, 0)
-		}
-	}
+// pingPong bounces rounds zero-byte messages between ranks 0 and 1 of a
+// p-rank world; other ranks idle.
+func pingPong(p, rounds int) []Program {
+	progs := make([]Program, p)
+	progs[0] = Program{Steps: []Step{sendTo(0, 1), recvFrom(0, 1)}, Reps: rounds}
+	progs[1] = Program{Steps: []Step{recvFrom(0, 0), sendTo(0, 0)}, Reps: rounds}
+	return progs
 }
 
 // Steady-state allocation ceiling. The channel engine spent ~10 allocations
 // per blocking message (closure, boxed heap event, envelope, two requests,
-// two wait sets, variadic slices); events now carry their payload by value
-// and blocking calls recycle their requests, leaving only slice growth
-// (measured 0.02 per message).
+// two wait sets, variadic slices); events carry their payload by value and a
+// step's operations are counters on its rank, leaving only slice growth.
 func TestAllocsPerMessageCeiling(t *testing.T) {
 	const rounds = 1000
 	w := NewWorld(testFabric(t, 1, 2, 2))
+	progs := pingPong(2, rounds)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := w.Run(func(c *Comm) { pingPong(c, rounds) }); err != nil {
+		if _, err := w.Run(progs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -222,10 +160,10 @@ func TestAllocsPerMessageCeiling(t *testing.T) {
 }
 
 // The single-owner contract: a Fabric and the Worlds over it belong to one
-// goroutine at a time, and separate fabrics share nothing but the pool of
-// idle rank coroutines — so four jobs on four fabrics may run concurrently
-// (clean under -race), each mixing deadlocked Runs, which leave a rank
-// parked, with good ones, and each still replays exactly what it does alone.
+// goroutine at a time, and separate fabrics share nothing — so four jobs on
+// four fabrics may run concurrently (clean under -race), each mixing
+// deadlocked Runs with good ones, and each still replays exactly what it
+// does alone.
 func TestSeparateFabricsRunConcurrently(t *testing.T) {
 	job := func(seed uint64) []float64 {
 		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 6, fabric.GigEParams(seed))
@@ -234,15 +172,17 @@ func TestSeparateFabricsRunConcurrently(t *testing.T) {
 			return nil
 		}
 		w := NewWorld(f)
+		good := append(lateMailThenPingPong(), Program{}, Program{})
+		bad := slices.Clone(good)
+		bad[2] = Program{Steps: []Step{recvFrom(5, 4)}} // never sent
 		var out []float64
 		for i := 0; i < 30; i++ {
 			deadlock := i%3 == 1
-			elapsed, err := w.Run(func(c *Comm) {
-				if deadlock && c.Rank() == 2 {
-					c.Recv(4, 5) // never sent
-				}
-				anySourceThenPingPong(c)
-			})
+			progs := good
+			if deadlock {
+				progs = bad
+			}
+			elapsed, err := w.Run(progs)
 			if (err != nil) != deadlock {
 				t.Errorf("seed %d run %d: err = %v", seed, i, err)
 			}
@@ -274,9 +214,10 @@ func TestSeparateFabricsRunConcurrently(t *testing.T) {
 func BenchmarkWorldPingPong(b *testing.B) {
 	const rounds = 1000
 	w := NewWorld(testFabric(b, 1, 2, 2))
+	progs := pingPong(2, rounds)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Run(func(c *Comm) { pingPong(c, rounds) }); err != nil {
+		if _, err := w.Run(progs); err != nil {
 			b.Fatal(err)
 		}
 	}

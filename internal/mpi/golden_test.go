@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -112,20 +113,14 @@ func TestGoldenCongestionTrace(t *testing.T) {
 	}
 }
 
-// withPayload runs the plan's stages with bytes of payload per message,
-// spelled with caller-owned requests in the order Comm.Stage posts them: the
-// plan's own executor sends zero-byte signals only.
+// withPayload runs the plan's stages with bytes of payload per message: the
+// plan's own program sends zero-byte signals only.
 func withPayload(pl *run.Plan, bytes int) run.Func {
-	return func(c *mpi.Comm, tagBase int) {
-		for _, st := range pl.RankOps(c.Rank()) {
-			var reqs []*mpi.Request
-			for _, src := range st.Recvs {
-				reqs = append(reqs, c.Irecv(src, tagBase+st.Tag))
-			}
-			for _, dst := range st.Sends {
-				reqs = append(reqs, c.Issend(dst, tagBase+st.Tag, bytes))
-			}
-			c.Wait(reqs...)
+	return func(rank, p int) []mpi.Step {
+		steps := slices.Clone(pl.RankOps(rank))
+		for k := range steps {
+			steps[k].Bytes = bytes
 		}
+		return steps
 	}
 }

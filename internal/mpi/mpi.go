@@ -3,33 +3,30 @@
 // semantics, simulating a heterogeneous cluster described by a fabric cost
 // model.
 //
-// Each rank of a job runs as a coroutine (iter.Pull) of the goroutine that
-// drives the Run's event loop — one of its own, so the caller's OS-thread
-// lock never reaches the coroutines: the discrete-event scheduler resumes one
-// rank at a time with a direct coroutine switch and gets control back when
-// the rank blocks, so no rank switch goes through the Go scheduler. A rank
-// that hands the scheduler a whole program of stages (Comm.Steps) is not
-// resumed between them: the scheduler posts each next step itself, in the
-// event that completed the one before, and resumes the rank once when the
-// program has ended. The coroutines come from a process-wide pool and go
-// back to it when the Run ends, so a rank's stack, once grown, serves the
-// Runs after it; the event queue, the ranks' queues and the request free list
-// stay on the World and are reset between Runs. Virtual time advances only
-// through message costs drawn from the fabric and through explicit Compute
-// calls. Events run in (time, scheduling order) and the fabric's noise is
-// drawn in that order, so every run is reproducible.
+// A job is one program per rank (Program): a list of steps, each some local
+// work followed by receives and synchronized sends under one tag that
+// complete together — the paper's §VI executor, one MPI_Issend per signal,
+// written down as data. World.Run checks every program before the first
+// event, then runs the discrete-event loop on the caller's goroutine. A
+// rank's cursor is its place in its program, and the event that completes a
+// step (a delivery, a sender learning of its match, the end of local work)
+// posts the rank's next step itself, so a run resumes nothing and starts no
+// goroutine. The event queue and the ranks' match lists stay on the World and
+// are reset between Runs. Virtual time advances only through message costs
+// drawn from the fabric and through local work. Events run in (time,
+// scheduling order) and the fabric's noise is drawn in that order, so every
+// run is reproducible.
 //
 // The timing model mirrors the paper's topological model (§IV):
 //
-//   - A send batch is the set of sends a rank issues without blocking in
-//     between. Message k of a batch (0-based) arrives at
-//     T + base_k + Σ_{l≤k} L(src, dst_l), where base_k is O(src, dst_k) — or
-//     Oii when the receiver has already posted a matching receive, which
-//     reproduces the paper's Eq. 2 ready-receiver case — and L is the
-//     fabric's batch-marginal cost. The batch as a whole therefore costs
-//     max-overhead-plus-sum-of-latencies, the paper's Eq. 1.
-//   - Issend is synchronized (as used by the paper's general barrier
-//     executor): the sender's request completes only when the receiver has
+//   - A send batch is the sends of one step. Message k of a batch (0-based)
+//     arrives at T + base_k + Σ_{l≤k} L(src, dst_l), where base_k is
+//     O(src, dst_k) — or Oii when the receiver has already posted a matching
+//     receive, which reproduces the paper's Eq. 2 ready-receiver case — and L
+//     is the fabric's batch-marginal cost. The batch as a whole therefore
+//     costs max-overhead-plus-sum-of-latencies, the paper's Eq. 1.
+//   - Sends are synchronized (MPI_Issend, as the paper's general barrier
+//     executor issues them): a send completes only when the receiver has
 //     matched the message.
 //
 // An optional congestion mode serialises cross-node messages through the
@@ -38,24 +35,14 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
-	"iter"
-	"runtime"
-	"sync"
+	"math"
+	"strings"
 
 	"topobarrier/internal/des"
 	"topobarrier/internal/fabric"
 )
-
-// Wildcards for Irecv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
-// abortSignal is panicked into a parked rank to unwind its stack when a run
-// is torn down early; the rank's coroutine survives it and idles.
-type abortSignal struct{}
 
 // TraceEvent records one delivered message; see WithTracer.
 type TraceEvent struct {
@@ -64,9 +51,9 @@ type TraceEvent struct {
 	Arrived              float64 // virtual time the message arrived
 	// Posted is when the receive that matched the message was posted, and
 	// Matched when the two met: Arrived for a receiver that was waiting,
-	// Posted for a message that sat unexpected. A synchronized sender's
-	// request completes at Matched. Both are +Inf for a message the run ended
-	// without receiving.
+	// Posted for a message that sat unexpected. The sender's send completes
+	// at Matched. Both are +Inf for a message the run ended without
+	// receiving.
 	Posted, Matched float64
 }
 
@@ -85,10 +72,56 @@ func WithMaxEvents(n int) Option { return func(w *World) { w.maxEvents = n } }
 // message the run delivered, in delivery order.
 func WithTracer(fn func(TraceEvent)) Option { return func(w *World) { w.tracer = fn } }
 
+// Step is one step of a rank program. The rank first does the step's local
+// work, if any: Compute seconds (the paper's §VI delay injection, or an
+// application's computation), or, with Noop set, one no-op initiation, whose
+// cost is a draw of the fabric's Oii (§IV.A) taken when the rank reaches the
+// step. Then it posts a receive from every rank of Recvs and a synchronized
+// send of Bytes to every rank of Sends, in list order, all under the pass's
+// tag base plus Tag, and the step completes when all of them have. A
+// compiled barrier plan's per-rank entries are steps (run.Plan.RankOps): Tag
+// the stage index, Bytes 0, no local work.
+type Step struct {
+	Tag          int
+	Recvs, Sends []int // peers
+	Bytes        int   // each send's payload
+	Compute      float64
+	Noop         bool
+}
+
+// Program is one rank's part of a Run: Reps passes over Steps, back to back
+// (one pass when Reps is 0), pass i under the tag base Bases[i%len(Bases)]
+// (0 when Bases is empty). A barrier repeated on alternating tag windows is
+// thus one program however often it runs. Step k+1 starts in the event that
+// completed step k, and the first pass's first step at virtual time 0.
+// Steps is only read, so one slice may serve many ranks and Worlds at once.
+//
+// Run reports into the program: Done, when non-nil, receives the virtual
+// time each step of pass Mark completed and must be at least as long as
+// Steps; End, when the program completed, the time its last step did (0 for
+// a program without steps).
+type Program struct {
+	Steps []Step
+	Reps  int
+	Bases []int
+	Mark  int
+	Done  []float64
+	End   float64
+}
+
+// base is the tag base of pass i.
+func (pg *Program) base(i int) int {
+	if len(pg.Bases) == 0 {
+		return 0
+	}
+	return pg.Bases[i%len(pg.Bases)]
+}
+
 // World is a simulated P-rank job. A World may execute any number of
 // sequential Runs; fabric noise state carries across runs (so repetitions see
 // fresh noise), and every other piece of run state is reset to empty before
-// each Run, keeping only the capacity it grew.
+// each Run, keeping only the capacity it grew. Like its fabric, a World
+// belongs to one goroutine at a time.
 type World struct {
 	fab        *fabric.Fabric
 	n          int
@@ -96,13 +129,7 @@ type World struct {
 	maxEvents  int
 	tracer     func(TraceEvent)
 	r          *run // the state of the current or last Run; nil before the first
-
-	// Totals over every Run so far, for the tests that bound the engine's
-	// work: events executed and rank coroutine resumes.
-	events, resumes int
-
-	done chan struct{} // drive's signal that the Run's loop has ended
-	call runCall
+	events     int  // events executed over every Run so far
 }
 
 // NewWorld wraps a placed fabric as a runnable job.
@@ -120,78 +147,18 @@ func (w *World) Size() int { return w.n }
 // Fabric returns the underlying cost oracle.
 func (w *World) Fabric() *fabric.Fabric { return w.fab }
 
-// Run executes body once on every rank concurrently (in virtual time) and
-// returns the virtual time at which the last rank finished. It returns an
-// error if any rank panicked, if ranks deadlocked, or if the event bound was
-// exceeded. A body must not call Run on its own World.
-//
-// The event loop runs on a goroutine of its own, which Run waits for: a
-// pooled rank coroutine must be resumed under the OS-thread lock state it was
-// created under, and a fresh goroutine holds no lock whatever its caller
-// holds. A panic that escapes the loop (a tracer's) is raised again in the
-// caller, and a body's runtime.Goexit ends the caller, as it would if the
-// loop ran there.
-func (w *World) Run(body func(*Comm)) (elapsed float64, err error) {
-	if w.r != nil && w.r.body != nil {
-		panic("mpi: World.Run called from inside a Run of the same World")
+// Run executes progs[r] on rank r, every rank starting at virtual time 0, and
+// returns the virtual time of the run's last event. It refuses, before the
+// first event, programs that could only fail mid-run, naming the rank and
+// the step (a peer out of range, a rank addressing itself, a negative size
+// or duration, a short Done); it fails when the event bound is exceeded, and
+// when ranks deadlock, naming what each blocked rank still waits for.
+func (w *World) Run(progs []Program) (elapsed float64, err error) {
+	if err := w.check(progs); err != nil {
+		return 0, err
 	}
-	if w.done == nil {
-		w.done = make(chan struct{})
-	}
-	w.call = runCall{body: body}
-	go drive()
-	loops <- w
-	<-w.done
-	c := w.call
-	w.call = runCall{}
-	switch {
-	case c.panicked != nil:
-		panic(c.panicked)
-	case c.exited:
-		runtime.Goexit()
-	}
-	return c.elapsed, c.err
-}
-
-// runCall is one Run's hand-over between the caller and drive.
-type runCall struct {
-	body     func(*Comm)
-	elapsed  float64
-	err      error
-	panicked any  // a panic that escaped the loop
-	exited   bool // the loop's goroutine ended in runtime.Goexit
-}
-
-// loops hands each Run's World to a goroutine started for it (drive). Each
-// Run starts its goroutine before it sends, so a full buffer only delays a
-// sender until a started goroutine takes a World; 64 Runs starting at once
-// on separate Worlds hand over without waiting, and neither side allocates.
-var loops = make(chan *World, 64)
-
-// drive runs the event loop of one World taken from loops and reports back
-// on the World's done channel, however the loop ended.
-func drive() {
-	w := <-loops
-	defer func() { w.done <- struct{}{} }()
-	returned := false
-	defer func() {
-		if !returned {
-			if w.call.panicked = recover(); w.call.panicked == nil {
-				w.call.exited = true
-			}
-		}
-	}()
-	w.call.elapsed, w.call.err = w.loop(w.call.body)
-	returned = true
-}
-
-// loop is Run's event loop.
-func (w *World) loop(body func(*Comm)) (elapsed float64, err error) {
-	r := w.newRun(body)
-	// Unwind every rank still parked and hand the coroutines back, so
-	// nothing leaks and the World can run again.
+	r := w.newRun(progs)
 	defer r.finish()
-
 	events := 0
 	defer func() { w.events += events }()
 	for ev, ok := r.q.Next(); ok; ev, ok = r.q.Next() {
@@ -201,43 +168,71 @@ func (w *World) loop(body func(*Comm)) (elapsed float64, err error) {
 		case evDeliver:
 			r.deliver(ev.p, ev.m, ev.sentAt)
 		case evComplete:
-			r.completeAndWake(ev.m.sreq, r.q.Now(), -1, -1)
+			r.complete(ev.p)
 		}
 		events++
 		if w.maxEvents > 0 && events > w.maxEvents {
 			return r.q.Now(), fmt.Errorf("mpi: run exceeded %d events", w.maxEvents)
 		}
 	}
-
-	// Rank panics take precedence over the secondary deadlocks they cause.
-	var blocked []int
-	for i := range r.procs {
-		if p := &r.procs[i]; p.failure != nil {
-			return r.q.Now(), p.failure
-		} else if !p.done {
-			blocked = append(blocked, p.rank)
-		}
-	}
-	if len(blocked) > 0 {
-		return r.q.Now(), fmt.Errorf("mpi: deadlock, ranks %v blocked at t=%g", blocked, r.q.Now())
-	}
-	return r.q.Now(), nil
+	return r.q.Now(), r.deadlock()
 }
 
-// newRun readies the World's run state for body: built on the first Run,
-// emptied on later ones. Every rank is scheduled to start at time 0.
-func (w *World) newRun(body func(*Comm)) *run {
-	r := w.r
+// check refuses programs a Run could only fail on.
+func (w *World) check(progs []Program) error {
+	if len(progs) != w.n {
+		return fmt.Errorf("mpi: %d programs for %d ranks", len(progs), w.n)
+	}
+	for rank := range progs {
+		pg := &progs[rank]
+		if pg.Done != nil && len(pg.Done) < len(pg.Steps) {
+			return fmt.Errorf("mpi: rank %d: %d completion times for %d steps", rank, len(pg.Done), len(pg.Steps))
+		}
+		if pg.Reps < 0 {
+			return fmt.Errorf("mpi: rank %d: %d passes", rank, pg.Reps)
+		}
+		for k := range pg.Steps {
+			if err := w.checkStep(rank, &pg.Steps[k]); err != nil {
+				return fmt.Errorf("mpi: rank %d step %d: %w", rank, k, err)
+			}
+		}
+	}
+	return nil
+}
+
+func (w *World) checkStep(rank int, st *Step) error {
+	for _, peers := range [2][]int{st.Recvs, st.Sends} {
+		for _, q := range peers {
+			if q < 0 || q >= w.n {
+				return fmt.Errorf("peer %d out of range (size %d)", q, w.n)
+			}
+			if q == rank {
+				return errors.New("addresses itself")
+			}
+		}
+	}
 	switch {
-	case r == nil:
+	case st.Bytes < 0:
+		return fmt.Errorf("negative message size %d", st.Bytes)
+	case !(st.Compute >= 0) || math.IsInf(st.Compute, 1):
+		return fmt.Errorf("local work of %g s", st.Compute)
+	case st.Noop && st.Compute != 0:
+		return errors.New("both Compute and Noop")
+	}
+	return nil
+}
+
+// newRun readies the World's run state for progs: built on the first Run,
+// emptied on later ones. Every rank is scheduled to start at time 0.
+func (w *World) newRun(progs []Program) *run {
+	r := w.r
+	if r == nil {
 		r = &run{world: w, procs: make([]proc, w.n), nicFree: make([]float64, w.fab.Spec().Nodes)}
 		for i := range r.procs {
-			p := &r.procs[i]
-			p.rank = i
-			p.comm = Comm{r: r, p: p}
+			r.procs[i].rank = i
 		}
 		w.r = r
-	default:
+	} else {
 		r.q.Reset()
 		clear(r.nicFree)
 		r.trace = r.trace[:0]
@@ -245,36 +240,24 @@ func (w *World) newRun(body func(*Comm)) *run {
 			r.procs[i].reset()
 		}
 	}
-	r.body = body
 	for i := range r.procs {
-		r.q.Schedule(0, event{kind: evWake, p: &r.procs[i]})
+		p := &r.procs[i]
+		p.prog = &progs[i]
+		if len(p.prog.Steps) > 0 {
+			p.reps = max(p.prog.Reps, 1)
+		}
+		p.base = p.prog.base(0)
+		r.q.Schedule(0, event{kind: evWake, p: p})
 	}
 	return r
 }
 
-// finish ends a Run, however it ended: it unwinds every rank parked mid-body
-// with abortSignal, returns the ranks' coroutines to the pool and hands the
-// trace to the tracer.
+// finish ends a Run, however it ended: it lets go of the programs and hands
+// the trace to the tracer.
 func (r *run) finish() {
-	coros := r.coros[:0]
 	for i := range r.procs {
-		p := &r.procs[i]
-		co := p.co
-		switch {
-		case co == nil: // never started
-			continue
-		case co.exited: // its body called runtime.Goexit: the coroutine is gone
-			continue
-		case !p.done:
-			p.abort = true
-			r.world.resumes++
-			co.next()
-		}
-		coros = append(coros, co)
+		r.procs[i].prog = nil
 	}
-	releaseCoros(coros)
-	clear(coros)
-	r.coros, r.body = coros[:0], nil
 	for _, e := range r.trace {
 		r.world.tracer(e)
 	}
@@ -284,12 +267,9 @@ func (r *run) finish() {
 // for the next.
 type run struct {
 	world   *World
-	body    func(*Comm) // the body of the Run in progress; nil between Runs
 	q       des.Queue[event]
 	procs   []proc
 	nicFree []float64
-	free    []*Request  // completed requests no caller ever saw, for reuse
-	coros   []*rankCoro // finish's scratch: the coroutines going back to the pool
 	// trace, kept only when the world has a tracer, holds every delivery so
 	// far in delivery order; a delivery's match times are filled in when its
 	// receive turns up, so the tracer sees the events when the run ends.
@@ -300,173 +280,271 @@ type run struct {
 // by value.
 type event struct {
 	kind   evKind
-	p      *proc   // evWake: the rank to resume; evDeliver: the destination
-	m      inMsg   // evDeliver: the message; evComplete: m.sreq is the request
+	p      *proc   // evWake: the rank; evDeliver: the destination; evComplete: the sender
+	m      inMsg   // evDeliver: the message
 	sentAt float64 // evDeliver: when the send was issued
 }
 
 type evKind uint8
 
 const (
-	evWake     evKind = iota // start a rank, or end its Compute
+	evWake     evKind = iota // start a rank's program, or end its step's local work
 	evDeliver                // a message arrives
 	evComplete               // a synchronized sender learns of a late match
 )
 
+// proc is one rank of a Run: its cursor and its match lists.
 type proc struct {
-	rank    int
-	comm    Comm
-	co      *rankCoro // the coroutine running the rank's body; nil until it starts
-	done    bool
-	abort   bool // the run is being torn down: unwind at the next park
-	failure error
+	rank int
+	prog *Program // nil outside a Run
 
-	batchLat float64 // summed batch-marginal cost of the sends since the proc last blocked
+	// The cursor: step at of pass pass (of reps), under tag base base.
+	pass, at, reps, base int
 
-	pending int // incomplete requests of the Wait or program step the proc is parked in
+	working bool // the current step's local work is under way
+	pending int  // the current step's receives and sends not yet complete
+	done    bool // the program has ended
 
-	// The program (Comm.Steps) the rank is running, nil outside one: the
-	// scheduler posts step progAt once the step before it has completed,
-	// records completion times in progDone, and resumes the rank when the
-	// last step has completed.
-	prog     []Step
-	progBase int
-	progDone []float64
-	progAt   int
-	one      [1]Step // Comm.Stage's one-step program
+	batchLat float64 // summed batch-marginal cost of the current step's sends so far
 
-	stage []*Request // the requests of the step in flight
-
-	posted     []*Request // posted, unmatched receives (post order)
-	unexpected []inMsg    // arrived, unmatched messages (arrival order)
+	posted     []recv  // posted, unmatched receives (post order)
+	unexpected []inMsg // arrived, unmatched messages (arrival order)
 	// unexpectedEv[i] is unexpected[i]'s index in the run's trace; empty
 	// without a tracer.
 	unexpectedEv []int
 }
 
-type inMsg struct {
-	src, tag, bytes int
-	sreq            *Request // the sender's synchronized request
+// recv is a posted receive.
+type recv struct {
+	src, tag int
+	at       float64 // when it was posted
 }
+
+type inMsg struct{ src, tag, bytes int }
 
 // reset empties the proc for the next Run, keeping its slices' capacity.
 func (p *proc) reset() {
-	clear(p.stage)
-	clear(p.posted)
-	clear(p.unexpected)
-	*p = proc{
-		rank: p.rank, comm: p.comm,
-		stage: p.stage[:0], posted: p.posted[:0],
-		unexpected: p.unexpected[:0], unexpectedEv: p.unexpectedEv[:0],
-	}
+	*p = proc{rank: p.rank, posted: p.posted[:0], unexpected: p.unexpected[:0], unexpectedEv: p.unexpectedEv[:0]}
 }
 
-// wake starts or resumes a proc and returns when it parks again or finishes.
-// It must only be called from scheduler context (inside an event).
+// wake starts p's program, or ends its current step's local work.
 func (r *run) wake(p *proc) {
-	if p.co == nil {
-		p.co = takeCoro()
-		p.co.p, p.co.body = p, r.body
-	}
-	r.world.resumes++
-	if over, _ := p.co.next(); over {
-		p.done = true
-	}
-}
-
-// park hands control from the calling proc back to the scheduler until the
-// scheduler wakes it. Called from proc context only.
-func (p *proc) park() {
-	p.batchLat = 0
-	if !p.co.yield(false) || p.abort {
-		panic(abortSignal{}) // the run is over: unwind to the coroutine's root
-	}
-}
-
-// rankCoro is a coroutine that runs rank bodies, one per Run it is taken for.
-// Between bodies it idles in yield(true); a rank parks in yield(false).
-type rankCoro struct {
-	next   func() (over, ok bool) // resume; over reports that the body has ended
-	stop   func()
-	yield  func(over bool) bool
-	p      *proc       // the rank it runs; nil while idle
-	body   func(*Comm) // what it runs; nil while idle
-	exited bool        // the body called runtime.Goexit, which ended the coroutine
-}
-
-func newRankCoro() *rankCoro {
-	co := &rankCoro{}
-	co.next, co.stop = iter.Pull(func(yield func(bool) bool) {
-		co.yield = yield
-		for {
-			co.runBody()
-			if !yield(true) {
-				return // stopped while idle: discarded from the pool
-			}
-		}
-	})
-	return co
-}
-
-// runBody runs the rank's body to its end, recording a panic as the rank's
-// failure and absorbing abortSignal.
-func (co *rankCoro) runBody() {
-	p := co.p
-	returned := false
-	defer func() {
-		if returned {
+	if p.working {
+		p.working = false
+		if !r.post(p) {
 			return
 		}
-		switch rec := recover(); rec.(type) {
-		case nil:
-			co.exited = true // runtime.Goexit, which no recover stops
-		case abortSignal:
-		default:
-			p.failure = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, rec)
+		r.stepDone(p)
+	}
+	r.advance(p)
+}
+
+// advance runs p's program from the cursor on: it starts each step, its
+// local work first, and ends it at once when nothing it posted is left
+// outstanding, until a step must wait or the program has ended.
+func (r *run) advance(p *proc) {
+	for p.pass < p.reps {
+		st := &p.prog.Steps[p.at]
+		work := st.Compute
+		if st.Noop {
+			work = r.world.fab.SelfOverhead(p.rank)
 		}
-	}()
-	co.body(&p.comm)
-	returned = true
+		if work > 0 {
+			p.working = true
+			r.q.Schedule(r.q.Now()+work, event{kind: evWake, p: p})
+			return
+		}
+		if !r.post(p) {
+			return
+		}
+		r.stepDone(p)
+	}
+	p.done = true
+	p.prog.End = r.q.Now()
 }
 
-// maxIdleCoros bounds the pool of idle rank coroutines shared by every World
-// in the process: enough for every rank of a 1024-rank job. An idle
-// coroutine is a parked goroutine that keeps the stack its last body grew,
-// 4 or 8 KB for a barrier or probe body (5 KB on average after a 64-rank
-// probe), so a full pool holds at most about 8 MB.
-const maxIdleCoros = 1024
-
-var idleCoros struct {
-	sync.Mutex
-	list []*rankCoro
+// post posts the current step's receives, then its sends, and reports
+// whether the step has already completed (it can only when it sends
+// nothing and every receive found its message waiting).
+func (r *run) post(p *proc) bool {
+	st := &p.prog.Steps[p.at]
+	tag := p.base + st.Tag
+	for _, src := range st.Recvs {
+		r.recv(p, src, tag)
+	}
+	for _, dst := range st.Sends {
+		r.send(p, dst, tag, st.Bytes)
+	}
+	return p.pending == 0
 }
 
-// takeCoro returns an idle coroutine from the pool, or a new one.
-func takeCoro() *rankCoro {
-	idleCoros.Lock()
-	n := len(idleCoros.list)
-	if n == 0 {
-		idleCoros.Unlock()
-		return newRankCoro()
+// stepDone ends p's current step: it records the completion time, ends the
+// send batch and moves the cursor on.
+func (r *run) stepDone(p *proc) {
+	pg := p.prog
+	if pg.Done != nil && p.pass == pg.Mark {
+		pg.Done[p.at] = r.q.Now()
 	}
-	co := idleCoros.list[n-1]
-	idleCoros.list[n-1] = nil
-	idleCoros.list = idleCoros.list[:n-1]
-	idleCoros.Unlock()
-	return co
+	p.batchLat = 0
+	if p.at++; p.at == len(pg.Steps) {
+		p.at = 0
+		p.pass++
+		p.base = pg.base(p.pass)
+	}
 }
 
-// releaseCoros returns idle coroutines to the pool and stops those the pool
-// has no room for.
-func releaseCoros(coros []*rankCoro) {
-	for _, co := range coros {
-		co.p, co.body = nil, nil
+// complete completes one of p's outstanding receives or sends; the last one
+// ends the step and starts the next.
+func (r *run) complete(p *proc) {
+	if p.pending--; p.pending > 0 {
+		return
 	}
-	idleCoros.Lock()
-	room := min(len(coros), maxIdleCoros-len(idleCoros.list))
-	idleCoros.list = append(idleCoros.list, coros[:room]...)
-	idleCoros.Unlock()
-	for _, co := range coros[room:] {
-		co.stop()
+	r.stepDone(p)
+	r.advance(p)
+}
+
+// recv posts p's receive of (src, tag), matching the first such message
+// that already arrived unexpected.
+func (r *run) recv(p *proc, src, tag int) {
+	now := r.q.Now()
+	for i, m := range p.unexpected {
+		if m.src == src && m.tag == tag {
+			p.unexpected = append(p.unexpected[:i], p.unexpected[i+1:]...)
+			if r.world.tracer != nil {
+				e := &r.trace[p.unexpectedEv[i]]
+				e.Posted, e.Matched = now, now
+				p.unexpectedEv = append(p.unexpectedEv[:i], p.unexpectedEv[i+1:]...)
+			}
+			// The synchronized sender learns of the match now, in an event of
+			// its own.
+			r.q.Schedule(now, event{kind: evComplete, p: &r.procs[src]})
+			return
+		}
 	}
+	p.pending++
+	p.posted = append(p.posted, recv{src: src, tag: tag, at: now})
+}
+
+// send issues p's synchronized send of bytes to dst under tag.
+func (r *run) send(p *proc, dst, tag, bytes int) {
+	fab := r.world.fab
+	now := r.q.Now()
+
+	// Eq. 2: when the receiver is already waiting, the per-message overhead
+	// is the software initiation cost Oii rather than the full targeting
+	// overhead Oij.
+	var base float64
+	if r.hasPostedMatch(dst, p.rank, tag) {
+		base = fab.SelfOverhead(p.rank)
+	} else {
+		base = fab.SendOverhead(p.rank, dst, bytes)
+	}
+	p.batchLat += fab.BatchMarginal(p.rank, dst)
+	arrival := now + base + p.batchLat
+
+	// Optional congestion: cross-node messages serialise through the source
+	// node's NIC.
+	if r.world.congestion {
+		if occ := fab.NICOccupancy(p.rank, dst, bytes); occ > 0 {
+			node := fab.NodeOf(p.rank)
+			depart := max(now, r.nicFree[node])
+			r.nicFree[node] = depart + occ
+			arrival = max(arrival, depart+occ+base)
+		}
+	}
+
+	p.pending++
+	r.q.Schedule(arrival, event{kind: evDeliver, p: &r.procs[dst], m: inMsg{src: p.rank, tag: tag, bytes: bytes}, sentAt: now})
+}
+
+// hasPostedMatch reports whether dst currently has a receive of (src, tag)
+// posted.
+func (r *run) hasPostedMatch(dst, src, tag int) bool {
+	for _, q := range r.procs[dst].posted {
+		if q.src == src && q.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// deliver runs at a message's arrival time: match it against posted
+// receives or queue it as unexpected.
+func (r *run) deliver(dp *proc, m inMsg, sentAt float64) {
+	now := r.q.Now()
+	traced := r.world.tracer != nil
+	if traced {
+		never := math.Inf(1)
+		r.trace = append(r.trace, TraceEvent{Src: m.src, Dst: dp.rank, Tag: m.tag, Bytes: m.bytes,
+			Sent: sentAt, Arrived: now, Posted: never, Matched: never})
+	}
+	for i, q := range dp.posted {
+		if q.src == m.src && q.tag == m.tag {
+			dp.posted = append(dp.posted[:i], dp.posted[i+1:]...)
+			if traced {
+				e := &r.trace[len(r.trace)-1]
+				e.Posted, e.Matched = q.at, now
+			}
+			r.complete(dp)
+			r.complete(&r.procs[m.src])
+			return
+		}
+	}
+	dp.unexpected = append(dp.unexpected, m)
+	if traced {
+		dp.unexpectedEv = append(dp.unexpectedEv, len(r.trace)-1)
+	}
+}
+
+// maxNamed caps how many blocked ranks a deadlock error describes.
+const maxNamed = 4
+
+// deadlock returns the error of a run whose queue ran dry with ranks still
+// inside their programs, or nil when every program ended. Nothing is in
+// flight then, so what a blocked rank waits for is exact: its posted
+// receives, and its sends that sit unexpected at their receivers.
+func (r *run) deadlock() error {
+	var blocked []int
+	for i := range r.procs {
+		if !r.procs[i].done {
+			blocked = append(blocked, i)
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "mpi: deadlock, ranks %v blocked at t=%g", blocked, r.q.Now())
+	for i, rank := range blocked {
+		if i == maxNamed {
+			b.WriteString("; …")
+			break
+		}
+		p := &r.procs[rank]
+		fmt.Fprintf(&b, "; rank %d step %d (tag %d)", rank, p.at, p.base+p.prog.Steps[p.at].Tag)
+		if p.reps > 1 {
+			fmt.Fprintf(&b, " of pass %d", p.pass)
+		}
+		var from, to []int
+		for _, q := range p.posted {
+			from = append(from, q.src)
+		}
+		for j := range r.procs {
+			for _, m := range r.procs[j].unexpected {
+				if m.src == rank {
+					to = append(to, j)
+				}
+			}
+		}
+		if len(from) > 0 {
+			fmt.Fprintf(&b, " waits for sends from %v", from)
+		}
+		if len(from) > 0 && len(to) > 0 {
+			b.WriteString(" and")
+		}
+		if len(to) > 0 {
+			fmt.Fprintf(&b, " has sends to %v unreceived", to)
+		}
+	}
+	return errors.New(b.String())
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"topobarrier/internal/fabric"
@@ -40,20 +39,27 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 	}
 }
 
+// sendTo, recvFrom and work spell one-operation steps: a synchronized send to each
+// of dsts, a receive from each of srcs, local work.
+func sendTo(tag int, dsts ...int) Step   { return Step{Tag: tag, Sends: dsts} }
+func recvFrom(tag int, srcs ...int) Step { return Step{Tag: tag, Recvs: srcs} }
+func work(seconds float64) Step          { return Step{Compute: seconds} }
+
+// programs makes one single-pass program per rank of the given steps.
+func programs(steps ...[]Step) []Program {
+	progs := make([]Program, len(steps))
+	for r, s := range steps {
+		progs[r].Steps = s
+	}
+	return progs
+}
+
 func TestPingPongTiming(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 7, 0)
-			st := c.Recv(1, 7)
-			if st.Src != 1 || st.Tag != 7 {
-				panic("bad status")
-			}
-		} else {
-			c.Recv(0, 7)
-			c.Send(0, 7, 0)
-		}
-	})
+	elapsed, err := w.Run(programs(
+		[]Step{sendTo(7, 1), recvFrom(7, 1)},
+		[]Step{recvFrom(7, 0), sendTo(7, 0)},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +71,10 @@ func TestPingPongTiming(t *testing.T) {
 
 func TestEq2ReadyReceiverUsesSelfOverhead(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			c.Recv(0, 0)
-			return
-		}
-		c.Compute(5 * usec) // let rank 1 post its receive first
-		c.Send(1, 0, 0)
-	})
+	elapsed, err := w.Run(programs(
+		[]Step{work(5 * usec), sendTo(0, 1)}, // let rank 1 post its receive first
+		[]Step{recvFrom(0, 0)},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +87,8 @@ func TestBatchFollowsEq1(t *testing.T) {
 	// With ready receivers, message k completes at Oii + (k+1)·L, so the
 	// batch costs Oii + 4·L = 9µs (the paper's Eq. 2 form of Eq. 1).
 	w := NewWorld(testFabric(t, 1, 5, 5))
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() != 0 {
-			c.Recv(0, 0)
-			return
-		}
-		c.Compute(1 * usec)
-		var reqs []*Request
-		for dst := 1; dst < c.Size(); dst++ {
-			reqs = append(reqs, c.Issend(dst, 0, 0))
-		}
-		c.Wait(reqs...)
-	})
+	r := []Step{recvFrom(0, 0)}
+	elapsed, err := w.Run(programs([]Step{work(1 * usec), sendTo(0, 1, 2, 3, 4)}, r, r, r, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +96,13 @@ func TestBatchFollowsEq1(t *testing.T) {
 }
 
 func TestBatchResetsAfterWait(t *testing.T) {
-	// Two single-message sends separated by Wait must each pay the full
+	// Two single-message sends in consecutive steps must each pay the full
 	// first-message cost, not accumulate batch latency.
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			c.Recv(0, 0)
-			c.Recv(0, 1)
-			return
-		}
-		c.Compute(1 * usec)
-		c.Send(1, 0, 0) // Oii+L = 3µs (receiver posted)
-		c.Send(1, 1, 0) // again 3µs
-	})
+	elapsed, err := w.Run(programs(
+		[]Step{work(1 * usec), sendTo(0, 1), sendTo(1, 1)}, // Oii+L = 3µs each (receiver posted)
+		[]Step{recvFrom(0, 0), recvFrom(1, 0)},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +111,7 @@ func TestBatchResetsAfterWait(t *testing.T) {
 
 func TestMessageSizeAddsTransferTime(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, 1000)
-		} else {
-			c.Recv(0, 0)
-		}
-	})
+	elapsed, err := w.Run(programs([]Step{{Sends: []int{1}, Bytes: 1000}}, []Step{recvFrom(0, 0)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,239 +120,141 @@ func TestMessageSizeAddsTransferTime(t *testing.T) {
 }
 
 func TestSynchronizedSendBlocksUntilMatched(t *testing.T) {
-	var sendDone, recvPosted float64
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, 0)
-			sendDone = c.Wtime()
-		} else {
-			c.Compute(100 * usec)
-			recvPosted = c.Wtime()
-			c.Recv(0, 0)
-		}
-	})
-	if err != nil {
+	progs := programs([]Step{sendTo(0, 1)}, []Step{work(100 * usec), recvFrom(0, 0)})
+	progs[1].Done = make([]float64, 2)
+	if _, err := w.Run(progs); err != nil {
 		t.Fatal(err)
 	}
-	if sendDone < recvPosted {
+	if sendDone, recvPosted := progs[0].End, progs[1].Done[0]; sendDone < recvPosted {
 		t.Fatalf("Issend completed at %g before receive was posted at %g", sendDone, recvPosted)
 	}
 }
 
-func TestWildcardReceive(t *testing.T) {
-	w := NewWorld(testFabric(t, 1, 3, 3))
-	_, err := w.Run(func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			st := c.Recv(AnySource, AnyTag)
-			if st.Src != 1 && st.Src != 2 {
-				panic("bad wildcard source")
-			}
-			st2 := c.Recv(AnySource, AnyTag)
-			if st2.Src == st.Src {
-				panic("same source matched twice")
-			}
-		default:
-			c.Send(0, c.Rank()*10, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
+// A receive matches only its own tag: rank 1 waiting for tag 6 from rank 0
+// does not take rank 0's tag-5 message, and the two deadlock; the receive
+// for tag 5 takes it.
 func TestTagSelectiveMatching(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			// Send tag 5 then tag 6.
-			a := c.Issend(1, 5, 0)
-			b := c.Issend(1, 6, 0)
-			c.Wait(a, b)
-		} else {
-			// Receive them in reverse tag order.
-			st := c.Recv(0, 6)
-			if st.Tag != 6 {
-				panic("tag 6 recv matched wrong message")
-			}
-			st = c.Recv(0, 5)
-			if st.Tag != 5 {
-				panic("tag 5 recv matched wrong message")
-			}
-		}
-	})
-	if err != nil {
+	_, err := w.Run(programs([]Step{sendTo(5, 1)}, []Step{recvFrom(6, 0)}))
+	want := "rank 0 step 0 (tag 5) has sends to [1] unreceived; rank 1 step 0 (tag 6) waits for sends from [0]"
+	if err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("err = %v, want one ending %q", err, want)
+	}
+	if _, err := w.Run(programs([]Step{sendTo(5, 1), sendTo(6, 1)}, []Step{recvFrom(5, 0), recvFrom(6, 0)})); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// Two messages with the same envelope are matched in arrival order, whether
+// the receive waits for them or they wait, unexpected, for the receive.
 func TestNonOvertakingSameEnvelope(t *testing.T) {
-	// Two same-tag messages must match posted receives in arrival order;
-	// we verify by size bookkeeping through completion times.
-	w := NewWorld(testFabric(t, 1, 2, 2))
-	var first, second float64
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			a := c.Issend(1, 0, 0)
-			b := c.Issend(1, 0, 0)
-			c.Wait(a, b)
-		} else {
-			q1 := c.Irecv(0, 0)
-			q2 := c.Irecv(0, 0)
-			c.Wait(q1, q2)
-			first, second = q1.completedAt, q2.completedAt
+	for _, late := range []float64{0, 100 * usec} {
+		var events []TraceEvent
+		w := NewWorld(testFabric(t, 1, 2, 2), WithTracer(func(e TraceEvent) { events = append(events, e) }))
+		_, err := w.Run(programs([]Step{sendTo(0, 1, 1)}, []Step{work(late), recvFrom(0, 0)}))
+		if err == nil || len(events) != 2 {
+			t.Fatalf("late %g: err %v after %d deliveries, want a deadlock after 2", late, err, len(events))
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first > second {
-		t.Fatalf("receives completed out of order: %g then %g", first, second)
+		if first, second := events[0], events[1]; math.IsInf(first.Matched, 1) || !math.IsInf(second.Matched, 1) {
+			t.Fatalf("late %g: the one receive matched %+v, not the first arrival %+v", late, second, first)
+		}
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Recv(1, 0) // never sent
-		}
-	})
+	_, err := w.Run(programs([]Step{recvFrom(0, 1)}, nil)) // never sent
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
 	if !strings.Contains(err.Error(), "[0]") {
 		t.Fatalf("deadlock error %q does not identify rank 0", err)
 	}
-}
-
-func TestRankPanicIsReported(t *testing.T) {
-	w := NewWorld(testFabric(t, 1, 3, 3))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 2 {
-			panic("boom")
-		}
-		if c.Rank() == 0 {
-			c.Recv(2, 0) // would deadlock, but the panic must win
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "rank 2") || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want rank 2 panic", err)
+	if want := "rank 0 step 0 (tag 0) waits for sends from [1]"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("deadlock error %q does not say %q", err, want)
 	}
 }
 
+// A deadlock names at most four blocked ranks, each with what it waits for,
+// and the pass of a repeated program.
+func TestDeadlockNamesAFewRanks(t *testing.T) {
+	const p = 6
+	w := NewWorld(testFabric(t, 1, p, p))
+	progs := make([]Program, p)
+	for r := 1; r < p; r++ {
+		progs[r] = Program{Steps: []Step{sendTo(3, 0)}, Reps: 2, Bases: []int{0, 10}}
+	}
+	progs[0] = Program{Steps: []Step{recvFrom(3, 1, 2, 3, 4, 5)}, Reps: 2, Bases: []int{0, 20}}
+	_, err := w.Run(progs)
+	want := "mpi: deadlock, ranks [0 1 2 3 4 5] blocked at t=1.5e-05; " +
+		"rank 0 step 0 (tag 23) of pass 1 waits for sends from [1 2 3 4 5]; " +
+		"rank 1 step 0 (tag 13) of pass 1 has sends to [0] unreceived; " +
+		"rank 2 step 0 (tag 13) of pass 1 has sends to [0] unreceived; " +
+		"rank 3 step 0 (tag 13) of pass 1 has sends to [0] unreceived; …"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant %s", err, want)
+	}
+}
+
+// Misuse is refused before the run's first event, naming the rank and the
+// step.
 func TestMisusePanics(t *testing.T) {
 	cases := []struct {
 		name string
-		body func(c *Comm)
+		bad  Step
+		want string
 	}{
-		{"self-send", func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Send(0, 0, 0)
-			}
-		}},
-		{"bad-peer", func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Send(99, 0, 0)
-			}
-		}},
-		{"negative-size", func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Send(1, 0, -1)
-			}
-		}},
-		{"negative-compute", func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Compute(-1)
-			}
-		}},
-		{"foreign-wait", func(c *Comm) {
-			if c.Rank() == 0 {
-				q := c.Irecv(1, 0)
-				_ = q
-				c.Send(1, 0, 0)
-			} else {
-				q := c.Irecv(0, 0)
-				q.owner = 0 // simulate waiting on someone else's request
-				c.Wait(q)
-			}
-		}},
+		{"self-send", sendTo(0, 0), "mpi: rank 0 step 0: addresses itself"},
+		{"bad-peer", sendTo(0, 99), "mpi: rank 0 step 0: peer 99 out of range (size 2)"},
+		{"negative-size", Step{Sends: []int{1}, Bytes: -1}, "mpi: rank 0 step 0: negative message size -1"},
+		{"negative-compute", work(-1), "mpi: rank 0 step 0: local work of -1 s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := NewWorld(testFabric(t, 1, 2, 2))
-			_, err := w.Run(tc.body)
-			if err == nil || !strings.Contains(err.Error(), "panicked") {
-				t.Fatalf("err = %v, want panic report", err)
+			_, err := w.Run(programs([]Step{tc.bad}, nil))
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
 	}
-	// A World keeps one run state, so a body may not start a Run of its own
-	// World; the World still runs afterwards.
-	t.Run("nested-run", func(t *testing.T) {
-		w := NewWorld(testFabric(t, 1, 2, 2))
-		_, err := w.Run(func(c *Comm) {
-			if c.Rank() == 0 {
-				_, _ = w.Run(func(*Comm) {})
-			}
-		})
-		if err == nil || !strings.Contains(err.Error(), "World.Run called from inside a Run of the same World") {
-			t.Fatalf("err = %v, want the nested-Run panic", err)
-		}
-		if _, err := w.Run(func(c *Comm) { pingPong(c, 2) }); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 func TestComputeAdvancesOnlyLocalTime(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	var t0, t1 float64
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			t0 = c.Wtime()
-			c.Compute(1.5)
-			t1 = c.Wtime()
-		}
-	})
+	progs := programs([]Step{work(1.5)}, nil)
+	progs[0].Done = make([]float64, 1)
+	elapsed, err := w.Run(progs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t0 != 0 || t1 != 1.5 || elapsed != 1.5 {
-		t.Fatalf("compute times: t0=%g t1=%g elapsed=%g", t0, t1, elapsed)
+	if t1 := progs[0].Done[0]; t1 != 1.5 || progs[1].End != 0 || elapsed != 1.5 {
+		t.Fatalf("compute times: t1=%g other rank's end=%g elapsed=%g", t1, progs[1].End, elapsed)
 	}
-	// Compute(0) is a no-op.
-	if _, err := w.Run(func(c *Comm) { c.Compute(0) }); err != nil {
-		t.Fatal(err)
+	// Zero local work takes no time and no event.
+	before := w.Events()
+	if elapsed, err := w.Run(programs([]Step{work(0)}, []Step{work(0)})); err != nil || elapsed != 0 || w.Events()-before != 2 {
+		t.Fatalf("zero work: elapsed %g, %d events, err %v", elapsed, w.Events()-before, err)
 	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() float64 {
-		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 24, fabric.GigEParams(1234))
+		const p = 24
+		f, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, p, fabric.GigEParams(1234))
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWorld(f)
-		elapsed, err := w.Run(func(c *Comm) {
-			// All-to-root then root-to-all, twice.
-			for iter := 0; iter < 2; iter++ {
-				if c.Rank() == 0 {
-					for src := 1; src < c.Size(); src++ {
-						c.Recv(AnySource, iter)
-					}
-					var reqs []*Request
-					for dst := 1; dst < c.Size(); dst++ {
-						reqs = append(reqs, c.Issend(dst, 100+iter, 0))
-					}
-					c.Wait(reqs...)
-				} else {
-					c.Send(0, iter, 0)
-					c.Recv(0, 100+iter)
-				}
-			}
-		})
+		// All-to-root then root-to-all, twice.
+		progs := make([]Program, p)
+		var others []int
+		for r := 1; r < p; r++ {
+			others = append(others, r)
+			progs[r] = Program{Steps: []Step{sendTo(0, 0), recvFrom(100, 0)}, Reps: 2, Bases: []int{0, 1}}
+		}
+		progs[0] = Program{Steps: []Step{recvFrom(0, others...), sendTo(100, others...)}, Reps: 2, Bases: []int{0, 1}}
+		elapsed, err := NewWorld(f).Run(progs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,21 +270,17 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestCongestionSerialisesNIC(t *testing.T) {
-	body := func(c *Comm) {
-		// Ranks 0 and 1 (node 0) each message ranks 2 and 3 (node 1).
-		if c.Rank() < 2 {
-			c.Send(c.Rank()+2, 0, 0)
-		} else {
-			c.Recv(c.Rank()-2, 0)
-		}
+	// Ranks 0 and 1 (node 0) each message ranks 2 and 3 (node 1).
+	progs := func() []Program {
+		return programs([]Step{sendTo(0, 2)}, []Step{sendTo(0, 3)}, []Step{recvFrom(0, 0)}, []Step{recvFrom(0, 1)})
 	}
 	free := NewWorld(testFabric(t, 2, 2, 4))
-	tFree, err := free.Run(body)
+	tFree, err := free.Run(progs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	congested := NewWorld(testFabric(t, 2, 2, 4), WithCongestion())
-	tCong, err := congested.Run(body)
+	tCong, err := congested.Run(progs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,14 +291,9 @@ func TestCongestionSerialisesNIC(t *testing.T) {
 
 func TestMaxEventsBound(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2), WithMaxEvents(3))
-	_, err := w.Run(func(c *Comm) {
-		for i := 0; i < 100; i++ {
-			if c.Rank() == 0 {
-				c.Send(1, i, 0)
-			} else {
-				c.Recv(0, i)
-			}
-		}
+	_, err := w.Run([]Program{
+		{Steps: []Step{sendTo(0, 1)}, Reps: 100},
+		{Steps: []Step{recvFrom(0, 0)}, Reps: 100},
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v, want event-bound error", err)
@@ -430,14 +303,7 @@ func TestMaxEventsBound(t *testing.T) {
 func TestTracerSeesDeliveries(t *testing.T) {
 	var events []TraceEvent
 	w := NewWorld(testFabric(t, 1, 2, 2), WithTracer(func(e TraceEvent) { events = append(events, e) }))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 9, 64)
-		} else {
-			c.Recv(0, 9)
-		}
-	})
-	if err != nil {
+	if _, err := w.Run(programs([]Step{{Tag: 9, Sends: []int{1}, Bytes: 64}}, []Step{recvFrom(9, 0)})); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 1 {
@@ -454,24 +320,18 @@ func TestTracerSeesDeliveries(t *testing.T) {
 
 // TestTracerRecordsTheMatch pins the two match times of a trace event: a
 // waiting receiver matches at arrival, a message that sat unexpected matches
-// when its receive is posted, and one nobody receives never does.
+// when its receive is posted, and one nobody receives never does (its
+// sender is left blocked, and the run ends in a deadlock).
 func TestTracerRecordsTheMatch(t *testing.T) {
 	const late = 1e-3
 	var events []TraceEvent
 	w := NewWorld(testFabric(t, 1, 2, 2), WithTracer(func(e TraceEvent) { events = append(events, e) }))
-	_, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, 0)
-			c.Send(1, 2, 0)
-			c.Issend(1, 3, 0) // never matched: left pending when the run ends
-		} else {
-			c.Recv(0, 1)
-			c.Compute(late)
-			c.Recv(0, 2)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	_, err := w.Run(programs(
+		[]Step{sendTo(1, 1), sendTo(2, 1), sendTo(3, 1)},
+		[]Step{recvFrom(1, 0), work(late), recvFrom(2, 0)},
+	))
+	if err == nil || !strings.Contains(err.Error(), "rank 0 step 2 (tag 3) has sends to [1] unreceived") {
+		t.Fatalf("err = %v, want rank 0's third send unreceived", err)
 	}
 	if len(events) != 3 {
 		t.Fatalf("traced %d events, want 3", len(events))
@@ -489,39 +349,30 @@ func TestTracerRecordsTheMatch(t *testing.T) {
 
 func TestNoopInitiateAdvancesTime(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 2, 2))
-	elapsed, err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 5; i++ {
-				c.NoopInitiate()
-			}
-		}
-	})
+	elapsed, err := w.Run([]Program{{Steps: []Step{{Noop: true}}, Reps: 5}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx(t, elapsed, 5*usec, 1e-12, "noop initiations")
 }
 
+// A World runs any number of Runs, each as a fresh one would.
 func TestManySequentialRunsDoNotLeak(t *testing.T) {
 	w := NewWorld(testFabric(t, 1, 4, 4))
-	var count int64
+	gather := programs([]Step{recvFrom(0, 1, 2, 3)}, []Step{sendTo(0, 0)}, []Step{sendTo(0, 0)}, []Step{sendTo(0, 0)})
+	want, err := NewWorld(testFabric(t, 1, 4, 4)).Run(gather)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
-		_, err := w.Run(func(c *Comm) {
-			atomic.AddInt64(&count, 1)
-			if c.Rank() > 0 {
-				c.Send(0, 0, 0)
-			} else {
-				for j := 1; j < c.Size(); j++ {
-					c.Recv(AnySource, 0)
-				}
-			}
-		})
+		before := w.Events()
+		elapsed, err := w.Run(gather)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if count != 200 {
-		t.Fatalf("bodies ran %d times, want 200", count)
+		if elapsed != want || w.Events()-before != 4+3 {
+			t.Fatalf("run %d: elapsed %g in %d events, a fresh world %g in 7", i, elapsed, w.Events()-before, want)
+		}
 	}
 }
 
@@ -531,53 +382,39 @@ func TestWorldAccessors(t *testing.T) {
 	if w.Size() != 3 || w.Fabric() != f {
 		t.Fatalf("accessors wrong")
 	}
-	_, err := w.Run(func(c *Comm) {
-		if c.Size() != 3 {
-			panic("Comm.Size wrong")
-		}
-	})
-	if err != nil {
+	if _, err := w.Run(make([]Program, 3)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func BenchmarkPingPong(b *testing.B) {
 	w := NewWorld(testFabric(b, 1, 2, 2))
+	progs := programs([]Step{sendTo(0, 1), recvFrom(0, 1)}, []Step{recvFrom(0, 0), sendTo(0, 0)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := w.Run(func(c *Comm) {
-			if c.Rank() == 0 {
-				c.Send(1, 0, 0)
-				c.Recv(1, 0)
-			} else {
-				c.Recv(0, 0)
-				c.Send(0, 0, 0)
-			}
-		})
-		if err != nil {
+		if _, err := w.Run(progs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFanIn32(b *testing.B) {
-	f, err := fabric.New(topo.QuadCluster(), topo.Block{}, 32, fabric.GigEParams(1))
+	const p = 32
+	f, err := fabric.New(topo.QuadCluster(), topo.Block{}, p, fabric.GigEParams(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	w := NewWorld(f)
+	progs := make([]Program, p)
+	var leaves []int
+	for r := 1; r < p; r++ {
+		leaves = append(leaves, r)
+		progs[r].Steps = []Step{sendTo(0, 0)}
+	}
+	progs[0].Steps = []Step{recvFrom(0, leaves...)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := w.Run(func(c *Comm) {
-			if c.Rank() == 0 {
-				for j := 1; j < c.Size(); j++ {
-					c.Recv(AnySource, 0)
-				}
-			} else {
-				c.Send(0, 0, 0)
-			}
-		})
-		if err != nil {
+		if _, err := w.Run(progs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -592,8 +592,8 @@ func (w *worklist) drain() {
 
 // post sends step it.step's signals: shared-memory puts inline, TCP frames
 // to their link writers, except that the rank's own goroutine writes its
-// last TCP frame itself, as Comm.Stage posts its Issends together. A failed
-// send stops the posting.
+// last TCP frame itself, as the simulator posts a step's sends together. A
+// failed send stops the posting.
 func (c *cursor) post(it item, w *worklist) {
 	p := c.p
 	b := c.b // set by begin, before this item was queued

@@ -13,11 +13,11 @@
 //     transmission.
 //
 // Ranks pace each other with untimed handshakes, so concurrent progress on
-// disjoint pairs never contaminates a timed region. Each side of a pair runs
-// its whole protocol as one program (Comm.Steps), and every sample is a
-// difference of its steps' completion times: the virtual times Comm.Wtime
-// reads between the same calls, as a wall-clock benchmark observes
-// MPI_Wtime.
+// disjoint pairs never contaminates a timed region. Each rank runs one step
+// program per phase (mpi.Program), its side of every pair it is in, and
+// every sample is a difference of its steps' completion times: the virtual
+// times a rank reads between the same operations, as a wall-clock benchmark
+// observes MPI_Wtime.
 //
 // The optional Replicate mode implements the reduction the paper describes
 // in §IV.B: it measures one representative pair per interconnect link class
@@ -167,123 +167,160 @@ func newSimulator(w *mpi.World, cfg Config) (*simulator, error) {
 	if err := cfg.validate(w.Size()); err != nil {
 		return nil, err
 	}
-	sim := &simulator{w: w, cfg: cfg, progs: make([]program, w.Size())}
+	p := w.Size()
+	sim := &simulator{w: w, cfg: cfg, progs: make([]mpi.Program, p), sides: make([][]side, p), peers: make([][]int, p)}
 	for _, n := range cfg.Sizes {
 		sim.sizeXs = append(sim.sizeXs, float64(n))
 	}
 	for _, m := range cfg.Batches {
 		sim.batchXs = append(sim.batchXs, float64(m))
 	}
+	batch := max(slices.Max(cfg.Batches), 1)
+	for q := range sim.peers {
+		sim.peers[q] = slices.Repeat([]int{q}, batch)
+	}
 	return sim, nil
 }
 
-// simulator is the survey's measuring side on the simulated runtime.
+// simulator is the survey's measuring side on the simulated runtime. A phase
+// is one World.Run in which every rank runs one program: its side of each of
+// its pairs' protocols, in round order, each under the pair's own tags.
 type simulator struct {
 	w               *mpi.World
 	cfg             Config
 	sizeXs, batchXs []float64
-	selfDone        bool      // Oii is measured once, at the end of the first phase
-	progs           []program // per rank, reused across its pairs and phases
+	selfDone        bool          // Oii is measured once, in the first phase
+	progs           []mpi.Program // per rank, the phase's program
+	steps           []mpi.Step    // the arena every rank's program is carved from
+	done            []float64     // the arena of their completion times
+	sides           [][]side      // per rank, the pairs of the phase's program
+	peers           [][]int       // peers[q]: q as often as the largest batch, every step's peer list
 }
 
-// program is one rank's side of one pair's protocol, built for Comm.Steps in
-// buffers the rank reuses from pair to pair.
-type program struct {
-	peers []int // as long as the largest batch, every entry the peer
-	steps []mpi.Step
-	done  []float64 // the steps' completion times
+// side is one rank's part in one pair of a phase: the pair, whether the rank
+// initiates it, and where its steps start in the rank's program.
+type side struct {
+	pr        Pair
+	initiator bool
+	at        int
 }
 
-// prog returns rank me's program buffers, emptied for a protocol with peer.
-func (m *simulator) prog(me, peer int) *program {
-	pg := &m.progs[me]
-	if pg.peers == nil {
-		cfg := m.cfg
-		pg.peers = make([]int, max(slices.Max(cfg.Batches), 1))
-		// The longest program: measure's handshake and two steps a repetition.
-		pg.steps = make([]mpi.Step, 0, 2+2*(len(cfg.Batches)+len(cfg.Sizes))*(cfg.Warmup+cfg.Reps))
+// begin empties every rank's program for a phase over pairs, with room for
+// perPair steps a pair the rank is in and extra more. The programs and their
+// completion times are carved from two arenas the phases share, so a probe
+// allocates about as much as its largest phase needs.
+func (m *simulator) begin(pairs []Pair, perPair, extra int) {
+	size := make([]int, len(m.progs))
+	total := 0
+	for _, pr := range pairs {
+		size[pr.I] += perPair
+		size[pr.J] += perPair
 	}
-	for k := range pg.peers {
-		pg.peers[k] = peer
+	for me := range size {
+		size[me] += extra
+		total += size[me]
 	}
-	pg.steps = pg.steps[:0]
-	return pg
+	m.steps = slices.Grow(m.steps[:0], total)[:total]
+	m.done = slices.Grow(m.done[:0], total)[:total]
+	for me, off := 0, 0; me < len(size); me, off = me+1, off+size[me] {
+		m.sides[me] = m.sides[me][:0]
+		pg := &m.progs[me]
+		pg.Steps = m.steps[off : off : off+size[me]]
+		pg.Done = m.done[off : off+size[me]]
+	}
+}
+
+// enter records that rank me's program goes on with its side of pr and
+// returns the peer and whether me initiates.
+func (m *simulator) enter(me int, pr Pair) (peer int, initiator bool) {
+	peer, initiator = pr.I, pr.J != me
+	if initiator {
+		peer = pr.J
+	}
+	m.sides[me] = append(m.sides[me], side{pr: pr, initiator: initiator, at: len(m.progs[me].Steps)})
+	return peer, initiator
 }
 
 // signal appends a step in which the rank sends n messages of bytes to the
-// peer, when send is set, or receives n from it.
-func (pg *program) signal(send bool, tag, n, bytes int) {
+// peer, when send is set, or receives n from it, under tag.
+func (m *simulator) signal(pg *mpi.Program, peer int, send bool, tag, n, bytes int) {
 	if send {
-		pg.steps = append(pg.steps, mpi.Step{Tag: tag, Sends: pg.peers[:n], Bytes: bytes})
+		pg.Steps = append(pg.Steps, mpi.Step{Tag: tag, Sends: m.peers[peer][:n], Bytes: bytes})
 	} else {
-		pg.steps = append(pg.steps, mpi.Step{Tag: tag, Recvs: pg.peers[:n]})
+		pg.Steps = append(pg.Steps, mpi.Step{Tag: tag, Recvs: m.peers[peer][:n]})
 	}
 }
 
 // handshake appends the untimed exchange that aligns the two ranks of a pair
 // before timed work begins: the initiator signals first.
-func (pg *program) handshake(initiator bool) {
-	pg.signal(initiator, 0, 1, 0)
-	pg.signal(!initiator, 0, 1, 0)
-}
-
-// run executes the program under tag and returns its completion times.
-func (pg *program) run(c *mpi.Comm, tag int) []float64 {
-	if cap(pg.done) < len(pg.steps) {
-		pg.done = make([]float64, len(pg.steps))
-	}
-	pg.done = pg.done[:len(pg.steps)]
-	c.Steps(tag, pg.steps, pg.done)
-	return pg.done
+func (m *simulator) handshake(pg *mpi.Program, peer int, initiator bool, tag int) {
+	m.signal(pg, peer, initiator, tag, 1, 0)
+	m.signal(pg, peer, !initiator, tag, 1, 0)
 }
 
 // run measures one phase: every rank walks the rounds of disjoint pairs in
-// order, the lower rank of a pair initiating and recording.
+// order, the lower rank of a pair initiating and recording, and in the first
+// phase ends with the Oii steps.
 func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 	p := m.w.Size()
 	rounds := PairRounds(p, pairs)
-	pairErr := make([]error, p) // per initiating rank, in its round order
-	if _, err := m.w.Run(func(c *mpi.Comm) {
-		me := c.Rank()
+	reps := m.cfg.Warmup + m.cfg.Reps
+	self := 0
+	if !m.selfDone {
+		self = reps
+	}
+	m.begin(pairs, 2+2*(len(m.cfg.Batches)+len(m.cfg.Sizes))*reps, self)
+	for me := range m.progs {
+		pg := &m.progs[me]
 		for _, round := range rounds {
-			pr, ok := roundOf(round, me)
-			if !ok {
-				continue // bye round
+			if pr, ok := roundOf(round, me); ok {
+				peer, initiator := m.enter(me, pr)
+				m.measure(pg, peer, (pr.I*p+pr.J)*8, initiator) // disjoint tag space per pair
 			}
-			tag := (pr.I*p + pr.J) * 8 // disjoint tag space per pair
-			if pr.J == me {
-				m.measure(c, pr.I, tag, false)
+		}
+		// Oii: no-op initiations, each its own step.
+		for range self {
+			pg.Steps = append(pg.Steps, mpi.Step{Noop: true})
+		}
+	}
+	if _, err := m.w.Run(m.progs); err != nil {
+		return err
+	}
+	var errs []error // every failed pair by name, initiators in rank order
+	for me := range m.progs {
+		done := m.progs[me].Done
+		for _, sd := range m.sides[me] {
+			if !sd.initiator {
 				continue
 			}
-			l, o, err := m.fit(me, pr.J, m.measure(c, pr.J, tag, true))
+			l, o, err := m.fit(sd.pr.I, sd.pr.J, done[sd.at:])
 			if err != nil {
-				// Record and keep going: the fits come after the sweeps, so
-				// the pair's protocol is complete and later handshakes stay
-				// aligned.
-				pairErr[me] = errors.Join(pairErr[me], fmt.Errorf("probe: pair (%d,%d): %w", pr.I, pr.J, err))
+				errs = append(errs, fmt.Errorf("probe: pair (%d,%d): %w", sd.pr.I, sd.pr.J, err))
 				continue
 			}
-			set(pr.I, pr.J, o, l) // links are symmetric: a pair is measured once
-			set(pr.J, pr.I, o, l)
+			set(sd.pr.I, sd.pr.J, o, l) // links are symmetric: a pair is measured once
+			set(sd.pr.J, sd.pr.I, o, l)
 		}
 		if m.selfDone {
-			return
+			continue
 		}
-		// Oii: mean of no-op initiation costs (every rank, measured locally).
+		// Oii: the mean of the timed no-op initiations, each the time from
+		// the step before it to its own completion.
 		samples := make([]float64, 0, m.cfg.Reps)
-		for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
-			t0 := c.Wtime()
-			c.NoopInitiate()
+		k := len(done) - reps
+		for r := 0; r < reps; r, k = r+1, k+1 {
 			if r >= m.cfg.Warmup {
-				samples = append(samples, c.Wtime()-t0)
+				prev := 0.0
+				if k > 0 {
+					prev = done[k-1]
+				}
+				samples = append(samples, done[k]-prev)
 			}
 		}
 		set(me, me, stats.Mean(samples), 0)
-	}); err != nil {
-		return err
 	}
 	m.selfDone = true
-	return errors.Join(pairErr...) // every failed pair by name, not only the last
+	return errors.Join(errs...)
 }
 
 // screen runs one phase of Warmup+Reps zero-byte round trips per pair, the
@@ -291,71 +328,75 @@ func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
 func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
 	p := m.w.Size()
 	rounds := PairRounds(p, pairs)
-	_, err := m.w.Run(func(c *mpi.Comm) {
-		me := c.Rank()
+	reps := m.cfg.Warmup + m.cfg.Reps
+	m.begin(pairs, 2+2*reps, 0)
+	for me := range m.progs {
+		pg := &m.progs[me]
 		for _, round := range rounds {
 			pr, ok := roundOf(round, me)
 			if !ok {
 				continue // bye round
 			}
-			peer, initiator := pr.I, pr.J != me
-			if initiator {
-				peer = pr.J
+			peer, initiator := m.enter(me, pr)
+			tag := (pr.I*p+pr.J)*8 + 5 // past the sweep's tags of the pair
+			m.handshake(pg, peer, initiator, tag)
+			for range reps {
+				m.signal(pg, peer, initiator, tag+1, 1, 0)
+				m.signal(pg, peer, !initiator, tag+1, 1, 0)
 			}
-			pg := m.prog(me, peer)
-			pg.handshake(initiator)
-			for r := 0; r < m.cfg.Warmup+m.cfg.Reps; r++ {
-				pg.signal(initiator, 1, 1, 0)
-				pg.signal(!initiator, 1, 1, 0)
-			}
-			done := pg.run(c, (pr.I*p+pr.J)*8+5) // past the sweep's tags of the pair
-			if !initiator {
+		}
+	}
+	if _, err := m.w.Run(m.progs); err != nil {
+		return err
+	}
+	for me := range m.progs {
+		for _, sd := range m.sides[me] {
+			if !sd.initiator {
 				continue
 			}
 			// Round trip r spans the completion of the step before its
 			// send to that of its reply.
+			done := m.progs[me].Done[sd.at:]
 			sum := 0.0
-			for r, k := 0, 2; r < m.cfg.Warmup+m.cfg.Reps; r, k = r+1, k+2 {
+			for r, k := 0, 2; r < reps; r, k = r+1, k+2 {
 				if r >= m.cfg.Warmup {
 					sum += done[k+1] - done[k-1]
 				}
 			}
-			set(pr.I, pr.J, sum/float64(2*m.cfg.Reps))
+			set(sd.pr.I, sd.pr.J, sum/float64(2*m.cfg.Reps))
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // floor keeps fitted parameters physically meaningful when noise produces a
 // slightly negative intercept or gradient.
 const floor = 1e-9
 
-// measure runs one side of a pair's protocol with peer under tag and returns
-// its steps' completion times: the handshake, then the L sweep (per
-// repetition, the initiator's batch of m simultaneous zero-byte signals and
-// the responder's untimed ack, which keeps repetitions in lockstep), then
-// the O sweep (per repetition, a round trip of two messages of the size).
-func (m *simulator) measure(c *mpi.Comm, peer, tag int, initiator bool) []float64 {
+// measure appends one side of a pair's protocol with peer under tag: the
+// handshake, then the L sweep (per repetition, the initiator's batch of m
+// simultaneous zero-byte signals and the responder's untimed ack, which
+// keeps repetitions in lockstep), then the O sweep (per repetition, a round
+// trip of two messages of the size).
+func (m *simulator) measure(pg *mpi.Program, peer, tag int, initiator bool) {
 	cfg := m.cfg
-	pg := m.prog(c.Rank(), peer)
-	pg.handshake(initiator)
+	m.handshake(pg, peer, initiator, tag)
 	for _, n := range cfg.Batches {
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			pg.signal(initiator, 1, n, 0)
-			pg.signal(!initiator, 2, 1, 0)
+			m.signal(pg, peer, initiator, tag+1, n, 0)
+			m.signal(pg, peer, !initiator, tag+2, 1, 0)
 		}
 	}
 	for _, s := range cfg.Sizes {
 		for r := 0; r < cfg.Warmup+cfg.Reps; r++ {
-			pg.signal(initiator, 3, 1, s)
-			pg.signal(!initiator, 4, 1, s)
+			m.signal(pg, peer, initiator, tag+3, 1, s)
+			m.signal(pg, peer, !initiator, tag+4, 1, s)
 		}
 	}
-	return pg.run(c, tag)
 }
 
 // fit returns the (L, O) estimates of the pair (me, peer) from the
-// initiator's completion times of measure's protocol.
+// initiator's completion times of measure's protocol, from its first step on.
 func (m *simulator) fit(me, peer int, done []float64) (l, o float64, err error) {
 	cfg := m.cfg
 	k := 2 // the first step past the handshake

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"slices"
 	"testing"
 
 	"topobarrier/internal/mpi"
@@ -34,22 +35,20 @@ func TestDisjointGroupBarriers(t *testing.T) {
 
 	w := testWorld(t, p, 1)
 	const delay = 0.5
-	enter := make([]float64, p)
-	exit := make([]float64, p)
-	_, err := w.Run(func(c *mpi.Comm) {
-		if c.Rank() == 3 {
-			c.Compute(delay)
+	progs := make([]mpi.Program, p)
+	for r := range progs {
+		progs[r] = mpi.Program{Steps: planA.Func()(r, p)}
+		if r >= 12 {
+			progs[r] = mpi.Program{Steps: planB.Func()(r, p), Bases: []int{TagSpan}}
 		}
-		enter[c.Rank()] = c.Wtime()
-		if c.Rank() < 12 {
-			planA.Execute(c, 0)
-		} else {
-			planB.Execute(c, TagSpan)
-		}
-		exit[c.Rank()] = c.Wtime()
-	})
-	if err != nil {
+	}
+	progs[3].Steps = append([]mpi.Step{{Compute: delay}}, progs[3].Steps...)
+	if _, err := w.Run(progs); err != nil {
 		t.Fatal(err)
+	}
+	exit := make([]float64, p)
+	for r, pg := range progs {
+		exit[r] = pg.End
 	}
 	for _, r := range groupA {
 		if exit[r] < delay {
@@ -78,11 +77,16 @@ func TestNestedBarriers(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := testWorld(t, p, 2)
-	err = Validate(w, func(c *mpi.Comm, tag int) {
-		if c.Rank() < 8 {
-			innerPlan.Execute(c, tag)
+	err = Validate(w, func(rank, p int) []mpi.Step {
+		var steps []mpi.Step
+		if rank < 8 {
+			steps = slices.Clone(innerPlan.Func()(rank, p))
 		}
-		globalPlan.Execute(c, tag+512)
+		for _, st := range globalPlan.Func()(rank, p) {
+			st.Tag += 512
+			steps = append(steps, st)
+		}
+		return steps
 	}, 0.5, []int{0, 7, 8, 15})
 	if err != nil {
 		t.Fatal(err)

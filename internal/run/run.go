@@ -3,13 +3,13 @@
 //
 // A Plan is the one executable form of a schedule: each rank's program of
 // mpi.Steps, one per stage it takes part in, no-op stages eliminated, as the
-// paper's generated code hard-codes them (§VII.C). Every executor runs a
-// step as one Stager.Stage call (§VI): post receives for the signals
-// addressed to the rank, issue synchronized sends for those it owes, and
-// wait for all before the next. Plan.Execute hands the simulator's *mpi.Comm
-// the program itself (Comm.Steps); netmpi and the Go source codegen emits
-// walk the same RankOps slice. The package also holds the timing harness and
-// the delay-injection synchronization validator.
+// paper's generated code hard-codes them (§VI, §VII.C): post receives for the
+// signals addressed to the rank, issue synchronized sends for those it owes,
+// and wait for all before the next. The simulator runs that program as it
+// stands (mpi.World.Run); netmpi walks the same RankOps slice, one
+// Stager.Stage call per step, and so does the Go source codegen emits. The
+// package also holds the timing harness and the delay-injection
+// synchronization validator.
 package run
 
 import (
@@ -18,13 +18,23 @@ import (
 
 	"topobarrier/internal/mpi"
 	"topobarrier/internal/sched"
-	"topobarrier/internal/stats"
 )
 
-// Func is a barrier implementation executable by one rank. Implementations
-// must use tags in [tagBase, tagBase+TagSpan) so that consecutive barriers
-// never cross-match.
-type Func func(c *mpi.Comm, tagBase int)
+// Func is a barrier implementation: rank's program for one barrier among p
+// ranks. Its tags must lie in [0, TagSpan), so that consecutive barriers on
+// alternating tag windows never cross-match. The program is only read, so a
+// Func may hand every caller the same slice.
+type Func func(rank, p int) []mpi.Step
+
+// Programs returns one barrier of b on every rank of a p-rank world, the
+// programs World.Run takes.
+func (b Func) Programs(p int) []mpi.Program {
+	progs := make([]mpi.Program, p)
+	for r := range progs {
+		progs[r].Steps = b(r, p)
+	}
+	return progs
+}
 
 // TagSpan is the tag budget one barrier invocation may use.
 const TagSpan = 1024
@@ -76,33 +86,28 @@ func compile(s *sched.Schedule) *Plan {
 	return pl
 }
 
-// Stager is the one executor contract, met by the simulator's *mpi.Comm and
-// the live mesh's *netmpi.Peer alike. Stage posts a receive under tag from
-// every rank of recvs and a synchronized zero-byte signal under tag to every
-// rank of sends, and returns once all of them have completed; a plan runs as
-// one Stage per entry of its RankOps. Generated barriers take a Stager, so
-// the same source runs on every venue.
+// Stager is the one per-stage executor contract of the live venue, met by
+// *netmpi.Peer. Stage posts a receive under tag from every rank of recvs and
+// a synchronized zero-byte signal under tag to every rank of sends, and
+// returns once all of them have completed; a plan runs as one Stage per entry
+// of its RankOps. Generated barriers take a Stager, and on the simulator a
+// recording of their Stage calls is the plan's program.
 type Stager interface {
 	Rank() int
 	Size() int
 	Stage(tag int, recvs, sends []int) error
 }
 
-var _ Stager = (*mpi.Comm)(nil)
-
-// Execute runs the plan for the calling rank: its stages, one Stage each, as
-// one program the simulator's scheduler advances. All ranks of the world
-// must call it with the same tagBase; a plan compiled for another world size
-// panics.
-func (pl *Plan) Execute(c *mpi.Comm, tagBase int) {
-	if c.Size() != pl.P {
-		panic(fmt.Sprintf("run: %d-rank plan on %d-rank world", pl.P, c.Size()))
+// Func returns the plan as a barrier implementation: a rank's program is its
+// RankOps. It panics on a world of another size.
+func (pl *Plan) Func() Func {
+	return func(rank, p int) []mpi.Step {
+		if p != pl.P {
+			panic(fmt.Sprintf("run: %d-rank plan on %d-rank world", pl.P, p))
+		}
+		return pl.steps[rank]
 	}
-	c.Steps(tagBase, pl.steps[c.Rank()], nil)
 }
-
-// Func adapts the plan to the Func interface.
-func (pl *Plan) Func() Func { return pl.Execute }
 
 // Measurement summarises a timed barrier run.
 type Measurement struct {
@@ -111,10 +116,17 @@ type Measurement struct {
 	Warmup int
 }
 
+// windows are the tag bases of back-to-back barriers: only adjacent
+// invocations can overlap in flight, so two alternating windows keep
+// matching unambiguous.
+var windows = []int{TagSpan, 0}
+
 // Measure times a barrier: every rank executes warmup untimed iterations,
 // then iters timed iterations; the reported mean is the globally elapsed
 // virtual time between the end of the warmup and the end of the run, divided
-// by iters — the way wall-clock barrier benchmarks measure on hardware.
+// by iters — the way wall-clock barrier benchmarks measure on hardware. Each
+// rank runs one program, the barrier's steps repeated warmup+iters times, so
+// the work Measure allocates does not grow with the iteration count.
 func Measure(w *mpi.World, b Func, warmup, iters int) (Measurement, error) {
 	if iters <= 0 {
 		return Measurement{}, fmt.Errorf("run: non-positive iteration count %d", iters)
@@ -122,28 +134,31 @@ func Measure(w *mpi.World, b Func, warmup, iters int) (Measurement, error) {
 	if warmup < 0 {
 		return Measurement{}, fmt.Errorf("run: negative warmup %d", warmup)
 	}
-	p := w.Size()
-	t0 := make([]float64, p)
-	t1 := make([]float64, p)
-	_, err := w.Run(func(c *mpi.Comm) {
-		// Only adjacent barrier invocations can overlap in flight, so two
-		// alternating tag windows keep matching unambiguous.
-		n := 0
-		next := func() int { n++; return (n % 2) * TagSpan }
-		for i := 0; i < warmup; i++ {
-			b(c, next())
+	progs := b.Programs(w.Size())
+	total := 0
+	for r := range progs {
+		pg := &progs[r]
+		pg.Reps, pg.Bases, pg.Mark = warmup+iters, windows, warmup-1
+		total += len(pg.Steps)
+	}
+	if warmup > 0 {
+		// The last warm-up pass's completion times, for where timing starts.
+		done := make([]float64, total)
+		for r := range progs {
+			progs[r].Done, done = done[:len(progs[r].Steps)], done[len(progs[r].Steps):]
 		}
-		t0[c.Rank()] = c.Wtime()
-		for i := 0; i < iters; i++ {
-			b(c, next())
-		}
-		t1[c.Rank()] = c.Wtime()
-	})
-	if err != nil {
+	}
+	if _, err := w.Run(progs); err != nil {
 		return Measurement{}, err
 	}
-	mean := (stats.Max(t1) - stats.Max(t0)) / float64(iters)
-	return Measurement{Mean: mean, Iters: iters, Warmup: warmup}, nil
+	var t0, t1 float64
+	for _, pg := range progs {
+		if n := len(pg.Done); n > 0 {
+			t0 = max(t0, pg.Done[n-1])
+		}
+		t1 = max(t1, pg.End)
+	}
+	return Measurement{Mean: (t1 - t0) / float64(iters), Iters: iters, Warmup: warmup}, nil
 }
 
 // Validate performs the paper's synchronization check (§VI): the barrier is
@@ -155,38 +170,40 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 	if delay <= 0 {
 		return fmt.Errorf("run: non-positive delay %g", delay)
 	}
+	p := w.Size()
 	if delayRanks == nil {
-		delayRanks = make([]int, w.Size())
+		delayRanks = make([]int, p)
 		for i := range delayRanks {
 			delayRanks[i] = i
 		}
 	}
-	if i := slices.IndexFunc(delayRanks, func(d int) bool { return d < 0 || d >= w.Size() }); i >= 0 {
+	if i := slices.IndexFunc(delayRanks, func(d int) bool { return d < 0 || d >= p }); i >= 0 {
 		return fmt.Errorf("run: delay rank %d out of range", delayRanks[i])
 	}
-	// One body and one pair of time vectors serve every delayed rank, so a
-	// validation allocates the same however many ranks it delays.
-	enter := make([]float64, w.Size())
-	exit := make([]float64, w.Size())
-	var d int
-	body := func(c *mpi.Comm) {
-		if c.Rank() == d {
-			c.Compute(delay)
-		}
-		enter[c.Rank()] = c.Wtime()
-		b(c, 0)
-		exit[c.Rank()] = c.Wtime()
+	progs := b.Programs(p)
+	longest := 0
+	for _, pg := range progs {
+		longest = max(longest, len(pg.Steps))
 	}
-	for _, d = range delayRanks {
-		if _, err := w.Run(body); err != nil {
+	// The delayed rank enters through one step of local work. One program
+	// buffer serves every delayed rank, so a validation allocates the same
+	// however many ranks it delays.
+	delayed := make([]mpi.Step, 0, 1+longest)
+	enter := make([]float64, 1+longest)
+	for _, d := range delayRanks {
+		own := progs[d]
+		delayed = append(append(delayed[:0], mpi.Step{Compute: delay}), own.Steps...)
+		progs[d] = mpi.Program{Steps: delayed, Done: enter}
+		if _, err := w.Run(progs); err != nil {
 			return fmt.Errorf("run: validation with rank %d delayed: %w", d, err)
 		}
-		for r, x := range exit {
-			if x < enter[d] {
+		for r := range progs {
+			if x := progs[r].End; x < enter[0] {
 				return fmt.Errorf("run: rank %d exited at %g before delayed rank %d entered at %g",
-					r, x, d, enter[d])
+					r, x, d, enter[0])
 			}
 		}
+		progs[d] = own
 	}
 	return nil
 }
@@ -216,6 +233,9 @@ func PlanFromOps(name string, p, stages int, ops [][]mpi.Step) (*Plan, error) {
 			}
 			if op.Bytes != 0 {
 				return nil, fmt.Errorf("run: rank %d op in stage %d carries a %d-byte payload", r, op.Tag, op.Bytes)
+			}
+			if op.Compute != 0 || op.Noop {
+				return nil, fmt.Errorf("run: rank %d op in stage %d carries local work", r, op.Tag)
 			}
 			for _, peer := range slices.Concat(op.Recvs, op.Sends) {
 				if peer < 0 || peer >= p {
@@ -259,9 +279,9 @@ func (pl *Plan) Silenced(ranks ...int) *Plan {
 	return out
 }
 
-// RankOps returns one rank's program — the data a transport backend (for
-// example the TCP mesh in internal/netmpi) needs to execute the plan outside
-// the simulator, and the very slice Execute hands to Comm.Steps. It is the
+// RankOps returns one rank's program — what the simulator runs for it (the
+// plan's Func), and what a transport backend (for example the TCP mesh in
+// internal/netmpi) executes one Stage per step. It is the
 // plan's own, compiled once: callers must treat it and its peer lists as
 // read-only.
 func (pl *Plan) RankOps(r int) []mpi.Step {

@@ -77,7 +77,7 @@ func TestValidateArgumentChecks(t *testing.T) {
 	}
 	// Every delay rank is checked before any barrier runs.
 	calls := 0
-	counted := func(c *mpi.Comm, tagBase int) { calls++; f(c, tagBase) }
+	counted := func(rank, p int) []mpi.Step { calls++; return f(rank, p) }
 	if err := Validate(w, counted, 1, []int{0, 5}); err == nil {
 		t.Fatalf("out-of-range delay rank accepted after a valid one")
 	}
@@ -182,21 +182,17 @@ func TestTransferDeliversPayloadPattern(t *testing.T) {
 	p := 6
 	bcast := compile(sched.LinearArrival(p).ReverseTransposed())
 	w := testWorld(t, p, 1)
-	// The plan's executor sends zero-byte signals; the payload stages are
-	// spelled with caller-owned requests, in the order Comm.Stage posts them.
-	withPayload := func(bytes int) func(*mpi.Comm) {
-		return func(c *mpi.Comm) {
-			for _, st := range bcast.RankOps(c.Rank()) {
-				var reqs []*mpi.Request
-				for _, src := range st.Recvs {
-					reqs = append(reqs, c.Irecv(src, st.Tag))
-				}
-				for _, dst := range st.Sends {
-					reqs = append(reqs, c.Issend(dst, st.Tag, bytes))
-				}
-				c.Wait(reqs...)
+	// The plan's program sends zero-byte signals; the payload copies carry
+	// bytes on every send.
+	withPayload := func(bytes int) []mpi.Program {
+		progs := bcast.Func().Programs(p)
+		for r := range progs {
+			progs[r].Steps = slices.Clone(progs[r].Steps)
+			for k := range progs[r].Steps {
+				progs[r].Steps[k].Bytes = bytes
 			}
 		}
+		return progs
 	}
 	small, err := w.Run(withPayload(0))
 	if err != nil {
@@ -219,17 +215,60 @@ func TestMisSizedPlanPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = testWorld(t, c.world, 1).Run(func(cm *mpi.Comm) { pl.Execute(cm, 0) })
 		want := fmt.Sprintf("run: %d-rank plan on %d-rank world", c.plan, c.world)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%d-rank plan on %d ranks: err %v, want %q", c.plan, c.world, err, want)
-		}
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("%d-rank plan on %d ranks: panic %v, want %q", c.plan, c.world, got, want)
+				}
+			}()
+			_, _ = Measure(testWorld(t, c.world, 1), pl.Func(), 0, 1)
+		}()
 	}
 }
 
-// A compiled plan's stages go through Comm.Stage, so once a run's
-// queue, free list and match lists have reached their working size a barrier
-// allocates nothing: N and 2N barriers inside one World.Run cost the same
+// A plan with one send removed deadlocks on the simulator, and the error
+// names the receiver left waiting, its stage and the sender that never sent.
+func TestMissingSendNamesTheStuckReceiver(t *testing.T) {
+	full := compile(sched.Linear(4))
+	ops := make([][]mpi.Step, full.P)
+	for r := range ops {
+		ops[r] = slices.Clone(full.RankOps(r))
+	}
+	ops[2][0].Sends = nil // rank 2's arrival signal to rank 0, stage 0
+	pl, err := PlanFromOps("linear-minus-one", full.P, full.Stages, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Validate(testWorld(t, full.P, 1), pl.Func(), 0.5, []int{1})
+	want := "rank 0 step 0 (tag 0) waits for sends from [2]"
+	if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want a deadlock naming %q", err, want)
+	}
+}
+
+// Measure repeats one program per rank, so timing 1 000 barriers allocates
+// exactly what timing 10 does.
+func TestMeasureAllocsIndependentOfIters(t *testing.T) {
+	if perftest.RaceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	w := testWorld(t, 32, 1)
+	b := plan(t, sched.Dissemination(32))
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Measure(w, b, 2, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); few != many {
+		t.Errorf("10 barriers allocate %.0f times, 1 000 allocate %.0f", few, many)
+	}
+}
+
+// A plan's program is repeated in place, so once a run's queue and match
+// lists have reached their working size a barrier allocates nothing: N and 2N barriers inside one World.Run cost the same
 // (testWorld is noise-free, so the count is exact).
 func TestExecuteAllocsIndependentOfBarrierCount(t *testing.T) {
 	w := testWorld(t, 32, 1)
@@ -247,8 +286,8 @@ func TestExecuteAllocsIndependentOfBarrierCount(t *testing.T) {
 }
 
 // Validate runs one World.Run per delayed rank, and the World keeps its run
-// state and rank coroutines between Runs, so validating with 2n delayed ranks
-// allocates exactly as often as with n (testWorld is noise-free).
+// state between Runs, so validating with 2n delayed ranks allocates exactly
+// as often as with n (testWorld is noise-free).
 func TestValidateAllocsIndependentOfDelayedRanks(t *testing.T) {
 	const p = 16
 	w := testWorld(t, p, 1)

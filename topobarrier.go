@@ -19,7 +19,12 @@
 //	prof, _ := topobarrier.MeasureProfile(world, topobarrier.DefaultProbe())
 //	tuned, _ := topobarrier.Tune(prof, topobarrier.TuneOptions{})
 //	m, _ := topobarrier.Measure(world, tuned.Func(), 10, 100)
+//	once, _ := world.Run(tuned.Func().Programs(32)) // one barrier: every rank's step program
 //	src, _ := tuned.GenerateSource(topobarrier.CodegenOptions{Package: "main"})
+//
+// A barrier is data: each rank's program of steps (Step: local work, then
+// receives and synchronized sends under one tag), which the simulator runs
+// as it stands and a real mesh runs one Stage call per step.
 package topobarrier
 
 import (
@@ -97,24 +102,18 @@ func NewFabric(spec Spec, pl Placement, p int, params FabricParams) (*Fabric, er
 
 // Message-passing runtime (see internal/mpi).
 type (
-	// World is a simulated P-rank job.
+	// World is a simulated P-rank job; World.Run runs one Program per rank.
 	World = mpi.World
-	// Comm is a rank's communication handle inside World.Run.
-	Comm = mpi.Comm
-	// Request is a pending nonblocking operation.
-	Request = mpi.Request
-	// Status describes a completed receive.
-	Status = mpi.Status
+	// Step is one step of a rank program: local work, then receives and
+	// synchronized sends under one tag, completing together.
+	Step = mpi.Step
+	// Program is one rank's part of a World.Run: its steps, repeated, and
+	// where the run reports their completion times.
+	Program = mpi.Program
 	// TraceEvent records one delivered message.
 	TraceEvent = mpi.TraceEvent
 	// WorldOption configures a World.
 	WorldOption = mpi.Option
-)
-
-// Receive wildcards.
-const (
-	AnySource = mpi.AnySource
-	AnyTag    = mpi.AnyTag
 )
 
 // NewWorld wraps a placed fabric as a runnable job.
@@ -206,14 +205,16 @@ func ClusterRanks(pf *Profile, opts ClusterOptions) *ClusterTree { return sss.Tr
 
 // Execution and measurement (see internal/run).
 type (
-	// BarrierFunc is an executable barrier implementation.
+	// BarrierFunc is an executable barrier implementation: a rank's step
+	// program for one barrier.
 	BarrierFunc = run.Func
 	// Plan is a schedule compiled to per-rank stage lists.
 	Plan = run.Plan
 	// Measurement summarises a timed barrier run.
 	Measurement = run.Measurement
-	// Stager is the one per-stage executor contract: *Comm and *NetPeer both
-	// meet it, and the functions GenerateSource emits take one.
+	// Stager is the one per-stage executor contract: *NetPeer meets it, and
+	// the functions GenerateSource emits take one. A recording of their Stage
+	// calls is a plan's step program, which the simulator runs.
 	Stager = run.Stager
 )
 
@@ -222,9 +223,9 @@ type (
 const TagSpan = run.TagSpan
 
 // NewPlan compiles a schedule, verifying that it globally synchronises. The
-// plan is the one executable form of a schedule: pl.Func() runs it on a
-// World, NetPeer.Barrier on a real mesh, and GenerateSource hard-codes it as
-// Stage calls that run on either.
+// plan is the one executable form of a schedule: pl.Func() hands its step
+// programs to a World, NetPeer.Barrier runs them on a real mesh, and
+// GenerateSource hard-codes them as Stage calls on a Stager.
 func NewPlan(s *Schedule) (*Plan, error) { return run.NewPlan(s) }
 
 // Measure times a barrier over warmup+iters iterations on a world.
@@ -239,8 +240,8 @@ func Validate(w *World, b BarrierFunc, delay float64, delayRanks []int) error {
 
 // MPIBarrier is the directly-coded, topology-neutral binomial-tree barrier,
 // the stand-in for OpenMPI's MPI_Barrier that the paper compares against
-// (see internal/baseline).
-func MPIBarrier(c *Comm, tagBase int) { baseline.Tree(c, tagBase) }
+// (see internal/baseline): rank's program, one step per blocking call.
+func MPIBarrier(rank, p int) []Step { return baseline.Tree(rank, p) }
 
 // Adaptive tuning (see internal/core).
 type (
