@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"topobarrier/internal/mat"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/stats"
 	"topobarrier/internal/topo"
@@ -299,25 +300,36 @@ func (f *Fabric) TrueL(src, dst int) float64 {
 	return f.link(src, dst).Lambda
 }
 
+// tierClass is the link class of two ranks whose seat paths (node, socket,
+// cache slice, core) first differ at each level; equal paths are Self.
+var tierClass = [...]topo.LinkClass{topo.CrossNode, topo.CrossSocket, topo.SameSocket, topo.SharedCache, topo.Self}
+
 // TrueProfile returns the noise-free topological profile of the placed job:
 // what a perfect profiler would measure. The adaptive pipeline normally uses
 // probed estimates; the oracle profile supports tests and the ablation that
 // separates model error from measurement error.
+//
+// It keeps the machine's hierarchy rather than writing P² entries: each
+// rank's path is its seat (node, socket, cache slice, core), the level two
+// paths first differ at is the class of their link (Seat.ClassTo), and the
+// lexicographic order of paths is core order, so a pair's direction picks
+// the skewed cost exactly when the source's core is the higher. Building it
+// is O(P · levels).
 func (f *Fabric) TrueProfile() *profile.Profile {
-	p := len(f.cores)
-	pf := profile.New(f.spec.Name+" (oracle)", p)
-	o, l := pf.O.Data(), pf.L.Data()
-	for i, si := range f.seats {
-		orow, lrow := o[i*p:(i+1)*p], l[i*p:(i+1)*p]
-		for j, sj := range f.seats {
-			links := &f.links
-			if f.cores[i] > f.cores[j] {
-				links = &f.skewed
-			}
-			lk := &links[si.ClassTo(sj)]
-			orow[j], lrow[j] = lk.Alpha, lk.Lambda
-		}
-		orow[i], lrow[i] = f.params.SelfOverhead, 0
+	p, depth := len(f.cores), len(tierClass)-1
+	paths := make([]int, 0, p*depth)
+	for _, s := range f.seats {
+		paths = append(paths, s.Node, s.Socket, s.Slice, s.Index)
 	}
-	return pf
+	t := mat.NewTiers(depth, paths)
+	oCells, lCells := make([]float64, t.Cells()), make([]float64, t.Cells())
+	for lv, c := range tierClass {
+		oCells[2*lv], lCells[2*lv] = f.links[c].Alpha, f.links[c].Lambda
+		oCells[2*lv+1], lCells[2*lv+1] = f.skewed[c].Alpha, f.skewed[c].Lambda
+	}
+	oDiag, lDiag := make([]float64, p), make([]float64, p)
+	for i := range oDiag {
+		oDiag[i] = f.params.SelfOverhead
+	}
+	return &profile.Profile{Platform: f.spec.Name + " (oracle)", P: p, O: mat.NewTiered(t, oCells, oDiag), L: mat.NewTiered(t, lCells, lDiag)}
 }

@@ -340,7 +340,7 @@ func BenchmarkSendOverhead(b *testing.B) {
 	}
 }
 
-// TrueProfile fills its rows through Dense.Data; the TrueO / TrueL accessors
+// TrueProfile reads its entries off a tier table; the TrueO / TrueL accessors
 // are the per-entry reference it must agree with bit for bit, round-robin and
 // block placements, symmetric and skewed links.
 func TestTrueProfileMatchesOracle(t *testing.T) {

@@ -1,7 +1,8 @@
-// Package mat provides the small dense matrix kernels used by the barrier
-// models: boolean incidence matrices over the (OR, AND) semiring, which encode
-// per-stage signal patterns, and dense float64 matrices, which hold pairwise
-// cost profiles.
+// Package mat provides the small matrix kernels used by the barrier models:
+// boolean incidence matrices over the (OR, AND) semiring, which encode
+// per-stage signal patterns, and float64 cost matrices, which hold pairwise
+// cost profiles row by row or, for a platform known by its hierarchy, as a
+// tier table a row is read off until it is written.
 //
 // Boolean matrices are stored as bitset rows so that the knowledge recurrence
 // of the paper (Eq. 3: Ka = Ka-1 + Ka-1·Sa) runs in O(P²·P/64) per stage.

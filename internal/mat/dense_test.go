@@ -5,11 +5,10 @@ import (
 )
 
 func TestDenseSetAt(t *testing.T) {
-	m := NewDense(3)
+	m := NewCosts(3)
 	m.Set(0, 2, 1.5)
-	m.Add(0, 2, 0.25)
-	if got := m.At(0, 2); got != 1.75 {
-		t.Fatalf("At(0,2) = %v, want 1.75", got)
+	if got := m.At(0, 2); got != 1.5 {
+		t.Fatalf("At(0,2) = %v, want 1.5", got)
 	}
 	if m.At(2, 0) != 0 {
 		t.Fatalf("untouched entry nonzero")
@@ -17,23 +16,23 @@ func TestDenseSetAt(t *testing.T) {
 }
 
 func TestDenseFromRows(t *testing.T) {
-	m := DenseFromRows([][]float64{{0, 1}, {2, 0}})
+	m := CostsFromRows([][]float64{{0, 1}, {2, 0}})
 	if m.At(0, 1) != 1 || m.At(1, 0) != 2 {
-		t.Fatalf("DenseFromRows entries wrong: %v", m)
+		t.Fatalf("CostsFromRows entries wrong: %v", m)
 	}
 }
 
 func TestDenseFromRowsRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("ragged DenseFromRows did not panic")
+			t.Fatalf("ragged CostsFromRows did not panic")
 		}
 	}()
-	DenseFromRows([][]float64{{1}, {1, 2}})
+	CostsFromRows([][]float64{{1}, {1, 2}})
 }
 
 func TestDenseOutOfRangePanics(t *testing.T) {
-	m := NewDense(2)
+	m := NewCosts(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("out-of-range At did not panic")
@@ -43,13 +42,13 @@ func TestDenseOutOfRangePanics(t *testing.T) {
 }
 
 func TestSub(t *testing.T) {
-	m := DenseFromRows([][]float64{
+	m := CostsFromRows([][]float64{
 		{0, 1, 2, 3},
 		{10, 0, 12, 13},
 		{20, 21, 0, 23},
 		{30, 31, 32, 0},
 	})
-	s := m.Sub([]int{1, 3})
+	s := Sub([]int{1, 3}, m)[0]
 	if s.N() != 2 {
 		t.Fatalf("Sub size = %d, want 2", s.N())
 	}
@@ -59,7 +58,7 @@ func TestSub(t *testing.T) {
 }
 
 func TestMaxMinOffDiag(t *testing.T) {
-	m := DenseFromRows([][]float64{
+	m := CostsFromRows([][]float64{
 		{99, 2, 5},
 		{1, 99, 4},
 		{3, 6, 99},
@@ -70,13 +69,13 @@ func TestMaxMinOffDiag(t *testing.T) {
 	if got := m.MinOffDiag(); got != 1 {
 		t.Fatalf("MinOffDiag = %v, want 1", got)
 	}
-	if NewDense(1).MaxOffDiag() != 0 {
+	if NewCosts(1).MaxOffDiag() != 0 {
 		t.Fatalf("MaxOffDiag of 1×1 not 0")
 	}
 }
 
 func TestDenseCloneIsIndependent(t *testing.T) {
-	m := DenseFromRows([][]float64{{1, 2}, {3, 4}})
+	m := CostsFromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
 	c.Set(1, 1, 8)
 	if c.At(1, 1) != 8 || m.At(1, 1) != 4 || c.At(0, 1) != 2 {
@@ -85,7 +84,7 @@ func TestDenseCloneIsIndependent(t *testing.T) {
 }
 
 func TestDenseString(t *testing.T) {
-	m := DenseFromRows([][]float64{{0, 1.5}, {2, 0}})
+	m := CostsFromRows([][]float64{{0, 1.5}, {2, 0}})
 	want := "0 1.5\n2 0"
 	if m.String() != want {
 		t.Fatalf("String() = %q, want %q", m.String(), want)

@@ -1,0 +1,62 @@
+package netmpi
+
+import (
+	"math"
+	"testing"
+
+	"topobarrier/internal/fabric"
+	"topobarrier/internal/profile"
+	"topobarrier/internal/topo"
+)
+
+// TestPatchOfOracleProfileStaysLocal patches fresh directions into a
+// tier-derived oracle profile the way Reprobe does and checks that only the
+// written entries moved: the patched directions and the O[i][i] diagonal
+// patch refolds, every other entry bit for bit as it was, and no row of L
+// written out but the patched ones.
+func TestPatchOfOracleProfileStaysLocal(t *testing.T) {
+	fab, err := fabric.New(topo.QuadCluster(), topo.RoundRobin{}, 16, fabric.GigEParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := fab.TrueProfile()
+	p := pf.P
+	wantO, wantL := make([][]float64, p), make([][]float64, p)
+	for i := range wantO {
+		wantO[i], wantL[i] = pf.O.CopyRow(make([]float64, p), i), pf.L.CopyRow(make([]float64, p), i)
+	}
+	fresh := []freshDir{
+		{d: profile.Link{From: 3, To: 9}, o: 70e-6, l: 9e-6},
+		{d: profile.Link{From: 9, To: 3}, o: 0.1e-6, l: 0.2e-6},
+		{d: profile.Link{From: 0, To: 15}, o: 2e-6, l: 1e-6},
+	}
+	written := map[int]bool{}
+	for _, f := range fresh {
+		wantO[f.d.From][f.d.To], wantL[f.d.From][f.d.To] = f.o, f.l
+		written[f.d.From] = true
+	}
+	for i := range wantO {
+		min, first := 0.0, true
+		for j, o := range wantO[i] {
+			if j != i && (first || o < min) {
+				min, first = o, false
+			}
+		}
+		wantO[i][i] = min
+	}
+	patch(pf, fresh)
+	for i := 0; i < p; i++ {
+		if pf.L.Row(i) != nil && !written[i] {
+			t.Fatalf("row %d of L written out, but no entry of it was patched", i)
+		}
+		for j := 0; j < p; j++ {
+			if math.Float64bits(pf.O.At(i, j)) != math.Float64bits(wantO[i][j]) ||
+				math.Float64bits(pf.L.At(i, j)) != math.Float64bits(wantL[i][j]) {
+				t.Fatalf("(%d,%d) after patch: O %v L %v, want O %v L %v", i, j, pf.O.At(i, j), pf.L.At(i, j), wantO[i][j], wantL[i][j])
+			}
+		}
+	}
+	if err := pf.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -72,21 +72,36 @@ func (pd *Predictor) rowInputs(st *mat.Bool, k, i int, es []edge) (float64, []ed
 	if w0 == len(row) {
 		return 0, es
 	}
-	p := pd.Prof.P
-	o, l := pd.Prof.O.Data()[i*p:(i+1)*p], pd.Prof.L.Data()[i*p:(i+1)*p]
+	// A written row is read as a slice, a row of O and L derived from one
+	// tier table as the cell each target falls in, and anything else entry by
+	// entry; the targets come in increasing order, so Σ L keeps its bits.
+	O, L := pd.Prof.O, pd.Prof.L
+	o, l := O.Row(i), L.Row(i)
+	t := O.Tiers()
+	dense, tiered := o != nil && l != nil, o == nil && l == nil && t != nil && t == L.Tiers()
 	sumL, maxO := 0.0, 0.0
 	for w, word := range row[w0:] {
 		for ; word != 0; word &= word - 1 {
 			j := (w0+w)*64 + bits.TrailingZeros64(word)
-			sumL += l[j]
-			if o[j] > maxO {
-				maxO = o[j]
+			var oj, lj float64
+			switch {
+			case dense:
+				oj, lj = o[j], l[j]
+			case tiered:
+				c := t.Cell(i, j)
+				oj, lj = O.Cell(c), L.Cell(c)
+			default:
+				oj, lj = O.At(i, j), L.At(i, j)
+			}
+			sumL += lj
+			if oj > maxO {
+				maxO = oj
 			}
 			es = append(es, edge{int32(i), int32(j)})
 		}
 	}
 	if pd.stageReady(k) {
-		return o[i] + sumL, es
+		return O.At(i, i) + sumL, es
 	}
 	return maxO + sumL, es
 }

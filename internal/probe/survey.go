@@ -166,7 +166,7 @@ func (s *survey) sparse(ranks []int) error {
 }
 
 // sym is the direction-symmetrised entry of a pair, what a check compares.
-func sym(m *mat.Dense, i, j int) float64 { return (m.At(i, j) + m.At(j, i)) / 2 }
+func sym(m *mat.Costs, i, j int) float64 { return (m.At(i, j) + m.At(j, i)) / 2 }
 
 // estimate fills direction a→b of an unmeasured pair of sibling clusters with
 // the measured links of its own link class on a hierarchy: a → centre of b's

@@ -68,15 +68,19 @@ func (sy *synthetic) run(t *testing.T) *profile.Profile {
 		t.Fatal(err)
 	}
 	top := 0.0
-	for _, m := range []*mat.Dense{sy.truth.O, sy.truth.L} {
-		for _, v := range m.Data() {
-			top = max(top, v)
+	for _, m := range []*mat.Costs{sy.truth.O, sy.truth.L} {
+		for i := range m.N() {
+			for j := range m.N() {
+				top = max(top, m.At(i, j))
+			}
 		}
 	}
-	for _, m := range []*mat.Dense{pf.O, pf.L} {
-		for k, v := range m.Data() {
-			if v > top {
-				t.Fatalf("profile entry (%d,%d) = %g, above every entry of the truth (%g): a screen leaked in", k/pf.P, k%pf.P, v, top)
+	for _, m := range []*mat.Costs{pf.O, pf.L} {
+		for i := range m.N() {
+			for j := range m.N() {
+				if v := m.At(i, j); v > top {
+					t.Fatalf("profile entry (%d,%d) = %g, above every entry of the truth (%g): a screen leaked in", i, j, v, top)
+				}
 			}
 		}
 	}

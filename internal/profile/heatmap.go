@@ -11,7 +11,7 @@ import (
 // (the L matrix of one dual quad-core node rendered as shades of grey). Cells
 // are binned between the smallest and largest off-diagonal value; darker
 // glyphs mean slower links. The diagonal is rendered as '·'.
-func HeatMap(m *mat.Dense, title string) string {
+func HeatMap(m *mat.Costs, title string) string {
 	shades := []byte(" .:-=+*#%@")
 	n := m.N()
 	lo, hi := m.MinOffDiag(), m.MaxOffDiag()
@@ -51,7 +51,7 @@ func HeatMap(m *mat.Dense, title string) string {
 // PGM renders a cost matrix as a binary-free plain PGM (P2) image, one pixel
 // per matrix cell, 255 = slowest link. Viewers render it exactly like the
 // paper's grey-coded Figure 9.
-func PGM(m *mat.Dense) string {
+func PGM(m *mat.Costs) string {
 	n := m.N()
 	lo, hi := m.MinOffDiag(), m.MaxOffDiag()
 	var b strings.Builder

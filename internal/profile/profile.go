@@ -30,10 +30,10 @@ type Profile struct {
 	// O[i][j] estimates the startup overhead of one message from i to j;
 	// O[i][i] estimates the cost of initiating a request that sends nothing
 	// (the paper's Oii).
-	O *mat.Dense
+	O *mat.Costs
 	// L[i][j] estimates the marginal latency of adding a message from i to j
 	// to a non-empty simultaneous send batch.
-	L *mat.Dense
+	L *mat.Costs
 	// Provenance says which off-diagonal entries a hierarchy-driven probe
 	// estimated instead of measuring, and what it screened; nil means every
 	// entry was measured and nothing screened (or the profile's source does
@@ -77,7 +77,7 @@ func (pr *Profile) MeasuredPairs() int {
 
 // New returns an empty profile for p processes.
 func New(platform string, p int) *Profile {
-	return &Profile{Platform: platform, P: p, O: mat.NewDense(p), L: mat.NewDense(p)}
+	return &Profile{Platform: platform, P: p, O: mat.NewCosts(p), L: mat.NewCosts(p)}
 }
 
 // Validate reports an error if the profile is structurally unusable.
@@ -91,27 +91,60 @@ func (pr *Profile) Validate() error {
 	if pr.O.N() != pr.P || pr.L.N() != pr.P {
 		return fmt.Errorf("profile: matrix sizes %d/%d do not match P=%d", pr.O.N(), pr.L.N(), pr.P)
 	}
-	o, l := pr.O.Data(), pr.L.Data()
-	l = l[:len(o)]
-	for k, ok := range o {
-		// As unsigned integers, the bits of the finite costs ≥ +0 are exactly
-		// those below +Inf's, so one test clears nearly every pair; a pair
-		// with O = L = +0 (b = 0) goes on to the checks below.
-		if b := max(math.Float64bits(ok), math.Float64bits(l[k])); b > 0 && b < 0x7FF0000000000000 {
+	// A row read off the shared tier table is clean, without a look at its
+	// entries, when its diagonal pair and every cell some pair falls in are.
+	clean := false
+	if t := pr.O.Tiers(); t != nil && t == pr.L.Tiers() {
+		clean = true
+		spans := t.Spans()
+		for c := range t.Cells() {
+			// (0, 1) stands for any off-diagonal pair: a cell is never (i, i).
+			if spans&(1<<c) != 0 && pairErr(0, 1, pr.O.Cell(c), pr.L.Cell(c)) != nil {
+				clean = false
+			}
+		}
+	}
+	var obuf, lbuf []float64
+	for i := range pr.P {
+		o, l := pr.O.Row(i), pr.L.Row(i)
+		if o == nil && l == nil && clean && pairErr(i, i, pr.O.At(i, i), pr.L.At(i, i)) == nil {
 			continue
 		}
-		i, j := k/pr.P, k%pr.P
-		switch {
-		case math.IsNaN(ok) || math.IsInf(ok, 0) || math.IsNaN(l[k]) || math.IsInf(l[k], 0):
-			return fmt.Errorf("profile: pair (%d,%d) has O = %g, L = %g: a non-finite cost, which the model cannot price", i, j, ok, l[k])
-		case ok < 0 || l[k] < 0:
-			return fmt.Errorf("profile: negative cost at (%d,%d)", i, j)
-		case ok == 0 && l[k] == 0 && i != j:
-			return fmt.Errorf("profile: pair (%d,%d) has O = L = 0: an entry nobody measured, which the model would price as a free link", i, j)
+		if o == nil || l == nil {
+			if obuf == nil {
+				obuf, lbuf = make([]float64, pr.P), make([]float64, pr.P)
+			}
+			o, l = pr.O.CopyRow(obuf, i), pr.L.CopyRow(lbuf, i)
+		}
+		l = l[:len(o)]
+		for j, oj := range o {
+			// As unsigned integers, the bits of the finite costs ≥ +0 are
+			// exactly those below +Inf's, so one test clears nearly every
+			// pair; a pair with O = L = +0 (b = 0) goes on to pairErr.
+			if b := max(math.Float64bits(oj), math.Float64bits(l[j])); b > 0 && b < 0x7FF0000000000000 {
+				continue
+			}
+			if err := pairErr(i, j, oj, l[j]); err != nil {
+				return err
+			}
 		}
 	}
 	if pv := pr.Provenance; pv != nil && (pv.Estimated == nil || pv.Estimated.N() != pr.P) {
 		return fmt.Errorf("profile: provenance does not cover P=%d", pr.P)
+	}
+	return nil
+}
+
+// pairErr is the verdict on the costs o = O[i][j], l = L[i][j]: nil when the
+// model can price them.
+func pairErr(i, j int, o, l float64) error {
+	switch {
+	case math.IsNaN(o) || math.IsInf(o, 0) || math.IsNaN(l) || math.IsInf(l, 0):
+		return fmt.Errorf("profile: pair (%d,%d) has O = %g, L = %g: a non-finite cost, which the model cannot price", i, j, o, l)
+	case o < 0 || l < 0:
+		return fmt.Errorf("profile: negative cost at (%d,%d)", i, j)
+	case o == 0 && l == 0 && i != j:
+		return fmt.Errorf("profile: pair (%d,%d) has O = L = 0: an entry nobody measured, which the model would price as a free link", i, j)
 	}
 	return nil
 }
@@ -129,22 +162,35 @@ func (pr *Profile) Distance(i, j int) float64 {
 }
 
 // Diameter returns the largest Distance between two of the given distinct
-// ranks, and 0 for fewer than two. It reads O's rows directly, 64 × 64 rank
-// pairs at a time, so the transposed entry of each pair is a read from a
-// cached row rather than a column walk.
+// ranks, and 0 for fewer than two. When none of their rows of O is written it
+// is the largest symmetrised tier value some pair of them falls in, found in
+// O(k log k) for k ranks; otherwise it scans the pairs 64 × 64 ranks at a
+// time, so the transposed entry of each pair is a read from a cached row
+// rather than a column walk.
 func (pr *Profile) Diameter(ranks []int) float64 {
-	const tile = 64
-	p, o := pr.P, pr.O.Data()
 	d := 0.0
+	if pr.O.Derived(ranks) {
+		t := pr.O.Tiers()
+		span := t.Span(ranks)
+		for c := 0; c < t.Cells(); c += 2 {
+			switch {
+			case span&(1<<(c+1)) != 0:
+				d = max(d, (pr.O.Cell(c)+pr.O.Cell(c+1))/2)
+			case span&(1<<c) != 0: // equal paths: both directions are cell c
+				d = max(d, (pr.O.Cell(c)+pr.O.Cell(c))/2)
+			}
+		}
+		return d
+	}
+	const tile = 64
 	for a0 := 0; a0 < len(ranks); a0 += tile {
 		a1 := min(a0+tile, len(ranks))
 		for b0 := a0; b0 < len(ranks); b0 += tile {
 			b1 := min(b0+tile, len(ranks))
 			for a := a0; a < a1; a++ {
 				i := ranks[a]
-				row := o[i*p : (i+1)*p]
 				for _, j := range ranks[max(b0, a+1):b1] {
-					if v := (row[j] + o[j*p+i]) / 2; v > d {
+					if v := (pr.O.At(i, j) + pr.O.At(j, i)) / 2; v > d {
 						d = v
 					}
 				}
@@ -157,14 +203,10 @@ func (pr *Profile) Diameter(ranks []int) float64 {
 // Sub returns the profile restricted to the given ranks; entry (a, b) of the
 // result describes the pair (ranks[a], ranks[b]) of the original, Provenance
 // included (the probe's spot-check and re-measured counts carry over as they
-// are). It is the tuner's pricing view.
+// are). It is the tuner's pricing view; unwritten rows stay tier-derived.
 func (pr *Profile) Sub(ranks []int) *Profile {
-	sub := &Profile{
-		Platform: pr.Platform,
-		P:        len(ranks),
-		O:        pr.O.Sub(ranks),
-		L:        pr.L.Sub(ranks),
-	}
+	ol := mat.Sub(ranks, pr.O, pr.L)
+	sub := &Profile{Platform: pr.Platform, P: len(ranks), O: ol[0], L: ol[1]}
 	if pv := pr.Provenance; pv != nil {
 		est := mat.NewBool(len(ranks))
 		for a, i := range ranks {
@@ -233,8 +275,8 @@ func (pr *Profile) UnmarshalJSON(data []byte) error {
 	}
 	pr.Platform = dec.Platform
 	pr.P = dec.P
-	pr.O = mat.DenseFromRows(dec.O)
-	pr.L = mat.DenseFromRows(dec.L)
+	pr.O = mat.CostsFromRows(dec.O)
+	pr.L = mat.CostsFromRows(dec.L)
 	pr.Provenance = nil
 	if pj := dec.Provenance; pj != nil {
 		if len(pj.Estimated) != dec.P {
@@ -254,13 +296,10 @@ func (pr *Profile) UnmarshalJSON(data []byte) error {
 	return pr.Validate()
 }
 
-func toRows(m *mat.Dense) [][]float64 {
+func toRows(m *mat.Costs) [][]float64 {
 	rows := make([][]float64, m.N())
 	for i := range rows {
-		rows[i] = make([]float64, m.N())
-		for j := range rows[i] {
-			rows[i][j] = m.At(i, j)
-		}
+		rows[i] = m.CopyRow(make([]float64, m.N()), i)
 	}
 	return rows
 }

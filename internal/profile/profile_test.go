@@ -124,9 +124,11 @@ func TestDiameterMatchesPairwiseDistance(t *testing.T) {
 	rng := stats.NewRNG(39)
 	for _, p := range []int{1, 2, 63, 64, 65, 130} {
 		pr := New("random", p)
-		for k := range pr.O.Data() {
-			pr.O.Data()[k] = rng.Float64() * 1e-4
-			pr.L.Data()[k] = rng.Float64() * 1e-5
+		for i := range p {
+			for j := range p {
+				pr.O.Set(i, j, rng.Float64()*1e-4)
+				pr.L.Set(i, j, rng.Float64()*1e-5)
+			}
 		}
 		subsets := [][]int{nil, make([]int, p)}
 		for i := range subsets[1] {
@@ -327,7 +329,7 @@ func TestHeatMapStructure(t *testing.T) {
 }
 
 func TestHeatMapUniformMatrix(t *testing.T) {
-	m := mat.NewDense(3)
+	m := mat.NewCosts(3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i != j {

@@ -10,6 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/analyze"
+	"topobarrier/internal/core"
+	"topobarrier/internal/fabric"
+	"topobarrier/internal/perftest"
+	"topobarrier/internal/predict"
 	"topobarrier/internal/sched"
 )
 
@@ -84,4 +89,34 @@ func TestSearchSyntheticLargeP(t *testing.T) {
 		t.Fatalf("tunebarrier -seed-alg did not verify the result:\n%s", text)
 	}
 	checkStoredBarrier(t, out)
+}
+
+// TestTuneOracleP4096 runs the pipeline in process at four times the ledger's
+// largest P: the tier-derived oracle profile of a synthetic 4096-rank cluster
+// (128 nodes), a budgeted core.Tune and a second, independent analyze.Vet of
+// what it returns. The oracle used to be two dense 4096² matrices, 256 MB
+// before tuning started.
+func TestTuneOracleP4096(t *testing.T) {
+	if testing.Short() || perftest.RaceEnabled {
+		t.Skip("tunes 4096 ranks")
+	}
+	const p = 4096
+	start := time.Now()
+	fab, err := fabric.ScaleClusterFabric(p, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := fab.TrueProfile()
+	profiled := time.Since(start)
+	tuned, err := core.Tune(pf, core.Options{Refine: 400, RefineBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tunedAt := time.Since(start)
+	if _, rep, err := analyze.Vet(tuned.Schedule(), analyze.Options{Predictor: predict.New(pf)}); err != nil {
+		t.Fatalf("vet refuses the tuned P=%d schedule: %v\n%v", p, err, rep)
+	}
+	t.Logf("P=%d: oracle profile %s, tune %s, vet %s; predicted %.1f us",
+		p, profiled.Round(time.Microsecond), (tunedAt - profiled).Round(time.Millisecond),
+		(time.Since(start) - tunedAt).Round(time.Millisecond), tuned.PredictedCost()*1e6)
 }

@@ -149,7 +149,7 @@ func MeasureProfile(w *World, cfg ProbeConfig) (*Profile, error) { return probe.
 func LoadProfile(path string) (*Profile, error) { return profile.Load(path) }
 
 // HeatMap renders a cost matrix as shaded text (the paper's Figure 9).
-func HeatMap(m *mat.Dense, title string) string { return profile.HeatMap(m, title) }
+func HeatMap(m *mat.Costs, title string) string { return profile.HeatMap(m, title) }
 
 // Schedules and algorithms (see internal/sched).
 type (
