@@ -12,9 +12,11 @@ import (
 // a slice of n entries. A derived row is read off a tier table: entry (i, j)
 // with i ≠ j is cells[t.Cell(i, j)], and entry (i, i) is diag[i]. A matrix
 // built from a hierarchy (NewTiered) starts with every row derived and costs
-// O(n · levels) to build; a write materialises the written row, filled from
-// its derived values first, so writes change only the entries written. A
-// matrix built empty (NewCosts) or from rows has every row materialised.
+// O(n · levels) to build; a write off the diagonal materialises the written
+// row, filled from its derived values first, so writes change only the
+// entries written, and a write on the diagonal of a derived row goes to
+// diag. A matrix built empty (NewCosts) or from rows has every row
+// materialised.
 type Costs struct {
 	n int
 	// rows[i] is row i once it is materialised, nil while it is derived;
@@ -61,7 +63,8 @@ func CostsFromRows(rows [][]float64) *Costs {
 
 // NewTiered returns the matrix every row of which is derived from t: entry
 // (i, j) with i ≠ j is cells[t.Cell(i, j)] and entry (i, i) is diag[i]. It
-// keeps the slices; neither may change afterwards.
+// keeps the slices: the caller changes neither afterwards, and the matrix
+// owns diag, which Set writes the diagonal of a derived row to.
 func NewTiered(t *Tiers, cells, diag []float64) *Costs {
 	if len(cells) != t.Cells() || len(diag) != t.N() {
 		panic(fmt.Sprintf("mat: NewTiered with %d cells and %d diagonal entries for %d tiers of %d ranks", len(cells), len(diag), t.depth, t.N()))
@@ -94,9 +97,13 @@ func (m *Costs) derived(i, j int) float64 {
 	return m.cells[m.tiers.Cell(i, j)]
 }
 
-// Set assigns entry (i, j), materialising row i if it is derived.
+// Set assigns entry (i, j), materialising row i if it is derived and j ≠ i.
 func (m *Costs) Set(i, j int, v float64) {
 	m.check(i, j)
+	if m.Row(i) == nil && i == j {
+		m.diag[i] = v
+		return
+	}
 	if m.Row(i) == nil {
 		if m.rows == nil {
 			m.rows = make([][]float64, m.n)
@@ -159,6 +166,7 @@ func (m *Costs) Derived(rows []int) bool {
 // Clone returns a deep copy of m.
 func (m *Costs) Clone() *Costs {
 	c := *m
+	c.diag = slices.Clone(m.diag)
 	if m.dense == 0 {
 		return &c
 	}

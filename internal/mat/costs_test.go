@@ -124,7 +124,8 @@ func sameEntries(t *testing.T, what string, m *Costs, want [][]float64) {
 
 // TestTieredCostsForms drives a tier-derived matrix through writes, copies,
 // submatrices (repeats and unsorted ranks included) and the off-diagonal
-// extremes, against the same operations on its dense twin.
+// extremes, against the same operations on its dense twin. A write on the
+// diagonal of a derived row writes no row out.
 func TestTieredCostsForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -142,7 +143,7 @@ func TestTieredCostsForms(t *testing.T) {
 		want[i][j] = -1
 		sameEntries(t, "written clone", c, want)
 		for r := 0; r < n; r++ {
-			if (c.Row(r) != nil) != (r == i) || m.Row(r) != nil {
+			if (c.Row(r) != nil) != (r == i && j != i) || m.Row(r) != nil {
 				t.Fatalf("row %d: written out %v in the clone, %v in the source", r, c.Row(r) != nil, m.Row(r) != nil)
 			}
 		}

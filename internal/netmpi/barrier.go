@@ -155,23 +155,22 @@ func (p *Peer) linkLatched(src int) bool {
 // the link (not the whole peer: the resilient path's point is to keep going)
 // and reports skipped too — on TCP, writes to a dead peer may buffer
 // silently or surface late, so the reader-side EOF latch is the primary
-// detector and the write error just confirms it. box is as for send.
-func (p *Peer) sendResilient(dst, tag int, word uint32, box *mailbox) (w waiter, skipped bool, err error) {
+// detector and the write error just confirms it. box and w are as for send.
+func (p *Peer) sendResilient(dst, tag int, word uint32, box *mailbox, w *worklist) (skipped bool, err error) {
 	if p.down.Load() { // some latch is set: find out whether it concerns dst
 		p.mu.Lock()
 		closed, linkErr := p.closed, p.linkErr[dst]
 		p.mu.Unlock()
 		if closed {
-			return waiter{}, false, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
+			return false, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
 		}
 		if linkErr != nil {
-			return waiter{}, true, nil
+			return true, nil
 		}
 	}
-	w, werr := p.writeFrame(dst, tag, nil, word, box)
-	if werr != nil {
-		p.fail(dst, werr)
-		return waiter{}, true, nil
+	if err := p.writeFrame(dst, tag, nil, word, box, w); err != nil {
+		p.fail(dst, err)
+		return true, nil
 	}
-	return w, false, nil
+	return false, nil
 }

@@ -10,18 +10,21 @@ package netmpi
 // and then only waits; every later step is posted by the goroutine whose
 // event completed the step before it:
 //
-//   - a put that brings an awaited message hands the registered waiter back
-//     to its caller — a co-located sender, or a TCP reader — which takes the
-//     message and, if it was the step's last outstanding event, posts the
-//     next step's sends itself: shared-memory puts inline, TCP frames handed
-//     to their link writers (only the rank's own goroutine writes a socket
-//     inline, and only for its own program);
+//   - a put that brings an awaited message — from a co-located sender, or a
+//     TCP reader — delivers it into the waiting receive under the receiving
+//     rank's lock and, if it was the step's last outstanding event, enters
+//     the next step there and then; the goroutine that put it posts the
+//     next step's sends once the lock is released: shared-memory puts
+//     inline, TCP frames handed to their link writers (only the rank's own
+//     goroutine writes a socket inline, and only for its own program);
 //   - a link writer's completion is an event of the step that posted it;
 //   - a latched link is an event of a resilient program waiting on it.
 //
-// Events go through a worklist, never recursion, and a cursor's lock is
-// never held while another cursor's is taken: a put returns the waiter
-// instead of calling it, and a post runs after the lock is released.
+// One lock per rank: the cursor's mu is the rank's lock, and it guards the
+// rank's mailboxes too (mailbox.go), so a delivered signal costs one
+// acquisition. A goroutine holds at most one rank's lock at a time, and
+// never takes an inbox's map lock under it: a step's posts go on a
+// worklist, never recursion, and run after the lock is released.
 //
 // The rank goroutine parks once per program, on one channel. It is woken
 // when the program has ended or failed: a failed send, the deadline, or the
@@ -94,10 +97,13 @@ func resize(s [][]*mailbox, n int) [][]*mailbox {
 }
 
 // cursor is one rank's position in the program it is running. The rank's
-// goroutine owns the binding cache and own; everything else is guarded by mu.
+// goroutine owns the binding cache and own; everything else is guarded by
+// mu, the rank's lock, which its mailboxes share: a ShmHub's on a co-located
+// mesh, since shm mail can arrive before the rank's Dial, the Peer's own
+// otherwise.
 type cursor struct {
 	p  *Peer
-	mu sync.Mutex
+	mu *sync.Mutex
 
 	// The program run, set by begin.
 	b         *binding
@@ -236,8 +242,8 @@ func (c *cursor) index() int {
 }
 
 // enter posts the current step: its sends go on the worklist with the word
-// folded so far, and each receive takes its mail or registers a waiter.
-// Caller holds mu.
+// folded so far, and each receive takes its queued mail or, finding none,
+// registers a waiter. Caller holds mu.
 func (c *cursor) enter(w *worklist) {
 	p := c.p
 	st := &c.b.steps[c.step]
@@ -251,12 +257,15 @@ func (c *cursor) enter(w *worklist) {
 		c.stageSpan = p.tracer.Begin(p.stageSpanName(st.Recvs, st.Sends), p.rank, c.index(), -1)
 	}
 	if len(st.Sends) > 0 {
-		w.push(item{c: c, gen: c.gen, step: int32(c.step), word: c.folded, post: true})
+		w.push(item{c: c, gen: c.gen, step: int32(c.step), word: c.folded})
 	}
 	boxes := c.b.recv[c.step]
 	for slot, src := range st.Recvs {
 		c.got[slot] = false
-		msg, ok := boxes[slot].takeOrWait(waiter{c, c.gen, int32(c.step), int32(slot)})
+		msg, ok := boxes[slot].pop()
+		if !ok {
+			boxes[slot].w = waiter{c, c.gen, int32(c.step), int32(slot)}
+		}
 		if p.tracer != nil {
 			// Opened after the take, so the span of a message that was
 			// already queued is empty, as the simulator's is; a waiter
@@ -314,8 +323,8 @@ func (c *cursor) endStageSpan() {
 // Caller holds mu.
 func (c *cursor) recvLinkDown(slot int) {
 	box := c.b.recv[c.step][slot]
-	box.unwait(c)
-	if msg, _, ok := box.pop(); ok {
+	box.w = waiter{}
+	if msg, ok := box.pop(); ok {
 		c.deliver(slot, msg)
 		return
 	}
@@ -358,17 +367,11 @@ func (c *cursor) running() bool {
 	return c.active && c.err == nil && c.step < len(c.b.steps)
 }
 
-// mail handles a waiter a put returned: its message is queued in the box.
-func (c *cursor) mail(it item, w *worklist) {
-	c.mu.Lock()
-	defer c.unlock()
-	if !c.running() || it.gen != c.gen || int(it.step) != c.step || c.got[it.slot] {
-		return // taken already by the rank at a latch, or the program is over
-	}
-	if msg, _, ok := c.b.recv[c.step][it.slot].pop(); ok {
-		c.deliver(int(it.slot), msg)
-		c.settle(w)
-	}
+// waiting reports whether wt, a put's registered waiter, is a receive of
+// the current step still outstanding; otherwise it is stale: its program
+// failed, ended or was taken past it at a latch. Caller holds mu.
+func (c *cursor) waiting(wt waiter) bool {
+	return c.running() && wt.gen == c.gen && int(wt.step) == c.step && !c.got[wt.slot]
 }
 
 // sent reports n completed sends of step (gen, step); err is the first that
@@ -429,7 +432,7 @@ func (c *cursor) wait() (skipped []int, folded uint32, err error) {
 	} else if c.step < len(c.b.steps) {
 		for slot, box := range c.b.recv[c.step] {
 			if !c.got[slot] {
-				box.unwait(c)
+				box.w = waiter{}
 				c.endRecvSpan(slot)
 			}
 		}
@@ -468,8 +471,8 @@ func (c *cursor) failed(closing bool, w *worklist) {
 	c.latch = true
 	for slot, box := range c.b.recv[c.step] {
 		if !c.got[slot] {
-			box.unwait(c)
-			if msg, _, ok := box.pop(); ok {
+			box.w = waiter{}
+			if msg, ok := box.pop(); ok {
 				c.deliver(slot, msg)
 			}
 		}
@@ -549,18 +552,16 @@ func (c *cursor) disarm() {
 	c.mu.Unlock()
 }
 
-// item is one worklist entry: a waiter a put returned (the mail of receive
-// slot of step, program gen), or, with post set, the sends of step to post
-// with word.
+// item is one worklist entry: the sends of step, program gen, to post with
+// word.
 type item struct {
-	c          *cursor
-	gen        uint32
-	step, slot int32
-	word       uint32
-	post       bool
+	c    *cursor
+	gen  uint32
+	step int32
+	word uint32
 }
 
-// worklist holds the cursor events one goroutine has produced and not yet
+// worklist holds the step posts one goroutine has produced and not yet
 // handled. owner is the cursor whose rank goroutine drains it, nil on a
 // reader, a writer or a plain Send.
 type worklist struct {
@@ -570,23 +571,12 @@ type worklist struct {
 
 func (w *worklist) push(it item) { w.items = append(w.items, it) }
 
-// notice queues the waiter a put returned, if any.
-func (w *worklist) notice(wt waiter) {
-	if wt.c != nil {
-		w.push(item{c: wt.c, gen: wt.gen, step: wt.step, slot: wt.slot})
-	}
-}
-
-// drain handles events until none is left; handling one may queue more.
+// drain posts until nothing is left; a post may queue more.
 func (w *worklist) drain() {
 	for n := len(w.items); n > 0; n = len(w.items) {
 		it := w.items[n-1]
 		w.items = w.items[:n-1]
-		if it.post {
-			it.c.post(it, w)
-		} else {
-			it.c.mail(it, w)
-		}
+		it.c.post(it, w)
 	}
 }
 
@@ -636,16 +626,14 @@ func (p *Peer) stepSend(dst, tag, index int, word uint32, resilient bool, box *m
 	if p.tracer != nil {
 		ms = p.tracer.BeginTag(sendSpan[p.TransportOf(dst)], p.rank, index, dst, tag)
 	}
-	var wt waiter
 	if resilient {
-		wt, skipped, err = p.sendResilient(dst, tag, word, box)
+		skipped, err = p.sendResilient(dst, tag, word, box, w)
 	} else {
-		wt, err = p.send(dst, tag, nil, word, box)
+		err = p.send(dst, tag, nil, word, box, w)
 	}
 	if p.tracer != nil {
 		ms.End()
 	}
-	w.notice(wt)
 	return skipped, err
 }
 

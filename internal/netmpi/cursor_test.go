@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"topobarrier/internal/run"
+	"topobarrier/internal/sched"
 )
 
 // executorShapes are the three meshes the executor runs on: every link
@@ -112,4 +113,97 @@ func TestExecutorDeadlineLazyTimer(t *testing.T) {
 			t.Logf("%d barriers in %v under a %v deadline", calls[0], 10*d, d)
 		})
 	}
+}
+
+// TestExecutorLateSignalIsQueued: a signal that arrives after its program
+// timed out finds no step waiting for it and is queued, and what reads that
+// (src, tag) next — a Recv, then a program, then a Recv again — reads the
+// late signals in the order they were sent.
+func TestExecutorLateSignalIsQueued(t *testing.T) {
+	const p, tag = 4, 3
+	const d = 50 * time.Millisecond
+	for _, tc := range executorShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := hybridMesh(t, p, tc.nodes(p))
+			// Rank 1's step waits for ranks 0 and 2; only rank 2 signals.
+			if err := peers[2].Send(1, tag, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := peers[1].stage(tag, []int{0, 2}, nil, d, false); err == nil || !timedOut.MatchString(err.Error()) {
+				t.Fatalf("step missing rank 0's signal: %v, want the per-receive timeout", err)
+			}
+			for _, m := range []string{"a", "b", "c"} {
+				if err := peers[0].Send(1, tag, []byte(m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if msg, err := peers[1].Recv(0, tag, meshTimeout); err != nil || string(msg) != "a" {
+				t.Fatalf("first Recv after the timeout = %q, %v; want the first late signal", msg, err)
+			}
+			if _, err := peers[1].stage(tag, []int{0}, nil, meshTimeout, false); err != nil {
+				t.Fatalf("program after the timeout: %v", err)
+			}
+			if msg, err := peers[1].Recv(0, tag, meshTimeout); err != nil || string(msg) != "c" {
+				t.Fatalf("Recv after the program = %q, %v; want the third late signal", msg, err)
+			}
+		})
+	}
+}
+
+// TestExecutorOneRankManyDeliverers: rank 0 of a two-node mesh is
+// delivered to at once by TCP readers and co-located senders — the linear
+// barrier's arrival step gathers every rank on it — while ping-pongs on a
+// probe tag, a reprobe's traffic, run beside the barriers over both link
+// classes, their Recvs taking the rank lock the deliveries take. Under
+// -race: every barrier completes, and every ping comes back in order.
+func TestExecutorOneRankManyDeliverers(t *testing.T) {
+	const p, barriers, pings = 8, 200, 200
+	peers := hybridMesh(t, p, twoNodes(p))
+	pl, err := run.NewPlan(sched.Linear(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for r, pe := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < barriers; i++ {
+				if err := pe.Barrier(pl, (i%2)*run.TagSpan, meshTimeout); err != nil {
+					t.Errorf("rank %d, barrier %d: %v", r, i, err)
+					return
+				}
+			}
+		}()
+	}
+	for _, echo := range []int{1, p - 1} { // rank 0's shm and TCP neighbours
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pings; i++ {
+				if err := peers[0].Send(echo, probeTagBase, []byte{byte(i)}); err != nil {
+					t.Errorf("ping %d to rank %d: %v", i, echo, err)
+					return
+				}
+				if msg, err := peers[0].Recv(echo, probeTagBase+1, meshTimeout); err != nil || len(msg) != 1 || msg[0] != byte(i) {
+					t.Errorf("pong %d from rank %d = %v, %v", i, echo, msg, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pings; i++ {
+				msg, err := peers[echo].Recv(0, probeTagBase, meshTimeout)
+				if err == nil {
+					err = peers[echo].Send(0, probeTagBase+1, msg)
+				}
+				if err != nil {
+					t.Errorf("rank %d echoing ping %d: %v", echo, i, err)
+					return
+				}
+			}
+		}()
+	}
+	waitAll(t, &wg, 60*time.Second, "barriers and ping-pongs on rank 0")
 }

@@ -5,31 +5,31 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// mailbox is one (source, tag) queue. It is unbounded so a producer — a TCP
-// reader or a co-located sender — can always deliver without blocking: a
-// full queue on one tag must not stall frames for every other tag sharing
-// the link. pending mirrors the queue length so an empty check costs one
-// atomic load instead of the lock. The avail channel (capacity 1) is a
-// wake-up edge, not the data path: a take that found its message without
-// parking leaves a stale token behind, which costs the next parked receiver
-// one empty re-check and nothing else, and take re-arms the edge while
-// messages remain so coalesced signals cannot strand a waiter.
+// mailbox is one (source, tag) queue of a receiving rank. It is unbounded
+// so a producer — a TCP reader or a co-located sender — can always deliver
+// without blocking: a full queue on one tag must not stall frames for every
+// other tag sharing the link. It has no lock of its own: mu is the receiving
+// rank's lock, which guards every mailbox of the rank and its cursor
+// (cursor.go), so a delivery takes that one lock and nothing else. The avail
+// channel (capacity 1) is a wake-up edge for Recv, not the data path: a
+// take that found its message without parking leaves a stale token behind,
+// which costs the next parked receiver one empty re-check and nothing else,
+// and take re-arms the edge while messages remain so coalesced signals
+// cannot strand a waiter.
 //
 // A running step program does not park on avail: its cursor registers a
-// waiter (takeOrWait), and the put that brings the next message hands the
-// waiter back to its caller, which advances the cursor (cursor.go). The
-// message itself still goes through the queue.
+// waiter when the queue is empty, and the put that brings the next message
+// delivers it into the waiting receive under the rank's lock. Only a message
+// no current step waits for is queued.
 type mailbox struct {
-	mu      sync.Mutex
-	msgs    []mail // queued messages are msgs[head:]
-	head    int
-	pending atomic.Int32
-	avail   chan struct{}
-	w       waiter // the cursor receive waiting for the next message, if any
+	mu    *sync.Mutex // the receiving rank's lock; guards msgs, head and w
+	msgs  []mail      // queued messages are msgs[head:]
+	head  int
+	avail chan struct{}
+	w     waiter // the cursor receive waiting for the next message, if any
 }
 
 // waiter names one receive of a running step program: the cursor, the
@@ -55,10 +55,22 @@ type mail struct {
 	word    uint32
 }
 
-// put queues msg and returns the waiter it satisfies, if a cursor
-// registered one; only without a waiter does it raise the wake-up edge.
-func (b *mailbox) put(msg mail) waiter {
+// put delivers msg under the receiving rank's lock. A registered waiter of
+// the current step gets it at once: the receive completes, and if that
+// completes the step, the next step is entered and its sends are queued on
+// w. Otherwise — no waiter, or a stale one — the message is queued and the
+// wake-up edge raised. A parked rank is kicked after the lock is released.
+func (b *mailbox) put(msg mail, w *worklist) {
 	b.mu.Lock()
+	if wt := b.w; wt.c != nil {
+		b.w = waiter{}
+		if c := wt.c; c.waiting(wt) {
+			c.deliver(int(wt.slot), msg)
+			c.settle(w)
+			c.unlock()
+			return
+		}
+	}
 	// Reclaim the consumed prefix instead of growing once it is at least half
 	// the array: steady traffic then reuses one backing array forever.
 	if b.head > 0 && len(b.msgs) == cap(b.msgs) && b.head >= len(b.msgs)/2 {
@@ -67,83 +79,45 @@ func (b *mailbox) put(msg mail) waiter {
 		b.msgs, b.head = b.msgs[:n], 0
 	}
 	b.msgs = append(b.msgs, msg)
-	b.pending.Add(1)
-	w := b.w
-	b.w = waiter{}
 	b.mu.Unlock()
-	if w.c == nil {
-		b.wake()
-	}
-	return w
+	b.wake()
 }
 
-// popLocked dequeues the oldest message and reports how many remain. The
-// caller holds b.mu and has checked that the queue is not empty.
-func (b *mailbox) popLocked() (mail, int) {
+// pop dequeues the oldest message, if any. Caller holds b.mu.
+func (b *mailbox) pop() (mail, bool) {
+	if b.head == len(b.msgs) {
+		return mail{}, false
+	}
 	msg := b.msgs[b.head]
 	b.msgs[b.head] = mail{}
-	b.head++
-	remaining := len(b.msgs) - b.head
-	if remaining == 0 {
+	if b.head++; b.head == len(b.msgs) {
 		b.msgs, b.head = b.msgs[:0], 0
 	}
-	b.pending.Add(-1)
-	return msg, remaining
+	return msg, true
 }
 
-// pop dequeues the oldest message, if any, and reports how many remain.
-// It leaves the wake-up edge alone: the cursor's receive never parks on it.
-func (b *mailbox) pop() (mail, int, bool) {
-	if b.pending.Load() == 0 {
-		return mail{}, 0, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.head == len(b.msgs) {
-		return mail{}, 0, false
-	}
-	msg, remaining := b.popLocked()
-	return msg, remaining, true
-}
-
-// take is pop for a receive that may park: it re-arms the wake-up edge
-// while messages remain.
+// take is pop for a receive that may park: it takes the rank's lock, and
+// re-arms the wake-up edge while messages remain.
 func (b *mailbox) take() (mail, bool) {
-	msg, remaining, ok := b.pop()
-	if remaining > 0 {
+	b.mu.Lock()
+	msg, ok := b.pop()
+	more := b.head < len(b.msgs)
+	b.mu.Unlock()
+	if more {
 		b.wake()
 	}
 	return msg, ok
 }
 
-// takeOrWait dequeues the oldest message or, atomically with finding the
-// queue empty, registers w: the next put returns it to its caller.
-func (b *mailbox) takeOrWait(w waiter) (mail, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.head == len(b.msgs) {
-		b.w = w
-		return mail{}, false
-	}
-	msg, _ := b.popLocked()
-	return msg, true
-}
-
-// unwait withdraws c's registration, if it is still there.
-func (b *mailbox) unwait(c *cursor) {
-	b.mu.Lock()
-	if b.w.c == c {
-		b.w = waiter{}
-	}
-	b.mu.Unlock()
-}
-
 // inbox holds the mailboxes fed by one source rank, keyed by tag. A TCP
 // link's inbox is private to the receiving Peer and fed by its reader
 // goroutine; a shared-memory link's inbox lives in the segment both
-// endpoints share (shmLink) and is fed by the sender itself.
+// endpoints share (shmLink) and is fed by the sender itself. Either way its
+// mailboxes share the receiving rank's lock, rank. mu guards the map only
+// and is never taken under a rank's lock.
 type inbox struct {
 	mu    sync.Mutex
+	rank  *sync.Mutex
 	boxes map[int]*mailbox
 }
 
@@ -156,7 +130,7 @@ func (in *inbox) box(tag int) *mailbox {
 		if in.boxes == nil {
 			in.boxes = map[int]*mailbox{}
 		}
-		b = &mailbox{avail: make(chan struct{}, 1)}
+		b = &mailbox{mu: in.rank, avail: make(chan struct{}, 1)}
 		in.boxes[tag] = b
 	}
 	return b

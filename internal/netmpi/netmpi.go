@@ -16,21 +16,23 @@
 // slow consumer on one tag cannot head-of-line-block other tags from the
 // same source. Links between co-located ranks (WithColocation) skip sockets,
 // frames and readers altogether: the sender puts straight into the
-// receiver's mailbox (shm.go).
+// receiver's mailbox (shm.go). Every mailbox of a rank, on either
+// transport, shares one lock with the rank's barrier cursor, so delivering
+// a signal takes one lock acquisition.
 //
 // Barrier correctness needs only the knowledge recurrence of the schedule
 // (Eq. 3), which holds for eager sends; a rank leaves the barrier when every
 // signal addressed to it has arrived. A barrier is the rank's step program
 // (run.Plan.RankOps; Peer.Stage, the run.Stager contract, is a one-step
 // one), and it is not the rank's goroutine that advances it: the goroutine
-// whose event completes a step — a co-located sender whose put delivers the
-// last awaited signal, a TCP reader, a link writer finishing the step's last
-// send — posts the next step's sends together, as the simulator's scheduler
-// posts a program's next step. The rank posts step 0 and parks once, until
-// the program ends or fails (cursor.go). The deadline a barrier takes is per
-// receive — no receive waits longer than it since the rank last made
-// progress — and one timer per peer enforces it lazily, so a steady stream
-// of barriers costs no timer operation.
+// whose event completes a step — a co-located sender or a TCP reader whose
+// put delivers the last awaited signal into the waiting step, a link writer
+// finishing the step's last send — posts the next step's sends together, as
+// the simulator's scheduler posts a program's next step. The rank posts
+// step 0 and parks once, until the program ends or fails (cursor.go). The
+// deadline a barrier takes is per receive — no receive waits longer than it
+// since the rank last made progress — and one timer per peer enforces it
+// lazily, so a steady stream of barriers costs no timer operation.
 //
 // # Failure model
 //
@@ -262,16 +264,13 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		linkErr:  make([]error, p),
 		closedCh: make(chan struct{}),
 	}
-	for j := 0; j < p; j++ {
-		if j != rank {
-			peer.in[j] = new(inbox)
-		}
-	}
-	peer.cur = cursor{p: peer, wake: make(chan struct{}, 1)}
-	peer.cur.own.owner = &peer.cur
 	for _, opt := range opts {
 		opt(peer)
 	}
+	// The rank's lock guards its cursor and every mailbox addressed to it.
+	// A co-located rank's comes from the hub, whose segments hand it to the
+	// shm inboxes they hold for this rank before it dials.
+	lock := new(sync.Mutex)
 	if peer.nodes != nil {
 		if len(peer.nodes) != p {
 			return nil, fmt.Errorf("netmpi: rank %d: colocation vector covers %d ranks, mesh has %d", rank, len(peer.nodes), p)
@@ -279,7 +278,15 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 		if peer.hub == nil {
 			return nil, fmt.Errorf("netmpi: rank %d: colocation without a shared ShmHub", rank)
 		}
+		lock = peer.hub.rankLock(rank)
 	}
+	for j := 0; j < p; j++ {
+		if j != rank {
+			peer.in[j] = &inbox{rank: lock}
+		}
+	}
+	peer.cur = cursor{p: peer, mu: lock, wake: make(chan struct{}, 1)}
+	peer.cur.own.owner = &peer.cur
 	peer.initMetrics()
 	// Attach the shared-memory links before any TCP work: co-located links
 	// rendezvous in the hub instead of dialing, so the socket loops below
@@ -446,7 +453,7 @@ func (p *Peer) reader(src int, conn net.Conn) {
 		}
 		p.m.recvFrames[src].Add(1)
 		p.m.recvBytes[src].Add(int64(n))
-		w.notice(p.in[src].box(tag).put(mail{payload, binary.BigEndian.Uint32(hdr[8:])}))
+		p.in[src].box(tag).put(mail{payload, binary.BigEndian.Uint32(hdr[8:])}, &w)
 		w.drain()
 	}
 }
@@ -523,31 +530,27 @@ func (p *Peer) Send(dst, tag int, payload []byte) error {
 	if err := p.checkTag(tag); err != nil {
 		return err
 	}
-	wt, err := p.send(dst, tag, payload, 0, nil)
-	if wt.c != nil { // the put completed a receive of a running program
-		var w worklist
-		w.notice(wt)
-		w.drain()
-	}
+	var w worklist // the step a co-located put completes posts from here
+	err := p.send(dst, tag, payload, 0, nil, &w)
+	w.drain()
 	return err
 }
 
 // send transmits one frame with its version word to a validated dst; box is
 // dst's mailbox for tag when the link is shared memory and the caller has it
-// bound, nil otherwise. It returns the waiter the put satisfied, for the
-// caller's worklist.
-func (p *Peer) send(dst, tag int, payload []byte, word uint32, box *mailbox) (waiter, error) {
+// bound, nil otherwise. A put that completes a step of dst's program queues
+// the next step's posts on w.
+func (p *Peer) send(dst, tag int, payload []byte, word uint32, box *mailbox, w *worklist) error {
 	if p.down.Load() {
 		if err := p.err(); err != nil {
-			return waiter{}, err
+			return err
 		}
-		return waiter{}, fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
+		return fmt.Errorf("netmpi: rank %d: send to %d on closed peer", p.rank, dst)
 	}
-	wt, err := p.writeFrame(dst, tag, payload, word, box)
-	if err != nil {
-		return waiter{}, fmt.Errorf("netmpi: rank %d sending to %d over %s: %w", p.rank, dst, p.TransportOf(dst), err)
+	if err := p.writeFrame(dst, tag, payload, word, box, w); err != nil {
+		return fmt.Errorf("netmpi: rank %d sending to %d over %s: %w", p.rank, dst, p.TransportOf(dst), err)
 	}
-	return wt, nil
+	return nil
 }
 
 // framePool recycles TCP frame buffers: barrier traffic sends a steady
@@ -560,9 +563,9 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b
 // metrics. The shared-memory path puts it into the receiver's mailbox (box,
 // or the one it looks up) right here, on the sender's goroutine (copying
 // non-empty payloads so the caller keeps ownership, matching TCP's copy into
-// the frame) and returns the waiter the put satisfied; the TCP path encodes
+// the frame), with w for the posts the put may queue; the TCP path encodes
 // a pooled length-prefixed frame and writes it in one call.
-func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32, box *mailbox) (waiter, error) {
+func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32, box *mailbox, w *worklist) error {
 	if link := p.shmOut[dst]; link != nil {
 		if len(payload) > 0 {
 			payload = append([]byte(nil), payload...)
@@ -570,10 +573,10 @@ func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32, box *mailbo
 		if box == nil {
 			box = link.box(tag)
 		}
-		wt := box.put(mail{payload, word})
+		box.put(mail{payload, word}, w)
 		p.m.sendFrames[dst].Add(1)
 		p.m.sendBytes[dst].Add(int64(len(payload)))
-		return wt, nil
+		return nil
 	}
 	bp := framePool.Get().(*[]byte)
 	need := headerBytes + len(payload)
@@ -590,11 +593,11 @@ func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32, box *mailbo
 	*bp = frame[:0]
 	framePool.Put(bp)
 	if err != nil {
-		return waiter{}, err
+		return err
 	}
 	p.m.sendFrames[dst].Add(1)
 	p.m.sendBytes[dst].Add(int64(len(payload)))
-	return waiter{}, nil
+	return nil
 }
 
 // checkTag refuses a tag the frame's signed 32-bit tag field would

@@ -4,14 +4,16 @@
 // decided to signal" and "the waiter sees it" is pure overhead. Co-located
 // ranks therefore share the receiving side's mailboxes outright: the segment
 // of a rank pair owns one inbox per direction — the same inbox/mailbox types
-// the TCP readers feed — and a send on a shared-memory link is
-// inbox.box(tag).put(mail{payload, word}) on the sender's own goroutine, the
-// version word (epoch.go) riding beside the payload as in a TCP header.
+// the TCP readers feed, under the same receiving rank's lock, which the
+// ShmHub owns — and a send on a shared-memory link is
+// inbox.box(tag).put(mail{payload, word}, w) on the sender's own goroutine,
+// the version word (epoch.go) riding beside the payload as in a TCP header.
 // Nothing sits in between — no queue of frames, no goroutine to forward
-// them: the receiver's Recv resolves (src, tag) to the very mailbox the
-// sender wrote, so Recv, RecvCancel, the resilient receive path and every
-// failure latch behave exactly as they do over TCP. Mail sent before the
-// receiver's Dial attaches simply waits in the segment.
+// them: a put that finds the receiver's program waiting delivers into it
+// under that one lock, and the receiver's Recv resolves (src, tag) to the
+// very mailbox the sender wrote, so Recv, RecvCancel, the resilient receive
+// path and every failure latch behave exactly as they do over TCP. Mail sent
+// before the receiver's Dial attaches simply waits in the segment.
 //
 // Close protocol. A socket reports a vanished peer with EOF; here the closing
 // peer reports itself. Peer.Close marks each outgoing link closed and calls
@@ -30,7 +32,7 @@ import "errors"
 var errShmPeerClosed = errors.New("shm peer closed")
 
 // shmLink is one direction of a shared-memory link: the receiver's inbox for
-// this source, plus the close handshake. The inbox mutex guards all of it.
+// this source, plus the close handshake, which the inbox's map lock guards.
 type shmLink struct {
 	inbox
 	closed   bool  // the sending peer called Close

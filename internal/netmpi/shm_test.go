@@ -148,11 +148,12 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 // lost wake-up — however puts, unparked takes and parks interleave.
 func TestMailboxStaleTokenStress(t *testing.T) {
 	const n = 20000
-	b := &mailbox{avail: make(chan struct{}, 1)}
+	b := &mailbox{mu: new(sync.Mutex), avail: make(chan struct{}, 1)}
 	go func() {
 		rng := rand.New(rand.NewSource(1))
+		var w worklist // no program waits on b: nothing is ever queued on it
 		for i := 0; i < n; i++ {
-			b.put(mail{[]byte{byte(i), byte(i >> 8), byte(i >> 16)}, uint32(i)})
+			b.put(mail{[]byte{byte(i), byte(i >> 8), byte(i >> 16)}, uint32(i)}, &w)
 			if rng.Intn(4) == 0 {
 				runtime.Gosched()
 			}

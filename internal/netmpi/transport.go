@@ -172,17 +172,21 @@ func TransportSignature(nodes []int) string {
 // the shared-memory segment connecting them — the stand-in for a named
 // shm_open segment on a real node. A segment exists from the moment either
 // endpoint first asks for it and holds each direction's inbox, so mail sent
-// before the other endpoint's Dial attaches waits there. Every rank of one
-// mesh must be handed the same hub (LoopbackMesh and HybridMesh do this;
-// manual Dial callers share one hub across their goroutine ranks).
+// before the other endpoint's Dial attaches waits there. The hub also owns
+// each rank's lock, the one lock that guards a rank's mailboxes and its
+// cursor: a segment's inbox needs its receiver's lock before the receiver
+// exists. Every rank of one mesh must be handed the same hub (LoopbackMesh
+// and HybridMesh do this; manual Dial callers share one hub across their
+// goroutine ranks).
 type ShmHub struct {
-	mu   sync.Mutex
-	segs map[[2]int]*shmSegment
+	mu    sync.Mutex
+	segs  map[[2]int]*shmSegment
+	locks map[int]*sync.Mutex
 }
 
 // NewShmHub returns an empty rendezvous.
 func NewShmHub() *ShmHub {
-	return &ShmHub{segs: map[[2]int]*shmSegment{}}
+	return &ShmHub{segs: map[[2]int]*shmSegment{}, locks: map[int]*sync.Mutex{}}
 }
 
 // segment returns the shared segment of the unordered pair {a, b}, creating
@@ -197,9 +201,27 @@ func (h *ShmHub) segment(a, b int) *shmSegment {
 	seg, ok := h.segs[key]
 	if !ok {
 		seg = new(shmSegment)
+		seg.fromLo.rank, seg.fromHi.rank = h.lockOf(b), h.lockOf(a)
 		h.segs[key] = seg
 	}
 	return seg
+}
+
+// rankLock returns rank r's lock.
+func (h *ShmHub) rankLock(r int) *sync.Mutex {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.lockOf(r)
+}
+
+// lockOf returns rank r's lock, creating it on first use. Caller holds h.mu.
+func (h *ShmHub) lockOf(r int) *sync.Mutex {
+	l, ok := h.locks[r]
+	if !ok {
+		l = new(sync.Mutex)
+		h.locks[r] = l
+	}
+	return l
 }
 
 // WithColocation routes the links between co-located ranks over the shared-
