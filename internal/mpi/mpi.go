@@ -77,10 +77,11 @@ func WithTracer(fn func(TraceEvent)) Option { return func(w *World) { w.tracer =
 // application's computation), or, with Noop set, one no-op initiation, whose
 // cost is a draw of the fabric's Oii (§IV.A) taken when the rank reaches the
 // step. Then it posts a receive from every rank of Recvs and a synchronized
-// send of Bytes to every rank of Sends, in list order, all under the pass's
-// tag base plus Tag, and the step completes when all of them have. A
-// compiled barrier plan's per-rank entries are steps (run.Plan.RankOps): Tag
-// the stage index, Bytes 0, no local work.
+// send of Bytes to every rank of Sends, in list order (a peer listed twice
+// is matched in that order), all under the pass's tag base plus Tag, and the
+// step completes when all of them have. A compiled barrier plan's per-rank
+// entries are steps (run.Plan.RankOps): Tag the stage index, Bytes 0, no
+// local work. netmpi's cursor keeps this contract too (DESIGN §3.5).
 type Step struct {
 	Tag          int
 	Recvs, Sends []int // peers
@@ -192,7 +193,7 @@ func (w *World) check(progs []Program) error {
 			return fmt.Errorf("mpi: rank %d: %d passes", rank, pg.Reps)
 		}
 		for k := range pg.Steps {
-			if err := w.checkStep(rank, &pg.Steps[k]); err != nil {
+			if err := CheckStep(rank, w.n, &pg.Steps[k]); err != nil {
 				return fmt.Errorf("mpi: rank %d step %d: %w", rank, k, err)
 			}
 		}
@@ -200,11 +201,13 @@ func (w *World) check(progs []Program) error {
 	return nil
 }
 
-func (w *World) checkStep(rank int, st *Step) error {
+// CheckStep refuses a step rank of a size-rank job could only fail on: the
+// one per-step check of World.Run and of the live venue (netmpi).
+func CheckStep(rank, size int, st *Step) error {
 	for _, peers := range [2][]int{st.Recvs, st.Sends} {
 		for _, q := range peers {
-			if q < 0 || q >= w.n {
-				return fmt.Errorf("peer %d out of range (size %d)", q, w.n)
+			if q < 0 || q >= size {
+				return fmt.Errorf("peer %d out of range (size %d)", q, size)
 			}
 			if q == rank {
 				return errors.New("addresses itself")

@@ -77,29 +77,27 @@ func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duratio
 // time bound but fails fast: a failed link anywhere in the peer, or a local
 // Close, ends it with an error.
 func (p *Peer) Stage(tag int, recvs, sends []int) error {
-	for _, peers := range [2][]int{recvs, sends} {
-		for _, r := range peers {
-			if r < 0 || r >= p.size || r == p.rank {
-				return fmt.Errorf("netmpi: rank %d: invalid stage peer %d on a %d-rank mesh", p.rank, r, p.size)
-			}
-		}
-	}
-	if err := p.checkTag(tag); err != nil {
-		return err
-	}
-	_, err := p.stage(tag, recvs, sends, 0, false)
+	c := &p.cur
+	c.one[0] = mpi.Step{Recvs: recvs, Sends: sends}
+	_, err := p.program(c.one[:], tag, 0, false, nil)
 	return err
 }
 
 var _ run.Stager = (*Peer)(nil)
 
-// stage runs the one-step program {recvs, sends} under tag on the cursor,
-// bound afresh into the cursor's own one-step binding.
-func (p *Peer) stage(tag int, recvs, sends []int, deadline time.Duration, resilient bool) ([]int, error) {
+// program runs steps under tagBase as the rank's program, bound (and so
+// checked) afresh into the cursor's own binding; Stage's one-step program is
+// one. A non-nil done, at least len(steps) long, gets each step's completion
+// time: seconds since the program began, on the rank's monotonic clock.
+func (p *Peer) program(steps []mpi.Step, tagBase int, deadline time.Duration, resilient bool, done []float64) ([]int, error) {
+	if done != nil && len(done) < len(steps) {
+		return nil, fmt.Errorf("netmpi: rank %d: %d completion times for %d steps", p.rank, len(done), len(steps))
+	}
 	c := &p.cur
-	c.one[0] = mpi.Step{Recvs: recvs, Sends: sends}
-	p.bind(&c.stageBind, c.one[:], tag)
-	skipped, _, err := c.run(&c.stageBind, deadline, resilient, 0)
+	if err := p.bind(&c.progBind, steps, tagBase); err != nil {
+		return nil, err
+	}
+	skipped, _, err := c.run(&c.progBind, deadline, resilient, 0, done)
 	return skipped, err
 }
 
@@ -125,7 +123,11 @@ func (p *Peer) execute(pl *run.Plan, tagBase int, deadline time.Duration, resili
 		barrierStart = time.Now()
 	}
 	c := &p.cur
-	skipped, folded, err = c.run(c.bound(pl.RankOps(p.rank), tagBase), deadline, resilient, entry)
+	b, err := c.bound(pl.RankOps(p.rank), tagBase)
+	if err != nil {
+		return nil, 0, err
+	}
+	skipped, folded, err = c.run(b, deadline, resilient, entry, nil)
 	if err == nil && p.m.enabled {
 		p.m.barrierDur.Observe(time.Since(barrierStart).Seconds())
 	}
@@ -150,13 +152,13 @@ func (p *Peer) linkLatched(src int) bool {
 	return p.linkErr[src] != nil
 }
 
-// sendResilient writes one empty frame unless the link to dst is already
+// sendResilient writes one frame unless the link to dst is already
 // latched as failed, in which case it reports skipped. A write error latches
 // the link (not the whole peer: the resilient path's point is to keep going)
 // and reports skipped too — on TCP, writes to a dead peer may buffer
 // silently or surface late, so the reader-side EOF latch is the primary
 // detector and the write error just confirms it. box and w are as for send.
-func (p *Peer) sendResilient(dst, tag int, word uint32, box *mailbox, w *worklist) (skipped bool, err error) {
+func (p *Peer) sendResilient(dst, tag int, payload []byte, word uint32, box *mailbox, w *worklist) (skipped bool, err error) {
 	if p.down.Load() { // some latch is set: find out whether it concerns dst
 		p.mu.Lock()
 		closed, linkErr := p.closed, p.linkErr[dst]
@@ -168,7 +170,7 @@ func (p *Peer) sendResilient(dst, tag int, word uint32, box *mailbox, w *worklis
 			return true, nil
 		}
 	}
-	if err := p.writeFrame(dst, tag, nil, word, box, w); err != nil {
+	if err := p.writeFrame(dst, tag, payload, word, box, w); err != nil {
 		p.fail(dst, err)
 		return true, nil
 	}

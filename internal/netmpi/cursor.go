@@ -20,6 +20,9 @@ package netmpi
 //   - a link writer's completion is an event of the step that posted it;
 //   - a latched link is an event of a resilient program waiting on it.
 //
+// A step means what it means to mpi.World.Run, local work aside, which bind
+// refuses: DESIGN §3.5 has the contract, TestExecutorConformance the table.
+//
 // One lock per rank: the cursor's mu is the rank's lock, and it guards the
 // rank's mailboxes too (mailbox.go), so a delivered signal costs one
 // acquisition. A goroutine holds at most one rank's lock at a time, and
@@ -43,6 +46,7 @@ package netmpi
 // is the timeout.
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,24 +61,56 @@ import (
 // binding is a step program with its mailboxes resolved for one tag base:
 // recv[k][i] is the mailbox step k's i-th receive reads, send[k][i] the
 // co-located receiver's mailbox step k's i-th send puts into (nil on a TCP
-// link). A plan's binding is built once per (plan, tag window) and reused.
+// link), and next[k][i] the step's next receive slot on recv[k][i]'s
+// mailbox, or -1; next[k] is empty for a step that reads no mailbox twice.
+// A plan's binding is built once per (plan, tag window) and reused.
 type binding struct {
 	steps    []mpi.Step
 	tagBase  int
 	recv     [][]*mailbox
 	send     [][]*mailbox
 	maxRecvs int
+	next     [][]int32
+	zeros    []byte // never written; a step's payload is zeros[:Bytes]
 }
 
-// bind resolves steps under tagBase into b, reusing b's slices.
-func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) {
+// bind resolves steps under tagBase into b, reusing b's slices. It refuses
+// what mpi.CheckStep refuses, tags the frame cannot carry, and local work:
+// a step's posts run on whichever goroutine completed the step before it,
+// often another rank's sender or a TCP reader, which it would stall.
+func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) error {
+	for k := range steps {
+		st := &steps[k]
+		err := cmp.Or(mpi.CheckStep(p.rank, p.size, st), p.checkTag(tagBase+st.Tag))
+		if err == nil && (st.Compute != 0 || st.Noop) {
+			err = fmt.Errorf("local work (Compute %g s, Noop %t) is not run on the live venue", st.Compute, st.Noop)
+		}
+		if err != nil {
+			return fmt.Errorf("netmpi: rank %d step %d: %w", p.rank, k, err)
+		}
+		if cap(b.zeros) < st.Bytes {
+			b.zeros = make([]byte, st.Bytes)
+		}
+	}
 	b.steps, b.tagBase, b.maxRecvs = steps, tagBase, 0
-	b.recv, b.send = resize(b.recv, len(steps)), resize(b.send, len(steps))
+	b.recv, b.next, b.send = resize(b.recv, len(steps)), resize(b.next, len(steps)), resize(b.send, len(steps))
 	for k, st := range steps {
 		tag := tagBase + st.Tag
-		b.recv[k] = b.recv[k][:0]
-		for _, src := range st.Recvs {
-			b.recv[k] = append(b.recv[k], p.in[src].box(tag))
+		b.recv[k], b.next[k] = b.recv[k][:0], b.next[k][:0]
+		chained := false
+		for i, src := range st.Recvs {
+			box := p.in[src].box(tag)
+			for j := i - 1; j >= 0; j-- {
+				if b.recv[k][j] == box {
+					b.next[k][j], chained = int32(i), true
+					break
+				}
+			}
+			b.recv[k] = append(b.recv[k], box)
+			b.next[k] = append(b.next[k], -1)
+		}
+		if !chained {
+			b.next[k] = b.next[k][:0]
 		}
 		b.send[k] = b.send[k][:0]
 		for _, dst := range st.Sends {
@@ -86,12 +122,20 @@ func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) {
 		}
 		b.maxRecvs = max(b.maxRecvs, len(st.Recvs))
 	}
+	return nil
+}
+
+// payload is what each send of step k carries: Bytes zero bytes, capped so
+// that no receiver can append into the shared buffer.
+func (b *binding) payload(k int) []byte {
+	n := b.steps[k].Bytes
+	return b.zeros[:n:n]
 }
 
 // resize returns s with length n, keeping its elements' backing arrays.
-func resize(s [][]*mailbox, n int) [][]*mailbox {
+func resize[T any](s [][]T, n int) [][]T {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([][]*mailbox, n-cap(s))...)
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -140,36 +184,43 @@ type cursor struct {
 	stageSpan  telemetry.Span
 	recvSpans  []telemetry.Span
 
+	// A program's done, set by begin: nil, or each step's completion time
+	// since start. Last, so the fields a delivery uses keep their offsets.
+	done  []float64
+	start time.Time
+
 	// Owned by the rank goroutine.
-	own       worklist
-	binds     [2]*binding // the last two (plan, tag window) bindings
-	nextBind  int
-	one       [1]mpi.Step // Stage's one-step program
-	stageBind binding
+	own      worklist
+	binds    [2]*binding // the last two (plan, tag window) bindings
+	nextBind int
+	one      [1]mpi.Step // Stage's one-step program
+	progBind binding     // the program entry's binding, made afresh each call
 }
 
 // bound returns steps bound under tagBase from the cache, binding them on a
 // miss. EpochRunner and the benchmarks alternate two tag windows over one
 // plan, so two entries keep a steady stream of barriers free of lookups.
-func (c *cursor) bound(steps []mpi.Step, tagBase int) *binding {
+func (c *cursor) bound(steps []mpi.Step, tagBase int) (*binding, error) {
 	for _, b := range c.binds {
 		if b != nil && b.tagBase == tagBase && len(b.steps) == len(steps) &&
 			(len(steps) == 0 || &b.steps[0] == &steps[0]) {
-			return b
+			return b, nil
 		}
 	}
 	b := new(binding)
-	c.p.bind(b, steps, tagBase)
+	if err := c.p.bind(b, steps, tagBase); err != nil {
+		return nil, err
+	}
 	c.binds[c.nextBind] = b
 	c.nextBind = (c.nextBind + 1) % len(c.binds)
-	return b
+	return b, nil
 }
 
 // run executes the bound program on the rank's goroutine: it posts step 0,
 // yields shmYields times if every link of the mesh is shared memory, then
 // parks until the program ends or fails.
-func (c *cursor) run(b *binding, deadline time.Duration, resilient bool, entry uint32) (skipped []int, folded uint32, err error) {
-	if err := c.begin(b, deadline, resilient, entry); err != nil {
+func (c *cursor) run(b *binding, deadline time.Duration, resilient bool, entry uint32, done []float64) (skipped []int, folded uint32, err error) {
+	if err := c.begin(b, deadline, resilient, entry, done); err != nil {
 		return nil, 0, err
 	}
 	c.own.drain()
@@ -180,7 +231,7 @@ func (c *cursor) run(b *binding, deadline time.Duration, resilient bool, entry u
 }
 
 // begin resets the cursor for b and enters step 0.
-func (c *cursor) begin(b *binding, deadline time.Duration, resilient bool, entry uint32) error {
+func (c *cursor) begin(b *binding, deadline time.Duration, resilient bool, entry uint32, done []float64) error {
 	c.mu.Lock()
 	defer c.unlock()
 	if c.active {
@@ -188,7 +239,10 @@ func (c *cursor) begin(b *binding, deadline time.Duration, resilient bool, entry
 	}
 	c.active = true
 	c.gen++
-	c.b, c.deadline, c.resilient = b, deadline, resilient
+	c.b, c.deadline, c.resilient, c.done = b, deadline, resilient, done
+	if done != nil {
+		c.start = time.Now()
+	}
 	c.folded, c.skipped, c.err = entry, nil, nil
 	c.latch = c.p.latched(resilient)
 	c.over.Store(false)
@@ -243,7 +297,8 @@ func (c *cursor) index() int {
 
 // enter posts the current step: its sends go on the worklist with the word
 // folded so far, and each receive takes its queued mail or, finding none,
-// registers a waiter. Caller holds mu.
+// registers a waiter, unless an earlier slot of the step already waits on
+// that mailbox (put hands the waiter on). Caller holds mu.
 func (c *cursor) enter(w *worklist) {
 	p := c.p
 	st := &c.b.steps[c.step]
@@ -259,12 +314,13 @@ func (c *cursor) enter(w *worklist) {
 	if len(st.Sends) > 0 {
 		w.push(item{c: c, gen: c.gen, step: int32(c.step), word: c.folded})
 	}
-	boxes := c.b.recv[c.step]
+	boxes, chained := c.b.recv[c.step], len(c.b.next[c.step]) > 0
 	for slot, src := range st.Recvs {
 		c.got[slot] = false
-		msg, ok := boxes[slot].pop()
-		if !ok {
-			boxes[slot].w = waiter{c, c.gen, int32(c.step), int32(slot)}
+		box := boxes[slot]
+		msg, ok := box.pop()
+		if wt := &box.w; !ok && (!chained || wt.c != c || wt.gen != c.gen || int(wt.step) != c.step) {
+			box.w = waiter{c, c.gen, int32(c.step), int32(slot)}
 		}
 		if p.tracer != nil {
 			// Opened after the take, so the span of a message that was
@@ -335,10 +391,14 @@ func (c *cursor) recvLinkDown(slot int) {
 	c.endRecvSpan(slot)
 }
 
-// settle moves past every completed step, entering the next one, and wakes
-// the rank once it may return. Caller holds mu.
+// settle moves past every completed step, recording its completion time
+// in done, entering the next one, and wakes the rank once it may return.
+// Caller holds mu.
 func (c *cursor) settle(w *worklist) {
 	for c.err == nil && c.step < len(c.b.steps) && c.recvLeft == 0 && c.sendLeft == 0 {
+		if c.done != nil {
+			c.done[c.step] = time.Since(c.start).Seconds()
+		}
 		if c.p.m.enabled {
 			c.p.m.stageDur.Observe(time.Since(c.stageStart).Seconds())
 		}
@@ -591,6 +651,7 @@ func (c *cursor) post(it item, w *worklist) {
 	tag := b.tagBase + st.Tag
 	index := tag % run.TagSpan
 	boxes := b.send[it.step]
+	payload := b.payload(int(it.step))
 	inline := -1
 	if w.owner == c {
 		for inline = len(st.Sends) - 1; inline >= 0 && boxes[inline] != nil; inline-- {
@@ -604,7 +665,7 @@ func (c *cursor) post(it item, w *worklist) {
 			continue
 		}
 		var skipped bool
-		skipped, err = p.stepSend(dst, tag, index, it.word, c.resilient, boxes[i], w)
+		skipped, err = p.stepSend(dst, tag, index, payload, it.word, c.resilient, boxes[i], w)
 		done++
 		if skipped {
 			c.skip(dst)
@@ -621,15 +682,15 @@ func (c *cursor) post(it item, w *worklist) {
 
 // stepSend sends one signal of a step under its message span: send, which
 // refuses on a failed peer, or sendResilient, which skips a latched link.
-func (p *Peer) stepSend(dst, tag, index int, word uint32, resilient bool, box *mailbox, w *worklist) (skipped bool, err error) {
+func (p *Peer) stepSend(dst, tag, index int, payload []byte, word uint32, resilient bool, box *mailbox, w *worklist) (skipped bool, err error) {
 	var ms telemetry.Span
 	if p.tracer != nil {
 		ms = p.tracer.BeginTag(sendSpan[p.TransportOf(dst)], p.rank, index, dst, tag)
 	}
 	if resilient {
-		skipped, err = p.sendResilient(dst, tag, word, box, w)
+		skipped, err = p.sendResilient(dst, tag, payload, word, box, w)
 	} else {
-		err = p.send(dst, tag, nil, word, box, w)
+		err = p.send(dst, tag, payload, word, box, w)
 	}
 	if p.tracer != nil {
 		ms.End()
@@ -692,7 +753,8 @@ func (p *Peer) writer(dst int) {
 		q.closed = closing
 		q.mu.Unlock()
 		for _, j := range batch {
-			skipped, err := p.stepSend(j.dst, j.tag, j.tag%run.TagSpan, j.word, j.c.resilient, nil, &w)
+			payload := j.c.b.payload(int(j.step)) // j's program runs on until sent
+			skipped, err := p.stepSend(j.dst, j.tag, j.tag%run.TagSpan, payload, j.word, j.c.resilient, nil, &w)
 			if skipped {
 				j.c.skip(j.dst)
 			}

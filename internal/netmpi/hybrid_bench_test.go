@@ -14,20 +14,25 @@ import (
 // plan executed back to back over the three mesh shapes — pure-TCP loopback,
 // fully co-located shared memory, and the realistic two-node mix (half the
 // ranks per node, so the plan's local phases run over shm and its root
-// exchange over TCP) — at P=8 and P=16. Every rank is one goroutine looping
+// exchange over TCP) — at P=8 and P=16, and fully co-located at P=32 and
+// P=64, the live layer's large-P points. Every rank is one goroutine looping
 // b.N barriers over alternating tag windows, as an application would; ns/op
-// is the period of the slowest rank. CI archives the results as
+// is the period of the slowest rank. CI archives the P=8 and P=16 results as
 // BENCH_hybrid.json.
 func BenchmarkBarrierTransport(b *testing.B) {
-	for _, p := range []int{8, 16} {
-		for _, tc := range []struct {
+	for _, p := range []int{8, 16, 32, 64} {
+		shapes := []struct {
 			name  string
 			nodes []int
 		}{
 			{"tcp", nil},
 			{"hybrid", oneNode(p)},
 			{"mixed", twoNodes(p)},
-		} {
+		}
+		if p > 16 {
+			shapes = shapes[1:2]
+		}
+		for _, tc := range shapes {
 			b.Run(fmt.Sprintf("p%d-%s", p, tc.name), func(b *testing.B) {
 				pl := tunedPlan(b, p)
 				peers := hybridMesh(b, p, tc.nodes)

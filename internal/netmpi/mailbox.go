@@ -21,15 +21,17 @@ import (
 // cannot strand a waiter.
 //
 // A running step program does not park on avail: its cursor registers a
-// waiter when the queue is empty, and the put that brings the next message
-// delivers it into the waiting receive under the rank's lock. Only a message
-// no current step waits for is queued.
+// waiter, the step's first unfilled receive slot on the mailbox, when the
+// queue is empty, and the put that brings the next message delivers it into
+// that slot under the rank's lock and hands the waiter to the step's next
+// slot on the mailbox, if any. Only a message no current step waits for is
+// queued.
 type mailbox struct {
 	mu    *sync.Mutex // the receiving rank's lock; guards msgs, head and w
 	msgs  []mail      // queued messages are msgs[head:]
 	head  int
 	avail chan struct{}
-	w     waiter // the cursor receive waiting for the next message, if any
+	w     waiter // the first cursor receive slot waiting for the next message, if any
 }
 
 // waiter names one receive of a running step program: the cursor, the
@@ -56,9 +58,10 @@ type mail struct {
 }
 
 // put delivers msg under the receiving rank's lock. A registered waiter of
-// the current step gets it at once: the receive completes, and if that
-// completes the step, the next step is entered and its sends are queued on
-// w. Otherwise — no waiter, or a stale one — the message is queued and the
+// the current step gets it at once: the receive completes, the waiter moves
+// to the step's next slot on this mailbox, if it has one, and if the step
+// is complete the next step is entered and its sends are queued on w.
+// Otherwise — no waiter, or a stale one — the message is queued and the
 // wake-up edge raised. A parked rank is kicked after the lock is released.
 func (b *mailbox) put(msg mail, w *worklist) {
 	b.mu.Lock()
@@ -66,6 +69,9 @@ func (b *mailbox) put(msg mail, w *worklist) {
 		b.w = waiter{}
 		if c := wt.c; c.waiting(wt) {
 			c.deliver(int(wt.slot), msg)
+			if chain := c.b.next[c.step]; len(chain) > 0 && chain[wt.slot] >= 0 {
+				b.w = waiter{c, wt.gen, wt.step, chain[wt.slot]}
+			}
 			c.settle(w)
 			c.unlock()
 			return
@@ -168,36 +174,6 @@ const (
 // timers deliver nothing stale after Stop, so a recycled timer needs no drain.
 var timerPool = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
-// await is the point-to-point receive wait (Recv, RecvCancel; a barrier's
-// receives are its cursor's): it returns the next message of (src, tag), or
-// why it gave up — first (the caller's cancel) or second (the peer's
-// failure latch) closed, or the deadline (0 = none) passed. Whatever ends
-// the wait, mail that raced in ahead of it is returned instead.
-func (p *Peer) await(src, tag int, deadline time.Duration, first, second <-chan struct{}) (mail, wakeReason) {
-	b := p.in[src].box(tag)
-	if p.m.enabled {
-		start := time.Now()
-		defer func() { p.m.recvWait.Observe(time.Since(start).Seconds()) }()
-	}
-	shm := p.shmOut[src] != nil
-	msg, ok := b.take()
-	for i := 0; shm && !ok && i < shmYields; i++ {
-		runtime.Gosched()
-		msg, ok = b.take()
-	}
-	why := gotMail
-	if !ok {
-		msg, why = b.park(deadline, first, second)
-	}
-	if why == gotMail && shm {
-		// A shared-memory frame has no reader goroutine to count it on
-		// arrival, so its receiver does.
-		p.m.recvFrames[src].Add(1)
-		p.m.recvBytes[src].Add(int64(len(msg.payload)))
-	}
-	return msg, why
-}
-
 // park blocks on the mailbox's wake-up edge, the two latches and the
 // deadline. The timer exists only here, past the fast paths.
 func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) (mail, wakeReason) {
@@ -249,30 +225,44 @@ func (p *Peer) Recv(src, tag int, deadline time.Duration) ([]byte, error) {
 // timed exchange errors out, it cancels its partner's pending receive
 // instead of leaving it blocked until the deadline.
 func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan struct{}) ([]byte, error) {
-	msg, err := p.recv(src, tag, deadline, cancel)
-	return msg.payload, err
-}
-
-// recv is RecvCancel keeping the frame's version word, for the stage loop.
-func (p *Peer) recv(src, tag int, deadline time.Duration, cancel <-chan struct{}) (mail, error) {
 	if src < 0 || src >= p.size || src == p.rank {
-		return mail{}, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
+		return nil, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
 	}
 	if err := p.checkTag(tag); err != nil {
-		return mail{}, err
+		return nil, err
 	}
-	msg, why := p.await(src, tag, deadline, cancel, p.done)
+	b := p.in[src].box(tag)
+	if p.m.enabled {
+		start := time.Now()
+		defer func() { p.m.recvWait.Observe(time.Since(start).Seconds()) }()
+	}
+	shm := p.shmOut[src] != nil
+	msg, ok := b.take()
+	for i := 0; shm && !ok && i < shmYields; i++ {
+		runtime.Gosched()
+		msg, ok = b.take()
+	}
+	why := gotMail
+	if !ok {
+		msg, why = b.park(deadline, cancel, p.done)
+	}
 	switch why {
 	case gotMail:
-		return msg, nil
+		if shm {
+			// A shared-memory frame has no reader goroutine to count it on
+			// arrival, so its receiver does.
+			p.m.recvFrames[src].Add(1)
+			p.m.recvBytes[src].Add(int64(len(msg.payload)))
+		}
+		return msg.payload, nil
 	case wakeFirst:
-		return mail{}, ErrRecvCancelled
+		return nil, ErrRecvCancelled
 	}
 	if err := p.err(); err != nil {
-		return mail{}, err
+		return nil, err
 	}
 	if why == wakeSecond {
-		return mail{}, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
+		return nil, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
 	}
-	return mail{}, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
+	return nil, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
 )
@@ -107,7 +108,7 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		var skipped []int
-		skipped, resErr = peers[1].stage(102, []int{0}, nil, 30*time.Second, true)
+		skipped, resErr = peers[1].program([]mpi.Step{{Recvs: []int{0}}}, 102, 30*time.Second, true, nil)
 		resSkipped = slices.Equal(skipped, []int{0})
 	}()
 	time.Sleep(20 * time.Millisecond) // let the three park; the outcome is the same if one has not
