@@ -19,13 +19,13 @@
 // co-located ranks to an in-process shared-memory link (co-location from
 // -colocate, or derived from -cluster/-placement); cross-node links stay TCP
 // and failure semantics are identical on both. When the run needs the mesh's
-// O/L profile (-report, -retune, -alg hybrid) it probes every pair in
-// tournament rounds, at most -probe-iters ping-pongs a pair, each pair
-// stopping once its minimum RTT has been stable for 3 samples; -profile-cache
-// reuses a fingerprinted profile from an earlier run after re-checking one
-// round of links against it through the same re-probe -retune uses (a
-// two-sample screen, then the full budget on the flagged links; only links
-// that still drift 50 % there are patched).
+// O/L profile (-report, -retune, -alg hybrid) it runs the simulator's §IV.A
+// protocol on every pair, in phases of one repetition, at most -probe-iters
+// phases a pair, each pair stopping once its fitted O+L has held for 3
+// phases; -profile-cache reuses a fingerprinted profile from an earlier run
+// after re-checking one round of links against it through the same
+// re-probe -retune uses (a two-phase screen, then the full budget on the
+// flagged links; only links that still drift 50 % there are patched).
 //
 // -report records the message-level execution of the barrier as a
 // critpath.Timeline and prints one report from it: a per-rank Gantt timeline,
@@ -143,7 +143,7 @@ func main() {
 		netFault   = flag.String("net-fault", "", "inject a transport fault, op:rank:frame[:arg] with op drop|delay|truncate|sever (delay arg: duration, truncate arg: bytes kept); e.g. sever:0:2")
 		transport  = flag.String("transport", "tcp", "with -net, mesh transport: tcp, or hybrid (shared memory between co-located ranks)")
 		colocate   = flag.String("colocate", "", "with -transport hybrid, co-location spec: \"nodes=K\" or rank groups \"0-3,4-7\"; default derives from -cluster/-placement")
-		probeIters = flag.Int("probe-iters", 8, "with -net, max ping-pongs per rank pair when probing the O/L profile (-report, -retune, -alg hybrid)")
+		probeIters = flag.Int("probe-iters", 8, "with -net, max phases per rank pair when probing the O/L profile (-report, -retune, -alg hybrid)")
 		cacheDir   = flag.String("profile-cache", "", "with -net, fingerprinted profile cache directory; a warm entry skips the probe after re-validating one round of links")
 
 		retuneRun      = flag.Bool("retune", false, "with -net, run the closed-loop online retuning controller during the measurement; with -report, one read-only check after the traced runs")
@@ -489,8 +489,9 @@ func (lv *live) bringUp() ([]*netmpi.Peer, string, error) {
 	return peers, meshName, nil
 }
 
-// probeMesh measures the paper's O/L profile over the live links in parallel
-// rounds, or serves it from the fingerprinted cache, and says which.
+// probeMesh measures the paper's O/L profile over the live links in phases
+// of the §IV.A protocol, or serves it from the fingerprinted cache, and says
+// which.
 func (lv *live) probeMesh(peers []*netmpi.Peer) (*profile.Profile, error) {
 	fmt.Printf("loopback mesh up: %d ranks, transport %s\n", len(peers), peers[0].TransportSignature())
 	pf, rep, hit, err := netmpi.ProbeProfileCached(peers, lv.probe, lv.cache, cacheDriftTol)
@@ -506,7 +507,7 @@ func (lv *live) probeMesh(peers []*netmpi.Peer) (*profile.Profile, error) {
 	}
 	if n := rep.TotalSamples(); n > 0 {
 		lo, med, hi := rep.SampleStats()
-		fmt.Printf("probe: %d rounds, %d samples (per pair min %g / median %g / max %g) in %s\n",
+		fmt.Printf("probe: %d phases, %d samples (per pair min %g / median %g / max %g) in %s\n",
 			rep.Rounds, n, lo, med, hi, rep.Elapsed.Round(time.Millisecond))
 	}
 	fmt.Printf("probed profile %q: O in [%.1fµs, %.1fµs], L in [%.1fµs, %.1fµs]\n",

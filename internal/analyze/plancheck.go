@@ -21,8 +21,6 @@ import (
 //   - plan-structure: stage indices in range and strictly increasing per
 //     rank (the transports walk op lists in order; a repeated or regressing
 //     stage index reuses a tag while the previous matching window is live).
-//   - plan-self-message: a rank sending to or receiving from itself can
-//     never match (transports have no loopback mailbox).
 //   - plan-unmatched-send: a send with no matching receive. The message is
 //     unreceivable; under rendezvous semantics the sender blocks forever,
 //     and under eager semantics the message survives the barrier — a stage
@@ -76,24 +74,11 @@ func CheckPlan(pl *run.Plan) []Finding {
 				})
 			}
 			prev = op.Tag
+			// No step addresses its own rank: NewPlan and PlanFromOps refuse it.
 			for _, src := range op.Recvs {
-				if src == r {
-					fs = append(fs, Finding{
-						Check: "plan-self-message", Severity: Error, Stage: op.Tag, Ranks: []int{r},
-						Message: fmt.Sprintf("rank %d receives from itself in stage %d: no transport can match it", r, op.Tag),
-					})
-					continue
-				}
 				recvs[message{op.Tag, src, r}]++
 			}
 			for _, dst := range op.Sends {
-				if dst == r {
-					fs = append(fs, Finding{
-						Check: "plan-self-message", Severity: Error, Stage: op.Tag, Ranks: []int{r},
-						Message: fmt.Sprintf("rank %d sends to itself in stage %d: no transport can match it", r, op.Tag),
-					})
-					continue
-				}
 				sends[message{op.Tag, r, dst}]++
 			}
 		}

@@ -126,8 +126,10 @@ func TestCheckPlanSilencedPlanFindings(t *testing.T) {
 	}
 }
 
-// TestCheckPlanDuplicateAndSelf: duplicated messages under one tag and
-// self-messages are wire-level ambiguities: Errors.
+// TestCheckPlanDuplicateAndSelf: duplicated messages under one tag are
+// wire-level ambiguities, Errors; a self-message cannot even be built, since
+// PlanFromOps runs the executors' step check, as NewPlan refuses a
+// self-signal.
 func TestCheckPlanDuplicateAndSelf(t *testing.T) {
 	pl := mustPlan(t, "dup", 2, 1, [][]mpi.Step{
 		{{Tag: 0, Sends: []int{1, 1}}},
@@ -138,12 +140,8 @@ func TestCheckPlanDuplicateAndSelf(t *testing.T) {
 		t.Errorf("findings %v: want duplicate-message on both sides", got)
 	}
 
-	pl = mustPlan(t, "self", 2, 1, [][]mpi.Step{
-		{{Tag: 0, Sends: []int{0}}},
-		{},
-	})
-	if checks(CheckPlan(pl))["plan-self-message"] != 1 {
-		t.Error("self-send not flagged")
+	if _, err := run.PlanFromOps("self", 2, 1, [][]mpi.Step{{{Tag: 0, Sends: []int{0}}}, {}}); err == nil || !strings.Contains(err.Error(), "addresses itself") {
+		t.Errorf("self-send plan built: %v", err)
 	}
 }
 

@@ -391,6 +391,25 @@ func barrierWindow(before, after map[string]any, p int) string {
 	return b.String()
 }
 
+// remeasure measures the directions afresh on a copy of pf, with the mesh
+// as it is now, and lists each one's fresh O+L against pf's: what a failing
+// closed-loop check's re-probe saw.
+func remeasure(peers []*netmpi.Peer, pf *profile.Profile, opts netmpi.ProbeOptions, dirs []profile.Link) string {
+	all := make([]int, pf.P)
+	for r := range all {
+		all[r] = r
+	}
+	fresh := pf.Sub(all)
+	if _, err := netmpi.Reprobe(peers, fresh, opts, 1e-9, dirs); err != nil {
+		return err.Error()
+	}
+	var b strings.Builder
+	for _, d := range dirs {
+		fmt.Fprintf(&b, "  %v: %.1fµs, profile %.1fµs\n", d, (fresh.O.At(d.From, d.To)+fresh.L.At(d.From, d.To))*1e6, (pf.O.At(d.From, d.To)+pf.L.At(d.From, d.To))*1e6)
+	}
+	return b.String()
+}
+
 // TestAimedReprobeClosedLoop drives the retune controller with a flight
 // recorder attached on a live P=8 mesh: on the drift trigger the controller
 // must aim the re-probe at the blamed directions — screening strictly fewer
@@ -491,6 +510,11 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if t.Failed() && d2.Reprobe != nil {
+			t.Logf("re-probe: stale %v; the implicated directions' O+L against the profile's:\n%s", d2.Reprobe.Stale, remeasure(peers, pf, probeOpts, d2.Implicated))
+		}
+	}()
 	if !d2.Triggered {
 		t.Fatalf("3ms delay on the plan's stage-0 link did not trigger: %+v", d2)
 	}

@@ -79,21 +79,22 @@ func (p *Peer) BarrierResilient(pl *run.Plan, tagBase int, deadline time.Duratio
 func (p *Peer) Stage(tag int, recvs, sends []int) error {
 	c := &p.cur
 	c.one[0] = mpi.Step{Recvs: recvs, Sends: sends}
-	_, err := p.program(c.one[:], tag, 0, false, nil)
+	_, err := c.program(c.one[:], tag, 0, false, nil)
 	return err
 }
 
 var _ run.Stager = (*Peer)(nil)
 
-// program runs steps under tagBase as the rank's program, bound (and so
-// checked) afresh into the cursor's own binding; Stage's one-step program is
-// one. A non-nil done, at least len(steps) long, gets each step's completion
-// time: seconds since the program began, on the rank's monotonic clock.
-func (p *Peer) program(steps []mpi.Step, tagBase int, deadline time.Duration, resilient bool, done []float64) ([]int, error) {
+// program runs steps under tagBase as a program of the cursor's rank, bound
+// (and so checked) afresh into the cursor's own binding: Stage's one-step
+// program on cur, the probe's on pcur. A non-nil done, at least len(steps)
+// long, gets each step's completion time: seconds since the program began,
+// on the rank's monotonic clock.
+func (c *cursor) program(steps []mpi.Step, tagBase int, deadline time.Duration, resilient bool, done []float64) ([]int, error) {
+	p := c.p
 	if done != nil && len(done) < len(steps) {
 		return nil, fmt.Errorf("netmpi: rank %d: %d completion times for %d steps", p.rank, len(done), len(steps))
 	}
-	c := &p.cur
 	if err := p.bind(&c.progBind, steps, tagBase); err != nil {
 		return nil, err
 	}

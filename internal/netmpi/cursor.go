@@ -20,8 +20,9 @@ package netmpi
 //   - a link writer's completion is an event of the step that posted it;
 //   - a latched link is an event of a resilient program waiting on it.
 //
-// A step means what it means to mpi.World.Run, local work aside, which bind
-// refuses: DESIGN §3.5 has the contract, TestExecutorConformance the table.
+// A step means what it means to mpi.World.Run, Compute aside, which bind
+// refuses (a Noop step is an empty step): DESIGN §3.5 has the contract,
+// TestExecutorConformance the table.
 //
 // One lock per rank: the cursor's mu is the rank's lock, and it guards the
 // rank's mailboxes too (mailbox.go), so a delivered signal costs one
@@ -49,6 +50,7 @@ import (
 	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +65,10 @@ import (
 // co-located receiver's mailbox step k's i-th send puts into (nil on a TCP
 // link), and next[k][i] the step's next receive slot on recv[k][i]'s
 // mailbox, or -1; next[k] is empty for a step that reads no mailbox twice.
-// A plan's binding is built once per (plan, tag window) and reused.
+// inline[k] is step k's last TCP send, which the rank's own goroutine
+// writes itself, or -1 if the step sends to that rank more than once, whose
+// frames then leave in order through its link's writer. A plan's binding is
+// built once per (plan, tag window) and reused.
 type binding struct {
 	steps    []mpi.Step
 	tagBase  int
@@ -71,19 +76,21 @@ type binding struct {
 	send     [][]*mailbox
 	maxRecvs int
 	next     [][]int32
+	inline   []int32
 	zeros    []byte // never written; a step's payload is zeros[:Bytes]
 }
 
 // bind resolves steps under tagBase into b, reusing b's slices. It refuses
-// what mpi.CheckStep refuses, tags the frame cannot carry, and local work:
-// a step's posts run on whichever goroutine completed the step before it,
-// often another rank's sender or a TCP reader, which it would stall.
+// what mpi.CheckStep refuses, tags the frame cannot carry, and Compute: a
+// step's posts run on whichever goroutine completed the step before it,
+// often another rank's sender or a TCP reader, which it would stall. A Noop
+// step's local work is nothing: it is an empty step.
 func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) error {
 	for k := range steps {
 		st := &steps[k]
 		err := cmp.Or(mpi.CheckStep(p.rank, p.size, st), p.checkTag(tagBase+st.Tag))
-		if err == nil && (st.Compute != 0 || st.Noop) {
-			err = fmt.Errorf("local work (Compute %g s, Noop %t) is not run on the live venue", st.Compute, st.Noop)
+		if err == nil && st.Compute != 0 {
+			err = fmt.Errorf("local work (Compute %g s) is not run on the live venue", st.Compute)
 		}
 		if err != nil {
 			return fmt.Errorf("netmpi: rank %d step %d: %w", p.rank, k, err)
@@ -94,6 +101,7 @@ func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) error {
 	}
 	b.steps, b.tagBase, b.maxRecvs = steps, tagBase, 0
 	b.recv, b.next, b.send = resize(b.recv, len(steps)), resize(b.next, len(steps)), resize(b.send, len(steps))
+	b.inline = slices.Grow(b.inline[:0], len(steps))[:len(steps)]
 	for k, st := range steps {
 		tag := tagBase + st.Tag
 		b.recv[k], b.next[k] = b.recv[k][:0], b.next[k][:0]
@@ -112,11 +120,15 @@ func (p *Peer) bind(b *binding, steps []mpi.Step, tagBase int) error {
 		if !chained {
 			b.next[k] = b.next[k][:0]
 		}
-		b.send[k] = b.send[k][:0]
-		for _, dst := range st.Sends {
+		b.send[k], b.inline[k] = b.send[k][:0], -1
+		for i, dst := range st.Sends {
 			var box *mailbox
 			if link := p.shmOut[dst]; link != nil {
 				box = link.box(tag)
+			} else if !slices.Contains(st.Sends[:i], dst) {
+				b.inline[k] = int32(i)
+			} else {
+				b.inline[k] = -1
 			}
 			b.send[k] = append(b.send[k], box)
 		}
@@ -144,7 +156,8 @@ func resize[T any](s [][]T, n int) [][]T {
 // goroutine owns the binding cache and own; everything else is guarded by
 // mu, the rank's lock, which its mailboxes share: a ShmHub's on a co-located
 // mesh, since shm mail can arrive before the rank's Dial, the Peer's own
-// otherwise.
+// otherwise. A rank has two: cur runs its barriers, pcur its probe
+// programs beside them, on the same lock.
 type cursor struct {
 	p  *Peer
 	mu *sync.Mutex
@@ -188,6 +201,11 @@ type cursor struct {
 	// since start. Last, so the fields a delivery uses keep their offsets.
 	done  []float64
 	start time.Time
+
+	// Set when the cursor is made: the peer's tracer and registry for cur,
+	// none for pcur, whose probe traffic is no barrier's.
+	tracer  *telemetry.Tracer
+	metered bool // observe receive waits and step durations
 
 	// Owned by the rank goroutine.
 	own      worklist
@@ -305,11 +323,11 @@ func (c *cursor) enter(w *worklist) {
 	tag := c.b.tagBase + st.Tag
 	c.recvLeft, c.sendLeft = len(st.Recvs), len(st.Sends)
 	c.progress++
-	if p.m.enabled {
+	if c.metered {
 		c.stageStart = time.Now()
 	}
-	if p.tracer != nil {
-		c.stageSpan = p.tracer.Begin(p.stageSpanName(st.Recvs, st.Sends), p.rank, c.index(), -1)
+	if c.tracer != nil {
+		c.stageSpan = c.tracer.Begin(p.stageSpanName(st.Recvs, st.Sends), p.rank, c.index(), -1)
 	}
 	if len(st.Sends) > 0 {
 		w.push(item{c: c, gen: c.gen, step: int32(c.step), word: c.folded})
@@ -322,11 +340,11 @@ func (c *cursor) enter(w *worklist) {
 		if wt := &box.w; !ok && (!chained || wt.c != c || wt.gen != c.gen || int(wt.step) != c.step) {
 			box.w = waiter{c, c.gen, int32(c.step), int32(slot)}
 		}
-		if p.tracer != nil {
+		if c.tracer != nil {
 			// Opened after the take, so the span of a message that was
 			// already queued is empty, as the simulator's is; a waiter
 			// cannot be satisfied before it opens, since that takes mu.
-			c.recvSpans[slot] = p.tracer.BeginTag(recvSpan[p.TransportOf(src)], p.rank, c.index(), src, tag)
+			c.recvSpans[slot] = c.tracer.BeginTag(recvSpan[p.TransportOf(src)], p.rank, c.index(), src, tag)
 		}
 		switch {
 		case ok:
@@ -355,7 +373,7 @@ func (c *cursor) deliver(slot int, msg mail) {
 		p.m.recvFrames[src].Add(1)
 		p.m.recvBytes[src].Add(int64(len(msg.payload)))
 	}
-	if p.m.enabled {
+	if c.metered {
 		p.m.recvWait.Observe(time.Since(c.stageStart).Seconds())
 	}
 }
@@ -363,13 +381,13 @@ func (c *cursor) deliver(slot int, msg mail) {
 // endRecvSpan and endStageSpan close the current step's spans, if tracing.
 // Caller holds mu.
 func (c *cursor) endRecvSpan(slot int) {
-	if c.p.tracer != nil {
+	if c.tracer != nil {
 		c.recvSpans[slot].End()
 	}
 }
 
 func (c *cursor) endStageSpan() {
-	if c.p.tracer != nil {
+	if c.tracer != nil {
 		c.stageSpan.End()
 	}
 }
@@ -399,7 +417,7 @@ func (c *cursor) settle(w *worklist) {
 		if c.done != nil {
 			c.done[c.step] = time.Since(c.start).Seconds()
 		}
-		if c.p.m.enabled {
+		if c.metered {
 			c.p.m.stageDur.Observe(time.Since(c.stageStart).Seconds())
 		}
 		c.endStageSpan()
@@ -641,9 +659,9 @@ func (w *worklist) drain() {
 }
 
 // post sends step it.step's signals: shared-memory puts inline, TCP frames
-// to their link writers, except that the rank's own goroutine writes its
-// last TCP frame itself, as the simulator posts a step's sends together. A
-// failed send stops the posting.
+// to their link writers, except that the rank's own goroutine writes the
+// step's inline frame itself, as the simulator posts a step's sends
+// together. A failed send stops the posting.
 func (c *cursor) post(it item, w *worklist) {
 	p := c.p
 	b := c.b // set by begin, before this item was queued
@@ -654,8 +672,7 @@ func (c *cursor) post(it item, w *worklist) {
 	payload := b.payload(int(it.step))
 	inline := -1
 	if w.owner == c {
-		for inline = len(st.Sends) - 1; inline >= 0 && boxes[inline] != nil; inline-- {
-		}
+		inline = int(b.inline[it.step])
 	}
 	done := 0
 	var err error
@@ -665,7 +682,7 @@ func (c *cursor) post(it item, w *worklist) {
 			continue
 		}
 		var skipped bool
-		skipped, err = p.stepSend(dst, tag, index, payload, it.word, c.resilient, boxes[i], w)
+		skipped, err = p.stepSend(c.tracer, dst, tag, index, payload, it.word, c.resilient, boxes[i], w)
 		done++
 		if skipped {
 			c.skip(dst)
@@ -680,19 +697,20 @@ func (c *cursor) post(it item, w *worklist) {
 	}
 }
 
-// stepSend sends one signal of a step under its message span: send, which
-// refuses on a failed peer, or sendResilient, which skips a latched link.
-func (p *Peer) stepSend(dst, tag, index int, payload []byte, word uint32, resilient bool, box *mailbox, w *worklist) (skipped bool, err error) {
+// stepSend sends one signal of a step under its message span, if the
+// cursor traces (tr): send, which refuses on a failed peer, or
+// sendResilient, which skips a latched link.
+func (p *Peer) stepSend(tr *telemetry.Tracer, dst, tag, index int, payload []byte, word uint32, resilient bool, box *mailbox, w *worklist) (skipped bool, err error) {
 	var ms telemetry.Span
-	if p.tracer != nil {
-		ms = p.tracer.BeginTag(sendSpan[p.TransportOf(dst)], p.rank, index, dst, tag)
+	if tr != nil {
+		ms = tr.BeginTag(sendSpan[p.TransportOf(dst)], p.rank, index, dst, tag)
 	}
 	if resilient {
 		skipped, err = p.sendResilient(dst, tag, payload, word, box, w)
 	} else {
 		err = p.send(dst, tag, payload, word, box, w)
 	}
-	if p.tracer != nil {
+	if tr != nil {
 		ms.End()
 	}
 	return skipped, err
@@ -754,7 +772,7 @@ func (p *Peer) writer(dst int) {
 		q.mu.Unlock()
 		for _, j := range batch {
 			payload := j.c.b.payload(int(j.step)) // j's program runs on until sent
-			skipped, err := p.stepSend(j.dst, j.tag, j.tag%run.TagSpan, payload, j.word, j.c.resilient, nil, &w)
+			skipped, err := p.stepSend(j.c.tracer, j.dst, j.tag, j.tag%run.TagSpan, payload, j.word, j.c.resilient, nil, &w)
 			if skipped {
 				j.c.skip(j.dst)
 			}

@@ -130,7 +130,7 @@ func TestExecutorLateSignalIsQueued(t *testing.T) {
 			if err := peers[2].Send(1, tag, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := peers[1].program([]mpi.Step{{Recvs: []int{0, 2}}}, tag, d, false, nil); err == nil || !timedOut.MatchString(err.Error()) {
+			if _, err := peers[1].cur.program([]mpi.Step{{Recvs: []int{0, 2}}}, tag, d, false, nil); err == nil || !timedOut.MatchString(err.Error()) {
 				t.Fatalf("step missing rank 0's signal: %v, want the per-receive timeout", err)
 			}
 			for _, m := range []string{"a", "b", "c"} {
@@ -141,7 +141,7 @@ func TestExecutorLateSignalIsQueued(t *testing.T) {
 			if msg, err := peers[1].Recv(0, tag, meshTimeout); err != nil || string(msg) != "a" {
 				t.Fatalf("first Recv after the timeout = %q, %v; want the first late signal", msg, err)
 			}
-			if _, err := peers[1].program([]mpi.Step{{Recvs: []int{0}}}, tag, meshTimeout, false, nil); err != nil {
+			if _, err := peers[1].cur.program([]mpi.Step{{Recvs: []int{0}}}, tag, meshTimeout, false, nil); err != nil {
 				t.Fatalf("program after the timeout: %v", err)
 			}
 			if msg, err := peers[1].Recv(0, tag, meshTimeout); err != nil || string(msg) != "c" {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/perftest"
 	"topobarrier/internal/run"
 )
@@ -122,6 +123,50 @@ func TestSendAllocsPooled(t *testing.T) {
 				t.Fatalf("empty-frame send+recv allocates %.2f objects/op, want ≤ %g", avg, tc.maxAllocs)
 			}
 			t.Logf("%s empty-frame send+recv: %.2f allocs/op", tc.name, avg)
+		})
+	}
+}
+
+// TestPayloadAllocsOnlyWhenQueued: a step's payload is copied only when no
+// step waits for it (mailbox.put's queueing branch), never by a TCP reader
+// or an shm sender, so a warm 2-rank program round trip allocates as often
+// with 4096-byte messages as with empty ones. Rank 1 signals first, so each
+// payload finds its receive posted.
+func TestPayloadAllocsOnlyWhenQueued(t *testing.T) {
+	if perftest.RaceEnabled {
+		t.Skip("race instrumentation allocates shadow state; allocation counts are meaningless there")
+	}
+	for _, tc := range sendRecvShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := hybridMesh(t, 2, tc.nodes)
+			roundTrip := func(bytes int) float64 {
+				progs := [2][]mpi.Step{
+					{{Recvs: []int{1}}, {Tag: 1, Sends: []int{1}, Bytes: bytes}, {Tag: 2, Recvs: []int{1}}},
+					{{Sends: []int{0}}, {Tag: 1, Recvs: []int{0}}, {Tag: 2, Sends: []int{0}, Bytes: bytes}},
+				}
+				run := func() {
+					done := make(chan error, 1)
+					go func() {
+						_, err := peers[1].cur.program(progs[1], 7, meshTimeout, false, nil)
+						done <- err
+					}()
+					if _, err := peers[0].cur.program(progs[0], 7, meshTimeout, false, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := <-done; err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 50; i++ {
+					run() // warm the bindings, the pools and the mailboxes
+				}
+				return testing.AllocsPerRun(200, run)
+			}
+			empty, full := roundTrip(0), roundTrip(4096)
+			if full != empty {
+				t.Errorf("%s round trip: %.2f allocs/op with 4096-byte payloads, %.2f with none", tc.name, full, empty)
+			}
+			t.Logf("%s round trip: %.2f allocs/op at 0 and 4096 bytes", tc.name, empty)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package netmpi
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -20,12 +19,9 @@ import (
 // and take re-arms the edge while messages remain so coalesced signals
 // cannot strand a waiter.
 //
-// A running step program does not park on avail: its cursor registers a
-// waiter, the step's first unfilled receive slot on the mailbox, when the
-// queue is empty, and the put that brings the next message delivers it into
-// that slot under the rank's lock and hands the waiter to the step's next
-// slot on the mailbox, if any. Only a message no current step waits for is
-// queued.
+// A running step program does not park on avail: put delivers into the
+// waiter its cursor registered (cursor.go), and queues only a message no
+// current step waits for.
 type mailbox struct {
 	mu    *sync.Mutex // the receiving rank's lock; guards msgs, head and w
 	msgs  []mail      // queued messages are msgs[head:]
@@ -61,8 +57,10 @@ type mail struct {
 // the current step gets it at once: the receive completes, the waiter moves
 // to the step's next slot on this mailbox, if it has one, and if the step
 // is complete the next step is entered and its sends are queued on w.
-// Otherwise — no waiter, or a stale one — the message is queued and the
-// wake-up edge raised. A parked rank is kicked after the lock is released.
+// Otherwise — no waiter, or a stale one — the message is queued, with a
+// copy of its payload (the sender and a TCP reader reuse theirs once put
+// returns, and a step reads only its length), and the wake-up edge raised.
+// A parked rank is kicked after the lock is released.
 func (b *mailbox) put(msg mail, w *worklist) {
 	b.mu.Lock()
 	if wt := b.w; wt.c != nil {
@@ -83,6 +81,9 @@ func (b *mailbox) put(msg mail, w *worklist) {
 		n := copy(b.msgs, b.msgs[b.head:])
 		clear(b.msgs[n:])
 		b.msgs, b.head = b.msgs[:n], 0
+	}
+	if len(msg.payload) > 0 {
+		msg.payload = append([]byte(nil), msg.payload...)
 	}
 	b.msgs = append(b.msgs, msg)
 	b.mu.Unlock()
@@ -159,24 +160,14 @@ func (in *inbox) box(tag int) *mailbox {
 // starves them (a 2-node mixed mesh runs ≈ 15 % faster without the yields).
 const shmYields = 2
 
-// wakeReason says what ended a receive wait: a message, or one of the three
-// things that can cut the wait short.
-type wakeReason int
-
-const (
-	gotMail wakeReason = iota
-	wakeFirst
-	wakeSecond
-	wakeTimeout
-)
-
 // timerPool recycles the deadline timers of parked receives; go.mod's go 1.23
 // timers deliver nothing stale after Stop, so a recycled timer needs no drain.
 var timerPool = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
-// park blocks on the mailbox's wake-up edge, the two latches and the
-// deadline. The timer exists only here, past the fast paths.
-func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) (mail, wakeReason) {
+// park blocks on the mailbox's wake-up edge until a message comes, the
+// peer's failure latch (down) closes or the deadline passes, and reports
+// whether it got a message. The timer exists only here, past the fast paths.
+func (b *mailbox) park(deadline time.Duration, down <-chan struct{}) (mail, bool) {
 	var timeout <-chan time.Time
 	if deadline > 0 {
 		timer := timerPool.Get().(*time.Timer)
@@ -184,29 +175,19 @@ func (b *mailbox) park(deadline time.Duration, first, second <-chan struct{}) (m
 		defer func() { timer.Stop(); timerPool.Put(timer) }()
 		timeout = timer.C
 	}
-	why := gotMail
-	for {
+	for cut := false; ; {
 		select {
 		case <-b.avail:
-		case <-first:
-			why = wakeFirst
-		case <-second:
-			why = wakeSecond
+		case <-down:
+			cut = true
 		case <-timeout:
-			why = wakeTimeout
+			cut = true
 		}
-		if msg, ok := b.take(); ok {
-			return msg, gotMail
-		}
-		if why != gotMail {
-			return mail{}, why
+		if msg, ok := b.take(); ok || cut {
+			return msg, ok
 		}
 	}
 }
-
-// ErrRecvCancelled is returned by RecvCancel when the caller's cancel
-// channel closes before a matching message arrives.
-var ErrRecvCancelled = errors.New("netmpi: receive cancelled")
 
 // Recv blocks until a message with the given source and tag arrives and
 // returns its payload. The deadline bounds the wait; zero means no time
@@ -214,17 +195,6 @@ var ErrRecvCancelled = errors.New("netmpi: receive cancelled")
 // fails or is closed, returning the latched transport error. Mail delivered
 // before a failure stays readable.
 func (p *Peer) Recv(src, tag int, deadline time.Duration) ([]byte, error) {
-	return p.RecvCancel(src, tag, deadline, nil)
-}
-
-// RecvCancel is Recv with a third wake source: when cancel closes before a
-// matching message arrives, the wait ends immediately with ErrRecvCancelled
-// (mail that raced in ahead of the cancellation is still returned). A nil
-// cancel channel never fires, making RecvCancel(src, tag, d, nil) ≡ Recv.
-// The probe pipeline uses this to latch a failed pair: when one side of a
-// timed exchange errors out, it cancels its partner's pending receive
-// instead of leaving it blocked until the deadline.
-func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan struct{}) ([]byte, error) {
 	if src < 0 || src >= p.size || src == p.rank {
 		return nil, fmt.Errorf("netmpi: rank %d receiving from invalid rank %d", p.rank, src)
 	}
@@ -242,12 +212,10 @@ func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan st
 		runtime.Gosched()
 		msg, ok = b.take()
 	}
-	why := gotMail
 	if !ok {
-		msg, why = b.park(deadline, cancel, p.done)
+		msg, ok = b.park(deadline, p.done)
 	}
-	switch why {
-	case gotMail:
+	if ok {
 		if shm {
 			// A shared-memory frame has no reader goroutine to count it on
 			// arrival, so its receiver does.
@@ -255,14 +223,14 @@ func (p *Peer) RecvCancel(src, tag int, deadline time.Duration, cancel <-chan st
 			p.m.recvBytes[src].Add(int64(len(msg.payload)))
 		}
 		return msg.payload, nil
-	case wakeFirst:
-		return nil, ErrRecvCancelled
 	}
 	if err := p.err(); err != nil {
 		return nil, err
 	}
-	if why == wakeSecond {
+	select {
+	case <-p.done: // with no latched error, the local Close
 		return nil, fmt.Errorf("netmpi: rank %d: peer closed while waiting for (src %d, tag %d)", p.rank, src, tag)
+	default:
+		return nil, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
 	}
-	return nil, fmt.Errorf("netmpi: rank %d timed out after %v waiting for (src %d, tag %d)", p.rank, deadline, src, tag)
 }

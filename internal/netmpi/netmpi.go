@@ -24,15 +24,9 @@
 // (Eq. 3), which holds for eager sends; a rank leaves the barrier when every
 // signal addressed to it has arrived. A barrier is the rank's step program
 // (run.Plan.RankOps; Peer.Stage, the run.Stager contract, is a one-step
-// one), and it is not the rank's goroutine that advances it: the goroutine
-// whose event completes a step — a co-located sender or a TCP reader whose
-// put delivers the last awaited signal into the waiting step, a link writer
-// finishing the step's last send — posts the next step's sends together, as
-// the simulator's scheduler posts a program's next step. The rank posts
-// step 0 and parks once, until the program ends or fails (cursor.go). The
-// deadline a barrier takes is per receive — no receive waits longer than it
-// since the rank last made progress — and one timer per peer enforces it
-// lazily, so a steady stream of barriers costs no timer operation.
+// one), advanced by whichever goroutine completes its current step, under a
+// per-receive deadline (cursor.go). The probe's programs (probe.go) run on a
+// second cursor of the rank, beside its barriers.
 //
 // # Failure model
 //
@@ -105,7 +99,8 @@ type Peer struct {
 	out []linkQueue
 	// cur is the rank's position in the step program it is running: the
 	// one executor behind Barrier, BarrierResilient, EpochRunner and Stage.
-	cur cursor
+	// pcur runs the probe's programs beside it, untraced.
+	cur, pcur cursor
 
 	// Per-link failure state, feeding the resilient execution path. fail()
 	// latches both granularities: linkErr[src] records which link broke
@@ -285,9 +280,10 @@ func Dial(rank int, addrs []string, ln net.Listener, timeout time.Duration, opts
 			peer.in[j] = &inbox{rank: lock}
 		}
 	}
-	peer.cur = cursor{p: peer, mu: lock, wake: make(chan struct{}, 1)}
-	peer.cur.own.owner = &peer.cur
 	peer.initMetrics()
+	peer.cur = cursor{p: peer, mu: lock, wake: make(chan struct{}, 1), tracer: peer.tracer, metered: peer.m.enabled}
+	peer.pcur = cursor{p: peer, mu: lock, wake: make(chan struct{}, 1)}
+	peer.cur.own.owner, peer.pcur.own.owner = &peer.cur, &peer.pcur
 	// Attach the shared-memory links before any TCP work: co-located links
 	// rendezvous in the hub instead of dialing, so the socket loops below
 	// only cover the cross-node remainder. Mail a co-located rank sent before
@@ -436,6 +432,7 @@ func (p *Peer) reader(src int, conn net.Conn) {
 	defer p.wg.Done()
 	var hdr [headerBytes]byte
 	var w worklist
+	var buf []byte // every frame's payload, read over the last: put copies what it queues
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			p.fail(src, err)
@@ -445,7 +442,10 @@ func (p *Peer) reader(src int, conn net.Conn) {
 		n := int(binary.BigEndian.Uint32(hdr[4:8]))
 		var payload []byte
 		if n > 0 {
-			payload = make([]byte, n)
+			if cap(buf) < n {
+				buf = make([]byte, n)
+			}
+			payload = buf[:n]
 			if _, err := io.ReadFull(conn, payload); err != nil {
 				p.fail(src, err)
 				return
@@ -493,11 +493,12 @@ func (p *Peer) fail(src int, err error) {
 	}
 	p.mu.Unlock()
 	// A latched link is an event for a resilient program waiting on it, the
-	// peer's first failure one for a plain program.
+	// peer's first failure one for a plain program, on either cursor.
 	var w worklist
 	p.cur.linkDown(src, &w)
 	if first {
 		p.cur.failed(false, &w)
+		p.pcur.failed(false, &w)
 	}
 	w.drain()
 }
@@ -519,9 +520,9 @@ func (p *Peer) LinkErr(src int) error {
 // Send transmits one tagged message to dst. Sends are eager: completion
 // means the frame entered the TCP stream or sits in the co-located
 // receiver's mailbox. The caller keeps ownership of payload on both
-// transports (the shm path copies non-empty payloads for that reason). A
-// failed or closed peer refuses further sends with its latched error,
-// propagating the failure to senders as fast as to receivers.
+// transports (a mailbox copies the payloads it queues). A failed or closed
+// peer refuses further sends with its latched error, propagating the
+// failure to senders as fast as to receivers.
 func (p *Peer) Send(dst, tag int, payload []byte) error {
 
 	if dst < 0 || dst >= p.size || dst == p.rank {
@@ -561,15 +562,12 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b
 
 // writeFrame hands one message to dst's transport, updating the send
 // metrics. The shared-memory path puts it into the receiver's mailbox (box,
-// or the one it looks up) right here, on the sender's goroutine (copying
-// non-empty payloads so the caller keeps ownership, matching TCP's copy into
-// the frame), with w for the posts the put may queue; the TCP path encodes
-// a pooled length-prefixed frame and writes it in one call.
+// or the one it looks up) right here, on the sender's goroutine, with w for
+// the posts the put may queue (put copies a payload it queues, so the caller
+// keeps ownership); the TCP path encodes a pooled length-prefixed frame and
+// writes it in one call.
 func (p *Peer) writeFrame(dst, tag int, payload []byte, word uint32, box *mailbox, w *worklist) error {
 	if link := p.shmOut[dst]; link != nil {
-		if len(payload) > 0 {
-			payload = append([]byte(nil), payload...)
-		}
 		if box == nil {
 			box = link.box(tag)
 		}
@@ -636,9 +634,11 @@ func (p *Peer) Close() error {
 	if !already {
 		var w worklist
 		p.cur.failed(true, &w)
+		p.pcur.failed(true, &w)
 		w.drain()
 	}
 	p.cur.disarm()
+	p.pcur.disarm()
 	for _, c := range p.conns {
 		if c != nil {
 			c.Close()

@@ -3,10 +3,13 @@ package netmpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"topobarrier/internal/mpi"
 	"topobarrier/internal/probe"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/stats"
@@ -17,26 +20,30 @@ import (
 // barriers use [0, 2·run.TagSpan) under the two alternating windows.
 const probeTagBase = 1 << 20
 
+// liveConfig is the §IV.A protocol the live venue runs, one repetition a
+// phase: the fewest batches and sizes a gradient and an intercept fit, the
+// larger size far enough from the smaller to show the per-byte cost.
+var liveConfig = probe.Config{Sizes: []int{1, 1024}, Batches: []int{1, 2}, Reps: 1}
+
 // ProbeOptions configures ProbeProfileOpts. The zero value (after defaults)
-// is 8 fixed ping-pongs per pair and a 5 s per-receive deadline.
+// is 8 phases per pair and a 5 s per-receive deadline.
 type ProbeOptions struct {
-	// MaxIters is the hard cap of timed ping-pongs per pair; 0 selects 8.
+	// MaxIters is the most phases a pair takes, each one repetition of its
+	// protocol; 0 selects 8.
 	MaxIters int
-	// StableK enables adaptive sampling: a pair's series stops early once its
-	// running minimum RTT has not improved for StableK consecutive samples.
-	// Minima converge fast under one-sided scheduling noise, so most quiet
-	// links stop well before MaxIters. 0 disables early stopping. When it
-	// fires, a series has taken at least StableK+1 samples (the first sample
-	// always establishes the minimum).
+	// StableK enables adaptive sampling: a pair stops early, after at least
+	// StableK+1 phases, once its fitted O+L (from each sample point's median
+	// over them) has not improved for StableK phases. 0 never stops early.
 	StableK int
 	// Deadline bounds each probe receive; 0 selects 5 s.
 	Deadline time.Duration
-	// Registry, when non-nil, receives probe_rounds_total,
+	// Registry, when non-nil, receives probe_rounds_total (phases),
 	// probe_directions_total, probe_samples_total, and the
 	// probe_samples_per_pair histogram.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, records one probe.profile span for the whole
-	// measurement and one probe.round span per parallel round.
+	// measurement and one probe.round span per phase. Probe programs emit no
+	// barrier spans.
 	Tracer *telemetry.Tracer
 }
 
@@ -50,30 +57,21 @@ func (o ProbeOptions) withDefaults() ProbeOptions {
 	return o
 }
 
-// key returns the fingerprint component of the options: the fields that
-// change what a measurement means.
-func (o ProbeOptions) key() string {
-	return fmt.Sprintf("iters=%d,stablek=%d", o.MaxIters, o.StableK)
-}
-
 // ProbeReport describes how a probe or re-probe run spent its budget and, for
 // a re-probe, what it found.
 type ProbeReport struct {
-	// Rounds is the number of parallel rounds executed (0 on a pure cache
-	// hit).
+	// Rounds is the number of phases run, screens included (0 on a pure
+	// cache hit).
 	Rounds int
-	// Samples[i][j] is the number of timed round trips of the series rank i
-	// initiated with rank j, over every phase. A pair is one series that
-	// yields both directions, credited here to the initiating one: 0 for the
-	// echo direction, on the diagonal, and for pairs served from the cache.
+	// Samples[i][j] is the number of phases (repetitions of the protocol or
+	// screen) of the pair rank i initiated with rank j, over every pass: 0
+	// for the other direction, on the diagonal, and for cached pairs.
 	Samples [][]int
-	// Screened is the number of directions a re-probe's two-sample screen
-	// held against the profile: all P·(P−1) for a whole-mesh pass, only the
-	// named ones for an aimed one. 0 for a full probe.
+	// Screened is the number of directions a re-probe's screen held against
+	// the profile: P·(P−1) for a whole-mesh pass, the named ones if aimed.
 	Screened int
 	// Stale lists, in ascending order, the screened directions whose O+L
-	// still drifted beyond the tolerance when re-measured at the full budget:
-	// exactly the entries the re-probe patched.
+	// still drifted when re-measured at the full budget: the ones patched.
 	Stale []profile.Link
 	// Elapsed is the probe wall-clock time.
 	Elapsed time.Duration
@@ -87,7 +85,16 @@ func newProbeReport(p int) *ProbeReport {
 	return r
 }
 
-// TotalSamples returns the total number of timed round trips taken.
+// credit books n phases of the pair (i, j) to its initiator i, in the report
+// and the registry.
+func (r *ProbeReport) credit(reg *telemetry.Registry, i, j, n int) {
+	r.Samples[i][j] += n
+	reg.Counter("probe_directions_total").Add(2)
+	reg.Counter("probe_samples_total").Add(int64(n))
+	reg.Histogram("probe_samples_per_pair", []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128}).Observe(float64(n))
+}
+
+// TotalSamples returns the total number of phases the pairs took.
 func (r *ProbeReport) TotalSamples() int {
 	n := 0
 	for _, row := range r.Samples {
@@ -98,7 +105,7 @@ func (r *ProbeReport) TotalSamples() int {
 	return n
 }
 
-// SampleStats summarises the per-series sample counts (min, median, max) over
+// SampleStats summarises the per-pair phase counts (min, median, max) over
 // the pairs that were actually probed.
 func (r *ProbeReport) SampleStats() (min, median, max float64) {
 	var xs []float64
@@ -115,51 +122,32 @@ func (r *ProbeReport) SampleStats() (min, median, max float64) {
 	return stats.Min(xs), stats.Median(xs), stats.Max(xs)
 }
 
-// freshDir is one direction's fresh measurement: the fitted O/L estimates and
-// the timed round trips credited to it (the series' count on the initiating
-// direction, 0 on the echo's).
-type freshDir struct {
-	d    profile.Link
-	o, l float64
-	n    int
-}
-
-func validateProbePeers(peers []*Peer) error {
+// livePrograms checks that peers are a whole mesh in rank order and returns
+// the protocol's builder for it.
+func livePrograms(peers []*Peer) (*probe.Programs, error) {
 	p := len(peers)
 	if p < 2 {
-		return fmt.Errorf("netmpi: probe needs at least 2 peers, got %d", p)
+		return nil, fmt.Errorf("netmpi: probe needs at least 2 peers, got %d", p)
 	}
 	for r, pe := range peers {
 		if pe == nil || pe.Rank() != r || pe.Size() != p {
-			return fmt.Errorf("netmpi: probe needs the full mesh in rank order")
+			return nil, fmt.Errorf("netmpi: probe needs the full mesh in rank order")
 		}
 	}
-	return nil
+	return probe.NewPrograms(liveConfig, p)
 }
 
-// ProbeProfileOpts measures a topological profile (the paper's O and L
-// matrices, §IV) over a live in-process mesh — the real-transport analogue
-// of internal/probe's simulator benchmarks, and the input the §VI validation
-// needs to predict what the *transport* should do rather than what the
-// simulator would.
-//
-// A pair is one series of empty-frame ping-pongs that yields both directions
-// (probePair): O is the fastest observed Send call of the direction's sender
-// (the eager write cost), L the fastest half round trip minus that overhead,
-// and O[i][i] the rank's fastest send overhead to any peer. Minima rather
-// than means deliberately: scheduling noise on a shared host only ever adds
-// latency, so the minimum is the closest observation to the platform
-// constants the model wants.
-//
-// Every pair is measured, in the tournament rounds of probe.Rounds: P−1 (even
-// P) joined rounds of disjoint pairs, so a rank never has two in-flight timed
-// exchanges. That is also why the live venue does not follow the simulator's
-// hierarchy survey above 16 ranks: its cost here is joined rounds, not pairs,
-// and a centre's star is one round per pair — the two diameter sweeps alone
-// are 2·P−3 rounds. StableK additionally stops each series as soon as its
-// running minimum is stable.
+// ProbeProfileOpts measures a live mesh's profile (§IV) with the
+// simulator's §IV.A step programs and fit (probe.Programs), run on each
+// rank's probe cursor, beside any barrier it runs: L is a same-peer batch's
+// gradient, O the round trips' intercept over size, halved, minus L, O[i][i]
+// a no-op step's time, and a pair's fit serves both directions. A phase is
+// one repetition (liveConfig) of every pair still active, in tournament
+// order; every pair is measured at any P, since a phase costs what its
+// busiest rank's pairs cost. A failed pair fails the probe, naming it.
 func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *ProbeReport, error) {
-	if err := validateProbePeers(peers); err != nil {
+	m, err := livePrograms(peers)
+	if err != nil {
 		return nil, nil, err
 	}
 	opts = opts.withDefaults()
@@ -174,13 +162,17 @@ func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *Prob
 	defer span.End()
 
 	pf := profile.New(fmt.Sprintf("%s(P=%d)", platform, p), p)
-	if err := measure(peers, probe.Rounds(p), opts, rep, func(f freshDir) {
-		pf.O.Set(f.d.From, f.d.To, f.o)
-		pf.L.Set(f.d.From, f.d.To, f.l)
+	if err := m.Phases(slices.Concat(probe.Rounds(p)...), opts.MaxIters, opts.StableK, phaseRunner(peers, opts, rep), func(i, j int, o, l float64, n int) {
+		pf.O.Set(i, j, o)
+		if i != j {
+			pf.L.Set(i, j, l)
+			pf.O.Set(j, i, o)
+			pf.L.Set(j, i, l)
+			rep.credit(opts.Registry, i, j, n)
+		}
 	}); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("netmpi: %w", err)
 	}
-	setOii(pf)
 	rep.Elapsed = time.Since(start)
 	if err := pf.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("netmpi: probed profile invalid: %w", err)
@@ -188,166 +180,63 @@ func ProbeProfileOpts(peers []*Peer, opts ProbeOptions) (*profile.Profile, *Prob
 	return pf, rep, nil
 }
 
-// measure is the one probe loop of a live mesh: rounds of disjoint pairs, each
-// round probed concurrently and joined, every direction's result handed to
-// each and the spend recorded in rep. The whole-mesh probe and both re-probe
-// phases measure through it.
-func measure(peers []*Peer, rounds [][]probe.Pair, opts ProbeOptions, rep *ProbeReport, each func(freshDir)) error {
-	for _, round := range rounds {
+// phaseRunner is the venue under probe.Programs on a live mesh: every rank
+// runs its program of a phase on its probe cursor, on a goroutine of its
+// own, and the phase is joined and booked in rep. The first program to fail
+// aborts the others, which would otherwise wait out the deadline on it.
+func phaseRunner(peers []*Peer, opts ProbeOptions, rep *ProbeReport) func([]mpi.Program) error {
+	return func(progs []mpi.Program) error {
 		span := opts.Tracer.Begin("probe.round", -1, rep.Rounds, -1)
-		fresh, err := probeRound(peers, round, opts)
-		span.End()
+		defer span.End()
 		opts.Registry.Counter("probe_rounds_total").Inc()
 		rep.Rounds++
-		if err != nil {
-			return err
-		}
-		for _, f := range fresh {
-			each(f)
-			opts.Registry.Counter("probe_directions_total").Inc()
-			if f.n > 0 {
-				rep.Samples[f.d.From][f.d.To] += f.n
-				opts.Registry.Counter("probe_samples_total").Add(int64(f.n))
-				opts.Registry.Histogram("probe_samples_per_pair", probeSampleBuckets()).Observe(float64(f.n))
-			}
-		}
-	}
-	return nil
-}
-
-// probeSampleBuckets covers sample counts from 1 to well past any sane
-// MaxIters.
-func probeSampleBuckets() []float64 {
-	return []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128}
-}
-
-// setOii fills the diagonal: the cost of initiating a request that sends
-// nothing, bounded above by the cheapest real send the rank performed. The
-// fold initialises from the first off-diagonal entry explicitly — a 0.0
-// sentinel would mistake a genuine zero-overhead link for "unset" and pick
-// the wrong minimum.
-func setOii(pf *profile.Profile) {
-	for i := 0; i < pf.P; i++ {
-		min, first := 0.0, true
-		for j := 0; j < pf.P; j++ {
-			if i == j {
-				continue
-			}
-			if o := pf.O.At(i, j); first || o < min {
-				min, first = o, false
-			}
-		}
-		pf.O.Set(i, i, min)
-	}
-}
-
-// probeRound runs the pairs of one round concurrently and joins before
-// returning — the concurrency heart of the probe. The pairs of a round share
-// no rank, so every rank is in at most one timed exchange at any instant and
-// the measurements stay uncontended. The results come back in pair order,
-// initiating direction first.
-func probeRound(peers []*Peer, round []probe.Pair, opts ProbeOptions) ([]freshDir, error) {
-	fresh := make([]freshDir, 2*len(round))
-	errs := make([]error, len(round))
-	var wg sync.WaitGroup
-	for k, pr := range round {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fwd, back, err := probePair(peers, pr.I, pr.J, opts)
-			if err != nil {
-				errs[k] = fmt.Errorf("netmpi: probing %s: %w", fwd.d, err)
-			}
-			fresh[2*k], fresh[2*k+1] = fwd, back
-		}()
-	}
-	wg.Wait()
-	return fresh, errors.Join(errs...)
-}
-
-// probePair times one series of ping-pongs i→j→i and reads both directions
-// off it: the round trip j→i→j is the same two legs, so the echo side times
-// its own Send for O[j][i] and the two directions share the minimum RTT. The
-// two sides share a stop latch: whichever side errors first closes it,
-// cancelling the partner's pending receive, so a broken pair surfaces
-// immediately instead of stalling for the partner's full receive deadline.
-// Normal completion closes the latch too, which is how the echo side learns
-// the (adaptively chosen) sample count is over.
-func probePair(peers []*Peer, i, j int, opts ProbeOptions) (fwd, back freshDir, err error) {
-	p := len(peers)
-	ping := probeTagBase + 2*(i*p+j)
-	pong := ping + 1
-	fwd.d, back.d = profile.Link{From: i, To: j}, profile.Link{From: j, To: i}
-
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	latch := func() { stopOnce.Do(func() { close(stop) }) }
-
-	var echoErr error
-	var minRTT, minSend, minEcho time.Duration
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer latch()
-		for first := true; ; first = false {
-			if _, err := peers[j].RecvCancel(i, ping, opts.Deadline, stop); err != nil {
-				if !errors.Is(err, ErrRecvCancelled) {
-					echoErr = err
+		var first error // the failure that aborted the others, which fail after it
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for r, pg := range progs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := peers[r].pcur.probe(pg, opts.Deadline, &stop); err != nil && !stop.Swap(true) {
+					first = err
+					for _, pe := range peers {
+						pe.pcur.abort()
+					}
 				}
-				return
-			}
-			t0 := time.Now()
-			if err := peers[j].Send(i, pong, nil); err != nil {
-				echoErr = err
-				return
-			}
-			if c := time.Since(t0); first || c < minEcho {
-				minEcho = c
-			}
+			}()
 		}
-	}()
+		wg.Wait()
+		return first
+	}
+}
 
-	var pingErr error
-	n, stable, first := 0, 0, true
-	for n < opts.MaxIters {
-		t0 := time.Now()
-		if pingErr = peers[i].Send(j, ping, nil); pingErr != nil {
-			break
-		}
-		sendCost := time.Since(t0)
-		if _, pingErr = peers[i].RecvCancel(j, pong, opts.Deadline, stop); pingErr != nil {
-			if errors.Is(pingErr, ErrRecvCancelled) {
-				pingErr = nil // the echo side failed first; report its error
-			}
-			break
-		}
-		rtt := time.Since(t0)
-		n++
-		if first || rtt < minRTT {
-			minRTT = rtt
-			stable = 0
-		} else {
-			stable++
-		}
-		if first || sendCost < minSend {
-			minSend = sendCost
-		}
-		first = false
-		if opts.StableK > 0 && stable >= opts.StableK {
-			break
-		}
+var errAborted = errors.New("netmpi: probe phase aborted")
+
+// probe runs a phase's program on the probe cursor, as program does, and
+// aborts it once begun if stop is set, which may have come before it began.
+func (c *cursor) probe(pg mpi.Program, deadline time.Duration, stop *atomic.Bool) error {
+	if err := c.p.bind(&c.progBind, pg.Steps, probeTagBase); err != nil {
+		return err
 	}
-	latch()
-	<-done
-	if pingErr != nil {
-		return fwd, back, pingErr
+	if err := c.begin(&c.progBind, deadline, false, 0, pg.Done); err != nil {
+		return err
 	}
-	if echoErr != nil {
-		return fwd, back, fmt.Errorf("echo side: %w", echoErr)
+	if stop.Load() {
+		c.abort()
 	}
-	fwd.o, back.o, fwd.n = minSend.Seconds(), minEcho.Seconds(), n
-	fwd.l, back.l = max(0, minRTT.Seconds()/2-fwd.o), max(0, minRTT.Seconds()/2-back.o)
-	return fwd, back, nil
+	c.own.drain()
+	_, _, err := c.wait()
+	return err
+}
+
+// abort fails the running program, if any, with errAborted.
+func (c *cursor) abort() {
+	c.mu.Lock()
+	defer c.unlock()
+	if c.running() {
+		c.err = errAborted
+		c.signal()
+	}
 }
 
 // meshPlatform names the platform a mesh's profile describes, with the
@@ -362,16 +251,15 @@ func meshPlatform(peers []*Peer) (platform, sig string) {
 }
 
 // MeshFingerprint is the cache key of a probe over a live mesh: the platform,
-// the mesh size and the measurement-relevant probe options; a hybrid mesh
-// keys on its transport signature too — a profile measured with shared
-// memory between co-located ranks must never answer for a pure-TCP mesh or
-// for a different co-location shape, since the entire point is that their
-// cost matrices differ. Loopback listener ports are ephemeral and
-// deliberately excluded — on one host, every P-rank loopback mesh is the same
-// platform.
+// the mesh size, the probe budget and the protocol (liveConfig's key, so an
+// entry measured another way misses), and a hybrid mesh's transport
+// signature, since a co-location shape's cost matrices differ from any
+// other's. Loopback ports are excluded: every P-rank loopback mesh on one
+// host is the same platform.
 func MeshFingerprint(peers []*Peer, opts ProbeOptions) profile.Fingerprint {
 	platform, sig := meshPlatform(peers)
-	parts := []string{platform, strconv.Itoa(len(peers)), opts.withDefaults().key()}
+	opts = opts.withDefaults()
+	parts := []string{platform, strconv.Itoa(len(peers)), fmt.Sprintf("iters=%d,stablek=%d", opts.MaxIters, opts.StableK), liveConfig.Key()}
 	if sig != "tcp" {
 		parts = append(parts, sig)
 	}
@@ -391,7 +279,7 @@ func ProbeProfileCached(peers []*Peer, opts ProbeOptions, cache *profile.Cache, 
 		pf, rep, err := ProbeProfileOpts(peers, opts)
 		return pf, rep, false, err
 	}
-	if err := validateProbePeers(peers); err != nil {
+	if _, err := livePrograms(peers); err != nil {
 		return nil, nil, false, err
 	}
 	opts = opts.withDefaults()

@@ -8,59 +8,49 @@ import (
 	"time"
 
 	"topobarrier/internal/faultnet"
+	"topobarrier/internal/probe"
 	"topobarrier/internal/profile"
 	"topobarrier/internal/telemetry"
 )
 
-// TestRecvCancelUnblocks pins the stop-latch mechanism the probe relies on:
-// a receive with a long deadline must return ErrRecvCancelled promptly when
-// the cancel channel closes, not sit out the deadline.
-func TestRecvCancelUnblocks(t *testing.T) {
-	peers, err := LoopbackMesh(2, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseMesh(peers)
-	cancel := make(chan struct{})
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		close(cancel)
-	}()
-	start := time.Now()
-	_, err = peers[0].RecvCancel(1, 99, 10*time.Second, cancel)
-	if err != ErrRecvCancelled {
-		t.Fatalf("RecvCancel returned %v, want ErrRecvCancelled", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("cancelled receive took %v, want prompt return", el)
-	}
-}
-
-// probeSequential is the reference the round schedule is held against: every
-// pair back to back, one series at a time, through the same probePair the
-// rounds run.
+// probeSequential is the reference the phased probe is held against: the
+// same programs on the same venue, one pair per phase — every pair in
+// tournament order, measured to its budget before the next one starts.
 func probeSequential(tb testing.TB, peers []*Peer, opts ProbeOptions) (*profile.Profile, time.Duration) {
 	tb.Helper()
 	opts = opts.withDefaults()
 	p := len(peers)
 	pf := profile.New("sequential-reference", p)
+	run := phaseRunner(peers, opts, newProbeReport(p))
+	m, err := probe.NewPrograms(liveConfig, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	start := time.Now()
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			fwd, back, err := probePair(peers, i, j, opts)
+	for _, round := range probe.Rounds(p) {
+		for _, pr := range round {
+			err := m.Phases([]probe.Pair{pr}, opts.MaxIters, opts.StableK, run, func(i, j int, o, l float64, _ int) {
+				pf.O.Set(i, j, o)
+				if i != j {
+					pf.L.Set(i, j, l)
+					pf.O.Set(j, i, o)
+					pf.L.Set(j, i, l)
+				}
+			})
 			if err != nil {
-				tb.Fatalf("probing %d→%d: %v", i, j, err)
+				tb.Fatalf("probing %d→%d: %v", pr.I, pr.J, err)
 			}
-			patch(pf, []freshDir{fwd, back})
 		}
 	}
 	return pf, time.Since(start)
 }
 
-// TestProbeProfileParallelMatchesSequential checks that the edge-colored
-// parallel schedule measures the same platform the sequential reference does.
-// Loopback timings are noisy, so the comparison is order-of-magnitude: each
-// direction's round-trip estimate (O+L) must be within a generous factor.
+// TestProbeProfileParallelMatchesSequential checks that the phased probe,
+// every pair of a phase in tournament rounds, measures the same platform the
+// one-pair-a-phase reference does, in MaxIters phases (no early stop) and
+// with every pair measured. Loopback timings are noisy, so the comparison is
+// order-of-magnitude: each direction's round-trip estimate (O+L) must be
+// within a generous factor.
 func TestProbeProfileParallelMatchesSequential(t *testing.T) {
 	const p = 4
 	peers, err := LoopbackMesh(p, 5*time.Second)
@@ -73,8 +63,8 @@ func TestProbeProfileParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds != p-1 {
-		t.Fatalf("parallel probe ran %d rounds, want %d", rep.Rounds, p-1)
+	if rep.Rounds != 8 || par.Provenance != nil || par.MeasuredPairs() != p*(p-1)/2 {
+		t.Fatalf("parallel probe ran %d phases (provenance %+v, %d measured pairs), want 8 of a fully measured profile", rep.Rounds, par.Provenance, par.MeasuredPairs())
 	}
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
@@ -94,9 +84,9 @@ func TestProbeProfileParallelMatchesSequential(t *testing.T) {
 }
 
 // TestProbeProfileAdaptive checks the stable-K contract: when early stopping
-// can fire, a pair's series takes at least StableK+1 and at most MaxIters
-// samples; when StableK exceeds the cap, every series takes exactly MaxIters
-// samples. A pair is one series, credited to the direction that initiated it.
+// can fire, a pair takes at least StableK+1 and at most MaxIters phases; when
+// StableK exceeds the cap, every pair takes exactly MaxIters. A pair's phases
+// are credited to the direction that initiated it.
 func TestProbeProfileAdaptive(t *testing.T) {
 	const p = 4
 	peers, err := LoopbackMesh(p, 5*time.Second)
@@ -128,9 +118,10 @@ func TestProbeProfileAdaptive(t *testing.T) {
 }
 
 // TestMeshFingerprintKeysOnBudgetAndSize pins the cache-key contract: the
-// measurement budget and the rank count are part of the key, and a pure-TCP
-// mesh keys exactly as it did before hybrid transports existed, so entries
-// written then stay valid.
+// measurement budget, the rank count and the protocol are part of the key. A
+// pure-TCP mesh keys as it did before hybrid transports existed, plus the
+// protocol's Config key, so an entry measured with an earlier protocol
+// misses instead of answering.
 func TestMeshFingerprintKeysOnBudgetAndSize(t *testing.T) {
 	mesh := func(p int) []*Peer {
 		peers, err := LoopbackMesh(p, 5*time.Second)
@@ -142,8 +133,11 @@ func TestMeshFingerprintKeysOnBudgetAndSize(t *testing.T) {
 	}
 	two := mesh(2)
 	base := MeshFingerprint(two, ProbeOptions{MaxIters: 8, StableK: 3})
-	if want := profile.FingerprintOf("netmpi-loopback", "2", "iters=8,stablek=3"); base != want {
-		t.Fatalf("pure-TCP mesh fingerprint %s diverged from the pre-hybrid key %s", base, want)
+	if want := profile.FingerprintOf("netmpi-loopback", "2", "iters=8,stablek=3", liveConfig.Key()); base != want {
+		t.Fatalf("pure-TCP mesh fingerprint %s diverged from the pre-hybrid key plus the protocol's, %s", base, want)
+	}
+	if old := profile.FingerprintOf("netmpi-loopback", "2", "iters=8,stablek=3"); base == old {
+		t.Fatal("the fingerprint does not key on the protocol: an entry measured with the ping-pong protocol would answer")
 	}
 	if got := MeshFingerprint(two, ProbeOptions{StableK: 3}); got != base {
 		t.Fatalf("the default budget keys differently from its explicit value: %s vs %s", got, base)
@@ -204,8 +198,8 @@ func TestProbeProfileCachedHit(t *testing.T) {
 // re-check through Reprobe: a single tampered link is confirmed at the full
 // budget and patched in place, alone (still a hit); tampering every sampled
 // direction condemns the whole entry and triggers a full re-probe (a miss);
-// and a link whose screen was misled by two delayed frames, but whose
-// full-budget series is clean, keeps its entry bit for bit.
+// and a link whose screen was misled by delayed frames, but whose
+// full-budget measurement is clean, keeps its entry bit for bit.
 func TestProbeProfileCachedRevalidation(t *testing.T) {
 	const p = 4
 	peers, err := LoopbackMesh(p, 5*time.Second)
@@ -297,8 +291,8 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 		if hit {
 			t.Fatal("an entry with every sampled direction stale still counted as a hit")
 		}
-		if rep.Rounds != p-1 {
-			t.Fatalf("full re-probe ran %d rounds, want %d", rep.Rounds, p-1)
+		if rep.Rounds != opts.MaxIters || got.MeasuredPairs() != p*(p-1)/2 {
+			t.Fatalf("full re-probe ran %d phases and measured %d pairs, want %d phases of all %d", rep.Rounds, got.MeasuredPairs(), opts.MaxIters, p*(p-1)/2)
 		}
 		if got.O.At(0, 3) >= pf.O.At(0, 3)/10 {
 			t.Fatal("re-probed profile kept the tampered value")
@@ -306,13 +300,19 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 	})
 
 	t.Run("misled-screen", func(t *testing.T) {
-		// Rank 0 initiates the series of pair (0,3), one frame per sample: the
-		// priming probe writes frames [0, MaxIters) on that link, so the
-		// re-check's two screening pings are the next two.
+		// Rank 0 initiates pair (0,3). A phase of its protocol writes a
+		// handshake, one frame a batched signal and one a size on that link,
+		// so the priming probe's MaxIters phases write the first frames, and
+		// the re-check's screen (a handshake and a round trip a phase) the
+		// next four.
 		const delay = 2 * time.Millisecond
-		held := faultnet.Script{
-			opts.MaxIters:     {Op: faultnet.Delay, Delay: delay},
-			opts.MaxIters + 1: {Op: faultnet.Delay, Delay: delay},
+		primed := opts.MaxIters * (1 + len(liveConfig.Sizes))
+		for _, b := range liveConfig.Batches {
+			primed += opts.MaxIters * b
+		}
+		held := faultnet.Script{}
+		for f := primed; f < primed+2*screenPhases; f++ {
+			held[f] = faultnet.Action{Op: faultnet.Delay, Delay: delay}
 		}
 		misled := rank0Faulted(t, p, func(src int) faultnet.Injector {
 			if src == 3 {
@@ -333,10 +333,10 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 			t.Fatalf("hit=%v, screened %d; want a hit that screened 4 directions", hit, rep.Screened)
 		}
 		if n := rep.Samples[0][3]; n != 2+opts.MaxIters {
-			t.Fatalf("pair (0,3) took %d samples, want the 2-sample screen plus a %d-sample re-measure: the delayed screen did not flag it", n, opts.MaxIters)
+			t.Fatalf("pair (0,3) took %d phases, want the 2-phase screen plus a %d-phase re-measure: the delayed screen did not flag it", n, opts.MaxIters)
 		}
 		if len(rep.Stale) != 0 {
-			t.Fatalf("stale %v on a link whose full-budget series was clean", rep.Stale)
+			t.Fatalf("stale %v on a link whose full-budget measurement was clean", rep.Stale)
 		}
 		b1, _ := json.Marshal(pf)
 		b2, _ := json.Marshal(got)
@@ -347,26 +347,34 @@ func TestProbeProfileCachedRevalidation(t *testing.T) {
 }
 
 // TestProbeProfileFaultSurfacesFast is the regression for the probe's error
-// slow path: when one side of a pair fails, the partner's pending receive is
-// cancelled through the shared stop latch, so the error surfaces in far less
-// than the receive deadline instead of stalling the probe on it.
+// slow path: when a pair's link fails, the failure latches both peers, which
+// fails the probe programs waiting on it at once, so the error surfaces in
+// far less than the receive deadline and names the pair. At P = 4 the
+// severed links are rank 1's, whose first pair (1, 2) breaks in the first
+// tournament round while ranks 0 and 3 have later pairs with ranks 1 and 2:
+// the failed programs abort theirs, so they do not wait out the deadline.
 func TestProbeProfileFaultSurfacesFast(t *testing.T) {
 	const deadline = 5 * time.Second
-	peers := faultMesh(t, 2, 0, func() faultnet.Injector { return faultnet.SeverAt(0) })
-	start := time.Now()
-	_, _, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: 8, Deadline: deadline})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("probing a severed mesh succeeded")
-	}
-	if !strings.Contains(err.Error(), "0→1") && !strings.Contains(err.Error(), "1→0") {
-		t.Fatalf("error does not name the failing direction: %v", err)
-	}
-	if elapsed > deadline/2 {
-		t.Fatalf("fault took %v to surface with a %v deadline — probe stalled on the slow path", elapsed, deadline)
-	}
-	for _, pe := range peers {
-		pe.Close()
+	for _, tc := range []struct {
+		p, faultRank int
+		pair         string
+	}{{2, 0, "0→1"}, {4, 1, "1→2"}} {
+		peers := faultMesh(t, tc.p, tc.faultRank, func() faultnet.Injector { return faultnet.SeverAt(0) })
+		start := time.Now()
+		_, _, err := ProbeProfileOpts(peers, ProbeOptions{MaxIters: 8, Deadline: deadline})
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatalf("P=%d: probing a severed mesh succeeded", tc.p)
+		}
+		if !strings.Contains(err.Error(), tc.pair) {
+			t.Fatalf("P=%d: error does not name the failing pair %s: %v", tc.p, tc.pair, err)
+		}
+		if elapsed > deadline/2 {
+			t.Fatalf("P=%d: fault took %v to surface with a %v deadline — probe stalled on the slow path", tc.p, elapsed, deadline)
+		}
+		for _, pe := range peers {
+			pe.Close()
+		}
 	}
 	checkNoReaderLeak(t)
 }

@@ -1,39 +1,31 @@
 package netmpi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"topobarrier/internal/probe"
 	"topobarrier/internal/profile"
 )
 
-// patch writes fresh measurements into pf and refolds the O[i][i] diagonal.
-func patch(pf *profile.Profile, fresh []freshDir) {
-	for _, f := range fresh {
-		pf.O.Set(f.d.From, f.d.To, f.o)
-		pf.L.Set(f.d.From, f.d.To, f.l)
-	}
-	setOii(pf)
-}
-
 func sortLinks(ls []profile.Link) {
-	sort.Slice(ls, func(a, b int) bool {
-		if ls[a].From != ls[b].From {
-			return ls[a].From < ls[b].From
-		}
-		return ls[a].To < ls[b].To
-	})
+	slices.SortFunc(ls, func(a, b profile.Link) int { return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To)) })
 }
 
-// aimedRounds validates a direction set and returns it with the rounds of the
-// pairs whose series measure it, deduplicated, in ascending direction order.
-func aimedRounds(p int, dirs []profile.Link) (rounds [][]probe.Pair, want map[profile.Link]bool, err error) {
+// patch writes one direction's fresh O and L into pf.
+func patch(pf *profile.Profile, d profile.Link, o, l float64) {
+	pf.O.Set(d.From, d.To, o)
+	pf.L.Set(d.From, d.To, l)
+}
+
+// aimedPairs validates a direction set and returns it with the pairs that
+// measure it, deduplicated, in ascending direction order.
+func aimedPairs(p int, dirs []profile.Link) (pairs []probe.Pair, want map[profile.Link]bool, err error) {
 	dirs = append([]profile.Link(nil), dirs...)
 	sortLinks(dirs)
-	var pairs []probe.Pair
 	want = make(map[profile.Link]bool, len(dirs))
 	for _, d := range dirs {
 		if d.From < 0 || d.From >= p || d.To < 0 || d.To >= p || d.From == d.To {
@@ -44,32 +36,29 @@ func aimedRounds(p int, dirs []profile.Link) (rounds [][]probe.Pair, want map[pr
 		}
 		want[d] = true
 	}
-	return probe.PairRounds(p, pairs), want, nil
+	return pairs, want, nil
 }
 
-// Reprobe is the one check of whether a live profile still describes its mesh,
-// spending the full adaptive probe budget only where it is needed. Phase one
-// screens with a two-sample series per pair and compares each direction's
-// observed round-trip cost against the profile's O+L under RelDrift. Phase two
-// re-measures the pairs of the flagged directions with the caller's full
-// options; a flagged direction whose full-budget O+L still drifts beyond
-// driftTol is stale, and only stale directions are patched into pf in place.
-// Everything else — a screen false positive included — keeps its entry
-// untouched.
+// screenPhases is the phases of a re-probe's screen: a minimum over two.
+const screenPhases = 2
+
+// Reprobe is the one check of whether a live profile still describes its
+// mesh, spending the full probe budget only where needed. Phase one screens
+// each pair with probe's zero-byte round trips and compares the least half
+// round trip with each direction's O+L under RelDrift (the fit makes O+L
+// the size sweep's intercept, halved: the same quantity). Phase two measures
+// the flagged directions' pairs with ProbeProfileOpts' protocol and options;
+// a flagged direction whose fresh O+L still drifts beyond driftTol is stale,
+// and only stale directions are patched into pf in place, with an unaimed
+// reverse (the fit is one per pair). A screen false positive keeps its entry.
 //
-// With no dirs (nil or empty: a blame that names nobody is not an error) the
-// screen covers the whole mesh in tournament rounds (P−1 parallel rounds).
-// Otherwise it is aimed at dirs (deduplicated; a pair's one series serves
-// both of its directions, and only the named ones are judged): the path the
-// retune controller takes when critpath's per-link blame has already named
-// suspects, and the one ProbeProfileCached takes over the first tournament
-// round, so the screen cost scales with the evidence, not with the mesh.
-//
-// Probe traffic lives in its own tag region, so Reprobe is safe to run while
-// the same mesh executes barriers — measurements taken under load are
-// exactly what an online controller wants to feed back into the model.
+// With no dirs (a blame that names nobody is not an error) the screen covers
+// every pair; otherwise only dirs' pairs, judging only the named directions:
+// the retune controller's path, and ProbeProfileCached's over the first
+// tournament round. It may run while the mesh executes barriers.
 func Reprobe(peers []*Peer, pf *profile.Profile, opts ProbeOptions, driftTol float64, dirs []profile.Link) (*ProbeReport, error) {
-	if err := validateProbePeers(peers); err != nil {
+	m, err := livePrograms(peers)
+	if err != nil {
 		return nil, err
 	}
 	p := len(peers)
@@ -79,44 +68,54 @@ func Reprobe(peers []*Peer, pf *profile.Profile, opts ProbeOptions, driftTol flo
 	if driftTol <= 0 {
 		return nil, fmt.Errorf("netmpi: reprobe needs a positive drift tolerance, got %g", driftTol)
 	}
-	rounds, want, err := aimedRounds(p, dirs)
+	pairs, aim, err := aimedPairs(p, dirs)
 	if err != nil {
 		return nil, err
 	}
-	aimed, spanName := len(want) > 0, "probe.reprobe"
+	aimed, spanName := len(aim) > 0, "probe.reprobe"
 	if aimed {
 		spanName = "probe.reprobe_aimed"
 	} else {
-		rounds = probe.Rounds(p)
+		pairs = slices.Concat(probe.Rounds(p)...)
 	}
 	opts = opts.withDefaults()
 	rep := newProbeReport(p)
 	start := time.Now()
 	span := opts.Tracer.Begin(spanName, -1, -1, -1)
 	defer span.End()
+	run := phaseRunner(peers, opts, rep)
 
-	// Two samples per pair keep a whole-mesh screen O(P) wall-clock while
-	// still taking a minimum over more than one observation.
-	quick := opts
-	quick.MaxIters, quick.StableK = min(2, opts.MaxIters), 0
 	var flagged []profile.Link
-	if err := measure(peers, rounds, quick, rep, func(f freshDir) {
-		if aimed && !want[f.d] {
-			return
-		}
-		if rep.Screened++; drifted(pf, f, driftTol) {
-			flagged = append(flagged, f.d)
+	if err := m.Screens(pairs, screenPhases, run, func(i, j int, d float64) {
+		rep.credit(opts.Registry, i, j, screenPhases)
+		for _, dir := range [2]profile.Link{{From: i, To: j}, {From: j, To: i}} {
+			if aimed && !aim[dir] {
+				continue
+			}
+			if rep.Screened++; drifted(pf, dir, d, driftTol) {
+				flagged = append(flagged, dir)
+			}
 		}
 	}); err != nil {
 		return nil, fmt.Errorf("netmpi: reprobe screen: %w", err)
 	}
 
-	rounds, want, _ = aimedRounds(p, flagged)
-	var stale []freshDir
-	if err := measure(peers, rounds, opts, rep, func(f freshDir) {
-		if want[f.d] && drifted(pf, f, driftTol) {
-			stale = append(stale, f)
-			rep.Stale = append(rep.Stale, f.d)
+	pairs, want, _ := aimedPairs(p, flagged)
+	if err := m.Phases(pairs, opts.MaxIters, opts.StableK, run, func(i, j int, o, l float64, n int) {
+		if i == j {
+			return
+		}
+		rep.credit(opts.Registry, i, j, n)
+		both := [2]profile.Link{{From: i, To: j}, {From: j, To: i}}
+		for _, dir := range both {
+			if want[dir] && drifted(pf, dir, o+l, driftTol) {
+				rep.Stale = append(rep.Stale, dir)
+				for _, d := range both {
+					if d == dir || aimed && !aim[d] { // and an unaimed reverse
+						patch(pf, d, o, l)
+					}
+				}
+			}
 		}
 	}); err != nil {
 		return nil, fmt.Errorf("netmpi: reprobing %v: %w", flagged, err)
@@ -124,9 +123,6 @@ func Reprobe(peers []*Peer, pf *profile.Profile, opts ProbeOptions, driftTol flo
 	sortLinks(rep.Stale)
 	opts.Registry.Counter("probe_reprobe_screened_total").Add(int64(rep.Screened))
 	opts.Registry.Counter("probe_reprobe_stale_total").Add(int64(len(rep.Stale)))
-	if len(stale) > 0 {
-		patch(pf, stale)
-	}
 	rep.Elapsed = time.Since(start)
 	if err := pf.Validate(); err != nil {
 		return nil, fmt.Errorf("netmpi: reprobed profile invalid: %w", err)
@@ -134,10 +130,10 @@ func Reprobe(peers []*Peer, pf *profile.Profile, opts ProbeOptions, driftTol flo
 	return rep, nil
 }
 
-// drifted reports whether a fresh measurement's round-trip cost O+L moved
-// from the profile's beyond the relative tolerance (RelDrift).
-func drifted(pf *profile.Profile, f freshDir, tol float64) bool {
-	return RelDrift(pf.O.At(f.d.From, f.d.To)+pf.L.At(f.d.From, f.d.To), f.o+f.l) > tol
+// drifted reports whether a direction's fresh round-trip cost moved from the
+// profile's O+L beyond the relative tolerance (RelDrift).
+func drifted(pf *profile.Profile, d profile.Link, fresh, tol float64) bool {
+	return RelDrift(pf.O.At(d.From, d.To)+pf.L.At(d.From, d.To), fresh) > tol
 }
 
 // RelDrift is the relative distance between a cached and a fresh cost,

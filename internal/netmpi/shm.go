@@ -11,7 +11,7 @@
 // Nothing sits in between — no queue of frames, no goroutine to forward
 // them: a put that finds the receiver's program waiting delivers into it
 // under that one lock, and the receiver's Recv resolves (src, tag) to the
-// very mailbox the sender wrote, so Recv, RecvCancel, the resilient receive
+// very mailbox the sender wrote, so Recv, a step program, the resilient receive
 // path and every failure latch behave exactly as they do over TCP. Mail sent
 // before the receiver's Dial attaches simply waits in the segment.
 //

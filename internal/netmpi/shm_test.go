@@ -100,18 +100,17 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 	const wantErr = "shm link from rank 0 closed (peer exited or crashed)"
 
 	var wg sync.WaitGroup
-	var recvErr, cancelErr, resErr error
+	var recvErr, resErr error
 	var resSkipped bool
-	wg.Add(3)
+	wg.Add(2)
 	go func() { defer wg.Done(); _, recvErr = peers[1].Recv(0, 100, 0) }()
-	go func() { defer wg.Done(); _, cancelErr = peers[1].RecvCancel(0, 101, 0, make(chan struct{})) }()
 	go func() {
 		defer wg.Done()
 		var skipped []int
-		skipped, resErr = peers[1].program([]mpi.Step{{Recvs: []int{0}}}, 102, 30*time.Second, true, nil)
+		skipped, resErr = peers[1].cur.program([]mpi.Step{{Recvs: []int{0}}}, 102, 30*time.Second, true, nil)
 		resSkipped = slices.Equal(skipped, []int{0})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the three park; the outcome is the same if one has not
+	time.Sleep(20 * time.Millisecond) // let the two park; the outcome is the same if one has not
 
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -121,10 +120,8 @@ func TestShmCloseDeliversThenLatches(t *testing.T) {
 	}
 	peers[0].Close()
 	waitAll(t, &wg, 5*time.Second, "receivers blocked on a closed shm link")
-	for what, err := range map[string]error{"Recv": recvErr, "RecvCancel": cancelErr} {
-		if err == nil || !strings.Contains(err.Error(), wantErr) {
-			t.Errorf("%s woke with %v, want %q", what, err, wantErr)
-		}
+	if recvErr == nil || !strings.Contains(recvErr.Error(), wantErr) {
+		t.Errorf("Recv woke with %v, want %q", recvErr, wantErr)
 	}
 	if resErr != nil || !resSkipped {
 		t.Errorf("resilient receive = (skipped %v, %v), want the dead link skipped", resSkipped, resErr)
@@ -169,8 +166,7 @@ func TestMailboxStaleTokenStress(t *testing.T) {
 			runtime.Gosched() // the yield phase: re-check without touching avail
 			continue
 		default:
-			var why wakeReason
-			if msg, why = b.park(10*time.Second, nil, nil); why != gotMail {
+			if msg, ok = b.park(10*time.Second, nil); !ok {
 				t.Fatalf("parked at message %d of %d and never woke: lost wake-up", want, n)
 			}
 		}

@@ -106,8 +106,9 @@ func TestNodesFromPlacement(t *testing.T) {
 
 // TestTransportOfOnMesh forms a live hybrid mesh and checks every link's
 // class, the mesh signature, and the fingerprint contract: pure-TCP meshes
-// keep their historical fingerprint (warm caches stay valid), hybrid meshes
-// get their own keyed on the co-location shape.
+// key as they did before hybrid transports existed, plus the probe
+// protocol's key; hybrid meshes get their own keyed on the co-location
+// shape.
 func TestTransportOfOnMesh(t *testing.T) {
 	nodes := []int{0, 0, 1, 1}
 	peers, err := HybridMesh(4, nodes, meshTimeout)
@@ -136,7 +137,7 @@ func TestTransportOfOnMesh(t *testing.T) {
 	}
 
 	opts := ProbeOptions{MaxIters: 4}
-	historical := profile.FingerprintOf("netmpi-loopback", "4", "iters=4,stablek=0")
+	historical := profile.FingerprintOf("netmpi-loopback", "4", "iters=4,stablek=0", liveConfig.Key())
 	if MeshFingerprint(peers, opts) == historical {
 		t.Error("hybrid mesh fingerprint collides with the pure-TCP key")
 	}

@@ -1,5 +1,7 @@
 // Package probe collects the topological profile of a platform by running
-// the paper's microbenchmark protocol (§IV.A) against the simulated runtime:
+// the paper's microbenchmark protocol (§IV.A), on the simulated runtime
+// (Measure) or on any venue that runs rank step programs itself (Programs'
+// Phases and Screens: the live mesh's probe, internal/netmpi):
 //
 //   - Oij (i ≠ j): repeated round trips of messages of growing size; the
 //     intercept of a least-squares fit over size, halved (link symmetry),
@@ -17,7 +19,7 @@
 // program per phase (mpi.Program), its side of every pair it is in, and
 // every sample is a difference of its steps' completion times: the virtual
 // times a rank reads between the same operations, as a wall-clock benchmark
-// observes MPI_Wtime.
+// observes MPI_Wtime, or on a live mesh the wall-clock times themselves.
 //
 // The optional Replicate mode implements the reduction the paper describes
 // in §IV.B: it measures one representative pair per interconnect link class
@@ -29,6 +31,7 @@ package probe
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"topobarrier/internal/mpi"
@@ -164,37 +167,78 @@ func Measure(w *mpi.World, cfg Config) (*profile.Profile, error) {
 
 // newSimulator returns the measuring side of a survey of the world's platform.
 func newSimulator(w *mpi.World, cfg Config) (*simulator, error) {
-	if err := cfg.validate(w.Size()); err != nil {
+	m, err := NewPrograms(cfg, w.Size())
+	if err != nil {
 		return nil, err
 	}
-	p := w.Size()
-	sim := &simulator{w: w, cfg: cfg, progs: make([]mpi.Program, p), sides: make([][]side, p), peers: make([][]int, p)}
-	for _, n := range cfg.Sizes {
-		sim.sizeXs = append(sim.sizeXs, float64(n))
-	}
-	for _, m := range cfg.Batches {
-		sim.batchXs = append(sim.batchXs, float64(m))
-	}
-	batch := max(slices.Max(cfg.Batches), 1)
-	for q := range sim.peers {
-		sim.peers[q] = slices.Repeat([]int{q}, batch)
-	}
-	return sim, nil
+	return &simulator{Programs: m, w: w}, nil
 }
 
-// simulator is the survey's measuring side on the simulated runtime. A phase
-// is one World.Run in which every rank runs one program: its side of each of
-// its pairs' protocols, in round order, each under the pair's own tags.
+// simulator is the survey's measuring side on the simulated runtime: a phase
+// is one World.Run of all Warmup+Reps repetitions, and a sample point their
+// mean.
 type simulator struct {
-	w               *mpi.World
+	*Programs
+	w *mpi.World
+}
+
+// runWorld runs a phase's programs on the simulated runtime.
+func (m *simulator) runWorld(progs []mpi.Program) error {
+	_, err := m.w.Run(progs)
+	return err
+}
+
+// run measures pairs in one phase, handing set both directions of each and,
+// in the first phase, each rank's Oii as (i, i).
+func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
+	return m.Phases(pairs, 1, 0, m.runWorld, func(i, j int, o, l float64, _ int) {
+		set(i, j, o, l)
+		if i != j {
+			set(j, i, o, l) // links are symmetric: a pair is measured once
+		}
+	})
+}
+
+// screen hands set each pair's mean half round trip over one phase.
+func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
+	return m.Screens(pairs, 1, m.runWorld, set)
+}
+
+// NewPrograms returns the protocol's program builder and fit for p ranks,
+// on the simulator (Measure) or a live mesh (internal/netmpi). Its phases
+// share its arenas, so it serves one caller at a time.
+func NewPrograms(cfg Config, p int) (*Programs, error) {
+	if err := cfg.validate(p); err != nil {
+		return nil, err
+	}
+	m := &Programs{cfg: cfg, progs: make([]mpi.Program, p), sides: make([][]side, p), peers: make([][]int, p)}
+	for _, n := range cfg.Sizes {
+		m.sizeXs = append(m.sizeXs, float64(n))
+	}
+	for _, b := range cfg.Batches {
+		m.batchXs = append(m.batchXs, float64(b))
+	}
+	batch := max(slices.Max(cfg.Batches), 1)
+	for q := range m.peers {
+		m.peers[q] = slices.Repeat([]int{q}, batch)
+	}
+	return m, nil
+}
+
+// Programs is the protocol's one program builder and fit, whatever venue
+// runs the programs. A phase is one program per rank: its side of each of
+// its pairs' protocols, in round order, each under the pair's own tags.
+type Programs struct {
 	cfg             Config
 	sizeXs, batchXs []float64
-	selfDone        bool          // Oii is measured once, in the first phase
 	progs           []mpi.Program // per rank, the phase's program
 	steps           []mpi.Step    // the arena every rank's program is carved from
 	done            []float64     // the arena of their completion times
 	sides           [][]side      // per rank, the pairs of the phase's program
 	peers           [][]int       // peers[q]: q as often as the largest batch, every step's peer list
+	perPair         int           // the steps of a side of a pair in the phase
+	pts, samples    []float64     // points' buffers
+	selfDone        bool          // Oii was measured, in the builder's first phase
 }
 
 // side is one rank's part in one pair of a phase: the pair, whether the rank
@@ -209,7 +253,7 @@ type side struct {
 // perPair steps a pair the rank is in and extra more. The programs and their
 // completion times are carved from two arenas the phases share, so a probe
 // allocates about as much as its largest phase needs.
-func (m *simulator) begin(pairs []Pair, perPair, extra int) {
+func (m *Programs) begin(pairs []Pair, perPair, extra int) {
 	size := make([]int, len(m.progs))
 	total := 0
 	for _, pr := range pairs {
@@ -220,6 +264,7 @@ func (m *simulator) begin(pairs []Pair, perPair, extra int) {
 		size[me] += extra
 		total += size[me]
 	}
+	m.perPair = perPair
 	m.steps = slices.Grow(m.steps[:0], total)[:total]
 	m.done = slices.Grow(m.done[:0], total)[:total]
 	for me, off := 0, 0; me < len(size); me, off = me+1, off+size[me] {
@@ -232,7 +277,7 @@ func (m *simulator) begin(pairs []Pair, perPair, extra int) {
 
 // enter records that rank me's program goes on with its side of pr and
 // returns the peer and whether me initiates.
-func (m *simulator) enter(me int, pr Pair) (peer int, initiator bool) {
+func (m *Programs) enter(me int, pr Pair) (peer int, initiator bool) {
 	peer, initiator = pr.I, pr.J != me
 	if initiator {
 		peer = pr.J
@@ -243,7 +288,7 @@ func (m *simulator) enter(me int, pr Pair) (peer int, initiator bool) {
 
 // signal appends a step in which the rank sends n messages of bytes to the
 // peer, when send is set, or receives n from it, under tag.
-func (m *simulator) signal(pg *mpi.Program, peer int, send bool, tag, n, bytes int) {
+func (m *Programs) signal(pg *mpi.Program, peer int, send bool, tag, n, bytes int) {
 	if send {
 		pg.Steps = append(pg.Steps, mpi.Step{Tag: tag, Sends: m.peers[peer][:n], Bytes: bytes})
 	} else {
@@ -253,120 +298,66 @@ func (m *simulator) signal(pg *mpi.Program, peer int, send bool, tag, n, bytes i
 
 // handshake appends the untimed exchange that aligns the two ranks of a pair
 // before timed work begins: the initiator signals first.
-func (m *simulator) handshake(pg *mpi.Program, peer int, initiator bool, tag int) {
+func (m *Programs) handshake(pg *mpi.Program, peer int, initiator bool, tag int) {
 	m.signal(pg, peer, initiator, tag, 1, 0)
 	m.signal(pg, peer, !initiator, tag, 1, 0)
 }
 
-// run measures one phase: every rank walks the rounds of disjoint pairs in
-// order, the lower rank of a pair initiating and recording, and in the first
-// phase ends with the Oii steps.
-func (m *simulator) run(pairs []Pair, set func(i, j int, o, l float64)) error {
-	p := m.w.Size()
+// phase builds a phase over pairs: every rank walks the rounds of disjoint
+// pairs in order, appending its side of each pair's perPair steps with add
+// (the lower rank of a pair initiating and recording), and ends with self
+// Oii steps, no-op initiations each its own step.
+func (m *Programs) phase(pairs []Pair, perPair, self int, add func(pg *mpi.Program, peer, tag int, initiator bool)) {
+	p := len(m.progs)
 	rounds := PairRounds(p, pairs)
-	reps := m.cfg.Warmup + m.cfg.Reps
-	self := 0
-	if !m.selfDone {
-		self = reps
-	}
-	m.begin(pairs, 2+2*(len(m.cfg.Batches)+len(m.cfg.Sizes))*reps, self)
+	m.begin(pairs, perPair, self)
 	for me := range m.progs {
 		pg := &m.progs[me]
 		for _, round := range rounds {
 			if pr, ok := roundOf(round, me); ok {
 				peer, initiator := m.enter(me, pr)
-				m.measure(pg, peer, (pr.I*p+pr.J)*8, initiator) // disjoint tag space per pair
+				add(pg, peer, (pr.I*p+pr.J)*8, initiator) // disjoint tag space per pair
 			}
 		}
-		// Oii: no-op initiations, each its own step.
 		for range self {
 			pg.Steps = append(pg.Steps, mpi.Step{Noop: true})
 		}
 	}
-	if _, err := m.w.Run(m.progs); err != nil {
-		return err
-	}
-	var errs []error // every failed pair by name, initiators in rank order
-	for me := range m.progs {
-		done := m.progs[me].Done
-		for _, sd := range m.sides[me] {
-			if !sd.initiator {
-				continue
-			}
-			l, o, err := m.fit(sd.pr.I, sd.pr.J, done[sd.at:])
-			if err != nil {
-				errs = append(errs, fmt.Errorf("probe: pair (%d,%d): %w", sd.pr.I, sd.pr.J, err))
-				continue
-			}
-			set(sd.pr.I, sd.pr.J, o, l) // links are symmetric: a pair is measured once
-			set(sd.pr.J, sd.pr.I, o, l)
-		}
-		if m.selfDone {
-			continue
-		}
-		// Oii: the mean of the timed no-op initiations, each the time from
-		// the step before it to its own completion.
-		samples := make([]float64, 0, m.cfg.Reps)
-		k := len(done) - reps
-		for r := 0; r < reps; r, k = r+1, k+1 {
-			if r >= m.cfg.Warmup {
-				prev := 0.0
-				if k > 0 {
-					prev = done[k-1]
-				}
-				samples = append(samples, done[k]-prev)
-			}
-		}
-		set(me, me, stats.Mean(samples), 0)
-	}
-	m.selfDone = true
-	return errors.Join(errs...)
 }
 
-// screen runs one phase of Warmup+Reps zero-byte round trips per pair, the
-// lower rank initiating, and hands set each pair's mean half round trip.
-func (m *simulator) screen(pairs []Pair, set func(i, j int, d float64)) error {
-	p := m.w.Size()
-	rounds := PairRounds(p, pairs)
-	reps := m.cfg.Warmup + m.cfg.Reps
-	m.begin(pairs, 2+2*reps, 0)
-	for me := range m.progs {
-		pg := &m.progs[me]
-		for _, round := range rounds {
-			pr, ok := roundOf(round, me)
-			if !ok {
-				continue // bye round
-			}
-			peer, initiator := m.enter(me, pr)
-			tag := (pr.I*p+pr.J)*8 + 5 // past the sweep's tags of the pair
-			m.handshake(pg, peer, initiator, tag)
-			for range reps {
-				m.signal(pg, peer, initiator, tag+1, 1, 0)
-				m.signal(pg, peer, !initiator, tag+1, 1, 0)
-			}
+// roundTrips appends one side of a pair's screen with peer: the handshake
+// and Warmup+Reps zero-byte round trips, past the sweep's tags of the pair.
+func (m *Programs) roundTrips(pg *mpi.Program, peer, tag int, initiator bool) {
+	m.handshake(pg, peer, initiator, tag+5)
+	for range m.cfg.Warmup + m.cfg.Reps {
+		m.signal(pg, peer, initiator, tag+6, 1, 0)
+		m.signal(pg, peer, !initiator, tag+6, 1, 0)
+	}
+}
+
+// halfTrip is a pair's mean half round trip, read off its initiator's
+// completion times of roundTrips' protocol from its first step on: a round
+// trip spans the completion of the step before its send to that of its reply.
+func (m *Programs) halfTrip(done []float64) float64 {
+	sum := 0.0
+	for k := 2 + 2*m.cfg.Warmup; k < 2+2*(m.cfg.Warmup+m.cfg.Reps); k += 2 {
+		sum += done[k+1] - done[k-1]
+	}
+	return sum / float64(2*m.cfg.Reps)
+}
+
+// oii is a rank's Oii: the mean time of its timed no-op steps, the last Reps
+// of its program, each from the completion of the step before it.
+func (m *Programs) oii(done []float64) float64 {
+	sum := 0.0
+	for k := len(done) - m.cfg.Reps; k < len(done); k++ {
+		prev := 0.0
+		if k > 0 {
+			prev = done[k-1]
 		}
+		sum += done[k] - prev
 	}
-	if _, err := m.w.Run(m.progs); err != nil {
-		return err
-	}
-	for me := range m.progs {
-		for _, sd := range m.sides[me] {
-			if !sd.initiator {
-				continue
-			}
-			// Round trip r spans the completion of the step before its
-			// send to that of its reply.
-			done := m.progs[me].Done[sd.at:]
-			sum := 0.0
-			for r, k := 0, 2; r < reps; r, k = r+1, k+2 {
-				if r >= m.cfg.Warmup {
-					sum += done[k+1] - done[k-1]
-				}
-			}
-			set(sd.pr.I, sd.pr.J, sum/float64(2*m.cfg.Reps))
-		}
-	}
-	return nil
+	return sum / float64(m.cfg.Reps)
 }
 
 // floor keeps fitted parameters physically meaningful when noise produces a
@@ -378,7 +369,7 @@ const floor = 1e-9
 // simultaneous zero-byte signals and the responder's untimed ack, which
 // keeps repetitions in lockstep), then the O sweep (per repetition, a round
 // trip of two messages of the size).
-func (m *simulator) measure(pg *mpi.Program, peer, tag int, initiator bool) {
+func (m *Programs) measure(pg *mpi.Program, peer, tag int, initiator bool) {
 	cfg := m.cfg
 	m.handshake(pg, peer, initiator, tag)
 	for _, n := range cfg.Batches {
@@ -395,53 +386,190 @@ func (m *simulator) measure(pg *mpi.Program, peer, tag int, initiator bool) {
 	}
 }
 
-// fit returns the (L, O) estimates of the pair (me, peer) from the
-// initiator's completion times of measure's protocol, from its first step on.
-func (m *simulator) fit(me, peer int, done []float64) (l, o float64, err error) {
+// points reads a pair's sample points off its initiator's completion times
+// of measure's protocol, from its first step on: each batch's mean time (a
+// batch spans its own step), then each size's mean round trip (its send and
+// its reply), in Config order. The slice is reused by the next call.
+func (m *Programs) points(done []float64) []float64 {
 	cfg := m.cfg
 	k := 2 // the first step past the handshake
-
-	// L sweep first: the fitted gradient corrects the O intercept below. A
-	// batch spans its own step.
-	samples := make([]float64, 0, cfg.Reps)
-	batchMeans := make([]float64, len(cfg.Batches))
-	for bi := range cfg.Batches {
+	pts, samples := m.pts[:0], m.samples[:0]
+	for range cfg.Batches {
 		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r, k = r+1, k+2 {
 			if r >= cfg.Warmup {
 				samples = append(samples, done[k]-done[k-1])
 			}
 		}
-		batchMeans[bi] = stats.Mean(samples)
+		pts = append(pts, stats.Mean(samples))
 	}
-	lFit, err := stats.LeastSquares(m.batchXs, batchMeans)
-	if err != nil {
-		return 0, 0, fmt.Errorf("probe: L fit for pair (%d,%d): %w", me, peer, err)
-	}
-	l = lFit.Slope
-	if l < floor {
-		l = floor
-	}
-
-	// O sweep: round trips over growing sizes; intercept/2 minus L. A round
-	// trip spans its send and its reply.
-	sizeMeans := make([]float64, len(cfg.Sizes))
-	for si := range cfg.Sizes {
+	for range cfg.Sizes {
 		samples = samples[:0]
 		for r := 0; r < cfg.Warmup+cfg.Reps; r, k = r+1, k+2 {
 			if r >= cfg.Warmup {
 				samples = append(samples, done[k+1]-done[k-1])
 			}
 		}
-		sizeMeans[si] = stats.Mean(samples)
+		pts = append(pts, stats.Mean(samples))
 	}
-	oFit, err := stats.LeastSquares(m.sizeXs, sizeMeans)
+	m.pts, m.samples = pts, samples
+	return pts
+}
+
+// fit returns the (L, O) estimates of pair pr from its sample points: L is
+// the gradient over batch size, O the round trips' intercept over size,
+// halved, minus L.
+func (m *Programs) fit(pr Pair, pts []float64) (l, o float64, err error) {
+	// L first: the fitted gradient corrects the O intercept.
+	nb := len(m.cfg.Batches)
+	lFit, err := stats.LeastSquares(m.batchXs, pts[:nb])
 	if err != nil {
-		return 0, 0, fmt.Errorf("probe: O fit for pair (%d,%d): %w", me, peer, err)
+		return 0, 0, fmt.Errorf("probe: L fit for pair (%d,%d): %w", pr.I, pr.J, err)
+	}
+	l = lFit.Slope
+	if l < floor {
+		l = floor
+	}
+	oFit, err := stats.LeastSquares(m.sizeXs, pts[nb:])
+	if err != nil {
+		return 0, 0, fmt.Errorf("probe: O fit for pair (%d,%d): %w", pr.I, pr.J, err)
 	}
 	o = oFit.Intercept/2 - l
 	if o < floor {
 		o = floor
 	}
 	return l, o, nil
+}
+
+// exec runs a phase's programs on a venue, every Done unwritten (NaN)
+// first, and names the pairs a failure left unfinished: those whose
+// initiator did not complete its side.
+func (m *Programs) exec(run func([]mpi.Program) error) error {
+	for k := range m.done {
+		m.done[k] = math.NaN()
+	}
+	err := run(m.progs)
+	if err == nil {
+		return nil
+	}
+	var left []profile.Link
+	for me, sides := range m.sides {
+		for _, sd := range sides {
+			if sd.initiator && math.IsNaN(m.progs[me].Done[sd.at+m.perPair-1]) {
+				left = append(left, profile.Link{From: sd.pr.I, To: sd.pr.J})
+			}
+		}
+	}
+	return fmt.Errorf("probe: pairs %v unfinished: %w", left, err)
+}
+
+// Phases measures pairs in phases of Warmup+Reps repetitions on run, a venue
+// that runs progs[r] as rank r's program and writes each step's completion
+// time into its Done: one program per rank over the pairs still active, in
+// the order given, the builder's first phase with every rank's Oii steps.
+// Every sample point keeps its median over the phases (the least of a few
+// repetitions on a shared host is a lucky hand-off between two idle ranks,
+// a floor no barrier reaches). A pair is fitted after each phase and stops
+// once its O+L has not improved for stableK phases (never early at 0), or
+// after maxPhases. set gets each pair's last fit, with its phases, and each
+// rank's Oii as (i, i, Oii, 0, 0); a pair that does not fit is named in the
+// error, and the others are set.
+func (m *Programs) Phases(pairs []Pair, maxPhases, stableK int, run func([]mpi.Program) error, set func(i, j int, o, l float64, phases int)) error {
+	type fold struct {
+		seen          []float64 // every phase's sample points, phase after phase
+		pts           []float64 // each sample point's median over the phases so far
+		o, l, best    float64   // the last fit, and the least O+L fitted
+		phases, quiet int       // phases taken, and phases since best improved
+		failed        bool
+	}
+	folds := make(map[Pair]*fold, len(pairs))
+	for _, pr := range pairs {
+		folds[pr] = &fold{}
+	}
+	var errs []error // every pair that did not fit, initiators in rank order
+	perPair := 2 + 2*(len(m.cfg.Batches)+len(m.cfg.Sizes))*(m.cfg.Warmup+m.cfg.Reps)
+	for len(pairs) > 0 {
+		self := 0
+		if !m.selfDone {
+			self, m.selfDone = m.cfg.Warmup+m.cfg.Reps, true
+		}
+		m.phase(pairs, perPair, self, m.measure)
+		if err := m.exec(run); err != nil {
+			return err
+		}
+		for me := range m.progs {
+			done := m.progs[me].Done
+			if self > 0 {
+				set(me, me, max(m.oii(done), floor), 0, 0) // a clock may read a no-op as 0
+			}
+			for _, sd := range m.sides[me] {
+				if !sd.initiator {
+					continue
+				}
+				f, pts := folds[sd.pr], m.points(done[sd.at:])
+				f.seen = append(f.seen, pts...)
+				if f.phases++; f.phases == 1 {
+					f.pts = f.seen // one phase's points are their own medians
+				} else {
+					if f.phases == 2 {
+						f.pts = make([]float64, len(pts))
+					}
+					for k := range pts {
+						col := m.samples[:0]
+						for r := k; r < len(f.seen); r += len(pts) {
+							col = append(col, f.seen[r])
+						}
+						m.samples, f.pts[k] = col, stats.Median(col)
+					}
+				}
+				var err error
+				if f.l, f.o, err = m.fit(sd.pr, f.pts); err != nil {
+					f.failed = true
+					errs = append(errs, fmt.Errorf("probe: pair (%d,%d): %w", sd.pr.I, sd.pr.J, err))
+				} else if f.phases == 1 || f.o+f.l < f.best {
+					f.best, f.quiet = f.o+f.l, 0
+				} else {
+					f.quiet++
+				}
+			}
+		}
+		var active []Pair
+		for _, pr := range pairs {
+			switch f := folds[pr]; {
+			case f.failed:
+			case f.phases < maxPhases && (stableK == 0 || f.quiet < stableK):
+				active = append(active, pr)
+			default:
+				set(pr.I, pr.J, f.o, f.l, f.phases)
+			}
+		}
+		pairs = active
+	}
+	return errors.Join(errs...)
+}
+
+// Screens runs phases of Warmup+Reps zero-byte round trips per pair on run,
+// as Phases does, and hands set each pair's least half round trip over them.
+func (m *Programs) Screens(pairs []Pair, phases int, run func([]mpi.Program) error, set func(i, j int, d float64)) error {
+	least := make(map[Pair]float64, len(pairs))
+	for phase := range phases {
+		m.phase(pairs, 2+2*(m.cfg.Warmup+m.cfg.Reps), 0, m.roundTrips)
+		if err := m.exec(run); err != nil {
+			return err
+		}
+		for me, sides := range m.sides {
+			for _, sd := range sides {
+				if !sd.initiator {
+					continue
+				}
+				if d := m.halfTrip(m.progs[me].Done[sd.at:]); phase == 0 || d < least[sd.pr] {
+					least[sd.pr] = d
+				}
+			}
+		}
+	}
+	for _, pr := range pairs {
+		set(pr.I, pr.J, least[pr])
+	}
+	return nil
 }

@@ -1,8 +1,8 @@
 package probe
 
 // Pair is one unordered probe pair; I < J always. Rank I initiates the
-// exchange: the simulator's timed side, and on a live mesh the side whose
-// ping-pong series both directions are read off.
+// exchange: the timed side, whose completion times both directions' fit is
+// read off.
 type Pair struct {
 	I, J int
 }

@@ -150,34 +150,44 @@ func pairErr(i, j int, o, l float64) error {
 }
 
 // Distance returns the metric used for rank clustering: the symmetrised
-// startup overhead between two distinct ranks, and 0 for i == j. With a
-// symmetric profile this satisfies the metric-space requirements of SSS
-// clustering (positivity, symmetry; the triangle inequality holds for
-// hierarchical interconnects whose layer costs dominate).
+// cost of one signal between two distinct ranks, O+L each way (what Eq. 1
+// charges a one-target send), and 0 for i == j. A §IV.A profile books a
+// per-message cost in L, so a link whose every frame stalls its sender has
+// a floor O and shows only in L. With a symmetric profile this satisfies
+// the metric-space requirements of SSS clustering (positivity, symmetry;
+// the triangle inequality holds for hierarchical interconnects whose layer
+// costs dominate).
 func (pr *Profile) Distance(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	return (pr.O.At(i, j) + pr.O.At(j, i)) / 2
+	O, L := pr.O, pr.L
+	if t := O.Tiers(); t != nil && t == L.Tiers() && O.Row(i) == nil && O.Row(j) == nil && L.Row(i) == nil && L.Row(j) == nil {
+		// Both rows of both matrices are derived: the pair is two cells.
+		c, d := t.Cell(i, j), t.Cell(j, i)
+		return (O.Cell(c) + L.Cell(c) + (O.Cell(d) + L.Cell(d))) / 2
+	}
+	return (O.At(i, j) + L.At(i, j) + (O.At(j, i) + L.At(j, i))) / 2
 }
 
 // Diameter returns the largest Distance between two of the given distinct
-// ranks, and 0 for fewer than two. When none of their rows of O is written it
-// is the largest symmetrised tier value some pair of them falls in, found in
-// O(k log k) for k ranks; otherwise it scans the pairs 64 × 64 ranks at a
-// time, so the transposed entry of each pair is a read from a cached row
-// rather than a column walk.
+// ranks, and 0 for fewer than two. When none of their rows of O or L is
+// written, and both are read off one tier table, it is the largest
+// symmetrised tier value some pair of them falls in, found in O(k log k) for
+// k ranks; otherwise it scans the pairs 64 × 64 ranks at a time, so the
+// transposed entry of each pair is a read from a cached row rather than a
+// column walk.
 func (pr *Profile) Diameter(ranks []int) float64 {
 	d := 0.0
-	if pr.O.Derived(ranks) {
-		t := pr.O.Tiers()
+	if t := pr.O.Tiers(); t != nil && t == pr.L.Tiers() && pr.O.Derived(ranks) && pr.L.Derived(ranks) {
+		hop := func(c int) float64 { return pr.O.Cell(c) + pr.L.Cell(c) }
 		span := t.Span(ranks)
 		for c := 0; c < t.Cells(); c += 2 {
 			switch {
 			case span&(1<<(c+1)) != 0:
-				d = max(d, (pr.O.Cell(c)+pr.O.Cell(c+1))/2)
+				d = max(d, (hop(c)+hop(c+1))/2)
 			case span&(1<<c) != 0: // equal paths: both directions are cell c
-				d = max(d, (pr.O.Cell(c)+pr.O.Cell(c))/2)
+				d = max(d, (hop(c)+hop(c))/2)
 			}
 		}
 		return d
@@ -190,9 +200,7 @@ func (pr *Profile) Diameter(ranks []int) float64 {
 			for a := a0; a < a1; a++ {
 				i := ranks[a]
 				for _, j := range ranks[max(b0, a+1):b1] {
-					if v := (pr.O.At(i, j) + pr.O.At(j, i)) / 2; v > d {
-						d = v
-					}
+					d = max(d, pr.Distance(i, j))
 				}
 			}
 		}

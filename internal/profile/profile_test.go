@@ -71,17 +71,19 @@ func TestDistanceAndDiameter(t *testing.T) {
 	if pr.Distance(0, 0) != 0 {
 		t.Fatalf("self distance nonzero")
 	}
-	if pr.Distance(0, 1) != 2e-6 {
-		t.Fatalf("local distance = %g", pr.Distance(0, 1))
+	hop := func(o, l float64) float64 { return o + l }
+	local, remote := (hop(2e-6, 0.5e-6)+hop(2e-6, 0.5e-6))/2, (hop(50e-6, 8e-6)+hop(50e-6, 8e-6))/2 // O+L each way, halved
+	if pr.Distance(0, 1) != local {
+		t.Fatalf("local distance = %g, want %g", pr.Distance(0, 1), local)
 	}
 	if pr.Distance(0, 2) != pr.Distance(2, 0) {
 		t.Fatalf("distance asymmetric")
 	}
-	if d := pr.Diameter([]int{0, 1, 2, 3}); d != 50e-6 {
-		t.Fatalf("diameter = %g", d)
+	if d := pr.Diameter([]int{0, 1, 2, 3}); d != remote {
+		t.Fatalf("diameter = %g, want %g", d, remote)
 	}
-	if d := pr.Diameter([]int{3, 2}); d != 2e-6 {
-		t.Fatalf("diameter of one node = %g", d)
+	if d := pr.Diameter([]int{3, 2}); d != local {
+		t.Fatalf("diameter of one node = %g, want %g", d, local)
 	}
 }
 

@@ -151,13 +151,12 @@ func TestClosedLoopRecovery(t *testing.T) {
 		Probe:           probeOpts,
 		SearchBudget:    3000,
 		SearchSeed:      42,
-		// The injected fault is a per-link *sender* overhead — the write
-		// itself blocks 3 ms, so the probe books it as O[3][j] with L
-		// clamped to 0. Eq. 2 (O[i][i] + ΣL) structurally cannot see a
-		// per-target O, so under the default policy the re-search would
-		// happily keep sending on the slow links at predicted ≈0 cost.
-		// Eq. 1 charges max_k O[i][jk] in every stage, which is the form
-		// that represents this fault and steers the search around it.
+		// The injected fault is a per-link *sender* cost — the write itself
+		// blocks 3 ms on every frame, so the probe's batch gradient books it
+		// as L[3][j] (and, the pair's fit being symmetric, L[j][3]), with O
+		// at its floor. Both policies charge Σ L in every stage, so either
+		// steers the search around the slow links; the test keeps Eq. 1,
+		// which also charges max_k O[i][jk].
 		Policy:   predict.AlwaysEq1,
 		Registry: reg,
 	})

@@ -2,6 +2,7 @@ package run
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"topobarrier/internal/mat"
@@ -54,6 +55,24 @@ func TestPlanFromOpsRejectsStructure(t *testing.T) {
 	// But an unmatched send is structurally fine here.
 	if _, err := PlanFromOps("orphan", 2, 1, [][]mpi.Step{{{Tag: 0, Sends: []int{1}}}, {}}); err != nil {
 		t.Errorf("protocol-broken but structurally valid plan rejected: %v", err)
+	}
+}
+
+// TestPlanFromOpsRunsTheStepGate: a hand-built plan passes the step gate the
+// executors run, mpi.CheckStep, so a step addressing its own rank is refused
+// when the plan is built, with the executors' text, not when it runs.
+func TestPlanFromOpsRunsTheStepGate(t *testing.T) {
+	for name, c := range map[string]struct {
+		ops  [][]mpi.Step
+		want string
+	}{
+		"self-send":    {[][]mpi.Step{{{Sends: []int{0}}}, nil}, "rank 0 op in stage 0: addresses itself"},
+		"self-receive": {[][]mpi.Step{nil, {{Recvs: []int{0, 1}}}}, "rank 1 op in stage 0: addresses itself"},
+		"out-of-range": {[][]mpi.Step{{{Recvs: []int{2}}}, nil}, "peer 2 out of range (size 2)"},
+	} {
+		if _, err := PlanFromOps(name, 2, 1, c.ops); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: PlanFromOps = %v, want the refusal %q", name, err, c.want)
+		}
 	}
 }
 

@@ -213,8 +213,10 @@ func Validate(w *mpi.World, b Func, delay float64, delayRanks []int) error {
 // first — that is the point: it exists so the plan-level protocol checker
 // (analyze.CheckPlan) can be exercised against deliberately broken plans,
 // and so tests can perform plan surgery. Only structural sanity is enforced
-// (rank and stage indices in range, no payload: a barrier signal is zero
-// bytes on every transport); protocol correctness is the checker's job.
+// (stage indices in range, each step as mpi.CheckStep has it, so no step
+// addresses its own rank, and no payload or local work: a barrier signal is
+// zero bytes on every transport); protocol correctness is the checker's
+// job.
 func PlanFromOps(name string, p, stages int, ops [][]mpi.Step) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("run: plan over %d ranks", p)
@@ -237,10 +239,8 @@ func PlanFromOps(name string, p, stages int, ops [][]mpi.Step) (*Plan, error) {
 			if op.Compute != 0 || op.Noop {
 				return nil, fmt.Errorf("run: rank %d op in stage %d carries local work", r, op.Tag)
 			}
-			for _, peer := range slices.Concat(op.Recvs, op.Sends) {
-				if peer < 0 || peer >= p {
-					return nil, fmt.Errorf("run: rank %d references peer %d of %d-rank plan", r, peer, p)
-				}
+			if err := mpi.CheckStep(r, p, &op); err != nil {
+				return nil, fmt.Errorf("run: rank %d op in stage %d: %w", r, op.Tag, err)
 			}
 			op.Recvs, op.Sends = append([]int(nil), op.Recvs...), append([]int(nil), op.Sends...)
 			pl.steps[r] = append(pl.steps[r], op)
