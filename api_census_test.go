@@ -182,7 +182,7 @@ func parseModule(t *testing.T) map[string]*ast.File {
 // Options, Config and Params structs under internal/: the library's knobs,
 // pinned the way cliFlags pins the command lines'. One declaration naming
 // several fields (`Warmup, Iters int`) is one knob.
-const optionFields = 60
+const optionFields = 59
 
 // TestOptionFieldCensus counts the exported field declarations of every
 // exported struct type under internal/ whose name ends in Options, Config or

@@ -51,8 +51,8 @@ func TestTuneProducesValidSpecialisedBarrier(t *testing.T) {
 // TestTuneRefinementNeverRegresses: with Refine set, Tune follows the greedy
 // composition with a local-search pass. The refined result must still be a
 // barrier, clear barriervet, price no worse than the plain composition, run
-// correctly, and be deterministic regardless of the worker count (the search
-// portfolio sizes itself from GOMAXPROCS).
+// correctly, and be deterministic regardless of GOMAXPROCS (the search
+// portfolio's restarts run on however many cores it gives).
 func TestTuneRefinementNeverRegresses(t *testing.T) {
 	w := quadWorld(t, 24, 1)
 	pf := w.Fabric().TrueProfile()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"topobarrier/internal/sched"
@@ -96,7 +97,7 @@ func TestAnnealRejectsInvalidClusters(t *testing.T) {
 
 // TestAnnealClusterPrunedWorkerIndependence is the determinism pin for the
 // large-P configuration: cluster-pruned proposals plus batched evaluation
-// must produce bit-identical results at any worker count.
+// must produce bit-identical results at any GOMAXPROCS.
 func TestAnnealClusterPrunedWorkerIndependence(t *testing.T) {
 	p := 16
 	pd := clusteredPredictor(t, p)
@@ -105,47 +106,52 @@ func TestAnnealClusterPrunedWorkerIndependence(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		clusters = append(clusters, []int{c * 4, c*4 + 1, c*4 + 2, c*4 + 3})
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *Result
-	for _, workers := range []int{1, 4, 8} {
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
 		res, err := Anneal(pd, seed, AnnealOptions{
-			Seed: 21, Budget: 3600, Restarts: 3, Workers: workers,
+			Seed: 21, Budget: 3600, Restarts: 3,
 			Clusters: clusters, BatchSize: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Schedule.IsBarrier() {
-			t.Fatalf("workers=%d: result not a barrier", workers)
+			t.Fatalf("GOMAXPROCS=%d: result not a barrier", procs)
 		}
 		if res.Cost > pd.Cost(seed) {
-			t.Fatalf("workers=%d: worse than seed (%g vs %g)", workers, res.Cost, pd.Cost(seed))
+			t.Fatalf("GOMAXPROCS=%d: worse than seed (%g vs %g)", procs, res.Cost, pd.Cost(seed))
 		}
 		if ref == nil {
 			ref = res
 			continue
 		}
 		if res.Cost != ref.Cost || res.Examined != ref.Examined || !res.Schedule.Equal(ref.Schedule) {
-			t.Fatalf("workers=%d diverged from workers=1: cost %g vs %g, examined %d vs %d",
-				workers, res.Cost, ref.Cost, res.Examined, ref.Examined)
+			t.Fatalf("GOMAXPROCS=%d diverged from GOMAXPROCS=1: cost %g vs %g, examined %d vs %d",
+				procs, res.Cost, ref.Cost, res.Examined, ref.Examined)
 		}
 	}
 }
 
 // TestAnnealSlicedRoundsWorkerIndependence pins the determinism contract
-// where rounds are cut into slices that move restarts between workers:
-// best-of-5 batches (5 does not divide the slice length), 1043 steps per
+// where restarts yield their cores inside a round and so move between them:
+// best-of-5 batches (5 does not divide the yield interval), 1043 steps per
 // restart (a multiple of neither exchangeEvery nor the batch), so the rounds
-// are 500, 500 and 43 steps, the last shorter than one slice. Every worker
-// count must match Workers: 1 bit for bit, and Workers: 1 must match the
-// result recorded when each restart ran its rounds whole: a slice that ended
-// inside a batch would cut the batches elsewhere and move it.
+// are 500, 500 and 43 steps, the last shorter than one yield interval. Every
+// GOMAXPROCS must match GOMAXPROCS=1 bit for bit, and GOMAXPROCS=1 must match
+// the result recorded when each restart ran its rounds whole: a round climbed
+// in pieces that end inside a batch would cut the batches elsewhere and move
+// it.
 func TestAnnealSlicedRoundsWorkerIndependence(t *testing.T) {
 	pd := clusteredPredictor(t, 16)
 	seed := sched.Tree(16)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *Result
-	for _, workers := range []int{1, 2, 3} {
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
 		res, err := Anneal(pd, seed, AnnealOptions{
-			Seed: 9, Budget: 3 * 1043, Restarts: 3, Workers: workers, BatchSize: 5,
+			Seed: 9, Budget: 3 * 1043, Restarts: 3, BatchSize: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -159,13 +165,13 @@ func TestAnnealSlicedRoundsWorkerIndependence(t *testing.T) {
 			sum := sha256.Sum256(data)
 			got := fmt.Sprintf("%x %#x %d", sum[:8], math.Float64bits(res.Cost), res.Examined)
 			if want := "13e44f6d22748d13 0x3f145e5bd5e9ac00 2020"; got != want {
-				t.Fatalf("workers=1 moved from the whole-round result: got %s, want %s", got, want)
+				t.Fatalf("GOMAXPROCS=1 moved from the whole-round result: got %s, want %s", got, want)
 			}
 			continue
 		}
 		if math.Float64bits(res.Cost) != math.Float64bits(ref.Cost) || res.Examined != ref.Examined || !res.Schedule.Equal(ref.Schedule) {
-			t.Fatalf("workers=%d diverged from workers=1: cost %g vs %g, examined %d vs %d",
-				workers, res.Cost, ref.Cost, res.Examined, ref.Examined)
+			t.Fatalf("GOMAXPROCS=%d diverged from GOMAXPROCS=1: cost %g vs %g, examined %d vs %d",
+				procs, res.Cost, ref.Cost, res.Examined, ref.Examined)
 		}
 	}
 }

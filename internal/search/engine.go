@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 
 	"topobarrier/internal/mat"
@@ -41,7 +42,7 @@ type mutation struct {
 
 // climber is one restart's hill-climbing state. Climbers share nothing
 // mutable, which is what makes the portfolio's result independent of how
-// restarts are scheduled onto workers.
+// the scheduler spreads restarts over cores.
 type climber struct {
 	pd        *predict.Predictor
 	rng       *stats.RNG
@@ -80,20 +81,25 @@ func newClimber(pd *predict.Predictor, seedSched *sched.Schedule, seedCost float
 	}
 }
 
-// run advances the climb by the given number of mutation attempts.
+// run advances the climb by the given number of mutation attempts, a batch
+// at a time when batch is above 1, and yields its core after every
+// sliceSteps of them. A round is one run call, so batches are cut only where
+// the round ends.
 func (c *climber) run(steps int) {
-	if c.batch > 1 {
-		for n := 0; n < steps; n += c.batch {
-			b := c.batch
-			if steps-n < b {
-				b = steps - n
-			}
+	yield := sliceSteps
+	for n := 0; n < steps; {
+		if c.batch > 1 {
+			b := min(c.batch, steps-n)
 			c.stepBatch(b)
+			n += b
+		} else {
+			c.step()
+			n++
 		}
-		return
-	}
-	for n := 0; n < steps; n++ {
-		c.step()
+		if n >= yield {
+			runtime.Gosched()
+			yield = n + sliceSteps
+		}
 	}
 }
 

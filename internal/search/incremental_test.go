@@ -12,17 +12,17 @@ import (
 
 // TestAnnealDeterministicAcrossWorkers is the portfolio's core contract: for
 // a fixed seed the returned schedule and cost are bit-identical whether the
-// restarts run on 1, 2, or 8 workers.
+// eight restarts run on 1, 2, or 3 cores (GOMAXPROCS).
 func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 	pd := clusteredPredictor(t, 16)
 	seed := sched.Dissemination(16)
 	opts := AnnealOptions{Seed: 9, Budget: 9600, Restarts: 8}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *Result
-	for _, workers := range []int{1, 2, 8} {
-		o := opts
-		o.Workers = workers
-		res, err := Anneal(pd, seed, o)
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		res, err := Anneal(pd, seed, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,8 +31,8 @@ func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if res.Cost != ref.Cost || !res.Schedule.Equal(ref.Schedule) || res.Examined != ref.Examined {
-			t.Fatalf("workers=%d diverged: cost %v vs %v, examined %d vs %d",
-				workers, res.Cost, ref.Cost, res.Examined, ref.Examined)
+			t.Fatalf("GOMAXPROCS=%d diverged: cost %v vs %v, examined %d vs %d",
+				procs, res.Cost, ref.Cost, res.Examined, ref.Examined)
 		}
 	}
 }
@@ -106,7 +106,7 @@ func TestAnnealTracksInRestartBest(t *testing.T) {
 	// can never exceed the (deterministically replayed) per-climber minimum.
 	pd := clusteredPredictor(t, 12)
 	seed := sched.Dissemination(12)
-	opts := AnnealOptions{Seed: 21, Budget: 3000, Restarts: 2, Workers: 1}
+	opts := AnnealOptions{Seed: 21, Budget: 3000, Restarts: 2}
 	res, err := Anneal(pd, seed, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestAnnealTracksInRestartBest(t *testing.T) {
 func TestAnnealBudgetCapsExaminations(t *testing.T) {
 	pd := clusteredPredictor(t, 12)
 	seed := sched.Tree(12)
-	res, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 900, Restarts: 3, Workers: 1})
+	res, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 900, Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,25 +222,27 @@ func TestRevisitedStateDecidesAlike(t *testing.T) {
 // longest schedule and reused) and evaluators of three climbers plus a clone
 // per new best. A per-candidate allocation, a level store that regrows per
 // verdict, or a per-climber memo of visited states (7 MB when there was one)
-// fails here. Two workers share the same bound: the pool that runs the
-// rounds' slices is made once per call, not once per round.
+// fails here. The bound holds at GOMAXPROCS 1, 2 and 3: a round's goroutines
+// cost no more than their closures.
 func TestAnnealAllocationBound(t *testing.T) {
 	if perftest.RaceEnabled {
 		t.Skip("allocation counts under the race detector include its own")
 	}
 	pd := clusteredPredictor(t, 32)
 	seed := sched.Tree(32)
-	for _, workers := range []int{1, 2} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 200_000, Workers: workers}); err != nil {
+		if _, err := Anneal(pd, seed, AnnealOptions{Seed: 1, Budget: 200_000}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-		t.Logf("Anneal at P=32, budget 200000, %d workers allocated %.2f MB", workers, mb)
+		t.Logf("Anneal at P=32, budget 200000, GOMAXPROCS=%d allocated %.2f MB", procs, mb)
 		if mb > 4.5 {
-			t.Fatalf("Anneal at P=32, budget 200000, %d workers allocated %.2f MB, want ≤ 4.5", workers, mb)
+			t.Fatalf("Anneal at P=32, budget 200000, GOMAXPROCS=%d allocated %.2f MB, want ≤ 4.5", procs, mb)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -12,13 +11,13 @@ import (
 )
 
 // The parallel restart portfolio. Restarts are independent climbers advanced
-// in lock-step rounds of exchangeEvery steps; a round is cut into slices that
-// a pool of workers shares. At each round's end the elite (cheapest current
-// state, ties to the lowest restart index) is picked and its schedule handed
-// to climbers that have fallen behind by more than eliteAdoptFactor. Because
-// climbers share no mutable state and every exchange decision uses only
-// round-end data, the final result is bit-identical for a fixed seed no
-// matter how many workers execute the slices.
+// in lock-step rounds of exchangeEvery steps, each round one goroutine per
+// restart. At each round's end the elite (cheapest current state, ties to the
+// lowest restart index) is picked and its schedule handed to climbers that
+// have fallen behind by more than eliteAdoptFactor. Because climbers share no
+// mutable state and every exchange decision uses only round-end data, the
+// final result is bit-identical for a fixed seed no matter how many cores
+// (GOMAXPROCS) run the goroutines.
 
 // eliteAdoptFactor is the relative slack before a lagging restart abandons
 // its own trajectory for the elite's. Keeping it above 1 preserves diversity:
@@ -93,160 +92,60 @@ func (m *searchMetrics) flush(climbers []*climber, stepsDone int) {
 	m.bestCost.Set(bestCost)
 }
 
-// sliceSteps is how many steps of one restart a worker runs between looks
-// at the pool's queue. Rounds of exchangeEvery steps are cut into slices so
-// that three restarts on two workers keep both busy (McNaughton's
-// wrap-around: 1.5 rounds of work per worker, not 2).
+// sliceSteps is how many steps a restart climbs between yields of its core
+// (climber.run). A round is one goroutine per restart; the yields let the Go
+// scheduler wrap three restarts around two cores within the round
+// (McNaughton's wrap-around: 1.5 rounds of work per core, not 2), which its
+// ≈ 10 ms preemption alone would not do for a sub-millisecond round.
 const sliceSteps = 64
 
-// pool runs one Anneal call's portfolio on a fixed set of workers. A worker
-// takes a restart that is not running and advances it slice by slice. It
-// hands the restart back to the queue when a waiting one trails it by two
-// slices: a restart moves between cores a few times per round, not once per
-// slice, and its state stays in one core's cache. The worker that finishes a
-// round's last slice makes the exchange and opens the next round. A climber
-// never runs on two workers at once and an exchange reads only round-end
-// state, so the result does not depend on which worker ran which slice.
-type pool struct {
-	mu       sync.Mutex
-	wake     sync.Cond // a round opened, or the portfolio finished
-	climbers []*climber
-	metrics  *searchMetrics
-	slice    int   // steps per slice, a multiple of the batch size
-	steps    int   // steps per restart in all
-	left     int   // steps per restart not yet in an opened round
-	round    int   // steps per restart in the current round
-	ran      []int // steps each restart has run of the current round
-	ready    []int // restarts waiting for a worker
-	finished int   // restarts that have run the whole current round
-	over     bool
-}
-
-// runPortfolio drives all restarts to completion on opts.Workers workers,
-// the caller being one of them.
+// runPortfolio drives all restarts to completion in rounds of at most
+// exchangeEvery steps per restart: one goroutine per restart, joined before
+// the exchange. A climber runs on one goroutine at a time and an exchange
+// reads only round-end state, so the result does not depend on how the
+// scheduler spreads the goroutines over cores.
 func runPortfolio(climbers []*climber, opts AnnealOptions) {
-	p := &pool{
-		climbers: climbers,
-		slice:    sliceSteps,
-		steps:    opts.steps(),
-		left:     opts.steps(),
-		ran:      make([]int, len(climbers)),
-		ready:    make([]int, 0, len(climbers)),
-	}
-	p.wake.L = &p.mu
-	// A slice ends on a batch boundary, so climber.run cuts its batches
-	// where a whole round would have.
-	if b := opts.BatchSize; b > 1 {
-		p.slice = (sliceSteps + b - 1) / b * b
-	}
+	var metrics *searchMetrics
 	if opts.Telemetry != nil {
-		p.metrics = newSearchMetrics(opts.Telemetry, len(climbers))
+		metrics = newSearchMetrics(opts.Telemetry, len(climbers))
 	}
-	p.open()
-	var wg sync.WaitGroup
-	for w := 1; w < min(opts.Workers, len(climbers)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.work()
-		}()
-	}
-	p.work()
-	wg.Wait()
-}
-
-// work runs slices until the portfolio is finished.
-func (p *pool) work() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, last := -1, -1 // the restart in hand, and the one this worker ran last
-	for {
-		if r < 0 {
-			for len(p.ready) == 0 && !p.over {
-				p.wake.Wait()
-			}
-			if p.over {
-				return
-			}
-			r = p.take(last)
+	steps := opts.steps()
+	for done := 0; done < steps; {
+		round := min(exchangeEvery, steps-done)
+		var wg sync.WaitGroup
+		for _, c := range climbers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.run(round)
+			}()
 		}
-		n := min(p.slice, p.round-p.ran[r])
-		p.mu.Unlock()
-		p.climbers[r].run(n)
-		p.mu.Lock()
-		if p.ran[r] += n; p.ran[r] < p.round {
-			if len(p.ready) > 0 && p.ran[r]-p.ran[p.ready[p.trailing(-1)]] >= 2*p.slice {
-				p.ready = append(p.ready, r)
-				r = p.take(-1)
-			}
-			continue
-		}
-		r, last = -1, r
-		if p.finished++; p.finished == len(p.climbers) {
-			p.exchange()
-			p.open()
-			p.wake.Broadcast()
-		}
+		wg.Wait()
+		done += round
+		exchange(climbers, metrics, done, steps)
 	}
 }
 
-// trailing returns the queue index of the waiting restart that has run the
-// fewest steps of the round, ties going to prefer.
-func (p *pool) trailing(prefer int) int {
-	t := 0
-	for i, r := range p.ready {
-		if d := p.ran[r] - p.ran[p.ready[t]]; d < 0 || d == 0 && r == prefer {
-			t = i
-		}
-	}
-	return t
-}
-
-// take removes the trailing waiting restart from the queue and returns it.
-func (p *pool) take(prefer int) int {
-	i := p.trailing(prefer)
-	r := p.ready[i]
-	p.ready = append(p.ready[:i], p.ready[i+1:]...)
-	return r
-}
-
-// open starts the next round of at most exchangeEvery steps per restart, or
-// marks the portfolio finished.
-func (p *pool) open() {
-	if p.left == 0 {
-		p.over = true
-		return
-	}
-	p.round = min(exchangeEvery, p.left)
-	p.left -= p.round
-	p.finished = 0
-	p.ready = p.ready[:0]
-	for r := range p.climbers {
-		p.ran[r] = 0
-		p.ready = append(p.ready, r)
-	}
-}
-
-// exchange is the round-end synchronisation: deterministic elite selection
-// and adoption, then the telemetry flush.
-func (p *pool) exchange() {
-	climbers := p.climbers
+// exchange is the round-end synchronisation once every restart has climbed
+// done of its steps: deterministic elite selection and adoption (none after
+// the last round), then the telemetry flush.
+func exchange(climbers []*climber, metrics *searchMetrics, done, steps int) {
 	elite := 0
 	for r, c := range climbers {
 		if c.cost < climbers[elite].cost {
 			elite = r
 		}
 	}
-	if p.left > 0 && len(climbers) > 1 {
+	if done < steps && len(climbers) > 1 {
 		es, ec := climbers[elite].s, climbers[elite].cost
 		for r, c := range climbers {
 			if r != elite && c.cost > ec*eliteAdoptFactor {
 				c.adopt(es, ec)
-				p.metrics.adoptionInc()
+				metrics.adoptionInc()
 			}
 		}
 	}
-	p.metrics.flush(climbers, p.steps-p.left)
+	metrics.flush(climbers, done)
 }
 
 // newPortfolio seeds one climber per restart with its own RNG stream. A
@@ -260,6 +159,3 @@ func newPortfolio(pd *predict.Predictor, seedSched *sched.Schedule, seedCost flo
 	}
 	return climbers
 }
-
-// defaultWorkers returns the portfolio's worker-count default.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }

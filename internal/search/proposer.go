@@ -19,8 +19,8 @@ import (
 //	                         search ergodic over the full space)
 //
 // A proposer is immutable after construction and draws only through the
-// calling climber's own RNG stream, so cluster pruning composes with the
-// portfolio's worker-count-independent determinism.
+// calling climber's own RNG stream, so cluster pruning keeps the
+// portfolio's result independent of GOMAXPROCS.
 type proposer struct {
 	members [][]int32 // cluster -> ranks
 	leaders []int32   // cluster representatives (first rank of each)

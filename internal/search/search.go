@@ -28,16 +28,11 @@ type Result struct {
 // AnnealOptions configures the local search.
 type AnnealOptions struct {
 	// Seed drives mutation choices; identical seeds replay identical
-	// searches, independent of Workers.
+	// searches at any GOMAXPROCS.
 	Seed uint64
-	// Restarts is the number of portfolio members (default 3).
+	// Restarts is the number of portfolio members (default 3). Each climbs
+	// on its own goroutine, so up to Restarts cores work at once.
 	Restarts int
-	// Workers bounds how many restarts climb concurrently (default
-	// GOMAXPROCS, capped at Restarts). A restart's round runs in slices
-	// that may move between workers, so more restarts than workers still
-	// keep every worker busy. The worker count affects throughput only: for
-	// a fixed Seed the result is bit-identical at any value.
-	Workers int
 	// Budget is the total number of mutation attempts across the whole
 	// portfolio: each restart performs Budget/Restarts of them (at least
 	// one). 0 selects 2000 per restart.
@@ -50,13 +45,13 @@ type AnnealOptions struct {
 	// rarely from the full P² space — the shape good hierarchical schedules
 	// take, and the difference between a step budget that explores and one
 	// that drowns at large P. Invalid partitions make Anneal return an
-	// error. Determinism per Seed is preserved for any Workers.
+	// error. Determinism per Seed is preserved at any GOMAXPROCS.
 	Clusters [][]int
 	// BatchSize, when above 1, evaluates mutations in best-of-BatchSize
 	// batches inside each climber: all candidates of a batch are scored
 	// against the same base state and only the cheapest is kept (when it
 	// does not predict slower). Batches draw from the climber's own RNG
-	// stream, so the result stays independent of Workers.
+	// stream, so the result stays independent of GOMAXPROCS.
 	BatchSize int
 	// Telemetry, when non-nil, receives the search's runtime metrics:
 	// candidate throughput, accepted moves, exchange rounds, elite adoptions, and per-restart progress gauges.
@@ -67,7 +62,7 @@ type AnnealOptions struct {
 
 // exchangeEvery is the number of steps each restart climbs between
 // cross-restart elite exchanges. Exchanges happen when every restart has
-// finished the round, so changing Workers never changes them.
+// finished the round, so how the restarts are scheduled never changes them.
 const exchangeEvery = 500
 
 func (o AnnealOptions) withDefaults() AnnealOptions {
@@ -76,9 +71,6 @@ func (o AnnealOptions) withDefaults() AnnealOptions {
 	}
 	if o.Budget <= 0 {
 		o.Budget = 2000 * o.Restarts
-	}
-	if o.Workers <= 0 {
-		o.Workers = defaultWorkers()
 	}
 	return o
 }

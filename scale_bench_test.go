@@ -97,7 +97,7 @@ func BenchmarkSearchThroughputLargeP(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n += 500 {
 				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: uint64(n + 1), Budget: 500, Restarts: 1, Workers: 1,
+					Seed: uint64(n + 1), Budget: 500, Restarts: 1,
 					Clusters: clusters, BatchSize: 8,
 				})
 				if err != nil {
@@ -210,7 +210,7 @@ func TestLargePSearchSpeedupFloor(t *testing.T) {
 	pd := predict.New(pf)
 	seed := sched.Dissemination(p)
 	opts := search.AnnealOptions{
-		Seed: 11, Budget: 2000, Restarts: 1, Workers: 1,
+		Seed: 11, Budget: 2000, Restarts: 1,
 		Clusters: scaleClusters(pf), BatchSize: 8,
 	}
 

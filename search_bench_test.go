@@ -1,11 +1,12 @@
 // Benchmarks for the incremental search engine: mutation-evaluation
 // throughput against the clone-per-mutant baseline the engine replaced, and
-// worker scaling of the parallel portfolio. The acceptance bar for the
+// core scaling of the parallel portfolio. The acceptance bar for the
 // engine is a ≥10× single-core throughput advantage at P=16.
 package topobarrier_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"topobarrier/internal/fabric"
@@ -69,7 +70,7 @@ func BenchmarkSearchThroughput(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n += 2000 {
 				res, err := search.Anneal(pd, seed, search.AnnealOptions{
-					Seed: uint64(n + 1), Budget: 2000, Restarts: 1, Workers: 1,
+					Seed: uint64(n + 1), Budget: 2000, Restarts: 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -82,31 +83,32 @@ func BenchmarkSearchThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchWorkerScaling runs a fixed 8-restart portfolio on 1, 2, 4,
-// and 8 workers; with shared-nothing climbers the speedup should track the
-// worker count until restarts run out. The tree32 rows are the ledger's
-// shape, three restarts on one and two workers, where a round cut into
-// slices is what lets the third restart share the two cores.
+// BenchmarkSearchWorkerScaling runs a fixed 8-restart portfolio at
+// GOMAXPROCS 1, 2, 4 and 8; with shared-nothing climbers the speedup should
+// track the core count until restarts or cores run out. The tree32 rows are
+// the ledger's shape, three restarts on one and two cores, where the
+// restarts' yields inside a round are what let the third share the two.
 func BenchmarkSearchWorkerScaling(b *testing.B) {
 	shapes := []struct {
 		name             string
 		seed             *sched.Schedule
 		restarts, budget int
-		workers          []int
+		procs            []int
 	}{
 		{"", sched.Dissemination(16), 8, 12000, []int{1, 2, 4, 8}},
 		{"tree32/restarts=3/", sched.Tree(32), 3, 30_000, []int{1, 2}},
 	}
 	for _, sh := range shapes {
 		pd := throughputPredictor(b, sh.seed.P)
-		for _, workers := range sh.workers {
-			b.Run(fmt.Sprintf("%sworkers=%d", sh.name, workers), func(b *testing.B) {
+		for _, procs := range sh.procs {
+			b.Run(fmt.Sprintf("%sprocs=%d", sh.name, procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				examined := 0
 				b.ResetTimer()
 				cpu := perftest.CPUSeconds(b)
 				for n := 0; n < b.N; n++ {
 					res, err := search.Anneal(pd, sh.seed, search.AnnealOptions{
-						Seed: 3, Budget: sh.budget, Restarts: sh.restarts, Workers: workers,
+						Seed: 3, Budget: sh.budget, Restarts: sh.restarts,
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"topobarrier/internal/core"
@@ -88,17 +89,20 @@ func TestGoldenTuneRefine256(t *testing.T) {
 }
 
 // TestGoldenAnnealDissemination16 is an eight-restart portfolio with elite
-// exchange, which must not depend on how restarts are spread over workers.
+// exchange, which must not depend on how many cores (GOMAXPROCS) run the
+// restarts.
 func TestGoldenAnnealDissemination16(t *testing.T) {
 	want := searchPin{"099e1e0546d9542eb049682a7106aedf03cf057ec70c90b9b6e900b5a4c4b285", 0x3f11b1d92b7fe08a, 27348}
 	pd := throughputPredictor(t, 16)
-	for _, workers := range []int{1, 4} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
 		res, err := search.Anneal(pd, sched.Dissemination(16), search.AnnealOptions{
-			Seed: 3, Budget: 32000, Restarts: 8, Workers: workers,
+			Seed: 3, Budget: 32000, Restarts: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPin(t, fmt.Sprintf("dissemination P=16 workers %d", workers), pinOf(t, res.Schedule, res.Cost, res.Examined), want)
+		checkPin(t, fmt.Sprintf("dissemination P=16 GOMAXPROCS %d", procs), pinOf(t, res.Schedule, res.Cost, res.Examined), want)
 	}
 }
