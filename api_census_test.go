@@ -31,6 +31,7 @@ var censusAllow = map[string]string{
 	"mat.BoolFromRows":               "oracle: literal matrices for the kernel tests",
 	"mat.PropagateSilencedInto":      "fault model: the dense reference the certifier's kernels are tested against",
 	"sched.Schedule.Silence":         "fault model: crash-silenced schedules for the resilience tests",
+	"sched.SymmetricDissemination":   "fault model: the 1-fault-resilient schedule of the certifier tests, the vet corpus, sched's resume tests and netmpi's killed-rank test",
 	"run.Plan.Silenced":              "fault model: crash-silenced plans for the executor tests",
 	"netmpi.Peer.LinkErr":            "fault latch the fail-fast transport tests read",
 	"netmpi.EpochRunner.Swaps":       "epoch observer the hot-swap tests read",

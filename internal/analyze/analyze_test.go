@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -277,6 +278,28 @@ func TestDepartureShape(t *testing.T) {
 	rep = Analyze(hyb, Options{})
 	if got := findChecks(rep, "departure-shape"); got != 0 {
 		t.Errorf("hybrid flagged for departure shape")
+	}
+}
+
+// TestDepartureShapeAgreesWithComponents pins the provenance lint's own name
+// list to the composer's catalogue: named after a component, its bare
+// arrival is flagged exactly when the component needs a departure, and the
+// arrival followed by its transposed reversal never is.
+func TestDepartureShapeAgreesWithComponents(t *testing.T) {
+	for _, b := range sched.ExtendedBuilders() {
+		for _, p := range []int{4, 8, 13} {
+			name := fmt.Sprintf("%s(%d)", b.Name, p)
+			arr := b.Arrival(p)
+			arr.Name = name
+			if got := findChecks(Analyze(arr, Options{SkipRedundancy: true}), "departure-shape") > 0; got != b.NeedsDeparture {
+				t.Errorf("%s arrival only: departure-shape finding %v, NeedsDeparture %v", name, got, b.NeedsDeparture)
+			}
+			full := arr.Clone().Concat(arr.ReverseTransposed())
+			full.Name = name
+			if rep := Analyze(full, Options{SkipRedundancy: true}); findChecks(rep, "departure-shape") != 0 {
+				t.Errorf("%s with its transposed departure flagged:\n%s", name, rep)
+			}
+		}
 	}
 }
 

@@ -178,12 +178,12 @@ func (c *composer) selectComponent(members []int, isRoot bool) (*sched.Schedule,
 		arrival := b.Arrival(len(members))
 		// Lower levels always pay the departure transposes; only the root
 		// can exploit a no-departure component (§VII.B).
-		needsDep := b.NeedsDeparture() || !isRoot
+		needsDep := b.NeedsDeparture || !isRoot
 		cost := local.ArrivalPhaseCost(arrival, needsDep)
 		if best == nil || cost < bestCost {
 			best, bestBuilder, bestCost = arrival, b, cost
 		}
 	}
-	ch := Choice{Ranks: append([]int(nil), members...), Algorithm: bestBuilder.Name(), Cost: bestCost}
-	return best, bestBuilder.NeedsDeparture() || !isRoot, ch, nil
+	ch := Choice{Ranks: append([]int(nil), members...), Algorithm: bestBuilder.Name, Cost: bestCost}
+	return best, bestBuilder.NeedsDeparture || !isRoot, ch, nil
 }

@@ -63,13 +63,13 @@ func (r *Result) refArrival(pd *predict.Predictor, n *sss.Node, builders []sched
 	)
 	for _, b := range builders {
 		lifted := b.Arrival(len(members)).Lift(p, members)
-		cost := pd.ArrivalPhaseCost(lifted, b.NeedsDeparture() || !isRoot)
+		cost := pd.ArrivalPhaseCost(lifted, b.NeedsDeparture || !isRoot)
 		if best == nil || cost < bestCost {
 			best, bestBuilder, bestCost = lifted, b, cost
 		}
 	}
-	r.Choices = append(r.Choices, Choice{Ranks: append([]int(nil), members...), Algorithm: bestBuilder.Name(), Cost: bestCost, Root: isRoot})
-	return below, best, bestBuilder.NeedsDeparture() || !isRoot
+	r.Choices = append(r.Choices, Choice{Ranks: append([]int(nil), members...), Algorithm: bestBuilder.Name, Cost: bestCost, Root: isRoot})
+	return below, best, bestBuilder.NeedsDeparture || !isRoot
 }
 
 // assertMatchesReference composes with both and demands exact agreement:

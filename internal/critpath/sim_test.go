@@ -106,7 +106,7 @@ func TestSimTimelineFidelity(t *testing.T) {
 		for _, b := range sched.ExtendedBuilders() {
 			arrival := b.Arrival(p)
 			s := arrival.Clone()
-			if b.NeedsDeparture() {
+			if b.NeedsDeparture {
 				s.Concat(arrival.ReverseTransposed())
 			}
 			schedules = append(schedules, s)

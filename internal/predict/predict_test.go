@@ -333,7 +333,7 @@ func TestLocalPricingEqualsLiftedPricing(t *testing.T) {
 				arrival := b.Arrival(len(members))
 				got, want := local.Cost(arrival), full.Cost(arrival.Lift(p, members))
 				if got != want {
-					t.Fatalf("trial %d %s over %v policy %v: local %v, lifted %v", trial, b.Name(), members, policy, got, want)
+					t.Fatalf("trial %d %s over %v policy %v: local %v, lifted %v", trial, b.Name, members, policy, got, want)
 				}
 			}
 		}

@@ -180,68 +180,23 @@ func SymmetricDissemination(p int) *Schedule {
 	return s
 }
 
-// Builder generates the component phases of one barrier algorithm for the
-// adaptive composer (§VII.B). A component is built over n local members with
-// member 0 acting as the group root.
-type Builder interface {
+// Builder is one component algorithm of the adaptive composer (§VII.B), built
+// over n local members with member 0 acting as the group root.
+type Builder struct {
 	// Name identifies the algorithm in reports and generated code.
-	Name() string
+	Name string
 	// Arrival returns the phase after which the root knows all arrivals.
-	Arrival(n int) *Schedule
+	Arrival func(n int) *Schedule
 	// NeedsDeparture reports whether a departure phase (reversed transposes)
 	// must follow when this component is used at the root of the hierarchy.
 	// It is false exactly when Arrival leaves *every* member, not just the
 	// root, with complete knowledge.
-	NeedsDeparture() bool
+	NeedsDeparture bool
 }
 
-// LinearBuilder selects the linear component.
-type LinearBuilder struct{}
-
-// Name implements Builder.
-func (LinearBuilder) Name() string { return "linear" }
-
-// Arrival implements Builder.
-func (LinearBuilder) Arrival(n int) *Schedule { return LinearArrival(n) }
-
-// NeedsDeparture implements Builder.
-func (LinearBuilder) NeedsDeparture() bool { return true }
-
-// TreeBuilder selects the binomial tree component.
-type TreeBuilder struct{}
-
-// Name implements Builder.
-func (TreeBuilder) Name() string { return "tree" }
-
-// Arrival implements Builder.
-func (TreeBuilder) Arrival(n int) *Schedule { return TreeArrival(n) }
-
-// NeedsDeparture implements Builder.
-func (TreeBuilder) NeedsDeparture() bool { return true }
-
-// DisseminationBuilder selects the dissemination component; its arrival phase
-// leaves every member fully informed, so no departure is needed at the root.
-type DisseminationBuilder struct{}
-
-// Name implements Builder.
-func (DisseminationBuilder) Name() string { return "dissemination" }
-
-// Arrival implements Builder.
-func (DisseminationBuilder) Arrival(n int) *Schedule { return Dissemination(n) }
-
-// NeedsDeparture implements Builder.
-func (DisseminationBuilder) NeedsDeparture() bool { return false }
-
-// RingBuilder selects the token-ring extension component. Its arrival roots
-// knowledge at member n-1; to fit the root-0 convention it appends a final
-// hop back to member 0 for n > 1.
-type RingBuilder struct{}
-
-// Name implements Builder.
-func (RingBuilder) Name() string { return "ring" }
-
-// Arrival implements Builder.
-func (RingBuilder) Arrival(n int) *Schedule {
+// ringToRoot is the token-ring component's arrival: RingArrival, which roots
+// knowledge at member n-1, plus a final hop back to the group root 0.
+func ringToRoot(n int) *Schedule {
 	s := RingArrival(n)
 	if n > 1 {
 		m := mat.NewBool(n)
@@ -251,37 +206,11 @@ func (RingBuilder) Arrival(n int) *Schedule {
 	return s
 }
 
-// NeedsDeparture implements Builder.
-func (RingBuilder) NeedsDeparture() bool { return true }
-
-// KAryBuilder selects a k-ary tree extension component.
-type KAryBuilder struct{ K int }
-
-// Name implements Builder.
-func (b KAryBuilder) Name() string { return fmt.Sprintf("%d-ary-tree", b.K) }
-
-// Arrival implements Builder.
-func (b KAryBuilder) Arrival(n int) *Schedule { return KAryTreeArrival(n, b.K) }
-
-// NeedsDeparture implements Builder.
-func (KAryBuilder) NeedsDeparture() bool { return true }
-
-// SymmetricDisseminationBuilder selects the fault-redundant pairwise
-// dissemination component. Like DisseminationBuilder its arrival leaves
-// every member fully informed; unlike it, the result survives any single
-// member going silent. It is not part of ExtendedBuilders (which would
-// change existing tuning results): callers wanting fault-tolerant
-// compositions opt in explicitly.
-type SymmetricDisseminationBuilder struct{}
-
-// Name implements Builder.
-func (SymmetricDisseminationBuilder) Name() string { return "symmetric-dissemination" }
-
-// Arrival implements Builder.
-func (SymmetricDisseminationBuilder) Arrival(n int) *Schedule { return SymmetricDissemination(n) }
-
-// NeedsDeparture implements Builder.
-func (SymmetricDisseminationBuilder) NeedsDeparture() bool { return false }
+// kAry returns the k-ary tree component.
+func kAry(k int) Builder {
+	arrival := func(n int) *Schedule { return KAryTreeArrival(n, k) }
+	return Builder{Name: fmt.Sprintf("%d-ary-tree", k), Arrival: arrival, NeedsDeparture: true}
+}
 
 // Named returns the p-rank schedule a command-line -alg value names: a
 // classic generator — tree, linear, dissemination, ring, rd (or
@@ -312,14 +241,19 @@ func Named(name string, p int) (*Schedule, error) {
 	return &s, nil
 }
 
-// PaperBuilders returns the paper's three component algorithms (§V.B).
+// PaperBuilders returns the paper's three component algorithms (§V.B), in the
+// order the composer breaks cost ties by: the earlier one is kept.
 func PaperBuilders() []Builder {
-	return []Builder{LinearBuilder{}, DisseminationBuilder{}, TreeBuilder{}}
+	return []Builder{
+		{Name: "linear", Arrival: LinearArrival, NeedsDeparture: true},
+		{Name: "dissemination", Arrival: Dissemination},
+		{Name: "tree", Arrival: TreeArrival, NeedsDeparture: true},
+	}
 }
 
 // ExtendedBuilders returns the paper's components plus the extension
-// components of this implementation (§VIII suggests generalising the
-// component set).
+// components of this implementation, the token ring and the 4-ary tree
+// (§VIII suggests generalising the component set).
 func ExtendedBuilders() []Builder {
-	return append(PaperBuilders(), RingBuilder{}, KAryBuilder{K: 4})
+	return append(PaperBuilders(), Builder{Name: "ring", Arrival: ringToRoot, NeedsDeparture: true}, kAry(4))
 }

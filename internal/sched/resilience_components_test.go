@@ -46,23 +46,3 @@ func TestSymmetricDissemination(t *testing.T) {
 		}
 	}
 }
-
-// TestSymmetricDisseminationBuilder: the builder contract — root-0
-// convention irrelevant here since every member ends informed.
-func TestSymmetricDisseminationBuilder(t *testing.T) {
-	var b Builder = SymmetricDisseminationBuilder{}
-	if b.NeedsDeparture() {
-		t.Error("symmetric dissemination leaves everyone informed; no departure needed")
-	}
-	arr := b.Arrival(8)
-	if !arr.IsBarrier() {
-		t.Error("builder arrival is not a barrier")
-	}
-	// Deliberately not in the default extended set: adding it would change
-	// existing tuning results.
-	for _, reg := range ExtendedBuilders() {
-		if reg.Name() == b.Name() {
-			t.Error("SymmetricDisseminationBuilder must stay opt-in, not in ExtendedBuilders")
-		}
-	}
-}

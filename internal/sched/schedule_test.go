@@ -188,7 +188,7 @@ func TestArrivalAloneIsNotABarrier(t *testing.T) {
 
 func TestArrivalPlusReverseTransposedIsBarrier(t *testing.T) {
 	for p := 2; p <= 25; p++ {
-		for _, arr := range []*Schedule{LinearArrival(p), TreeArrival(p), RingBuilder{}.Arrival(p), KAryTreeArrival(p, 5)} {
+		for _, arr := range []*Schedule{LinearArrival(p), TreeArrival(p), ringToRoot(p), KAryTreeArrival(p, 5)} {
 			full := arr.Clone().Concat(arr.ReverseTransposed())
 			if !full.IsBarrier() {
 				t.Fatalf("%s + reverseᵀ is not a barrier at p=%d", arr.Name, p)
@@ -380,19 +380,19 @@ func TestBuilderContracts(t *testing.T) {
 		for p := 1; p <= 20; p++ {
 			arr := b.Arrival(p)
 			if err := arr.Validate(); err != nil {
-				t.Fatalf("%s arrival(%d): %v", b.Name(), p, err)
+				t.Fatalf("%s arrival(%d): %v", b.Name, p, err)
 			}
 			if !rootKnowsAll(arr, 0) {
-				t.Fatalf("%s arrival(%d): root ignorant", b.Name(), p)
+				t.Fatalf("%s arrival(%d): root ignorant", b.Name, p)
 			}
-			if !b.NeedsDeparture() {
+			if !b.NeedsDeparture {
 				if !arr.IsBarrier() {
-					t.Fatalf("%s claims no departure needed but arrival(%d) is not a barrier", b.Name(), p)
+					t.Fatalf("%s claims no departure needed but arrival(%d) is not a barrier", b.Name, p)
 				}
 			}
 			full := arr.Clone().Concat(arr.ReverseTransposed())
 			if !full.IsBarrier() {
-				t.Fatalf("%s(%d) with departure is not a barrier", b.Name(), p)
+				t.Fatalf("%s(%d) with departure is not a barrier", b.Name, p)
 			}
 		}
 	}
@@ -412,8 +412,12 @@ func TestScheduleStringDump(t *testing.T) {
 }
 
 func TestKAryBuilderName(t *testing.T) {
-	if (KAryBuilder{K: 4}).Name() != "4-ary-tree" {
-		t.Fatalf("k-ary name wrong")
+	ext := ExtendedBuilders()
+	if b := ext[len(ext)-1]; b.Name != "4-ary-tree" || !b.Arrival(13).Equal(KAryTreeArrival(13, 4)) {
+		t.Fatalf("last extended builder is %q, want the 4-ary tree", b.Name)
+	}
+	if got := kAry(3).Name; got != "3-ary-tree" {
+		t.Fatalf("kAry(3) is named %q", got)
 	}
 	defer func() {
 		if recover() == nil {

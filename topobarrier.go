@@ -156,7 +156,8 @@ type (
 	// Schedule is a barrier signal pattern: one boolean incidence matrix per
 	// stage.
 	Schedule = sched.Schedule
-	// Builder generates component phases for the composer.
+	// Builder is one component of the composer: a name, an arrival phase
+	// over n members, and whether a departure must follow at the root.
 	Builder = sched.Builder
 )
 
