@@ -183,7 +183,7 @@ func parseModule(t *testing.T) map[string]*ast.File {
 // Options, Config and Params structs under internal/: the library's knobs,
 // pinned the way cliFlags pins the command lines'. One declaration naming
 // several fields (`Warmup, Iters int`) is one knob.
-const optionFields = 59
+const optionFields = 57
 
 // TestOptionFieldCensus counts the exported field declarations of every
 // exported struct type under internal/ whose name ends in Options, Config or
@@ -216,6 +216,229 @@ func TestOptionFieldCensus(t *testing.T) {
 	}
 	if total != optionFields {
 		t.Errorf("internal/ option structs export %d fields, the census pins %d: lower optionFields after deleting a knob; raise it only with the reason a new one is needed", total, optionFields)
+	}
+}
+
+// optionFieldAllow lists the option fields no non-test code sets, each with
+// the reason it stays a knob.
+var optionFieldAllow = map[string]string{
+	"search.AnnealOptions.Restarts":        "the search goldens pin 1-, 3- and 8-restart results",
+	"analyze.ResilienceOptions.MaxSubsets": "tests force the pruned certifier at small P, and bench/ builds the struct",
+	"fabric.Params.DirectionSkew":          "the asymmetric fabric TestTuneOnAsymmetricProfile tunes on",
+	"retune.Options.CertifyK":              "the live half of core.Options.CertifyK's k-fault gate, which TestCertifyKGatesTheSwap holds a swap to; no command certifies a live plan yet",
+	"retune.Options.Policy":                "the closed-loop tests inject a per-target send overhead that only Eq. 1 (AlwaysEq1) prices; runbarrier tunes and retunes at the default",
+}
+
+// TestOptionFieldsSetOutsideTests is the census's other half: a knob that
+// only tests turn is no knob. Every exported field of the structs
+// TestOptionFieldCensus counts must be set in some non-test file — by a
+// keyed composite literal of its struct (through an alias too, and with the
+// type elided in a slice or map literal), or by an assignment to a selector
+// of its name outside the methods of its own struct, so withDefaults filling
+// in a zero does not count — or carry its reason in optionFieldAllow.
+func TestOptionFieldsSetOutsideTests(t *testing.T) {
+	files := parseModule(t)
+	pkgOf := func(path string) string {
+		if d := filepath.ToSlash(filepath.Dir(path)); d != "." {
+			return strings.TrimPrefix(d, "internal/")
+		}
+		return "topobarrier"
+	}
+	importsOf := func(f *ast.File) map[string]string { // local name → package key
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if !strings.HasPrefix(p, "topobarrier/") {
+				continue
+			}
+			d := strings.TrimPrefix(strings.TrimPrefix(p, "topobarrier/"), "internal/")
+			local := d[strings.LastIndex(d, "/")+1:]
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = d
+		}
+		return imports
+	}
+	typeKey := func(e ast.Expr, pkg string, imports map[string]string) string {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return pkg + "." + e.Name
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				return imports[x.Name] + "." + e.Sel.Name
+			}
+		}
+		return ""
+	}
+
+	fields := map[string][]string{} // "pkg.Type" → exported field names
+	alias := map[string]string{}    // "pkg.Alias" → "pkg.Type"
+	for path, f := range files {
+		pkg, imports := pkgOf(path), importsOf(f)
+		ast.Inspect(f, func(node ast.Node) bool {
+			ts, ok := node.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if ts.Assign.IsValid() {
+				alias[pkg+"."+ts.Name.Name] = typeKey(ts.Type, pkg, imports)
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !strings.HasPrefix(path, "internal/") || !ts.Name.IsExported() ||
+				!(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Params")) {
+				return true
+			}
+			key := pkg + "." + ts.Name.Name
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if name.IsExported() {
+						fields[key] = append(fields[key], name.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	resolve := func(key string) string {
+		for i := 0; i < 8 && alias[key] != ""; i++ {
+			key = alias[key]
+		}
+		return key
+	}
+
+	set := map[string]bool{}                 // "pkg.Type.Field" set by a literal or a typed assignment
+	assigned := map[string]map[string]bool{} // field name → methods' receiver types ("" for a function) assigning it on a variable of unknown type
+	for path, f := range files {
+		pkg, imports := pkgOf(path), importsOf(f)
+		// literal records the keys of cl, a literal of type typ, and hands
+		// its element type to the elements whose type is elided.
+		var literal func(cl *ast.CompositeLit, typ ast.Expr)
+		literal = func(cl *ast.CompositeLit, typ ast.Expr) {
+			var elem ast.Expr
+			switch typ := typ.(type) {
+			case *ast.ArrayType:
+				elem = typ.Elt
+			case *ast.MapType:
+				elem = typ.Value
+			default:
+				key := resolve(typeKey(typ, pkg, imports))
+				for _, e := range cl.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[key+"."+id.Name] = true
+						}
+					}
+				}
+			}
+			if star, ok := elem.(*ast.StarExpr); ok {
+				elem = star.X
+			}
+			for _, e := range cl.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					e = kv.Value
+				}
+				if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					e = u.X
+				}
+				if sub, ok := e.(*ast.CompositeLit); ok && sub.Type == nil && elem != nil {
+					literal(sub, elem)
+				}
+			}
+		}
+		for _, d := range f.Decls {
+			// vars holds the types of the declaration's variables that
+			// syntax alone gives: parameters, `var x T` and `x := T{…}`.
+			recv, vars := "", map[string]string{}
+			typeOf := func(typ ast.Expr) string {
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				return resolve(typeKey(typ, pkg, imports))
+			}
+			declare := func(names []*ast.Ident, typ ast.Expr) {
+				for _, id := range names {
+					vars[id.Name] = typeOf(typ)
+				}
+			}
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				for _, field := range fd.Type.Params.List {
+					declare(field.Names, field.Type)
+				}
+				if fd.Recv != nil {
+					declare(fd.Recv.List[0].Names, fd.Recv.List[0].Type)
+					recv = typeOf(fd.Recv.List[0].Type)
+				}
+			}
+			ast.Inspect(d, func(node ast.Node) bool {
+				switch n := node.(type) {
+				case *ast.CompositeLit:
+					if n.Type != nil {
+						literal(n, n.Type)
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil {
+						declare(n.Names, n.Type)
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && n.Tok == token.DEFINE && len(n.Rhs) == len(n.Lhs) {
+							rhs := n.Rhs[i]
+							if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+								rhs = u.X
+							}
+							if cl, ok := rhs.(*ast.CompositeLit); ok && cl.Type != nil {
+								declare([]*ast.Ident{id}, cl.Type)
+							}
+						}
+						sel, ok := lhs.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						if x, ok := sel.X.(*ast.Ident); ok && vars[x.Name] != "" {
+							if vars[x.Name] != recv {
+								set[vars[x.Name]+"."+sel.Sel.Name] = true
+							}
+							continue
+						}
+						if assigned[sel.Sel.Name] == nil {
+							assigned[sel.Sel.Name] = map[string]bool{}
+						}
+						assigned[sel.Sel.Name][recv] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	declared := map[string]bool{}
+	for typ, names := range fields {
+		for _, name := range names {
+			key := typ + "." + name
+			byAssign := false
+			for recv := range assigned[name] {
+				byAssign = byAssign || recv != typ
+			}
+			switch _, allowed := optionFieldAllow[key]; {
+			case !set[key] && !byAssign && !allowed:
+				unset = append(unset, key)
+			case (set[key] || byAssign) && allowed:
+				t.Errorf("optionFieldAllow lists %s, but non-test code sets it: drop the entry", key)
+			}
+			declared[key] = true
+		}
+	}
+	for k := range optionFieldAllow {
+		if declared[k] {
+			continue
+		}
+		t.Errorf("optionFieldAllow lists %s, which is not an option field", k)
+	}
+	sort.Strings(unset)
+	for _, k := range unset {
+		t.Errorf("internal/%s is set only by tests: delete the knob and fix its value, or add it to optionFieldAllow with the reason it stays", k)
 	}
 }
 

@@ -132,7 +132,7 @@ func randomPlatform(rng *rand.Rand, p int) *profile.Profile {
 func TestHybridMatchesLiftAndMergeReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	policies := []predict.CostPolicy{predict.FirstStageEq1, predict.AlwaysEq1}
-	clusterings := []sss.Options{{}, {MaxDepth: 1}, {MaxDepth: 2}, {MinDiameter: 2e-6}}
+	clusterings := []sss.Options{{}, {MaxDepth: 1}, {MaxDepth: 2}}
 	for p := 2; p <= 64; p++ {
 		for draw := 0; draw < 3; draw++ {
 			pr := randomPlatform(rng, p)

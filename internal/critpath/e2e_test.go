@@ -479,7 +479,6 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 		MinObservations: 6,
 		Probe:           probeOpts,
 		SearchBudget:    2000,
-		SearchSeed:      42,
 		Policy:          predict.AlwaysEq1, // represents a per-target send overhead (see retune tests)
 		Registry:        reg,
 		Flight:          flight,

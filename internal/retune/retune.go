@@ -55,8 +55,6 @@ type Options struct {
 	// SearchBudget caps the seeded incremental search's candidate
 	// evaluations. Default 4000.
 	SearchBudget int
-	// SearchSeed drives the search's randomness (deterministic per seed).
-	SearchSeed uint64
 	// CertifyK, when positive, demands the same k-fault certification of a
 	// swapped-in plan that core.Tune demands offline.
 	CertifyK int
@@ -84,6 +82,10 @@ type Options struct {
 // a swap is proposed: swapping for noise-level wins would churn epochs for
 // nothing.
 const hysteresis = 0.05
+
+// searchSeed seeds the replan's incremental search, so a replan on the same
+// profile and schedule draws the same candidates every time.
+const searchSeed = 42
 
 func (o Options) withDefaults() Options {
 	if o.DriftTol <= 0 {
@@ -347,7 +349,7 @@ func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, str
 
 	// Candidate 1: seeded incremental search from the running schedule.
 	if res, err := search.Anneal(pd, c.sched, search.AnnealOptions{
-		Seed:   c.opts.SearchSeed,
+		Seed:   searchSeed,
 		Budget: c.opts.SearchBudget,
 	}); err == nil && res.Cost < bestCost {
 		if pl, _, err := analyze.Vet(res.Schedule, vetOpts); err == nil {

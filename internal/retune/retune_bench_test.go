@@ -56,7 +56,6 @@ func BenchmarkRetuneRecovery(b *testing.B) {
 			MinObservations: 6,
 			Probe:           probeOpts,
 			SearchBudget:    3000,
-			SearchSeed:      42,
 			// Same reasoning as TestClosedLoopRecovery: the injected fault
 			// is per-target sender overhead, which only Eq. 1 represents.
 			Policy:   predict.AlwaysEq1,

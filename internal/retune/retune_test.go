@@ -150,7 +150,6 @@ func TestClosedLoopRecovery(t *testing.T) {
 		MinObservations: 6,
 		Probe:           probeOpts,
 		SearchBudget:    3000,
-		SearchSeed:      42,
 		// The injected fault is a per-link *sender* cost — the write itself
 		// blocks 3 ms on every frame, so the probe's batch gradient books it
 		// as L[3][j] (and, the pair's fit being symmetric, L[j][3]), with O

@@ -29,10 +29,6 @@ type Options struct {
 	// value of 1 reproduces the two-level hierarchy the paper reports on its
 	// test systems.
 	MaxDepth int
-	// MinDiameter stops recursion once a cluster's internal diameter falls
-	// to or below this value; locality differences smaller than the noise of
-	// barrier measurements are not worth exploiting (§VII.A).
-	MinDiameter float64
 }
 
 func (o Options) sparseness() float64 {
@@ -147,9 +143,9 @@ func build(pr *profile.Profile, ranks []int, opts Options, depth int) *Node {
 	if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
 		return n
 	}
-	// Stop when remaining locality differences are below the floor.
+	// Stop when no locality difference is left.
 	diam := pr.Diameter(sorted)
-	if diam <= opts.MinDiameter {
+	if diam <= 0 {
 		return n
 	}
 	clusters, _ := Flat(sorted, opts.sparseness()*diam, pr.Distance)

@@ -162,15 +162,6 @@ func TestTreeMaxDepthTwoLevel(t *testing.T) {
 	}
 }
 
-func TestTreeMinDiameterStopsRecursion(t *testing.T) {
-	pr := quadProfile(t, topo.Block{}, 32)
-	// Intra-node distances are ≤ ~1.6µs; with a 5µs floor, nodes stay whole.
-	root := Tree(pr, Options{MinDiameter: 5e-6})
-	if root.Depth() != 2 {
-		t.Fatalf("depth = %d, want 2 with MinDiameter floor", root.Depth())
-	}
-}
-
 func TestTreeSingleRank(t *testing.T) {
 	pr := profile.New("one", 1)
 	root := Tree(pr, Options{})
@@ -242,7 +233,7 @@ func referenceTree(pr *profile.Profile, ranks []int, opts Options, depth int) *N
 			diam = max(diam, pr.Distance(ranks[a], j))
 		}
 	}
-	if diam <= opts.MinDiameter {
+	if diam <= 0 {
 		return n
 	}
 	clusters, _ := Flat(ranks, opts.sparseness()*diam, pr.Distance)
