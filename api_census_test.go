@@ -2,9 +2,13 @@ package topobarrier_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -16,43 +20,103 @@ import (
 // file references, each with the reason it stays. Keys are "dir.Func" or
 // "dir.Type.Method" with dir relative to internal/.
 var censusAllow = map[string]string{
-	"analyze.Severity.MarshalJSON":   "interface: json.Marshaler",
-	"analyze.Severity.UnmarshalJSON": "interface: json.Unmarshaler",
-	"profile.Profile.MarshalJSON":    "interface: json.Marshaler",
-	"profile.Profile.UnmarshalJSON":  "interface: json.Unmarshaler",
-	"sched.Schedule.MarshalJSON":     "interface: json.Marshaler",
-	"sched.Schedule.UnmarshalJSON":   "interface: json.Unmarshaler",
-	"fabric.Fabric.TrueO":            "oracle: the ground truth probe and fabric tests hold measurements to",
-	"fabric.Fabric.TrueL":            "oracle: the ground truth probe and fabric tests hold measurements to",
-	"sched.Schedule.Lift":            "oracle: compose/reference_test.go's lift-and-merge composer",
-	"sched.MergeEarly":               "oracle: compose/reference_test.go's lift-and-merge composer",
-	"sched.Schedule.IsGroupBarrier":  "oracle: the brute-force survivor check the certifier is tested and fuzzed against",
-	"run.PlanFromOps":                "oracle: hand-built plans the CheckPlan tests feed the verifier",
-	"mat.BoolFromRows":               "oracle: literal matrices for the kernel tests",
-	"mat.PropagateSilencedInto":      "fault model: the dense reference the certifier's kernels are tested against",
-	"sched.Schedule.Silence":         "fault model: crash-silenced schedules for the resilience tests",
-	"sched.SymmetricDissemination":   "fault model: the 1-fault-resilient schedule of the certifier tests, the vet corpus, sched's resume tests and netmpi's killed-rank test",
-	"run.Plan.Silenced":              "fault model: crash-silenced plans for the executor tests",
-	"netmpi.Peer.LinkErr":            "fault latch the fail-fast transport tests read",
-	"netmpi.EpochRunner.Swaps":       "epoch observer the hot-swap tests read",
-}
-
-// censusDecl is one exported function or method declared under internal/.
-type censusDecl struct {
-	key, dir, name string
-	method         bool
+	"fabric.Fabric.TrueO":           "oracle: the ground truth probe and fabric tests hold measurements to",
+	"fabric.Fabric.TrueL":           "oracle: the ground truth probe and fabric tests hold measurements to",
+	"sched.Schedule.Lift":           "oracle: compose/reference_test.go's lift-and-merge composer",
+	"sched.MergeEarly":              "oracle: compose/reference_test.go's lift-and-merge composer",
+	"sched.Schedule.IsGroupBarrier": "oracle: the brute-force survivor check the certifier is tested and fuzzed against",
+	"run.PlanFromOps":               "oracle: hand-built plans the CheckPlan tests feed the verifier",
+	"mat.BoolFromRows":              "oracle: literal matrices for the kernel tests",
+	"mat.PropagateSilencedInto":     "fault model: the dense reference the certifier's kernels are tested against",
+	"sched.Schedule.Silence":        "fault model: crash-silenced schedules for the resilience tests",
+	"sched.SymmetricDissemination":  "fault model: the 1-fault-resilient schedule of the certifier tests, the vet corpus, sched's resume tests and netmpi's killed-rank test",
+	"run.Plan.Silenced":             "fault model: crash-silenced plans for the executor tests",
+	"netmpi.Peer.LinkErr":           "fault latch the fail-fast transport tests read",
+	"netmpi.EpochRunner.Swaps":      "epoch observer the hot-swap tests read",
+	"netmpi.EpochRunner.Version":    "epoch observer the hot-swap and closed-loop tests read",
+	"netmpi.EpochRunner.Plan":       "epoch observer the hot-swap tests read",
+	"netmpi.Peer.Err":               "fault latch the transport and resilience tests read",
 }
 
 // TestNoExportedAPIOnlyTestsCall is the ratchet behind "one way in per stage":
 // an exported top-level function or method under internal/ must be referenced
-// by name from some non-test file of the module (cmd/, bench/, examples/, the
-// root facade or internal/ itself), or carry a reason in censusAllow. A
-// function counts as referenced by an identifier in its own package or a
-// pkg.Name selector elsewhere; a method by any .Name selector.
+// from some non-test file of the module (cmd/, bench/, examples/, the root
+// facade or internal/ itself), or carry a reason in censusAllow. References
+// are resolved by type: the module's non-test packages are type-checked, and
+// a method counts as used only through a selector that resolves to it (an
+// instantiation of a generic type's method counts for the method it was
+// instantiated from), not through another type's method of the same name. A
+// method that implements a method of an interface declared in the module or
+// in a standard-library package the module imports is exempt: it is reached
+// through that interface.
 func TestNoExportedAPIOnlyTestsCall(t *testing.T) {
-	files := parseModule(t)
-	var decls []censusDecl
-	declIdent := map[*ast.Ident]bool{}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable: the standard library's export data is read through it")
+	}
+	files, info, pkgs := typeCheckModule(t)
+
+	used := map[types.Object]bool{}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	// The interfaces a method may be reached through: every interface type
+	// the module writes (declared or literal, as in a type assertion) and
+	// every package-level interface of the standard-library packages it
+	// imports.
+	var ifaces []*types.Interface
+	keep := func(typ types.Type) {
+		if n, ok := typ.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			return
+		}
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				keep(info.Types[it].Type)
+			}
+			return true
+		})
+	}
+	scanned := map[*types.Package]bool{}
+	for _, p := range pkgs {
+		for _, q := range p.Imports() {
+			if scanned[q] || strings.HasPrefix(q.Path(), "topobarrier") {
+				continue
+			}
+			scanned[q] = true
+			for _, name := range q.Scope().Names() {
+				if tn, ok := q.Scope().Lookup(name).(*types.TypeName); ok {
+					keep(tn.Type())
+				}
+			}
+		}
+	}
+	viaInterface := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if n, ok := recv.(*types.Named); !ok || n.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() &&
+					(types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	var dead []string
+	seen := map[string]bool{}
 	for path, f := range files {
 		// Test support (internal/perftest) and build tools are exempt, as in
 		// CI's orphan-package guard.
@@ -65,74 +129,26 @@ func TestNoExportedAPIOnlyTestsCall(t *testing.T) {
 			if !ok || !fd.Name.IsExported() {
 				continue
 			}
-			declIdent[fd.Name] = true
-			cd := censusDecl{key: dir + "." + fd.Name.Name, dir: dir, name: fd.Name.Name}
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if s, ok := recv.(*ast.StarExpr); ok {
-					recv = s.X
+			fn := info.Defs[fd.Name].(*types.Func)
+			key, ok := dir+"."+fd.Name.Name, used[fn]
+			if recv := fn.Signature().Recv(); recv != nil {
+				rt := recv.Type()
+				if ptr, isPtr := rt.(*types.Pointer); isPtr {
+					rt = ptr.Elem()
 				}
-				if ix, ok := recv.(*ast.IndexExpr); ok {
-					recv = ix.X
-				}
-				id, ok := recv.(*ast.Ident)
-				if !ok || !id.IsExported() {
+				tn := rt.(*types.Named).Obj()
+				if !tn.Exported() {
 					continue // unexported receiver: reachable only through an interface
 				}
-				cd.key, cd.method = dir+"."+id.Name+"."+fd.Name.Name, true
+				key, ok = dir+"."+tn.Name()+"."+fd.Name.Name, ok || viaInterface(fn)
 			}
-			decls = append(decls, cd)
-		}
-	}
-
-	usedFunc := map[string]bool{}   // "dir.Name"
-	usedMethod := map[string]bool{} // "Name"
-	for path, f := range files {
-		dir := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		imports := map[string]string{} // local name → internal dir
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			if !strings.HasPrefix(p, "topobarrier/internal/") {
-				continue
+			seen[key] = true
+			switch _, allowed := censusAllow[key]; {
+			case !ok && !allowed:
+				dead = append(dead, key)
+			case ok && allowed:
+				t.Errorf("censusAllow lists %s, but non-test code references it: drop the entry", key)
 			}
-			d := strings.TrimPrefix(p, "topobarrier/internal/")
-			local := d[strings.LastIndex(d, "/")+1:]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = d
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				usedMethod[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if d, ok := imports[x.Name]; ok {
-						usedFunc[d+"."+n.Sel.Name] = true
-					}
-				}
-			case *ast.Ident:
-				if !declIdent[n] {
-					usedFunc[dir+"."+n.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
-	var dead []string
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.key] = true
-		used := usedFunc[d.dir+"."+d.name]
-		if d.method {
-			used = usedMethod[d.name]
-		}
-		switch _, allowed := censusAllow[d.key]; {
-		case !used && !allowed:
-			dead = append(dead, d.key)
-		case used && allowed:
-			t.Errorf("censusAllow lists %s, but non-test code references it: drop the entry", d.key)
 		}
 	}
 	for k := range censusAllow {
@@ -146,12 +162,88 @@ func TestNoExportedAPIOnlyTestsCall(t *testing.T) {
 	}
 }
 
+// typeCheckModule type-checks the module's non-test packages, each once and
+// after the module packages it imports, with the files the default build
+// context selects (one of internal/perftest's race_on.go and race_off.go).
+// The standard library comes from its export data (importer.Default). It
+// returns the checked files by slash path, one Info for all of them, and the
+// packages.
+func typeCheckModule(t *testing.T) (map[string]*ast.File, *types.Info, []*types.Package) {
+	t.Helper()
+	fset := token.NewFileSet()
+	all := parseModuleFiles(t, fset)
+	files := map[string]*ast.File{}
+	byPath := map[string][]*ast.File{} // import path → files
+	for path, f := range all {
+		dir, name := filepath.Split(filepath.FromSlash(path))
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			continue
+		}
+		imp := "topobarrier"
+		if d := filepath.ToSlash(filepath.Dir(path)); d != "." {
+			imp += "/" + d
+		}
+		files[path] = f
+		byPath[imp] = append(byPath[imp], f)
+	}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		fs, ok := byPath[path]
+		if !ok {
+			return std.Import(path)
+		}
+		sort.Slice(fs, func(i, j int) bool { return fset.File(fs[i].Pos()).Name() < fset.File(fs[j].Pos()).Name() })
+		p, err := (&types.Config{Importer: imp}).Check(path, fset, fs, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = p
+		return p, nil
+	}
+	paths := make([]string, 0, len(byPath))
+	for path := range byPath {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	var pkgs []*types.Package
+	for _, path := range paths {
+		p, err := imp.Import(path)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return files, info, pkgs
+}
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // parseModule parses every non-test Go file of the module, keyed by its slash
 // path relative to the module root; hidden and testdata directories are
 // skipped.
 func parseModule(t *testing.T) map[string]*ast.File {
 	t.Helper()
-	fset := token.NewFileSet()
+	return parseModuleFiles(t, token.NewFileSet())
+}
+
+// parseModuleFiles is parseModule into a given file set.
+func parseModuleFiles(t *testing.T, fset *token.FileSet) map[string]*ast.File {
+	t.Helper()
 	files := map[string]*ast.File{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -183,7 +275,7 @@ func parseModule(t *testing.T) map[string]*ast.File {
 // Options, Config and Params structs under internal/: the library's knobs,
 // pinned the way cliFlags pins the command lines'. One declaration naming
 // several fields (`Warmup, Iters int`) is one knob.
-const optionFields = 57
+const optionFields = 54
 
 // TestOptionFieldCensus counts the exported field declarations of every
 // exported struct type under internal/ whose name ends in Options, Config or
@@ -225,8 +317,7 @@ var optionFieldAllow = map[string]string{
 	"search.AnnealOptions.Restarts":        "the search goldens pin 1-, 3- and 8-restart results",
 	"analyze.ResilienceOptions.MaxSubsets": "tests force the pruned certifier at small P, and bench/ builds the struct",
 	"fabric.Params.DirectionSkew":          "the asymmetric fabric TestTuneOnAsymmetricProfile tunes on",
-	"retune.Options.CertifyK":              "the live half of core.Options.CertifyK's k-fault gate, which TestCertifyKGatesTheSwap holds a swap to; no command certifies a live plan yet",
-	"retune.Options.Policy":                "the closed-loop tests inject a per-target send overhead that only Eq. 1 (AlwaysEq1) prices; runbarrier tunes and retunes at the default",
+	"core.Options.CertifyK":                "the tuner's k-fault gate; core's tests and TestCertifyKGatesTheSwap, through retune.Options.Tune, turn it; no command sets it",
 }
 
 // TestOptionFieldsSetOutsideTests is the census's other half: a knob that
@@ -445,7 +536,7 @@ func TestOptionFieldsSetOutsideTests(t *testing.T) {
 // cliFlags is the number of flag definitions across cmd/*/main.go. It is the
 // ratchet against new knobs: a command line grows only by raising it, with
 // the reason in the change; deleting a flag lowers it.
-const cliFlags = 72
+const cliFlags = 71
 
 // TestCLIFlagCensus counts the flag.* calls that define a flag in the
 // commands' main files and holds the total to cliFlags.

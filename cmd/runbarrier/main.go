@@ -46,7 +46,6 @@
 //	           [-transport tcp|hybrid] [-colocate nodes=K|"0-3,4-7"]
 //	           [-probe-iters N] [-profile-cache DIR]
 //	           [-retune] [-retune-drift F] [-retune-interval D]
-//	           [-retune-budget N]
 //	           [-telemetry addr] [-trace-out file.json] [-flight-dir dir]
 //
 // -telemetry serves the run's metrics registry (Prometheus text at /metrics,
@@ -69,12 +68,13 @@
 // background controller watches predicted-vs-observed drift (threshold
 // -retune-drift, cadence -retune-interval). When drift crosses the threshold
 // the controller re-probes the suspect links, patches those confirmed stale
-// at the full probe budget, re-searches from the running schedule (budget
-// -retune-budget), and hot-swaps the winning plan between barrier epochs —
-// demonstrable live with e.g. -net-fault delay:3:100:2ms. With -report it is
-// one read-only pass after the last traced barrier instead: the same
-// judgement, re-probe and re-search, printing the schedule the closed loop
-// would swap in without touching the mesh.
+// at the full probe budget, re-tunes the patched profile with the options
+// -alg hybrid tunes with, and hot-swaps the re-tuned plan between barrier
+// epochs when it beats the running one re-priced — demonstrable live with
+// e.g. -net-fault delay:3:100:2ms. With -report it is one read-only pass
+// after the last traced barrier instead: the same judgement, re-probe and
+// re-tune, printing the schedule the closed loop would swap in without
+// touching the mesh.
 package main
 
 import (
@@ -113,11 +113,16 @@ const (
 	cacheDriftTol = 0.5
 )
 
+// tuneOpts is how a plan is tuned: -alg hybrid tunes with it, and the -retune
+// controller re-tunes with it, so a swapped-in plan is tuned the way the
+// running one was.
+var tuneOpts = core.Options{}
+
 // netOnly names the flags that configure a live mesh.
 var netOnly = map[string]bool{
 	"net-deadline": true, "net-dial-timeout": true, "net-fault": true,
 	"transport": true, "colocate": true, "probe-iters": true, "profile-cache": true,
-	"retune": true, "retune-drift": true, "retune-interval": true, "retune-budget": true,
+	"retune": true, "retune-drift": true, "retune-interval": true,
 	"trace-out": true, "flight-dir": true,
 }
 
@@ -147,9 +152,8 @@ func main() {
 		cacheDir   = flag.String("profile-cache", "", "with -net, fingerprinted profile cache directory; a warm entry skips the probe after re-validating one round of links")
 
 		retuneRun      = flag.Bool("retune", false, "with -net, run the closed-loop online retuning controller during the measurement; with -report, one read-only check after the traced runs")
-		retuneDrift    = flag.Float64("retune-drift", 1.0, "relative predicted-vs-observed drift that triggers a re-probe and re-search")
+		retuneDrift    = flag.Float64("retune-drift", 1.0, "relative predicted-vs-observed drift that triggers a re-probe and re-tune")
 		retuneInterval = flag.Duration("retune-interval", 200*time.Millisecond, "cadence of the controller's drift checks")
-		retuneBudget   = flag.Int("retune-budget", 4000, "candidate evaluations of the seeded re-search per trigger")
 
 		telemetryAddr = flag.String("telemetry", "", "serve /metrics, /debug/vars, and /debug/pprof on this address for the run's duration (e.g. 127.0.0.1:9090); with -net the mesh's counters and histograms are registered, and with -flight-dir a /debug/critpath handler serves the merged timeline")
 		traceOut      = flag.String("trace-out", "", "with -net, write the measured (with -report: the last traced) barriers as Chrome trace-event JSON")
@@ -217,7 +221,7 @@ func main() {
 	}
 	lv.probe = netmpi.ProbeOptions{MaxIters: *probeIters, StableK: stableK, Deadline: *netDead, Registry: lv.reg, Tracer: lv.tracer}
 	if *retuneRun {
-		lv.retune = &retune.Options{DriftTol: *retuneDrift, Probe: lv.probe, SearchBudget: *retuneBudget,
+		lv.retune = &retune.Options{DriftTol: *retuneDrift, Probe: lv.probe, Tune: tuneOpts,
 			Registry: lv.reg, Tracer: lv.tracer, Flight: lv.flight}
 		lv.interval = *retuneInterval
 	}
@@ -248,7 +252,7 @@ func resolve(alg string, p int, pf *profile.Profile) (barrier, error) {
 	case "mpi":
 		return barrier{name: "MPI barrier (binomial tree)", fn: baseline.Tree}, nil
 	case "hybrid":
-		tuned, err := core.Tune(pf, core.Options{})
+		tuned, err := core.Tune(pf, tuneOpts)
 		if err != nil {
 			return barrier{}, fmt.Errorf("tuning against the profile: %w", err)
 		}
@@ -555,8 +559,8 @@ func (lv *live) traced(runners []*netmpi.EpochRunner, b barrier, pf *profile.Pro
 }
 
 // printRecommendation runs one pass of the online retuning controller
-// read-only: the same drift judgement, targeted re-probe, and seeded
-// re-search the closed loop performs, but after the last barrier, so a
+// read-only: the same drift judgement, targeted re-probe, and re-tune the
+// closed loop performs, but after the last barrier, so a
 // proposal lands in the epoch store with no call left to install it. The
 // operator gets the exact plan `runbarrier -net -retune` would have swapped
 // in.
@@ -578,17 +582,17 @@ func printRecommendation(ctl *retune.Controller, s *sched.Schedule, tol float64)
 	fmt.Printf("  re-probe: %d directions screened, %d stale %v\n", d.Reprobe.Screened, len(d.Reprobe.Stale), d.Reprobe.Stale)
 	fmt.Printf("  current plan re-priced under the patched profile: %.1fµs\n", d.Repriced*1e6)
 	if !d.Swapped {
-		fmt.Printf("  no candidate beat the re-priced plan by the hysteresis margin; keep %q\n", s.Name)
+		fmt.Printf("  the re-tuned plan did not beat the re-priced one by the hysteresis margin; keep %q\n", s.Name)
 		return nil
 	}
-	fmt.Printf("  recommend switching to %q (%s): predicted %.1fµs, %.1f× better\n",
-		ctl.Schedule().Name, d.Candidate, d.NewPredicted*1e6, d.Repriced/d.NewPredicted)
+	fmt.Printf("  recommend switching to %q: predicted %.1fµs, %.1f× better\n",
+		ctl.Schedule().Name, d.NewPredicted*1e6, d.Repriced/d.NewPredicted)
 	return nil
 }
 
 // timed measures the barrier: warmup calls, then the timed ones, and the
 // slowest rank's mean per barrier. With -retune the closed-loop controller
-// runs alongside — drift checks, targeted re-probes, seeded re-searches and
+// runs alongside — drift checks, targeted re-probes, re-tunes and
 // plan hot-swaps all happen while the measured barriers keep flowing — so
 // the mean covers the whole story (stale plan, detection, recovery) and the
 // retune summary line says which of those chapters actually happened.

@@ -478,8 +478,7 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 		DriftTol:        8,
 		MinObservations: 6,
 		Probe:           probeOpts,
-		SearchBudget:    2000,
-		Policy:          predict.AlwaysEq1, // represents a per-target send overhead (see retune tests)
+		Tune:            core.Options{Policy: predict.AlwaysEq1}, // as the retune tests tune
 		Registry:        reg,
 		Flight:          flight,
 	})
@@ -543,8 +542,8 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 		t.Errorf("injected direction not fully re-probed: stale %v", d2.Reprobe.Stale)
 	}
 	if !d2.Swapped {
-		t.Fatalf("no swap proposed: repriced %.3gs best %.3gs (%s); implicated %v, re-probed stale %v",
-			d2.Repriced, d2.NewPredicted, d2.Candidate, d2.Implicated, d2.Reprobe.Stale)
+		t.Fatalf("no swap proposed: repriced %.3gs re-tuned %.3gs; implicated %v, re-probed stale %v",
+			d2.Repriced, d2.NewPredicted, d2.Implicated, d2.Reprobe.Stale)
 	}
 
 	// The drift moment must be on disk: a dump with reason "drift" plus its
@@ -565,6 +564,6 @@ func TestAimedReprobeClosedLoop(t *testing.T) {
 
 	// The loop still closes: barriers keep running on the swapped plan.
 	runLoop(10, "post-swap")
-	t.Logf("drift %.2f, implicated %v, screened %d/%d, swapped to %q (%s)",
-		d2.Drift, d2.Implicated, d2.Reprobe.Screened, p*(p-1), ctl.Schedule().Name, d2.Candidate)
+	t.Logf("drift %.2f, implicated %v, screened %d/%d, swapped to %q",
+		d2.Drift, d2.Implicated, d2.Reprobe.Screened, p*(p-1), ctl.Schedule().Name)
 }

@@ -17,13 +17,13 @@ import (
 // on-chip blocks, about a factor 4 cheaper than off-chip messages.
 func Fig9(cfg Config) (*Figure, error) {
 	spec := topo.SingleNode(2, 4, 2)
-	full := cfg.Probe
-	full.Replicate = false // measure all 28 pairs of the node individually
 	w, err := cfg.world(spec, 8, 9)
 	if err != nil {
 		return nil, err
 	}
-	pf, err := probe.Measure(w, full)
+	// The default protocol without replication measures all 28 pairs of the
+	// node individually.
+	pf, err := probe.Measure(w, probe.Default())
 	if err != nil {
 		return nil, err
 	}

@@ -45,8 +45,6 @@ type Config struct {
 	// Step is the process-count stride of the sweeps (1 reproduces every
 	// point of the paper's plots; 2 halves the cost).
 	Step int
-	// Probe is the profiling protocol; replicate mode keeps sweeps fast.
-	Probe probe.Config
 	// Placement maps ranks to cores; the paper's systems use round-robin.
 	Placement topo.Placement
 	// Congestion enables the NIC-serialisation ablation.
@@ -55,16 +53,21 @@ type Config struct {
 
 // Default returns the configuration used by the benchmark harness.
 func Default(seed uint64) Config {
-	pc := probe.Default()
-	pc.Replicate = true
 	return Config{
 		Seed:      seed,
 		Warmup:    3,
 		Iters:     15,
 		Step:      2,
-		Probe:     pc,
 		Placement: topo.RoundRobin{},
 	}
+}
+
+// sweepProbe is the profiling protocol of every probed job: the default
+// protocol in replicate mode, which keeps sweeps fast.
+func sweepProbe() probe.Config {
+	pc := probe.Default()
+	pc.Replicate = true
+	return pc
 }
 
 func (c Config) step() int {
@@ -93,7 +96,7 @@ func (c Config) jobProfile(spec topo.Spec, p int, seedOffset uint64) (*profile.P
 	if err != nil {
 		return nil, err
 	}
-	return probe.Measure(w, c.Probe)
+	return probe.Measure(w, sweepProbe())
 }
 
 // measure times one barrier function on a fresh job.

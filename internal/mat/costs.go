@@ -163,25 +163,6 @@ func (m *Costs) Derived(rows []int) bool {
 	return true
 }
 
-// Clone returns a deep copy of m.
-func (m *Costs) Clone() *Costs {
-	c := *m
-	c.diag = slices.Clone(m.diag)
-	if m.dense == 0 {
-		return &c
-	}
-	c.rows = make([][]float64, m.n)
-	dense := slab(m.dense, m.n)
-	for i, row := range m.rows {
-		if row != nil {
-			c.rows[i] = dense[0]
-			copy(dense[0], row)
-			dense = dense[1:]
-		}
-	}
-	return &c
-}
-
 // Sub returns the principal submatrices of the given matrices selected by
 // idx: entry (a, b) of each result is that matrix's entry (idx[a], idx[b]).
 // It restricts a profile to the members of one cluster. A row of a result is

@@ -136,7 +136,11 @@ func TestTieredCostsForms(t *testing.T) {
 		if m.MaxOffDiag() != dense.MaxOffDiag() || m.MinOffDiag() != dense.MinOffDiag() {
 			t.Fatalf("extremes %v/%v, dense %v/%v", m.MinOffDiag(), m.MaxOffDiag(), dense.MinOffDiag(), dense.MaxOffDiag())
 		}
-		c := m.Clone()
+		all := make([]int, n)
+		for r := range all {
+			all[r] = r
+		}
+		c := Sub(all, m)[0] // a copy, as a profile's restriction to every rank
 		i, j := rng.Intn(n), rng.Intn(n)
 		c.Set(i, j, -1)
 		sameEntries(t, "source of a written clone", m, want)

@@ -74,12 +74,14 @@ func TestMaxMinOffDiag(t *testing.T) {
 	}
 }
 
-func TestDenseCloneIsIndependent(t *testing.T) {
+// TestDenseSubIsIndependent: the restriction of a written-out matrix to every
+// rank is a copy, the one a re-probe patches while its source is read.
+func TestDenseSubIsIndependent(t *testing.T) {
 	m := CostsFromRows([][]float64{{1, 2}, {3, 4}})
-	c := m.Clone()
-	c.Set(1, 1, 8)
-	if c.At(1, 1) != 8 || m.At(1, 1) != 4 || c.At(0, 1) != 2 {
-		t.Fatalf("Clone shares storage with its source or dropped an entry")
+	c := Sub([]int{0, 1}, m)[0]
+	c.Set(1, 0, 8)
+	if c.At(1, 0) != 8 || m.At(1, 0) != 3 || c.At(0, 1) != 2 {
+		t.Fatalf("Sub shares storage with its source or dropped an entry")
 	}
 }
 

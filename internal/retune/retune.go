@@ -6,14 +6,16 @@
 // telemetry histograms, and when the drift exceeds tolerance it (1)
 // re-probes a copy of its live profile through netmpi.Reprobe (a two-sample
 // screen, then the full budget on the flagged links; only links that still
-// drift there are patched) and adopts the copy, (2) re-runs the
-// incremental search seeded from the *currently running* schedule — the
-// warm-start that makes online retuning cheap enough to matter, per "Fast
-// Tuning of Intra-Cluster Collective Communications" — alongside a
-// from-scratch composition, with the same analyze.Vet gate every offline
-// tune passes, and (3) hot-swaps the winning plan into the running mesh
-// through the epoch store, where the per-rank runners agree on the switch
-// point inside their next barrier: its frames carry the plan version.
+// drift there are patched) and adopts the copy, (2) re-tunes the patched
+// profile the way the running plan was tuned: one core.Tune call under the
+// plan's own core.Options, with the same analyze.Vet gate, CertifyK demand
+// included — the paper's cluster-and-compose pipeline ranks a small,
+// well-characterised candidate set by model, cheap enough to re-run whole, as
+// in "Fast Tuning of Intra-Cluster Collective Communications" — and (3) when
+// that plan beats the running schedule, re-priced under the same policy, by a
+// hysteresis margin, hot-swaps it into the running mesh through the epoch
+// store, where the per-rank runners agree on the switch point inside their
+// next barrier: its frames carry the plan version.
 // No restart, no dropped barriers: the swap is a version bump the transport
 // applies at a quiescence point.
 package retune
@@ -25,15 +27,12 @@ import (
 	"sync"
 	"time"
 
-	"topobarrier/internal/analyze"
 	"topobarrier/internal/core"
 	"topobarrier/internal/critpath"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/profile"
-	"topobarrier/internal/run"
 	"topobarrier/internal/sched"
-	"topobarrier/internal/search"
 	"topobarrier/internal/telemetry"
 )
 
@@ -52,15 +51,11 @@ type Options struct {
 	MinObservations int64
 	// Probe configures the re-probe phases (budget, adaptivity, deadline).
 	Probe netmpi.ProbeOptions
-	// SearchBudget caps the seeded incremental search's candidate
-	// evaluations. Default 4000.
-	SearchBudget int
-	// CertifyK, when positive, demands the same k-fault certification of a
-	// swapped-in plan that core.Tune demands offline.
-	CertifyK int
-	// Policy parameterises the predictor, matching whatever the initial
-	// tune used.
-	Policy predict.CostPolicy
+	// Tune is the core.Options the running plan was tuned with. A triggered
+	// check re-tunes the patched profile with them (components, clustering,
+	// refinement, and the CertifyK gate a swapped-in plan must clear), and
+	// every price the controller judges is taken under their Policy.
+	Tune core.Options
 	// Registry is the registry the mesh's peers publish to — the source of
 	// the per-rank netmpi_barrier_seconds histograms the controller
 	// watches. Required: a controller with nothing to observe is a bug.
@@ -83,19 +78,12 @@ type Options struct {
 // nothing.
 const hysteresis = 0.05
 
-// searchSeed seeds the replan's incremental search, so a replan on the same
-// profile and schedule draws the same candidates every time.
-const searchSeed = 42
-
 func (o Options) withDefaults() Options {
 	if o.DriftTol <= 0 {
 		o.DriftTol = 1.0
 	}
 	if o.MinObservations <= 0 {
 		o.MinObservations = 8
-	}
-	if o.SearchBudget <= 0 {
-		o.SearchBudget = 4000
 	}
 	return o
 }
@@ -120,11 +108,9 @@ type Decision struct {
 	// budget and patched.
 	Reprobe *netmpi.ProbeReport
 	// Repriced is the current schedule's predicted cost under the patched
-	// profile; NewPredicted the winning candidate's. Candidate names the
-	// winner ("seeded-search" or "recomposed"); empty when every candidate
-	// failed its gates.
+	// profile; NewPredicted the re-tuned plan's, zero when the re-tune
+	// failed its gate.
 	Repriced, NewPredicted float64
-	Candidate              string
 	// Swapped reports whether a new plan was proposed; Version is the
 	// epoch version it got (the running version when not swapped).
 	Swapped bool
@@ -179,7 +165,7 @@ func New(peers []*netmpi.Peer, eps *netmpi.Epochs, s *sched.Schedule, pf *profil
 		return nil, fmt.Errorf("retune: schedule (%d ranks) / profile (%d ranks) vs %d-rank mesh", s.P, pf.P, len(peers))
 	}
 	opts = opts.withDefaults()
-	pd := &predict.Predictor{Prof: pf, Policy: opts.Policy}
+	pd := &predict.Predictor{Prof: pf, Policy: opts.Tune.Policy}
 	c := &Controller{
 		peers:      peers,
 		eps:        eps,
@@ -243,7 +229,7 @@ func (c *Controller) observe() (median float64, minFresh int64) {
 }
 
 // Check runs one pass of the loop: observe, judge drift, and — when
-// triggered — re-probe, re-search, and propose. It is cheap when nothing
+// triggered — re-probe, re-tune, and propose. It is cheap when nothing
 // drifted (a handful of histogram reads) and never blocks barrier traffic:
 // the re-probe shares the mesh with live barriers by tag-space separation,
 // and the proposal rides the version word of the next EpochRunner call and
@@ -311,62 +297,41 @@ func (c *Controller) Check() (Decision, error) {
 	c.pf, d.Reprobe = pf, rep
 
 	// The running schedule is re-priced under the patched profile either way,
-	// so the next check judges against reality; a candidate replaces it only
-	// when it beats that price by the hysteresis margin.
-	s, pl, cost, repriced, candidate := c.replan()
-	d.Repriced, d.NewPredicted, d.Candidate = repriced, cost, candidate
+	// so the next check judges against reality; the re-tuned plan replaces it
+	// only when it beats that price by the hysteresis margin.
+	tuned, repriced := c.replan()
+	d.Repriced = repriced
 	c.predicted = repriced
-	if pl != nil && cost < repriced*(1-hysteresis) {
-		v, err := c.eps.Propose(pl)
+	if tuned != nil {
+		d.NewPredicted = tuned.PredictedCost()
+	}
+	if tuned != nil && d.NewPredicted < repriced*(1-hysteresis) {
+		v, err := c.eps.Propose(tuned.Plan)
 		if err != nil {
 			return d, fmt.Errorf("retune: proposing plan: %w", err)
 		}
-		c.sched, c.predicted, c.version = s, cost, v
+		c.sched, c.predicted, c.version = tuned.Schedule(), d.NewPredicted, v
 		c.settling = true
-		d.Swapped, d.Version, d.Predicted = true, v, cost
+		d.Swapped, d.Version, d.Predicted = true, v, d.NewPredicted
 		c.swaps.Inc()
 	}
-	c.opts.Flight.SetModel(&predict.Predictor{Prof: c.pf, Policy: c.opts.Policy}, c.sched)
+	c.opts.Flight.SetModel(&predict.Predictor{Prof: c.pf, Policy: c.opts.Tune.Policy}, c.sched)
 	return d, nil
 }
 
-// replan races two candidates under the patched profile — the incremental
-// search seeded from the running schedule, and a from-scratch composition —
-// and returns the cheapest one that passes analyze.Vet (barriervet, the
-// CertifyK demand, CheckPlan), alongside the running schedule's re-priced
-// cost. A nil plan (at cost +Inf) means no candidate survived its gates.
-func (c *Controller) replan() (*sched.Schedule, *run.Plan, float64, float64, string) {
+// replan re-tunes the patched profile with the options the running plan was
+// tuned with and re-prices the running schedule under their policy. core.Tune
+// vets its plan (barriervet, the CertifyK demand, CheckPlan); a nil result
+// means the re-tune failed that gate.
+func (c *Controller) replan() (*core.Tuned, float64) {
 	span := c.opts.Tracer.Begin("retune.replan", -1, -1, -1)
 	defer span.End()
-	pd := &predict.Predictor{Prof: c.pf, Policy: c.opts.Policy}
-	repriced := pd.Cost(c.sched)
-	vetOpts := analyze.Options{Predictor: pd, CertifyK: c.opts.CertifyK}
-
-	var bestS *sched.Schedule
-	var bestPl *run.Plan
-	bestCost := math.Inf(1)
-	bestName := ""
-
-	// Candidate 1: seeded incremental search from the running schedule.
-	if res, err := search.Anneal(pd, c.sched, search.AnnealOptions{
-		Seed:   searchSeed,
-		Budget: c.opts.SearchBudget,
-	}); err == nil && res.Cost < bestCost {
-		if pl, _, err := analyze.Vet(res.Schedule, vetOpts); err == nil {
-			bestS, bestPl, bestCost, bestName = res.Schedule, pl, res.Cost, "seeded-search"
-		}
+	repriced := (&predict.Predictor{Prof: c.pf, Policy: c.opts.Tune.Policy}).Cost(c.sched)
+	tuned, err := core.Tune(c.pf, c.opts.Tune)
+	if err != nil {
+		return nil, repriced
 	}
-
-	// Candidate 2: full recomposition on the patched profile — the paper's
-	// pipeline, for drifts large enough that the old structure is wrong.
-	if tuned, err := core.Tune(c.pf, core.Options{
-		Policy:   c.opts.Policy,
-		CertifyK: c.opts.CertifyK,
-	}); err == nil && tuned.PredictedCost() < bestCost {
-		bestS, bestPl, bestCost, bestName = tuned.Schedule(), tuned.Plan, tuned.PredictedCost(), "recomposed"
-	}
-
-	return bestS, bestPl, bestCost, repriced, bestName
+	return tuned, repriced
 }
 
 // Start launches the loop in its own goroutine, running Check every

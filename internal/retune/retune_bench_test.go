@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/core"
 	"topobarrier/internal/netmpi"
 	"topobarrier/internal/predict"
 	"topobarrier/internal/run"
@@ -20,7 +21,7 @@ import (
 //
 // recovery-x is drift/after — how much of the injected degradation the swap
 // claws back. Designed for -benchtime 1x: every iteration builds a fresh
-// 7-rank mesh and runs the full detect→re-probe→re-search→swap cycle, so
+// 7-rank mesh and runs the full detect→re-probe→re-tune→swap cycle, so
 // ns/op is the whole-loop latency, not a per-barrier figure.
 func BenchmarkRetuneRecovery(b *testing.B) {
 	const (
@@ -55,10 +56,9 @@ func BenchmarkRetuneRecovery(b *testing.B) {
 			DriftTol:        10,
 			MinObservations: 6,
 			Probe:           probeOpts,
-			SearchBudget:    3000,
-			// Same reasoning as TestClosedLoopRecovery: the injected fault
-			// is per-target sender overhead, which only Eq. 1 represents.
-			Policy:   predict.AlwaysEq1,
+			// Same policy as TestClosedLoopRecovery, whose comment says why
+			// either policy steers around the delayed links.
+			Tune:     core.Options{Policy: predict.AlwaysEq1},
 			Registry: reg,
 		})
 		if err != nil {

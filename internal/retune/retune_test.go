@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"topobarrier/internal/core"
 	"topobarrier/internal/critpath"
 	"topobarrier/internal/faultnet"
 	"topobarrier/internal/netmpi"
@@ -110,8 +111,8 @@ func newRunners(t testing.TB, peers []*netmpi.Peer, eps *netmpi.Epochs) []*netmp
 // loop: a live mesh runs a tuned plan, one rank's outbound links to its
 // higher-numbered peers silently degrade (3 ms injected write delay), and
 // the controller must (1) notice the predicted-vs-observed drift, (2) fully
-// re-probe only the drifted directions, (3) re-tune from the running
-// schedule under the patched profile, and (4) hot-swap the new plan through
+// re-probe only the drifted directions, (3) re-tune the patched profile
+// with the running plan's options, and (4) hot-swap the new plan through
 // the epoch store with zero failed or blocked barriers — after which the
 // observed barrier cost must recover by at least 1.5× versus the stale plan
 // under drift (timing half skipped under -race).
@@ -149,14 +150,13 @@ func TestClosedLoopRecovery(t *testing.T) {
 		DriftTol:        10, // far above model noise, far below a 3 ms injected delay
 		MinObservations: 6,
 		Probe:           probeOpts,
-		SearchBudget:    3000,
 		// The injected fault is a per-link *sender* cost — the write itself
 		// blocks 3 ms on every frame, so the probe's batch gradient books it
 		// as L[3][j] (and, the pair's fit being symmetric, L[j][3]), with O
 		// at its floor. Both policies charge Σ L in every stage, so either
-		// steers the search around the slow links; the test keeps Eq. 1,
+		// steers the re-tune around the slow links; the test keeps Eq. 1,
 		// which also charges max_k O[i][jk].
-		Policy:   predict.AlwaysEq1,
+		Tune:     core.Options{Policy: predict.AlwaysEq1},
 		Registry: reg,
 	})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestClosedLoopRecovery(t *testing.T) {
 	inj.ns.Store(int64(delay))
 	runLoop(t, runners, 20, "under drift")
 
-	// Phase C — the hot check: re-probe, re-search, and swap proposal all
+	// Phase C — the hot check: re-probe, re-tune, and swap proposal all
 	// run while barrier traffic keeps flowing.
 	var d2 Decision
 	var checkErr error
@@ -234,8 +234,8 @@ func TestClosedLoopRecovery(t *testing.T) {
 		perftest.Floor(t, len(healthy) == 0, "healthy directions %v were patched", healthy)
 	}
 	if !d2.Swapped {
-		t.Fatalf("no swap proposed: repriced %.3gs, best candidate %.3gs (%s)",
-			d2.Repriced, d2.NewPredicted, d2.Candidate)
+		t.Fatalf("no swap proposed: repriced %.3gs, re-tuned %.3gs",
+			d2.Repriced, d2.NewPredicted)
 	}
 	if d2.NewPredicted >= d2.Repriced {
 		t.Fatalf("swapped to a predicted-worse plan: %.3gs ≥ %.3gs", d2.NewPredicted, d2.Repriced)
@@ -274,8 +274,8 @@ func TestClosedLoopRecovery(t *testing.T) {
 		t.Fatal("post-swap check had too few samples")
 	}
 	t.Logf("baseline: observed %.4gs predicted %.4gs", d1.Observed, d1.Predicted)
-	t.Logf("drift:    observed %.4gs repriced %.4gs → candidate %q predicted %.4gs (stale %v)",
-		d2.Observed, d2.Repriced, d2.Candidate, d2.NewPredicted, d2.Reprobe.Stale)
+	t.Logf("drift:    observed %.4gs repriced %.4gs → re-tuned predicted %.4gs (stale %v)",
+		d2.Observed, d2.Repriced, d2.NewPredicted, d2.Reprobe.Stale)
 	t.Logf("post-swap: observed %.4gs predicted %.4gs drift %.2f schedule %s (%d stages)",
 		d4.Observed, d4.Predicted, d4.Drift, ctl.Schedule().Name, ctl.Schedule().NumStages())
 	if perftest.RaceEnabled {
@@ -345,12 +345,11 @@ func TestControllerNoDriftNoAction(t *testing.T) {
 	}
 }
 
-// TestCertifyKGatesTheSwap: with CertifyK set, a re-tuned plan must clear the
-// same certification core.Tune demands offline. Nothing grown from a binomial
-// tree survives one silent rank, so a triggered check re-probes, finds no
-// candidate that passes the gate, and proposes nothing — the seeded-search
-// candidate used to be vetted on Error findings alone and was swapped in with
-// its counterexample.
+// TestCertifyKGatesTheSwap: with the running plan's options demanding CertifyK,
+// a re-tuned plan must clear the same certification core.Tune demands
+// offline. The paper's components compose nothing that survives one silent
+// rank, so a triggered check re-probes, the re-tune fails its gate, and
+// nothing is proposed.
 func TestCertifyKGatesTheSwap(t *testing.T) {
 	const p = 8
 	reg := telemetry.NewRegistry()
@@ -378,7 +377,7 @@ func TestCertifyKGatesTheSwap(t *testing.T) {
 		DriftTol:        1e-9, // any disagreement between model and mesh triggers
 		MinObservations: 4,
 		Probe:           probeOpts,
-		CertifyK:        1,
+		Tune:            core.Options{CertifyK: 1},
 		Registry:        reg,
 	})
 	if err != nil {
@@ -392,11 +391,82 @@ func TestCertifyKGatesTheSwap(t *testing.T) {
 	if !d.Triggered || d.Reprobe == nil {
 		t.Fatalf("check did not trigger: %+v", d)
 	}
-	if d.Candidate != "" || d.Swapped || eps.Latest() != 0 {
-		t.Fatalf("a plan with a 1-fault counterexample cleared the CertifyK gate: candidate %q, swapped %v, latest version %d",
-			d.Candidate, d.Swapped, eps.Latest())
+	if d.Swapped || eps.Latest() != 0 || d.NewPredicted != 0 {
+		t.Fatalf("a plan with a 1-fault counterexample cleared the CertifyK gate: swapped %v, re-tuned %.3gs, latest version %d",
+			d.Swapped, d.NewPredicted, eps.Latest())
 	}
 	runLoop(t, runners, 8, "post-check loop")
+}
+
+// TestRetuneInheritsThePlanTuning: the controller prices and re-tunes with the
+// core.Options the running plan was tuned with, not with defaults of its own.
+// Its model of the seed is the seed's price under those options' policy, and a
+// triggered check proposes exactly what core.Tune makes of the patched
+// profile under the same options.
+func TestRetuneInheritsThePlanTuning(t *testing.T) {
+	const p = 5
+	reg := telemetry.NewRegistry()
+	peers, err := netmpi.LoopbackMesh(p, meshTimeout, netmpi.WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netmpi.CloseMesh(peers)
+	probeOpts := netmpi.ProbeOptions{MaxIters: 3, StableK: 2}
+	pf, _, err := netmpi.ProbeProfileOpts(peers, probeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A linear barrier run twice: its fan-in prices differently under the two
+	// policies, and a tuned plan beats its doubled stages by far more than the
+	// hysteresis.
+	s := sched.Linear(p).Concat(sched.Linear(p))
+	tune := core.Options{Builders: sched.ExtendedBuilders(), Policy: predict.AlwaysEq1}
+	eq1 := (&predict.Predictor{Prof: pf, Policy: predict.AlwaysEq1}).Cost(s)
+	if def := predict.New(pf).Cost(s); def == eq1 {
+		t.Fatalf("the seed prices %.3gs under both policies; the test cannot tell them apart", eq1)
+	}
+	plan, err := run.NewPlan(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps, err := netmpi.NewEpochs(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := newRunners(t, peers, eps)
+	ctl, err := New(peers, eps, s, pf, Options{
+		DriftTol:        1e-9, // any disagreement between model and mesh triggers
+		MinObservations: 4,
+		Probe:           probeOpts,
+		Tune:            tune,
+		Registry:        reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.Predicted(); got != eq1 {
+		t.Fatalf("controller prices the seed at %.6gs, its AlwaysEq1 price is %.6gs", got, eq1)
+	}
+	runLoop(t, runners, 12, "pre-check loop")
+	d, err := ctl.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Triggered || d.Reprobe == nil {
+		t.Fatalf("check did not trigger: %+v", d)
+	}
+	want, err := core.Tune(ctl.pf, tune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NewPredicted != want.PredictedCost() {
+		t.Errorf("re-tuned plan predicted %.6gs, core.Tune under the plan's options %.6gs", d.NewPredicted, want.PredictedCost())
+	}
+	if !d.Swapped || !ctl.Schedule().Equal(want.Schedule()) {
+		t.Fatalf("proposed %s (swapped %v, re-priced seed %.3gs), core.Tune under the plan's options makes %s",
+			ctl.Schedule().Name, d.Swapped, d.Repriced, want.Schedule().Name)
+	}
+	runLoop(t, runners, 8, "post-swap loop")
 }
 
 // TestReprobeLeavesTheServedModelAlone is the regression for a data race: the
@@ -433,7 +503,6 @@ func TestReprobeLeavesTheServedModelAlone(t *testing.T) {
 		DriftTol:        1e-9, // any disagreement triggers, and every screened link is stale
 		MinObservations: 4,
 		Probe:           probeOpts,
-		SearchBudget:    200,
 		Registry:        reg,
 		Flight:          flight,
 	})

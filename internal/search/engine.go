@@ -82,36 +82,19 @@ func newClimber(pd *predict.Predictor, seedSched *sched.Schedule, seedCost float
 }
 
 // run advances the climb by the given number of mutation attempts, a batch
-// at a time when batch is above 1, and yields its core after every
-// sliceSteps of them. A round is one run call, so batches are cut only where
-// the round ends.
+// at a time (one attempt when batch is at most 1), and yields its core after
+// every sliceSteps of them. A round is one run call, so batches are cut only
+// where the round ends.
 func (c *climber) run(steps int) {
 	yield := sliceSteps
 	for n := 0; n < steps; {
-		if c.batch > 1 {
-			b := min(c.batch, steps-n)
-			c.stepBatch(b)
-			n += b
-		} else {
-			c.step()
-			n++
-		}
+		b := min(max(c.batch, 1), steps-n)
+		c.stepBatch(b)
+		n += b
 		if n >= yield {
 			runtime.Gosched()
 			yield = n + sliceSteps
 		}
-	}
-}
-
-func (c *climber) step() {
-	m, ok := c.draw()
-	if !ok {
-		return
-	}
-	if cost := c.examine(m); cost <= c.cost {
-		c.accept(cost)
-	} else {
-		c.undo(m)
 	}
 }
 
@@ -166,31 +149,46 @@ func (c *climber) score(m mutation) float64 {
 }
 
 // stepBatch draws up to b candidate mutations against the same base state,
-// scores each through the usual apply→score→undo delta protocol, then
-// re-applies the cheapest if it does not predict slower — a best-of-b move
-// selection that sharpens every accepted step, which is what makes cheap
-// cluster-pruned proposals at large P pay off. Every candidate is undone
-// before the next is drawn, so all b draws see the identical base schedule.
-// The winning re-apply runs no fresh verdict: its accept marks the closure's
-// base stale from the touched stage, and the next verdict catches it up.
+// scores each through the usual apply→score→undo delta protocol, and keeps
+// the cheapest if it does not predict slower — a best-of-b move selection
+// that sharpens every accepted step, which is what makes cheap
+// cluster-pruned proposals at large P pay off; at b = 1 it is the plain
+// hill-climbing step. A candidate is undone only before the next draw, so
+// all b draws see the identical base schedule and the last one is still
+// applied when the batch ends: accepted where it stands when it wins,
+// undone otherwise. An earlier winner is re-applied and runs no fresh
+// verdict: its accept marks the closure's base stale from the touched
+// stage, and the next verdict catches it up.
 func (c *climber) stepBatch(b int) {
-	var bestM mutation
+	var last, bestM mutation
 	bestCost := math.Inf(1)
-	found := false
+	found, applied, lastWins := false, false, false
 	for n := 0; n < b; n++ {
+		if applied {
+			c.undo(last)
+			applied = false
+		}
 		m, ok := c.draw()
 		if !ok {
 			continue
 		}
 		cost := c.examine(m)
-		if !found || cost < bestCost {
+		last, applied = m, true
+		if lastWins = !found || cost < bestCost; lastWins {
 			found, bestM, bestCost = true, m, cost
 		}
-		c.undo(m)
 	}
-	if found && bestCost <= c.cost {
+	switch {
+	case applied && lastWins && bestCost <= c.cost:
+		c.accept(bestCost)
+	case found && bestCost <= c.cost:
+		if applied {
+			c.undo(last)
+		}
 		c.apply(bestM)
 		c.accept(bestCost)
+	case applied:
+		c.undo(last)
 	}
 }
 

@@ -69,10 +69,10 @@ func chunkClusters(p int) [][]int {
 	return clusters
 }
 
-// TestGatedClimberLockstep runs the real step/stepBatch against the
-// score-everything reference from the same RNG seed and requires, after every
-// step, the same working schedule, the same cost bits and the same examined /
-// accept counts — i.e. the same decision on every candidate — and that
+// TestGatedClimberLockstep runs the real stepBatch, at b = 1 and 8, against
+// the score-everything reference from the same RNG seed and requires, after
+// every step, the same working schedule, the same cost bits and the same
+// examined / accept counts — i.e. the same decision on every candidate — and that
 // whatever the gated climber kept without running Eq. 3 is a barrier by the
 // from-scratch recurrence.
 func TestGatedClimberLockstep(t *testing.T) {
@@ -118,7 +118,7 @@ func lockstep(t *testing.T, pd *predict.Predictor, seed *sched.Schedule, prop *p
 			gated.stepBatch(batch)
 			refStepBatch(ref, batch)
 		} else {
-			gated.step()
+			gated.stepBatch(1)
 			refStep(ref)
 		}
 		if !gated.s.Equal(ref.s) || math.Float64bits(gated.cost) != math.Float64bits(ref.cost) ||

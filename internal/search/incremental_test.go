@@ -46,7 +46,7 @@ func TestClimberInvariants(t *testing.T) {
 	seedSched := sched.Dissemination(10)
 	c := newClimber(pd, seedSched, pd.Cost(seedSched), stats.NewRNG(4), seedSched.NumStages()+2, nil, 0)
 	for step := 0; step < 3000; step++ {
-		c.step()
+		c.stepBatch(1)
 		if step%50 != 0 {
 			continue
 		}
